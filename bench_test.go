@@ -223,8 +223,8 @@ func BenchmarkDatacenterScaling(b *testing.B) {
 // mid-simulation snapshot: matrix construction, a full bounded
 // consolidation pass (Algorithm 1), and single-VM arrival placement.
 // Finer-grained kernel-vs-generic comparisons live in internal/core's
-// Kernel* benchmarks; the pre-kernel baseline is measured by
-// cmd/benchreport (not a paper artifact; an engineering bench).
+// Kernel* benchmarks; whole-run numbers come from `go run ./bench` (not a
+// paper artifact; an engineering bench).
 func BenchmarkPlacementKernel(b *testing.B) {
 	factors := core.DefaultFactors()
 	for _, n := range []int{100, 1000} {
@@ -268,8 +268,8 @@ func BenchmarkPlacementKernel(b *testing.B) {
 	}
 }
 
-// kernelBenchState builds the same deterministic snapshot cmd/benchreport
-// measures: a scaled Table II fleet, all PMs on, varied demand shapes and
+// kernelBenchState builds the deterministic snapshot internal/core's
+// Kernel* benchmarks also use: a scaled Table II fleet, all PMs on, varied demand shapes and
 // runtimes placed first-fit, clock at two hours.
 func kernelBenchState(pmCount, nVMs int) (*core.Context, []*cluster.VM) {
 	return placedBenchState(pmCount, nVMs, false)

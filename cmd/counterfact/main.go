@@ -12,7 +12,7 @@
 // re-execution of the recorded decisions against the same arrival
 // stream, so the same -scheme/-seed/-nodes/-jobs/... flags that
 // produced the log reproduce the original run trace byte-for-byte
-// (`make policy-audit` pins this). Any mismatch surfaces as a
+// (TestFaithfulReplayReproducesTrace pins this). Any mismatch surfaces as a
 // divergence error and a non-zero exit.
 //
 // -list prints the recorded placement decisions with their log index

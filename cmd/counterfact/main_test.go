@@ -85,8 +85,7 @@ func canonical(t *testing.T, path string) []byte {
 	return c.Bytes()
 }
 
-// TestFaithfulReplayReproducesTrace is the counterfact face of the
-// policy-audit gate: replaying a recorded log under the recording flags
+// TestFaithfulReplayReproducesTrace is the replay gate: replaying a recorded log under the recording flags
 // reproduces the original run trace byte-for-byte.
 func TestFaithfulReplayReproducesTrace(t *testing.T) {
 	tracePath, decPath := recordRun(t)

@@ -25,7 +25,7 @@
 // -cells C partitions the fleet into C cells advanced by the
 // shared-clock orchestrator (see README "Multi-cell runs" and DESIGN.md
 // §14); decisions and canonical traces are bit-identical to -cells 1,
-// which TestGoldenTraceCells and `make cells-audit` pin. Checkpoints
+// which TestGoldenTraceCells and TestTraceEquivalence pin. Checkpoints
 // taken under one cell count resume under any other.
 //
 // The -cpuprofile and -memprofile flags capture runtime/pprof profiles of
@@ -44,7 +44,7 @@
 // their top-k rejected alternatives, consolidation move batches, and
 // spare-pool targets — as a separate JSONL stream (see DESIGN.md §16).
 // The decision stream has its own logical clock, so recording leaves the
-// run trace byte-identical to an unrecorded run (`make policy-audit`
+// run trace byte-identical to an unrecorded run (TestTraceEquivalence
 // pins this). Replay the log, or ask "what if we'd picked alternative
 // #2", with cmd/counterfact.
 //
@@ -59,7 +59,7 @@
 // and -resume restores a run from a checkpoint under the same flags. A
 // resumed run continues bit-exactly: its trace concatenated after the
 // interrupted run's is canonically byte-identical to an uninterrupted
-// run's (see DESIGN.md §11 and `make resume-audit`).
+// run's (see DESIGN.md §11 and TestTraceEquivalence).
 package main
 
 import (
@@ -265,7 +265,7 @@ func run(args []string, out io.Writer) error {
 		cfg.Obs.Decisions = obs.NewTracer(decBuf)
 		// Recording wraps the configured policy; the decision stream has
 		// its own logical clock, so the run trace stays byte-identical to
-		// an unrecorded run (`make policy-audit` pins this).
+		// an unrecorded run (TestTraceEquivalence pins this).
 		cfg.Placer = policy.NewRecorder(placer.(policy.Policy), 0)
 	}
 	res, stopped, err := runSim(cfg, out, *resumeArg, *ckptPath, uint64(*ckptEvery), uint64(*stopAfter))

@@ -288,3 +288,75 @@ func TestRandomOperationsAudit(t *testing.T) {
 	t.Logf("ops=%d arrived=%d finished=%d rejected=%d checks=%d",
 		ops, h.arrived, h.finished, h.rejected, h.aud.Checks())
 }
+
+// slabOracleState builds a Table II fleet hardened for the slab row fill's
+// edge cases — a zero-reliability PM and a stripe of expired-estimate VMs,
+// where the per-cell paths short-circuit to literal zero and the slab path
+// multiplies through.
+func slabOracleState(t *testing.T) (*core.Context, []*cluster.VM) {
+	t.Helper()
+	dc := cluster.TableIIFleetScaled(40)
+	pms := dc.PMs()
+	for _, pm := range pms {
+		pm.State = cluster.PMOn
+	}
+	pms[len(pms)/2].Reliability = 0
+	var vms []*cluster.VM
+	for i := range pms {
+		est := float64(3000 + 700*(i%11))
+		if i%7 == 0 {
+			est = 1 // expired by the evaluation time: p_vir = 0 off-host
+		}
+		vm := cluster.NewVM(cluster.VMID(i+1), demandPalette[i%len(demandPalette)], est, est, 0)
+		if err := pms[i].Host(vm); err != nil {
+			t.Fatal(err)
+		}
+		vm.State = cluster.VMRunning
+		vms = append(vms, vm)
+	}
+	return core.NewContext(dc).At(1800), vms
+}
+
+// TestSlabMatchesOracleAfterApplies closes the slab ≡ generic ≡ oracle
+// triangle on the oracle side (internal/core's TestSlabEquivalence* pin
+// slab ≡ generic): a slab-kernel matrix walks a randomized Apply sequence
+// and after every move must be bit-identical — every cell, tracker, and the
+// Best decision — to a cold build of the frozen oracle over the same fleet.
+func TestSlabMatchesOracleAfterApplies(t *testing.T) {
+	ctx, vms := slabOracleState(t)
+	m, err := core.NewMatrix(ctx, core.DefaultFactors(), vms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied := 0
+	check := func() {
+		t.Helper()
+		ref, err := oracle.NewMatrix(ctx, core.DefaultFactors(), vms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := diffOracle(m, ref); err != nil {
+			t.Fatalf("after %d moves: %v", applied, err)
+		}
+	}
+	check()
+	state := uint64(0x9E3779B97F4A7C15)
+	for step := 0; step < 80; step++ {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		c := int(state>>33) % m.Cols()
+		r := int(state>>13) % m.Rows()
+		if m.VM(c).Host == m.PM(r).ID || m.P(r, c) <= 0 {
+			continue
+		}
+		if err := m.Apply(r, c); err != nil {
+			t.Fatal(err)
+		}
+		applied++
+		check()
+	}
+	if applied < 20 {
+		t.Fatalf("only %d moves applied; property barely exercised", applied)
+	}
+}

@@ -171,16 +171,27 @@ func (h *sparseHarness) departure(arg byte) {
 
 // consolidate runs Algorithm 1 on both sides — dense on A, sparse on B —
 // and requires identical move lists: same VMs, same endpoints,
-// bit-identical gains, same rounds.
+// bit-identical gains, same rounds. At every applied move the two engines'
+// ranked alternatives for the moved column (dense ColumnAlternatives'
+// on-demand column scan vs the sparse shortlist, both depth 4, as handed
+// to the DecisionHook) must name the same PMs with bit-equal gains.
 func (h *sparseHarness) consolidate(arg byte) {
 	params := core.Params{MIGThreshold: 1.05, MIGRound: int(arg)%3 + 1}
-	movesA, err := core.ConsolidateWith(h.a.ctx.At(h.now), h.factors, params, core.MatrixOptions{})
+	var altsA, altsB [][]core.Placement
+	optsA, optsB := core.MatrixOptions{}, h.opts()
+	optsA.DecisionHook = func(_ int, _ core.Move, alts []core.Placement) { altsA = append(altsA, alts) }
+	optsB.DecisionHook = func(_ int, _ core.Move, alts []core.Placement) { altsB = append(altsB, alts) }
+	movesA, err := core.ConsolidateWith(h.a.ctx.At(h.now), h.factors, params, optsA)
 	if err != nil {
 		h.t.Fatalf("dense consolidate: %v", err)
 	}
-	movesB, err := core.ConsolidateWith(h.b.ctx.At(h.now), h.factors, params, h.opts())
+	movesB, err := core.ConsolidateWith(h.b.ctx.At(h.now), h.factors, params, optsB)
 	if err != nil {
 		h.t.Fatalf("sparse consolidate: %v", err)
+	}
+	if len(altsA) != len(movesA) || len(altsB) != len(movesB) {
+		h.t.Fatalf("consolidate at t=%g: hook saw %d/%d moves, engines made %d/%d",
+			h.now, len(altsA), len(altsB), len(movesA), len(movesB))
 	}
 	if len(movesA) != len(movesB) {
 		h.t.Fatalf("consolidate at t=%g: dense made %d moves %+v, sparse %d moves %+v",
@@ -190,6 +201,18 @@ func (h *sparseHarness) consolidate(arg byte) {
 		if movesA[i] != movesB[i] {
 			h.t.Fatalf("consolidate at t=%g move %d: dense %+v != sparse %+v",
 				h.now, i, movesA[i], movesB[i])
+		}
+		a, b := altsA[i], altsB[i]
+		if len(a) != len(b) || len(a) == 0 || a[0].PM.ID != movesA[i].To {
+			h.t.Fatalf("consolidate at t=%g move %d: %d dense vs %d sparse alternatives (head must be PM %d)",
+				h.now, i, len(a), len(b), movesA[i].To)
+		}
+		for j := range a {
+			if a[j].PM.ID != b[j].PM.ID ||
+				math.Float64bits(a[j].Probability) != math.Float64bits(b[j].Probability) {
+				h.t.Fatalf("consolidate at t=%g move %d alternative %d: dense (PM %d, %v) != sparse (PM %d, %v)",
+					h.now, i, j, a[j].PM.ID, a[j].Probability, b[j].PM.ID, b[j].Probability)
+			}
 		}
 	}
 	h.moves += len(movesA)

@@ -78,7 +78,7 @@ func TestSlabRowFillAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.kern == nil || m.kern.noSlab {
+	if m.kern == nil || !m.kern.isDefault {
 		t.Fatal("slab path not engaged")
 	}
 	m.fillRow(0) // warm the row scratch slabs

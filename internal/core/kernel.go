@@ -106,11 +106,6 @@ type kernel struct {
 	virStride int
 	ncols     int
 
-	// noSlab forces the scalar cell-at-a-time row fill; set through
-	// MatrixOptions.DisableSlab so benchmarks and differential tests can
-	// pit the batched path against its scalar ancestor.
-	noSlab bool
-
 	// hostHead/hostNext/hostPrev index the hosted cells per row (built
 	// only for the default program): hostHead[r] heads a doubly-linked,
 	// -1-terminated list of the columns row r currently hosts, threaded
@@ -238,75 +233,18 @@ func classCreationTime(pms []*cluster.PM, rowClass []int, ci int) float64 {
 	return 0
 }
 
-// fillRow evaluates every cell of row r into out. For the canonical
-// factor program it takes the batched slab path (fillRowSlab) — or, when
-// slabs are disabled, the scalar per-cell-branch path — and otherwise
-// falls back to per-cell evaluation through the term program. rs supplies
-// the memo and slab buffers — callers reuse one per goroutine, so the
-// per-row fill allocates nothing. All three paths are bit-identical.
+// fillRow evaluates every cell of row r into out: the batched slab path
+// (fillRowSlab) for the canonical factor program, per-cell evaluation
+// through the term program otherwise. rs supplies the slab buffers —
+// callers reuse one per goroutine, so the per-row fill allocates nothing.
+// Both paths are bit-identical to the generic Factor path.
 func (k *kernel) fillRow(r int, pm *cluster.PM, vms []*cluster.VM, out []float64, rs *rowScratch) {
-	if !k.isDefault {
-		for c, vm := range vms {
-			out[c] = k.cell(r, c, pm, vm, vm.Host == pm.ID)
-		}
-		return
-	}
-	if !k.noSlab {
+	if k.isDefault {
 		k.fillRowSlab(r, pm, vms, out, rs)
 		return
 	}
-	k.fillRowScalar(r, pm, vms, out, rs)
-}
-
-// fillRowScalar is the cell-at-a-time default-program row fill the slab
-// path replaced: per-demand-shape memos, then a column loop with
-// feasibility and zero short-circuit branches. Kept as the DisableSlab
-// reference so differential tests and benchmarks can compare the batched
-// path against it directly.
-func (k *kernel) fillRowScalar(r int, pm *cluster.PM, vms []*cluster.VM, out []float64, rs *rowScratch) {
-	ci := k.rowClass[r]
-	info := k.infos[ci]
-	rel := pm.Reliability
-
-	// Per-demand-shape memo for this row: p_res (feasibility) and the
-	// non-host p_eff. Identical inputs to the per-cell path (the interned
-	// shape aliases a column's exact demand vector), so identical bits.
-	feas, eff := rs.buffers(len(k.demands))
-	for di, demand := range k.demands {
-		if pm.CanHost(demand) {
-			feas[di] = true
-			eff[di] = effProbability(info, prospectiveUtilization(pm, demand))
-		}
-	}
-	effHosted := -1.0 // lazily computed; the PM's utilization already includes its VMs
-
 	for c, vm := range vms {
-		if vm.Host == pm.ID {
-			if effHosted < 0 {
-				effHosted = effProbability(info, pm.Utilization())
-			}
-			if rel == 0 {
-				out[c] = 0
-				continue
-			}
-			out[c] = rel * effHosted
-			continue
-		}
-		if !feas[k.demIdx[c]] {
-			out[c] = 0
-			continue
-		}
-		p := k.vir[ci*k.virStride+c]
-		if p == 0 {
-			out[c] = 0
-			continue
-		}
-		p *= rel
-		if p == 0 {
-			out[c] = 0
-			continue
-		}
-		out[c] = p * eff[k.demIdx[c]]
+		out[c] = k.cell(r, c, pm, vm, vm.Host == pm.ID)
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 // Kernel micro-benchmarks: the factored evaluation path versus the
 // generic Factor-interface path, at 100 / 1k / 10k PMs with ~2 VMs per
 // PM, over the three hot operations of the scheme — matrix build,
-// per-round incremental update, and arrival ranking. cmd/benchreport runs
-// the same comparisons programmatically and records them in
-// BENCH_core.json. For benchstat-friendly output:
+// per-round incremental update, and arrival ranking. These are layer-level
+// looks; whole-run numbers come from `go run ./bench` (bench/README.md).
+// For benchstat-friendly output:
 //
 //	go test ./internal/core -run '^$' -bench 'Kernel.*pms(100|1000)$' -count 10
 //
@@ -49,8 +49,8 @@ func BenchmarkKernelMatrixBuild(b *testing.B) {
 }
 
 // BenchmarkKernelMatrixRound measures one migration round's incremental
-// work — Apply's two recomputeRow calls plus the heap maintenance behind
-// Best — by ping-ponging the best move back and forth (two Applies per
+// work — Apply's two recomputeRow calls plus Best's argmax — by
+// ping-ponging the best move back and forth (two Applies per
 // iteration, so one iteration ≈ two rounds).
 func BenchmarkKernelMatrixRound(b *testing.B) {
 	for _, disable := range []bool{false, true} {

@@ -203,9 +203,9 @@ func TestKernelArrivalEquivalence(t *testing.T) {
 
 // TestMatrixTrackersMatchRebuildAfterRandomApplies is the incremental-
 // drift property test: after a randomized sequence of Apply calls, the
-// live matrix's curRow/curProb/bestRow/bestGain trackers (and the gain
-// heap behind Best) must match a from-scratch NewMatrix rebuild of the
-// mutated datacenter, on both evaluation paths.
+// live matrix's curRow/curProb/bestRow/bestGain trackers (and Best) must
+// match a from-scratch NewMatrix rebuild of the mutated datacenter, on
+// both evaluation paths.
 func TestMatrixTrackersMatchRebuildAfterRandomApplies(t *testing.T) {
 	for _, disable := range []bool{false, true} {
 		name := "kernel"

@@ -49,9 +49,10 @@ func Consolidate(ctx *Context, factors []Factor, params Params) ([]Move, error) 
 	return ConsolidateWith(ctx, factors, params, MatrixOptions{})
 }
 
-// ConsolidateWith is Consolidate with explicit matrix options; it exists
-// so the kernel-equivalence tests and benchmarks can run Algorithm 1 over
-// both evaluation paths.
+// ConsolidateWith is Consolidate with explicit matrix options: with
+// CandidateK > 0 and the canonical factor program the pass runs on the
+// sparse candidate-set engine, otherwise on the dense matrix — the same
+// Algorithm 1 loop either way, with bit-identical moves.
 func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixOptions) ([]Move, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -61,42 +62,75 @@ func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixO
 	if len(vms) == 0 {
 		return nil, nil
 	}
-	if opts.CandidateK > 0 && canonicalDefault(factors) {
-		return consolidateSparse(ctx, factors, params, opts, vms)
-	}
+	var (
+		e    engine
+		rows []*cluster.PM
+		cols []*cluster.VM
+		err  error
+	)
 	stop := ctx.Obs.Phase("kernel_build").Time()
-	m, err := NewMatrixWith(ctx, factors, vms, opts)
+	if opts.CandidateK > 0 && canonicalDefault(factors) {
+		var sm *SparseMatrix
+		if sm, err = NewSparseMatrix(ctx, factors, vms, opts); err == nil {
+			e, rows, cols = sm, sm.pms, sm.vms
+		}
+	} else {
+		var m *Matrix
+		if m, err = NewMatrixWith(ctx, factors, vms, opts); err == nil {
+			defer m.Release()
+			e, rows, cols = m, m.pms, m.vms
+		}
+	}
 	stop()
 	if err != nil {
 		return nil, err
 	}
-	defer m.Release()
-	stop = ctx.Obs.Phase("algo1_rounds").Time()
-	var moves []Move
-	for round := 1; round <= params.MIGRound; round++ {
-		r, c, gain, ok := m.Best()
-		if !ok || gain <= params.MIGThreshold || math.IsNaN(gain) {
-			break
-		}
-		vm := m.vms[c]
-		from := vm.Host
-		if opts.DecisionHook != nil {
-			opts.DecisionHook(round,
-				Move{VM: vm.ID, From: from, To: m.pms[r].ID, Gain: gain, Round: round},
-				m.ColumnAlternatives(c, topK))
-		}
-		if err := m.Apply(r, c); err != nil {
-			stop()
-			return moves, err
-		}
-		moves = append(moves, Move{
-			VM: vm.ID, From: from, To: vm.Host, Gain: gain, Round: round,
-		})
+	moves, err := runRounds(ctx, e, rows, cols, params, opts.DecisionHook)
+	if err != nil {
+		return moves, err
 	}
-	stop()
 	ctx.Obs.Add("core.consolidate_passes", 1)
 	if len(moves) > 0 {
 		ctx.Obs.Add("core.consolidate_moves", int64(len(moves)))
+	}
+	return moves, nil
+}
+
+// engine is what Algorithm 1 needs from a probability matrix; Matrix and
+// SparseMatrix implement it.
+type engine interface {
+	// Best returns the globally best move under the (gain desc, column
+	// asc, row asc) order.
+	Best() (r, c int, gain float64, ok bool)
+	// Apply migrates column c's VM to row r and repairs the trackers.
+	Apply(r, c int) error
+	// alternatives ranks column c's top-k non-host rows by gain.
+	alternatives(c, k int) []Placement
+}
+
+// runRounds is Algorithm 1's migration loop over an engine whose rows and
+// columns are pms and vms: while the best normalized gain exceeds
+// MIG_threshold and fewer than MIG_round rounds have run, report the move
+// to the hook (if any) and apply it. On an Apply error the moves executed
+// so far are returned with it.
+func runRounds(ctx *Context, e engine, pms []*cluster.PM, vms []*cluster.VM, params Params,
+	hook func(round int, mv Move, alts []Placement)) ([]Move, error) {
+	defer ctx.Obs.Phase("algo1_rounds").Time()()
+	var moves []Move
+	for round := 1; round <= params.MIGRound; round++ {
+		r, c, gain, ok := e.Best()
+		if !ok || gain <= params.MIGThreshold || math.IsNaN(gain) {
+			break
+		}
+		vm := vms[c]
+		mv := Move{VM: vm.ID, From: vm.Host, To: pms[r].ID, Gain: gain, Round: round}
+		if hook != nil {
+			hook(round, mv, e.alternatives(c, altDepth))
+		}
+		if err := e.Apply(r, c); err != nil {
+			return moves, err
+		}
+		moves = append(moves, mv)
 	}
 	return moves, nil
 }

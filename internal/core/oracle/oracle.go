@@ -3,12 +3,12 @@
 // evaluated through the generic Factor interface, per-column tracker
 // refreshes pay a division per row, and Best is a linear scan over all
 // columns — exactly the code that shipped before the factored kernel
-// (PR 1), promoted from cmd/benchreport so the audit subsystem and the
-// metamorphic tests can import it.
+// (PR 1), kept as a package so the audit subsystem and the metamorphic
+// tests can import it.
 //
 // The point of this package is to stay naive. Its simplicity is the
 // argument for its correctness: no memoization, no incremental tracker
-// surgery, no heap. When internal/core's kernel and this oracle disagree
+// surgery. When internal/core's kernel and this oracle disagree
 // on a single bit, the optimized path is presumed wrong. Do not "improve"
 // this code; any change must be justified as a semantics fix and mirrored
 // by the equivalence tests in internal/audit.

@@ -14,11 +14,11 @@ import (
 // package is a pure fan-out over independent units — matrix rows, columns,
 // or PM shards — whose per-unit computation reads only shared immutable
 // state (prewarmed memos) and writes only unit-indexed slots or
-// worker-private scratch. Reductions (the sparse Best argmax) use fixed
-// contiguous spans with one result slot per span, merged in span order
-// under the serial comparison, so the result is bit-identical to the
-// serial scan at any worker count. Worker count changes scheduling, never
-// values.
+// worker-private scratch. Order-sensitive merges (the candidate index's
+// stale-PM sweep) use fixed contiguous spans with one result slot per
+// span, applied serially in span order, so the result is bit-identical to
+// the serial scan at any worker count. Worker count changes scheduling,
+// never values.
 
 // workerTokens is the process-wide budget of *extra* goroutines beyond the
 // calling one: GOMAXPROCS-1 tokens. Auto-resolved kernels (Workers == 0)

@@ -29,18 +29,7 @@ type matrixScratch struct {
 	pflat []float64
 	prows [][]float64
 
-	curRow   []int
-	curProb  []float64
-	bestRow  []int
-	bestGain []float64
-	bestP    []float64
-
-	topRows []int32
-	topPs   []float64
-	topLen  []int32
-
-	heap    []int
-	hpos    []int
+	trk     colTrackers
 	pending []int
 	cols    []int
 
@@ -68,16 +57,13 @@ type kernScratch struct {
 	hostIdx  map[cluster.PMID]int32
 }
 
-// rowScratch holds fillRow's per-demand-shape memo buffers and the slab
-// path's aligned working slabs. Every concurrent row filler owns one; the
-// serial fill and recomputeRow reuse the matrix's.
+// rowScratch holds the slab row fill's aligned working slabs. Every
+// concurrent row filler owns one; the serial fill and recomputeRow reuse
+// the matrix's.
 type rowScratch struct {
-	feas []bool
-	eff  []float64
-
-	// Raw backings for the slab path's aligned views (alignedFloats):
-	// effZRaw holds the per-demand-shape efficiency memo, effColRaw its
-	// per-column expansion.
+	// Raw backings for the aligned views (alignedFloats): effZRaw holds
+	// the per-demand-shape efficiency memo, effColRaw its per-column
+	// expansion.
 	effZRaw   []float64
 	effColRaw []float64
 }
@@ -96,21 +82,6 @@ func (rs *rowScratch) colSlab(n int) []float64 {
 	var v []float64
 	rs.effColRaw, v = alignedFloats(rs.effColRaw, n)
 	return v
-}
-
-// buffers returns the memo buffers sized for d demand shapes, feasibility
-// cleared. (eff entries are only read where feas is true, so they need no
-// clearing.)
-func (rs *rowScratch) buffers(d int) ([]bool, []float64) {
-	if cap(rs.feas) < d {
-		rs.feas = make([]bool, d)
-		rs.eff = make([]float64, d)
-	}
-	feas, eff := rs.feas[:d], rs.eff[:d]
-	for i := range feas {
-		feas[i] = false
-	}
-	return feas, eff
 }
 
 // arrivalScratch is the per-arrival evaluation state BestPlacement and
@@ -152,10 +123,7 @@ func (m *Matrix) Release() {
 	m.scr = nil
 	// Store the possibly-regrown slices back so their capacity survives.
 	scr.pms, scr.vms = m.pms, m.vms
-	scr.prows, scr.curRow, scr.curProb = m.p, m.curRow, m.curProb
-	scr.bestRow, scr.bestGain, scr.bestP = m.bestRow, m.bestGain, m.bestP
-	scr.topRows, scr.topPs, scr.topLen = m.topRows, m.topPs, m.topLen
-	scr.heap, scr.hpos, scr.pending = m.heap, m.hpos, m.pending
+	scr.prows, scr.trk, scr.pending = m.p, m.colTrackers, m.pending
 	if m.ctx.mscratch == nil {
 		m.ctx.mscratch = scr
 	}

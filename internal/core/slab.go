@@ -24,21 +24,18 @@ import (
 // followed by an O(hosted) patch loop that overwrites the columns this
 // row currently hosts (located through a per-row linked index kept in
 // sync with migrations by moveHosted). The virtualization memo is stored
-// class-major — one
-// contiguous, cache-line-aligned lane of length ncols per PM class, the
-// exact slice the inner loop streams — instead of the column-major
-// [c*nc+ci] interleave the scalar path used.
+// class-major — one contiguous, cache-line-aligned lane of length ncols per
+// PM class, the exact slice the inner loop streams.
 //
-// Bit-exactness. The scalar path computes ((p_vir * p_rel)) * p_eff with
-// literal-zero short circuits; every operand here is a finite,
-// non-negative float64 (probabilities and Eq. 4-5 levels), so replacing a
-// short-circuited literal 0 with the actual product against a zero factor
-// yields the same +0 bit pattern, and the fused pass multiplies in the
-// identical order on bit-identical operands. The slab path is therefore
-// bit-identical to both the scalar kernel path and the generic Factor
-// path — asserted by TestSlabEquivalence and the audit differential
-// oracle, and relied on by MatrixOptions.DisableSlab existing only for
-// benchmarking, never for correctness.
+// Bit-exactness. The per-cell path (cellDefault, Joint) computes
+// ((p_vir * p_rel)) * p_eff with literal-zero short circuits; every operand
+// here is a finite, non-negative float64 (probabilities and Eq. 4-5
+// levels), so replacing a short-circuited literal 0 with the actual product
+// against a zero factor yields the same +0 bit pattern, and the fused pass
+// multiplies in the identical order on bit-identical operands. The slab
+// path is therefore bit-identical to the generic Factor path and the
+// frozen oracle — asserted by TestSlabEquivalence and the audit
+// differential oracle.
 
 // slabAlign is the alignment of every slab base, in bytes: one x86/ARM
 // cache line, which is also the widest vector register footprint (AVX-512)
@@ -157,10 +154,10 @@ func (k *kernel) moveHosted(c, from, to int) {
 }
 
 // fillRowSlab evaluates every cell of row r through the batched slab
-// path. Results are bit-identical to fillRowScalar (see the file
-// comment); the difference is purely mechanical: no per-cell branches, no
-// strided loads, and a single fused multiply chain the compiler can keep
-// in registers.
+// path. Results are bit-identical to a per-cell cellDefault walk (see the
+// file comment); the difference is purely mechanical: no per-cell
+// branches, no strided loads, and a single fused multiply chain the
+// compiler can keep in registers.
 func (k *kernel) fillRowSlab(r int, pm *cluster.PM, vms []*cluster.VM, out []float64, rs *rowScratch) {
 	ci := k.rowClass[r]
 	info := k.infos[ci]

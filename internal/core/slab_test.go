@@ -30,10 +30,12 @@ func slabState(tb testing.TB, pmCount, nVMs int, seed int64) (*Context, []*clust
 }
 
 // TestSlabEquivalence is the three-way differential: the batched slab
-// fill, the scalar kernel fill (DisableSlab), and the generic Factor path
-// (DisableKernel) must produce bit-identical matrices — probabilities and
-// trackers — including under zero-reliability rows and expired-estimate
-// columns where the scalar path takes its literal-zero short circuits.
+// fill, the kernel's per-cell path (cellDefault, which arrivals use), and
+// the generic Factor path (DisableKernel) must produce bit-identical
+// probabilities and trackers — including under zero-reliability rows and
+// expired-estimate columns where the per-cell paths take their
+// literal-zero short circuits. (The frozen oracle is the fourth leg:
+// internal/audit's TestSlabMatchesOracleAfterApplies and TrackerCheck.)
 func TestSlabEquivalence(t *testing.T) {
 	for _, size := range []struct{ pms, vms int }{{7, 11}, {40, 90}, {100, 260}} {
 		t.Run(fmt.Sprintf("pms%d", size.pms), func(t *testing.T) {
@@ -42,39 +44,41 @@ func TestSlabEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if slab.kern == nil || slab.kern.noSlab {
+			if slab.kern == nil || !slab.kern.isDefault {
 				t.Fatal("default options did not engage the slab path")
 			}
-			scalar, err := NewMatrixWith(ctx, DefaultFactors(), vms, MatrixOptions{DisableSlab: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if scalar.kern == nil || !scalar.kern.noSlab {
-				t.Fatal("DisableSlab did not force the scalar fill")
+			for r, pm := range slab.pms {
+				for c, vm := range slab.vms {
+					if got, want := slab.p[r][c], slab.kern.cell(r, c, pm, vm, vm.Host == pm.ID); got != want {
+						t.Fatalf("p[%d][%d]: slab %v != per-cell %v", r, c, got, want)
+					}
+				}
 			}
 			generic, err := NewMatrixWith(ctx, DefaultFactors(), vms, MatrixOptions{DisableKernel: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertMatricesEqual(t, slab, scalar)
+			if generic.kern != nil {
+				t.Fatal("DisableKernel did not force the generic path")
+			}
 			assertMatricesEqual(t, slab, generic)
 		})
 	}
 }
 
 // TestSlabEquivalenceAfterApplies drives identical random migration
-// sequences through a slab matrix and a scalar-fill matrix over two
+// sequences through a slab matrix and a generic-path matrix over two
 // independent copies of the same fleet state. Every Apply goes through
 // moveHosted on the slab side, so divergence here means the hosted-cell
 // index drifted from the live vm.Host fields.
 func TestSlabEquivalenceAfterApplies(t *testing.T) {
 	ctxSlab, vmsSlab := slabState(t, 60, 140, 29)
-	ctxScalar, vmsScalar := slabState(t, 60, 140, 29)
+	ctxGeneric, vmsGeneric := slabState(t, 60, 140, 29)
 	slab, err := NewMatrixWith(ctxSlab, DefaultFactors(), vmsSlab, MatrixOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, err := NewMatrixWith(ctxScalar, DefaultFactors(), vmsScalar, MatrixOptions{DisableSlab: true})
+	generic, err := NewMatrixWith(ctxGeneric, DefaultFactors(), vmsGeneric, MatrixOptions{DisableKernel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +99,11 @@ func TestSlabEquivalenceAfterApplies(t *testing.T) {
 		if err := slab.Apply(r, c); err != nil {
 			t.Fatal(err)
 		}
-		if err := scalar.Apply(r, c); err != nil {
+		if err := generic.Apply(r, c); err != nil {
 			t.Fatal(err)
 		}
 		applied++
-		assertMatricesEqual(t, slab, scalar)
+		assertMatricesEqual(t, slab, generic)
 	}
 	if applied < 20 {
 		t.Fatalf("only %d moves applied; property barely exercised", applied)
@@ -218,44 +222,18 @@ func TestSlabArrivalSkipsHostIndex(t *testing.T) {
 	}
 }
 
-// BenchmarkKernelSlabMatrixBuild pits the batched slab fill against the
-// scalar kernel fill it replaced (same factored kernel, DisableSlab) on
-// the full matrix build. cmd/benchreport records the same ratio in
-// BENCH_core.json as the "slab" measurement.
-func BenchmarkKernelSlabMatrixBuild(b *testing.B) {
-	for _, slabOn := range []bool{true, false} {
-		for _, pms := range benchSizes {
-			b.Run(fmt.Sprintf("%s/pms%d", slabPath(slabOn), pms), func(b *testing.B) {
-				ctx, vms := tableIIState(b, pms, 2*pms, 7)
-				opts := MatrixOptions{DisableSlab: !slabOn}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := NewMatrixWith(ctx, DefaultFactors(), vms, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(pms*len(vms)), "cells")
-			})
-		}
-	}
-}
-
 // BenchmarkKernelSlabRowFill isolates the row-fill hot loop itself — the
 // code the slab layout targets — by repeatedly refilling rows of a
-// prebuilt matrix, bypassing the tracker and heap maintenance that
-// dominates a full build.
+// prebuilt matrix, bypassing the tracker maintenance that dominates a full
+// build. "generic" is the same row through the Factor interface.
 func BenchmarkKernelSlabRowFill(b *testing.B) {
-	for _, slabOn := range []bool{true, false} {
+	for _, path := range []string{"slab", "generic"} {
 		for _, pms := range benchSizes {
-			b.Run(fmt.Sprintf("%s/pms%d", slabPath(slabOn), pms), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/pms%d", path, pms), func(b *testing.B) {
 				ctx, vms := tableIIState(b, pms, 2*pms, 7)
-				m, err := NewMatrixWith(ctx, DefaultFactors(), vms, MatrixOptions{DisableSlab: !slabOn})
+				m, err := NewMatrixWith(ctx, DefaultFactors(), vms, MatrixOptions{DisableKernel: path == "generic"})
 				if err != nil {
 					b.Fatal(err)
-				}
-				if m.kern == nil {
-					b.Fatal("kernel not engaged")
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -266,43 +244,4 @@ func BenchmarkKernelSlabRowFill(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkKernelSlabRound measures the incremental per-round path (two
-// Applies, i.e. four row refills plus tracker maintenance) with and
-// without the slab fill.
-func BenchmarkKernelSlabRound(b *testing.B) {
-	for _, slabOn := range []bool{true, false} {
-		for _, pms := range benchSizes {
-			b.Run(fmt.Sprintf("%s/pms%d", slabPath(slabOn), pms), func(b *testing.B) {
-				ctx, vms := tableIIState(b, pms, 2*pms, 7)
-				m, err := NewMatrixWith(ctx, DefaultFactors(), vms, MatrixOptions{DisableSlab: !slabOn})
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, c, _, ok := m.Best()
-				if !ok {
-					b.Fatal("no positive-gain move in the bench state")
-				}
-				origin := m.curRow[c]
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := m.Apply(r, c); err != nil {
-						b.Fatal(err)
-					}
-					if err := m.Apply(origin, c); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-func slabPath(on bool) string {
-	if on {
-		return "slab"
-	}
-	return "scalar"
 }

@@ -21,10 +21,11 @@ import (
 // Every decision is bit-identical to the dense engine by construction:
 // group values are evaluated in cellDefault's multiplication order on
 // bit-identical operands, ties resolve to the lowest member ID (dense's
-// ID-ordered strict-greater scan), and Best applies the dense gain heap's
-// total order. The contract is enforced three ways — DiffDense against a dense
-// build (the auditor's SparseCheck), the per-Apply SelfAudit rebuild, and
-// the differential fuzz harness in internal/audit.
+// ID-ordered strict-greater scan), and the column trackers and Best are the
+// dense engine's own (colTrackers). The contract is enforced three ways —
+// DiffDense against a dense build (the auditor's SparseCheck), the
+// per-Apply SelfAudit rebuild, and the differential fuzz harness in
+// internal/audit.
 type SparseMatrix struct {
 	ctx     *Context
 	factors []Factor
@@ -41,15 +42,11 @@ type SparseMatrix struct {
 	shapeIdx  map[*candShape]int
 	shapeCols [][]int32 // columns per distinct shape, for targeted updates
 
-	// Column trackers, mirroring Matrix: curRow/curProb the current
-	// placement and its probability, bestRow/bestP/bestGain the best
-	// non-host alternative under the dense tie-break.
-	curRow   []int
-	curProb  []float64
-	bestRow  []int
-	bestP    []float64
-	bestGain []float64
-	colSeq   []uint64 // Apply seq that last re-derived the column in full
+	// colTrackers is the per-column state shared with Matrix: the current
+	// placement's normalizer and the best non-host alternative under the
+	// dense tie-break.
+	colTrackers
+	colSeq []uint64 // Apply seq that last re-derived the column in full
 
 	// Reverse indices so Apply can enumerate exactly the columns a move
 	// invalidates instead of scanning all N: hostCols[r] lists columns
@@ -72,11 +69,6 @@ type SparseMatrix struct {
 	// seq numbers Applies; candShape.seq/evFrom/evTo are valid for the
 	// current Apply only when they carry this value.
 	seq uint64
-
-	// argmaxG/argmaxC are Best's reusable per-span reduction slots
-	// (one per fixed column span when the argmax runs on workers).
-	argmaxG []float64
-	argmaxC []int
 }
 
 // canonicalDefault reports whether factors are exactly the paper's four in
@@ -174,11 +166,7 @@ func NewSparseMatrix(ctx *Context, factors []Factor, vms []*cluster.VM, opts Mat
 		}
 	}
 
-	sm.curRow = make([]int, nc)
-	sm.curProb = make([]float64, nc)
-	sm.bestRow = make([]int, nc)
-	sm.bestP = make([]float64, nc)
-	sm.bestGain = make([]float64, nc)
+	sm.resize(nc)
 	sm.colSeq = make([]uint64, nc)
 	sm.hostCols = make([][]int32, len(sm.pms))
 	sm.bestCols = make([][]int32, len(sm.pms))
@@ -245,16 +233,7 @@ func (sm *SparseMatrix) initialSync() {
 			sm.curRow[c] = row
 			sm.curProb[c] = sm.hostProb(row)
 			bestRow, bestP := sm.scanColumn(c)
-			sm.bestRow[c] = bestRow
-			sm.bestP[c] = bestP
-			switch {
-			case bestRow < 0:
-				sm.bestGain[c] = 0
-			case sm.curProb[c] > 0:
-				sm.bestGain[c] = bestP / sm.curProb[c]
-			default:
-				sm.bestGain[c] = math.Inf(1)
-			}
+			sm.colTrackers.setBest(c, bestRow, bestP)
 		}
 	})
 	for c := range sm.vms {
@@ -385,85 +364,12 @@ func (sm *SparseMatrix) listMove(lists [][]int32, pos []int32, c, from, to int) 
 }
 
 // setBest installs a freshly computed (bestRow, bestP) pair and the
-// derived gain for column c, without touching the heap.
+// derived gain for column c, keeping the bestCols reverse index in step.
 func (sm *SparseMatrix) setBest(c, bestRow int, bestP float64) {
 	if old := sm.bestRow[c]; old != bestRow {
 		sm.listMove(sm.bestCols, sm.bestPos, c, old, bestRow)
-		sm.bestRow[c] = bestRow
 	}
-	sm.bestP[c] = bestP
-	switch {
-	case bestRow < 0:
-		sm.bestGain[c] = 0
-	case sm.curProb[c] > 0:
-		sm.bestGain[c] = bestP / sm.curProb[c]
-	default:
-		sm.bestGain[c] = math.Inf(1)
-	}
-}
-
-// CurProb returns column c's normalizer, mirroring Matrix.CurProb.
-func (sm *SparseMatrix) CurProb(c int) float64 { return sm.curProb[c] }
-
-// BestAlt returns the tracked best non-host row of column c and its gain,
-// mirroring Matrix.BestAlt.
-func (sm *SparseMatrix) BestAlt(c int) (row int, gain float64) {
-	return sm.bestRow[c], sm.bestGain[c]
-}
-
-// Best returns the globally maximal normalized gain and its (row, col),
-// with Matrix.Best's exact contract and tie-breaks. Unlike the dense
-// engine there is no gain heap to maintain: Best runs once per
-// consolidation round, so a sequential argmax over the gain slice
-// (~N contiguous loads) is cheaper than paying O(log N) heap repairs for
-// each of the hundreds of columns an Apply re-derives. The strict
-// greater-than keeps the first maximum, which is the dense heap's
-// (gain desc, column asc) order.
-//
-// With workers, the argmax splits into fixed contiguous column spans with
-// one result slot per span (indexed by span, not by worker, so scheduling
-// cannot reorder results) merged in span order under the same strict
-// greater-than — the first maximum wins within a span and across spans,
-// so the answer is bit-identical to the serial scan at any worker count.
-func (sm *SparseMatrix) Best() (r, c int, gain float64, ok bool) {
-	n := len(sm.bestGain)
-	col, best := -1, 0.0
-	workers, borrowed := sm.sparseWorkers(n)
-	if workers > 1 {
-		span := (n + workers - 1) / workers
-		nspans := (n + span - 1) / span
-		if cap(sm.argmaxG) < nspans {
-			sm.argmaxG = make([]float64, nspans)
-			sm.argmaxC = make([]int, nspans)
-		}
-		slotG, slotC := sm.argmaxG[:nspans], sm.argmaxC[:nspans]
-		runSpans(workers, n, span, func(_, lo, hi int) {
-			bg, bc := 0.0, -1
-			for c2 := lo; c2 < hi; c2++ {
-				if g := sm.bestGain[c2]; g > bg {
-					bg, bc = g, c2
-				}
-			}
-			si := lo / span
-			slotG[si], slotC[si] = bg, bc
-		})
-		for si := 0; si < nspans; si++ {
-			if slotG[si] > best {
-				best, col = slotG[si], slotC[si]
-			}
-		}
-	} else {
-		for c2, g := range sm.bestGain {
-			if g > best {
-				best, col = g, c2
-			}
-		}
-	}
-	ReturnWorkers(borrowed)
-	if col < 0 || sm.bestRow[col] < 0 {
-		return -1, -1, 0, false
-	}
-	return sm.bestRow[col], col, best, true
+	sm.colTrackers.setBest(c, bestRow, bestP)
 }
 
 // Apply performs the move for column c to row r and incrementally repairs
@@ -615,16 +521,8 @@ func (sm *SparseMatrix) joinUpdate(si int, g *candGroup) {
 			continue
 		}
 		p = p * g.effVal
-		if sm.curProb[c] > 0 {
-			if p > sm.bestP[c] ||
-				(p == sm.bestP[c] && p > 0 && sm.bestRow[c] >= 0 && int(sm.id2row[cand]) < sm.bestRow[c]) {
-				sm.setBest(c, int(sm.id2row[cand]), p)
-			}
-		} else if p > 0 {
-			candRow := int(sm.id2row[cand])
-			if sm.bestRow[c] < 0 || candRow < sm.bestRow[c] {
-				sm.setBest(c, candRow, p)
-			}
+		if candRow := int(sm.id2row[cand]); sm.beats(c, candRow, p) {
+			sm.setBest(c, candRow, p)
 		}
 	}
 }
@@ -639,32 +537,17 @@ func (sm *SparseMatrix) SelfCheck() error {
 		if !ok {
 			return fmt.Errorf("core: column %d (VM %d) hosted on PM %d outside the matrix", c, vm.ID, vm.Host)
 		}
-		if sm.curRow[c] != row {
-			return fmt.Errorf("core: column %d curRow %d, want %d", c, sm.curRow[c], row)
-		}
 		pm := sm.pms[row]
 		want := 0.0
 		if pm.Reliability != 0 {
 			want = pm.Reliability * effProbability(sm.ctx.classInfoFor(pm), pm.Utilization())
 		}
-		if sm.curProb[c] != want {
-			return fmt.Errorf("core: column %d curProb %g, want %g", c, sm.curProb[c], want)
+		if err := sm.checkCur(c, row, want); err != nil {
+			return err
 		}
 		bestRow, bestP := sm.scanColumn(c)
-		gain := 0.0
-		switch {
-		case bestRow < 0:
-		case sm.curProb[c] > 0:
-			gain = bestP / sm.curProb[c]
-		default:
-			gain = math.Inf(1)
-		}
-		if sm.bestRow[c] != bestRow || sm.bestGain[c] != gain {
-			return fmt.Errorf("core: column %d tracker (row %d, gain %g) != rescan (row %d, gain %g)",
-				c, sm.bestRow[c], sm.bestGain[c], bestRow, gain)
-		}
-		if bestRow >= 0 && sm.bestP[c] != bestP {
-			return fmt.Errorf("core: column %d bestP %g != rescan %g", c, sm.bestP[c], bestP)
+		if err := sm.checkBest(c, bestRow, bestP); err != nil {
+			return err
 		}
 	}
 	nBest := 0
@@ -743,76 +626,22 @@ func (sm *SparseMatrix) checkIndex() error {
 // and the Best extraction must all be bit-identical. It is the oracle
 // check behind the auditor's sparse differential and the fuzz harness.
 func (sm *SparseMatrix) DiffDense(o *Matrix) error {
-	if sm.Rows() != o.Rows() || sm.Cols() != o.Cols() {
-		return fmt.Errorf("core: sparse %dx%d != dense %dx%d", sm.Rows(), sm.Cols(), o.Rows(), o.Cols())
+	if err := diffAxes(sm.pms, o.pms, sm.vms, o.vms); err != nil {
+		return err
 	}
-	for r := range sm.pms {
-		if sm.pms[r].ID != o.pms[r].ID {
-			return fmt.Errorf("core: row %d is PM %d vs PM %d", r, sm.pms[r].ID, o.pms[r].ID)
-		}
-	}
-	for c := range sm.vms {
-		if sm.vms[c].ID != o.vms[c].ID {
-			return fmt.Errorf("core: column %d is VM %d vs VM %d", c, sm.vms[c].ID, o.vms[c].ID)
-		}
-	}
-	for c := range sm.vms {
-		if sm.curRow[c] != o.curRow[c] || sm.curProb[c] != o.curProb[c] {
-			return fmt.Errorf("core: column %d normalizer (row %d, p %g) vs dense (row %d, p %g)",
-				c, sm.curRow[c], sm.curProb[c], o.curRow[c], o.curProb[c])
-		}
-		if sm.bestRow[c] != o.bestRow[c] || sm.bestGain[c] != o.bestGain[c] {
-			return fmt.Errorf("core: column %d best (row %d, gain %g) vs dense (row %d, gain %g)",
-				c, sm.bestRow[c], sm.bestGain[c], o.bestRow[c], o.bestGain[c])
-		}
-		if sm.bestRow[c] >= 0 && sm.bestP[c] != o.bestP[c] {
-			return fmt.Errorf("core: column %d bestP %g vs dense %g", c, sm.bestP[c], o.bestP[c])
-		}
-	}
-	mr, mc, mg, mok := sm.Best()
-	or, oc, og, ook := o.Best()
-	if mok != ook || (mok && (mr != or || mc != oc || mg != og)) {
-		return fmt.Errorf("core: Best (%d, %d, %g, %t) vs dense (%d, %d, %g, %t)", mr, mc, mg, mok, or, oc, og, ook)
-	}
-	return nil
+	return sm.colTrackers.diff(&o.colTrackers)
 }
 
 // DiffSparse compares two sparse engines tracker-for-tracker: dimensions,
 // row/column identities, normalizers, best alternatives, and the Best
 // extraction must all be bit-identical. It is the equivalence gate behind
-// the parallel-kernel tests and cmd/benchreport's 100k-PM scale point,
-// where a dense reference matrix (DiffDense) would not fit in memory.
+// the parallel-kernel tests, which compare sparse builds at different
+// worker counts.
 func (sm *SparseMatrix) DiffSparse(o *SparseMatrix) error {
-	if sm.Rows() != o.Rows() || sm.Cols() != o.Cols() {
-		return fmt.Errorf("core: sparse %dx%d != sparse %dx%d", sm.Rows(), sm.Cols(), o.Rows(), o.Cols())
+	if err := diffAxes(sm.pms, o.pms, sm.vms, o.vms); err != nil {
+		return err
 	}
-	for r := range sm.pms {
-		if sm.pms[r].ID != o.pms[r].ID {
-			return fmt.Errorf("core: row %d is PM %d vs PM %d", r, sm.pms[r].ID, o.pms[r].ID)
-		}
-	}
-	for c := range sm.vms {
-		if sm.vms[c].ID != o.vms[c].ID {
-			return fmt.Errorf("core: column %d is VM %d vs VM %d", c, sm.vms[c].ID, o.vms[c].ID)
-		}
-		if sm.curRow[c] != o.curRow[c] || sm.curProb[c] != o.curProb[c] {
-			return fmt.Errorf("core: column %d normalizer (row %d, p %g) vs (row %d, p %g)",
-				c, sm.curRow[c], sm.curProb[c], o.curRow[c], o.curProb[c])
-		}
-		if sm.bestRow[c] != o.bestRow[c] || sm.bestGain[c] != o.bestGain[c] {
-			return fmt.Errorf("core: column %d best (row %d, gain %g) vs (row %d, gain %g)",
-				c, sm.bestRow[c], sm.bestGain[c], o.bestRow[c], o.bestGain[c])
-		}
-		if sm.bestRow[c] >= 0 && sm.bestP[c] != o.bestP[c] {
-			return fmt.Errorf("core: column %d bestP %g vs %g", c, sm.bestP[c], o.bestP[c])
-		}
-	}
-	mr, mc, mg, mok := sm.Best()
-	or, oc, og, ook := o.Best()
-	if mok != ook || (mok && (mr != or || mc != oc || mg != og)) {
-		return fmt.Errorf("core: Best (%d, %d, %g, %t) vs (%d, %d, %g, %t)", mr, mc, mg, mok, or, oc, og, ook)
-	}
-	return nil
+	return sm.colTrackers.diff(&o.colTrackers)
 }
 
 // verifyDense checks the live sparse state against a cold dense build over
@@ -882,23 +711,18 @@ func (sm *SparseMatrix) ColumnShortlist(c, k int) []Placement {
 	return out
 }
 
-// columnAlternatives is the sparse twin of Matrix.ColumnAlternatives:
-// the column shortlist with each probability normalized by the current
+// alternatives is the sparse twin of Matrix.ColumnAlternatives: the
+// column shortlist with each probability normalized by the current
 // placement, collapsing to the single tracked rescue row with +Inf gain
-// when the current placement has probability 0. The decision hook in
-// consolidateSparse uses it so recorded alternatives carry the same
-// gain scale as the dense engine.
-func (sm *SparseMatrix) columnAlternatives(c, k int) []Placement {
-	cur := sm.curProb[c]
-	if cur <= 0 {
-		if r := sm.bestRow[c]; r >= 0 {
-			return []Placement{{PM: sm.pms[r], Probability: math.Inf(1)}}
-		}
-		return nil
+// when the current placement has probability 0 — the same PMs and
+// bit-equal gains as the dense column scan.
+func (sm *SparseMatrix) alternatives(c, k int) []Placement {
+	if alts, ok := sm.rescue(c, sm.pms); ok {
+		return alts
 	}
 	out := sm.ColumnShortlist(c, k)
 	for i := range out {
-		out[i].Probability /= cur
+		out[i].Probability /= sm.curProb[c]
 	}
 	return out
 }
@@ -925,44 +749,4 @@ func ArrivalShortlist(ctx *Context, factors []Factor, vm *cluster.VM, k int) ([]
 		return nil, false
 	}
 	return ctx.candidates().shortlist(nil, vm, k), true
-}
-
-// consolidateSparse is ConsolidateWith's candidate-set engine: the same
-// Algorithm 1 loop over a SparseMatrix. The caller has already verified
-// the canonical factor program and collected the running VMs.
-func consolidateSparse(ctx *Context, factors []Factor, params Params, opts MatrixOptions, vms []*cluster.VM) ([]Move, error) {
-	stop := ctx.Obs.Phase("kernel_build").Time()
-	sm, err := NewSparseMatrix(ctx, factors, vms, opts)
-	stop()
-	if err != nil {
-		return nil, err
-	}
-	stop = ctx.Obs.Phase("algo1_rounds").Time()
-	var moves []Move
-	for round := 1; round <= params.MIGRound; round++ {
-		r, c, gain, ok := sm.Best()
-		if !ok || gain <= params.MIGThreshold || math.IsNaN(gain) {
-			break
-		}
-		vm := sm.vms[c]
-		from := vm.Host
-		if opts.DecisionHook != nil {
-			opts.DecisionHook(round,
-				Move{VM: vm.ID, From: from, To: sm.pms[r].ID, Gain: gain, Round: round},
-				sm.columnAlternatives(c, topK))
-		}
-		if err := sm.Apply(r, c); err != nil {
-			stop()
-			return moves, err
-		}
-		moves = append(moves, Move{
-			VM: vm.ID, From: from, To: vm.Host, Gain: gain, Round: round,
-		})
-	}
-	stop()
-	ctx.Obs.Add("core.consolidate_passes", 1)
-	if len(moves) > 0 {
-		ctx.Obs.Add("core.consolidate_moves", int64(len(moves)))
-	}
-	return moves, nil
 }

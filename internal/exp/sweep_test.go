@@ -171,9 +171,8 @@ func TestSweepObserverPerRunIsolation(t *testing.T) {
 }
 
 // BenchmarkSweep measures replication throughput (runs/sec) at several
-// worker counts over a small but non-trivial configuration.
-// cmd/benchreport runs the same sweep programmatically for
-// BENCH_sweep.json.
+// worker counts over a small but non-trivial configuration; the
+// whole-run view is the compare-sweep workload of `go run ./bench`.
 func BenchmarkSweep(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {

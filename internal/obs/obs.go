@@ -38,7 +38,7 @@ type Observer struct {
 	// separation is deliberate: the decision log has its own logical
 	// clock, so recording decisions never perturbs the run trace's "seq"
 	// numbering — a recorded run stays byte-identical to an unrecorded
-	// one (`make policy-audit` pins this). Decision lines never carry
+	// one (cmd/dvmpsim's TestTraceEquivalence pins this). Decision lines never carry
 	// the multi-cell stamp either: decisions are bit-identical across
 	// cell counts, so the log is canonical by construction.
 	Decisions *Tracer

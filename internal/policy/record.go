@@ -16,7 +16,7 @@ import (
 // alternatives are enumerated through the side-effect-free Alternatives
 // surface (and, for the dynamic family, a read-only core.DecisionHook),
 // so a recorded run's trace is byte-identical to an unrecorded one
-// (`make policy-audit` pins this).
+// (cmd/dvmpsim's TestTraceEquivalence pins this).
 //
 // Decision records are the input to Replay and cmd/counterfact; their
 // schema is documented in DESIGN.md §16.

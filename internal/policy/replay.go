@@ -221,7 +221,7 @@ type ReplayOverride struct {
 // placements return the recorded PM, consolidation passes re-apply the
 // recorded moves, spare targets return the recorded count. With no
 // Override, driving the same workload yields a byte-identical run trace
-// (the policy-audit gate). With an Override, the run follows the log up
+// (cmd/counterfact's TestFaithfulReplayReproducesTrace). With an Override, the run follows the log up
 // to the substitution and the Fallback policy afterward.
 //
 // Any mismatch between the log and the live run — wrong VM, wrong

@@ -14,8 +14,8 @@
 //
 // The frozen pre-rewrite binary-heap scheduler lives in
 // internal/sim/schedheap; the scheduler fuzz and property tests require
-// bit-identical dispatch order between the two, and cmd/benchreport
-// measures the wheel against it for BENCH_engine.json.
+// bit-identical dispatch order between the two, and
+// BenchmarkEngineSteadyState{,Heap} time the one against the other.
 package sim
 
 import (

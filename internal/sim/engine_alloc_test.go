@@ -8,8 +8,7 @@ import (
 // steady-state event loop (one Schedule + one Step with a stable
 // resident population): the freelist recycles records and the calendar
 // geometry is settled, so the loop allocates nothing. The ceiling is 2
-// (not 0) to leave headroom for incidental runtime effects; the
-// acceptance bar in BENCH_engine.json is the same number.
+// (not 0) to leave headroom for incidental runtime effects.
 const eventLoopAllocCeiling = 2
 
 func TestEventLoopAllocBudget(t *testing.T) {

@@ -37,8 +37,7 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 }
 
 // BenchmarkEngineSteadyStateHeap is the same loop on the frozen
-// binary-heap reference, for local wheel-vs-heap comparison
-// (cmd/benchreport measures the macro scales for BENCH_engine.json).
+// binary-heap reference, for local wheel-vs-heap comparison.
 func BenchmarkEngineSteadyStateHeap(b *testing.B) {
 	var e schedheap.Engine
 	nop := func() {}

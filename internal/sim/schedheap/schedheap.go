@@ -3,8 +3,8 @@
 // the probability kernel, it is a behavioural reference, not production
 // code: the scheduler fuzz/property tests dispatch identical operation
 // sequences through this heap and the live timing wheel and require
-// bit-identical event order, and cmd/benchreport measures the wheel's
-// events/sec against it for BENCH_engine.json.
+// bit-identical event order, and internal/sim's
+// BenchmarkEngineSteadyStateHeap times it against the wheel.
 //
 // The implementation is the PR 2 engine verbatim (event heap ordered by
 // (time, seq) with lazy reaping of cancelled residents), minus the

@@ -123,14 +123,14 @@ func PoissonCDF(lambda float64, k int) float64 {
 		return 1
 	}
 	// Sum the PMF recursively: p_0 = e^-lambda, p_{i} = p_{i-1} * lambda/i.
-	// For large lambda the early terms underflow; start from log space.
 	sum := 0.0
 	p := math.Exp(-lambda)
-	if p == 0 {
-		// lambda too large for direct start; fall back to normal
-		// approximation with continuity correction, accurate to ~1e-3
-		// in the tails for lambda > ~700 which far exceeds anything
-		// the spare-server controller sees.
+	if p < minNormal {
+		// lambda too large for a direct start (above ~708): e^-lambda is
+		// denormal or zero, and a recursion seeded from a denormal has
+		// lost its mantissa — the sum saturates well below 1. Fall back
+		// to the normal approximation with continuity correction,
+		// accurate to ~1e-3 in the tails at this scale.
 		z := (float64(k) + 0.5 - lambda) / math.Sqrt(lambda)
 		return normalCDF(z)
 	}
@@ -150,7 +150,8 @@ func PoissonCDF(lambda float64, k int) float64 {
 // P(N <= n) >= 1 - alpha, for a Poisson distribution with mean lambda.
 // This is exactly the bound the paper's spare-server controller applies:
 // "the estimated number of arrival VMs n_arrival is determined by
-// P(Λ(T) > n_arrival) <= 0.05" (Section IV).
+// P(Λ(T) > n_arrival) <= 0.05" (Section IV). When alpha is below what the
+// computed CDF can resolve, the answer is the n at which the CDF saturates.
 func PoissonQuantile(lambda, alpha float64) int {
 	if alpha <= 0 || alpha >= 1 {
 		panic(fmt.Sprintf("stats: quantile alpha must be in (0,1), got %g", alpha))
@@ -168,12 +169,22 @@ func PoissonQuantile(lambda, alpha float64) int {
 			n = 0
 		}
 	}
+	// The computed CDF is nondecreasing in n and bounded by 1, so it
+	// either reaches the target or stops changing after finitely many
+	// steps; past the mean the terms only shrink, so a CDF that stalled
+	// there stays stalled.
+	prev := -1.0
 	for ; ; n++ {
-		if PoissonCDF(lambda, n) >= target {
+		cdf := PoissonCDF(lambda, n)
+		if cdf >= target || (cdf == prev && float64(n) > lambda) {
 			return n
 		}
+		prev = cdf
 	}
 }
+
+// minNormal is the smallest positive normal float64.
+const minNormal = 0x1p-1022
 
 // normalCDF is the standard normal CDF.
 func normalCDF(z float64) float64 {

@@ -209,6 +209,29 @@ func TestPoissonQuantile(t *testing.T) {
 	}
 }
 
+// TestPoissonQuantileLargeLambda sweeps the band where e^-lambda goes
+// denormal (~708-745): a CDF recursion seeded from a denormal saturated
+// below 1-alpha and the quantile walk never returned (e.g. lambda 742.75).
+// The quantile must return, sit in the upper tail near the mean, and move
+// smoothly across the switch to the normal approximation.
+func TestPoissonQuantileLargeLambda(t *testing.T) {
+	prev := -1
+	for i := 0; ; i++ {
+		lambda := 600 + 0.05*float64(i)
+		if lambda > 900 {
+			break
+		}
+		n := PoissonQuantile(lambda, 0.05)
+		if lo, hi := lambda, lambda+3*math.Sqrt(lambda); float64(n) < lo || float64(n) > hi {
+			t.Fatalf("quantile(%g, 0.05) = %d outside [%g, %g]", lambda, n, lo, hi)
+		}
+		if prev >= 0 && n < prev-1 {
+			t.Fatalf("quantile(%g, 0.05) = %d dropped from %d at the previous lambda", lambda, n, prev)
+		}
+		prev = n
+	}
+}
+
 func TestPoissonQuantileZeroLambda(t *testing.T) {
 	if got := PoissonQuantile(0, 0.05); got != 0 {
 		t.Errorf("quantile(0) = %d, want 0", got)
