@@ -4,7 +4,7 @@ BENCHTIME ?= 300ms
 
 FUZZTIME ?= 10s
 
-.PHONY: test check vet race audit fuzz-smoke bench-smoke bench-kernel bench-paper profile
+.PHONY: test check vet race audit fuzz-smoke bench-smoke bench-kernel bench-paper bench-ab profile
 
 test:
 	$(GO) test ./...
@@ -69,6 +69,27 @@ bench-kernel:
 ## bench-paper: one benchmark per paper table/figure (root bench_test.go).
 bench-paper:
 	$(GO) test . -run '^$$' -bench . -benchmem
+
+## bench-ab: the end-to-end benchmark, this tree against another commit,
+## by the alternating-pairs procedure of bench/README.md: BASE is checked
+## out into a temporary git worktree, `go run ./bench` runs N times a side
+## with the order flipped each round, and `-compare a1..aN b1..bN` (a =
+## BASE, b = this tree) reads the medians. The result sets stay in
+## bench/out/ab/. `make bench-ab BASE=HEAD~1`.
+N ?= 3
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<ref> [N=3]"; exit 2; }
+	@set -e; out=$(CURDIR)/bench/out/ab; base=$$(mktemp -d); rm -rf "$$out"; \
+	trap 'git worktree remove --force "$$base"' EXIT; \
+	git worktree add --detach "$$base" $(BASE); \
+	for i in $$(seq 1 $(N)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="a b"; else order="b a"; fi; \
+		for side in $$order; do \
+			if [ $$side = a ]; then dir="$$base"; else dir=.; fi; \
+			(cd "$$dir" && $(GO) run ./bench -out "$$out/$$side$$i"); \
+		done; \
+	done; \
+	$(GO) run ./bench -compare "$$out"/a*/results.json "$$out"/b*/results.json
 
 ## profile: capture CPU and heap profiles from the seed workload under the
 ## dynamic scheme (PROFILE_FLAGS to change the run). Inspect with

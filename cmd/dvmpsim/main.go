@@ -105,7 +105,6 @@ func run(args []string, out io.Writer) error {
 		jobCount  = fs.Int("jobs", 0, "truncate the workload to the first N jobs (0 = all)")
 		timed     = fs.Bool("timed", false, "use the timed pre-copy migration model")
 		warm      = fs.Int("warm", 0, "power on N machines before the first arrival")
-		logPath   = fs.String("eventlog", "", "write a per-event trace to this file")
 		auditMode = fs.String("audit", "off", "invariant auditing: off, period (each control period), event (after every event)")
 		csvPath   = fs.String("csv", "", "write hourly active/energy series as CSV")
 		verbose   = fs.Bool("v", false, "print the hourly series to stdout")
@@ -229,15 +228,6 @@ func run(args []string, out io.Writer) error {
 	if *useSpare {
 		sc := spare.DefaultConfig()
 		cfg.Spare = &sc
-	}
-	if *logPath != "" {
-		lf, err := os.Create(*logPath)
-		if err != nil {
-			return err
-		}
-		defer lf.Close()
-		cfg.EventLog = bufio.NewWriter(lf)
-		defer cfg.EventLog.(*bufio.Writer).Flush()
 	}
 	var traceFile *os.File
 	var traceBuf *bufio.Writer

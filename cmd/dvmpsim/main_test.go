@@ -310,24 +310,24 @@ func TestRunCheckpointEvery(t *testing.T) {
 	}
 }
 
-func TestRunTimedWarmAndEventLog(t *testing.T) {
+func TestRunTimedWarmAndTrace(t *testing.T) {
 	dir := t.TempDir()
-	logPath := filepath.Join(dir, "events.log")
+	tracePath := filepath.Join(dir, "run.jsonl")
 	var sb strings.Builder
 	err := run([]string{
 		"-scheme", "dynamic", "-nodes", "16", "-jobs", "200",
-		"-timed", "-warm", "4", "-eventlog", logPath,
+		"-timed", "-warm", "4", "-trace", tracePath,
 	}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(logPath)
+	data, err := os.ReadFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, marker := range []string{"arrive", "place", "depart"} {
-		if !strings.Contains(string(data), marker) {
-			t.Errorf("event log missing %q", marker)
+	for _, event := range []string{"arrival", "place", "depart"} {
+		if !strings.Contains(string(data), `"event":"`+event+`"`) {
+			t.Errorf("run trace missing %q events", event)
 		}
 	}
 }

@@ -160,20 +160,20 @@ func QueueCheck(verify func() error) Check {
 }
 
 // TrackerCheck is the differential oracle: it rebuilds the probability
-// matrix three ways over the currently migratable VMs — the factored
-// kernel, the generic Factor path (DisableKernel), and the frozen naive
-// oracle — and requires all three bit-identical in every cell, tracker,
-// and Best decision, plus internal consistency of the kernel matrix's
-// incremental trackers (SelfCheck). O(M*N) factor evaluations per run, so
-// it is a per-period check even in event mode.
+// matrix two ways over the currently migratable VMs — the compiled
+// program core runs on, and the frozen naive oracle, which evaluates
+// core.Joint per cell — and requires them bit-identical in every cell,
+// tracker, and Best decision, plus internal consistency of the core
+// matrix's trackers (SelfCheck). O(M*N) factor evaluations per run, so it
+// is a per-period check even in event mode.
 //
-// The three rebuilds are independent by construction — each builder copies
+// The two rebuilds are independent by construction — each builder copies
 // and sorts its own VM slice and only reads the (quiescent) fleet — so
-// they run concurrently (core.Parallel). The generic and oracle builds get
-// fresh Contexts: a Context's scratch checkout and lazy per-class cache
-// are single-threaded, and the per-class constants they re-derive depend
-// only on the fleet's classes, so a fresh Context computes bit-identical
-// cells. The diffs then run serially on the calling goroutine.
+// they run concurrently (core.Parallel). The oracle build gets a fresh
+// Context: a Context's scratch checkout and interning tables are
+// single-threaded, and the per-class constants it re-derives depend only
+// on the fleet's classes, so a fresh Context computes bit-identical cells.
+// The diff then runs serially on the calling goroutine.
 func TrackerCheck(ctx *core.Context, factors []core.Factor) Check {
 	return Check{
 		Name:     "tracker",
@@ -185,10 +185,10 @@ func TrackerCheck(ctx *core.Context, factors []core.Factor) Check {
 				return nil
 			}
 			var (
-				kernel, generic       *core.Matrix
+				kernel                *core.Matrix
 				ref                   *oracle.Matrix
 				kernErr, kernCheckErr error
-				genErr, refErr        error
+				refErr                error
 			)
 			core.Parallel(
 				func() {
@@ -198,24 +198,15 @@ func TrackerCheck(ctx *core.Context, factors []core.Factor) Check {
 					}
 				},
 				func() {
-					generic, genErr = core.NewMatrixWith(core.NewContext(ctx.DC).At(now), factors, vms,
-						core.MatrixOptions{DisableKernel: true})
-				},
-				func() {
 					ref, refErr = oracle.NewMatrix(core.NewContext(ctx.DC).At(now), factors, vms)
 				},
 			)
 			if kernErr != nil {
 				return fmt.Errorf("kernel matrix build: %w", kernErr)
 			}
+			defer kernel.Release()
 			if kernCheckErr != nil {
 				return fmt.Errorf("kernel matrix self-check: %w", kernCheckErr)
-			}
-			if genErr != nil {
-				return fmt.Errorf("generic matrix build: %w", genErr)
-			}
-			if err := kernel.Diff(generic); err != nil {
-				return fmt.Errorf("kernel vs generic factor path: %w", err)
 			}
 			if refErr != nil {
 				return fmt.Errorf("oracle matrix build: %w", refErr)
@@ -281,6 +272,9 @@ func SparseCheck(ctx *core.Context, factors []core.Factor, k int) Check {
 			)
 			if denseErr == nil {
 				defer dense.Release()
+			}
+			if smErr == nil {
+				defer sm.Release()
 			}
 			if smErr != nil {
 				return fmt.Errorf("sparse matrix build: %w", smErr)

@@ -319,24 +319,34 @@ func slabOracleState(t *testing.T) (*core.Context, []*cluster.VM) {
 
 // TestSlabMatchesOracleAfterApplies closes the slab ≡ generic ≡ oracle
 // triangle on the oracle side (internal/core's TestSlabEquivalence* pin
-// slab ≡ generic): a slab-kernel matrix walks a randomized Apply sequence
-// and after every move must be bit-identical — every cell, tracker, and the
-// Best decision — to a cold build of the frozen oracle over the same fleet.
+// slab ≡ generic): a slab-kernel matrix and an oracle matrix walk the same
+// randomized Apply sequence over twin fleets, and after every move the slab
+// matrix must be bit-identical — every cell, tracker, and the Best
+// decision — to the applied oracle matrix and to a cold build of the
+// frozen oracle over the same fleet.
 func TestSlabMatchesOracleAfterApplies(t *testing.T) {
 	ctx, vms := slabOracleState(t)
 	m, err := core.NewMatrix(ctx, core.DefaultFactors(), vms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	applied := 0
+	twinCtx, twinVMs := slabOracleState(t)
+	applied, err := oracle.NewMatrix(twinCtx, core.DefaultFactors(), twinVMs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moves := 0
 	check := func() {
 		t.Helper()
+		if err := diffOracle(m, applied); err != nil {
+			t.Fatalf("after %d moves, applied oracle: %v", moves, err)
+		}
 		ref, err := oracle.NewMatrix(ctx, core.DefaultFactors(), vms)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := diffOracle(m, ref); err != nil {
-			t.Fatalf("after %d moves: %v", applied, err)
+			t.Fatalf("after %d moves, cold oracle: %v", moves, err)
 		}
 	}
 	check()
@@ -353,10 +363,13 @@ func TestSlabMatchesOracleAfterApplies(t *testing.T) {
 		if err := m.Apply(r, c); err != nil {
 			t.Fatal(err)
 		}
-		applied++
+		if err := applied.Apply(r, c); err != nil {
+			t.Fatal(err)
+		}
+		moves++
 		check()
 	}
-	if applied < 20 {
-		t.Fatalf("only %d moves applied; property barely exercised", applied)
+	if moves < 20 {
+		t.Fatalf("only %d moves applied; property barely exercised", moves)
 	}
 }

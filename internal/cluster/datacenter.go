@@ -157,11 +157,12 @@ func (d *Datacenter) PM(id PMID) *PM {
 func (d *Datacenter) PMs() []*PM { return d.pms }
 
 // ActivePMs returns PMs that are on or booting (consuming power and
-// available for placement planning).
+// available for placement planning) as a fresh slice. Hot paths loop over
+// PMs() testing PM.Active instead.
 func (d *Datacenter) ActivePMs() []*PM {
 	var out []*PM
 	for _, p := range d.pms {
-		if p.State == PMOn || p.State == PMBooting {
+		if p.Active() {
 			out = append(out, p)
 		}
 	}
@@ -174,7 +175,7 @@ func (d *Datacenter) ActivePMs() []*PM {
 // that keep a reusable backing slice across calls.
 func (d *Datacenter) AppendActivePMs(dst []*PM) []*PM {
 	for _, p := range d.pms {
-		if p.State == PMOn || p.State == PMBooting {
+		if p.Active() {
 			dst = append(dst, p)
 		}
 	}
@@ -194,7 +195,7 @@ func (d *Datacenter) CountByState() map[PMState]int {
 func (d *Datacenter) NonIdleCount() int {
 	n := 0
 	for _, p := range d.pms {
-		if (p.State == PMOn || p.State == PMBooting) && p.VMCount() > 0 {
+		if p.Active() && p.VMCount() > 0 {
 			n++
 		}
 	}
@@ -205,7 +206,7 @@ func (d *Datacenter) NonIdleCount() int {
 func (d *Datacenter) ActiveCount() int {
 	n := 0
 	for _, p := range d.pms {
-		if p.State == PMOn || p.State == PMBooting {
+		if p.Active() {
 			n++
 		}
 	}
@@ -357,7 +358,7 @@ func (d *Datacenter) CheckInvariants() error {
 		if !p.Used.LE(p.Class.Capacity) {
 			return fmt.Errorf("cluster: PM %d used %v exceeds capacity %v", p.ID, p.Used, p.Class.Capacity)
 		}
-		if p.VMCount() > 0 && p.State != PMOn && p.State != PMBooting {
+		if p.VMCount() > 0 && !p.Active() {
 			return fmt.Errorf("cluster: PM %d hosts %d VMs while %s", p.ID, p.VMCount(), p.State)
 		}
 	}

@@ -172,15 +172,16 @@ func NewPM(id PMID, class *PMClass) *PM {
 	}
 }
 
+// Active reports whether the PM is on or booting: consuming power and
+// available for placement planning.
+func (p *PM) Active() bool { return p.State == PMOn || p.State == PMBooting }
+
 // CanHost reports whether demand fits in the PM's remaining capacity. It is
-// the p_res feasibility predicate (Eq. 2) restricted to this PM. Only a PM
-// that is on (or booting, since boot completes before any placement takes
-// effect) can host.
+// the p_res feasibility predicate (Eq. 2) restricted to this PM. Only an
+// active PM (booting counts, since boot completes before any placement
+// takes effect) can host.
 func (p *PM) CanHost(demand vector.V) bool {
-	if p.State != PMOn && p.State != PMBooting {
-		return false
-	}
-	return demand.Fits(p.Used, p.Class.Capacity)
+	return p.Active() && demand.Fits(p.Used, p.Class.Capacity)
 }
 
 // Host places vm on the PM, reserving its resources. The VM's Host field is

@@ -18,54 +18,155 @@ import (
 // letting a per-PM or per-term regression through.
 const arrivalAllocCeiling = 2
 
-func TestArrivalAllocBudget(t *testing.T) {
-	ctx, _ := tableIIState(t, 200, 400, 7)
-	factors := DefaultFactors()
-	arrival := cluster.NewVM(cluster.VMID(1<<20), vector.New(2, 1), 5400, 5400, ctx.Now)
+// allocEngines are the two engines every budget below holds for: the pool
+// and the interning tables are the frame's, so the sparse engine gets no
+// allowance the dense one does not.
+var allocEngines = []struct {
+	name string
+	opts MatrixOptions
+}{
+	{"dense", MatrixOptions{}},
+	{"sparse", MatrixOptions{CandidateK: 64}},
+}
 
-	// Warm the scratch and the per-class cache.
-	for i := 0; i < 3; i++ {
-		if BestPlacement(ctx, factors, arrival) == nil {
-			t.Fatal("no placement found")
-		}
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		BestPlacement(ctx, factors, arrival)
-	})
-	if avg > arrivalAllocCeiling {
-		t.Fatalf("BestPlacement allocates %.2f allocs/op on a warm context, budget %d",
-			avg, arrivalAllocCeiling)
+func TestArrivalAllocBudget(t *testing.T) {
+	for _, e := range allocEngines {
+		t.Run(e.name, func(t *testing.T) {
+			ctx, _ := tableIIState(t, 200, 400, 7)
+			factors := DefaultFactors()
+			arrival := cluster.NewVM(cluster.VMID(1<<20), vector.New(2, 1), 5400, 5400, ctx.Now)
+
+			// Warm the scratch and the class and shape tables.
+			for i := 0; i < 3; i++ {
+				if BestPlacementWith(ctx, factors, arrival, e.opts) == nil {
+					t.Fatal("no placement found")
+				}
+			}
+			avg := testing.AllocsPerRun(200, func() {
+				BestPlacementWith(ctx, factors, arrival, e.opts)
+			})
+			if avg > arrivalAllocCeiling {
+				t.Fatalf("BestPlacementWith allocates %.2f allocs/op on a warm context, budget %d",
+					avg, arrivalAllocCeiling)
+			}
+		})
 	}
 }
 
 // consolidateAllocsPerVM bounds the per-column allocation rate of a full
-// warm consolidation pass (matrix build + Algorithm 1 rounds + release).
+// warm consolidation pass (frame build + Algorithm 1 rounds + release).
 // A cold pass allocates the scratch once; after that the dominant costs
 // must reuse it, so the per-VM rate stays well below one.
 const consolidateAllocsPerVM = 0.5
 
 func TestConsolidateAllocBudget(t *testing.T) {
-	ctx, _ := tableIIState(t, 200, 400, 7)
-	factors := DefaultFactors()
-	params := DefaultParams()
+	for _, e := range allocEngines {
+		t.Run(e.name, func(t *testing.T) {
+			ctx, _ := tableIIState(t, 200, 400, 7)
+			factors := DefaultFactors()
+			params := DefaultParams()
 
-	// Warm pass: checks out (and sizes) the scratch, executes any
-	// profitable moves so later passes are steady-state no-ops.
-	if _, err := Consolidate(ctx, factors, params); err != nil {
+			// Warm pass: checks out (and sizes) the scratch, executes any
+			// profitable moves so later passes are steady-state no-ops.
+			if _, err := ConsolidateWith(ctx, factors, params, e.opts); err != nil {
+				t.Fatal(err)
+			}
+			nVMs := len(ctx.vmBuf)
+			if nVMs == 0 {
+				t.Fatal("bench state has no running VMs")
+			}
+			avg := testing.AllocsPerRun(50, func() {
+				if _, err := ConsolidateWith(ctx, factors, params, e.opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if perVM := avg / float64(nVMs); perVM > consolidateAllocsPerVM {
+				t.Fatalf("ConsolidateWith allocates %.1f allocs/op (%.3f per VM column, budget %.2f) on a warm context",
+					avg, perVM, consolidateAllocsPerVM)
+			}
+		})
+	}
+}
+
+// TestFramePoolInterleavedEngines runs dense and sparse passes back to
+// back on one Context — the way the auditor and SelfAudit mix them — and
+// checks the checkout model: engines that share the pool in turn agree
+// with each other, a build made while the pool is checked out allocates
+// its own storage without disturbing the holder, and the pool is back on
+// the Context after the last Release.
+func TestFramePoolInterleavedEngines(t *testing.T) {
+	ctx, vms := tableIIState(t, 60, 140, 5)
+	factors := DefaultFactors()
+
+	dense, err := NewMatrix(ctx, factors, vms)
+	if err != nil {
 		t.Fatal(err)
 	}
-	nVMs := len(ctx.vmBuf)
-	if nVMs == 0 {
-		t.Fatal("bench state has no running VMs")
+	pool := dense.scr
+	if ctx.fscratch != nil {
+		t.Fatal("a live engine left the pool attached")
 	}
-	avg := testing.AllocsPerRun(50, func() {
-		if _, err := Consolidate(ctx, factors, params); err != nil {
+	// Sparse build with the pool checked out: own storage, same trackers.
+	sparse, err := NewSparseMatrix(ctx, factors, vms, MatrixOptions{CandidateK: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sparse.scr == pool {
+		t.Fatal("two live engines share one scratch")
+	}
+	if err := sparse.DiffDense(dense); err != nil {
+		t.Fatalf("sparse over a checked-out pool: %v", err)
+	}
+	dense.Release()
+	sparse.Release()
+	if ctx.fscratch != pool {
+		t.Fatal("first Release did not re-attach the pool")
+	}
+
+	// Sparse then dense on the pooled storage, each Apply audited by a
+	// cold rebuild in flight; the sparse engine mirrors the dense moves
+	// on a twin fleet.
+	twinCtx, twinVMs := tableIIState(t, 60, 140, 5)
+	sparse, err = NewSparseMatrix(twinCtx, factors, twinVMs, MatrixOptions{CandidateK: 64, SelfAudit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err = NewMatrixWith(ctx, factors, vms, MatrixOptions{SelfAudit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dense.scr != pool {
+		t.Fatal("dense build did not reuse the pool")
+	}
+	for i := 0; i < 8; i++ {
+		r, c, _, ok := dense.Best()
+		if !ok {
+			t.Fatalf("no move left after %d", i)
+		}
+		if err := dense.Apply(r, c); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if perVM := avg / float64(nVMs); perVM > consolidateAllocsPerVM {
-		t.Fatalf("Consolidate allocates %.1f allocs/op (%.3f per VM column, budget %.2f) on a warm context",
-			avg, perVM, consolidateAllocsPerVM)
+		if err := sparse.Apply(r, c); err != nil {
+			t.Fatal(err)
+		}
+		if err := sparse.DiffDense(dense); err != nil {
+			t.Fatalf("after move %d: %v", i+1, err)
+		}
+	}
+	fresh, err := NewMatrix(ctx, factors, vms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dense.Diff(fresh); err != nil {
+		t.Fatalf("pooled dense engine vs cold rebuild: %v", err)
+	}
+	fresh.Release()
+	dense.Release()
+	sparse.Release()
+	// Which scratch survives is the first Release's (here a SelfAudit
+	// rebuild's); what matters is that each Context holds one again.
+	if ctx.fscratch == nil || twinCtx.fscratch == nil {
+		t.Fatal("no pool re-attached after the last Release")
 	}
 }
 
@@ -78,7 +179,7 @@ func TestSlabRowFillAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.kern == nil || !m.kern.isDefault {
+	if !m.prog.canonical {
 		t.Fatal("slab path not engaged")
 	}
 	m.fillRow(0) // warm the row scratch slabs

@@ -1,9 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/vector"
@@ -54,17 +55,12 @@ type candIndex struct {
 	// PM; a mismatch means the PM's groups must be re-derived.
 	stamps []pmStamp
 
-	// classIdx/classes give each PM class a compact index plus the
-	// precomputed efficiency value per level.
-	classIdx map[*cluster.PMClass]int32
-	classes  []*candClass
-
-	// shapes interns demand vectors by exact bit pattern, like the dense
-	// kernel, so memoized group values are bit-identical to per-cell
-	// evaluation.
-	shapes    map[string]*candShape
+	// shapes holds the grouping of every tracked demand shape, indexed by
+	// the Context's shape id (nil: not tracked yet); shapeList lists the
+	// tracked ones in first-tracked order. Classes are the Context's class
+	// ids.
+	shapes    []*candShape
 	shapeList []*candShape
-	key       []byte
 
 	// events collects membership changes produced by syncPM for the
 	// consolidation engine's targeted tracker updates. Bulk syncs discard
@@ -72,7 +68,7 @@ type candIndex struct {
 	events []candEvent
 
 	// workers is the sticky MatrixOptions.Workers request the bulk kernels
-	// (sync's staleness sweep, shapeFor's first-seen fleet pass) resolve
+	// (sync's staleness sweep, shape's first-seen fleet pass) resolve
 	// against; candidatesWith updates it. Zero auto-sizes.
 	workers int
 
@@ -89,21 +85,9 @@ type pmStamp struct {
 	state cluster.PMState
 }
 
-// candClass is one PM class with the per-level efficiency products.
-type candClass struct {
-	class *cluster.PMClass
-	info  *classInfo
-
-	// effVal[l] = float64(l) / float64(W_j) * eff_j for l in 1..W_j —
-	// exactly effProbability's return expression, so group values match
-	// the dense kernel bit-for-bit. Nil when W_j == 0 (the class scores 0
-	// everywhere and never joins a group).
-	effVal []float64
-}
-
 // candKey identifies a score group within a shape.
 type candKey struct {
-	ci    int32  // compact class index
+	ci    int32  // Context class id
 	level int32  // prospective utilization level for the shape's demand
 	rel   uint64 // reliability bits
 }
@@ -120,20 +104,26 @@ type candGroup struct {
 	members []int32
 }
 
+// value is the non-host probability the group's members share for a
+// column whose p_vir against the group's class is vir: cell order,
+// (p_vir * p_rel) * p_eff. Every operand is finite and non-negative, so
+// a zero factor yields the same +0 the per-cell short circuits return.
+func (g *candGroup) value(vir float64) float64 { return vir * g.rel * g.effVal }
+
 // candShape is the per-demand-shape grouping.
 type candShape struct {
+	id       int32 // Context shape id
 	demand   vector.V
 	groups   []candGroup
 	byKey    map[candKey]int32
 	groupOf  []int32 // per PM ID: group index, or -1 when excluded
 	nonEmpty int     // count of non-empty groups (the K contract)
 
-	// seq/evFrom/evTo are per-Apply scratch for the sparse matrix: which
-	// migration endpoint produced a membership event in this shape during
-	// the Apply numbered seq (sparse.go).
-	seq    uint64
-	evFrom bool
-	evTo   bool
+	// seq/ev are per-Apply scratch for the sparse matrix: which migration
+	// endpoint (0 source, 1 target) produced a membership event in this
+	// shape during the Apply numbered seq (sparse.go).
+	seq uint64
+	ev  [2]bool
 }
 
 // candEvent is one membership change: pm moved from group old to group new
@@ -176,13 +166,7 @@ func newCandIndex(ctx *Context) *candIndex {
 			panic(fmt.Sprintf("core: candidate index needs dense PM IDs (slot %d holds PM %d)", i, pm.ID))
 		}
 	}
-	return &candIndex{
-		ctx:      ctx,
-		pms:      pms,
-		stamps:   make([]pmStamp, len(pms)),
-		classIdx: make(map[*cluster.PMClass]int32, 4),
-		shapes:   make(map[string]*candShape, 16),
-	}
+	return &candIndex{ctx: ctx, pms: pms, stamps: make([]pmStamp, len(pms))}
 }
 
 func stampOf(pm *cluster.PM) pmStamp {
@@ -292,50 +276,32 @@ func (x *candIndex) membership(pm *cluster.PM, demand vector.V) (key candKey, re
 	if rel == 0 {
 		return candKey{}, 0, 0, false
 	}
-	ci := x.classFor(pm)
-	cc := x.classes[ci]
-	if cc.info.wj == 0 {
+	ci := x.ctx.classID(pm)
+	info := x.ctx.classTab[ci]
+	if info.wj == 0 {
 		return candKey{}, 0, 0, false
 	}
-	level := levelOf(cc.info, prospectiveUtilization(pm, demand))
-	effVal = cc.effVal[level]
+	level := levelOf(info, prospectiveUtilization(pm, demand))
+	effVal = info.effVal[level]
 	if effVal == 0 {
 		return candKey{}, 0, 0, false
 	}
 	return candKey{ci: ci, level: int32(level), rel: math.Float64bits(rel)}, rel, effVal, true
 }
 
-func (x *candIndex) classFor(pm *cluster.PM) int32 {
-	if ci, ok := x.classIdx[pm.Class]; ok {
-		return ci
+// shape returns the grouping of the demand shape with Context id sid,
+// building the membership of a not-yet-tracked shape from the live fleet
+// in one pass.
+func (x *candIndex) shape(sid int32) *candShape {
+	for int(sid) >= len(x.shapes) {
+		x.shapes = append(x.shapes, nil)
 	}
-	info := x.ctx.classInfoFor(pm)
-	cc := &candClass{class: pm.Class, info: info}
-	if info.wj > 0 {
-		cc.effVal = make([]float64, info.wj+1)
-		for l := 1; l <= info.wj; l++ {
-			cc.effVal[l] = float64(l) / float64(info.wj) * info.eff
-		}
-	}
-	ci := int32(len(x.classes))
-	x.classes = append(x.classes, cc)
-	x.classIdx[pm.Class] = ci
-	return ci
-}
-
-// shapeFor interns a demand vector and returns its grouping, building the
-// membership of a first-seen shape from the live fleet in one pass.
-func (x *candIndex) shapeFor(demand vector.V) *candShape {
-	key := x.key[:0]
-	for _, v := range demand {
-		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
-	}
-	x.key = key
-	if sh, ok := x.shapes[string(key)]; ok {
+	if sh := x.shapes[sid]; sh != nil {
 		return sh
 	}
 	sh := &candShape{
-		demand:  demand.Clone(),
+		id:      sid,
+		demand:  x.ctx.shapeTab[sid].demand,
 		byKey:   make(map[candKey]int32, 16),
 		groupOf: make([]int32, len(x.pms)),
 	}
@@ -350,7 +316,7 @@ func (x *candIndex) shapeFor(demand vector.V) *candShape {
 	n := len(x.pms)
 	if workers, borrowed := x.syncWorkers(n); workers > 1 {
 		for _, pm := range x.pms {
-			x.classFor(pm) // prewarm the class table: read-only below
+			x.ctx.classID(pm) // prewarm the class table: read-only below
 		}
 		keys := make([]candKey, n)
 		rels := make([]float64, n)
@@ -382,7 +348,7 @@ func (x *candIndex) shapeFor(demand vector.V) *candShape {
 			sh.groupOf[id] = gi
 		}
 	}
-	x.shapes[string(key)] = sh
+	x.shapes[sid] = sh
 	x.shapeList = append(x.shapeList, sh)
 	return sh
 }
@@ -438,12 +404,12 @@ func searchInt32(s []int32, v int32) (int, bool) {
 
 // bestArrival is the sparse arrival argmax: the PM the dense BestPlacement
 // scan would pick for vm, or nil when no PM scores a positive probability.
-// Group values are evaluated in cellDefault's exact multiplication order
+// Group values are evaluated in the cell's exact multiplication order
 // ((p_vir * p_rel) * p_eff) on bit-identical operands, and ties resolve to
 // the lowest member ID — dense's strict p > best scan in ID order — so the
 // answer is bit-identical by construction.
 func (x *candIndex) bestArrival(vm *cluster.VM, k int) *cluster.PM {
-	sh := x.shapeFor(vm.Demand)
+	sh := x.shape(x.ctx.shapeID(vm.Demand))
 	if sh.nonEmpty > k {
 		x.ctx.Obs.AddScoped("core.sparse_shape_overflow", 1)
 	}
@@ -457,20 +423,7 @@ func (x *candIndex) bestArrival(vm *cluster.VM, k int) *cluster.PM {
 			continue
 		}
 		cand := g.members[0]
-		cc := x.classes[g.key.ci]
-		overhead := cc.info.overhead
-		if vm.Host == cluster.NoPM {
-			overhead = cc.class.CreationTime
-		}
-		p := virProbability(tre, overhead)
-		if p == 0 {
-			continue
-		}
-		p *= g.rel
-		if p == 0 {
-			continue
-		}
-		p = p * g.effVal
+		p := g.value(virProbability(tre, x.ctx.classTab[g.key.ci].virOverhead(vm)))
 		if p > bestP || (p == bestP && bestID >= 0 && cand < bestID) {
 			bestP, bestID = p, cand
 			best = x.pms[cand]
@@ -486,27 +439,11 @@ func (x *candIndex) bestArrival(vm *cluster.VM, k int) *cluster.PM {
 // assert it always contains the dense argmax and, when k covers the whole
 // feasible set, equals the dense ranking outright.
 func (x *candIndex) shortlist(dst []Placement, vm *cluster.VM, k int) []Placement {
-	sh := x.shapeFor(vm.Demand)
+	sh := x.shape(x.ctx.shapeID(vm.Demand))
 	tre := vm.RemainingEstimate(x.ctx.Now)
 	for gi := range sh.groups {
 		g := &sh.groups[gi]
-		if len(g.members) == 0 {
-			continue
-		}
-		cc := x.classes[g.key.ci]
-		overhead := cc.info.overhead
-		if vm.Host == cluster.NoPM {
-			overhead = cc.class.CreationTime
-		}
-		p := virProbability(tre, overhead)
-		if p == 0 {
-			continue
-		}
-		p *= g.rel
-		if p == 0 {
-			continue
-		}
-		p = p * g.effVal
+		p := g.value(virProbability(tre, x.ctx.classTab[g.key.ci].virOverhead(vm)))
 		if p <= 0 {
 			continue
 		}
@@ -514,20 +451,20 @@ func (x *candIndex) shortlist(dst []Placement, vm *cluster.VM, k int) []Placemen
 			dst = append(dst, Placement{PM: x.pms[id], Probability: p})
 		}
 	}
-	// Insertion sort by (probability desc, ID asc): group counts are
-	// small and the members of one group arrive pre-sorted by ID.
-	for i := 1; i < len(dst); i++ {
-		for j := i; j > 0; j-- {
-			a, b := dst[j-1], dst[j]
-			if a.Probability > b.Probability ||
-				(a.Probability == b.Probability && a.PM.ID < b.PM.ID) {
-				break
-			}
-			dst[j-1], dst[j] = b, a
+	return rankPlacements(dst, k)
+}
+
+// rankPlacements orders out by (probability desc, PM ID asc) and
+// truncates it to at most k entries (k <= 0: all).
+func rankPlacements(out []Placement, k int) []Placement {
+	slices.SortFunc(out, func(a, b Placement) int {
+		if c := cmp.Compare(b.Probability, a.Probability); c != 0 {
+			return c
 		}
+		return cmp.Compare(a.PM.ID, b.PM.ID)
+	})
+	if k > 0 && len(out) > k {
+		out = out[:k]
 	}
-	if k > 0 && len(dst) > k {
-		dst = dst[:k]
-	}
-	return dst
+	return out
 }

@@ -46,18 +46,22 @@ type Context struct {
 	// hot paths free of instrumentation beyond a nil check.
 	Obs *obs.Observer
 
-	// classes lazily caches the per-class constants (W_j, U_j^MIN,
-	// eff_j) the efficiency factor needs; the factors are evaluated
-	// M*N times per consolidation, so recomputing these per entry
-	// dominates the run otherwise.
-	classes map[*cluster.PMClass]*classInfo
+	// classTab and shapeTab are the Context-level interning tables
+	// (frame.go): one entry per PM class and per distinct demand vector
+	// ever evaluated, numbered first-seen. Every per-class constant and
+	// every per-shape memo in this package is indexed by these ids.
+	classTab []*classInfo
+	shapeTab []shapeInfo
+	shapeIdx map[string]int32
+	shapeKey []byte
+	pass     uint64 // frame builds so far; stamps shapeInfo.pass
 
-	// Reusable hot-path scratch (scratch.go): mscratch backs matrix
-	// builds via checkout, arr backs the per-arrival argmax, vmBuf backs
+	// Reusable hot-path scratch (scratch.go): fscratch backs pass frames
+	// via checkout, terms backs the per-arrival term program, vmBuf backs
 	// the consolidation pass's column collection. Their presence is why a
 	// Context is not safe for concurrent use.
-	mscratch *matrixScratch
-	arr      arrivalScratch
+	fscratch *frameScratch
+	terms    []term
 	vmBuf    []*cluster.VM
 
 	// cand is the sparse candidate index (candidates.go), built lazily on
@@ -66,13 +70,31 @@ type Context struct {
 	cand *candIndex
 }
 
-// classInfo holds the per-class constants of Section III.B.4.
+// classInfo holds the per-class constants of Section III.B.4: one entry of
+// the Context's class table.
 type classInfo struct {
+	class    *cluster.PMClass
 	wj       int     // W_j: max minimal VMs the class can host
 	umin     float64 // U_j^MIN: utilization with one minimal VM
 	eff      float64 // eff_j: relative power efficiency
 	invK     float64 // 1/K for inverting the level partition
 	overhead float64 // T_cre + T_mig for the virtualization factor
+
+	// effVal[l] = float64(l) / float64(W_j) * eff_j for l in 1..W_j —
+	// exactly effProbability's return expression, so the sparse index's
+	// group values match the dense cells bit-for-bit. Nil when W_j == 0.
+	effVal []float64
+}
+
+// virOverhead is the target-side overhead vm pays on a PM of this class
+// (Eq. 3): creation plus transfer for a migration, creation only for the
+// initial placement of a not-yet-hosted VM — there is nothing to transfer
+// yet.
+func (info *classInfo) virOverhead(vm *cluster.VM) float64 {
+	if vm.Host == cluster.NoPM {
+		return info.class.CreationTime
+	}
+	return info.overhead
 }
 
 // NewContext returns a reusable Context for dc. Callers that process many
@@ -94,15 +116,18 @@ func (ctx *Context) At(now float64) *Context {
 	return ctx
 }
 
-func (ctx *Context) classInfoFor(pm *cluster.PM) *classInfo {
-	if info, ok := ctx.classes[pm.Class]; ok {
-		return info
-	}
-	if ctx.classes == nil {
-		ctx.classes = make(map[*cluster.PMClass]*classInfo, 4)
+// classID interns pm's class in the Context's class table and returns its
+// id. A fleet has a handful of classes (Table II has 2), so the lookup is
+// a pointer scan, not a hash.
+func (ctx *Context) classID(pm *cluster.PM) int32 {
+	for ci, info := range ctx.classTab {
+		if info.class == pm.Class {
+			return int32(ci)
+		}
 	}
 	rmin := ctx.DC.RMinShared()
 	info := &classInfo{
+		class:    pm.Class,
 		wj:       pm.Class.MaxMinimalVMs(rmin),
 		umin:     vector.Utilization(rmin, pm.Class.Capacity),
 		eff:      ctx.DC.Efficiency(pm),
@@ -111,8 +136,18 @@ func (ctx *Context) classInfoFor(pm *cluster.PM) *classInfo {
 	if k := rmin.Dim(); k > 0 {
 		info.invK = 1 / float64(k)
 	}
-	ctx.classes[pm.Class] = info
-	return info
+	if info.wj > 0 {
+		info.effVal = make([]float64, info.wj+1)
+		for l := 1; l <= info.wj; l++ {
+			info.effVal[l] = float64(l) / float64(info.wj) * info.eff
+		}
+	}
+	ctx.classTab = append(ctx.classTab, info)
+	return int32(len(ctx.classTab) - 1)
+}
+
+func (ctx *Context) classInfoFor(pm *cluster.PM) *classInfo {
+	return ctx.classTab[ctx.classID(pm)]
 }
 
 // Factor computes one conditional probability p_ij^xxx of hosting vm on pm.
@@ -185,14 +220,7 @@ func (VirtualizationFactor) Probability(ctx *Context, vm *cluster.VM, pm *cluste
 	if hosted {
 		return 1
 	}
-	// A migration pays creation plus transfer on the target (Eq. 3); an
-	// initial placement of a not-yet-running VM only pays creation —
-	// there is nothing to transfer yet.
-	overhead := ctx.classInfoFor(pm).overhead
-	if vm.Host == cluster.NoPM {
-		overhead = pm.Class.CreationTime
-	}
-	return virProbability(vm.RemainingEstimate(ctx.Now), overhead)
+	return virProbability(vm.RemainingEstimate(ctx.Now), ctx.classInfoFor(pm).virOverhead(vm))
 }
 
 // virProbability is the Eq. 3 penalty for remaining estimate tre against a

@@ -1,0 +1,352 @@
+package core
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
+
+	"repro/internal/cluster"
+	"repro/internal/vector"
+)
+
+// frame is everything one consolidation pass prepares before either
+// Algorithm-1 engine looks at a probability: the two ID-sorted axes, the
+// PM-ID-to-row table, each row's class and each column's demand shape as
+// ids into the Context's interning tables, the p_vir memo, the hosted
+// columns of every row, the hosted-cell probability of every row, the
+// column trackers, and the migration itself. Matrix and SparseMatrix embed
+// it and add only how they find a column's best row — stored probability
+// rows there, score-group scans here.
+//
+// A frame is built from the Context's pooled scratch under a checkout
+// model (scratch.go) and is valid until Release.
+type frame struct {
+	ctx     *Context
+	factors []Factor
+	opts    MatrixOptions
+
+	pms []*cluster.PM // rows: active PMs, ID ascending
+	vms []*cluster.VM // columns, ID ascending
+
+	// id2row maps a PM ID to its row, -1 for inactive PMs. PM IDs are
+	// dense (cluster.New numbers the fleet 0..M-1), so this is a slice.
+	id2row []int32
+
+	rowClass []int32 // per row: id into ctx.classTab
+	colShape []int32 // per column: id into ctx.shapeTab
+	shapes   []int32 // the distinct colShape values
+
+	// vir memoizes the non-host virtualization penalty per class and
+	// column: the remaining estimate T_re is fixed for the lifetime of a
+	// frame (the clock does not advance during a pass), so the M*N
+	// evaluations of Eq. 3 collapse to C*N. Stored class-major in a
+	// 64-byte-aligned slab — one lane of virStride float64s per class
+	// (the column count rounded up to a whole cache line), addressed
+	// vir[ci*virStride+c] — so the slab row fill streams one aligned,
+	// contiguous lane per row.
+	vir       []float64
+	virStride int
+
+	// hosted lists, per row, the columns whose VM resides there; move
+	// rehomes a column in O(1).
+	hosted colLists
+
+	// hostP lazily memoizes the canonical program's hosted-cell
+	// probability per row (NaN = unset); move invalidates both endpoints.
+	hostP []float64
+
+	// colTrackers holds, per column, the current placement's normalizer
+	// and the best normalized alternative.
+	colTrackers
+
+	// scr is the checked-out backing storage behind every slice above
+	// and the engines' own; Release returns it to the Context.
+	scr *frameScratch
+}
+
+// shapeInfo is one entry of the Context's demand-shape table.
+type shapeInfo struct {
+	demand vector.V
+	pass   uint64 // the frame build that last listed the shape
+}
+
+// shapeID interns a demand vector in the Context's shape table, keyed on
+// the exact bit patterns so per-shape memos are bit-identical to a
+// per-cell evaluation, and returns its id. Real workloads request a
+// handful of standard shapes (the Table II workload has 8), so per-row
+// feasibility and efficiency collapse from N columns to D shapes.
+func (ctx *Context) shapeID(demand vector.V) int32 {
+	key := ctx.shapeKey[:0]
+	for _, x := range demand {
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(x))
+	}
+	ctx.shapeKey = key
+	if id, ok := ctx.shapeIdx[string(key)]; ok {
+		return id
+	}
+	if ctx.shapeIdx == nil {
+		ctx.shapeIdx = make(map[string]int32, 16)
+	}
+	id := int32(len(ctx.shapeTab))
+	ctx.shapeIdx[string(key)] = id
+	ctx.shapeTab = append(ctx.shapeTab, shapeInfo{demand: demand.Clone()})
+	return id
+}
+
+// init builds the frame over the data center's active PMs and the given
+// VMs. Every VM must currently be hosted on an active PM and appear once.
+func (f *frame) init(ctx *Context, factors []Factor, vms []*cluster.VM, opts MatrixOptions) error {
+	if ctx == nil || ctx.DC == nil {
+		return fmt.Errorf("core: matrix needs a context with a datacenter")
+	}
+	scr := ctx.takeScratch()
+	*f = frame{ctx: ctx, factors: factors, opts: opts, scr: scr}
+
+	// The datacenter lists PMs by ID, so the rows ascend as collected.
+	f.id2row = grow(&scr.id2row, ctx.DC.Size())
+	for i := range f.id2row {
+		f.id2row[i] = -1
+	}
+	f.pms = ctx.DC.AppendActivePMs(scr.pms[:0])
+	scr.pms = f.pms
+	f.rowClass = grow(&scr.rowClass, len(f.pms))
+	for r, pm := range f.pms {
+		f.id2row[pm.ID] = int32(r)
+		f.rowClass[r] = ctx.classID(pm)
+	}
+
+	f.vms = append(scr.vms[:0], vms...)
+	scr.vms = f.vms
+	slices.SortFunc(f.vms, func(a, b *cluster.VM) int { return int(a.ID) - int(b.ID) })
+	nr, nc := len(f.pms), len(f.vms)
+	f.colShape = grow(&scr.colShape, nc)
+	f.shapes = scr.shapes[:0]
+	scr.hosted.reset(nr, nc)
+	f.hosted = scr.hosted
+	ctx.pass++
+	// Reverse column order so each push-front leaves the hosted lists
+	// ascending — the slab fill then patches hosted cells in memory order.
+	for c := nc - 1; c >= 0; c-- {
+		vm := f.vms[c]
+		if c > 0 && f.vms[c-1].ID == vm.ID {
+			f.Release()
+			return fmt.Errorf("core: duplicate VM %d in matrix", vm.ID)
+		}
+		r, ok := f.RowOf(vm.Host)
+		if !ok {
+			f.Release()
+			return fmt.Errorf("core: VM %d hosted on inactive PM %d", vm.ID, vm.Host)
+		}
+		f.hosted.push(r, c)
+		id := ctx.shapeID(vm.Demand)
+		f.colShape[c] = id
+		if sh := &ctx.shapeTab[id]; sh.pass != ctx.pass {
+			sh.pass = ctx.pass
+			f.shapes = append(f.shapes, id)
+		}
+	}
+	scr.shapes = f.shapes
+
+	f.virStride = alignUp(nc)
+	scr.vir, f.vir = alignedFloats(scr.vir, len(ctx.classTab)*f.virStride)
+	for c, vm := range f.vms {
+		tre := vm.RemainingEstimate(ctx.Now)
+		for ci, info := range ctx.classTab {
+			f.vir[ci*f.virStride+c] = virProbability(tre, info.overhead)
+		}
+	}
+
+	f.hostP = grow(&scr.hostP, nr)
+	for r := range f.hostP {
+		f.hostP[r] = math.NaN()
+	}
+	scr.trk.resize(nc)
+	f.colTrackers = scr.trk
+	return nil
+}
+
+// Release returns the engine's backing storage to its Context for the next
+// build to reuse. The engine must not be used afterwards. Release is
+// optional — an un-released engine just leaves its storage to the GC, and
+// when several engines over one Context are alive at once (the audit's
+// differential rebuilds) only the first Release re-attaches.
+func (f *frame) Release() {
+	scr := f.scr
+	f.scr = nil
+	if scr != nil && f.ctx.fscratch == nil {
+		f.ctx.fscratch = scr
+	}
+}
+
+// Rows and Cols report the dimensions.
+func (f *frame) Rows() int { return len(f.pms) }
+
+// Cols reports the number of VM columns.
+func (f *frame) Cols() int { return len(f.vms) }
+
+// PM returns the physical machine at row r.
+func (f *frame) PM(r int) *cluster.PM { return f.pms[r] }
+
+// VM returns the virtual machine at column c.
+func (f *frame) VM(c int) *cluster.VM { return f.vms[c] }
+
+// RowOf returns the row index of the PM with the given ID.
+func (f *frame) RowOf(id cluster.PMID) (int, bool) {
+	if id < 0 || int(id) >= len(f.id2row) || f.id2row[id] < 0 {
+		return -1, false
+	}
+	return int(f.id2row[id]), true
+}
+
+// hostRow returns the row currently hosting column c's VM.
+func (f *frame) hostRow(c int) int {
+	vm := f.vms[c]
+	r, ok := f.RowOf(vm.Host)
+	if !ok {
+		panic(fmt.Sprintf("core: VM %d host %d left the matrix", vm.ID, vm.Host))
+	}
+	return r
+}
+
+// hostProb returns the canonical program's hosted-cell probability for row
+// r: p_res = p_vir = 1 there, so it is reliability times the efficiency
+// term at the PM's present utilization (which already includes its VMs),
+// memoized per row.
+func (f *frame) hostProb(r int) float64 {
+	if math.IsNaN(f.hostP[r]) {
+		pm := f.pms[r]
+		f.hostP[r] = pm.Reliability * effProbability(f.ctx.classTab[f.rowClass[r]], pm.Utilization())
+	}
+	return f.hostP[r]
+}
+
+// move migrates column c's VM to row r — evict from the current host, host
+// on the target, count the migration — and rehomes the column in the
+// hosted lists. The datacenter state is mutated; the column trackers are
+// not (the engines repair them). It returns the source row, or an error
+// when the target cannot actually host the VM (which would indicate a
+// factor bug, since p_res must have been positive), with the VM back on
+// its source.
+func (f *frame) move(r, c int) (from int, err error) {
+	vm := f.vms[c]
+	from = f.curRow[c]
+	src, dst := f.pms[from], f.pms[r]
+	if err := src.Evict(vm); err != nil {
+		return from, fmt.Errorf("core: apply move of VM %d: %w", vm.ID, err)
+	}
+	if err := dst.Host(vm); err != nil {
+		// Roll back so the model stays consistent.
+		if rbErr := src.Host(vm); rbErr != nil {
+			panic(fmt.Sprintf("core: rollback failed after host error (%v): %v", err, rbErr))
+		}
+		return from, fmt.Errorf("core: apply move of VM %d: %w", vm.ID, err)
+	}
+	vm.Migrations++
+	f.hosted.move(c, from, r)
+	f.hostP[from], f.hostP[r] = math.NaN(), math.NaN()
+	return from, nil
+}
+
+// diffAxes compares two frames' dimensions and row/column identities.
+func (f *frame) diffAxes(o *frame) error {
+	if len(f.pms) != len(o.pms) || len(f.vms) != len(o.vms) {
+		return fmt.Errorf("core: matrix %dx%d != %dx%d", len(f.pms), len(f.vms), len(o.pms), len(o.vms))
+	}
+	for r := range f.pms {
+		if f.pms[r].ID != o.pms[r].ID {
+			return fmt.Errorf("core: row %d is PM %d vs PM %d", r, f.pms[r].ID, o.pms[r].ID)
+		}
+	}
+	for c := range f.vms {
+		if f.vms[c].ID != o.vms[c].ID {
+			return fmt.Errorf("core: column %d is VM %d vs VM %d", c, f.vms[c].ID, o.vms[c].ID)
+		}
+	}
+	return nil
+}
+
+// diffTrackers is the engine-independent comparison: axes, column
+// trackers, and the Best extraction must all be bit-identical.
+func (f *frame) diffTrackers(o *frame) error {
+	if err := f.diffAxes(o); err != nil {
+		return err
+	}
+	return f.colTrackers.diff(&o.colTrackers)
+}
+
+// colLists partitions columns into per-row lists with O(1) relocation:
+// head[r] heads a doubly-linked, -1-terminated list threaded through
+// next/prev by column. A column is in at most one list. Linked lists
+// rather than packed per-row slices because every migration rehomes
+// columns and the index must follow without shifting or allocating.
+type colLists struct {
+	head []int32
+	next []int32
+	prev []int32
+}
+
+// reset sizes the index for the given dimensions with every list empty.
+func (l *colLists) reset(rows, cols int) {
+	for r := range grow(&l.head, rows) {
+		l.head[r] = -1
+	}
+	grow(&l.next, cols)
+	grow(&l.prev, cols)
+}
+
+// push puts column c, currently in no list, at the front of row r's.
+func (l *colLists) push(r, c int) {
+	h := l.head[r]
+	l.next[c], l.prev[c] = h, -1
+	if h >= 0 {
+		l.prev[h] = int32(c)
+	}
+	l.head[r] = int32(c)
+}
+
+// move relocates column c from row from's list to row to's; either may be
+// -1 for "no list".
+func (l *colLists) move(c, from, to int) {
+	if from >= 0 {
+		if p := l.prev[c]; p >= 0 {
+			l.next[p] = l.next[c]
+		} else {
+			l.head[from] = l.next[c]
+		}
+		if n := l.next[c]; n >= 0 {
+			l.prev[n] = l.prev[c]
+		}
+	}
+	if to >= 0 {
+		l.push(to, c)
+	}
+}
+
+// check verifies the index against want, each column's expected row (-1:
+// in no list): every list is consistently linked and holds exactly the
+// columns that name it.
+func (l *colLists) check(name string, want []int) error {
+	listed := 0
+	for r := range l.head {
+		prev := int32(-1)
+		for c := l.head[r]; c >= 0; prev, c = c, l.next[c] {
+			if listed++; listed > len(want) {
+				return fmt.Errorf("core: %s lists cycle at row %d", name, r)
+			}
+			if want[c] != r || l.prev[c] != prev {
+				return fmt.Errorf("core: column %d in %s[%d] (prev %d), want row %d after %d",
+					c, name, r, l.prev[c], want[c], prev)
+			}
+		}
+	}
+	for _, r := range want {
+		if r >= 0 {
+			listed--
+		}
+	}
+	if listed != 0 {
+		return fmt.Errorf("core: %s lists hold %+d columns versus the trackers", name, listed)
+	}
+	return nil
+}

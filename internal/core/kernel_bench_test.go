@@ -9,8 +9,8 @@ import (
 	"repro/internal/vector"
 )
 
-// Kernel micro-benchmarks: the factored evaluation path versus the
-// generic Factor-interface path, at 100 / 1k / 10k PMs with ~2 VMs per
+// Kernel micro-benchmarks: the compiled evaluation path versus Joint per
+// cell (opaque factors, kernel_test.go), at 100 / 1k / 10k PMs with ~2 VMs per
 // PM, over the three hot operations of the scheme — matrix build,
 // per-round incremental update, and arrival ranking. These are layer-level
 // looks; whole-run numbers come from `go run ./bench` (bench/README.md).
@@ -22,23 +22,18 @@ import (
 
 var benchSizes = []int{100, 1000, 10000}
 
-func benchPath(disable bool) string {
-	if disable {
-		return "generic"
-	}
-	return "kernel"
-}
+var benchPaths = []string{"kernel", "generic"}
 
 func BenchmarkKernelMatrixBuild(b *testing.B) {
-	for _, disable := range []bool{false, true} {
+	for _, path := range benchPaths {
 		for _, pms := range benchSizes {
-			b.Run(fmt.Sprintf("%s/pms%d", benchPath(disable), pms), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/pms%d", path, pms), func(b *testing.B) {
 				ctx, vms := tableIIState(b, pms, 2*pms, 7)
-				opts := MatrixOptions{DisableKernel: disable}
+				factors := pathFactors(path)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := NewMatrixWith(ctx, DefaultFactors(), vms, opts); err != nil {
+					if _, err := NewMatrix(ctx, factors, vms); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -53,11 +48,11 @@ func BenchmarkKernelMatrixBuild(b *testing.B) {
 // ping-ponging the best move back and forth (two Applies per
 // iteration, so one iteration ≈ two rounds).
 func BenchmarkKernelMatrixRound(b *testing.B) {
-	for _, disable := range []bool{false, true} {
+	for _, path := range benchPaths {
 		for _, pms := range benchSizes {
-			b.Run(fmt.Sprintf("%s/pms%d", benchPath(disable), pms), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/pms%d", path, pms), func(b *testing.B) {
 				ctx, vms := tableIIState(b, pms, 2*pms, 7)
-				m, err := NewMatrixWith(ctx, DefaultFactors(), vms, MatrixOptions{DisableKernel: disable})
+				m, err := NewMatrix(ctx, pathFactors(path), vms)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -86,9 +81,9 @@ func BenchmarkKernelMatrixRound(b *testing.B) {
 // sort-free); "generic" replicates the pre-kernel path — Joint per PM,
 // collect, full sort.
 func BenchmarkKernelArrival(b *testing.B) {
-	for _, disable := range []bool{false, true} {
+	for _, path := range benchPaths {
 		for _, pms := range benchSizes {
-			b.Run(fmt.Sprintf("%s/pms%d", benchPath(disable), pms), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/pms%d", path, pms), func(b *testing.B) {
 				ctx, _ := tableIIState(b, pms, 2*pms, 7)
 				arrival := cluster.NewVM(cluster.VMID(1<<20), vector.New(2, 1), 5400, 5400, ctx.Now)
 				factors := DefaultFactors()
@@ -96,7 +91,7 @@ func BenchmarkKernelArrival(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					var pm *cluster.PM
-					if disable {
+					if path == "generic" {
 						pm = genericBestPlacement(ctx, factors, arrival)
 					} else {
 						pm = BestPlacement(ctx, factors, arrival)

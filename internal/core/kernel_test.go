@@ -62,6 +62,28 @@ func (offsetFactor) Probability(_ *Context, _ *cluster.VM, pm *cluster.PM, _ boo
 	return 1 - float64(int(pm.ID)%5)/100
 }
 
+// opaque hides a factor's concrete type from the program compiler, so a
+// list of opaque factors evaluates every cell through Joint — the naive
+// per-cell reference the compiled paths are compared against.
+type opaque struct{ Factor }
+
+func opaqueFactors(factors []Factor) []Factor {
+	out := make([]Factor, len(factors))
+	for i, f := range factors {
+		out[i] = opaque{f}
+	}
+	return out
+}
+
+// pathFactors returns the default factors for the named evaluation path:
+// "kernel" compiles them, "generic" hides them behind opaque.
+func pathFactors(path string) []Factor {
+	if path == "generic" {
+		return opaqueFactors(DefaultFactors())
+	}
+	return DefaultFactors()
+}
+
 // assertMatricesEqual requires bit-identical probabilities and trackers.
 func assertMatricesEqual(t *testing.T, fast, slow *Matrix) {
 	t.Helper()
@@ -94,8 +116,8 @@ func assertMatricesEqual(t *testing.T, fast, slow *Matrix) {
 	}
 }
 
-// TestKernelEquivalence proves the factored kernel yields bit-identical
-// matrices to the generic Factor-interface path on the Table II fleet, for
+// TestKernelEquivalence proves the compiled program yields bit-identical
+// matrices to Joint per cell (opaque factors) on the Table II fleet, for
 // the default factors, for ablation subsets, and for a user factor
 // composed on top.
 func TestKernelEquivalence(t *testing.T) {
@@ -118,15 +140,15 @@ func TestKernelEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := fast.kern != nil; got != tc.kernel {
+			if got := fast.prog.known; got != tc.kernel {
 				t.Fatalf("kernel engaged = %v, want %v", got, tc.kernel)
 			}
-			slow, err := NewMatrixWith(ctx, tc.factors, vms, MatrixOptions{DisableKernel: true})
+			slow, err := NewMatrix(ctx, opaqueFactors(tc.factors), vms)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if slow.kern != nil {
-				t.Fatal("DisableKernel did not disable the kernel")
+			if slow.prog.known {
+				t.Fatal("opaque factors did not force the Joint path")
 			}
 			assertMatricesEqual(t, fast, slow)
 		})
@@ -145,7 +167,7 @@ func TestKernelEquivalenceConsolidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := ConsolidateWith(ctxSlow, DefaultFactors(), params, MatrixOptions{DisableKernel: true})
+	slow, err := ConsolidateWith(ctxSlow, opaqueFactors(DefaultFactors()), params, MatrixOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,15 +229,11 @@ func TestKernelArrivalEquivalence(t *testing.T) {
 // match a from-scratch NewMatrix rebuild of the mutated datacenter, on
 // both evaluation paths.
 func TestMatrixTrackersMatchRebuildAfterRandomApplies(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		name := "kernel"
-		if disable {
-			name = "generic"
-		}
+	for _, name := range []string{"kernel", "generic"} {
 		t.Run(name, func(t *testing.T) {
 			ctx, vms := tableIIState(t, 100, 150, 23)
-			opts := MatrixOptions{DisableKernel: disable}
-			m, err := NewMatrixWith(ctx, DefaultFactors(), vms, opts)
+			factors := pathFactors(name)
+			m, err := NewMatrix(ctx, factors, vms)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,7 +257,7 @@ func TestMatrixTrackersMatchRebuildAfterRandomApplies(t *testing.T) {
 				}
 				applied++
 
-				fresh, err := NewMatrixWith(ctx, DefaultFactors(), vms, opts)
+				fresh, err := NewMatrix(ctx, factors, vms)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -261,11 +279,7 @@ func TestMatrixTrackersMatchRebuildAfterRandomApplies(t *testing.T) {
 // placement, so any feasible alternative must be taken regardless of
 // MIG_threshold, with an infinite recorded gain.
 func TestConsolidateZeroCurrentProbability(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		name := "kernel"
-		if disable {
-			name = "generic"
-		}
+	for _, name := range []string{"kernel", "generic"} {
 		t.Run(name, func(t *testing.T) {
 			dc := cluster.TableIIFleetScaled(4)
 			for _, pm := range dc.PMs() {
@@ -282,7 +296,7 @@ func TestConsolidateZeroCurrentProbability(t *testing.T) {
 			host.Reliability = 0
 
 			ctx := NewContext(dc).At(100)
-			moves, err := ConsolidateWith(ctx, DefaultFactors(), DefaultParams(), MatrixOptions{DisableKernel: disable})
+			moves, err := Consolidate(ctx, pathFactors(name), DefaultParams())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 
 	"repro/internal/cluster"
@@ -16,35 +15,17 @@ import (
 // Best is a sequential argmax — the per-pass cold-rebuild oracle the
 // sparse engine is checked against.
 type Matrix struct {
-	ctx     *Context
-	factors []Factor
-	opts    MatrixOptions
+	// frame is the pass state shared with the sparse engine: axes, ID
+	// table, class/shape ids, p_vir memo, hosted lists, trackers, move.
+	frame
 
-	// kern is the compiled factored evaluator; nil when the factor list
-	// contains none of the paper's factors (or the kernel is disabled),
-	// in which case cells evaluate through the generic Factor interface.
-	kern *kernel
-
-	pms []*cluster.PM // rows
-	vms []*cluster.VM // columns
-
-	rowOf map[cluster.PMID]int
-	colOf map[cluster.VMID]int
+	// prog is the compiled factor program: the canonical four fill rows
+	// through the slab (slab.go), other lists with a known factor cell by
+	// cell through the term program, and lists with none through Joint.
+	prog program
 
 	// p[r][c] = joint probability of hosting vms[c] on pms[r].
 	p [][]float64
-
-	// colTrackers holds, per column, the current placement's normalizer
-	// and the best normalized alternative.
-	colTrackers
-
-	// pending is recomputeRow's reusable scratch list of columns that
-	// need a full rescan.
-	pending []int
-
-	// scr is the checked-out backing storage behind every slice above
-	// (scratch.go); Release returns it to the Context. Nil after Release.
-	scr *matrixScratch
 }
 
 // altDepth is how many ranked alternatives a DecisionHook receives per
@@ -53,13 +34,6 @@ const altDepth = 4
 
 // MatrixOptions tunes matrix construction.
 type MatrixOptions struct {
-	// DisableKernel forces every cell through the generic Factor
-	// interface instead of the factored kernel. The two paths produce
-	// bit-identical matrices (asserted by TestKernelEquivalence); the
-	// switch exists for equivalence testing and for benchmarking the
-	// kernel against the naive path (BenchmarkKernel* in this package).
-	DisableKernel bool
-
 	// SelfAudit makes every Apply verify the incrementally maintained
 	// state against a cold rebuild: probabilities, column trackers, and
 	// the Best extraction must be bit-identical to a fresh NewMatrixWith
@@ -114,60 +88,25 @@ func NewMatrix(ctx *Context, factors []Factor, vms []*cluster.VM) (*Matrix, erro
 
 // NewMatrixWith is NewMatrix with explicit options.
 func NewMatrixWith(ctx *Context, factors []Factor, vms []*cluster.VM, opts MatrixOptions) (*Matrix, error) {
-	if ctx == nil || ctx.DC == nil {
-		return nil, fmt.Errorf("core: matrix needs a context with a datacenter")
-	}
 	if len(factors) == 0 {
 		return nil, fmt.Errorf("core: matrix needs at least one factor")
 	}
-	scr := ctx.takeScratch()
-	m := &Matrix{
-		ctx:     ctx,
-		factors: factors,
-		opts:    opts,
-		scr:     scr,
-		pms:     ctx.DC.AppendActivePMs(scr.pms[:0]),
-		rowOf:   scr.rowOf,
-		colOf:   scr.colOf,
+	var f frame
+	if err := f.init(ctx, factors, vms, opts); err != nil {
+		return nil, err
 	}
-	// AppendActivePMs already yields ID order; the sort documents the row
-	// contract and is O(M) on sorted input (slices.SortFunc: no
-	// allocation, unlike sort.Slice).
-	slices.SortFunc(m.pms, func(a, b *cluster.PM) int { return int(a.ID) - int(b.ID) })
-	for r, pm := range m.pms {
-		m.rowOf[pm.ID] = r
-	}
-
-	m.vms = append(scr.vms[:0], vms...)
-	slices.SortFunc(m.vms, func(a, b *cluster.VM) int { return int(a.ID) - int(b.ID) })
-	for c, vm := range m.vms {
-		if _, dup := m.colOf[vm.ID]; dup {
-			m.Release()
-			return nil, fmt.Errorf("core: duplicate VM %d in matrix", vm.ID)
-		}
-		if _, ok := m.rowOf[vm.Host]; !ok {
-			m.Release()
-			return nil, fmt.Errorf("core: VM %d hosted on inactive PM %d", vm.ID, vm.Host)
-		}
-		m.colOf[vm.ID] = c
-	}
-
-	if !opts.DisableKernel {
-		m.kern, _ = newKernelInto(&scr.ks, ctx, factors, m.pms, m.vms)
-	}
+	scr := f.scr
+	m := &scr.dense
+	*m = Matrix{frame: f}
+	m.prog = compile(scr.terms[:0], factors)
+	scr.terms = m.prog.terms
 
 	nr, nc := len(m.pms), len(m.vms)
-	scr.pflat = growFloats(scr.pflat, nr*nc)
-	if cap(scr.prows) < nr {
-		scr.prows = make([][]float64, nr)
-	}
-	m.p = scr.prows[:nr]
+	grow(&scr.pflat, nr*nc)
+	m.p = grow(&scr.prows, nr)
 	for r := range m.p {
 		m.p[r] = scr.pflat[r*nc : (r+1)*nc : (r+1)*nc]
 	}
-	m.colTrackers = scr.trk
-	m.resize(nc)
-	m.pending = scr.pending[:0]
 
 	m.fill()
 	m.refreshAllColumns()
@@ -192,11 +131,11 @@ func (m *Matrix) buildWorkers(items, cells int) (workers, borrowed int) {
 }
 
 // fill computes every p[r][c]. Rows are independent and each lands in its
-// own slice, so the build shards across workers in row spans; the
-// per-class constants are prewarmed first so the Context's lazy cache is
-// read-only during the parallel phase (no locking on the hot path).
-// Worker count cannot change the result: every cell is a pure function of
-// (row, column) state no other worker touches.
+// own slice, so the build shards across workers in row spans; the frame
+// has already interned every row's class and every column's shape, so the
+// Context's tables are read-only during the parallel phase (no locking on
+// the hot path). Worker count cannot change the result: every cell is a
+// pure function of (row, column) state no other worker touches.
 func (m *Matrix) fill() {
 	workers, borrowed := m.buildWorkers(len(m.pms), len(m.pms)*len(m.vms))
 	defer ReturnWorkers(borrowed)
@@ -205,9 +144,6 @@ func (m *Matrix) fill() {
 			m.fillRow(r)
 		}
 		return
-	}
-	for _, pm := range m.pms {
-		m.ctx.classInfoFor(pm) // prewarm: cache becomes read-only below
 	}
 	// Each worker owns its demand-shape memo buffers; the matrix's serial
 	// rowScratch cannot be shared across goroutines.
@@ -230,35 +166,25 @@ func (m *Matrix) fillRow(r int) {
 func (m *Matrix) fillRowWith(r int, rs *rowScratch) {
 	pm := m.pms[r]
 	row := m.p[r]
-	if m.kern != nil {
-		m.kern.fillRow(r, pm, m.vms, row, rs)
-		return
-	}
-	for c, vm := range m.vms {
-		row[c] = Joint(m.ctx, m.factors, vm, pm, vm.Host == pm.ID)
+	switch {
+	case m.prog.canonical:
+		m.fillRowSlab(r, rs)
+	case m.prog.known:
+		ci := int(m.rowClass[r])
+		info := m.ctx.classTab[ci]
+		vir := m.vir[ci*m.virStride:]
+		for c, vm := range m.vms {
+			row[c] = m.prog.cell(m.ctx, info, vir[c], pm, vm, vm.Host == pm.ID)
+		}
+	default:
+		for c, vm := range m.vms {
+			row[c] = Joint(m.ctx, m.factors, vm, pm, vm.Host == pm.ID)
+		}
 	}
 }
-
-// Rows and Cols report the matrix dimensions.
-func (m *Matrix) Rows() int { return len(m.pms) }
-
-// Cols reports the number of VM columns.
-func (m *Matrix) Cols() int { return len(m.vms) }
 
 // P returns the joint probability for (pm row r, vm column c).
 func (m *Matrix) P(r, c int) float64 { return m.p[r][c] }
-
-// PM returns the physical machine at row r.
-func (m *Matrix) PM(r int) *cluster.PM { return m.pms[r] }
-
-// VM returns the virtual machine at column c.
-func (m *Matrix) VM(c int) *cluster.VM { return m.vms[c] }
-
-// RowOf returns the row index of the PM with the given ID.
-func (m *Matrix) RowOf(id cluster.PMID) (int, bool) {
-	r, ok := m.rowOf[id]
-	return r, ok
-}
 
 // ColumnAlternatives returns column c's non-host candidates as ranked
 // placements, truncated to at most k entries (k <= 0: all): every row with
@@ -332,8 +258,7 @@ func (m *Matrix) normalize(p, cur float64) float64 {
 // spans, bit-identical to the serial sweep.
 func (m *Matrix) refreshAllColumns() {
 	nc := len(m.vms)
-	m.scr.cols = growInts(m.scr.cols, nc)
-	cols := m.scr.cols
+	cols := grow(&m.scr.cols, nc)
 	for c := range cols {
 		cols[c] = c
 	}
@@ -364,11 +289,7 @@ func (m *Matrix) refreshAllColumns() {
 //     joint sweep walks each row once.
 func (m *Matrix) refreshColumns(cols []int) {
 	for _, c := range cols {
-		vm := m.vms[c]
-		cr, ok := m.rowOf[vm.Host]
-		if !ok {
-			panic(fmt.Sprintf("core: VM %d host %d left the matrix", vm.ID, vm.Host))
-		}
+		cr := m.hostRow(c)
 		m.curRow[c] = cr
 		m.curProb[c] = m.p[cr][c]
 		m.bestRow[c] = -1
@@ -401,10 +322,10 @@ func (m *Matrix) refreshColumns(cols []int) {
 // equality).
 func (m *Matrix) recomputeRow(r int) {
 	m.fillRow(r)
-	pending := m.pending[:0]
+	pending := m.scr.pending[:0]
 	for c, p := range m.p[r] {
 		switch {
-		case m.curRow[c] == r || m.rowOf[m.vms[c].Host] != m.curRow[c]:
+		case m.curRow[c] == r || m.hostRow(c) != m.curRow[c]:
 			pending = append(pending, c)
 		case m.bestRow[c] != r:
 			if m.beats(c, r, p) {
@@ -418,7 +339,7 @@ func (m *Matrix) recomputeRow(r int) {
 			m.setBest(c, r, p)
 		}
 	}
-	m.pending = pending
+	m.scr.pending = pending
 	m.refreshColumns(pending)
 }
 
@@ -437,34 +358,18 @@ type Move struct {
 	Round int
 }
 
-// Apply performs the move for column c to row r: it evicts the VM from its
-// current host, hosts it on the target PM, and refreshes the two affected
-// rows. The datacenter state is mutated. Apply returns an error if the
-// target cannot actually host the VM (which would indicate a factor bug,
-// since p_res must have been positive).
+// Apply performs the move for column c to row r (frame.move: the
+// datacenter state is mutated) and refreshes the two affected rows.
 func (m *Matrix) Apply(r, c int) error {
-	vm := m.vms[c]
-	from := m.pms[m.curRow[c]]
-	to := m.pms[r]
-	if err := from.Evict(vm); err != nil {
-		return fmt.Errorf("core: apply move of VM %d: %w", vm.ID, err)
+	from, err := m.move(r, c)
+	if err != nil {
+		return err
 	}
-	if err := to.Host(vm); err != nil {
-		// Roll back so the model stays consistent.
-		if rbErr := from.Host(vm); rbErr != nil {
-			panic(fmt.Sprintf("core: rollback failed after host error (%v): %v", err, rbErr))
-		}
-		return fmt.Errorf("core: apply move of VM %d: %w", vm.ID, err)
-	}
-	vm.Migrations++
-	if m.kern != nil {
-		m.kern.moveHosted(c, m.rowOf[from.ID], r)
-	}
-	m.recomputeRow(m.rowOf[from.ID])
-	m.recomputeRow(m.rowOf[to.ID])
+	m.recomputeRow(from)
+	m.recomputeRow(r)
 	if m.opts.SelfAudit {
 		if err := m.verifyRebuild(); err != nil {
-			return fmt.Errorf("core: self-audit after moving VM %d to PM %d: %w", vm.ID, to.ID, err)
+			return fmt.Errorf("core: self-audit after moving VM %d to PM %d: %w", m.vms[c].ID, m.pms[r].ID, err)
 		}
 	}
 	return nil
@@ -478,7 +383,7 @@ func (m *Matrix) Apply(r, c int) error {
 // normalizers.
 func (m *Matrix) SelfCheck() error {
 	for c, vm := range m.vms {
-		cr, ok := m.rowOf[vm.Host]
+		cr, ok := m.RowOf(vm.Host)
 		if !ok {
 			return fmt.Errorf("core: column %d (VM %d) hosted on PM %d outside the matrix", c, vm.ID, vm.Host)
 		}
@@ -504,7 +409,7 @@ func (m *Matrix) SelfCheck() error {
 			return err
 		}
 	}
-	return nil
+	return m.hosted.check("hosted", m.curRow)
 }
 
 // Diff compares two matrices bit-for-bit: dimensions, row/column
@@ -512,7 +417,7 @@ func (m *Matrix) SelfCheck() error {
 // extraction. A nil return means the matrices are interchangeable for
 // Algorithm 1.
 func (m *Matrix) Diff(o *Matrix) error {
-	if err := diffAxes(m.pms, o.pms, m.vms, o.vms); err != nil {
+	if err := m.diffAxes(&o.frame); err != nil {
 		return err
 	}
 	for r := range m.pms {

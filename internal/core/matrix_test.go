@@ -71,7 +71,7 @@ func TestMatrixCurrentHostNormalizedToOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c, vm := range m.vms {
-		r := m.rowOf[vm.Host]
+		r := m.hostRow(c)
 		if got := m.Normalized(r, c); got != 1 {
 			t.Errorf("VM %d current-host normalized = %g, want 1", vm.ID, got)
 		}
@@ -143,7 +143,7 @@ func TestMatrixTrackersMatchFullRescan(t *testing.T) {
 		}
 		for col := range m.vms {
 			wantRow, wantGain := -1, 0.0
-			cur := m.rowOf[m.vms[col].Host]
+			cur := m.hostRow(col)
 			for row := range m.pms {
 				if row == cur {
 					continue

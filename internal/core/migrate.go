@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/cluster"
 )
@@ -63,29 +62,28 @@ func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixO
 		return nil, nil
 	}
 	var (
-		e    engine
-		rows []*cluster.PM
-		cols []*cluster.VM
-		err  error
+		e   engine
+		f   *frame
+		err error
 	)
 	stop := ctx.Obs.Phase("kernel_build").Time()
 	if opts.CandidateK > 0 && canonicalDefault(factors) {
 		var sm *SparseMatrix
 		if sm, err = NewSparseMatrix(ctx, factors, vms, opts); err == nil {
-			e, rows, cols = sm, sm.pms, sm.vms
+			e, f = sm, &sm.frame
 		}
 	} else {
 		var m *Matrix
 		if m, err = NewMatrixWith(ctx, factors, vms, opts); err == nil {
-			defer m.Release()
-			e, rows, cols = m, m.pms, m.vms
+			e, f = m, &m.frame
 		}
 	}
 	stop()
 	if err != nil {
 		return nil, err
 	}
-	moves, err := runRounds(ctx, e, rows, cols, params, opts.DecisionHook)
+	defer f.Release()
+	moves, err := runRounds(e, f, params)
 	if err != nil {
 		return moves, err
 	}
@@ -108,22 +106,22 @@ type engine interface {
 	alternatives(c, k int) []Placement
 }
 
-// runRounds is Algorithm 1's migration loop over an engine whose rows and
-// columns are pms and vms: while the best normalized gain exceeds
-// MIG_threshold and fewer than MIG_round rounds have run, report the move
-// to the hook (if any) and apply it. On an Apply error the moves executed
-// so far are returned with it.
-func runRounds(ctx *Context, e engine, pms []*cluster.PM, vms []*cluster.VM, params Params,
-	hook func(round int, mv Move, alts []Placement)) ([]Move, error) {
-	defer ctx.Obs.Phase("algo1_rounds").Time()()
+// runRounds is Algorithm 1's migration loop over an engine built on frame
+// f: while the best normalized gain exceeds MIG_threshold and fewer than
+// MIG_round rounds have run, report the move to the decision hook (if any)
+// and apply it. On an Apply error the moves executed so far are returned
+// with it.
+func runRounds(e engine, f *frame, params Params) ([]Move, error) {
+	defer f.ctx.Obs.Phase("algo1_rounds").Time()()
+	hook := f.opts.DecisionHook
 	var moves []Move
 	for round := 1; round <= params.MIGRound; round++ {
 		r, c, gain, ok := e.Best()
 		if !ok || gain <= params.MIGThreshold || math.IsNaN(gain) {
 			break
 		}
-		vm := vms[c]
-		mv := Move{VM: vm.ID, From: vm.Host, To: pms[r].ID, Gain: gain, Round: round}
+		vm := f.vms[c]
+		mv := Move{VM: vm.ID, From: vm.Host, To: f.pms[r].ID, Gain: gain, Round: round}
 		if hook != nil {
 			hook(round, mv, e.alternatives(c, altDepth))
 		}
@@ -161,59 +159,64 @@ type Placement struct {
 // with the highest probability". Callers that only need the argmax should
 // use BestPlacement, which is sort- and allocation-free.
 func RankPlacements(ctx *Context, factors []Factor, vm *cluster.VM) []Placement {
-	pms, k, useKernel := ctx.arrivalKernel(factors, vm)
+	col := ctx.arrivalColumn(factors, vm)
 	var out []Placement
-	for r, pm := range pms {
-		var p float64
-		if useKernel {
-			p = k.cell(r, 0, pm, vm, false)
-		} else {
-			p = Joint(ctx, factors, vm, pm, false)
-		}
-		if p > 0 {
+	for _, pm := range ctx.DC.PMs() {
+		if p := col.cell(pm); p > 0 {
 			out = append(out, Placement{PM: pm, Probability: p})
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Probability != out[j].Probability {
-			return out[i].Probability > out[j].Probability
-		}
-		return out[i].PM.ID < out[j].PM.ID
-	})
-	return out
+	return rankPlacements(out, 0)
 }
 
 // BestPlacement returns the highest-probability PM for vm, or nil when no
 // active PM can host it (the caller then boots a machine or queues the
 // request). It is a single argmax pass over the arrival column — no
-// candidate slice, no sort — with ties broken toward the lower PM ID
-// (ActivePMs iterates in ID order), matching RankPlacements' first entry.
+// candidate slice, no sort — with ties broken toward the lower PM ID (the
+// datacenter lists PMs in ID order), matching RankPlacements' first entry.
 func BestPlacement(ctx *Context, factors []Factor, vm *cluster.VM) *cluster.PM {
 	defer ctx.Obs.Phase("arrival_place").Time()()
-	pms, k, useKernel := ctx.arrivalKernel(factors, vm)
+	col := ctx.arrivalColumn(factors, vm)
 	var best *cluster.PM
 	bestP := 0.0
-	for r, pm := range pms {
-		var p float64
-		if useKernel {
-			p = k.cell(r, 0, pm, vm, false)
-		} else {
-			p = Joint(ctx, factors, vm, pm, false)
-		}
-		if p > bestP {
+	for _, pm := range ctx.DC.PMs() {
+		if p := col.cell(pm); p > bestP {
 			bestP, best = p, pm
 		}
 	}
 	return best
 }
 
-// arrivalKernel assembles the active-PM row set and single-column kernel
-// for one arrival evaluation out of the Context's arrival scratch, so the
-// per-event cost is the argmax pass itself rather than slice and map
-// construction.
-func (ctx *Context) arrivalKernel(factors []Factor, vm *cluster.VM) ([]*cluster.PM, *kernel, bool) {
-	ctx.arr.pms = ctx.DC.AppendActivePMs(ctx.arr.pms[:0])
-	ctx.arr.vmBuf[0] = vm
-	k, useKernel := newKernelInto(&ctx.arr.ks, ctx, factors, ctx.arr.pms, ctx.arr.vmBuf[:])
-	return ctx.arr.pms, k, useKernel
+// arrivalColumn is the new-arrival column of the probability matrix for
+// one VM: the compiled factor program plus the column-static remaining
+// estimate. It reads the Context's class table directly; p_vir needs no
+// memo when the column is evaluated once.
+type arrivalColumn struct {
+	ctx     *Context
+	factors []Factor
+	prog    program
+	vm      *cluster.VM
+	tre     float64
+}
+
+// arrivalColumn compiles factors into the Context's reusable term storage,
+// so the per-event cost is the argmax pass itself. Arrivals are strictly
+// sequential within a simulation, so plain reuse is safe.
+func (ctx *Context) arrivalColumn(factors []Factor, vm *cluster.VM) arrivalColumn {
+	prog := compile(ctx.terms[:0], factors)
+	ctx.terms = prog.terms
+	return arrivalColumn{ctx: ctx, factors: factors, prog: prog, vm: vm, tre: vm.RemainingEstimate(ctx.Now)}
+}
+
+// cell is the joint probability of placing the column's VM, which pm does
+// not host, on pm — 0 for an inactive PM.
+func (a *arrivalColumn) cell(pm *cluster.PM) float64 {
+	if !pm.Active() {
+		return 0
+	}
+	if !a.prog.known {
+		return Joint(a.ctx, a.factors, a.vm, pm, false)
+	}
+	info := a.ctx.classInfoFor(pm)
+	return a.prog.cell(a.ctx, info, virProbability(a.tre, info.virOverhead(a.vm)), pm, a.vm, false)
 }

@@ -148,25 +148,15 @@ func (m *Matrix) refreshColumn(c int) {
 	m.bestGain[c] = bestGain
 }
 
-// RecomputeRow re-evaluates row r and repairs the per-column trackers, the
-// way the pre-kernel implementation did.
+// RecomputeRow re-evaluates row r and re-derives every column's trackers
+// from scratch: a naive reference carries no incremental tracker logic.
 func (m *Matrix) RecomputeRow(r int) {
 	pm := m.pms[r]
 	for c, vm := range m.vms {
 		m.p[r][c] = core.Joint(m.ctx, m.factors, vm, pm, vm.Host == pm.ID)
 	}
 	for c := range m.vms {
-		switch {
-		case m.curRow[c] == r || m.rowOf[m.vms[c].Host] != m.curRow[c]:
-			m.refreshColumn(c)
-		case m.bestRow[c] == r:
-			m.refreshColumn(c)
-		default:
-			if g := m.normalize(m.p[r][c], m.curProb[c]); g > m.bestGain[c] {
-				m.bestGain[c] = g
-				m.bestRow[c] = r
-			}
-		}
+		m.refreshColumn(c)
 	}
 }
 

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"unsafe"
-
-	"repro/internal/cluster"
-)
+import "unsafe"
 
 // This file implements the batched, SIMD-friendly evaluation path of the
 // factored kernel: instead of walking a row cell by cell with per-cell
@@ -16,18 +12,18 @@ import (
 //  1. a per-demand-shape pass computing the efficiency term, with
 //     infeasible shapes stored as literal 0 (D evaluations);
 //  2. a gather expanding the D-entry shape memo into a contiguous
-//     per-column slab (effCol[c] = effZ[demIdx[c]]);
+//     per-column slab (effCol[c] = effZ[colShape[c]]);
 //  3. one branch-free fused product over contiguous slices,
 //     out[c] = (vir[c] * rel) * effCol[c], with the slice bounds hoisted
 //     so the compiler drops the per-iteration bounds checks;
 //
 // followed by an O(hosted) patch loop that overwrites the columns this
-// row currently hosts (located through a per-row linked index kept in
-// sync with migrations by moveHosted). The virtualization memo is stored
-// class-major — one contiguous, cache-line-aligned lane of length ncols per
-// PM class, the exact slice the inner loop streams.
+// row currently hosts (the frame's hosted lists, kept in sync with
+// migrations by frame.move). The virtualization memo is the frame's,
+// stored class-major — one contiguous, cache-line-aligned lane per PM
+// class, the exact slice the inner loop streams.
 //
-// Bit-exactness. The per-cell path (cellDefault, Joint) computes
+// Bit-exactness. The per-cell path (program.cell, Joint) computes
 // ((p_vir * p_rel)) * p_eff with literal-zero short circuits; every operand
 // here is a finite, non-negative float64 (probabilities and Eq. 4-5
 // levels), so replacing a short-circuited literal 0 with the actual product
@@ -72,134 +68,53 @@ func alignedFloats(raw []float64, n int) ([]float64, []float64) {
 	return raw, raw[off : off+n : off+n]
 }
 
-// buildHostIndex compiles the per-row index of hosted cells: hostHead[r]
-// heads a doubly-linked list (threaded through hostNext/hostPrev, indexed
-// by column, -1 terminated) of the columns whose VM currently resides on
-// row r. Unhosted columns (arrival evaluations, vm.Host == NoPM) appear
-// in no list. The index is what lets the slab fill run branch-free over
-// all N columns and patch the (typically ~N/M per row) hosted cells
-// afterwards; linked lists rather than a packed CSR because Matrix.Apply
-// rehomes one column per move and the index must follow in O(1)
-// (moveHosted) — a packed layout would need an O(N) shift per move.
-func (k *kernel) buildHostIndex(ks *kernScratch, pms []*cluster.PM, vms []*cluster.VM) {
-	// Arrival evaluations compile a kernel per event over a single unhosted
-	// column; skip the per-row index rebuild entirely when no column is
-	// hosted so that path stays O(1) beyond the vir memo.
-	anyHosted := false
-	for _, vm := range vms {
-		if vm.Host != cluster.NoPM {
-			anyHosted = true
-			break
-		}
-	}
-	if !anyHosted {
-		k.hostHead, k.hostNext, k.hostPrev = nil, nil, nil
-		return
-	}
-	if ks.hostIdx == nil {
-		ks.hostIdx = make(map[cluster.PMID]int32, len(pms))
-	} else {
-		clear(ks.hostIdx)
-	}
-	for r, pm := range pms {
-		ks.hostIdx[pm.ID] = int32(r)
-	}
-	k.hostHead = growInt32s(ks.hostHead, len(pms))
-	ks.hostHead = k.hostHead
-	k.hostNext = growInt32s(ks.hostNext, len(vms))
-	ks.hostNext = k.hostNext
-	k.hostPrev = growInt32s(ks.hostPrev, len(vms))
-	ks.hostPrev = k.hostPrev
-	for r := range k.hostHead {
-		k.hostHead[r] = -1
-	}
-	// Reverse column order so each push-front leaves the lists ascending —
-	// the patch loop then walks columns in memory order.
-	for c := len(vms) - 1; c >= 0; c-- {
-		hr, ok := ks.hostIdx[vms[c].Host]
-		if !ok {
-			k.hostNext[c], k.hostPrev[c] = -1, -1
-			continue
-		}
-		head := k.hostHead[hr]
-		k.hostNext[c], k.hostPrev[c] = head, -1
-		if head >= 0 {
-			k.hostPrev[head] = int32(c)
-		}
-		k.hostHead[hr] = int32(c)
-	}
-}
-
-// moveHosted rehomes column c from row `from` to row `to` in the hosted
-// index, mirroring the vm.Host mutation Matrix.Apply just performed so
-// subsequent slab row fills patch the right cells. O(1).
-func (k *kernel) moveHosted(c, from, to int) {
-	if k.hostHead == nil {
-		return
-	}
-	if p := k.hostPrev[c]; p >= 0 {
-		k.hostNext[p] = k.hostNext[c]
-	} else {
-		k.hostHead[from] = k.hostNext[c]
-	}
-	if n := k.hostNext[c]; n >= 0 {
-		k.hostPrev[n] = k.hostPrev[c]
-	}
-	head := k.hostHead[to]
-	k.hostNext[c], k.hostPrev[c] = head, -1
-	if head >= 0 {
-		k.hostPrev[head] = int32(c)
-	}
-	k.hostHead[to] = int32(c)
-}
-
 // fillRowSlab evaluates every cell of row r through the batched slab
-// path. Results are bit-identical to a per-cell cellDefault walk (see the
-// file comment); the difference is purely mechanical: no per-cell
-// branches, no strided loads, and a single fused multiply chain the
-// compiler can keep in registers.
-func (k *kernel) fillRowSlab(r int, pm *cluster.PM, vms []*cluster.VM, out []float64, rs *rowScratch) {
-	ci := k.rowClass[r]
-	info := k.infos[ci]
+// path. Results are bit-identical to a per-cell walk of the term program
+// (see the file comment); the difference is purely mechanical: no
+// per-cell branches, no strided loads, and a single fused multiply chain
+// the compiler can keep in registers.
+func (m *Matrix) fillRowSlab(r int, rs *rowScratch) {
+	pm := m.pms[r]
+	ci := int(m.rowClass[r])
+	info := m.ctx.classTab[ci]
 	rel := pm.Reliability
-	n := len(vms)
+	n := len(m.vms)
 
-	// Pass 1: per-demand-shape efficiency memo, infeasible shapes as
-	// literal zero so the fused product needs no feasibility gate.
-	effZ := rs.shapeSlab(len(k.demands))
-	for di, demand := range k.demands {
+	// Pass 1: per-demand-shape efficiency memo, indexed by shape id,
+	// infeasible shapes as literal zero so the fused product needs no
+	// feasibility gate. Only the shapes this frame's columns use are
+	// evaluated (and read below).
+	effZ := rs.shapeSlab(len(m.ctx.shapeTab))
+	for _, id := range m.shapes {
+		demand := m.ctx.shapeTab[id].demand
 		if pm.CanHost(demand) {
-			effZ[di] = effProbability(info, prospectiveUtilization(pm, demand))
+			effZ[id] = effProbability(info, prospectiveUtilization(pm, demand))
 		} else {
-			effZ[di] = 0
+			effZ[id] = 0
 		}
 	}
 
 	// Pass 2: gather the shape memo into a contiguous per-column slab.
 	effCol := rs.colSlab(n)
-	demIdx := k.demIdx[:n]
+	colShape := m.colShape[:n]
 	for c := range effCol {
-		effCol[c] = effZ[demIdx[c]]
+		effCol[c] = effZ[colShape[c]]
 	}
 
 	// Pass 3: fused Eq. 1 product over contiguous, aligned slices. The
 	// re-slices pin every operand to length n so the bounds checks hoist
 	// out of the loop; the body is branch-free straight-line code.
-	virRow := k.vir[ci*k.virStride : ci*k.virStride+n : ci*k.virStride+n]
-	out = out[:n]
+	virRow := m.vir[ci*m.virStride : ci*m.virStride+n : ci*m.virStride+n]
+	out := m.p[r][:n]
 	effCol = effCol[:n]
 	for c := range out {
 		out[c] = virRow[c] * rel * effCol[c]
 	}
 
-	// Patch the hosted cells: p_res = p_vir = 1 there, and p_eff reads
-	// the PM's present utilization (which already includes its VMs).
-	if k.hostHead == nil {
-		return
-	}
-	if c0 := k.hostHead[r]; c0 >= 0 {
-		hosted := rel * effProbability(info, pm.Utilization())
-		for c := c0; c >= 0; c = k.hostNext[c] {
+	// Patch the hosted cells (frame.hostProb).
+	if c := m.hosted.head[r]; c >= 0 {
+		hosted := m.hostProb(r)
+		for ; c >= 0; c = m.hosted.next[c] {
 			out[c] = hosted
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/stats"
-	"repro/internal/vector"
 )
 
 // slabState is tableIIState hardened for the slab path's edge cases: a
@@ -30,8 +29,8 @@ func slabState(tb testing.TB, pmCount, nVMs int, seed int64) (*Context, []*clust
 }
 
 // TestSlabEquivalence is the three-way differential: the batched slab
-// fill, the kernel's per-cell path (cellDefault, which arrivals use), and
-// the generic Factor path (DisableKernel) must produce bit-identical
+// fill, the term program's per-cell path (program.cell, which arrivals
+// use), and Joint per cell (opaque factors) must produce bit-identical
 // probabilities and trackers — including under zero-reliability rows and
 // expired-estimate columns where the per-cell paths take their
 // literal-zero short circuits. (The frozen oracle is the fourth leg:
@@ -44,22 +43,24 @@ func TestSlabEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if slab.kern == nil || !slab.kern.isDefault {
+			if !slab.prog.canonical {
 				t.Fatal("default options did not engage the slab path")
 			}
 			for r, pm := range slab.pms {
+				ci := int(slab.rowClass[r])
 				for c, vm := range slab.vms {
-					if got, want := slab.p[r][c], slab.kern.cell(r, c, pm, vm, vm.Host == pm.ID); got != want {
+					want := slab.prog.cell(ctx, ctx.classTab[ci], slab.vir[ci*slab.virStride+c], pm, vm, vm.Host == pm.ID)
+					if got := slab.p[r][c]; got != want {
 						t.Fatalf("p[%d][%d]: slab %v != per-cell %v", r, c, got, want)
 					}
 				}
 			}
-			generic, err := NewMatrixWith(ctx, DefaultFactors(), vms, MatrixOptions{DisableKernel: true})
+			generic, err := NewMatrix(ctx, opaqueFactors(DefaultFactors()), vms)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if generic.kern != nil {
-				t.Fatal("DisableKernel did not force the generic path")
+			if generic.prog.known {
+				t.Fatal("opaque factors did not force the Joint path")
 			}
 			assertMatricesEqual(t, slab, generic)
 		})
@@ -68,9 +69,9 @@ func TestSlabEquivalence(t *testing.T) {
 
 // TestSlabEquivalenceAfterApplies drives identical random migration
 // sequences through a slab matrix and a generic-path matrix over two
-// independent copies of the same fleet state. Every Apply goes through
-// moveHosted on the slab side, so divergence here means the hosted-cell
-// index drifted from the live vm.Host fields.
+// independent copies of the same fleet state. Every Apply rehomes the
+// column in the frame's hosted lists, so divergence here means the lists
+// drifted from the live vm.Host fields.
 func TestSlabEquivalenceAfterApplies(t *testing.T) {
 	ctxSlab, vmsSlab := slabState(t, 60, 140, 29)
 	ctxGeneric, vmsGeneric := slabState(t, 60, 140, 29)
@@ -78,7 +79,7 @@ func TestSlabEquivalenceAfterApplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	generic, err := NewMatrixWith(ctxGeneric, DefaultFactors(), vmsGeneric, MatrixOptions{DisableKernel: true})
+	generic, err := NewMatrix(ctxGeneric, opaqueFactors(DefaultFactors()), vmsGeneric)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestSlabEquivalenceAfterApplies(t *testing.T) {
 	}
 }
 
-// TestSlabHostIndexTracksMoves checks the linked hosted index directly:
+// TestSlabHostIndexTracksMoves checks the frame's hosted lists directly:
 // after a migration the column must appear exactly once, in the target
 // row's list.
 func TestSlabHostIndexTracksMoves(t *testing.T) {
@@ -119,15 +120,11 @@ func TestSlabHostIndexTracksMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := m.kern
-	if k == nil || k.hostHead == nil {
-		t.Fatal("no hosted index on a fully hosted matrix")
-	}
 	check := func() {
 		t.Helper()
 		seen := make(map[int]int)
 		for r := range m.pms {
-			for c := k.hostHead[r]; c >= 0; c = k.hostNext[c] {
+			for c := m.hosted.head[r]; c >= 0; c = m.hosted.next[c] {
 				seen[int(c)]++
 				if m.vms[c].Host != m.pms[r].ID {
 					t.Fatalf("index lists column %d under PM %d, but VM %d is hosted on PM %d",
@@ -194,44 +191,26 @@ func TestSlabAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := m.kern
-	if k.virStride != alignUp(len(m.vms)) {
-		t.Fatalf("virStride %d, want %d", k.virStride, alignUp(len(m.vms)))
+	if m.virStride != alignUp(len(m.vms)) {
+		t.Fatalf("virStride %d, want %d", m.virStride, alignUp(len(m.vms)))
 	}
-	for ci := range k.infos {
-		if addr := uintptr(unsafe.Pointer(&k.vir[ci*k.virStride])); addr%slabAlign != 0 {
+	for ci := range ctx.classTab {
+		if addr := uintptr(unsafe.Pointer(&m.vir[ci*m.virStride])); addr%slabAlign != 0 {
 			t.Fatalf("vir lane %d base %#x not %d-byte aligned", ci, addr, slabAlign)
 		}
-	}
-}
-
-// TestSlabArrivalSkipsHostIndex pins the arrival fast path: a kernel
-// compiled over a single unhosted column must not build (or pay for) the
-// hosted index.
-func TestSlabArrivalSkipsHostIndex(t *testing.T) {
-	ctx, _ := tableIIState(t, 10, 20, 1)
-	arrival := cluster.NewVM(cluster.VMID(1<<20), vector.New(2, 1), 5400, 5400, ctx.Now)
-	var ks kernScratch
-	pms := ctx.DC.ActivePMs()
-	k, ok := newKernelInto(&ks, ctx, DefaultFactors(), pms, []*cluster.VM{arrival})
-	if !ok {
-		t.Fatal("kernel did not compile")
-	}
-	if k.hostHead != nil {
-		t.Fatal("unhosted-only kernel built a hosted index")
 	}
 }
 
 // BenchmarkKernelSlabRowFill isolates the row-fill hot loop itself — the
 // code the slab layout targets — by repeatedly refilling rows of a
 // prebuilt matrix, bypassing the tracker maintenance that dominates a full
-// build. "generic" is the same row through the Factor interface.
+// build. "generic" is the same row through Joint per cell.
 func BenchmarkKernelSlabRowFill(b *testing.B) {
 	for _, path := range []string{"slab", "generic"} {
 		for _, pms := range benchSizes {
 			b.Run(fmt.Sprintf("%s/pms%d", path, pms), func(b *testing.B) {
 				ctx, vms := tableIIState(b, pms, 2*pms, 7)
-				m, err := NewMatrixWith(ctx, DefaultFactors(), vms, MatrixOptions{DisableKernel: path == "generic"})
+				m, err := NewMatrix(ctx, pathFactors(path), vms)
 				if err != nil {
 					b.Fatal(err)
 				}

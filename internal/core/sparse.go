@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"slices"
 
 	"repro/internal/cluster"
 )
@@ -19,7 +17,7 @@ import (
 // membership events can actually affect.
 //
 // Every decision is bit-identical to the dense engine by construction:
-// group values are evaluated in cellDefault's multiplication order on
+// group values are evaluated in the cell's multiplication order on
 // bit-identical operands, ties resolve to the lowest member ID (dense's
 // ID-ordered strict-greater scan), and the column trackers and Best are the
 // dense engine's own (colTrackers). The contract is enforced three ways —
@@ -27,61 +25,24 @@ import (
 // per-Apply SelfAudit rebuild, and the differential fuzz harness in
 // internal/audit.
 type SparseMatrix struct {
-	ctx     *Context
-	factors []Factor
-	opts    MatrixOptions
-	cand    *candIndex
+	// frame is the pass state shared with the dense engine: axes, ID
+	// table, class/shape ids, p_vir memo, hosted lists, trackers, move.
+	frame
+	cand *candIndex
 
-	pms []*cluster.PM // active rows, ID ascending (dense row order)
-	vms []*cluster.VM // columns, ID ascending
-
-	rowOf  map[cluster.PMID]int
-	id2row []int32 // PM ID -> row index, -1 for inactive PMs
-
-	colShape  []*candShape
-	shapeIdx  map[*candShape]int
-	shapeCols [][]int32 // columns per distinct shape, for targeted updates
-
-	// colTrackers is the per-column state shared with Matrix: the current
-	// placement's normalizer and the best non-host alternative under the
-	// dense tie-break.
-	colTrackers
 	colSeq []uint64 // Apply seq that last re-derived the column in full
 
 	// Reverse indices so Apply can enumerate exactly the columns a move
-	// invalidates instead of scanning all N: hostCols[r] lists columns
-	// hosted on row r (maintained by refreshColumn), bestCols[r] the
-	// columns whose cached best is row r (maintained by setBest). hostPos
-	// and bestPos are each column's slot in its list, -1 when absent.
-	hostCols [][]int32
-	bestCols [][]int32
-	hostPos  []int32
-	bestPos  []int32
+	// invalidates instead of scanning all N: best lists, per row, the
+	// columns whose cached best is that row (maintained by setBest);
+	// byShape lists the columns of each demand shape (by Context shape
+	// id), for the join test.
+	best    colLists
+	byShape colLists
 
-	// vir memoizes the non-host virtualization penalty per (class index
-	// of the candidate index, column), like the dense kernel's slab.
-	vir []float64
-
-	// effH lazily memoizes the hosted-cell efficiency term per row
-	// (NaN = unset); invalidated for the two endpoints of each Apply.
-	effH []float64
-
-	// seq numbers Applies; candShape.seq/evFrom/evTo are valid for the
-	// current Apply only when they carry this value.
+	// seq numbers Applies; candShape.seq/ev are valid for the current
+	// Apply only when they carry this value.
 	seq uint64
-}
-
-// canonicalDefault reports whether factors are exactly the paper's four in
-// canonical order — the only program the candidate index can factor.
-func canonicalDefault(factors []Factor) bool {
-	if len(factors) != 4 {
-		return false
-	}
-	_, ok0 := factors[0].(ResourceFactor)
-	_, ok1 := factors[1].(VirtualizationFactor)
-	_, ok2 := factors[2].(ReliabilityFactor)
-	_, ok3 := factors[3].(EfficiencyFactor)
-	return ok0 && ok1 && ok2 && ok3
 }
 
 // NewSparseMatrix builds the sparse engine over the data center's active
@@ -90,97 +51,39 @@ func canonicalDefault(factors []Factor) bool {
 // falls back to dense before getting here); the same VM-set preconditions
 // as NewMatrixWith apply (no duplicates, every VM hosted on an active PM).
 func NewSparseMatrix(ctx *Context, factors []Factor, vms []*cluster.VM, opts MatrixOptions) (*SparseMatrix, error) {
-	if ctx == nil || ctx.DC == nil {
-		return nil, fmt.Errorf("core: sparse matrix needs a context with a datacenter")
-	}
 	if !canonicalDefault(factors) {
 		return nil, fmt.Errorf("core: sparse matrix requires the canonical default factors")
 	}
-	sm := &SparseMatrix{
-		ctx:     ctx,
-		factors: factors,
-		opts:    opts,
-		cand:    ctx.candidatesWith(opts.Workers),
-		rowOf:   make(map[cluster.PMID]int, 64),
+	var f frame
+	if err := f.init(ctx, factors, vms, opts); err != nil {
+		return nil, err
 	}
-	sm.pms = ctx.DC.AppendActivePMs(nil)
-	slices.SortFunc(sm.pms, func(a, b *cluster.PM) int { return int(a.ID) - int(b.ID) })
-	sm.id2row = make([]int32, len(sm.cand.pms))
-	for i := range sm.id2row {
-		sm.id2row[i] = -1
-	}
-	for r, pm := range sm.pms {
-		sm.rowOf[pm.ID] = r
-		sm.id2row[pm.ID] = int32(r)
+	sm := &f.scr.sparse
+	*sm = SparseMatrix{frame: f}
+	// The frame interned the class of every active PM — the only PMs that
+	// can ever join a group — so no class can surface mid-consolidation
+	// and index past the p_vir memo.
+	sm.cand = ctx.candidatesWith(opts.Workers)
+	for _, id := range sm.shapes {
+		sm.cand.shape(id)
 	}
 
-	sm.vms = append([]*cluster.VM(nil), vms...)
-	slices.SortFunc(sm.vms, func(a, b *cluster.VM) int { return int(a.ID) - int(b.ID) })
-	seen := make(map[cluster.VMID]struct{}, len(sm.vms))
-	for _, vm := range sm.vms {
-		if _, dup := seen[vm.ID]; dup {
-			return nil, fmt.Errorf("core: duplicate VM %d in matrix", vm.ID)
-		}
-		seen[vm.ID] = struct{}{}
-		if _, ok := sm.rowOf[vm.Host]; !ok {
-			return nil, fmt.Errorf("core: VM %d hosted on inactive PM %d", vm.ID, vm.Host)
-		}
-	}
-
-	nc := len(sm.vms)
-	sm.colShape = make([]*candShape, nc)
-	sm.shapeIdx = make(map[*candShape]int, 16)
-	for c, vm := range sm.vms {
-		sh := sm.cand.shapeFor(vm.Demand)
-		sm.colShape[c] = sh
-		si, ok := sm.shapeIdx[sh]
-		if !ok {
-			si = len(sm.shapeCols)
-			sm.shapeIdx[sh] = si
-			sm.shapeCols = append(sm.shapeCols, nil)
-		}
-		sm.shapeCols[si] = append(sm.shapeCols[si], int32(c))
-		if sh.nonEmpty > opts.CandidateK {
-			ctx.Obs.AddScoped("core.sparse_shape_overflow", 1)
-		}
-	}
-
-	// Non-host virtualization memo per (candidate-index class, column):
-	// the same virProbability on the same operands as the dense kernel's
-	// per-(column, class) slab, so values are bit-identical. Register
-	// every fleet class first — membership only registers a class once
-	// one of its PMs is feasible for some shape, and a class surfacing
-	// mid-consolidation must not index past the slab.
-	for _, pm := range sm.cand.pms {
-		sm.cand.classFor(pm)
-	}
-	sm.vir = make([]float64, len(sm.cand.classes)*nc)
-	for c, vm := range sm.vms {
-		tre := vm.RemainingEstimate(ctx.Now)
-		for ci, cc := range sm.cand.classes {
-			overhead := cc.info.overhead
-			if vm.Host == cluster.NoPM {
-				overhead = cc.class.CreationTime
-			}
-			sm.vir[ci*nc+c] = virProbability(tre, overhead)
-		}
-	}
-
-	sm.resize(nc)
-	sm.colSeq = make([]uint64, nc)
-	sm.hostCols = make([][]int32, len(sm.pms))
-	sm.bestCols = make([][]int32, len(sm.pms))
-	sm.hostPos = make([]int32, nc)
-	sm.bestPos = make([]int32, nc)
-	for c := range sm.vms {
-		sm.curRow[c] = -1
+	scr, nc := sm.scr, len(sm.vms)
+	sm.colSeq = grow(&scr.colSeq, nc)
+	clear(sm.colSeq)
+	scr.best.reset(len(sm.pms), nc)
+	scr.byShape.reset(len(ctx.shapeTab), nc)
+	sm.best, sm.byShape = scr.best, scr.byShape
+	overflow := int64(0)
+	for c := nc - 1; c >= 0; c-- {
 		sm.bestRow[c] = -1
-		sm.hostPos[c] = -1
-		sm.bestPos[c] = -1
+		sm.byShape.push(int(sm.colShape[c]), c)
+		if sm.shapeOf(c).nonEmpty > opts.CandidateK {
+			overflow++
+		}
 	}
-	sm.effH = make([]float64, len(sm.pms))
-	for r := range sm.effH {
-		sm.effH[r] = math.NaN()
+	if overflow > 0 {
+		ctx.Obs.AddScoped("core.sparse_shape_overflow", overflow)
 	}
 	sm.initialSync()
 	return sm, nil
@@ -204,9 +107,9 @@ func (sm *SparseMatrix) sparseWorkers(n int) (workers, borrowed int) {
 // serial path is one refreshColumn per column; above the threshold the
 // scan phase shards across workers in column spans — each column's
 // normalizer, best alternative, and gain land in that column's own slots,
-// with the per-row efficiency memo prewarmed so hostProb is read-only —
-// and the shared reverse indices are then installed serially in column
-// order, reproducing the serial loop's exact append order. Both paths are
+// with the per-row hosted memo prewarmed so hostProb is read-only — and
+// the shared best lists are then installed serially in column order,
+// reproducing the serial loop's exact push order. Both paths are
 // bit-identical: per-column values come from the same scanColumn code on
 // the same operands.
 func (sm *SparseMatrix) initialSync() {
@@ -220,77 +123,32 @@ func (sm *SparseMatrix) initialSync() {
 		return
 	}
 	for r := range sm.pms {
-		sm.hostProb(r) // prewarm the effH memo: read-only below
+		sm.hostProb(r) // prewarm the memo: read-only below
 	}
 	runSpans(workers, nc, spanChunk(nc, workers), func(_, lo, hi int) {
 		for c := lo; c < hi; c++ {
-			vm := sm.vms[c]
-			h := int(vm.Host)
-			if h < 0 || h >= len(sm.id2row) || sm.id2row[h] < 0 {
-				panic(fmt.Sprintf("core: VM %d host %d left the matrix", vm.ID, vm.Host))
-			}
-			row := int(sm.id2row[h])
-			sm.curRow[c] = row
-			sm.curProb[c] = sm.hostProb(row)
+			sm.curRow[c] = sm.hostRow(c)
+			sm.curProb[c] = sm.hostProb(sm.curRow[c])
 			bestRow, bestP := sm.scanColumn(c)
 			sm.colTrackers.setBest(c, bestRow, bestP)
 		}
 	})
-	for c := range sm.vms {
-		r := sm.curRow[c]
-		sm.hostPos[c] = int32(len(sm.hostCols[r]))
-		sm.hostCols[r] = append(sm.hostCols[r], int32(c))
-		if br := sm.bestRow[c]; br >= 0 {
-			sm.bestPos[c] = int32(len(sm.bestCols[br]))
-			sm.bestCols[br] = append(sm.bestCols[br], int32(c))
+	for c, br := range sm.bestRow {
+		if br >= 0 {
+			sm.best.push(br, c)
 		}
 	}
 }
 
-// Rows and Cols report the engine's dimensions, mirroring Matrix.
-func (sm *SparseMatrix) Rows() int { return len(sm.pms) }
-
-// Cols reports the number of VM columns.
-func (sm *SparseMatrix) Cols() int { return len(sm.vms) }
-
-// PM returns the physical machine at row r.
-func (sm *SparseMatrix) PM(r int) *cluster.PM { return sm.pms[r] }
-
-// VM returns the virtual machine at column c.
-func (sm *SparseMatrix) VM(c int) *cluster.VM { return sm.vms[c] }
-
-// hostProb returns the hosted-cell probability for row r, in cellDefault's
-// exact form: reliability times the hosted efficiency term, memoized per
-// row.
-func (sm *SparseMatrix) hostProb(r int) float64 {
-	pm := sm.pms[r]
-	rel := pm.Reliability
-	if rel == 0 {
-		return 0
-	}
-	if math.IsNaN(sm.effH[r]) {
-		sm.effH[r] = effProbability(sm.ctx.classInfoFor(pm), pm.Utilization())
-	}
-	return rel * sm.effH[r]
-}
+// shapeOf returns the score-group index of column c's demand shape.
+func (sm *SparseMatrix) shapeOf(c int) *candShape { return sm.cand.shapes[sm.colShape[c]] }
 
 // refreshColumn re-derives column c's trackers from scratch: the current
 // placement normalizer and a scan over the shape's score groups.
 func (sm *SparseMatrix) refreshColumn(c int) {
-	vm := sm.vms[c]
-	// id2row instead of the rowOf map: this lookup runs once per repaired
-	// column per Apply and the map hash dominated the repair profile.
-	h := int(vm.Host)
-	if h < 0 || h >= len(sm.id2row) || sm.id2row[h] < 0 {
-		panic(fmt.Sprintf("core: VM %d host %d left the matrix", vm.ID, vm.Host))
-	}
-	row := int(sm.id2row[h])
 	sm.colSeq[c] = sm.seq
-	if old := sm.curRow[c]; old != row {
-		sm.listMove(sm.hostCols, sm.hostPos, c, old, row)
-		sm.curRow[c] = row
-	}
-	sm.curProb[c] = sm.hostProb(row)
+	sm.curRow[c] = sm.hostRow(c)
+	sm.curProb[c] = sm.hostProb(sm.curRow[c])
 	bestRow, bestP := sm.scanColumn(c)
 	sm.setBest(c, bestRow, bestP)
 }
@@ -301,33 +159,15 @@ func (sm *SparseMatrix) refreshColumn(c int) {
 // any positive probability for a +Inf rescue column — exactly the dense
 // refreshColumns rules.
 func (sm *SparseMatrix) scanColumn(c int) (bestRow int, bestP float64) {
-	sh := sm.colShape[c]
-	hostID := int32(sm.pms[sm.curRow[c]].ID)
+	sh := sm.shapeOf(c)
 	cur := sm.curProb[c]
-	nc := len(sm.vms)
 	bestID := int32(-1)
 	for gi := range sh.groups {
 		g := &sh.groups[gi]
-		m := g.members
-		if len(m) == 0 {
+		cand, p := sm.groupCandidate(g, c)
+		if cand < 0 {
 			continue
 		}
-		cand := m[0]
-		if cand == hostID {
-			if len(m) < 2 {
-				continue
-			}
-			cand = m[1]
-		}
-		p := sm.vir[int(g.key.ci)*nc+c]
-		if p == 0 {
-			continue
-		}
-		p *= g.rel
-		if p == 0 {
-			continue
-		}
-		p = p * g.effVal
 		if cur > 0 {
 			if p > bestP || (p == bestP && bestID >= 0 && cand < bestID) {
 				bestP, bestID = p, cand
@@ -342,39 +182,36 @@ func (sm *SparseMatrix) scanColumn(c int) (bestRow int, bestP float64) {
 	return int(sm.id2row[bestID]), bestP
 }
 
-// listMove relocates column c from lists[from] to lists[to] (either may be
-// -1 for absent), swap-removing and keeping pos — each column's slot in its
-// current list — consistent.
-func (sm *SparseMatrix) listMove(lists [][]int32, pos []int32, c, from, to int) {
-	if from >= 0 {
-		cols := lists[from]
-		i := pos[c]
-		last := int32(len(cols) - 1)
-		moved := cols[last]
-		cols[i] = moved
-		pos[moved] = i
-		lists[from] = cols[:last]
+// groupCandidate returns the member of g that column c's scan considers —
+// the lowest ID, with the column's host (present in at most one group)
+// skipped to its successor — and the probability every member shares for
+// c, or cand = -1 when the group offers the column nothing.
+func (sm *SparseMatrix) groupCandidate(g *candGroup, c int) (cand int32, p float64) {
+	m := g.members
+	if len(m) == 0 {
+		return -1, 0
 	}
-	if to >= 0 {
-		pos[c] = int32(len(lists[to]))
-		lists[to] = append(lists[to], int32(c))
-	} else {
-		pos[c] = -1
+	cand = m[0]
+	if cand == int32(sm.pms[sm.curRow[c]].ID) {
+		if len(m) < 2 {
+			return -1, 0
+		}
+		cand = m[1]
 	}
+	return cand, g.value(sm.vir[int(g.key.ci)*sm.virStride+c])
 }
 
 // setBest installs a freshly computed (bestRow, bestP) pair and the
-// derived gain for column c, keeping the bestCols reverse index in step.
+// derived gain for column c, keeping the best lists in step.
 func (sm *SparseMatrix) setBest(c, bestRow int, bestP float64) {
 	if old := sm.bestRow[c]; old != bestRow {
-		sm.listMove(sm.bestCols, sm.bestPos, c, old, bestRow)
+		sm.best.move(c, old, bestRow)
 	}
 	sm.colTrackers.setBest(c, bestRow, bestP)
 }
 
-// Apply performs the move for column c to row r and incrementally repairs
-// the trackers. The fleet is mutated exactly as Matrix.Apply mutates it;
-// the repair re-derives only the two endpoint PMs' group memberships and
+// Apply performs the move for column c to row r (frame.move, exactly as
+// Matrix.Apply) and incrementally repairs the trackers. The repair re-derives only the two endpoint PMs' group memberships and
 // the columns those membership events can affect:
 //
 //   - the moved column and every column hosted on an endpoint re-derive in
@@ -387,76 +224,47 @@ func (sm *SparseMatrix) setBest(c, bestRow int, bestP float64) {
 //     O(1) — the only way an untouched column's best can improve, since a
 //     pre-Apply-exact tracker already dominates every standing group.
 func (sm *SparseMatrix) Apply(r, c int) error {
-	vm := sm.vms[c]
-	from := sm.pms[sm.curRow[c]]
-	to := sm.pms[r]
-	if err := from.Evict(vm); err != nil {
-		return fmt.Errorf("core: apply move of VM %d: %w", vm.ID, err)
+	from, err := sm.move(r, c)
+	if err != nil {
+		return err
 	}
-	if err := to.Host(vm); err != nil {
-		if rbErr := from.Host(vm); rbErr != nil {
-			panic(fmt.Sprintf("core: rollback failed after host error (%v): %v", err, rbErr))
-		}
-		return fmt.Errorf("core: apply move of VM %d: %w", vm.ID, err)
-	}
-	vm.Migrations++
-
-	rF, rT := sm.curRow[c], r
+	ends := [2]int{from, r}
 	sm.seq++
 	x := sm.cand
 	x.events = x.events[:0]
-	x.syncPM(int32(from.ID))
-	x.syncPM(int32(to.ID))
-	sm.effH[rF] = math.NaN()
-	sm.effH[rT] = math.NaN()
-
+	for _, row := range ends {
+		x.syncPM(int32(sm.pms[row].ID))
+	}
 	for i := range x.events {
 		ev := &x.events[i]
 		sh := ev.shape
 		if sh.seq != sm.seq {
 			sh.seq = sm.seq
-			sh.evFrom, sh.evTo = false, false
+			sh.ev = [2]bool{}
 		}
-		if ev.pm == int32(from.ID) {
-			sh.evFrom = true
+		if ev.pm == int32(sm.pms[from].ID) {
+			sh.ev[0] = true
 		} else {
-			sh.evTo = true
+			sh.ev[1] = true
 		}
 	}
 
-	// Targeted repair via the reverse indices. Each loop tolerates the
-	// swap-removals its own refreshes perform on the list it is walking:
-	// when the element at slot i changes, the slot is re-tested; colSeq
-	// bounds every column to one re-derivation per Apply, so both loops
-	// terminate. The moved column itself sits in hostCols[rF] until its
-	// refresh re-homes it.
-	for _, r2 := range [2]int{rF, rT} {
-		for i := 0; i < len(sm.hostCols[r2]); {
-			c2 := int(sm.hostCols[r2][i])
-			if sm.colSeq[c2] != sm.seq {
-				sm.refreshColumn(c2)
-				if i < len(sm.hostCols[r2]) && int(sm.hostCols[r2][i]) != c2 {
-					continue
-				}
-			}
-			i++
+	// Targeted repair via the reverse indices. frame.move has already
+	// rehomed the moved column, so the hosted lists stand still; a refresh
+	// may unlink its column from the best list being walked, so that walk
+	// reads each successor first. colSeq bounds every column to one
+	// re-derivation per Apply.
+	for _, row := range ends {
+		for c2 := sm.hosted.head[row]; c2 >= 0; c2 = sm.hosted.next[c2] {
+			sm.refreshColumn(int(c2))
 		}
 	}
-	for _, e := range [2]struct {
-		row  int
-		from bool
-	}{{rF, true}, {rT, false}} {
-		for i := 0; i < len(sm.bestCols[e.row]); {
-			c2 := int(sm.bestCols[e.row][i])
-			sh := sm.colShape[c2]
-			if sm.colSeq[c2] != sm.seq && sh.seq == sm.seq &&
-				((e.from && sh.evFrom) || (!e.from && sh.evTo)) {
-				sm.refreshColumn(c2)
-				if i < len(sm.bestCols[e.row]) && int(sm.bestCols[e.row][i]) != c2 {
-					continue
-				}
+	for end, row := range ends {
+		for c2, next := sm.best.head[row], int32(0); c2 >= 0; c2 = next {
+			next = sm.best.next[c2]
+			if sh := sm.shapeOf(int(c2)); sm.colSeq[c2] != sm.seq && sh.seq == sm.seq && sh.ev[end] {
+				sm.refreshColumn(int(c2))
 			}
-			i++
 		}
 	}
 
@@ -472,31 +280,22 @@ func (sm *SparseMatrix) Apply(r, c int) error {
 		if g.members[0] != ev.pm && (len(g.members) < 2 || g.members[1] != ev.pm) {
 			continue
 		}
-		// The index may track shapes no column here uses (interned by
-		// arrival placements); their events cannot affect this matrix.
-		si, ok := sm.shapeIdx[ev.shape]
-		if !ok {
-			continue
-		}
-		sm.joinUpdate(si, g)
+		sm.joinUpdate(ev.shape, g)
 	}
 
 	if sm.opts.SelfAudit {
 		if err := sm.verifyDense(); err != nil {
-			return fmt.Errorf("core: sparse self-audit after moving VM %d to PM %d: %w", vm.ID, to.ID, err)
+			return fmt.Errorf("core: sparse self-audit after moving VM %d to PM %d: %w", sm.vms[c].ID, sm.pms[r].ID, err)
 		}
 	}
 	return nil
 }
 
-// joinUpdate tests one group — whose candidate member just changed — as an
-// improved best against every column of its shape. Columns already exactly
-// re-derived this Apply are unaffected: for them the group's value is
-// already dominated by the tracker, so the strict-improvement test is a
-// no-op.
-func (sm *SparseMatrix) joinUpdate(si int, g *candGroup) {
-	nc := len(sm.vms)
-	for _, c32 := range sm.shapeCols[si] {
+// joinUpdate tests one group of shape sh — whose candidate member just
+// changed — as an improved best against every column of the shape (none,
+// when the index tracks the shape only for arrival placements).
+func (sm *SparseMatrix) joinUpdate(sh *candShape, g *candGroup) {
+	for c32 := sm.byShape.head[sh.id]; c32 >= 0; c32 = sm.byShape.next[c32] {
 		c := int(c32)
 		// A column re-derived this Apply is exact: scanColumn already
 		// covered every standing group, so strict improvement is
@@ -504,25 +303,10 @@ func (sm *SparseMatrix) joinUpdate(si int, g *candGroup) {
 		if sm.colSeq[c] == sm.seq {
 			continue
 		}
-		hostID := int32(sm.pms[sm.curRow[c]].ID)
-		cand := g.members[0]
-		if cand == hostID {
-			if len(g.members) < 2 {
-				continue
+		if cand, p := sm.groupCandidate(g, c); cand >= 0 {
+			if candRow := int(sm.id2row[cand]); sm.beats(c, candRow, p) {
+				sm.setBest(c, candRow, p)
 			}
-			cand = g.members[1]
-		}
-		p := sm.vir[int(g.key.ci)*nc+c]
-		if p == 0 {
-			continue
-		}
-		p *= g.rel
-		if p == 0 {
-			continue
-		}
-		p = p * g.effVal
-		if candRow := int(sm.id2row[cand]); sm.beats(c, candRow, p) {
-			sm.setBest(c, candRow, p)
 		}
 	}
 }
@@ -533,7 +317,7 @@ func (sm *SparseMatrix) joinUpdate(si int, g *candGroup) {
 // drift from a from-scratch derivation.
 func (sm *SparseMatrix) SelfCheck() error {
 	for c, vm := range sm.vms {
-		row, ok := sm.rowOf[vm.Host]
+		row, ok := sm.RowOf(vm.Host)
 		if !ok {
 			return fmt.Errorf("core: column %d (VM %d) hosted on PM %d outside the matrix", c, vm.ID, vm.Host)
 		}
@@ -550,29 +334,11 @@ func (sm *SparseMatrix) SelfCheck() error {
 			return err
 		}
 	}
-	nBest := 0
-	for c := range sm.vms {
-		r := sm.curRow[c]
-		if i := sm.hostPos[c]; i < 0 || int(i) >= len(sm.hostCols[r]) || sm.hostCols[r][i] != int32(c) {
-			return fmt.Errorf("core: column %d missing from hostCols[%d]", c, r)
-		}
-		if r := sm.bestRow[c]; r >= 0 {
-			nBest++
-			if i := sm.bestPos[c]; i < 0 || int(i) >= len(sm.bestCols[r]) || sm.bestCols[r][i] != int32(c) {
-				return fmt.Errorf("core: column %d missing from bestCols[%d]", c, r)
-			}
-		} else if sm.bestPos[c] != -1 {
-			return fmt.Errorf("core: column %d has no best row but bestPos %d", c, sm.bestPos[c])
-		}
+	if err := sm.hosted.check("hosted", sm.curRow); err != nil {
+		return err
 	}
-	nHost, nBestListed := 0, 0
-	for r := range sm.pms {
-		nHost += len(sm.hostCols[r])
-		nBestListed += len(sm.bestCols[r])
-	}
-	if nHost != len(sm.vms) || nBestListed != nBest {
-		return fmt.Errorf("core: reverse index sizes (host %d, best %d) != (%d, %d)",
-			nHost, nBestListed, len(sm.vms), nBest)
+	if err := sm.best.check("best", sm.bestRow); err != nil {
+		return err
 	}
 	return sm.checkIndex()
 }
@@ -625,24 +391,14 @@ func (sm *SparseMatrix) checkIndex() error {
 // the same VMs: dimensions, identities, normalizers, best alternatives,
 // and the Best extraction must all be bit-identical. It is the oracle
 // check behind the auditor's sparse differential and the fuzz harness.
-func (sm *SparseMatrix) DiffDense(o *Matrix) error {
-	if err := diffAxes(sm.pms, o.pms, sm.vms, o.vms); err != nil {
-		return err
-	}
-	return sm.colTrackers.diff(&o.colTrackers)
-}
+func (sm *SparseMatrix) DiffDense(o *Matrix) error { return sm.diffTrackers(&o.frame) }
 
 // DiffSparse compares two sparse engines tracker-for-tracker: dimensions,
 // row/column identities, normalizers, best alternatives, and the Best
 // extraction must all be bit-identical. It is the equivalence gate behind
 // the parallel-kernel tests, which compare sparse builds at different
 // worker counts.
-func (sm *SparseMatrix) DiffSparse(o *SparseMatrix) error {
-	if err := diffAxes(sm.pms, o.pms, sm.vms, o.vms); err != nil {
-		return err
-	}
-	return sm.colTrackers.diff(&o.colTrackers)
-}
+func (sm *SparseMatrix) DiffSparse(o *SparseMatrix) error { return sm.diffTrackers(&o.frame) }
 
 // verifyDense checks the live sparse state against a cold dense build over
 // the same VM set (SelfAudit mode), plus the from-scratch self check.
@@ -667,48 +423,22 @@ func (sm *SparseMatrix) verifyDense() error {
 // exactly the tracked best alternative; the property tests compare the
 // list against a dense column ranking.
 func (sm *SparseMatrix) ColumnShortlist(c, k int) []Placement {
-	sh := sm.colShape[c]
+	sh := sm.shapeOf(c)
 	hostID := int32(sm.pms[sm.curRow[c]].ID)
-	nc := len(sm.vms)
 	var out []Placement
 	for gi := range sh.groups {
 		g := &sh.groups[gi]
-		if len(g.members) == 0 {
-			continue
-		}
-		p := sm.vir[int(g.key.ci)*nc+c]
-		if p == 0 {
-			continue
-		}
-		p *= g.rel
-		if p == 0 {
-			continue
-		}
-		p = p * g.effVal
+		p := g.value(sm.vir[int(g.key.ci)*sm.virStride+c])
 		if p <= 0 {
 			continue
 		}
 		for _, id := range g.members {
-			if id == hostID {
-				continue
+			if id != hostID {
+				out = append(out, Placement{PM: sm.cand.pms[id], Probability: p})
 			}
-			out = append(out, Placement{PM: sm.cand.pms[id], Probability: p})
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			a, b := out[j-1], out[j]
-			if a.Probability > b.Probability ||
-				(a.Probability == b.Probability && a.PM.ID < b.PM.ID) {
-				break
-			}
-			out[j-1], out[j] = b, a
-		}
-	}
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return rankPlacements(out, k)
 }
 
 // alternatives is the sparse twin of Matrix.ColumnAlternatives: the

@@ -32,11 +32,11 @@ type colTrackers struct {
 // resize sizes every tracker slice for n columns, reusing capacity.
 // Contents are unspecified.
 func (t *colTrackers) resize(n int) {
-	t.curRow = growInts(t.curRow, n)
-	t.curProb = growFloats(t.curProb, n)
-	t.bestRow = growInts(t.bestRow, n)
-	t.bestP = growFloats(t.bestP, n)
-	t.bestGain = growFloats(t.bestGain, n)
+	grow(&t.curRow, n)
+	grow(&t.curProb, n)
+	grow(&t.bestRow, n)
+	grow(&t.bestP, n)
+	grow(&t.bestGain, n)
 }
 
 // normGain derives the normalized gain of a best alternative (row, p)
@@ -159,24 +159,6 @@ func (t *colTrackers) diff(o *colTrackers) error {
 	or, oc, og, ook := o.Best()
 	if tok != ook || (tok && (tr != or || tc != oc || tg != og)) {
 		return fmt.Errorf("core: Best (%d, %d, %g, %t) vs (%d, %d, %g, %t)", tr, tc, tg, tok, or, oc, og, ook)
-	}
-	return nil
-}
-
-// diffAxes compares two engines' dimensions and row/column identities.
-func diffAxes(aPMs, bPMs []*cluster.PM, aVMs, bVMs []*cluster.VM) error {
-	if len(aPMs) != len(bPMs) || len(aVMs) != len(bVMs) {
-		return fmt.Errorf("core: matrix %dx%d != %dx%d", len(aPMs), len(aVMs), len(bPMs), len(bVMs))
-	}
-	for r := range aPMs {
-		if aPMs[r].ID != bPMs[r].ID {
-			return fmt.Errorf("core: row %d is PM %d vs PM %d", r, aPMs[r].ID, bPMs[r].ID)
-		}
-	}
-	for c := range aVMs {
-		if aVMs[c].ID != bVMs[c].ID {
-			return fmt.Errorf("core: column %d is VM %d vs VM %d", c, aVMs[c].ID, bVMs[c].ID)
-		}
 	}
 	return nil
 }

@@ -101,7 +101,7 @@ func (o *Overbook) bookedUtil(pm *cluster.PM, vm *cluster.VM) float64 {
 func (o *Overbook) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	var best *cluster.PM
 	bestU := -1.0
-	for _, pm := range ctx.DC.ActivePMs() {
+	for _, pm := range ctx.DC.PMs() {
 		if !feasible(pm, vm.Demand) {
 			continue
 		}
@@ -129,7 +129,7 @@ func (*Overbook) Consolidate(*core.Context) ([]core.Move, error) { return nil, n
 // scored by that utilization.
 func (o *Overbook) Alternatives(ctx *core.Context, vm *cluster.VM, k int) []core.Placement {
 	var out []core.Placement
-	for _, pm := range ctx.DC.ActivePMs() {
+	for _, pm := range ctx.DC.PMs() {
 		if !feasible(pm, vm.Demand) {
 			continue
 		}

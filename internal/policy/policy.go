@@ -129,7 +129,7 @@ func truncate(out []core.Placement, k int) []core.Placement {
 // Alternatives implementations.
 func rankByUtil(ctx *core.Context, vm *cluster.VM, k int, bestFirst bool) []core.Placement {
 	var out []core.Placement
-	for _, pm := range ctx.DC.ActivePMs() {
+	for _, pm := range ctx.DC.PMs() {
 		if !feasible(pm, vm.Demand) {
 			continue
 		}
@@ -141,8 +141,8 @@ func rankByUtil(ctx *core.Context, vm *cluster.VM, k int, bestFirst bool) []core
 }
 
 // sortPlacements orders placements by score (desc when bestFirst, else
-// asc), ties toward the lower PM ID. ActivePMs iterates in ID order, so
-// a stable sort keeps ties ID-ordered.
+// asc), ties toward the lower PM ID. The datacenter lists PMs in ID
+// order, so a stable sort keeps ties ID-ordered.
 func sortPlacements(out []core.Placement, bestFirst bool) {
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Probability != out[j].Probability {
@@ -155,7 +155,9 @@ func sortPlacements(out []core.Placement, bestFirst bool) {
 	})
 }
 
-// feasible reports whether pm can host demand right now.
+// feasible reports whether pm can host demand right now — false for an
+// inactive PM, so the placers scan Datacenter.PMs() directly instead of
+// materializing the active subset per request.
 func feasible(pm *cluster.PM, demand vector.V) bool {
 	return pm.CanHost(demand)
 }
@@ -170,7 +172,7 @@ func (FirstFit) Name() string { return "first-fit" }
 
 // Place implements Placer.
 func (FirstFit) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
-	for _, pm := range ctx.DC.ActivePMs() {
+	for _, pm := range ctx.DC.PMs() {
 		if feasible(pm, vm.Demand) {
 			return pm
 		}
@@ -185,7 +187,7 @@ func (FirstFit) Consolidate(*core.Context) ([]core.Move, error) { return nil, ni
 // own preference order), unit scores.
 func (FirstFit) Alternatives(ctx *core.Context, vm *cluster.VM, k int) []core.Placement {
 	var out []core.Placement
-	for _, pm := range ctx.DC.ActivePMs() {
+	for _, pm := range ctx.DC.PMs() {
 		if feasible(pm, vm.Demand) {
 			out = append(out, core.Placement{PM: pm, Probability: 1})
 		}
@@ -209,7 +211,7 @@ func (BestFit) Name() string { return "best-fit" }
 func (BestFit) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	var best *cluster.PM
 	bestU := -1.0
-	for _, pm := range ctx.DC.ActivePMs() {
+	for _, pm := range ctx.DC.PMs() {
 		if !feasible(pm, vm.Demand) {
 			continue
 		}
@@ -245,7 +247,7 @@ func (WorstFit) Name() string { return "worst-fit" }
 func (WorstFit) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	var worst *cluster.PM
 	worstU := math.Inf(1)
-	for _, pm := range ctx.DC.ActivePMs() {
+	for _, pm := range ctx.DC.PMs() {
 		if !feasible(pm, vm.Demand) {
 			continue
 		}
@@ -300,7 +302,7 @@ func (*Random) Name() string { return "random" }
 // Place implements Placer.
 func (r *Random) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	var candidates []*cluster.PM
-	for _, pm := range ctx.DC.ActivePMs() {
+	for _, pm := range ctx.DC.PMs() {
 		if feasible(pm, vm.Demand) {
 			candidates = append(candidates, pm)
 		}
@@ -320,7 +322,7 @@ func (*Random) Consolidate(*core.Context) ([]core.Move, error) { return nil, nil
 // the placement draw sequence (and therefore the run trace) untouched.
 func (r *Random) Alternatives(ctx *core.Context, vm *cluster.VM, k int) []core.Placement {
 	var out []core.Placement
-	for _, pm := range ctx.DC.ActivePMs() {
+	for _, pm := range ctx.DC.PMs() {
 		if feasible(pm, vm.Demand) {
 			out = append(out, core.Placement{PM: pm, Probability: 1})
 		}

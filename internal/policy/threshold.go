@@ -72,7 +72,7 @@ func (t *Threshold) postUtil(pm *cluster.PM, demand vector.V) float64 {
 func (t *Threshold) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	var best, fallback *cluster.PM
 	bestU, fallbackU := -1.0, -1.0
-	for _, pm := range ctx.DC.ActivePMs() {
+	for _, pm := range ctx.DC.PMs() {
 		if !pm.CanHost(vm.Demand) {
 			continue
 		}
@@ -96,7 +96,7 @@ func (t *Threshold) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 // scored by that utilization.
 func (t *Threshold) Alternatives(ctx *core.Context, vm *cluster.VM, k int) []core.Placement {
 	var within, over []core.Placement
-	for _, pm := range ctx.DC.ActivePMs() {
+	for _, pm := range ctx.DC.PMs() {
 		if !pm.CanHost(vm.Demand) {
 			continue
 		}
@@ -134,9 +134,8 @@ func (t *Threshold) Consolidate(ctx *core.Context) ([]core.Move, error) {
 // without pushing any target past Hi. Candidates drain least-loaded first
 // (cheapest wins first).
 func (t *Threshold) evacuateUnderloaded(ctx *core.Context, moves []core.Move, budget int) ([]core.Move, int) {
-	pms := ctx.DC.ActivePMs()
 	var under []*cluster.PM
-	for _, pm := range pms {
+	for _, pm := range ctx.DC.PMs() {
 		if pm.State != cluster.PMOn || pm.VMCount() == 0 {
 			continue
 		}
@@ -189,7 +188,7 @@ func (t *Threshold) evacuateUnderloaded(ctx *core.Context, moves []core.Move, bu
 // relieveOverloaded moves the smallest VMs off hosts above Hi until they
 // drop back under the watermark.
 func (t *Threshold) relieveOverloaded(ctx *core.Context, moves []core.Move, budget int) ([]core.Move, int) {
-	for _, src := range ctx.DC.ActivePMs() {
+	for _, src := range ctx.DC.PMs() {
 		if budget <= 0 {
 			break
 		}
@@ -229,7 +228,7 @@ func (t *Threshold) relieveOverloaded(ctx *core.Context, moves []core.Move, budg
 func (t *Threshold) target(ctx *core.Context, src *cluster.PM, vm *cluster.VM, planned []*cluster.PM, siblings []*cluster.VM) *cluster.PM {
 	var best *cluster.PM
 	bestU := -1.0
-	for _, pm := range ctx.DC.ActivePMs() {
+	for _, pm := range ctx.DC.PMs() {
 		if pm == src || pm.State != cluster.PMOn {
 			continue
 		}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/cell"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -295,7 +294,7 @@ func (s *simulator) cellGauges() {
 	}
 	counts := make([]int, part.Cells)
 	for _, pm := range s.dc.PMs() {
-		if pm.State == cluster.PMOn || pm.State == cluster.PMBooting {
+		if pm.Active() {
 			counts[part.PMCell(int(pm.ID))]++
 		}
 	}

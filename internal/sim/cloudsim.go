@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/audit"
@@ -62,11 +63,6 @@ type Config struct {
 	// time zero, skipping the cold-start transient. Zero preserves the
 	// paper's cold start.
 	WarmStart int
-
-	// EventLog, when non-nil, receives a one-line record of every
-	// simulation event (arrivals, placements, migrations, boots,
-	// failures) — the debugging trace for simulator development.
-	EventLog io.Writer
 
 	// Obs, when non-nil, is the observability sink: the run's metrics
 	// (counters, gauges, wait histogram, phase timings) land in Obs.Reg,
@@ -299,6 +295,9 @@ type simulator struct {
 	// queue holds requests waiting for capacity, FIFO.
 	queue []*cluster.VM
 
+	// bootBuf is bootCandidates' reusable result buffer.
+	bootBuf []*cluster.PM
+
 	// reqOf maps VM IDs back to their originating requests.
 	reqOf map[cluster.VMID]workload.Request
 
@@ -400,16 +399,6 @@ func (s *simulator) emit(event string, fields ...obs.KV) {
 	s.cfg.Obs.Emit(s.eng.Now(), event, fields...)
 }
 
-// logf appends one record to the event log when tracing is enabled.
-func (s *simulator) logf(format string, args ...any) {
-	if s.cfg.EventLog == nil {
-		return
-	}
-	fmt.Fprintf(s.cfg.EventLog, "%10.1f  ", s.eng.Now())
-	fmt.Fprintf(s.cfg.EventLog, format, args...)
-	fmt.Fprintln(s.cfg.EventLog)
-}
-
 // initRun builds the run-lifetime components shared by a fresh start and
 // a checkpoint restore: the meter, the bookkeeping maps, the empty
 // Result, the spare controller, and the failure injector.
@@ -453,12 +442,14 @@ func (s *simulator) start() {
 			obs.B("timed_migrations", s.cfg.TimedMigrations))
 	}
 
-	for i, pm := range s.bootCandidates() {
-		if i >= s.cfg.WarmStart {
-			break
+	if s.cfg.WarmStart > 0 {
+		for i, pm := range s.bootCandidates() {
+			if i >= s.cfg.WarmStart {
+				break
+			}
+			pm.State = cluster.PMOn
+			s.armFailure(pm)
 		}
-		pm.State = cluster.PMOn
-		s.armFailure(pm)
 	}
 	// The warm pool doubles as the initial spare target so the t=0
 	// power-management pass does not immediately shut it down; a spare
@@ -600,14 +591,12 @@ func (s *simulator) onArrival(id cluster.VMID, req workload.Request) {
 		s.ctrl.RecordArrival(now)
 	}
 	vm := cluster.NewVM(id, vector.New(req.CPUCores, req.MemoryGB), req.EstimatedRunTime, req.RunTime, now)
-	s.logf("arrive   VM%-5d demand=%v est=%gs", vm.ID, vm.Demand, vm.EstimatedRuntime)
 	s.cArrivals.Inc()
 	if s.tracing {
 		s.emit("arrival", obs.I("vm", int64(vm.ID)),
 			obs.F("cpu", req.CPUCores), obs.F("mem", req.MemoryGB), obs.F("est", req.EstimatedRunTime))
 	}
 	if !s.tryPlace(vm) {
-		s.logf("queue    VM%-5d (no feasible active PM)", vm.ID)
 		s.enqueue(vm)
 	}
 	s.consolidate()
@@ -631,7 +620,6 @@ func (s *simulator) tryPlace(vm *cluster.VM) bool {
 		start = ready
 	}
 	s.recordWait(vm, start)
-	s.logf("place    VM%-5d -> PM%d (%s)", vm.ID, pm.ID, pm.Class.Name)
 	s.cPlace.Inc()
 	if s.tracing {
 		s.emit("place", obs.I("vm", int64(vm.ID)), obs.I("pm", int64(pm.ID)), obs.F("ready", start))
@@ -712,9 +700,17 @@ func (s *simulator) ensureBoots() {
 }
 
 // bootCandidates returns off PMs in preference order: most power-efficient
-// class first (lowest active power per minimal-VM slot), then by ID.
+// class first (lowest active power per minimal-VM slot), then by ID. The
+// returned slice is the simulator's reusable buffer, valid until the next
+// call.
 func (s *simulator) bootCandidates() []*cluster.PM {
-	off := s.dc.OffPMs()
+	off := s.bootBuf[:0]
+	for _, pm := range s.dc.PMs() {
+		if pm.State == cluster.PMOff {
+			off = append(off, pm)
+		}
+	}
+	s.bootBuf = off
 	rmin := s.dc.RMinShared()
 	perVM := func(p *cluster.PM) float64 {
 		w := p.Class.MaxMinimalVMs(rmin)
@@ -723,12 +719,11 @@ func (s *simulator) bootCandidates() []*cluster.PM {
 		}
 		return p.Class.ActivePower / float64(w)
 	}
-	sort.SliceStable(off, func(i, j int) bool {
-		pi, pj := perVM(off[i]), perVM(off[j])
-		if pi != pj {
-			return pi < pj
+	slices.SortFunc(off, func(a, b *cluster.PM) int {
+		if c := cmp.Compare(perVM(a), perVM(b)); c != 0 {
+			return c
 		}
-		return off[i].ID < off[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	return off
 }
@@ -746,7 +741,6 @@ func (s *simulator) bootPM(pm *cluster.PM) {
 	if s.tracing {
 		s.emit("boot", obs.I("pm", int64(pm.ID)), obs.S("class", pm.Class.Name), obs.F("ready", ready))
 	}
-	s.logf("boot     PM%-5d (%s, ready at %.1f)", pm.ID, pm.Class.Name, ready)
 	s.eng.ScheduleTag(ready, Tag{Kind: evBootDone, Arg: int64(pm.ID)}, func() { s.onBootDone(pm) })
 }
 
@@ -766,7 +760,6 @@ func (s *simulator) shutdownPM(pm *cluster.PM) {
 		return
 	}
 	s.meter.Advance(s.eng.Now())
-	s.logf("shutdown PM%-5d (%s)", pm.ID, pm.Class.Name)
 	s.cShutdowns.Inc()
 	if s.tracing {
 		s.emit("shutdown", obs.I("pm", int64(pm.ID)))
@@ -824,7 +817,6 @@ func (s *simulator) onDeparture(vm *cluster.VM) {
 		s.emit("depart", obs.I("vm", int64(vm.ID)), obs.I("pm", int64(host.ID)),
 			obs.I("migrations", int64(vm.Migrations)))
 	}
-	s.logf("depart   VM%-5d from PM%d (%d migrations)", vm.ID, host.ID, vm.Migrations)
 
 	s.drainQueue()
 	s.consolidate()
@@ -894,7 +886,6 @@ func (s *simulator) onFailure(pm *cluster.PM) {
 		s.emit("failure", obs.I("pm", int64(pm.ID)), obs.I("victims", int64(pm.VMCount())),
 			obs.F("reliability", pm.Reliability))
 	}
-	s.logf("fail     PM%-5d (%d VMs to re-place, reliability now %.3f)", pm.ID, pm.VMCount(), pm.Reliability)
 	pm.State = cluster.PMFailed
 
 	// All hosted VMs are treated as new requests (Section III.C).
@@ -1007,7 +998,6 @@ func (s *simulator) consolidate() {
 			s.emit("migration", obs.I("vm", int64(mv.VM)), obs.I("from", int64(mv.From)),
 				obs.I("to", int64(mv.To)), obs.F("gain", mv.Gain), obs.I("round", int64(mv.Round)))
 		}
-		s.logf("migrate  VM%-5d PM%d -> PM%d (gain %.3f, round %d)", mv.VM, mv.From, mv.To, mv.Gain, mv.Round)
 	}
 	if !s.cfg.TimedMigrations {
 		return
@@ -1038,7 +1028,7 @@ func (s *simulator) beginTimedMigration(mv core.Move) {
 		return
 	}
 	source := s.dc.PM(mv.From)
-	if source == nil || (source.State != cluster.PMOn && source.State != cluster.PMBooting) {
+	if source == nil || !source.Active() {
 		return
 	}
 	if err := source.Reserve(vm.Demand); err != nil {
@@ -1146,7 +1136,7 @@ func (s *simulator) powerManage() {
 func (s *simulator) meanNonIdleUtilization() float64 {
 	sum, n := 0.0, 0
 	for _, pm := range s.dc.PMs() {
-		if (pm.State == cluster.PMOn || pm.State == cluster.PMBooting) && pm.VMCount() > 0 {
+		if pm.Active() && pm.VMCount() > 0 {
 			sum += pm.Utilization()
 			n++
 		}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/failure"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/spare"
 	"repro/internal/vector"
@@ -42,31 +43,35 @@ func mixedLoad() []workload.Request {
 // TestRunByteIdenticalTrace is the strongest determinism statement the
 // simulator can make: two runs of an identical configuration — with
 // failures, timed migrations, and the spare controller all active — must
-// produce byte-identical event logs, identical move lists, and identical
-// summaries. Any hidden map iteration or unsorted slice in an event
+// produce byte-identical canonical run traces, identical move lists, and
+// identical summaries. Any hidden map iteration or unsorted slice in an event
 // handler shows up here as a trace diff.
 func TestRunByteIdenticalTrace(t *testing.T) {
 	run := func() (*Result, *bytes.Buffer) {
 		var trace bytes.Buffer
 		sc := spare.DefaultConfig()
 		res, err := Run(Config{
-			DC:              smallFleet(),
-			Placer:          policy.NewDynamic(),
-			Requests:        mixedLoad(),
-			Spare:           &sc,
+			DC:       smallFleet(),
+			Placer:   policy.NewDynamic(),
+			Requests: mixedLoad(),
+			Spare:    &sc,
 			Failures: failure.Config{
 				MTBF: 4e4, RepairTime: 5000, Seed: 11,
 				ReliabilityDecay: 0.9, MinReliability: 0.5,
 			},
 			TimedMigrations: true,
 			WarmStart:       2,
-			EventLog:        &trace,
+			Obs:             obs.NewTracing(&trace),
 			Audit:           0, // exercised separately; keep this run lean
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, &trace
+		var canon bytes.Buffer
+		if err := obs.Canonicalize(&trace, &canon); err != nil {
+			t.Fatal(err)
+		}
+		return res, &canon
 	}
 	resA, traceA := run()
 	resB, traceB := run()
@@ -89,7 +94,7 @@ func TestRunByteIdenticalTrace(t *testing.T) {
 		if hi > n {
 			hi = n
 		}
-		t.Fatalf("event logs diverge at byte %d:\nA: ...%s\nB: ...%s", at, a[lo:hi], b[lo:hi])
+		t.Fatalf("run traces diverge at byte %d:\nA: ...%s\nB: ...%s", at, a[lo:hi], b[lo:hi])
 	}
 	if len(resA.Moves) != len(resB.Moves) {
 		t.Fatalf("move counts differ: %d vs %d", len(resA.Moves), len(resB.Moves))

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/policy"
 )
 
@@ -36,35 +38,30 @@ func TestWarmStartValidation(t *testing.T) {
 	}
 }
 
+// TestEventLogRecordsLifecycle pins the run trace as the event log: every
+// lifecycle event the simulator handles shows up as a structured record,
+// each line led by the schema version, logical clock and simulation time.
 func TestEventLogRecordsLifecycle(t *testing.T) {
-	var log strings.Builder
+	var trace strings.Builder
 	_, err := Run(Config{
 		DC:       smallFleet(),
 		Placer:   policy.NewDynamic(),
 		Requests: fragmentingTrace(20),
-		EventLog: &log,
+		Obs:      obs.NewTracing(&trace),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := log.String()
-	for _, marker := range []string{"arrive", "place", "depart", "boot", "migrate", "shutdown"} {
-		if !strings.Contains(out, marker) {
-			t.Errorf("event log missing %q records", marker)
+	out := trace.String()
+	for _, event := range []string{"arrival", "place", "depart", "boot", "migration", "shutdown"} {
+		if !strings.Contains(out, `"event":"`+event+`"`) {
+			t.Errorf("run trace missing %q events", event)
 		}
 	}
-	// Timestamps lead each line.
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n")[:5] {
-		if len(line) < 12 {
-			t.Fatalf("malformed log line %q", line)
+	for i, line := range strings.Split(strings.TrimSpace(out), "\n")[:5] {
+		if want := fmt.Sprintf(`{"v":1,"seq":%d,"t":`, i); !strings.HasPrefix(line, want) {
+			t.Fatalf("trace line %q does not start with %s", line, want)
 		}
-	}
-}
-
-func TestEventLogDisabledByDefault(t *testing.T) {
-	// Purely smoke: a nil EventLog must not panic anywhere.
-	if _, err := Run(Config{DC: smallFleet(), Placer: policy.FirstFit{}, Requests: reqs(3, 1, 60)}); err != nil {
-		t.Fatal(err)
 	}
 }
 

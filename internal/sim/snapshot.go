@@ -528,7 +528,6 @@ func (s *simulator) snapshotRoundTrip() error {
 	cfg2 := *s.cfg
 	cfg2.DC = s.dc.CloneTopology()
 	cfg2.Obs = nil
-	cfg2.EventLog = nil
 	cfg2.Audit = audit.Off
 	cfg2.CheckInvariants = false
 	m2, err := Restore(cfg2, bytes.NewReader(first))

@@ -212,7 +212,11 @@ type Request struct {
 // Section V.A ("we have normalized the memory required by each job by
 // equally dividing its number of cores required").
 func ToRequests(jobs []Job) []Request {
-	var out []Request
+	n := 0
+	for _, j := range jobs {
+		n += max(j.Cores, 0)
+	}
+	out := make([]Request, 0, n)
 	for _, j := range jobs {
 		if j.Cores <= 0 {
 			continue
