@@ -1,10 +1,8 @@
 GO ?= go
-COUNT ?= 10
-BENCHTIME ?= 300ms
 
 FUZZTIME ?= 10s
 
-.PHONY: test check vet race audit fuzz-smoke bench-smoke bench-kernel bench-paper bench-ab profile
+.PHONY: test check vet race audit fuzz-smoke bench-smoke bench-paper bench-ab profile
 
 test:
 	$(GO) test ./...
@@ -16,18 +14,17 @@ race:
 	$(GO) test -race ./...
 
 ## audit: full-trace invariant audit — the seed workload under the dynamic
-## scheme with every event checked and every consolidation Apply verified
-## against a cold matrix rebuild, once on the dense engine and once with
-## the sparse candidate-set engine driving placement (every sparse Apply
-## replayed against a dense matrix, trackers compared bit-for-bit). Exits
+## scheme, which runs on the candidate-set engine, with every event
+## checked and every consolidation Apply replayed against a cold dense
+## matrix rebuild (trackers compared bit-for-bit), plus the per-period
+## dense-vs-oracle and sparse-vs-dense rebuilds (142018 checks). Exits
 ## non-zero on the first violation. The configuration differentials
-## (cells, sparse, decisions, checkpoint/resume) are tier-1 tests:
-## cmd/dvmpsim TestTraceEquivalence, cmd/counterfact
+## (cells, decisions, checkpoint/resume) and the engine differential are
+## tier-1 tests: cmd/dvmpsim TestTraceEquivalence, cmd/counterfact
 ## TestFaithfulReplayReproducesTrace, internal/audit
 ## TestSparseDifferentialSweep.
 audit:
 	$(GO) run ./cmd/dvmpsim -audit=event -spare
-	$(GO) run ./cmd/dvmpsim -audit=event -spare -sparse 64
 
 ## fuzz-smoke: short randomized fuzz budgets — the audit harness's
 ## randomized-operations differential (internal/audit.FuzzOperations),
@@ -53,18 +50,9 @@ bench-smoke:
 ## harness, the multi-cell engine in internal/sim, internal/cell, and
 ## internal/exp, and the parallel placement kernels in internal/core —
 ## the worker-pool fan-outs behind MatrixOptions.Workers run under the
-## race detector at explicit worker counts), the full-trace audit runs
-## (dense and sparse), a fuzz smoke test, and a one-iteration pass over
-## the kernel benchmarks.
+## race detector at explicit worker counts), the full-trace audit run, a
+## fuzz smoke test, and a one-iteration pass over the kernel benchmarks.
 check: vet race audit fuzz-smoke bench-smoke
-
-## bench-kernel: benchstat-friendly kernel micro-benchmarks (kernel vs the
-## generic Factor path). Pipe to a file and compare runs with
-## `benchstat old.txt new.txt`; COUNT=10 gives benchstat enough samples.
-bench-kernel:
-	$(GO) test ./internal/core -run '^$$' \
-		-bench 'Kernel[A-Za-z]*/(kernel|generic)/pms(100|1000)$$' \
-		-benchtime $(BENCHTIME) -count $(COUNT)
 
 ## bench-paper: one benchmark per paper table/figure (root bench_test.go).
 bench-paper:

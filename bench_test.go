@@ -10,14 +10,10 @@
 package repro_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/stats"
-	"repro/internal/vector"
 	"repro/internal/workload"
 )
 
@@ -193,159 +189,5 @@ func BenchmarkAblationThreshold(b *testing.B) {
 	}
 	for _, r := range runs {
 		b.ReportMetric(float64(r.Summary.Migrations), "migrations-"+r.Scheme)
-	}
-}
-
-// BenchmarkDatacenterScaling sweeps fleet size with the dynamic scheme to
-// expose the simulator's scaling behaviour (not a paper artifact; an
-// engineering bench).
-func BenchmarkDatacenterScaling(b *testing.B) {
-	for _, n := range []int{25, 50, 100, 200} {
-		b.Run(fleetName(n), func(b *testing.B) {
-			_, reqs := exp.WeekTrace(1)
-			// Thin the workload proportionally to fleet size so the
-			// offered load per node stays comparable across runs.
-			sub := thin(reqs, n, 100)
-			opts := exp.DefaultOptions(1)
-			opts.Fleet = func() *cluster.Datacenter { return cluster.TableIIFleetScaled(n) }
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := exp.RunScheme("dynamic", sub, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPlacementKernel exercises the factored evaluation kernel
-// (DESIGN.md section 7) through the exported core API on a deterministic
-// mid-simulation snapshot: matrix construction, a full bounded
-// consolidation pass (Algorithm 1), and single-VM arrival placement.
-// Finer-grained kernel-vs-generic comparisons live in internal/core's
-// Kernel* benchmarks; whole-run numbers come from `go run ./bench` (not a
-// paper artifact; an engineering bench).
-func BenchmarkPlacementKernel(b *testing.B) {
-	factors := core.DefaultFactors()
-	for _, n := range []int{100, 1000} {
-		b.Run(fmt.Sprintf("build/pms%d", n), func(b *testing.B) {
-			ctx, vms := kernelBenchState(n, 2*n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.NewMatrixWith(ctx, factors, vms, core.MatrixOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("consolidate/pms%d", n), func(b *testing.B) {
-			// A first-fit snapshot is already packed tight, so Algorithm 1
-			// finds nothing to do; scatter the VMs round-robin instead so
-			// the pass executes real migration rounds.
-			params := core.DefaultParams()
-			var moves int
-			for i := 0; i < b.N; i++ {
-				b.StopTimer() // consolidation migrates VMs; rebuild the state
-				ctx, _ := scatteredBenchState(n, 2*n)
-				b.StartTimer()
-				mv, err := core.Consolidate(ctx, factors, params)
-				if err != nil {
-					b.Fatal(err)
-				}
-				moves = len(mv)
-			}
-			b.ReportMetric(float64(moves), "moves")
-		})
-		b.Run(fmt.Sprintf("arrival/pms%d", n), func(b *testing.B) {
-			ctx, _ := kernelBenchState(n, 2*n)
-			arrival := cluster.NewVM(cluster.VMID(1<<20), vector.New(2, 1), 5400, 5400, ctx.Now)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if core.BestPlacement(ctx, factors, arrival) == nil {
-					b.Fatal("no placement found")
-				}
-			}
-		})
-	}
-}
-
-// kernelBenchState builds the deterministic snapshot internal/core's
-// Kernel* benchmarks also use: a scaled Table II fleet, all PMs on, varied demand shapes and
-// runtimes placed first-fit, clock at two hours.
-func kernelBenchState(pmCount, nVMs int) (*core.Context, []*cluster.VM) {
-	return placedBenchState(pmCount, nVMs, false)
-}
-
-// scatteredBenchState spreads the VMs round-robin across the fleet,
-// leaving every PM lightly loaded — the shape Algorithm 1 consolidates.
-func scatteredBenchState(pmCount, nVMs int) (*core.Context, []*cluster.VM) {
-	return placedBenchState(pmCount, nVMs, true)
-}
-
-func placedBenchState(pmCount, nVMs int, scatter bool) (*core.Context, []*cluster.VM) {
-	dc := cluster.TableIIFleetScaled(pmCount)
-	for _, pm := range dc.PMs() {
-		pm.State = cluster.PMOn
-	}
-	rng := stats.NewRand(7)
-	mems := []float64{0.25, 0.5, 1, 2}
-	var vms []*cluster.VM
-	for id := 1; id <= nVMs; id++ {
-		demand := vector.New(float64(1+rng.Intn(2)), mems[rng.Intn(len(mems))])
-		est := float64(600 + rng.Intn(86400))
-		vm := cluster.NewVM(cluster.VMID(id), demand, est, est, 0)
-		pms := dc.PMs()
-		start := 0
-		if scatter {
-			start = id % len(pms)
-		}
-		placed := false
-		for i := range pms {
-			pm := pms[(start+i)%len(pms)]
-			if pm.CanHost(vm.Demand) {
-				if err := pm.Host(vm); err != nil {
-					panic(err)
-				}
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			continue
-		}
-		vm.State = cluster.VMRunning
-		vm.StartTime = float64(rng.Intn(7000))
-		vms = append(vms, vm)
-	}
-	return core.NewContext(dc).At(7200), vms
-}
-
-// thin keeps num out of every den requests, evenly spread over the trace
-// (Bresenham-style), preserving submit-time order.
-func thin(reqs []workload.Request, num, den int) []workload.Request {
-	if num >= den {
-		return reqs
-	}
-	out := make([]workload.Request, 0, len(reqs)*num/den+1)
-	acc := 0
-	for _, r := range reqs {
-		acc += num
-		if acc >= den {
-			acc -= den
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func fleetName(n int) string {
-	switch n {
-	case 25:
-		return "nodes25"
-	case 50:
-		return "nodes50"
-	case 100:
-		return "nodes100"
-	default:
-		return "nodes200"
 	}
 }

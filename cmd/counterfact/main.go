@@ -5,7 +5,7 @@
 //
 //	counterfact -decisions dec.jsonl [-scheme dynamic] [-seed 1]
 //	            [-nodes 100] [-jobs 0] [-spare] [-timed] [-warm N]
-//	            [-sparse K] [-cells C] [-kernel-workers W] [-swf lpc.swf]
+//	            [-cells C] [-kernel-workers W] [-swf lpc.swf]
 //	            [-list] [-what-if IDX:ALT] [-trace replay.jsonl]
 //
 // The workload flags must match the recording run: replay is a strict
@@ -62,7 +62,6 @@ func run(args []string, out io.Writer) error {
 		useSpare  = fs.Bool("spare", false, "enable the spare-server controller (Section IV)")
 		timed     = fs.Bool("timed", false, "use the timed pre-copy migration model")
 		warm      = fs.Int("warm", 0, "power on N machines before the first arrival")
-		sparseK   = fs.Int("sparse", 0, "candidate budget K for the dynamic scheme's sparse placement engine (0 = dense)")
 		cells     = fs.Int("cells", 1, "partition the fleet into N cells (must match the recording run)")
 		kernelW   = fs.Int("kernel-workers", 0, "kernel goroutine bound for the fallback scheme (0 = auto)")
 		tracePath = fs.String("trace", "", "write the replay's JSONL run trace to this file")
@@ -81,8 +80,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-jobs must be >= 0 (got %d)", *jobCount)
 	case *warm < 0:
 		return fmt.Errorf("-warm must be >= 0 (got %d)", *warm)
-	case *sparseK < 0:
-		return fmt.Errorf("-sparse must be >= 0 (got %d)", *sparseK)
 	case *cells < 1:
 		return fmt.Errorf("-cells must be >= 1 (got %d)", *cells)
 	case *cells > *nodes:
@@ -114,15 +111,8 @@ func run(args []string, out io.Writer) error {
 	if !ok {
 		return fmt.Errorf("scheme %s does not implement the policy interface", *scheme)
 	}
-	if d, isDyn := policy.DynamicOf(fallback); !isDyn {
-		switch {
-		case *sparseK > 0:
-			return fmt.Errorf("-sparse applies to the dynamic scheme family only (got -scheme %s)", *scheme)
-		case *kernelW != 0:
-			return fmt.Errorf("-kernel-workers applies to the dynamic scheme family only (got -scheme %s)", *scheme)
-		}
-	} else if *sparseK > 0 {
-		d.Opts.CandidateK = *sparseK
+	if _, isDyn := policy.DynamicOf(fallback); !isDyn && *kernelW != 0 {
+		return fmt.Errorf("-kernel-workers applies to the dynamic scheme family only (got -scheme %s)", *scheme)
 	}
 
 	rp := policy.NewReplay(log, fp)

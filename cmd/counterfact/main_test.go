@@ -170,8 +170,7 @@ func TestRunErrors(t *testing.T) {
 		{"bad flag", []string{"-badflag"}, "flag"},
 		{"zero nodes", []string{"-decisions", decPath, "-nodes", "0"}, "-nodes"},
 		{"negative jobs", []string{"-decisions", decPath, "-jobs", "-1"}, "-jobs"},
-		{"negative sparse", []string{"-decisions", decPath, "-sparse", "-2"}, "-sparse"},
-		{"sparse on static scheme", []string{"-decisions", decPath, "-scheme", "first-fit", "-sparse", "8"}, "dynamic scheme family"},
+		{"removed sparse flag", []string{"-decisions", decPath, "-sparse", "64"}, "flag provided but not defined: -sparse"},
 		{"kernel workers on static scheme", []string{"-decisions", decPath, "-scheme", "best-fit", "-kernel-workers", "2"}, "dynamic scheme family"},
 		{"unknown scheme", []string{"-decisions", decPath, "-scheme", "nope"}, "scheme"},
 		{"what-if syntax", []string{"-decisions", decPath, "-what-if", "17"}, "IDX:ALT"},

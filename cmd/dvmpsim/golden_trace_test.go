@@ -77,31 +77,6 @@ func TestGoldenTrace(t *testing.T) {
 	}
 }
 
-// TestGoldenTraceSparse replays the golden scenario through the sparse
-// candidate-set engine (-sparse). The engine's contract is bit-identical
-// decisions, so the canonical trace must byte-match the SAME golden file
-// the dense run pins — every placement, migration, boot, and spare plan
-// included. A single diverging decision anywhere in the 325-event stream
-// fails the byte compare.
-func TestGoldenTraceSparse(t *testing.T) {
-	got := canonicalTrace(t, "-sparse", "64")
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_trace.jsonl"))
-	if err != nil {
-		t.Fatalf("missing golden (run TestGoldenTrace with -update first): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		gl := bytes.Split(got, []byte("\n"))
-		wl := bytes.Split(want, []byte("\n"))
-		n := min(len(gl), len(wl))
-		for i := 0; i < n; i++ {
-			if !bytes.Equal(gl[i], wl[i]) {
-				t.Fatalf("sparse trace diverged from dense golden at line %d:\ngot:  %s\nwant: %s", i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("sparse trace diverged from dense golden: %d lines vs %d", len(gl), len(wl))
-	}
-}
-
 // TestGoldenTraceCells replays the golden scenario through the sharded
 // multi-cell engine at C=2 and C=8 (every PM its own cell). The
 // shared-clock orchestrator's contract is the monolith's exact dispatch

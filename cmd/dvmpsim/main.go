@@ -5,20 +5,14 @@
 // Usage:
 //
 //	dvmpsim [-scheme dynamic] [-swf lpc.swf] [-seed 1] [-spare]
-//	        [-nodes 100] [-sparse K] [-cells C] [-kernel-workers W]
+//	        [-nodes 100] [-cells C] [-kernel-workers W]
 //	        [-csv out.csv] [-v]
 //	        [-trace run.jsonl] [-metrics run.metrics.json]
 //	        [-decisions dec.jsonl]
 //	        [-cpuprofile cpu.out] [-memprofile mem.out]
 //
-// -sparse K routes the dynamic scheme's placement and consolidation
-// through the candidate-set engine with budget K (see README "Sparse
-// placement"); decisions — and therefore traces — are bit-identical to
-// the dense kernel, which TestGoldenTraceSparse pins.
-//
 // -kernel-workers W bounds the goroutines the dynamic scheme's in-run
-// kernels fan out on (matrix builds, candidate sync, consolidation
-// argmax; see README "Parallel kernels" and DESIGN.md §15). 0 auto-sizes
+// kernels fan out on (candidate-index sync and column scans; see README "Parallel kernels" and DESIGN.md §15). 0 auto-sizes
 // to GOMAXPROCS under the process-wide goroutine budget, 1 forces the
 // serial path; results are bit-identical at every setting.
 //
@@ -97,7 +91,6 @@ func run(args []string, out io.Writer) error {
 		decPath   = fs.String("decisions", "", "record every placement decision (with top-k alternatives) as JSONL to this file; replay with cmd/counterfact")
 		metrPath  = fs.String("metrics", "", "write the run's metrics registry as JSON to this file")
 		seed      = fs.Int64("seed", 1, "workload / random-scheme seed")
-		sparseK   = fs.Int("sparse", 0, "candidate budget K for the dynamic scheme's sparse placement engine (0 = dense)")
 		cells     = fs.Int("cells", 1, "partition the fleet into N cells under the shared-clock orchestrator (1 = monolithic engine; results are bit-identical for any N)")
 		kernelW   = fs.Int("kernel-workers", 0, "goroutines the dynamic scheme's placement kernels fan out on (0 = auto-size to GOMAXPROCS under the shared budget, 1 = serial; results are bit-identical for any value)")
 		useSpare  = fs.Bool("spare", false, "enable the spare-server controller (Section IV)")
@@ -134,8 +127,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-stop-after must be >= 0 (got %d)", *stopAfter)
 	case (*ckptEvery > 0 || *stopAfter > 0) && *ckptPath == "":
 		return fmt.Errorf("-checkpoint-every and -stop-after need -checkpoint to say where the checkpoint goes")
-	case *sparseK < 0:
-		return fmt.Errorf("-sparse must be >= 0 (got %d)", *sparseK)
 	case *cells < 1:
 		return fmt.Errorf("-cells must be >= 1 (got %d)", *cells)
 	case *cells > *nodes:
@@ -148,18 +139,13 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Cross-flag checks that depend on the scheme family: the sparse
-	// engine and the kernel-worker knob configure the dynamic scheme's
-	// placement kernels, so with any other scheme they would silently do
-	// nothing — reject them instead. DynamicOf unwraps wrapper policies,
-	// so dynamic-adaptive qualifies.
-	if _, isDyn := policy.DynamicOf(placer); !isDyn {
-		switch {
-		case *sparseK > 0:
-			return fmt.Errorf("-sparse applies to the dynamic scheme family only (got -scheme %s)", *scheme)
-		case *kernelW != 0:
-			return fmt.Errorf("-kernel-workers applies to the dynamic scheme family only (got -scheme %s)", *scheme)
-		}
+	// Cross-flag check that depends on the scheme family: the
+	// kernel-worker knob configures the dynamic scheme's placement
+	// kernels, so with any other scheme it would silently do nothing —
+	// reject it instead. DynamicOf unwraps wrapper policies, so
+	// dynamic-adaptive qualifies.
+	if _, isDyn := policy.DynamicOf(placer); !isDyn && *kernelW != 0 {
+		return fmt.Errorf("-kernel-workers applies to the dynamic scheme family only (got -scheme %s)", *scheme)
 	}
 
 	if *cpuProf != "" {
@@ -186,10 +172,6 @@ func run(args []string, out io.Writer) error {
 				fmt.Fprintln(os.Stderr, "dvmpsim: memprofile:", err)
 			}
 		}()
-	}
-
-	if d, ok := policy.DynamicOf(placer); ok && *sparseK > 0 {
-		d.Opts.CandidateK = *sparseK
 	}
 
 	var jobs []workload.Job

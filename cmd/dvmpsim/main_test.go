@@ -99,8 +99,7 @@ func TestRunErrors(t *testing.T) {
 		{"stop-after without path", []string{"-stop-after", "100"}, "-checkpoint"},
 		{"resume missing file", []string{"-nodes", "4", "-jobs", "10", "-resume", "/nonexistent/ck.json"}, "no such file"},
 		{"resume non-checkpoint", []string{"-nodes", "4", "-jobs", "10", "-resume", garbage}, "magic"},
-		{"negative sparse", []string{"-scheme", "dynamic", "-sparse", "-8"}, "-sparse"},
-		{"sparse on static scheme", []string{"-scheme", "first-fit", "-sparse", "64"}, "dynamic"},
+		{"removed sparse flag", []string{"-scheme", "dynamic", "-sparse", "64"}, "flag provided but not defined: -sparse"},
 		{"zero cells", []string{"-scheme", "dynamic", "-cells", "0"}, "-cells"},
 		{"negative cells", []string{"-scheme", "dynamic", "-cells", "-2"}, "-cells"},
 		{"more cells than nodes", []string{"-scheme", "dynamic", "-nodes", "4", "-cells", "5"}, "-cells"},
@@ -122,10 +121,10 @@ func TestRunErrors(t *testing.T) {
 }
 
 // TestCrossFlagSchemeMatrix table-tests every pairwise combination of
-// scheme and dynamic-family-only flag: -sparse and -kernel-workers
-// configure the dynamic scheme's placement kernels, so they must be
-// rejected (naming the family) for every scheme outside that family and
-// accepted — with a real tiny run — for every scheme inside it.
+// scheme and dynamic-family-only flag: -kernel-workers configures the
+// dynamic scheme's placement kernels, so it must be rejected (naming the
+// family) for every scheme outside that family and accepted — with a real
+// tiny run — for every scheme inside it.
 func TestCrossFlagSchemeMatrix(t *testing.T) {
 	schemes := []struct {
 		name  string
@@ -141,7 +140,6 @@ func TestCrossFlagSchemeMatrix(t *testing.T) {
 		{"dynamic-adaptive", true},
 	}
 	flags := [][]string{
-		{"-sparse", "8"},
 		{"-kernel-workers", "2"},
 	}
 	for _, s := range schemes {
@@ -169,7 +167,7 @@ func TestCrossFlagSchemeMatrix(t *testing.T) {
 
 // TestTraceEquivalence is the differential gate over the engine
 // configurations that must not change a run: every row runs the reference
-// scenario (monolithic, dense, unrecorded, uninterrupted) under another
+// scenario (monolithic, unrecorded, uninterrupted) under another
 // config and requires a canonically byte-identical run trace (wall-clock
 // is the only field allowed to differ). A config is a list of legs, each a list of extra flags: one leg
 // is a plain run; with several, every leg but the last stops at a
@@ -186,7 +184,6 @@ func TestTraceEquivalence(t *testing.T) {
 	}{
 		{"cells4", config{{"-cells", "4"}}},
 		{"cells16-audit", config{{"-cells", "16", "-audit=event"}}},
-		{"sparse64", config{{"-sparse", "64"}}},
 		{"decisions", config{{"-decisions", decisions}}},
 		{"resume", config{{}, {}}},
 		{"reshard-resume", config{{"-cells", "16"}, {"-cells", "4"}}},

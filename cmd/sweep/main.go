@@ -9,7 +9,7 @@
 // Usage:
 //
 //	sweep [-schemes first-fit,best-fit,dynamic] [-reps 8 | -seeds 1,4,9]
-//	      [-workers N] [-nodes 100] [-jobs 0] [-spare] [-sparse K] [-cells C]
+//	      [-workers N] [-nodes 100] [-jobs 0] [-spare] [-cells C]
 //	      [-kernel-workers W] [-tournament]
 //	      [-o report.json] [-cpuprofile cpu.out] [-memprofile mem.out] [-v]
 //
@@ -19,12 +19,10 @@
 // runs (default GOMAXPROCS; must be positive); the merged report — and
 // therefore the -o JSON — is byte-identical for every worker count, so a
 // sweep's output can be compared across machines regardless of their core
-// counts. -sparse K routes the dynamic scheme through the candidate-set
-// placement engine with budget K (bit-identical decisions, see README
-// "Sparse placement"); 0 keeps the dense kernel. -cells C partitions every
-// run's fleet into C cells advanced by the shared-clock orchestrator (see
-// README "Multi-cell runs"); results are bit-identical to -cells 1, so the
-// report JSON is byte-identical across cell counts.
+// counts. -cells C partitions every run's fleet into C cells advanced by
+// the shared-clock orchestrator (see README "Multi-cell runs"); results are
+// bit-identical to -cells 1, so the report JSON is byte-identical across
+// cell counts.
 //
 // -kernel-workers W bounds the goroutines the dynamic scheme's placement
 // kernels fan out on inside each run (see README "Parallel kernels" and
@@ -41,14 +39,14 @@
 // the tournament fields the five-policy lab roster (first-fit, best-fit,
 // dynamic, overbook, dynamic-adaptive); -o writes the full standings plus
 // the underlying sweep as JSON. Scheme names are validated up front, and
-// -sparse/-kernel-workers are rejected unless the roster includes a
-// dynamic-family scheme they could apply to.
+// -kernel-workers is rejected unless the roster includes a dynamic-family
+// scheme it could apply to.
 //
 // The -cpuprofile and -memprofile flags capture runtime/pprof profiles of
 // the whole sweep for `go tool pprof`, mirroring cmd/dvmpsim; with more
 // than one worker the CPU profile shows the placement hot path replicated
-// across worker goroutines, which is how slab-kernel and scheduler costs
-// are attributed under the parallel load (see README "Profiling").
+// across worker goroutines, which is how placement-kernel and scheduler
+// costs are attributed under the parallel load (see README "Profiling").
 package main
 
 import (
@@ -86,7 +84,6 @@ func run(args []string, out io.Writer) error {
 		nodes       = fs.Int("nodes", 100, "fleet size (Table II fast:slow mix is preserved)")
 		jobCount    = fs.Int("jobs", 0, "truncate each seed's week to the first N jobs (0 = all)")
 		useSpare    = fs.Bool("spare", true, "attach the spare-server controller to the dynamic scheme")
-		sparseK     = fs.Int("sparse", 0, "candidate budget K for the dynamic scheme's sparse engine (0 = dense)")
 		cells       = fs.Int("cells", 1, "partition each run's fleet into this many cells (bit-identical results; 1 = monolithic)")
 		kernelW     = fs.Int("kernel-workers", 0, "goroutines the dynamic scheme's placement kernels fan out on per run (0 = auto under the shared budget, 1 = serial; bit-identical results)")
 		outPath     = fs.String("o", "", "write the merged report as JSON to this file (- for stdout)")
@@ -107,8 +104,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-jobs must be >= 0 (got %d)", *jobCount)
 	case *workers <= 0:
 		return fmt.Errorf("-workers must be positive (got %d)", *workers)
-	case *sparseK < 0:
-		return fmt.Errorf("-sparse must be >= 0 (got %d)", *sparseK)
 	case *cells < 1:
 		return fmt.Errorf("-cells must be positive (got %d)", *cells)
 	case *cells > *nodes:
@@ -145,13 +140,8 @@ func run(args []string, out io.Writer) error {
 			anyDyn = true
 		}
 	}
-	if !anyDyn {
-		switch {
-		case *sparseK > 0:
-			return fmt.Errorf("-sparse applies to the dynamic scheme family only (schemes: %s)", strings.Join(effective, ","))
-		case *kernelW != 0:
-			return fmt.Errorf("-kernel-workers applies to the dynamic scheme family only (schemes: %s)", strings.Join(effective, ","))
-		}
+	if !anyDyn && *kernelW != 0 {
+		return fmt.Errorf("-kernel-workers applies to the dynamic scheme family only (schemes: %s)", strings.Join(effective, ","))
 	}
 
 	if *cpuProf != "" {
@@ -183,7 +173,6 @@ func run(args []string, out io.Writer) error {
 	opts := exp.SweepOptions{
 		Base: exp.Options{
 			SpareForDynamic: *useSpare,
-			CandidateK:      *sparseK,
 			Cells:           *cells,
 			KernelWorkers:   *kernelW,
 			TraceGen:        traceGen(*jobCount),

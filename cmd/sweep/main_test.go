@@ -27,7 +27,7 @@ func TestRunErrors(t *testing.T) {
 		{"negative jobs", []string{"-jobs", "-5"}, "-jobs"},
 		{"zero workers", []string{"-workers", "0"}, "-workers"},
 		{"negative workers", []string{"-workers", "-2"}, "-workers"},
-		{"negative sparse", []string{"-sparse", "-16"}, "-sparse"},
+		{"removed sparse flag", []string{"-sparse", "64"}, "flag provided but not defined: -sparse"},
 		{"empty scheme entry", []string{"-schemes", "dynamic,,first-fit"}, "empty scheme"},
 		{"only commas", []string{"-schemes", ","}, "empty scheme"},
 		{"trailing comma", []string{"-schemes", "dynamic,"}, "empty scheme"},
@@ -54,10 +54,10 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestCrossFlagSchemeMatrix mirrors dvmpsim's pairwise table: -sparse
-// and -kernel-workers only configure dynamic-family kernels, so a sweep
-// whose roster contains no such scheme must reject them up front (before
-// any run starts), while any roster containing one accepts them.
+// TestCrossFlagSchemeMatrix mirrors dvmpsim's pairwise table:
+// -kernel-workers only configures dynamic-family kernels, so a sweep whose
+// roster contains no such scheme must reject it up front (before any run
+// starts), while any roster containing one accepts it.
 func TestCrossFlagSchemeMatrix(t *testing.T) {
 	schemes := []struct {
 		name  string
@@ -73,7 +73,6 @@ func TestCrossFlagSchemeMatrix(t *testing.T) {
 		{"dynamic-adaptive", true},
 	}
 	flags := [][]string{
-		{"-sparse", "8"},
 		{"-kernel-workers", "2"},
 	}
 	for _, s := range schemes {
@@ -99,13 +98,13 @@ func TestCrossFlagSchemeMatrix(t *testing.T) {
 			})
 		}
 	}
-	// A mixed roster with one dynamic-family member accepts both flags.
+	// A mixed roster with one dynamic-family member accepts the flag.
 	var sb strings.Builder
 	if err := run([]string{
 		"-schemes", "first-fit,dynamic-adaptive", "-reps", "1", "-nodes", "8", "-jobs", "10",
-		"-workers", "1", "-sparse", "8", "-kernel-workers", "2",
+		"-workers", "1", "-kernel-workers", "2",
 	}, &sb); err != nil {
-		t.Fatalf("mixed roster rejected dynamic-family flags: %v", err)
+		t.Fatalf("mixed roster rejected -kernel-workers: %v", err)
 	}
 }
 
@@ -150,36 +149,6 @@ func TestRunSmallSweep(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestRunSparseReportMatchesDense runs the same tiny dynamic sweep twice —
-// dense and with -sparse — and requires byte-identical report JSON: the
-// candidate-set engine must not change a single decision, so energy,
-// migration, and queueing aggregates all match exactly.
-func TestRunSparseReportMatchesDense(t *testing.T) {
-	dir := t.TempDir()
-	report := func(name string, extra ...string) []byte {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		args := append([]string{
-			"-schemes", "dynamic", "-reps", "1", "-nodes", "8", "-jobs", "40",
-			"-workers", "1", "-o", path,
-		}, extra...)
-		var sb strings.Builder
-		if err := run(args, &sb); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	dense := report("dense.json")
-	sparse := report("sparse.json", "-sparse", "64")
-	if !bytes.Equal(dense, sparse) {
-		t.Fatal("sparse sweep report differs from dense; the engines diverged")
 	}
 }
 

@@ -219,17 +219,17 @@ func TrackerCheck(ctx *core.Context, factors []core.Factor) Check {
 	}
 }
 
-// SparseCheck is the sparse-vs-dense differential oracle behind
-// MatrixOptions.CandidateK: it builds the candidate-set engine and a dense
-// kernel matrix over the currently migratable VMs and requires every
-// tracker and the Best decision bit-identical (core.SparseMatrix.DiffDense),
-// plus internal consistency of the incremental candidate index
-// (SelfCheck). It also replays the arrival ranking for a sample of hosted
-// VMs: the candidate shortlist must be the exact prefix of the dense
-// ranking. O(M*N) dense evaluations per run, so it is a per-period check
+// SparseCheck is the sparse-vs-dense differential oracle for runs whose
+// factor list is core.Canonical, the ones the candidate index evaluates:
+// it builds the candidate-set engine and a dense matrix over the currently
+// migratable VMs and requires every tracker and the Best decision
+// bit-identical (core.SparseMatrix.DiffDense), plus internal consistency
+// of the incremental candidate index (SelfCheck). It also replays the
+// arrival ranking for a sample of hosted VMs: the candidate shortlist must
+// equal the cell-by-cell ranking. O(M*N) dense evaluations per run, so it is a per-period check
 // even in event mode; the per-Apply SelfAudit covers the event
 // granularity.
-func SparseCheck(ctx *core.Context, factors []core.Factor, k int) Check {
+func SparseCheck(ctx *core.Context, factors []core.Factor) Check {
 	return Check{
 		Name:     "sparse",
 		PerEvent: false,
@@ -261,7 +261,7 @@ func SparseCheck(ctx *core.Context, factors []core.Factor, k int) Check {
 			)
 			core.Parallel(
 				func() {
-					sm, smErr = core.NewSparseMatrix(ctx, factors, vms, core.MatrixOptions{CandidateK: k})
+					sm, smErr = core.NewSparseMatrix(ctx, factors, vms, core.MatrixOptions{})
 					if smErr == nil {
 						smCheck = sm.SelfCheck()
 					}
@@ -290,7 +290,7 @@ func SparseCheck(ctx *core.Context, factors []core.Factor, k int) Check {
 			}
 			stride := len(vms)/8 + 1
 			for i := 0; i < len(vms); i += stride {
-				if err := diffShortlist(ctx, factors, vms[i], k); err != nil {
+				if err := diffShortlist(ctx, factors, vms[i]); err != nil {
 					return err
 				}
 			}
@@ -299,19 +299,16 @@ func SparseCheck(ctx *core.Context, factors []core.Factor, k int) Check {
 	}
 }
 
-// diffShortlist compares the candidate index's top-k arrival shortlist for
-// vm against the dense ranking's length-k prefix, entry by entry.
-func diffShortlist(ctx *core.Context, factors []core.Factor, vm *cluster.VM, k int) error {
-	sparse, ok := core.ArrivalShortlist(ctx, factors, vm, k)
+// diffShortlist compares the candidate index's full arrival shortlist for
+// vm against the cell-by-cell ranking, entry by entry.
+func diffShortlist(ctx *core.Context, factors []core.Factor, vm *cluster.VM) error {
+	sparse, ok := core.ArrivalShortlist(ctx, factors, vm, 0)
 	if !ok {
 		return fmt.Errorf("arrival shortlist unavailable for the configured factors")
 	}
 	dense := core.RankPlacements(ctx, factors, vm)
-	if k > 0 && len(dense) > k {
-		dense = dense[:k]
-	}
 	if len(sparse) != len(dense) {
-		return fmt.Errorf("VM %d: sparse shortlist has %d entries, dense prefix %d", vm.ID, len(sparse), len(dense))
+		return fmt.Errorf("VM %d: sparse shortlist has %d entries, dense ranking %d", vm.ID, len(sparse), len(dense))
 	}
 	for i := range sparse {
 		if sparse[i].PM != dense[i].PM || sparse[i].Probability != dense[i].Probability {

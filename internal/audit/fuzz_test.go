@@ -289,11 +289,10 @@ func TestRandomOperationsAudit(t *testing.T) {
 		ops, h.arrived, h.finished, h.rejected, h.aud.Checks())
 }
 
-// slabOracleState builds a Table II fleet hardened for the slab row fill's
-// edge cases — a zero-reliability PM and a stripe of expired-estimate VMs,
-// where the per-cell paths short-circuit to literal zero and the slab path
-// multiplies through.
-func slabOracleState(t *testing.T) (*core.Context, []*cluster.VM) {
+// edgeOracleState builds a Table II fleet hardened for the zero short
+// circuits — a zero-reliability PM and a stripe of expired-estimate VMs,
+// where both per-cell paths return literal zero.
+func edgeOracleState(t *testing.T) (*core.Context, []*cluster.VM) {
 	t.Helper()
 	dc := cluster.TableIIFleetScaled(40)
 	pms := dc.PMs()
@@ -317,20 +316,20 @@ func slabOracleState(t *testing.T) (*core.Context, []*cluster.VM) {
 	return core.NewContext(dc).At(1800), vms
 }
 
-// TestSlabMatchesOracleAfterApplies closes the slab ≡ generic ≡ oracle
-// triangle on the oracle side (internal/core's TestSlabEquivalence* pin
-// slab ≡ generic): a slab-kernel matrix and an oracle matrix walk the same
-// randomized Apply sequence over twin fleets, and after every move the slab
-// matrix must be bit-identical — every cell, tracker, and the Best
-// decision — to the applied oracle matrix and to a cold build of the
-// frozen oracle over the same fleet.
-func TestSlabMatchesOracleAfterApplies(t *testing.T) {
-	ctx, vms := slabOracleState(t)
+// TestMatrixMatchesOracleAfterApplies closes the program ≡ Joint ≡ oracle
+// triangle on the oracle side (internal/core's TestKernelEquivalence pins
+// program ≡ Joint): a core.Matrix on the compiled program and an oracle
+// matrix walk the same randomized Apply sequence over twin fleets, and
+// after every move the core matrix must be bit-identical — every cell,
+// tracker, and the Best decision — to the applied oracle matrix and to a
+// cold build of the frozen oracle over the same fleet.
+func TestMatrixMatchesOracleAfterApplies(t *testing.T) {
+	ctx, vms := edgeOracleState(t)
 	m, err := core.NewMatrix(ctx, core.DefaultFactors(), vms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	twinCtx, twinVMs := slabOracleState(t)
+	twinCtx, twinVMs := edgeOracleState(t)
 	applied, err := oracle.NewMatrix(twinCtx, core.DefaultFactors(), twinVMs)
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,9 @@ import (
 // This file is the sparse-vs-dense differential fuzz harness: two
 // identically built datacenters walk the same byte-encoded operation
 // stream, with every placement decision made by the dense engine on side A
-// and the candidate-set engine (MatrixOptions.CandidateK) on side B. After
+// — the cell-by-cell arrival ranking and a core.Matrix built by constructor
+// name, because core's entry points send these factors to the index — and
+// by the candidate-set engine, through those entry points, on side B. After
 // each operation the decisions and the resulting fleet states must match
 // exactly — PM choices, consolidation move lists, per-PM usage vectors,
 // reliability bits, and hosted-VM sets. Any divergence is a bug in one of
@@ -99,6 +101,15 @@ func (h *sparseHarness) step(op, arg byte) {
 	h.compareFleets(op, arg)
 }
 
+// denseBest is side A's arrival argmax: the head of the cell-by-cell column
+// ranking, nil when no PM scores above zero.
+func denseBest(ctx *core.Context, factors []core.Factor, vm *cluster.VM) *cluster.PM {
+	if ranked := core.RankPlacements(ctx, factors, vm); len(ranked) > 0 {
+		return ranked[0].PM
+	}
+	return nil
+}
+
 // arrival creates the same VM on both sides and asks each engine for a
 // host: the dense argmax on side A, the candidate index on side B. The two
 // answers must name the same PM (or both reject).
@@ -118,7 +129,7 @@ func (h *sparseHarness) arrival(arg byte) {
 	va := cluster.NewVM(id, demand, runtime, runtime, h.now)
 	vb := cluster.NewVM(id, demand, runtime, runtime, h.now)
 
-	pa := core.BestPlacement(h.a.ctx.At(h.now), h.factors, va)
+	pa := denseBest(h.a.ctx.At(h.now), h.factors, va)
 	pb := core.BestPlacementWith(h.b.ctx.At(h.now), h.factors, vb, h.opts())
 	switch {
 	case pa == nil && pb == nil:
@@ -181,7 +192,12 @@ func (h *sparseHarness) consolidate(arg byte) {
 	optsA, optsB := core.MatrixOptions{}, h.opts()
 	optsA.DecisionHook = func(_ int, _ core.Move, alts []core.Placement) { altsA = append(altsA, alts) }
 	optsB.DecisionHook = func(_ int, _ core.Move, alts []core.Placement) { altsB = append(altsB, alts) }
-	movesA, err := core.ConsolidateWith(h.a.ctx.At(h.now), h.factors, params, optsA)
+	dense, err := core.NewMatrixWith(h.a.ctx.At(h.now), h.factors, core.MigratableVMs(h.a.dc), optsA)
+	if err != nil {
+		h.t.Fatalf("dense build: %v", err)
+	}
+	movesA, err := dense.Consolidate(params)
+	dense.Release()
 	if err != nil {
 		h.t.Fatalf("dense consolidate: %v", err)
 	}
@@ -235,7 +251,7 @@ func (h *sparseHarness) failPM(arg byte) {
 		if err := pmB.Evict(vb); err != nil {
 			h.t.Fatalf("failure eviction (sparse side): %v", err)
 		}
-		ta := core.BestPlacement(h.a.ctx.At(h.now), h.factors, va)
+		ta := denseBest(h.a.ctx.At(h.now), h.factors, va)
 		tb := core.BestPlacementWith(h.b.ctx.At(h.now), h.factors, vb, h.opts())
 		if (ta == nil) != (tb == nil) || (ta != nil && ta.ID != tb.ID) {
 			h.t.Fatalf("re-place of VM %d after PM %d failure: dense %v, sparse %v",
@@ -348,6 +364,14 @@ func (h *sparseHarness) compareFleets(op, arg byte) {
 	}
 }
 
+// sweepSeeds and sweepOps size TestSparseDifferentialSweep.
+var sweepSeeds = []uint64{
+	0x9E3779B97F4A7C15, 0xD1B54A32D192ED03, 0x2545F4914F6CDD1D, 0x123456789ABCDEF1,
+	0xA24BAED4963EE407, 0x8CB92BA72F3D8DD7, 0xDA942042E4DD58B5, 0xFF51AFD7ED558CCD,
+}
+
+const sweepOps = 260
+
 func runSparseOps(t testing.TB, data []byte, k int) *sparseHarness {
 	h := newSparseHarness(t, k)
 	for i := 0; i+1 < len(data); i += 2 {
@@ -356,14 +380,31 @@ func runSparseOps(t testing.TB, data []byte, k int) *sparseHarness {
 	return h
 }
 
+// sweepStream is the byte-encoded operation stream of one sweep seed, from
+// a fixed xorshift generator so failures reproduce exactly.
+func sweepStream(seed uint64, ops int) []byte {
+	data := make([]byte, 2*ops)
+	state := seed
+	for j := range data {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		data[j] = byte(state >> 32)
+	}
+	return data
+}
+
 // FuzzSparseOperations lets the fuzzer search for an operation sequence on
 // which the candidate-set engine diverges from the dense oracle. The seeds
-// cover each opcode including reliability decay, plus a K=1 run where
-// every shape overflows its candidate budget.
+// cover each opcode including reliability decay, a K=1 run where every
+// shape overflows its candidate budget, and one sweep stream long enough
+// for multi-round consolidations, whose later rounds depend on the sparse
+// Apply repair.
 func FuzzSparseOperations(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 20, 2, 5, 1, 0}, 16)
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 6, 4, 2, 9, 3, 7, 4, 1, 5, 2, 1, 1}, 16)
 	f.Add([]byte{4, 0, 0, 200, 0, 130, 6, 11, 2, 250, 3, 3, 0, 60, 1, 9}, 1)
+	f.Add(sweepStream(sweepSeeds[4], sweepOps), 16)
 	f.Fuzz(func(t *testing.T, data []byte, k int) {
 		if len(data) > 4096 {
 			data = data[:4096]
@@ -378,24 +419,11 @@ func FuzzSparseOperations(f *testing.F) {
 // TestSparseDifferentialSweep is the deterministic bug sweep the issue
 // requires: at least 2000 operations across at least 8 seeds, every
 // decision differentially checked against the dense oracle (runs under
-// -race in `make race`). The byte streams come from a fixed xorshift
-// generator so failures reproduce exactly.
+// -race in `make race`).
 func TestSparseDifferentialSweep(t *testing.T) {
-	const ops = 260
-	seeds := []uint64{
-		0x9E3779B97F4A7C15, 0xD1B54A32D192ED03, 0x2545F4914F6CDD1D, 0x123456789ABCDEF1,
-		0xA24BAED4963EE407, 0x8CB92BA72F3D8DD7, 0xDA942042E4DD58B5, 0xFF51AFD7ED558CCD,
-	}
 	arrived, moves := 0, 0
-	for i, seed := range seeds {
-		data := make([]byte, 2*ops)
-		state := seed
-		for j := range data {
-			state ^= state << 13
-			state ^= state >> 7
-			state ^= state << 17
-			data[j] = byte(state >> 32)
-		}
+	for i, seed := range sweepSeeds {
+		data := sweepStream(seed, sweepOps)
 		// Alternate candidate budgets: generous (groups fit) and
 		// deliberately overflowing (K=1), which must change nothing but a
 		// counter.
@@ -410,5 +438,5 @@ func TestSparseDifferentialSweep(t *testing.T) {
 	if arrived == 0 || moves == 0 {
 		t.Fatalf("degenerate sweep: arrived=%d moves=%d", arrived, moves)
 	}
-	t.Logf("seeds=%d ops/seed=%d arrived=%d moves=%d", len(seeds), ops, arrived, moves)
+	t.Logf("seeds=%d ops/seed=%d arrived=%d moves=%d", len(sweepSeeds), sweepOps, arrived, moves)
 }

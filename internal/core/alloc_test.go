@@ -20,33 +20,50 @@ const arrivalAllocCeiling = 2
 
 // allocEngines are the two engines every budget below holds for: the pool
 // and the interning tables are the frame's, so the sparse engine gets no
-// allowance the dense one does not.
+// allowance the dense one does not. The arrival argmax reaches each side
+// the way a run does, through the factor list; a consolidation pass builds
+// its engine by constructor name.
 var allocEngines = []struct {
-	name string
-	opts MatrixOptions
+	name    string
+	arrival []Factor
+	pass    func(ctx *Context, params Params) error
 }{
-	{"dense", MatrixOptions{}},
-	{"sparse", MatrixOptions{CandidateK: 64}},
+	{"dense", append(DefaultFactors(), offsetFactor{}), func(ctx *Context, params Params) error {
+		ctx.vmBuf = ctx.DC.AppendVMsInState(ctx.vmBuf[:0], cluster.VMRunning)
+		m, err := NewMatrixWith(ctx, DefaultFactors(), ctx.vmBuf, MatrixOptions{})
+		if err != nil {
+			return err
+		}
+		defer m.Release()
+		_, err = m.Consolidate(params)
+		return err
+	}},
+	{"sparse", DefaultFactors(), func(ctx *Context, params Params) error {
+		_, err := ConsolidateWith(ctx, DefaultFactors(), params, MatrixOptions{CandidateK: 64})
+		return err
+	}},
 }
 
 func TestArrivalAllocBudget(t *testing.T) {
 	for _, e := range allocEngines {
 		t.Run(e.name, func(t *testing.T) {
 			ctx, _ := tableIIState(t, 200, 400, 7)
-			factors := DefaultFactors()
 			arrival := cluster.NewVM(cluster.VMID(1<<20), vector.New(2, 1), 5400, 5400, ctx.Now)
 
 			// Warm the scratch and the class and shape tables.
 			for i := 0; i < 3; i++ {
-				if BestPlacementWith(ctx, factors, arrival, e.opts) == nil {
+				if BestPlacement(ctx, e.arrival, arrival) == nil {
 					t.Fatal("no placement found")
 				}
 			}
 			avg := testing.AllocsPerRun(200, func() {
-				BestPlacementWith(ctx, factors, arrival, e.opts)
+				BestPlacement(ctx, e.arrival, arrival)
 			})
+			if indexed := ctx.cand != nil; indexed != (e.name == "sparse") {
+				t.Fatalf("candidate index built = %t on the %s row", indexed, e.name)
+			}
 			if avg > arrivalAllocCeiling {
-				t.Fatalf("BestPlacementWith allocates %.2f allocs/op on a warm context, budget %d",
+				t.Fatalf("BestPlacement allocates %.2f allocs/op on a warm context, budget %d",
 					avg, arrivalAllocCeiling)
 			}
 		})
@@ -63,12 +80,11 @@ func TestConsolidateAllocBudget(t *testing.T) {
 	for _, e := range allocEngines {
 		t.Run(e.name, func(t *testing.T) {
 			ctx, _ := tableIIState(t, 200, 400, 7)
-			factors := DefaultFactors()
 			params := DefaultParams()
 
 			// Warm pass: checks out (and sizes) the scratch, executes any
 			// profitable moves so later passes are steady-state no-ops.
-			if _, err := ConsolidateWith(ctx, factors, params, e.opts); err != nil {
+			if err := e.pass(ctx, params); err != nil {
 				t.Fatal(err)
 			}
 			nVMs := len(ctx.vmBuf)
@@ -76,12 +92,12 @@ func TestConsolidateAllocBudget(t *testing.T) {
 				t.Fatal("bench state has no running VMs")
 			}
 			avg := testing.AllocsPerRun(50, func() {
-				if _, err := ConsolidateWith(ctx, factors, params, e.opts); err != nil {
+				if err := e.pass(ctx, params); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if perVM := avg / float64(nVMs); perVM > consolidateAllocsPerVM {
-				t.Fatalf("ConsolidateWith allocates %.1f allocs/op (%.3f per VM column, budget %.2f) on a warm context",
+				t.Fatalf("a consolidation pass allocates %.1f allocs/op (%.3f per VM column, budget %.2f) on a warm context",
 					avg, perVM, consolidateAllocsPerVM)
 			}
 		})
@@ -93,7 +109,9 @@ func TestConsolidateAllocBudget(t *testing.T) {
 // checks the checkout model: engines that share the pool in turn agree
 // with each other, a build made while the pool is checked out allocates
 // its own storage without disturbing the holder, and the pool is back on
-// the Context after the last Release.
+// the Context after the last Release. Along the way the frame's hosted
+// lists — what the sparse Apply walks to find the columns an endpoint's
+// change invalidates — must follow every migration.
 func TestFramePoolInterleavedEngines(t *testing.T) {
 	ctx, vms := tableIIState(t, 60, 140, 5)
 	factors := DefaultFactors()
@@ -152,6 +170,8 @@ func TestFramePoolInterleavedEngines(t *testing.T) {
 		if err := sparse.DiffDense(dense); err != nil {
 			t.Fatalf("after move %d: %v", i+1, err)
 		}
+		assertHostedLists(t, &sparse.frame)
+		assertHostedLists(t, &dense.frame)
 	}
 	fresh, err := NewMatrix(ctx, factors, vms)
 	if err != nil {
@@ -170,25 +190,24 @@ func TestFramePoolInterleavedEngines(t *testing.T) {
 	}
 }
 
-// TestSlabRowFillAllocBudget pins the slab path's steady-state property:
-// once the aligned working slabs have grown to the row width, refilling a
-// row allocates nothing at all.
-func TestSlabRowFillAllocBudget(t *testing.T) {
-	ctx, vms := tableIIState(t, 200, 400, 7)
-	m, err := NewMatrixWith(ctx, DefaultFactors(), vms, MatrixOptions{})
-	if err != nil {
-		t.Fatal(err)
+// assertHostedLists checks the frame's hosted lists against the live
+// vm.Host fields: every column appears exactly once, in the list of the row
+// that hosts its VM.
+func assertHostedLists(t *testing.T, f *frame) {
+	t.Helper()
+	seen := make([]int, len(f.vms))
+	for r, pm := range f.pms {
+		for c := f.hosted.head[r]; c >= 0; c = f.hosted.next[c] {
+			seen[c]++
+			if f.vms[c].Host != pm.ID {
+				t.Fatalf("hosted lists column %d under PM %d, but VM %d is hosted on PM %d",
+					c, pm.ID, f.vms[c].ID, f.vms[c].Host)
+			}
+		}
 	}
-	if !m.prog.canonical {
-		t.Fatal("slab path not engaged")
-	}
-	m.fillRow(0) // warm the row scratch slabs
-	r := 0
-	avg := testing.AllocsPerRun(100, func() {
-		m.fillRow(r % m.Rows())
-		r++
-	})
-	if avg > 0 {
-		t.Fatalf("slab row fill allocates %.2f allocs/op on warm scratch, budget 0", avg)
+	for c, n := range seen {
+		if n != 1 {
+			t.Fatalf("column %d appears %d times in the hosted lists", c, n)
+		}
 	}
 }

@@ -86,23 +86,34 @@ func TestSelfAuditOptionVerifiesEveryApply(t *testing.T) {
 	}
 }
 
+// TestConsolidateWithSelfAuditMatchesPlain: the audited pass — on the
+// paper's table factor the dense Matrix, on the default factors the
+// candidate-set engine replaying every Apply against a cold dense rebuild —
+// must pass its own checks and emit the moves of an unaudited dense Matrix
+// built by constructor.
 func TestConsolidateWithSelfAuditMatchesPlain(t *testing.T) {
-	ctxA, factorsA, _ := paperExample()
-	plain, err := ConsolidateWith(ctxA, factorsA, DefaultParams(), MatrixOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxB, factorsB, _ := paperExample()
-	audited, err := ConsolidateWith(ctxB, factorsB, DefaultParams(), MatrixOptions{SelfAudit: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain) != len(audited) {
-		t.Fatalf("self-audit changed the move count: %d vs %d", len(plain), len(audited))
-	}
-	for i := range plain {
-		if plain[i] != audited[i] {
-			t.Fatalf("move %d differs: %+v vs %+v", i, plain[i], audited[i])
-		}
+	tableA, tableFactors, _ := paperExample()
+	tableB, _, _ := paperExample()
+	fleetA, _ := spreadState(t, 100, 260, 11)
+	fleetB, _ := spreadState(t, 100, 260, 11)
+	for _, tc := range []struct {
+		name    string
+		a, b    *Context
+		factors []Factor
+	}{
+		{"table-dense", tableA, tableB, tableFactors},
+		{"default-sparse", fleetA, fleetB, DefaultFactors()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plain := denseConsolidate(t, tc.a, tc.factors, DefaultParams(), MatrixOptions{})
+			if len(plain) == 0 {
+				t.Fatal("no moves; self-audit never exercised")
+			}
+			audited, err := ConsolidateWith(tc.b, tc.factors, DefaultParams(), MatrixOptions{SelfAudit: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertMovesEqual(t, plain, audited)
+		})
 	}
 }

@@ -10,10 +10,10 @@ import (
 	"repro/internal/vector"
 )
 
-// This file implements the sparse candidate index behind
-// MatrixOptions.CandidateK: a headroom/class grouping of the fleet that
-// lets the arrival argmax and the consolidation column trackers score a
-// handful of score-groups instead of all M PMs (DESIGN.md §13).
+// This file implements the candidate index every Canonical factor list is
+// evaluated on: a headroom/class grouping of the fleet that lets the
+// arrival argmax and the consolidation column trackers score a handful of
+// score-groups instead of all M PMs (DESIGN.md §13).
 //
 // The key observation is that for the canonical factor program
 // (res, vir, rel, eff) the non-host cell value
@@ -37,10 +37,10 @@ import (
 // word-compares per PM; re-deriving one PM costs O(shapes) feasibility and
 // level evaluations.
 //
-// CandidateK is a sizing contract, not a structural cap: when a shape's
-// population needs more than K non-empty groups the scan simply covers
-// them all — exactness is never traded away. Overflow is counted on
-// ctx.Obs ("core.sparse_shape_overflow") so a misconfigured K is visible.
+// MatrixOptions.CandidateK is a declared ceiling, not a structural cap:
+// when a shape's population needs more than K non-empty groups the scan
+// simply covers them all — exactness is never traded away. Overflow past a
+// positive K is counted on ctx.Obs ("core.sparse_shape_overflow").
 
 // candIndex is the fleet-wide score-group index. One per Context, built
 // lazily by Context.candidates.
@@ -410,7 +410,7 @@ func searchInt32(s []int32, v int32) (int, bool) {
 // answer is bit-identical by construction.
 func (x *candIndex) bestArrival(vm *cluster.VM, k int) *cluster.PM {
 	sh := x.shape(x.ctx.shapeID(vm.Demand))
-	if sh.nonEmpty > k {
+	if k > 0 && sh.nonEmpty > k {
 		x.ctx.Obs.AddScoped("core.sparse_shape_overflow", 1)
 	}
 	tre := vm.RemainingEstimate(x.ctx.Now)

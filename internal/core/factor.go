@@ -64,9 +64,9 @@ type Context struct {
 	terms    []term
 	vmBuf    []*cluster.VM
 
-	// cand is the sparse candidate index (candidates.go), built lazily on
-	// the first placement evaluated with MatrixOptions.CandidateK > 0 and
-	// kept in sync with the fleet via per-PM version stamps.
+	// cand is the candidate index (candidates.go), built lazily on the
+	// first placement evaluated with a Canonical factor list and kept in
+	// sync with the fleet via per-PM version stamps.
 	cand *candIndex
 }
 

@@ -40,13 +40,9 @@ type frame struct {
 	// vir memoizes the non-host virtualization penalty per class and
 	// column: the remaining estimate T_re is fixed for the lifetime of a
 	// frame (the clock does not advance during a pass), so the M*N
-	// evaluations of Eq. 3 collapse to C*N. Stored class-major in a
-	// 64-byte-aligned slab — one lane of virStride float64s per class
-	// (the column count rounded up to a whole cache line), addressed
-	// vir[ci*virStride+c] — so the slab row fill streams one aligned,
-	// contiguous lane per row.
-	vir       []float64
-	virStride int
+	// evaluations of Eq. 3 collapse to C*N. Stored class-major:
+	// vir[ci*Cols()+c].
+	vir []float64
 
 	// hosted lists, per row, the columns whose VM resides there; move
 	// rehomes a column in O(1).
@@ -126,7 +122,7 @@ func (f *frame) init(ctx *Context, factors []Factor, vms []*cluster.VM, opts Mat
 	f.hosted = scr.hosted
 	ctx.pass++
 	// Reverse column order so each push-front leaves the hosted lists
-	// ascending — the slab fill then patches hosted cells in memory order.
+	// ascending.
 	for c := nc - 1; c >= 0; c-- {
 		vm := f.vms[c]
 		if c > 0 && f.vms[c-1].ID == vm.ID {
@@ -148,12 +144,11 @@ func (f *frame) init(ctx *Context, factors []Factor, vms []*cluster.VM, opts Mat
 	}
 	scr.shapes = f.shapes
 
-	f.virStride = alignUp(nc)
-	scr.vir, f.vir = alignedFloats(scr.vir, len(ctx.classTab)*f.virStride)
+	f.vir = grow(&scr.vir, len(ctx.classTab)*nc)
 	for c, vm := range f.vms {
 		tre := vm.RemainingEstimate(ctx.Now)
 		for ci, info := range ctx.classTab {
-			f.vir[ci*f.virStride+c] = virProbability(tre, info.overhead)
+			f.vir[ci*nc+c] = virProbability(tre, info.overhead)
 		}
 	}
 

@@ -10,9 +10,9 @@ import "repro/internal/cluster"
 // interface in their original position, so p_ij is bit-identical to Joint
 // for any factor list: each known factor is the exact same arithmetic on
 // bit-identical operands, and multiplication order is preserved. The
-// canonical program (res, vir, rel, eff) never runs cell by cell inside a
-// matrix — the dense engine fills it a row at a time (slab.go) and the
-// sparse engine a score group at a time (sparse.go).
+// canonical program (res, vir, rel, eff) runs cell by cell only inside a
+// reference build: production passes evaluate it a score group at a time
+// (sparse.go), and the dense Matrix walks it to check them.
 
 // termOp identifies how one factor in the compiled program is evaluated.
 type termOp int
@@ -39,16 +39,12 @@ type program struct {
 	// recognized; when none is, the program adds only overhead and
 	// callers evaluate through Joint.
 	known bool
-
-	// canonical marks exactly the paper's four factors in canonical order,
-	// the program the slab fill and the candidate index factor.
-	canonical bool
 }
 
 // compile translates a factor list into a term program, appending to dst
 // (pass a reused slice truncated to zero for allocation-free recompiles).
 func compile(dst []term, factors []Factor) program {
-	prog := program{terms: dst, canonical: canonicalDefault(factors)}
+	prog := program{terms: dst}
 	for _, f := range factors {
 		t := term{op: opGeneric, f: f}
 		switch f.(type) {
@@ -67,9 +63,11 @@ func compile(dst []term, factors []Factor) program {
 	return prog
 }
 
-// canonicalDefault reports whether factors are exactly the paper's four in
-// canonical order.
-func canonicalDefault(factors []Factor) bool {
+// Canonical reports whether factors are exactly the paper's four in
+// canonical order (res, vir, rel, eff). It is the one engine selector: a
+// canonical list is evaluated on the candidate index (SparseMatrix, the
+// arrival argmax over score groups), any other list on the dense Matrix.
+func Canonical(factors []Factor) bool {
 	if len(factors) != 4 {
 		return false
 	}

@@ -9,10 +9,12 @@ import (
 	"repro/internal/vector"
 )
 
-// Kernel micro-benchmarks: the compiled evaluation path versus Joint per
-// cell (opaque factors, kernel_test.go), at 100 / 1k / 10k PMs with ~2 VMs per
-// PM, over the three hot operations of the scheme — matrix build,
-// per-round incremental update, and arrival ranking. These are layer-level
+// Kernel micro-benchmarks: what a canonical run executes ("kernel": the
+// candidate-set engine and the index's arrival argmax) versus the dense
+// Matrix on Joint per cell ("generic": opaque factors, kernel_test.go), at
+// 100 / 1k / 10k PMs with ~2 VMs per PM, over the three hot operations of
+// the scheme — matrix build, per-round incremental update, and arrival
+// ranking. These are layer-level
 // looks; whole-run numbers come from `go run ./bench` (bench/README.md).
 // For benchstat-friendly output:
 //
@@ -24,18 +26,32 @@ var benchSizes = []int{100, 1000, 10000}
 
 var benchPaths = []string{"kernel", "generic"}
 
+// benchEngine builds the engine of the named path over vms.
+func benchEngine(b *testing.B, ctx *Context, path string, vms []*cluster.VM) (engine, *frame) {
+	if path == "generic" {
+		m, err := NewMatrix(ctx, opaqueFactors(DefaultFactors()), vms)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return m, &m.frame
+	}
+	sm, err := NewSparseMatrix(ctx, DefaultFactors(), vms, MatrixOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sm, &sm.frame
+}
+
 func BenchmarkKernelMatrixBuild(b *testing.B) {
 	for _, path := range benchPaths {
 		for _, pms := range benchSizes {
 			b.Run(fmt.Sprintf("%s/pms%d", path, pms), func(b *testing.B) {
 				ctx, vms := tableIIState(b, pms, 2*pms, 7)
-				factors := pathFactors(path)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := NewMatrix(ctx, factors, vms); err != nil {
-						b.Fatal(err)
-					}
+					_, f := benchEngine(b, ctx, path, vms)
+					f.Release()
 				}
 				b.ReportMetric(float64(pms*len(vms)), "cells")
 			})
@@ -44,7 +60,7 @@ func BenchmarkKernelMatrixBuild(b *testing.B) {
 }
 
 // BenchmarkKernelMatrixRound measures one migration round's incremental
-// work — Apply's two recomputeRow calls plus Best's argmax — by
+// work — Apply's tracker repair plus Best's argmax — by
 // ping-ponging the best move back and forth (two Applies per
 // iteration, so one iteration ≈ two rounds).
 func BenchmarkKernelMatrixRound(b *testing.B) {
@@ -52,15 +68,12 @@ func BenchmarkKernelMatrixRound(b *testing.B) {
 		for _, pms := range benchSizes {
 			b.Run(fmt.Sprintf("%s/pms%d", path, pms), func(b *testing.B) {
 				ctx, vms := tableIIState(b, pms, 2*pms, 7)
-				m, err := NewMatrix(ctx, pathFactors(path), vms)
-				if err != nil {
-					b.Fatal(err)
-				}
+				m, f := benchEngine(b, ctx, path, vms)
 				r, c, _, ok := m.Best()
 				if !ok {
 					b.Fatal("no positive-gain move in the bench state")
 				}
-				origin := m.curRow[c]
+				origin := f.curRow[c]
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -77,8 +90,8 @@ func BenchmarkKernelMatrixRound(b *testing.B) {
 }
 
 // BenchmarkKernelArrival measures the paper's arrival path: score the new
-// VM's column and take the argmax. "kernel" is BestPlacement (factored,
-// sort-free); "generic" replicates the pre-kernel path — Joint per PM,
+// VM's column and take the argmax. "kernel" is BestPlacement (the index's
+// score-group argmax); "generic" replicates the pre-kernel path — Joint per PM,
 // collect, full sort.
 func BenchmarkKernelArrival(b *testing.B) {
 	for _, path := range benchPaths {

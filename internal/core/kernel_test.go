@@ -17,6 +17,20 @@ import (
 // mutates the fleet it runs on).
 func tableIIState(tb testing.TB, pmCount, nVMs int, seed int64) (*Context, []*cluster.VM) {
 	tb.Helper()
+	return fleetState(tb, pmCount, nVMs, seed, false)
+}
+
+// spreadState is tableIIState with the VMs dealt round-robin over the fleet
+// instead of packed first-fit, so a consolidation pass has many profitable
+// rounds and every round after the first depends on the engine's Apply
+// repair.
+func spreadState(tb testing.TB, pmCount, nVMs int, seed int64) (*Context, []*cluster.VM) {
+	tb.Helper()
+	return fleetState(tb, pmCount, nVMs, seed, true)
+}
+
+func fleetState(tb testing.TB, pmCount, nVMs int, seed int64, spread bool) (*Context, []*cluster.VM) {
+	tb.Helper()
 	dc := cluster.TableIIFleetScaled(pmCount)
 	for _, pm := range dc.PMs() {
 		pm.State = cluster.PMOn
@@ -30,7 +44,11 @@ func tableIIState(tb testing.TB, pmCount, nVMs int, seed int64) (*Context, []*cl
 		est := float64(600 + rng.Intn(86400))
 		vm := cluster.NewVM(cluster.VMID(id), demand, est, est, 0)
 		placed := false
-		for _, pm := range dc.PMs() {
+		for i := range dc.PMs() {
+			pm := dc.PM(cluster.PMID(i))
+			if spread {
+				pm = dc.PM(cluster.PMID((i + id) % pmCount))
+			}
 			if pm.CanHost(vm.Demand) {
 				if err := pm.Host(vm); err != nil {
 					tb.Fatal(err)
@@ -50,6 +68,56 @@ func tableIIState(tb testing.TB, pmCount, nVMs int, seed int64) (*Context, []*cl
 		tb.Fatalf("only placed %d of %d VMs", len(vms), nVMs)
 	}
 	return &Context{DC: dc, Now: now}, vms
+}
+
+// edgeState is tableIIState hardened for the zero short circuits: a
+// zero-reliability PM (p_rel = 0 must come out as exact +0 whichever path
+// multiplies it) and a batch of expired-estimate VMs (a remaining estimate
+// below the migration overhead zeroes p_vir on every non-host row).
+func edgeState(tb testing.TB, pmCount, nVMs int, seed int64) (*Context, []*cluster.VM) {
+	tb.Helper()
+	ctx, vms := tableIIState(tb, pmCount, nVMs, seed)
+	pms := ctx.DC.PMs()
+	pms[len(pms)/2].Reliability = 0
+	for i := 0; i < len(vms); i += 7 {
+		// Elapsed runtime beyond the estimate: RemainingEstimate clamps
+		// at zero.
+		vms[i].EstimatedRuntime = 1
+		vms[i].StartTime = 0
+	}
+	return ctx, vms
+}
+
+// denseConsolidate runs Algorithm 1 over ctx's running VMs on a dense
+// Matrix built by constructor name. ConsolidateWith sends a canonical list
+// to the candidate-set engine, so this is the reference side of every
+// engine differential in the package.
+func denseConsolidate(tb testing.TB, ctx *Context, factors []Factor, params Params, opts MatrixOptions) []Move {
+	tb.Helper()
+	m, err := NewMatrixWith(ctx, factors, MigratableVMs(ctx.DC), opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer m.Release()
+	moves, err := m.Consolidate(params)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return moves
+}
+
+// assertMovesEqual requires two Algorithm 1 move streams to match move for
+// move: VM, endpoints, bit-identical gains, rounds.
+func assertMovesEqual(tb testing.TB, want, got []Move) {
+	tb.Helper()
+	if len(want) != len(got) {
+		tb.Fatalf("move counts differ: want %d, got %d", len(want), len(got))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			tb.Fatalf("move %d: want %+v, got %+v", i, want[i], got[i])
+		}
+	}
 }
 
 // offsetFactor is a user-supplied extra factor (pure, PM-dependent) used
@@ -119,7 +187,10 @@ func assertMatricesEqual(t *testing.T, fast, slow *Matrix) {
 // TestKernelEquivalence proves the compiled program yields bit-identical
 // matrices to Joint per cell (opaque factors) on the Table II fleet, for
 // the default factors, for ablation subsets, and for a user factor
-// composed on top.
+// composed on top — including zero-reliability rows and expired-estimate
+// columns, where both sides take their literal-zero short circuits. (The
+// frozen oracle is the third leg: internal/audit's
+// TestMatrixMatchesOracleAfterApplies and TrackerCheck.)
 func TestKernelEquivalence(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -135,7 +206,7 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ctx, vms := tableIIState(t, 100, 260, 7)
+			ctx, vms := edgeState(t, 100, 260, 7)
 			fast, err := NewMatrix(ctx, tc.factors, vms)
 			if err != nil {
 				t.Fatal(err)
@@ -156,40 +227,34 @@ func TestKernelEquivalence(t *testing.T) {
 }
 
 // TestKernelEquivalenceConsolidate proves Algorithm 1 produces identical
-// move sequences (VM, endpoints, bit-identical gains, rounds) through both
-// evaluation paths on the Table II fleet.
+// move sequences (VM, endpoints, bit-identical gains, rounds) on the Table
+// II fleet three ways: what a canonical run executes (the candidate-set
+// engine), the dense Matrix on the compiled program, and the dense Matrix
+// on Joint per cell (opaque factors).
 func TestKernelEquivalenceConsolidate(t *testing.T) {
 	params := Params{MIGThreshold: 1.05, MIGRound: 50}
-	ctxFast, _ := tableIIState(t, 100, 260, 11)
-	ctxSlow, _ := tableIIState(t, 100, 260, 11)
+	ctxFast, _ := spreadState(t, 100, 260, 11)
+	ctxCell, _ := spreadState(t, 100, 260, 11)
+	ctxSlow, _ := spreadState(t, 100, 260, 11)
 
 	fast, err := ConsolidateWith(ctxFast, DefaultFactors(), params, MatrixOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := ConsolidateWith(ctxSlow, opaqueFactors(DefaultFactors()), params, MatrixOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fast) == 0 {
+	slow := denseConsolidate(t, ctxSlow, opaqueFactors(DefaultFactors()), params, MatrixOptions{})
+	if len(slow) == 0 {
 		t.Fatal("consolidation produced no moves; the state is too easy to prove anything")
 	}
-	if len(fast) != len(slow) {
-		t.Fatalf("move counts differ: kernel %d != generic %d", len(fast), len(slow))
-	}
-	for i := range fast {
-		if fast[i] != slow[i] {
-			t.Fatalf("move %d: kernel %+v != generic %+v", i, fast[i], slow[i])
-		}
-	}
+	assertMovesEqual(t, slow, fast)
+	assertMovesEqual(t, slow, denseConsolidate(t, ctxCell, DefaultFactors(), params, MatrixOptions{}))
 	if err := ctxFast.DC.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestKernelArrivalEquivalence checks the fast arrival path: BestPlacement
-// must return RankPlacements' top entry, and the kernel-scored ranking must
-// equal a naive Joint scan — including the unhosted-VM overhead rule
+// TestKernelArrivalEquivalence checks the arrival path: BestPlacement (the
+// candidate index's argmax for these factors) must return RankPlacements'
+// top entry, and the program-scored ranking must equal a naive Joint scan — including the unhosted-VM overhead rule
 // (creation only, no migration share).
 func TestKernelArrivalEquivalence(t *testing.T) {
 	ctx, _ := tableIIState(t, 100, 200, 13)
@@ -274,10 +339,12 @@ func TestMatrixTrackersMatchRebuildAfterRandomApplies(t *testing.T) {
 }
 
 // TestConsolidateZeroCurrentProbability exercises the curProb == 0 → +Inf
-// gain path end-to-end through Consolidate with the real factors: a VM
+// gain path end-to-end through Algorithm 1 on the dense Matrix with the
+// real factors, on the compiled program and on Joint per cell: a VM
 // whose host's reliability has decayed to zero has a zero-probability
 // placement, so any feasible alternative must be taken regardless of
-// MIG_threshold, with an infinite recorded gain.
+// MIG_threshold, with an infinite recorded gain. (The candidate-set
+// engine's twin is TestSparseConsolidateZeroCurrentProbability.)
 func TestConsolidateZeroCurrentProbability(t *testing.T) {
 	for _, name := range []string{"kernel", "generic"} {
 		t.Run(name, func(t *testing.T) {
@@ -296,10 +363,7 @@ func TestConsolidateZeroCurrentProbability(t *testing.T) {
 			host.Reliability = 0
 
 			ctx := NewContext(dc).At(100)
-			moves, err := Consolidate(ctx, pathFactors(name), DefaultParams())
-			if err != nil {
-				t.Fatal(err)
-			}
+			moves := denseConsolidate(t, ctx, pathFactors(name), DefaultParams(), MatrixOptions{})
 			if len(moves) != 1 {
 				t.Fatalf("moves = %+v, want exactly one rescue migration", moves)
 			}

@@ -9,19 +9,20 @@ import (
 )
 
 // Matrix is the VM/PM mapping probability matrix of Eq. 1: M rows (active
-// PMs) by N columns (migratable VMs), fully materialized. It is the plain
-// reference engine: every probability is stored, the column trackers
+// PMs) by N columns (migratable VMs), fully materialized. It is the plain,
+// strictly serial engine: every probability is stored, the column trackers
 // (colTrackers) follow each Apply by refilling the two affected rows, and
-// Best is a sequential argmax — the per-pass cold-rebuild oracle the
-// sparse engine is checked against.
+// Best is a sequential argmax. It has two standing jobs: the production
+// engine for every factor list that is not Canonical (ablations, appended
+// factors, opaque user factors), and the cold rebuild the candidate-set
+// engine is checked against (SelfAudit, audit.SparseCheck).
 type Matrix struct {
 	// frame is the pass state shared with the sparse engine: axes, ID
 	// table, class/shape ids, p_vir memo, hosted lists, trackers, move.
 	frame
 
-	// prog is the compiled factor program: the canonical four fill rows
-	// through the slab (slab.go), other lists with a known factor cell by
-	// cell through the term program, and lists with none through Joint.
+	// prog is the compiled factor program: lists with a known factor fill
+	// cell by cell through the term program, lists with none through Joint.
 	prog program
 
 	// p[r][c] = joint probability of hosting vms[c] on pms[r].
@@ -35,35 +36,32 @@ const altDepth = 4
 // MatrixOptions tunes matrix construction.
 type MatrixOptions struct {
 	// SelfAudit makes every Apply verify the incrementally maintained
-	// state against a cold rebuild: probabilities, column trackers, and
-	// the Best extraction must be bit-identical to a fresh NewMatrixWith
-	// over the same VMs. Expensive (one full matrix build per move); the
-	// simulator enables it in -audit=event mode.
+	// state against a cold dense rebuild over the same VMs (a fresh
+	// NewMatrixWith): probabilities, column trackers, and the Best
+	// extraction must be bit-identical on the dense engine, trackers and
+	// Best on the candidate-set engine. Expensive (one full matrix build
+	// per move); the simulator enables it in -audit=event mode.
 	SelfAudit bool
 
-	// CandidateK, when positive, routes consolidation and arrival
-	// placement through the sparse candidate index (candidates.go,
-	// sparse.go) for the canonical default factor program: decisions come
-	// from per-shape score groups instead of a dense M x N fill, and are
-	// bit-identical to the dense engine by construction. K is a sizing
-	// contract — the expected ceiling on non-empty score groups per
-	// demand shape — not a structural cap: a shape that needs more groups
-	// is still scanned exactly, and the overflow is counted on
-	// ctx.Obs ("core.sparse_shape_overflow") so a misconfigured K is
-	// visible. Factor programs other than the canonical four fall back to
-	// the dense path. Zero keeps the dense engine everywhere.
+	// CandidateK selects nothing: the engine follows the factor list
+	// (Canonical). It is only the declared ceiling on non-empty score
+	// groups per demand shape behind the "core.sparse_shape_overflow"
+	// diagnostic — a shape that needs more groups is still scanned
+	// exactly, and each column or arrival that meets one is counted on
+	// ctx.Obs so a mis-sized fleet model is visible. Zero or less declares
+	// no ceiling and counts nothing.
 	CandidateK int
 
-	// Workers bounds the goroutines the in-run kernels fan out on
-	// (parallel.go): the dense/slab build by row ranges, the build-time
-	// column sweep, and the sparse candidate-index sync and column scans.
-	// Zero auto-sizes to GOMAXPROCS
-	// bounded by the process-wide budget shared with exp.RunSweep (and
-	// stays serial below the build-size thresholds); one forces the
-	// strictly serial path with its zero-allocation budgets; an explicit
-	// count above one is honored verbatim — results are bit-identical at
-	// every setting (DESIGN.md §15), so the knob trades goroutines for
-	// wall clock, never determinism.
+	// Workers bounds the goroutines the candidate index's kernels fan out
+	// on (parallel.go): the index sync, the first-seen shape pass and the
+	// initial column scans. The dense Matrix is strictly serial and
+	// ignores it. Zero auto-sizes to GOMAXPROCS bounded by the
+	// process-wide budget shared with exp.RunSweep (and stays serial below
+	// the size threshold); one forces the strictly serial path with its
+	// zero-allocation budgets; an explicit count above one is honored
+	// verbatim — results are bit-identical at every setting (DESIGN.md
+	// §15), so the knob trades goroutines for wall clock, never
+	// determinism.
 	Workers int
 
 	// DecisionHook, when set, observes every Algorithm 1 migration just
@@ -72,8 +70,8 @@ type MatrixOptions struct {
 	// current placement, so scores are the gains Algorithm 1 compares;
 	// the head is the chosen target; depth is at most 4). The lists are
 	// exact — ordered (gain desc, PM ID asc) over every positive
-	// alternative — and identical on the dense and the sparse engine, as
-	// are the chosen moves. The lists are computed only when a hook is set.
+	// alternative — and identical on both engines, as are the chosen
+	// moves. The lists are computed only when a hook is set.
 	// Observation only: the hook must not mutate simulation state.
 	DecisionHook func(round int, mv Move, alts []Placement)
 }
@@ -108,78 +106,31 @@ func NewMatrixWith(ctx *Context, factors []Factor, vms []*cluster.VM, opts Matri
 		m.p[r] = scr.pflat[r*nc : (r+1)*nc : (r+1)*nc]
 	}
 
-	m.fill()
-	m.refreshAllColumns()
+	for r := range m.pms {
+		m.fillRow(r)
+	}
+	cols := grow(&scr.cols, nc)
+	for c := range cols {
+		cols[c] = c
+	}
+	m.refreshColumns(cols)
 	return m, nil
 }
 
-// parallelBuildThreshold is the matrix size (rows * cols) below which an
-// auto-sized build (MatrixOptions.Workers == 0) stays serial — goroutine
-// overhead beats the win on small fleets. Explicit worker counts bypass
-// it. Variable rather than constant so tests can force both paths.
-var parallelBuildThreshold = 50_000
-
-// buildWorkers resolves the worker count for a build-scale loop over
-// `items` independent units costing `cells` total cell evaluations. Auto
-// mode stays serial below parallelBuildThreshold; the caller must
-// ReturnWorkers the borrowed tokens.
-func (m *Matrix) buildWorkers(items, cells int) (workers, borrowed int) {
-	if m.opts.Workers == 0 && cells < parallelBuildThreshold {
-		return 1, 0
-	}
-	return claimWorkers(m.opts.Workers, items)
-}
-
-// fill computes every p[r][c]. Rows are independent and each lands in its
-// own slice, so the build shards across workers in row spans; the frame
-// has already interned every row's class and every column's shape, so the
-// Context's tables are read-only during the parallel phase (no locking on
-// the hot path). Worker count cannot change the result: every cell is a
-// pure function of (row, column) state no other worker touches.
-func (m *Matrix) fill() {
-	workers, borrowed := m.buildWorkers(len(m.pms), len(m.pms)*len(m.vms))
-	defer ReturnWorkers(borrowed)
-	if workers <= 1 {
-		for r := range m.pms {
-			m.fillRow(r)
-		}
-		return
-	}
-	// Each worker owns its demand-shape memo buffers; the matrix's serial
-	// rowScratch cannot be shared across goroutines.
-	rss := make([]rowScratch, workers)
-	runSpans(workers, len(m.pms), spanChunk(len(m.pms), workers), func(w, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			m.fillRowWith(r, &rss[w])
-		}
-	})
-}
-
-// fillRow evaluates every cell of row r using the matrix's serial row
-// scratch (the single-threaded fill, recomputeRow).
+// fillRow evaluates every cell of row r.
 func (m *Matrix) fillRow(r int) {
-	m.fillRowWith(r, &m.scr.rs)
-}
-
-// fillRowWith evaluates every cell of row r with an explicit row scratch,
-// so parallel fillers can each bring their own.
-func (m *Matrix) fillRowWith(r int, rs *rowScratch) {
 	pm := m.pms[r]
 	row := m.p[r]
-	switch {
-	case m.prog.canonical:
-		m.fillRowSlab(r, rs)
-	case m.prog.known:
-		ci := int(m.rowClass[r])
-		info := m.ctx.classTab[ci]
-		vir := m.vir[ci*m.virStride:]
-		for c, vm := range m.vms {
-			row[c] = m.prog.cell(m.ctx, info, vir[c], pm, vm, vm.Host == pm.ID)
-		}
-	default:
+	if !m.prog.known {
 		for c, vm := range m.vms {
 			row[c] = Joint(m.ctx, m.factors, vm, pm, vm.Host == pm.ID)
 		}
+		return
+	}
+	ci := int(m.rowClass[r])
+	info, vir := m.ctx.classTab[ci], m.vir[ci*len(m.vms):]
+	for c, vm := range m.vms {
+		row[c] = m.prog.cell(m.ctx, info, vir[c], pm, vm, vm.Host == pm.ID)
 	}
 }
 
@@ -250,27 +201,6 @@ func (m *Matrix) normalize(p, cur float64) float64 {
 		return 0
 	}
 	return p / cur
-}
-
-// refreshAllColumns derives every column's trackers for a fresh build. The
-// columns are independent — each column's trackers are a pure function of
-// its own probabilities — so the sweep shards across workers in column
-// spans, bit-identical to the serial sweep.
-func (m *Matrix) refreshAllColumns() {
-	nc := len(m.vms)
-	cols := grow(&m.scr.cols, nc)
-	for c := range cols {
-		cols[c] = c
-	}
-	workers, borrowed := m.buildWorkers(nc, len(m.pms)*nc)
-	defer ReturnWorkers(borrowed)
-	if workers <= 1 {
-		m.refreshColumns(cols)
-		return
-	}
-	runSpans(workers, nc, spanChunk(nc, workers), func(_, lo, hi int) {
-		m.refreshColumns(cols[lo:hi])
-	})
 }
 
 // refreshColumns recomputes curRow/curProb and the best alternative for

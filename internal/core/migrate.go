@@ -48,10 +48,10 @@ func Consolidate(ctx *Context, factors []Factor, params Params) ([]Move, error) 
 	return ConsolidateWith(ctx, factors, params, MatrixOptions{})
 }
 
-// ConsolidateWith is Consolidate with explicit matrix options: with
-// CandidateK > 0 and the canonical factor program the pass runs on the
-// sparse candidate-set engine, otherwise on the dense matrix — the same
-// Algorithm 1 loop either way, with bit-identical moves.
+// ConsolidateWith is Consolidate with explicit matrix options. The engine
+// follows the factor list: a Canonical list runs on the candidate-set
+// engine (SparseMatrix), any other list on the dense Matrix — the same
+// Algorithm 1 loop either way.
 func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixOptions) ([]Move, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -67,7 +67,7 @@ func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixO
 		err error
 	)
 	stop := ctx.Obs.Phase("kernel_build").Time()
-	if opts.CandidateK > 0 && canonicalDefault(factors) {
+	if Canonical(factors) {
 		var sm *SparseMatrix
 		if sm, err = NewSparseMatrix(ctx, factors, vms, opts); err == nil {
 			e, f = sm, &sm.frame
@@ -106,12 +106,28 @@ type engine interface {
 	alternatives(c, k int) []Placement
 }
 
+// Consolidate runs Algorithm 1's migration rounds on this matrix and
+// returns the executed moves. ConsolidateWith builds the engine the factor
+// list selects; this is for callers that picked the engine themselves by
+// constructor — the differential harnesses' dense side.
+func (m *Matrix) Consolidate(params Params) ([]Move, error) {
+	return runRounds(m, &m.frame, params)
+}
+
+// Consolidate is Matrix.Consolidate on the candidate-set engine.
+func (sm *SparseMatrix) Consolidate(params Params) ([]Move, error) {
+	return runRounds(sm, &sm.frame, params)
+}
+
 // runRounds is Algorithm 1's migration loop over an engine built on frame
 // f: while the best normalized gain exceeds MIG_threshold and fewer than
 // MIG_round rounds have run, report the move to the decision hook (if any)
 // and apply it. On an Apply error the moves executed so far are returned
 // with it.
 func runRounds(e engine, f *frame, params Params) ([]Move, error) {
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
 	defer f.ctx.Obs.Phase("algo1_rounds").Time()()
 	hook := f.opts.DecisionHook
 	var moves []Move
@@ -156,8 +172,10 @@ type Placement struct {
 //
 // This is the paper's arrival path: "if a new VM request arrives, we only
 // calculate the probability in the new VM column and allocate it to the PM
-// with the highest probability". Callers that only need the argmax should
-// use BestPlacement, which is sort- and allocation-free.
+// with the highest probability". It always evaluates the column cell by
+// cell, which makes it the reference the candidate index's arrival argmax
+// and shortlist are compared against. Callers that only need the argmax
+// should use BestPlacement, which is sort- and allocation-free.
 func RankPlacements(ctx *Context, factors []Factor, vm *cluster.VM) []Placement {
 	col := ctx.arrivalColumn(factors, vm)
 	var out []Placement
@@ -171,11 +189,23 @@ func RankPlacements(ctx *Context, factors []Factor, vm *cluster.VM) []Placement 
 
 // BestPlacement returns the highest-probability PM for vm, or nil when no
 // active PM can host it (the caller then boots a machine or queues the
-// request). It is a single argmax pass over the arrival column — no
-// candidate slice, no sort — with ties broken toward the lower PM ID (the
-// datacenter lists PMs in ID order), matching RankPlacements' first entry.
+// request), with ties broken toward the lower PM ID — RankPlacements'
+// first entry, without the candidate slice or the sort.
 func BestPlacement(ctx *Context, factors []Factor, vm *cluster.VM) *cluster.PM {
+	return BestPlacementWith(ctx, factors, vm, MatrixOptions{})
+}
+
+// BestPlacementWith is BestPlacement with explicit matrix options. The
+// argmax follows the factor list like the consolidation engine: a
+// Canonical list is answered by the candidate index over score groups
+// (bit-identical to the column scan by construction), any other list by a
+// single pass over the arrival column (the datacenter lists PMs in ID
+// order, so strict improvement keeps the lower ID).
+func BestPlacementWith(ctx *Context, factors []Factor, vm *cluster.VM, opts MatrixOptions) *cluster.PM {
 	defer ctx.Obs.Phase("arrival_place").Time()()
+	if Canonical(factors) {
+		return ctx.candidatesWith(opts.Workers).bestArrival(vm, opts.CandidateK)
+	}
 	col := ctx.arrivalColumn(factors, vm)
 	var best *cluster.PM
 	bestP := 0.0

@@ -8,11 +8,12 @@ import (
 
 // This file is the in-run parallelism layer behind MatrixOptions.Workers:
 // a process-wide goroutine budget shared with the replication-sweep runner
-// (exp.RunSweep) plus the span scheduler the matrix kernels fan out on.
+// (exp.RunSweep) plus the span scheduler the candidate index's kernels fan
+// out on (the dense Matrix is strictly serial).
 //
 // Determinism contract (DESIGN.md §15): every parallel kernel in this
-// package is a pure fan-out over independent units — matrix rows, columns,
-// or PM shards — whose per-unit computation reads only shared immutable
+// package is a pure fan-out over independent units — columns or PM shards
+// — whose per-unit computation reads only shared immutable
 // state (prewarmed memos) and writes only unit-indexed slots or
 // worker-private scratch. Order-sensitive merges (the candidate index's
 // stale-PM sweep) use fixed contiguous spans with one result slot per

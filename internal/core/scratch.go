@@ -26,7 +26,7 @@ type frameScratch struct {
 	rowClass []int32
 	colShape []int32
 	shapes   []int32
-	vir      []float64 // raw backing of the aligned vir slab (see alignedFloats)
+	vir      []float64
 	hosted   colLists
 	hostP    []float64
 	trk      colTrackers
@@ -39,39 +39,11 @@ type frameScratch struct {
 	prows   [][]float64
 	pending []int
 	cols    []int
-	rs      rowScratch
 
 	// Sparse: the per-column Apply stamps and the reverse indices.
 	colSeq  []uint64
 	best    colLists
 	byShape colLists
-}
-
-// rowScratch holds the slab row fill's aligned working slabs. Every
-// concurrent row filler owns one; the serial fill and recomputeRow reuse
-// the matrix's.
-type rowScratch struct {
-	// Raw backings for the aligned views (alignedFloats): effZRaw holds
-	// the per-demand-shape efficiency memo, effColRaw its per-column
-	// expansion.
-	effZRaw   []float64
-	effColRaw []float64
-}
-
-// shapeSlab returns the aligned per-demand-shape slab sized for d shapes.
-// Contents are unspecified; fillRowSlab writes every entry it reads.
-func (rs *rowScratch) shapeSlab(d int) []float64 {
-	var v []float64
-	rs.effZRaw, v = alignedFloats(rs.effZRaw, d)
-	return v
-}
-
-// colSlab returns the aligned per-column slab sized for n columns.
-// Contents are unspecified; fillRowSlab writes every entry.
-func (rs *rowScratch) colSlab(n int) []float64 {
-	var v []float64
-	rs.effColRaw, v = alignedFloats(rs.effColRaw, n)
-	return v
 }
 
 // takeScratch detaches the Context's frame scratch (allocating one on

@@ -6,9 +6,9 @@ import (
 	"repro/internal/cluster"
 )
 
-// SparseMatrix is the candidate-set consolidation engine behind
-// MatrixOptions.CandidateK: it maintains the same per-column trackers as
-// the dense Matrix — current-placement normalizer, best alternative row,
+// SparseMatrix is the candidate-set consolidation engine, the one every
+// Canonical factor list runs on: it maintains the same per-column trackers
+// as the dense Matrix — current-placement normalizer, best alternative row,
 // best gain — but derives them from the Context's candidate index
 // (candidates.go) instead of a materialized M x N probability matrix.
 // Column scans touch one score group per distinct (class, level,
@@ -46,12 +46,12 @@ type SparseMatrix struct {
 }
 
 // NewSparseMatrix builds the sparse engine over the data center's active
-// PMs and the given VMs. It requires the canonical default factor program
-// (canonicalDefault — anything else errors, the consolidation entry point
-// falls back to dense before getting here); the same VM-set preconditions
-// as NewMatrixWith apply (no duplicates, every VM hosted on an active PM).
+// PMs and the given VMs. It requires a Canonical factor list (anything
+// else errors; ConsolidateWith sends those to the dense Matrix before
+// getting here); the same VM-set preconditions as NewMatrixWith apply (no
+// duplicates, every VM hosted on an active PM).
 func NewSparseMatrix(ctx *Context, factors []Factor, vms []*cluster.VM, opts MatrixOptions) (*SparseMatrix, error) {
-	if !canonicalDefault(factors) {
+	if !Canonical(factors) {
 		return nil, fmt.Errorf("core: sparse matrix requires the canonical default factors")
 	}
 	var f frame
@@ -78,7 +78,7 @@ func NewSparseMatrix(ctx *Context, factors []Factor, vms []*cluster.VM, opts Mat
 	for c := nc - 1; c >= 0; c-- {
 		sm.bestRow[c] = -1
 		sm.byShape.push(int(sm.colShape[c]), c)
-		if sm.shapeOf(c).nonEmpty > opts.CandidateK {
+		if opts.CandidateK > 0 && sm.shapeOf(c).nonEmpty > opts.CandidateK {
 			overflow++
 		}
 	}
@@ -198,7 +198,7 @@ func (sm *SparseMatrix) groupCandidate(g *candGroup, c int) (cand int32, p float
 		}
 		cand = m[1]
 	}
-	return cand, g.value(sm.vir[int(g.key.ci)*sm.virStride+c])
+	return cand, g.value(sm.vir[int(g.key.ci)*len(sm.vms)+c])
 }
 
 // setBest installs a freshly computed (bestRow, bestP) pair and the
@@ -405,7 +405,6 @@ func (sm *SparseMatrix) DiffSparse(o *SparseMatrix) error { return sm.diffTracke
 func (sm *SparseMatrix) verifyDense() error {
 	opts := sm.opts
 	opts.SelfAudit = false
-	opts.CandidateK = 0
 	fresh, err := NewMatrixWith(sm.ctx, sm.factors, sm.vms, opts)
 	if err != nil {
 		return fmt.Errorf("core: dense rebuild failed: %w", err)
@@ -428,7 +427,7 @@ func (sm *SparseMatrix) ColumnShortlist(c, k int) []Placement {
 	var out []Placement
 	for gi := range sh.groups {
 		g := &sh.groups[gi]
-		p := g.value(sm.vir[int(g.key.ci)*sm.virStride+c])
+		p := g.value(sm.vir[int(g.key.ci)*len(sm.vms)+c])
 		if p <= 0 {
 			continue
 		}
@@ -457,25 +456,13 @@ func (sm *SparseMatrix) alternatives(c, k int) []Placement {
 	return out
 }
 
-// BestPlacementWith is BestPlacement with explicit matrix options: with
-// CandidateK > 0 and the canonical factor program the argmax comes from
-// the candidate index (bit-identical to the dense scan by construction);
-// anything else falls through to the dense path.
-func BestPlacementWith(ctx *Context, factors []Factor, vm *cluster.VM, opts MatrixOptions) *cluster.PM {
-	if opts.CandidateK > 0 && canonicalDefault(factors) {
-		defer ctx.Obs.Phase("arrival_place").Time()()
-		return ctx.candidatesWith(opts.Workers).bestArrival(vm, opts.CandidateK)
-	}
-	return BestPlacement(ctx, factors, vm)
-}
-
 // ArrivalShortlist returns the sparse top-k shortlist for placing vm —
 // RankPlacements' exact ordering truncated to k — and ok = true when the
 // candidate index covers the factor program. Callers outside the tests
 // want BestPlacementWith; this exists so the shortlist-containment
 // property is checkable from outside the package.
 func ArrivalShortlist(ctx *Context, factors []Factor, vm *cluster.VM, k int) ([]Placement, bool) {
-	if !canonicalDefault(factors) {
+	if !Canonical(factors) {
 		return nil, false
 	}
 	return ctx.candidates().shortlist(nil, vm, k), true

@@ -66,31 +66,26 @@ func TestSparseMatrixMatchesDenseAfterRandomApplies(t *testing.T) {
 
 // TestSparseConsolidateMatchesDense proves Algorithm 1 emits an identical
 // move sequence (VM, endpoints, bit-identical gains, rounds) through the
-// sparse candidate engine and the dense kernel, across several fleet
+// sparse candidate engine (what ConsolidateWith runs for the default
+// factors) and a dense Matrix built by constructor, across several fleet
 // seeds.
 func TestSparseConsolidateMatchesDense(t *testing.T) {
 	params := Params{MIGThreshold: 1.05, MIGRound: 50}
 	anyMoves := false
 	for _, seed := range []int64{3, 7, 11, 19, 23} {
-		ctxDense, _ := tableIIState(t, 100, 260, seed)
-		ctxSparse, _ := tableIIState(t, 100, 260, seed)
+		ctxDense, _ := spreadState(t, 100, 260, seed)
+		ctxSparse, _ := spreadState(t, 100, 260, seed)
 
-		dense, err := ConsolidateWith(ctxDense, DefaultFactors(), params, MatrixOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		dense := denseConsolidate(t, ctxDense, DefaultFactors(), params, MatrixOptions{})
 		sparse, err := ConsolidateWith(ctxSparse, DefaultFactors(), params, MatrixOptions{CandidateK: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(dense) != len(sparse) {
-			t.Fatalf("seed %d: move counts differ: dense %d != sparse %d", seed, len(dense), len(sparse))
+		if ctxSparse.cand == nil || ctxDense.cand != nil {
+			t.Fatalf("seed %d: candidate index built: sparse side %t, dense side %t, want true, false",
+				seed, ctxSparse.cand != nil, ctxDense.cand != nil)
 		}
-		for i := range dense {
-			if dense[i] != sparse[i] {
-				t.Fatalf("seed %d move %d: dense %+v != sparse %+v", seed, i, dense[i], sparse[i])
-			}
-		}
+		assertMovesEqual(t, dense, sparse)
 		anyMoves = anyMoves || len(dense) > 0
 		if err := ctxSparse.DC.CheckInvariants(); err != nil {
 			t.Error(err)
@@ -137,10 +132,11 @@ func TestSparseConsolidateZeroCurrentProbability(t *testing.T) {
 	}
 }
 
-// TestSparseArrivalMatchesDense checks BestPlacementWith: with CandidateK
-// set, the candidate-index argmax must return the exact PM the dense scan
-// picks, for unhosted arrivals and for hosted VMs (whose overhead rule
-// differs), across shapes and fleet seeds.
+// TestSparseArrivalMatchesDense checks BestPlacementWith: the
+// candidate-index argmax must return the exact PM that heads the
+// cell-by-cell column ranking (RankPlacements), for unhosted arrivals and
+// for hosted VMs (whose overhead rule differs), across shapes and fleet
+// seeds, with and without a declared CandidateK.
 func TestSparseArrivalMatchesDense(t *testing.T) {
 	factors := DefaultFactors()
 	shapes := []vector.V{
@@ -152,7 +148,7 @@ func TestSparseArrivalMatchesDense(t *testing.T) {
 		for _, demand := range shapes {
 			id++
 			arrival := cluster.NewVM(id, demand, 5400, 5400, ctx.Now)
-			dense := BestPlacement(ctx, factors, arrival)
+			dense := rankedHead(ctx, factors, arrival)
 			sparse := BestPlacementWith(ctx, factors, arrival, MatrixOptions{CandidateK: 64})
 			if dense != sparse {
 				t.Fatalf("seed %d shape %v: dense %v != sparse %v", seed, demand, pmID(dense), pmID(sparse))
@@ -161,16 +157,25 @@ func TestSparseArrivalMatchesDense(t *testing.T) {
 		// A hosted VM pays creation + migration overhead on the target;
 		// re-placing an existing running VM exercises that branch.
 		hosted := vms[len(vms)/2]
-		dense := BestPlacement(ctx, factors, hosted)
+		dense := rankedHead(ctx, factors, hosted)
 		sparse := BestPlacementWith(ctx, factors, hosted, MatrixOptions{CandidateK: 64})
 		if dense != sparse {
 			t.Fatalf("seed %d hosted VM %d: dense %v != sparse %v", seed, hosted.ID, pmID(dense), pmID(sparse))
 		}
-		// CandidateK == 0 must leave the dense path in charge.
-		if got := BestPlacementWith(ctx, factors, hosted, MatrixOptions{}); got != dense {
-			t.Fatalf("seed %d: CandidateK=0 diverged from BestPlacement", seed)
+		// CandidateK selects nothing: no declared ceiling, same answer.
+		if got := BestPlacement(ctx, factors, hosted); got != dense {
+			t.Fatalf("seed %d: CandidateK=0 diverged from the column ranking", seed)
 		}
 	}
+}
+
+// rankedHead is the dense side of the arrival differential: the head of
+// the cell-by-cell column ranking, nil when no PM scores above zero.
+func rankedHead(ctx *Context, factors []Factor, vm *cluster.VM) *cluster.PM {
+	if ranked := RankPlacements(ctx, factors, vm); len(ranked) > 0 {
+		return ranked[0].PM
+	}
+	return nil
 }
 
 func pmID(pm *cluster.PM) any {
@@ -220,7 +225,7 @@ func TestSparseShortlistProperty(t *testing.T) {
 					}
 					if len(ranked) > 0 && k > 0 {
 						if best := BestPlacement(ctx, factors, probe); got[0].PM != best {
-							t.Fatalf("%s seed %d k=%d: shortlist head PM%d != dense argmax PM%d",
+							t.Fatalf("%s seed %d k=%d: shortlist head PM%d != arrival argmax PM%d",
 								stage, seed, k, got[0].PM.ID, best.ID)
 						}
 					}
@@ -265,31 +270,59 @@ func TestSparseShortlistProperty(t *testing.T) {
 	}
 }
 
-// TestSparseNonCanonicalFallback pins the fallback contract: any factor
-// program other than the canonical four must route through the dense
-// engine even with CandidateK set, and produce its usual result.
+// TestSparseNonCanonicalFallback pins the one selector: the paper's four
+// factors in canonical order run on the candidate index and the
+// SparseMatrix, every other list — an ablation, an appended factor, opaque
+// user factors, the same four reordered — on the dense Matrix with no index
+// built, and either way the moves equal a dense run built by constructor on
+// a twin fleet.
 func TestSparseNonCanonicalFallback(t *testing.T) {
 	params := Params{MIGThreshold: 1.05, MIGRound: 50}
-	factors := append(DefaultFactors(), offsetFactor{})
-	ctxA, _ := tableIIState(t, 100, 260, 11)
-	ctxB, _ := tableIIState(t, 100, 260, 11)
-	plain, err := ConsolidateWith(ctxA, factors, params, MatrixOptions{})
-	if err != nil {
-		t.Fatal(err)
+	d := DefaultFactors()
+	price := NewPriceFactor([]string{"east", "west"}, "east", FlatPrices(map[string]float64{"east": 1, "west": 0.5}))
+	for pm := cluster.PMID(0); pm < 100; pm += 2 {
+		price.Assign(pm, "west")
 	}
-	viaK, err := ConsolidateWith(ctxB, factors, params, MatrixOptions{CandidateK: 64})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		factors []Factor
+		sparse  bool
+	}{
+		{"canonical", d, true},
+		{"ablation-no-vir", []Factor{d[0], d[2], d[3]}, false},
+		{"default-plus-price", append(DefaultFactors(), price), false},
+		{"opaque", opaqueFactors(d), false},
+		{"reordered", []Factor{d[0], d[2], d[1], d[3]}, false},
 	}
-	if len(plain) != len(viaK) {
-		t.Fatalf("move counts differ: %d != %d", len(plain), len(viaK))
-	}
-	for i := range plain {
-		if plain[i] != viaK[i] {
-			t.Fatalf("move %d: %+v != %+v", i, plain[i], viaK[i])
-		}
-	}
-	if _, ok := ArrivalShortlist(ctxA, factors, cluster.NewVM(9999, vector.New(1, 1), 5400, 0, ctxA.Now), 8); ok {
-		t.Fatal("ArrivalShortlist claimed coverage of a non-canonical factor program")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, _ := spreadState(t, 100, 260, 11)
+			twin, _ := spreadState(t, 100, 260, 11)
+			arrival := cluster.NewVM(9999, vector.New(1, 1), 5400, 0, ctx.Now)
+			if got, want := BestPlacement(ctx, tc.factors, arrival), rankedHead(twin, tc.factors, arrival); pmID(got) != pmID(want) {
+				t.Fatalf("arrival argmax %v, column ranking head %v", pmID(got), pmID(want))
+			}
+			// CandidateK must not pull a non-canonical list onto the index.
+			moves, err := ConsolidateWith(ctx, tc.factors, params, MatrixOptions{CandidateK: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(moves) == 0 {
+				t.Fatal("consolidation produced no moves; the state is too easy to prove anything")
+			}
+			assertMovesEqual(t, denseConsolidate(t, twin, tc.factors, params, MatrixOptions{}), moves)
+
+			// The pooled scratch holds the engine value the pass built.
+			scr := ctx.fscratch
+			if sparse, dense := scr.sparse.ctx != nil, scr.dense.ctx != nil; sparse != tc.sparse || dense == tc.sparse {
+				t.Fatalf("engines built: sparse %t, dense %t; want sparse %t only", sparse, dense, tc.sparse)
+			}
+			if indexed := ctx.cand != nil; indexed != tc.sparse {
+				t.Fatalf("candidate index built = %t, want %t", indexed, tc.sparse)
+			}
+			if _, ok := ArrivalShortlist(ctx, tc.factors, arrival, 8); ok != tc.sparse {
+				t.Fatalf("ArrivalShortlist coverage = %t, want %t", ok, tc.sparse)
+			}
+		})
 	}
 }

@@ -9,8 +9,9 @@ import (
 	"repro/internal/vector"
 )
 
-// Equivalence battery for MatrixOptions.Workers: every kernel the knob
-// parallelizes must produce bit-identical results at any worker count —
+// Equivalence battery for MatrixOptions.Workers: every candidate-index
+// kernel the knob parallelizes (the dense Matrix is serial) must produce
+// bit-identical results at any worker count —
 // fresh builds, incremental trackers after randomized Apply sequences,
 // consolidation move streams, and candidate shortlists. Workers 2 and 7
 // exercise even and odd span splits (7 leaves a ragged tail span); the
@@ -20,62 +21,9 @@ import (
 // against the Workers: 1 reference.
 var workerCounts = []int{2, 7}
 
-// TestKernelWorkersDenseEquivalence builds the dense matrix serially and
-// at each parallel worker count over identical fleets, requires Diff to
-// pass (probabilities, trackers, Best), then drives both through the same
-// randomized Apply sequence re-checking after every move.
-func TestKernelWorkersDenseEquivalence(t *testing.T) {
-	for _, w := range workerCounts {
-		t.Run(fmt.Sprintf("workers%d", w), func(t *testing.T) {
-			ctxS, vmsS := tableIIState(t, 120, 300, 11)
-			ctxP, vmsP := tableIIState(t, 120, 300, 11)
-			serial, err := NewMatrixWith(ctxS, DefaultFactors(), vmsS, MatrixOptions{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := NewMatrixWith(ctxP, DefaultFactors(), vmsP, MatrixOptions{Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := serial.Diff(par); err != nil {
-				t.Fatalf("fresh build with %d workers diverges: %v", w, err)
-			}
-			rng := stats.NewRand(int64(100 + w))
-			applied := 0
-			for step := 0; step < 30; step++ {
-				c := rng.Intn(serial.Cols())
-				var rows []int
-				for r := 0; r < serial.Rows(); r++ {
-					if r != serial.curRow[c] && serial.p[r][c] > 0 {
-						rows = append(rows, r)
-					}
-				}
-				if len(rows) == 0 {
-					continue
-				}
-				r := rows[rng.Intn(len(rows))]
-				if err := serial.Apply(r, c); err != nil {
-					t.Fatal(err)
-				}
-				if err := par.Apply(r, c); err != nil {
-					t.Fatal(err)
-				}
-				applied++
-				if err := serial.Diff(par); err != nil {
-					t.Fatalf("after move %d: %v", applied, err)
-				}
-			}
-			if applied < 10 {
-				t.Fatalf("only %d random moves applied; property barely exercised", applied)
-			}
-		})
-	}
-}
-
-// TestKernelWorkersSparseEquivalence is the sparse-engine counterpart:
-// candidate-index sync, initial column sync, Best argmax, and shortlists
-// must match the serial engine bit for bit at every worker count, before
-// and after a randomized Apply sequence.
+// TestKernelWorkersSparseEquivalence: candidate-index sync, initial column
+// sync, Best argmax, and shortlists must match the serial engine bit for
+// bit at every worker count, before and after a randomized Apply sequence.
 func TestKernelWorkersSparseEquivalence(t *testing.T) {
 	for _, w := range workerCounts {
 		t.Run(fmt.Sprintf("workers%d", w), func(t *testing.T) {
@@ -152,36 +100,36 @@ func TestKernelWorkersSparseEquivalence(t *testing.T) {
 	}
 }
 
-// TestKernelWorkersConsolidateEquivalence runs full Algorithm 1 passes —
-// dense and sparse — at every worker count and requires the move streams
-// (VM, endpoints, bit-identical gains, rounds) to match the serial run.
+// TestKernelWorkersConsolidateEquivalence runs full Algorithm 1 passes on
+// the candidate-set engine at every worker count and requires the move
+// streams (VM, endpoints, bit-identical gains, rounds) to match two
+// references on twin fleets: the serial dense Matrix, built by constructor,
+// and the candidate-set engine at Workers: 1.
 func TestKernelWorkersConsolidateEquivalence(t *testing.T) {
 	params := Params{MIGThreshold: 1.05, MIGRound: 50}
-	for _, k := range []int{0, 16} {
-		engine := map[int]string{0: "dense", 16: "sparse"}[k]
+	for _, engine := range []string{"dense", "sparse"} {
 		anyMoves := false
 		for _, seed := range []int64{3, 7, 11, 19, 23} {
-			ctxRef, _ := tableIIState(t, 100, 260, seed)
-			ref, err := ConsolidateWith(ctxRef, DefaultFactors(), params, MatrixOptions{CandidateK: k, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
+			ctxRef, _ := spreadState(t, 100, 260, seed)
+			var ref []Move
+			if engine == "dense" {
+				ref = denseConsolidate(t, ctxRef, DefaultFactors(), params, MatrixOptions{})
+			} else {
+				var err error
+				ref, err = ConsolidateWith(ctxRef, DefaultFactors(), params, MatrixOptions{CandidateK: 16, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
 			anyMoves = anyMoves || len(ref) > 0
 			for _, w := range workerCounts {
 				t.Run(fmt.Sprintf("%s/seed%d/workers%d", engine, seed, w), func(t *testing.T) {
-					ctx, _ := tableIIState(t, 100, 260, seed)
-					moves, err := ConsolidateWith(ctx, DefaultFactors(), params, MatrixOptions{CandidateK: k, Workers: w})
+					ctx, _ := spreadState(t, 100, 260, seed)
+					moves, err := ConsolidateWith(ctx, DefaultFactors(), params, MatrixOptions{CandidateK: 16, Workers: w})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if len(moves) != len(ref) {
-						t.Fatalf("move counts differ: %d vs serial %d", len(moves), len(ref))
-					}
-					for i := range ref {
-						if moves[i] != ref[i] {
-							t.Fatalf("move %d: %+v vs serial %+v", i, moves[i], ref[i])
-						}
-					}
+					assertMovesEqual(t, ref, moves)
 				})
 			}
 		}
@@ -277,36 +225,12 @@ func TestWorkerBudgetAccounting(t *testing.T) {
 	ReturnWorkers(capacity)
 }
 
-// BenchmarkKernelParallelBuild measures the full matrix build (dense and
-// sparse) across worker counts. Parallel results are asserted identical
-// to the serial build before timing — a benchmark that silently raced
-// would be worse than no benchmark.
+// BenchmarkKernelParallelBuild measures the candidate-set engine's build
+// across worker counts. Parallel results are asserted identical to the
+// serial build before timing — a benchmark that silently raced would be
+// worse than no benchmark.
 func BenchmarkKernelParallelBuild(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("dense/workers%d", w), func(b *testing.B) {
-			ctx, vms := tableIIState(b, 1000, 2000, 7)
-			opts := MatrixOptions{Workers: w}
-			if w > 1 {
-				ref, err := NewMatrixWith(ctx, DefaultFactors(), vms, MatrixOptions{Workers: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				m, err := NewMatrixWith(ctx, DefaultFactors(), vms, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := ref.Diff(m); err != nil {
-					b.Fatalf("parallel build diverges: %v", err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := NewMatrixWith(ctx, DefaultFactors(), vms, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(fmt.Sprintf("sparse/workers%d", w), func(b *testing.B) {
 			ctx, vms := tableIIState(b, 1000, 2000, 7)
 			opts := MatrixOptions{CandidateK: 64, Workers: w}

@@ -55,12 +55,6 @@ type Options struct {
 	// WeekTrace.
 	TraceGen func(seed int64) []workload.Request
 
-	// CandidateK, when positive, runs the dynamic scheme through the
-	// sparse candidate-set engine (core.MatrixOptions.CandidateK): top-K
-	// score-group placement, bit-identical to the dense kernel. Static
-	// schemes ignore it.
-	CandidateK int
-
 	// KernelWorkers bounds the goroutines the dynamic scheme's placement
 	// kernels fan out on inside each run (sim.Config.KernelWorkers /
 	// core.MatrixOptions.Workers). Zero auto-sizes against the
@@ -133,9 +127,6 @@ func runPlacer(placer policy.Placer, wantSpare bool, reqs []workload.Request, op
 	fleet := opts.Fleet
 	if fleet == nil {
 		fleet = cluster.TableIIFleet
-	}
-	if d, ok := policy.DynamicOf(placer); ok && opts.CandidateK > 0 {
-		d.Opts.CandidateK = opts.CandidateK
 	}
 	cfg := sim.Config{
 		DC:            fleet(),

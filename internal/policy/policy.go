@@ -411,13 +411,11 @@ func (d *Dynamic) Consolidate(ctx *core.Context) ([]core.Move, error) {
 }
 
 // Alternatives implements Policy: the arrival column's ranked joint
-// probabilities (the sparse shortlist when the candidate index covers
-// the factor program, the dense ranking otherwise), truncated to k.
+// probabilities (the candidate index's shortlist when it covers the
+// factor list, the cell-by-cell ranking otherwise), truncated to k.
 func (d *Dynamic) Alternatives(ctx *core.Context, vm *cluster.VM, k int) []core.Placement {
-	if d.Opts.CandidateK > 0 {
-		if out, ok := core.ArrivalShortlist(ctx, d.factors(), vm, k); ok {
-			return out
-		}
+	if out, ok := core.ArrivalShortlist(ctx, d.factors(), vm, k); ok {
+		return out
 	}
 	return truncate(core.RankPlacements(ctx, d.factors(), vm), k)
 }

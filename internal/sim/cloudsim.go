@@ -89,8 +89,8 @@ type Config struct {
 	CheckInvariants bool
 
 	// KernelWorkers bounds the goroutines the placement kernels fan out
-	// on inside a run (core.MatrixOptions.Workers): matrix builds, the
-	// sparse candidate sync, and consolidation argmax scans. Zero keeps
+	// on inside a run (core.MatrixOptions.Workers): the candidate-index
+	// sync and the sparse engine's initial column scans. Zero keeps
 	// the placer's own setting (which itself defaults to auto-sizing
 	// against the process-wide budget); one forces the strictly serial
 	// path; higher values are honored verbatim. Results are bit-identical
@@ -540,9 +540,11 @@ func (s *simulator) finish() (*Result, error) {
 }
 
 // setupAudit registers the invariant checks matching the run's
-// configuration. In Event mode with the dynamic scheme the matrix
-// self-audit is also switched on, so every consolidation Apply verifies
-// its incremental trackers against a cold rebuild.
+// configuration. A dynamic scheme gets the dense-vs-oracle TrackerCheck,
+// plus the sparse-vs-dense SparseCheck when its factor list is the one the
+// candidate index evaluates. In Event mode the matrix self-audit is also
+// switched on, so every consolidation Apply verifies its incremental
+// trackers against a cold dense rebuild.
 func (s *simulator) setupAudit() {
 	if s.cfg.Audit == audit.Off {
 		return
@@ -564,8 +566,8 @@ func (s *simulator) setupAudit() {
 	}
 	if d, ok := policy.DynamicOf(s.cfg.Placer); ok {
 		s.aud.Register(audit.TrackerCheck(s.pctx, d.FactorSet()))
-		if d.Opts.CandidateK > 0 {
-			s.aud.Register(audit.SparseCheck(s.pctx, d.FactorSet(), d.Opts.CandidateK))
+		if core.Canonical(d.FactorSet()) {
+			s.aud.Register(audit.SparseCheck(s.pctx, d.FactorSet()))
 		}
 		if s.cfg.Audit == audit.Event {
 			d.Opts.SelfAudit = true
