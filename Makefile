@@ -2,7 +2,7 @@ GO ?= go
 
 FUZZTIME ?= 10s
 
-.PHONY: test check vet race audit fuzz-smoke bench-smoke bench-paper bench-ab profile
+.PHONY: test check vet race audit fuzz-smoke bench-smoke bench-ab profile
 
 test:
 	$(GO) test ./...
@@ -53,10 +53,6 @@ bench-smoke:
 ## race detector at explicit worker counts), the full-trace audit run, a
 ## fuzz smoke test, and a one-iteration pass over the kernel benchmarks.
 check: vet race audit fuzz-smoke bench-smoke
-
-## bench-paper: one benchmark per paper table/figure (root bench_test.go).
-bench-paper:
-	$(GO) test . -run '^$$' -bench . -benchmem
 
 ## bench-ab: the end-to-end benchmark, this tree against another commit,
 ## by the alternating-pairs procedure of bench/README.md: BASE is checked

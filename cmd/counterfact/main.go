@@ -26,7 +26,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -35,12 +34,12 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
+	"repro/internal/exp"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/spare"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -124,60 +123,29 @@ func run(args []string, out io.Writer) error {
 		rp.Override = ov
 	}
 
-	var jobs []workload.Job
-	if *swfPath != "" {
-		sf, err := os.Open(*swfPath)
-		if err != nil {
-			return err
-		}
-		jobs, err = workload.ParseSWF(sf)
-		sf.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		jobs = workload.MustGenerate(workload.DefaultWeekConfig(*seed))
+	_, reqs, err := exp.Workload(*swfPath, *seed, *jobCount)
+	if err != nil {
+		return err
 	}
-	jobs = workload.Filter(jobs, workload.DefaultFilter())
-	workload.SortBySubmit(jobs)
-	if *jobCount > 0 && *jobCount < len(jobs) {
-		jobs = jobs[:*jobCount]
-	}
-	reqs := workload.ToRequests(jobs)
-
-	var dc *cluster.Datacenter
-	if *nodes == 100 {
-		dc = cluster.TableIIFleet()
-	} else {
-		dc = cluster.TableIIFleetScaled(*nodes)
-	}
-	cfg := sim.Config{DC: dc, Placer: rp, Requests: reqs, TimedMigrations: *timed, WarmStart: *warm, Cells: *cells, KernelWorkers: *kernelW}
+	cfg := sim.Config{DC: cluster.TableIIFleetScaled(*nodes), Placer: rp, Requests: reqs, TimedMigrations: *timed, WarmStart: *warm, Cells: *cells, KernelWorkers: *kernelW}
 	if *useSpare {
 		sc := spare.DefaultConfig()
 		cfg.Spare = &sc
 	}
-	var traceFile *os.File
-	var traceBuf *bufio.Writer
+	var trace *obs.TraceFile
 	if *tracePath != "" {
-		tf, err := os.Create(*tracePath)
-		if err != nil {
+		if trace, err = obs.CreateTrace(*tracePath); err != nil {
 			return err
 		}
-		traceFile = tf
-		traceBuf = bufio.NewWriterSize(tf, 1<<16)
 		cfg.Obs = obs.New()
-		cfg.Obs.Trace = obs.NewTracer(traceBuf)
+		cfg.Obs.Trace = trace.Tracer
 	}
 
-	res, err := replaySim(cfg)
-	if traceFile != nil {
-		if ferr := traceBuf.Flush(); ferr != nil && err == nil {
-			err = ferr
-		}
-		if terr := cfg.Obs.Trace.Err(); terr != nil && err == nil {
-			err = terr
-		}
-		if cerr := traceFile.Close(); cerr != nil && err == nil {
+	// No checkpoint hooks: a counterfactual is always a fresh full run
+	// over the log.
+	res, err := sim.Run(cfg)
+	if trace != nil {
+		if cerr := trace.Close(); err == nil {
 			err = cerr
 		}
 	}
@@ -208,25 +176,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out, "replay: faithful (every decision matched the log)")
 	}
 	return nil
-}
-
-// replaySim drives the replay to completion (no checkpoint hooks: a
-// counterfactual is always a fresh full run over the log).
-func replaySim(cfg sim.Config) (*sim.Result, error) {
-	m, err := sim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		ok, err := m.Step()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-	}
-	return m.Finish()
 }
 
 // listPlacements prints the recorded placement decisions in -what-if

@@ -67,12 +67,12 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/cluster"
+	"repro/internal/exp"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/spare"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -174,35 +174,13 @@ func run(args []string, out io.Writer) error {
 		}()
 	}
 
-	var jobs []workload.Job
-	if *swfPath != "" {
-		f, err := os.Open(*swfPath)
-		if err != nil {
-			return err
-		}
-		jobs, err = workload.ParseSWF(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		jobs = workload.MustGenerate(workload.DefaultWeekConfig(*seed))
+	jobs, reqs, err := exp.Workload(*swfPath, *seed, *jobCount)
+	if err != nil {
+		return err
 	}
-	jobs = workload.Filter(jobs, workload.DefaultFilter())
-	workload.SortBySubmit(jobs)
-	if *jobCount > 0 && *jobCount < len(jobs) {
-		jobs = jobs[:*jobCount]
-	}
-	reqs := workload.ToRequests(jobs)
 	fmt.Fprintf(out, "workload: %d jobs -> %d single-core VM requests\n", len(jobs), len(reqs))
 
-	var dc *cluster.Datacenter
-	if *nodes == 100 {
-		dc = cluster.TableIIFleet()
-	} else {
-		dc = cluster.TableIIFleetScaled(*nodes)
-	}
-	cfg := sim.Config{DC: dc, Placer: placer, Requests: reqs, TimedMigrations: *timed, WarmStart: *warm, Cells: *cells, KernelWorkers: *kernelW}
+	cfg := sim.Config{DC: cluster.TableIIFleetScaled(*nodes), Placer: placer, Requests: reqs, TimedMigrations: *timed, WarmStart: *warm, Cells: *cells, KernelWorkers: *kernelW}
 	cfg.Audit, err = audit.ParseMode(*auditMode)
 	if err != nil {
 		return err
@@ -211,61 +189,39 @@ func run(args []string, out io.Writer) error {
 		sc := spare.DefaultConfig()
 		cfg.Spare = &sc
 	}
-	var traceFile *os.File
-	var traceBuf *bufio.Writer
+	// The sinks are closed even after a failed or stopped run: a trace or
+	// decision log that ends at an audit violation or a checkpoint is
+	// exactly what you want to inspect (and what counterfact resumes from).
+	var sinks []*obs.TraceFile
+	sink := func(path string) (*obs.Tracer, error) {
+		if path == "" {
+			return nil, nil
+		}
+		tf, err := obs.CreateTrace(path)
+		if err != nil {
+			return nil, err
+		}
+		sinks = append(sinks, tf)
+		return tf.Tracer, nil
+	}
 	if *tracePath != "" || *metrPath != "" || *decPath != "" {
 		cfg.Obs = obs.New()
-		if *tracePath != "" {
-			f, err := os.Create(*tracePath)
-			if err != nil {
-				return err
-			}
-			traceFile = f
-			traceBuf = bufio.NewWriterSize(f, 1<<16)
-			cfg.Obs.Trace = obs.NewTracer(traceBuf)
-		}
-	}
-	var decFile *os.File
-	var decBuf *bufio.Writer
-	if *decPath != "" {
-		f, err := os.Create(*decPath)
-		if err != nil {
+		if cfg.Obs.Trace, err = sink(*tracePath); err != nil {
 			return err
 		}
-		decFile = f
-		decBuf = bufio.NewWriterSize(f, 1<<16)
-		cfg.Obs.Decisions = obs.NewTracer(decBuf)
+		if cfg.Obs.Decisions, err = sink(*decPath); err != nil {
+			return err
+		}
+	}
+	if *decPath != "" {
 		// Recording wraps the configured policy; the decision stream has
 		// its own logical clock, so the run trace stays byte-identical to
 		// an unrecorded run (TestTraceEquivalence pins this).
 		cfg.Placer = policy.NewRecorder(placer.(policy.Policy), 0)
 	}
 	res, stopped, err := runSim(cfg, out, *resumeArg, *ckptPath, uint64(*ckptEvery), uint64(*stopAfter))
-	if traceFile != nil {
-		// Flush and close even on a failed or stopped run: a trace that
-		// ends at an audit violation or a checkpoint is exactly what you
-		// want to inspect (and resume from).
-		if ferr := traceBuf.Flush(); ferr != nil && err == nil {
-			err = ferr
-		}
-		if terr := cfg.Obs.Trace.Err(); terr != nil && err == nil {
-			err = terr
-		}
-		if cerr := traceFile.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	if decFile != nil {
-		// Same flush-even-on-failure contract as the run trace: a
-		// decision log that ends at a checkpoint is what counterfact
-		// resumes from.
-		if ferr := decBuf.Flush(); ferr != nil && err == nil {
-			err = ferr
-		}
-		if derr := cfg.Obs.Decisions.Err(); derr != nil && err == nil {
-			err = derr
-		}
-		if cerr := decFile.Close(); cerr != nil && err == nil {
+	for _, tf := range sinks {
+		if cerr := tf.Close(); err == nil {
 			err = cerr
 		}
 	}

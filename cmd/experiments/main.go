@@ -14,11 +14,11 @@
 // DIR/<scheme>.metrics.json (counters, histograms, phase timings). Each
 // run gets a private sink even though schemes execute in parallel. The
 // reproduced numbers are recorded in EXPERIMENTS.md alongside the
-// paper's.
+// paper's, and results/ holds the output of the reference run;
+// TestRunFig3CSV fails when the two drift apart.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -90,7 +90,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "running week comparison (seed %d, schemes in parallel) ... ", *seed)
 		start := time.Now()
 		var err error
-		runs, err = exp.ParallelComparison(opts)
+		runs, err = exp.Comparison(opts)
 		if err != nil {
 			if sinks != nil {
 				sinks.finish(nil, io.Discard)
@@ -105,15 +105,8 @@ func run(args []string, out io.Writer) error {
 		}
 		if *outDir != "" {
 			path := filepath.Join(*outDir, "results.json")
-			f, err := os.Create(path)
+			err := writeFile(path, func(w io.Writer) error { return exp.WriteJSON(w, runs) })
 			if err != nil {
-				return err
-			}
-			if err := exp.WriteJSON(f, runs); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "json: %s\n\n", path)
@@ -126,28 +119,12 @@ func run(args []string, out io.Writer) error {
 			return nil
 		}
 		csvPath := filepath.Join(*outDir, name+".csv")
-		f, err := os.Create(csvPath)
-		if err != nil {
-			return err
-		}
-		if err := table.WriteCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(csvPath, table.WriteCSV); err != nil {
 			return err
 		}
 		svgPath := filepath.Join(*outDir, name+".svg")
-		g, err := os.Create(svgPath)
-		if err != nil {
-			return err
-		}
 		chart := &plot.Chart{Title: title, XLabel: table.TimeLabel, YLabel: ylabel, Series: table.Series}
-		if err := chart.WriteSVG(g); err != nil {
-			g.Close()
-			return err
-		}
-		if err := g.Close(); err != nil {
+		if err := writeFile(svgPath, chart.WriteSVG); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "csv: %s   svg: %s\n", csvPath, svgPath)
@@ -209,6 +186,16 @@ func run(args []string, out io.Writer) error {
 
 	if *which == "all" || *which == "ablation" {
 		opts := exp.DefaultOptions(*seed)
+		_, opts.Trace = exp.WeekTrace(*seed)
+		// E-A1e and E-A1g show the headline trio again: -run all has it
+		// in hand already.
+		trio := runs
+		if trio == nil {
+			var err error
+			if trio, err = exp.Comparison(opts); err != nil {
+				return err
+			}
+		}
 
 		fmt.Fprintln(out, "=== E-A1a: factor ablation ===")
 		fruns, err := exp.AblateFactors(opts)
@@ -244,11 +231,12 @@ func run(args []string, out io.Writer) error {
 
 		fmt.Fprintln(out, "=== E-A1e: extended baseline comparison ===")
 		extOpts := opts
-		extOpts.Schemes = []string{"first-fit", "best-fit", "worst-fit", "random", "threshold", "dynamic"}
-		eruns, err := exp.ParallelComparison(extOpts)
+		extOpts.Schemes = []string{"worst-fit", "random", "threshold"}
+		extra, err := exp.Comparison(extOpts)
 		if err != nil {
 			return err
 		}
+		eruns := []*exp.SchemeRun{trio[0], trio[1], extra[0], extra[1], extra[2], trio[2]}
 		fmt.Fprint(out, exp.AblationReport("all implemented schemes (threshold = watermark baseline a la [21]):", eruns))
 		fmt.Fprintln(out)
 
@@ -261,13 +249,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out)
 
 		fmt.Fprintln(out, "=== E-A1g: offline packing oracle (FFD floor) ===")
-		_, reqs := exp.WeekTrace(*seed)
-		oracle := exp.OracleSeries(reqs, nil)
-		oruns, err := exp.ParallelComparison(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, exp.OracleReport(oruns, oracle))
+		fmt.Fprint(out, exp.OracleReport(trio, exp.OracleSeries(opts.Trace, nil)))
 	}
 
 	if *which == "google" {
@@ -292,6 +274,19 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
+// writeFile creates the file at path, lets write fill it, and closes it.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // obsSinks hands each comparison run a private Observer whose trace
 // streams to DIR/<scheme>.trace.jsonl. The harness runs schemes in
 // parallel, so observer() must be safe for concurrent calls and every
@@ -300,33 +295,32 @@ func run(args []string, out io.Writer) error {
 type obsSinks struct {
 	dir string
 
-	mu    sync.Mutex
-	files map[string]*os.File
-	bufs  map[string]*bufio.Writer
-	err   error
+	mu     sync.Mutex
+	traces []*obs.TraceFile
+	err    error
 }
 
 func newObsSinks(dir string) (*obsSinks, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &obsSinks{dir: dir, files: map[string]*os.File{}, bufs: map[string]*bufio.Writer{}}, nil
+	return &obsSinks{dir: dir}, nil
 }
 
-func (s *obsSinks) observer(scheme string) *obs.Observer {
+func (s *obsSinks) observer(scheme string, _ int64) *obs.Observer {
+	o := obs.New()
+	tf, err := obs.CreateTrace(filepath.Join(s.dir, scheme+".trace.jsonl"))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, err := os.Create(filepath.Join(s.dir, scheme+".trace.jsonl"))
 	if err != nil {
 		if s.err == nil {
 			s.err = err
 		}
-		return obs.New() // metrics-only fallback; the failure surfaces in finish
+		return o // metrics-only fallback; the failure surfaces in finish
 	}
-	w := bufio.NewWriterSize(f, 1<<16)
-	s.files[scheme] = f
-	s.bufs[scheme] = w
-	return obs.NewTracing(w)
+	s.traces = append(s.traces, tf)
+	o.Trace = tf.Tracer
+	return o
 }
 
 // finish flushes and closes every trace and writes each run's metrics
@@ -336,34 +330,18 @@ func (s *obsSinks) finish(runs []*exp.SchemeRun, out io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	err := s.err
-	for scheme, w := range s.bufs {
-		if ferr := w.Flush(); ferr != nil && err == nil {
-			err = ferr
-		}
-		if cerr := s.files[scheme].Close(); cerr != nil && err == nil {
+	for _, tf := range s.traces {
+		if cerr := tf.Close(); err == nil {
 			err = cerr
 		}
 	}
 	for _, r := range runs {
-		if r.Obs == nil || r.Obs.Reg == nil {
+		if r.Obs == nil {
 			continue
-		}
-		if terr := r.Obs.Trace.Err(); terr != nil && err == nil {
-			err = terr
 		}
 		path := filepath.Join(s.dir, r.Scheme+".metrics.json")
-		f, ferr := os.Create(path)
-		if ferr != nil {
-			if err == nil {
-				err = ferr
-			}
-			continue
-		}
-		if werr := r.Obs.Reg.WriteJSON(f); werr != nil && err == nil {
+		if werr := writeFile(path, r.Obs.Reg.WriteJSON); err == nil {
 			err = werr
-		}
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
 		}
 		fmt.Fprintf(out, "obs: %-10s trace=%s metrics=%s\n",
 			r.Scheme, filepath.Join(s.dir, r.Scheme+".trace.jsonl"), path)

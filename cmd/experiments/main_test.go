@@ -42,8 +42,8 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
-// TestRunFig3CSV runs the full week comparison once; it is the package's
-// heavyweight integration test (~5 s).
+// TestRunFig3CSV runs the full week comparison once (~1 s) and holds its
+// figure against the published one.
 func TestRunFig3CSV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full week comparison skipped in -short mode")
@@ -64,6 +64,16 @@ func TestRunFig3CSV(t *testing.T) {
 	lines := strings.Count(string(data), "\n")
 	if lines != 169 { // header + 168 hours
 		t.Errorf("csv rows = %d, want 169", lines)
+	}
+	// results/ is the reference run EXPERIMENTS.md quotes. A change that
+	// moves the figure on purpose regenerates both (see EXPERIMENTS.md);
+	// anything else must leave it byte for byte.
+	blessed, err := os.ReadFile("../../results/fig3_hourly_active_servers.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != string(blessed) {
+		t.Error("fig3 CSV differs from results/fig3_hourly_active_servers.csv: results/ is stale or the week comparison changed")
 	}
 }
 

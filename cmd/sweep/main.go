@@ -1,10 +1,10 @@
 // Command sweep runs a replication sweep: the full scheme x seed cross
-// product, each (scheme, seed) pair one independent simulation, scheduled
-// across a work-stealing worker pool (exp.RunSweep) and merged into a
-// deterministic report. One seed is one sample — policy comparisons only
-// mean something across replications, and this command is the batch tool
-// that produces them: per-scheme mean/stddev/min/max of the week energy,
-// active-server, migration, and queueing metrics.
+// product, each (scheme, seed) pair one independent simulation, run on a
+// bounded set of workers (exp.RunSweep) and merged into a deterministic
+// report. One seed is one sample — policy comparisons only mean something
+// across replications, and this command is the batch tool that produces
+// them: per-scheme mean/stddev/min/max of the week energy, active-server,
+// migration, and queueing metrics.
 //
 // Usage:
 //
@@ -13,13 +13,13 @@
 //	      [-kernel-workers W] [-tournament]
 //	      [-o report.json] [-cpuprofile cpu.out] [-memprofile mem.out] [-v]
 //
-// Each seed generates its own synthetic week (the Figure 2 calibration),
-// shared read-only by every scheme replaying it; -jobs truncates each week
-// to its first N jobs for quick sweeps. -workers bounds the concurrent
-// runs (default GOMAXPROCS; must be positive); the merged report — and
-// therefore the -o JSON — is byte-identical for every worker count, so a
-// sweep's output can be compared across machines regardless of their core
-// counts. -cells C partitions every run's fleet into C cells advanced by
+// Each seed generates its own synthetic week (the Figure 2 calibration,
+// loaded by exp.Workload as dvmpsim loads it), shared read-only by every
+// scheme replaying it; -jobs truncates each week to its first N jobs for
+// quick sweeps. -workers bounds the concurrent runs (default GOMAXPROCS;
+// must be positive); the merged report — and therefore the -o JSON — is
+// byte-identical for every worker count, so a sweep's output can be
+// compared across machines regardless of their core counts. -cells C partitions every run's fleet into C cells advanced by
 // the shared-clock orchestrator (see README "Multi-cell runs"); results are
 // bit-identical to -cells 1, so the report JSON is byte-identical across
 // cell counts.
@@ -127,7 +127,7 @@ func run(args []string, out io.Writer) error {
 		if *tournament {
 			effective = exp.DefaultTournamentPolicies()
 		} else {
-			effective = []string{"first-fit", "best-fit", "dynamic"}
+			effective = exp.DefaultOptions(0).Schemes
 		}
 	}
 	anyDyn := false
@@ -175,22 +175,21 @@ func run(args []string, out io.Writer) error {
 			SpareForDynamic: *useSpare,
 			Cells:           *cells,
 			KernelWorkers:   *kernelW,
-			TraceGen:        traceGen(*jobCount),
+			Fleet:           func() *cluster.Datacenter { return cluster.TableIIFleetScaled(*nodes) },
+			TraceGen: func(seed int64) []workload.Request {
+				_, reqs, _ := exp.Workload("", seed, *jobCount) // only reading a file can fail
+				return reqs
+			},
 		},
 		Schemes: schemes,
 		Seeds:   seeds,
 		Workers: *workers,
-	}
-	if *nodes != 100 {
-		n := *nodes
-		opts.Base.Fleet = func() *cluster.Datacenter { return cluster.TableIIFleetScaled(n) }
 	}
 
 	if *tournament {
 		return runTournament(opts, schemes, *workers, *outPath, out)
 	}
 
-	effWorkers := *workers
 	start := time.Now()
 	report, err := exp.RunSweep(opts)
 	if err != nil {
@@ -199,7 +198,7 @@ func run(args []string, out io.Writer) error {
 	elapsed := time.Since(start)
 
 	fmt.Fprintf(out, "sweep: %d runs (%d schemes x %d seeds) on %d workers in %.2fs (%.2f runs/sec)\n\n",
-		len(report.Runs), len(report.Schemes), len(report.Seeds), effWorkers,
+		len(report.Runs), len(report.Schemes), len(report.Seeds), *workers,
 		elapsed.Seconds(), float64(len(report.Runs))/elapsed.Seconds())
 	if *verbose {
 		fmt.Fprintf(out, "%-12s %6s %12s %9s %11s %7s %8s\n",
@@ -221,21 +220,28 @@ func run(args []string, out io.Writer) error {
 			a.MeanActivePMs.Mean, a.Migrations.Mean, a.QueuedFraction.Mean*100)
 	}
 
-	if *outPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		if *outPath == "-" {
-			_, err := out.Write(data)
-			return err
-		}
-		if err := os.WriteFile(*outPath, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nwrote %s\n", *outPath)
+	return writeReport(report, *outPath, out)
+}
+
+// writeReport serves -o: the report as indented JSON, to the file at
+// path or to out for "-"; nothing for an empty path.
+func writeReport(report any, path string, out io.Writer) error {
+	if path == "" {
+		return nil
 	}
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	if path == "-" {
+		_, err := out.Write(data)
+		return err
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "\nwrote %s\n", path)
 	return nil
 }
 
@@ -268,34 +274,7 @@ func runTournament(opts exp.SweepOptions, schemes []string, workers int, outPath
 			s.MigrationsMean, s.MigrationRank)
 	}
 
-	if outPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		if outPath == "-" {
-			_, err := out.Write(data)
-			return err
-		}
-		if err := os.WriteFile(outPath, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nwrote %s\n", outPath)
-	}
-	return nil
-}
-
-// traceGen builds the per-seed workload generator: the synthetic week,
-// optionally truncated to its first n jobs (matching dvmpsim's -jobs).
-func traceGen(n int) func(seed int64) []workload.Request {
-	return func(seed int64) []workload.Request {
-		jobs, reqs := exp.WeekTrace(seed)
-		if n <= 0 || n >= len(jobs) {
-			return reqs
-		}
-		return workload.ToRequests(jobs[:n])
-	}
+	return writeReport(report, outPath, out)
 }
 
 // parseSchemes splits the -schemes list, rejecting empty entries: a stray

@@ -240,7 +240,7 @@ func SparseCheck(ctx *core.Context, factors []core.Factor) Check {
 			// otherwise increment the run's "core.sparse_shape_overflow"
 			// counter (and any other kernel tallies) — the audit polluting
 			// the very metrics it validates, the same shared-sink hazard
-			// the sweep's @seedN fix closed. ctx is the run's live
+			// the sweep's per-(scheme, seed) observers close. ctx is the run's live
 			// context, so restore on every exit path.
 			savedObs := ctx.Obs
 			ctx.Obs = nil

@@ -262,6 +262,19 @@ func TestTableIIFleetScaled(t *testing.T) {
 	if d2 := TableIIFleetScaled(1); d2.Size() < 2 {
 		t.Error("degenerate size should be clamped to >= 2")
 	}
+
+	// At the paper's size the scaled fleet is the Table II fleet, machine
+	// for machine: the CLIs build -nodes 100 through it like any other.
+	ref, got := TableIIFleet().PMs(), TableIIFleetScaled(100).PMs()
+	if len(got) != len(ref) {
+		t.Fatalf("scaled(100) has %d PMs, Table II %d", len(got), len(ref))
+	}
+	for i, p := range ref {
+		if got[i].ID != p.ID || got[i].Class.Name != p.Class.Name {
+			t.Errorf("PM %d: scaled(100) is %s #%d, Table II %s #%d",
+				i, got[i].Class.Name, got[i].ID, p.Class.Name, p.ID)
+		}
+	}
 }
 
 func TestFleetsAreIndependent(t *testing.T) {

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/policy"
-	"repro/internal/sim"
 	"repro/internal/spare"
 )
 
@@ -29,142 +27,66 @@ func FactorVariants() []policy.Placer {
 	}
 }
 
+// dynamicAs is the dynamic scheme under a row label and its own
+// Algorithm-1 parameters.
+func dynamicAs(label string, params core.Params) policy.Placer {
+	return policy.NewDynamicVariant(label, core.DefaultFactors(), params)
+}
+
 // AblateFactors runs the factor ablation over the week trace.
 func AblateFactors(opts Options) ([]*SchemeRun, error) {
-	reqs := opts.Trace
-	if reqs == nil {
-		_, reqs = WeekTrace(opts.Seed)
-	}
-	var runs []*SchemeRun
+	var vs []variant
 	for _, placer := range FactorVariants() {
-		r, err := runPlacer(placer, true, reqs, opts)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, r)
+		vs = append(vs, opts.variantOf(placer))
 	}
-	return runs, nil
+	return runVariants(vs, opts)
 }
 
 // AblateThreshold sweeps MIG_threshold, the knob that separates "churn
 // freely" from "never migrate" (Section III.C sets 1.05).
 func AblateThreshold(opts Options, thresholds []float64) ([]*SchemeRun, error) {
-	reqs := opts.Trace
-	if reqs == nil {
-		_, reqs = WeekTrace(opts.Seed)
-	}
-	var runs []*SchemeRun
+	var vs []variant
 	for _, th := range thresholds {
 		params := core.DefaultParams()
 		params.MIGThreshold = th
-		placer := policy.NewDynamicVariant(fmt.Sprintf("dyn-th%.2f", th), core.DefaultFactors(), params)
-		r, err := runPlacer(placer, true, reqs, opts)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, r)
+		vs = append(vs, opts.variantOf(dynamicAs(fmt.Sprintf("dyn-th%.2f", th), params)))
 	}
-	return runs, nil
+	return runVariants(vs, opts)
 }
 
 // AblateRounds sweeps MIG_round, the per-pass migration budget.
 func AblateRounds(opts Options, rounds []int) ([]*SchemeRun, error) {
-	reqs := opts.Trace
-	if reqs == nil {
-		_, reqs = WeekTrace(opts.Seed)
-	}
-	var runs []*SchemeRun
+	var vs []variant
 	for _, n := range rounds {
 		params := core.DefaultParams()
 		params.MIGRound = n
-		placer := policy.NewDynamicVariant(fmt.Sprintf("dyn-r%d", n), core.DefaultFactors(), params)
-		r, err := runPlacer(placer, true, reqs, opts)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, r)
+		vs = append(vs, opts.variantOf(dynamicAs(fmt.Sprintf("dyn-r%d", n), params)))
 	}
-	return runs, nil
+	return runVariants(vs, opts)
 }
 
 // AblateSpareAlpha sweeps the QoS tail bound alpha of the spare-server
 // controller (the paper fixes 0.05) plus a no-spare configuration,
-// exposing the energy/QoS trade-off directly.
+// exposing the energy/QoS trade-off directly. The rows set their own
+// controller, so Options.SpareForDynamic does not apply.
 func AblateSpareAlpha(opts Options, alphas []float64) ([]*SchemeRun, error) {
-	reqs := opts.Trace
-	if reqs == nil {
-		_, reqs = WeekTrace(opts.Seed)
-	}
-	var runs []*SchemeRun
-
-	// Baseline: dynamic without any spare controller.
-	bare, err := runPlacer(policy.NewDynamicVariant("dyn-nospare", core.DefaultFactors(), core.DefaultParams()),
-		false, reqs, opts)
-	if err != nil {
-		return nil, err
-	}
-	runs = append(runs, bare)
-
-	fleet := opts.Fleet
-	if fleet == nil {
-		fleet = defaultFleet
-	}
+	vs := []variant{{placer: dynamicAs("dyn-nospare", core.DefaultParams())}}
 	for _, a := range alphas {
 		sc := spare.DefaultConfig()
 		sc.Alpha = a
-		placer := policy.NewDynamicVariant(fmt.Sprintf("dyn-a%.3f", a), core.DefaultFactors(), core.DefaultParams())
-		cfg := sim.Config{DC: fleet(), Placer: placer, Requests: reqs, Spare: &sc, Failures: opts.Failures}
-		res, err := sim.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		run := &SchemeRun{Result: res}
-		for i := 0; i < WeekHours && i < res.EnergyKWh.Len(); i++ {
-			run.WeekEnergyKWh += res.EnergyKWh.At(i)
-		}
-		runs = append(runs, run)
+		vs = append(vs, variant{placer: dynamicAs(fmt.Sprintf("dyn-a%.3f", a), core.DefaultParams()), spare: &sc})
 	}
-	return runs, nil
+	return runVariants(vs, opts)
 }
 
 // AblateMigrationModel contrasts the paper's instantaneous migration model
 // with the timed pre-copy model (source-side double occupancy, one
 // migration in flight per VM) on the same trace.
 func AblateMigrationModel(opts Options) ([]*SchemeRun, error) {
-	reqs := opts.Trace
-	if reqs == nil {
-		_, reqs = WeekTrace(opts.Seed)
-	}
-	fleet := opts.Fleet
-	if fleet == nil {
-		fleet = defaultFleet
-	}
-	var runs []*SchemeRun
-	for _, timed := range []bool{false, true} {
-		label := "dyn-instant"
-		if timed {
-			label = "dyn-timed"
-		}
-		placer := policy.NewDynamicVariant(label, core.DefaultFactors(), core.DefaultParams())
-		cfg := sim.Config{
-			DC: fleet(), Placer: placer, Requests: reqs,
-			Failures: opts.Failures, TimedMigrations: timed,
-		}
-		if opts.SpareForDynamic {
-			sc := spare.DefaultConfig()
-			cfg.Spare = &sc
-		}
-		res, err := sim.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		run := &SchemeRun{Result: res}
-		for i := 0; i < WeekHours && i < res.EnergyKWh.Len(); i++ {
-			run.WeekEnergyKWh += res.EnergyKWh.At(i)
-		}
-		runs = append(runs, run)
-	}
-	return runs, nil
+	instant := opts.variantOf(dynamicAs("dyn-instant", core.DefaultParams()))
+	timed := opts.variantOf(dynamicAs("dyn-timed", core.DefaultParams()))
+	timed.timed = true
+	return runVariants([]variant{instant, timed}, opts)
 }
 
 // AblationReport renders an ablation's summary rows plus the QoS column
@@ -177,6 +99,3 @@ func AblationReport(title string, runs []*SchemeRun) string {
 	}
 	return b.String()
 }
-
-// defaultFleet builds the Table II data center when Options.Fleet is nil.
-var defaultFleet = cluster.TableIIFleet

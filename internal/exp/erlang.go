@@ -1,12 +1,12 @@
-// Package queueing provides the classical Erlang formulas for
-// capacity-driven waiting and loss in multi-server systems. The experiment
-// harness uses them as an analytic cross-check on the simulator's QoS
-// numbers: treating the fleet's cores as an M/M/c server pool, Erlang C
-// gives the probability a request would wait *due to capacity alone*.
-// Comparing that against the simulator's observed queueing isolates how
-// much waiting is capacity (should match Erlang C) versus boot latency
-// (the part the spare-server controller exists to remove).
-package queueing
+package exp
+
+// The classical Erlang formulas for capacity-driven waiting and loss in
+// multi-server systems, the analytic side of AnalyzeQoS: treating the
+// fleet's cores as an M/M/c server pool, Erlang C gives the probability a
+// request would wait *due to capacity alone*. Comparing that against the
+// simulator's observed queueing isolates how much waiting is capacity
+// (should match Erlang C) versus boot latency (the part the spare-server
+// controller exists to remove).
 
 import (
 	"fmt"
@@ -22,7 +22,7 @@ import (
 // It panics on a < 0 or c < 0 (programming errors, not runtime inputs).
 func ErlangB(c int, a float64) float64 {
 	if a < 0 || c < 0 {
-		panic(fmt.Sprintf("queueing: invalid ErlangB args c=%d a=%g", c, a))
+		panic(fmt.Sprintf("exp: invalid ErlangB args c=%d a=%g", c, a))
 	}
 	if a == 0 {
 		return 0
@@ -44,7 +44,7 @@ func ErlangB(c int, a float64) float64 {
 // bound.
 func ErlangC(c int, a float64) float64 {
 	if a < 0 || c < 0 {
-		panic(fmt.Sprintf("queueing: invalid ErlangC args c=%d a=%g", c, a))
+		panic(fmt.Sprintf("exp: invalid ErlangC args c=%d a=%g", c, a))
 	}
 	if c == 0 {
 		if a > 0 {
@@ -65,7 +65,7 @@ func ErlangC(c int, a float64) float64 {
 // saturation.
 func MeanWaitMM_c(c int, lambda, mu float64) float64 {
 	if lambda < 0 || mu <= 0 || c < 0 {
-		panic(fmt.Sprintf("queueing: invalid MeanWaitMM_c args c=%d lambda=%g mu=%g", c, lambda, mu))
+		panic(fmt.Sprintf("exp: invalid MeanWaitMM_c args c=%d lambda=%g mu=%g", c, lambda, mu))
 	}
 	if lambda == 0 {
 		return 0
@@ -83,7 +83,7 @@ func MeanWaitMM_c(c int, lambda, mu float64) float64 {
 // fleet must keep live for a given QoS bound).
 func ServersForWaitProbability(a, target float64) int {
 	if !(target > 0 && target < 1) {
-		panic(fmt.Sprintf("queueing: target %g not in (0,1)", target))
+		panic(fmt.Sprintf("exp: target %g not in (0,1)", target))
 	}
 	if a <= 0 {
 		return 0

@@ -1,4 +1,4 @@
-package queueing
+package exp
 
 import (
 	"math"

@@ -1,12 +1,14 @@
 // Package exp assembles the paper's experiments: it wires the workload
 // generator, the Table II fleet, the placement schemes, and the simulator
 // into the exact runs behind each figure and table of Section V, plus the
-// ablation studies listed in DESIGN.md. Both cmd/experiments and the
-// repository-root benchmarks drive this package.
+// ablation studies listed in DESIGN.md. cmd/experiments and cmd/sweep
+// drive this package; run.go holds the one recipe and the one runner
+// every study goes through.
 package exp
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 
@@ -14,9 +16,6 @@ import (
 	"repro/internal/failure"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/policy"
-	"repro/internal/sim"
-	"repro/internal/spare"
 	"repro/internal/workload"
 )
 
@@ -46,13 +45,13 @@ type Options struct {
 	// Failures optionally injects PM failures into every run.
 	Failures failure.Config
 
-	// Trace overrides the generated week workload (used by tests and
-	// custom studies); nil selects WeekTrace(Seed).
+	// Trace overrides the generated workload (used by tests and custom
+	// studies); nil selects TraceGen(Seed).
 	Trace []workload.Request
 
-	// TraceGen, when set, supplies the per-seed workload for studies
-	// that resample across seeds (RobustnessStudy); nil selects
-	// WeekTrace.
+	// TraceGen, when set, supplies the workload for a seed, which is
+	// what studies that resample across seeds (RunSweep,
+	// RobustnessStudy) vary; nil selects WeekTrace.
 	TraceGen func(seed int64) []workload.Request
 
 	// KernelWorkers bounds the goroutines the dynamic scheme's placement
@@ -72,13 +71,13 @@ type Options struct {
 	Cells int
 
 	// Observe, when set, is called once per simulation run (before it
-	// starts) with the scheme's name and must return that run's private
-	// observability sink, or nil to leave the run uninstrumented. The
-	// harness fans runs out in parallel (ParallelComparison, Sweep), so
-	// a fresh Observer per call is required for per-run metrics — a
-	// shared one would pool counters across concurrently running
-	// schemes. The observer is reachable afterwards via SchemeRun.Obs.
-	Observe func(scheme string) *obs.Observer
+	// starts) with the run's scheme name and seed, and must return that
+	// run's private observability sink, or nil to leave the run
+	// uninstrumented. Runs execute concurrently, so a fresh Observer per
+	// call is required for per-run metrics — a shared one would pool
+	// counters across live runs. The observer is reachable afterwards
+	// via SchemeRun.Obs.
+	Observe func(scheme string, seed int64) *obs.Observer
 }
 
 // DefaultOptions returns the paper's evaluation setup.
@@ -90,88 +89,72 @@ func DefaultOptions(seed int64) Options {
 	}
 }
 
-// WeekTrace generates, filters, and splits the week-long workload exactly
-// as Section V.A describes: synthesize the LPC-like trace, drop cancelled
-// and small-memory jobs, and normalize memory per core into single-core VM
+// Workload loads the trace a command-line run replays: the Standard
+// Workload Format file at swf, or the synthetic week for seed when swf is
+// empty; cancelled and small-memory jobs dropped and the rest put in
+// submit order as Section V.A describes, cut to the first maxJobs jobs
+// (0 keeps all), and memory normalized per core into single-core VM
 // requests.
-func WeekTrace(seed int64) ([]workload.Job, []workload.Request) {
-	jobs := workload.MustGenerate(workload.DefaultWeekConfig(seed))
+func Workload(swf string, seed int64, maxJobs int) ([]workload.Job, []workload.Request, error) {
+	var jobs []workload.Job
+	if swf == "" {
+		jobs = workload.MustGenerate(workload.DefaultWeekConfig(seed))
+	} else {
+		f, err := os.Open(swf)
+		if err != nil {
+			return nil, nil, err
+		}
+		jobs, err = workload.ParseSWF(f)
+		f.Close()
+		if err != nil {
+			return nil, nil, err
+		}
+		// A log may be out of order; the generator emits submit order.
+		workload.SortBySubmit(jobs)
+	}
 	jobs = workload.Filter(jobs, workload.DefaultFilter())
-	return jobs, workload.ToRequests(jobs)
+	if maxJobs > 0 && maxJobs < len(jobs) {
+		jobs = jobs[:maxJobs]
+	}
+	return jobs, workload.ToRequests(jobs), nil
 }
 
-// SchemeRun couples a simulation result with its figure-window slice.
-type SchemeRun struct {
-	*sim.Result
-
-	// WeekEnergyKWh is the energy consumed during the first WeekHours
-	// (the quantity Figures 4-5 integrate).
-	WeekEnergyKWh float64
-
-	// Obs is this run's private observability sink (nil unless
-	// Options.Observe supplied one).
-	Obs *obs.Observer
+// WeekTrace is the paper's week-long workload for seed: Workload without
+// a file and without a cut.
+func WeekTrace(seed int64) ([]workload.Job, []workload.Request) {
+	jobs, reqs, _ := Workload("", seed, 0) // only reading a file can fail
+	return jobs, reqs
 }
 
-// RunScheme simulates one scheme over the given requests on a fresh fleet.
-func RunScheme(name string, reqs []workload.Request, opts Options) (*SchemeRun, error) {
-	placer, err := policy.ByName(name, opts.Seed)
-	if err != nil {
-		return nil, err
+// requests is the trace a run under o replays: Trace if set, else
+// TraceGen's or the generated week for Seed.
+func (o Options) requests() []workload.Request {
+	switch {
+	case o.Trace != nil:
+		return o.Trace
+	case o.TraceGen != nil:
+		return o.TraceGen(o.Seed)
 	}
-	_, isDyn := policy.DynamicOf(placer)
-	return runPlacer(placer, isDyn, reqs, opts)
+	_, reqs := WeekTrace(o.Seed)
+	return reqs
 }
 
-func runPlacer(placer policy.Placer, wantSpare bool, reqs []workload.Request, opts Options) (*SchemeRun, error) {
-	fleet := opts.Fleet
-	if fleet == nil {
-		fleet = cluster.TableIIFleet
-	}
-	cfg := sim.Config{
-		DC:            fleet(),
-		Placer:        placer,
-		Requests:      reqs,
-		Failures:      opts.Failures,
-		Cells:         opts.Cells,
-		KernelWorkers: opts.KernelWorkers,
-	}
-	if wantSpare && opts.SpareForDynamic {
-		sc := spare.DefaultConfig()
-		cfg.Spare = &sc
-	}
-	if opts.Observe != nil {
-		cfg.Obs = opts.Observe(placer.Name())
-	}
-	res, err := sim.Run(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("exp: scheme %s: %w", placer.Name(), err)
-	}
-	run := &SchemeRun{Result: res, Obs: cfg.Obs}
-	for i := 0; i < WeekHours && i < res.EnergyKWh.Len(); i++ {
-		run.WeekEnergyKWh += res.EnergyKWh.At(i)
-	}
-	return run, nil
-}
-
-// Comparison runs every scheme in opts over the same trace.
+// Comparison runs every scheme in opts over the same trace, at most
+// GOMAXPROCS of them at a time, and returns the runs in the order of
+// opts.Schemes. Every scheme that fails is named in the joined error.
 func Comparison(opts Options) ([]*SchemeRun, error) {
+	return comparison(opts, 0)
+}
+
+// comparison is Comparison at a given worker count (see runAll).
+func comparison(opts Options, workers int) ([]*SchemeRun, error) {
 	if len(opts.Schemes) == 0 {
 		opts.Schemes = DefaultOptions(opts.Seed).Schemes
 	}
-	reqs := opts.Trace
-	if reqs == nil {
-		_, reqs = WeekTrace(opts.Seed)
-	}
-	runs := make([]*SchemeRun, 0, len(opts.Schemes))
-	for _, name := range opts.Schemes {
-		r, err := RunScheme(name, reqs, opts)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, r)
-	}
-	return runs, nil
+	reqs := opts.requests()
+	return runRows(len(opts.Schemes), workers, func(i int) (*SchemeRun, error) {
+		return RunScheme(opts.Schemes[i], reqs, opts)
+	})
 }
 
 // truncate clips a series to the figure window.

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/queueing"
 	"repro/internal/workload"
 )
 
@@ -60,11 +59,11 @@ func AnalyzeQoS(run *SchemeRun, reqs []workload.Request, fleet func() *cluster.D
 	an := QoSAnalysis{
 		OfferedErlangs:  a,
 		FleetCores:      cores,
-		ErlangCWaitProb: queueing.ErlangC(cores, a),
+		ErlangCWaitProb: ErlangC(cores, a),
 		ObservedQueued:  run.Summary.QueuedFraction,
 	}
 	if a > 0 {
-		an.CoresForTarget = queueing.ServersForWaitProbability(a, 0.05)
+		an.CoresForTarget = ServersForWaitProbability(a, 0.05)
 	}
 	return an
 }

@@ -1,103 +1,27 @@
 package exp
 
 import (
-	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
-	"repro/internal/obs"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
-// SeedStudy holds the cross-seed robustness results for one scheme: the
-// figure-window energies observed across independently generated weeks.
-type SeedStudy struct {
-	Scheme     string
-	EnergyKWh  []float64 // one entry per seed
-	MeanActive []float64
-	Queued     []float64
-}
-
 // RobustnessStudy reruns the scheme comparison over n different workload
-// seeds (1..n), all runs in parallel, and aggregates per-scheme
-// distributions. It answers the question single-seed figures cannot: does
-// the dynamic scheme's win survive workload resampling?
-func RobustnessStudy(n int, base Options) ([]*SeedStudy, error) {
+// seeds (1..n) and returns the replication sweep's report. It answers the
+// question single-seed figures cannot: does the dynamic scheme's win
+// survive workload resampling? base.Trace is ignored — each seed
+// generates its own workload (base.TraceGen, default WeekTrace).
+func RobustnessStudy(n int, base Options) (*SweepReport, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("exp: robustness study needs at least one seed")
 	}
-	if len(base.Schemes) == 0 {
-		base.Schemes = DefaultOptions(base.Seed).Schemes
+	seeds := make([]int64, n)
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
 	}
-
-	traceGen := base.TraceGen
-	if traceGen == nil {
-		traceGen = func(seed int64) []workload.Request {
-			_, reqs := WeekTrace(seed)
-			return reqs
-		}
-	}
-
-	type cell struct {
-		run *SchemeRun
-		err error
-	}
-	grid := make([][]cell, n)
-	var wg sync.WaitGroup
-	for si := 0; si < n; si++ {
-		grid[si] = make([]cell, len(base.Schemes))
-		opts := base
-		opts.Seed = int64(si + 1)
-		opts.Trace = nil // each seed generates its own workload
-		if base.Observe != nil {
-			// The study runs the SAME scheme concurrently at every seed.
-			// Options.Observe is keyed by scheme name alone, so passing it
-			// through unwrapped would hand those concurrent runs one shared
-			// sink (or collide their trace files). Disambiguate the key
-			// with the seed; each run still gets whatever sink the caller
-			// builds for it.
-			seed := opts.Seed
-			opts.Observe = func(scheme string) *obs.Observer {
-				return base.Observe(fmt.Sprintf("%s@seed%d", scheme, seed))
-			}
-		}
-		reqs := traceGen(opts.Seed)
-		for pi, scheme := range base.Schemes {
-			wg.Add(1)
-			go func(si, pi int, scheme string, opts Options) {
-				defer wg.Done()
-				r, err := RunScheme(scheme, reqs, opts)
-				grid[si][pi] = cell{run: r, err: err}
-			}(si, pi, scheme, opts)
-		}
-	}
-	wg.Wait()
-
-	// Collect every failure across the grid before giving up: under
-	// parallelism first-error-wins hides real failures behind whichever
-	// one surfaced first.
-	var errSink []error
-	studies := make([]*SeedStudy, len(base.Schemes))
-	for pi, scheme := range base.Schemes {
-		st := &SeedStudy{Scheme: scheme}
-		for si := 0; si < n; si++ {
-			c := grid[si][pi]
-			if c.err != nil {
-				errSink = append(errSink, fmt.Errorf("exp: robustness (scheme %s, seed %d): %w", scheme, si+1, c.err))
-				continue
-			}
-			st.EnergyKWh = append(st.EnergyKWh, c.run.WeekEnergyKWh)
-			st.MeanActive = append(st.MeanActive, c.run.Summary.MeanActivePMs)
-			st.Queued = append(st.Queued, c.run.Summary.QueuedFraction)
-		}
-		studies[pi] = st
-	}
-	if err := errors.Join(errSink...); err != nil {
-		return nil, err
-	}
-	return studies, nil
+	base.Trace = nil
+	return RunSweep(SweepOptions{Base: base, Schemes: base.Schemes, Seeds: seeds, Observe: base.Observe})
 }
 
 // GoogleTrace generates, filters, and splits a week of the Google-like
@@ -113,40 +37,43 @@ func GoogleTrace(seed int64) []workload.Request {
 // same fleet, same schemes, a completely different trace character.
 func GeneralityStudy(opts Options) ([]*SchemeRun, error) {
 	opts.Trace = GoogleTrace(opts.Seed)
-	return ParallelComparison(opts)
+	return Comparison(opts)
 }
 
 // RobustnessReport renders per-scheme mean +/- stddev across seeds, plus
 // the dynamic scheme's per-seed win count against each baseline.
-func RobustnessReport(studies []*SeedStudy) string {
+func RobustnessReport(rep *SweepReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %18s %14s %10s\n", "scheme", "week kWh (mean±sd)", "meanPMs", "queued%")
-	for _, st := range studies {
+	for _, a := range rep.Aggregates {
 		fmt.Fprintf(&b, "%-12s %10.1f ± %5.1f %14.1f %9.2f%%\n",
-			st.Scheme, stats.Mean(st.EnergyKWh), stats.StdDev(st.EnergyKWh),
-			stats.Mean(st.MeanActive), stats.Mean(st.Queued)*100)
+			a.Scheme, a.WeekEnergyKWh.Mean, a.WeekEnergyKWh.StdDev,
+			a.MeanActivePMs.Mean, a.QueuedFraction.Mean*100)
 	}
-	var dyn *SeedStudy
-	for _, st := range studies {
-		if st.Scheme == "dynamic" {
-			dyn = st
+	// Runs holds one block of len(Seeds) runs per scheme, in seed order.
+	n := len(rep.Seeds)
+	block := func(si int) []SweepRun { return rep.Runs[si*n : (si+1)*n] }
+	dyn := -1
+	for si, scheme := range rep.Schemes {
+		if scheme == "dynamic" {
+			dyn = si
 			break
 		}
 	}
-	if dyn == nil {
+	if dyn < 0 {
 		return b.String()
 	}
-	for _, st := range studies {
-		if st == dyn {
+	for si, scheme := range rep.Schemes {
+		if si == dyn {
 			continue
 		}
 		wins := 0
-		for i := range dyn.EnergyKWh {
-			if dyn.EnergyKWh[i] < st.EnergyKWh[i] {
+		for i, r := range block(si) {
+			if block(dyn)[i].WeekEnergyKWh < r.WeekEnergyKWh {
 				wins++
 			}
 		}
-		fmt.Fprintf(&b, "dynamic beats %-10s on %d/%d seeds\n", st.Scheme, wins, len(dyn.EnergyKWh))
+		fmt.Fprintf(&b, "dynamic beats %-10s on %d/%d seeds\n", scheme, wins, n)
 	}
 	return b.String()
 }

@@ -1,36 +1,22 @@
 package exp
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
-// This file implements the replication sweep runner: R seeds x S schemes
-// simulated across GOMAXPROCS workers with a work-stealing scheduler and
-// a deterministic merge. Policy comparisons only mean something across
-// many replications (one seed is one sample), and the runs are
-// embarrassingly parallel — each owns a private fleet, placer, and RNG
-// stream — so the sweep saturates the machine while guaranteeing the
-// merged report is byte-identical no matter how many workers ran it or in
-// what order they finished.
-//
-// Scheduling. The task list is the full cross product, indexed
-// scheme-major (task = si*len(seeds)+vi). Each worker starts with an
-// interleaved share (worker w owns tasks w, w+W, w+2W, ...) held in a
-// private queue with an atomic take cursor; a worker that drains its own
-// queue steals from the others round-robin. Interleaving spreads each
-// scheme's runs across all workers (scheme costs differ wildly — dynamic
-// consolidates, first-fit doesn't), and stealing absorbs whatever
-// imbalance remains. Every take is a fetch-add on the owning queue's
-// cursor, so a task runs exactly once regardless of which worker takes it.
+// This file implements the replication sweep: R seeds x S schemes, one
+// task per pair on the package's runner (runAll), merged
+// deterministically. Policy comparisons only mean something across many
+// replications (one seed is one sample), and the runs are embarrassingly
+// parallel — each owns a private fleet, placer, and RNG stream — so the
+// sweep saturates the machine while guaranteeing the merged report is
+// byte-identical no matter how many workers ran it or in what order they
+// finished.
 //
 // Memory. A completed run is reduced to a compact SweepRun immediately,
 // on the worker, before the next task starts — the full sim.Result (the
@@ -39,9 +25,10 @@ import (
 // are generated once per seed (lazily, by whichever worker first needs
 // one) and shared read-only across the schemes replaying that seed.
 //
-// Determinism. Workers write results only at their task's index, so the
-// result slice is in (scheme, seed) order by construction — no sort, no
-// completion-order dependence — and each run is the deterministic
+// Determinism. The task list is the cross product indexed scheme-major
+// (task = si*len(seeds)+vi) and a task writes only at its own index, so
+// the result slice is in (scheme, seed) order by construction — no sort,
+// no completion-order dependence — and each run is the deterministic
 // function of its (scheme, seed) alone. The report records nothing about
 // the execution (no worker count, no timing), so its JSON encoding is
 // byte-identical across worker counts; TestSweepDeterministicAcrossWorkers
@@ -71,9 +58,9 @@ type SweepOptions struct {
 
 	// Observe, when set, is called once per run (before it starts) with
 	// the run's scheme and seed, returning that run's private
-	// observability sink or nil. Unlike Options.Observe it is keyed by
-	// both coordinates: replications of the same scheme run concurrently,
-	// so a per-scheme sink would be shared across live runs.
+	// observability sink or nil (see Options.Observe). Replications of
+	// the same scheme run concurrently, so a sink must not be shared
+	// across seeds.
 	Observe func(scheme string, seed int64) *obs.Observer
 }
 
@@ -122,25 +109,6 @@ type SweepReport struct {
 	Aggregates []SweepAggregate
 }
 
-// sweepQueue is one worker's task share. pos is bumped with a fetch-add
-// on every take — by the owner or a thief — so each task is handed out
-// exactly once. The padding keeps neighboring queues' cursors off one
-// cache line (the cursors are the only cross-worker write traffic).
-type sweepQueue struct {
-	pos   atomic.Int64
-	tasks []int32
-	_     [32]byte
-}
-
-// take claims the queue's next task, returning ok=false once drained.
-func (q *sweepQueue) take() (int32, bool) {
-	i := q.pos.Add(1) - 1
-	if int(i) >= len(q.tasks) {
-		return 0, false
-	}
-	return q.tasks[i], true
-}
-
 // traceCell lazily materializes one seed's workload, once, no matter
 // which worker asks first.
 type traceCell struct {
@@ -159,66 +127,20 @@ func RunSweep(opts SweepOptions) (*SweepReport, error) {
 	if len(opts.Seeds) == 0 {
 		return nil, fmt.Errorf("exp: sweep needs at least one seed")
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	nTasks := len(opts.Schemes) * len(opts.Seeds)
-	if workers > nTasks {
-		workers = nTasks
-	}
-	// Charge the replication workers against the process-wide goroutine
-	// budget shared with the in-run kernels (core.MatrixOptions.Workers):
-	// a saturated sweep drains the budget, so auto-sized kernel
-	// parallelism inside the runs stays serial instead of
-	// oversubscribing the host. Explicit per-run kernel counts
-	// (Base.KernelWorkers > 1) still spawn what they were asked for.
-	defer core.ReturnWorkers(core.BorrowWorkers(workers - 1))
-
-	gen := opts.Base.TraceGen
-	if gen == nil {
-		gen = func(seed int64) []workload.Request {
-			_, reqs := WeekTrace(seed)
-			return reqs
-		}
-	}
-	traces := make([]traceCell, len(opts.Seeds))
-	trace := func(vi int) []workload.Request {
-		if opts.Base.Trace != nil {
-			return opts.Base.Trace
-		}
-		c := &traces[vi]
-		c.once.Do(func() { c.reqs = gen(opts.Seeds[vi]) })
-		return c.reqs
-	}
-
-	// Interleaved initial shares: worker w owns tasks w, w+W, w+2W, ...
-	queues := make([]sweepQueue, workers)
-	for w := range queues {
-		share := make([]int32, 0, nTasks/workers+1)
-		for t := w; t < nTasks; t += workers {
-			share = append(share, int32(t))
-		}
-		queues[w].tasks = share
-	}
-
-	runs := make([]SweepRun, nTasks)
-	errs := make([]error, nTasks)
-	runTask := func(t int) {
-		si, vi := t/len(opts.Seeds), t%len(opts.Seeds)
+	nSeeds := len(opts.Seeds)
+	traces := make([]traceCell, nSeeds)
+	runs := make([]SweepRun, len(opts.Schemes)*nSeeds)
+	err := runAll(len(runs), opts.Workers, func(t int) error {
+		si, vi := t/nSeeds, t%nSeeds
 		scheme, seed := opts.Schemes[si], opts.Seeds[vi]
 		ro := opts.Base
 		ro.Seed = seed
-		ro.Trace = nil
-		ro.TraceGen = nil
-		ro.Observe = nil
-		if opts.Observe != nil {
-			ro.Observe = func(name string) *obs.Observer { return opts.Observe(name, seed) }
-		}
-		run, err := RunScheme(scheme, trace(vi), ro)
+		ro.Observe = opts.Observe
+		trace := &traces[vi]
+		trace.once.Do(func() { trace.reqs = ro.requests() })
+		run, err := RunScheme(scheme, trace.reqs, ro)
 		if err != nil {
-			errs[t] = fmt.Errorf("exp: sweep (scheme %s, seed %d): %w", scheme, seed, err)
-			return
+			return fmt.Errorf("exp: sweep (scheme %s, seed %d): %w", scheme, seed, err)
 		}
 		// Reduce on the worker: the full Result becomes garbage before
 		// the next task starts, bounding live state to the worker count.
@@ -236,31 +158,9 @@ func RunSweep(opts SweepOptions) (*SweepReport, error) {
 			QueuedFraction:  s.QueuedFraction,
 			MeanWaitSeconds: s.MeanWaitSeconds,
 		}
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(self int) {
-			defer wg.Done()
-			// Drain the own queue first, then steal round-robin. Takes
-			// are monotone, so a drained queue stays drained and one
-			// pass over the queues visits every remaining task.
-			for hop := 0; hop < workers; hop++ {
-				q := &queues[(self+hop)%workers]
-				for {
-					t, ok := q.take()
-					if !ok {
-						break
-					}
-					runTask(int(t))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	if err := errors.Join(errs...); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -270,7 +170,7 @@ func RunSweep(opts SweepOptions) (*SweepReport, error) {
 		Runs:    runs,
 	}
 	for si, scheme := range opts.Schemes {
-		block := runs[si*len(opts.Seeds) : (si+1)*len(opts.Seeds)]
+		block := runs[si*nSeeds : (si+1)*nSeeds]
 		report.Aggregates = append(report.Aggregates, aggregate(scheme, block))
 	}
 	return report, nil

@@ -88,8 +88,9 @@ func (o *Observer) Add(name string, n int64) {
 
 // EnterCell sets the ambient cell scope: trace events emitted until
 // LeaveCell carry a trailing non-canonical "cell" field, and AddScoped
-// counters double-book into "<name>@cellK". Mirrors the sweep runner's
-// "@seedN" disambiguation so per-cell tallies never share a sink.
+// counters double-book into "<name>@cellK", so per-cell tallies never
+// share a sink (the experiment harness keys its sinks by (scheme, seed)
+// for the same reason).
 func (o *Observer) EnterCell(c int) {
 	if o == nil {
 		return

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -203,6 +204,40 @@ func (tr *Tracer) Err() error {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	return tr.err
+}
+
+// TraceFile is a Tracer streaming its JSONL lines to a file through a
+// write buffer: the sink behind every -trace, -decisions and -obs flag.
+type TraceFile struct {
+	*Tracer
+	f *os.File
+	w *bufio.Writer
+}
+
+// CreateTrace creates (or truncates) the file at path and returns a
+// tracer writing to it. The caller must Close it, after a failed run too:
+// a trace that ends at an audit violation or a checkpoint is exactly the
+// one worth reading.
+func CreateTrace(path string) (*TraceFile, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	w := bufio.NewWriterSize(f, 1<<16)
+	return &TraceFile{Tracer: NewTracer(w), f: f, w: w}, nil
+}
+
+// Close flushes the buffer and closes the file. It returns the first
+// failure among the flush, any write the tracer saw fail, and the close.
+func (t *TraceFile) Close() error {
+	err := t.w.Flush()
+	if err == nil {
+		err = t.Err()
+	}
+	if cerr := t.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // appendFloat formats a float as shortest-round-trip JSON. NaN and

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -155,5 +157,42 @@ func TestTracerCapturesFirstWriteError(t *testing.T) {
 	tr.Emit(2, "c")
 	if tr.Err() == nil || !strings.Contains(tr.Err().Error(), "disk full") {
 		t.Errorf("err = %v, want disk full", tr.Err())
+	}
+}
+
+// TestTraceFile: lines sit in the write buffer until Close puts them in
+// the file; Close reports a write the tracer saw fail; a path that cannot
+// be created is an error from CreateTrace, not a tracer that drops events.
+func TestTraceFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	tf, err := CreateTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf.Emit(0, "run_start")
+	tf.Emit(1, "run_end")
+	if err := tf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), "\n"); n != 2 || tf.Events() != 2 {
+		t.Errorf("%d lines on disk, %d events counted, want 2 and 2:\n%s", n, tf.Events(), data)
+	}
+
+	failed, err := CreateTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed.f.Close() // the flush below now fails
+	failed.Emit(0, "run_start")
+	if err := failed.Close(); err == nil {
+		t.Error("Close hid a failed flush")
+	}
+
+	if _, err := CreateTrace(filepath.Join(t.TempDir(), "missing", "run.jsonl")); err == nil {
+		t.Error("CreateTrace into a missing directory succeeded")
 	}
 }
