@@ -15,9 +15,10 @@ race:
 
 ## audit: full-trace invariant audit — the seed workload under the dynamic
 ## scheme, which runs on the candidate-set engine, with every event
-## checked and every consolidation Apply replayed against a cold dense
+## checked, every consolidation pass's roster-derived columns compared
+## with a cold collection and every Apply replayed against a cold dense
 ## matrix rebuild (trackers compared bit-for-bit), plus the per-period
-## dense-vs-oracle and sparse-vs-dense rebuilds (142018 checks). Exits
+## dense-vs-oracle, sparse-vs-dense and roster checks (142289 checks). Exits
 ## non-zero on the first violation. The configuration differentials
 ## (cells, decisions, checkpoint/resume) and the engine differential are
 ## tier-1 tests: cmd/dvmpsim TestTraceEquivalence, cmd/counterfact
@@ -56,16 +57,18 @@ check: vet race audit fuzz-smoke bench-smoke
 
 ## bench-ab: the end-to-end benchmark, this tree against another commit,
 ## by the alternating-pairs procedure of bench/README.md: BASE is checked
-## out into a temporary git worktree, `go run ./bench` runs N times a side
-## with the order flipped each round, and `-compare a1..aN b1..bN` (a =
-## BASE, b = this tree) reads the medians. The result sets stay in
-## bench/out/ab/. `make bench-ab BASE=HEAD~1`.
+## out into a temporary shared `git clone` (under $TMPDIR, removed on
+## exit; no `git worktree`, so the repository's own metadata is never
+## written), `go run ./bench` runs N times a side with the order flipped
+## each round, and `-compare a1..aN b1..bN` (a = BASE, b = this tree) reads
+## the medians. The result sets stay in bench/out/ab/.
+## `make bench-ab BASE=HEAD~1`.
 N ?= 3
 bench-ab:
 	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<ref> [N=3]"; exit 2; }
 	@set -e; out=$(CURDIR)/bench/out/ab; base=$$(mktemp -d); rm -rf "$$out"; \
-	trap 'git worktree remove --force "$$base"' EXIT; \
-	git worktree add --detach "$$base" $(BASE); \
+	trap 'rm -rf "$$base"' EXIT; \
+	git clone -q --shared . "$$base" && git -C "$$base" checkout -q --detach $(BASE); \
 	for i in $$(seq 1 $(N)); do \
 		if [ $$((i % 2)) -eq 1 ]; then order="a b"; else order="b a"; fi; \
 		for side in $$order; do \

@@ -92,6 +92,34 @@ func TestGoldenCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestGoldenCheckpointBytes pins what a checkpoint holds: this build,
+// stopped at the fixture's event, must write the committed file byte for
+// byte — format version included. State that lives across passes without
+// being part of the run (the candidate index, the column roster) is
+// rebuilt after a restore and must never reach the envelope.
+func TestGoldenCheckpointBytes(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_ckpt.json"))
+	if err != nil {
+		t.Fatalf("missing golden checkpoint (run with -update): %v", err)
+	}
+	dir := t.TempDir()
+	ckptPath := filepath.Join(dir, "ckpt.json")
+	var sb strings.Builder
+	args := append(traceArgs(filepath.Join(dir, "prefix.jsonl")),
+		"-checkpoint", ckptPath, "-stop-after", goldenCkptEvent)
+	if err := run(args, &sb); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(ckptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("checkpoint at event %s is %d bytes and differs from the committed %d-byte fixture",
+			goldenCkptEvent, len(got), len(want))
+	}
+}
+
 // TestCheckpointVersionRejected corrupts the committed fixture's format
 // version and confirms the CLI refuses it with a one-line error rather
 // than restoring garbage.

@@ -299,6 +299,15 @@ func SparseCheck(ctx *core.Context, factors []core.Factor) Check {
 	}
 }
 
+// RosterCheck holds the column roster a run's consolidation passes take
+// their VM axis from to the cold collection (core.Context.CheckColumns).
+// Per period only, although it is cheap: it reconciles the roster, and run
+// after every event it would leave the passes in between — which SelfAudit
+// checks one by one in event mode — nothing accumulated to repair.
+func RosterCheck(ctx *core.Context) Check {
+	return Check{Name: "roster", Fn: func(float64) error { return ctx.CheckColumns() }}
+}
+
 // diffShortlist compares the candidate index's full arrival shortlist for
 // vm against the cell-by-cell ranking, entry by entry.
 func diffShortlist(ctx *core.Context, factors []core.Factor, vm *cluster.VM) error {

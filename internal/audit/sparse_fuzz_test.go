@@ -190,6 +190,7 @@ func (h *sparseHarness) consolidate(arg byte) {
 	params := core.Params{MIGThreshold: 1.05, MIGRound: int(arg)%3 + 1}
 	var altsA, altsB [][]core.Placement
 	optsA, optsB := core.MatrixOptions{}, h.opts()
+	optsB.SelfAudit = true
 	optsA.DecisionHook = func(_ int, _ core.Move, alts []core.Placement) { altsA = append(altsA, alts) }
 	optsB.DecisionHook = func(_ int, _ core.Move, alts []core.Placement) { altsB = append(altsB, alts) }
 	dense, err := core.NewMatrixWith(h.a.ctx.At(h.now), h.factors, core.MigratableVMs(h.a.dc), optsA)
@@ -334,6 +335,14 @@ func (h *sparseHarness) compareFleets(op, arg byte) {
 	}
 	if err := h.b.dc.CheckInvariants(); err != nil {
 		h.t.Fatalf("sparse side after op %d (arg %d): %v", op%7, arg, err)
+	}
+	// The column roster, two ways. Side A's Context never runs a pass
+	// through ConsolidateWith, so its roster is repaired here and only
+	// here, one operation at a time. Side B's is left alone between its
+	// passes, which check it themselves (SelfAudit, see consolidate) after
+	// reconciling everything the operations in between piled up.
+	if err := h.a.ctx.CheckColumns(); err != nil {
+		h.t.Fatalf("dense side after op %d (arg %d): %v", op%7, arg, err)
 	}
 	pmsA, pmsB := h.a.dc.PMs(), h.b.dc.PMs()
 	for i := range pmsA {

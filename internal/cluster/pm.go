@@ -290,6 +290,18 @@ func (p *PM) VMs() []*VM {
 	return out
 }
 
+// EachVM calls fn for every hosted VM in unspecified order, without the
+// slice and the sort VMs pays — for callers that look each VM up somewhere
+// ordered anyway (core's column roster). fn must not host or evict on p.
+func (p *PM) EachVM(fn func(*VM)) {
+	for _, vm := range p.vms {
+		fn(vm)
+	}
+}
+
+// VM returns the hosted VM with the given ID, or nil.
+func (p *PM) VM(id VMID) *VM { return p.vms[id] }
+
 // HasVM reports whether the VM is placed on this PM.
 func (p *PM) HasVM(id VMID) bool {
 	_, ok := p.vms[id]

@@ -298,3 +298,50 @@ func TestQuickUtilizationLevelMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPMLookupAndWalk: VM is HasVM's map lookup with the pointer, and
+// EachVM visits exactly VMs' set, in whatever order, without allocating.
+func TestPMLookupAndWalk(t *testing.T) {
+	pm := NewPM(0, &FastClass)
+	pm.State = PMOn
+	hosted := map[VMID]*VM{}
+	for _, id := range []VMID{9, 2, 5} {
+		vm := NewVM(id, vector.New(1, 0.5), 100, 100, 0)
+		if err := pm.Host(vm); err != nil {
+			t.Fatal(err)
+		}
+		hosted[id] = vm
+	}
+	for id, vm := range hosted {
+		if pm.VM(id) != vm {
+			t.Errorf("VM(%d) = %v, want the hosted object", id, pm.VM(id))
+		}
+	}
+	if pm.VM(3) != nil {
+		t.Errorf("VM(3) = %v on a PM that does not host it", pm.VM(3))
+	}
+	if err := pm.Evict(hosted[5]); err != nil {
+		t.Fatal(err)
+	}
+	if pm.VM(5) != nil || pm.HasVM(5) {
+		t.Error("an evicted VM is still found")
+	}
+	delete(hosted, 5)
+
+	seen := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		seen = 0
+		pm.EachVM(func(vm *VM) {
+			if hosted[vm.ID] != vm {
+				t.Errorf("EachVM visited %v", vm)
+			}
+			seen++
+		})
+	})
+	if seen != len(hosted) || seen != len(pm.VMs()) {
+		t.Errorf("EachVM visited %d VMs, want %d", seen, len(hosted))
+	}
+	if allocs != 0 {
+		t.Errorf("EachVM allocates %.1f times a walk", allocs)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -76,8 +77,51 @@ func TestArrivalAllocBudget(t *testing.T) {
 // must reuse it, so the per-VM rate stays well below one.
 const consolidateAllocsPerVM = 0.5
 
+// The roster rows pin what the column roster buys a pass through the
+// production entry point, on both engines: over an unchanged fleet it
+// allocates nothing and interns nothing — with the shape index taken away,
+// any interning would miss and grow the table — and the pass that meets
+// one arrival stays under the per-VM ceiling.
 func TestConsolidateAllocBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // for the MemStats delta below
 	for _, e := range allocEngines {
+		t.Run(e.name+"-roster", func(t *testing.T) {
+			ctx, vms := tableIIState(t, 200, 400, 7)
+			pass := func() {
+				if _, err := ConsolidateWith(ctx, e.arrival, DefaultParams(), MatrixOptions{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pass() // cold build, scratch sized, profitable moves made
+			pass() // the stamps those moves left behind, consumed
+			idx, shapes := ctx.shapeIdx, len(ctx.shapeTab)
+			ctx.shapeIdx = nil
+			if avg := testing.AllocsPerRun(50, pass); avg != 0 {
+				t.Errorf("a pass over an unchanged fleet allocates %.1f times, want 0", avg)
+			}
+			if len(ctx.shapeTab) != shapes {
+				t.Errorf("a pass over an unchanged fleet interned %d demands", len(ctx.shapeTab)-shapes)
+			}
+			ctx.shapeIdx = idx
+
+			arrival := cluster.NewVM(cluster.VMID(1<<20), vector.New(2, 1), 5400, 5400, ctx.Now)
+			if err := BestPlacement(ctx, e.arrival, arrival).Host(arrival); err != nil {
+				t.Fatal(err)
+			}
+			arrival.State = cluster.VMRunning
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			pass()
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; float64(n) > consolidateAllocsPerVM*float64(len(vms)) {
+				t.Errorf("the pass after one arrival allocates %d times over %d columns, budget %.2f per VM",
+					n, len(vms), consolidateAllocsPerVM)
+			}
+			if len(ctx.roster.cols) != len(vms)+1 || len(ctx.shapeTab) != shapes {
+				t.Errorf("roster holds %d VMs over %d shapes, want %d over %d",
+					len(ctx.roster.cols), len(ctx.shapeTab), len(vms)+1, shapes)
+			}
+		})
 		t.Run(e.name, func(t *testing.T) {
 			ctx, _ := tableIIState(t, 200, 400, 7)
 			params := DefaultParams()

@@ -57,12 +57,18 @@ type Context struct {
 	pass     uint64 // frame builds so far; stamps shapeInfo.pass
 
 	// Reusable hot-path scratch (scratch.go): fscratch backs pass frames
-	// via checkout, terms backs the per-arrival term program, vmBuf backs
-	// the consolidation pass's column collection. Their presence is why a
-	// Context is not safe for concurrent use.
+	// via checkout, terms backs the per-arrival term program, vmBuf and
+	// shapeBuf back the consolidation pass's columns. Their presence is
+	// why a Context is not safe for concurrent use.
 	fscratch *frameScratch
 	terms    []term
 	vmBuf    []*cluster.VM
+	shapeBuf []int32
+
+	// roster is the column roster (roster.go): the placed VMs in ID order
+	// with their shape ids, built lazily by the first consolidation pass
+	// and reconciled by per-PM version stamps of its own afterwards.
+	roster *roster
 
 	// cand is the candidate index (candidates.go), built lazily on the
 	// first placement evaluated with a Canonical factor list and kept in

@@ -92,7 +92,11 @@ func (ctx *Context) shapeID(demand vector.V) int32 {
 
 // init builds the frame over the data center's active PMs and the given
 // VMs. Every VM must currently be hosted on an active PM and appear once.
-func (f *frame) init(ctx *Context, factors []Factor, vms []*cluster.VM, opts MatrixOptions) error {
+// With shapes — each VM's interned shape id, from the Context's roster —
+// vms must ascend by ID and both slices are used as given, valid as long
+// as the frame; without, the caller is a constructor with a list in any
+// order, which is copied, sorted and interned here.
+func (f *frame) init(ctx *Context, factors []Factor, vms []*cluster.VM, shapes []int32, opts MatrixOptions) error {
 	if ctx == nil || ctx.DC == nil {
 		return fmt.Errorf("core: matrix needs a context with a datacenter")
 	}
@@ -112,11 +116,18 @@ func (f *frame) init(ctx *Context, factors []Factor, vms []*cluster.VM, opts Mat
 		f.rowClass[r] = ctx.classID(pm)
 	}
 
-	f.vms = append(scr.vms[:0], vms...)
-	scr.vms = f.vms
-	slices.SortFunc(f.vms, func(a, b *cluster.VM) int { return int(a.ID) - int(b.ID) })
-	nr, nc := len(f.pms), len(f.vms)
-	f.colShape = grow(&scr.colShape, nc)
+	nr, nc := len(f.pms), len(vms)
+	if shapes != nil {
+		f.vms, f.colShape = vms, shapes
+	} else {
+		f.vms = append(scr.vms[:0], vms...)
+		scr.vms = f.vms
+		slices.SortFunc(f.vms, func(a, b *cluster.VM) int { return int(a.ID) - int(b.ID) })
+		f.colShape = grow(&scr.colShape, nc)
+		for c, vm := range f.vms {
+			f.colShape[c] = ctx.shapeID(vm.Demand)
+		}
+	}
 	f.shapes = scr.shapes[:0]
 	scr.hosted.reset(nr, nc)
 	f.hosted = scr.hosted
@@ -125,9 +136,9 @@ func (f *frame) init(ctx *Context, factors []Factor, vms []*cluster.VM, opts Mat
 	// ascending.
 	for c := nc - 1; c >= 0; c-- {
 		vm := f.vms[c]
-		if c > 0 && f.vms[c-1].ID == vm.ID {
+		if c > 0 && f.vms[c-1].ID >= vm.ID {
 			f.Release()
-			return fmt.Errorf("core: duplicate VM %d in matrix", vm.ID)
+			return fmt.Errorf("core: VM %d duplicated or out of ID order in matrix", vm.ID)
 		}
 		r, ok := f.RowOf(vm.Host)
 		if !ok {
@@ -135,8 +146,7 @@ func (f *frame) init(ctx *Context, factors []Factor, vms []*cluster.VM, opts Mat
 			return fmt.Errorf("core: VM %d hosted on inactive PM %d", vm.ID, vm.Host)
 		}
 		f.hosted.push(r, c)
-		id := ctx.shapeID(vm.Demand)
-		f.colShape[c] = id
+		id := f.colShape[c]
 		if sh := &ctx.shapeTab[id]; sh.pass != ctx.pass {
 			sh.pass = ctx.pass
 			f.shapes = append(f.shapes, id)

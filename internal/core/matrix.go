@@ -39,8 +39,10 @@ type MatrixOptions struct {
 	// state against a cold dense rebuild over the same VMs (a fresh
 	// NewMatrixWith): probabilities, column trackers, and the Best
 	// extraction must be bit-identical on the dense engine, trackers and
-	// Best on the candidate-set engine. Expensive (one full matrix build
-	// per move); the simulator enables it in -audit=event mode.
+	// Best on the candidate-set engine — and every ConsolidateWith pass
+	// verify the columns it took from the roster against a cold collection
+	// (roster.go). Expensive (one full matrix build per move); the
+	// simulator enables it in -audit=event mode.
 	SelfAudit bool
 
 	// CandidateK selects nothing: the engine follows the factor list
@@ -86,11 +88,17 @@ func NewMatrix(ctx *Context, factors []Factor, vms []*cluster.VM) (*Matrix, erro
 
 // NewMatrixWith is NewMatrix with explicit options.
 func NewMatrixWith(ctx *Context, factors []Factor, vms []*cluster.VM, opts MatrixOptions) (*Matrix, error) {
+	return newMatrix(ctx, factors, vms, nil, opts)
+}
+
+// newMatrix is NewMatrixWith with the columns' shape ids, when the caller
+// has them (frame.init).
+func newMatrix(ctx *Context, factors []Factor, vms []*cluster.VM, shapes []int32, opts MatrixOptions) (*Matrix, error) {
 	if len(factors) == 0 {
 		return nil, fmt.Errorf("core: matrix needs at least one factor")
 	}
 	var f frame
-	if err := f.init(ctx, factors, vms, opts); err != nil {
+	if err := f.init(ctx, factors, vms, shapes, opts); err != nil {
 		return nil, err
 	}
 	scr := f.scr

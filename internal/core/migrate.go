@@ -51,13 +51,21 @@ func Consolidate(ctx *Context, factors []Factor, params Params) ([]Move, error) 
 // ConsolidateWith is Consolidate with explicit matrix options. The engine
 // follows the factor list: a Canonical list runs on the candidate-set
 // engine (SparseMatrix), any other list on the dense Matrix — the same
-// Algorithm 1 loop either way.
+// Algorithm 1 loop either way, over columns taken from the Context's
+// roster (roster.go) rather than re-collected from the fleet.
 func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixOptions) ([]Move, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	ctx.vmBuf = ctx.DC.AppendVMsInState(ctx.vmBuf[:0], cluster.VMRunning)
-	vms := ctx.vmBuf
+	phase := ctx.Obs.Phase("collect_columns")
+	start := phase.Begin()
+	vms, shapes := ctx.columns()
+	phase.End(start)
+	if opts.SelfAudit {
+		if err := ctx.diffColumns(vms); err != nil {
+			return nil, err
+		}
+	}
 	if len(vms) == 0 {
 		return nil, nil
 	}
@@ -66,19 +74,20 @@ func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixO
 		f   *frame
 		err error
 	)
-	stop := ctx.Obs.Phase("kernel_build").Time()
+	phase = ctx.Obs.Phase("kernel_build")
+	start = phase.Begin()
 	if Canonical(factors) {
 		var sm *SparseMatrix
-		if sm, err = NewSparseMatrix(ctx, factors, vms, opts); err == nil {
+		if sm, err = newSparseMatrix(ctx, factors, vms, shapes, opts); err == nil {
 			e, f = sm, &sm.frame
 		}
 	} else {
 		var m *Matrix
-		if m, err = NewMatrixWith(ctx, factors, vms, opts); err == nil {
+		if m, err = newMatrix(ctx, factors, vms, shapes, opts); err == nil {
 			e, f = m, &m.frame
 		}
 	}
-	stop()
+	phase.End(start)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +163,9 @@ func runRounds(e engine, f *frame, params Params) ([]Move, error) {
 // resources — sorted by ID. The sort holds by construction
 // (AppendVMsInState sorts the appended span): Algorithm 1's tie-breaks
 // are ID-ordered, so the column order must not depend on an upstream
-// implementation accident (the determinism tests assert it).
+// implementation accident (the determinism tests assert it). This is the
+// cold collection — what constructor callers and the audit checks build
+// over, and what CheckColumns holds a pass's roster-derived columns to.
 func MigratableVMs(dc *cluster.Datacenter) []*cluster.VM {
 	return dc.AppendVMsInState(nil, cluster.VMRunning)
 }

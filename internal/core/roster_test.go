@@ -1,0 +1,282 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/obs"
+	"repro/internal/vector"
+)
+
+// rosterSide is one of two identically built fleets a hazard script is
+// applied to: the live side takes its columns from the roster through
+// ConsolidateWith, the cold side collects them with MigratableVMs and
+// builds its engine by constructor, every pass.
+type rosterSide struct {
+	ctx *Context
+	vms map[cluster.VMID]*cluster.VM
+}
+
+func newRosterSide(t *testing.T) *rosterSide {
+	ctx, vms := spreadState(t, 16, 30, 3)
+	s := &rosterSide{ctx: ctx, vms: make(map[cluster.VMID]*cluster.VM)}
+	for _, vm := range vms {
+		s.vms[vm.ID] = vm
+	}
+	return s
+}
+
+func (s *rosterSide) evict(t *testing.T, id cluster.VMID, to cluster.VMState) {
+	t.Helper()
+	vm := s.vms[id]
+	if err := s.ctx.DC.PM(vm.Host).Evict(vm); err != nil {
+		t.Fatal(err)
+	}
+	vm.State = to
+}
+
+// host places the VM on the first PM other than avoid with room for it.
+func (s *rosterSide) host(t *testing.T, vm *cluster.VM, avoid cluster.PMID, as cluster.VMState) {
+	t.Helper()
+	s.vms[vm.ID] = vm
+	for _, pm := range s.ctx.DC.PMs() {
+		if pm.ID != avoid && pm.CanHost(vm.Demand) {
+			if err := pm.Host(vm); err != nil {
+				t.Fatal(err)
+			}
+			vm.State = as
+			return
+		}
+	}
+	t.Fatalf("no room for VM %d", vm.ID)
+}
+
+// empty evicts everything the PM hosts, leaving the VMs in state to.
+func (s *rosterSide) empty(t *testing.T, id cluster.PMID, to cluster.VMState) []*cluster.VM {
+	t.Helper()
+	victims := s.ctx.DC.PM(id).VMs()
+	for _, vm := range victims {
+		s.evict(t, vm.ID, to)
+	}
+	return victims
+}
+
+func newRosterVM(id cluster.VMID, mem float64) *cluster.VM {
+	return cluster.NewVM(id, vector.New(1, mem), 40000, 40000, 0)
+}
+
+// rosterHazards are the ways the placed set, the states or the fleet can
+// change between two passes that a roster keyed on per-PM versions could
+// plausibly miss. Each step is followed by an audited pass.
+var rosterHazards = []struct {
+	name  string
+	steps []func(t *testing.T, s *rosterSide)
+}{
+	{"evict and re-host of the same VM", []func(*testing.T, *rosterSide){
+		func(t *testing.T, s *rosterSide) {
+			vm := s.vms[7]
+			from := vm.Host
+			s.evict(t, 7, cluster.VMMigrating)
+			s.host(t, vm, from, cluster.VMRunning)
+		},
+	}},
+	{"failure re-queue then re-place", []func(*testing.T, *rosterSide){
+		func(t *testing.T, s *rosterSide) {
+			failed := s.vms[5].Host
+			victims := s.empty(t, failed, cluster.VMQueued)
+			s.ctx.DC.PM(failed).State = cluster.PMFailed
+			s.host(t, victims[0], failed, cluster.VMRunning) // same pointer, Host went through NoPM
+		},
+		func(t *testing.T, s *rosterSide) { // the rest of the queue drains a pass later
+			for id := cluster.VMID(1); id <= 40; id++ { // ID order: both sides must agree
+				if vm := s.vms[id]; vm != nil && vm.State == cluster.VMQueued {
+					s.host(t, vm, cluster.NoPM, cluster.VMCreating)
+				}
+			}
+		},
+	}},
+	{"state changes with no version bump", []func(*testing.T, *rosterSide){
+		func(t *testing.T, s *rosterSide) {
+			s.vms[3].State, s.vms[9].State = cluster.VMCreating, cluster.VMMigrating
+		},
+		func(t *testing.T, s *rosterSide) {
+			s.vms[3].State, s.vms[9].State = cluster.VMRunning, cluster.VMRunning
+		},
+	}},
+	{"PM shutdown, boot and failure", []func(*testing.T, *rosterSide){
+		func(t *testing.T, s *rosterSide) {
+			s.empty(t, 2, cluster.VMFinished)
+			s.ctx.DC.PM(2).State = cluster.PMOff
+		},
+		func(t *testing.T, s *rosterSide) {
+			s.ctx.DC.PM(2).State = cluster.PMOn
+			vm := newRosterVM(900, 0.5)
+			s.vms[900] = vm
+			if err := s.ctx.DC.PM(2).Host(vm); err != nil {
+				t.Fatal(err)
+			}
+			vm.State = cluster.VMRunning
+		},
+		func(t *testing.T, s *rosterSide) {
+			s.empty(t, 4, cluster.VMFinished)
+			s.ctx.DC.PM(4).State = cluster.PMFailed
+		},
+	}},
+	{"queued lower ID placed after higher IDs", []func(*testing.T, *rosterSide){
+		func(t *testing.T, s *rosterSide) {
+			s.evict(t, 2, cluster.VMQueued)
+			s.host(t, newRosterVM(901, 1), cluster.NoPM, cluster.VMRunning)
+			s.host(t, newRosterVM(902, 0.25), cluster.NoPM, cluster.VMRunning)
+		},
+		func(t *testing.T, s *rosterSide) { s.host(t, s.vms[2], cluster.NoPM, cluster.VMRunning) },
+	}},
+	{"fresh Context after a restore", []func(*testing.T, *rosterSide){
+		func(t *testing.T, s *rosterSide) {
+			s.evict(t, 11, cluster.VMFinished)
+			s.ctx = &Context{DC: s.ctx.DC, Now: s.ctx.Now}
+		},
+	}},
+}
+
+// TestRosterHazards runs every hazard on both engines. After each step the
+// live side passes under SelfAudit (columns checked against a cold
+// collection before the build) and CheckColumns, and its moves must be the
+// cold side's.
+func TestRosterHazards(t *testing.T) {
+	params := Params{MIGThreshold: 1.05, MIGRound: 2}
+	moves := 0
+	for _, list := range []struct {
+		name    string
+		factors []Factor
+	}{{"canonical", DefaultFactors()}, {"appended", append(DefaultFactors(), offsetFactor{})}} {
+		for _, hz := range rosterHazards {
+			t.Run(list.name+"/"+hz.name, func(t *testing.T) {
+				live, cold := newRosterSide(t), newRosterSide(t)
+				pass := func(step int) {
+					t.Helper()
+					got, err := ConsolidateWith(live.ctx, list.factors, params, MatrixOptions{SelfAudit: true})
+					if err != nil {
+						t.Fatalf("after step %d: %v", step, err)
+					}
+					if err := live.ctx.CheckColumns(); err != nil {
+						t.Fatalf("after step %d: %v", step, err)
+					}
+					var want []Move
+					if vms := MigratableVMs(cold.ctx.DC); len(vms) > 0 {
+						m, err := NewMatrixWith(cold.ctx, list.factors, vms, MatrixOptions{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err = m.Consolidate(params)
+						m.Release()
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+					moves += len(got)
+					if len(got) != len(want) {
+						t.Fatalf("after step %d: roster pass made moves %+v, cold pass %+v", step, got, want)
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("after step %d move %d: roster %+v != cold %+v", step, i, got[i], want[i])
+						}
+					}
+				}
+				pass(0)
+				for i, step := range hz.steps {
+					step(t, live)
+					step(t, cold)
+					pass(i + 1)
+				}
+			})
+		}
+	}
+	if moves < len(rosterHazards) {
+		t.Fatalf("degenerate table: %d moves in all", moves)
+	}
+}
+
+// TestRosterCounters scripts the roster's work counters: one cold build
+// per Context, nothing resynced over an unchanged fleet, one PM and one
+// insert per arrival, one drop per departure.
+func TestRosterCounters(t *testing.T) {
+	ctx, vms := tableIIState(t, 20, 60, 5)
+	ctx.Obs = obs.New()
+	frozen := Params{MIGThreshold: 1e9, MIGRound: 1} // no move, so no stamp moves either
+	pass := func() {
+		t.Helper()
+		if _, err := ConsolidateWith(ctx, DefaultFactors(), frozen, MatrixOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect := func(when string, cold, resynced, inserts, drops int64) {
+		t.Helper()
+		for name, want := range map[string]int64{
+			"core.roster_cold_builds":  cold,
+			"core.roster_resynced_pms": resynced,
+			"core.roster_inserts":      inserts,
+			"core.roster_drops":        drops,
+		} {
+			if got := ctx.Obs.Counter(name).Value(); got != want {
+				t.Errorf("%s: %s = %d, want %d", when, name, got, want)
+			}
+		}
+	}
+	pass()
+	expect("first pass", 1, 0, 0, 0)
+	pass()
+	expect("unchanged fleet", 1, 0, 0, 0)
+
+	arrival := newRosterVM(1000, 0.5)
+	if err := ctx.DC.PM(19).Host(arrival); err != nil {
+		t.Fatal(err)
+	}
+	arrival.State = cluster.VMCreating
+	pass()
+	expect("one Host", 1, 1, 1, 0)
+	arrival.State = cluster.VMRunning // no version bump: a filter change only
+	pass()
+	expect("creation done", 1, 1, 1, 0)
+
+	if err := ctx.DC.PM(vms[0].Host).Evict(vms[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.CheckColumns(); err != nil { // reconciles, but is not the run's work
+		t.Fatal(err)
+	}
+	expect("CheckColumns", 1, 1, 1, 0)
+	if err := ctx.DC.PM(vms[1].Host).Evict(vms[1]); err != nil {
+		t.Fatal(err)
+	}
+	pass()
+	expect("one Evict", 1, 2, 1, 1)
+	if calls := ctx.Obs.Phase("collect_columns").Calls(); calls != 5 {
+		t.Errorf("collect_columns timed %d passes, want 5", calls)
+	}
+}
+
+// TestFrameRejectsUnorderedColumns: columns handed over with their shape
+// ids are taken as given, so the adjacent-ID scan is what stands between a
+// broken roster and a silently mis-ordered matrix.
+func TestFrameRejectsUnorderedColumns(t *testing.T) {
+	ctx, vms := tableIIState(t, 10, 20, 1)
+	shapes := make([]int32, len(vms))
+	for c, vm := range vms {
+		shapes[c] = ctx.shapeID(vm.Demand)
+	}
+	if m, err := newMatrix(ctx, DefaultFactors(), vms, shapes, MatrixOptions{}); err != nil {
+		t.Fatalf("ascending columns rejected: %v", err)
+	} else {
+		m.Release()
+	}
+	vms[3], vms[4] = vms[4], vms[3]
+	if _, err := newMatrix(ctx, DefaultFactors(), vms, shapes, MatrixOptions{}); err == nil {
+		t.Fatal("descending adjacent IDs accepted as given")
+	}
+	if m, err := NewMatrix(ctx, DefaultFactors(), vms); err != nil {
+		t.Fatalf("a constructor caller's unsorted list must be sorted, got %v", err)
+	} else {
+		m.Release()
+	}
+}

@@ -51,11 +51,17 @@ type SparseMatrix struct {
 // getting here); the same VM-set preconditions as NewMatrixWith apply (no
 // duplicates, every VM hosted on an active PM).
 func NewSparseMatrix(ctx *Context, factors []Factor, vms []*cluster.VM, opts MatrixOptions) (*SparseMatrix, error) {
+	return newSparseMatrix(ctx, factors, vms, nil, opts)
+}
+
+// newSparseMatrix is NewSparseMatrix with the columns' shape ids, when the
+// caller has them (frame.init).
+func newSparseMatrix(ctx *Context, factors []Factor, vms []*cluster.VM, shapes []int32, opts MatrixOptions) (*SparseMatrix, error) {
 	if !Canonical(factors) {
 		return nil, fmt.Errorf("core: sparse matrix requires the canonical default factors")
 	}
 	var f frame
-	if err := f.init(ctx, factors, vms, opts); err != nil {
+	if err := f.init(ctx, factors, vms, shapes, opts); err != nil {
 		return nil, err
 	}
 	sm := &f.scr.sparse

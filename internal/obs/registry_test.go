@@ -39,6 +39,11 @@ func TestNilMetricsAreInert(t *testing.T) {
 	g.Set(1)
 	h.Observe(1)
 	s.Time()()
+	if start := s.Begin(); !start.IsZero() {
+		t.Error("nil span read the clock")
+	} else {
+		s.End(start)
+	}
 	o.Add("x", 1)
 	o.SetGauge("x", 1)
 	o.Emit(0, "x")
@@ -178,8 +183,12 @@ func TestSpanAccumulates(t *testing.T) {
 	stop := s.Time()
 	stop()
 	s.Time()()
-	if s.Calls() != 2 {
-		t.Errorf("calls = %d, want 2", s.Calls())
+	s.End(s.Begin())
+	if s.Calls() != 3 {
+		t.Errorf("calls = %d, want 3", s.Calls())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.End(s.Begin()) }); allocs != 0 {
+		t.Errorf("Begin/End allocate %.1f times a region", allocs)
 	}
 	if s.TotalNS() < 0 {
 		t.Errorf("total ns negative: %d", s.TotalNS())

@@ -540,11 +540,12 @@ func (s *simulator) finish() (*Result, error) {
 }
 
 // setupAudit registers the invariant checks matching the run's
-// configuration. A dynamic scheme gets the dense-vs-oracle TrackerCheck,
-// plus the sparse-vs-dense SparseCheck when its factor list is the one the
-// candidate index evaluates. In Event mode the matrix self-audit is also
-// switched on, so every consolidation Apply verifies its incremental
-// trackers against a cold dense rebuild.
+// configuration. A dynamic scheme gets the dense-vs-oracle TrackerCheck
+// and the roster-vs-cold-collection RosterCheck, plus the sparse-vs-dense
+// SparseCheck when its factor list is the one the candidate index
+// evaluates. In Event mode the matrix self-audit is also switched on, so
+// every consolidation pass verifies its columns against a cold collection
+// and every Apply its incremental trackers against a cold dense rebuild.
 func (s *simulator) setupAudit() {
 	if s.cfg.Audit == audit.Off {
 		return
@@ -566,6 +567,7 @@ func (s *simulator) setupAudit() {
 	}
 	if d, ok := policy.DynamicOf(s.cfg.Placer); ok {
 		s.aud.Register(audit.TrackerCheck(s.pctx, d.FactorSet()))
+		s.aud.Register(audit.RosterCheck(s.pctx))
 		if core.Canonical(d.FactorSet()) {
 			s.aud.Register(audit.SparseCheck(s.pctx, d.FactorSet()))
 		}
@@ -1073,12 +1075,7 @@ func (s *simulator) findPlacedVM(id cluster.VMID, on cluster.PMID) *cluster.VM {
 	if pm == nil {
 		return nil
 	}
-	for _, vm := range pm.VMs() {
-		if vm.ID == id {
-			return vm
-		}
-	}
-	return nil
+	return pm.VM(id)
 }
 
 // powerManage enforces the active-server policy: keep exactly spareTarget
