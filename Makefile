@@ -2,13 +2,17 @@ GO ?= go
 
 FUZZTIME ?= 10s
 
-.PHONY: test check vet race audit fuzz-smoke bench-smoke bench-ab profile
+.PHONY: test check vet fmt race audit fuzz-smoke bench-smoke bench-ab profile
 
 test:
 	$(GO) test ./...
 
 vet:
 	$(GO) vet ./...
+
+## fmt: fail when gofmt would rewrite any file.
+fmt:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l lists:"; gofmt -l .; exit 1; }
 
 race:
 	$(GO) test -race ./...
@@ -20,10 +24,11 @@ race:
 ## matrix rebuild (trackers compared bit-for-bit), plus the per-period
 ## dense-vs-oracle, sparse-vs-dense and roster checks (142289 checks). Exits
 ## non-zero on the first violation. The configuration differentials
-## (cells, decisions, checkpoint/resume) and the engine differential are
-## tier-1 tests: cmd/dvmpsim TestTraceEquivalence, cmd/counterfact
-## TestFaithfulReplayReproducesTrace, internal/audit
-## TestSparseDifferentialSweep.
+## (decisions, checkpoint/resume; cells and kernel workers at the
+## sim.Config level) and the engine differential are tier-1 tests:
+## cmd/dvmpsim TestTraceEquivalence, cmd/counterfact
+## TestFaithfulReplayReproducesTrace, internal/sim
+## TestCellDifferentialSweep, internal/audit TestSparseDifferentialSweep.
 audit:
 	$(GO) run ./cmd/dvmpsim -audit=event -spare
 
@@ -46,14 +51,14 @@ bench-smoke:
 	$(GO) test ./internal/sim -run '^$$' -bench '^BenchmarkEngine' -benchtime 1x
 	$(GO) test ./internal/exp -run '^$$' -bench '^BenchmarkSweep' -benchtime 1x
 
-## check: the full pre-commit gate — vet, the race-enabled test suite
-## (covers the lock-free metrics hot path, the parallel experiment
-## harness, the multi-cell engine in internal/sim, internal/cell, and
-## internal/exp, and the parallel placement kernels in internal/core —
-## the worker-pool fan-outs behind MatrixOptions.Workers run under the
-## race detector at explicit worker counts), the full-trace audit run, a
-## fuzz smoke test, and a one-iteration pass over the kernel benchmarks.
-check: vet race audit fuzz-smoke bench-smoke
+## check: the full pre-commit gate — vet, gofmt, the race-enabled test
+## suite (covers the lock-free metrics hot path, the parallel experiment
+## harness, the multi-cell engine in internal/sim and internal/cell, and
+## the placement kernels in internal/core — the fan-outs behind
+## MatrixOptions.Workers run under the race detector at explicit worker
+## counts), the full-trace audit run, a fuzz smoke test, and a
+## one-iteration pass over the kernel benchmarks.
+check: vet fmt race audit fuzz-smoke bench-smoke
 
 ## bench-ab: the end-to-end benchmark, this tree against another commit,
 ## by the alternating-pairs procedure of bench/README.md: BASE is checked

@@ -5,7 +5,7 @@
 //
 //	counterfact -decisions dec.jsonl [-scheme dynamic] [-seed 1]
 //	            [-nodes 100] [-jobs 0] [-spare] [-timed] [-warm N]
-//	            [-cells C] [-kernel-workers W] [-swf lpc.swf]
+//	            [-swf lpc.swf]
 //	            [-list] [-what-if IDX:ALT] [-trace replay.jsonl]
 //
 // The workload flags must match the recording run: replay is a strict
@@ -61,8 +61,6 @@ func run(args []string, out io.Writer) error {
 		useSpare  = fs.Bool("spare", false, "enable the spare-server controller (Section IV)")
 		timed     = fs.Bool("timed", false, "use the timed pre-copy migration model")
 		warm      = fs.Int("warm", 0, "power on N machines before the first arrival")
-		cells     = fs.Int("cells", 1, "partition the fleet into N cells (must match the recording run)")
-		kernelW   = fs.Int("kernel-workers", 0, "kernel goroutine bound for the fallback scheme (0 = auto)")
 		tracePath = fs.String("trace", "", "write the replay's JSONL run trace to this file")
 		whatIf    = fs.String("what-if", "", "substitute alternative ALT at decision log index IDX, as IDX:ALT")
 		list      = fs.Bool("list", false, "print the recorded placement decisions and exit")
@@ -79,12 +77,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-jobs must be >= 0 (got %d)", *jobCount)
 	case *warm < 0:
 		return fmt.Errorf("-warm must be >= 0 (got %d)", *warm)
-	case *cells < 1:
-		return fmt.Errorf("-cells must be >= 1 (got %d)", *cells)
-	case *cells > *nodes:
-		return fmt.Errorf("-cells must not exceed -nodes (got %d cells for %d nodes)", *cells, *nodes)
-	case *kernelW < 0:
-		return fmt.Errorf("-kernel-workers must be >= 0 (got %d)", *kernelW)
 	}
 
 	f, err := os.Open(*decPath)
@@ -110,9 +102,6 @@ func run(args []string, out io.Writer) error {
 	if !ok {
 		return fmt.Errorf("scheme %s does not implement the policy interface", *scheme)
 	}
-	if _, isDyn := policy.DynamicOf(fallback); !isDyn && *kernelW != 0 {
-		return fmt.Errorf("-kernel-workers applies to the dynamic scheme family only (got -scheme %s)", *scheme)
-	}
 
 	rp := policy.NewReplay(log, fp)
 	if *whatIf != "" {
@@ -127,7 +116,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg := sim.Config{DC: cluster.TableIIFleetScaled(*nodes), Placer: rp, Requests: reqs, TimedMigrations: *timed, WarmStart: *warm, Cells: *cells, KernelWorkers: *kernelW}
+	cfg := sim.Config{DC: cluster.TableIIFleetScaled(*nodes), Placer: rp, Requests: reqs, TimedMigrations: *timed, WarmStart: *warm}
 	if *useSpare {
 		sc := spare.DefaultConfig()
 		cfg.Spare = &sc

@@ -171,7 +171,8 @@ func TestRunErrors(t *testing.T) {
 		{"zero nodes", []string{"-decisions", decPath, "-nodes", "0"}, "-nodes"},
 		{"negative jobs", []string{"-decisions", decPath, "-jobs", "-1"}, "-jobs"},
 		{"removed sparse flag", []string{"-decisions", decPath, "-sparse", "64"}, "flag provided but not defined: -sparse"},
-		{"kernel workers on static scheme", []string{"-decisions", decPath, "-scheme", "best-fit", "-kernel-workers", "2"}, "dynamic scheme family"},
+		{"removed cells flag", []string{"-decisions", decPath, "-cells", "4"}, "flag provided but not defined: -cells"},
+		{"removed kernel-workers flag", []string{"-decisions", decPath, "-kernel-workers", "2"}, "flag provided but not defined: -kernel-workers"},
 		{"unknown scheme", []string{"-decisions", decPath, "-scheme", "nope"}, "scheme"},
 		{"what-if syntax", []string{"-decisions", decPath, "-what-if", "17"}, "IDX:ALT"},
 		{"what-if index range", []string{"-decisions", decPath, "-what-if", "999999:0"}, "out of range"},

@@ -20,14 +20,13 @@ func traceArgs(tracePath string) []string {
 	}
 }
 
-// canonicalTrace runs dvmpsim with -trace (plus any extra flags) and
-// returns the trace with every line's wall-clock field stripped
+// canonicalTrace runs dvmpsim with -trace and returns the trace with every line's wall-clock field stripped
 // (obs.Canonicalize) — the deterministic byte stream the golden file pins.
-func canonicalTrace(t *testing.T, extra ...string) []byte {
+func canonicalTrace(t *testing.T) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	var sb strings.Builder
-	if err := run(append(traceArgs(path), extra...), &sb); err != nil {
+	if err := run(traceArgs(path), &sb); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -74,33 +73,6 @@ func TestGoldenTrace(t *testing.T) {
 			}
 		}
 		t.Fatalf("trace drifted from golden: %d lines vs %d", len(gl), len(wl))
-	}
-}
-
-// TestGoldenTraceCells replays the golden scenario through the sharded
-// multi-cell engine at C=2 and C=8 (every PM its own cell). The
-// shared-clock orchestrator's contract is the monolith's exact dispatch
-// order, so both canonical traces must byte-match the SAME golden file
-// the single-cell run pins — cell stamps are non-canonical and are
-// stripped alongside wall-clock fields.
-func TestGoldenTraceCells(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_trace.jsonl"))
-	if err != nil {
-		t.Fatalf("missing golden (run TestGoldenTrace with -update first): %v", err)
-	}
-	for _, cells := range []string{"2", "8"} {
-		got := canonicalTrace(t, "-cells", cells)
-		if !bytes.Equal(got, want) {
-			gl := bytes.Split(got, []byte("\n"))
-			wl := bytes.Split(want, []byte("\n"))
-			n := min(len(gl), len(wl))
-			for i := 0; i < n; i++ {
-				if !bytes.Equal(gl[i], wl[i]) {
-					t.Fatalf("-cells %s trace diverged from golden at line %d:\ngot:  %s\nwant: %s", cells, i+1, gl[i], wl[i])
-				}
-			}
-			t.Fatalf("-cells %s trace diverged from golden: %d lines vs %d", cells, len(gl), len(wl))
-		}
 	}
 }
 

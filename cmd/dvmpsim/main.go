@@ -5,22 +5,10 @@
 // Usage:
 //
 //	dvmpsim [-scheme dynamic] [-swf lpc.swf] [-seed 1] [-spare]
-//	        [-nodes 100] [-cells C] [-kernel-workers W]
-//	        [-csv out.csv] [-v]
+//	        [-nodes 100] [-csv out.csv] [-v]
 //	        [-trace run.jsonl] [-metrics run.metrics.json]
 //	        [-decisions dec.jsonl]
 //	        [-cpuprofile cpu.out] [-memprofile mem.out]
-//
-// -kernel-workers W bounds the goroutines the dynamic scheme's in-run
-// kernels fan out on (candidate-index sync and column scans; see README "Parallel kernels" and DESIGN.md §15). 0 auto-sizes
-// to GOMAXPROCS under the process-wide goroutine budget, 1 forces the
-// serial path; results are bit-identical at every setting.
-//
-// -cells C partitions the fleet into C cells advanced by the
-// shared-clock orchestrator (see README "Multi-cell runs" and DESIGN.md
-// §14); decisions and canonical traces are bit-identical to -cells 1,
-// which TestGoldenTraceCells and TestTraceEquivalence pin. Checkpoints
-// taken under one cell count resume under any other.
 //
 // The -cpuprofile and -memprofile flags capture runtime/pprof profiles of
 // the whole run for `go tool pprof`; the placement hot path (matrix build
@@ -91,8 +79,6 @@ func run(args []string, out io.Writer) error {
 		decPath   = fs.String("decisions", "", "record every placement decision (with top-k alternatives) as JSONL to this file; replay with cmd/counterfact")
 		metrPath  = fs.String("metrics", "", "write the run's metrics registry as JSON to this file")
 		seed      = fs.Int64("seed", 1, "workload / random-scheme seed")
-		cells     = fs.Int("cells", 1, "partition the fleet into N cells under the shared-clock orchestrator (1 = monolithic engine; results are bit-identical for any N)")
-		kernelW   = fs.Int("kernel-workers", 0, "goroutines the dynamic scheme's placement kernels fan out on (0 = auto-size to GOMAXPROCS under the shared budget, 1 = serial; results are bit-identical for any value)")
 		useSpare  = fs.Bool("spare", false, "enable the spare-server controller (Section IV)")
 		nodes     = fs.Int("nodes", 100, "fleet size (Table II fast:slow mix is preserved)")
 		jobCount  = fs.Int("jobs", 0, "truncate the workload to the first N jobs (0 = all)")
@@ -127,25 +113,11 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-stop-after must be >= 0 (got %d)", *stopAfter)
 	case (*ckptEvery > 0 || *stopAfter > 0) && *ckptPath == "":
 		return fmt.Errorf("-checkpoint-every and -stop-after need -checkpoint to say where the checkpoint goes")
-	case *cells < 1:
-		return fmt.Errorf("-cells must be >= 1 (got %d)", *cells)
-	case *cells > *nodes:
-		return fmt.Errorf("-cells must not exceed -nodes: every cell owns at least one PM (got %d cells for %d nodes)", *cells, *nodes)
-	case *kernelW < 0:
-		return fmt.Errorf("-kernel-workers must be >= 0 (got %d)", *kernelW)
 	}
 
 	placer, err := policy.ByName(*scheme, *seed)
 	if err != nil {
 		return err
-	}
-	// Cross-flag check that depends on the scheme family: the
-	// kernel-worker knob configures the dynamic scheme's placement
-	// kernels, so with any other scheme it would silently do nothing —
-	// reject it instead. DynamicOf unwraps wrapper policies, so
-	// dynamic-adaptive qualifies.
-	if _, isDyn := policy.DynamicOf(placer); !isDyn && *kernelW != 0 {
-		return fmt.Errorf("-kernel-workers applies to the dynamic scheme family only (got -scheme %s)", *scheme)
 	}
 
 	if *cpuProf != "" {
@@ -180,7 +152,7 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "workload: %d jobs -> %d single-core VM requests\n", len(jobs), len(reqs))
 
-	cfg := sim.Config{DC: cluster.TableIIFleetScaled(*nodes), Placer: placer, Requests: reqs, TimedMigrations: *timed, WarmStart: *warm, Cells: *cells, KernelWorkers: *kernelW}
+	cfg := sim.Config{DC: cluster.TableIIFleetScaled(*nodes), Placer: placer, Requests: reqs, TimedMigrations: *timed, WarmStart: *warm}
 	cfg.Audit, err = audit.ParseMode(*auditMode)
 	if err != nil {
 		return err

@@ -100,11 +100,8 @@ func TestRunErrors(t *testing.T) {
 		{"resume missing file", []string{"-nodes", "4", "-jobs", "10", "-resume", "/nonexistent/ck.json"}, "no such file"},
 		{"resume non-checkpoint", []string{"-nodes", "4", "-jobs", "10", "-resume", garbage}, "magic"},
 		{"removed sparse flag", []string{"-scheme", "dynamic", "-sparse", "64"}, "flag provided but not defined: -sparse"},
-		{"zero cells", []string{"-scheme", "dynamic", "-cells", "0"}, "-cells"},
-		{"negative cells", []string{"-scheme", "dynamic", "-cells", "-2"}, "-cells"},
-		{"more cells than nodes", []string{"-scheme", "dynamic", "-nodes", "4", "-cells", "5"}, "-cells"},
-		{"negative kernel workers", []string{"-scheme", "dynamic", "-kernel-workers", "-1"}, "-kernel-workers"},
-		{"very negative kernel workers", []string{"-kernel-workers", "-7"}, "-kernel-workers"},
+		{"removed cells flag", []string{"-scheme", "dynamic", "-cells", "4"}, "flag provided but not defined: -cells"},
+		{"removed kernel-workers flag", []string{"-scheme", "dynamic", "-kernel-workers", "2"}, "flag provided but not defined: -kernel-workers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -120,55 +117,9 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestCrossFlagSchemeMatrix table-tests every pairwise combination of
-// scheme and dynamic-family-only flag: -kernel-workers configures the
-// dynamic scheme's placement kernels, so it must be rejected (naming the
-// family) for every scheme outside that family and accepted — with a real
-// tiny run — for every scheme inside it.
-func TestCrossFlagSchemeMatrix(t *testing.T) {
-	schemes := []struct {
-		name  string
-		isDyn bool
-	}{
-		{"first-fit", false},
-		{"best-fit", false},
-		{"worst-fit", false},
-		{"random", false},
-		{"threshold", false},
-		{"overbook", false},
-		{"dynamic", true},
-		{"dynamic-adaptive", true},
-	}
-	flags := [][]string{
-		{"-kernel-workers", "2"},
-	}
-	for _, s := range schemes {
-		for _, fl := range flags {
-			t.Run(s.name+fl[0], func(t *testing.T) {
-				args := append([]string{"-scheme", s.name, "-nodes", "4", "-jobs", "10"}, fl...)
-				var sb strings.Builder
-				err := run(args, &sb)
-				if s.isDyn {
-					if err != nil {
-						t.Fatalf("%v rejected for dynamic-family scheme: %v", fl, err)
-					}
-					return
-				}
-				if err == nil {
-					t.Fatalf("%v accepted for scheme %s", fl, s.name)
-				}
-				if !strings.Contains(err.Error(), "dynamic scheme family") {
-					t.Errorf("error %q does not name the dynamic scheme family", err)
-				}
-			})
-		}
-	}
-}
-
-// TestTraceEquivalence is the differential gate over the engine
+// TestTraceEquivalence is the differential gate over the command-line
 // configurations that must not change a run: every row runs the reference
-// scenario (monolithic, unrecorded, uninterrupted) under another
-// config and requires a canonically byte-identical run trace (wall-clock
+// scenario (unrecorded, uninterrupted) under another config and requires a canonically byte-identical run trace (wall-clock
 // is the only field allowed to differ). A config is a list of legs, each a list of extra flags: one leg
 // is a plain run; with several, every leg but the last stops at a
 // checkpoint after 1500 events, the next resumes from it, and the legs'
@@ -182,11 +133,8 @@ func TestTraceEquivalence(t *testing.T) {
 		name string
 		cfg  config
 	}{
-		{"cells4", config{{"-cells", "4"}}},
-		{"cells16-audit", config{{"-cells", "16", "-audit=event"}}},
 		{"decisions", config{{"-decisions", decisions}}},
 		{"resume", config{{}, {}}},
-		{"reshard-resume", config{{"-cells", "16"}, {"-cells", "4"}}},
 	}
 
 	runs := 0

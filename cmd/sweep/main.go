@@ -9,8 +9,7 @@
 // Usage:
 //
 //	sweep [-schemes first-fit,best-fit,dynamic] [-reps 8 | -seeds 1,4,9]
-//	      [-workers N] [-nodes 100] [-jobs 0] [-spare] [-cells C]
-//	      [-kernel-workers W] [-tournament]
+//	      [-workers N] [-nodes 100] [-jobs 0] [-spare] [-tournament]
 //	      [-o report.json] [-cpuprofile cpu.out] [-memprofile mem.out] [-v]
 //
 // Each seed generates its own synthetic week (the Figure 2 calibration,
@@ -19,18 +18,7 @@
 // quick sweeps. -workers bounds the concurrent runs (default GOMAXPROCS;
 // must be positive); the merged report — and therefore the -o JSON — is
 // byte-identical for every worker count, so a sweep's output can be
-// compared across machines regardless of their core counts. -cells C partitions every run's fleet into C cells advanced by
-// the shared-clock orchestrator (see README "Multi-cell runs"); results are
-// bit-identical to -cells 1, so the report JSON is byte-identical across
-// cell counts.
-//
-// -kernel-workers W bounds the goroutines the dynamic scheme's placement
-// kernels fan out on inside each run (see README "Parallel kernels" and
-// DESIGN.md §15). The replication workers and the in-run kernels share
-// one process-wide goroutine budget: with -kernel-workers 0 (auto) a
-// saturated sweep keeps the kernels serial, while an explicit W > 1 is
-// honored per run. Results — and the report JSON — are bit-identical at
-// every setting.
+// compared across machines regardless of their core counts.
 //
 // -tournament scores the roster as a policy tournament instead of printing
 // raw aggregates: each policy is ranked per objective (mean week energy,
@@ -38,9 +26,7 @@
 // count, lower total winning (see README "Policy lab"). Without -schemes
 // the tournament fields the five-policy lab roster (first-fit, best-fit,
 // dynamic, overbook, dynamic-adaptive); -o writes the full standings plus
-// the underlying sweep as JSON. Scheme names are validated up front, and
-// -kernel-workers is rejected unless the roster includes a dynamic-family
-// scheme it could apply to.
+// the underlying sweep as JSON. Scheme names are validated up front.
 //
 // The -cpuprofile and -memprofile flags capture runtime/pprof profiles of
 // the whole sweep for `go tool pprof`, mirroring cmd/dvmpsim; with more
@@ -84,8 +70,6 @@ func run(args []string, out io.Writer) error {
 		nodes       = fs.Int("nodes", 100, "fleet size (Table II fast:slow mix is preserved)")
 		jobCount    = fs.Int("jobs", 0, "truncate each seed's week to the first N jobs (0 = all)")
 		useSpare    = fs.Bool("spare", true, "attach the spare-server controller to the dynamic scheme")
-		cells       = fs.Int("cells", 1, "partition each run's fleet into this many cells (bit-identical results; 1 = monolithic)")
-		kernelW     = fs.Int("kernel-workers", 0, "goroutines the dynamic scheme's placement kernels fan out on per run (0 = auto under the shared budget, 1 = serial; bit-identical results)")
 		outPath     = fs.String("o", "", "write the merged report as JSON to this file (- for stdout)")
 		cpuProf     = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memProf     = fs.String("memprofile", "", "write an end-of-sweep heap profile to this file")
@@ -104,12 +88,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-jobs must be >= 0 (got %d)", *jobCount)
 	case *workers <= 0:
 		return fmt.Errorf("-workers must be positive (got %d)", *workers)
-	case *cells < 1:
-		return fmt.Errorf("-cells must be positive (got %d)", *cells)
-	case *cells > *nodes:
-		return fmt.Errorf("-cells (%d) cannot exceed -nodes (%d): every cell needs at least one PM", *cells, *nodes)
-	case *kernelW < 0:
-		return fmt.Errorf("-kernel-workers must be >= 0 (got %d)", *kernelW)
 	}
 	schemes, err := parseSchemes(*schemesFlag)
 	if err != nil {
@@ -119,8 +97,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Validate the effective scheme list eagerly: a bad name or a
-	// dynamic-only flag paired with an all-static roster should fail
+	// Validate the effective scheme list eagerly: a bad name should fail
 	// here with the offending scheme named, not minutes into the sweep.
 	effective := schemes
 	if len(effective) == 0 {
@@ -130,18 +107,10 @@ func run(args []string, out io.Writer) error {
 			effective = exp.DefaultOptions(0).Schemes
 		}
 	}
-	anyDyn := false
 	for _, s := range effective {
-		p, err := policy.ByName(s, 1)
-		if err != nil {
+		if _, err := policy.ByName(s, 1); err != nil {
 			return err
 		}
-		if _, ok := policy.DynamicOf(p); ok {
-			anyDyn = true
-		}
-	}
-	if !anyDyn && *kernelW != 0 {
-		return fmt.Errorf("-kernel-workers applies to the dynamic scheme family only (schemes: %s)", strings.Join(effective, ","))
 	}
 
 	if *cpuProf != "" {
@@ -173,8 +142,6 @@ func run(args []string, out io.Writer) error {
 	opts := exp.SweepOptions{
 		Base: exp.Options{
 			SpareForDynamic: *useSpare,
-			Cells:           *cells,
-			KernelWorkers:   *kernelW,
 			Fleet:           func() *cluster.Datacenter { return cluster.TableIIFleetScaled(*nodes) },
 			TraceGen: func(seed int64) []workload.Request {
 				_, reqs, _ := exp.Workload("", seed, *jobCount) // only reading a file can fail

@@ -12,10 +12,7 @@
 // migration statistics (count, mean gain, busiest hour). The per-hour
 // table buckets arrivals, departures, migrations, boots, shutdowns, and
 // failures by simulation hour — the operational view related placement
-// studies evaluate schemes on. Traces from multi-cell runs
-// (`dvmpsim -cells C`) carry a per-event cell stamp; when any is present
-// the summary adds a per-cell activity table showing how the partition's
-// load balanced out.
+// studies evaluate schemes on.
 //
 // -diff strips every line's wall-clock field (the only nondeterministic
 // part of a trace) and then requires the two traces to be byte-identical;
@@ -70,10 +67,6 @@ type event struct {
 	Completed  int64  `json:"completed"`
 	Migrations int64  `json:"migrations"`
 	Error      string `json:"error"`
-
-	// Cell is the multi-cell engine's non-canonical stamp (absent in
-	// monolithic runs); a pointer so cell 0 and "no cell" stay distinct.
-	Cell *int64 `json:"cell"`
 }
 
 func run(args []string, out io.Writer) error {
@@ -143,9 +136,8 @@ func summarize(path string, hours bool, out io.Writer) error {
 
 	counts := map[string]int{}
 	byHour := map[int]map[string]int{}
-	byCell := map[int64]map[string]int{}
 	var migGainSum float64
-	var migs, stamped int
+	var migs int
 	lastT := 0.0
 	for _, ev := range evs {
 		counts[ev.Event]++
@@ -157,13 +149,6 @@ func summarize(path string, hours bool, out io.Writer) error {
 			byHour[h] = map[string]int{}
 		}
 		byHour[h][ev.Event]++
-		if ev.Cell != nil {
-			stamped++
-			if byCell[*ev.Cell] == nil {
-				byCell[*ev.Cell] = map[string]int{}
-			}
-			byCell[*ev.Cell][ev.Event]++
-		}
 		if ev.Event == "migration" {
 			migs++
 			migGainSum += ev.Gain
@@ -200,34 +185,6 @@ func summarize(path string, hours bool, out io.Writer) error {
 	}
 	if n := counts["audit_violation"]; n > 0 {
 		fmt.Fprintf(out, "WARNING: %d audit violation(s) in trace\n", n)
-	}
-
-	// Multi-cell runs stamp every dispatched event with its cell; show the
-	// per-cell activity so load balance across the partition is visible.
-	if len(byCell) > 0 {
-		ids := make([]int64, 0, len(byCell))
-		for c := range byCell {
-			ids = append(ids, c)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		cols := []string{"arrival", "depart", "migration", "boot", "shutdown", "failure"}
-		fmt.Fprintf(out, "cells: %d of %d events stamped across %d cells\n", stamped, len(evs), len(ids))
-		fmt.Fprintf(out, "%-6s %8s", "cell", "events")
-		for _, c := range cols {
-			fmt.Fprintf(out, " %10s", c)
-		}
-		fmt.Fprintln(out)
-		for _, c := range ids {
-			total := 0
-			for _, n := range byCell[c] {
-				total += n
-			}
-			fmt.Fprintf(out, "%-6d %8d", c, total)
-			for _, col := range cols {
-				fmt.Fprintf(out, " %10d", byCell[c][col])
-			}
-			fmt.Fprintln(out)
-		}
 	}
 
 	if hours {

@@ -19,9 +19,7 @@ import (
 // writeTrace runs a small deterministic simulation and writes its JSONL
 // trace to a temp file. cmd packages cannot import each other, so traces
 // are produced through the sim API exactly as dvmpsim -trace does.
-// cells > 1 routes the run through the sharded multi-cell engine, whose
-// trace carries per-event cell stamps.
-func writeTrace(t *testing.T, seed int64, cells ...int) string {
+func writeTrace(t *testing.T, seed int64) string {
 	t.Helper()
 	jobs := workload.MustGenerate(workload.DefaultWeekConfig(seed))
 	jobs = workload.Filter(jobs, workload.DefaultFilter())
@@ -46,9 +44,6 @@ func writeTrace(t *testing.T, seed int64, cells ...int) string {
 		Requests: workload.ToRequests(jobs),
 		Spare:    &sc,
 		Obs:      obs.NewTracing(w),
-	}
-	if len(cells) > 0 {
-		cfg.Cells = cells[0]
 	}
 	if _, err := sim.Run(cfg); err != nil {
 		t.Fatal(err)
@@ -92,48 +87,6 @@ func TestSummarizeHourTable(t *testing.T) {
 	// The table must have at least one data row starting with an hour index.
 	if !strings.Contains(out, "\n0     ") {
 		t.Errorf("-hours output missing hour-0 row:\n%s", out)
-	}
-}
-
-// TestSummarizeCellTable pins the per-cell activity table: a multi-cell
-// trace gets one row per cell covering every stamped event, while a
-// monolithic trace shows no cell table at all.
-func TestSummarizeCellTable(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{writeTrace(t, 7, 3)}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "across 3 cells") {
-		t.Fatalf("multi-cell summary missing cell table header:\n%s", out)
-	}
-	for _, row := range []string{"\n0      ", "\n1      ", "\n2      "} {
-		if !strings.Contains(out, row) {
-			t.Errorf("cell table missing row %q:\n%s", strings.TrimSpace(row), out)
-		}
-	}
-
-	sb.Reset()
-	if err := run([]string{writeTrace(t, 7)}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sb.String(), "cells:") {
-		t.Errorf("monolithic summary shows a cell table:\n%s", sb.String())
-	}
-}
-
-// TestDiffAcrossCellCounts is the tracestat face of the multi-cell
-// determinism guarantee: the cell stamp is non-canonical, so -diff must
-// call a C=3 trace identical to the monolith's.
-func TestDiffAcrossCellCounts(t *testing.T) {
-	a := writeTrace(t, 7)
-	b := writeTrace(t, 7, 3)
-	var sb strings.Builder
-	if err := run([]string{"-diff", a, b}, &sb); err != nil {
-		t.Fatalf("monolith vs 3-cell traces reported as different: %v\n%s", err, sb.String())
-	}
-	if !strings.Contains(sb.String(), "traces identical") {
-		t.Errorf("diff output missing verdict:\n%s", sb.String())
 	}
 }
 

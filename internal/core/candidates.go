@@ -69,7 +69,7 @@ type candIndex struct {
 
 	// workers is the sticky MatrixOptions.Workers request the bulk kernels
 	// (sync's staleness sweep, shape's first-seen fleet pass) resolve
-	// against; candidatesWith updates it. Zero auto-sizes.
+	// against; candidatesWith updates it. Zero and one are serial.
 	workers int
 
 	// dirty holds sync's per-span stale-PM lists (parallel path scratch).
@@ -184,8 +184,7 @@ func stampOf(pm *cluster.PM) pmStamp {
 // count cannot change the index.
 func (x *candIndex) sync() {
 	n := len(x.pms)
-	workers, borrowed := x.syncWorkers(n)
-	defer ReturnWorkers(borrowed)
+	workers := claimWorkers(x.workers, n)
 	if workers <= 1 {
 		for id, pm := range x.pms {
 			s := stampOf(pm)
@@ -203,7 +202,7 @@ func (x *candIndex) sync() {
 	for len(x.dirty) < nspans {
 		x.dirty = append(x.dirty, nil)
 	}
-	runSpans(workers, n, span, func(_, lo, hi int) {
+	runSpans(workers, n, span, func(lo, hi int) {
 		buf := x.dirty[lo/span][:0]
 		for id := lo; id < hi; id++ {
 			if stampOf(x.pms[id]) != x.stamps[id] {
@@ -219,16 +218,6 @@ func (x *candIndex) sync() {
 		}
 	}
 	x.events = x.events[:0]
-}
-
-// syncWorkers resolves the index's worker count for a fleet-sized loop;
-// the caller must ReturnWorkers the borrowed tokens. Auto requests share
-// the sparse engine's serial-below threshold.
-func (x *candIndex) syncWorkers(n int) (workers, borrowed int) {
-	if x.workers == 0 && n < sparseParallelThreshold {
-		return 1, 0
-	}
-	return claimWorkers(x.workers, n)
 }
 
 // syncPM refreshes one PM's stamp and membership, appending any membership
@@ -314,7 +303,7 @@ func (x *candIndex) shape(sid int32) *candShape {
 	// built serially in PM-ID order, so group numbering and member order
 	// match the serial pass exactly.
 	n := len(x.pms)
-	if workers, borrowed := x.syncWorkers(n); workers > 1 {
+	if workers := claimWorkers(x.workers, n); workers > 1 {
 		for _, pm := range x.pms {
 			x.ctx.classID(pm) // prewarm the class table: read-only below
 		}
@@ -322,12 +311,11 @@ func (x *candIndex) shape(sid int32) *candShape {
 		rels := make([]float64, n)
 		evs := make([]float64, n)
 		oks := make([]bool, n)
-		runSpans(workers, n, spanChunk(n, workers), func(_, lo, hi int) {
+		runSpans(workers, n, spanChunk(n, workers), func(lo, hi int) {
 			for id := lo; id < hi; id++ {
 				keys[id], rels[id], evs[id], oks[id] = x.membership(x.pms[id], sh.demand)
 			}
 		})
-		ReturnWorkers(borrowed)
 		for id := range x.pms {
 			if !oks[id] {
 				continue
@@ -337,7 +325,6 @@ func (x *candIndex) shape(sid int32) *candShape {
 			sh.groupOf[id] = gi
 		}
 	} else {
-		ReturnWorkers(borrowed)
 		for id, pm := range x.pms {
 			k, rel, ev, ok := x.membership(pm, sh.demand)
 			if !ok {
@@ -411,7 +398,7 @@ func searchInt32(s []int32, v int32) (int, bool) {
 func (x *candIndex) bestArrival(vm *cluster.VM, k int) *cluster.PM {
 	sh := x.shape(x.ctx.shapeID(vm.Demand))
 	if k > 0 && sh.nonEmpty > k {
-		x.ctx.Obs.AddScoped("core.sparse_shape_overflow", 1)
+		x.ctx.Obs.Add("core.sparse_shape_overflow", 1)
 	}
 	tre := vm.RemainingEstimate(x.ctx.Now)
 	var best *cluster.PM

@@ -54,16 +54,13 @@ type MatrixOptions struct {
 	// no ceiling and counts nothing.
 	CandidateK int
 
-	// Workers bounds the goroutines the candidate index's kernels fan out
-	// on (parallel.go): the index sync, the first-seen shape pass and the
-	// initial column scans. The dense Matrix is strictly serial and
-	// ignores it. Zero auto-sizes to GOMAXPROCS bounded by the
-	// process-wide budget shared with exp.RunSweep (and stays serial below
-	// the size threshold); one forces the strictly serial path with its
-	// zero-allocation budgets; an explicit count above one is honored
-	// verbatim — results are bit-identical at every setting (DESIGN.md
-	// §15), so the knob trades goroutines for wall clock, never
-	// determinism.
+	// Workers is the number of goroutines the candidate index's kernels
+	// fan out on (parallel.go): the index sync, the first-seen shape pass
+	// and the initial column scans. The dense Matrix is strictly serial and
+	// ignores it. Zero and one are the strictly serial path with its
+	// zero-allocation budgets; a count above one is honored verbatim —
+	// results are bit-identical at every setting (DESIGN.md §15). Kept only
+	// as the seam bench/ drives; ROADMAP item 2 deletes it.
 	Workers int
 
 	// DecisionHook, when set, observes every Algorithm 1 migration just

@@ -137,7 +137,8 @@ func runRounds(e engine, f *frame, params Params) ([]Move, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	defer f.ctx.Obs.Phase("algo1_rounds").Time()()
+	phase := f.ctx.Obs.Phase("algo1_rounds")
+	defer phase.End(phase.Begin())
 	hook := f.opts.DecisionHook
 	var moves []Move
 	for round := 1; round <= params.MIGRound; round++ {
@@ -213,7 +214,8 @@ func BestPlacement(ctx *Context, factors []Factor, vm *cluster.VM) *cluster.PM {
 // single pass over the arrival column (the datacenter lists PMs in ID
 // order, so strict improvement keeps the lower ID).
 func BestPlacementWith(ctx *Context, factors []Factor, vm *cluster.VM, opts MatrixOptions) *cluster.PM {
-	defer ctx.Obs.Phase("arrival_place").Time()()
+	phase := ctx.Obs.Phase("arrival_place")
+	defer phase.End(phase.Begin())
 	if Canonical(factors) {
 		return ctx.candidatesWith(opts.Workers).bestArrival(vm, opts.CandidateK)
 	}

@@ -7,8 +7,8 @@ import (
 	"repro/internal/vector"
 )
 
-// bigScenario places many VMs across the Table II fleet so a pass exceeds
-// the auto-parallel threshold when lowered.
+// bigScenario places many VMs across the Table II fleet, enough columns
+// and PMs for several spans per worker.
 func bigScenario(t *testing.T) (*Context, []*cluster.VM) {
 	t.Helper()
 	dc := cluster.TableIIFleet()
@@ -35,22 +35,35 @@ func bigScenario(t *testing.T) (*Context, []*cluster.VM) {
 }
 
 // TestParallelConsolidateDeterministic runs full consolidation with the
-// auto-sized (Workers == 0) candidate-index kernels forced parallel and
-// checks it matches the serial run move for move (the kernels are pure
-// functions; only their schedule changes).
+// candidate-index kernels fanned out on an explicit worker count and checks
+// it matches the default (Workers == 0, serial) run move for move (the
+// kernels are pure functions; only their schedule changes).
 func TestParallelConsolidateDeterministic(t *testing.T) {
-	run := func(threshold int) []Move {
-		old := sparseParallelThreshold
-		sparseParallelThreshold = threshold
-		defer func() { sparseParallelThreshold = old }()
+	run := func(workers int) []Move {
 		ctx, _ := bigScenario(t)
-		moves, err := Consolidate(ctx, DefaultFactors(), DefaultParams())
+		moves, err := ConsolidateWith(ctx, DefaultFactors(), DefaultParams(), MatrixOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return moves
 	}
-	serial := run(1 << 30)
-	parallel := run(1)
-	assertMovesEqual(t, serial, parallel)
+	assertMovesEqual(t, run(0), run(4))
+}
+
+// TestClaimWorkers pins what is left of the worker resolution: zero and one
+// are serial, a count above one is honored up to the item count.
+func TestClaimWorkers(t *testing.T) {
+	for _, tc := range []struct{ requested, items, want int }{
+		{0, 100, 1},
+		{1, 100, 1},
+		{2, 100, 2},
+		{7, 100, 7},
+		{8, 3, 3},
+		{4, 1, 1},
+		{4, 0, 1},
+	} {
+		if got := claimWorkers(tc.requested, tc.items); got != tc.want {
+			t.Errorf("claimWorkers(%d, %d) = %d, want %d", tc.requested, tc.items, got, tc.want)
+		}
+	}
 }

@@ -89,29 +89,15 @@ func newSparseMatrix(ctx *Context, factors []Factor, vms []*cluster.VM, shapes [
 		}
 	}
 	if overflow > 0 {
-		ctx.Obs.AddScoped("core.sparse_shape_overflow", overflow)
+		ctx.Obs.Add("core.sparse_shape_overflow", overflow)
 	}
 	sm.initialSync()
 	return sm, nil
 }
 
-// sparseParallelThreshold is the column count below which auto-sized
-// sparse kernels (Workers == 0) stay serial; explicit worker counts
-// bypass it. Variable so tests and benchmarks can force both paths.
-var sparseParallelThreshold = 4096
-
-// sparseWorkers resolves the worker count for a sparse kernel over n
-// units; the caller must ReturnWorkers the borrowed tokens.
-func (sm *SparseMatrix) sparseWorkers(n int) (workers, borrowed int) {
-	if sm.opts.Workers == 0 && n < sparseParallelThreshold {
-		return 1, 0
-	}
-	return claimWorkers(sm.opts.Workers, n)
-}
-
 // initialSync derives every column's trackers for the first time. The
-// serial path is one refreshColumn per column; above the threshold the
-// scan phase shards across workers in column spans — each column's
+// serial path is one refreshColumn per column; with more than one worker
+// the scan phase shards across workers in column spans — each column's
 // normalizer, best alternative, and gain land in that column's own slots,
 // with the per-row hosted memo prewarmed so hostProb is read-only — and
 // the shared best lists are then installed serially in column order,
@@ -120,8 +106,7 @@ func (sm *SparseMatrix) sparseWorkers(n int) (workers, borrowed int) {
 // the same operands.
 func (sm *SparseMatrix) initialSync() {
 	nc := len(sm.vms)
-	workers, borrowed := sm.sparseWorkers(nc)
-	defer ReturnWorkers(borrowed)
+	workers := claimWorkers(sm.opts.Workers, nc)
 	if workers <= 1 {
 		for c := range sm.vms {
 			sm.refreshColumn(c)
@@ -131,7 +116,7 @@ func (sm *SparseMatrix) initialSync() {
 	for r := range sm.pms {
 		sm.hostProb(r) // prewarm the memo: read-only below
 	}
-	runSpans(workers, nc, spanChunk(nc, workers), func(_, lo, hi int) {
+	runSpans(workers, nc, spanChunk(nc, workers), func(lo, hi int) {
 		for c := lo; c < hi; c++ {
 			sm.curRow[c] = sm.hostRow(c)
 			sm.curProb[c] = sm.hostProb(sm.curRow[c])

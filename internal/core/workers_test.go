@@ -202,29 +202,6 @@ func TestKernelWorkersSerialAllocBudget(t *testing.T) {
 	}
 }
 
-// TestWorkerBudgetAccounting exercises the token pool's borrow/return
-// arithmetic directly: the pool must never hand out more than its
-// capacity, and returns must restore it exactly.
-func TestWorkerBudgetAccounting(t *testing.T) {
-	capacity := BorrowWorkers(1 << 20) // drain whatever is free
-	ReturnWorkers(capacity)
-	got := BorrowWorkers(capacity)
-	if got != capacity {
-		ReturnWorkers(got)
-		t.Fatalf("borrowed %d of %d free tokens", got, capacity)
-	}
-	if extra := BorrowWorkers(1); extra != 0 {
-		ReturnWorkers(got + extra)
-		t.Fatalf("empty budget still lent %d token(s)", extra)
-	}
-	ReturnWorkers(got)
-	if again := BorrowWorkers(capacity); again != capacity {
-		ReturnWorkers(again)
-		t.Fatalf("budget not restored: borrowed %d of %d after return", again, capacity)
-	}
-	ReturnWorkers(capacity)
-}
-
 // BenchmarkKernelParallelBuild measures the candidate-set engine's build
 // across worker counts. Parallel results are asserted identical to the
 // serial build before timing — a benchmark that silently raced would be
@@ -259,8 +236,8 @@ func BenchmarkKernelParallelBuild(b *testing.B) {
 }
 
 // BenchmarkKernelParallelRound measures a full consolidation pass across
-// worker counts (build + Algorithm 1 rounds), the in-run unit the
-// -kernel-workers flag actually scales.
+// worker counts (build + Algorithm 1 rounds), the in-run unit
+// sim.Config.KernelWorkers actually scales.
 func BenchmarkKernelParallelRound(b *testing.B) {
 	params := DefaultParams()
 	for _, w := range []int{1, 2, 4} {

@@ -54,22 +54,6 @@ type Options struct {
 	// RobustnessStudy) vary; nil selects WeekTrace.
 	TraceGen func(seed int64) []workload.Request
 
-	// KernelWorkers bounds the goroutines the dynamic scheme's placement
-	// kernels fan out on inside each run (sim.Config.KernelWorkers /
-	// core.MatrixOptions.Workers). Zero auto-sizes against the
-	// process-wide goroutine budget — which a parallel sweep drains
-	// first, so replication-level parallelism takes precedence over
-	// kernel-level; one forces the serial path; results are bit-identical
-	// at every setting. Static schemes ignore it.
-	KernelWorkers int
-
-	// Cells, when > 1, runs every scheme through the sharded multi-cell
-	// engine (sim.Config.Cells): the fleet is partitioned into that many
-	// cells advanced by the shared-clock orchestrator, with decisions —
-	// and therefore results — bit-identical to the monolith. 0 or 1
-	// selects the monolithic engine.
-	Cells int
-
 	// Observe, when set, is called once per simulation run (before it
 	// starts) with the run's scheme name and seed, and must return that
 	// run's private observability sink, or nil to leave the run

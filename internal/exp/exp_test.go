@@ -73,31 +73,6 @@ func TestComparisonRunsAllSchemes(t *testing.T) {
 	}
 }
 
-func TestComparisonCellsBitIdentical(t *testing.T) {
-	ref, err := Comparison(smallOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cells := range []int{4, 12} {
-		opts := smallOptions()
-		opts.Cells = cells
-		runs, err := Comparison(opts)
-		if err != nil {
-			t.Fatalf("cells=%d: %v", cells, err)
-		}
-		for i, r := range runs {
-			if r.Summary != ref[i].Summary {
-				t.Errorf("cells=%d scheme %s: summary differs from monolith:\n%+v\nvs\n%+v",
-					cells, r.Scheme, r.Summary, ref[i].Summary)
-			}
-			if r.WeekEnergyKWh != ref[i].WeekEnergyKWh {
-				t.Errorf("cells=%d scheme %s: week energy %g != monolith %g",
-					cells, r.Scheme, r.WeekEnergyKWh, ref[i].WeekEnergyKWh)
-			}
-		}
-	}
-}
-
 func TestComparisonUnknownScheme(t *testing.T) {
 	opts := smallOptions()
 	opts.Schemes = []string{"bogus"}

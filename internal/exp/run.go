@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -73,8 +72,6 @@ func simulate(v variant, reqs []workload.Request, opts Options) (*SchemeRun, err
 		Spare:           v.spare,
 		TimedMigrations: v.timed,
 		Failures:        opts.Failures,
-		Cells:           opts.Cells,
-		KernelWorkers:   opts.KernelWorkers,
 	}
 	if opts.Observe != nil {
 		cfg.Obs = opts.Observe(v.placer.Name(), opts.Seed)
@@ -106,13 +103,6 @@ func RunScheme(name string, reqs []workload.Request, opts Options) (*SchemeRun, 
 // milliseconds to a second), so one contended counter costs nothing, and
 // a task that writes its result at its own index makes the output order
 // independent of scheduling.
-//
-// The goroutines beyond the caller's own are charged against the
-// process-wide budget shared with the in-run kernels
-// (core.MatrixOptions.Workers): a saturated runner drains it, so
-// auto-sized kernel parallelism inside the runs stays serial instead of
-// oversubscribing the host. Explicit per-run kernel counts
-// (Options.KernelWorkers > 1) still spawn what they were asked for.
 func runAll(n, workers int, task func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -120,7 +110,6 @@ func runAll(n, workers int, task func(i int) error) error {
 	if workers > n {
 		workers = n
 	}
-	defer core.ReturnWorkers(core.BorrowWorkers(workers - 1))
 
 	errs := make([]error, n)
 	var next atomic.Int64

@@ -16,10 +16,7 @@
 // `tracestat -diff` are built on this.
 package obs
 
-import (
-	"io"
-	"strconv"
-)
+import "io"
 
 // Observer bundles a metrics registry with an optional run tracer. A nil
 // Observer is valid and inert.
@@ -38,22 +35,8 @@ type Observer struct {
 	// separation is deliberate: the decision log has its own logical
 	// clock, so recording decisions never perturbs the run trace's "seq"
 	// numbering — a recorded run stays byte-identical to an unrecorded
-	// one (cmd/dvmpsim's TestTraceEquivalence pins this). Decision lines never carry
-	// the multi-cell stamp either: decisions are bit-identical across
-	// cell counts, so the log is canonical by construction.
+	// one (cmd/dvmpsim's TestTraceEquivalence pins this).
 	Decisions *Tracer
-
-	// cellPlus1 is the active cell scope plus one; zero means no scope.
-	// The offset keeps a literal-constructed Observer{} (scope never
-	// set) from silently reporting cell 0. Set via EnterCell/LeaveCell
-	// by the multi-cell engine around each dispatched event; read by
-	// AddScoped to double-book counters per cell. Single-writer by the
-	// run's own event loop, like the simulator state itself.
-	cellPlus1 int
-
-	// cellNames caches "@cellK" counter suffixes so scoped increments
-	// on the hot path do not re-format the label.
-	cellNames []string
 }
 
 // New returns an Observer that collects metrics only.
@@ -84,81 +67,6 @@ func (o *Observer) Add(name string, n int64) {
 		return
 	}
 	o.Reg.Counter(name).Add(n)
-}
-
-// EnterCell sets the ambient cell scope: trace events emitted until
-// LeaveCell carry a trailing non-canonical "cell" field, and AddScoped
-// counters double-book into "<name>@cellK", so per-cell tallies never
-// share a sink (the experiment harness keys its sinks by (scheme, seed)
-// for the same reason).
-func (o *Observer) EnterCell(c int) {
-	if o == nil {
-		return
-	}
-	o.cellPlus1 = c + 1
-	if o.Trace != nil {
-		o.Trace.SetCell(int64(c))
-	}
-}
-
-// LeaveCell clears the cell scope.
-func (o *Observer) LeaveCell() {
-	if o == nil {
-		return
-	}
-	o.cellPlus1 = 0
-	if o.Trace != nil {
-		o.Trace.ClearCell()
-	}
-}
-
-// CellScope returns the active cell scope, if one is set.
-func (o *Observer) CellScope() (cell int, ok bool) {
-	if o == nil || o.cellPlus1 == 0 {
-		return 0, false
-	}
-	return o.cellPlus1 - 1, true
-}
-
-// AddScoped increments the named counter and, when a cell scope is
-// active, the per-cell "<name>@cellK" counter as well. The base counter
-// always carries the global total, so existing consumers are unchanged;
-// the suffixed counters add the per-cell breakdown without any shared
-// sink between cells.
-func (o *Observer) AddScoped(name string, n int64) {
-	if o == nil || o.Reg == nil {
-		return
-	}
-	o.Reg.Counter(name).Add(n)
-	if o.cellPlus1 > 0 {
-		o.Reg.Counter(name + o.cellSuffix(o.cellPlus1-1)).Add(n)
-	}
-}
-
-// ObserveScoped records v into the named histogram and, when a cell
-// scope is active, into the per-cell "<name>@cellK" histogram as well —
-// the histogram counterpart of AddScoped. The base histogram always
-// carries the global distribution, so existing consumers are unchanged;
-// the suffixed histograms add the per-cell breakdown without any shared
-// sink between cells (their bucket counts and sums partition the
-// base's exactly). Bounds are fixed at first creation, so every call
-// site for one name must pass the same bounds.
-func (o *Observer) ObserveScoped(name string, bounds []float64, v float64) {
-	if o == nil || o.Reg == nil {
-		return
-	}
-	o.Reg.Histogram(name, bounds).Observe(v)
-	if o.cellPlus1 > 0 {
-		o.Reg.Histogram(name+o.cellSuffix(o.cellPlus1-1), bounds).Observe(v)
-	}
-}
-
-// cellSuffix returns the cached "@cellK" label for cell c.
-func (o *Observer) cellSuffix(c int) string {
-	for len(o.cellNames) <= c {
-		o.cellNames = append(o.cellNames, "@cell"+strconv.Itoa(len(o.cellNames)))
-	}
-	return o.cellNames[c]
 }
 
 // SetGauge sets the named gauge.

@@ -110,30 +110,17 @@ func (h *Histogram) Bucket(i int) int64 {
 	return h.counts[i].Load()
 }
 
-// Span accumulates wall-clock time spent in one named phase. Stop
-// functions are cheap enough for per-event use: two time.Now calls and
-// two atomic adds per timed region.
+// Span accumulates wall-clock time spent in one named phase. Timing a
+// region is cheap enough for per-event use: two time.Now calls and two
+// atomic adds, no allocation.
 type Span struct {
 	calls Counter
 	ns    Counter
 }
 
-// Time starts the clock and returns the stop function. Safe on a nil
-// receiver (returns a shared no-op).
-func (s *Span) Time() func() {
-	if s == nil {
-		return noopStop
-	}
-	start := time.Now()
-	return func() {
-		s.calls.Add(1)
-		s.ns.Add(time.Since(start).Nanoseconds())
-	}
-}
-
-// Begin and End time a region like Time, without the closure Time
-// allocates per call — for phases entered once per consolidation pass.
-// Safe on a nil receiver, which reads no clock.
+// Begin starts the clock on a region that End closes:
+// `defer s.End(s.Begin())`, or the pair around the region. Safe on a nil
+// receiver, which reads no clock.
 func (s *Span) Begin() time.Time {
 	if s == nil {
 		return time.Time{}
@@ -164,8 +151,6 @@ func (s *Span) TotalNS() int64 {
 	}
 	return s.ns.Value()
 }
-
-var noopStop = func() {}
 
 // Registry holds named metrics. Lookup (get-or-create) takes a mutex;
 // updates on the returned metric are lock-free, so hot paths cache the

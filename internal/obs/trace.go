@@ -20,16 +20,6 @@ const SchemaVersion = 1
 // simple suffix cut rather than a JSON round-trip.
 const wallKey = `,"wall":`
 
-// cellKey is the multi-cell engine's cell-ID stamp. Like "wall" it is
-// non-canonical by design: a C-cell run and the monolith make identical
-// decisions (DESIGN.md §14), so the cell an event happened to fire in is
-// execution metadata, not simulation output. It is emitted directly
-// before "wall" (wall stays the final key) and CanonicalLine strips
-// both, keeping canonical traces byte-comparable across cell counts.
-// The key "cell" is therefore reserved: events must not use it as an
-// ordinary field name.
-const cellKey = `,"cell":`
-
 // KV is one typed event field. Construct with I, F, S, or B.
 type KV struct {
 	K    string
@@ -73,11 +63,6 @@ type Tracer struct {
 	seq  uint64
 	err  error
 	wall func() int64 // injectable for tests
-
-	// cell is the active cell scope stamped onto emitted lines as the
-	// non-canonical "cell" field; hasCell gates it (cell IDs start at 0).
-	cell    int64
-	hasCell bool
 }
 
 // NewTracer returns a tracer writing to w. The line buffer is
@@ -108,9 +93,6 @@ func (tr *Tracer) Emit(t float64, event string, fields ...KV) {
 	b = append(b, `,"event":`...)
 	b = strconv.AppendQuote(b, event)
 	for _, kv := range fields {
-		if kv.K == "cell" {
-			panic(`obs: "cell" is a reserved trace field (the multi-cell engine's stamp)`)
-		}
 		b = append(b, ',')
 		b = strconv.AppendQuote(b, kv.K)
 		b = append(b, ':')
@@ -131,10 +113,6 @@ func (tr *Tracer) Emit(t float64, event string, fields ...KV) {
 			b = append(b, "null"...)
 		}
 	}
-	if tr.hasCell {
-		b = append(b, cellKey...)
-		b = strconv.AppendInt(b, tr.cell, 10)
-	}
 	b = append(b, wallKey...)
 	b = strconv.AppendInt(b, tr.wall(), 10)
 	b = append(b, '}', '\n')
@@ -143,28 +121,6 @@ func (tr *Tracer) Emit(t float64, event string, fields ...KV) {
 	if tr.err == nil {
 		_, tr.err = tr.w.Write(b)
 	}
-}
-
-// SetCell stamps subsequently emitted events with the given cell ID (a
-// trailing non-canonical "cell" field, before "wall"). The multi-cell
-// engine sets it around each dispatched event.
-func (tr *Tracer) SetCell(c int64) {
-	if tr == nil {
-		return
-	}
-	tr.mu.Lock()
-	tr.cell, tr.hasCell = c, true
-	tr.mu.Unlock()
-}
-
-// ClearCell removes the cell stamp.
-func (tr *Tracer) ClearCell() {
-	if tr == nil {
-		return
-	}
-	tr.mu.Lock()
-	tr.hasCell = false
-	tr.mu.Unlock()
 }
 
 // ResumeSeq fast-forwards the logical clock to seq, so a tracer opened
@@ -250,38 +206,16 @@ func appendFloat(b []byte, v float64) []byte {
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
-// CanonicalLine strips the non-canonical suffix from one trace line —
-// the wall-clock field and, when present, the multi-cell engine's cell
-// stamp directly before it — returning the determinism-comparable form.
-// Lines without a wall field are returned unchanged (minus any trailing
-// newline).
+// CanonicalLine strips the wall-clock field from one trace line, returning
+// the determinism-comparable form. Lines without a wall field are returned
+// unchanged (minus any trailing newline).
 func CanonicalLine(line []byte) []byte {
 	line = bytes.TrimRight(line, "\r\n")
 	if i := bytes.LastIndex(line, []byte(wallKey)); i >= 0 && bytes.HasSuffix(line, []byte("}")) {
-		trimmed := line[:i]
-		if j := bytes.LastIndex(trimmed, []byte(cellKey)); j >= 0 && allDigits(trimmed[j+len(cellKey):]) {
-			trimmed = trimmed[:j]
-		}
-		out := append([]byte(nil), trimmed...)
+		out := append([]byte(nil), line[:i]...)
 		return append(out, '}')
 	}
 	return append([]byte(nil), line...)
-}
-
-// allDigits reports whether b is a non-empty run of ASCII digits — the
-// exact shape of an emitted cell stamp's value (cell IDs are >= 0). The
-// check keeps CanonicalLine from eating an ordinary field that merely
-// ends a line, should an event ever (wrongly) use the reserved key.
-func allDigits(b []byte) bool {
-	if len(b) == 0 {
-		return false
-	}
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return false
-		}
-	}
-	return true
 }
 
 // Canonicalize streams a JSONL trace from r to w with every line's

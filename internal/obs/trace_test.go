@@ -196,3 +196,48 @@ func TestTraceFile(t *testing.T) {
 		t.Error("CreateTrace into a missing directory succeeded")
 	}
 }
+
+// TestDecisionStreamIsolated pins the decision log's independence from
+// the run trace: its own tracer, its own seq clock, and EmitDecision is
+// inert without a Decisions tracer.
+func TestDecisionStreamIsolated(t *testing.T) {
+	var runBuf, decBuf bytes.Buffer
+	o := NewTracing(&runBuf)
+	o.Decisions = NewTracer(&decBuf)
+	fixedWall(o.Trace, 42)
+	fixedWall(o.Decisions, 42)
+
+	if !o.DecisionTracing() {
+		t.Fatal("DecisionTracing false with a Decisions tracer set")
+	}
+
+	o.Emit(1, "run_event")
+	o.Emit(2, "run_event")
+	o.EmitDecision(2, "decision_place", I("vm", 7))
+	o.EmitDecision(3, "decision_spare", I("spares", 1))
+
+	dec := strings.Split(strings.TrimSpace(decBuf.String()), "\n")
+	if len(dec) != 2 {
+		t.Fatalf("decision stream has %d lines, want 2", len(dec))
+	}
+	// Independent seq clock: decisions number from 0 even though the run
+	// trace already consumed seqs.
+	if !strings.Contains(dec[0], `"seq":0,`) || !strings.Contains(dec[1], `"seq":1,`) {
+		t.Errorf("decision seqs not independent: %q", dec)
+	}
+	if strings.Contains(runBuf.String(), "decision_") || o.Trace.Events() != 2 {
+		t.Errorf("decision records leaked into the run trace: %s", runBuf.String())
+	}
+
+	// Without a Decisions tracer both helpers are inert.
+	plain := New()
+	if plain.DecisionTracing() {
+		t.Error("DecisionTracing true without a Decisions tracer")
+	}
+	plain.EmitDecision(1, "decision_place") // no-op, must not panic
+	var nilObs *Observer
+	nilObs.EmitDecision(1, "decision_place")
+	if nilObs.DecisionTracing() {
+		t.Error("nil observer reports decision tracing")
+	}
+}

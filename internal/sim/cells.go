@@ -5,8 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/cell"
-	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // This file is the multi-cell engine: Config.Cells > 1 partitions the
@@ -24,6 +22,10 @@ import (
 // injection's single RNG stream, consolidation moves that cross a cell
 // boundary) happens inside handlers fired from the orchestrator step,
 // never by one cell reaching into another's queue.
+//
+// A cells run differs from the monolith in nothing it outputs — that is its
+// contract. The engine is kept only as the seam bench/ drives through
+// Config.Cells; ROADMAP item 2 deletes it.
 
 // scheduler is the engine seam the simulation layer drives. Both the
 // monolithic *Engine and the sharded multi-cell engine satisfy it; the
@@ -43,7 +45,7 @@ type scheduler interface {
 // newScheduler builds the engine for a run: monolithic for cells <= 1,
 // sharded otherwise. fleet is the PM count (cells must already be
 // validated against it by Config.setDefaults).
-func newScheduler(cells, fleet int, o *obs.Observer) scheduler {
+func newScheduler(cells, fleet int) scheduler {
 	if cells <= 1 {
 		return &Engine{}
 	}
@@ -51,7 +53,7 @@ func newScheduler(cells, fleet int, o *obs.Observer) scheduler {
 	if err != nil {
 		panic(fmt.Sprintf("sim: %v", err)) // unreachable: setDefaults validated
 	}
-	sh := &shardedEngine{part: part, obs: o}
+	sh := &shardedEngine{part: part}
 	sh.cells = make([]*Engine, cells)
 	queues := make([]cell.Queue, cells)
 	for i := range sh.cells {
@@ -72,7 +74,6 @@ type shardedEngine struct {
 	part  cell.Partition
 	cells []*Engine
 	orch  *cell.Orchestrator
-	obs   *obs.Observer
 
 	now        float64
 	seqCtr     uint64
@@ -128,8 +129,7 @@ func (sh *shardedEngine) ScheduleTag(at float64, tag Tag, fire func()) Event {
 
 // Step fires the globally next event: peek every cell, advance the
 // shared clock to the minimum (at, seq), and dispatch it inside that
-// cell with the observer's cell scope set (trace events emitted by the
-// handler carry the cell ID; scoped counters double-book per cell).
+// cell.
 func (sh *shardedEngine) Step() bool {
 	at, _, ci, ok := sh.orch.Peek()
 	if !ok {
@@ -137,14 +137,7 @@ func (sh *shardedEngine) Step() bool {
 	}
 	sh.now = at
 	sh.dispatched++
-	if sh.obs != nil {
-		sh.obs.EnterCell(ci)
-	}
-	stepped := sh.cells[ci].Step()
-	if sh.obs != nil {
-		sh.obs.LeaveCell()
-	}
-	if !stepped {
+	if !sh.cells[ci].Step() {
 		panic(fmt.Sprintf("sim: cell %d peeked an event but had none to fire", ci))
 	}
 	return true
@@ -273,56 +266,4 @@ func (sh *shardedEngine) RestoreState(st EngineState, rebuild func(QueuedEvent) 
 	sh.dispatched = st.Dispatched
 	sh.restoreDisp = nil
 	return handles, nil
-}
-
-// cellPartition exposes the partition when the run is sharded, for the
-// simulation layer's per-cell gauges and cross-cell migration counters.
-func (s *simulator) cellPartition() (cell.Partition, bool) {
-	if sh, ok := s.eng.(*shardedEngine); ok {
-		return sh.part, true
-	}
-	return cell.Partition{}, false
-}
-
-// cellGauges publishes per-cell active-PM gauges at control ticks.
-// Registry-only diagnostics: gauges are outside the determinism
-// contract, so the monolith's trace is unaffected.
-func (s *simulator) cellGauges() {
-	part, ok := s.cellPartition()
-	if !ok || s.cfg.Obs == nil {
-		return
-	}
-	counts := make([]int, part.Cells)
-	for _, pm := range s.dc.PMs() {
-		if pm.Active() {
-			counts[part.PMCell(int(pm.ID))]++
-		}
-	}
-	for c, n := range counts {
-		s.cfg.Obs.SetGauge(fmt.Sprintf("sim.active_pms@cell%d", c), float64(n))
-	}
-}
-
-// countCellMoves splits executed migrations into intra- and cross-cell
-// counters — the orchestrator-level view of how much consolidation
-// traffic crosses cell boundaries. Counters only; trace untouched.
-func (s *simulator) countCellMoves(moves []core.Move) {
-	part, ok := s.cellPartition()
-	if !ok || s.cfg.Obs == nil {
-		return
-	}
-	var intra, cross int64
-	for _, mv := range moves {
-		if part.PMCell(int(mv.From)) == part.PMCell(int(mv.To)) {
-			intra++
-		} else {
-			cross++
-		}
-	}
-	if intra > 0 {
-		s.cfg.Obs.Add("sim.migrations_intra_cell", intra)
-	}
-	if cross > 0 {
-		s.cfg.Obs.Add("sim.migrations_cross_cell", cross)
-	}
 }

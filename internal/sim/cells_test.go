@@ -3,7 +3,6 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"testing"
 
 	"repro/internal/audit"
@@ -103,7 +102,7 @@ func TestShardedDispatchOrderMatchesMonolith(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		ref := drive(&Engine{}, seed)
 		for _, cells := range []int{2, 4, 7, 16} {
-			got := drive(newScheduler(cells, fleet, nil), seed)
+			got := drive(newScheduler(cells, fleet), seed)
 			if len(got) != len(ref) {
 				t.Fatalf("seed %d cells %d: fired %d events, monolith fired %d", seed, cells, len(got), len(ref))
 			}
@@ -117,40 +116,69 @@ func TestShardedDispatchOrderMatchesMonolith(t *testing.T) {
 }
 
 // TestCellDifferentialSweep mirrors PR 7's differential sweep for the
-// multi-cell engine: 8 failure seeds, each run through the full
-// adversarial simulation (spare controller, timed migrations, failures)
-// at C=1 and at several cell counts. Every cell count must reproduce
-// the monolith's canonical trace byte-for-byte and its exact Result.
+// multi-cell engine: per failure seed, the full adversarial simulation
+// (spare controller, timed migrations, failures) as the serial monolith
+// and under each row's variations. Every variant must reproduce the
+// reference's canonical trace byte-for-byte and its exact Result. Beyond
+// the cell counts of the first row: the sharded engine under the per-event
+// auditor (VerifyQueue's cross-cell invariants after every event, the
+// snapshot round-trip with its cell sections every period); a static
+// scheme, whose run never touches the placement kernels; and the other
+// seam bench/ drives, Config.KernelWorkers, alone and with cells.
 func TestCellDifferentialSweep(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		var refTrace bytes.Buffer
-		refRes, err := Run(cellCfg(1, seed, &refTrace))
-		if err != nil {
-			t.Fatalf("seed %d monolith: %v", seed, err)
-		}
-		refCanon := canon(t, refTrace.Bytes())
-		if len(refCanon) == 0 {
-			t.Fatalf("seed %d: empty reference trace", seed)
-		}
-		for _, cells := range []int{2, 3, 6} {
-			var trace bytes.Buffer
-			res, err := Run(cellCfg(cells, seed, &trace))
+	fleet16 := func() *cluster.Datacenter { return cluster.TableIIFleetScaled(16) }
+	dynamic := func() policy.Placer { return policy.NewDynamic() }
+	for _, row := range []struct {
+		name   string
+		fleet  func() *cluster.Datacenter
+		placer func() policy.Placer
+		seeds  int64
+		cells  []int
+		vary   func(*Config)
+	}{
+		{"fleet6", smallFleet, dynamic, 8, []int{2, 3, 6}, func(*Config) {}},
+		{"fleet16-audit", fleet16, dynamic, 2, []int{16}, func(c *Config) { c.Audit = audit.Event }},
+		{"first-fit", smallFleet, func() policy.Placer { return policy.FirstFit{} }, 2, []int{4}, func(*Config) {}},
+		{"kernel-workers", fleet16, dynamic, 2, []int{1, 4}, func(c *Config) { c.KernelWorkers = 2 }},
+	} {
+		for seed := int64(1); seed <= row.seeds; seed++ {
+			var refTrace bytes.Buffer
+			refCfg := cellCfg(1, seed, &refTrace)
+			refCfg.DC, refCfg.Placer = row.fleet(), row.placer()
+			refRes, err := Run(refCfg)
 			if err != nil {
-				t.Fatalf("seed %d cells %d: %v", seed, cells, err)
+				t.Fatalf("%s seed %d monolith: %v", row.name, seed, err)
 			}
-			got := canon(t, trace.Bytes())
-			if !bytes.Equal(got, refCanon) {
-				at, a, b := diffContext(refCanon, got)
-				t.Fatalf("seed %d cells %d: trace diverges at byte %d:\nmonolith: ...%s\ncells:    ...%s",
-					seed, cells, at, a, b)
+			refCanon := canon(t, refTrace.Bytes())
+			if len(refCanon) == 0 {
+				t.Fatalf("%s seed %d: empty reference trace", row.name, seed)
 			}
-			if res.Summary != refRes.Summary {
-				t.Fatalf("seed %d cells %d: summaries differ:\nmonolith: %+v\ncells:    %+v",
-					seed, cells, res.Summary, refRes.Summary)
-			}
-			if len(res.Moves) != len(refRes.Moves) || res.Failures != refRes.Failures {
-				t.Fatalf("seed %d cells %d: moves %d/%d failures %d/%d",
-					seed, cells, len(res.Moves), len(refRes.Moves), res.Failures, refRes.Failures)
+			for _, cells := range row.cells {
+				var trace bytes.Buffer
+				cfg := cellCfg(cells, seed, &trace)
+				cfg.DC, cfg.Placer = row.fleet(), row.placer()
+				row.vary(&cfg)
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("%s seed %d cells %d: %v", row.name, seed, cells, err)
+				}
+				if cfg.Audit != audit.Off && res.AuditChecks == 0 {
+					t.Fatalf("%s seed %d cells %d: audited run reported zero checks", row.name, seed, cells)
+				}
+				got := canon(t, trace.Bytes())
+				if !bytes.Equal(got, refCanon) {
+					at, a, b := diffContext(refCanon, got)
+					t.Fatalf("%s seed %d cells %d: trace diverges at byte %d:\nmonolith: ...%s\ncells:    ...%s",
+						row.name, seed, cells, at, a, b)
+				}
+				if res.Summary != refRes.Summary {
+					t.Fatalf("%s seed %d cells %d: summaries differ:\nmonolith: %+v\ncells:    %+v",
+						row.name, seed, cells, res.Summary, refRes.Summary)
+				}
+				if len(res.Moves) != len(refRes.Moves) || res.Failures != refRes.Failures {
+					t.Fatalf("%s seed %d cells %d: moves %d/%d failures %d/%d",
+						row.name, seed, cells, len(res.Moves), len(refRes.Moves), res.Failures, refRes.Failures)
+				}
 			}
 		}
 	}
@@ -357,56 +385,32 @@ func TestCellSnapshotSections(t *testing.T) {
 	}
 }
 
-// TestCellScopedCountersAggregate is the satellite-5 regression: in a
-// sharded run the core.sparse_shape_overflow counter must double-book
-// per cell with NO shared-sink hazard — the per-cell "@cellK" counters
-// sum exactly to the base counter — and enabling the audit (whose
-// SparseCheck builds its own sparse matrices) must not inflate the
-// run's counter, because the check detaches the observer while it works.
-func TestCellScopedCountersAggregate(t *testing.T) {
-	run := func(cells int, mode string) (*obs.Observer, *Result) {
+// TestShapeOverflowCounterStable pins core.sparse_shape_overflow as part
+// of the "same decisions" contract: the sharded run and the monolith count
+// the same overflows, and enabling the audit (whose SparseCheck builds its
+// own sparse matrices) must not inflate the run's counter, because the
+// check detaches the observer while it works.
+func TestShapeOverflowCounterStable(t *testing.T) {
+	run := func(cells int, mode audit.Mode) int64 {
 		d := policy.NewDynamic()
 		d.Opts.CandidateK = 1 // tiny budget: overflow is routine
 		cfg := cellCfg(cells, 3, nil)
 		cfg.Placer = d
 		cfg.Obs = obs.New()
-		switch mode {
-		case "event":
-			cfg.Audit = audit.Event
+		cfg.Audit = mode
+		if _, err := Run(cfg); err != nil {
+			t.Fatalf("cells=%d audit=%v: %v", cells, mode, err)
 		}
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("cells=%d audit=%s: %v", cells, mode, err)
-		}
-		return cfg.Obs, res
+		return cfg.Obs.Counter("core.sparse_shape_overflow").Value()
 	}
-
-	o, _ := run(3, "off")
-	base := o.Reg.Counter("core.sparse_shape_overflow").Value()
+	base := run(3, audit.Off)
 	if base == 0 {
 		t.Fatal("scenario produced no shape overflows; tighten CandidateK")
 	}
-	var sum int64
-	for c := 0; c < 3; c++ {
-		sum += o.Reg.Counter(fmt.Sprintf("core.sparse_shape_overflow@cell%d", c)).Value()
-	}
-	if sum != base {
-		t.Fatalf("per-cell overflow counters sum to %d, base counter is %d (shared-sink hazard)", sum, base)
-	}
-
-	// The audit must observe, not perturb: same run with the full event
-	// audit on, same counter value.
-	oa, _ := run(3, "event")
-	audited := oa.Reg.Counter("core.sparse_shape_overflow").Value()
-	if audited != base {
+	if audited := run(3, audit.Event); audited != base {
 		t.Fatalf("audit inflated the overflow counter: %d with audit, %d without", audited, base)
 	}
-
-	// And the monolith agrees with the sharded run on the global total —
-	// the counter is part of the "same decisions" contract.
-	om, _ := run(1, "off")
-	mono := om.Reg.Counter("core.sparse_shape_overflow").Value()
-	if mono != base {
+	if mono := run(1, audit.Off); mono != base {
 		t.Fatalf("overflow counter differs across cell counts: monolith %d, cells %d", mono, base)
 	}
 }
@@ -429,33 +433,6 @@ func TestCellConfigValidation(t *testing.T) {
 	}
 }
 
-// TestCellTraceStamp verifies the cell stamp plumbing end to end: a
-// sharded traced run emits "cell" on dispatched events, the monolith
-// never does, and canonicalization strips the stamp so the two byte
-// streams are identical.
-func TestCellTraceStamp(t *testing.T) {
-	var mono, cells bytes.Buffer
-	if _, err := Run(cellCfg(1, 3, &mono)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(cellCfg(3, 3, &cells)); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(mono.Bytes(), []byte(`,"cell":`)) {
-		t.Error("monolith trace carries cell stamps")
-	}
-	if !bytes.Contains(cells.Bytes(), []byte(`,"cell":`)) {
-		t.Error("sharded trace carries no cell stamps")
-	}
-	// Stamps sit before wall, never after.
-	if bytes.Contains(cells.Bytes(), []byte(`"wall":`)) == false {
-		t.Fatal("trace has no wall fields?")
-	}
-	if !bytes.Equal(canon(t, mono.Bytes()), canon(t, cells.Bytes())) {
-		t.Error("canonical traces differ across cell counts")
-	}
-}
-
 // FuzzCellOrchestrator is the randomized cell-differential: the fuzzer
 // picks the workload shape, failure seed, cell count, a checkpoint
 // boundary, and a (possibly different) restore cell count; the harness
@@ -474,9 +451,9 @@ func FuzzCellOrchestrator(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, variant, failSeed int64, cellPick, stopPick, resharPick uint64) {
 		fleetSize := smallFleet().Size()
-		cellsA := 2 + int(cellPick%uint64(fleetSize-1))   // 2..fleet
-		cellsB := 1 + int(resharPick%uint64(fleetSize))   // 1..fleet
-		load := fragmentingTrace(20 + int(variant&3)*10)  // 20..50 requests
+		cellsA := 2 + int(cellPick%uint64(fleetSize-1))  // 2..fleet
+		cellsB := 1 + int(resharPick%uint64(fleetSize))  // 1..fleet
+		load := fragmentingTrace(20 + int(variant&3)*10) // 20..50 requests
 		mk := func(cells int, trace *bytes.Buffer) Config {
 			cfg := cellCfg(cells, 1+(failSeed&0xffff)%1000, trace)
 			cfg.Requests = load

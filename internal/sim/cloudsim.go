@@ -78,8 +78,9 @@ type Config struct {
 	// calendar queue, advanced in global (at, seq) order by the
 	// shared-clock orchestrator (internal/cell; DESIGN.md §14). 0 or 1
 	// runs the monolithic engine — the exact single-cell code path. Any
-	// C produces bit-identical results and canonical traces: sharding
-	// changes how the event queue is stored, never what fires when.
+	// C produces bit-identical results, traces and metrics: sharding
+	// changes how the event queue is stored, never what fires when. Kept
+	// only as the seam bench/ drives; ROADMAP item 2 deletes it.
 	Cells int
 
 	// CheckInvariants validates the full datacenter state after every
@@ -88,14 +89,15 @@ type Config struct {
 	// works.
 	CheckInvariants bool
 
-	// KernelWorkers bounds the goroutines the placement kernels fan out
-	// on inside a run (core.MatrixOptions.Workers): the candidate-index
-	// sync and the sparse engine's initial column scans. Zero keeps
-	// the placer's own setting (which itself defaults to auto-sizing
-	// against the process-wide budget); one forces the strictly serial
-	// path; higher values are honored verbatim. Results are bit-identical
-	// at every setting (DESIGN.md §15). Only the dynamic scheme evaluates
-	// matrices, so the knob is a no-op for the static baselines.
+	// KernelWorkers is the number of goroutines the placement kernels fan
+	// out on inside a run (core.MatrixOptions.Workers): the candidate-index
+	// sync and the sparse engine's initial column scans. Zero keeps the
+	// placer's own setting (serial unless a caller set it); one forces the
+	// strictly serial path; higher values are honored verbatim. Results are
+	// bit-identical at every setting (DESIGN.md §15). Only the dynamic
+	// scheme evaluates matrices, so the knob is a no-op for the static
+	// baselines. Kept only as the seam bench/ drives; ROADMAP item 2
+	// deletes it.
 	KernelWorkers int
 
 	// Audit selects the invariant auditor's granularity
@@ -258,7 +260,7 @@ func New(cfg Config) (*Sim, error) {
 	if d, ok := policy.DynamicOf(cfg.Placer); ok && cfg.KernelWorkers != 0 {
 		d.Opts.Workers = cfg.KernelWorkers
 	}
-	s.eng = newScheduler(cfg.Cells, cfg.DC.Size(), cfg.Obs)
+	s.eng = newScheduler(cfg.Cells, cfg.DC.Size())
 	s.pctx = core.NewContext(s.dc)
 	s.start()
 	return &Sim{s: s}, nil
@@ -297,9 +299,6 @@ type simulator struct {
 
 	// bootBuf is bootCandidates' reusable result buffer.
 	bootBuf []*cluster.PM
-
-	// reqOf maps VM IDs back to their originating requests.
-	reqOf map[cluster.VMID]workload.Request
 
 	// bootReadyAt records when a booting PM becomes usable, so VMs
 	// placed onto booting machines start creation after boot completes.
@@ -404,7 +403,6 @@ func (s *simulator) emit(event string, fields ...obs.KV) {
 // Result, the spare controller, and the failure injector.
 func (s *simulator) initRun() {
 	s.meter = power.NewMeter(s.dc, s.cfg.MeterBin)
-	s.reqOf = make(map[cluster.VMID]workload.Request, len(s.cfg.Requests))
 	s.bootReadyAt = make(map[cluster.PMID]float64)
 	s.failEvent = make(map[cluster.PMID]Event)
 	s.lifeEvent = make(map[cluster.VMID]Event)
@@ -420,8 +418,7 @@ func (s *simulator) initRun() {
 	if s.cfg.Failures.Enabled() {
 		s.inj = failure.NewInjector(s.cfg.Failures)
 	}
-	for i, req := range s.cfg.Requests {
-		s.reqOf[cluster.VMID(i+1)] = req
+	for _, req := range s.cfg.Requests {
 		if end := req.Submit + req.RunTime; end > s.horizon {
 			s.horizon = end
 		}
@@ -475,9 +472,9 @@ func (s *simulator) start() {
 // stepOnce is one main-loop iteration: dispatch the next event, then run
 // the per-event checks the configuration asks for.
 func (s *simulator) stepOnce() (bool, error) {
-	stopDispatch := s.phDispatch.Time()
+	start := s.phDispatch.Begin()
 	stepped := s.eng.Step()
-	stopDispatch()
+	s.phDispatch.End(start)
 	if !stepped {
 		return false, nil
 	}
@@ -634,8 +631,7 @@ func (s *simulator) tryPlace(vm *cluster.VM) bool {
 	return true
 }
 
-// waitBounds buckets placement-wait histograms; shared by setupObs and
-// the cell-scoped observation path (bounds must match per name).
+// waitBounds buckets the placement-wait histogram.
 var waitBounds = []float64{1, 10, 60, 300, 1800}
 
 func (s *simulator) recordWait(vm *cluster.VM, placedAt float64) {
@@ -644,10 +640,7 @@ func (s *simulator) recordWait(vm *cluster.VM, placedAt float64) {
 		w = 0
 	}
 	s.waits = append(s.waits, w)
-	// Scoped like the counters (PR 8): in multi-cell runs each cell's
-	// wait distribution books into "sim.wait_seconds@cellK" alongside
-	// the shared base histogram, so per-cell QoS never shares a sink.
-	s.cfg.Obs.ObserveScoped("sim.wait_seconds", waitBounds, w)
+	s.waitHist.Observe(w)
 	if w > 1 { // anything beyond a second of queueing counts against QoS
 		s.queuedCount++
 	}
@@ -841,15 +834,15 @@ func (s *simulator) policySpare(baseline int) int {
 func (s *simulator) onControlTick() {
 	now := s.eng.Now()
 	s.meter.Advance(now)
-	s.res.ActivePMs.Append(float64(s.dc.ActiveCount()))
-	s.res.MeanUtilization.Append(s.meanNonIdleUtilization())
+	active, util := s.dc.ActiveCount(), s.meanNonIdleUtilization()
+	s.res.ActivePMs.Append(float64(active))
+	s.res.MeanUtilization.Append(util)
 
-	s.cfg.Obs.SetGauge("sim.active_pms", float64(s.dc.ActiveCount()))
+	s.cfg.Obs.SetGauge("sim.active_pms", float64(active))
 	s.cfg.Obs.SetGauge("sim.queue_len", float64(len(s.queue)))
-	s.cellGauges()
 	if s.tracing {
-		s.emit("tick", obs.I("active", int64(s.dc.ActiveCount())),
-			obs.F("util", s.meanNonIdleUtilization()), obs.I("queue", int64(len(s.queue))))
+		s.emit("tick", obs.I("active", int64(active)),
+			obs.F("util", util), obs.I("queue", int64(len(s.queue))))
 	}
 
 	if s.ctrl != nil {
@@ -996,7 +989,6 @@ func (s *simulator) consolidate() {
 	}
 	s.res.Moves = append(s.res.Moves, moves...)
 	s.cMigrates.Add(int64(len(moves)))
-	s.countCellMoves(moves)
 	for _, mv := range moves {
 		if s.tracing {
 			s.emit("migration", obs.I("vm", int64(mv.VM)), obs.I("from", int64(mv.From)),

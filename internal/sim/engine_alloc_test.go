@@ -2,6 +2,8 @@ package sim
 
 import (
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // eventLoopAllocCeiling is the asserted allocation budget for the
@@ -11,8 +13,9 @@ import (
 // (not 0) to leave headroom for incidental runtime effects.
 const eventLoopAllocCeiling = 2
 
-func TestEventLoopAllocBudget(t *testing.T) {
-	var e Engine
+// steadyStateAllocs warms e to its operating population and returns the
+// allocations of one Schedule plus one step in the steady state.
+func steadyStateAllocs(e *Engine, step func()) float64 {
 	nop := func() {}
 	// Warm up: grow the freelist and geometry to the operating population,
 	// then drain half so the dispatch-history width estimator is primed.
@@ -23,15 +26,42 @@ func TestEventLoopAllocBudget(t *testing.T) {
 		e.Step()
 	}
 	rng := uint64(0x243F6A8885A308D3)
-	allocs := testing.AllocsPerRun(10000, func() {
+	return testing.AllocsPerRun(10000, func() {
 		rng ^= rng << 13
 		rng ^= rng >> 7
 		rng ^= rng << 17
 		e.Schedule(e.Now()+float64(rng%512)*0.25, nop)
-		e.Step()
+		step()
 	})
-	if allocs > eventLoopAllocCeiling {
+}
+
+func TestEventLoopAllocBudget(t *testing.T) {
+	var e Engine
+	if allocs := steadyStateAllocs(&e, func() { e.Step() }); allocs > eventLoopAllocCeiling {
 		t.Errorf("steady-state event loop allocates %.1f allocs/op, budget %d", allocs, eventLoopAllocCeiling)
+	}
+}
+
+// TestObservedStepAllocBudget: timing every dispatched event under an
+// observer (the event_dispatch span around eng.Step) costs the simulator's
+// step loop no allocation — no closure per event.
+func TestObservedStepAllocBudget(t *testing.T) {
+	stepAllocs := func(o *obs.Observer) (float64, *simulator) {
+		e := &Engine{}
+		s := &simulator{cfg: &Config{}, eng: e, phDispatch: o.Phase("event_dispatch")}
+		return steadyStateAllocs(e, func() {
+			if ok, err := s.stepOnce(); !ok || err != nil {
+				t.Fatalf("stepOnce: ok=%v err=%v", ok, err)
+			}
+		}), s
+	}
+	plain, _ := stepAllocs(nil)
+	observed, s := stepAllocs(obs.New())
+	if s.phDispatch.Calls() == 0 {
+		t.Fatal("observed loop never timed a dispatch")
+	}
+	if observed > plain {
+		t.Errorf("observed step loop allocates %.1f allocs/op, unobserved %.1f", observed, plain)
 	}
 }
 

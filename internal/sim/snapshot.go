@@ -35,7 +35,7 @@ import (
 //   - the obs metrics registry (counters/gauges restart at zero in a
 //     resumed process; the determinism contract covers the trace and the
 //     result CSVs, not the diagnostic registry dump);
-//   - reqOf and the boot-preference order (derived from Config).
+//   - the requests and the boot-preference order (derived from Config).
 
 // pmState is one PM's mutable state. Used and Reserved are recomputed on
 // restore by re-hosting VMs and re-applying holds; the snapshot still
@@ -270,7 +270,7 @@ func Restore(cfg Config, r io.Reader) (*Sim, error) {
 		return nil, err
 	}
 	s := &simulator{cfg: &cfg, dc: cfg.DC}
-	s.eng = newScheduler(cfg.Cells, cfg.DC.Size(), cfg.Obs)
+	s.eng = newScheduler(cfg.Cells, cfg.DC.Size())
 	s.pctx = core.NewContext(s.dc)
 	if err := f.CheckMeta(s.meta()); err != nil {
 		return nil, err
@@ -433,11 +433,12 @@ func (s *simulator) restore(st *simState) error {
 	handles, err := s.eng.RestoreState(st.Engine, func(ev QueuedEvent) func() {
 		switch ev.Tag.Kind {
 		case evArrival:
-			id := cluster.VMID(ev.Tag.Arg)
-			req, ok := s.reqOf[id]
-			if !ok {
+			// VM IDs are request positions plus one (start).
+			i := ev.Tag.Arg - 1
+			if i < 0 || i >= int64(len(s.cfg.Requests)) {
 				return nil
 			}
+			id, req := cluster.VMID(ev.Tag.Arg), s.cfg.Requests[i]
 			return func() { s.onArrival(id, req) }
 		case evControlTick:
 			return s.onControlTick

@@ -2,6 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/audit"
@@ -319,6 +322,44 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	}
 	if _, err := snapshot.Read(bytes.NewReader(bad)); err == nil {
 		t.Fatal("snapshot.Read accepted an unknown format version")
+	}
+}
+
+// TestSnapshotArrivalTagOutOfRange: a pending arrival whose tag names no
+// request of the configured workload — past its end, or VM 0 — is rejected
+// by name rather than restored onto a neighbouring request.
+func TestSnapshotArrivalTagOutOfRange(t *testing.T) {
+	load := mixedLoad()
+	m, err := New(snapCfg(load, policy.NewDynamic(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m.Dispatched() < 50 {
+		if ok, err := m.Step(); err != nil || !ok {
+			t.Fatalf("step: ok=%v err=%v", ok, err)
+		}
+	}
+	var ckpt bytes.Buffer
+	if err := m.Save(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	arrival := regexp.MustCompile(`"tag":\{"k":1,"a":\d+\}`)
+	if !arrival.Match(ckpt.Bytes()) {
+		t.Fatal("checkpoint holds no pending arrival to corrupt")
+	}
+	for _, arg := range []int{0, len(load) + 1} {
+		done := false
+		bad := arrival.ReplaceAllFunc(ckpt.Bytes(), func(tag []byte) []byte {
+			if done {
+				return tag
+			}
+			done = true
+			return []byte(fmt.Sprintf(`"tag":{"k":1,"a":%d}`, arg))
+		})
+		_, err := Restore(snapCfg(load, policy.NewDynamic(), nil), bytes.NewReader(bad))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("kind 1, arg %d", arg)) {
+			t.Errorf("arrival tag %d: restore error = %v, want the event named", arg, err)
+		}
 	}
 }
 

@@ -203,7 +203,8 @@ type Plan struct {
 // control period. dc supplies departure predictions (via VM runtime
 // estimates) and N_Ave.
 func (c *Controller) PlanSpares(now float64, dc *cluster.Datacenter) Plan {
-	defer c.Obs.Phase("spare_plan").Time()()
+	phase := c.Obs.Phase("spare_plan")
+	defer phase.End(phase.Begin())
 	c.est.Advance(now)
 	p := Plan{At: now}
 	p.ExpectedArrivals = c.est.CumulativeIntensity(now, now+c.cfg.Period)
