@@ -20,9 +20,12 @@ race:
 ## audit: full-trace invariant audit — the seed workload under the dynamic
 ## scheme, which runs on the candidate-set engine, with every event
 ## checked, every consolidation pass's roster-derived columns compared
-## with a cold collection and every Apply replayed against a cold dense
+## with a cold collection, every pass built cold even when its emptiness
+## proof (internal/core/bound.go) would have skipped it and the proof held
+## to that build, and every Apply replayed against a cold dense
 ## matrix rebuild (trackers compared bit-for-bit), plus the per-period
-## dense-vs-oracle, sparse-vs-dense and roster checks (142289 checks). Exits
+## dense-vs-oracle, sparse-vs-dense (with the proof) and roster checks
+## (142289 checks, as before the proof: it rides inside them). Exits
 ## non-zero on the first violation. The configuration differentials
 ## (decisions, checkpoint/resume; cells and kernel workers at the
 ## sim.Config level) and the engine differential are tier-1 tests:
@@ -68,20 +71,41 @@ check: vet fmt race audit fuzz-smoke bench-smoke
 ## each round, and `-compare a1..aN b1..bN` (a = BASE, b = this tree) reads
 ## the medians. The result sets stay in bench/out/ab/.
 ## `make bench-ab BASE=HEAD~1`.
+## With W=<workload> the pairs run that one workload
+## (`go run ./bench -workload $(W)`) and the summary is the claim rule's:
+## each side's `wall_s` median and quartiles over the N pairs and how many
+## pairs this tree won — `make bench-ab BASE=HEAD~1 N=10 W=paper-week-100`.
+## BENCHFLAGS goes to every run (`BENCHFLAGS='-seed 7'`).
 N ?= 3
+W ?=
+BENCHFLAGS ?=
 bench-ab:
-	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<ref> [N=3]"; exit 2; }
-	@set -e; out=$(CURDIR)/bench/out/ab; base=$$(mktemp -d); rm -rf "$$out"; \
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<ref> [N=3] [W=<workload>] [BENCHFLAGS=...]"; exit 2; }
+	@set -e; out=$(CURDIR)/bench/out/ab; base=$$(mktemp -d); rm -rf "$$out"; mkdir -p "$$out"; \
 	trap 'rm -rf "$$base"' EXIT; \
 	git clone -q --shared . "$$base" && git -C "$$base" checkout -q --detach $(BASE); \
 	for i in $$(seq 1 $(N)); do \
 		if [ $$((i % 2)) -eq 1 ]; then order="a b"; else order="b a"; fi; \
 		for side in $$order; do \
 			if [ $$side = a ]; then dir="$$base"; else dir=.; fi; \
-			(cd "$$dir" && $(GO) run ./bench -out "$$out/$$side$$i"); \
+			(cd "$$dir" && $(GO) run ./bench $(if $(W),-workload $(W)) $(BENCHFLAGS) -out "$$out/$$side$$i") \
+				$(if $(W),> "$$out/$$side$$i.txt" || { cat "$$out/$$side$$i.txt"; exit 1; }; cat "$$out/$$side$$i.txt"); \
 		done; \
 	done; \
-	$(GO) run ./bench -compare "$$out"/a*/results.json "$$out"/b*/results.json
+	if [ -z "$(W)" ]; then \
+		$(GO) run ./bench -compare "$$out"/a*/results.json "$$out"/b*/results.json; \
+	else \
+		for i in $$(seq 1 $(N)); do for side in a b; do awk -v s=$$side '$$1 == "wall_s" { print s, $$2 }' "$$out/$$side$$i.txt"; done; done | awk -v w=$(W) ' \
+			function q(v, n, p,   h, lo) { h = (n - 1) * p + 1; lo = int(h); return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo]) } \
+			function report(name, v, n,   i, j, t) { \
+				for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j] < v[j - 1]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t } \
+				printf "%s wall_s  median %.4f  quartiles %.4f / %.4f  (n = %d)\n", name, q(v, n, .5), q(v, n, .25), q(v, n, .75), n } \
+			$$1 == "a" { a[++na] = $$2; pa[na] = $$2 } $$1 == "b" { b[++nb] = $$2; pb[nb] = $$2 } \
+			END { if (na != nb || na == 0) { print "bench-ab: " na " wall_s readings for a, " nb " for b"; exit 1 } \
+				for (i = 1; i <= na; i++) { printf "pair %d  a %.4f  b %.4f\n", i, pa[i], pb[i]; if (pb[i] < pa[i]) wins++; else if (pb[i] > pa[i]) losses++ } \
+				print "== " w ", a = BASE, b = this tree"; report("a", a, na); report("b", b, nb); \
+				printf "b ahead in %d of %d pairs (a ahead in %d); b median / a median = %.3f\n", wins, na, losses, q(b, nb, .5) / q(a, na, .5) }'; \
+	fi
 
 ## profile: capture CPU and heap profiles from the seed workload under the
 ## dynamic scheme (PROFILE_FLAGS to change the run). Inspect with

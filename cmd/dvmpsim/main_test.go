@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -289,5 +290,59 @@ func TestRunAuditFlag(t *testing.T) {
 	}
 	if err := run([]string{"-audit", "nonsense"}, &sb); err == nil {
 		t.Error("bad audit mode accepted")
+	}
+}
+
+// TestSeedWeekBuildsOnlyMovingPasses pins what the emptiness proof
+// (internal/core/bound.go) buys on the seed-1 week: an engine is built for
+// exactly the consolidation passes that move a VM, every other pass is
+// proven empty first, and the run itself — passes, moves, events — is the
+// one it always was.
+func TestSeedWeekBuildsOnlyMovingPasses(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, metricsPath := filepath.Join(dir, "run.jsonl"), filepath.Join(dir, "run.json")
+	if err := run([]string{"-spare", "-trace", tracePath, "-metrics", metricsPath}, &strings.Builder{}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Counters map[string]int64
+		Phases   map[string]struct{ Calls int64 }
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	trace, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	movingPasses := int64(0) // a pass's first move is round 1
+	for _, line := range bytes.Split(trace, []byte("\n")) {
+		if bytes.Contains(line, []byte(`"event":"migration"`)) && bytes.Contains(line, []byte(`"round":1,`)) {
+			movingPasses++
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"passes with a move (trace)", movingPasses, 4055},
+		{"kernel_build calls", m.Phases["kernel_build"].Calls, 4055},
+		{"prove_empty calls", m.Phases["prove_empty"].Calls, 18046},
+		{"core.passes_proven_empty", m.Counters["core.passes_proven_empty"], 13991},
+		{"core.bound_declined", m.Counters["core.bound_declined"], 0},
+		{"core.consolidate_passes", m.Counters["core.consolidate_passes"], 18046},
+		{"core.consolidate_moves", m.Counters["core.consolidate_moves"], 5276},
+		{"sim.migrations", m.Counters["sim.migrations"], 5276},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	if !bytes.Contains(trace, []byte(`"dispatched":28240,`)) {
+		t.Error("run_end does not report 28240 dispatched events")
 	}
 }

@@ -226,10 +226,13 @@ func TrackerCheck(ctx *core.Context, factors []core.Factor) Check {
 // bit-identical (core.SparseMatrix.DiffDense), plus internal consistency
 // of the incremental candidate index (SelfCheck). It also replays the
 // arrival ranking for a sample of hosted VMs: the candidate shortlist must
-// equal the cell-by-cell ranking. O(M*N) dense evaluations per run, so it is a per-period check
-// even in event mode; the per-Apply SelfAudit covers the event
-// granularity.
-func SparseCheck(ctx *core.Context, factors []core.Factor) Check {
+// equal the cell-by-cell ranking. And it runs the emptiness proof
+// consolidation passes open with (core/bound.go), at the run's current
+// MIG_threshold, against the cold sparse build: no gain bound below a built
+// gain, the verdict the engine's own. O(M*N) dense evaluations per run, so
+// it is a per-period check even in event mode; the per-pass and per-Apply
+// SelfAudit covers the event granularity.
+func SparseCheck(ctx *core.Context, factors []core.Factor, threshold func() float64) Check {
 	return Check{
 		Name:     "sparse",
 		PerEvent: false,

@@ -60,7 +60,8 @@ type sparseHarness struct {
 	nextID cluster.VMID
 	live   []cluster.VMID // IDs live on both sides, arrival order
 
-	arrived, rejected, moves int
+	arrived, rejected, moves  int
+	provenEmpty, provenMoving int // emptiness-proof verdicts confirmed, by kind
 }
 
 func newSparseHarness(t testing.TB, k int) *sparseHarness {
@@ -99,6 +100,41 @@ func (h *sparseHarness) step(op, arg byte) {
 		h.decayReliability(arg)
 	}
 	h.compareFleets(op, arg)
+	h.checkProof(op, arg)
+}
+
+// proofThresholds are the MIG_threshold values the emptiness proof is held
+// to after every operation: the harness's own, and one high enough that
+// most fleets come to rest under it.
+var proofThresholds = []float64{1.05, 1.6}
+
+// checkProof holds the emptiness proof side B's passes open with — its
+// run-long hosted-cell memo and the live index's group products, whatever
+// the operations so far have done to them — to a dense matrix over side B's
+// fleet (core's CheckProof): every column's tier-1 bound is at least the
+// dense BestAlt gain, and the verdict is "empty" exactly when the dense
+// Best gain does not exceed the threshold.
+func (h *sparseHarness) checkProof(op, arg byte) {
+	vms := core.MigratableVMs(h.b.dc)
+	if len(vms) == 0 {
+		return
+	}
+	dense, err := core.NewMatrix(h.b.ctx.At(h.now), h.factors, vms)
+	if err != nil {
+		h.t.Fatalf("dense build for the proof check: %v", err)
+	}
+	defer dense.Release()
+	_, _, gain, ok := dense.Best()
+	for _, threshold := range proofThresholds {
+		if err := dense.CheckProof(threshold); err != nil {
+			h.t.Fatalf("after op %d (arg %d) at t=%g, threshold %g: %v", op%7, arg, h.now, threshold, err)
+		}
+		if ok && gain > threshold {
+			h.provenMoving++
+		} else {
+			h.provenEmpty++
+		}
+	}
 }
 
 // denseBest is side A's arrival argmax: the head of the cell-by-cell column
@@ -430,7 +466,7 @@ func FuzzSparseOperations(f *testing.F) {
 // decision differentially checked against the dense oracle (runs under
 // -race in `make race`).
 func TestSparseDifferentialSweep(t *testing.T) {
-	arrived, moves := 0, 0
+	arrived, moves, provenEmpty, provenMoving := 0, 0, 0, 0
 	for i, seed := range sweepSeeds {
 		data := sweepStream(seed, sweepOps)
 		// Alternate candidate budgets: generous (groups fit) and
@@ -443,9 +479,12 @@ func TestSparseDifferentialSweep(t *testing.T) {
 		h := runSparseOps(t, data, k)
 		arrived += h.arrived
 		moves += h.moves
+		provenEmpty += h.provenEmpty
+		provenMoving += h.provenMoving
 	}
-	if arrived == 0 || moves == 0 {
-		t.Fatalf("degenerate sweep: arrived=%d moves=%d", arrived, moves)
+	if arrived == 0 || moves == 0 || provenEmpty == 0 || provenMoving == 0 {
+		t.Fatalf("degenerate sweep: arrived=%d moves=%d passes proven empty=%d moving=%d", arrived, moves, provenEmpty, provenMoving)
 	}
-	t.Logf("seeds=%d ops/seed=%d arrived=%d moves=%d", len(sweepSeeds), sweepOps, arrived, moves)
+	t.Logf("seeds=%d ops/seed=%d arrived=%d moves=%d proofs: %d empty, %d moving",
+		len(sweepSeeds), sweepOps, arrived, moves, provenEmpty, provenMoving)
 }

@@ -148,6 +148,37 @@ func TestConsolidateAllocBudget(t *testing.T) {
 	}
 }
 
+// TestProvenEmptyPassAllocBudget: once a fleet has come to rest, a pass is
+// the roster's filter and the emptiness proof (bound.go) over state that is
+// all in place — the hosted-cell memo, the index, the shapes' top-two
+// scratch — while the clock, and with it every p_vir, moves on. It
+// allocates nothing and checks out no frame.
+func TestProvenEmptyPassAllocBudget(t *testing.T) {
+	ctx, _ := tableIIState(t, 200, 400, 7)
+	factors := DefaultFactors()
+	pass := func() int {
+		ctx.Now += 60
+		moves, err := ConsolidateWith(ctx, factors, DefaultParams(), MatrixOptions{CandidateK: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(moves)
+	}
+	for pass() > 0 {
+	}
+	vms, shapes := ctx.columns()
+	if v := ctx.proveEmpty(vms, shapes, DefaultParams().MIGThreshold, 0); v != proofEmpty {
+		t.Fatalf("fixture at rest: proof verdict %d, want proven empty", v)
+	}
+	builds := ctx.pass
+	if avg := testing.AllocsPerRun(50, func() { pass() }); avg != 0 {
+		t.Errorf("a proven-empty pass allocates %.1f times, want 0", avg)
+	}
+	if built := ctx.pass - builds - 51; built != 0 { // one proof per pass, AllocsPerRun warms up once
+		t.Errorf("%d frames built over 51 proven-empty passes", built)
+	}
+}
+
 // TestFramePoolInterleavedEngines runs dense and sparse passes back to
 // back on one Context — the way the auditor and SelfAudit mix them — and
 // checks the checkout model: engines that share the pool in turn agree

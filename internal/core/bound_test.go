@@ -1,0 +1,236 @@
+package core
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/obs"
+)
+
+// boundHazards are the ways the state the emptiness proof keeps across
+// passes — the hosted-cell memo, the index's group products — or the state
+// it must not trust could go wrong between two passes. Each step is followed
+// by a pass on three identically built fleets (TestBoundHazards); check, when
+// set, sees the production side's counters over the row's scripted passes.
+var boundHazards = []struct {
+	name   string
+	params Params // zero: MIG_threshold 1.05, two rounds
+	steps  []func(t *testing.T, s *rosterSide)
+	check  func(t *testing.T, quiet bool, n boundCounts)
+}{
+	{name: "the top group's lone member hosts the column",
+		// One core is freed on the first PM with none to spare, which makes
+		// it the best target of every one-core shape and the only PM of its
+		// group — and the host of columns that must not be bounded by it.
+		// Everybody else's estimate expires, so nobody takes the core.
+		steps: []func(*testing.T, *rosterSide){func(t *testing.T, s *rosterSide) {
+			var full *cluster.PM
+			for _, pm := range s.ctx.DC.PMs() {
+				if pm.VMCount() > 0 && pm.Used[0] == pm.Class.Capacity[0] {
+					full = pm
+					break
+				}
+			}
+			if full == nil {
+				return // the fleet that has not packed yet: the row is about the other one
+			}
+			for _, vm := range full.VMs() {
+				if vm.Demand[0] == 1 {
+					s.evict(t, vm.ID, cluster.VMFinished)
+					break
+				}
+			}
+			for _, vm := range s.vms {
+				if vm.Host != cluster.NoPM && vm.Host != full.ID {
+					vm.EstimatedRuntime, vm.StartTime = 1, 0
+				}
+			}
+		}},
+		check: func(t *testing.T, quiet bool, n boundCounts) {
+			if quiet && (n.soleHost == 0 || n.proven != 1) {
+				t.Errorf("%d columns hosted on their shape's lone best PM, %d passes proven empty; want > 0, 1", n.soleHost, n.proven)
+			}
+		}},
+	{name: "host reliability 0 declines",
+		steps: []func(*testing.T, *rosterSide){
+			func(t *testing.T, s *rosterSide) { s.ctx.DC.PM(s.vms[5].Host).Reliability = 0 },
+		},
+		check: func(t *testing.T, quiet bool, n boundCounts) {
+			if (quiet && n.declined == 0) || n.moves == 0 { // a moving pass may be settled before the walk gets there
+				t.Errorf("%d passes declined, %d rescue moves, want both > 0", n.declined, n.moves)
+			}
+		}},
+	{name: "expired estimates are resolved by tier 2",
+		steps: []func(*testing.T, *rosterSide){
+			func(t *testing.T, s *rosterSide) {
+				for _, vm := range s.vms {
+					vm.EstimatedRuntime, vm.StartTime = 1, 0 // T_re = 0: no gain anywhere
+				}
+			},
+		},
+		check: func(t *testing.T, _ bool, n boundCounts) {
+			if n.scans == 0 || n.proven != 1 || n.builds != 0 {
+				t.Errorf("%d exact scans, %d proven empty, %d builds; want > 0, 1, 0", n.scans, n.proven, n.builds)
+			}
+		}},
+	{name: "reliability perturbed with no version bump",
+		steps: []func(*testing.T, *rosterSide){
+			func(t *testing.T, s *rosterSide) { s.ctx.DC.PM(s.vms[5].Host).Reliability *= 0.5 },
+			func(t *testing.T, s *rosterSide) { s.ctx.DC.PM(s.vms[9].Host).Reliability *= 0.9 },
+		},
+		check: func(t *testing.T, _ bool, n boundCounts) {
+			if n.moves == 0 {
+				t.Error("halving a host's reliability moved nothing")
+			}
+		}},
+	{name: "PM shutdown, boot and failure", steps: rosterHazards[3].steps},
+	{name: "a threshold just above 1", params: Params{MIGThreshold: math.Nextafter(1, 2), MIGRound: 2},
+		steps: []func(*testing.T, *rosterSide){
+			func(t *testing.T, s *rosterSide) { s.evict(t, 7, cluster.VMFinished) },
+		}},
+	{name: "fresh Context after a restore", steps: rosterHazards[5].steps},
+}
+
+// boundCounts is the production side's proof counters and engine builds,
+// and what the test itself counts.
+type boundCounts struct {
+	proven, declined, scans, builds int64
+	moves, soleHost                 int
+}
+
+func boundCountsOf(o *obs.Observer) boundCounts {
+	return boundCounts{
+		proven:   o.Counter("core.passes_proven_empty").Value(),
+		declined: o.Counter("core.bound_declined").Value(),
+		scans:    o.Counter("core.bound_exact_scans").Value(),
+		builds:   o.Phase("kernel_build").Calls(),
+	}
+}
+
+// TestBoundHazards runs every hazard on a fleet that moves and on the same
+// fleet consolidated to a standstill. After each step, with the clock
+// advanced so every p_vir has aged, three sides pass: the production one
+// (ConsolidateWith, which skips the build when the proof says empty), an
+// audited one (SelfAudit: the build runs anyway and checkProof holds the
+// proof to it) and a cold dense one built by constructor, whose moves the
+// other two must make. An engine is built exactly for the passes that move
+// or decline.
+func TestBoundHazards(t *testing.T) {
+	var total boundCounts
+	for _, quiet := range []bool{false, true} {
+		for _, hz := range boundHazards {
+			t.Run(map[bool]string{false: "moving/", true: "quiet/"}[quiet]+hz.name, func(t *testing.T) {
+				params := hz.params
+				if params == (Params{}) {
+					params = Params{MIGThreshold: 1.05, MIGRound: 2}
+				}
+				plain, audited, cold := newRosterSide(t), newRosterSide(t), newRosterSide(t)
+				sides := []*rosterSide{plain, audited, cold}
+				observer := obs.New()
+				var row boundCounts
+				pass := func(step int, scripted bool) int {
+					t.Helper()
+					for _, s := range sides {
+						s.ctx.Now += 900
+					}
+					plain.ctx.Obs = observer // a restore step replaces the Context
+					before := boundCountsOf(observer)
+					want := denseConsolidate(t, cold.ctx, DefaultFactors(), params, MatrixOptions{})
+					for _, s := range sides[:2] {
+						got, err := ConsolidateWith(s.ctx, DefaultFactors(), params, MatrixOptions{SelfAudit: s == audited})
+						if err != nil {
+							t.Fatalf("after step %d: %v", step, err)
+						}
+						assertMovesEqual(t, want, got)
+					}
+					after := boundCountsOf(observer)
+					declined := after.declined - before.declined
+					if built := after.builds - before.builds; (built == 1) != (len(want) > 0 || declined == 1) {
+						t.Fatalf("after step %d: %d engines built for a pass of %d moves (%d declined)", step, built, len(want), declined)
+					}
+					if !scripted {
+						return len(want)
+					}
+					row.proven += after.proven - before.proven
+					row.declined += declined
+					row.scans += after.scans - before.scans
+					row.builds += after.builds - before.builds
+					row.moves += len(want)
+					if after.proven > before.proven { // the tops are this pass's
+						for _, vm := range MigratableVMs(plain.ctx.DC) {
+							if plain.ctx.cand.shape(plain.ctx.shapeID(vm.Demand)).top.sole == int32(vm.Host) {
+								row.soleHost++
+							}
+						}
+					}
+					return len(want)
+				}
+				for settle := 0; quiet && pass(0, false) > 0; settle++ {
+					if settle > 100 {
+						t.Fatal("fixture does not come to rest")
+					}
+				}
+				for i, step := range hz.steps {
+					for _, s := range sides {
+						step(t, s)
+					}
+					pass(i+1, true)
+				}
+				if hz.check != nil {
+					hz.check(t, quiet, row)
+				}
+				total.proven += row.proven
+				total.moves += row.moves
+			})
+		}
+	}
+	if total.proven == 0 || total.moves == 0 {
+		t.Fatalf("degenerate table: %d passes proven empty, %d moves", total.proven, total.moves)
+	}
+}
+
+// TestCheckProofRejectsWrongVerdicts: the check SelfAudit runs per pass
+// fails by name when handed a verdict the built engine contradicts, in
+// either direction, and when the hosted-cell memo is stale.
+func TestCheckProofRejectsWrongVerdicts(t *testing.T) {
+	ctx, vms := spreadState(t, 16, 30, 3)
+	build := func() *SparseMatrix {
+		t.Helper()
+		sm, err := NewSparseMatrix(ctx, DefaultFactors(), vms, MatrixOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sm
+	}
+	sm := build()
+	_, _, gain, _ := sm.Best()
+	if err := sm.CheckProof(1.05); err != nil || gain <= 1.05 {
+		t.Fatalf("moving fixture: best gain %g, CheckProof %v", gain, err)
+	}
+	if err := sm.checkProof(proofEmpty, 1.05); err == nil {
+		t.Error("a moving pass accepted as proven empty")
+	}
+	if err := sm.CheckProof(gain); err != nil {
+		t.Errorf("threshold at the best gain itself: %v", err)
+	}
+	if err := sm.checkProof(proofMoves, gain); err == nil {
+		t.Error("an empty pass accepted as moving")
+	}
+	sm.Release()
+
+	ctx.hostMemo[vms[0].Host].p *= 2
+	sm = build()
+	defer sm.Release()
+	if err := sm.CheckProof(1.05); err == nil {
+		t.Error("a stale hosted-cell memo, its stamp still standing, went unnoticed")
+	}
+	dense, err := NewMatrix(ctx, opaqueFactors(DefaultFactors()), vms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dense.Release()
+	if err := dense.CheckProof(1.05); err == nil {
+		t.Error("CheckProof ran over a non-canonical factor list")
+	}
+}

@@ -110,6 +110,23 @@ type candGroup struct {
 // a zero factor yields the same +0 the per-cell short circuits return.
 func (g *candGroup) value(vir float64) float64 { return vir * g.rel * g.effVal }
 
+// candidate returns the member of g that the scan of a column hosted on PM
+// host considers — the lowest ID, with the host (present in at most one
+// group) skipped to its successor — or -1 when the group offers the column
+// nobody.
+func (g *candGroup) candidate(host int32) int32 {
+	m := g.members
+	switch {
+	case len(m) == 0:
+		return -1
+	case m[0] != host:
+		return m[0]
+	case len(m) < 2:
+		return -1
+	}
+	return m[1]
+}
+
 // candShape is the per-demand-shape grouping.
 type candShape struct {
 	id       int32 // Context shape id
@@ -124,6 +141,9 @@ type candShape struct {
 	// shape during the Apply numbered seq (sparse.go).
 	seq uint64
 	ev  [2]bool
+
+	// top is per-pass scratch for the emptiness proof (bound.go).
+	top shapeTop
 }
 
 // candEvent is one membership change: pm moved from group old to group new
@@ -279,14 +299,19 @@ func (x *candIndex) membership(pm *cluster.PM, demand vector.V) (key candKey, re
 }
 
 // shape returns the grouping of the demand shape with Context id sid,
-// building the membership of a not-yet-tracked shape from the live fleet
-// in one pass.
+// tracking it first when nothing has asked for it yet.
 func (x *candIndex) shape(sid int32) *candShape {
+	if int(sid) < len(x.shapes) && x.shapes[sid] != nil {
+		return x.shapes[sid]
+	}
+	return x.trackShape(sid)
+}
+
+// trackShape builds the membership of a not-yet-tracked shape from the live
+// fleet in one pass.
+func (x *candIndex) trackShape(sid int32) *candShape {
 	for int(sid) >= len(x.shapes) {
 		x.shapes = append(x.shapes, nil)
-	}
-	if sh := x.shapes[sid]; sh != nil {
-		return sh
 	}
 	sh := &candShape{
 		id:      sid,
@@ -417,6 +442,22 @@ func (x *candIndex) bestArrival(vm *cluster.VM, k int) *cluster.PM {
 		}
 	}
 	return best
+}
+
+// countOverflow is bestArrival's overflow diagnostic for a consolidation
+// pass: one count per column whose shape needs more than k non-empty groups
+// as the pass begins. ConsolidateWith calls it once per pass, whether or not
+// the pass goes on to build an engine.
+func (x *candIndex) countOverflow(shapes []int32, k int) {
+	overflow := int64(0)
+	for c := len(shapes) - 1; c >= 0; c-- { // shapes tracked in frame.init's order
+		if x.shape(shapes[c]).nonEmpty > k {
+			overflow++
+		}
+	}
+	if overflow > 0 {
+		x.ctx.Obs.Add("core.sparse_shape_overflow", overflow)
+	}
 }
 
 // shortlist appends the shape's candidate PMs for vm — every PM with a

@@ -54,7 +54,7 @@ type Context struct {
 	shapeTab []shapeInfo
 	shapeIdx map[string]int32
 	shapeKey []byte
-	pass     uint64 // frame builds so far; stamps shapeInfo.pass
+	pass     uint64 // frame builds and emptiness proofs so far; stamps shapeInfo.pass, shapeTop.pass
 
 	// Reusable hot-path scratch (scratch.go): fscratch backs pass frames
 	// via checkout, terms backs the per-arrival term program, vmBuf and
@@ -74,6 +74,10 @@ type Context struct {
 	// first placement evaluated with a Canonical factor list and kept in
 	// sync with the fleet via per-PM version stamps.
 	cand *candIndex
+
+	// hostMemo is each PM's hosted-cell probability (bound.go), allocated
+	// by the first emptiness proof and kept valid by per-PM stamps.
+	hostMemo []hostMemo
 }
 
 // classInfo holds the per-class constants of Section III.B.4: one entry of

@@ -59,6 +59,36 @@ func BenchmarkKernelMatrixBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelProveEmpty measures what a pass costs when the emptiness
+// proof (bound.go) ends it before BenchmarkKernelMatrixBuild's work begins:
+// the index sync and the column walk, on a fleet consolidated to rest.
+func BenchmarkKernelProveEmpty(b *testing.B) {
+	for _, pms := range benchSizes {
+		b.Run(fmt.Sprintf("kernel/pms%d", pms), func(b *testing.B) {
+			ctx, _ := tableIIState(b, pms, 2*pms, 7)
+			params := DefaultParams()
+			for {
+				moves, err := ConsolidateWith(ctx, DefaultFactors(), params, MatrixOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(moves) == 0 {
+					break
+				}
+			}
+			vms, shapes := ctx.columns()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if ctx.proveEmpty(vms, shapes, params.MIGThreshold, 0) != proofEmpty {
+					b.Fatal("the fleet at rest is not proven empty")
+				}
+			}
+			b.ReportMetric(float64(len(vms)), "columns")
+		})
+	}
+}
+
 // BenchmarkKernelMatrixRound measures one migration round's incremental
 // work — Apply's tracker repair plus Best's argmax — by
 // ping-ponging the best move back and forth (two Applies per

@@ -69,6 +69,23 @@ func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixO
 	if len(vms) == 0 {
 		return nil, nil
 	}
+	// A canonical pass is first asked whether it can move anything at all
+	// (bound.go); one proven empty ends here. SelfAudit builds it anyway
+	// and holds the proof to the cold engine.
+	canonical, verdict := Canonical(factors), proofDeclined
+	if canonical {
+		phase = ctx.Obs.Phase("prove_empty")
+		start = phase.Begin()
+		verdict = ctx.proveEmpty(vms, shapes, params.MIGThreshold, opts.Workers)
+		phase.End(start)
+		if opts.CandidateK > 0 {
+			ctx.cand.countOverflow(shapes, opts.CandidateK)
+		}
+		if verdict == proofEmpty && !opts.SelfAudit {
+			ctx.Obs.Add("core.consolidate_passes", 1)
+			return nil, nil
+		}
+	}
 	var (
 		e   engine
 		f   *frame
@@ -76,7 +93,7 @@ func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixO
 	)
 	phase = ctx.Obs.Phase("kernel_build")
 	start = phase.Begin()
-	if Canonical(factors) {
+	if canonical {
 		var sm *SparseMatrix
 		if sm, err = newSparseMatrix(ctx, factors, vms, shapes, opts); err == nil {
 			e, f = sm, &sm.frame
@@ -92,6 +109,11 @@ func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixO
 		return nil, err
 	}
 	defer f.Release()
+	if canonical && opts.SelfAudit {
+		if err := f.checkProof(verdict, params.MIGThreshold); err != nil {
+			return nil, err
+		}
+	}
 	moves, err := runRounds(e, f, params)
 	if err != nil {
 		return moves, err

@@ -80,16 +80,9 @@ func newSparseMatrix(ctx *Context, factors []Factor, vms []*cluster.VM, shapes [
 	scr.best.reset(len(sm.pms), nc)
 	scr.byShape.reset(len(ctx.shapeTab), nc)
 	sm.best, sm.byShape = scr.best, scr.byShape
-	overflow := int64(0)
 	for c := nc - 1; c >= 0; c-- {
 		sm.bestRow[c] = -1
 		sm.byShape.push(int(sm.colShape[c]), c)
-		if opts.CandidateK > 0 && sm.shapeOf(c).nonEmpty > opts.CandidateK {
-			overflow++
-		}
-	}
-	if overflow > 0 {
-		ctx.Obs.Add("core.sparse_shape_overflow", overflow)
 	}
 	sm.initialSync()
 	return sm, nil
@@ -152,13 +145,15 @@ func (sm *SparseMatrix) refreshColumn(c int) {
 func (sm *SparseMatrix) scanColumn(c int) (bestRow int, bestP float64) {
 	sh := sm.shapeOf(c)
 	cur := sm.curProb[c]
+	host := sm.hostID(c)
 	bestID := int32(-1)
 	for gi := range sh.groups {
 		g := &sh.groups[gi]
-		cand, p := sm.groupCandidate(g, c)
+		cand := g.candidate(host)
 		if cand < 0 {
 			continue
 		}
+		p := sm.groupValue(g, c)
 		if cur > 0 {
 			if p > bestP || (p == bestP && bestID >= 0 && cand < bestID) {
 				bestP, bestID = p, cand
@@ -173,23 +168,12 @@ func (sm *SparseMatrix) scanColumn(c int) (bestRow int, bestP float64) {
 	return int(sm.id2row[bestID]), bestP
 }
 
-// groupCandidate returns the member of g that column c's scan considers —
-// the lowest ID, with the column's host (present in at most one group)
-// skipped to its successor — and the probability every member shares for
-// c, or cand = -1 when the group offers the column nothing.
-func (sm *SparseMatrix) groupCandidate(g *candGroup, c int) (cand int32, p float64) {
-	m := g.members
-	if len(m) == 0 {
-		return -1, 0
-	}
-	cand = m[0]
-	if cand == int32(sm.pms[sm.curRow[c]].ID) {
-		if len(m) < 2 {
-			return -1, 0
-		}
-		cand = m[1]
-	}
-	return cand, g.value(sm.vir[int(g.key.ci)*len(sm.vms)+c])
+// hostID is the PM ID of column c's host, what candGroup.candidate skips.
+func (sm *SparseMatrix) hostID(c int) int32 { return int32(sm.pms[sm.curRow[c]].ID) }
+
+// groupValue is the probability every member of g shares for column c.
+func (sm *SparseMatrix) groupValue(g *candGroup, c int) float64 {
+	return g.value(sm.vir[int(g.key.ci)*len(sm.vms)+c])
 }
 
 // setBest installs a freshly computed (bestRow, bestP) pair and the
@@ -294,8 +278,8 @@ func (sm *SparseMatrix) joinUpdate(sh *candShape, g *candGroup) {
 		if sm.colSeq[c] == sm.seq {
 			continue
 		}
-		if cand, p := sm.groupCandidate(g, c); cand >= 0 {
-			if candRow := int(sm.id2row[cand]); sm.beats(c, candRow, p) {
+		if cand := g.candidate(sm.hostID(c)); cand >= 0 {
+			if candRow, p := int(sm.id2row[cand]), sm.groupValue(g, c); sm.beats(c, candRow, p) {
 				sm.setBest(c, candRow, p)
 			}
 		}
@@ -414,11 +398,11 @@ func (sm *SparseMatrix) verifyDense() error {
 // list against a dense column ranking.
 func (sm *SparseMatrix) ColumnShortlist(c, k int) []Placement {
 	sh := sm.shapeOf(c)
-	hostID := int32(sm.pms[sm.curRow[c]].ID)
+	hostID := sm.hostID(c)
 	var out []Placement
 	for gi := range sh.groups {
 		g := &sh.groups[gi]
-		p := g.value(sm.vir[int(g.key.ci)*len(sm.vms)+c])
+		p := sm.groupValue(g, c)
 		if p <= 0 {
 			continue
 		}

@@ -274,7 +274,7 @@ func TestSparseShortlistProperty(t *testing.T) {
 // factors in canonical order run on the candidate index and the
 // SparseMatrix, every other list — an ablation, an appended factor, opaque
 // user factors, the same four reordered — on the dense Matrix with no index
-// built, and either way the moves equal a dense run built by constructor on
+// built and no emptiness proof attempted, and either way the moves equal a dense run built by constructor on
 // a twin fleet.
 func TestSparseNonCanonicalFallback(t *testing.T) {
 	params := Params{MIGThreshold: 1.05, MIGRound: 50}
@@ -319,6 +319,11 @@ func TestSparseNonCanonicalFallback(t *testing.T) {
 			}
 			if indexed := ctx.cand != nil; indexed != tc.sparse {
 				t.Fatalf("candidate index built = %t, want %t", indexed, tc.sparse)
+			}
+			// Only a canonical pass is asked whether it is empty (bound.go):
+			// the proof leaves its hosted-cell memo behind.
+			if proved := ctx.hostMemo != nil; proved != tc.sparse {
+				t.Fatalf("emptiness proof ran = %t, want %t", proved, tc.sparse)
 			}
 			if _, ok := ArrivalShortlist(ctx, tc.factors, arrival, 8); ok != tc.sparse {
 				t.Fatalf("ArrivalShortlist coverage = %t, want %t", ok, tc.sparse)

@@ -566,7 +566,7 @@ func (s *simulator) setupAudit() {
 		s.aud.Register(audit.TrackerCheck(s.pctx, d.FactorSet()))
 		s.aud.Register(audit.RosterCheck(s.pctx))
 		if core.Canonical(d.FactorSet()) {
-			s.aud.Register(audit.SparseCheck(s.pctx, d.FactorSet()))
+			s.aud.Register(audit.SparseCheck(s.pctx, d.FactorSet(), func() float64 { return d.Params.MIGThreshold }))
 		}
 		if s.cfg.Audit == audit.Event {
 			d.Opts.SelfAudit = true
