@@ -45,13 +45,14 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzSnapshotResume -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzCellOrchestrator -fuzztime $(FUZZTIME)
 
-## bench-smoke: run every Kernel*, Engine*, and Sweep micro-benchmark
-## exactly once. Not a measurement — a liveness gate: benchmarks bit-rot
-## silently because `go test` never executes them, so check runs each for
-## one iteration.
+## bench-smoke: run every Kernel*, Engine*, Meter* and Sweep
+## micro-benchmark exactly once. Not a measurement — a liveness gate:
+## benchmarks bit-rot silently because `go test` never executes them, so
+## check runs each for one iteration.
 bench-smoke:
 	$(GO) test ./internal/core -run '^$$' -bench '^BenchmarkKernel' -benchtime 1x
 	$(GO) test ./internal/sim -run '^$$' -bench '^BenchmarkEngine' -benchtime 1x
+	$(GO) test ./internal/power -run '^$$' -bench '^BenchmarkMeter' -benchtime 1x
 	$(GO) test ./internal/exp -run '^$$' -bench '^BenchmarkSweep' -benchtime 1x
 
 ## check: the full pre-commit gate — vet, gofmt, the race-enabled test

@@ -156,6 +156,25 @@ func TestEnergyCheckConsistency(t *testing.T) {
 	}
 }
 
+// TestEnergyCheckDetectsUnstampedUsedWrite: the meter caches each PM's draw
+// under its (Version, State) stamp, so a write to PM.Used that skips the
+// Version bump would be charged at the stale draw. The energy check must
+// name the PM.
+func TestEnergyCheckDetectsUnstampedUsedWrite(t *testing.T) {
+	dc, _ := auditFixture(t)
+	m := power.NewMeter(dc, 3600)
+	m.Advance(100)
+	check := EnergyCheck(m, dc)
+	if err := check.Fn(100); err != nil {
+		t.Fatalf("consistent meter flagged: %v", err)
+	}
+	dc.PM(2).Used[0] += 2
+	err := check.Fn(100)
+	if err == nil || !strings.Contains(err.Error(), "PM 2 cached draw") {
+		t.Fatalf("unstamped Used write: error = %v, want PM 2's cached draw named", err)
+	}
+}
+
 func TestConservationCheckDetectsLoss(t *testing.T) {
 	dc, _ := auditFixture(t)
 	placed := dc.VMCount()

@@ -50,12 +50,17 @@ func relClose(a, b float64) bool {
 
 // EnergyCheck verifies the power meter's ledger: total energy is finite and
 // non-negative, and re-derivable both as the sum of per-PM energies and as
-// the sum of the time-binned series.
+// the sum of the time-binned series. It also holds the meter's draw cache
+// to power.Draw bit for bit (power.Meter.VerifyDraws), so a write to
+// PM.Used that skips the Version bump fails here, naming the PM.
 func EnergyCheck(m *power.Meter, dc *cluster.Datacenter) Check {
 	return Check{
 		Name:     "energy",
 		PerEvent: true,
 		Fn: func(now float64) error {
+			if err := m.VerifyDraws(); err != nil {
+				return err
+			}
 			total := m.TotalEnergy()
 			if math.IsNaN(total) || math.IsInf(total, 0) || total < 0 {
 				return fmt.Errorf("total energy %g is not a finite non-negative number", total)

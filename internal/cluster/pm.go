@@ -145,11 +145,13 @@ type PM struct {
 	reserved vector.V
 
 	// ver counts mutations of Used (Host/Evict/Reserve/Release). Caches
-	// keyed on a PM's occupancy — the sparse candidate index in
-	// internal/core — compare it against a remembered value to detect
-	// staleness without diffing the vector. State and Reliability are
-	// plain fields written directly by the simulator, so such caches must
-	// compare them alongside ver.
+	// keyed on a PM's occupancy — the sparse candidate index, the column
+	// roster and the emptiness proof in internal/core, and the energy
+	// meter's draw cache in internal/power — compare it against a
+	// remembered value to detect staleness without diffing the vector. State
+	// and Reliability are plain fields written directly by the simulator,
+	// so such caches must compare them alongside ver. Used must therefore
+	// never change without a ver bump.
 	ver uint64
 
 	// Failures counts how many times this PM has failed.

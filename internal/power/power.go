@@ -52,6 +52,27 @@ type Meter struct {
 	// perPM[i] is the total energy of PM i over the whole run.
 	perPM []float64
 	total float64
+
+	// draws[i] is PM i's Draw, valid while the PM's (Version, State) equals
+	// the stamp it was computed under: Draw reads only State, Class and
+	// Used, the class never changes, and every write to Used bumps Version.
+	// Allocated by the first Advance that finds a powered PM.
+	draws []cachedDraw
+
+	// cuts is Advance's reusable split of [lastTime, now) into bins.
+	cuts []binCut
+}
+
+type cachedDraw struct {
+	ver   uint64
+	state cluster.PMState
+	watts float64
+}
+
+// binCut is the part of an Advance interval that falls into one bin.
+type binCut struct {
+	bin int
+	len float64
 }
 
 // NewMeter creates a meter over dc with the given bin width in seconds.
@@ -72,6 +93,12 @@ func NewMeter(dc *cluster.Datacenter, binWidth float64) *Meter {
 // simulator always calls Advance(now) *before* mutating any PM state or
 // placement at time now, the current levels are exactly the levels that
 // held throughout the interval. Advancing backwards is a programming error.
+//
+// Each PM is charged e = Draw·dt and each bin it overlaps gets
+// (e/dt)·(part of dt in that bin), PM by PM in ID order: the interval is
+// cut into bins once per call, not once per PM, and draws come from the
+// cache, but the floating-point operations and their order are those of
+// integrating every PM independently, so the ledger is bit-identical to it.
 func (m *Meter) Advance(now float64) {
 	if now < m.lastTime-1e-9 {
 		panic(fmt.Sprintf("power: meter advanced backwards (%g -> %g)", m.lastTime, now))
@@ -80,32 +107,84 @@ func (m *Meter) Advance(now float64) {
 		return
 	}
 	dt := now - m.lastTime
+	cuts := m.cut(m.lastTime, now)
+	one := len(cuts) == 1
+	// total, and the bin while the interval sits in a single one, are
+	// summed in locals and stored once: the same additions in the same
+	// order, without a store and reload per PM.
+	total, acc := m.total, 0.0
+	charged := false
 	for i, p := range m.dc.PMs() {
-		e := Draw(p) * dt
-		if e != 0 {
-			m.perPM[i] += e
-			m.total += e
-			m.spread(m.lastTime, now, e)
+		if p.State == cluster.PMOff || p.State == cluster.PMFailed {
+			continue
+		}
+		if m.draws == nil {
+			m.draws = make([]cachedDraw, len(m.perPM))
+		}
+		c := &m.draws[i]
+		if c.ver != p.Version() || c.state != p.State {
+			*c = cachedDraw{ver: p.Version(), state: p.State, watts: Draw(p)}
+		}
+		e := c.watts * dt
+		if e == 0 {
+			continue
+		}
+		if !charged {
+			// Only a charge grows the series: an all-off tail adds no bins.
+			charged = true
+			m.ensureBin(cuts[len(cuts)-1].bin)
+			acc = m.bins[cuts[0].bin]
+		}
+		m.perPM[i] += e
+		total += e
+		rate := e / dt
+		if one {
+			acc += rate * cuts[0].len
+			continue
+		}
+		for _, k := range cuts {
+			m.bins[k.bin] += rate * k.len
 		}
 	}
+	if charged && one {
+		m.bins[cuts[0].bin] = acc
+	}
+	m.total = total
 	m.lastTime = now
 }
 
-// spread distributes energy e consumed uniformly over [t0, t1) across the
-// hour bins it overlaps.
-func (m *Meter) spread(t0, t1, e float64) {
-	if t1 <= t0 {
-		return
-	}
-	rate := e / (t1 - t0)
+// cut splits [t0, t1) at bin boundaries, t0 < t1, into m.cuts.
+func (m *Meter) cut(t0, t1 float64) []binCut {
+	cuts := m.cuts[:0]
 	for t := t0; t < t1; {
 		bin := int(t / m.binWidth)
-		binEnd := float64(bin+1) * m.binWidth
-		end := math.Min(binEnd, t1)
-		m.ensureBin(bin)
-		m.bins[bin] += rate * (end - t)
+		end := math.Min(float64(bin+1)*m.binWidth, t1)
+		cuts = append(cuts, binCut{bin: bin, len: end - t})
 		t = end
 	}
+	m.cuts = cuts
+	return cuts
+}
+
+// VerifyDraws checks every cached draw whose stamp is still current
+// against Draw, bit for bit. A mismatch means PM.Used changed without a
+// Version bump, which the cache cannot see; the auditor's energy check
+// runs this after every event.
+func (m *Meter) VerifyDraws() error {
+	if m.draws == nil {
+		return nil
+	}
+	for i, p := range m.dc.PMs() {
+		c := m.draws[i]
+		if c.ver != p.Version() || c.state != p.State {
+			continue
+		}
+		if w := Draw(p); math.Float64bits(w) != math.Float64bits(c.watts) {
+			return fmt.Errorf("PM %d cached draw %v W != draw %v W at version %d, state %s (used changed without a version bump)",
+				p.ID, c.watts, w, c.ver, c.state)
+		}
+	}
+	return nil
 }
 
 func (m *Meter) ensureBin(b int) {
@@ -143,12 +222,27 @@ func (m *Meter) RestoreState(st MeterState) error {
 	if st.LastTime < 0 {
 		return fmt.Errorf("power: negative meter time %g", st.LastTime)
 	}
+	for i, e := range st.PerPM {
+		if !validEnergy(e) {
+			return fmt.Errorf("power: snapshot per_pm[%d] energy %g is not a finite non-negative number", i, e)
+		}
+	}
+	for i, e := range st.Bins {
+		if !validEnergy(e) {
+			return fmt.Errorf("power: snapshot bins[%d] energy %g is not a finite non-negative number", i, e)
+		}
+	}
+	if !validEnergy(st.Total) {
+		return fmt.Errorf("power: snapshot total energy %g is not a finite non-negative number", st.Total)
+	}
 	m.lastTime = st.LastTime
 	m.bins = append(m.bins[:0], st.Bins...)
 	m.perPM = append(m.perPM[:0], st.PerPM...)
 	m.total = st.Total
 	return nil
 }
+
+func validEnergy(e float64) bool { return e >= 0 && !math.IsInf(e, 1) }
 
 // TotalEnergy returns total energy consumed so far, in joules.
 func (m *Meter) TotalEnergy() float64 { return m.total }

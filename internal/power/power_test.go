@@ -1,7 +1,9 @@
 package power
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -281,14 +283,447 @@ func TestQuickMeterConservation(t *testing.T) {
 	}
 }
 
-func BenchmarkMeterAdvance(b *testing.B) {
-	d := cluster.TableIIFleet()
-	for _, p := range d.PMs() {
-		p.State = cluster.PMOn
+// refMeter is the meter as it was before the draw cache: every Advance
+// recomputes each PM's Draw and re-splits the interval into bins for each
+// PM (spread). Advance, spread and ensureBin are kept verbatim as the
+// reference Meter must match bit for bit.
+type refMeter struct {
+	dc       *cluster.Datacenter
+	binWidth float64
+	lastTime float64
+	bins     []float64
+	perPM    []float64
+	total    float64
+}
+
+func newRefMeter(dc *cluster.Datacenter, binWidth float64) *refMeter {
+	return &refMeter{dc: dc, binWidth: binWidth, perPM: make([]float64, dc.Size())}
+}
+
+func (m *refMeter) Advance(now float64) {
+	if now < m.lastTime-1e-9 {
+		panic(fmt.Sprintf("power: meter advanced backwards (%g -> %g)", m.lastTime, now))
 	}
+	if now <= m.lastTime {
+		return
+	}
+	dt := now - m.lastTime
+	for i, p := range m.dc.PMs() {
+		e := Draw(p) * dt
+		if e != 0 {
+			m.perPM[i] += e
+			m.total += e
+			m.spread(m.lastTime, now, e)
+		}
+	}
+	m.lastTime = now
+}
+
+func (m *refMeter) spread(t0, t1, e float64) {
+	if t1 <= t0 {
+		return
+	}
+	rate := e / (t1 - t0)
+	for t := t0; t < t1; {
+		bin := int(t / m.binWidth)
+		binEnd := float64(bin+1) * m.binWidth
+		end := math.Min(binEnd, t1)
+		m.ensureBin(bin)
+		m.bins[bin] += rate * (end - t)
+		t = end
+	}
+}
+
+func (m *refMeter) ensureBin(b int) {
+	for len(m.bins) <= b {
+		m.bins = append(m.bins, 0)
+	}
+}
+
+// sameLedger reports the first difference between m and the reference:
+// the number of bins, any bin, any PM's energy, or the total, compared
+// with ==.
+func sameLedger(m *Meter, ref *refMeter) error {
+	bins := m.Bins()
+	if len(bins) != len(ref.bins) {
+		return fmt.Errorf("%d bins, reference %d", len(bins), len(ref.bins))
+	}
+	for b := range bins {
+		if bins[b] != ref.bins[b] {
+			return fmt.Errorf("bin %d = %v, reference %v", b, bins[b], ref.bins[b])
+		}
+	}
+	for i, e := range ref.perPM {
+		if got := m.PMEnergy(cluster.PMID(i)); got != e {
+			return fmt.Errorf("PM %d energy %v, reference %v", i, got, e)
+		}
+	}
+	if m.TotalEnergy() != ref.total {
+		return fmt.Errorf("total %v, reference %v", m.TotalEnergy(), ref.total)
+	}
+	return nil
+}
+
+// mixedDC is three PM classes: Table II's fast and slow, and a class that
+// draws nothing when idle, so an on-but-empty PM of it charges no energy.
+func mixedDC() *cluster.Datacenter {
+	fast, slow := cluster.FastClass, cluster.SlowClass
+	cold := cluster.SlowClass
+	cold.Name, cold.IdlePower = "zero-idle", 0
+	return cluster.MustNew(cluster.Config{
+		RMin: cluster.TableIIRMin.Clone(),
+		Groups: []cluster.Group{
+			{Class: &fast, Count: 3},
+			{Class: &slow, Count: 3},
+			{Class: &cold, Count: 2},
+		},
+	})
+}
+
+// meterPair drives a Meter and the reference over one fleet and compares
+// them after every step.
+type meterPair struct {
+	t     *testing.T
+	dc    *cluster.Datacenter
+	m     *Meter
+	ref   *refMeter
+	now   float64
+	vmSeq cluster.VMID
+}
+
+func newMeterPair(t *testing.T, binWidth float64) *meterPair {
+	dc := mixedDC()
+	return &meterPair{t: t, dc: dc, m: NewMeter(dc, binWidth), ref: newRefMeter(dc, binWidth)}
+}
+
+func (p *meterPair) check(step string) bool {
+	p.t.Helper()
+	if err := sameLedger(p.m, p.ref); err != nil {
+		p.t.Errorf("after %s (t=%g): %v", step, p.now, err)
+		return false
+	}
+	if err := p.m.VerifyDraws(); err != nil {
+		p.t.Errorf("after %s (t=%g): %v", step, p.now, err)
+		return false
+	}
+	return true
+}
+
+func (p *meterPair) advance(to float64) bool {
+	p.t.Helper()
+	p.now = to
+	p.m.Advance(to)
+	p.ref.Advance(to)
+	return p.check(fmt.Sprintf("advance to %g", to))
+}
+
+func (p *meterPair) state(id int, st cluster.PMState) {
+	p.dc.PM(cluster.PMID(id)).State = st
+}
+
+// host places a VM of demand (cpu, mem) on PM id when it fits.
+func (p *meterPair) host(id int, cpu, mem float64) {
+	pm := p.dc.PM(cluster.PMID(id))
+	p.vmSeq++
+	vm := cluster.NewVM(p.vmSeq, vector.New(cpu, mem), 100, 100, p.now)
+	if pm.CanHost(vm.Demand) {
+		if err := pm.Host(vm); err != nil {
+			p.t.Fatal(err)
+		}
+	}
+}
+
+// evict removes PM id's lowest-ID VM, if it hosts any.
+func (p *meterPair) evict(id int) {
+	pm := p.dc.PM(cluster.PMID(id))
+	if vms := pm.VMs(); len(vms) > 0 {
+		if err := pm.Evict(vms[0]); err != nil {
+			p.t.Fatal(err)
+		}
+	}
+}
+
+func TestMeterMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		binWidth float64
+		run      func(p *meterPair)
+	}{
+		{"same-instant advance", 3600, func(p *meterPair) {
+			p.state(0, cluster.PMOn)
+			p.advance(10)
+			p.advance(10)
+			p.host(0, 2, 2)
+			p.advance(10)
+			p.advance(25)
+			p.advance(25)
+		}},
+		{"span of many bins", 10, func(p *meterPair) {
+			p.state(0, cluster.PMOn)
+			p.state(3, cluster.PMBooting)
+			p.host(0, 3, 1)
+			p.advance(3.5)
+			p.advance(1003.25)
+			p.state(5, cluster.PMOn)
+			p.host(5, 1, 1)
+			p.advance(1999)
+		}},
+		{"bin width smaller than dt", 2.5, func(p *meterPair) {
+			p.state(1, cluster.PMOn)
+			p.host(1, 4, 4)
+			p.advance(0.75)
+			p.advance(17.3)
+			p.advance(17.5)
+			p.advance(40)
+		}},
+		{"all-off tail", 100, func(p *meterPair) {
+			p.state(0, cluster.PMOn)
+			p.state(4, cluster.PMOn)
+			p.advance(150)
+			p.state(0, cluster.PMOff)
+			p.state(4, cluster.PMOff)
+			p.advance(2000) // no PM draws: the series must not grow
+			p.advance(2001)
+		}},
+		{"class with zero idle power", 100, func(p *meterPair) {
+			p.state(6, cluster.PMOn)
+			p.advance(450) // on but drawing nothing: no energy, no bins
+			p.host(6, 2, 2)
+			p.advance(460)
+			p.evict(6)
+			p.advance(900)
+		}},
+		{"failed and shutting-down PMs", 3600, func(p *meterPair) {
+			p.state(0, cluster.PMOn)
+			p.state(2, cluster.PMOn)
+			p.host(0, 1, 1)
+			p.host(2, 4, 2)
+			p.advance(100)
+			p.state(0, cluster.PMFailed)
+			p.state(2, cluster.PMShuttingDown)
+			p.advance(200)
+			p.state(0, cluster.PMOff)
+			p.state(2, cluster.PMOff)
+			p.advance(300)
+		}},
+		{"booting PMs draw active power", 3600, func(p *meterPair) {
+			p.state(1, cluster.PMBooting)
+			p.state(7, cluster.PMBooting)
+			p.advance(60)
+			p.state(1, cluster.PMOn)
+			p.advance(120)
+		}},
+		{"occupancy change at one state", 3600, func(p *meterPair) {
+			p.state(3, cluster.PMOn)
+			p.advance(5)
+			p.host(3, 1, 1)
+			p.advance(9)
+			p.host(3, 2, 1)
+			p.advance(13)
+			if err := p.dc.PM(3).Reserve(vector.New(1, 1)); err != nil {
+				p.t.Fatal(err)
+			}
+			p.advance(17)
+			p.dc.PM(3).Release(vector.New(1, 1))
+			p.evict(3)
+			p.advance(21)
+		}},
+		{"state change at one occupancy", 3600, func(p *meterPair) {
+			p.state(0, cluster.PMOn)
+			p.host(0, 4, 4)
+			p.advance(30)
+			p.state(0, cluster.PMShuttingDown)
+			p.advance(60)
+			p.state(0, cluster.PMOn)
+			p.advance(90)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newMeterPair(t, tc.binWidth)
+			p.check("construction")
+			tc.run(p)
+		})
+	}
+}
+
+// TestQuickMeterMatchesReference applies random host, evict, reserve,
+// release, power-state and advance steps to a mixed-class fleet and holds
+// the meter to the reference after every one.
+func TestQuickMeterMatchesReference(t *testing.T) {
+	widths := []float64{3600, 100, 10, 2.5}
+	states := []cluster.PMState{cluster.PMOff, cluster.PMBooting, cluster.PMOn, cluster.PMShuttingDown, cluster.PMFailed}
+	f := func(width uint8, ops []uint16) bool {
+		p := newMeterPair(t, widths[int(width)%len(widths)])
+		n := p.dc.Size()
+		for _, op := range ops {
+			id, arg := int(op>>3)%n, int(op>>6)
+			switch op & 7 {
+			case 0:
+				if !p.advance(p.now + float64(arg%40)*0.5) {
+					return false
+				}
+			case 1:
+				if !p.advance(p.now + float64(arg)*7.25) {
+					return false
+				}
+			case 2:
+				if !p.advance(math.Ceil(p.now/p.m.BinWidth()+1e-9) * p.m.BinWidth()) {
+					return false
+				}
+			case 3:
+				p.host(id, float64(1+arg%3), float64(1+arg%4)*0.5)
+			case 4:
+				p.evict(id)
+			case 5:
+				pm := p.dc.PM(cluster.PMID(id))
+				if d := vector.New(1, 0.5); d.Fits(pm.Used, pm.Class.Capacity) {
+					if err := pm.Reserve(d); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case 6:
+				pm := p.dc.PM(cluster.PMID(id))
+				if r := pm.Reserved(); !r.IsZero() {
+					pm.Release(r)
+				}
+			case 7:
+				p.state(id, states[arg%len(states)])
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// churnFleet is the shape of a large static run's fleet at a typical
+// instant: 1,000 Table II PMs of which 37.5 % draw power, nearly all on at
+// assorted utilizations and a few booting or shutting down.
+func churnFleet() *cluster.Datacenter {
+	d := cluster.TableIIFleetScaled(1000)
+	for i, p := range d.PMs() {
+		switch {
+		case i%8 >= 3:
+			continue
+		case i%97 == 0:
+			p.State = cluster.PMBooting
+		case i%89 == 0:
+			p.State = cluster.PMShuttingDown
+		default:
+			p.State = cluster.PMOn
+			vm := cluster.NewVM(cluster.VMID(i+1), vector.New(1, float64(1+i%3)), 100, 100, 0)
+			if err := p.Host(vm); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return d
+}
+
+// churn bumps the Version of one on PM per call, cycling through the
+// fleet: a reservation taken on one call is released on the next.
+type churn struct {
+	on   []*cluster.PM
+	next int
+	held *cluster.PM
+}
+
+func newChurn(d *cluster.Datacenter) *churn {
+	c := &churn{}
+	for _, p := range d.PMs() {
+		if p.State == cluster.PMOn {
+			c.on = append(c.on, p)
+		}
+	}
+	return c
+}
+
+var churnDemand = vector.New(0.5, 0.25)
+
+func (c *churn) step() {
+	if c.held != nil {
+		c.held.Release(churnDemand)
+		c.held = nil
+		return
+	}
+	p := c.on[c.next%len(c.on)]
+	c.next++
+	if p.Reserve(churnDemand) == nil {
+		c.held = p
+	}
+}
+
+// TestMeterAdvanceAllocFree: once the draw cache exists, an Advance inside
+// the current bin allocates nothing, with occupancy and power-state churn
+// between calls.
+func TestMeterAdvanceAllocFree(t *testing.T) {
+	d := churnFleet()
 	m := NewMeter(d, 3600)
+	c := newChurn(d)
+	m.Advance(7200.5) // allocates the cache and the first bins
+	now := m.lastTime
+	flip := d.PM(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.step()
+		if flip.State == cluster.PMOn {
+			flip.State = cluster.PMShuttingDown
+		} else {
+			flip.State = cluster.PMOn
+		}
+		now += 1
+		m.Advance(now)
+	})
+	if allocs != 0 {
+		t.Errorf("Advance allocates %v times per call in steady state, want 0", allocs)
+	}
+}
+
+// BenchmarkMeterAdvance is one event's Advance on churnFleet: a
+// half-second step with one PM's Version bumped in between, so an hour
+// boundary falls in one call of 7,200.
+func BenchmarkMeterAdvance(b *testing.B) {
+	d := churnFleet()
+	m := NewMeter(d, 3600)
+	c := newChurn(d)
+	now := 0.0
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Advance(float64(i))
+		c.step()
+		now += 0.5
+		m.Advance(now)
+	}
+}
+
+func TestRestoreStateRejectsCorruptEnergy(t *testing.T) {
+	n := smallDC(t).Size()
+	good := func() MeterState {
+		return MeterState{LastTime: 7200, Bins: []float64{5, 6}, PerPM: make([]float64, n), Total: 11}
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*MeterState)
+		want string
+	}{
+		{"negative per-PM energy", func(s *MeterState) { s.PerPM[2] = -1 }, "per_pm[2]"},
+		{"negative bin", func(s *MeterState) { s.Bins[1] = -0.5 }, "bins[1]"},
+		{"negative total", func(s *MeterState) { s.Total = -11 }, "total energy -11"},
+		{"infinite total", func(s *MeterState) { s.Total = math.Inf(1) }, "total energy +Inf"},
+		{"NaN bin", func(s *MeterState) { s.Bins[0] = math.NaN() }, "bins[0]"},
+		{"per-PM count", func(s *MeterState) { s.PerPM = s.PerPM[1:] }, "per-PM accumulators"},
+		{"negative time", func(s *MeterState) { s.LastTime = -1 }, "negative meter time"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := good()
+			tc.edit(&st)
+			err := NewMeter(smallDC(t), 3600).RestoreState(st)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("RestoreState error = %v, want it to name %q", err, tc.want)
+			}
+		})
+	}
+	if err := NewMeter(smallDC(t), 3600).RestoreState(good()); err != nil {
+		t.Errorf("valid state rejected: %v", err)
 	}
 }

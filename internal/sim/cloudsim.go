@@ -297,8 +297,12 @@ type simulator struct {
 	// queue holds requests waiting for capacity, FIFO.
 	queue []*cluster.VM
 
-	// bootBuf is bootCandidates' reusable result buffer.
-	bootBuf []*cluster.PM
+	// bootOrder is every PM in boot-preference order, sorted on the first
+	// bootCandidates call: the key depends only on a PM's class and ID.
+	bootOrder []*cluster.PM
+
+	// idleBuf is powerManage's reusable list of idle PMs.
+	idleBuf []*cluster.PM
 
 	// bootReadyAt records when a booting PM becomes usable, so VMs
 	// placed onto booting machines start creation after boot completes.
@@ -440,13 +444,13 @@ func (s *simulator) start() {
 	}
 
 	if s.cfg.WarmStart > 0 {
-		for i, pm := range s.bootCandidates() {
-			if i >= s.cfg.WarmStart {
-				break
-			}
+		warm := 0
+		s.bootCandidates(func(pm *cluster.PM) bool {
 			pm.State = cluster.PMOn
 			s.armFailure(pm)
-		}
+			warm++
+			return warm < s.cfg.WarmStart
+		})
 	}
 	// The warm pool doubles as the initial spare target so the t=0
 	// power-management pass does not immediately shut it down; a spare
@@ -639,6 +643,10 @@ func (s *simulator) recordWait(vm *cluster.VM, placedAt float64) {
 	if w < 0 {
 		w = 0
 	}
+	if s.waits == nil {
+		// About one wait per request; sized on first use, not in New.
+		s.waits = make([]float64, 0, len(s.cfg.Requests))
+	}
 	s.waits = append(s.waits, w)
 	s.waitHist.Observe(w)
 	if w > 1 { // anything beyond a second of queueing counts against QoS
@@ -679,50 +687,60 @@ func (s *simulator) ensureBoots() {
 	if len(s.queue) == 0 {
 		return
 	}
-	nAve := s.dc.AverageVMsPerPM(1)
-	needed := int(math.Ceil(float64(len(s.queue)) / math.Max(nAve, 1)))
-	booting := 0
+	// One fleet pass for N_Ave (Datacenter.AverageVMsPerPM with fallback 1)
+	// and the boots already in flight.
+	vms, nonIdle, booting := 0, 0, 0
 	for _, pm := range s.dc.PMs() {
+		n := pm.VMCount()
+		vms += n
+		if n > 0 && pm.Active() {
+			nonIdle++
+		}
 		if pm.State == cluster.PMBooting {
 			booting++
 		}
 	}
-	for _, pm := range s.bootCandidates() {
-		if booting >= needed {
-			break
-		}
+	nAve := 1.0
+	if nonIdle > 0 {
+		nAve = float64(vms) / float64(nonIdle)
+	}
+	needed := int(math.Ceil(float64(len(s.queue)) / math.Max(nAve, 1)))
+	if booting >= needed {
+		return
+	}
+	s.bootCandidates(func(pm *cluster.PM) bool {
 		s.bootPM(pm)
 		booting++
-	}
+		return booting < needed
+	})
 }
 
-// bootCandidates returns off PMs in preference order: most power-efficient
-// class first (lowest active power per minimal-VM slot), then by ID. The
-// returned slice is the simulator's reusable buffer, valid until the next
-// call.
-func (s *simulator) bootCandidates() []*cluster.PM {
-	off := s.bootBuf[:0]
-	for _, pm := range s.dc.PMs() {
-		if pm.State == cluster.PMOff {
-			off = append(off, pm)
+// bootCandidates calls fn on each off PM in preference order, most
+// power-efficient class first (lowest active power per minimal-VM slot),
+// then by ID, until fn returns false. fn may power the PM it is given on.
+func (s *simulator) bootCandidates(fn func(*cluster.PM) bool) {
+	if s.bootOrder == nil {
+		rmin := s.dc.RMinShared()
+		perVM := func(p *cluster.PM) float64 {
+			w := p.Class.MaxMinimalVMs(rmin)
+			if w == 0 {
+				return math.Inf(1)
+			}
+			return p.Class.ActivePower / float64(w)
+		}
+		s.bootOrder = slices.Clone(s.dc.PMs())
+		slices.SortFunc(s.bootOrder, func(a, b *cluster.PM) int {
+			if c := cmp.Compare(perVM(a), perVM(b)); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.ID, b.ID)
+		})
+	}
+	for _, pm := range s.bootOrder {
+		if pm.State == cluster.PMOff && !fn(pm) {
+			return
 		}
 	}
-	s.bootBuf = off
-	rmin := s.dc.RMinShared()
-	perVM := func(p *cluster.PM) float64 {
-		w := p.Class.MaxMinimalVMs(rmin)
-		if w == 0 {
-			return math.Inf(1)
-		}
-		return p.Class.ActivePower / float64(w)
-	}
-	slices.SortFunc(off, func(a, b *cluster.PM) int {
-		if c := cmp.Compare(perVM(a), perVM(b)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
-	return off
 }
 
 func (s *simulator) bootPM(pm *cluster.PM) {
@@ -965,12 +983,14 @@ func (s *simulator) drainQueue() {
 	if len(s.queue) == 0 {
 		return
 	}
-	var still []*cluster.VM
+	// Filter in place: tryPlace never touches the queue.
+	still := s.queue[:0]
 	for _, vm := range s.queue {
 		if !s.tryPlace(vm) {
 			still = append(still, vm)
 		}
 	}
+	clear(s.queue[len(still):])
 	s.queue = still
 	s.ensureBoots()
 }
@@ -1083,7 +1103,7 @@ func (s *simulator) powerManage() {
 	if len(s.queue) > 0 {
 		return
 	}
-	var idle []*cluster.PM
+	idle := s.idleBuf[:0]
 	booting := 0
 	for _, pm := range s.dc.PMs() {
 		switch {
@@ -1093,6 +1113,7 @@ func (s *simulator) powerManage() {
 			booting++
 		}
 	}
+	s.idleBuf = idle
 	have := len(idle) + booting
 	switch {
 	case have > s.spareTarget:
@@ -1100,8 +1121,8 @@ func (s *simulator) powerManage() {
 		// idle power per minimal-VM slot).
 		excess := have - s.spareTarget
 		rmin := s.dc.RMinShared()
-		sort.SliceStable(idle, func(i, j int) bool {
-			return idleCost(idle[i], rmin) > idleCost(idle[j], rmin)
+		slices.SortStableFunc(idle, func(a, b *cluster.PM) int {
+			return cmp.Compare(idleCost(b, rmin), idleCost(a, rmin))
 		})
 		for _, pm := range idle {
 			if excess <= 0 {
@@ -1112,13 +1133,11 @@ func (s *simulator) powerManage() {
 		}
 	case have < s.spareTarget:
 		needed := s.spareTarget - have
-		for _, pm := range s.bootCandidates() {
-			if needed <= 0 {
-				break
-			}
+		s.bootCandidates(func(pm *cluster.PM) bool {
 			s.bootPM(pm)
 			needed--
-		}
+			return needed > 0
+		})
 	}
 }
 
