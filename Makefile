@@ -18,14 +18,16 @@ race:
 	$(GO) test -race ./...
 
 ## audit: full-trace invariant audit — the seed workload under the dynamic
-## scheme, which runs on the candidate-set engine, with every event
-## checked, every consolidation pass's roster-derived columns compared
-## with a cold collection, every pass built cold even when its emptiness
-## proof (internal/core/bound.go) would have skipped it and the proof held
-## to that build, and every Apply replayed against a cold dense
-## matrix rebuild (trackers compared bit-for-bit), plus the per-period
-## dense-vs-oracle, sparse-vs-dense (with the proof) and roster checks
-## (142289 checks, as before the proof: it rides inside them). Exits
+## scheme, whose consolidation passes run Algorithm 1 as lazy rounds over
+## gain bounds (internal/core/bound.go), with every event checked, every
+## pass's roster-derived columns compared with a cold collection, every
+## round — moving or ending the pass — held to a cold SparseMatrix built
+## over the same columns (its Best is the lazy choice, no swept bound below
+## a built gain, no column left out that could move), and every moving
+## round's cold build replayed against a cold dense matrix (trackers
+## compared bit-for-bit), plus the per-period dense-vs-oracle,
+## sparse-vs-dense (with the first round's check) and roster checks
+## (142289 checks: the per-round checks ride inside them). Exits
 ## non-zero on the first violation. The configuration differentials
 ## (decisions, checkpoint/resume; cells and kernel workers at the
 ## sim.Config level) and the engine differential are tier-1 tests:

@@ -231,12 +231,13 @@ func TrackerCheck(ctx *core.Context, factors []core.Factor) Check {
 // bit-identical (core.SparseMatrix.DiffDense), plus internal consistency
 // of the incremental candidate index (SelfCheck). It also replays the
 // arrival ranking for a sample of hosted VMs: the candidate shortlist must
-// equal the cell-by-cell ranking. And it runs the emptiness proof
-// consolidation passes open with (core/bound.go), at the run's current
-// MIG_threshold, against the cold sparse build: no gain bound below a built
-// gain, the verdict the engine's own. O(M*N) dense evaluations per run, so
-// it is a per-period check even in event mode; the per-pass and per-Apply
-// SelfAudit covers the event granularity.
+// equal the cell-by-cell ranking. And it runs the first round of a
+// consolidation pass's lazy greedy (core/bound.go), at the run's current
+// MIG_threshold, against the cold sparse build (core's CheckProof): no gain
+// bound below a built gain, no column left out of the sweep that could
+// move, the choice the engine's own Best. O(M*N) dense evaluations per run,
+// so it is a per-period check even in event mode; the per-round SelfAudit
+// covers the event granularity.
 func SparseCheck(ctx *core.Context, factors []core.Factor, threshold func() float64) Check {
 	return Check{
 		Name:     "sparse",
@@ -295,6 +296,9 @@ func SparseCheck(ctx *core.Context, factors []core.Factor, threshold func() floa
 			}
 			if err := sm.DiffDense(dense); err != nil {
 				return fmt.Errorf("sparse vs dense matrix: %w", err)
+			}
+			if err := sm.CheckProof(threshold()); err != nil {
+				return fmt.Errorf("lazy rounds vs cold sparse build: %w", err)
 			}
 			stride := len(vms)/8 + 1
 			for i := 0; i < len(vms); i += stride {

@@ -108,12 +108,12 @@ func (h *sparseHarness) step(op, arg byte) {
 // most fleets come to rest under it.
 var proofThresholds = []float64{1.05, 1.6}
 
-// checkProof holds the emptiness proof side B's passes open with — its
-// run-long hosted-cell memo and the live index's group products, whatever
-// the operations so far have done to them — to a dense matrix over side B's
-// fleet (core's CheckProof): every column's tier-1 bound is at least the
-// dense BestAlt gain, and the verdict is "empty" exactly when the dense
-// Best gain does not exceed the threshold.
+// checkProof holds the first round side B's passes open with — the sweep
+// over its run-long hosted-cell memo and the live index's group products,
+// whatever the operations so far have done to them, and the lazy choice —
+// to a dense matrix over side B's fleet (core's CheckProof): every swept
+// bound is at least the dense BestAlt gain, no column left out can move,
+// and the choice is the dense Best.
 func (h *sparseHarness) checkProof(op, arg byte) {
 	vms := core.MigratableVMs(h.b.dc)
 	if len(vms) == 0 {

@@ -146,7 +146,7 @@ type PM struct {
 
 	// ver counts mutations of Used (Host/Evict/Reserve/Release). Caches
 	// keyed on a PM's occupancy — the sparse candidate index, the column
-	// roster and the emptiness proof in internal/core, and the energy
+	// roster and the hosted-cell memo in internal/core, and the energy
 	// meter's draw cache in internal/power — compare it against a
 	// remembered value to detect staleness without diffing the vector. State
 	// and Reliability are plain fields written directly by the simulator,

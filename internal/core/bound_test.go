@@ -2,15 +2,16 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
 )
 
-// boundHazards are the ways the state the emptiness proof keeps across
-// passes — the hosted-cell memo, the index's group products — or the state
-// it must not trust could go wrong between two passes. Each step is followed
+// boundHazards are the ways the state the lazy rounds keep across passes —
+// the hosted-cell memo, the index's group products — or the state they must
+// not trust could go wrong between two passes. Each step is followed
 // by a pass on three identically built fleets (TestBoundHazards); check, when
 // set, sees the production side's counters over the row's scripted passes.
 var boundHazards = []struct {
@@ -92,8 +93,8 @@ var boundHazards = []struct {
 	{name: "fresh Context after a restore", steps: rosterHazards[5].steps},
 }
 
-// boundCounts is the production side's proof counters and engine builds,
-// and what the test itself counts.
+// boundCounts is the production side's lazy-round counters and engine
+// builds, and what the test itself counts.
 type boundCounts struct {
 	proven, declined, scans, builds int64
 	moves, soleHost                 int
@@ -103,7 +104,7 @@ func boundCountsOf(o *obs.Observer) boundCounts {
 	return boundCounts{
 		proven:   o.Counter("core.passes_proven_empty").Value(),
 		declined: o.Counter("core.bound_declined").Value(),
-		scans:    o.Counter("core.bound_exact_scans").Value(),
+		scans:    o.Counter("core.exact_column_scans").Value(),
 		builds:   o.Phase("kernel_build").Calls(),
 	}
 }
@@ -111,11 +112,10 @@ func boundCountsOf(o *obs.Observer) boundCounts {
 // TestBoundHazards runs every hazard on a fleet that moves and on the same
 // fleet consolidated to a standstill. After each step, with the clock
 // advanced so every p_vir has aged, three sides pass: the production one
-// (ConsolidateWith, which skips the build when the proof says empty), an
-// audited one (SelfAudit: the build runs anyway and checkProof holds the
-// proof to it) and a cold dense one built by constructor, whose moves the
-// other two must make. An engine is built exactly for the passes that move
-// or decline.
+// (ConsolidateWith's lazy rounds), an audited one (SelfAudit: every round
+// is held to a cold build, checkRound) and a cold dense one built by
+// constructor, whose moves the other two must make. The production side
+// builds no engine at all.
 func TestBoundHazards(t *testing.T) {
 	var total boundCounts
 	for _, quiet := range []bool{false, true} {
@@ -146,8 +146,8 @@ func TestBoundHazards(t *testing.T) {
 					}
 					after := boundCountsOf(observer)
 					declined := after.declined - before.declined
-					if built := after.builds - before.builds; (built == 1) != (len(want) > 0 || declined == 1) {
-						t.Fatalf("after step %d: %d engines built for a pass of %d moves (%d declined)", step, built, len(want), declined)
+					if built := after.builds - before.builds; built != 0 {
+						t.Fatalf("after step %d: %d engines built for a pass of %d moves", step, built, len(want))
 					}
 					if !scripted {
 						return len(want)
@@ -190,9 +190,11 @@ func TestBoundHazards(t *testing.T) {
 	}
 }
 
-// TestCheckProofRejectsWrongVerdicts: the check SelfAudit runs per pass
-// fails by name when handed a verdict the built engine contradicts, in
-// either direction, and when the hosted-cell memo is stale.
+// TestCheckProofRejectsWrongVerdicts: the check SelfAudit runs every round
+// fails by name when a round's choice or sweep contradicts the cold engine
+// — a moving round taken for the end of the pass and the reverse, another
+// column chosen, a bound below its built gain, a column left out of the
+// sweep that can move — and when the hosted-cell memo is stale.
 func TestCheckProofRejectsWrongVerdicts(t *testing.T) {
 	ctx, vms := spreadState(t, 16, 30, 3)
 	build := func() *SparseMatrix {
@@ -208,13 +210,32 @@ func TestCheckProofRejectsWrongVerdicts(t *testing.T) {
 	if err := sm.CheckProof(1.05); err != nil || gain <= 1.05 {
 		t.Fatalf("moving fixture: best gain %g, CheckProof %v", gain, err)
 	}
-	if err := sm.checkProof(proofEmpty, 1.05); err == nil {
-		t.Error("a moving pass accepted as proven empty")
+	ch, _ := ctx.choose(ctx.cand, sm.vms, sm.colShape)
+	swept := slices.Clone(ctx.swept)
+	wrong := map[string]func(){
+		"a moving round accepted as the end of the pass": func() { ch.c, ch.gain = -1, 0 },
+		"another column accepted as the choice":          func() { ch.c = (ch.c + 1) % int32(len(vms)) },
+		"a bound below its built gain accepted": func() {
+			ctx.swept[slices.IndexFunc(ctx.swept, func(s survivor) bool { return s.c == ch.c })].key = math.Nextafter(ch.gain, 0)
+		},
+		"a column that moves left out of the sweep": func() {
+			ctx.swept = slices.DeleteFunc(ctx.swept, func(s survivor) bool { return s.c == ch.c })
+		},
+	}
+	for name, corrupt := range wrong {
+		saved := ch
+		ctx.swept = append(ctx.swept[:0], swept...)
+		corrupt()
+		if err := sm.checkRound(ch, 1.05); err == nil {
+			t.Error(name)
+		}
+		ch = saved
 	}
 	if err := sm.CheckProof(gain); err != nil {
 		t.Errorf("threshold at the best gain itself: %v", err)
 	}
-	if err := sm.checkProof(proofMoves, gain); err == nil {
+	ch.gain = math.Nextafter(gain, math.Inf(1))
+	if err := sm.checkRound(ch, gain); err == nil {
 		t.Error("an empty pass accepted as moving")
 	}
 	sm.Release()

@@ -35,7 +35,8 @@ import (
 // pass re-derives group membership only for PMs whose (version, state,
 // reliability) stamp changed since the last look. A full sync costs three
 // word-compares per PM; re-deriving one PM costs O(shapes) feasibility and
-// level evaluations.
+// level evaluations. A consolidation move re-syncs its two endpoints only
+// (syncPM).
 //
 // MatrixOptions.CandidateK is a declared ceiling, not a structural cap:
 // when a shape's population needs more than K non-empty groups the scan
@@ -61,11 +62,6 @@ type candIndex struct {
 	// ids.
 	shapes    []*candShape
 	shapeList []*candShape
-
-	// events collects membership changes produced by syncPM for the
-	// consolidation engine's targeted tracker updates. Bulk syncs discard
-	// it.
-	events []candEvent
 
 	// workers is the sticky MatrixOptions.Workers request the bulk kernels
 	// (sync's staleness sweep, shape's first-seen fleet pass) resolve
@@ -136,23 +132,8 @@ type candShape struct {
 	groupOf  []int32 // per PM ID: group index, or -1 when excluded
 	nonEmpty int     // count of non-empty groups (the K contract)
 
-	// seq/ev are per-Apply scratch for the sparse matrix: which migration
-	// endpoint (0 source, 1 target) produced a membership event in this
-	// shape during the Apply numbered seq (sparse.go).
-	seq uint64
-	ev  [2]bool
-
-	// top is per-pass scratch for the emptiness proof (bound.go).
+	// top is per-round scratch for the lazy rounds' sweep (bound.go).
 	top shapeTop
-}
-
-// candEvent is one membership change: pm moved from group old to group new
-// (-1 = excluded) within shape.
-type candEvent struct {
-	shape *candShape
-	pm    int32
-	old   int32
-	new   int32
 }
 
 // candidates returns the Context's candidate index, synced to the current
@@ -193,8 +174,7 @@ func stampOf(pm *cluster.PM) pmStamp {
 	return pmStamp{ver: pm.Version(), rel: math.Float64bits(pm.Reliability), state: pm.State}
 }
 
-// sync re-derives group membership for every PM whose stamp changed. The
-// events produced by a bulk sync have no consumer and are dropped.
+// sync re-derives group membership for every PM whose stamp changed.
 //
 // The staleness sweep — three word-compares per PM, the whole fleet every
 // sync — shards across workers in fixed contiguous PM spans, each span
@@ -214,7 +194,6 @@ func (x *candIndex) sync() {
 			x.stamps[id] = s
 			x.resyncPM(int32(id))
 		}
-		x.events = x.events[:0]
 		return
 	}
 	span := (n + workers - 1) / workers
@@ -237,11 +216,10 @@ func (x *candIndex) sync() {
 			x.resyncPM(id)
 		}
 	}
-	x.events = x.events[:0]
 }
 
-// syncPM refreshes one PM's stamp and membership, appending any membership
-// changes to x.events (the consolidation Apply path reads them).
+// syncPM refreshes one PM's stamp and membership (a consolidation move's
+// endpoints).
 func (x *candIndex) syncPM(id int32) {
 	x.stamps[id] = stampOf(x.pms[id])
 	x.resyncPM(id)
@@ -269,7 +247,6 @@ func (x *candIndex) resyncPM(id int32) {
 			sh.addMember(ng, id)
 		}
 		sh.groupOf[id] = ng
-		x.events = append(x.events, candEvent{shape: sh, pm: id, old: og, new: ng})
 	}
 }
 
@@ -460,26 +437,81 @@ func (x *candIndex) countOverflow(shapes []int32, k int) {
 	}
 }
 
-// shortlist appends the shape's candidate PMs for vm — every PM with a
-// positive probability, ordered exactly as RankPlacements orders them
-// (probability descending, ID ascending) — truncated to at most k entries.
-// It is the per-VM top-K shortlist of DESIGN.md §13; the property tests
-// assert it always contains the dense argmax and, when k covers the whole
-// feasible set, equals the dense ranking outright.
-func (x *candIndex) shortlist(dst []Placement, vm *cluster.VM, k int) []Placement {
-	sh := x.shape(x.ctx.shapeID(vm.Demand))
-	tre := vm.RemainingEstimate(x.ctx.Now)
+// best is a column's best non-host alternative among sh's score groups,
+// for a column hosted on PM host with normalizer cur and p_vir vir[ci]
+// against class ci: the lowest-ID member maximizing the probability when
+// cur is positive, or the lowest-ID member with any positive probability
+// for a +Inf rescue column — exactly the dense column scan's rules. id is
+// -1 (and p 0) when no group offers the column anybody.
+func (sh *candShape) best(host int32, cur float64, vir []float64) (id int32, p float64) {
+	id = -1
 	for gi := range sh.groups {
 		g := &sh.groups[gi]
-		p := g.value(virProbability(tre, x.ctx.classTab[g.key.ci].virOverhead(vm)))
+		cand := g.candidate(host)
+		if cand < 0 {
+			continue
+		}
+		q := g.value(vir[g.key.ci])
+		if cur > 0 {
+			if q > p || (q == p && id >= 0 && cand < id) {
+				p, id = q, cand
+			}
+		} else if q > 0 && (id < 0 || cand < id) {
+			p, id = q, cand
+		}
+	}
+	return id, p
+}
+
+// appendVirs appends vm's p_vir (Eq. 3) at the Context's clock against
+// every class of the class table, each with its target-side overhead.
+func (ctx *Context) appendVirs(dst []float64, vm *cluster.VM) []float64 {
+	tre := vm.RemainingEstimate(ctx.Now)
+	for _, info := range ctx.classTab {
+		dst = append(dst, virProbability(tre, info.virOverhead(vm)))
+	}
+	return dst
+}
+
+// shortlist appends to dst every member of sh's groups other than skip
+// whose probability is positive, vir[ci] being the column's p_vir against
+// class ci, ordered exactly as RankPlacements orders them (probability
+// descending, ID ascending) and truncated to at most k entries. It is the
+// top-K shortlist of DESIGN.md §13; the property tests assert it always
+// contains the dense argmax and, when k covers the whole feasible set,
+// equals the dense ranking outright.
+func (x *candIndex) shortlist(dst []Placement, sh *candShape, skip int32, vir []float64, k int) []Placement {
+	for gi := range sh.groups {
+		g := &sh.groups[gi]
+		p := g.value(vir[g.key.ci])
 		if p <= 0 {
 			continue
 		}
 		for _, id := range g.members {
-			dst = append(dst, Placement{PM: x.pms[id], Probability: p})
+			if id != skip {
+				dst = append(dst, Placement{PM: x.pms[id], Probability: p})
+			}
 		}
 	}
 	return rankPlacements(dst, k)
+}
+
+// alternatives is what a DecisionHook sees for a consolidation column: the
+// shortlist with each probability normalized by cur, collapsing to the
+// single rescue PM best (none when best < 0) at +Inf gain when cur is not
+// positive.
+func (x *candIndex) alternatives(sh *candShape, host int32, cur float64, vir []float64, best int32, k int) []Placement {
+	if !(cur > 0) {
+		if best < 0 {
+			return nil
+		}
+		return []Placement{{PM: x.pms[best], Probability: math.Inf(1)}}
+	}
+	out := x.shortlist(nil, sh, host, vir, k)
+	for i := range out {
+		out[i].Probability /= cur
+	}
+	return out
 }
 
 // rankPlacements orders out by (probability desc, PM ID asc) and

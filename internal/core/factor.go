@@ -54,16 +54,20 @@ type Context struct {
 	shapeTab []shapeInfo
 	shapeIdx map[string]int32
 	shapeKey []byte
-	pass     uint64 // frame builds and emptiness proofs so far; stamps shapeInfo.pass, shapeTop.pass
+	pass     uint64 // frame builds and lazy-round sweeps so far; stamps shapeInfo.pass, shapeTop.pass
 
 	// Reusable hot-path scratch (scratch.go): fscratch backs pass frames
 	// via checkout, terms backs the per-arrival term program, vmBuf and
-	// shapeBuf back the consolidation pass's columns. Their presence is
-	// why a Context is not safe for concurrent use.
+	// shapeBuf back the consolidation pass's columns, swept and virBuf a
+	// round's surviving columns and one column's p_vir per class
+	// (bound.go). Their presence is why a Context is not safe for
+	// concurrent use.
 	fscratch *frameScratch
 	terms    []term
 	vmBuf    []*cluster.VM
 	shapeBuf []int32
+	swept    []survivor
+	virBuf   []float64
 
 	// roster is the column roster (roster.go): the placed VMs in ID order
 	// with their shape ids, built lazily by the first consolidation pass
@@ -76,7 +80,7 @@ type Context struct {
 	cand *candIndex
 
 	// hostMemo is each PM's hosted-cell probability (bound.go), allocated
-	// by the first emptiness proof and kept valid by per-PM stamps.
+	// by the first lazy-round sweep and kept valid by per-PM stamps.
 	hostMemo []hostMemo
 }
 

@@ -13,11 +13,10 @@ import (
 // frame is everything one consolidation pass prepares before either
 // Algorithm-1 engine looks at a probability: the two ID-sorted axes, the
 // PM-ID-to-row table, each row's class and each column's demand shape as
-// ids into the Context's interning tables, the p_vir memo, the hosted
-// columns of every row, the hosted-cell probability of every row, the
-// column trackers, and the migration itself. Matrix and SparseMatrix embed
-// it and add only how they find a column's best row — stored probability
-// rows there, score-group scans here.
+// ids into the Context's interning tables, the p_vir memo, the hosted-cell
+// probability of every row, the column trackers, and the migration itself.
+// Matrix and SparseMatrix embed it and add only how they find a column's
+// best row — stored probability rows there, score-group scans here.
 //
 // A frame is built from the Context's pooled scratch under a checkout
 // model (scratch.go) and is valid until Release.
@@ -43,10 +42,6 @@ type frame struct {
 	// evaluations of Eq. 3 collapse to C*N. Stored class-major:
 	// vir[ci*Cols()+c].
 	vir []float64
-
-	// hosted lists, per row, the columns whose VM resides there; move
-	// rehomes a column in O(1).
-	hosted colLists
 
 	// hostP lazily memoizes the canonical program's hosted-cell
 	// probability per row (NaN = unset); move invalidates both endpoints.
@@ -129,23 +124,19 @@ func (f *frame) init(ctx *Context, factors []Factor, vms []*cluster.VM, shapes [
 		}
 	}
 	f.shapes = scr.shapes[:0]
-	scr.hosted.reset(nr, nc)
-	f.hosted = scr.hosted
 	ctx.pass++
-	// Reverse column order so each push-front leaves the hosted lists
-	// ascending.
+	// Reverse column order: the order the lazy rounds' sweep meets shapes
+	// in (bound.go), so the candidate index tracks them alike.
 	for c := nc - 1; c >= 0; c-- {
 		vm := f.vms[c]
 		if c > 0 && f.vms[c-1].ID >= vm.ID {
 			f.Release()
 			return fmt.Errorf("core: VM %d duplicated or out of ID order in matrix", vm.ID)
 		}
-		r, ok := f.RowOf(vm.Host)
-		if !ok {
+		if _, ok := f.RowOf(vm.Host); !ok {
 			f.Release()
 			return fmt.Errorf("core: VM %d hosted on inactive PM %d", vm.ID, vm.Host)
 		}
-		f.hosted.push(r, c)
 		id := f.colShape[c]
 		if sh := &ctx.shapeTab[id]; sh.pass != ctx.pass {
 			sh.pass = ctx.pass
@@ -226,29 +217,14 @@ func (f *frame) hostProb(r int) float64 {
 	return f.hostP[r]
 }
 
-// move migrates column c's VM to row r — evict from the current host, host
-// on the target, count the migration — and rehomes the column in the
-// hosted lists. The datacenter state is mutated; the column trackers are
-// not (the engines repair them). It returns the source row, or an error
-// when the target cannot actually host the VM (which would indicate a
-// factor bug, since p_res must have been positive), with the VM back on
-// its source.
+// move migrates column c's VM to row r (migrate) and invalidates both
+// endpoints' hosted-cell memo. The datacenter state is mutated; the column
+// trackers are not (the engines repair them). It returns the source row.
 func (f *frame) move(r, c int) (from int, err error) {
-	vm := f.vms[c]
 	from = f.curRow[c]
-	src, dst := f.pms[from], f.pms[r]
-	if err := src.Evict(vm); err != nil {
-		return from, fmt.Errorf("core: apply move of VM %d: %w", vm.ID, err)
+	if err := migrate(f.vms[c], f.pms[from], f.pms[r]); err != nil {
+		return from, err
 	}
-	if err := dst.Host(vm); err != nil {
-		// Roll back so the model stays consistent.
-		if rbErr := src.Host(vm); rbErr != nil {
-			panic(fmt.Sprintf("core: rollback failed after host error (%v): %v", err, rbErr))
-		}
-		return from, fmt.Errorf("core: apply move of VM %d: %w", vm.ID, err)
-	}
-	vm.Migrations++
-	f.hosted.move(c, from, r)
 	f.hostP[from], f.hostP[r] = math.NaN(), math.NaN()
 	return from, nil
 }
@@ -278,80 +254,4 @@ func (f *frame) diffTrackers(o *frame) error {
 		return err
 	}
 	return f.colTrackers.diff(&o.colTrackers)
-}
-
-// colLists partitions columns into per-row lists with O(1) relocation:
-// head[r] heads a doubly-linked, -1-terminated list threaded through
-// next/prev by column. A column is in at most one list. Linked lists
-// rather than packed per-row slices because every migration rehomes
-// columns and the index must follow without shifting or allocating.
-type colLists struct {
-	head []int32
-	next []int32
-	prev []int32
-}
-
-// reset sizes the index for the given dimensions with every list empty.
-func (l *colLists) reset(rows, cols int) {
-	for r := range grow(&l.head, rows) {
-		l.head[r] = -1
-	}
-	grow(&l.next, cols)
-	grow(&l.prev, cols)
-}
-
-// push puts column c, currently in no list, at the front of row r's.
-func (l *colLists) push(r, c int) {
-	h := l.head[r]
-	l.next[c], l.prev[c] = h, -1
-	if h >= 0 {
-		l.prev[h] = int32(c)
-	}
-	l.head[r] = int32(c)
-}
-
-// move relocates column c from row from's list to row to's; either may be
-// -1 for "no list".
-func (l *colLists) move(c, from, to int) {
-	if from >= 0 {
-		if p := l.prev[c]; p >= 0 {
-			l.next[p] = l.next[c]
-		} else {
-			l.head[from] = l.next[c]
-		}
-		if n := l.next[c]; n >= 0 {
-			l.prev[n] = l.prev[c]
-		}
-	}
-	if to >= 0 {
-		l.push(to, c)
-	}
-}
-
-// check verifies the index against want, each column's expected row (-1:
-// in no list): every list is consistently linked and holds exactly the
-// columns that name it.
-func (l *colLists) check(name string, want []int) error {
-	listed := 0
-	for r := range l.head {
-		prev := int32(-1)
-		for c := l.head[r]; c >= 0; prev, c = c, l.next[c] {
-			if listed++; listed > len(want) {
-				return fmt.Errorf("core: %s lists cycle at row %d", name, r)
-			}
-			if want[c] != r || l.prev[c] != prev {
-				return fmt.Errorf("core: column %d in %s[%d] (prev %d), want row %d after %d",
-					c, name, r, l.prev[c], want[c], prev)
-			}
-		}
-	}
-	for _, r := range want {
-		if r >= 0 {
-			listed--
-		}
-	}
-	if listed != 0 {
-		return fmt.Errorf("core: %s lists hold %+d columns versus the trackers", name, listed)
-	}
-	return nil
 }

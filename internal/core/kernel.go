@@ -12,7 +12,7 @@ import "repro/internal/cluster"
 // bit-identical operands, and multiplication order is preserved. The
 // canonical program (res, vir, rel, eff) runs cell by cell only inside a
 // reference build: production passes evaluate it a score group at a time
-// (sparse.go), and the dense Matrix walks it to check them.
+// (candidates.go, bound.go), and the dense Matrix walks it to check them.
 
 // termOp identifies how one factor in the compiled program is evaluated.
 type termOp int

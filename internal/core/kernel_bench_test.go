@@ -59,34 +59,45 @@ func BenchmarkKernelMatrixBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelProveEmpty measures what a pass costs when the emptiness
-// proof (bound.go) ends it before BenchmarkKernelMatrixBuild's work begins:
-// the index sync and the column walk, on a fleet consolidated to rest.
-func BenchmarkKernelProveEmpty(b *testing.B) {
-	for _, pms := range benchSizes {
-		b.Run(fmt.Sprintf("kernel/pms%d", pms), func(b *testing.B) {
-			ctx, _ := tableIIState(b, pms, 2*pms, 7)
-			params := DefaultParams()
-			for {
-				moves, err := ConsolidateWith(ctx, DefaultFactors(), params, MatrixOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(moves) == 0 {
-					break
-				}
-			}
-			vms, shapes := ctx.columns()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if ctx.proveEmpty(vms, shapes, params.MIGThreshold, 0) != proofEmpty {
-					b.Fatal("the fleet at rest is not proven empty")
-				}
-			}
-			b.ReportMetric(float64(len(vms)), "columns")
-		})
+// BenchmarkKernelLazyPass measures a canonical consolidation pass — the
+// lazy rounds of bound.go, no engine built — on a seeded 100-PM state with
+// the VMs dealt round-robin (spreadState): "moving" is the first pass over
+// the fresh state (a fresh copy per iteration, built with the timer
+// stopped), MIG_round moves; "empty" is a pass once the fleet has come to
+// rest, the first round's sweep and nothing after it.
+func BenchmarkKernelLazyPass(b *testing.B) {
+	params, factors := DefaultParams(), DefaultFactors()
+	pass := func(b *testing.B, ctx *Context) int {
+		moves, err := ConsolidateWith(ctx, factors, params, MatrixOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return len(moves)
 	}
+	b.Run("moving/pms100", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			ctx, _ := spreadState(b, 100, 200, 7)
+			b.StartTimer()
+			if pass(b, ctx) == 0 {
+				b.Fatal("the fresh state moves nothing")
+			}
+		}
+	})
+	b.Run("empty/pms100", func(b *testing.B) {
+		ctx, vms := spreadState(b, 100, 200, 7)
+		for pass(b, ctx) > 0 {
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if pass(b, ctx) != 0 {
+				b.Fatal("the fleet at rest moved")
+			}
+		}
+		b.ReportMetric(float64(len(vms)), "columns")
+	})
 }
 
 // BenchmarkKernelMatrixRound measures one migration round's incremental

@@ -18,7 +18,7 @@ import (
 // engine is checked against (SelfAudit, audit.SparseCheck).
 type Matrix struct {
 	// frame is the pass state shared with the sparse engine: axes, ID
-	// table, class/shape ids, p_vir memo, hosted lists, trackers, move.
+	// table, class/shape ids, p_vir memo, hosted-cell memo, trackers, move.
 	frame
 
 	// prog is the compiled factor program: lists with a known factor fill
@@ -39,10 +39,12 @@ type MatrixOptions struct {
 	// state against a cold dense rebuild over the same VMs (a fresh
 	// NewMatrixWith): probabilities, column trackers, and the Best
 	// extraction must be bit-identical on the dense engine, trackers and
-	// Best on the candidate-set engine — and every ConsolidateWith pass
-	// verify the columns it took from the roster against a cold collection
-	// (roster.go). Expensive (one full matrix build per move); the
-	// simulator enables it in -audit=event mode.
+	// Best on the candidate-set engine. A canonical ConsolidateWith pass
+	// holds every lazy round to a cold SparseMatrix instead (bound.go's
+	// checkRound), and a round that moves that engine to a cold dense
+	// rebuild; every pass verifies the columns it took from the roster
+	// against a cold collection (roster.go). Expensive (a cold build per
+	// round); the simulator enables it in -audit=event mode.
 	SelfAudit bool
 
 	// CandidateK selects nothing: the engine follows the factor list
@@ -56,9 +58,9 @@ type MatrixOptions struct {
 
 	// Workers is the number of goroutines the candidate index's kernels
 	// fan out on (parallel.go): the index sync, the first-seen shape pass
-	// and the initial column scans. The dense Matrix is strictly serial and
-	// ignores it. Zero and one are the strictly serial path with its
-	// zero-allocation budgets; a count above one is honored verbatim —
+	// and a cold SparseMatrix's column scans. The dense Matrix is strictly
+	// serial and ignores it. Zero and one are the strictly serial path with
+	// its zero-allocation budgets; a count above one is honored verbatim —
 	// results are bit-identical at every setting (DESIGN.md §15). Kept only
 	// as the seam bench/ drives; ROADMAP item 2 deletes it.
 	Workers int
@@ -344,7 +346,7 @@ func (m *Matrix) SelfCheck() error {
 			return err
 		}
 	}
-	return m.hosted.check("hosted", m.curRow)
+	return nil
 }
 
 // Diff compares two matrices bit-for-bit: dimensions, row/column

@@ -48,11 +48,12 @@ func Consolidate(ctx *Context, factors []Factor, params Params) ([]Move, error) 
 	return ConsolidateWith(ctx, factors, params, MatrixOptions{})
 }
 
-// ConsolidateWith is Consolidate with explicit matrix options. The engine
-// follows the factor list: a Canonical list runs on the candidate-set
-// engine (SparseMatrix), any other list on the dense Matrix — the same
-// Algorithm 1 loop either way, over columns taken from the Context's
-// roster (roster.go) rather than re-collected from the fleet.
+// ConsolidateWith is Consolidate with explicit matrix options, over columns
+// taken from the Context's roster (roster.go) rather than re-collected from
+// the fleet. The factor list picks how the rounds run: a Canonical list as
+// a lazy greedy over the candidate index's gain bounds, with no engine
+// built (bound.go), any other list on the dense Matrix — the same moves
+// either way.
 func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixOptions) ([]Move, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -69,52 +70,23 @@ func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixO
 	if len(vms) == 0 {
 		return nil, nil
 	}
-	// A canonical pass is first asked whether it can move anything at all
-	// (bound.go); one proven empty ends here. SelfAudit builds it anyway
-	// and holds the proof to the cold engine.
-	canonical, verdict := Canonical(factors), proofDeclined
-	if canonical {
-		phase = ctx.Obs.Phase("prove_empty")
-		start = phase.Begin()
-		verdict = ctx.proveEmpty(vms, shapes, params.MIGThreshold, opts.Workers)
-		phase.End(start)
-		if opts.CandidateK > 0 {
-			ctx.cand.countOverflow(shapes, opts.CandidateK)
-		}
-		if verdict == proofEmpty && !opts.SelfAudit {
-			ctx.Obs.Add("core.consolidate_passes", 1)
-			return nil, nil
-		}
-	}
 	var (
-		e   engine
-		f   *frame
-		err error
+		moves []Move
+		err   error
 	)
-	phase = ctx.Obs.Phase("kernel_build")
-	start = phase.Begin()
-	if canonical {
-		var sm *SparseMatrix
-		if sm, err = newSparseMatrix(ctx, factors, vms, shapes, opts); err == nil {
-			e, f = sm, &sm.frame
-		}
+	if Canonical(factors) {
+		moves, err = ctx.consolidateLazy(factors, vms, shapes, params, opts)
 	} else {
-		var m *Matrix
-		if m, err = newMatrix(ctx, factors, vms, shapes, opts); err == nil {
-			e, f = m, &m.frame
+		phase = ctx.Obs.Phase("kernel_build")
+		start = phase.Begin()
+		m, buildErr := newMatrix(ctx, factors, vms, shapes, opts)
+		phase.End(start)
+		if buildErr != nil {
+			return nil, buildErr
 		}
+		moves, err = m.Consolidate(params)
+		m.Release()
 	}
-	phase.End(start)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Release()
-	if canonical && opts.SelfAudit {
-		if err := f.checkProof(verdict, params.MIGThreshold); err != nil {
-			return nil, err
-		}
-	}
-	moves, err := runRounds(e, f, params)
 	if err != nil {
 		return moves, err
 	}
@@ -138,14 +110,14 @@ type engine interface {
 }
 
 // Consolidate runs Algorithm 1's migration rounds on this matrix and
-// returns the executed moves. ConsolidateWith builds the engine the factor
-// list selects; this is for callers that picked the engine themselves by
-// constructor — the differential harnesses' dense side.
+// returns the executed moves: what ConsolidateWith runs for a
+// non-canonical factor list, and the differential harnesses' dense side.
 func (m *Matrix) Consolidate(params Params) ([]Move, error) {
 	return runRounds(m, &m.frame, params)
 }
 
-// Consolidate is Matrix.Consolidate on the candidate-set engine.
+// Consolidate is Matrix.Consolidate on the cold candidate-set engine, the
+// reference the lazy rounds are held to.
 func (sm *SparseMatrix) Consolidate(params Params) ([]Move, error) {
 	return runRounds(sm, &sm.frame, params)
 }
@@ -179,6 +151,24 @@ func runRounds(e engine, f *frame, params Params) ([]Move, error) {
 		moves = append(moves, mv)
 	}
 	return moves, nil
+}
+
+// migrate moves vm from src to dst — evict, host, count the migration — or,
+// when dst cannot actually host it (which would indicate a factor bug,
+// since p_res must have been positive), errors with the VM back on src.
+func migrate(vm *cluster.VM, src, dst *cluster.PM) error {
+	if err := src.Evict(vm); err != nil {
+		return fmt.Errorf("core: apply move of VM %d: %w", vm.ID, err)
+	}
+	if err := dst.Host(vm); err != nil {
+		// Roll back so the model stays consistent.
+		if rbErr := src.Host(vm); rbErr != nil {
+			panic(fmt.Sprintf("core: rollback failed after host error (%v): %v", err, rbErr))
+		}
+		return fmt.Errorf("core: apply move of VM %d: %w", vm.ID, err)
+	}
+	vm.Migrations++
+	return nil
 }
 
 // MigratableVMs returns the VMs eligible for Algorithm 1 — state Running;

@@ -27,7 +27,6 @@ type frameScratch struct {
 	colShape []int32
 	shapes   []int32
 	vir      []float64
-	hosted   colLists
 	hostP    []float64
 	trk      colTrackers
 
@@ -39,11 +38,6 @@ type frameScratch struct {
 	prows   [][]float64
 	pending []int
 	cols    []int
-
-	// Sparse: the per-column Apply stamps and the reverse indices.
-	colSeq  []uint64
-	best    colLists
-	byShape colLists
 }
 
 // takeScratch detaches the Context's frame scratch (allocating one on

@@ -6,49 +6,34 @@ import (
 	"repro/internal/cluster"
 )
 
-// SparseMatrix is the candidate-set consolidation engine, the one every
-// Canonical factor list runs on: it maintains the same per-column trackers
-// as the dense Matrix — current-placement normalizer, best alternative row,
-// best gain — but derives them from the Context's candidate index
+// SparseMatrix is the cold candidate-set engine: it derives the same
+// per-column trackers as the dense Matrix — current-placement normalizer,
+// best alternative row, best gain — from the Context's candidate index
 // (candidates.go) instead of a materialized M x N probability matrix.
 // Column scans touch one score group per distinct (class, level,
-// reliability) signature rather than one row per PM, and an Apply
-// re-derives only the two migration endpoints plus the columns their
-// membership events can actually affect.
+// reliability) signature rather than one row per PM. Production passes
+// build no engine (bound.go); this one is the group-scan reference the
+// lazy rounds are held to — SelfAudit's per-round cold build, the auditor's
+// SparseCheck, the fuzz harnesses — so an Apply simply re-derives every
+// column.
 //
 // Every decision is bit-identical to the dense engine by construction:
 // group values are evaluated in the cell's multiplication order on
 // bit-identical operands, ties resolve to the lowest member ID (dense's
 // ID-ordered strict-greater scan), and the column trackers and Best are the
-// dense engine's own (colTrackers). The contract is enforced three ways —
-// DiffDense against a dense build (the auditor's SparseCheck), the
-// per-Apply SelfAudit rebuild, and the differential fuzz harness in
-// internal/audit.
+// dense engine's own (colTrackers). The contract is enforced by DiffDense
+// against a dense build (the auditor's SparseCheck, SelfAudit) and the
+// differential fuzz harness in internal/audit.
 type SparseMatrix struct {
 	// frame is the pass state shared with the dense engine: axes, ID
-	// table, class/shape ids, p_vir memo, hosted lists, trackers, move.
+	// table, class/shape ids, p_vir memo, hosted-cell memo, trackers, move.
 	frame
 	cand *candIndex
-
-	colSeq []uint64 // Apply seq that last re-derived the column in full
-
-	// Reverse indices so Apply can enumerate exactly the columns a move
-	// invalidates instead of scanning all N: best lists, per row, the
-	// columns whose cached best is that row (maintained by setBest);
-	// byShape lists the columns of each demand shape (by Context shape
-	// id), for the join test.
-	best    colLists
-	byShape colLists
-
-	// seq numbers Applies; candShape.seq/ev are valid for the current
-	// Apply only when they carry this value.
-	seq uint64
 }
 
 // NewSparseMatrix builds the sparse engine over the data center's active
 // PMs and the given VMs. It requires a Canonical factor list (anything
-// else errors; ConsolidateWith sends those to the dense Matrix before
-// getting here); the same VM-set preconditions as NewMatrixWith apply (no
+// else errors); the same VM-set preconditions as NewMatrixWith apply (no
 // duplicates, every VM hosted on an active PM).
 func NewSparseMatrix(ctx *Context, factors []Factor, vms []*cluster.VM, opts MatrixOptions) (*SparseMatrix, error) {
 	return newSparseMatrix(ctx, factors, vms, nil, opts)
@@ -65,39 +50,22 @@ func newSparseMatrix(ctx *Context, factors []Factor, vms []*cluster.VM, shapes [
 		return nil, err
 	}
 	sm := &f.scr.sparse
-	*sm = SparseMatrix{frame: f}
-	// The frame interned the class of every active PM — the only PMs that
-	// can ever join a group — so no class can surface mid-consolidation
-	// and index past the p_vir memo.
-	sm.cand = ctx.candidatesWith(opts.Workers)
+	*sm = SparseMatrix{frame: f, cand: ctx.candidatesWith(opts.Workers)}
 	for _, id := range sm.shapes {
 		sm.cand.shape(id)
 	}
-
-	scr, nc := sm.scr, len(sm.vms)
-	sm.colSeq = grow(&scr.colSeq, nc)
-	clear(sm.colSeq)
-	scr.best.reset(len(sm.pms), nc)
-	scr.byShape.reset(len(ctx.shapeTab), nc)
-	sm.best, sm.byShape = scr.best, scr.byShape
-	for c := nc - 1; c >= 0; c-- {
-		sm.bestRow[c] = -1
-		sm.byShape.push(int(sm.colShape[c]), c)
-	}
-	sm.initialSync()
+	sm.refreshAll()
 	return sm, nil
 }
 
-// initialSync derives every column's trackers for the first time. The
-// serial path is one refreshColumn per column; with more than one worker
-// the scan phase shards across workers in column spans — each column's
-// normalizer, best alternative, and gain land in that column's own slots,
-// with the per-row hosted memo prewarmed so hostProb is read-only — and
-// the shared best lists are then installed serially in column order,
-// reproducing the serial loop's exact push order. Both paths are
-// bit-identical: per-column values come from the same scanColumn code on
-// the same operands.
-func (sm *SparseMatrix) initialSync() {
+// refreshAll derives every column's trackers from scratch. The serial path
+// is one refreshColumn per column; with more than one worker the columns
+// shard across workers in spans — each column's normalizer, best
+// alternative and gain land in that column's own slots, with the per-row
+// hosted memo prewarmed so hostProb is read-only. Both paths are
+// bit-identical: per-column values come from the same code on the same
+// operands.
+func (sm *SparseMatrix) refreshAll() {
 	nc := len(sm.vms)
 	workers := claimWorkers(sm.opts.Workers, nc)
 	if workers <= 1 {
@@ -111,26 +79,17 @@ func (sm *SparseMatrix) initialSync() {
 	}
 	runSpans(workers, nc, spanChunk(nc, workers), func(lo, hi int) {
 		for c := lo; c < hi; c++ {
-			sm.curRow[c] = sm.hostRow(c)
-			sm.curProb[c] = sm.hostProb(sm.curRow[c])
-			bestRow, bestP := sm.scanColumn(c)
-			sm.colTrackers.setBest(c, bestRow, bestP)
+			sm.refreshColumn(c)
 		}
 	})
-	for c, br := range sm.bestRow {
-		if br >= 0 {
-			sm.best.push(br, c)
-		}
-	}
 }
 
 // shapeOf returns the score-group index of column c's demand shape.
 func (sm *SparseMatrix) shapeOf(c int) *candShape { return sm.cand.shapes[sm.colShape[c]] }
 
-// refreshColumn re-derives column c's trackers from scratch: the current
-// placement normalizer and a scan over the shape's score groups.
+// refreshColumn re-derives column c's trackers: the current placement
+// normalizer and a scan over the shape's score groups.
 func (sm *SparseMatrix) refreshColumn(c int) {
-	sm.colSeq[c] = sm.seq
 	sm.curRow[c] = sm.hostRow(c)
 	sm.curProb[c] = sm.hostProb(sm.curRow[c])
 	bestRow, bestP := sm.scanColumn(c)
@@ -138,126 +97,37 @@ func (sm *SparseMatrix) refreshColumn(c int) {
 }
 
 // scanColumn computes column c's best non-host alternative over the
-// shape's score groups: the lowest-ID feasible PM maximizing the raw
-// probability when the normalizer is positive, or the lowest-ID PM with
-// any positive probability for a +Inf rescue column — exactly the dense
-// refreshColumns rules.
+// shape's score groups (candShape.best) with the frame's p_vir memo.
 func (sm *SparseMatrix) scanColumn(c int) (bestRow int, bestP float64) {
-	sh := sm.shapeOf(c)
-	cur := sm.curProb[c]
-	host := sm.hostID(c)
-	bestID := int32(-1)
-	for gi := range sh.groups {
-		g := &sh.groups[gi]
-		cand := g.candidate(host)
-		if cand < 0 {
-			continue
-		}
-		p := sm.groupValue(g, c)
-		if cur > 0 {
-			if p > bestP || (p == bestP && bestID >= 0 && cand < bestID) {
-				bestP, bestID = p, cand
-			}
-		} else if p > 0 && (bestID < 0 || cand < bestID) {
-			bestP, bestID = p, cand
-		}
-	}
-	if bestID < 0 {
+	id, p := sm.shapeOf(c).best(sm.hostID(c), sm.curProb[c], sm.virs(c, make([]float64, 0, 4)))
+	if id < 0 {
 		return -1, 0
 	}
-	return int(sm.id2row[bestID]), bestP
+	return int(sm.id2row[id]), p
+}
+
+// virs appends column c's p_vir against every class to dst.
+func (sm *SparseMatrix) virs(c int, dst []float64) []float64 {
+	for i := c; i < len(sm.vir); i += len(sm.vms) {
+		dst = append(dst, sm.vir[i])
+	}
+	return dst
 }
 
 // hostID is the PM ID of column c's host, what candGroup.candidate skips.
 func (sm *SparseMatrix) hostID(c int) int32 { return int32(sm.pms[sm.curRow[c]].ID) }
 
-// groupValue is the probability every member of g shares for column c.
-func (sm *SparseMatrix) groupValue(g *candGroup, c int) float64 {
-	return g.value(sm.vir[int(g.key.ci)*len(sm.vms)+c])
-}
-
-// setBest installs a freshly computed (bestRow, bestP) pair and the
-// derived gain for column c, keeping the best lists in step.
-func (sm *SparseMatrix) setBest(c, bestRow int, bestP float64) {
-	if old := sm.bestRow[c]; old != bestRow {
-		sm.best.move(c, old, bestRow)
-	}
-	sm.colTrackers.setBest(c, bestRow, bestP)
-}
-
 // Apply performs the move for column c to row r (frame.move, exactly as
-// Matrix.Apply) and incrementally repairs the trackers. The repair re-derives only the two endpoint PMs' group memberships and
-// the columns those membership events can affect:
-//
-//   - the moved column and every column hosted on an endpoint re-derive in
-//     full (their normalizer changed);
-//   - a column whose cached best is an endpoint re-derives only when that
-//     endpoint actually changed groups in the column's shape (otherwise
-//     its probability is untouched);
-//   - a join event whose PM became one of its new group's two lowest
-//     members is tested against each remaining column of the shape in
-//     O(1) — the only way an untouched column's best can improve, since a
-//     pre-Apply-exact tracker already dominates every standing group.
+// Matrix.Apply), re-syncs both endpoints in the candidate index and
+// re-derives every column.
 func (sm *SparseMatrix) Apply(r, c int) error {
 	from, err := sm.move(r, c)
 	if err != nil {
 		return err
 	}
-	ends := [2]int{from, r}
-	sm.seq++
-	x := sm.cand
-	x.events = x.events[:0]
-	for _, row := range ends {
-		x.syncPM(int32(sm.pms[row].ID))
-	}
-	for i := range x.events {
-		ev := &x.events[i]
-		sh := ev.shape
-		if sh.seq != sm.seq {
-			sh.seq = sm.seq
-			sh.ev = [2]bool{}
-		}
-		if ev.pm == int32(sm.pms[from].ID) {
-			sh.ev[0] = true
-		} else {
-			sh.ev[1] = true
-		}
-	}
-
-	// Targeted repair via the reverse indices. frame.move has already
-	// rehomed the moved column, so the hosted lists stand still; a refresh
-	// may unlink its column from the best list being walked, so that walk
-	// reads each successor first. colSeq bounds every column to one
-	// re-derivation per Apply.
-	for _, row := range ends {
-		for c2 := sm.hosted.head[row]; c2 >= 0; c2 = sm.hosted.next[c2] {
-			sm.refreshColumn(int(c2))
-		}
-	}
-	for end, row := range ends {
-		for c2, next := sm.best.head[row], int32(0); c2 >= 0; c2 = next {
-			next = sm.best.next[c2]
-			if sh := sm.shapeOf(int(c2)); sm.colSeq[c2] != sm.seq && sh.seq == sm.seq && sh.ev[end] {
-				sm.refreshColumn(int(c2))
-			}
-		}
-	}
-
-	for i := range x.events {
-		ev := &x.events[i]
-		if ev.new < 0 {
-			continue
-		}
-		g := &ev.shape.groups[ev.new]
-		// Only a joiner that landed among its group's two lowest members
-		// can become any column's candidate (the second-lowest matters
-		// when the lowest is the column's host).
-		if g.members[0] != ev.pm && (len(g.members) < 2 || g.members[1] != ev.pm) {
-			continue
-		}
-		sm.joinUpdate(ev.shape, g)
-	}
-
+	sm.cand.syncPM(int32(sm.pms[from].ID))
+	sm.cand.syncPM(int32(sm.pms[r].ID))
+	sm.refreshAll()
 	if sm.opts.SelfAudit {
 		if err := sm.verifyDense(); err != nil {
 			return fmt.Errorf("core: sparse self-audit after moving VM %d to PM %d: %w", sm.vms[c].ID, sm.pms[r].ID, err)
@@ -266,30 +136,9 @@ func (sm *SparseMatrix) Apply(r, c int) error {
 	return nil
 }
 
-// joinUpdate tests one group of shape sh — whose candidate member just
-// changed — as an improved best against every column of the shape (none,
-// when the index tracks the shape only for arrival placements).
-func (sm *SparseMatrix) joinUpdate(sh *candShape, g *candGroup) {
-	for c32 := sm.byShape.head[sh.id]; c32 >= 0; c32 = sm.byShape.next[c32] {
-		c := int(c32)
-		// A column re-derived this Apply is exact: scanColumn already
-		// covered every standing group, so strict improvement is
-		// impossible and the test below would be a guaranteed no-op.
-		if sm.colSeq[c] == sm.seq {
-			continue
-		}
-		if cand := g.candidate(sm.hostID(c)); cand >= 0 {
-			if candRow, p := int(sm.id2row[cand]), sm.groupValue(g, c); sm.beats(c, candRow, p) {
-				sm.setBest(c, candRow, p)
-			}
-		}
-	}
-}
-
 // SelfCheck re-derives every column tracker from a fresh group scan and
-// validates the reverse indices and the candidate index's internal
-// structure, reporting the first divergence — the incremental Apply repair must never
-// drift from a from-scratch derivation.
+// validates the candidate index's internal structure, reporting the first
+// divergence.
 func (sm *SparseMatrix) SelfCheck() error {
 	for c, vm := range sm.vms {
 		row, ok := sm.RowOf(vm.Host)
@@ -308,12 +157,6 @@ func (sm *SparseMatrix) SelfCheck() error {
 		if err := sm.checkBest(c, bestRow, bestP); err != nil {
 			return err
 		}
-	}
-	if err := sm.hosted.check("hosted", sm.curRow); err != nil {
-		return err
-	}
-	if err := sm.best.check("best", sm.bestRow); err != nil {
-		return err
 	}
 	return sm.checkIndex()
 }
@@ -397,38 +240,18 @@ func (sm *SparseMatrix) verifyDense() error {
 // exactly the tracked best alternative; the property tests compare the
 // list against a dense column ranking.
 func (sm *SparseMatrix) ColumnShortlist(c, k int) []Placement {
-	sh := sm.shapeOf(c)
-	hostID := sm.hostID(c)
-	var out []Placement
-	for gi := range sh.groups {
-		g := &sh.groups[gi]
-		p := sm.groupValue(g, c)
-		if p <= 0 {
-			continue
-		}
-		for _, id := range g.members {
-			if id != hostID {
-				out = append(out, Placement{PM: sm.cand.pms[id], Probability: p})
-			}
-		}
-	}
-	return rankPlacements(out, k)
+	return sm.cand.shortlist(nil, sm.shapeOf(c), sm.hostID(c), sm.virs(c, nil), k)
 }
 
-// alternatives is the sparse twin of Matrix.ColumnAlternatives: the
-// column shortlist with each probability normalized by the current
-// placement, collapsing to the single tracked rescue row with +Inf gain
-// when the current placement has probability 0 — the same PMs and
-// bit-equal gains as the dense column scan.
+// alternatives is the sparse twin of Matrix.ColumnAlternatives
+// (candIndex.alternatives): the same PMs and bit-equal gains as the dense
+// column scan.
 func (sm *SparseMatrix) alternatives(c, k int) []Placement {
-	if alts, ok := sm.rescue(c, sm.pms); ok {
-		return alts
+	best := int32(-1)
+	if r := sm.bestRow[c]; r >= 0 {
+		best = int32(sm.pms[r].ID)
 	}
-	out := sm.ColumnShortlist(c, k)
-	for i := range out {
-		out[i].Probability /= sm.curProb[c]
-	}
-	return out
+	return sm.cand.alternatives(sm.shapeOf(c), sm.hostID(c), sm.curProb[c], sm.virs(c, nil), best, k)
 }
 
 // ArrivalShortlist returns the sparse top-k shortlist for placing vm —
@@ -440,5 +263,8 @@ func ArrivalShortlist(ctx *Context, factors []Factor, vm *cluster.VM, k int) ([]
 	if !Canonical(factors) {
 		return nil, false
 	}
-	return ctx.candidates().shortlist(nil, vm, k), true
+	x := ctx.candidates()
+	sh := x.shape(ctx.shapeID(vm.Demand))
+	ctx.virBuf = ctx.appendVirs(ctx.virBuf[:0], vm)
+	return x.shortlist(nil, sh, -1, ctx.virBuf, k), true
 }
