@@ -20,7 +20,7 @@ race:
 ## audit: full-trace invariant audit — the seed workload under the dynamic
 ## scheme, whose consolidation passes run Algorithm 1 as lazy rounds over
 ## gain bounds (internal/core/bound.go), with every event checked, every
-## pass's roster-derived columns compared with a cold collection, every
+## pass's roster (internal/core/roster.go) held to a cold rebuild, every
 ## round — moving or ending the pass — held to a cold SparseMatrix built
 ## over the same columns (its Best is the lazy choice, no swept bound below
 ## a built gain, no column left out that could move), and every moving

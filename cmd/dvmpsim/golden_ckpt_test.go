@@ -95,7 +95,7 @@ func TestGoldenCheckpointResume(t *testing.T) {
 // TestGoldenCheckpointBytes pins what a checkpoint holds: this build,
 // stopped at the fixture's event, must write the committed file byte for
 // byte — format version included. State that lives across passes without
-// being part of the run (the candidate index, the column roster) is
+// being part of the run (the candidate index, the roster) is
 // rebuilt after a restore and must never reach the envelope.
 func TestGoldenCheckpointBytes(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "golden_ckpt.json"))

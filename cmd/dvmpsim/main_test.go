@@ -298,8 +298,12 @@ func TestRunAuditFlag(t *testing.T) {
 // pass opens with one bound sweep, the passes that move nothing end there or
 // after their first choice, and the exact group scans stay with the columns
 // whose bound could contend for a round — 55,422 against the 1,794,707
-// column derivations the built engines made — while the run itself —
-// passes, moves, events — is the one it always was.
+// column derivations the built engines made. The sweeps bound (shape, host)
+// cells of the roster's buckets (internal/core/roster.go), not columns —
+// 167,523 for the week against some 4.5 M column bounds — and the roster
+// re-reads only the PMs that changed: one per arrival or departure PM, two
+// per move, none otherwise. The run itself — passes, moves, events — is the
+// one it always was.
 func TestSeedWeekScansOnlyContendingColumns(t *testing.T) {
 	dir := t.TempDir()
 	tracePath, metricsPath := filepath.Join(dir, "run.jsonl"), filepath.Join(dir, "run.json")
@@ -340,10 +344,17 @@ func TestSeedWeekScansOnlyContendingColumns(t *testing.T) {
 		{"core.consolidate_moves", m.Counters["core.consolidate_moves"], 5276},
 		{"sim.migrations", m.Counters["sim.migrations"], 5276},
 		{"core.exact_column_scans", m.Counters["core.exact_column_scans"], 55422},
+		{"core.roster_cold_builds", m.Counters["core.roster_cold_builds"], 1},
+		{"core.roster_resynced_pms", m.Counters["core.roster_resynced_pms"], 29233},
+		{"core.roster_inserts (arrivals + moves)", m.Counters["core.roster_inserts"], 9024 + 5276},
+		{"core.roster_drops", m.Counters["core.roster_drops"], 9024 + 5276},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
 		}
+	}
+	if cells := m.Counters["core.bound_cells"]; cells == 0 || cells > 250000 {
+		t.Errorf("core.bound_cells = %d, want in (0, 250000] (167,523 when pinned)", cells)
 	}
 	if !bytes.Contains(trace, []byte(`"dispatched":28240,`)) {
 		t.Error("run_end does not report 28240 dispatched events")

@@ -311,11 +311,12 @@ func SparseCheck(ctx *core.Context, factors []core.Factor, threshold func() floa
 	}
 }
 
-// RosterCheck holds the column roster a run's consolidation passes take
-// their VM axis from to the cold collection (core.Context.CheckColumns).
-// Per period only, although it is cheap: it reconciles the roster, and run
-// after every event it would leave the passes in between — which SelfAudit
-// checks one by one in event mode — nothing accumulated to repair.
+// RosterCheck holds the roster a run's consolidation passes read — the
+// placed VMs bucketed by host and shape — to a cold rebuild
+// (core.Context.CheckColumns). Per period only, although it is cheap: it
+// syncs the roster, and run after every event it would leave the passes in
+// between — which SelfAudit checks one by one in event mode — nothing
+// accumulated to re-read.
 func RosterCheck(ctx *core.Context) Check {
 	return Check{Name: "roster", Fn: func(float64) error { return ctx.CheckColumns() }}
 }

@@ -70,7 +70,7 @@ func newHarness(t *testing.T) *harness {
 		return h.arrived, 0, h.finished, h.rejected
 	}))
 	h.aud.Register(TrackerCheck(h.ctx, h.factors))
-	// No pass here goes through ConsolidateWith, so this roster is repaired
+	// No pass here goes through ConsolidateWith, so this roster is synced
 	// only by the check itself, once per operation, whatever the operation.
 	h.aud.Register(RosterCheck(h.ctx))
 	return h

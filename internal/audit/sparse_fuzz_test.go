@@ -372,11 +372,11 @@ func (h *sparseHarness) compareFleets(op, arg byte) {
 	if err := h.b.dc.CheckInvariants(); err != nil {
 		h.t.Fatalf("sparse side after op %d (arg %d): %v", op%7, arg, err)
 	}
-	// The column roster, two ways. Side A's Context never runs a pass
-	// through ConsolidateWith, so its roster is repaired here and only
-	// here, one operation at a time. Side B's is left alone between its
-	// passes, which check it themselves (SelfAudit, see consolidate) after
-	// reconciling everything the operations in between piled up.
+	// The roster, two ways. Side A's Context never runs a pass through
+	// ConsolidateWith, so its roster is synced here and only here, one
+	// operation at a time. Side B's is left alone between its passes, which
+	// check it themselves (SelfAudit, see consolidate) after re-reading
+	// everything the operations in between piled up.
 	if err := h.a.ctx.CheckColumns(); err != nil {
 		h.t.Fatalf("dense side after op %d (arg %d): %v", op%7, arg, err)
 	}

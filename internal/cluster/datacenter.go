@@ -251,10 +251,10 @@ func (d *Datacenter) RunningVMs() []*VM {
 // ID within the appended span, and returns the extended slice. The
 // allocation-free form of filtering RunningVMs for callers with a
 // reusable backing slice. It is the cold reference for the VM axis of a
-// consolidation pass — core.MigratableVMs, the audit checks and the
-// differential core.Context.CheckColumns holds the column roster to — not
-// the production path: a pass runs on every arrival and departure, and
-// core keeps its columns across passes instead of re-collecting them.
+// consolidation pass — core.MigratableVMs, the audit checks and the cold
+// engines SelfAudit holds a pass to — not the production path: a pass runs
+// on every arrival and departure, and core keeps its placed VMs bucketed
+// by host across passes instead of re-collecting them.
 func (d *Datacenter) AppendVMsInState(dst []*VM, st VMState) []*VM {
 	start := len(dst)
 	for _, p := range d.pms {

@@ -145,9 +145,9 @@ type PM struct {
 	reserved vector.V
 
 	// ver counts mutations of Used (Host/Evict/Reserve/Release). Caches
-	// keyed on a PM's occupancy — the sparse candidate index, the column
-	// roster and the hosted-cell memo in internal/core, and the energy
-	// meter's draw cache in internal/power — compare it against a
+	// keyed on a PM's occupancy — the sparse candidate index and the
+	// roster (buckets, hosted-cell probabilities) in internal/core, the
+	// energy meter's draw cache in internal/power — compare it against a
 	// remembered value to detect staleness without diffing the vector. State
 	// and Reliability are plain fields written directly by the simulator,
 	// so such caches must compare them alongside ver. Used must therefore

@@ -117,9 +117,9 @@ func TestConsolidateAllocBudget(t *testing.T) {
 				t.Errorf("the pass after one arrival allocates %d times over %d columns, budget %.2f per VM",
 					n, len(vms), consolidateAllocsPerVM)
 			}
-			if len(ctx.roster.cols) != len(vms)+1 || len(ctx.shapeTab) != shapes {
+			if placed := rosterPlaced(ctx.roster); placed != len(vms)+1 || len(ctx.shapeTab) != shapes {
 				t.Errorf("roster holds %d VMs over %d shapes, want %d over %d",
-					len(ctx.roster.cols), len(ctx.shapeTab), len(vms)+1, shapes)
+					placed, len(ctx.shapeTab), len(vms)+1, shapes)
 			}
 		})
 		t.Run(e.name, func(t *testing.T) {
@@ -131,7 +131,7 @@ func TestConsolidateAllocBudget(t *testing.T) {
 			if err := e.pass(ctx, params); err != nil {
 				t.Fatal(err)
 			}
-			nVMs := len(ctx.vmBuf)
+			nVMs := len(MigratableVMs(ctx.DC))
 			if nVMs == 0 {
 				t.Fatal("bench state has no running VMs")
 			}
@@ -149,9 +149,9 @@ func TestConsolidateAllocBudget(t *testing.T) {
 }
 
 // TestProvenEmptyPassAllocBudget: once a fleet has come to rest, a pass is
-// the roster's filter and the lazy rounds' first sweep and choice
-// (bound.go) over state that is all in place — the hosted-cell memo, the
-// index, the shapes' top-two scratch, the survivor slice — while the clock,
+// the roster's stamp check and the lazy rounds' first sweep and choice
+// (bound.go) over state that is all in place — the buckets and host orders,
+// the index, the shapes' top-two scratch, the survivor slice — while the clock,
 // and with it every p_vir, moves on. It allocates nothing and checks out no
 // frame.
 func TestProvenEmptyPassAllocBudget(t *testing.T) {

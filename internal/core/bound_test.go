@@ -10,7 +10,8 @@ import (
 )
 
 // boundHazards are the ways the state the lazy rounds keep across passes —
-// the hosted-cell memo, the index's group products — or the state they must
+// the roster's buckets and hosted-cell probabilities, the index's group
+// products — or the state they must
 // not trust could go wrong between two passes. Each step is followed
 // by a pass on three identically built fleets (TestBoundHazards); check, when
 // set, sees the production side's counters over the row's scripted passes.
@@ -194,7 +195,8 @@ func TestBoundHazards(t *testing.T) {
 // fails by name when a round's choice or sweep contradicts the cold engine
 // — a moving round taken for the end of the pass and the reverse, another
 // column chosen, a bound below its built gain, a column left out of the
-// sweep that can move — and when the hosted-cell memo is stale.
+// sweep that can move, a swept VM that is not a column — and when the
+// roster's hosted-cell probability is stale.
 func TestCheckProofRejectsWrongVerdicts(t *testing.T) {
 	ctx, vms := spreadState(t, 16, 30, 3)
 	build := func() *SparseMatrix {
@@ -210,16 +212,21 @@ func TestCheckProofRejectsWrongVerdicts(t *testing.T) {
 	if err := sm.CheckProof(1.05); err != nil || gain <= 1.05 {
 		t.Fatalf("moving fixture: best gain %g, CheckProof %v", gain, err)
 	}
-	ch, _ := ctx.choose(ctx.cand, sm.vms, sm.colShape)
+	ch, _ := ctx.choose(ctx.cand)
 	swept := slices.Clone(ctx.swept)
 	wrong := map[string]func(){
-		"a moving round accepted as the end of the pass": func() { ch.c, ch.gain = -1, 0 },
-		"another column accepted as the choice":          func() { ch.c = (ch.c + 1) % int32(len(vms)) },
+		"a moving round accepted as the end of the pass": func() { ch.vm, ch.gain = nil, 0 },
+		"another column accepted as the choice": func() {
+			ch.vm = sm.vms[(slices.Index(sm.vms, ch.vm)+1)%len(sm.vms)]
+		},
 		"a bound below its built gain accepted": func() {
-			ctx.swept[slices.IndexFunc(ctx.swept, func(s survivor) bool { return s.c == ch.c })].key = math.Nextafter(ch.gain, 0)
+			ctx.swept[slices.IndexFunc(ctx.swept, func(s survivor) bool { return s.vm == ch.vm })].key = math.Nextafter(ch.gain, 0)
 		},
 		"a column that moves left out of the sweep": func() {
-			ctx.swept = slices.DeleteFunc(ctx.swept, func(s survivor) bool { return s.c == ch.c })
+			ctx.swept = slices.DeleteFunc(ctx.swept, func(s survivor) bool { return s.vm == ch.vm })
+		},
+		"a VM that is not a column swept": func() {
+			ctx.swept = append(ctx.swept, survivor{vm: cluster.NewVM(1<<20, vms[0].Demand, 1, 1, 0), key: 2})
 		},
 	}
 	for name, corrupt := range wrong {
@@ -240,11 +247,11 @@ func TestCheckProofRejectsWrongVerdicts(t *testing.T) {
 	}
 	sm.Release()
 
-	ctx.hostMemo[vms[0].Host].p *= 2
+	ctx.roster.pms[vms[0].Host].cur *= 2
 	sm = build()
 	defer sm.Release()
 	if err := sm.CheckProof(1.05); err == nil {
-		t.Error("a stale hosted-cell memo, its stamp still standing, went unnoticed")
+		t.Error("a stale hosted-cell probability, its stamp still standing, went unnoticed")
 	}
 	dense, err := NewMatrix(ctx, opaqueFactors(DefaultFactors()), vms)
 	if err != nil {

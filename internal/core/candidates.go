@@ -421,15 +421,21 @@ func (x *candIndex) bestArrival(vm *cluster.VM, k int) *cluster.PM {
 	return best
 }
 
-// countOverflow is bestArrival's overflow diagnostic for a consolidation
-// pass: one count per column whose shape needs more than k non-empty groups
-// as the pass begins. ConsolidateWith calls it once per pass, whether or not
-// the pass goes on to build an engine.
-func (x *candIndex) countOverflow(shapes []int32, k int) {
+// countOverflow is bestArrival's overflow diagnostic for a canonical pass,
+// after its first sweep: one count per Running column, walked in the
+// roster's buckets, whose shape needs more than k non-empty groups.
+func (x *candIndex) countOverflow(ro *roster, k int) {
 	overflow := int64(0)
-	for c := len(shapes) - 1; c >= 0; c-- { // shapes tracked in frame.init's order
-		if x.shape(shapes[c]).nonEmpty > k {
-			overflow++
+	for sid, hosts := range ro.hosts {
+		if len(hosts) == 0 || x.shape(int32(sid)).nonEmpty <= k {
+			continue
+		}
+		for _, h := range hosts {
+			for _, e := range ro.bucket(h) {
+				if e.shape == int32(sid) && e.vm.State == cluster.VMRunning {
+					overflow++
+				}
+			}
 		}
 	}
 	if overflow > 0 {

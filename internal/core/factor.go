@@ -58,10 +58,9 @@ type Context struct {
 
 	// Reusable hot-path scratch (scratch.go): fscratch backs pass frames
 	// via checkout, terms backs the per-arrival term program, vmBuf and
-	// shapeBuf back the consolidation pass's columns, swept and virBuf a
-	// round's surviving columns and one column's p_vir per class
-	// (bound.go). Their presence is why a Context is not safe for
-	// concurrent use.
+	// shapeBuf back a dense pass's columns, swept and virBuf a round's
+	// surviving columns and one column's p_vir per class (bound.go). Their
+	// presence is why a Context is not safe for concurrent use.
 	fscratch *frameScratch
 	terms    []term
 	vmBuf    []*cluster.VM
@@ -69,19 +68,15 @@ type Context struct {
 	swept    []survivor
 	virBuf   []float64
 
-	// roster is the column roster (roster.go): the placed VMs in ID order
-	// with their shape ids, built lazily by the first consolidation pass
-	// and reconciled by per-PM version stamps of its own afterwards.
+	// roster is the placed VMs bucketed by host and shape, with each PM's
+	// hosted-cell probability (roster.go), built lazily by the first
+	// consolidation pass and re-read by per-PM stamps of its own afterwards.
 	roster *roster
 
 	// cand is the candidate index (candidates.go), built lazily on the
 	// first placement evaluated with a Canonical factor list and kept in
 	// sync with the fleet via per-PM version stamps.
 	cand *candIndex
-
-	// hostMemo is each PM's hosted-cell probability (bound.go), allocated
-	// by the first lazy-round sweep and kept valid by per-PM stamps.
-	hostMemo []hostMemo
 }
 
 // classInfo holds the per-class constants of Section III.B.4: one entry of

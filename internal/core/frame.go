@@ -125,8 +125,6 @@ func (f *frame) init(ctx *Context, factors []Factor, vms []*cluster.VM, shapes [
 	}
 	f.shapes = scr.shapes[:0]
 	ctx.pass++
-	// Reverse column order: the order the lazy rounds' sweep meets shapes
-	// in (bound.go), so the candidate index tracks them alike.
 	for c := nc - 1; c >= 0; c-- {
 		vm := f.vms[c]
 		if c > 0 && f.vms[c-1].ID >= vm.ID {
@@ -205,14 +203,11 @@ func (f *frame) hostRow(c int) int {
 	return r
 }
 
-// hostProb returns the canonical program's hosted-cell probability for row
-// r: p_res = p_vir = 1 there, so it is reliability times the efficiency
-// term at the PM's present utilization (which already includes its VMs),
-// memoized per row.
+// hostProb returns the hosted-cell probability of row r's PM
+// (Context.hostedProb), memoized per row.
 func (f *frame) hostProb(r int) float64 {
 	if math.IsNaN(f.hostP[r]) {
-		pm := f.pms[r]
-		f.hostP[r] = pm.Reliability * effProbability(f.ctx.classTab[f.rowClass[r]], pm.Utilization())
+		f.hostP[r] = f.ctx.hostedProb(f.pms[r])
 	}
 	return f.hostP[r]
 }

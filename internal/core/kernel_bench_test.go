@@ -98,6 +98,33 @@ func BenchmarkKernelLazyPass(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(vms)), "columns")
 	})
+	// A departure from a full 1,000-PM fleet of 5,000 columns (packedFleet),
+	// then the pass: one PM re-read, a few (shape, host) cells swept, nothing
+	// moved. The VM goes back, and that pass runs, with the timer stopped.
+	b.Run("empty-after-departure/1k", func(b *testing.B) {
+		ctx := packedFleet(1000)
+		pass(b, ctx)
+		vms := MigratableVMs(ctx.DC)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			vm := vms[5*(i%1000)+1] // a one-core VM, a PM further each time
+			pm := ctx.DC.PM(vm.Host)
+			if err := pm.Evict(vm); err != nil {
+				b.Fatal(err)
+			}
+			if pass(b, ctx) != 0 {
+				b.Fatal("the pass after a departure moved")
+			}
+			b.StopTimer()
+			if err := pm.Host(vm); err != nil {
+				b.Fatal(err)
+			}
+			pass(b, ctx)
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(len(vms)), "columns")
+	})
 }
 
 // BenchmarkKernelMatrixRound measures one migration round's incremental

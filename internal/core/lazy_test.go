@@ -17,10 +17,11 @@ import (
 // operation each runs one consolidation pass: lazily through
 // ConsolidateWith, on a cold SparseMatrix.Consolidate and on a cold
 // Matrix.Consolidate. The move lists (VM, endpoints, Gain bits, Round) and
-// the alternatives each hands its DecisionHook must agree exactly, and every
+// the alternatives each hands its DecisionHook must agree exactly, every
 // moving round's sweep is held to the cold sparse trackers of the same
-// round: no swept bound below its column's gain, no column left out whose
-// gain exceeds the threshold.
+// round — no swept bound below its column's gain, no column left out whose
+// gain exceeds the threshold — and after every pass the bucket sweep is
+// held to a cold column sweep (checkBuckets).
 
 // lazyFleet is the FuzzSparseOperations fleet: the Table II fast/slow mix,
 // three fast and five slow PMs, the first four on.
@@ -42,10 +43,15 @@ func lazyFleet(testing.TB) *Context {
 // reliability rel[i], hosting hosted[i] one-core VMs with 400 s left, IDs
 // ascending PM by PM.
 func coreFleet(overhead, rel []float64, hosted []int) *Context {
+	return coreFleetOf(8, overhead, rel, hosted)
+}
+
+// coreFleetOf is coreFleet with PMs of the given number of cores.
+func coreFleetOf(cores float64, overhead, rel []float64, hosted []int) *Context {
 	var groups []cluster.Group
 	for i, o := range overhead {
 		if i == 0 || o != overhead[i-1] {
-			class := &cluster.PMClass{Name: fmt.Sprint("o", o), Capacity: vector.V{8}, MigrationTime: o, ActivePower: 80, IdlePower: 40, Reliability: 1}
+			class := &cluster.PMClass{Name: fmt.Sprint("o", o), Capacity: vector.V{cores}, MigrationTime: o, ActivePower: 80, IdlePower: 40, Reliability: 1}
 			groups = append(groups, cluster.Group{Class: class})
 		}
 		groups[len(groups)-1].Count++
@@ -88,12 +94,18 @@ func stairFleet(testing.TB) *Context {
 // lazyCase is what the row predicates look at: one moving round of one pass.
 type lazyCase struct {
 	round     int
-	c         int32      // the chosen column
-	gain, key float64    // its gain and its swept bound
-	swept     []survivor // the round's survivors, (bound desc, column asc)
-	gains     []float64  // every column's gain, from the cold sparse engine
-	soleHosts int        // columns hosted on their shape's lone top PM
-	raised    bool       // a shape's top product is above round 1's
+	vm        cluster.VMID             // the chosen column's VM
+	gain, key float64                  // its gain and its swept bound
+	swept     []sweptCol               // the round's survivors, (bound desc, VM ID asc)
+	gains     map[cluster.VMID]float64 // every column's gain, from the cold sparse engine
+	soleHosts int                      // columns hosted on their shape's lone top PM
+	raised    bool                     // a shape's top product is above round 1's
+}
+
+// sweptCol is one survivor of a logged round.
+type sweptCol struct {
+	id  cluster.VMID
+	key float64
 }
 
 // lazyLog is everything a row's stream produced.
@@ -111,6 +123,7 @@ type lazyHarness struct {
 	params Params
 	nextID cluster.VMID
 	log    lazyLog
+	last   []Move // the last pass's moves
 }
 
 var lazyDemands = []vector.V{vector.New(1, 0.25), vector.New(1, 1), vector.New(2, 1), vector.New(1, 2), vector.New(2, 3)}
@@ -214,11 +227,11 @@ func (h *lazyHarness) pass() {
 	lazyHook := hook(0)
 	moves, err := ConsolidateWith(lazy, DefaultFactors(), h.params, MatrixOptions{DecisionHook: func(round int, mv Move, a []Placement) {
 		lazyHook(round, mv, a)
-		vms, shapes := lazy.vmBuf, lazy.shapeBuf
-		lc := lazyCase{round: round, gain: mv.Gain, swept: slices.Clone(lazy.swept), c: -1}
-		for _, s := range lc.swept {
-			if vms[s.c].ID == mv.VM {
-				lc.c, lc.key = s.c, s.key
+		lc := lazyCase{round: round, vm: mv.VM, gain: mv.Gain}
+		for _, s := range lazy.swept {
+			lc.swept = append(lc.swept, sweptCol{s.vm.ID, s.key})
+			if s.vm.ID == mv.VM {
+				lc.key = s.key
 			}
 		}
 		tops := make([]float64, len(lazy.cand.shapes))
@@ -227,8 +240,8 @@ func (h *lazyHarness) pass() {
 				tops[sid] = sh.top.v1
 			}
 		}
-		for c, vm := range vms {
-			if lazy.cand.shapes[shapes[c]].top.sole == int32(vm.Host) {
+		for _, vm := range MigratableVMs(lazy.DC) {
+			if lazy.cand.shapes[lazy.shapeID(vm.Demand)].top.sole == int32(vm.Host) {
 				lc.soleHosts++
 			}
 		}
@@ -251,7 +264,11 @@ func (h *lazyHarness) pass() {
 	sm, err = NewSparseMatrix(cold, DefaultFactors(), MigratableVMs(cold.DC), MatrixOptions{DecisionHook: func(round int, mv Move, a []Placement) {
 		coldHook(round, mv, a)
 		if round <= len(cases) {
-			cases[round-1].gains = slices.Clone(sm.bestGain)
+			gains := make(map[cluster.VMID]float64, len(sm.vms))
+			for c, vm := range sm.vms {
+				gains[vm.ID] = sm.bestGain[c]
+			}
+			cases[round-1].gains = gains
 		}
 	}})
 	if err != nil {
@@ -288,7 +305,9 @@ func (h *lazyHarness) pass() {
 	for _, lc := range cases {
 		h.checkSweep(lc)
 	}
+	checkBuckets(t, lazy, h.params.MIGThreshold)
 	h.log.cases = append(h.log.cases, cases...)
+	h.last = moves
 	h.log.passes++
 	h.log.moves += len(moves)
 	if len(moves) == h.params.MIGRound {
@@ -299,34 +318,34 @@ func (h *lazyHarness) pass() {
 // checkSweep holds one moving round's sweep to the cold sparse gains of the
 // same round.
 func (h *lazyHarness) checkSweep(lc lazyCase) {
-	key := make(map[int32]float64, len(lc.swept))
+	key := make(map[cluster.VMID]float64, len(lc.swept))
 	for _, s := range lc.swept {
-		key[s.c] = s.key
+		key[s.id] = s.key
 	}
-	for c, g := range lc.gains {
-		k, swept := key[int32(c)]
+	for id, g := range lc.gains {
+		k, swept := key[id]
 		switch {
 		case !swept && g > h.params.MIGThreshold:
-			h.t.Fatalf("round %d: column %d left out of the sweep with gain %g", lc.round, c, g)
+			h.t.Fatalf("round %d: VM %d left out of the sweep with gain %g", lc.round, id, g)
 		case swept && k < g:
-			h.t.Fatalf("round %d: column %d bound %g below its gain %g", lc.round, c, k, g)
+			h.t.Fatalf("round %d: VM %d bound %g below its gain %g", lc.round, id, k, g)
 		}
 	}
 }
 
 // The row predicates: which case a moving round exhibits.
-func (lc lazyCase) any(pred func(s survivor) bool) bool { return slices.ContainsFunc(lc.swept, pred) }
+func (lc lazyCase) any(pred func(s sweptCol) bool) bool { return slices.ContainsFunc(lc.swept, pred) }
 
 func tieLower(lc lazyCase) bool {
-	return lc.any(func(s survivor) bool { return s.c > lc.c && s.key == lc.key && lc.gains[s.c] == lc.gain })
+	return lc.any(func(s sweptCol) bool { return s.id > lc.vm && s.key == lc.key && lc.gains[s.id] == lc.gain })
 }
 
 func boundAtBestHigher(lc lazyCase) bool {
-	return lc.any(func(s survivor) bool { return s.c > lc.c && s.key == lc.gain })
+	return lc.any(func(s sweptCol) bool { return s.id > lc.vm && s.key == lc.gain })
 }
 
 func looserHigherFirst(lc lazyCase) bool {
-	return lc.key == lc.gain && lc.any(func(s survivor) bool { return s.c > lc.c && s.key > lc.key && lc.gains[s.c] == lc.gain })
+	return lc.key == lc.gain && lc.any(func(s sweptCol) bool { return s.id > lc.vm && s.key > lc.key && lc.gains[s.id] == lc.gain })
 }
 
 func rescue(lc lazyCase) bool   { return math.IsInf(lc.gain, 1) }

@@ -48,35 +48,36 @@ func Consolidate(ctx *Context, factors []Factor, params Params) ([]Move, error) 
 	return ConsolidateWith(ctx, factors, params, MatrixOptions{})
 }
 
-// ConsolidateWith is Consolidate with explicit matrix options, over columns
-// taken from the Context's roster (roster.go) rather than re-collected from
-// the fleet. The factor list picks how the rounds run: a Canonical list as
-// a lazy greedy over the candidate index's gain bounds, with no engine
-// built (bound.go), any other list on the dense Matrix — the same moves
-// either way.
+// ConsolidateWith is Consolidate with explicit matrix options, over the
+// Context's roster (roster.go) rather than columns re-collected from the
+// fleet. The factor list picks how the rounds run: a Canonical list as a
+// lazy greedy over gain bounds swept from the roster's buckets, with no
+// engine built (bound.go), any other list on the dense Matrix over columns
+// gathered from them — the same moves either way.
 func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixOptions) ([]Move, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	phase := ctx.Obs.Phase("collect_columns")
 	start := phase.Begin()
-	vms, shapes := ctx.columns()
+	ro := ctx.syncRoster()
 	phase.End(start)
 	if opts.SelfAudit {
-		if err := ctx.diffColumns(vms); err != nil {
+		if err := ctx.diffRoster(); err != nil {
 			return nil, err
 		}
 	}
-	if len(vms) == 0 {
-		return nil, nil
+	if running, err := ro.running(); !running {
+		return nil, err
 	}
 	var (
 		moves []Move
 		err   error
 	)
 	if Canonical(factors) {
-		moves, err = ctx.consolidateLazy(factors, vms, shapes, params, opts)
+		moves, err = ctx.consolidateLazy(factors, params, opts)
 	} else {
+		vms, shapes := ctx.columns()
 		phase = ctx.Obs.Phase("kernel_build")
 		start = phase.Begin()
 		m, buildErr := newMatrix(ctx, factors, vms, shapes, opts)
@@ -177,8 +178,8 @@ func migrate(vm *cluster.VM, src, dst *cluster.PM) error {
 // (AppendVMsInState sorts the appended span): Algorithm 1's tie-breaks
 // are ID-ordered, so the column order must not depend on an upstream
 // implementation accident (the determinism tests assert it). This is the
-// cold collection — what constructor callers and the audit checks build
-// over, and what CheckColumns holds a pass's roster-derived columns to.
+// cold collection — what constructor callers, the audit checks and
+// SelfAudit's cold engines build over.
 func MigratableVMs(dc *cluster.Datacenter) []*cluster.VM {
 	return dc.AppendVMsInState(nil, cluster.VMRunning)
 }

@@ -198,8 +198,9 @@ func TestRosterHazards(t *testing.T) {
 }
 
 // TestRosterCounters scripts the roster's work counters: one cold build
-// per Context, nothing resynced over an unchanged fleet, one PM and one
-// insert per arrival, one drop per departure.
+// per Context, no PM re-read over an unchanged fleet or for a state flip,
+// one PM and one insert per arrival, one PM and one drop per departure, both
+// endpoints — one drop, one insert — per move, re-read right after it.
 func TestRosterCounters(t *testing.T) {
 	ctx, vms := tableIIState(t, 20, 60, 5)
 	ctx.Obs = obs.New()
@@ -251,8 +252,19 @@ func TestRosterCounters(t *testing.T) {
 	}
 	pass()
 	expect("one Evict", 1, 2, 1, 1)
-	if calls := ctx.Obs.Phase("collect_columns").Calls(); calls != 5 {
-		t.Errorf("collect_columns timed %d passes, want 5", calls)
+
+	moves, err := ConsolidateWith(ctx, DefaultFactors(), Params{MIGThreshold: 1.05, MIGRound: 1}, MatrixOptions{})
+	if err != nil || len(moves) != 1 {
+		t.Fatalf("a pass of one round made moves %v (%v), want one", moves, err)
+	}
+	expect("one move", 1, 4, 2, 2)
+	pass()
+	expect("after the move", 1, 4, 2, 2)
+	if calls := ctx.Obs.Phase("collect_columns").Calls(); calls != 7 {
+		t.Errorf("collect_columns timed %d passes, want 7", calls)
+	}
+	if cells := ctx.Obs.Counter("core.bound_cells").Value(); cells == 0 {
+		t.Error("no sweep counted a cell")
 	}
 }
 

@@ -321,8 +321,8 @@ func TestSparseNonCanonicalFallback(t *testing.T) {
 				t.Fatalf("candidate index built = %t, want %t", indexed, tc.sparse)
 			}
 			// Only a canonical pass runs the lazy rounds (bound.go): their
-			// sweep leaves its hosted-cell memo behind.
-			if swept := ctx.hostMemo != nil; swept != tc.sparse {
+			// sweep leaves its survivor slice behind.
+			if swept := ctx.swept != nil; swept != tc.sparse {
 				t.Fatalf("lazy rounds ran = %t, want %t", swept, tc.sparse)
 			}
 			if _, ok := ArrivalShortlist(ctx, tc.factors, arrival, 8); ok != tc.sparse {

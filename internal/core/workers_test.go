@@ -187,7 +187,7 @@ func TestKernelWorkersSerialAllocBudget(t *testing.T) {
 	if _, err := ConsolidateWith(ctx, factors, params, opts); err != nil {
 		t.Fatal(err)
 	}
-	nVMs := len(ctx.vmBuf)
+	nVMs := len(MigratableVMs(ctx.DC))
 	if nVMs == 0 {
 		t.Fatal("bench state has no running VMs")
 	}

@@ -542,10 +542,10 @@ func (s *simulator) finish() (*Result, error) {
 
 // setupAudit registers the invariant checks matching the run's
 // configuration. A dynamic scheme gets the dense-vs-oracle TrackerCheck
-// and the roster-vs-cold-collection RosterCheck, plus the sparse-vs-dense
+// and the roster-vs-cold-rebuild RosterCheck, plus the sparse-vs-dense
 // SparseCheck when its factor list is the one the candidate index
 // evaluates. In Event mode the matrix self-audit is also switched on, so
-// every consolidation pass verifies its columns against a cold collection
+// every consolidation pass verifies its roster against a cold rebuild
 // and every Apply its incremental trackers against a cold dense rebuild.
 func (s *simulator) setupAudit() {
 	if s.cfg.Audit == audit.Off {
