@@ -21,13 +21,12 @@ race:
 ## scheme, whose consolidation passes run Algorithm 1 as lazy rounds over
 ## gain bounds (internal/core/bound.go), with every event checked, every
 ## pass's roster (internal/core/roster.go) held to a cold rebuild, every
-## round — moving or ending the pass — held to a cold SparseMatrix built
-## over the same columns (its Best is the lazy choice, no swept bound below
-## a built gain, no column left out that could move), and every moving
-## round's cold build replayed against a cold dense matrix (trackers
-## compared bit-for-bit), plus the per-period dense-vs-oracle,
-## sparse-vs-dense (with the first round's check) and roster checks
-## (142289 checks: the per-round checks ride inside them). Exits
+## round — moving or ending the pass — held to one cold dense matrix built
+## over the same columns (the index sound, each column's group scan its
+## best row bit-for-bit, its Best the lazy choice, no swept bound below a
+## built gain, no column left out that could move), plus the per-period
+## dense-vs-oracle, lazy-vs-dense (the first round's check) and roster
+## checks (142289 checks: the per-round checks ride inside them). Exits
 ## non-zero on the first violation. The configuration differentials
 ## (decisions, checkpoint/resume; cells and kernel workers at the
 ## sim.Config level) and the engine differential are tier-1 tests:

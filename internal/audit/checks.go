@@ -224,20 +224,19 @@ func TrackerCheck(ctx *core.Context, factors []core.Factor) Check {
 	}
 }
 
-// SparseCheck is the sparse-vs-dense differential oracle for runs whose
-// factor list is core.Canonical, the ones the candidate index evaluates:
-// it builds the candidate-set engine and a dense matrix over the currently
-// migratable VMs and requires every tracker and the Best decision
-// bit-identical (core.SparseMatrix.DiffDense), plus internal consistency
-// of the incremental candidate index (SelfCheck). It also replays the
-// arrival ranking for a sample of hosted VMs: the candidate shortlist must
-// equal the cell-by-cell ranking. And it runs the first round of a
-// consolidation pass's lazy greedy (core/bound.go), at the run's current
-// MIG_threshold, against the cold sparse build (core's CheckProof): no gain
-// bound below a built gain, no column left out of the sweep that could
-// move, the choice the engine's own Best. O(M*N) dense evaluations per run,
-// so it is a per-period check even in event mode; the per-round SelfAudit
-// covers the event granularity.
+// SparseCheck is the lazy-rounds-vs-dense differential oracle for runs
+// whose factor list is core.Canonical, the ones the candidate index
+// evaluates. It builds a dense matrix over the currently migratable VMs and
+// runs the first round of a consolidation pass's lazy greedy
+// (core/bound.go), at the run's current MIG_threshold, on the live Context
+// against it (core's CheckProof): the candidate index structurally sound,
+// every column's score-group scan the dense best alternative bit-for-bit,
+// no gain bound below a built gain, no column left out of the sweep that
+// could move, the choice the dense Best. It also replays the arrival
+// ranking for a sample of hosted VMs: the candidate shortlist must equal the
+// cell-by-cell ranking. O(M*N) dense evaluations per run, so it is a
+// per-period check even in event mode; the per-round SelfAudit covers the
+// event granularity.
 func SparseCheck(ctx *core.Context, factors []core.Factor, threshold func() float64) Check {
 	return Check{
 		Name:     "sparse",
@@ -245,11 +244,11 @@ func SparseCheck(ctx *core.Context, factors []core.Factor, threshold func() floa
 		Fn: func(now float64) error {
 			ctx := ctx.At(now)
 			// Detach the observer for the duration of the check: the
-			// check's own sparse builds and shortlist replays would
-			// otherwise increment the run's "core.sparse_shape_overflow"
-			// counter (and any other kernel tallies) — the audit polluting
-			// the very metrics it validates, the same shared-sink hazard
-			// the sweep's per-(scheme, seed) observers close. ctx is the run's live
+			// check's own sweep and shortlist replays would otherwise
+			// increment the run's "core.sparse_shape_overflow" counter (and
+			// any other kernel tallies) — the audit polluting the very
+			// metrics it validates, the same shared-sink hazard the sweep's
+			// per-(scheme, seed) observers close. ctx is the run's live
 			// context, so restore on every exit path.
 			savedObs := ctx.Obs
 			ctx.Obs = nil
@@ -258,47 +257,17 @@ func SparseCheck(ctx *core.Context, factors []core.Factor, threshold func() floa
 			if len(vms) == 0 {
 				return nil
 			}
-			// The sparse build must run on the live Context (it exercises
-			// the run's own candidate index); the dense reference only
-			// needs the fleet, so it builds concurrently on a fresh
-			// Context (same independence argument as TrackerCheck).
-			var (
-				sm             *core.SparseMatrix
-				dense          *core.Matrix
-				smErr, smCheck error
-				denseErr       error
-			)
-			core.Parallel(
-				func() {
-					sm, smErr = core.NewSparseMatrix(ctx, factors, vms, core.MatrixOptions{})
-					if smErr == nil {
-						smCheck = sm.SelfCheck()
-					}
-				},
-				func() {
-					dense, denseErr = core.NewMatrix(core.NewContext(ctx.DC).At(now), factors, vms)
-				},
-			)
-			if denseErr == nil {
-				defer dense.Release()
+			// The dense reference only needs the fleet: a fresh Context
+			// keeps it independent of the live one's memos and interning
+			// tables, while the lazy round runs on the live Context (it
+			// exercises the run's own candidate index and roster).
+			dense, err := core.NewMatrix(core.NewContext(ctx.DC).At(now), factors, vms)
+			if err != nil {
+				return fmt.Errorf("dense matrix build: %w", err)
 			}
-			if smErr == nil {
-				defer sm.Release()
-			}
-			if smErr != nil {
-				return fmt.Errorf("sparse matrix build: %w", smErr)
-			}
-			if smCheck != nil {
-				return fmt.Errorf("sparse matrix self-check: %w", smCheck)
-			}
-			if denseErr != nil {
-				return fmt.Errorf("dense matrix build: %w", denseErr)
-			}
-			if err := sm.DiffDense(dense); err != nil {
-				return fmt.Errorf("sparse vs dense matrix: %w", err)
-			}
-			if err := sm.CheckProof(threshold()); err != nil {
-				return fmt.Errorf("lazy rounds vs cold sparse build: %w", err)
+			defer dense.Release()
+			if err := ctx.CheckProof(dense, threshold()); err != nil {
+				return fmt.Errorf("lazy rounds vs cold dense build: %w", err)
 			}
 			stride := len(vms)/8 + 1
 			for i := 0; i < len(vms); i += stride {

@@ -13,7 +13,7 @@ import (
 // stream, with every placement decision made by the dense engine on side A
 // — the cell-by-cell arrival ranking and a core.Matrix built by constructor
 // name, because core's entry points send these factors to the index — and
-// by the candidate-set engine, through those entry points, on side B. After
+// by the candidate index, through those entry points, on side B. After
 // each operation the decisions and the resulting fleet states must match
 // exactly — PM choices, consolidation move lists, per-PM usage vectors,
 // reliability bits, and hosted-VM sets. Any divergence is a bug in one of
@@ -52,7 +52,7 @@ func newSparseSide() *sparseSide {
 // sparseHarness drives the mirrored pair through one operation stream.
 type sparseHarness struct {
 	t       testing.TB
-	a, b    *sparseSide // a = dense oracle, b = sparse engine
+	a, b    *sparseSide // a = dense oracle, b = candidate index
 	factors []core.Factor
 	k       int
 
@@ -111,22 +111,24 @@ var proofThresholds = []float64{1.05, 1.6}
 // checkProof holds the first round side B's passes open with — the sweep
 // over its run-long hosted-cell memo and the live index's group products,
 // whatever the operations so far have done to them, and the lazy choice —
-// to a dense matrix over side B's fleet (core's CheckProof): every swept
-// bound is at least the dense BestAlt gain, no column left out can move,
-// and the choice is the dense Best.
+// to a dense matrix over side B's fleet (core's CheckProof): the index is
+// sound, every column's group scan finds the dense best alternative, every
+// swept bound is at least the dense BestAlt gain, no column left out can
+// move, and the choice is the dense Best.
 func (h *sparseHarness) checkProof(op, arg byte) {
 	vms := core.MigratableVMs(h.b.dc)
 	if len(vms) == 0 {
 		return
 	}
-	dense, err := core.NewMatrix(h.b.ctx.At(h.now), h.factors, vms)
+	ctx := h.b.ctx.At(h.now)
+	dense, err := core.NewMatrix(ctx, h.factors, vms)
 	if err != nil {
 		h.t.Fatalf("dense build for the proof check: %v", err)
 	}
 	defer dense.Release()
 	_, _, gain, ok := dense.Best()
 	for _, threshold := range proofThresholds {
-		if err := dense.CheckProof(threshold); err != nil {
+		if err := ctx.CheckProof(dense, threshold); err != nil {
 			h.t.Fatalf("after op %d (arg %d) at t=%g, threshold %g: %v", op%7, arg, h.now, threshold, err)
 		}
 		if ok && gain > threshold {
@@ -440,11 +442,11 @@ func sweepStream(seed uint64, ops int) []byte {
 }
 
 // FuzzSparseOperations lets the fuzzer search for an operation sequence on
-// which the candidate-set engine diverges from the dense oracle. The seeds
+// which the candidate index diverges from the dense oracle. The seeds
 // cover each opcode including reliability decay, a K=1 run where every
 // shape overflows its candidate budget, and one sweep stream long enough
-// for multi-round consolidations, whose later rounds depend on the sparse
-// Apply repair.
+// for multi-round consolidations, whose later rounds depend on the index's
+// re-sync of each move's endpoints.
 func FuzzSparseOperations(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 20, 2, 5, 1, 0}, 16)
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 6, 4, 2, 9, 3, 7, 4, 1, 5, 2, 1, 1}, 16)

@@ -19,11 +19,11 @@ import (
 // letting a per-PM or per-term regression through.
 const arrivalAllocCeiling = 2
 
-// allocEngines are the two engines every budget below holds for: the pool
-// and the interning tables are the frame's, so the sparse engine gets no
-// allowance the dense one does not. The arrival argmax reaches each side
-// the way a run does, through the factor list; a consolidation pass builds
-// its engine by constructor name.
+// allocEngines are the two paths every budget below holds for: the dense
+// Matrix and the candidate index's lazy rounds, which get no allowance the
+// dense side does not. The arrival argmax reaches each side the way a run
+// does, through the factor list; the dense pass builds its matrix by
+// constructor name.
 var allocEngines = []struct {
 	name    string
 	arrival []Factor
@@ -72,7 +72,7 @@ func TestArrivalAllocBudget(t *testing.T) {
 }
 
 // consolidateAllocsPerVM bounds the per-column allocation rate of a full
-// warm consolidation pass (frame build + Algorithm 1 rounds + release).
+// warm consolidation pass (matrix build + Algorithm 1 rounds + release).
 // A cold pass allocates the scratch once; after that the dominant costs
 // must reuse it, so the per-VM rate stays well below one.
 const consolidateAllocsPerVM = 0.5
@@ -153,7 +153,7 @@ func TestConsolidateAllocBudget(t *testing.T) {
 // (bound.go) over state that is all in place — the buckets and host orders,
 // the index, the shapes' top-two scratch, the survivor slice — while the clock,
 // and with it every p_vir, moves on. It allocates nothing and checks out no
-// frame.
+// matrix scratch.
 func TestProvenEmptyPassAllocBudget(t *testing.T) {
 	ctx, _ := tableIIState(t, 200, 400, 7)
 	factors := DefaultFactors()
@@ -171,22 +171,21 @@ func TestProvenEmptyPassAllocBudget(t *testing.T) {
 	if avg := testing.AllocsPerRun(50, func() { pass() }); avg != 0 {
 		t.Errorf("a proven-empty pass allocates %.1f times, want 0", avg)
 	}
-	if built := ctx.pass - builds - 51; built != 0 { // one sweep per pass, AllocsPerRun warms up once
-		t.Errorf("%d frames built or sweeps repeated over 51 proven-empty passes", built)
+	if extra := ctx.pass - builds - 51; extra != 0 { // one sweep per pass, AllocsPerRun warms up once
+		t.Errorf("%d sweeps repeated over 51 proven-empty passes", extra)
 	}
 	if ctx.fscratch != nil {
-		t.Error("a proven-empty pass checked out frame scratch")
+		t.Error("a proven-empty pass checked out matrix scratch")
 	}
 }
 
-// TestFramePoolInterleavedEngines runs dense and sparse passes back to
-// back on one Context — the way the auditor and SelfAudit mix them — and
-// checks the checkout model: engines that share the pool in turn agree
-// with each other, a build made while the pool is checked out allocates
-// its own storage without disturbing the holder, and the pool is back on
-// the Context after the last Release. Along the way the frame's hosted
-// lists — what the sparse Apply walks to find the columns an endpoint's
-// change invalidates — must follow every migration.
+// TestFramePoolInterleavedEngines runs dense matrices back to back on one
+// Context — the way the auditor and SelfAudit mix them — and checks the
+// checkout model: a build made while the pool is checked out allocates its
+// own storage without disturbing the holder, the two agree, the pool is back
+// on the Context after the first Release, and a pooled matrix under
+// SelfAudit, whose every Apply builds a cold rebuild in flight, tracks a
+// twin fleet's matrix move for move.
 func TestFramePoolInterleavedEngines(t *testing.T) {
 	ctx, vms := tableIIState(t, 60, 140, 5)
 	factors := DefaultFactors()
@@ -199,28 +198,27 @@ func TestFramePoolInterleavedEngines(t *testing.T) {
 	if ctx.fscratch != nil {
 		t.Fatal("a live engine left the pool attached")
 	}
-	// Sparse build with the pool checked out: own storage, same trackers.
-	sparse, err := NewSparseMatrix(ctx, factors, vms, MatrixOptions{CandidateK: 64})
+	// A second build with the pool checked out: own storage, same matrix.
+	other, err := NewMatrix(ctx, factors, vms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sparse.scr == pool {
+	if other.scr == pool {
 		t.Fatal("two live engines share one scratch")
 	}
-	if err := sparse.DiffDense(dense); err != nil {
-		t.Fatalf("sparse over a checked-out pool: %v", err)
+	if err := other.Diff(dense); err != nil {
+		t.Fatalf("a build over a checked-out pool: %v", err)
 	}
 	dense.Release()
-	sparse.Release()
+	other.Release()
 	if ctx.fscratch != pool {
 		t.Fatal("first Release did not re-attach the pool")
 	}
 
-	// Sparse then dense on the pooled storage, each Apply audited by a
-	// cold rebuild in flight; the sparse engine mirrors the dense moves
-	// on a twin fleet.
+	// Pooled and twin matrices under SelfAudit, each Apply audited by a
+	// cold rebuild in flight; the twin mirrors the pooled matrix's moves.
 	twinCtx, twinVMs := tableIIState(t, 60, 140, 5)
-	sparse, err = NewSparseMatrix(twinCtx, factors, twinVMs, MatrixOptions{CandidateK: 64, SelfAudit: true})
+	twin, err := NewMatrixWith(twinCtx, factors, twinVMs, MatrixOptions{SelfAudit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +237,10 @@ func TestFramePoolInterleavedEngines(t *testing.T) {
 		if err := dense.Apply(r, c); err != nil {
 			t.Fatal(err)
 		}
-		if err := sparse.Apply(r, c); err != nil {
+		if err := twin.Apply(r, c); err != nil {
 			t.Fatal(err)
 		}
-		if err := sparse.DiffDense(dense); err != nil {
+		if err := twin.Diff(dense); err != nil {
 			t.Fatalf("after move %d: %v", i+1, err)
 		}
 	}
@@ -255,7 +253,7 @@ func TestFramePoolInterleavedEngines(t *testing.T) {
 	}
 	fresh.Release()
 	dense.Release()
-	sparse.Release()
+	twin.Release()
 	// Which scratch survives is the first Release's (here a SelfAudit
 	// rebuild's); what matters is that each Context holds one again.
 	if ctx.fscratch == nil || twinCtx.fscratch == nil {

@@ -87,10 +87,9 @@ func TestSelfAuditOptionVerifiesEveryApply(t *testing.T) {
 }
 
 // TestConsolidateWithSelfAuditMatchesPlain: the audited pass — on the
-// paper's table factor the dense Matrix, on the default factors the
-// candidate-set engine replaying every Apply against a cold dense rebuild —
-// must pass its own checks and emit the moves of an unaudited dense Matrix
-// built by constructor.
+// paper's table factor the dense Matrix, on the default factors the lazy
+// rounds, each round held to a cold dense build — must pass its own checks
+// and emit the moves of an unaudited dense Matrix built by constructor.
 func TestConsolidateWithSelfAuditMatchesPlain(t *testing.T) {
 	tableA, tableFactors, _ := paperExample()
 	tableB, _, _ := paperExample()

@@ -184,14 +184,14 @@ func (ctx *Context) consolidateLazy(factors []Factor, params Params, opts Matrix
 // lazyRounds runs the pass's rounds from a finished first sweep: choose,
 // report the move to the decision hook, migrate, re-sync both endpoints in
 // the index and the roster, sweep again. Under SelfAudit every round is
-// held to a cold engine first.
+// held to a cold dense Matrix first.
 func (ctx *Context) lazyRounds(x *candIndex, factors []Factor, params Params, opts MatrixOptions) (moves []Move, err error) {
 	scans := 0
 	for round := 1; ; round++ {
 		ch, n := ctx.choose(x)
 		scans += n
 		if opts.SelfAudit {
-			if err = ctx.auditRound(factors, ch, params.MIGThreshold, opts); err != nil {
+			if err = ctx.auditRound(factors, ch, params.MIGThreshold); err != nil {
 				break
 			}
 		}
@@ -222,81 +222,89 @@ func (ctx *Context) lazyRounds(x *candIndex, factors []Factor, params Params, op
 	return moves, err
 }
 
-// auditRound holds one round to a cold SparseMatrix built over
-// MigratableVMs (checkRound); a round that moves also holds that engine to a
-// cold dense rebuild, so every move is checked against the dense oracle.
-func (ctx *Context) auditRound(factors []Factor, ch choice, threshold float64, opts MatrixOptions) error {
+// auditRound holds one round to a cold dense Matrix built over
+// MigratableVMs (checkRound).
+func (ctx *Context) auditRound(factors []Factor, ch choice, threshold float64) error {
 	phase := ctx.Obs.Phase("kernel_build")
 	start := phase.Begin()
-	cold, err := newSparseMatrix(ctx, factors, MigratableVMs(ctx.DC), nil, MatrixOptions{Workers: opts.Workers})
+	ref, err := NewMatrix(ctx, factors, MigratableVMs(ctx.DC))
 	phase.End(start)
 	if err != nil {
 		return err
 	}
-	defer cold.Release()
-	if err := cold.checkRound(ch, threshold); err != nil {
-		return err
-	}
-	if ch.gain > threshold {
-		return cold.verifyDense()
-	}
-	return nil
+	defer ref.Release()
+	return ctx.checkRound(ref, ch, threshold)
 }
 
-// CheckProof runs a pass's first round — the roster's sync, the sweep and
-// the lazy choice — on the Context the engine was built on, and holds it to
-// the engine's trackers (checkRound): the auditor's SparseCheck on its cold
-// sparse build, the fuzz harnesses on a dense Matrix after every operation.
-// The engine must be freshly built over MigratableVMs — the sweep reads the
-// live fleet — and a Canonical factor list.
-func (f *frame) CheckProof(threshold float64) error {
-	if !Canonical(f.factors) {
+// CheckProof runs a pass's first round on this Context — the roster's sync,
+// the sweep and the lazy choice — and holds it to ref (checkRound): the
+// auditor's SparseCheck holds it to a dense Matrix built on a fresh Context,
+// the fuzz harnesses to one built on this Context after every operation.
+// ref must be freshly built over MigratableVMs — the sweep reads the live
+// fleet — with a Canonical factor list.
+func (ctx *Context) CheckProof(ref *Matrix, threshold float64) error {
+	if !Canonical(ref.factors) {
 		return fmt.Errorf("core: the lazy rounds cover the canonical default factors only")
 	}
-	x := f.ctx.candidatesWith(f.opts.Workers)
-	f.ctx.syncRoster()
-	f.ctx.sweep(x, threshold)
-	ch, _ := f.ctx.choose(x)
-	return f.checkRound(ch, threshold)
+	x := ctx.candidates()
+	ctx.syncRoster()
+	ctx.sweep(x, threshold)
+	ch, _ := ctx.choose(x)
+	return ctx.checkRound(ref, ch, threshold)
 }
 
-// checkRound holds the round that left ctx.swept and chose ch to the cold
-// engine built on f over the Running VMs of the same fleet: every swept VM
-// is a column, the roster's hosted-cell probability is the engine's
-// normalizer in every column, no swept bound lies below its column's built
-// gain, no column the sweep left out has a built gain above the threshold,
-// and the choice is the engine's Best bit-for-bit — or, when the round ends
-// the pass, the engine has no gain above the threshold either.
-func (f *frame) checkRound(ch choice, threshold float64) error {
-	key := make([]float64, len(f.vms))
-	for _, s := range f.ctx.swept {
-		c, found := slices.BinarySearchFunc(f.vms, s.vm.ID, func(vm *cluster.VM, id cluster.VMID) int { return cmp.Compare(vm.ID, id) })
-		if !found || f.vms[c] != s.vm {
+// checkRound holds the round that left ctx.swept and chose ch to ref, a cold
+// dense Matrix over the Running VMs of the same fleet. The candidate index
+// must pass its structural check and every swept VM must be a column. In
+// every column the roster's hosted-cell probability is ref's normalizer, the
+// group scan (candShape.best) finds ref's best row at ref's raw probability
+// bit-for-bit, no swept bound lies below ref's gain, and a column the sweep
+// left out has no gain above the threshold. The choice is ref's Best
+// bit-for-bit — or, when the round ends the pass, ref has no gain above the
+// threshold either.
+func (ctx *Context) checkRound(ref *Matrix, ch choice, threshold float64) error {
+	x := ctx.cand
+	if err := x.check(); err != nil {
+		return err
+	}
+	key := make([]float64, len(ref.vms))
+	for _, s := range ctx.swept {
+		c, found := slices.BinarySearchFunc(ref.vms, s.vm.ID, func(vm *cluster.VM, id cluster.VMID) int { return cmp.Compare(vm.ID, id) })
+		if !found || ref.vms[c] != s.vm {
 			return fmt.Errorf("core: the sweep kept VM %d, which is not a column of the cold build", s.vm.ID)
 		}
 		key[c] = s.key
 	}
-	for c, vm := range f.vms {
-		switch cur := f.ctx.roster.pms[vm.Host].cur; {
-		case cur != f.curProb[c]:
-			return fmt.Errorf("core: VM %d hosted-cell probability %g in the roster, cold build %g", vm.ID, cur, f.curProb[c])
-		case key[c] == 0 && f.bestGain[c] > threshold:
-			return fmt.Errorf("core: VM %d left out of the sweep, but its built gain %g exceeds MIG_threshold %g", vm.ID, f.bestGain[c], threshold)
-		case key[c] != 0 && key[c] < f.bestGain[c]:
-			return fmt.Errorf("core: VM %d gain bound %g below its built gain %g", vm.ID, key[c], f.bestGain[c])
+	for c, vm := range ref.vms {
+		cur := ctx.roster.pms[vm.Host].cur
+		ctx.virBuf = ctx.appendVirs(ctx.virBuf[:0], vm)
+		id, p := x.shape(ctx.shapeID(vm.Demand)).best(int32(vm.Host), cur, ctx.virBuf)
+		want := int32(-1)
+		if r := ref.bestRow[c]; r >= 0 {
+			want = int32(ref.pms[r].ID)
+		}
+		switch {
+		case cur != ref.curProb[c]:
+			return fmt.Errorf("core: VM %d hosted-cell probability %g in the roster, cold build %g", vm.ID, cur, ref.curProb[c])
+		case id != want || math.Float64bits(p) != math.Float64bits(ref.bestP[c]):
+			return fmt.Errorf("core: VM %d group scan (PM %d, p %g), cold build (PM %d, p %g)", vm.ID, id, p, want, ref.bestP[c])
+		case key[c] == 0 && ref.bestGain[c] > threshold:
+			return fmt.Errorf("core: VM %d left out of the sweep, but its built gain %g exceeds MIG_threshold %g", vm.ID, ref.bestGain[c], threshold)
+		case key[c] != 0 && key[c] < ref.bestGain[c]:
+			return fmt.Errorf("core: VM %d gain bound %g below its built gain %g", vm.ID, key[c], ref.bestGain[c])
 		}
 	}
-	r, c, gain, ok := f.Best()
+	r, c, gain, ok := ref.Best()
 	switch moves := ok && gain > threshold; {
 	case !(ch.gain > threshold):
 		if moves {
-			return fmt.Errorf("core: the lazy round ended the pass, but VM %d has gain %g above MIG_threshold %g", f.vms[c].ID, gain, threshold)
+			return fmt.Errorf("core: the lazy round ended the pass, but VM %d has gain %g above MIG_threshold %g", ref.vms[c].ID, gain, threshold)
 		}
 	case !moves:
-		return fmt.Errorf("core: the lazy round moves VM %d at gain %g, the cold engine's best gain is %g", ch.vm.ID, ch.gain, gain)
-	case f.vms[c] != ch.vm || f.pms[r].ID != cluster.PMID(ch.id) || math.Float64bits(gain) != math.Float64bits(ch.gain):
-		return fmt.Errorf("core: the lazy round chose VM %d -> PM %d at gain %g, the cold engine VM %d -> PM %d at %g",
-			ch.vm.ID, ch.id, ch.gain, f.vms[c].ID, f.pms[r].ID, gain)
+		return fmt.Errorf("core: the lazy round moves VM %d at gain %g, the cold build's best gain is %g", ch.vm.ID, ch.gain, gain)
+	case ref.vms[c] != ch.vm || ref.pms[r].ID != cluster.PMID(ch.id) || math.Float64bits(gain) != math.Float64bits(ch.gain):
+		return fmt.Errorf("core: the lazy round chose VM %d -> PM %d at gain %g, the cold build VM %d -> PM %d at %g",
+			ch.vm.ID, ch.id, ch.gain, ref.vms[c].ID, ref.pms[r].ID, gain)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -114,7 +115,7 @@ func boundCountsOf(o *obs.Observer) boundCounts {
 // fleet consolidated to a standstill. After each step, with the clock
 // advanced so every p_vir has aged, three sides pass: the production one
 // (ConsolidateWith's lazy rounds), an audited one (SelfAudit: every round
-// is held to a cold build, checkRound) and a cold dense one built by
+// is held to a cold dense build, checkRound) and a cold dense one built by
 // constructor, whose moves the other two must make. The production side
 // builds no engine at all.
 func TestBoundHazards(t *testing.T) {
@@ -192,24 +193,25 @@ func TestBoundHazards(t *testing.T) {
 }
 
 // TestCheckProofRejectsWrongVerdicts: the check SelfAudit runs every round
-// fails by name when a round's choice or sweep contradicts the cold engine
-// — a moving round taken for the end of the pass and the reverse, another
+// fails by name when a round's choice or sweep contradicts the cold build —
+// a moving round taken for the end of the pass and the reverse, another
 // column chosen, a bound below its built gain, a column left out of the
-// sweep that can move, a swept VM that is not a column — and when the
+// sweep that can move, a swept VM that is not a column — when a column's
+// group scan or the index's structure disagrees with it, and when the
 // roster's hosted-cell probability is stale.
 func TestCheckProofRejectsWrongVerdicts(t *testing.T) {
 	ctx, vms := spreadState(t, 16, 30, 3)
-	build := func() *SparseMatrix {
+	build := func() *Matrix {
 		t.Helper()
-		sm, err := NewSparseMatrix(ctx, DefaultFactors(), vms, MatrixOptions{})
+		m, err := NewMatrix(ctx, DefaultFactors(), vms)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sm
+		return m
 	}
-	sm := build()
-	_, _, gain, _ := sm.Best()
-	if err := sm.CheckProof(1.05); err != nil || gain <= 1.05 {
+	ref := build()
+	_, _, gain, _ := ref.Best()
+	if err := ctx.CheckProof(ref, 1.05); err != nil || gain <= 1.05 {
 		t.Fatalf("moving fixture: best gain %g, CheckProof %v", gain, err)
 	}
 	ch, _ := ctx.choose(ctx.cand)
@@ -217,7 +219,7 @@ func TestCheckProofRejectsWrongVerdicts(t *testing.T) {
 	wrong := map[string]func(){
 		"a moving round accepted as the end of the pass": func() { ch.vm, ch.gain = nil, 0 },
 		"another column accepted as the choice": func() {
-			ch.vm = sm.vms[(slices.Index(sm.vms, ch.vm)+1)%len(sm.vms)]
+			ch.vm = ref.vms[(slices.Index(ref.vms, ch.vm)+1)%len(ref.vms)]
 		},
 		"a bound below its built gain accepted": func() {
 			ctx.swept[slices.IndexFunc(ctx.swept, func(s survivor) bool { return s.vm == ch.vm })].key = math.Nextafter(ch.gain, 0)
@@ -233,24 +235,37 @@ func TestCheckProofRejectsWrongVerdicts(t *testing.T) {
 		saved := ch
 		ctx.swept = append(ctx.swept[:0], swept...)
 		corrupt()
-		if err := sm.checkRound(ch, 1.05); err == nil {
+		if err := ctx.checkRound(ref, ch, 1.05); err == nil {
 			t.Error(name)
 		}
 		ch = saved
 	}
-	if err := sm.CheckProof(gain); err != nil {
+	ctx.swept = append(ctx.swept[:0], swept...)
+	c := slices.Index(ref.vms, ch.vm)
+	saved := ref.bestP[c]
+	ref.bestP[c] = math.Nextafter(saved, 0)
+	if err := ctx.checkRound(ref, ch, 1.05); err == nil || !strings.Contains(err.Error(), "group scan") {
+		t.Errorf("a group scan that disagrees with the cold build accepted: %v", err)
+	}
+	ref.bestP[c] = saved
+	ctx.cand.shapeList[0].nonEmpty++
+	if err := ctx.checkRound(ref, ch, 1.05); err == nil {
+		t.Error("a miscounted index accepted")
+	}
+	ctx.cand.shapeList[0].nonEmpty--
+	if err := ctx.CheckProof(ref, gain); err != nil {
 		t.Errorf("threshold at the best gain itself: %v", err)
 	}
 	ch.gain = math.Nextafter(gain, math.Inf(1))
-	if err := sm.checkRound(ch, gain); err == nil {
+	if err := ctx.checkRound(ref, ch, gain); err == nil {
 		t.Error("an empty pass accepted as moving")
 	}
-	sm.Release()
+	ref.Release()
 
 	ctx.roster.pms[vms[0].Host].cur *= 2
-	sm = build()
-	defer sm.Release()
-	if err := sm.CheckProof(1.05); err == nil {
+	ref = build()
+	defer ref.Release()
+	if err := ctx.CheckProof(ref, 1.05); err == nil {
 		t.Error("a stale hosted-cell probability, its stamp still standing, went unnoticed")
 	}
 	dense, err := NewMatrix(ctx, opaqueFactors(DefaultFactors()), vms)
@@ -258,7 +273,7 @@ func TestCheckProofRejectsWrongVerdicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dense.Release()
-	if err := dense.CheckProof(1.05); err == nil {
+	if err := ctx.CheckProof(dense, 1.05); err == nil {
 		t.Error("CheckProof ran over a non-canonical factor list")
 	}
 }

@@ -16,8 +16,8 @@ import (
 // lazy harness (lazy_test.go) the bucket sweep's survivors must be a cold
 // column sweep's over MigratableVMs, as (VM, bound bits), and the roster a
 // cold rebuild's (checkBuckets). TestBucketHazards scripts the ways the
-// buckets could go stale on top of that harness, whose three mirrored
-// fleets also compare every move and every hook's alternatives.
+// buckets could go stale on top of that harness, whose two mirrored fleets
+// also compare every move and every hook's alternatives.
 
 // rosterPlaced counts the VMs in the roster's buckets.
 func rosterPlaced(ro *roster) int {
@@ -55,7 +55,7 @@ func coldSweep(ctx *Context, threshold float64) map[cluster.VMID]uint64 {
 	return out
 }
 
-// migratingBound reports whether a Migrating VM on the cold side has a
+// migratingBound reports whether a Migrating VM on the dense side has a
 // bound above the threshold: one a sweep that did not read State would keep.
 func (h *lazyHarness) migratingBound() bool {
 	ctx := h.sides[1]
@@ -178,7 +178,7 @@ func (h *lazyHarness) endTimed(moves []Move, fail bool) {
 }
 
 // TestBucketHazards runs each row's fleet through a pass, then through the
-// row's steps with a pass after each, on the lazy harness: every pass three
+// row's steps with a pass after each, on the lazy harness: every pass both
 // ways with moves and alternatives compared, every pass followed by
 // checkBuckets. seen, when set, is the row's case, which must hold before at
 // least one pass.

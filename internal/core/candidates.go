@@ -292,7 +292,7 @@ func (x *candIndex) trackShape(sid int32) *candShape {
 	}
 	sh := &candShape{
 		id:      sid,
-		demand:  x.ctx.shapeTab[sid].demand,
+		demand:  x.ctx.shapeTab[sid],
 		byKey:   make(map[candKey]int32, 16),
 		groupOf: make([]int32, len(x.pms)),
 	}
@@ -377,6 +377,50 @@ func (sh *candShape) removeMember(gi, id int32) {
 	}
 }
 
+// check validates the index's structural invariants for every tracked
+// shape: sorted member lists, a consistent groupOf inverse, a true count of
+// non-empty groups, and membership signatures that match a fresh
+// evaluation of the live fleet.
+func (x *candIndex) check() error {
+	for si, sh := range x.shapeList {
+		nonEmpty := 0
+		for gi := range sh.groups {
+			g := &sh.groups[gi]
+			if len(g.members) > 0 {
+				nonEmpty++
+			}
+			for i, id := range g.members {
+				if i > 0 && g.members[i-1] >= id {
+					return fmt.Errorf("core: shape %d group %d members out of order", si, gi)
+				}
+				if sh.groupOf[id] != int32(gi) {
+					return fmt.Errorf("core: shape %d PM %d groupOf %d != group %d", si, id, sh.groupOf[id], gi)
+				}
+			}
+		}
+		if nonEmpty != sh.nonEmpty {
+			return fmt.Errorf("core: shape %d nonEmpty %d, counted %d", si, sh.nonEmpty, nonEmpty)
+		}
+		for id, pm := range x.pms {
+			key, _, _, ok := x.membership(pm, sh.demand)
+			gi := sh.groupOf[id]
+			if !ok {
+				if gi >= 0 {
+					return fmt.Errorf("core: shape %d PM %d grouped but excluded on re-evaluation", si, id)
+				}
+				continue
+			}
+			if gi < 0 {
+				return fmt.Errorf("core: shape %d PM %d ungrouped but eligible (key %+v)", si, id, key)
+			}
+			if sh.groups[gi].key != key {
+				return fmt.Errorf("core: shape %d PM %d in group %+v, want %+v", si, id, sh.groups[gi].key, key)
+			}
+		}
+	}
+	return nil
+}
+
 // searchInt32 is a binary search over an ascending []int32.
 func searchInt32(s []int32, v int32) (int, bool) {
 	lo, hi := 0, len(s)
@@ -391,34 +435,36 @@ func searchInt32(s []int32, v int32) (int, bool) {
 	return lo, lo < len(s) && s[lo] == v
 }
 
-// bestArrival is the sparse arrival argmax: the PM the dense BestPlacement
-// scan would pick for vm, or nil when no PM scores a positive probability.
-// Group values are evaluated in the cell's exact multiplication order
-// ((p_vir * p_rel) * p_eff) on bit-identical operands, and ties resolve to
-// the lowest member ID — dense's strict p > best scan in ID order — so the
-// answer is bit-identical by construction.
+// bestArrival is the index's arrival argmax: the PM the dense BestPlacement
+// scan would pick for vm, or nil when no PM scores a positive probability —
+// a column hosted nowhere with a normalizer of 1 (candShape.best), so the
+// score groups, the tie to the lowest member ID and the bit-identity with
+// the column scan are the consolidation columns' own.
 func (x *candIndex) bestArrival(vm *cluster.VM, k int) *cluster.PM {
 	sh := x.shape(x.ctx.shapeID(vm.Demand))
 	if k > 0 && sh.nonEmpty > k {
 		x.ctx.Obs.Add("core.sparse_shape_overflow", 1)
 	}
-	tre := vm.RemainingEstimate(x.ctx.Now)
-	var best *cluster.PM
-	bestP := 0.0
-	bestID := int32(-1)
-	for gi := range sh.groups {
-		g := &sh.groups[gi]
-		if len(g.members) == 0 {
-			continue
-		}
-		cand := g.members[0]
-		p := g.value(virProbability(tre, x.ctx.classTab[g.key.ci].virOverhead(vm)))
-		if p > bestP || (p == bestP && bestID >= 0 && cand < bestID) {
-			bestP, bestID = p, cand
-			best = x.pms[cand]
-		}
+	x.ctx.virBuf = x.ctx.appendVirs(x.ctx.virBuf[:0], vm)
+	if id, _ := sh.best(-1, 1, x.ctx.virBuf); id >= 0 {
+		return x.pms[id]
 	}
-	return best
+	return nil
+}
+
+// ArrivalShortlist returns the candidate index's top-k shortlist for placing
+// vm — RankPlacements' exact ordering truncated to k — and ok = true when
+// the index covers the factor program. The policy layer's ranked arrival
+// alternatives come from here; callers after the argmax alone want
+// BestPlacementWith.
+func ArrivalShortlist(ctx *Context, factors []Factor, vm *cluster.VM, k int) ([]Placement, bool) {
+	if !Canonical(factors) {
+		return nil, false
+	}
+	x := ctx.candidates()
+	sh := x.shape(ctx.shapeID(vm.Demand))
+	ctx.virBuf = ctx.appendVirs(ctx.virBuf[:0], vm)
+	return x.shortlist(nil, sh, -1, ctx.virBuf, k), true
 }
 
 // countOverflow is bestArrival's overflow diagnostic for a canonical pass,

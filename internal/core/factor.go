@@ -20,6 +20,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 
 	"repro/internal/cluster"
@@ -47,24 +48,23 @@ type Context struct {
 	Obs *obs.Observer
 
 	// classTab and shapeTab are the Context-level interning tables
-	// (frame.go): one entry per PM class and per distinct demand vector
-	// ever evaluated, numbered first-seen. Every per-class constant and
-	// every per-shape memo in this package is indexed by these ids.
+	// (classID, shapeID): one entry per PM class and per distinct demand
+	// vector ever evaluated, numbered first-seen. Every per-class constant
+	// and every per-shape memo in this package is indexed by these ids.
 	classTab []*classInfo
-	shapeTab []shapeInfo
+	shapeTab []vector.V
 	shapeIdx map[string]int32
 	shapeKey []byte
-	pass     uint64 // frame builds and lazy-round sweeps so far; stamps shapeInfo.pass, shapeTop.pass
+	pass     uint64 // lazy-round sweeps so far; stamps shapeTop.pass
 
-	// Reusable hot-path scratch (scratch.go): fscratch backs pass frames
-	// via checkout, terms backs the per-arrival term program, vmBuf and
-	// shapeBuf back a dense pass's columns, swept and virBuf a round's
-	// surviving columns and one column's p_vir per class (bound.go). Their
-	// presence is why a Context is not safe for concurrent use.
-	fscratch *frameScratch
+	// Reusable hot-path scratch (scratch.go): fscratch backs dense
+	// matrices via checkout, terms backs the per-arrival term program,
+	// vmBuf a dense pass's columns, swept and virBuf a round's surviving
+	// columns and one column's p_vir per class (bound.go). Their presence
+	// is why a Context is not safe for concurrent use.
+	fscratch *matrixScratch
 	terms    []term
 	vmBuf    []*cluster.VM
-	shapeBuf []int32
 	swept    []survivor
 	virBuf   []float64
 
@@ -157,6 +157,29 @@ func (ctx *Context) classID(pm *cluster.PM) int32 {
 
 func (ctx *Context) classInfoFor(pm *cluster.PM) *classInfo {
 	return ctx.classTab[ctx.classID(pm)]
+}
+
+// shapeID interns a demand vector in the Context's shape table, keyed on
+// the exact bit patterns so per-shape memos are bit-identical to a
+// per-cell evaluation, and returns its id. Real workloads request a
+// handful of standard shapes (the Table II workload has 8), so per-row
+// feasibility and efficiency collapse from N columns to D shapes.
+func (ctx *Context) shapeID(demand vector.V) int32 {
+	key := ctx.shapeKey[:0]
+	for _, x := range demand {
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(x))
+	}
+	ctx.shapeKey = key
+	if id, ok := ctx.shapeIdx[string(key)]; ok {
+		return id
+	}
+	if ctx.shapeIdx == nil {
+		ctx.shapeIdx = make(map[string]int32, 16)
+	}
+	id := int32(len(ctx.shapeTab))
+	ctx.shapeIdx[string(key)] = id
+	ctx.shapeTab = append(ctx.shapeTab, demand.Clone())
+	return id
 }
 
 // Factor computes one conditional probability p_ij^xxx of hosting vm on pm.

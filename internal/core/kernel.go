@@ -4,7 +4,7 @@ import "repro/internal/cluster"
 
 // This file compiles a factor list into a term program: the paper's four
 // factors are replaced by the same arithmetic on the Context's per-class
-// constants and the frame's p_vir memo instead of dispatching through the
+// constants and the matrix's p_vir memo instead of dispatching through the
 // Factor interface per cell (see DESIGN.md §7). Factors the compiler does
 // not recognize (user-supplied extras) are composed on top through the
 // interface in their original position, so p_ij is bit-identical to Joint
@@ -65,8 +65,9 @@ func compile(dst []term, factors []Factor) program {
 
 // Canonical reports whether factors are exactly the paper's four in
 // canonical order (res, vir, rel, eff). It is the one engine selector: a
-// canonical list is evaluated on the candidate index (SparseMatrix, the
-// arrival argmax over score groups), any other list on the dense Matrix.
+// canonical list is evaluated on the candidate index (the lazy rounds of
+// bound.go, the arrival argmax over score groups), any other list on the
+// dense Matrix.
 func Canonical(factors []Factor) bool {
 	if len(factors) != 4 {
 		return false

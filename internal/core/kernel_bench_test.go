@@ -9,12 +9,11 @@ import (
 	"repro/internal/vector"
 )
 
-// Kernel micro-benchmarks: what a canonical run executes ("kernel": the
-// candidate-set engine and the index's arrival argmax) versus the dense
-// Matrix on Joint per cell ("generic": opaque factors, kernel_test.go), at
-// 100 / 1k / 10k PMs with ~2 VMs per PM, over the three hot operations of
-// the scheme — matrix build, per-round incremental update, and arrival
-// ranking. These are layer-level
+// Kernel micro-benchmarks at 100 / 1k / 10k PMs with ~2 VMs per PM: the
+// dense Matrix's build and per-round incremental update, a canonical
+// consolidation pass (the lazy rounds, no engine built), and the arrival
+// argmax — "kernel" the index's score-group argmax a canonical run
+// executes, "generic" Joint per PM with a full sort. These are layer-level
 // looks; whole-run numbers come from `go run ./bench` (bench/README.md).
 // For benchstat-friendly output:
 //
@@ -24,38 +23,21 @@ import (
 
 var benchSizes = []int{100, 1000, 10000}
 
-var benchPaths = []string{"kernel", "generic"}
-
-// benchEngine builds the engine of the named path over vms.
-func benchEngine(b *testing.B, ctx *Context, path string, vms []*cluster.VM) (engine, *frame) {
-	if path == "generic" {
-		m, err := NewMatrix(ctx, opaqueFactors(DefaultFactors()), vms)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return m, &m.frame
-	}
-	sm, err := NewSparseMatrix(ctx, DefaultFactors(), vms, MatrixOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sm, &sm.frame
-}
-
 func BenchmarkKernelMatrixBuild(b *testing.B) {
-	for _, path := range benchPaths {
-		for _, pms := range benchSizes {
-			b.Run(fmt.Sprintf("%s/pms%d", path, pms), func(b *testing.B) {
-				ctx, vms := tableIIState(b, pms, 2*pms, 7)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					_, f := benchEngine(b, ctx, path, vms)
-					f.Release()
+	for _, pms := range benchSizes {
+		b.Run(fmt.Sprintf("pms%d", pms), func(b *testing.B) {
+			ctx, vms := tableIIState(b, pms, 2*pms, 7)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, err := NewMatrix(ctx, DefaultFactors(), vms)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(pms*len(vms)), "cells")
-			})
-		}
+				m.Release()
+			}
+			b.ReportMetric(float64(pms*len(vms)), "cells")
+		})
 	}
 }
 
@@ -128,32 +110,33 @@ func BenchmarkKernelLazyPass(b *testing.B) {
 }
 
 // BenchmarkKernelMatrixRound measures one migration round's incremental
-// work — Apply's tracker repair plus Best's argmax — by
-// ping-ponging the best move back and forth (two Applies per
-// iteration, so one iteration ≈ two rounds).
+// work on the dense Matrix — Apply's tracker repair plus Best's argmax — by
+// ping-ponging the best move back and forth (two Applies per iteration, so
+// one iteration ≈ two rounds).
 func BenchmarkKernelMatrixRound(b *testing.B) {
-	for _, path := range benchPaths {
-		for _, pms := range benchSizes {
-			b.Run(fmt.Sprintf("%s/pms%d", path, pms), func(b *testing.B) {
-				ctx, vms := tableIIState(b, pms, 2*pms, 7)
-				m, f := benchEngine(b, ctx, path, vms)
-				r, c, _, ok := m.Best()
-				if !ok {
-					b.Fatal("no positive-gain move in the bench state")
+	for _, pms := range benchSizes {
+		b.Run(fmt.Sprintf("pms%d", pms), func(b *testing.B) {
+			ctx, vms := tableIIState(b, pms, 2*pms, 7)
+			m, err := NewMatrix(ctx, DefaultFactors(), vms)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r, c, _, ok := m.Best()
+			if !ok {
+				b.Fatal("no positive-gain move in the bench state")
+			}
+			origin := m.curRow[c]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := m.Apply(r, c); err != nil {
+					b.Fatal(err)
 				}
-				origin := f.curRow[c]
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := m.Apply(r, c); err != nil {
-						b.Fatal(err)
-					}
-					if err := m.Apply(origin, c); err != nil {
-						b.Fatal(err)
-					}
+				if err := m.Apply(origin, c); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -162,7 +145,7 @@ func BenchmarkKernelMatrixRound(b *testing.B) {
 // score-group argmax); "generic" replicates the pre-kernel path — Joint per PM,
 // collect, full sort.
 func BenchmarkKernelArrival(b *testing.B) {
-	for _, path := range benchPaths {
+	for _, path := range []string{"kernel", "generic"} {
 		for _, pms := range benchSizes {
 			b.Run(fmt.Sprintf("%s/pms%d", path, pms), func(b *testing.B) {
 				ctx, _ := tableIIState(b, pms, 2*pms, 7)

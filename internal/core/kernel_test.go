@@ -90,8 +90,8 @@ func edgeState(tb testing.TB, pmCount, nVMs int, seed int64) (*Context, []*clust
 
 // denseConsolidate runs Algorithm 1 over ctx's running VMs on a dense
 // Matrix built by constructor name. ConsolidateWith sends a canonical list
-// to the candidate-set engine, so this is the reference side of every
-// engine differential in the package.
+// to the lazy rounds, so this is the reference side of every engine
+// differential in the package.
 func denseConsolidate(tb testing.TB, ctx *Context, factors []Factor, params Params, opts MatrixOptions) []Move {
 	tb.Helper()
 	m, err := NewMatrixWith(ctx, factors, MigratableVMs(ctx.DC), opts)
@@ -228,8 +228,8 @@ func TestKernelEquivalence(t *testing.T) {
 
 // TestKernelEquivalenceConsolidate proves Algorithm 1 produces identical
 // move sequences (VM, endpoints, bit-identical gains, rounds) on the Table
-// II fleet three ways: what a canonical run executes (the candidate-set
-// engine), the dense Matrix on the compiled program, and the dense Matrix
+// II fleet three ways: what a canonical run executes (the lazy rounds over
+// the candidate index), the dense Matrix on the compiled program, and the dense Matrix
 // on Joint per cell (opaque factors).
 func TestKernelEquivalenceConsolidate(t *testing.T) {
 	params := Params{MIGThreshold: 1.05, MIGRound: 50}
@@ -343,8 +343,8 @@ func TestMatrixTrackersMatchRebuildAfterRandomApplies(t *testing.T) {
 // real factors, on the compiled program and on Joint per cell: a VM
 // whose host's reliability has decayed to zero has a zero-probability
 // placement, so any feasible alternative must be taken regardless of
-// MIG_threshold, with an infinite recorded gain. (The candidate-set
-// engine's twin is TestSparseConsolidateZeroCurrentProbability.)
+// MIG_threshold, with an infinite recorded gain. (The lazy rounds' twin
+// is TestSparseConsolidateZeroCurrentProbability.)
 func TestConsolidateZeroCurrentProbability(t *testing.T) {
 	for _, name := range []string{"kernel", "generic"} {
 		t.Run(name, func(t *testing.T) {

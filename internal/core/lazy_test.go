@@ -11,17 +11,16 @@ import (
 	"repro/internal/vector"
 )
 
-// This file holds the lazy rounds (bound.go) to both cold engines. Three
+// This file holds the lazy rounds (bound.go) to the cold dense engine. Two
 // identically built fleets walk the same operation stream — the opcodes and
 // the fleet of internal/audit's FuzzSparseOperations — and after every
 // operation each runs one consolidation pass: lazily through
-// ConsolidateWith, on a cold SparseMatrix.Consolidate and on a cold
-// Matrix.Consolidate. The move lists (VM, endpoints, Gain bits, Round) and
-// the alternatives each hands its DecisionHook must agree exactly, every
-// moving round's sweep is held to the cold sparse trackers of the same
-// round — no swept bound below its column's gain, no column left out whose
-// gain exceeds the threshold — and after every pass the bucket sweep is
-// held to a cold column sweep (checkBuckets).
+// ConsolidateWith, and on a cold Matrix.Consolidate. The move lists (VM,
+// endpoints, Gain bits, Round) and the alternatives each hands its
+// DecisionHook must agree exactly, every moving round's sweep is held to the
+// dense trackers of the same round — no swept bound below its column's gain,
+// no column left out whose gain exceeds the threshold — and after every pass
+// the bucket sweep is held to a cold column sweep (checkBuckets).
 
 // lazyFleet is the FuzzSparseOperations fleet: the Table II fast/slow mix,
 // three fast and five slow PMs, the first four on.
@@ -97,7 +96,7 @@ type lazyCase struct {
 	vm        cluster.VMID             // the chosen column's VM
 	gain, key float64                  // its gain and its swept bound
 	swept     []sweptCol               // the round's survivors, (bound desc, VM ID asc)
-	gains     map[cluster.VMID]float64 // every column's gain, from the cold sparse engine
+	gains     map[cluster.VMID]float64 // every column's gain, from the dense engine
 	soleHosts int                      // columns hosted on their shape's lone top PM
 	raised    bool                     // a shape's top product is above round 1's
 }
@@ -116,10 +115,10 @@ type lazyLog struct {
 	scans         []int64 // core.exact_column_scans per pass
 }
 
-// lazyHarness is three mirrored fleets: lazy rounds, cold sparse, cold dense.
+// lazyHarness is two mirrored fleets: lazy rounds and cold dense.
 type lazyHarness struct {
 	t      testing.TB
-	sides  [3]*Context
+	sides  [2]*Context
 	params Params
 	nextID cluster.VMID
 	log    lazyLog
@@ -154,7 +153,7 @@ func (h *lazyHarness) eachPM(id cluster.PMID, fn func(*cluster.PM)) {
 }
 
 // step applies one operation (FuzzSparseOperations' opcodes, consolidation
-// aside: every step ends in a pass) to all three fleets, then the pass.
+// aside: every step ends in a pass) to both fleets, then the pass.
 func (h *lazyHarness) step(op, arg byte) {
 	for _, ctx := range h.sides {
 		ctx.Now += float64(arg)
@@ -213,11 +212,11 @@ func (h *lazyHarness) step(op, arg byte) {
 	h.pass()
 }
 
-// pass runs one consolidation pass three ways and requires them to agree.
+// pass runs one consolidation pass both ways and requires them to agree.
 func (h *lazyHarness) pass() {
 	t := h.t
-	lazy, cold, dense := h.sides[0], h.sides[1], h.sides[2]
-	var alts [3][][]Placement
+	lazy, dense := h.sides[0], h.sides[1]
+	var alts [2][][]Placement
 	hook := func(side int) func(int, Move, []Placement) {
 		return func(_ int, _ Move, a []Placement) { alts[side] = append(alts[side], a) }
 	}
@@ -259,14 +258,14 @@ func (h *lazyHarness) pass() {
 	h.log.scans = append(h.log.scans, lazy.Obs.Counter("core.exact_column_scans").Value())
 	lazy.Obs = nil
 
-	var sm *SparseMatrix
-	coldHook := hook(1)
-	sm, err = NewSparseMatrix(cold, DefaultFactors(), MigratableVMs(cold.DC), MatrixOptions{DecisionHook: func(round int, mv Move, a []Placement) {
-		coldHook(round, mv, a)
+	var m *Matrix
+	denseHook := hook(1)
+	m, err = NewMatrixWith(dense, DefaultFactors(), MigratableVMs(dense.DC), MatrixOptions{DecisionHook: func(round int, mv Move, a []Placement) {
+		denseHook(round, mv, a)
 		if round <= len(cases) {
-			gains := make(map[cluster.VMID]float64, len(sm.vms))
-			for c, vm := range sm.vms {
-				gains[vm.ID] = sm.bestGain[c]
+			gains := make(map[cluster.VMID]float64, len(m.vms))
+			for c, vm := range m.vms {
+				gains[vm.ID] = m.bestGain[c]
 			}
 			cases[round-1].gains = gains
 		}
@@ -274,13 +273,11 @@ func (h *lazyHarness) pass() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldMoves, err := sm.Consolidate(h.params)
-	sm.Release()
+	denseMoves, err := m.Consolidate(h.params)
+	m.Release()
 	if err != nil {
 		t.Fatal(err)
 	}
-	denseMoves := denseConsolidate(t, dense, DefaultFactors(), h.params, MatrixOptions{DecisionHook: hook(2)})
-	assertMovesEqual(t, denseMoves, coldMoves)
 	assertMovesEqual(t, denseMoves, moves)
 	for side := range alts {
 		if len(alts[side]) != len(moves) {
@@ -288,17 +285,14 @@ func (h *lazyHarness) pass() {
 		}
 	}
 	for i := range moves {
-		want := alts[2][i]
-		for side := range 2 {
-			got := alts[side][i]
-			if len(got) != len(want) || len(got) == 0 || got[0].PM.ID != moves[i].To {
-				t.Fatalf("move %d: side %d has %d alternatives, dense %d (head must be PM %d)", i, side, len(got), len(want), moves[i].To)
-			}
-			for j := range got {
-				if got[j].PM.ID != want[j].PM.ID || math.Float64bits(got[j].Probability) != math.Float64bits(want[j].Probability) {
-					t.Fatalf("move %d alternative %d: side %d (PM %d, %v), dense (PM %d, %v)",
-						i, j, side, got[j].PM.ID, got[j].Probability, want[j].PM.ID, want[j].Probability)
-				}
+		got, want := alts[0][i], alts[1][i]
+		if len(got) != len(want) || len(got) == 0 || got[0].PM.ID != moves[i].To {
+			t.Fatalf("move %d: the lazy side has %d alternatives, dense %d (head must be PM %d)", i, len(got), len(want), moves[i].To)
+		}
+		for j := range got {
+			if got[j].PM.ID != want[j].PM.ID || math.Float64bits(got[j].Probability) != math.Float64bits(want[j].Probability) {
+				t.Fatalf("move %d alternative %d: lazy (PM %d, %v), dense (PM %d, %v)",
+					i, j, got[j].PM.ID, got[j].Probability, want[j].PM.ID, want[j].Probability)
 			}
 		}
 	}
@@ -315,8 +309,8 @@ func (h *lazyHarness) pass() {
 	}
 }
 
-// checkSweep holds one moving round's sweep to the cold sparse gains of the
-// same round.
+// checkSweep holds one moving round's sweep to the dense gains of the same
+// round.
 func (h *lazyHarness) checkSweep(lc lazyCase) {
 	key := make(map[cluster.VMID]float64, len(lc.swept))
 	for _, s := range lc.swept {
@@ -364,7 +358,7 @@ func lazyStream(seed uint64, ops int) []byte {
 	return data
 }
 
-// TestLazyRounds runs each row's fleet through a pass three ways, then
+// TestLazyRounds runs each row's fleet through a pass both ways, then
 // through its operation stream with a pass after every operation, and
 // requires the row's case to have occurred. scans, when set, pins the
 // exact column scans of the first pass; capped requires a pass that
@@ -422,7 +416,7 @@ func TestLazyRounds(t *testing.T) {
 }
 
 // FuzzLazyRounds lets the fuzzer search for an operation stream on which
-// the lazy rounds and the cold engines part ways.
+// the lazy rounds and the cold dense engine part ways.
 func FuzzLazyRounds(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 20, 0, 30, 1, 0}, byte(2))
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 5, 4, 2, 9, 3, 7, 4, 1, 0, 2, 1, 1}, byte(1))

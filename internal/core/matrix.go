@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/cluster"
@@ -14,19 +16,47 @@ import (
 // (colTrackers) follow each Apply by refilling the two affected rows, and
 // Best is a sequential argmax. It has two standing jobs: the production
 // engine for every factor list that is not Canonical (ablations, appended
-// factors, opaque user factors), and the cold rebuild the candidate-set
-// engine is checked against (SelfAudit, audit.SparseCheck).
+// factors, opaque user factors), and the cold reference the lazy rounds of a
+// canonical pass are checked against (bound.go's checkRound: SelfAudit,
+// audit.SparseCheck).
+//
+// A Matrix is built from the Context's pooled scratch under a checkout
+// model (scratch.go) and is valid until Release.
 type Matrix struct {
-	// frame is the pass state shared with the sparse engine: axes, ID
-	// table, class/shape ids, p_vir memo, hosted-cell memo, trackers, move.
-	frame
+	ctx     *Context
+	factors []Factor
+	opts    MatrixOptions
 
 	// prog is the compiled factor program: lists with a known factor fill
 	// cell by cell through the term program, lists with none through Joint.
 	prog program
 
+	pms []*cluster.PM // rows: active PMs, ID ascending
+	vms []*cluster.VM // columns, ID ascending
+
+	// id2row maps a PM ID to its row, -1 for inactive PMs. PM IDs are
+	// dense (cluster.New numbers the fleet 0..M-1), so this is a slice.
+	id2row []int32
+
+	rowClass []int32 // per row: id into ctx.classTab
+
+	// vir memoizes the non-host virtualization penalty per class and
+	// column: the remaining estimate T_re is fixed for the lifetime of a
+	// matrix (the clock does not advance during a pass), so the M*N
+	// evaluations of Eq. 3 collapse to C*N. Stored class-major:
+	// vir[ci*Cols()+c].
+	vir []float64
+
 	// p[r][c] = joint probability of hosting vms[c] on pms[r].
 	p [][]float64
+
+	// colTrackers holds, per column, the current placement's normalizer
+	// and the best normalized alternative.
+	colTrackers
+
+	// scr is the checked-out backing storage behind every slice above and
+	// the Matrix value itself; Release returns it to the Context.
+	scr *matrixScratch
 }
 
 // altDepth is how many ranked alternatives a DecisionHook receives per
@@ -36,15 +66,14 @@ const altDepth = 4
 // MatrixOptions tunes matrix construction.
 type MatrixOptions struct {
 	// SelfAudit makes every Apply verify the incrementally maintained
-	// state against a cold dense rebuild over the same VMs (a fresh
+	// state against a cold rebuild over the same VMs (a fresh
 	// NewMatrixWith): probabilities, column trackers, and the Best
-	// extraction must be bit-identical on the dense engine, trackers and
-	// Best on the candidate-set engine. A canonical ConsolidateWith pass
-	// holds every lazy round to a cold SparseMatrix instead (bound.go's
-	// checkRound), and a round that moves that engine to a cold dense
-	// rebuild; every pass verifies the columns it took from the roster
-	// against a cold collection (roster.go). Expensive (a cold build per
-	// round); the simulator enables it in -audit=event mode.
+	// extraction must be bit-identical. A canonical ConsolidateWith pass,
+	// which builds no engine, holds every lazy round to a cold dense Matrix
+	// instead (bound.go's checkRound: the index's structure, each column's
+	// group scan, the sweep's bounds and the choice); every pass verifies
+	// the roster it read against a cold rebuild (roster.go). Expensive (a
+	// cold build per round); the simulator enables it in -audit=event mode.
 	SelfAudit bool
 
 	// CandidateK selects nothing: the engine follows the factor list
@@ -56,13 +85,13 @@ type MatrixOptions struct {
 	// no ceiling and counts nothing.
 	CandidateK int
 
-	// Workers is the number of goroutines the candidate index's kernels
-	// fan out on (parallel.go): the index sync, the first-seen shape pass
-	// and a cold SparseMatrix's column scans. The dense Matrix is strictly
-	// serial and ignores it. Zero and one are the strictly serial path with
-	// its zero-allocation budgets; a count above one is honored verbatim —
-	// results are bit-identical at every setting (DESIGN.md §15). Kept only
-	// as the seam bench/ drives; ROADMAP item 2 deletes it.
+	// Workers is the number of goroutines the candidate index fans its
+	// sync and first-seen shape pass out on (parallel.go); the dense Matrix
+	// is strictly serial and ignores it. Zero and one are the strictly
+	// serial path with its zero-allocation budgets; a count above one is
+	// honored verbatim — results are bit-identical at every setting
+	// (DESIGN.md §15). Kept only as the seam bench/ drives; ROADMAP item 2
+	// deletes it.
 	Workers int
 
 	// DecisionHook, when set, observes every Algorithm 1 migration just
@@ -71,8 +100,8 @@ type MatrixOptions struct {
 	// current placement, so scores are the gains Algorithm 1 compares;
 	// the head is the chosen target; depth is at most 4). The lists are
 	// exact — ordered (gain desc, PM ID asc) over every positive
-	// alternative — and identical on both engines, as are the chosen
-	// moves. The lists are computed only when a hook is set.
+	// alternative — and identical on the lazy rounds and the dense Matrix,
+	// as are the chosen moves. The lists are computed only when a hook is set.
 	// Observation only: the hook must not mutate simulation state.
 	DecisionHook func(round int, mv Move, alts []Placement)
 }
@@ -87,26 +116,68 @@ func NewMatrix(ctx *Context, factors []Factor, vms []*cluster.VM) (*Matrix, erro
 
 // NewMatrixWith is NewMatrix with explicit options.
 func NewMatrixWith(ctx *Context, factors []Factor, vms []*cluster.VM, opts MatrixOptions) (*Matrix, error) {
-	return newMatrix(ctx, factors, vms, nil, opts)
+	return newMatrix(ctx, factors, vms, false, opts)
 }
 
-// newMatrix is NewMatrixWith with the columns' shape ids, when the caller
-// has them (frame.init).
-func newMatrix(ctx *Context, factors []Factor, vms []*cluster.VM, shapes []int32, opts MatrixOptions) (*Matrix, error) {
+// newMatrix is NewMatrixWith over columns that, when sorted is set, already
+// ascend by ID (ctx.columns) and are used as given, valid as long as the
+// matrix; otherwise the caller is a constructor with a list in any order,
+// which is copied and sorted here. Every VM must currently be hosted on an
+// active PM and appear once.
+func newMatrix(ctx *Context, factors []Factor, vms []*cluster.VM, sorted bool, opts MatrixOptions) (*Matrix, error) {
 	if len(factors) == 0 {
 		return nil, fmt.Errorf("core: matrix needs at least one factor")
 	}
-	var f frame
-	if err := f.init(ctx, factors, vms, shapes, opts); err != nil {
-		return nil, err
+	if ctx == nil || ctx.DC == nil {
+		return nil, fmt.Errorf("core: matrix needs a context with a datacenter")
 	}
-	scr := f.scr
+	scr := ctx.takeScratch()
 	m := &scr.dense
-	*m = Matrix{frame: f}
-	m.prog = compile(scr.terms[:0], factors)
-	scr.terms = m.prog.terms
+	*m = Matrix{ctx: ctx, factors: factors, opts: opts, scr: scr}
+
+	// The datacenter lists PMs by ID, so the rows ascend as collected.
+	m.id2row = grow(&scr.id2row, ctx.DC.Size())
+	for i := range m.id2row {
+		m.id2row[i] = -1
+	}
+	m.pms = ctx.DC.AppendActivePMs(scr.pms[:0])
+	scr.pms = m.pms
+	m.rowClass = grow(&scr.rowClass, len(m.pms))
+	for r, pm := range m.pms {
+		m.id2row[pm.ID] = int32(r)
+		m.rowClass[r] = ctx.classID(pm)
+	}
+
+	m.vms = vms
+	if !sorted {
+		m.vms = append(scr.vms[:0], vms...)
+		scr.vms = m.vms
+		slices.SortFunc(m.vms, func(a, b *cluster.VM) int { return cmp.Compare(a.ID, b.ID) })
+	}
+	for c, vm := range m.vms {
+		if c > 0 && m.vms[c-1].ID >= vm.ID {
+			m.Release()
+			return nil, fmt.Errorf("core: VM %d duplicated or out of ID order in matrix", vm.ID)
+		}
+		if _, ok := m.RowOf(vm.Host); !ok {
+			m.Release()
+			return nil, fmt.Errorf("core: VM %d hosted on inactive PM %d", vm.ID, vm.Host)
+		}
+	}
 
 	nr, nc := len(m.pms), len(m.vms)
+	m.vir = grow(&scr.vir, len(ctx.classTab)*nc)
+	for c, vm := range m.vms {
+		tre := vm.RemainingEstimate(ctx.Now)
+		for ci, info := range ctx.classTab {
+			m.vir[ci*nc+c] = virProbability(tre, info.overhead)
+		}
+	}
+	scr.trk.resize(nc)
+	m.colTrackers = scr.trk
+
+	m.prog = compile(scr.terms[:0], factors)
+	scr.terms = m.prog.terms
 	grow(&scr.pflat, nr*nc)
 	m.p = grow(&scr.prows, nr)
 	for r := range m.p {
@@ -122,6 +193,49 @@ func newMatrix(ctx *Context, factors []Factor, vms []*cluster.VM, shapes []int32
 	}
 	m.refreshColumns(cols)
 	return m, nil
+}
+
+// Release returns the matrix's backing storage to its Context for the next
+// build to reuse. The matrix must not be used afterwards. Release is
+// optional — an un-released matrix just leaves its storage to the GC, and
+// when several matrices over one Context are alive at once (SelfAudit's
+// cold rebuilds) only the first Release re-attaches.
+func (m *Matrix) Release() {
+	scr := m.scr
+	m.scr = nil
+	if scr != nil && m.ctx.fscratch == nil {
+		m.ctx.fscratch = scr
+	}
+}
+
+// Rows and Cols report the dimensions.
+func (m *Matrix) Rows() int { return len(m.pms) }
+
+// Cols reports the number of VM columns.
+func (m *Matrix) Cols() int { return len(m.vms) }
+
+// PM returns the physical machine at row r.
+func (m *Matrix) PM(r int) *cluster.PM { return m.pms[r] }
+
+// VM returns the virtual machine at column c.
+func (m *Matrix) VM(c int) *cluster.VM { return m.vms[c] }
+
+// RowOf returns the row index of the PM with the given ID.
+func (m *Matrix) RowOf(id cluster.PMID) (int, bool) {
+	if id < 0 || int(id) >= len(m.id2row) || m.id2row[id] < 0 {
+		return -1, false
+	}
+	return int(m.id2row[id]), true
+}
+
+// hostRow returns the row currently hosting column c's VM.
+func (m *Matrix) hostRow(c int) int {
+	vm := m.vms[c]
+	r, ok := m.RowOf(vm.Host)
+	if !ok {
+		panic(fmt.Sprintf("core: VM %d host %d left the matrix", vm.ID, vm.Host))
+	}
+	return r
 }
 
 // fillRow evaluates every cell of row r.
@@ -184,8 +298,6 @@ func (m *Matrix) ColumnAlternatives(c, k int) []Placement {
 	}
 	return out
 }
-
-func (m *Matrix) alternatives(c, k int) []Placement { return m.ColumnAlternatives(c, k) }
 
 // Normalized returns d_rc = p_rc / p_(current host of c), the column-
 // normalized value Algorithm 1 compares against MIG_threshold. Values
@@ -295,11 +407,11 @@ type Move struct {
 	Round int
 }
 
-// Apply performs the move for column c to row r (frame.move: the
-// datacenter state is mutated) and refreshes the two affected rows.
+// Apply migrates column c's VM to row r (migrate: the datacenter state is
+// mutated) and refreshes the two affected rows.
 func (m *Matrix) Apply(r, c int) error {
-	from, err := m.move(r, c)
-	if err != nil {
+	from := m.curRow[c]
+	if err := migrate(m.vms[c], m.pms[from], m.pms[r]); err != nil {
 		return err
 	}
 	m.recomputeRow(from)
@@ -354,8 +466,18 @@ func (m *Matrix) SelfCheck() error {
 // extraction. A nil return means the matrices are interchangeable for
 // Algorithm 1.
 func (m *Matrix) Diff(o *Matrix) error {
-	if err := m.diffAxes(&o.frame); err != nil {
-		return err
+	if len(m.pms) != len(o.pms) || len(m.vms) != len(o.vms) {
+		return fmt.Errorf("core: matrix %dx%d != %dx%d", len(m.pms), len(m.vms), len(o.pms), len(o.vms))
+	}
+	for r := range m.pms {
+		if m.pms[r].ID != o.pms[r].ID {
+			return fmt.Errorf("core: row %d is PM %d vs PM %d", r, m.pms[r].ID, o.pms[r].ID)
+		}
+	}
+	for c := range m.vms {
+		if m.vms[c].ID != o.vms[c].ID {
+			return fmt.Errorf("core: column %d is VM %d vs VM %d", c, m.vms[c].ID, o.vms[c].ID)
+		}
 	}
 	for r := range m.pms {
 		for c := range m.vms {

@@ -77,10 +77,9 @@ func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixO
 	if Canonical(factors) {
 		moves, err = ctx.consolidateLazy(factors, params, opts)
 	} else {
-		vms, shapes := ctx.columns()
 		phase = ctx.Obs.Phase("kernel_build")
 		start = phase.Begin()
-		m, buildErr := newMatrix(ctx, factors, vms, shapes, opts)
+		m, buildErr := newMatrix(ctx, factors, ctx.columns(), true, opts)
 		phase.End(start)
 		if buildErr != nil {
 			return nil, buildErr
@@ -98,55 +97,31 @@ func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixO
 	return moves, nil
 }
 
-// engine is what Algorithm 1 needs from a probability matrix; Matrix and
-// SparseMatrix implement it.
-type engine interface {
-	// Best returns the globally best move under the (gain desc, column
-	// asc, row asc) order.
-	Best() (r, c int, gain float64, ok bool)
-	// Apply migrates column c's VM to row r and repairs the trackers.
-	Apply(r, c int) error
-	// alternatives ranks column c's top-k non-host rows by gain.
-	alternatives(c, k int) []Placement
-}
-
 // Consolidate runs Algorithm 1's migration rounds on this matrix and
-// returns the executed moves: what ConsolidateWith runs for a
-// non-canonical factor list, and the differential harnesses' dense side.
+// returns the executed moves — what ConsolidateWith runs for a non-canonical
+// factor list, and the differential harnesses' dense side: while the best
+// normalized gain exceeds MIG_threshold and fewer than MIG_round rounds have
+// run, report the move to the decision hook (if any) and apply it. On an
+// Apply error the moves executed so far are returned with it.
 func (m *Matrix) Consolidate(params Params) ([]Move, error) {
-	return runRounds(m, &m.frame, params)
-}
-
-// Consolidate is Matrix.Consolidate on the cold candidate-set engine, the
-// reference the lazy rounds are held to.
-func (sm *SparseMatrix) Consolidate(params Params) ([]Move, error) {
-	return runRounds(sm, &sm.frame, params)
-}
-
-// runRounds is Algorithm 1's migration loop over an engine built on frame
-// f: while the best normalized gain exceeds MIG_threshold and fewer than
-// MIG_round rounds have run, report the move to the decision hook (if any)
-// and apply it. On an Apply error the moves executed so far are returned
-// with it.
-func runRounds(e engine, f *frame, params Params) ([]Move, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	phase := f.ctx.Obs.Phase("algo1_rounds")
+	phase := m.ctx.Obs.Phase("algo1_rounds")
 	defer phase.End(phase.Begin())
-	hook := f.opts.DecisionHook
+	hook := m.opts.DecisionHook
 	var moves []Move
 	for round := 1; round <= params.MIGRound; round++ {
-		r, c, gain, ok := e.Best()
+		r, c, gain, ok := m.Best()
 		if !ok || gain <= params.MIGThreshold || math.IsNaN(gain) {
 			break
 		}
-		vm := f.vms[c]
-		mv := Move{VM: vm.ID, From: vm.Host, To: f.pms[r].ID, Gain: gain, Round: round}
+		vm := m.vms[c]
+		mv := Move{VM: vm.ID, From: vm.Host, To: m.pms[r].ID, Gain: gain, Round: round}
 		if hook != nil {
-			hook(round, mv, e.alternatives(c, altDepth))
+			hook(round, mv, m.ColumnAlternatives(c, altDepth))
 		}
-		if err := e.Apply(r, c); err != nil {
+		if err := m.Apply(r, c); err != nil {
 			return moves, err
 		}
 		moves = append(moves, mv)
@@ -179,7 +154,7 @@ func migrate(vm *cluster.VM, src, dst *cluster.PM) error {
 // are ID-ordered, so the column order must not depend on an upstream
 // implementation accident (the determinism tests assert it). This is the
 // cold collection — what constructor callers, the audit checks and
-// SelfAudit's cold engines build over.
+// SelfAudit's cold matrices build over.
 func MigratableVMs(dc *cluster.Datacenter) []*cluster.VM {
 	return dc.AppendVMsInState(nil, cluster.VMRunning)
 }
@@ -221,7 +196,7 @@ func BestPlacement(ctx *Context, factors []Factor, vm *cluster.VM) *cluster.PM {
 }
 
 // BestPlacementWith is BestPlacement with explicit matrix options. The
-// argmax follows the factor list like the consolidation engine: a
+// argmax follows the factor list like a consolidation pass: a
 // Canonical list is answered by the candidate index over score groups
 // (bit-identical to the column scan by construction), any other list by a
 // single pass over the arrival column (the datacenter lists PMs in ID

@@ -12,9 +12,9 @@ import (
 // ROADMAP item 2 deletes it.
 //
 // Determinism contract (DESIGN.md §15): every parallel kernel in this
-// package is a pure fan-out over independent units — columns or PM shards
-// — whose per-unit computation reads only shared immutable state
-// (prewarmed memos) and writes only unit-indexed slots. Order-sensitive
+// package is a pure fan-out over independent units — PM shards — whose
+// per-unit computation reads only shared immutable state (the prewarmed
+// class table) and writes only unit-indexed slots. Order-sensitive
 // merges (the candidate index's stale-PM sweep) use fixed contiguous spans
 // with one result slot per span, applied serially in span order, so the
 // result is bit-identical to the serial scan at any worker count. Worker

@@ -170,7 +170,7 @@ func (ro *roster) search(hosts []int32, id int32) (int, bool) {
 }
 
 // running reports whether any placed VM is Running — a pass over none ends
-// before it starts — and fails, with frame.init's error, on a Running VM
+// before it starts — and fails, with newMatrix's error, on a Running VM
 // hosted on a PM that is not active, looked for while one holds VMs.
 func (ro *roster) running() (found bool, err error) {
 	for id := range ro.pms {
@@ -190,9 +190,9 @@ func (ro *roster) running() (found bool, err error) {
 }
 
 // columns returns a dense pass's VM axis — every Running VM, ID ascending —
-// and each column's shape id, gathered from the buckets. Both are Context
-// scratch, valid until the next call.
-func (ctx *Context) columns() ([]*cluster.VM, []int32) {
+// gathered from the buckets. It is Context scratch, valid until the next
+// call.
+func (ctx *Context) columns() []*cluster.VM {
 	ro := ctx.roster
 	vms := ctx.vmBuf[:0]
 	for id := range ro.pms {
@@ -203,16 +203,8 @@ func (ctx *Context) columns() ([]*cluster.VM, []int32) {
 		}
 	}
 	slices.SortFunc(vms, func(a, b *cluster.VM) int { return cmp.Compare(a.ID, b.ID) })
-	shapes := grow(&ctx.shapeBuf, len(vms))
-	for c, vm := range vms {
-		for _, e := range ro.bucket(int32(vm.Host)) {
-			if e.vm == vm {
-				shapes[c] = e.shape
-			}
-		}
-	}
 	ctx.vmBuf = vms
-	return vms, shapes
+	return vms
 }
 
 // CheckColumns is the roster differential: it syncs the roster as a pass

@@ -268,22 +268,18 @@ func TestRosterCounters(t *testing.T) {
 	}
 }
 
-// TestFrameRejectsUnorderedColumns: columns handed over with their shape
-// ids are taken as given, so the adjacent-ID scan is what stands between a
-// broken roster and a silently mis-ordered matrix.
+// TestFrameRejectsUnorderedColumns: columns handed over sorted (the
+// roster's) are taken as given, so the adjacent-ID scan is what stands
+// between a broken roster and a silently mis-ordered matrix.
 func TestFrameRejectsUnorderedColumns(t *testing.T) {
 	ctx, vms := tableIIState(t, 10, 20, 1)
-	shapes := make([]int32, len(vms))
-	for c, vm := range vms {
-		shapes[c] = ctx.shapeID(vm.Demand)
-	}
-	if m, err := newMatrix(ctx, DefaultFactors(), vms, shapes, MatrixOptions{}); err != nil {
+	if m, err := newMatrix(ctx, DefaultFactors(), vms, true, MatrixOptions{}); err != nil {
 		t.Fatalf("ascending columns rejected: %v", err)
 	} else {
 		m.Release()
 	}
 	vms[3], vms[4] = vms[4], vms[3]
-	if _, err := newMatrix(ctx, DefaultFactors(), vms, shapes, MatrixOptions{}); err == nil {
+	if _, err := newMatrix(ctx, DefaultFactors(), vms, true, MatrixOptions{}); err == nil {
 		t.Fatal("descending adjacent IDs accepted as given")
 	}
 	if m, err := NewMatrix(ctx, DefaultFactors(), vms); err != nil {

@@ -12,27 +12,23 @@ import "repro/internal/cluster"
 // finds no scratch attached simply allocates a fresh one that is either
 // re-attached on its own Release or left to the GC.
 
-// frameScratch is the reusable backing store for one pass frame and the
-// engine built on it, dense or sparse — the engine value itself included,
-// which is why an engine must not be used after Release.
-type frameScratch struct {
-	dense  Matrix
-	sparse SparseMatrix
+// matrixScratch is the reusable backing store for one dense Matrix — the
+// Matrix value itself included, which is why a matrix must not be used
+// after Release.
+type matrixScratch struct {
+	dense Matrix
 
-	// The frame's own slices (frame.go).
+	// The axes, the p_vir memo and the column trackers.
 	pms      []*cluster.PM
 	vms      []*cluster.VM
 	id2row   []int32
 	rowClass []int32
-	colShape []int32
-	shapes   []int32
 	vir      []float64
-	hostP    []float64
 	trk      colTrackers
 
-	// Dense: the compiled program, the probability storage — pflat sliced
-	// into row headers (prows) so Matrix.p keeps its [][]float64 shape
-	// without per-row allocations — and the rescan lists.
+	// The compiled program, the probability storage — pflat sliced into
+	// row headers (prows) so Matrix.p keeps its [][]float64 shape without
+	// per-row allocations — and the rescan lists.
 	terms   []term
 	pflat   []float64
 	prows   [][]float64
@@ -40,12 +36,12 @@ type frameScratch struct {
 	cols    []int
 }
 
-// takeScratch detaches the Context's frame scratch (allocating one on
+// takeScratch detaches the Context's matrix scratch (allocating one on
 // first use or while another build has it checked out).
-func (ctx *Context) takeScratch() *frameScratch {
+func (ctx *Context) takeScratch() *matrixScratch {
 	scr := ctx.fscratch
 	if scr == nil {
-		scr = &frameScratch{}
+		scr = &matrixScratch{}
 	}
 	ctx.fscratch = nil
 	return scr

@@ -9,66 +9,11 @@ import (
 	"repro/internal/vector"
 )
 
-// TestSparseMatrixMatchesDenseAfterRandomApplies is the sparse engine's
-// incremental-drift property test: after every move in a randomized Apply
-// sequence, the live SparseMatrix trackers must be bit-identical to a
-// from-scratch dense Matrix over the mutated fleet, and the candidate
-// index must survive its structural self check.
-func TestSparseMatrixMatchesDenseAfterRandomApplies(t *testing.T) {
-	for _, k := range []int{1, 64} {
-		t.Run(map[int]string{1: "k1-overflowing", 64: "k64"}[k], func(t *testing.T) {
-			ctx, vms := tableIIState(t, 100, 150, 23)
-			sm, err := NewSparseMatrix(ctx, DefaultFactors(), vms, MatrixOptions{CandidateK: k})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sm.verifyDense(); err != nil {
-				t.Fatalf("fresh build: %v", err)
-			}
-			rng := stats.NewRand(42)
-			applied := 0
-			for step := 0; step < 40; step++ {
-				// Random feasible move, enumerated off a dense oracle
-				// build so move selection cannot depend on the code
-				// under test.
-				oracle, err := NewMatrix(ctx, DefaultFactors(), vms)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c := rng.Intn(oracle.Cols())
-				var rows []int
-				for r := 0; r < oracle.Rows(); r++ {
-					if r != oracle.curRow[c] && oracle.p[r][c] > 0 {
-						rows = append(rows, r)
-					}
-				}
-				oracle.Release()
-				if len(rows) == 0 {
-					continue
-				}
-				if err := sm.Apply(rows[rng.Intn(len(rows))], c); err != nil {
-					t.Fatal(err)
-				}
-				applied++
-				if err := sm.verifyDense(); err != nil {
-					t.Fatalf("after move %d: %v", applied, err)
-				}
-			}
-			if applied < 10 {
-				t.Fatalf("only %d random moves applied; property barely exercised", applied)
-			}
-			if err := ctx.DC.CheckInvariants(); err != nil {
-				t.Error(err)
-			}
-		})
-	}
-}
-
 // TestSparseConsolidateMatchesDense proves Algorithm 1 emits an identical
 // move sequence (VM, endpoints, bit-identical gains, rounds) through the
-// sparse candidate engine (what ConsolidateWith runs for the default
-// factors) and a dense Matrix built by constructor, across several fleet
-// seeds.
+// lazy rounds over the candidate index (what ConsolidateWith runs for the
+// default factors) and a dense Matrix built by constructor, across several
+// fleet seeds.
 func TestSparseConsolidateMatchesDense(t *testing.T) {
 	params := Params{MIGThreshold: 1.05, MIGRound: 50}
 	anyMoves := false
@@ -98,7 +43,7 @@ func TestSparseConsolidateMatchesDense(t *testing.T) {
 
 // TestSparseConsolidateZeroCurrentProbability is the rescue-path
 // equivalence check: a VM on a zero-reliability host has curProb == 0, so
-// the sparse engine must emit the same +Inf-gain rescue move as dense.
+// the lazy rounds must emit the same +Inf-gain rescue move as dense.
 func TestSparseConsolidateZeroCurrentProbability(t *testing.T) {
 	dc := cluster.TableIIFleetScaled(4)
 	for _, pm := range dc.PMs() {
@@ -129,6 +74,48 @@ func TestSparseConsolidateZeroCurrentProbability(t *testing.T) {
 	}
 	if err := dc.CheckInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTwinClassTieBreak pins the tie-break between score groups: two copies
+// of one PM class are distinct classes to the index, so PMs of equal
+// utilization form one group per copy with bit-equal products, and the scan
+// must give the tie to the lowest PM ID across groups — as the dense column
+// scan does — both for an arrival on the empty fleet and for a hosted
+// column, whose host sits in the later copy.
+func TestTwinClassTieBreak(t *testing.T) {
+	slowA, slowB := cluster.SlowClass, cluster.SlowClass
+	dc := cluster.MustNew(cluster.Config{
+		RMin:   cluster.TableIIRMin.Clone(),
+		Groups: []cluster.Group{{Class: &slowA, Count: 2}, {Class: &slowB, Count: 2}},
+	})
+	for _, pm := range dc.PMs() {
+		pm.State = cluster.PMOn
+	}
+	ctx := NewContext(dc).At(600)
+	factors := DefaultFactors()
+	arrival := cluster.NewVM(1, vector.New(1, 1), 5400, 5400, ctx.Now)
+	if got, want := BestPlacement(ctx, factors, arrival), rankedHead(ctx, factors, arrival); got != want {
+		t.Fatalf("arrival: got %v want %v", pmID(got), pmID(want))
+	}
+
+	if err := dc.PM(3).Host(arrival); err != nil {
+		t.Fatal(err)
+	}
+	arrival.State = cluster.VMRunning
+	m, err := NewMatrix(ctx, factors, MigratableVMs(dc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	row, _ := m.BestAlt(0)
+	sh := ctx.candidates().shape(ctx.shapeID(arrival.Demand))
+	id, _ := sh.best(3, ctx.hostedProb(dc.PM(3)), ctx.appendVirs(nil, arrival))
+	if row < 0 || id != int32(m.PM(row).ID) {
+		t.Fatalf("group scan %d dense %d", id, row)
+	}
+	if err := ctx.CheckProof(m, 1.05); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -234,35 +221,41 @@ func TestSparseShortlistProperty(t *testing.T) {
 		}
 		checkShortlists("fresh")
 
-		// Mutate the fleet through a random Apply sequence on the sparse
-		// engine, then re-check: the index must have tracked every
-		// membership change.
-		sm, err := NewSparseMatrix(ctx, factors, vms, MatrixOptions{CandidateK: 64})
+		// Mutate the fleet through a random Apply sequence on a dense
+		// matrix and hold the index to a cold dense build after every move
+		// (CheckProof: its structure and every column's group scan); the
+		// shortlists are then re-checked, so the index must have tracked
+		// every membership change.
+		m, err := NewMatrix(ctx, factors, vms)
 		if err != nil {
 			t.Fatal(err)
 		}
 		applied := 0
 		for step := 0; step < 25 && applied < 12; step++ {
-			oracle, err := NewMatrix(ctx, factors, vms)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := rng.Intn(oracle.Cols())
+			c := rng.Intn(m.Cols())
 			var rows []int
-			for r := 0; r < oracle.Rows(); r++ {
-				if r != oracle.curRow[c] && oracle.p[r][c] > 0 {
+			for r := 0; r < m.Rows(); r++ {
+				if r != m.curRow[c] && m.p[r][c] > 0 {
 					rows = append(rows, r)
 				}
 			}
-			oracle.Release()
 			if len(rows) == 0 {
 				continue
 			}
-			if err := sm.Apply(rows[rng.Intn(len(rows))], c); err != nil {
+			if err := m.Apply(rows[rng.Intn(len(rows))], c); err != nil {
 				t.Fatal(err)
 			}
 			applied++
+			ref, err := NewMatrix(ctx, factors, MigratableVMs(ctx.DC))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ctx.CheckProof(ref, 1.05); err != nil {
+				t.Fatalf("seed %d after move %d: %v", seed, applied, err)
+			}
+			ref.Release()
 		}
+		m.Release()
 		if applied < 5 {
 			t.Fatalf("only %d moves applied; post-Apply property barely exercised", applied)
 		}
@@ -314,7 +307,7 @@ func TestSparseNonCanonicalFallback(t *testing.T) {
 
 			// A canonical pass builds no engine and checks out no scratch;
 			// any other leaves the dense engine it built in the pool.
-			if scr := ctx.fscratch; (scr == nil) != tc.sparse || (scr != nil && (scr.dense.ctx == nil || scr.sparse.ctx != nil)) {
+			if scr := ctx.fscratch; (scr == nil) != tc.sparse || (scr != nil && scr.dense.ctx == nil) {
 				t.Fatalf("pooled scratch %v after the pass; want an engine exactly when the list is not canonical", scr)
 			}
 			if indexed := ctx.cand != nil; indexed != tc.sparse {

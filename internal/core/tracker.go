@@ -7,13 +7,13 @@ import (
 	"repro/internal/cluster"
 )
 
-// colTrackers is the per-column state Algorithm 1 reads, embedded by both
-// engines (Matrix, SparseMatrix): the current placement's row and joint
-// probability (the column normalizer), and the best non-host alternative —
-// its row, raw probability, and normalized gain d = p / curProb. The
-// engines differ only in how they find a column's best row (a dense column
-// scan vs a score-group scan); everything derived from it lives here, so
-// the tie-breaks and the +Inf rescue rule have one definition.
+// colTrackers is the per-column state Algorithm 1 reads on the dense
+// Matrix: the current placement's row and joint probability (the column
+// normalizer), and the best non-host alternative — its row, raw
+// probability, and normalized gain d = p / curProb. The lazy rounds of a
+// canonical pass find a column's best by a score-group scan instead
+// (candShape.best) and are held to these trackers bit-for-bit (checkRound),
+// so the tie-breaks and the +Inf rescue rule have one definition here.
 //
 // For a positive normalizer the division is monotone, so maintenance
 // compares raw probabilities and divides only when the best changes. The

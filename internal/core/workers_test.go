@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -9,71 +10,110 @@ import (
 	"repro/internal/vector"
 )
 
-// Equivalence battery for MatrixOptions.Workers: every candidate-index
-// kernel the knob parallelizes (the dense Matrix is serial) must produce
-// bit-identical results at any worker count —
-// fresh builds, incremental trackers after randomized Apply sequences,
-// consolidation move streams, and candidate shortlists. Workers 2 and 7
-// exercise even and odd span splits (7 leaves a ragged tail span); the
-// serial reference is an explicit Workers: 1.
+// Equivalence battery for MatrixOptions.Workers: the candidate index's
+// kernels the knob parallelizes — the sync's staleness sweep and a shape's
+// first-seen fleet pass (the dense Matrix is serial) — must leave a
+// bit-identical index at any worker count, so the move streams, arrival
+// decisions and shortlists read off it match too. Workers 2 and 7 exercise
+// even and odd span splits (7 leaves a ragged tail span); the serial
+// reference is an explicit Workers: 1.
 
 // workerCounts are the parallel settings every equivalence test compares
 // against the Workers: 1 reference.
 var workerCounts = []int{2, 7}
 
-// TestKernelWorkersSparseEquivalence: candidate-index sync, initial column
-// sync, Best argmax, and shortlists must match the serial engine bit for
-// bit at every worker count, before and after a randomized Apply sequence.
+// indexOf syncs ctx's candidate index at the given worker count and tracks
+// the shape of every VM of vms.
+func indexOf(ctx *Context, vms []*cluster.VM, workers int) *candIndex {
+	x := ctx.candidatesWith(workers)
+	for _, vm := range vms {
+		x.shape(ctx.shapeID(vm.Demand))
+	}
+	return x
+}
+
+// diffIndex compares two candidate indexes over twin fleets shape by shape:
+// tracking order, groups (key, shared values, members), the non-empty count
+// and the per-PM groupOf inverse must all be identical. A key's class is
+// compared by name: the parallel shape pass interns every class up front, so
+// the class ids may be numbered differently.
+func diffIndex(a, b *candIndex) error {
+	className := func(x *candIndex, ci int32) string { return x.ctx.classTab[ci].class.Name }
+	if len(a.shapeList) != len(b.shapeList) {
+		return fmt.Errorf("%d shapes tracked vs %d", len(a.shapeList), len(b.shapeList))
+	}
+	for si, sa := range a.shapeList {
+		sb := b.shapeList[si]
+		if sa.id != sb.id || len(sa.groups) != len(sb.groups) || sa.nonEmpty != sb.nonEmpty {
+			return fmt.Errorf("shape %d: id %d, %d groups, %d non-empty vs id %d, %d, %d",
+				si, sa.id, len(sa.groups), sa.nonEmpty, sb.id, len(sb.groups), sb.nonEmpty)
+		}
+		for gi := range sa.groups {
+			ga, gb := &sa.groups[gi], &sb.groups[gi]
+			ka, kb := ga.key, gb.key
+			if className(a, ka.ci) != className(b, kb.ci) || ka.level != kb.level || ka.rel != kb.rel || ga.rel != gb.rel || ga.effVal != gb.effVal || !slices.Equal(ga.members, gb.members) {
+				return fmt.Errorf("shape %d group %d: %+v %v vs %+v %v", si, gi, ka, ga.members, kb, gb.members)
+			}
+		}
+		if !slices.Equal(sa.groupOf, sb.groupOf) {
+			return fmt.Errorf("shape %d: groupOf differs", si)
+		}
+	}
+	return nil
+}
+
+// TestKernelWorkersSparseEquivalence: the candidate index synced and its
+// shapes tracked at every worker count must equal the serial one — groups,
+// members, groupOf — and so must each column's shortlist, on a fresh fleet
+// and after a randomized sequence of moves, each applied to both fleets and
+// picked up by the next sync.
 func TestKernelWorkersSparseEquivalence(t *testing.T) {
 	for _, w := range workerCounts {
 		t.Run(fmt.Sprintf("workers%d", w), func(t *testing.T) {
 			ctxS, vmsS := tableIIState(t, 100, 200, 31)
 			ctxP, vmsP := tableIIState(t, 100, 200, 31)
-			serial, err := NewSparseMatrix(ctxS, DefaultFactors(), vmsS, MatrixOptions{CandidateK: 16, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := NewSparseMatrix(ctxP, DefaultFactors(), vmsP, MatrixOptions{CandidateK: 16, Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkShortlists := func(stage string) {
+			check := func(stage string) {
 				t.Helper()
-				for c := 0; c < serial.Cols(); c += 13 {
-					a, b := serial.ColumnShortlist(c, 8), par.ColumnShortlist(c, 8)
+				xs, xp := indexOf(ctxS, vmsS, 1), indexOf(ctxP, vmsP, w)
+				if err := diffIndex(xs, xp); err != nil {
+					t.Fatalf("%s with %d workers: %v", stage, w, err)
+				}
+				for c := 0; c < len(vmsS); c += 13 {
+					vs, vp := vmsS[c], vmsP[c]
+					a := xs.shortlist(nil, xs.shape(ctxS.shapeID(vs.Demand)), int32(vs.Host), ctxS.appendVirs(nil, vs), 8)
+					b := xp.shortlist(nil, xp.shape(ctxP.shapeID(vp.Demand)), int32(vp.Host), ctxP.appendVirs(nil, vp), 8)
 					if len(a) != len(b) {
-						t.Fatalf("%s: column %d shortlist lengths %d vs %d", stage, c, len(a), len(b))
+						t.Fatalf("%s: VM %d shortlist lengths %d vs %d", stage, vs.ID, len(a), len(b))
 					}
 					for i := range a {
 						if a[i].PM.ID != b[i].PM.ID || a[i].Probability != b[i].Probability {
-							t.Fatalf("%s: column %d shortlist[%d]: (PM %d, %g) vs (PM %d, %g)",
-								stage, c, i, a[i].PM.ID, a[i].Probability, b[i].PM.ID, b[i].Probability)
+							t.Fatalf("%s: VM %d shortlist[%d]: (PM %d, %g) vs (PM %d, %g)",
+								stage, vs.ID, i, a[i].PM.ID, a[i].Probability, b[i].PM.ID, b[i].Probability)
 						}
 					}
 				}
 			}
-			if err := serial.DiffSparse(par); err != nil {
-				t.Fatalf("fresh build with %d workers diverges: %v", w, err)
+			check("fresh fleet")
+			serial, err := NewMatrix(ctxS, DefaultFactors(), vmsS)
+			if err != nil {
+				t.Fatal(err)
 			}
-			checkShortlists("fresh build")
+			defer serial.Release()
+			par, err := NewMatrix(ctxP, DefaultFactors(), vmsP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer par.Release()
 			rng := stats.NewRand(int64(200 + w))
 			applied := 0
 			for step := 0; step < 25; step++ {
-				// Random feasible move enumerated off a dense build over
-				// the serial fixture, so move selection cannot depend on
-				// the code under test.
-				oracle, err := NewMatrix(ctxS, DefaultFactors(), vmsS)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c := rng.Intn(oracle.Cols())
+				c := rng.Intn(serial.Cols())
 				var rows []int
-				for r := 0; r < oracle.Rows(); r++ {
-					if r != oracle.curRow[c] && oracle.p[r][c] > 0 {
+				for r := 0; r < serial.Rows(); r++ {
+					if r != serial.curRow[c] && serial.p[r][c] > 0 {
 						rows = append(rows, r)
 					}
 				}
-				oracle.Release()
 				if len(rows) == 0 {
 					continue
 				}
@@ -85,26 +125,23 @@ func TestKernelWorkersSparseEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				applied++
-				if err := serial.DiffSparse(par); err != nil {
-					t.Fatalf("after move %d: %v", applied, err)
-				}
+				check(fmt.Sprintf("after move %d", applied))
 			}
 			if applied < 8 {
 				t.Fatalf("only %d random moves applied; property barely exercised", applied)
 			}
-			checkShortlists("after applies")
-			if err := par.SelfCheck(); err != nil {
+			if err := ctxP.cand.check(); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 }
 
-// TestKernelWorkersConsolidateEquivalence runs full Algorithm 1 passes on
-// the candidate-set engine at every worker count and requires the move
-// streams (VM, endpoints, bit-identical gains, rounds) to match two
-// references on twin fleets: the serial dense Matrix, built by constructor,
-// and the candidate-set engine at Workers: 1.
+// TestKernelWorkersConsolidateEquivalence runs full Algorithm 1 passes —
+// the lazy rounds over the candidate index — at every worker count and
+// requires the move streams (VM, endpoints, bit-identical gains, rounds) to
+// match two references on twin fleets: the serial dense Matrix, built by
+// constructor, and the lazy rounds at Workers: 1.
 func TestKernelWorkersConsolidateEquivalence(t *testing.T) {
 	params := Params{MIGThreshold: 1.05, MIGRound: 50}
 	for _, engine := range []string{"dense", "sparse"} {
@@ -202,34 +239,26 @@ func TestKernelWorkersSerialAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkKernelParallelBuild measures the candidate-set engine's build
-// across worker counts. Parallel results are asserted identical to the
-// serial build before timing — a benchmark that silently raced would be
-// worse than no benchmark.
+// BenchmarkKernelParallelBuild measures the candidate index's cold sync —
+// the staleness sweep over a fresh index and every column shape's
+// first-seen fleet pass — across worker counts. Parallel indexes are
+// asserted identical to the serial one before timing — a benchmark that
+// silently raced would be worse than no benchmark.
 func BenchmarkKernelParallelBuild(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("sparse/workers%d", w), func(b *testing.B) {
 			ctx, vms := tableIIState(b, 1000, 2000, 7)
-			opts := MatrixOptions{CandidateK: 64, Workers: w}
 			if w > 1 {
-				ref, err := NewSparseMatrix(ctx, DefaultFactors(), vms, MatrixOptions{CandidateK: 64, Workers: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sm, err := NewSparseMatrix(ctx, DefaultFactors(), vms, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := ref.DiffSparse(sm); err != nil {
-					b.Fatalf("parallel build diverges: %v", err)
+				ref, _ := tableIIState(b, 1000, 2000, 7)
+				if err := diffIndex(indexOf(ref, vms, 1), indexOf(ctx, vms, w)); err != nil {
+					b.Fatalf("parallel sync diverges: %v", err)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := NewSparseMatrix(ctx, DefaultFactors(), vms, opts); err != nil {
-					b.Fatal(err)
-				}
+				ctx.cand = nil
+				indexOf(ctx, vms, w)
 			}
 		})
 	}

@@ -90,8 +90,8 @@ type Config struct {
 	CheckInvariants bool
 
 	// KernelWorkers is the number of goroutines the placement kernels fan
-	// out on inside a run (core.MatrixOptions.Workers): the candidate-index
-	// sync and the sparse engine's initial column scans. Zero keeps the
+	// out on inside a run (core.MatrixOptions.Workers): the candidate
+	// index's sync and first-seen shape pass. Zero keeps the
 	// placer's own setting (serial unless a caller set it); one forces the
 	// strictly serial path; higher values are honored verbatim. Results are
 	// bit-identical at every setting (DESIGN.md §15). Only the dynamic
@@ -546,7 +546,8 @@ func (s *simulator) finish() (*Result, error) {
 // SparseCheck when its factor list is the one the candidate index
 // evaluates. In Event mode the matrix self-audit is also switched on, so
 // every consolidation pass verifies its roster against a cold rebuild
-// and every Apply its incremental trackers against a cold dense rebuild.
+// and every round — lazy or on the dense Matrix — against a cold dense
+// rebuild.
 func (s *simulator) setupAudit() {
 	if s.cfg.Audit == audit.Off {
 		return
