@@ -11,6 +11,7 @@ import (
 	"log"
 	"sort"
 
+	"repro/internal/audit"
 	"repro/internal/cluster"
 	"repro/internal/failure"
 	"repro/internal/policy"
@@ -36,7 +37,7 @@ func main() {
 			MinReliability:   0.3,
 			Seed:             5,
 		},
-		CheckInvariants: true,
+		Audit: audit.Event,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -57,7 +58,7 @@ func main() {
 			continue
 		}
 		fmt.Printf("  PM%-3d (%s): %d failures -> p_rel %.3f (started at %.2f)\n",
-			pm.ID, pm.Class.Name, pm.Failures, pm.Reliability, pm.Class.Reliability)
+			pm.ID, pm.Class.Name, pm.Failures, pm.Reliability(), pm.Class.Reliability)
 	}
 	fmt.Println("\nthe decayed p_rel lowers every joint probability on those machines, so the")
 	fmt.Println("dynamic scheme places and consolidates onto the reliable part of the fleet first.")

@@ -110,7 +110,7 @@ func auditFixture(t *testing.T) (*cluster.Datacenter, []*cluster.VM) {
 		Groups: []cluster.Group{{Class: &fast, Count: 3}},
 	})
 	for _, pm := range dc.PMs() {
-		pm.State = cluster.PMOn
+		pm.SetState(cluster.PMOn)
 	}
 	var vms []*cluster.VM
 	for i := 0; i < 4; i++ {

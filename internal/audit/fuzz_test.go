@@ -52,7 +52,7 @@ func newHarness(t *testing.T) *harness {
 	})
 	for i, pm := range dc.PMs() {
 		if i < 4 {
-			pm.State = cluster.PMOn
+			pm.SetState(cluster.PMOn)
 		}
 	}
 	h := &harness{
@@ -193,7 +193,7 @@ func (h *harness) failPM(arg byte) {
 	pm := on[int(arg)%len(on)]
 	victims := pm.VMs()
 	pmOff := func() {
-		pm.State = cluster.PMOff
+		pm.SetState(cluster.PMOff)
 	}
 	if len(victims) == 0 {
 		pmOff()
@@ -233,7 +233,7 @@ func (h *harness) bootPM(arg byte) {
 	if len(off) == 0 {
 		return
 	}
-	off[int(arg)%len(off)].State = cluster.PMOn
+	off[int(arg)%len(off)].SetState(cluster.PMOn)
 }
 
 func (h *harness) shutdownPM(arg byte) {
@@ -241,7 +241,7 @@ func (h *harness) shutdownPM(arg byte) {
 	if len(idle) <= 1 {
 		return
 	}
-	idle[int(arg)%len(idle)].State = cluster.PMOff
+	idle[int(arg)%len(idle)].SetState(cluster.PMOff)
 }
 
 func runOps(t *testing.T, data []byte) *harness {
@@ -300,9 +300,9 @@ func edgeOracleState(t *testing.T) (*core.Context, []*cluster.VM) {
 	dc := cluster.TableIIFleetScaled(40)
 	pms := dc.PMs()
 	for _, pm := range pms {
-		pm.State = cluster.PMOn
+		pm.SetState(cluster.PMOn)
 	}
-	pms[len(pms)/2].Reliability = 0
+	pms[len(pms)/2].SetReliability(0)
 	var vms []*cluster.VM
 	for i := range pms {
 		est := float64(3000 + 700*(i%11))

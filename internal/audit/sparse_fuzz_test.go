@@ -43,7 +43,7 @@ func newSparseSide() *sparseSide {
 	})
 	for i, pm := range dc.PMs() {
 		if i < 4 {
-			pm.State = cluster.PMOn
+			pm.SetState(cluster.PMOn)
 		}
 	}
 	return &sparseSide{dc: dc, ctx: core.NewContext(dc), vms: make(map[cluster.VMID]*cluster.VM)}
@@ -312,8 +312,8 @@ func (h *sparseHarness) failPM(arg byte) {
 		}
 		va.State, vb.State = cluster.VMRunning, cluster.VMRunning
 	}
-	pmA.State = cluster.PMOff
-	pmB.State = cluster.PMOff
+	pmA.SetState(cluster.PMOff)
+	pmB.SetState(cluster.PMOff)
 }
 
 func (h *sparseHarness) removeLive(id cluster.VMID) {
@@ -331,8 +331,8 @@ func (h *sparseHarness) bootPM(arg byte) {
 		return
 	}
 	id := off[int(arg)%len(off)].ID
-	h.a.dc.PM(id).State = cluster.PMOn
-	h.b.dc.PM(id).State = cluster.PMOn
+	h.a.dc.PM(id).SetState(cluster.PMOn)
+	h.b.dc.PM(id).SetState(cluster.PMOn)
 }
 
 func (h *sparseHarness) shutdownPM(arg byte) {
@@ -341,8 +341,8 @@ func (h *sparseHarness) shutdownPM(arg byte) {
 		return
 	}
 	id := idle[int(arg)%len(idle)].ID
-	h.a.dc.PM(id).State = cluster.PMOff
-	h.b.dc.PM(id).State = cluster.PMOff
+	h.a.dc.PM(id).SetState(cluster.PMOff)
+	h.b.dc.PM(id).SetState(cluster.PMOff)
 }
 
 // decayReliability multiplies one active PM's reliability the way the
@@ -358,10 +358,7 @@ func (h *sparseHarness) decayReliability(arg byte) {
 	factor := 0.50 + float64(int(arg)%50)/100
 	for _, s := range []*sparseSide{h.a, h.b} {
 		pm := s.dc.PM(id)
-		pm.Reliability *= factor
-		if pm.Reliability < 0.01 {
-			pm.Reliability = 0.01
-		}
+		pm.SetReliability(max(pm.Reliability()*factor, 0.01))
 	}
 }
 
@@ -385,13 +382,13 @@ func (h *sparseHarness) compareFleets(op, arg byte) {
 	pmsA, pmsB := h.a.dc.PMs(), h.b.dc.PMs()
 	for i := range pmsA {
 		pa, pb := pmsA[i], pmsB[i]
-		if pa.State != pb.State {
+		if pa.State() != pb.State() {
 			h.t.Fatalf("after op %d at t=%g: PM %d state %s (dense) != %s (sparse)",
-				op%7, h.now, pa.ID, pa.State, pb.State)
+				op%7, h.now, pa.ID, pa.State(), pb.State())
 		}
-		if math.Float64bits(pa.Reliability) != math.Float64bits(pb.Reliability) {
+		if math.Float64bits(pa.Reliability()) != math.Float64bits(pb.Reliability()) {
 			h.t.Fatalf("after op %d at t=%g: PM %d reliability %v != %v",
-				op%7, h.now, pa.ID, pa.Reliability, pb.Reliability)
+				op%7, h.now, pa.ID, pa.Reliability(), pb.Reliability())
 		}
 		if !pa.Used.Equal(pb.Used) {
 			h.t.Fatalf("after op %d at t=%g: PM %d used %v (dense) != %v (sparse)",

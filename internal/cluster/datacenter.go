@@ -186,7 +186,7 @@ func (d *Datacenter) AppendActivePMs(dst []*PM) []*PM {
 func (d *Datacenter) CountByState() map[PMState]int {
 	m := make(map[PMState]int)
 	for _, p := range d.pms {
-		m[p.State]++
+		m[p.state]++
 	}
 	return m
 }
@@ -230,7 +230,7 @@ func (d *Datacenter) IdlePMs() []*PM {
 func (d *Datacenter) OffPMs() []*PM {
 	var out []*PM
 	for _, p := range d.pms {
-		if p.State == PMOff {
+		if p.state == PMOff {
 			out = append(out, p)
 		}
 	}
@@ -362,7 +362,7 @@ func (d *Datacenter) CheckInvariants() error {
 			return fmt.Errorf("cluster: PM %d used %v exceeds capacity %v", p.ID, p.Used, p.Class.Capacity)
 		}
 		if p.VMCount() > 0 && !p.Active() {
-			return fmt.Errorf("cluster: PM %d hosts %d VMs while %s", p.ID, p.VMCount(), p.State)
+			return fmt.Errorf("cluster: PM %d hosts %d VMs while %s", p.ID, p.VMCount(), p.state)
 		}
 	}
 	return nil

@@ -50,8 +50,8 @@ func TestTableIIFleetShape(t *testing.T) {
 		case "slow":
 			slow++
 		}
-		if p.State != PMOff {
-			t.Errorf("PM %d starts %s, want off", p.ID, p.State)
+		if p.State() != PMOff {
+			t.Errorf("PM %d starts %s, want off", p.ID, p.State())
 		}
 	}
 	if fast != 25 || slow != 75 {
@@ -123,10 +123,10 @@ func TestPMAccessors(t *testing.T) {
 
 func TestStateCountsAndSets(t *testing.T) {
 	d := twoClassDC(t)
-	d.PM(0).State = PMOn
-	d.PM(1).State = PMOn
-	d.PM(2).State = PMBooting
-	d.PM(3).State = PMFailed
+	d.PM(0).SetState(PMOn)
+	d.PM(1).SetState(PMOn)
+	d.PM(2).SetState(PMBooting)
+	d.PM(3).SetState(PMFailed)
 
 	if got := d.ActiveCount(); got != 3 {
 		t.Errorf("ActiveCount = %d, want 3", got)
@@ -159,8 +159,8 @@ func TestStateCountsAndSets(t *testing.T) {
 
 func TestRunningVMsSorted(t *testing.T) {
 	d := twoClassDC(t)
-	d.PM(0).State = PMOn
-	d.PM(50).State = PMOn
+	d.PM(0).SetState(PMOn)
+	d.PM(50).SetState(PMOn)
 	for _, pair := range []struct {
 		pm PMID
 		vm VMID
@@ -180,8 +180,8 @@ func TestAverageVMsPerPM(t *testing.T) {
 	if got := d.AverageVMsPerPM(2.5); got != 2.5 {
 		t.Errorf("cold-start fallback = %g", got)
 	}
-	d.PM(0).State = PMOn
-	d.PM(1).State = PMOn
+	d.PM(0).SetState(PMOn)
+	d.PM(1).SetState(PMOn)
 	for i := VMID(0); i < 3; i++ {
 		if err := d.PM(0).Host(NewVM(i, vector.New(1, 0.5), 10, 10, 0)); err != nil {
 			t.Fatal(err)
@@ -197,7 +197,7 @@ func TestAverageVMsPerPM(t *testing.T) {
 
 func TestCheckInvariantsClean(t *testing.T) {
 	d := twoClassDC(t)
-	d.PM(0).State = PMOn
+	d.PM(0).SetState(PMOn)
 	if err := d.PM(0).Host(NewVM(1, vector.New(2, 1), 10, 10, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestCheckInvariantsClean(t *testing.T) {
 
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	d := twoClassDC(t)
-	d.PM(0).State = PMOn
+	d.PM(0).SetState(PMOn)
 	vm := NewVM(1, vector.New(2, 1), 10, 10, 0)
 	if err := d.PM(0).Host(vm); err != nil {
 		t.Fatal(err)
@@ -229,14 +229,14 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	vm.Host = 0
 
 	// PM off while hosting.
-	d.PM(0).State = PMOff
+	d.PM(0).SetState(PMOff)
 	if err := d.CheckInvariants(); err == nil {
 		t.Error("off PM hosting VMs not detected")
 	}
-	d.PM(0).State = PMOn
+	d.PM(0).SetState(PMOn)
 
 	// Duplicate VM across PMs.
-	d.PM(1).State = PMOn
+	d.PM(1).SetState(PMOn)
 	d.PM(1).vms[vm.ID] = vm
 	d.PM(1).Used.AddInPlace(vm.Demand)
 	vmOK := NewVM(1, vector.New(2, 1), 10, 10, 0)

@@ -128,13 +128,13 @@ type PM struct {
 	// Used is the K-dimensional current resource occupation C_j.
 	Used vector.V
 
-	// State is the power state.
-	State PMState
+	// state is the power state (State, SetState).
+	state PMState
 
-	// Reliability is this PM's p_j^rel, initialized from the class and
-	// adjustable per machine (the failure model decays it with age and
-	// past failures).
-	Reliability float64
+	// rel is this PM's p_j^rel (Reliability, SetReliability), initialized
+	// from the class and adjustable per machine (the failure model decays
+	// it with age and past failures).
+	rel float64
 
 	// vms holds the VMs currently placed on this PM (creating, running,
 	// or migrating in).
@@ -144,14 +144,12 @@ type PM struct {
 	// timed-migration model's source-side double occupancy).
 	reserved vector.V
 
-	// ver counts mutations of Used (Host/Evict/Reserve/Release). Caches
-	// keyed on a PM's occupancy — the sparse candidate index and the
-	// roster (buckets, hosted-cell probabilities) in internal/core, the
-	// energy meter's draw cache in internal/power — compare it against a
-	// remembered value to detect staleness without diffing the vector. State
-	// and Reliability are plain fields written directly by the simulator,
-	// so such caches must compare them alongside ver. Used must therefore
-	// never change without a ver bump.
+	// ver is the contract: every write to Used, state or reliability
+	// bumps Version (Host, Evict, Reserve, Release, SetState,
+	// SetReliability). Caches keyed on a PM — the candidate index and the
+	// roster in internal/core, the energy meter's draw cache in
+	// internal/power — compare it against a remembered value and nothing
+	// else, so Used must never change without a bump.
 	ver uint64
 
 	// Failures counts how many times this PM has failed.
@@ -164,19 +162,41 @@ func NewPM(id PMID, class *PMClass) *PM {
 		panic("cluster: NewPM requires a class")
 	}
 	return &PM{
-		ID:          id,
-		Class:       class,
-		Used:        vector.Zero(class.Capacity.Dim()),
-		State:       PMOff,
-		Reliability: class.Reliability,
-		vms:         make(map[VMID]*VM),
-		reserved:    vector.Zero(class.Capacity.Dim()),
+		ID:       id,
+		Class:    class,
+		Used:     vector.Zero(class.Capacity.Dim()),
+		state:    PMOff,
+		rel:      class.Reliability,
+		vms:      make(map[VMID]*VM),
+		reserved: vector.Zero(class.Capacity.Dim()),
+	}
+}
+
+// State returns the PM's power state.
+func (p *PM) State() PMState { return p.state }
+
+// SetState moves the PM to power state s, bumping Version if it changes.
+func (p *PM) SetState(s PMState) {
+	if s != p.state {
+		p.state = s
+		p.ver++
+	}
+}
+
+// Reliability returns the PM's p_j^rel.
+func (p *PM) Reliability() float64 { return p.rel }
+
+// SetReliability sets the PM's p_j^rel, bumping Version if its bits change.
+func (p *PM) SetReliability(r float64) {
+	if math.Float64bits(r) != math.Float64bits(p.rel) {
+		p.rel = r
+		p.ver++
 	}
 }
 
 // Active reports whether the PM is on or booting: consuming power and
 // available for placement planning.
-func (p *PM) Active() bool { return p.State == PMOn || p.State == PMBooting }
+func (p *PM) Active() bool { return p.state == PMOn || p.state == PMBooting }
 
 // CanHost reports whether demand fits in the PM's remaining capacity. It is
 // the p_res feasibility predicate (Eq. 2) restricted to this PM. Only an
@@ -199,7 +219,7 @@ func (p *PM) Host(vm *VM) error {
 	}
 	if !p.CanHost(vm.Demand) {
 		return fmt.Errorf("cluster: VM %d (demand %v) does not fit on PM %d (used %v / cap %v, state %s)",
-			vm.ID, vm.Demand, p.ID, p.Used, p.Class.Capacity, p.State)
+			vm.ID, vm.Demand, p.ID, p.Used, p.Class.Capacity, p.state)
 	}
 	p.Used.AddInPlace(vm.Demand)
 	p.ver++
@@ -269,10 +289,11 @@ func (p *PM) Release(demand vector.V) {
 	p.ver++
 }
 
-// Version returns the PM's occupancy mutation counter. It increments on
-// every Host, Evict, Reserve, and Release; an unchanged Version together
-// with unchanged State and Reliability means every occupancy-derived
-// quantity (utilization, headroom, level) is still valid.
+// Version returns the PM's mutation counter. It increments on every Host,
+// Evict, Reserve, Release, and every SetState or SetReliability that
+// changes the value; an unchanged Version means state, reliability and
+// every occupancy-derived quantity (utilization, headroom, level) are
+// still valid.
 func (p *PM) Version() uint64 { return p.ver }
 
 // Reserved returns the currently reserved (non-VM) portion of Used.
@@ -314,7 +335,7 @@ func (p *PM) HasVM(id VMID) bool {
 // reservations (a migration source with an active hold is not idle — its
 // resources are still committed).
 func (p *PM) Idle() bool {
-	return p.State == PMOn && len(p.vms) == 0 && p.reserved.IsZero()
+	return p.state == PMOn && len(p.vms) == 0 && p.reserved.IsZero()
 }
 
 // Utilization returns the PM's joint product utilization
@@ -372,5 +393,5 @@ func UtilizationLevel(u float64, c *PMClass, rmin vector.V) (level, wj int) {
 // String implements fmt.Stringer.
 func (p *PM) String() string {
 	return fmt.Sprintf("PM%d{%s %s used=%v/%v vms=%d}",
-		p.ID, p.Class.Name, p.State, p.Used, p.Class.Capacity, len(p.vms))
+		p.ID, p.Class.Name, p.state, p.Used, p.Class.Capacity, len(p.vms))
 }

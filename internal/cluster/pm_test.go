@@ -54,7 +54,7 @@ func TestMaxMinimalVMs(t *testing.T) {
 
 func TestPMHostEvict(t *testing.T) {
 	pm := NewPM(0, testClass())
-	pm.State = PMOn
+	pm.SetState(PMOn)
 	vm := NewVM(1, vector.New(2, 1), 100, 100, 0)
 
 	if err := pm.Host(vm); err != nil {
@@ -74,6 +74,51 @@ func TestPMHostEvict(t *testing.T) {
 	}
 }
 
+// TestVersionContract pins the contract in PM.ver's doc comment, which
+// every PM cache in core and power relies on: each write to Used, state or
+// reliability moves Version, a setter that keeps the value does not, and
+// no read does.
+func TestVersionContract(t *testing.T) {
+	pm := NewPM(0, testClass())
+	vm := NewVM(1, vector.New(2, 1), 100, 100, 0)
+	hold := vector.New(1, 1)
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range []struct {
+		name  string
+		write func()
+		moves bool
+	}{
+		{"SetState", func() { pm.SetState(PMBooting) }, true},
+		{"SetState to the same state", func() { pm.SetState(PMBooting) }, false},
+		{"SetState on", func() { pm.SetState(PMOn) }, true},
+		{"SetReliability", func() { pm.SetReliability(0.5) }, true},
+		{"SetReliability to the same value", func() { pm.SetReliability(0.5) }, false},
+		{"Host", func() { must(pm.Host(vm)) }, true},
+		{"Reserve", func() { must(pm.Reserve(hold)) }, true},
+		{"Release", func() { pm.Release(hold) }, true},
+		{"Evict", func() { must(pm.Evict(vm)) }, true},
+		{"SetState failed", func() { pm.SetState(PMFailed) }, true},
+	} {
+		before := pm.Version()
+		w.write()
+		if moved := pm.Version() != before; moved != w.moves {
+			t.Errorf("%s: Version %d -> %d, want moved = %v", w.name, before, pm.Version(), w.moves)
+		}
+		after := pm.Version()
+		_, _, _, _ = pm.State(), pm.Reliability(), pm.Active(), pm.Utilization()
+		if pm.Version() != after {
+			t.Errorf("after %s: a read moved Version %d -> %d", w.name, after, pm.Version())
+		}
+	}
+	if pm.State() != PMFailed || pm.Reliability() != 0.5 {
+		t.Errorf("state %s, reliability %g; want failed, 0.5", pm.State(), pm.Reliability())
+	}
+}
+
 func TestPMHostErrors(t *testing.T) {
 	pm := NewPM(0, testClass())
 	vm := NewVM(1, vector.New(2, 1), 100, 100, 0)
@@ -81,7 +126,7 @@ func TestPMHostErrors(t *testing.T) {
 	if err := pm.Host(vm); err == nil {
 		t.Error("hosting on an off PM should fail")
 	}
-	pm.State = PMOn
+	pm.SetState(PMOn)
 	if err := pm.Host(vm); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +134,7 @@ func TestPMHostErrors(t *testing.T) {
 		t.Error("double-hosting the same VM should fail")
 	}
 	other := NewPM(1, testClass())
-	other.State = PMOn
+	other.SetState(PMOn)
 	if err := other.Host(vm); err == nil {
 		t.Error("hosting a VM placed elsewhere should fail")
 	}
@@ -114,7 +159,7 @@ func TestPMCanHostStates(t *testing.T) {
 		PMOff: false, PMBooting: true, PMOn: true,
 		PMShuttingDown: false, PMFailed: false,
 	} {
-		pm.State = state
+		pm.SetState(state)
 		if pm.CanHost(d) != want {
 			t.Errorf("CanHost in %s = %v, want %v", state, pm.CanHost(d), want)
 		}
@@ -123,7 +168,7 @@ func TestPMCanHostStates(t *testing.T) {
 
 func TestPMVMsSorted(t *testing.T) {
 	pm := NewPM(0, testClass())
-	pm.State = PMOn
+	pm.SetState(PMOn)
 	for _, id := range []VMID{5, 1, 3} {
 		if err := pm.Host(NewVM(id, vector.New(1, 1), 10, 10, 0)); err != nil {
 			t.Fatal(err)
@@ -137,7 +182,7 @@ func TestPMVMsSorted(t *testing.T) {
 
 func TestPMIdleAndUtilization(t *testing.T) {
 	pm := NewPM(0, testClass()) // cap 8, 8
-	pm.State = PMOn
+	pm.SetState(PMOn)
 	if !pm.Idle() {
 		t.Error("fresh on PM should be idle")
 	}
@@ -192,7 +237,7 @@ func TestUtilizationLevelMatchesHostedMinimalVMs(t *testing.T) {
 	rmin := vector.New(1, 0.25)
 	for w := 1; w <= 8; w++ {
 		pm := NewPM(0, testClass())
-		pm.State = PMOn
+		pm.SetState(PMOn)
 		for i := 0; i < w; i++ {
 			if err := pm.Host(NewVM(VMID(i), rmin, 10, 10, 0)); err != nil {
 				t.Fatalf("w=%d host %d: %v", w, i, err)
@@ -257,7 +302,7 @@ func TestNewPMPanicsOnNilClass(t *testing.T) {
 func TestQuickHostEvictConservation(t *testing.T) {
 	f := func(demands [6][2]uint8) bool {
 		pm := NewPM(0, testClass())
-		pm.State = PMOn
+		pm.SetState(PMOn)
 		var hosted []*VM
 		for i, d := range demands {
 			vm := NewVM(VMID(i), vector.New(float64(d[0]%4), float64(d[1]%4)/2), 10, 10, 0)
@@ -303,7 +348,7 @@ func TestQuickUtilizationLevelMonotone(t *testing.T) {
 // EachVM visits exactly VMs' set, in whatever order, without allocating.
 func TestPMLookupAndWalk(t *testing.T) {
 	pm := NewPM(0, &FastClass)
-	pm.State = PMOn
+	pm.SetState(PMOn)
 	hosted := map[VMID]*VM{}
 	for _, id := range []VMID{9, 2, 5} {
 		vm := NewVM(id, vector.New(1, 0.5), 100, 100, 0)

@@ -8,7 +8,7 @@ import (
 
 func TestReserveRelease(t *testing.T) {
 	pm := NewPM(0, testClass()) // cap (8,8)
-	pm.State = PMOn
+	pm.SetState(PMOn)
 	if err := pm.Reserve(vector.New(3, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestReserveRelease(t *testing.T) {
 
 func TestReserveRejectsOverflow(t *testing.T) {
 	pm := NewPM(0, testClass())
-	pm.State = PMOn
+	pm.SetState(PMOn)
 	vm := NewVM(1, vector.New(6, 6), 10, 10, 0)
 	if err := pm.Host(vm); err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestReserveRejectsOverflow(t *testing.T) {
 
 func TestReleaseExcessPanics(t *testing.T) {
 	pm := NewPM(0, testClass())
-	pm.State = PMOn
+	pm.SetState(PMOn)
 	if err := pm.Reserve(vector.New(1, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestReleaseExcessPanics(t *testing.T) {
 
 func TestReservationBlocksPlacement(t *testing.T) {
 	pm := NewPM(0, testClass()) // cap (8,8)
-	pm.State = PMOn
+	pm.SetState(PMOn)
 	if err := pm.Reserve(vector.New(6, 6)); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestReservationBlocksPlacement(t *testing.T) {
 func TestReservationInvariants(t *testing.T) {
 	d := TableIIFleet()
 	p := d.PM(0)
-	p.State = PMOn
+	p.SetState(PMOn)
 	if err := p.Host(NewVM(1, vector.New(2, 1), 10, 10, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestReservationInvariants(t *testing.T) {
 
 func TestReservedReturnsCopy(t *testing.T) {
 	pm := NewPM(0, testClass())
-	pm.State = PMOn
+	pm.SetState(PMOn)
 	if err := pm.Reserve(vector.New(1, 1)); err != nil {
 		t.Fatal(err)
 	}

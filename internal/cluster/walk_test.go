@@ -15,7 +15,7 @@ func walkFixture(t *testing.T) *Datacenter {
 		Groups: []Group{{Class: &fast, Count: 3}},
 	})
 	for _, pm := range dc.PMs() {
-		pm.State = PMOn
+		pm.SetState(PMOn)
 	}
 	// Host out of ID order to prove the walk sorts by ID, not insertion.
 	for _, pair := range [][2]int{{2, 5}, {0, 3}, {2, 1}, {1, 4}} {

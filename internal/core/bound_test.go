@@ -57,7 +57,7 @@ var boundHazards = []struct {
 		}},
 	{name: "host reliability 0 declines",
 		steps: []func(*testing.T, *rosterSide){
-			func(t *testing.T, s *rosterSide) { s.ctx.DC.PM(s.vms[5].Host).Reliability = 0 },
+			func(t *testing.T, s *rosterSide) { s.ctx.DC.PM(s.vms[5].Host).SetReliability(0) },
 		},
 		check: func(t *testing.T, quiet bool, n boundCounts) {
 			if (quiet && n.declined == 0) || n.moves == 0 { // a moving pass may be settled before the walk gets there
@@ -77,10 +77,16 @@ var boundHazards = []struct {
 				t.Errorf("%d exact scans, %d proven empty, %d builds; want > 0, 1, 0", n.scans, n.proven, n.builds)
 			}
 		}},
-	{name: "reliability perturbed with no version bump",
+	{name: "reliability perturbed",
 		steps: []func(*testing.T, *rosterSide){
-			func(t *testing.T, s *rosterSide) { s.ctx.DC.PM(s.vms[5].Host).Reliability *= 0.5 },
-			func(t *testing.T, s *rosterSide) { s.ctx.DC.PM(s.vms[9].Host).Reliability *= 0.9 },
+			func(t *testing.T, s *rosterSide) {
+				pm := s.ctx.DC.PM(s.vms[5].Host)
+				pm.SetReliability(pm.Reliability() * 0.5)
+			},
+			func(t *testing.T, s *rosterSide) {
+				pm := s.ctx.DC.PM(s.vms[9].Host)
+				pm.SetReliability(pm.Reliability() * 0.9)
+			},
 		},
 		check: func(t *testing.T, _ bool, n boundCounts) {
 			if n.moves == 0 {

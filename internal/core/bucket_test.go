@@ -163,7 +163,7 @@ func (h *lazyHarness) endTimed(moves []Move, fail bool) {
 			src := h.pmOf(vm, mv.From)
 			src.Release(vm.Demand)
 			vm.State = cluster.VMRunning
-			if !fail || src.State == cluster.PMFailed {
+			if !fail || src.State() == cluster.PMFailed {
 				return
 			}
 			for _, victim := range src.VMs() {
@@ -172,7 +172,7 @@ func (h *lazyHarness) endTimed(moves []Move, fail bool) {
 				}
 				victim.State = cluster.VMFinished
 			}
-			src.State = cluster.PMFailed
+			src.SetState(cluster.PMFailed)
 		})
 	}
 }
@@ -211,7 +211,7 @@ func TestBucketHazards(t *testing.T) {
 		class := &cluster.PMClass{Name: "eight", Capacity: vector.V{8}, ActivePower: 80, IdlePower: 40, Reliability: 1}
 		dc := cluster.MustNew(cluster.Config{RMin: vector.V{4}, Groups: []cluster.Group{{Class: class, Count: 3}}})
 		for i, pm := range dc.PMs() {
-			pm.State = cluster.PMOn
+			pm.SetState(cluster.PMOn)
 			vm := cluster.NewVM(cluster.VMID(i+1), vector.V{1}, 40000, 40000, 0)
 			if err := pm.Host(vm); err != nil {
 				panic(err)
@@ -259,9 +259,9 @@ func TestBucketHazards(t *testing.T) {
 			ro := h.sides[0].roster
 			return ro != nil && rosterPlaced(ro) > 3 && len(ro.ents) > 6
 		}},
-		{name: "a reliability write with no bump", fleet: spread, steps: []func(*lazyHarness){
+		{name: "a reliability write", fleet: spread, steps: []func(*lazyHarness){
 			func(h *lazyHarness) {
-				h.eachPM(MigratableVMs(h.sides[0].DC)[0].Host, func(pm *cluster.PM) { pm.Reliability *= 0.5 })
+				h.eachPM(MigratableVMs(h.sides[0].DC)[0].Host, func(pm *cluster.PM) { pm.SetReliability(pm.Reliability() * 0.5) })
 			},
 		}},
 		{name: "equal-cur hosts", fleet: tieFleet, seen: func(h *lazyHarness) bool {
@@ -349,7 +349,7 @@ func TestBucketInactiveHost(t *testing.T) {
 	for _, factors := range [][]Factor{DefaultFactors(), append(DefaultFactors(), offsetFactor{})} {
 		ctx, vms := spreadState(t, 16, 30, 3)
 		pm := ctx.DC.PM(vms[0].Host)
-		pm.State = cluster.PMOff
+		pm.SetState(cluster.PMOff)
 		want := fmt.Sprintf("hosted on inactive PM %d", pm.ID)
 		for pass := range 2 {
 			if _, err := ConsolidateWith(ctx, factors, DefaultParams(), MatrixOptions{}); err == nil || !strings.Contains(err.Error(), want) {
@@ -365,7 +365,7 @@ func TestBucketInactiveHost(t *testing.T) {
 		if _, err := ConsolidateWith(ctx, factors, DefaultParams(), MatrixOptions{SelfAudit: true}); err != nil {
 			t.Fatalf("Creating VMs on an inactive PM: %v", err)
 		}
-		pm.State = cluster.PMOn
+		pm.SetState(cluster.PMOn)
 		for _, vm := range pm.VMs() {
 			vm.State = cluster.VMRunning
 		}
@@ -389,7 +389,7 @@ func packedFleet(m int) *Context {
 	dc := cluster.MustNew(cluster.Config{RMin: vector.V{1}, Groups: []cluster.Group{{Class: class, Count: m}}})
 	id := cluster.VMID(1)
 	for _, pm := range dc.PMs() {
-		pm.State = cluster.PMOn
+		pm.SetState(cluster.PMOn)
 		for _, cores := range []float64{2, 1, 1, 1, 1} {
 			vm := cluster.NewVM(id, vector.V{cores}, 400, 400, 0)
 			if err := pm.Host(vm); err != nil {

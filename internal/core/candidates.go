@@ -31,12 +31,12 @@ import (
 //
 // The index is owned by a Context (not safe for concurrent use, like the
 // rest of the Context's scratch) and is maintained incrementally: each PM
-// carries an occupancy version counter (cluster.PM.Version), and a sync
-// pass re-derives group membership only for PMs whose (version, state,
-// reliability) stamp changed since the last look. A full sync costs three
-// word-compares per PM; re-deriving one PM costs O(shapes) feasibility and
-// level evaluations. A consolidation move re-syncs its two endpoints only
-// (syncPM).
+// carries a version counter (cluster.PM.Version) that every write to its
+// occupancy, state or reliability bumps, and a sync pass re-derives group
+// membership only for PMs whose version moved since the last look. A full
+// sync costs one word-compare per PM; re-deriving one PM costs O(shapes)
+// feasibility and level evaluations. A consolidation move re-syncs its two
+// endpoints only (syncPM).
 //
 // MatrixOptions.CandidateK is a declared ceiling, not a structural cap:
 // when a shape's population needs more than K non-empty groups the scan
@@ -52,9 +52,11 @@ type candIndex struct {
 	// construction in cluster.New), so per-PM caches are plain slices.
 	pms []*cluster.PM
 
-	// stamps holds the last-seen (version, reliability bits, state) per
-	// PM; a mismatch means the PM's groups must be re-derived.
-	stamps []pmStamp
+	// vers holds the last-seen Version per PM; a mismatch means the PM's
+	// groups must be re-derived. A fresh index starts at all 0 with no
+	// shapes, and tracking a shape does its own pass over the whole fleet,
+	// so nothing is stale at Version 0.
+	vers []uint64
 
 	// shapes holds the grouping of every tracked demand shape, indexed by
 	// the Context's shape id (nil: not tracked yet); shapeList lists the
@@ -70,15 +72,6 @@ type candIndex struct {
 
 	// dirty holds sync's per-span stale-PM lists (parallel path scratch).
 	dirty [][]int32
-}
-
-// pmStamp is the staleness fingerprint of one PM. Version covers every
-// occupancy mutation; State and Reliability are plain fields the simulator
-// writes directly, so they are compared alongside.
-type pmStamp struct {
-	ver   uint64
-	rel   uint64 // math.Float64bits(pm.Reliability)
-	state cluster.PMState
 }
 
 // candKey identifies a score group within a shape.
@@ -167,16 +160,12 @@ func newCandIndex(ctx *Context) *candIndex {
 			panic(fmt.Sprintf("core: candidate index needs dense PM IDs (slot %d holds PM %d)", i, pm.ID))
 		}
 	}
-	return &candIndex{ctx: ctx, pms: pms, stamps: make([]pmStamp, len(pms))}
+	return &candIndex{ctx: ctx, pms: pms, vers: make([]uint64, len(pms))}
 }
 
-func stampOf(pm *cluster.PM) pmStamp {
-	return pmStamp{ver: pm.Version(), rel: math.Float64bits(pm.Reliability), state: pm.State}
-}
-
-// sync re-derives group membership for every PM whose stamp changed.
+// sync re-derives group membership for every PM whose Version moved.
 //
-// The staleness sweep — three word-compares per PM, the whole fleet every
+// The staleness sweep — one word-compare per PM, the whole fleet every
 // sync — shards across workers in fixed contiguous PM spans, each span
 // collecting its stale IDs into its own slot; re-derivation then applies
 // serially in span order, which is ascending PM ID, exactly the serial
@@ -187,12 +176,10 @@ func (x *candIndex) sync() {
 	workers := claimWorkers(x.workers, n)
 	if workers <= 1 {
 		for id, pm := range x.pms {
-			s := stampOf(pm)
-			if s == x.stamps[id] {
-				continue
+			if v := pm.Version(); v != x.vers[id] {
+				x.vers[id] = v
+				x.resyncPM(int32(id))
 			}
-			x.stamps[id] = s
-			x.resyncPM(int32(id))
 		}
 		return
 	}
@@ -204,7 +191,7 @@ func (x *candIndex) sync() {
 	runSpans(workers, n, span, func(lo, hi int) {
 		buf := x.dirty[lo/span][:0]
 		for id := lo; id < hi; id++ {
-			if stampOf(x.pms[id]) != x.stamps[id] {
+			if x.pms[id].Version() != x.vers[id] {
 				buf = append(buf, int32(id))
 			}
 		}
@@ -212,16 +199,15 @@ func (x *candIndex) sync() {
 	})
 	for si := 0; si < nspans; si++ {
 		for _, id := range x.dirty[si] {
-			x.stamps[id] = stampOf(x.pms[id])
-			x.resyncPM(id)
+			x.syncPM(id)
 		}
 	}
 }
 
-// syncPM refreshes one PM's stamp and membership (a consolidation move's
-// endpoints).
+// syncPM refreshes one PM's seen Version and membership (a consolidation
+// move's endpoints).
 func (x *candIndex) syncPM(id int32) {
-	x.stamps[id] = stampOf(x.pms[id])
+	x.vers[id] = x.pms[id].Version()
 	x.resyncPM(id)
 }
 
@@ -258,7 +244,7 @@ func (x *candIndex) membership(pm *cluster.PM, demand vector.V) (key candKey, re
 	if !pm.CanHost(demand) {
 		return candKey{}, 0, 0, false
 	}
-	rel = pm.Reliability
+	rel = pm.Reliability()
 	if rel == 0 {
 		return candKey{}, 0, 0, false
 	}

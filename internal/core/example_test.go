@@ -17,7 +17,7 @@ func Example() {
 		Groups: []cluster.Group{{Class: &fast, Count: 2}},
 	})
 	for _, pm := range dc.PMs() {
-		pm.State = cluster.PMOn
+		pm.SetState(cluster.PMOn)
 	}
 
 	// VM1 runs on PM0; VM2 and VM3 run on PM1. Everything fits on PM1.
@@ -55,7 +55,7 @@ func ExampleBestPlacement() {
 		Groups: []cluster.Group{{Class: &fast, Count: 2}},
 	})
 	for _, pm := range dc.PMs() {
-		pm.State = cluster.PMOn
+		pm.SetState(cluster.PMOn)
 	}
 	// PM1 already hosts work, so the efficiency factor prefers it.
 	busy := cluster.NewVM(10, vector.New(4, 4), 86400, 86400, 0)

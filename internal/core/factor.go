@@ -279,7 +279,7 @@ func (ReliabilityFactor) Name() string { return "rel" }
 
 // Probability implements Factor.
 func (ReliabilityFactor) Probability(_ *Context, _ *cluster.VM, pm *cluster.PM, _ bool) float64 {
-	return pm.Reliability
+	return pm.Reliability()
 }
 
 // EfficiencyFactor is p_ij^eff (Eq. 4-5): the PM's prospective utilization

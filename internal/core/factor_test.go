@@ -20,7 +20,7 @@ func smallDC() *cluster.Datacenter {
 		},
 	})
 	for _, p := range dc.PMs() {
-		p.State = cluster.PMOn
+		p.SetState(cluster.PMOn)
 	}
 	return dc
 }
@@ -122,7 +122,7 @@ func TestVirtualizationFactorQuadraticPenalty(t *testing.T) {
 func TestReliabilityFactor(t *testing.T) {
 	dc := smallDC()
 	pm := dc.PM(0)
-	pm.Reliability = 0.7
+	pm.SetReliability(0.7)
 	got := (ReliabilityFactor{}).Probability(&Context{DC: dc}, nil, pm, false)
 	if got != 0.7 {
 		t.Errorf("p_rel = %g, want 0.7", got)
@@ -186,7 +186,7 @@ func TestJointProductOfFactors(t *testing.T) {
 	dc := smallDC()
 	ctx := &Context{DC: dc, Now: 0}
 	pm := dc.PM(0)
-	pm.Reliability = 0.9
+	pm.SetReliability(0.9)
 	vm := cluster.NewVM(1, dc.RMin(), 700, 700, 0)
 	mustHost(t, dc.PM(1), vm) // hosted elsewhere -> full migration overhead
 	want := 1.0 * 0.81 * 0.9 * (1.0 / 8)

@@ -100,7 +100,7 @@ func (prog *program) cell(ctx *Context, info *classInfo, vir float64, pm *cluste
 			}
 			q = vir
 		case opRel:
-			q = pm.Reliability
+			q = pm.Reliability()
 		case opEff:
 			if hosted {
 				q = effProbability(info, pm.Utilization())

@@ -33,7 +33,7 @@ func fleetState(tb testing.TB, pmCount, nVMs int, seed int64, spread bool) (*Con
 	tb.Helper()
 	dc := cluster.TableIIFleetScaled(pmCount)
 	for _, pm := range dc.PMs() {
-		pm.State = cluster.PMOn
+		pm.SetState(cluster.PMOn)
 	}
 	rng := stats.NewRand(seed)
 	const now = 7200.0
@@ -78,7 +78,7 @@ func edgeState(tb testing.TB, pmCount, nVMs int, seed int64) (*Context, []*clust
 	tb.Helper()
 	ctx, vms := tableIIState(tb, pmCount, nVMs, seed)
 	pms := ctx.DC.PMs()
-	pms[len(pms)/2].Reliability = 0
+	pms[len(pms)/2].SetReliability(0)
 	for i := 0; i < len(vms); i += 7 {
 		// Elapsed runtime beyond the estimate: RemainingEstimate clamps
 		// at zero.
@@ -350,7 +350,7 @@ func TestConsolidateZeroCurrentProbability(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dc := cluster.TableIIFleetScaled(4)
 			for _, pm := range dc.PMs() {
-				pm.State = cluster.PMOn
+				pm.SetState(cluster.PMOn)
 			}
 			vm := cluster.NewVM(1, vector.New(1, 0.5), 36000, 36000, 0)
 			host := dc.PM(0)
@@ -360,7 +360,7 @@ func TestConsolidateZeroCurrentProbability(t *testing.T) {
 			vm.State = cluster.VMRunning
 			// The failure model decays per-PM reliability; zero means
 			// the current placement's joint probability is zero.
-			host.Reliability = 0
+			host.SetReliability(0)
 
 			ctx := NewContext(dc).At(100)
 			moves := denseConsolidate(t, ctx, pathFactors(name), DefaultParams(), MatrixOptions{})

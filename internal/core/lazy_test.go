@@ -31,7 +31,7 @@ func lazyFleet(testing.TB) *Context {
 		Groups: []cluster.Group{{Class: &fast, Count: 3}, {Class: &slow, Count: 5}},
 	})
 	for _, pm := range dc.PMs()[:4] {
-		pm.State = cluster.PMOn
+		pm.SetState(cluster.PMOn)
 	}
 	return NewContext(dc)
 }
@@ -58,7 +58,8 @@ func coreFleetOf(cores float64, overhead, rel []float64, hosted []int) *Context 
 	dc := cluster.MustNew(cluster.Config{RMin: vector.V{1}, Groups: groups})
 	id := cluster.VMID(1)
 	for i, pm := range dc.PMs() {
-		pm.State, pm.Reliability = cluster.PMOn, rel[i]
+		pm.SetState(cluster.PMOn)
+		pm.SetReliability(rel[i])
 		for range hosted[i] {
 			vm := cluster.NewVM(id, vector.V{1}, 400, 400, 0)
 			if err := pm.Host(vm); err != nil {
@@ -193,20 +194,20 @@ func (h *lazyHarness) step(op, arg byte) {
 					vm.State = cluster.VMFinished
 				})
 			}
-			h.eachPM(id, func(pm *cluster.PM) { pm.State = cluster.PMFailed })
+			h.eachPM(id, func(pm *cluster.PM) { pm.SetState(cluster.PMFailed) })
 		}
 	case 3: // boot
 		if off := lead.DC.OffPMs(); len(off) > 0 {
-			h.eachPM(off[int(arg)%len(off)].ID, func(pm *cluster.PM) { pm.State = cluster.PMOn })
+			h.eachPM(off[int(arg)%len(off)].ID, func(pm *cluster.PM) { pm.SetState(cluster.PMOn) })
 		}
 	case 4: // shutdown
 		if idle := lead.DC.IdlePMs(); len(idle) > 1 {
-			h.eachPM(idle[int(arg)%len(idle)].ID, func(pm *cluster.PM) { pm.State = cluster.PMOff })
+			h.eachPM(idle[int(arg)%len(idle)].ID, func(pm *cluster.PM) { pm.SetState(cluster.PMOff) })
 		}
 	case 5: // reliability decay, as the failure model applies it
 		if on := lead.DC.ActivePMs(); len(on) > 0 {
 			factor := 0.50 + float64(int(arg)%50)/100
-			h.eachPM(on[int(arg)%len(on)].ID, func(pm *cluster.PM) { pm.Reliability = max(pm.Reliability*factor, 0.01) })
+			h.eachPM(on[int(arg)%len(on)].ID, func(pm *cluster.PM) { pm.SetReliability(max(pm.Reliability()*factor, 0.01)) })
 		}
 	}
 	h.pass()
@@ -366,7 +367,7 @@ func lazyStream(seed uint64, ops int) []byte {
 func TestLazyRounds(t *testing.T) {
 	withRescue := func(tb testing.TB) *Context {
 		ctx := tieFleet(tb)
-		ctx.DC.PM(2).Reliability = 0
+		ctx.DC.PM(2).SetReliability(0)
 		return ctx
 	}
 	spread := func(tb testing.TB) *Context {

@@ -38,7 +38,7 @@ func paperExample() (*Context, []Factor, []*cluster.VM) {
 		Groups: []cluster.Group{{Class: big, Count: 4}}, // PM0 unused; PMs 1-3 mirror the paper
 	})
 	for _, p := range dc.PMs() {
-		p.State = cluster.PMOn
+		p.SetState(cluster.PMOn)
 	}
 	hosts := map[int]int{1: 2, 2: 1, 3: 1, 4: 3, 5: 3}
 	vms := make([]*cluster.VM, 0, 5)

@@ -50,7 +50,7 @@ func figure1Scenario(t *testing.T) (*cluster.Datacenter, []*cluster.VM) {
 		Groups: []cluster.Group{{Class: &class, Count: 3}},
 	})
 	for _, p := range dc.PMs() {
-		p.State = cluster.PMOn
+		p.SetState(cluster.PMOn)
 	}
 	// PM0 hosts a medium VM, PM1 hosts two small VMs; everything fits
 	// on PM0 together.
@@ -171,7 +171,7 @@ func TestConsolidateShortRemainingVMsStay(t *testing.T) {
 		Groups: []cluster.Group{{Class: &class, Count: 2}},
 	})
 	for _, p := range dc.PMs() {
-		p.State = cluster.PMOn
+		p.SetState(cluster.PMOn)
 	}
 	a := cluster.NewVM(1, vector.New(2, 2), 60, 60, 0) // < 70 s overhead
 	b := cluster.NewVM(2, vector.New(2, 2), 60, 60, 0)
@@ -280,7 +280,7 @@ func TestQuickConsolidateInvariants(t *testing.T) {
 			Groups: []cluster.Group{{Class: &class, Count: 4}},
 		})
 		for _, p := range dc.PMs() {
-			p.State = cluster.PMOn
+			p.SetState(cluster.PMOn)
 		}
 		for i, d := range seedDemands {
 			cpu := float64(d[0]%3) + 1
@@ -335,7 +335,7 @@ func BenchmarkConsolidate100PMs(b *testing.B) {
 	build := func() *cluster.Datacenter {
 		dc := cluster.TableIIFleet()
 		for _, p := range dc.PMs() {
-			p.State = cluster.PMOn
+			p.SetState(cluster.PMOn)
 		}
 		id := cluster.VMID(0)
 		for _, p := range dc.PMs() {

@@ -28,7 +28,7 @@ func threeDimDC() *cluster.Datacenter {
 		Groups: []cluster.Group{{Class: node, Count: 4}},
 	})
 	for _, p := range dc.PMs() {
-		p.State = cluster.PMOn
+		p.SetState(cluster.PMOn)
 	}
 	return dc
 }

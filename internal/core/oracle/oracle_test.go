@@ -23,7 +23,7 @@ func fixture(t *testing.T) (*core.Context, []core.Factor, []*cluster.VM) {
 		},
 	})
 	for _, pm := range dc.PMs() {
-		pm.State = cluster.PMOn
+		pm.SetState(cluster.PMOn)
 	}
 	var vms []*cluster.VM
 	spread := []cluster.PMID{0, 1, 2, 3, 4, 0, 1, 2}
@@ -47,7 +47,7 @@ func TestNewMatrixValidation(t *testing.T) {
 		t.Error("empty factor list accepted")
 	}
 	ctx2, factors2, vms2 := fixture(t)
-	ctx2.DC.PM(0).State = cluster.PMOff // its VMs are now on an inactive PM
+	ctx2.DC.PM(0).SetState(cluster.PMOff) // its VMs are now on an inactive PM
 	if _, err := NewMatrix(ctx2, factors2, vms2); err == nil {
 		t.Error("VM on inactive PM accepted")
 	}

@@ -13,7 +13,7 @@ func bigScenario(t *testing.T) (*Context, []*cluster.VM) {
 	t.Helper()
 	dc := cluster.TableIIFleet()
 	for _, p := range dc.PMs() {
-		p.State = cluster.PMOn
+		p.SetState(cluster.PMOn)
 	}
 	var vms []*cluster.VM
 	id := cluster.VMID(1)

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/cluster"
@@ -15,10 +14,10 @@ import (
 // hosted-cell probability cur; per shape the PMs holding any of its VMs in
 // (cur asc, ID asc) order, which lets a sweep stop at the first host whose
 // bound cannot beat MIG_threshold (bound.go). A PM is re-read when its
-// (Version, reliability, active) stamp moves, and a move's endpoints right
-// after the move. Membership is placement, not state — VM.State is written
-// with no version bump — so State is read live. Nothing here holds p_vir or
-// ages with the clock; the roster is never checkpointed.
+// Version moves, and a move's endpoints right after the move. Membership is
+// placement, not state — VM.State is written with no version bump — so
+// State is read live. Nothing here holds p_vir or ages with the clock; the
+// roster is never checkpointed.
 type roster struct {
 	pms     []rosterPM    // per PM ID
 	ents    []rosterEntry // the slab every PM's bucket lives in
@@ -28,7 +27,7 @@ type roster struct {
 }
 
 type rosterPM struct {
-	ver, rel    uint64  // the stamp: Version, Reliability bits and active
+	ver         uint64  // the Version last read
 	cur         float64 // hosted-cell probability: Reliability * p_eff(Utilization())
 	off, n, cap int32   // the bucket is ents[off : off+n], with room for cap
 	active      bool
@@ -43,11 +42,11 @@ type rosterEntry struct {
 // p_res = p_vir = 1 on the host, so reliability times the efficiency term at
 // the present utilization, which already includes its VMs.
 func (ctx *Context) hostedProb(pm *cluster.PM) float64 {
-	return pm.Reliability * effProbability(ctx.classInfoFor(pm), pm.Utilization())
+	return pm.Reliability() * effProbability(ctx.classInfoFor(pm), pm.Utilization())
 }
 
 // syncRoster brings the roster up to date with the fleet — built cold on a
-// Context's first pass, afterwards re-reading the PMs whose stamp moved —
+// Context's first pass, afterwards re-reading the PMs whose Version moved —
 // and returns it.
 func (ctx *Context) syncRoster() *roster {
 	pms := ctx.DC.PMs()
@@ -60,7 +59,7 @@ func (ctx *Context) syncRoster() *roster {
 	ro.offline = false
 	for id, pm := range pms {
 		p := &ro.pms[id]
-		if p.ver != pm.Version() || p.rel != math.Float64bits(pm.Reliability) || p.active != pm.Active() {
+		if p.ver != pm.Version() {
 			inserts, drops := ro.reread(ctx, pm)
 			ctx.Obs.Add("core.roster_resynced_pms", 1)
 			ctx.Obs.Add("core.roster_inserts", int64(inserts))
@@ -93,9 +92,9 @@ func newRoster(ctx *Context) *roster {
 	return ro
 }
 
-// reread replaces pm's bucket, cur and stamp with the PM as it stands. A VM
-// still placed keeps its shape id; a new one is interned. inserts and drops
-// count the VMs that came and went.
+// reread replaces pm's bucket, cur, ver and active with the PM as it
+// stands. A VM still placed keeps its shape id; a new one is interned.
+// inserts and drops count the VMs that came and went.
 func (ro *roster) reread(ctx *Context, pm *cluster.PM) (inserts, drops int) {
 	id := int32(pm.ID)
 	p := &ro.pms[id]
@@ -104,7 +103,7 @@ func (ro *roster) reread(ctx *Context, pm *cluster.PM) (inserts, drops int) {
 	for _, e := range old {
 		ro.leave(e.shape, id)
 	}
-	p.ver, p.rel, p.active, p.cur = pm.Version(), math.Float64bits(pm.Reliability), pm.Active(), ctx.hostedProb(pm)
+	p.ver, p.active, p.cur = pm.Version(), pm.Active(), ctx.hostedProb(pm)
 	n := int32(pm.VMCount())
 	if n > p.cap { // move the bucket to the slab's end, with room to grow
 		clear(ro.ents[p.off : p.off+p.cap])
@@ -220,16 +219,16 @@ func (ctx *Context) CheckColumns() error {
 }
 
 // diffRoster holds a synced roster to one built cold from the fleet: every
-// PM's stamp and cur, its bucket as a set of (VM, shape id) — a cold read
-// interns every demand afresh — and every shape's host order, which the
-// cold build's inserts sort afresh. SelfAudit runs it on every pass. The
-// Running columns follow: the buckets hold the placed VMs, State is read
-// live.
+// PM's ver, active and cur, its bucket as a set of (VM, shape id) — a cold
+// read interns every demand afresh — and every shape's host order, which
+// the cold build's inserts sort afresh. SelfAudit runs it on every pass.
+// The Running columns follow: the buckets hold the placed VMs, State is
+// read live.
 func (ctx *Context) diffRoster() error {
 	ro, cold := ctx.roster, newRoster(ctx)
 	for id, p := range ro.pms {
 		b, want := ro.bucket(int32(id)), cold.bucket(int32(id))
-		if q := cold.pms[id]; p.ver != q.ver || p.rel != q.rel || p.active != q.active || p.cur != q.cur || len(b) != len(want) {
+		if q := cold.pms[id]; p.ver != q.ver || p.active != q.active || p.cur != q.cur || len(b) != len(want) {
 			return fmt.Errorf("core: roster has PM %d at version %d, cur %g, %d VMs; a cold build at %d, %g, %d", id, p.ver, p.cur, len(b), q.ver, q.cur, len(want))
 		}
 		for _, e := range b {

@@ -84,7 +84,7 @@ var rosterHazards = []struct {
 		func(t *testing.T, s *rosterSide) {
 			failed := s.vms[5].Host
 			victims := s.empty(t, failed, cluster.VMQueued)
-			s.ctx.DC.PM(failed).State = cluster.PMFailed
+			s.ctx.DC.PM(failed).SetState(cluster.PMFailed)
 			s.host(t, victims[0], failed, cluster.VMRunning) // same pointer, Host went through NoPM
 		},
 		func(t *testing.T, s *rosterSide) { // the rest of the queue drains a pass later
@@ -106,10 +106,10 @@ var rosterHazards = []struct {
 	{"PM shutdown, boot and failure", []func(*testing.T, *rosterSide){
 		func(t *testing.T, s *rosterSide) {
 			s.empty(t, 2, cluster.VMFinished)
-			s.ctx.DC.PM(2).State = cluster.PMOff
+			s.ctx.DC.PM(2).SetState(cluster.PMOff)
 		},
 		func(t *testing.T, s *rosterSide) {
-			s.ctx.DC.PM(2).State = cluster.PMOn
+			s.ctx.DC.PM(2).SetState(cluster.PMOn)
 			vm := newRosterVM(900, 0.5)
 			s.vms[900] = vm
 			if err := s.ctx.DC.PM(2).Host(vm); err != nil {
@@ -119,7 +119,7 @@ var rosterHazards = []struct {
 		},
 		func(t *testing.T, s *rosterSide) {
 			s.empty(t, 4, cluster.VMFinished)
-			s.ctx.DC.PM(4).State = cluster.PMFailed
+			s.ctx.DC.PM(4).SetState(cluster.PMFailed)
 		},
 	}},
 	{"queued lower ID placed after higher IDs", []func(*testing.T, *rosterSide){

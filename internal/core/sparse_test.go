@@ -47,7 +47,7 @@ func TestSparseConsolidateMatchesDense(t *testing.T) {
 func TestSparseConsolidateZeroCurrentProbability(t *testing.T) {
 	dc := cluster.TableIIFleetScaled(4)
 	for _, pm := range dc.PMs() {
-		pm.State = cluster.PMOn
+		pm.SetState(cluster.PMOn)
 	}
 	vm := cluster.NewVM(1, vector.New(1, 0.5), 36000, 36000, 0)
 	host := dc.PM(0)
@@ -55,7 +55,7 @@ func TestSparseConsolidateZeroCurrentProbability(t *testing.T) {
 		t.Fatal(err)
 	}
 	vm.State = cluster.VMRunning
-	host.Reliability = 0
+	host.SetReliability(0)
 
 	ctx := NewContext(dc).At(100)
 	moves, err := ConsolidateWith(ctx, DefaultFactors(), DefaultParams(), MatrixOptions{CandidateK: 8})
@@ -90,7 +90,7 @@ func TestTwinClassTieBreak(t *testing.T) {
 		Groups: []cluster.Group{{Class: &slowA, Count: 2}, {Class: &slowB, Count: 2}},
 	})
 	for _, pm := range dc.PMs() {
-		pm.State = cluster.PMOn
+		pm.SetState(cluster.PMOn)
 	}
 	ctx := NewContext(dc).At(600)
 	factors := DefaultFactors()

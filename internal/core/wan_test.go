@@ -15,7 +15,7 @@ func wanDC() *cluster.Datacenter {
 		Groups: []cluster.Group{{Class: &fast, Count: 4}},
 	})
 	for _, p := range dc.PMs() {
-		p.State = cluster.PMOn
+		p.SetState(cluster.PMOn)
 	}
 	return dc
 }

@@ -101,8 +101,5 @@ func (i *Injector) SampleTimeToFailure() float64 {
 // handles state transitions and VM re-placement.
 func (i *Injector) Fail(pm *cluster.PM) {
 	pm.Failures++
-	pm.Reliability *= i.cfg.ReliabilityDecay
-	if pm.Reliability < i.cfg.MinReliability {
-		pm.Reliability = i.cfg.MinReliability
-	}
+	pm.SetReliability(max(pm.Reliability()*i.cfg.ReliabilityDecay, i.cfg.MinReliability))
 }

@@ -67,17 +67,17 @@ func TestFailDecaysReliability(t *testing.T) {
 	inj := NewInjector(Config{MTBF: 100, ReliabilityDecay: 0.5, MinReliability: 0.2, Seed: 1})
 	class := cluster.FastClass
 	pm := cluster.NewPM(0, &class)
-	if pm.Reliability != class.Reliability {
-		t.Fatalf("initial reliability = %g", pm.Reliability)
+	if pm.Reliability() != class.Reliability {
+		t.Fatalf("initial reliability = %g", pm.Reliability())
 	}
 	inj.Fail(pm)
-	if pm.Failures != 1 || math.Abs(pm.Reliability-0.495) > 1e-12 {
-		t.Errorf("after 1 failure: count=%d rel=%g", pm.Failures, pm.Reliability)
+	if pm.Failures != 1 || math.Abs(pm.Reliability()-0.495) > 1e-12 {
+		t.Errorf("after 1 failure: count=%d rel=%g", pm.Failures, pm.Reliability())
 	}
 	inj.Fail(pm)
 	inj.Fail(pm)
-	if pm.Reliability != 0.2 {
-		t.Errorf("reliability = %g, want floored at 0.2", pm.Reliability)
+	if pm.Reliability() != 0.2 {
+		t.Errorf("reliability = %g, want floored at 0.2", pm.Reliability())
 	}
 	if pm.Failures != 3 {
 		t.Errorf("failures = %d", pm.Failures)

@@ -17,7 +17,7 @@ func dc(t *testing.T) (*cluster.Datacenter, *core.Context) {
 		Groups: []cluster.Group{{Class: &fast, Count: 3}},
 	})
 	for _, p := range d.PMs() {
-		p.State = cluster.PMOn
+		p.SetState(cluster.PMOn)
 	}
 	filler := cluster.NewVM(100, vector.New(4, 4), 100000, 100000, 0)
 	if err := d.PM(1).Host(filler); err != nil {

@@ -136,7 +136,7 @@ func (t *Threshold) Consolidate(ctx *core.Context) ([]core.Move, error) {
 func (t *Threshold) evacuateUnderloaded(ctx *core.Context, moves []core.Move, budget int) ([]core.Move, int) {
 	var under []*cluster.PM
 	for _, pm := range ctx.DC.PMs() {
-		if pm.State != cluster.PMOn || pm.VMCount() == 0 {
+		if pm.State() != cluster.PMOn || pm.VMCount() == 0 {
 			continue
 		}
 		u := bottleneck(pm.Used, pm.Class.Capacity)
@@ -192,7 +192,7 @@ func (t *Threshold) relieveOverloaded(ctx *core.Context, moves []core.Move, budg
 		if budget <= 0 {
 			break
 		}
-		if src.State != cluster.PMOn {
+		if src.State() != cluster.PMOn {
 			continue
 		}
 		for budget > 0 && bottleneck(src.Used, src.Class.Capacity) > t.Hi {
@@ -229,7 +229,7 @@ func (t *Threshold) target(ctx *core.Context, src *cluster.PM, vm *cluster.VM, p
 	var best *cluster.PM
 	bestU := -1.0
 	for _, pm := range ctx.DC.PMs() {
-		if pm == src || pm.State != cluster.PMOn {
+		if pm == src || pm.State() != cluster.PMOn {
 			continue
 		}
 		extra := vm.Demand.Clone()

@@ -16,7 +16,7 @@ func thresholdDC(t *testing.T, n int) (*cluster.Datacenter, *core.Context) {
 		Groups: []cluster.Group{{Class: &fast, Count: n}},
 	})
 	for _, p := range d.PMs() {
-		p.State = cluster.PMOn
+		p.SetState(cluster.PMOn)
 	}
 	return d, &core.Context{DC: d, Now: 0}
 }

@@ -23,7 +23,7 @@ import (
 // Draw returns the instantaneous power draw of PM p in watts under the
 // linear model.
 func Draw(p *cluster.PM) float64 {
-	switch p.State {
+	switch p.State() {
 	case cluster.PMOff, cluster.PMFailed:
 		return 0
 	case cluster.PMBooting, cluster.PMShuttingDown:
@@ -53,9 +53,9 @@ type Meter struct {
 	perPM []float64
 	total float64
 
-	// draws[i] is PM i's Draw, valid while the PM's (Version, State) equals
-	// the stamp it was computed under: Draw reads only State, Class and
-	// Used, the class never changes, and every write to Used bumps Version.
+	// draws[i] is PM i's Draw, valid while the PM's Version equals the one
+	// it was computed at: Draw reads only State, Class and Used, the class
+	// never changes, and every write to State or Used bumps Version.
 	// Allocated by the first Advance that finds a powered PM.
 	draws []cachedDraw
 
@@ -65,7 +65,6 @@ type Meter struct {
 
 type cachedDraw struct {
 	ver   uint64
-	state cluster.PMState
 	watts float64
 }
 
@@ -115,15 +114,15 @@ func (m *Meter) Advance(now float64) {
 	total, acc := m.total, 0.0
 	charged := false
 	for i, p := range m.dc.PMs() {
-		if p.State == cluster.PMOff || p.State == cluster.PMFailed {
+		if st := p.State(); st == cluster.PMOff || st == cluster.PMFailed {
 			continue
 		}
 		if m.draws == nil {
 			m.draws = make([]cachedDraw, len(m.perPM))
 		}
 		c := &m.draws[i]
-		if c.ver != p.Version() || c.state != p.State {
-			*c = cachedDraw{ver: p.Version(), state: p.State, watts: Draw(p)}
+		if c.ver != p.Version() {
+			*c = cachedDraw{ver: p.Version(), watts: Draw(p)}
 		}
 		e := c.watts * dt
 		if e == 0 {
@@ -166,7 +165,7 @@ func (m *Meter) cut(t0, t1 float64) []binCut {
 	return cuts
 }
 
-// VerifyDraws checks every cached draw whose stamp is still current
+// VerifyDraws checks every cached draw whose Version is still current
 // against Draw, bit for bit. A mismatch means PM.Used changed without a
 // Version bump, which the cache cannot see; the auditor's energy check
 // runs this after every event.
@@ -176,12 +175,12 @@ func (m *Meter) VerifyDraws() error {
 	}
 	for i, p := range m.dc.PMs() {
 		c := m.draws[i]
-		if c.ver != p.Version() || c.state != p.State {
+		if c.ver != p.Version() {
 			continue
 		}
 		if w := Draw(p); math.Float64bits(w) != math.Float64bits(c.watts) {
 			return fmt.Errorf("PM %d cached draw %v W != draw %v W at version %d, state %s (used changed without a version bump)",
-				p.ID, c.watts, w, c.ver, c.state)
+				p.ID, c.watts, w, c.ver, p.State())
 		}
 	}
 	return nil

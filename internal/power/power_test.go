@@ -30,23 +30,23 @@ func TestDrawStates(t *testing.T) {
 	d := smallDC(t)
 	p := d.PM(0) // fast: active 400, idle 240
 
-	p.State = cluster.PMOff
+	p.SetState(cluster.PMOff)
 	if got := Draw(p); got != 0 {
 		t.Errorf("off draw = %g", got)
 	}
-	p.State = cluster.PMFailed
+	p.SetState(cluster.PMFailed)
 	if got := Draw(p); got != 0 {
 		t.Errorf("failed draw = %g", got)
 	}
-	p.State = cluster.PMBooting
+	p.SetState(cluster.PMBooting)
 	if got := Draw(p); got != 400 {
 		t.Errorf("booting draw = %g, want 400", got)
 	}
-	p.State = cluster.PMShuttingDown
+	p.SetState(cluster.PMShuttingDown)
 	if got := Draw(p); got != 400 {
 		t.Errorf("shutdown draw = %g, want 400", got)
 	}
-	p.State = cluster.PMOn
+	p.SetState(cluster.PMOn)
 	if got := Draw(p); got != 240 {
 		t.Errorf("idle-on draw = %g, want 240", got)
 	}
@@ -55,7 +55,7 @@ func TestDrawStates(t *testing.T) {
 func TestDrawLinearInUtilization(t *testing.T) {
 	d := smallDC(t)
 	p := d.PM(0)
-	p.State = cluster.PMOn
+	p.SetState(cluster.PMOn)
 	// Host a VM using half of each resource: u = 0.5*0.5 = 0.25.
 	vm := cluster.NewVM(1, vector.New(4, 4), 100, 100, 0)
 	if err := p.Host(vm); err != nil {
@@ -73,7 +73,7 @@ func TestMeterIntegration(t *testing.T) {
 	p := d.PM(0)
 
 	// Turn on at t=0; the interval [0, 3600) is charged at the on level.
-	p.State = cluster.PMOn
+	p.SetState(cluster.PMOn)
 	m.Advance(3600) // one idle hour at 240 W
 	want := 240.0 * 3600
 	if got := m.TotalEnergy(); math.Abs(got-want) > 1e-6 {
@@ -91,13 +91,13 @@ func TestMeterChargesOldLevel(t *testing.T) {
 	d := smallDC(t)
 	m := NewMeter(d, 3600)
 	p := d.PM(0)
-	p.State = cluster.PMOn
+	p.SetState(cluster.PMOn)
 	m.Advance(0)
 
 	// At t=1800 the PM goes off; the first half hour must be charged at
 	// 240 W, the second at 0.
 	m.Advance(1800)
-	p.State = cluster.PMOff
+	p.SetState(cluster.PMOff)
 	m.Advance(3600)
 
 	want := 240.0 * 1800
@@ -110,7 +110,7 @@ func TestMeterBinning(t *testing.T) {
 	d := smallDC(t)
 	m := NewMeter(d, 3600)
 	p := d.PM(0)
-	p.State = cluster.PMOn
+	p.SetState(cluster.PMOn)
 	m.Advance(0)
 
 	// 2.5 hours at 240 W: bins [864000, 864000, 432000].
@@ -138,7 +138,7 @@ func TestMeterSpanningManyBins(t *testing.T) {
 	d := smallDC(t)
 	m := NewMeter(d, 10)
 	p := d.PM(0)
-	p.State = cluster.PMOn
+	p.SetState(cluster.PMOn)
 	m.Advance(0)
 	m.Advance(100) // 10 bins of 10 s at 240 W
 	bins := m.Bins()
@@ -183,7 +183,7 @@ func TestPMEnergyOutOfRange(t *testing.T) {
 func TestAdvanceSameInstantNoCharge(t *testing.T) {
 	d := smallDC(t)
 	m := NewMeter(d, 3600)
-	d.PM(0).State = cluster.PMOn
+	d.PM(0).SetState(cluster.PMOn)
 	m.Advance(10)
 	m.Advance(10)
 	if got := m.TotalEnergy(); math.Abs(got-2400) > 1e-9 {
@@ -261,10 +261,10 @@ func TestQuickMeterConservation(t *testing.T) {
 			m.Advance(now)
 			// Toggle a PM state each step.
 			p := d.PM(cluster.PMID(i % d.Size()))
-			if p.State == cluster.PMOff {
-				p.State = cluster.PMOn
+			if p.State() == cluster.PMOff {
+				p.SetState(cluster.PMOn)
 			} else {
-				p.State = cluster.PMOff
+				p.SetState(cluster.PMOff)
 			}
 		}
 		m.Advance(now + 10)
@@ -418,7 +418,7 @@ func (p *meterPair) advance(to float64) bool {
 }
 
 func (p *meterPair) state(id int, st cluster.PMState) {
-	p.dc.PM(cluster.PMID(id)).State = st
+	p.dc.PM(cluster.PMID(id)).SetState(st)
 }
 
 // host places a VM of demand (cpu, mem) on PM id when it fits.
@@ -607,11 +607,11 @@ func churnFleet() *cluster.Datacenter {
 		case i%8 >= 3:
 			continue
 		case i%97 == 0:
-			p.State = cluster.PMBooting
+			p.SetState(cluster.PMBooting)
 		case i%89 == 0:
-			p.State = cluster.PMShuttingDown
+			p.SetState(cluster.PMShuttingDown)
 		default:
-			p.State = cluster.PMOn
+			p.SetState(cluster.PMOn)
 			vm := cluster.NewVM(cluster.VMID(i+1), vector.New(1, float64(1+i%3)), 100, 100, 0)
 			if err := p.Host(vm); err != nil {
 				panic(err)
@@ -632,7 +632,7 @@ type churn struct {
 func newChurn(d *cluster.Datacenter) *churn {
 	c := &churn{}
 	for _, p := range d.PMs() {
-		if p.State == cluster.PMOn {
+		if p.State() == cluster.PMOn {
 			c.on = append(c.on, p)
 		}
 	}
@@ -666,10 +666,10 @@ func TestMeterAdvanceAllocFree(t *testing.T) {
 	flip := d.PM(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.step()
-		if flip.State == cluster.PMOn {
-			flip.State = cluster.PMShuttingDown
+		if flip.State() == cluster.PMOn {
+			flip.SetState(cluster.PMShuttingDown)
 		} else {
-			flip.State = cluster.PMOn
+			flip.SetState(cluster.PMOn)
 		}
 		now += 1
 		m.Advance(now)

@@ -83,12 +83,6 @@ type Config struct {
 	// only as the seam bench/ drives; ROADMAP item 2 deletes it.
 	Cells int
 
-	// CheckInvariants validates the full datacenter state after every
-	// event; slow, meant for tests. Predates the audit subsystem and
-	// kept independent of it: audit.Off with CheckInvariants still
-	// works.
-	CheckInvariants bool
-
 	// KernelWorkers is the number of goroutines the placement kernels fan
 	// out on inside a run (core.MatrixOptions.Workers): the candidate
 	// index's sync and first-seen shape pass. Zero keeps the
@@ -446,7 +440,7 @@ func (s *simulator) start() {
 	if s.cfg.WarmStart > 0 {
 		warm := 0
 		s.bootCandidates(func(pm *cluster.PM) bool {
-			pm.State = cluster.PMOn
+			pm.SetState(cluster.PMOn)
 			s.armFailure(pm)
 			warm++
 			return warm < s.cfg.WarmStart
@@ -482,33 +476,25 @@ func (s *simulator) stepOnce() (bool, error) {
 	if !stepped {
 		return false, nil
 	}
-	var simErr error
-	if s.cfg.CheckInvariants {
-		if err := s.dc.CheckInvariants(); err != nil {
-			simErr = fmt.Errorf("sim: invariant violation at t=%g: %w", s.eng.Now(), err)
-		}
+	if s.aud == nil {
+		return true, nil
 	}
-	if simErr == nil && s.aud != nil {
-		var auditErr error
-		if s.tickRan {
-			// A control tick just fired: run the full set,
-			// including the per-period oracle differential.
-			s.tickRan = false
-			auditErr = s.aud.RunPeriod(s.eng.Now())
-		} else if s.cfg.Audit == audit.Event {
-			auditErr = s.aud.RunEvent(s.eng.Now())
-		}
-		if auditErr != nil {
-			simErr = fmt.Errorf("sim: %w", auditErr)
-		}
+	var err error
+	if s.tickRan {
+		// A control tick just fired: run the full set, including the
+		// per-period oracle differential.
+		s.tickRan = false
+		err = s.aud.RunPeriod(s.eng.Now())
+	} else if s.cfg.Audit == audit.Event {
+		err = s.aud.RunEvent(s.eng.Now())
 	}
-	if simErr != nil {
+	if err != nil {
+		err = fmt.Errorf("sim: %w", err)
 		if s.tracing {
-			s.emit("audit_violation", obs.S("error", simErr.Error()))
+			s.emit("audit_violation", obs.S("error", err.Error()))
 		}
-		return true, simErr
 	}
-	return true, nil
+	return true, err
 }
 
 func (s *simulator) finish() (*Result, error) {
@@ -697,7 +683,7 @@ func (s *simulator) ensureBoots() {
 		if n > 0 && pm.Active() {
 			nonIdle++
 		}
-		if pm.State == cluster.PMBooting {
+		if pm.State() == cluster.PMBooting {
 			booting++
 		}
 	}
@@ -738,18 +724,18 @@ func (s *simulator) bootCandidates(fn func(*cluster.PM) bool) {
 		})
 	}
 	for _, pm := range s.bootOrder {
-		if pm.State == cluster.PMOff && !fn(pm) {
+		if pm.State() == cluster.PMOff && !fn(pm) {
 			return
 		}
 	}
 }
 
 func (s *simulator) bootPM(pm *cluster.PM) {
-	if pm.State != cluster.PMOff {
+	if pm.State() != cluster.PMOff {
 		return
 	}
 	s.meter.Advance(s.eng.Now())
-	pm.State = cluster.PMBooting
+	pm.SetState(cluster.PMBooting)
 	ready := s.eng.Now() + pm.Class.OnOffOverhead
 	s.bootReadyAt[pm.ID] = ready
 	s.boots++
@@ -762,17 +748,17 @@ func (s *simulator) bootPM(pm *cluster.PM) {
 
 func (s *simulator) onBootDone(pm *cluster.PM) {
 	s.meter.Advance(s.eng.Now())
-	if pm.State != cluster.PMBooting {
+	if pm.State() != cluster.PMBooting {
 		return // failed mid-boot
 	}
-	pm.State = cluster.PMOn
+	pm.SetState(cluster.PMOn)
 	delete(s.bootReadyAt, pm.ID)
 	s.armFailure(pm)
 	s.drainQueue()
 }
 
 func (s *simulator) shutdownPM(pm *cluster.PM) {
-	if pm.State != cluster.PMOn || pm.VMCount() > 0 {
+	if pm.State() != cluster.PMOn || pm.VMCount() > 0 {
 		return
 	}
 	s.meter.Advance(s.eng.Now())
@@ -780,7 +766,7 @@ func (s *simulator) shutdownPM(pm *cluster.PM) {
 	if s.tracing {
 		s.emit("shutdown", obs.I("pm", int64(pm.ID)))
 	}
-	pm.State = cluster.PMShuttingDown
+	pm.SetState(cluster.PMShuttingDown)
 	s.disarmFailure(pm)
 	s.eng.ScheduleTag(s.eng.Now()+pm.Class.OnOffOverhead, Tag{Kind: evShutdownDone, Arg: int64(pm.ID)},
 		func() { s.onShutdownDone(pm) })
@@ -788,8 +774,8 @@ func (s *simulator) shutdownPM(pm *cluster.PM) {
 
 func (s *simulator) onShutdownDone(pm *cluster.PM) {
 	s.meter.Advance(s.eng.Now())
-	if pm.State == cluster.PMShuttingDown {
-		pm.State = cluster.PMOff
+	if pm.State() == cluster.PMShuttingDown {
+		pm.SetState(cluster.PMOff)
 	}
 }
 
@@ -889,7 +875,7 @@ func (s *simulator) onControlTick() {
 }
 
 func (s *simulator) onFailure(pm *cluster.PM) {
-	if pm.State != cluster.PMOn {
+	if pm.State() != cluster.PMOn {
 		return
 	}
 	now := s.eng.Now()
@@ -900,9 +886,9 @@ func (s *simulator) onFailure(pm *cluster.PM) {
 	s.cFailures.Inc()
 	if s.tracing {
 		s.emit("failure", obs.I("pm", int64(pm.ID)), obs.I("victims", int64(pm.VMCount())),
-			obs.F("reliability", pm.Reliability))
+			obs.F("reliability", pm.Reliability()))
 	}
-	pm.State = cluster.PMFailed
+	pm.SetState(cluster.PMFailed)
 
 	// All hosted VMs are treated as new requests (Section III.C).
 	// Unwind any migration holds touching this PM: holds owned by its
@@ -949,15 +935,15 @@ func (s *simulator) onFailure(pm *cluster.PM) {
 		s.eng.ScheduleTag(now+s.inj.RepairTime(), Tag{Kind: evRepaired, Arg: int64(pm.ID)},
 			func() { s.onRepaired(pm) })
 	} else {
-		pm.State = cluster.PMOff
+		pm.SetState(cluster.PMOff)
 	}
 	s.consolidate()
 }
 
 func (s *simulator) onRepaired(pm *cluster.PM) {
 	s.meter.Advance(s.eng.Now())
-	if pm.State == cluster.PMFailed {
-		pm.State = cluster.PMOff
+	if pm.State() == cluster.PMFailed {
+		pm.SetState(cluster.PMOff)
 	}
 }
 
@@ -1110,7 +1096,7 @@ func (s *simulator) powerManage() {
 		switch {
 		case pm.Idle():
 			idle = append(idle, pm)
-		case pm.State == cluster.PMBooting:
+		case pm.State() == cluster.PMBooting:
 			booting++
 		}
 	}

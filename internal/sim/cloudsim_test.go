@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/cluster"
 	"repro/internal/failure"
 	"repro/internal/policy"
@@ -66,10 +67,10 @@ func TestRunCompletesAllVMs(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := Run(Config{
-			DC:              smallFleet(),
-			Placer:          p,
-			Requests:        reqs(40, 120, 3000),
-			CheckInvariants: true,
+			DC:       smallFleet(),
+			Placer:   p,
+			Requests: reqs(40, 120, 3000),
+			Audit:    audit.Event,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -190,10 +191,10 @@ func TestRunDynamicMigrates(t *testing.T) {
 		})
 	}
 	res, err := Run(Config{
-		DC:              smallFleet(),
-		Placer:          policy.NewDynamic(),
-		Requests:        rs,
-		CheckInvariants: true,
+		DC:       smallFleet(),
+		Placer:   policy.NewDynamic(),
+		Requests: rs,
+		Audit:    audit.Event,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +278,7 @@ func TestRunFailuresRequeueVMs(t *testing.T) {
 			MTBF: 20000, RepairTime: 300,
 			ReliabilityDecay: 0.8, MinReliability: 0.1, Seed: 3,
 		},
-		CheckInvariants: true,
+		Audit: audit.Event,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/failure"
 	"repro/internal/obs"
 	"repro/internal/policy"
@@ -118,7 +119,7 @@ func TestFailureHoldUnwindDeterministic(t *testing.T) {
 			cfg := crashCfg(fragmentingTrace(60), &trace)
 			cfg.Failures.Seed = seed
 			cfg.Failures.MTBF = 5000
-			cfg.CheckInvariants = true
+			cfg.Audit = audit.Event
 			if _, err := Run(cfg); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}

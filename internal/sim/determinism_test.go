@@ -135,7 +135,7 @@ func TestMigratableVMsSorted(t *testing.T) {
 	// the invariant on a hand-scattered datacenter.
 	dc2 := smallFleet()
 	for _, pm := range dc2.PMs() {
-		pm.State = cluster.PMOn
+		pm.SetState(cluster.PMOn)
 	}
 	ids := []int{9, 2, 14, 5, 1, 11}
 	for i, id := range ids {

@@ -100,7 +100,7 @@ func TestStaticFleetEnergyDigest(t *testing.T) {
 func sortedBootCandidates(dc *cluster.Datacenter) []*cluster.PM {
 	var off []*cluster.PM
 	for _, pm := range dc.PMs() {
-		if pm.State == cluster.PMOff {
+		if pm.State() == cluster.PMOff {
 			off = append(off, pm)
 		}
 	}
@@ -141,7 +141,7 @@ func TestBootCandidatesMatchSortPerCall(t *testing.T) {
 	rng := stats.NewStream(5)
 	for round := 0; round < 50; round++ {
 		for _, pm := range dc.PMs() {
-			pm.State = states[rng.Intn(len(states))]
+			pm.SetState(states[rng.Intn(len(states))])
 		}
 		want := sortedBootCandidates(dc)
 		var got []*cluster.PM
@@ -157,7 +157,7 @@ func TestBootCandidatesMatchSortPerCall(t *testing.T) {
 		if k := len(want) / 2; k > 0 {
 			var head []*cluster.PM
 			s.bootCandidates(func(pm *cluster.PM) bool {
-				pm.State = cluster.PMBooting
+				pm.SetState(cluster.PMBooting)
 				head = append(head, pm)
 				return len(head) < k
 			})

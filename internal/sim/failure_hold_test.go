@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/failure"
 	"repro/internal/policy"
 )
@@ -25,7 +26,7 @@ func TestSourceFailureDuringTimedMigration(t *testing.T) {
 				MTBF: 8000, RepairTime: 120,
 				ReliabilityDecay: 0.9, MinReliability: 0.2, Seed: seed,
 			},
-			CheckInvariants: true,
+			Audit: audit.Event,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -59,7 +60,7 @@ func TestTargetFailureDuringTimedMigration(t *testing.T) {
 			MTBF: 5000, RepairTime: 60,
 			ReliabilityDecay: 0.85, MinReliability: 0.3, Seed: 4,
 		},
-		CheckInvariants: true,
+		Audit: audit.Event,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/cluster"
 	"repro/internal/failure"
 	"repro/internal/policy"
@@ -31,7 +32,7 @@ func TestTimedMigrationsComplete(t *testing.T) {
 		Placer:          policy.NewDynamic(),
 		Requests:        fragmentingTrace(60),
 		TimedMigrations: true,
-		CheckInvariants: true,
+		Audit:           audit.Event,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +84,7 @@ func TestTimedMigrationsHoldSourceResources(t *testing.T) {
 		Placer:          policy.NewDynamic(),
 		Requests:        fragmentingTrace(60),
 		TimedMigrations: true,
-		CheckInvariants: true,
+		Audit:           audit.Event,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +110,7 @@ func TestTimedMigrationsWithFailures(t *testing.T) {
 			MTBF: 15000, RepairTime: 200,
 			ReliabilityDecay: 0.9, MinReliability: 0.2, Seed: 9,
 		},
-		CheckInvariants: true,
+		Audit: audit.Event,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -182,8 +182,8 @@ func (s *simulator) captureState() (*simState, error) {
 	for _, pm := range s.dc.PMs() {
 		st.PMs = append(st.PMs, pmState{
 			ID:          pm.ID,
-			State:       int(pm.State),
-			Reliability: pm.Reliability,
+			State:       int(pm.State()),
+			Reliability: pm.Reliability(),
 			Failures:    pm.Failures,
 			Used:        pm.Used.Clone(),
 			Reserved:    pm.Reserved(),
@@ -340,8 +340,8 @@ func (s *simulator) restore(st *simState) error {
 		if pm == nil || int(pm.ID) != i {
 			return fmt.Errorf("sim: snapshot PM record %d has ID %d", i, ps.ID)
 		}
-		pm.State = cluster.PMState(ps.State)
-		pm.Reliability = ps.Reliability
+		pm.SetState(cluster.PMState(ps.State))
+		pm.SetReliability(ps.Reliability)
 		pm.Failures = ps.Failures
 	}
 	for id, ready := range st.BootReadyAt {
@@ -530,7 +530,6 @@ func (s *simulator) snapshotRoundTrip() error {
 	cfg2.DC = s.dc.CloneTopology()
 	cfg2.Obs = nil
 	cfg2.Audit = audit.Off
-	cfg2.CheckInvariants = false
 	m2, err := Restore(cfg2, bytes.NewReader(first))
 	if err != nil {
 		return fmt.Errorf("restore of own snapshot failed: %w", err)

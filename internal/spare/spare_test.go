@@ -20,7 +20,7 @@ func testDC() *cluster.Datacenter {
 func runVM(t *testing.T, dc *cluster.Datacenter, pm cluster.PMID, id cluster.VMID, start, est float64) *cluster.VM {
 	t.Helper()
 	vm := cluster.NewVM(id, vector.New(1, 0.5), est, est, start)
-	dc.PM(pm).State = cluster.PMOn
+	dc.PM(pm).SetState(cluster.PMOn)
 	if err := dc.PM(pm).Host(vm); err != nil {
 		t.Fatal(err)
 	}
