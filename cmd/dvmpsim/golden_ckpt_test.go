@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/snapshot"
 )
 
 // goldenCkptEvent is the event boundary the committed checkpoint fixture
@@ -128,7 +130,7 @@ func TestCheckpointVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Skipf("no golden checkpoint yet: %v", err)
 	}
-	bad := bytes.Replace(raw, []byte(`"version":1`), []byte(`"version":99`), 1)
+	bad := bytes.Replace(raw, []byte(fmt.Sprintf(`"version":%d`, snapshot.Version)), []byte(`"version":99`), 1)
 	if bytes.Equal(bad, raw) {
 		t.Fatal("could not find the version field to corrupt")
 	}

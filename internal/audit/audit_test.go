@@ -156,10 +156,10 @@ func TestEnergyCheckConsistency(t *testing.T) {
 	}
 }
 
-// TestEnergyCheckDetectsUnstampedUsedWrite: the meter caches each PM's draw
-// under its (Version, State) stamp, so a write to PM.Used that skips the
-// Version bump would be charged at the stale draw. The energy check must
-// name the PM.
+// TestEnergyCheckDetectsUnstampedUsedWrite: the meter re-reads a PM's draw
+// only when the datacenter's change feed names it, so a write to PM.Used
+// that skips the Version bump would be charged at the stale draw. The
+// energy check must name the PM.
 func TestEnergyCheckDetectsUnstampedUsedWrite(t *testing.T) {
 	dc, _ := auditFixture(t)
 	m := power.NewMeter(dc, 3600)
@@ -170,8 +170,8 @@ func TestEnergyCheckDetectsUnstampedUsedWrite(t *testing.T) {
 	}
 	dc.PM(2).Used[0] += 2
 	err := check.Fn(100)
-	if err == nil || !strings.Contains(err.Error(), "PM 2 cached draw") {
-		t.Fatalf("unstamped Used write: error = %v, want PM 2's cached draw named", err)
+	if err == nil || !strings.Contains(err.Error(), "PM 2 metered at") {
+		t.Fatalf("unstamped Used write: error = %v, want PM 2's metered draw named", err)
 	}
 }
 

@@ -50,9 +50,10 @@ func relClose(a, b float64) bool {
 
 // EnergyCheck verifies the power meter's ledger: total energy is finite and
 // non-negative, and re-derivable both as the sum of per-PM energies and as
-// the sum of the time-binned series. It also holds the meter's draw cache
-// to power.Draw bit for bit (power.Meter.VerifyDraws), so a write to
-// PM.Used that skips the Version bump fails here, naming the PM.
+// the sum of the time-binned series. It also holds every metered draw the
+// change feed does not name as pending to power.Draw bit for bit
+// (power.Meter.VerifyDraws), so a write to PM.Used or a bump that skips
+// the feed fails here, naming the PM.
 func EnergyCheck(m *power.Meter, dc *cluster.Datacenter) Check {
 	return Check{
 		Name:     "energy",

@@ -22,6 +22,15 @@ type Datacenter struct {
 	// minPerVMPower caches min_j{power_j}, the smallest per-VM active
 	// power across classes, used to normalize eff_j.
 	minPerVMPower float64
+
+	// feeds are the change feeds handed out by Subscribe; every PM bump
+	// appends to each.
+	feeds []*Feed
+
+	// Fleet counters, kept exact by PM.tally on every SetState, Host and
+	// Evict: PMs on or booting, PMs booting, placed VMs, and active PMs
+	// hosting at least one VM. CheckInvariants re-derives them by scan.
+	active, booting, vms, nonIdle int
 }
 
 // Config describes a data center to build: a list of (class, count) groups
@@ -65,12 +74,19 @@ func New(cfg Config) (*Datacenter, error) {
 			return nil, fmt.Errorf("cluster: group %d (%s) has non-positive count %d", gi, g.Class.Name, g.Count)
 		}
 		for i := 0; i < g.Count; i++ {
-			d.pms = append(d.pms, NewPM(id, g.Class))
+			d.adopt(NewPM(id, g.Class))
 			id++
 		}
 	}
 	d.recomputeMinPower()
 	return d, nil
+}
+
+// adopt appends a fresh, off, empty PM to the fleet; it then reports its
+// bumps and counter changes to d.
+func (d *Datacenter) adopt(p *PM) {
+	p.dc = d
+	d.pms = append(d.pms, p)
 }
 
 // MustNew is New that panics on error; convenient for tests and examples
@@ -120,14 +136,14 @@ func (d *Datacenter) Efficiency(p *PM) float64 {
 // CloneTopology returns a new datacenter with the same PM IDs, classes,
 // and derived constants but entirely fresh machine state: every clone PM
 // starts powered off, fully reliable, and empty. PMClass values are shared
-// (they are immutable by convention). The snapshot auditor restores
-// checkpoints into topology clones so a round-trip check never aliases the
-// live fleet.
+// (they are immutable by convention), feeds are not: the clone has none
+// until it is subscribed to. The snapshot auditor restores checkpoints
+// into topology clones so a round-trip check never aliases the live fleet.
 func (d *Datacenter) CloneTopology() *Datacenter {
 	out := &Datacenter{rmin: d.rmin.Clone(), minPerVMPower: d.minPerVMPower}
-	out.pms = make([]*PM, len(d.pms))
-	for i, p := range d.pms {
-		out.pms[i] = NewPM(p.ID, p.Class)
+	out.pms = make([]*PM, 0, len(d.pms))
+	for _, p := range d.pms {
+		out.adopt(NewPM(p.ID, p.Class))
 	}
 	return out
 }
@@ -191,27 +207,15 @@ func (d *Datacenter) CountByState() map[PMState]int {
 	return m
 }
 
-// NonIdleCount returns N_nidle, the number of PMs hosting at least one VM.
-func (d *Datacenter) NonIdleCount() int {
-	n := 0
-	for _, p := range d.pms {
-		if p.Active() && p.VMCount() > 0 {
-			n++
-		}
-	}
-	return n
-}
+// NonIdleCount returns N_nidle, the number of active PMs hosting at least
+// one VM.
+func (d *Datacenter) NonIdleCount() int { return d.nonIdle }
 
 // ActiveCount returns the number of PMs that are on or booting.
-func (d *Datacenter) ActiveCount() int {
-	n := 0
-	for _, p := range d.pms {
-		if p.Active() {
-			n++
-		}
-	}
-	return n
-}
+func (d *Datacenter) ActiveCount() int { return d.active }
+
+// BootingCount returns the number of PMs that are booting.
+func (d *Datacenter) BootingCount() int { return d.booting }
 
 // IdlePMs returns PMs that are on and hosting nothing, candidates for
 // shutdown during consolidation.
@@ -286,13 +290,7 @@ func (d *Datacenter) CountVMs(pred func(*VM) bool) int {
 }
 
 // VMCount returns the total number of placed VMs.
-func (d *Datacenter) VMCount() int {
-	n := 0
-	for _, p := range d.pms {
-		n += p.VMCount()
-	}
-	return n
-}
+func (d *Datacenter) VMCount() int { return d.vms }
 
 // AverageVMsPerPM returns N_Ave(t): running VMs divided by non-idle PMs
 // (Section IV). It returns fallback when no PM is non-idle so the spare
@@ -334,11 +332,23 @@ func (d *Datacenter) VMsByState() map[VMState]int {
 }
 
 // CheckInvariants validates global consistency: every PM's usage equals the
-// sum of its VM demands and stays within capacity, and no VM appears on two
-// PMs. Tests and the simulator's self-check mode call this.
+// sum of its VM demands and stays within capacity, no VM appears on two
+// PMs, and the fleet counters equal a re-count. Tests and the simulator's
+// self-check mode call this.
 func (d *Datacenter) CheckInvariants() error {
 	seen := make(map[VMID]PMID)
+	var active, booting, vms, nonIdle int
 	for _, p := range d.pms {
+		vms += len(p.vms)
+		if p.state == PMBooting {
+			booting++
+		}
+		if p.Active() {
+			active++
+			if len(p.vms) > 0 {
+				nonIdle++
+			}
+		}
 		sum := p.reserved.Clone()
 		if !sum.NonNegative() {
 			return fmt.Errorf("cluster: PM %d has negative reservations %v", p.ID, p.reserved)
@@ -363,6 +373,19 @@ func (d *Datacenter) CheckInvariants() error {
 		}
 		if p.VMCount() > 0 && !p.Active() {
 			return fmt.Errorf("cluster: PM %d hosts %d VMs while %s", p.ID, p.VMCount(), p.state)
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		kept, got int
+	}{
+		{"active PMs", d.active, active},
+		{"booting PMs", d.booting, booting},
+		{"placed VMs", d.vms, vms},
+		{"non-idle PMs", d.nonIdle, nonIdle},
+	} {
+		if c.kept != c.got {
+			return fmt.Errorf("cluster: %s counter %d != %d by scan", c.name, c.kept, c.got)
 		}
 	}
 	return nil

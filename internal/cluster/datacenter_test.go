@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/vector"
 )
 
@@ -282,5 +284,76 @@ func TestFleetsAreIndependent(t *testing.T) {
 	a.PM(0).Class.Reliability = 0.5
 	if b.PM(0).Class.Reliability == 0.5 {
 		t.Error("fleets share class instances")
+	}
+}
+
+// TestFleetCounters drives random power-state, host and evict writes and
+// holds the four fleet counters to a re-count after every one, including a
+// PM failing while it still hosts VMs, as the simulator's failure handler
+// does before evicting them. Then CheckInvariants must name a counter that
+// drifted.
+func TestFleetCounters(t *testing.T) {
+	d := twoClassDC(t)
+	recount := func(step int) {
+		t.Helper()
+		active, booting, vms, nonIdle := 0, 0, 0, 0
+		for _, p := range d.PMs() {
+			vms += p.VMCount()
+			if p.State() == PMBooting {
+				booting++
+			}
+			if p.Active() {
+				active++
+				if p.VMCount() > 0 {
+					nonIdle++
+				}
+			}
+		}
+		if d.ActiveCount() != active || d.BootingCount() != booting || d.VMCount() != vms || d.NonIdleCount() != nonIdle {
+			t.Fatalf("step %d: counters active/booting/vms/non-idle %d/%d/%d/%d, re-count %d/%d/%d/%d", step,
+				d.ActiveCount(), d.BootingCount(), d.VMCount(), d.NonIdleCount(), active, booting, vms, nonIdle)
+		}
+	}
+	states := []PMState{PMOff, PMBooting, PMOn, PMShuttingDown, PMFailed}
+	rng := stats.NewStream(3)
+	next := VMID(0)
+	for step := 0; step < 3000; step++ {
+		pm := d.PM(PMID(rng.Intn(d.Size())))
+		switch rng.Intn(3) {
+		case 0:
+			s := states[rng.Intn(len(states))]
+			if s == PMFailed {
+				pm.SetState(s)
+				recount(step)
+				for _, vm := range pm.VMs() {
+					if err := pm.Evict(vm); err != nil {
+						t.Fatal(err)
+					}
+				}
+			} else if pm.VMCount() == 0 || s == PMOn || s == PMBooting {
+				pm.SetState(s)
+			}
+		case 1:
+			next++
+			if vm := NewVM(next, vector.New(1, 0.5), 10, 10, 0); pm.CanHost(vm.Demand) {
+				if err := pm.Host(vm); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case 2:
+			if vms := pm.VMs(); len(vms) > 0 {
+				if err := pm.Evict(vms[rng.Intn(len(vms))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		recount(step)
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	d.booting++
+	if err := d.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "booting PMs counter") {
+		t.Errorf("drifted booting counter: CheckInvariants = %v, want the counter named", err)
 	}
 }

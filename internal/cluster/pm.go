@@ -146,11 +146,16 @@ type PM struct {
 
 	// ver is the contract: every write to Used, state or reliability
 	// bumps Version (Host, Evict, Reserve, Release, SetState,
-	// SetReliability). Caches keyed on a PM — the candidate index and the
-	// roster in internal/core, the energy meter's draw cache in
-	// internal/power — compare it against a remembered value and nothing
-	// else, so Used must never change without a bump.
+	// SetReliability), all through bump. Caches keyed on a PM — the
+	// candidate index and the roster in internal/core — compare it
+	// against a remembered value and nothing else; the energy meter in
+	// internal/power reads the datacenter's change feed, which bump also
+	// writes. So Used must never change without a bump.
 	ver uint64
+
+	// dc is the datacenter whose counters and feeds this PM reports to;
+	// nil for a free-standing NewPM.
+	dc *Datacenter
 
 	// Failures counts how many times this PM has failed.
 	Failures int
@@ -177,9 +182,42 @@ func (p *PM) State() PMState { return p.state }
 
 // SetState moves the PM to power state s, bumping Version if it changes.
 func (p *PM) SetState(s PMState) {
-	if s != p.state {
-		p.state = s
-		p.ver++
+	if s == p.state {
+		return
+	}
+	p.tally(-1)
+	p.state = s
+	p.tally(1)
+	p.bump()
+}
+
+// bump moves Version and names the PM in each of its datacenter's feeds.
+func (p *PM) bump() {
+	p.ver++
+	if p.dc != nil {
+		for _, f := range p.dc.feeds {
+			f.Add(p.ID)
+		}
+	}
+}
+
+// tally adds (sign 1) or removes (sign -1) the PM's share of its
+// datacenter's fleet counters; the mutators that change what the counters
+// read call it on each side of the write.
+func (p *PM) tally(sign int) {
+	d := p.dc
+	if d == nil {
+		return
+	}
+	d.vms += sign * len(p.vms)
+	if p.state == PMBooting {
+		d.booting += sign
+	}
+	if p.Active() {
+		d.active += sign
+		if len(p.vms) > 0 {
+			d.nonIdle += sign
+		}
 	}
 }
 
@@ -190,7 +228,7 @@ func (p *PM) Reliability() float64 { return p.rel }
 func (p *PM) SetReliability(r float64) {
 	if math.Float64bits(r) != math.Float64bits(p.rel) {
 		p.rel = r
-		p.ver++
+		p.bump()
 	}
 }
 
@@ -221,10 +259,12 @@ func (p *PM) Host(vm *VM) error {
 		return fmt.Errorf("cluster: VM %d (demand %v) does not fit on PM %d (used %v / cap %v, state %s)",
 			vm.ID, vm.Demand, p.ID, p.Used, p.Class.Capacity, p.state)
 	}
+	p.tally(-1)
 	p.Used.AddInPlace(vm.Demand)
-	p.ver++
 	p.vms[vm.ID] = vm
 	vm.Host = p.ID
+	p.tally(1)
+	p.bump()
 	return nil
 }
 
@@ -244,9 +284,11 @@ func (p *PM) Evict(vm *VM) error {
 			p.Used[i] = 0
 		}
 	}
-	p.ver++
+	p.tally(-1)
 	delete(p.vms, vm.ID)
 	vm.Host = NoPM
+	p.tally(1)
+	p.bump()
 	return nil
 }
 
@@ -265,7 +307,7 @@ func (p *PM) Reserve(demand vector.V) error {
 	}
 	p.Used.AddInPlace(demand)
 	p.reserved.AddInPlace(demand)
-	p.ver++
+	p.bump()
 	return nil
 }
 
@@ -286,7 +328,7 @@ func (p *PM) Release(demand vector.V) {
 			p.reserved[i] = 0
 		}
 	}
-	p.ver++
+	p.bump()
 }
 
 // Version returns the PM's mutation counter. It increments on every Host,

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -77,9 +78,16 @@ func TestPMHostEvict(t *testing.T) {
 // TestVersionContract pins the contract in PM.ver's doc comment, which
 // every PM cache in core and power relies on: each write to Used, state or
 // reliability moves Version, a setter that keeps the value does not, and
-// no read does.
+// no read does. On a datacenter's PM every bump is also the change feed's:
+// delivered to each subscriber once per Take, to two subscribers
+// independently, and never to a topology clone's feed.
 func TestVersionContract(t *testing.T) {
-	pm := NewPM(0, testClass())
+	dc := MustNew(Config{RMin: TableIIRMin.Clone(), Groups: []Group{{Class: testClass(), Count: 2}}})
+	pm := dc.PM(1)
+	fa, fb := dc.Subscribe(), dc.Subscribe()
+	clone := dc.CloneTopology()
+	fc := clone.Subscribe()
+	bumps := 0
 	vm := NewVM(1, vector.New(2, 1), 100, 100, 0)
 	hold := vector.New(1, 1)
 	must := func(err error) {
@@ -113,9 +121,38 @@ func TestVersionContract(t *testing.T) {
 		if pm.Version() != after {
 			t.Errorf("after %s: a read moved Version %d -> %d", w.name, after, pm.Version())
 		}
+		if w.moves {
+			bumps++
+		}
+		want := []PMID(nil)
+		if w.moves {
+			want = []PMID{pm.ID}
+		}
+		if got := fa.Take(); !slices.Equal(got, want) {
+			t.Errorf("%s: feed delivered %v, want %v", w.name, got, want)
+		}
+		if got := fa.Take(); len(got) != 0 {
+			t.Errorf("%s: a second Take delivered %v again", w.name, got)
+		}
 	}
 	if pm.State() != PMFailed || pm.Reliability() != 0.5 {
 		t.Errorf("state %s, reliability %g; want failed, 0.5", pm.State(), pm.Reliability())
+	}
+	// fb was never taken: it holds the PM once, however many bumps.
+	if got := fb.Take(); bumps < 2 || !slices.Equal(got, []PMID{pm.ID}) {
+		t.Errorf("untaken subscriber after %d bumps delivered %v, want [%d] once", bumps, got, pm.ID)
+	}
+	if got := fc.Take(); len(got) != 0 {
+		t.Errorf("the clone's feed delivered %v from the original's bumps", got)
+	}
+	clone.PM(0).SetState(PMOn)
+	dc.PM(0).SetState(PMBooting)
+	if got := fc.Take(); !slices.Equal(got, []PMID{0}) {
+		t.Errorf("the clone's feed delivered %v for its own bump, want [0]", got)
+	}
+	if got, want := fa.Take(), []PMID{0}; !slices.Equal(got, want) || !fb.Pending(0) || fb.Pending(1) {
+		t.Errorf("the original's feeds after a clone bump: %v (want %v), fb pending 0/1 = %v/%v",
+			got, want, fb.Pending(0), fb.Pending(1))
 	}
 }
 

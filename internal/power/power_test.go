@@ -3,6 +3,7 @@ package power
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -340,28 +341,80 @@ func (m *refMeter) ensureBin(b int) {
 	}
 }
 
-// sameLedger reports the first difference between m and the reference:
-// the number of bins, any bin, any PM's energy, or the total, compared
-// with ==.
-func sameLedger(m *Meter, ref *refMeter) error {
+// relTol bounds the meter's distance from the reference, per PM, per bin
+// and in total. The meter sums the fleet draw before multiplying by the
+// interval, and charges each PM one product per stretch of constant draw
+// instead of one per advance, so the two round differently.
+const relTol = 1e-11
+
+// sameLedger reports the first difference between m and the reference
+// beyond relTol (a reference 0 must be met exactly), and the largest
+// relative difference it saw. The number of bins must match exactly.
+func sameLedger(m *Meter, ref *refMeter) (float64, error) {
+	worst := 0.0
+	near := func(got, want float64) bool {
+		if got == want {
+			return true
+		}
+		d := math.Abs(got-want) / math.Abs(want)
+		worst = max(worst, d)
+		return d <= relTol
+	}
 	bins := m.Bins()
 	if len(bins) != len(ref.bins) {
-		return fmt.Errorf("%d bins, reference %d", len(bins), len(ref.bins))
+		return worst, fmt.Errorf("%d bins, reference %d", len(bins), len(ref.bins))
 	}
 	for b := range bins {
-		if bins[b] != ref.bins[b] {
-			return fmt.Errorf("bin %d = %v, reference %v", b, bins[b], ref.bins[b])
+		if !near(bins[b], ref.bins[b]) {
+			return worst, fmt.Errorf("bin %d = %v, reference %v", b, bins[b], ref.bins[b])
 		}
 	}
 	for i, e := range ref.perPM {
-		if got := m.PMEnergy(cluster.PMID(i)); got != e {
-			return fmt.Errorf("PM %d energy %v, reference %v", i, got, e)
+		if got := m.PMEnergy(cluster.PMID(i)); !near(got, e) {
+			return worst, fmt.Errorf("PM %d energy %v, reference %v", i, got, e)
 		}
 	}
-	if m.TotalEnergy() != ref.total {
-		return fmt.Errorf("total %v, reference %v", m.TotalEnergy(), ref.total)
+	if !near(m.TotalEnergy(), ref.total) {
+		return worst, fmt.Errorf("total %v, reference %v", m.TotalEnergy(), ref.total)
+	}
+	return worst, nil
+}
+
+// exactParts checks what the meter keeps exactly: no negative energy
+// anywhere, a zero fleet draw whenever no PM draws, and drawing equal to
+// the count of PMs metered above 0 W.
+func exactParts(m *Meter) error {
+	for b, e := range m.bins {
+		if !(e >= 0) {
+			return fmt.Errorf("bin %d energy %v", b, e)
+		}
+	}
+	drawing := 0
+	for i := range m.perPM {
+		if e := m.PMEnergy(cluster.PMID(i)); !(e >= 0) {
+			return fmt.Errorf("PM %d energy %v", i, e)
+		}
+		if m.watts[i] != 0 {
+			drawing++
+		}
+	}
+	if !(m.total >= 0) {
+		return fmt.Errorf("total energy %v", m.total)
+	}
+	if drawing != m.drawing || (drawing == 0 && m.draw != 0) {
+		return fmt.Errorf("drawing %d (watts say %d), fleet draw %v", m.drawing, drawing, m.draw)
 	}
 	return nil
+}
+
+// idSum is the fleet draw re-summed in ID order, the value the meter must
+// hold bit for bit right after each re-sum.
+func idSum(m *Meter) float64 {
+	w := 0.0
+	for _, x := range m.watts {
+		w += x
+	}
+	return w
 }
 
 // mixedDC is three PM classes: Table II's fast and slow, and a class that
@@ -381,7 +434,7 @@ func mixedDC() *cluster.Datacenter {
 }
 
 // meterPair drives a Meter and the reference over one fleet and compares
-// them after every step.
+// them after every step. worst is the largest relative difference seen.
 type meterPair struct {
 	t     *testing.T
 	dc    *cluster.Datacenter
@@ -389,6 +442,7 @@ type meterPair struct {
 	ref   *refMeter
 	now   float64
 	vmSeq cluster.VMID
+	worst float64
 }
 
 func newMeterPair(t *testing.T, binWidth float64) *meterPair {
@@ -398,11 +452,15 @@ func newMeterPair(t *testing.T, binWidth float64) *meterPair {
 
 func (p *meterPair) check(step string) bool {
 	p.t.Helper()
-	if err := sameLedger(p.m, p.ref); err != nil {
-		p.t.Errorf("after %s (t=%g): %v", step, p.now, err)
-		return false
+	worst, err := sameLedger(p.m, p.ref)
+	p.worst = max(p.worst, worst)
+	if err == nil {
+		err = exactParts(p.m)
 	}
-	if err := p.m.VerifyDraws(); err != nil {
+	if err == nil {
+		err = p.m.VerifyDraws()
+	}
+	if err != nil {
 		p.t.Errorf("after %s (t=%g): %v", step, p.now, err)
 		return false
 	}
@@ -411,9 +469,19 @@ func (p *meterPair) check(step string) bool {
 
 func (p *meterPair) advance(to float64) bool {
 	p.t.Helper()
+	from := p.m.lastTime
 	p.now = to
 	p.m.Advance(to)
 	p.ref.Advance(to)
+	// The first charging advance of a bin re-sums the fleet draw.
+	if to > from && p.m.drawing > 0 {
+		if c := p.m.cuts; len(c) > 1 || from == float64(c[0].bin)*p.m.binWidth {
+			if w := idSum(p.m); p.m.draw != w {
+				p.t.Errorf("advance %g -> %g re-summed the fleet draw to %v, ID-order sum %v", from, to, p.m.draw, w)
+				return false
+			}
+		}
+	}
 	return p.check(fmt.Sprintf("advance to %g", to))
 }
 
@@ -477,8 +545,12 @@ func TestMeterMatchesReference(t *testing.T) {
 			p.advance(40)
 		}},
 		{"all-off tail", 100, func(p *meterPair) {
+			// Loads whose draws do not cancel exactly: adding and then
+			// subtracting them leaves the fleet draw 2.8e-14 off 0.
 			p.state(0, cluster.PMOn)
 			p.state(4, cluster.PMOn)
+			p.host(0, 0.9, 0.9)
+			p.host(4, 0.9, 0.35)
 			p.advance(150)
 			p.state(0, cluster.PMOff)
 			p.state(4, cluster.PMOff)
@@ -542,6 +614,7 @@ func TestMeterMatchesReference(t *testing.T) {
 			p := newMeterPair(t, tc.binWidth)
 			p.check("construction")
 			tc.run(p)
+			t.Logf("largest relative difference from the reference: %.3g", p.worst)
 		})
 	}
 }
@@ -552,8 +625,10 @@ func TestMeterMatchesReference(t *testing.T) {
 func TestQuickMeterMatchesReference(t *testing.T) {
 	widths := []float64{3600, 100, 10, 2.5}
 	states := []cluster.PMState{cluster.PMOff, cluster.PMBooting, cluster.PMOn, cluster.PMShuttingDown, cluster.PMFailed}
+	worst := 0.0
 	f := func(width uint8, ops []uint16) bool {
 		p := newMeterPair(t, widths[int(width)%len(widths)])
+		defer func() { worst = max(worst, p.worst) }()
 		n := p.dc.Size()
 		for _, op := range ops {
 			id, arg := int(op>>3)%n, int(op>>6)
@@ -563,7 +638,7 @@ func TestQuickMeterMatchesReference(t *testing.T) {
 					return false
 				}
 			case 1:
-				if !p.advance(p.now + float64(arg)*7.25) {
+				if !p.advance(p.now + float64(arg)*7.3) {
 					return false
 				}
 			case 2:
@@ -571,7 +646,7 @@ func TestQuickMeterMatchesReference(t *testing.T) {
 					return false
 				}
 			case 3:
-				p.host(id, float64(1+arg%3), float64(1+arg%4)*0.5)
+				p.host(id, float64(1+arg%3)*0.9, float64(1+arg%4)*0.35)
 			case 4:
 				p.evict(id)
 			case 5:
@@ -595,13 +670,14 @@ func TestQuickMeterMatchesReference(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+	t.Logf("largest relative difference from the reference: %.3g", worst)
 }
 
 // churnFleet is the shape of a large static run's fleet at a typical
-// instant: 1,000 Table II PMs of which 37.5 % draw power, nearly all on at
+// instant: n Table II PMs of which 37.5 % draw power, nearly all on at
 // assorted utilizations and a few booting or shutting down.
-func churnFleet() *cluster.Datacenter {
-	d := cluster.TableIIFleetScaled(1000)
+func churnFleet(n int) *cluster.Datacenter {
+	d := cluster.TableIIFleetScaled(n)
 	for i, p := range d.PMs() {
 		switch {
 		case i%8 >= 3:
@@ -654,11 +730,10 @@ func (c *churn) step() {
 	}
 }
 
-// TestMeterAdvanceAllocFree: once the draw cache exists, an Advance inside
-// the current bin allocates nothing, with occupancy and power-state churn
-// between calls.
+// TestMeterAdvanceAllocFree: once warm, an Advance inside the current bin
+// allocates nothing, with occupancy and power-state churn between calls.
 func TestMeterAdvanceAllocFree(t *testing.T) {
-	d := churnFleet()
+	d := churnFleet(1000)
 	m := NewMeter(d, 3600)
 	c := newChurn(d)
 	m.Advance(7200.5) // allocates the cache and the first bins
@@ -679,27 +754,33 @@ func TestMeterAdvanceAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkMeterAdvance is one event's Advance on churnFleet: a
-// half-second step with one PM's Version bumped in between, so an hour
-// boundary falls in one call of 7,200.
+// BenchmarkMeterAdvance is one event's Advance on churnFleet at 1k and 10k
+// PMs: a half-second step with one PM's Version bumped in between, so an
+// hour boundary falls in one call of 7,200. The meter pays for the PM that
+// changed, so both sizes should cost about the same.
 func BenchmarkMeterAdvance(b *testing.B) {
-	d := churnFleet()
-	m := NewMeter(d, 3600)
-	c := newChurn(d)
-	now := 0.0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.step()
-		now += 0.5
-		m.Advance(now)
+	for _, n := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
+			d := churnFleet(n)
+			m := NewMeter(d, 3600)
+			c := newChurn(d)
+			now := 0.0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.step()
+				now += 0.5
+				m.Advance(now)
+			}
+		})
 	}
 }
 
 func TestRestoreStateRejectsCorruptEnergy(t *testing.T) {
 	n := smallDC(t).Size()
 	good := func() MeterState {
-		return MeterState{LastTime: 7200, Bins: []float64{5, 6}, PerPM: make([]float64, n), Total: 11}
+		return MeterState{LastTime: 7200, Bins: []float64{5, 6}, PerPM: make([]float64, n), Total: 11,
+			Draw: 420, Watts: []float64{240, 0, 180, 0}, Since: []float64{0, 0, 3600, 7200}}
 	}
 	for _, tc := range []struct {
 		name string
@@ -713,6 +794,16 @@ func TestRestoreStateRejectsCorruptEnergy(t *testing.T) {
 		{"NaN bin", func(s *MeterState) { s.Bins[0] = math.NaN() }, "bins[0]"},
 		{"per-PM count", func(s *MeterState) { s.PerPM = s.PerPM[1:] }, "per-PM accumulators"},
 		{"negative time", func(s *MeterState) { s.LastTime = -1 }, "negative meter time"},
+		{"negative watts", func(s *MeterState) { s.Watts[2] = -180 }, "watts[2]"},
+		{"infinite watts", func(s *MeterState) { s.Watts[0] = math.Inf(1) }, "watts[0]"},
+		{"NaN watts", func(s *MeterState) { s.Watts[1] = math.NaN() }, "watts[1]"},
+		{"watts count", func(s *MeterState) { s.Watts = s.Watts[1:] }, "per-PM watts"},
+		{"negative since", func(s *MeterState) { s.Since[3] = -1 }, "since[3]"},
+		{"NaN since", func(s *MeterState) { s.Since[0] = math.NaN() }, "since[0]"},
+		{"since after the meter time", func(s *MeterState) { s.Since[1] = 7201 }, "since[1]"},
+		{"since count", func(s *MeterState) { s.Since = append(s.Since, 0) }, "per-PM since times"},
+		{"infinite fleet draw", func(s *MeterState) { s.Draw = math.Inf(-1) }, "fleet draw -Inf"},
+		{"fleet draw with no PM drawing", func(s *MeterState) { s.Watts = make([]float64, n) }, "fleet draw 420"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := good()
@@ -725,5 +816,91 @@ func TestRestoreStateRejectsCorruptEnergy(t *testing.T) {
 	}
 	if err := NewMeter(smallDC(t), 3600).RestoreState(good()); err != nil {
 		t.Errorf("valid state rejected: %v", err)
+	}
+}
+
+// TestMeterResumeWithPendingChanges saves a meter while its feed holds
+// changes it has not charged — one PM changed twice at the save's instant,
+// once on each side of the save, another back to its old draw — restores
+// it over a copy of the fleet, and drives both fleets on. The resumed meter
+// must match a meter that never saved bit for bit: per PM, per bin, in
+// total, and in everything it would save next.
+func TestMeterResumeWithPendingChanges(t *testing.T) {
+	// Non-dyadic times and loads, so that charging the pending changes
+	// early, in a batch of their own, would change bits.
+	const bw, t1, t2, t3 = 100, 130.3, 187.9, 421.7
+	vm := func(id cluster.VMID, cpu, mem float64) *cluster.VM {
+		return cluster.NewVM(id, vector.New(cpu, mem), 100, 100, 0)
+	}
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := func(dc *cluster.Datacenter) {
+		dc.PM(0).SetState(cluster.PMOn)
+		dc.PM(4).SetState(cluster.PMOn)
+		dc.PM(6).SetState(cluster.PMOn)
+		must(dc.PM(0).Host(vm(1, 1.1, 0.9)))
+		must(dc.PM(4).Host(vm(2, 0.9, 0.35)))
+		must(dc.PM(6).Host(vm(3, 1, 0.5)))
+	}
+	// At t1, before the save: PM 4 starts shutting down, PM 0 gains a VM
+	// (the feed holds them out of ID order) and PM 6 loses its VM and
+	// gains an identical one (its draw is back where it was).
+	atSave := func(dc *cluster.Datacenter) {
+		dc.PM(4).SetState(cluster.PMShuttingDown)
+		must(dc.PM(0).Host(vm(4, 0.7, 1.3)))
+		must(dc.PM(6).Evict(dc.PM(6).VM(3)))
+		must(dc.PM(6).Host(vm(5, 1, 0.5)))
+	}
+	// Still at t1, after the save: PM 0 changes again.
+	afterSave := func(dc *cluster.Datacenter) {
+		must(dc.PM(0).Host(vm(6, 0.3, 0.6)))
+	}
+	later := func(dc *cluster.Datacenter) {
+		dc.PM(4).SetState(cluster.PMOff)
+		must(dc.PM(0).Evict(dc.PM(0).VM(1)))
+	}
+
+	// The run that never saves.
+	dcA := mixedDC()
+	a := NewMeter(dcA, bw)
+	before(dcA)
+	a.Advance(t1)
+	atSave(dcA)
+	afterSave(dcA)
+	a.Advance(t2)
+	later(dcA)
+	a.Advance(t3)
+
+	// The run that saves at t1 and resumes over a fresh copy of its fleet.
+	dcB := mixedDC()
+	b := NewMeter(dcB, bw)
+	before(dcB)
+	b.Advance(t1)
+	atSave(dcB)
+	saved := b.State()
+	dcR := mixedDC()
+	before(dcR)
+	atSave(dcR)
+	r := NewMeter(dcR, bw)
+	must(r.RestoreState(saved))
+	must(r.VerifyDraws())
+	afterSave(dcR)
+	r.Advance(t2)
+	later(dcR)
+	r.Advance(t3)
+
+	for i := 0; i < dcA.Size(); i++ {
+		if ea, er := a.PMEnergy(cluster.PMID(i)), r.PMEnergy(cluster.PMID(i)); ea != er {
+			t.Errorf("PM %d: resumed %v J, uninterrupted %v J", i, er, ea)
+		}
+	}
+	if !slices.Equal(a.Bins(), r.Bins()) || a.TotalEnergy() != r.TotalEnergy() {
+		t.Errorf("resumed bins %v total %v, uninterrupted %v total %v", r.Bins(), r.TotalEnergy(), a.Bins(), a.TotalEnergy())
+	}
+	if sa, sr := fmt.Sprintf("%+v", a.State()), fmt.Sprintf("%+v", r.State()); sa != sr {
+		t.Errorf("resumed state\n%s\nuninterrupted\n%s", sr, sa)
 	}
 }

@@ -674,23 +674,8 @@ func (s *simulator) ensureBoots() {
 	if len(s.queue) == 0 {
 		return
 	}
-	// One fleet pass for N_Ave (Datacenter.AverageVMsPerPM with fallback 1)
-	// and the boots already in flight.
-	vms, nonIdle, booting := 0, 0, 0
-	for _, pm := range s.dc.PMs() {
-		n := pm.VMCount()
-		vms += n
-		if n > 0 && pm.Active() {
-			nonIdle++
-		}
-		if pm.State() == cluster.PMBooting {
-			booting++
-		}
-	}
-	nAve := 1.0
-	if nonIdle > 0 {
-		nAve = float64(vms) / float64(nonIdle)
-	}
+	nAve := s.dc.AverageVMsPerPM(1)
+	booting := s.dc.BootingCount()
 	needed := int(math.Ceil(float64(len(s.queue)) / math.Max(nAve, 1)))
 	if booting >= needed {
 		return

@@ -287,9 +287,6 @@ func Restore(cfg Config, r io.Reader) (*Sim, error) {
 
 func (s *simulator) restore(st *simState) error {
 	s.initRun()
-	if err := s.meter.RestoreState(st.Meter); err != nil {
-		return fmt.Errorf("sim: restore meter: %w", err)
-	}
 	if s.ctrl != nil {
 		if st.Spare == nil {
 			return fmt.Errorf("sim: config has a spare controller but snapshot carries no spare state")
@@ -387,6 +384,11 @@ func (s *simulator) restore(st *simState) error {
 			return fmt.Errorf("sim: PM %d accounting drift after restore: used %v/%v reserved %v/%v",
 				ps.ID, pm.Used, ps.Used, pm.Reserved(), ps.Reserved)
 		}
+	}
+	// The meter goes after the fleet: it re-derives the changes it had not
+	// charged yet by comparing its saved draws with the restored PMs.
+	if err := s.meter.RestoreState(st.Meter); err != nil {
+		return fmt.Errorf("sim: restore meter: %w", err)
 	}
 	for _, id := range st.Queue {
 		vm := vmByID[id]

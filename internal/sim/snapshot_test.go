@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"regexp"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/obs"
 	"repro/internal/policy"
+	"repro/internal/power"
 	"repro/internal/snapshot"
 	"repro/internal/spare"
 	"repro/internal/workload"
@@ -296,8 +298,9 @@ func TestSnapshotMetaMismatch(t *testing.T) {
 	}
 }
 
-// TestSnapshotVersionMismatch: a checkpoint from a future (or corrupted)
-// format version is rejected at the envelope layer.
+// TestSnapshotVersionMismatch: a checkpoint from a future, corrupted or
+// past format version — version 1 carried no lazy meter state — is
+// rejected at the envelope layer, naming its version.
 func TestSnapshotVersionMismatch(t *testing.T) {
 	m, err := New(snapCfg(mixedLoad(), policy.NewDynamic(), nil))
 	if err != nil {
@@ -312,16 +315,19 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	if err := m.Save(&ckpt); err != nil {
 		t.Fatal(err)
 	}
-	bad := bytes.Replace(ckpt.Bytes(),
-		[]byte(`"version":1`), []byte(`"version":99`), 1)
-	if bytes.Equal(bad, ckpt.Bytes()) {
-		t.Fatal("test did not find the version field to corrupt")
-	}
-	if _, err := Restore(snapCfg(mixedLoad(), policy.NewDynamic(), nil), bytes.NewReader(bad)); err == nil {
-		t.Fatal("restore accepted an unknown format version")
-	}
-	if _, err := snapshot.Read(bytes.NewReader(bad)); err == nil {
-		t.Fatal("snapshot.Read accepted an unknown format version")
+	for _, v := range []int{99, 1} {
+		bad := bytes.Replace(ckpt.Bytes(),
+			[]byte(fmt.Sprintf(`"version":%d`, snapshot.Version)), []byte(fmt.Sprintf(`"version":%d`, v)), 1)
+		if bytes.Equal(bad, ckpt.Bytes()) {
+			t.Fatal("test did not find the version field to corrupt")
+		}
+		want := fmt.Sprintf("format version %d not supported", v)
+		if _, err := Restore(snapCfg(mixedLoad(), policy.NewDynamic(), nil), bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("restore of a version-%d checkpoint: error = %v, want %q", v, err, want)
+		}
+		if _, err := snapshot.Read(bytes.NewReader(bad)); err == nil {
+			t.Fatalf("snapshot.Read accepted format version %d", v)
+		}
 	}
 }
 
@@ -386,4 +392,78 @@ func TestSnapshotSaveDeterministic(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("two saves of the same state differ")
 	}
+}
+
+// TestSnapshotResumeWithPendingMeterChange checkpoints a run mid-bin at the
+// first boundary where the energy meter holds a change it has not charged
+// yet — a PM whose draw moved during the last event — and requires the
+// resumed run to reproduce the uninterrupted one bit for bit, every PM's
+// energy included. Save must not charge the pending change: charging it
+// early splits the meter's work differently from the run that never saved.
+func TestSnapshotResumeWithPendingMeterChange(t *testing.T) {
+	static := func() Config {
+		cfg := staticFleetConfig(t, "first-fit", 3)
+		cfg.Requests = cfg.Requests[:1500]
+		return cfg
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"dynamic with spares, failures and timed migrations", func() Config {
+			return snapCfg(mixedLoad(), policy.NewDynamic(), nil)
+		}},
+		{"first-fit on 1,000 PMs", static},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resA, err := Run(tc.cfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := New(tc.cfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for !meterHasPendingChange(m, 200) {
+				if ok, err := m.Step(); err != nil || !ok {
+					t.Fatalf("step %d: ok=%v err=%v; no pending meter change mid-bin", m.Dispatched(), ok, err)
+				}
+			}
+			t.Logf("saved at event %d, t=%g", m.Dispatched(), m.s.eng.Now())
+			var ckpt bytes.Buffer
+			if err := m.Save(&ckpt); err != nil {
+				t.Fatal(err)
+			}
+			m2, err := Restore(tc.cfg(), bytes.NewReader(ckpt.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resB := runToEnd(t, m2)
+			assertSameOutcome(t, resA, resB)
+			for id, e := range resA.PMEnergyKWh {
+				if resB.PMEnergyKWh[id] != e {
+					t.Fatalf("saved at event %d: PM %d energy %v kWh, uninterrupted %v", m.Dispatched(), id, resB.PMEnergyKWh[id], e)
+				}
+			}
+		})
+	}
+}
+
+// meterHasPendingChange reports whether, after at least min events, the
+// run sits between two hour marks with some PM drawing other than what its
+// meter charges: a change the next advance will pick up.
+func meterHasPendingChange(m *Sim, min uint64) bool {
+	if m.Dispatched() < min {
+		return false
+	}
+	st := m.s.meter.State()
+	if math.Mod(st.LastTime, m.s.cfg.MeterBin) == 0 {
+		return false
+	}
+	for i, pm := range m.s.dc.PMs() {
+		if power.Draw(pm) != st.Watts[i] {
+			return true
+		}
+	}
+	return false
 }

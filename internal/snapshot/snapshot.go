@@ -29,8 +29,10 @@ const Magic = "dvmps-checkpoint"
 
 // Version is the current checkpoint format version. Bump it whenever the
 // envelope or the sim state schema changes shape or meaning; the loader
-// rejects any other version.
-const Version = 1
+// rejects any other version. Version 2 added the energy meter's fleet
+// draw and per-PM draws and since-times; a version-1 meter cannot be
+// resumed bit-exactly.
+const Version = 2
 
 // Meta is the compatibility fingerprint of the run configuration. A
 // checkpoint may only be restored under a configuration whose Meta is

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -43,18 +44,30 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
+	envelope := func(version int, rest string) string {
+		return fmt.Sprintf(`{"magic":%q,"version":%d,"meta":{}%s}`, Magic, version, rest)
+	}
 	cases := map[string]string{
 		"not json":      "hello world",
 		"wrong magic":   `{"magic":"something-else","version":1,"meta":{},"state":{}}`,
-		"zero version":  `{"magic":"` + Magic + `","version":0,"meta":{},"state":{}}`,
-		"old version":   `{"magic":"` + Magic + `","version":-3,"meta":{},"state":{}}`,
-		"future":        `{"magic":"` + Magic + `","version":2,"meta":{},"state":{}}`,
-		"missing state": `{"magic":"` + Magic + `","version":1,"meta":{}}`,
+		"zero version":  envelope(0, `,"state":{}`),
+		"old version":   envelope(-3, `,"state":{}`),
+		"future":        envelope(Version+1, `,"state":{}`),
+		"missing state": envelope(Version, ""),
 	}
 	for name, in := range cases {
 		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: Read accepted %q", name, in)
 		}
+	}
+}
+
+// TestReadRejectsVersion1: a checkpoint written before the energy meter's
+// lazy state joined the envelope is refused, naming its version.
+func TestReadRejectsVersion1(t *testing.T) {
+	_, err := Read(strings.NewReader(fmt.Sprintf(`{"magic":%q,"version":1,"meta":{},"state":{}}`, Magic)))
+	if err == nil || !strings.Contains(err.Error(), "format version 1 not supported") {
+		t.Fatalf("version-1 envelope: error = %v, want it to name version 1", err)
 	}
 }
 
