@@ -1,0 +1,70 @@
+package main
+
+import (
+	"bytes"
+	"hash/fnv"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/obs"
+)
+
+// TestDecisionLogDigest pins the decision stream the way TestGoldenTrace
+// pins the run trace, but by digest: the canonical decision logs of the
+// seed-1 week on the 100-PM fleet (~2.8 MB) and of the golden-trace fixture
+// are too big to check in, so each is held to the FNV-64a of its canonical
+// form. The week's run trace is pinned alongside. A changed digest means a
+// changed record, field or encoding; review it, then bless the new value.
+func TestDecisionLogDigest(t *testing.T) {
+	dir := t.TempDir()
+	rows := []struct {
+		name            string
+		args            []string
+		decisions, runs uint64 // 0: not pinned
+	}{
+		{"week-seed1-100pm", []string{"-scheme", "dynamic", "-spare", "-seed", "1"}, 0x5df90f12c64ba494, 0xb34471451c5e32b},
+		{"golden-fixture", traceArgs(filepath.Join(dir, "golden.jsonl")), 0x549ac341be4d3dd, 0},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			dec := filepath.Join(dir, row.name+".dec.jsonl")
+			args := append(append([]string{}, row.args...), "-decisions", dec)
+			runTrace := ""
+			if row.runs != 0 {
+				runTrace = filepath.Join(dir, row.name+".run.jsonl")
+				args = append(args, "-trace", runTrace)
+			}
+			var sb strings.Builder
+			if err := run(args, &sb); err != nil {
+				t.Fatal(err)
+			}
+			if got := canonicalDigest(t, dec); got != row.decisions {
+				t.Errorf("decision log digest %#x, want %#x", got, row.decisions)
+			}
+			if runTrace != "" {
+				if got := canonicalDigest(t, runTrace); got != row.runs {
+					t.Errorf("run trace digest %#x, want %#x", got, row.runs)
+				}
+			}
+		})
+	}
+}
+
+// canonicalDigest is the FNV-64a of the file at path after obs.Canonicalize.
+func canonicalDigest(t *testing.T, path string) uint64 {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) == 0 {
+		t.Fatalf("%s is empty", path)
+	}
+	h := fnv.New64a()
+	if err := obs.Canonicalize(bytes.NewReader(raw), h); err != nil {
+		t.Fatal(err)
+	}
+	return h.Sum64()
+}
