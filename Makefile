@@ -39,12 +39,15 @@ audit:
 ## fuzz-smoke: short randomized fuzz budgets — the audit harness's
 ## randomized-operations differential (internal/audit.FuzzOperations),
 ## the crash-injection resume differential (internal/sim.FuzzSnapshotResume),
-## and the multi-cell crash-and-reshard differential
-## (internal/sim.FuzzCellOrchestrator). FUZZTIME=10s by default (each).
+## the multi-cell crash-and-reshard differential
+## (internal/sim.FuzzCellOrchestrator), and the decision-log reader against
+## the recorder's encoders (internal/policy.FuzzParseDecisionLog).
+## FUZZTIME=10s by default (each).
 fuzz-smoke:
 	$(GO) test ./internal/audit -run '^$$' -fuzz FuzzOperations -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzSnapshotResume -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzCellOrchestrator -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/policy -run '^$$' -fuzz FuzzParseDecisionLog -fuzztime $(FUZZTIME)
 
 ## bench-smoke: run every Kernel*, Engine*, Meter* and Sweep
 ## micro-benchmark exactly once. Not a measurement — a liveness gate:

@@ -111,7 +111,7 @@ func (ctx *Context) sweep(x *candIndex, threshold float64) (declined bool) {
 		}
 	}
 	ctx.swept = out
-	ctx.Obs.Add("core.bound_cells", int64(cells))
+	ctx.metrics().boundCells.Add(int64(cells))
 	return declined
 }
 
@@ -159,7 +159,7 @@ func (ctx *Context) choose(x *candIndex) (best choice, scans int) {
 // the bounds alone.
 func (ctx *Context) consolidateLazy(factors []Factor, params Params, opts MatrixOptions) (moves []Move, err error) {
 	x := ctx.candidatesWith(opts.Workers)
-	phase := ctx.Obs.Phase("prove_empty")
+	phase := ctx.metrics().prove.Span()
 	start := phase.Begin()
 	declined := ctx.sweep(x, params.MIGThreshold)
 	phase.End(start)
@@ -167,16 +167,16 @@ func (ctx *Context) consolidateLazy(factors []Factor, params Params, opts Matrix
 		x.countOverflow(ctx.roster, opts.CandidateK)
 	}
 	if declined {
-		ctx.Obs.Add("core.bound_declined", 1)
+		ctx.metrics().declined.Add(1)
 	}
 	if len(ctx.swept) > 0 || opts.SelfAudit {
-		phase = ctx.Obs.Phase("algo1_rounds")
+		phase = ctx.metrics().rounds.Span()
 		start = phase.Begin()
 		moves, err = ctx.lazyRounds(x, factors, params, opts)
 		phase.End(start)
 	}
 	if len(moves) == 0 && err == nil {
-		ctx.Obs.Add("core.passes_proven_empty", 1)
+		ctx.metrics().provenEmpty.Add(1)
 	}
 	return moves, err
 }
@@ -217,7 +217,7 @@ func (ctx *Context) lazyRounds(x *candIndex, factors []Factor, params Params, op
 		ctx.sweep(x, params.MIGThreshold)
 	}
 	if scans > 0 {
-		ctx.Obs.Add("core.exact_column_scans", int64(scans))
+		ctx.metrics().scans.Add(int64(scans))
 	}
 	return moves, err
 }
@@ -225,7 +225,7 @@ func (ctx *Context) lazyRounds(x *candIndex, factors []Factor, params Params, op
 // auditRound holds one round to a cold dense Matrix built over
 // MigratableVMs (checkRound).
 func (ctx *Context) auditRound(factors []Factor, ch choice, threshold float64) error {
-	phase := ctx.Obs.Phase("kernel_build")
+	phase := ctx.metrics().build.Span()
 	start := phase.Begin()
 	ref, err := NewMatrix(ctx, factors, MigratableVMs(ctx.DC))
 	phase.End(start)

@@ -54,16 +54,16 @@ func (ctx *Context) syncRoster() *roster {
 	if ro == nil {
 		ro = newRoster(ctx)
 		ctx.roster = ro
-		ctx.Obs.Add("core.roster_cold_builds", 1)
+		ctx.metrics().coldBuilds.Add(1)
 	}
 	ro.offline = false
 	for id, pm := range pms {
 		p := &ro.pms[id]
 		if p.ver != pm.Version() {
 			inserts, drops := ro.reread(ctx, pm)
-			ctx.Obs.Add("core.roster_resynced_pms", 1)
-			ctx.Obs.Add("core.roster_inserts", int64(inserts))
-			ctx.Obs.Add("core.roster_drops", int64(drops))
+			ctx.metrics().resynced.Add(1)
+			ctx.metrics().inserts.Add(int64(inserts))
+			ctx.metrics().drops.Add(int64(drops))
 		}
 		ro.offline = ro.offline || (!p.active && p.n > 0)
 	}

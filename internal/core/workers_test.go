@@ -80,8 +80,8 @@ func TestKernelWorkersSparseEquivalence(t *testing.T) {
 				}
 				for c := 0; c < len(vmsS); c += 13 {
 					vs, vp := vmsS[c], vmsP[c]
-					a := xs.shortlist(nil, xs.shape(ctxS.shapeID(vs.Demand)), int32(vs.Host), ctxS.appendVirs(nil, vs), 8)
-					b := xp.shortlist(nil, xp.shape(ctxP.shapeID(vp.Demand)), int32(vp.Host), ctxP.appendVirs(nil, vp), 8)
+					a := xs.shortlist(xs.shape(ctxS.shapeID(vs.Demand)), int32(vs.Host), ctxS.appendVirs(nil, vs), 8)
+					b := xp.shortlist(xp.shape(ctxP.shapeID(vp.Demand)), int32(vp.Host), ctxP.appendVirs(nil, vp), 8)
 					if len(a) != len(b) {
 						t.Fatalf("%s: VM %d shortlist lengths %d vs %d", stage, vs.ID, len(a), len(b))
 					}

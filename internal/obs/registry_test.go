@@ -197,3 +197,30 @@ func TestSpanAccumulates(t *testing.T) {
 		t.Errorf("total ns negative: %d", s.TotalNS())
 	}
 }
+
+// TestRefsResolveOnFirstUse: a CounterRef or SpanRef names a metric
+// without creating it — a metrics dump must list exactly what was counted
+// or timed — and once used it is the registry's own metric. On a nil
+// Observer both are inert.
+func TestRefsResolveOnFirstUse(t *testing.T) {
+	o := New()
+	c, s := o.CounterRef("c"), o.SpanRef("s")
+	if snap := o.Reg.snapshot(); len(snap.Counters) != 0 || len(snap.Phases) != 0 {
+		t.Fatalf("unused refs created metrics: %+v", snap)
+	}
+	c.Add(2)
+	c.Add(3)
+	s.Span().End(s.Span().Begin())
+	if got := o.Reg.Counter("c").Value(); got != 5 {
+		t.Errorf("counter = %d, want 5", got)
+	}
+	if o.Phase("s") != s.Span() || s.Span().Calls() != 1 {
+		t.Error("span ref is not the registry's span")
+	}
+	var none *Observer
+	nc, ns := none.CounterRef("c"), none.SpanRef("s")
+	nc.Add(1)
+	if ns.Span() != nil {
+		t.Error("nil observer's span ref handed out a live span")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"sync"
@@ -63,6 +64,13 @@ type Tracer struct {
 	seq  uint64
 	err  error
 	wall func() int64 // injectable for tests
+
+	// tBits and tText memoize the last line's formatted "t": most lines
+	// repeat their predecessor's time. The key is the float's bits, not
+	// its value, because -0 and +0 compare equal but format differently;
+	// an empty tText means nothing is memoized yet.
+	tBits uint64
+	tText []byte
 }
 
 // NewTracer returns a tracer writing to w. The line buffer is
@@ -89,12 +97,18 @@ func (tr *Tracer) Emit(t float64, event string, fields ...KV) {
 	b = append(b, `,"seq":`...)
 	b = strconv.AppendUint(b, tr.seq, 10)
 	b = append(b, `,"t":`...)
-	b = appendFloat(b, t)
+	if bits := math.Float64bits(t); bits != tr.tBits || len(tr.tText) == 0 {
+		n := len(b)
+		b = appendFloat(b, t)
+		tr.tBits, tr.tText = bits, append(tr.tText[:0], b[n:]...)
+	} else {
+		b = append(b, tr.tText...)
+	}
 	b = append(b, `,"event":`...)
-	b = strconv.AppendQuote(b, event)
+	b = appendQuote(b, event)
 	for _, kv := range fields {
 		b = append(b, ',')
-		b = strconv.AppendQuote(b, kv.K)
+		b = appendQuote(b, kv.K)
 		b = append(b, ':')
 		switch kv.kind {
 		case 'i':
@@ -102,7 +116,7 @@ func (tr *Tracer) Emit(t float64, event string, fields ...KV) {
 		case 'f':
 			b = appendFloat(b, kv.f)
 		case 's':
-			b = strconv.AppendQuote(b, kv.s)
+			b = appendQuote(b, kv.s)
 		case 'b':
 			if kv.i != 0 {
 				b = append(b, "true"...)
@@ -198,12 +212,29 @@ func (t *TraceFile) Close() error {
 
 // appendFloat formats a float as shortest-round-trip JSON. NaN and
 // infinities (never produced by a healthy run) are quoted so the line
-// stays valid JSON.
+// stays valid JSON; their forms ("NaN", "+Inf", "-Inf") need no escaping.
 func appendFloat(b []byte, v float64) []byte {
-	if v != v || v > 1.7976931348623157e308 || v < -1.7976931348623157e308 {
-		return strconv.AppendQuote(b, strconv.FormatFloat(v, 'g', -1, 64))
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		b = append(b, '"')
+		b = strconv.AppendFloat(b, v, 'g', -1, 64)
+		return append(b, '"')
 	}
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
+}
+
+// appendQuote is strconv.AppendQuote with a fast path for what trace keys,
+// event names and most values are: printable ASCII with no '"' and no '\',
+// which strconv would copy between quotes unchanged. Any other string goes
+// to strconv, so the bytes are strconv's either way.
+func appendQuote(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, s)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // CanonicalLine strips the wall-clock field from one trace line, returning

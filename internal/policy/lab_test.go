@@ -312,7 +312,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{PM: ctx.DC.PM(0), Probability: 1.25},
 		{PM: ctx.DC.PM(2), Probability: math.Inf(1)},
 	}
-	s := encodeAlts(alts)
+	s := string(appendAlts(nil, alts))
 	back, err := parseAlts(s)
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +325,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{VM: 7, From: 1, To: 2, Gain: math.Inf(1), Round: 1},
 		{VM: 9, From: 0, To: 1, Gain: 1.0625, Round: 2},
 	}
-	ms := encodeMoves(moves, [][]core.Placement{alts, nil})
+	ms := string(appendMoves(nil, moves, [][]core.Placement{alts, nil}))
 	mback, err := parseMoves(ms)
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/vector"
 )
@@ -351,6 +352,29 @@ type Dynamic struct {
 
 	// label overrides Name for ablation variants.
 	label string
+
+	// met is Place's two counters, resolved against the Observer of the
+	// Context they were made for (metrics).
+	met *dynMetrics
+}
+
+// dynMetrics is Dynamic's metric handles for one Observer.
+type dynMetrics struct {
+	obs             *obs.Observer
+	place, fallback obs.CounterRef
+}
+
+// metrics returns d's metric handles for o, made afresh whenever o is not
+// the Observer they were made for.
+func (d *Dynamic) metrics(o *obs.Observer) *dynMetrics {
+	if d.met == nil || d.met.obs != o {
+		d.met = &dynMetrics{
+			obs:      o,
+			place:    o.CounterRef("policy.dynamic_place"),
+			fallback: o.CounterRef("policy.dynamic_place_fallback"),
+		}
+	}
+	return d.met
 }
 
 // NewDynamic returns the scheme with the paper's default factors and
@@ -393,13 +417,13 @@ func (d *Dynamic) FactorSet() []core.Factor { return d.factors() }
 // probability", leaves the all-zero column undefined.)
 func (d *Dynamic) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	if pm := core.BestPlacementWith(ctx, d.factors(), vm, d.Opts); pm != nil {
-		ctx.Obs.Add("policy.dynamic_place", 1)
+		d.metrics(ctx.Obs).place.Add(1)
 		return pm
 	}
 	// The all-zero-column fallback is a scheme blind spot worth watching
 	// in production traces, so it gets its own counter.
 	if pm := (BestFit{}).Place(ctx, vm); pm != nil {
-		ctx.Obs.Add("policy.dynamic_place_fallback", 1)
+		d.metrics(ctx.Obs).fallback.Add(1)
 		return pm
 	}
 	return nil

@@ -2,7 +2,6 @@ package policy
 
 import (
 	"strconv"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -31,6 +30,17 @@ type Recorder struct {
 	// invocations; both key their records so Replay can line resumed
 	// logs up exactly. Checkpointed via RecorderState.
 	call, tick uint64
+
+	// buf is the payload of the record being written (appendAlts,
+	// appendMoves); each record copies it out once, as its obs.S string.
+	buf []byte
+
+	// hook is the DecisionHook a recorded pass installs, made once per
+	// recorder (capture); alts is the pass's alternative lists, one per
+	// move, and prev the hook capture chains to during the pass.
+	hook func(round int, mv core.Move, a []core.Placement)
+	alts [][]core.Placement
+	prev func(round int, mv core.Move, a []core.Placement)
 }
 
 // NewRecorder wraps p with decision recording at alternative depth k
@@ -61,10 +71,11 @@ func (rec *Recorder) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	if pm != nil {
 		pmID = int64(pm.ID)
 	}
+	rec.buf = appendAlts(rec.buf[:0], alts)
 	ctx.Obs.EmitDecision(ctx.Now, "decision_place",
 		obs.I("vm", int64(vm.ID)),
 		obs.I("pm", pmID),
-		obs.S("alts", encodeAlts(alts)),
+		obs.S("alts", string(rec.buf)),
 	)
 	return pm
 }
@@ -81,25 +92,33 @@ func (rec *Recorder) Consolidate(ctx *core.Context) ([]core.Move, error) {
 	if !ctx.Obs.DecisionTracing() {
 		return rec.P.Consolidate(ctx)
 	}
-	var alts [][]core.Placement
+	rec.alts = rec.alts[:0]
 	if d, ok := DynamicOf(rec.P); ok {
-		prev := d.Opts.DecisionHook
-		d.Opts.DecisionHook = func(round int, mv core.Move, a []core.Placement) {
-			if prev != nil {
-				prev(round, mv, a)
-			}
-			alts = append(alts, a)
+		if rec.hook == nil {
+			rec.hook = rec.capture
 		}
-		defer func() { d.Opts.DecisionHook = prev }()
+		rec.prev = d.Opts.DecisionHook
+		d.Opts.DecisionHook = rec.hook
+		defer func() { d.Opts.DecisionHook, rec.prev = rec.prev, nil }()
 	}
 	moves, err := rec.P.Consolidate(ctx)
 	if len(moves) > 0 {
+		rec.buf = appendMoves(rec.buf[:0], moves, rec.alts)
 		ctx.Obs.EmitDecision(ctx.Now, "decision_moves",
 			obs.I("call", int64(call)),
-			obs.S("moves", encodeMoves(moves, alts)),
+			obs.S("moves", string(rec.buf)),
 		)
 	}
 	return moves, err
+}
+
+// capture is the recorded pass's DecisionHook: it keeps the move's
+// alternative list, which core hands over fresh, for the pass's record.
+func (rec *Recorder) capture(round int, mv core.Move, a []core.Placement) {
+	if rec.prev != nil {
+		rec.prev(round, mv, a)
+	}
+	rec.alts = append(rec.alts, a)
 }
 
 // Alternatives implements Policy (delegation; recording its own output
@@ -209,45 +228,43 @@ func RestoreState(p Placer, st *PlacerState) error {
 	return nil
 }
 
-// encodeAlts renders an alternative list as "pm=score" pairs joined by
-// commas, scores in strconv 'g'/-1 form (round-trippable, including
+// appendAlts appends an alternative list to b as "pm=score" pairs joined
+// by commas, scores in strconv 'g'/-1 form (round-trippable, including
 // "+Inf" for rescue moves).
-func encodeAlts(alts []core.Placement) string {
-	var b strings.Builder
+func appendAlts(b []byte, alts []core.Placement) []byte {
 	for i, a := range alts {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(strconv.FormatInt(int64(a.PM.ID), 10))
-		b.WriteByte('=')
-		b.WriteString(strconv.FormatFloat(a.Probability, 'g', -1, 64))
+		b = strconv.AppendInt(b, int64(a.PM.ID), 10)
+		b = append(b, '=')
+		b = strconv.AppendFloat(b, a.Probability, 'g', -1, 64)
 	}
-	return b.String()
+	return b
 }
 
-// encodeMoves renders a consolidation pass as "vm:from:to:round:gain"
+// appendMoves appends a consolidation pass to b as "vm:from:to:round:gain"
 // entries joined by "|", each optionally followed by "@" and its
 // alternative list (present for the dynamic family, absent for
 // threshold-style movers).
-func encodeMoves(moves []core.Move, alts [][]core.Placement) string {
-	var b strings.Builder
+func appendMoves(b []byte, moves []core.Move, alts [][]core.Placement) []byte {
 	for i, mv := range moves {
 		if i > 0 {
-			b.WriteByte('|')
+			b = append(b, '|')
 		}
-		b.WriteString(strconv.FormatInt(int64(mv.VM), 10))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatInt(int64(mv.From), 10))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatInt(int64(mv.To), 10))
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(mv.Round))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatFloat(mv.Gain, 'g', -1, 64))
+		b = strconv.AppendInt(b, int64(mv.VM), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(mv.From), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(mv.To), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(mv.Round), 10)
+		b = append(b, ':')
+		b = strconv.AppendFloat(b, mv.Gain, 'g', -1, 64)
 		if i < len(alts) && len(alts[i]) > 0 {
-			b.WriteByte('@')
-			b.WriteString(encodeAlts(alts[i]))
+			b = append(b, '@')
+			b = appendAlts(b, alts[i])
 		}
 	}
-	return b.String()
+	return b
 }

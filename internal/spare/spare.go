@@ -109,6 +109,26 @@ type Controller struct {
 	// departure correction.
 	runSum   float64
 	runCount int
+
+	// met is PlanSpares' span and plan counter, resolved against the Obs
+	// they were made for.
+	met *planMetrics
+}
+
+// planMetrics is the controller's metric handles for one Observer.
+type planMetrics struct {
+	obs   *obs.Observer
+	span  obs.SpanRef
+	plans obs.CounterRef
+}
+
+// metrics returns the controller's metric handles for c.Obs, made afresh
+// whenever Obs is not the Observer they were made for.
+func (c *Controller) metrics() *planMetrics {
+	if c.met == nil || c.met.obs != c.Obs {
+		c.met = &planMetrics{obs: c.Obs, span: c.Obs.SpanRef("spare_plan"), plans: c.Obs.CounterRef("spare.plans")}
+	}
+	return c.met
 }
 
 // NewController builds a controller; it panics on invalid configuration
@@ -203,7 +223,8 @@ type Plan struct {
 // control period. dc supplies departure predictions (via VM runtime
 // estimates) and N_Ave.
 func (c *Controller) PlanSpares(now float64, dc *cluster.Datacenter) Plan {
-	phase := c.Obs.Phase("spare_plan")
+	met := c.metrics()
+	phase := met.span.Span()
 	defer phase.End(phase.Begin())
 	c.est.Advance(now)
 	p := Plan{At: now}
@@ -230,7 +251,7 @@ func (c *Controller) PlanSpares(now float64, dc *cluster.Datacenter) Plan {
 	if p.Spares > dc.Size() {
 		p.Spares = dc.Size()
 	}
-	c.Obs.Add("spare.plans", 1)
+	met.plans.Add(1)
 	c.Obs.SetGauge("spare.target", float64(p.Spares))
 	return p
 }
