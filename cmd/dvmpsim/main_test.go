@@ -301,7 +301,7 @@ func TestRunAuditFlag(t *testing.T) {
 // column derivations the built engines made. The sweeps bound (shape, host)
 // cells of the roster's buckets (internal/core/roster.go), not columns —
 // 167,523 for the week against some 4.5 M column bounds — and the roster
-// re-reads only the PMs whose Version moved: one per arrival or departure
+// re-reads only the PMs the change feed names: one per arrival or departure
 // PM, two per move, one per power-state change between passes, none
 // otherwise. 369 of the 29,602 re-reads are state changes that leave
 // Active() as it was (184 booting→on, 157 shutting-down→off, 28 whole

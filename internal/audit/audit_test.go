@@ -158,7 +158,7 @@ func TestEnergyCheckConsistency(t *testing.T) {
 
 // TestEnergyCheckDetectsUnstampedUsedWrite: the meter re-reads a PM's draw
 // only when the datacenter's change feed names it, so a write to PM.Used
-// that skips the Version bump would be charged at the stale draw. The
+// that skips PM.bump would be charged at the stale draw. The
 // energy check must name the PM.
 func TestEnergyCheckDetectsUnstampedUsedWrite(t *testing.T) {
 	dc, _ := auditFixture(t)

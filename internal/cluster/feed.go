@@ -1,15 +1,16 @@
 package cluster
 
-// Feed is one subscriber's list of the PMs whose Version has moved since
-// its last Take. Every Version bump on a datacenter's PM appends the PM's
-// ID to each of the datacenter's feeds, once per Take: a per-feed mark
-// de-duplicates repeated bumps. A consumer that keeps per-PM derived state
-// re-reads only the PMs its feed names instead of scanning the fleet for
-// a moved Version.
+// Feed is one subscriber's list of the PMs bumped since its last Take —
+// every write to a PM's occupancy, state or reliability (the contract on
+// PM.dc). Every bump of a datacenter's PM appends the PM's ID to each of
+// the datacenter's feeds, once per Take: a per-feed mark de-duplicates
+// repeated bumps. A consumer that keeps per-PM derived state re-reads only
+// the PMs its feed names instead of scanning the fleet.
 //
 // A feed is not state: it holds nothing a checkpoint needs, and a consumer
 // restored from a checkpoint starts a fresh feed and re-derives what was
-// pending.
+// pending. Every feed stays subscribed for the datacenter's life and costs
+// each bump a mark, so only run-lifetime consumers subscribe.
 type Feed struct {
 	ids, spare []PMID
 	marked     []bool

@@ -144,17 +144,14 @@ type PM struct {
 	// timed-migration model's source-side double occupancy).
 	reserved vector.V
 
-	// ver is the contract: every write to Used, state or reliability
-	// bumps Version (Host, Evict, Reserve, Release, SetState,
-	// SetReliability), all through bump. Caches keyed on a PM — the
-	// candidate index and the roster in internal/core — compare it
-	// against a remembered value and nothing else; the energy meter in
-	// internal/power reads the datacenter's change feed, which bump also
-	// writes. So Used must never change without a bump.
-	ver uint64
-
 	// dc is the datacenter whose counters and feeds this PM reports to;
-	// nil for a free-standing NewPM.
+	// nil for a free-standing NewPM. The contract: every write to Used,
+	// state or reliability goes through bump (Host, Evict, Reserve,
+	// Release, SetState, SetReliability), which names the PM in each of
+	// dc's change feeds. Caches keyed on a PM — the candidate index and
+	// the roster in internal/core, the energy meter in internal/power —
+	// re-read only the PMs their feed names. So Used must never change
+	// without a bump.
 	dc *Datacenter
 
 	// Failures counts how many times this PM has failed.
@@ -180,7 +177,7 @@ func NewPM(id PMID, class *PMClass) *PM {
 // State returns the PM's power state.
 func (p *PM) State() PMState { return p.state }
 
-// SetState moves the PM to power state s, bumping Version if it changes.
+// SetState moves the PM to power state s, bumping it if the state changes.
 func (p *PM) SetState(s PMState) {
 	if s == p.state {
 		return
@@ -191,9 +188,8 @@ func (p *PM) SetState(s PMState) {
 	p.bump()
 }
 
-// bump moves Version and names the PM in each of its datacenter's feeds.
+// bump names the PM in each of its datacenter's change feeds.
 func (p *PM) bump() {
-	p.ver++
 	if p.dc != nil {
 		for _, f := range p.dc.feeds {
 			f.Add(p.ID)
@@ -224,7 +220,7 @@ func (p *PM) tally(sign int) {
 // Reliability returns the PM's p_j^rel.
 func (p *PM) Reliability() float64 { return p.rel }
 
-// SetReliability sets the PM's p_j^rel, bumping Version if its bits change.
+// SetReliability sets the PM's p_j^rel, bumping the PM if its bits change.
 func (p *PM) SetReliability(r float64) {
 	if math.Float64bits(r) != math.Float64bits(p.rel) {
 		p.rel = r
@@ -330,13 +326,6 @@ func (p *PM) Release(demand vector.V) {
 	}
 	p.bump()
 }
-
-// Version returns the PM's mutation counter. It increments on every Host,
-// Evict, Reserve, Release, and every SetState or SetReliability that
-// changes the value; an unchanged Version means state, reliability and
-// every occupancy-derived quantity (utilization, headroom, level) are
-// still valid.
-func (p *PM) Version() uint64 { return p.ver }
 
 // Reserved returns the currently reserved (non-VM) portion of Used.
 func (p *PM) Reserved() vector.V { return p.reserved.Clone() }

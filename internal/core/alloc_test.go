@@ -93,7 +93,7 @@ func TestConsolidateAllocBudget(t *testing.T) {
 				}
 			}
 			pass() // cold build, scratch sized, profitable moves made
-			pass() // the stamps those moves left behind, consumed
+			pass() // the feed entries those moves left behind, consumed
 			idx, shapes := ctx.shapeIdx, len(ctx.shapeTab)
 			ctx.shapeIdx = nil
 			if avg := testing.AllocsPerRun(50, pass); avg != 0 {
@@ -149,7 +149,7 @@ func TestConsolidateAllocBudget(t *testing.T) {
 }
 
 // TestProvenEmptyPassAllocBudget: once a fleet has come to rest, a pass is
-// the roster's stamp check and the lazy rounds' first sweep and choice
+// the roster's feed check and the lazy rounds' first sweep and choice
 // (bound.go) over state that is all in place — the buckets and host orders,
 // the index, the shapes' top-two scratch, the survivor slice — while the clock,
 // and with it every p_vir, moves on. It allocates nothing and checks out no

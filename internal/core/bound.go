@@ -207,9 +207,8 @@ func (ctx *Context) lazyRounds(x *candIndex, factors []Factor, params Params, op
 		if err = migrate(vm, x.pms[mv.From], x.pms[ch.id]); err != nil {
 			break
 		}
-		x.syncPM(int32(mv.From))
-		x.syncPM(ch.id)
-		ctx.syncRoster() // re-reads the two endpoints
+		x.sync()         // re-derives the two endpoints
+		ctx.syncRoster() // re-reads them
 		moves = append(moves, mv)
 		if round == params.MIGRound {
 			break

@@ -272,7 +272,7 @@ func TestCheckProofRejectsWrongVerdicts(t *testing.T) {
 	ref = build()
 	defer ref.Release()
 	if err := ctx.CheckProof(ref, 1.05); err == nil {
-		t.Error("a stale hosted-cell probability, its stamp still standing, went unnoticed")
+		t.Error("a stale hosted-cell probability the feed does not name went unnoticed")
 	}
 	dense, err := NewMatrix(ctx, opaqueFactors(DefaultFactors()), vms)
 	if err != nil {

@@ -372,7 +372,7 @@ func TestBucketInactiveHost(t *testing.T) {
 		if _, err := ConsolidateWith(ctx, factors, DefaultParams(), MatrixOptions{SelfAudit: true}); err != nil {
 			t.Fatalf("the PM back on: %v", err)
 		}
-		if ctx.roster.offline {
+		if ctx.roster.offline != 0 {
 			t.Error("the roster still sees an inactive PM with VMs")
 		}
 	}

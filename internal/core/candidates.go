@@ -30,13 +30,12 @@ import (
 // answer, computed over G groups instead of M rows.
 //
 // The index is owned by a Context (not safe for concurrent use, like the
-// rest of the Context's scratch) and is maintained incrementally: each PM
-// carries a version counter (cluster.PM.Version) that every write to its
-// occupancy, state or reliability bumps, and a sync pass re-derives group
-// membership only for PMs whose version moved since the last look. A full
-// sync costs one word-compare per PM; re-deriving one PM costs O(shapes)
-// feasibility and level evaluations. A consolidation move re-syncs its two
-// endpoints only (syncPM).
+// rest of the Context's scratch) and is maintained incrementally: it
+// subscribes to the datacenter's change feed (cluster.Feed), which names
+// every PM written to since the last look, and a sync pass re-derives group
+// membership for those PMs only, in ascending ID order. Re-deriving one PM
+// costs O(shapes) feasibility and level evaluations; a consolidation move
+// leaves its two endpoints in the feed and nothing else.
 //
 // MatrixOptions.CandidateK is a declared ceiling, not a structural cap:
 // when a shape's population needs more than K non-empty groups the scan
@@ -52,11 +51,11 @@ type candIndex struct {
 	// construction in cluster.New), so per-PM caches are plain slices.
 	pms []*cluster.PM
 
-	// vers holds the last-seen Version per PM; a mismatch means the PM's
-	// groups must be re-derived. A fresh index starts at all 0 with no
-	// shapes, and tracking a shape does its own pass over the whole fleet,
-	// so nothing is stale at Version 0.
-	vers []uint64
+	// feed names the PMs written to since the last sync, whose groups
+	// must be re-derived. A fresh index has no shapes, and tracking a shape
+	// does its own pass over the whole fleet, so nothing written before
+	// the subscription is stale.
+	feed *cluster.Feed
 
 	// shapes holds the grouping of every tracked demand shape, indexed by
 	// the Context's shape id (nil: not tracked yet); shapeList lists the
@@ -65,13 +64,10 @@ type candIndex struct {
 	shapes    []*candShape
 	shapeList []*candShape
 
-	// workers is the sticky MatrixOptions.Workers request the bulk kernels
-	// (sync's staleness sweep, shape's first-seen fleet pass) resolve
-	// against; candidatesWith updates it. Zero and one are serial.
+	// workers is the sticky MatrixOptions.Workers request trackShape's
+	// first-seen fleet pass resolves against; candidatesWith updates it.
+	// Zero and one are serial.
 	workers int
-
-	// dirty holds sync's per-span stale-PM lists (parallel path scratch).
-	dirty [][]int32
 }
 
 // candKey identifies a score group within a shape.
@@ -130,7 +126,7 @@ type candShape struct {
 }
 
 // candidates returns the Context's candidate index, synced to the current
-// fleet state under the most recently requested worker count.
+// fleet state.
 func (ctx *Context) candidates() *candIndex {
 	if ctx.cand == nil {
 		ctx.cand = newCandIndex(ctx)
@@ -140,10 +136,9 @@ func (ctx *Context) candidates() *candIndex {
 }
 
 // candidatesWith is candidates with an explicit worker request
-// (MatrixOptions.Workers) applied to the index's bulk kernels before the
-// sync pass runs. The setting is sticky: later plain candidates() calls
-// reuse it, matching how one options value drives a whole consolidation
-// pass.
+// (MatrixOptions.Workers) for the first-seen shape pass. The setting is
+// sticky: later plain candidates() calls reuse it, matching how one options
+// value drives a whole consolidation pass.
 func (ctx *Context) candidatesWith(workers int) *candIndex {
 	if ctx.cand == nil {
 		ctx.cand = newCandIndex(ctx)
@@ -160,55 +155,18 @@ func newCandIndex(ctx *Context) *candIndex {
 			panic(fmt.Sprintf("core: candidate index needs dense PM IDs (slot %d holds PM %d)", i, pm.ID))
 		}
 	}
-	return &candIndex{ctx: ctx, pms: pms, vers: make([]uint64, len(pms))}
+	return &candIndex{ctx: ctx, pms: pms, feed: ctx.DC.Subscribe()}
 }
 
-// sync re-derives group membership for every PM whose Version moved.
-//
-// The staleness sweep — one word-compare per PM, the whole fleet every
-// sync — shards across workers in fixed contiguous PM spans, each span
-// collecting its stale IDs into its own slot; re-derivation then applies
-// serially in span order, which is ascending PM ID, exactly the serial
-// sweep's order. Group state mutates only in the serial phase, so worker
-// count cannot change the index.
+// sync re-derives group membership for every PM the feed names, in
+// ascending ID order, so a new group's number does not depend on the order
+// of the writes.
 func (x *candIndex) sync() {
-	n := len(x.pms)
-	workers := claimWorkers(x.workers, n)
-	if workers <= 1 {
-		for id, pm := range x.pms {
-			if v := pm.Version(); v != x.vers[id] {
-				x.vers[id] = v
-				x.resyncPM(int32(id))
-			}
-		}
-		return
+	ids := x.feed.Take()
+	slices.Sort(ids)
+	for _, id := range ids {
+		x.resyncPM(int32(id))
 	}
-	span := (n + workers - 1) / workers
-	nspans := (n + span - 1) / span
-	for len(x.dirty) < nspans {
-		x.dirty = append(x.dirty, nil)
-	}
-	runSpans(workers, n, span, func(lo, hi int) {
-		buf := x.dirty[lo/span][:0]
-		for id := lo; id < hi; id++ {
-			if x.pms[id].Version() != x.vers[id] {
-				buf = append(buf, int32(id))
-			}
-		}
-		x.dirty[lo/span] = buf
-	})
-	for si := 0; si < nspans; si++ {
-		for _, id := range x.dirty[si] {
-			x.syncPM(id)
-		}
-	}
-}
-
-// syncPM refreshes one PM's seen Version and membership (a consolidation
-// move's endpoints).
-func (x *candIndex) syncPM(id int32) {
-	x.vers[id] = x.pms[id].Version()
-	x.resyncPM(id)
 }
 
 // resyncPM recomputes pm's group in every tracked shape, moving it between
@@ -299,7 +257,7 @@ func (x *candIndex) trackShape(sid int32) *candShape {
 		rels := make([]float64, n)
 		evs := make([]float64, n)
 		oks := make([]bool, n)
-		runSpans(workers, n, spanChunk(n, workers), func(lo, hi int) {
+		runSpans(workers, n, func(lo, hi int) {
 			for id := lo; id < hi; id++ {
 				keys[id], rels[id], evs[id], oks[id] = x.membership(x.pms[id], sh.demand)
 			}

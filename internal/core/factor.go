@@ -70,12 +70,13 @@ type Context struct {
 
 	// roster is the placed VMs bucketed by host and shape, with each PM's
 	// hosted-cell probability (roster.go), built lazily by the first
-	// consolidation pass and re-read by per-PM stamps of its own afterwards.
+	// consolidation pass and afterwards re-reading the PMs its change feed
+	// names.
 	roster *roster
 
 	// cand is the candidate index (candidates.go), built lazily on the
 	// first placement evaluated with a Canonical factor list and kept in
-	// sync with the fleet via per-PM version stamps.
+	// sync with the fleet through its own change feed.
 	cand *candIndex
 
 	// met is the placement paths' metric handles, resolved against Obs

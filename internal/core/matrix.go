@@ -86,7 +86,7 @@ type MatrixOptions struct {
 	CandidateK int
 
 	// Workers is the number of goroutines the candidate index fans its
-	// sync and first-seen shape pass out on (parallel.go); the dense Matrix
+	// first-seen shape pass out on (parallel.go); the dense Matrix
 	// is strictly serial and ignores it. Zero and one are the strictly
 	// serial path with its zero-allocation budgets; a count above one is
 	// honored verbatim — results are bit-identical at every setting

@@ -11,14 +11,13 @@ import (
 // kept only as the seam bench/ drives through sim.Config.KernelWorkers;
 // ROADMAP item 2 deletes it.
 //
-// Determinism contract (DESIGN.md §15): every parallel kernel in this
-// package is a pure fan-out over independent units — PM shards — whose
-// per-unit computation reads only shared immutable state (the prewarmed
-// class table) and writes only unit-indexed slots. Order-sensitive
-// merges (the candidate index's stale-PM sweep) use fixed contiguous spans
-// with one result slot per span, applied serially in span order, so the
-// result is bit-identical to the serial scan at any worker count. Worker
-// count changes scheduling, never values.
+// Determinism contract (DESIGN.md §15): the one parallel kernel in this
+// package, a shape's first-seen fleet pass, is a pure fan-out over
+// independent units — PM shards — whose per-unit computation reads only
+// shared immutable state (the prewarmed class table) and writes only
+// unit-indexed slots; the groups are then built from the slots serially in
+// PM-ID order, so the result is bit-identical to the serial pass at any
+// worker count. Worker count changes scheduling, never values.
 
 // claimWorkers resolves a MatrixOptions.Workers request for a loop of
 // `items` independent units: zero and one stay strictly serial on the
@@ -36,16 +35,17 @@ func claimWorkers(requested, items int) int {
 	return requested
 }
 
-// runSpans executes body over [0, n) split into chunk-sized spans drawn
-// from a shared atomic cursor by `workers` goroutines (the calling
-// goroutine is one of them). Which worker claims which span is
-// nondeterministic, so body must confine its writes to element-indexed
-// state of its own span — the discipline every kernel in this package
-// follows.
-func runSpans(workers, n, chunk int, body func(lo, hi int)) {
+// runSpans executes body over [0, n) split into spans drawn from a shared
+// atomic cursor by `workers` goroutines (the calling goroutine is one of
+// them). Several spans per worker keep the load balanced when unit costs
+// vary, without paying one cursor bump per unit. Which worker claims which
+// span is nondeterministic, so body must confine its writes to
+// element-indexed state of its own span.
+func runSpans(workers, n int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
+	chunk := max(n/(workers*8), 1)
 	if workers <= 1 || n <= chunk {
 		body(0, n)
 		return
@@ -74,17 +74,6 @@ func runSpans(workers, n, chunk int, body func(lo, hi int)) {
 	}
 	work()
 	wg.Wait()
-}
-
-// spanChunk picks a span size for n units over w workers: several spans
-// per worker keep the load balanced when unit costs vary, without paying
-// one cursor bump per unit.
-func spanChunk(n, w int) int {
-	chunk := n / (w * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-	return chunk
 }
 
 // Parallel runs the given functions concurrently (the calling goroutine

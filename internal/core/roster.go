@@ -13,21 +13,23 @@ import (
 // per PM the VMs placed there, each with its interned shape id, and the PM's
 // hosted-cell probability cur; per shape the PMs holding any of its VMs in
 // (cur asc, ID asc) order, which lets a sweep stop at the first host whose
-// bound cannot beat MIG_threshold (bound.go). A PM is re-read when its
-// Version moves, and a move's endpoints right after the move. Membership is
-// placement, not state — VM.State is written with no version bump — so
-// State is read live. Nothing here holds p_vir or ages with the clock; the
-// roster is never checkpointed.
+// bound cannot beat MIG_threshold (bound.go). A PM is re-read when the
+// datacenter's change feed names it, and a move's endpoints right after the
+// move. Membership is placement, not state — VM.State is written with no
+// bump — so State is read live. Nothing here holds p_vir or ages with the
+// clock; the roster is never checkpointed.
 type roster struct {
 	pms     []rosterPM    // per PM ID
 	ents    []rosterEntry // the slab every PM's bucket lives in
 	hosts   [][]int32     // per shape id: the PMs holding a VM of it, (cur asc, ID asc)
 	old     []rosterEntry // reread scratch: the bucket being replaced
-	offline bool          // an inactive PM holds VMs, as of the last sync
+	offline int           // inactive PMs holding VMs
+	// feed names the PMs written to since the last sync: the Context's
+	// roster subscribes, a cold twin built for a differential does not.
+	feed *cluster.Feed
 }
 
 type rosterPM struct {
-	ver         uint64  // the Version last read
 	cur         float64 // hosted-cell probability: Reliability * p_eff(Utilization())
 	off, n, cap int32   // the bucket is ents[off : off+n], with room for cap
 	active      bool
@@ -46,26 +48,25 @@ func (ctx *Context) hostedProb(pm *cluster.PM) float64 {
 }
 
 // syncRoster brings the roster up to date with the fleet — built cold on a
-// Context's first pass, afterwards re-reading the PMs whose Version moved —
-// and returns it.
+// Context's first pass, afterwards re-reading the PMs the feed names in
+// ascending ID order — and returns it.
 func (ctx *Context) syncRoster() *roster {
-	pms := ctx.DC.PMs()
 	ro := ctx.roster
 	if ro == nil {
 		ro = newRoster(ctx)
+		ro.feed = ctx.DC.Subscribe()
 		ctx.roster = ro
 		ctx.metrics().coldBuilds.Add(1)
+		return ro
 	}
-	ro.offline = false
-	for id, pm := range pms {
-		p := &ro.pms[id]
-		if p.ver != pm.Version() {
-			inserts, drops := ro.reread(ctx, pm)
-			ctx.metrics().resynced.Add(1)
-			ctx.metrics().inserts.Add(int64(inserts))
-			ctx.metrics().drops.Add(int64(drops))
-		}
-		ro.offline = ro.offline || (!p.active && p.n > 0)
+	ids := ro.feed.Take()
+	slices.Sort(ids)
+	pms := ctx.DC.PMs()
+	for _, id := range ids {
+		inserts, drops := ro.reread(ctx, pms[id])
+		ctx.metrics().resynced.Add(1)
+		ctx.metrics().inserts.Add(int64(inserts))
+		ctx.metrics().drops.Add(int64(drops))
 	}
 	return ro
 }
@@ -92,18 +93,21 @@ func newRoster(ctx *Context) *roster {
 	return ro
 }
 
-// reread replaces pm's bucket, cur, ver and active with the PM as it
-// stands. A VM still placed keeps its shape id; a new one is interned.
-// inserts and drops count the VMs that came and went.
+// reread replaces pm's bucket, cur and active with the PM as it stands,
+// and its share of offline. A VM still placed keeps its shape id; a new one
+// is interned. inserts and drops count the VMs that came and went.
 func (ro *roster) reread(ctx *Context, pm *cluster.PM) (inserts, drops int) {
 	id := int32(pm.ID)
 	p := &ro.pms[id]
+	if p.offline() {
+		ro.offline--
+	}
 	old := append(ro.old[:0], ro.bucket(id)...)
 	ro.old = old
 	for _, e := range old {
 		ro.leave(e.shape, id)
 	}
-	p.ver, p.active, p.cur = pm.Version(), pm.Active(), ctx.hostedProb(pm)
+	p.active, p.cur = pm.Active(), ctx.hostedProb(pm)
 	n := int32(pm.VMCount())
 	if n > p.cap { // move the bucket to the slab's end, with room to grow
 		clear(ro.ents[p.off : p.off+p.cap])
@@ -127,8 +131,14 @@ func (ro *roster) reread(ctx *Context, pm *cluster.PM) (inserts, drops int) {
 		k++
 	})
 	p.n = n
+	if p.offline() {
+		ro.offline++
+	}
 	return inserts, len(old) - (int(n) - inserts)
 }
+
+// offline reports whether the PM holds VMs while inactive.
+func (p *rosterPM) offline() bool { return !p.active && p.n > 0 }
 
 // bucket returns the VMs placed on PM id, in no particular order.
 func (ro *roster) bucket(id int32) []rosterEntry {
@@ -178,7 +188,7 @@ func (ro *roster) running() (found bool, err error) {
 			case e.vm.State != cluster.VMRunning:
 			case !ro.pms[id].active:
 				return false, fmt.Errorf("core: VM %d hosted on inactive PM %d", e.vm.ID, id)
-			case !ro.offline:
+			case ro.offline == 0:
 				return true, nil
 			default:
 				found = true
@@ -219,17 +229,17 @@ func (ctx *Context) CheckColumns() error {
 }
 
 // diffRoster holds a synced roster to one built cold from the fleet: every
-// PM's ver, active and cur, its bucket as a set of (VM, shape id) — a cold
-// read interns every demand afresh — and every shape's host order, which
-// the cold build's inserts sort afresh. SelfAudit runs it on every pass.
-// The Running columns follow: the buckets hold the placed VMs, State is
-// read live.
+// PM's active and cur, its bucket as a set of (VM, shape id) — a cold read
+// interns every demand afresh — every shape's host order, which the cold
+// build's inserts sort afresh, and the count of inactive PMs holding VMs.
+// SelfAudit runs it on every pass. The Running columns follow: the buckets
+// hold the placed VMs, State is read live.
 func (ctx *Context) diffRoster() error {
 	ro, cold := ctx.roster, newRoster(ctx)
 	for id, p := range ro.pms {
 		b, want := ro.bucket(int32(id)), cold.bucket(int32(id))
-		if q := cold.pms[id]; p.ver != q.ver || p.active != q.active || p.cur != q.cur || len(b) != len(want) {
-			return fmt.Errorf("core: roster has PM %d at version %d, cur %g, %d VMs; a cold build at %d, %g, %d", id, p.ver, p.cur, len(b), q.ver, q.cur, len(want))
+		if q := cold.pms[id]; p.active != q.active || p.cur != q.cur || len(b) != len(want) {
+			return fmt.Errorf("core: roster has PM %d active %v, cur %g, %d VMs; a cold build %v, %g, %d", id, p.active, p.cur, len(b), q.active, q.cur, len(want))
 		}
 		for _, e := range b {
 			if !slices.Contains(want, e) {
@@ -245,6 +255,9 @@ func (ctx *Context) diffRoster() error {
 		if !slices.Equal(hosts, want) {
 			return fmt.Errorf("core: shape %d's host order is %v, a cold build's %v", sid, hosts, want)
 		}
+	}
+	if ro.offline != cold.offline {
+		return fmt.Errorf("core: roster counts %d inactive PMs holding VMs, a cold build %d", ro.offline, cold.offline)
 	}
 	return nil
 }

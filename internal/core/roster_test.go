@@ -204,7 +204,7 @@ func TestRosterHazards(t *testing.T) {
 func TestRosterCounters(t *testing.T) {
 	ctx, vms := tableIIState(t, 20, 60, 5)
 	ctx.Obs = obs.New()
-	frozen := Params{MIGThreshold: 1e9, MIGRound: 1} // no move, so no stamp moves either
+	frozen := Params{MIGThreshold: 1e9, MIGRound: 1} // no move, so the feed stays empty
 	pass := func() {
 		t.Helper()
 		if _, err := ConsolidateWith(ctx, DefaultFactors(), frozen, MatrixOptions{}); err != nil {

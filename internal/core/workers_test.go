@@ -11,8 +11,8 @@ import (
 )
 
 // Equivalence battery for MatrixOptions.Workers: the candidate index's
-// kernels the knob parallelizes — the sync's staleness sweep and a shape's
-// first-seen fleet pass (the dense Matrix is serial) — must leave a
+// kernel the knob parallelizes — a shape's first-seen fleet pass (the
+// feed-driven sync and the dense Matrix are serial) — must leave a
 // bit-identical index at any worker count, so the move streams, arrival
 // decisions and shortlists read off it match too. Workers 2 and 7 exercise
 // even and odd span splits (7 leaves a ragged tail span); the serial
@@ -239,9 +239,10 @@ func TestKernelWorkersSerialAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkKernelParallelBuild measures the candidate index's cold sync —
-// the staleness sweep over a fresh index and every column shape's
-// first-seen fleet pass — across worker counts. Parallel indexes are
+// BenchmarkKernelParallelBuild measures the candidate index's cold build —
+// every column shape's first-seen fleet pass — across worker counts. Each
+// iteration's fresh index subscribes a feed no later bump pays for, since
+// the loop writes nothing. Parallel indexes are
 // asserted identical to the serial one before timing — a benchmark that
 // silently raced would be worse than no benchmark.
 func BenchmarkKernelParallelBuild(b *testing.B) {

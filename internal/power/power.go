@@ -217,7 +217,7 @@ func (m *Meter) VerifyDraws() error {
 			continue
 		}
 		if w := Draw(p); math.Float64bits(w) != math.Float64bits(m.watts[i]) {
-			return fmt.Errorf("PM %d metered at %v W but draws %v W in state %s, and the change feed does not name it (a write without a Version bump)",
+			return fmt.Errorf("PM %d metered at %v W but draws %v W in state %s, and the change feed does not name it (a write that skipped PM.bump)",
 				p.ID, m.watts[i], w, p.State())
 		}
 	}

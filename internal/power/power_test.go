@@ -697,8 +697,8 @@ func churnFleet(n int) *cluster.Datacenter {
 	return d
 }
 
-// churn bumps the Version of one on PM per call, cycling through the
-// fleet: a reservation taken on one call is released on the next.
+// churn bumps one on PM per call, cycling through the fleet: a
+// reservation taken on one call is released on the next.
 type churn struct {
 	on   []*cluster.PM
 	next int
@@ -755,7 +755,7 @@ func TestMeterAdvanceAllocFree(t *testing.T) {
 }
 
 // BenchmarkMeterAdvance is one event's Advance on churnFleet at 1k and 10k
-// PMs: a half-second step with one PM's Version bumped in between, so an
+// PMs: a half-second step with one PM bumped in between, so an
 // hour boundary falls in one call of 7,200. The meter pays for the PM that
 // changed, so both sizes should cost about the same.
 func BenchmarkMeterAdvance(b *testing.B) {

@@ -85,7 +85,7 @@ type Config struct {
 
 	// KernelWorkers is the number of goroutines the placement kernels fan
 	// out on inside a run (core.MatrixOptions.Workers): the candidate
-	// index's sync and first-seen shape pass. Zero keeps the
+	// index's first-seen shape pass. Zero keeps the
 	// placer's own setting (serial unless a caller set it); one forces the
 	// strictly serial path; higher values are honored verbatim. Results are
 	// bit-identical at every setting (DESIGN.md §15). Only the dynamic
