@@ -165,6 +165,30 @@ func QueueCheck(verify func() error) Check {
 	}
 }
 
+// DrainCheck holds the queue drain's skip to a cold scan. The simulator's
+// drain asks the placer only about a queued VM that some PM named in feed,
+// the queue's change feed, can host; that is exact only while every active
+// PM a queued VM fits is pending in feed. queue returns the queued VMs. A
+// write that skipped the feed, or a drain that lost an entry, fails here
+// by name: the VM and the PM the next drain would wrongly pass over.
+func DrainCheck(dc *cluster.Datacenter, feed *cluster.Feed, queue func() []*cluster.VM) Check {
+	return Check{
+		Name:     "drain",
+		PerEvent: true,
+		Fn: func(now float64) error {
+			for _, vm := range queue() {
+				for _, pm := range dc.PMs() {
+					if pm.CanHost(vm.Demand) && !feed.Pending(pm.ID) {
+						return fmt.Errorf("queued VM %d fits PM %d, which the queue's change feed does not name: the next drain would not ask the placer about it",
+							vm.ID, pm.ID)
+					}
+				}
+			}
+			return nil
+		},
+	}
+}
+
 // TrackerCheck is the differential oracle: it rebuilds the probability
 // matrix two ways over the currently migratable VMs — the compiled
 // program core runs on, and the frozen naive oracle, which evaluates

@@ -26,7 +26,11 @@ type Placer interface {
 
 	// Place returns the PM to host a new VM request, or nil when no
 	// active PM can take it (the simulator then boots a machine and
-	// queues the request).
+	// queues the request). The contract: Place returns nil only when no
+	// PM CanHost the demand, a returned PM CanHost it, and a nil call
+	// draws no randomness and changes no policy state. The simulator's
+	// queue drain relies on it to skip a queued VM no changed PM can host
+	// without asking (TestPlaceContract pins it for every scheme).
 	Place(ctx *core.Context, vm *cluster.VM) *cluster.PM
 
 	// Consolidate runs the scheme's migration pass (triggered by

@@ -43,9 +43,32 @@ func crashCfg(reqs []workload.Request, trace *bytes.Buffer) Config {
 // canonical trace byte-for-byte and its exact Result. A checkpoint that
 // drops or distorts any state — a hold, a pending repair, an RNG draw, a
 // half-booted PM — fails at the boundary where that state first exists.
+//
+// Some checkpoints must land with VMs queued; the first-fit row saturates
+// the fleet so most do. A restore that left an active PM out of the queue's change feed
+// would let the next drain skip a placement, and the resumed trace would
+// diverge there.
 func TestCrashResumeEveryBoundary(t *testing.T) {
-	load := fragmentingTrace(24)
+	for _, row := range []struct {
+		name   string
+		placer func() policy.Placer
+		load   []workload.Request
+	}{
+		{"dynamic", func() policy.Placer { return policy.NewDynamic() }, fragmentingTrace(24)},
+		{"first-fit-saturated", func() policy.Placer { return policy.FirstFit{} }, saturatingTrace(40)},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := func(trace *bytes.Buffer) Config {
+				c := crashCfg(row.load, trace)
+				c.Placer = row.placer()
+				return c
+			}
+			crashResumeEveryBoundary(t, cfg)
+		})
+	}
+}
 
+func crashResumeEveryBoundary(t *testing.T, cfg func(*bytes.Buffer) Config) {
 	type point struct {
 		at        uint64
 		ckpt      []byte
@@ -54,8 +77,9 @@ func TestCrashResumeEveryBoundary(t *testing.T) {
 	var (
 		fullTrace bytes.Buffer
 		points    []point
+		queued    int
 	)
-	m, err := New(crashCfg(load, &fullTrace))
+	m, err := New(cfg(&fullTrace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +87,9 @@ func TestCrashResumeEveryBoundary(t *testing.T) {
 		var ckpt bytes.Buffer
 		if err := m.Save(&ckpt); err != nil {
 			t.Fatalf("save at event %d: %v", m.Dispatched(), err)
+		}
+		if len(m.s.queue) > 0 {
+			queued++
 		}
 		points = append(points, point{at: m.Dispatched(), ckpt: ckpt.Bytes(), prefixLen: fullTrace.Len()})
 		ok, err := m.Step()
@@ -77,15 +104,18 @@ func TestCrashResumeEveryBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if queued == 0 {
+		t.Fatal("no checkpoint has a queued VM")
+	}
 	fullCanon := canon(t, fullTrace.Bytes())
-	t.Logf("sweeping %d checkpoints", len(points))
+	t.Logf("sweeping %d checkpoints, %d with VMs queued", len(points), queued)
 
 	// Resuming every boundary of a dense sweep is O(n²) events; stride
 	// through all of them in short mode would still be fine here, but
 	// keep the full sweep — it is the test's entire point.
 	for _, pt := range points {
 		var tail bytes.Buffer
-		m2, err := Restore(crashCfg(load, &tail), bytes.NewReader(pt.ckpt))
+		m2, err := Restore(cfg(&tail), bytes.NewReader(pt.ckpt))
 		if err != nil {
 			t.Fatalf("restore at event %d: %v", pt.at, err)
 		}
