@@ -68,17 +68,6 @@ func TestWorstFitPrefersEmptiestPM(t *testing.T) {
 	}
 }
 
-func TestPlacersReturnNilWhenNothingFits(t *testing.T) {
-	_, ctx := dc(t)
-	huge := cluster.NewVM(1, vector.New(100, 100), 1000, 1000, 0)
-	placers := []Placer{FirstFit{}, BestFit{}, WorstFit{}, NewRandom(1), NewDynamic()}
-	for _, p := range placers {
-		if got := p.Place(ctx, huge); got != nil {
-			t.Errorf("%s placed an oversized VM on %v", p.Name(), got)
-		}
-	}
-}
-
 func TestRandomPlacesOnFeasiblePM(t *testing.T) {
 	d, ctx := dc(t)
 	r := NewRandom(7)
