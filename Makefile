@@ -26,7 +26,8 @@ race:
 ## best row bit-for-bit, its Best the lazy choice, no swept bound below a
 ## built gain, no column left out that could move), plus the per-period
 ## dense-vs-oracle, lazy-vs-dense (the first round's check) and roster
-## checks (142289 checks: the per-round checks ride inside them). Exits
+## checks, and every queued VM held to the queue's change feed after each
+## event (170530 checks: the per-round checks ride inside them). Exits
 ## non-zero on the first violation. The configuration differentials
 ## (decisions, checkpoint/resume; cells and kernel workers at the
 ## sim.Config level) and the engine differential are tier-1 tests:
