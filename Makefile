@@ -2,7 +2,7 @@ GO ?= go
 
 FUZZTIME ?= 10s
 
-.PHONY: test check vet fmt race audit fuzz-smoke bench-smoke bench-ab profile
+.PHONY: test check vet fmt race audit fuzz-smoke bench-smoke bench-ab linked profile
 
 test:
 	$(GO) test ./...
@@ -112,6 +112,24 @@ bench-ab:
 				print "== " w ", a = BASE, b = this tree"; report("a", a, na); report("b", b, nb); \
 				printf "b ahead in %d of %d pairs (a ahead in %d); b median / a median = %.3f\n", wins, na, losses, q(b, nb, .5) / q(a, na, .5) }'; \
 	fi
+
+## linked: build every main package `go list ./...` reports with inlining
+## off (-gcflags=all=-l, so a function called from one place still shows up
+## as a symbol) and write each binary's sorted repro/ text symbols
+## (`go tool nm`) to OUT/<name>.syms. Two trees' directories diff to the
+## functions a change added to or took out of each binary; a function in no
+## list is linked by no binary. The binaries themselves go to a temporary
+## directory, removed on exit. `make linked OUT=/tmp/syms`.
+OUT ?=
+linked:
+	@test -n "$(OUT)" || { echo "usage: make linked OUT=<dir>"; exit 2; }
+	@set -e; mkdir -p "$(OUT)"; bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
+	for pkg in $$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); do \
+		name=$${pkg##*/}; \
+		$(GO) build -gcflags=all=-l -o "$$bin/$$name" "$$pkg"; \
+		$(GO) tool nm "$$bin/$$name" | awk '($$2 == "T" || $$2 == "t") && $$3 ~ /^repro\// { print $$3 }' | sort -u > "$(OUT)/$$name.syms"; \
+		echo "$$name: $$(wc -l < "$(OUT)/$$name.syms") symbols"; \
+	done
 
 ## profile: capture CPU and heap profiles from the seed workload under the
 ## dynamic scheme (PROFILE_FLAGS to change the run). Inspect with
