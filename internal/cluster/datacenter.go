@@ -198,15 +198,6 @@ func (d *Datacenter) AppendActivePMs(dst []*PM) []*PM {
 	return dst
 }
 
-// CountByState returns how many PMs are in each state.
-func (d *Datacenter) CountByState() map[PMState]int {
-	m := make(map[PMState]int)
-	for _, p := range d.pms {
-		m[p.state]++
-	}
-	return m
-}
-
 // NonIdleCount returns N_nidle, the number of active PMs hosting at least
 // one VM.
 func (d *Datacenter) NonIdleCount() int { return d.nonIdle }

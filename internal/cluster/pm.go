@@ -375,52 +375,6 @@ func (p *PM) Utilization() float64 {
 	return vector.Utilization(p.Used, p.Class.Capacity)
 }
 
-// UtilizationLevel returns the index w_j of the utilization level the PM
-// currently occupies in the non-uniform partition of Eq. 4, given the
-// minimal VM requirement rmin. Level 0 means idle; level W_j means fully or
-// nearly fully utilized. The partition boundaries are
-// L_w = [w^K * U_min, (w+1)^K * U_min) where U_min = Π_k rmin(k)/cap(k) and
-// K is the resource dimension, so a PM hosting w minimal VMs sits in level
-// w.
-func (p *PM) UtilizationLevel(rmin vector.V) int {
-	w, _ := UtilizationLevel(p.Utilization(), p.Class, rmin)
-	return w
-}
-
-// UtilizationLevel computes the level index for an arbitrary utilization u
-// on PMs of class c, returning the level and W_j. Exposed as a function so
-// the placement core can evaluate hypothetical utilizations (e.g. "what
-// level would PM j reach if this VM moved there") without mutating state.
-func UtilizationLevel(u float64, c *PMClass, rmin vector.V) (level, wj int) {
-	wj = c.MaxMinimalVMs(rmin)
-	if wj <= 0 {
-		return 0, 0
-	}
-	umin := vector.Utilization(rmin, c.Capacity)
-	if umin <= 0 {
-		// Degenerate minimal requirement: treat any non-zero
-		// utilization as the top level, idle as level 0.
-		if u > 0 {
-			return wj, wj
-		}
-		return 0, wj
-	}
-	k := float64(rmin.Dim())
-	if u < umin {
-		return 0, wj
-	}
-	// Invert u = w^K * U_min  =>  w = (u/U_min)^(1/K); the level is the
-	// floor, clamped to W_j.
-	w := int(math.Floor(math.Pow(u/umin, 1/k) + vector.Epsilon))
-	if w < 1 {
-		w = 1
-	}
-	if w > wj {
-		w = wj
-	}
-	return w, wj
-}
-
 // String implements fmt.Stringer.
 func (p *PM) String() string {
 	return fmt.Sprintf("PM%d{%s %s used=%v/%v vms=%d}",

@@ -232,71 +232,6 @@ func TestPMIdleAndUtilization(t *testing.T) {
 	}
 }
 
-func TestUtilizationLevel(t *testing.T) {
-	fast := testClass() // cap (8,8); rmin (1,0.25) -> W=8, umin = (1/8)(0.25/8) = 1/256
-	rmin := vector.New(1, 0.25)
-	umin := (1.0 / 8.0) * (0.25 / 8.0)
-
-	cases := []struct {
-		u     float64
-		level int
-	}{
-		{0, 0},
-		{umin / 2, 0},
-		{umin, 1},
-		{3.99 * umin, 1}, // below 2^2 umin
-		{4 * umin, 2},    // exactly 2^2 umin
-		{8.99 * umin, 2}, // below 3^2 umin
-		{9 * umin, 3},    // 3^2 umin
-		{64 * umin, 8},   // 8^2 umin = top level
-		{1, 8},           // fully utilized clamps to W_j
-	}
-	for _, c := range cases {
-		level, wj := UtilizationLevel(c.u, fast, rmin)
-		if wj != 8 {
-			t.Fatalf("W_j = %d, want 8", wj)
-		}
-		if level != c.level {
-			t.Errorf("level(u=%g) = %d, want %d", c.u, level, c.level)
-		}
-	}
-}
-
-func TestUtilizationLevelMatchesHostedMinimalVMs(t *testing.T) {
-	// Hosting w minimal VMs must land exactly in level w (Eq. 4).
-	rmin := vector.New(1, 0.25)
-	for w := 1; w <= 8; w++ {
-		pm := NewPM(0, testClass())
-		pm.SetState(PMOn)
-		for i := 0; i < w; i++ {
-			if err := pm.Host(NewVM(VMID(i), rmin, 10, 10, 0)); err != nil {
-				t.Fatalf("w=%d host %d: %v", w, i, err)
-			}
-		}
-		if got := pm.UtilizationLevel(rmin); got != w {
-			t.Errorf("hosting %d minimal VMs -> level %d", w, got)
-		}
-	}
-}
-
-func TestUtilizationLevelDegenerate(t *testing.T) {
-	c := &PMClass{Name: "x", Capacity: vector.New(4), ActivePower: 1, Reliability: 1}
-	// rmin with zero component: umin = 0.
-	level, wj := UtilizationLevel(0.5, c, vector.Zero(1))
-	if level != wj {
-		t.Errorf("degenerate busy level = %d, want W_j=%d", level, wj)
-	}
-	level, _ = UtilizationLevel(0, c, vector.Zero(1))
-	if level != 0 {
-		t.Errorf("degenerate idle level = %d, want 0", level)
-	}
-	// Class that cannot host one minimal VM.
-	level, wj = UtilizationLevel(0.5, c, vector.New(10))
-	if level != 0 || wj != 0 {
-		t.Errorf("unhostable class level/wj = %d/%d, want 0/0", level, wj)
-	}
-}
-
 func TestPMStateString(t *testing.T) {
 	for s, want := range map[PMState]string{
 		PMOff: "off", PMBooting: "booting", PMOn: "on",
@@ -349,25 +284,6 @@ func TestQuickHostEvictConservation(t *testing.T) {
 			}
 		}
 		return pm.Used.IsZero() && pm.VMCount() == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: utilization level is monotone in utilization.
-func TestQuickUtilizationLevelMonotone(t *testing.T) {
-	rmin := vector.New(1, 0.25)
-	c := testClass()
-	f := func(a, b uint16) bool {
-		ua := float64(a) / float64(math.MaxUint16)
-		ub := float64(b) / float64(math.MaxUint16)
-		if ua > ub {
-			ua, ub = ub, ua
-		}
-		la, _ := UtilizationLevel(ua, c, rmin)
-		lb, _ := UtilizationLevel(ub, c, rmin)
-		return la <= lb
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

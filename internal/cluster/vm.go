@@ -133,19 +133,6 @@ func (v *VM) RemainingEstimate(now float64) float64 {
 	}
 }
 
-// WaitTime returns how long the VM waited in the queue before starting, or
-// the wait so far for a still-queued VM at time now.
-func (v *VM) WaitTime(now float64) float64 {
-	if v.State == VMQueued {
-		return now - v.SubmitTime
-	}
-	w := v.StartTime - v.SubmitTime
-	if w < 0 {
-		return 0
-	}
-	return w
-}
-
 // Placed reports whether the VM currently occupies resources on some PM
 // (creating, running, or migrating).
 func (v *VM) Placed() bool {

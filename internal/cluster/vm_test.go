@@ -68,18 +68,6 @@ func TestRemainingEstimate(t *testing.T) {
 	}
 }
 
-func TestWaitTime(t *testing.T) {
-	vm := NewVM(1, vector.New(1), 10, 10, 100)
-	if got := vm.WaitTime(150); got != 50 {
-		t.Errorf("queued wait = %g, want 50", got)
-	}
-	vm.State = VMRunning
-	vm.StartTime = 130
-	if got := vm.WaitTime(999); got != 30 {
-		t.Errorf("started wait = %g, want 30", got)
-	}
-}
-
 func TestPlaced(t *testing.T) {
 	vm := NewVM(1, vector.New(1), 10, 10, 0)
 	for state, want := range map[VMState]bool{

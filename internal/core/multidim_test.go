@@ -102,7 +102,7 @@ func TestThreeDimensionalEfficiencyLevels(t *testing.T) {
 			t.Fatal(err)
 		}
 		vm.State = cluster.VMRunning
-		if got := pm.UtilizationLevel(rmin); got != w {
+		if got := levelOf(ctx.classInfoFor(pm), pm.Utilization()); got != w {
 			t.Errorf("hosting %d minimal VMs -> level %d", w, got)
 		}
 	}

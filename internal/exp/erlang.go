@@ -59,24 +59,6 @@ func ErlangC(c int, a float64) float64 {
 	return float64(c) * b / (float64(c) - a*(1-b))
 }
 
-// MeanWaitMM_c returns the expected waiting time in queue for an M/M/c
-// system: W_q = C(c, a) / (c*mu - lambda), with service rate mu per server
-// and arrival rate lambda (so a = lambda/mu). Returns +Inf at or beyond
-// saturation.
-func MeanWaitMM_c(c int, lambda, mu float64) float64 {
-	if lambda < 0 || mu <= 0 || c < 0 {
-		panic(fmt.Sprintf("exp: invalid MeanWaitMM_c args c=%d lambda=%g mu=%g", c, lambda, mu))
-	}
-	if lambda == 0 {
-		return 0
-	}
-	a := lambda / mu
-	if a >= float64(c) {
-		return math.Inf(1)
-	}
-	return ErlangC(c, a) / (float64(c)*mu - lambda)
-}
-
 // ServersForWaitProbability returns the smallest server count c such that
 // the M/M/c waiting probability is at or below target — an analytic
 // counterpart to the paper's spare-server sizing (how many *slots* the

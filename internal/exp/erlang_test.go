@@ -71,19 +71,6 @@ func TestErlangCOverload(t *testing.T) {
 	}
 }
 
-func TestMeanWaitMM_c(t *testing.T) {
-	// M/M/1 with rho = 0.5: W_q = rho / (mu - lambda) = 0.5/(1-0.5) = 1.
-	if got := MeanWaitMM_c(1, 0.5, 1); math.Abs(got-1) > 1e-12 {
-		t.Errorf("M/M/1 wait = %g, want 1", got)
-	}
-	if got := MeanWaitMM_c(2, 0, 1); got != 0 {
-		t.Errorf("no-arrival wait = %g", got)
-	}
-	if got := MeanWaitMM_c(1, 2, 1); !math.IsInf(got, 1) {
-		t.Errorf("overload wait = %g, want +Inf", got)
-	}
-}
-
 func TestServersForWaitProbability(t *testing.T) {
 	a := 20.0
 	c := ServersForWaitProbability(a, 0.05)
@@ -156,8 +143,8 @@ func TestErlangEdgeTable(t *testing.T) {
 // orders of magnitude past Table II: the results must stay finite,
 // monotone in c, and the sizing search must still terminate minimally.
 func TestLargeNStability(t *testing.T) {
-	if w := MeanWaitMM_c(1000, 900, 1); math.IsNaN(w) || w < 0 || math.IsInf(w, 0) {
-		t.Errorf("large-pool mean wait = %g, want finite non-negative", w)
+	if c := ErlangC(1000, 900); math.IsNaN(c) || c < 0 || c > 1 {
+		t.Errorf("large-pool wait probability = %g, want in [0, 1]", c)
 	}
 	if c1, c2 := ErlangC(1000, 900), ErlangC(1100, 900); c2 > c1+1e-12 {
 		t.Errorf("adding servers increased wait probability: %g -> %g", c1, c2)

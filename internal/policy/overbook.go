@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/cluster"
@@ -46,26 +45,12 @@ func NewOverbook() *Overbook {
 	return &Overbook{Ratio: 1.2, Inflation: 1.5, Watermark: 0.9}
 }
 
-// Validate checks the knobs.
-func (o *Overbook) Validate() error {
-	if !(o.Ratio >= 1) {
-		return fmt.Errorf("policy: overbook ratio must be >= 1, got %g", o.Ratio)
-	}
-	if !(o.Inflation >= o.Ratio) {
-		return fmt.Errorf("policy: overbook inflation %g must be >= ratio %g", o.Inflation, o.Ratio)
-	}
-	if !(o.Watermark > 0 && o.Watermark <= 1) {
-		return fmt.Errorf("policy: overbook watermark must be in (0, 1], got %g", o.Watermark)
-	}
-	return nil
-}
-
-// Name implements Placer.
+// Name implements Policy.
 func (*Overbook) Name() string { return "overbook" }
 
 // bookFactor is the per-VM booking multiplier: the inflated reservation
-// discounted by the overbooking ratio. Always >= 1 when the knobs
-// validate.
+// discounted by the overbooking ratio. Always >= 1 while Inflation >=
+// Ratio.
 func (o *Overbook) bookFactor() float64 { return o.Inflation / o.Ratio }
 
 // bookedLoad recomputes a host's booked demand from its hosted VMs.
@@ -94,7 +79,7 @@ func (o *Overbook) bookedUtil(pm *cluster.PM, vm *cluster.VM) float64 {
 	return bottleneck(booked, cap)
 }
 
-// Place implements Placer: best-fit on booked utilization among hosts
+// Place implements Policy: best-fit on booked utilization among hosts
 // whose booked load stays within capacity; if every host is fully
 // booked, any physically feasible host (serving the request beats the
 // booking discipline, counted on "policy.overbook_fallback").
@@ -120,7 +105,7 @@ func (o *Overbook) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	return best
 }
 
-// Consolidate implements Placer (overbooking is an admission policy;
+// Consolidate implements Policy (overbooking is an admission policy;
 // it never migrates).
 func (*Overbook) Consolidate(*core.Context) ([]core.Move, error) { return nil, nil }
 

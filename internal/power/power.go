@@ -348,19 +348,3 @@ func KWh(joules float64) float64 { return joules / 3.6e6 }
 
 // Joules converts kilowatt-hours to joules.
 func Joules(kwh float64) float64 { return kwh * 3.6e6 }
-
-// Rebin aggregates a fine-grained energy series into coarser bins of factor
-// n (e.g. 24 hourly bins -> daily). A trailing partial group is kept.
-func Rebin(series []float64, n int) []float64 {
-	if n <= 0 {
-		panic(fmt.Sprintf("power: rebin factor must be positive, got %d", n))
-	}
-	var out []float64
-	for i, x := range series {
-		if i%n == 0 {
-			out = append(out, 0)
-		}
-		out[len(out)-1] += x
-	}
-	return out
-}

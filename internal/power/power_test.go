@@ -204,53 +204,6 @@ func TestKWhConversions(t *testing.T) {
 	}
 }
 
-func TestRebin(t *testing.T) {
-	hourly := []float64{1, 2, 3, 4, 5}
-	daily := Rebin(hourly, 2)
-	want := []float64{3, 7, 5}
-	if len(daily) != len(want) {
-		t.Fatalf("Rebin len = %d", len(daily))
-	}
-	for i := range want {
-		if daily[i] != want[i] {
-			t.Errorf("Rebin[%d] = %g, want %g", i, daily[i], want[i])
-		}
-	}
-	if got := Rebin(nil, 24); len(got) != 0 {
-		t.Error("Rebin(nil) should be empty")
-	}
-}
-
-func TestRebinPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Rebin([]float64{1}, 0)
-}
-
-// Property: rebinning conserves total energy.
-func TestQuickRebinConserves(t *testing.T) {
-	f := func(raw []uint16, nRaw uint8) bool {
-		n := int(nRaw%10) + 1
-		series := make([]float64, len(raw))
-		var total float64
-		for i, x := range raw {
-			series[i] = float64(x)
-			total += series[i]
-		}
-		var sum float64
-		for _, b := range Rebin(series, n) {
-			sum += b
-		}
-		return math.Abs(sum-total) < 1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: meter total equals the sum of per-PM energies and bins.
 func TestQuickMeterConservation(t *testing.T) {
 	f := func(steps []uint8) bool {

@@ -21,7 +21,9 @@ func ExamplePoissonQuantile() {
 // ExampleHistogram buckets job runtimes the way the Figure 2 report does.
 func ExampleHistogram() {
 	h := stats.NewHistogram(0, 1, 6, 24)
-	h.AddAll([]float64{0.5, 0.9, 3, 4, 5, 12, 30})
+	for _, hours := range []float64{0.5, 0.9, 3, 4, 5, 12, 30} {
+		h.Add(hours)
+	}
 	for i := 0; i < h.Bins(); i++ {
 		lo, hi := h.BinRange(i)
 		fmt.Printf("[%g, %g) hours: %d jobs\n", lo, hi, h.Count(i))

@@ -37,21 +37,6 @@ func NewHistogram(edges ...float64) *Histogram {
 	}
 }
 
-// NewLinearHistogram creates a histogram of n equal-width bins over
-// [lo, hi).
-func NewLinearHistogram(lo, hi float64, n int) *Histogram {
-	if n < 1 || hi <= lo {
-		panic(fmt.Sprintf("stats: invalid linear histogram [%g, %g) n=%d", lo, hi, n))
-	}
-	edges := make([]float64, n+1)
-	w := (hi - lo) / float64(n)
-	for i := range edges {
-		edges[i] = lo + w*float64(i)
-	}
-	edges[n] = hi // avoid accumulation error on the last edge
-	return NewHistogram(edges...)
-}
-
 // Add records a sample.
 func (h *Histogram) Add(x float64) {
 	h.total++
@@ -73,13 +58,6 @@ func (h *Histogram) Add(x float64) {
 	}
 }
 
-// AddAll records every sample in xs.
-func (h *Histogram) AddAll(xs []float64) {
-	for _, x := range xs {
-		h.Add(x)
-	}
-}
-
 // Bins returns the number of bins.
 func (h *Histogram) Bins() int { return len(h.count) }
 
@@ -92,25 +70,6 @@ func (h *Histogram) Total() int { return h.total }
 // BinRange returns the [lo, hi) interval of bin i.
 func (h *Histogram) BinRange(i int) (lo, hi float64) {
 	return h.edges[i], h.edges[i+1]
-}
-
-// Fraction returns the share of all samples that landed in bin i, or 0 when
-// the histogram is empty.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.count[i]) / float64(h.total)
-}
-
-// CumulativeCount returns the number of samples in bins 0..i inclusive plus
-// the underflow count.
-func (h *Histogram) CumulativeCount(i int) int {
-	c := h.Under
-	for b := 0; b <= i && b < len(h.count); b++ {
-		c += h.count[b]
-	}
-	return c
 }
 
 // String renders a compact textual histogram with proportional bars, the

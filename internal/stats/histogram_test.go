@@ -11,7 +11,9 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Bins() != 3 {
 		t.Fatalf("Bins = %d, want 3", h.Bins())
 	}
-	h.AddAll([]float64{0, 0.5, 1, 1.5, 3.9, 4, -1})
+	for _, x := range []float64{0, 0.5, 1, 1.5, 3.9, 4, -1} {
+		h.Add(x)
+	}
 	if h.Count(0) != 2 { // 0, 0.5
 		t.Errorf("bin 0 = %d, want 2", h.Count(0))
 	}
@@ -41,40 +43,11 @@ func TestHistogramEdgeSample(t *testing.T) {
 	}
 }
 
-func TestHistogramBinRangeAndFraction(t *testing.T) {
+func TestHistogramBinRange(t *testing.T) {
 	h := NewHistogram(0, 5, 10)
 	lo, hi := h.BinRange(1)
 	if lo != 5 || hi != 10 {
 		t.Errorf("BinRange(1) = %g, %g", lo, hi)
-	}
-	if h.Fraction(0) != 0 {
-		t.Error("empty histogram fraction should be 0")
-	}
-	h.AddAll([]float64{1, 2, 7, 8})
-	if got := h.Fraction(0); got != 0.5 {
-		t.Errorf("Fraction(0) = %g, want 0.5", got)
-	}
-}
-
-func TestHistogramCumulative(t *testing.T) {
-	h := NewHistogram(0, 1, 2, 3)
-	h.AddAll([]float64{-1, 0.5, 1.5, 1.7, 2.5})
-	if got := h.CumulativeCount(0); got != 2 { // under + bin0
-		t.Errorf("CumulativeCount(0) = %d, want 2", got)
-	}
-	if got := h.CumulativeCount(2); got != 5 {
-		t.Errorf("CumulativeCount(2) = %d, want 5", got)
-	}
-}
-
-func TestNewLinearHistogram(t *testing.T) {
-	h := NewLinearHistogram(0, 10, 5)
-	if h.Bins() != 5 {
-		t.Fatalf("Bins = %d, want 5", h.Bins())
-	}
-	lo, hi := h.BinRange(4)
-	if lo != 8 || hi != 10 {
-		t.Errorf("last bin = [%g, %g)", lo, hi)
 	}
 }
 
@@ -82,7 +55,6 @@ func TestHistogramPanicsOnBadEdges(t *testing.T) {
 	for name, f := range map[string]func(){
 		"too few":        func() { NewHistogram(1) },
 		"not increasing": func() { NewHistogram(1, 1) },
-		"bad linear":     func() { NewLinearHistogram(5, 5, 3) },
 	} {
 		func() {
 			defer func() {
@@ -97,7 +69,9 @@ func TestHistogramPanicsOnBadEdges(t *testing.T) {
 
 func TestHistogramString(t *testing.T) {
 	h := NewHistogram(0, 1, 2)
-	h.AddAll([]float64{0.5, 0.6, 1.5, -3, 9})
+	for _, x := range []float64{0.5, 0.6, 1.5, -3, 9} {
+		h.Add(x)
+	}
 	s := h.String()
 	if !strings.Contains(s, "underflow 1") || !strings.Contains(s, "overflow 1") {
 		t.Errorf("String missing under/overflow: %q", s)
@@ -110,7 +84,7 @@ func TestHistogramString(t *testing.T) {
 // Property: every sample is accounted for exactly once.
 func TestQuickHistogramConservation(t *testing.T) {
 	f := func(raw []int8) bool {
-		h := NewLinearHistogram(-50, 50, 10)
+		h := NewHistogram(-50, -40, -30, -20, -10, 0, 10, 20, 30, 40, 50)
 		for _, x := range raw {
 			h.Add(float64(x))
 		}

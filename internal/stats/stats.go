@@ -57,24 +57,6 @@ func LogNormalFromMedian(r Rand, median, sigma float64) float64 {
 	return LogNormal(r, math.Log(median), sigma)
 }
 
-// BoundedPareto draws from a Pareto distribution with shape alpha truncated
-// to [lo, hi]. Used for heavy-tailed memory demands.
-func BoundedPareto(r Rand, alpha, lo, hi float64) float64 {
-	if !(alpha > 0) || !(lo > 0) || !(hi > lo) {
-		panic(fmt.Sprintf("stats: invalid bounded pareto params alpha=%g lo=%g hi=%g", alpha, lo, hi))
-	}
-	u := r.Float64()
-	la, ha := math.Pow(lo, alpha), math.Pow(hi, alpha)
-	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-	if x < lo {
-		x = lo
-	}
-	if x > hi {
-		x = hi
-	}
-	return x
-}
-
 // Categorical selects an index from weights proportionally. Weights must be
 // non-negative and not all zero.
 func Categorical(r Rand, weights []float64) int {

@@ -63,37 +63,6 @@ func TestLogNormalFromMedianPanics(t *testing.T) {
 	LogNormalFromMedian(NewRand(1), -1, 1)
 }
 
-func TestBoundedParetoWithinBounds(t *testing.T) {
-	r := NewRand(3)
-	for i := 0; i < 10000; i++ {
-		x := BoundedPareto(r, 1.5, 0.25, 8)
-		if x < 0.25 || x > 8 {
-			t.Fatalf("draw %g outside [0.25, 8]", x)
-		}
-	}
-}
-
-func TestBoundedParetoSkew(t *testing.T) {
-	// A heavy-tailed draw should have median much closer to lo than hi.
-	r := NewRand(4)
-	xs := make([]float64, 20000)
-	for i := range xs {
-		xs[i] = BoundedPareto(r, 1.5, 1, 100)
-	}
-	if m := Median(xs); m > 5 {
-		t.Errorf("median %g, expected < 5 for alpha=1.5", m)
-	}
-}
-
-func TestBoundedParetoPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for hi <= lo")
-		}
-	}()
-	BoundedPareto(NewRand(1), 1, 2, 2)
-}
-
 func TestCategoricalDistribution(t *testing.T) {
 	r := NewRand(5)
 	weights := []float64{1, 3, 6}

@@ -179,38 +179,6 @@ func Utilization(used, cap V) float64 {
 	return u
 }
 
-// Dot returns the dot product of v and w.
-func (v V) Dot(w V) float64 {
-	v.checkDim(w)
-	var s float64
-	for i := range v {
-		s += v[i] * w[i]
-	}
-	return s
-}
-
-// Max returns the largest component of v, or 0 for the empty vector.
-func (v V) Max() float64 {
-	var m float64
-	for i, x := range v {
-		if i == 0 || x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the smallest component of v, or 0 for the empty vector.
-func (v V) Min() float64 {
-	var m float64
-	for i, x := range v {
-		if i == 0 || x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Sum returns the sum of all components.
 func (v V) Sum() float64 {
 	var s float64

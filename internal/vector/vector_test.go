@@ -147,20 +147,13 @@ func TestUtilizationClamped(t *testing.T) {
 	}
 }
 
-func TestDot(t *testing.T) {
-	if got := New(1, 2, 3).Dot(New(4, 5, 6)); got != 32 {
-		t.Errorf("Dot = %g, want 32", got)
-	}
-}
-
-func TestMaxMinSum(t *testing.T) {
-	v := New(3, -1, 7)
-	if v.Max() != 7 || v.Min() != -1 || v.Sum() != 9 {
-		t.Errorf("Max/Min/Sum = %g/%g/%g", v.Max(), v.Min(), v.Sum())
+func TestSum(t *testing.T) {
+	if got := New(3, -1, 7).Sum(); got != 9 {
+		t.Errorf("Sum = %g, want 9", got)
 	}
 	var empty V
-	if empty.Max() != 0 || empty.Min() != 0 || empty.Sum() != 0 {
-		t.Error("empty vector aggregates should be 0")
+	if empty.Sum() != 0 {
+		t.Error("empty vector sum should be 0")
 	}
 }
 

@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/stats"
 )
@@ -309,19 +308,4 @@ func Summarize(jobs []Job) Stats {
 		}
 	}
 	return s
-}
-
-// RuntimePercentiles returns the given runtime percentiles in seconds over
-// jobs.
-func RuntimePercentiles(jobs []Job, ps ...float64) []float64 {
-	rs := make([]float64, len(jobs))
-	for i, j := range jobs {
-		rs[i] = j.RunTime
-	}
-	sort.Float64s(rs)
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = stats.Percentile(rs, p)
-	}
-	return out
 }

@@ -224,14 +224,6 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-func TestRuntimePercentiles(t *testing.T) {
-	jobs := []Job{{RunTime: 10}, {RunTime: 20}, {RunTime: 30}}
-	ps := RuntimePercentiles(jobs, 0, 50, 100)
-	if ps[0] != 10 || ps[1] != 20 || ps[2] != 30 {
-		t.Errorf("percentiles = %v", ps)
-	}
-}
-
 func BenchmarkGenerateWeek(b *testing.B) {
 	cfg := DefaultWeekConfig(1)
 	b.ReportAllocs()
