@@ -98,12 +98,8 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fp, ok := fallback.(policy.Policy)
-	if !ok {
-		return fmt.Errorf("scheme %s does not implement the policy interface", *scheme)
-	}
 
-	rp := policy.NewReplay(log, fp)
+	rp := policy.NewReplay(log, fallback)
 	if *whatIf != "" {
 		ov, err := parseWhatIf(*whatIf, log)
 		if err != nil {

@@ -49,7 +49,7 @@ func recordRun(t *testing.T) (tracePath, decPath string) {
 	sc := spare.DefaultConfig()
 	cfg := sim.Config{
 		DC:       cluster.TableIIFleetScaled(8),
-		Placer:   policy.NewRecorder(placer.(policy.Policy), 0),
+		Placer:   policy.NewRecorder(placer, 0),
 		Requests: workload.ToRequests(jobs),
 		Spare:    &sc,
 		Obs:      o,

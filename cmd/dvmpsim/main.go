@@ -189,7 +189,7 @@ func run(args []string, out io.Writer) error {
 		// Recording wraps the configured policy; the decision stream has
 		// its own logical clock, so the run trace stays byte-identical to
 		// an unrecorded run (TestTraceEquivalence pins this).
-		cfg.Placer = policy.NewRecorder(placer.(policy.Policy), 0)
+		cfg.Placer = policy.NewRecorder(placer, 0)
 	}
 	res, stopped, err := runSim(cfg, out, *resumeArg, *ckptPath, uint64(*ckptEvery), uint64(*stopAfter))
 	for _, tf := range sinks {

@@ -53,7 +53,7 @@ func main() {
 
 	schemes := []struct {
 		name   string
-		placer policy.Placer
+		placer policy.Policy
 	}{
 		{"dynamic", policy.NewDynamic()},
 		{"dynamic+price", policy.NewDynamicVariant("dynamic+price",

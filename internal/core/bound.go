@@ -204,7 +204,7 @@ func (ctx *Context) lazyRounds(x *candIndex, factors []Factor, params Params, op
 			ctx.virBuf = ctx.appendVirs(ctx.virBuf[:0], vm)
 			hook(round, mv, x.alternatives(x.shape(ch.shape), int32(vm.Host), ch.cur, ctx.virBuf, ch.id, altDepth))
 		}
-		if err = migrate(vm, x.pms[mv.From], x.pms[ch.id]); err != nil {
+		if err = Migrate(vm, x.pms[mv.From], x.pms[ch.id]); err != nil {
 			break
 		}
 		x.sync()         // re-derives the two endpoints

@@ -7,12 +7,13 @@ import "repro/internal/cluster"
 // constants and the matrix's p_vir memo instead of dispatching through the
 // Factor interface per cell (see DESIGN.md §7). Factors the compiler does
 // not recognize (user-supplied extras) are composed on top through the
-// interface in their original position, so p_ij is bit-identical to Joint
-// for any factor list: each known factor is the exact same arithmetic on
-// bit-identical operands, and multiplication order is preserved. The
-// canonical program (res, vir, rel, eff) runs cell by cell only inside a
-// reference build: production passes evaluate it a score group at a time
-// (candidates.go, bound.go), and the dense Matrix walks it to check them.
+// interface in their original position (a list of extras alone is Joint's
+// own loop), so p_ij is bit-identical to Joint for any factor list: each
+// known factor is the exact same arithmetic on bit-identical operands, and
+// multiplication order is preserved. The canonical program (res, vir, rel,
+// eff) runs cell by cell only inside a reference build: production passes
+// evaluate it a score group at a time (candidates.go, bound.go), and the
+// dense Matrix walks it to check them.
 
 // termOp identifies how one factor in the compiled program is evaluated.
 type termOp int
@@ -34,11 +35,6 @@ type term struct {
 // program is a compiled factor list.
 type program struct {
 	terms []term
-
-	// known reports whether at least one of the paper's factors was
-	// recognized; when none is, the program adds only overhead and
-	// callers evaluate through Joint.
-	known bool
 }
 
 // compile translates a factor list into a term program, appending to dst
@@ -57,7 +53,6 @@ func compile(dst []term, factors []Factor) program {
 		case EfficiencyFactor:
 			t = term{op: opEff}
 		}
-		prog.known = prog.known || t.op != opGeneric
 		prog.terms = append(prog.terms, t)
 	}
 	return prog

@@ -131,8 +131,9 @@ func (offsetFactor) Probability(_ *Context, _ *cluster.VM, pm *cluster.PM, _ boo
 }
 
 // opaque hides a factor's concrete type from the program compiler, so a
-// list of opaque factors evaluates every cell through Joint — the naive
-// per-cell reference the compiled paths are compared against.
+// list of opaque factors runs every term through the Factor interface (the
+// program's generic terms), which the specialized terms are compared
+// against.
 type opaque struct{ Factor }
 
 func opaqueFactors(factors []Factor) []Factor {
@@ -150,6 +151,34 @@ func pathFactors(path string) []Factor {
 		return opaqueFactors(DefaultFactors())
 	}
 	return DefaultFactors()
+}
+
+// assertJointFill requires every cell of m to equal Joint for its (VM, PM)
+// pair bit for bit: the cell-by-cell reference the compiled program is held
+// to, whichever of its terms the factor list compiles to.
+func assertJointFill(t *testing.T, m *Matrix) {
+	t.Helper()
+	for r, pm := range m.pms {
+		for c, vm := range m.vms {
+			if got, want := m.p[r][c], Joint(m.ctx, m.factors, vm, pm, vm.Host == pm.ID); got != want {
+				t.Fatalf("p[%d][%d]: program %v != Joint %v (VM %d on PM %d)", r, c, got, want, vm.ID, pm.ID)
+			}
+		}
+	}
+}
+
+// jointBest is the arrival argmax by a Joint scan of the active PMs in ID
+// order: the highest joint probability, ties toward the lower PM ID, nil
+// when every probability is 0.
+func jointBest(ctx *Context, factors []Factor, vm *cluster.VM) *cluster.PM {
+	var best *cluster.PM
+	bestP := 0.0
+	for _, pm := range ctx.DC.ActivePMs() {
+		if p := Joint(ctx, factors, vm, pm, false); p > bestP {
+			bestP, best = p, pm
+		}
+	}
+	return best
 }
 
 // assertMatricesEqual requires bit-identical probabilities and trackers.
@@ -184,25 +213,26 @@ func assertMatricesEqual(t *testing.T, fast, slow *Matrix) {
 	}
 }
 
-// TestKernelEquivalence proves the compiled program yields bit-identical
-// matrices to Joint per cell (opaque factors) on the Table II fleet, for
-// the default factors, for ablation subsets, and for a user factor
-// composed on top — including zero-reliability rows and expired-estimate
-// columns, where both sides take their literal-zero short circuits. (The
-// frozen oracle is the third leg: internal/audit's
-// TestMatrixMatchesOracleAfterApplies and TrackerCheck.)
+// TestKernelEquivalence proves the compiled program fills every cell
+// bit-identical to Joint on the Table II fleet, for the default factors,
+// for ablation subsets, for a user factor composed on top and for a list of
+// user factors alone (generic terms only) — including zero-reliability rows
+// and expired-estimate columns, where both sides take their literal-zero
+// short circuits — and that the same factors behind opaque (generic terms
+// throughout) build the same cells and trackers. (The frozen oracle is the
+// third leg: internal/audit's TestMatrixMatchesOracleAfterApplies and
+// TrackerCheck.)
 func TestKernelEquivalence(t *testing.T) {
 	cases := []struct {
 		name    string
 		factors []Factor
-		kernel  bool // kernel path expected to engage
 	}{
-		{"default", DefaultFactors(), true},
-		{"no-vir", []Factor{ResourceFactor{}, ReliabilityFactor{}, EfficiencyFactor{}}, true},
-		{"no-eff", []Factor{ResourceFactor{}, VirtualizationFactor{}, ReliabilityFactor{}}, true},
-		{"no-rel", []Factor{ResourceFactor{}, VirtualizationFactor{}, EfficiencyFactor{}}, true},
-		{"extra-on-top", append(DefaultFactors(), offsetFactor{}), true},
-		{"pure-custom", []Factor{offsetFactor{}}, false},
+		{"default", DefaultFactors()},
+		{"no-vir", []Factor{ResourceFactor{}, ReliabilityFactor{}, EfficiencyFactor{}}},
+		{"no-eff", []Factor{ResourceFactor{}, VirtualizationFactor{}, ReliabilityFactor{}}},
+		{"no-rel", []Factor{ResourceFactor{}, VirtualizationFactor{}, EfficiencyFactor{}}},
+		{"extra-on-top", append(DefaultFactors(), offsetFactor{})},
+		{"pure-custom", []Factor{offsetFactor{}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -211,15 +241,10 @@ func TestKernelEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := fast.prog.known; got != tc.kernel {
-				t.Fatalf("kernel engaged = %v, want %v", got, tc.kernel)
-			}
+			assertJointFill(t, fast)
 			slow, err := NewMatrix(ctx, opaqueFactors(tc.factors), vms)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if slow.prog.known {
-				t.Fatal("opaque factors did not force the Joint path")
 			}
 			assertMatricesEqual(t, fast, slow)
 		})
@@ -229,8 +254,8 @@ func TestKernelEquivalence(t *testing.T) {
 // TestKernelEquivalenceConsolidate proves Algorithm 1 produces identical
 // move sequences (VM, endpoints, bit-identical gains, rounds) on the Table
 // II fleet three ways: what a canonical run executes (the lazy rounds over
-// the candidate index), the dense Matrix on the compiled program, and the dense Matrix
-// on Joint per cell (opaque factors).
+// the candidate index), the dense Matrix on the compiled program, and the
+// dense Matrix on the program's generic terms (opaque factors).
 func TestKernelEquivalenceConsolidate(t *testing.T) {
 	params := Params{MIGThreshold: 1.05, MIGRound: 50}
 	ctxFast, _ := spreadState(t, 100, 260, 11)
@@ -252,39 +277,47 @@ func TestKernelEquivalenceConsolidate(t *testing.T) {
 	}
 }
 
-// TestKernelArrivalEquivalence checks the arrival path: BestPlacement (the
-// candidate index's argmax for these factors) must return RankPlacements'
-// top entry, and the program-scored ranking must equal a naive Joint scan — including the unhosted-VM overhead rule
-// (creation only, no migration share).
+// TestKernelArrivalEquivalence checks the arrival path on both of its
+// evaluators — the candidate index for the paper's factors, the arrival
+// column's generic terms for the same factors behind opaque: the
+// program-scored ranking (RankPlacements) must equal a naive Joint scan,
+// including the unhosted-VM overhead rule (creation only, no migration
+// share), and BestPlacementWith must return the Joint scan's argmax, which
+// is also the ranking's head.
 func TestKernelArrivalEquivalence(t *testing.T) {
-	ctx, _ := tableIIState(t, 100, 200, 13)
-	factors := DefaultFactors()
-	arrival := cluster.NewVM(9001, vector.New(2, 1), 5400, 5400, ctx.Now)
+	for _, name := range []string{"kernel", "generic"} {
+		t.Run(name, func(t *testing.T) {
+			ctx, _ := tableIIState(t, 100, 200, 13)
+			factors := pathFactors(name)
+			arrival := cluster.NewVM(9001, vector.New(2, 1), 5400, 5400, ctx.Now)
 
-	ranked := RankPlacements(ctx, factors, arrival)
-	if len(ranked) == 0 {
-		t.Fatal("no feasible placements for the arrival")
-	}
-	if best := BestPlacement(ctx, factors, arrival); best != ranked[0].PM {
-		t.Fatalf("BestPlacement = PM%d, RankPlacements[0] = PM%d", best.ID, ranked[0].PM.ID)
-	}
+			ranked := RankPlacements(ctx, factors, arrival)
+			if len(ranked) == 0 {
+				t.Fatal("no feasible placements for the arrival")
+			}
+			want := jointBest(ctx, factors, arrival)
+			if best := BestPlacementWith(ctx, factors, arrival, MatrixOptions{}); best != want || best != ranked[0].PM {
+				t.Fatalf("BestPlacementWith = %v, Joint scan = %v, RankPlacements[0] = PM%d", pmID(best), pmID(want), ranked[0].PM.ID)
+			}
 
-	byPM := make(map[cluster.PMID]float64, len(ranked))
-	for _, pl := range ranked {
-		byPM[pl.PM.ID] = pl.Probability
-	}
-	n := 0
-	for _, pm := range ctx.DC.ActivePMs() {
-		want := Joint(ctx, factors, arrival, pm, false)
-		if want > 0 {
-			n++
-		}
-		if got := byPM[pm.ID]; got != want {
-			t.Fatalf("PM %d: kernel arrival probability %v != generic %v", pm.ID, got, want)
-		}
-	}
-	if n != len(ranked) {
-		t.Fatalf("ranking has %d entries, generic scan found %d feasible", len(ranked), n)
+			byPM := make(map[cluster.PMID]float64, len(ranked))
+			for _, pl := range ranked {
+				byPM[pl.PM.ID] = pl.Probability
+			}
+			n := 0
+			for _, pm := range ctx.DC.ActivePMs() {
+				want := Joint(ctx, factors, arrival, pm, false)
+				if want > 0 {
+					n++
+				}
+				if got := byPM[pm.ID]; got != want {
+					t.Fatalf("PM %d: ranked arrival probability %v != Joint %v", pm.ID, got, want)
+				}
+			}
+			if n != len(ranked) {
+				t.Fatalf("ranking has %d entries, Joint scan found %d feasible", len(ranked), n)
+			}
+		})
 	}
 }
 
@@ -340,7 +373,7 @@ func TestMatrixTrackersMatchRebuildAfterRandomApplies(t *testing.T) {
 
 // TestConsolidateZeroCurrentProbability exercises the curProb == 0 → +Inf
 // gain path end-to-end through Algorithm 1 on the dense Matrix with the
-// real factors, on the compiled program and on Joint per cell: a VM
+// real factors, on the compiled program and on its generic terms: a VM
 // whose host's reliability has decayed to zero has a zero-probability
 // placement, so any feasible alternative must be taken regardless of
 // MIG_threshold, with an infinite recorded gain. (The lazy rounds' twin

@@ -27,8 +27,7 @@ type Matrix struct {
 	factors []Factor
 	opts    MatrixOptions
 
-	// prog is the compiled factor program: lists with a known factor fill
-	// cell by cell through the term program, lists with none through Joint.
+	// prog is the compiled factor program every cell is filled through.
 	prog program
 
 	pms []*cluster.PM // rows: active PMs, ID ascending
@@ -242,12 +241,6 @@ func (m *Matrix) hostRow(c int) int {
 func (m *Matrix) fillRow(r int) {
 	pm := m.pms[r]
 	row := m.p[r]
-	if !m.prog.known {
-		for c, vm := range m.vms {
-			row[c] = Joint(m.ctx, m.factors, vm, pm, vm.Host == pm.ID)
-		}
-		return
-	}
 	ci := int(m.rowClass[r])
 	info, vir := m.ctx.classTab[ci], m.vir[ci*len(m.vms):]
 	for c, vm := range m.vms {
@@ -411,7 +404,7 @@ type Move struct {
 // mutated) and refreshes the two affected rows.
 func (m *Matrix) Apply(r, c int) error {
 	from := m.curRow[c]
-	if err := migrate(m.vms[c], m.pms[from], m.pms[r]); err != nil {
+	if err := Migrate(m.vms[c], m.pms[from], m.pms[r]); err != nil {
 		return err
 	}
 	m.recomputeRow(from)

@@ -130,10 +130,12 @@ func (m *Matrix) Consolidate(params Params) ([]Move, error) {
 	return moves, nil
 }
 
-// migrate moves vm from src to dst — evict, host, count the migration — or,
-// when dst cannot actually host it (which would indicate a factor bug,
-// since p_res must have been positive), errors with the VM back on src.
-func migrate(vm *cluster.VM, src, dst *cluster.PM) error {
+// Migrate moves vm from src to dst — evict, host, count the migration — or,
+// when dst cannot actually host it (for Algorithm 1 that would indicate a
+// factor bug, since p_res must have been positive), errors with the VM back
+// on src. It is the one migration primitive: Algorithm 1's passes and the
+// policy package's Threshold and Replay all move VMs through it.
+func Migrate(vm *cluster.VM, src, dst *cluster.PM) error {
 	if err := src.Evict(vm); err != nil {
 		return fmt.Errorf("core: apply move of VM %d: %w", vm.ID, err)
 	}
@@ -225,11 +227,10 @@ func BestPlacementWith(ctx *Context, factors []Factor, vm *cluster.VM, opts Matr
 // estimate. It reads the Context's class table directly; p_vir needs no
 // memo when the column is evaluated once.
 type arrivalColumn struct {
-	ctx     *Context
-	factors []Factor
-	prog    program
-	vm      *cluster.VM
-	tre     float64
+	ctx  *Context
+	prog program
+	vm   *cluster.VM
+	tre  float64
 }
 
 // arrivalColumn compiles factors into the Context's reusable term storage,
@@ -238,7 +239,7 @@ type arrivalColumn struct {
 func (ctx *Context) arrivalColumn(factors []Factor, vm *cluster.VM) arrivalColumn {
 	prog := compile(ctx.terms[:0], factors)
 	ctx.terms = prog.terms
-	return arrivalColumn{ctx: ctx, factors: factors, prog: prog, vm: vm, tre: vm.RemainingEstimate(ctx.Now)}
+	return arrivalColumn{ctx: ctx, prog: prog, vm: vm, tre: vm.RemainingEstimate(ctx.Now)}
 }
 
 // cell is the joint probability of placing the column's VM, which pm does
@@ -246,9 +247,6 @@ func (ctx *Context) arrivalColumn(factors []Factor, vm *cluster.VM) arrivalColum
 func (a *arrivalColumn) cell(pm *cluster.PM) float64 {
 	if !pm.Active() {
 		return 0
-	}
-	if !a.prog.known {
-		return Joint(a.ctx, a.factors, a.vm, pm, false)
 	}
 	info := a.ctx.classInfoFor(pm)
 	return a.prog.cell(a.ctx, info, virProbability(a.tre, info.virOverhead(a.vm)), pm, a.vm, false)

@@ -14,9 +14,9 @@ import (
 // probability factor, quantifying what each of Eq. 2-5's terms contributes.
 // The resource factor is never dropped — without it placements would be
 // infeasible.
-func FactorVariants() []policy.Placer {
+func FactorVariants() []policy.Policy {
 	params := core.DefaultParams()
-	return []policy.Placer{
+	return []policy.Policy{
 		policy.NewDynamic(),
 		policy.NewDynamicVariant("dyn-no-vir",
 			[]core.Factor{core.ResourceFactor{}, core.ReliabilityFactor{}, core.EfficiencyFactor{}}, params),
@@ -29,7 +29,7 @@ func FactorVariants() []policy.Placer {
 
 // dynamicAs is the dynamic scheme under a row label and its own
 // Algorithm-1 parameters.
-func dynamicAs(label string, params core.Params) policy.Placer {
+func dynamicAs(label string, params core.Params) policy.Policy {
 	return policy.NewDynamicVariant(label, core.DefaultFactors(), params)
 }
 

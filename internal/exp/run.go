@@ -24,7 +24,7 @@ import (
 // variant is one row of a study: the placer to run and what the row
 // changes against Options.
 type variant struct {
-	placer policy.Placer
+	placer policy.Policy
 
 	// spare is the row's spare-server controller; nil runs without one.
 	spare *spare.Config
@@ -36,7 +36,7 @@ type variant struct {
 // variantOf returns the row for placer as Options describe it: the
 // dynamic family gets the default Section IV controller when
 // SpareForDynamic is set, static schemes never get one.
-func (o Options) variantOf(placer policy.Placer) variant {
+func (o Options) variantOf(placer policy.Policy) variant {
 	v := variant{placer: placer}
 	if _, isDyn := policy.DynamicOf(placer); isDyn && o.SpareForDynamic {
 		sc := spare.DefaultConfig()

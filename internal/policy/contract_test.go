@@ -38,7 +38,7 @@ func contractFleet(t *testing.T, partly vector.V, pm3 cluster.PMState) *core.Con
 // placerState is everything a later decision could read from p's own
 // state: the checkpointed policy state (Adaptive's threshold walk, the
 // Recorder's counters) and Random's stream.
-func placerState(p Placer) string {
+func placerState(p Policy) string {
 	var out string
 	if st := CaptureState(p); st != nil {
 		out = fmt.Sprintf("recorder=%+v adaptive=%+v", st.Recorder, st.Adaptive)
@@ -49,16 +49,16 @@ func placerState(p Placer) string {
 	return out
 }
 
-// TestPlaceContract pins the Placer contract the simulator's queue drain
+// TestPlaceContract pins the Place contract the simulator's queue drain
 // relies on to skip a queued VM without asking: Place returns nil exactly
 // when no active PM can host the demand (PM.CanHost, by a cold scan), a
 // non-nil answer can host it, and a nil call draws no randomness and
 // changes no policy state.
 func TestPlaceContract(t *testing.T) {
 	names := []string{"first-fit", "best-fit", "worst-fit", "random", "threshold", "dynamic", "overbook", "dynamic-adaptive"}
-	schemes := map[string]func() Placer{}
+	schemes := map[string]func() Policy{}
 	for _, name := range names {
-		schemes[name] = func() Placer {
+		schemes[name] = func() Policy {
 			p, err := ByName(name, 7)
 			if err != nil {
 				t.Fatal(err)
@@ -73,7 +73,7 @@ func TestPlaceContract(t *testing.T) {
 		}
 	}
 	names = append(names, "recorded-random")
-	schemes["recorded-random"] = func() Placer {
+	schemes["recorded-random"] = func() Policy {
 		rec := NewRecorder(NewRandom(7), 3)
 		rec.RestoreState(RecorderState{Calls: 5, Ticks: 2})
 		return rec

@@ -139,7 +139,7 @@ func TestRecordedPassAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // for the MemStats deltas
 	o := obs.New()
 	o.Decisions = obs.NewTracer(io.Discard)
-	pass := func(p Placer) (moves []core.Move, allocs uint64) {
+	pass := func(p Policy) (moves []core.Move, allocs uint64) {
 		ctx := spreadFleet(t, 24)
 		ctx.Obs = o
 		var before, after runtime.MemStats

@@ -17,10 +17,11 @@ import (
 	"repro/internal/vector"
 )
 
-// Placer decides where new VM requests go and whether/how to consolidate
-// running VMs. Implementations must be deterministic given their
-// construction parameters (Random takes a seed).
-type Placer interface {
+// Policy is a placement scheme: it decides where new VM requests go and
+// whether/how to consolidate running VMs, ranks the alternatives decision
+// tracing records, and sets the spare-pool target. Implementations must be
+// deterministic given their construction parameters (Random takes a seed).
+type Policy interface {
 	// Name identifies the scheme in reports ("first-fit", "dynamic"...).
 	Name() string
 
@@ -37,16 +38,6 @@ type Placer interface {
 	// arrivals, departures, and PM failures per Section III.C) and
 	// returns the executed moves. Static schemes return nil.
 	Consolidate(ctx *core.Context) ([]core.Move, error)
-}
-
-// Policy is the full decision surface of a placement strategy: the
-// Placer decision points (arrival placement, consolidation move
-// selection) plus alternative enumeration for decision tracing and the
-// spare-pool control point. Every scheme in this package implements
-// Policy; Placer remains the minimal driving interface so external
-// implementations are not forced to rank alternatives.
-type Policy interface {
-	Placer
 
 	// Alternatives ranks the scheme's top-k candidate PMs for placing
 	// vm, best first, using the scheme's own preference metric as the
@@ -65,18 +56,22 @@ type Policy interface {
 	SpareTarget(ctx *core.Context, baseline int) int
 }
 
+// Placer is the older name of Policy, kept for the benchmark harness,
+// which spells both.
+type Placer = Policy
+
 // Unwrapper is implemented by policies that wrap another (Recorder,
 // Replay, Adaptive). DynamicOf and RandomOf walk the chain so the
 // simulator's concrete-type integrations (kernel workers, audit hooks,
 // RNG checkpointing) keep working through any wrapper.
 type Unwrapper interface {
-	// Unwrap returns the wrapped Placer.
-	Unwrap() Placer
+	// Unwrap returns the wrapped Policy.
+	Unwrap() Policy
 }
 
 // DynamicOf returns the *Dynamic at the core of p, unwrapping any
 // wrapper chain, and whether one was found.
-func DynamicOf(p Placer) (*Dynamic, bool) {
+func DynamicOf(p Policy) (*Dynamic, bool) {
 	for p != nil {
 		if d, ok := p.(*Dynamic); ok {
 			return d, true
@@ -92,7 +87,7 @@ func DynamicOf(p Placer) (*Dynamic, bool) {
 
 // RandomOf returns the *Random at the core of p, unwrapping any wrapper
 // chain, and whether one was found.
-func RandomOf(p Placer) (*Random, bool) {
+func RandomOf(p Policy) (*Random, bool) {
 	for p != nil {
 		if r, ok := p.(*Random); ok {
 			return r, true
@@ -106,7 +101,7 @@ func RandomOf(p Placer) (*Random, bool) {
 	return nil, false
 }
 
-// Compile-time checks: every scheme in this package is a full Policy.
+// Compile-time checks: every scheme in this package is a Policy.
 var (
 	_ Policy = FirstFit{}
 	_ Policy = BestFit{}
@@ -172,10 +167,10 @@ func feasible(pm *cluster.PM, demand vector.V) bool {
 // placed to the first PM with available computation resources").
 type FirstFit struct{}
 
-// Name implements Placer.
+// Name implements Policy.
 func (FirstFit) Name() string { return "first-fit" }
 
-// Place implements Placer.
+// Place implements Policy.
 func (FirstFit) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	for _, pm := range ctx.DC.PMs() {
 		if feasible(pm, vm.Demand) {
@@ -185,7 +180,7 @@ func (FirstFit) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	return nil
 }
 
-// Consolidate implements Placer (static schemes never migrate).
+// Consolidate implements Policy (static schemes never migrate).
 func (FirstFit) Consolidate(*core.Context) ([]core.Move, error) { return nil, nil }
 
 // Alternatives implements Policy: feasible PMs in ID order (first-fit's
@@ -209,10 +204,10 @@ func (FirstFit) SpareTarget(_ *core.Context, baseline int) int { return baseline
 // ID.
 type BestFit struct{}
 
-// Name implements Placer.
+// Name implements Policy.
 func (BestFit) Name() string { return "best-fit" }
 
-// Place implements Placer.
+// Place implements Policy.
 func (BestFit) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	var best *cluster.PM
 	bestU := -1.0
@@ -228,7 +223,7 @@ func (BestFit) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	return best
 }
 
-// Consolidate implements Placer.
+// Consolidate implements Policy.
 func (BestFit) Consolidate(*core.Context) ([]core.Move, error) { return nil, nil }
 
 // Alternatives implements Policy: feasible PMs by prospective
@@ -245,10 +240,10 @@ func (BestFit) SpareTarget(_ *core.Context, baseline int) int { return baseline 
 // baseline for ablations.
 type WorstFit struct{}
 
-// Name implements Placer.
+// Name implements Policy.
 func (WorstFit) Name() string { return "worst-fit" }
 
-// Place implements Placer.
+// Place implements Policy.
 func (WorstFit) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	var worst *cluster.PM
 	worstU := math.Inf(1)
@@ -264,7 +259,7 @@ func (WorstFit) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	return worst
 }
 
-// Consolidate implements Placer.
+// Consolidate implements Policy.
 func (WorstFit) Consolidate(*core.Context) ([]core.Move, error) { return nil, nil }
 
 // Alternatives implements Policy: feasible PMs by prospective
@@ -301,10 +296,10 @@ func (r *Random) RestoreRNG(st stats.StreamState) error {
 	return nil
 }
 
-// Name implements Placer.
+// Name implements Policy.
 func (*Random) Name() string { return "random" }
 
-// Place implements Placer.
+// Place implements Policy.
 func (r *Random) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	var candidates []*cluster.PM
 	for _, pm := range ctx.DC.PMs() {
@@ -318,7 +313,7 @@ func (r *Random) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	return candidates[r.rng.Intn(len(candidates))]
 }
 
-// Consolidate implements Placer.
+// Consolidate implements Policy.
 func (*Random) Consolidate(*core.Context) ([]core.Move, error) { return nil, nil }
 
 // Alternatives implements Policy: the feasible candidate set in ID
@@ -393,7 +388,7 @@ func NewDynamicVariant(label string, factors []core.Factor, params core.Params) 
 	return &Dynamic{Factors: factors, Params: params, label: label}
 }
 
-// Name implements Placer.
+// Name implements Policy.
 func (d *Dynamic) Name() string {
 	if d.label != "" {
 		return d.label
@@ -413,7 +408,7 @@ func (d *Dynamic) factors() []core.Factor {
 // with exactly the scheme's factor composition.
 func (d *Dynamic) FactorSet() []core.Factor { return d.factors() }
 
-// Place implements Placer. When every joint probability is zero — which
+// Place implements Policy. When every joint probability is zero — which
 // happens for ultra-short requests whose estimated runtime is below even
 // the creation overhead, zeroing p_vir everywhere — the request still has
 // to run somewhere, so Place falls back to best-fit among resource-feasible
@@ -433,7 +428,7 @@ func (d *Dynamic) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	return nil
 }
 
-// Consolidate implements Placer.
+// Consolidate implements Policy.
 func (d *Dynamic) Consolidate(ctx *core.Context) ([]core.Move, error) {
 	return core.ConsolidateWith(ctx, d.factors(), d.Params, d.Opts)
 }
@@ -453,7 +448,7 @@ func (*Dynamic) SpareTarget(_ *core.Context, baseline int) int { return baseline
 
 // ByName constructs a scheme from its report name; seed feeds the Random
 // scheme. Unknown names return an error listing the options.
-func ByName(name string, seed int64) (Placer, error) {
+func ByName(name string, seed int64) (Policy, error) {
 	switch name {
 	case "first-fit":
 		return FirstFit{}, nil

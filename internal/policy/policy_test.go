@@ -133,7 +133,7 @@ func TestDynamicConsolidateMigrates(t *testing.T) {
 
 func TestStaticSchemesNeverConsolidate(t *testing.T) {
 	_, ctx := dc(t)
-	for _, p := range []Placer{FirstFit{}, BestFit{}, WorstFit{}, NewRandom(1)} {
+	for _, p := range []Policy{FirstFit{}, BestFit{}, WorstFit{}, NewRandom(1)} {
 		moves, err := p.Consolidate(ctx)
 		if err != nil || moves != nil {
 			t.Errorf("%s consolidated: %v, %v", p.Name(), moves, err)
@@ -142,7 +142,7 @@ func TestStaticSchemesNeverConsolidate(t *testing.T) {
 }
 
 func TestNames(t *testing.T) {
-	want := map[string]Placer{
+	want := map[string]Policy{
 		"first-fit": FirstFit{},
 		"best-fit":  BestFit{},
 		"worst-fit": WorstFit{},

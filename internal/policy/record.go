@@ -52,14 +52,14 @@ func NewRecorder(p Policy, k int) *Recorder {
 	return &Recorder{P: p, K: k}
 }
 
-// Name implements Placer: a recorded run reports the wrapped scheme's
+// Name implements Policy: a recorded run reports the wrapped scheme's
 // name (recording is instrumentation, not a scheme).
 func (rec *Recorder) Name() string { return rec.P.Name() }
 
 // Unwrap implements Unwrapper.
-func (rec *Recorder) Unwrap() Placer { return rec.P }
+func (rec *Recorder) Unwrap() Policy { return rec.P }
 
-// Place implements Placer: enumerate alternatives first (read-only),
+// Place implements Policy: enumerate alternatives first (read-only),
 // then delegate, then record both.
 func (rec *Recorder) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	if !ctx.Obs.DecisionTracing() {
@@ -80,7 +80,7 @@ func (rec *Recorder) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	return pm
 }
 
-// Consolidate implements Placer: for the dynamic family a read-only
+// Consolidate implements Policy: for the dynamic family a read-only
 // core.DecisionHook captures each move's column alternatives as the
 // Algorithm 1 loop runs; other schemes record their moves without
 // alternatives. Passes with zero moves are not recorded — Replay keys
@@ -175,7 +175,7 @@ type PlacerState struct {
 
 // CaptureState walks p's wrapper chain and captures any policy-internal
 // state; returns nil when there is none.
-func CaptureState(p Placer) *PlacerState {
+func CaptureState(p Policy) *PlacerState {
 	var st PlacerState
 	for p != nil {
 		switch v := p.(type) {
@@ -202,7 +202,7 @@ func CaptureState(p Placer) *PlacerState {
 // Lenient by design: state with no matching policy in the chain is
 // ignored (the resume CLI may legitimately resume an instrumented run
 // without instrumentation).
-func RestoreState(p Placer, st *PlacerState) error {
+func RestoreState(p Policy, st *PlacerState) error {
 	if st == nil {
 		return nil
 	}

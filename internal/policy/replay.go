@@ -249,13 +249,13 @@ func NewReplay(log []Decision, fallback Policy) *Replay {
 	return &Replay{Log: log, Fallback: fallback}
 }
 
-// Name implements Placer: the replayed scheme's name, so run_start
+// Name implements Policy: the replayed scheme's name, so run_start
 // events (and scheme-fingerprinted checkpoints) match the original.
 func (rp *Replay) Name() string { return rp.Fallback.Name() }
 
 // Unwrap implements Unwrapper, exposing the fallback scheme to the
 // simulator's kernel-worker and audit integrations.
-func (rp *Replay) Unwrap() Placer { return rp.Fallback }
+func (rp *Replay) Unwrap() Policy { return rp.Fallback }
 
 // Diverged reports whether the live run left the recorded log, and Err
 // returns the first divergence reason (nil for a deliberate Override
@@ -273,7 +273,7 @@ func (rp *Replay) divergef(format string, args ...any) {
 	}
 }
 
-// Place implements Placer.
+// Place implements Policy.
 func (rp *Replay) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	if rp.diverged {
 		return rp.Fallback.Place(ctx, vm)
@@ -316,7 +316,7 @@ func (rp *Replay) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	return pm
 }
 
-// Consolidate implements Placer: re-apply the recorded pass keyed by
+// Consolidate implements Policy: re-apply the recorded pass keyed by
 // the invocation counter. A pass with no matching record is a recorded
 // empty pass (zero-move passes are not logged), not divergence.
 func (rp *Replay) Consolidate(ctx *core.Context) ([]core.Move, error) {
@@ -336,17 +336,11 @@ func (rp *Replay) Consolidate(ctx *core.Context) ([]core.Move, error) {
 		if src == nil || dst == nil {
 			return moves, fmt.Errorf("policy: replay: move of VM %d references unknown PM %d->%d", mv.VM, mv.From, mv.To)
 		}
-		var vm *cluster.VM
-		for _, v := range src.VMs() {
-			if v.ID == mv.VM {
-				vm = v
-				break
-			}
-		}
+		vm := src.VM(mv.VM)
 		if vm == nil {
 			return moves, fmt.Errorf("policy: replay: VM %d not on recorded source PM %d", mv.VM, mv.From)
 		}
-		if err := moveVM(vm, src, dst); err != nil {
+		if err := core.Migrate(vm, src, dst); err != nil {
 			return moves, fmt.Errorf("policy: replay: move of VM %d to PM %d: %w", mv.VM, mv.To, err)
 		}
 		moves = append(moves, core.Move{

@@ -45,7 +45,7 @@ func (t *Threshold) Validate() error {
 	return nil
 }
 
-// Name implements Placer.
+// Name implements Policy.
 func (*Threshold) Name() string { return "threshold" }
 
 // bottleneck returns the max per-resource utilization of used within cap.
@@ -66,7 +66,7 @@ func (t *Threshold) postUtil(pm *cluster.PM, demand vector.V) float64 {
 	return bottleneck(pm.Used.Add(demand), pm.Class.Capacity)
 }
 
-// Place implements Placer: best-fit (highest post-placement bottleneck
+// Place implements Policy: best-fit (highest post-placement bottleneck
 // utilization) among hosts that stay at or below Hi; if none qualifies,
 // any feasible host (QoS beats the watermark).
 func (t *Threshold) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
@@ -115,7 +115,7 @@ func (t *Threshold) Alternatives(ctx *core.Context, vm *cluster.VM, k int) []cor
 // SpareTarget implements Policy (baseline passthrough).
 func (*Threshold) SpareTarget(_ *core.Context, baseline int) int { return baseline }
 
-// Consolidate implements Placer: first evacuate fully-drainable
+// Consolidate implements Policy: first evacuate fully-drainable
 // underloaded hosts, then relieve overloaded hosts, within the MaxMoves
 // budget.
 func (t *Threshold) Consolidate(ctx *core.Context) ([]core.Move, error) {
@@ -169,7 +169,7 @@ func (t *Threshold) evacuateUnderloaded(ctx *core.Context, moves []core.Move, bu
 			continue
 		}
 		for i, vm := range vms {
-			if err := moveVM(vm, src, plan[i]); err != nil {
+			if err := core.Migrate(vm, src, plan[i]); err != nil {
 				return moves, budget // accounting intact; stop the pass
 			}
 			moves = append(moves, core.Move{
@@ -209,7 +209,7 @@ func (t *Threshold) relieveOverloaded(ctx *core.Context, moves []core.Move, budg
 			if dst == nil {
 				break
 			}
-			if err := moveVM(vm, src, dst); err != nil {
+			if err := core.Migrate(vm, src, dst); err != nil {
 				break
 			}
 			moves = append(moves, core.Move{
@@ -257,20 +257,4 @@ func migratable(pm *cluster.PM) []*cluster.VM {
 		}
 	}
 	return out
-}
-
-// moveVM migrates vm from src to dst, keeping the model consistent on
-// failure.
-func moveVM(vm *cluster.VM, src, dst *cluster.PM) error {
-	if err := src.Evict(vm); err != nil {
-		return err
-	}
-	if err := dst.Host(vm); err != nil {
-		if rb := src.Host(vm); rb != nil {
-			panic(fmt.Sprintf("policy: rollback failed: %v after %v", rb, err))
-		}
-		return err
-	}
-	vm.Migrations++
-	return nil
 }

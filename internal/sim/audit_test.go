@@ -77,7 +77,7 @@ func TestRunAuditPeriodMatchesUnaudited(t *testing.T) {
 // matrix to check) but the state, energy, and conservation checks must
 // still hold over a static baseline's run.
 func TestRunAuditStaticSchemes(t *testing.T) {
-	for _, placer := range []policy.Placer{policy.FirstFit{}, policy.BestFit{}} {
+	for _, placer := range []policy.Policy{policy.FirstFit{}, policy.BestFit{}} {
 		res, err := Run(Config{
 			DC:       smallFleet(),
 			Placer:   placer,

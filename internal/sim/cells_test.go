@@ -127,18 +127,18 @@ func TestShardedDispatchOrderMatchesMonolith(t *testing.T) {
 // seam bench/ drives, Config.KernelWorkers, alone and with cells.
 func TestCellDifferentialSweep(t *testing.T) {
 	fleet16 := func() *cluster.Datacenter { return cluster.TableIIFleetScaled(16) }
-	dynamic := func() policy.Placer { return policy.NewDynamic() }
+	dynamic := func() policy.Policy { return policy.NewDynamic() }
 	for _, row := range []struct {
 		name   string
 		fleet  func() *cluster.Datacenter
-		placer func() policy.Placer
+		placer func() policy.Policy
 		seeds  int64
 		cells  []int
 		vary   func(*Config)
 	}{
 		{"fleet6", smallFleet, dynamic, 8, []int{2, 3, 6}, func(*Config) {}},
 		{"fleet16-audit", fleet16, dynamic, 2, []int{16}, func(c *Config) { c.Audit = audit.Event }},
-		{"first-fit", smallFleet, func() policy.Placer { return policy.FirstFit{} }, 2, []int{4}, func(*Config) {}},
+		{"first-fit", smallFleet, func() policy.Policy { return policy.FirstFit{} }, 2, []int{4}, func(*Config) {}},
 		{"kernel-workers", fleet16, dynamic, 2, []int{1, 4}, func(c *Config) { c.KernelWorkers = 2 }},
 	} {
 		for seed := int64(1); seed <= row.seeds; seed++ {

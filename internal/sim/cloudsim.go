@@ -30,7 +30,7 @@ type Config struct {
 	DC *cluster.Datacenter
 
 	// Placer is the placement scheme under test. Required.
-	Placer policy.Placer
+	Placer policy.Policy
 
 	// Requests is the workload, sorted by submit time. Required.
 	Requests []workload.Request
@@ -417,7 +417,7 @@ func (s *simulator) initRun() {
 		MeanUtilization: metrics.NewSeries(s.cfg.Placer.Name(), s.cfg.ControlPeriod),
 	}
 	if s.cfg.Spare != nil {
-		s.ctrl = spare.NewController(*s.cfg.Spare)
+		s.ctrl = spare.NewController(*s.cfg.Spare, s.cfg.ControlPeriod)
 	}
 	if s.cfg.Failures.Enabled() {
 		s.inj = failure.NewInjector(s.cfg.Failures)
@@ -816,18 +816,6 @@ func (s *simulator) onDeparture(vm *cluster.VM) {
 	s.consolidate()
 }
 
-// policySpare routes the spare-pool control point through the placer
-// when it implements the full Policy surface: the baseline controller's
-// plan goes in, the scheme's target comes out (stock schemes pass it
-// through unchanged, so legacy Placer-only schemes and existing traces
-// are unaffected).
-func (s *simulator) policySpare(baseline int) int {
-	if p, ok := s.cfg.Placer.(policy.Policy); ok {
-		return p.SpareTarget(s.ctx(), baseline)
-	}
-	return baseline
-}
-
 func (s *simulator) onControlTick() {
 	now := s.eng.Now()
 	s.meter.Advance(now)
@@ -845,14 +833,14 @@ func (s *simulator) onControlTick() {
 	if s.ctrl != nil {
 		plan := s.ctrl.PlanSpares(now, s.dc)
 		s.res.SparePlans = append(s.res.SparePlans, plan)
-		s.spareTarget = s.policySpare(plan.Spares)
+		s.spareTarget = s.cfg.Placer.SpareTarget(s.ctx(), plan.Spares)
 		if s.tracing {
 			s.emit("spare_plan", obs.I("spares", int64(plan.Spares)),
 				obs.I("n_arrival", int64(plan.NArrival)), obs.I("n_departure", int64(plan.NDeparture)),
 				obs.F("n_ave", plan.NAve), obs.F("expected_arrivals", plan.ExpectedArrivals))
 		}
 	} else if now > 0 {
-		s.spareTarget = s.policySpare(0)
+		s.spareTarget = s.cfg.Placer.SpareTarget(s.ctx(), 0)
 	}
 	s.drainQueue()
 	s.powerManage()
@@ -959,7 +947,7 @@ func (s *simulator) disarmFailure(pm *cluster.PM) {
 
 // drainQueue re-attempts placement for queued VMs in FIFO order, asking
 // the placer only about a VM some PM written since the last drain can
-// host. The skip is exact under the Placer contract (nil only when no
+// host. The skip is exact under the Place contract (nil only when no
 // active PM can host, and a nil call changes nothing): a queued VM fit no
 // PM at its last attempt, every write since is in qfeed, so when no PM
 // qfeed names can host it, Place would return nil. Within the drain, a PM

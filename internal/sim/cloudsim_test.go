@@ -223,7 +223,6 @@ func TestRunStaticNeverMigrates(t *testing.T) {
 
 func TestRunSpareControllerKeepsIdleCapacity(t *testing.T) {
 	sc := spare.DefaultConfig()
-	sc.Period = 600
 	res, err := Run(Config{
 		DC:            smallFleet(),
 		Placer:        policy.NewDynamic(),
@@ -248,6 +247,34 @@ func TestRunSpareControllerKeepsIdleCapacity(t *testing.T) {
 	}
 	if positive == 0 {
 		t.Error("spare controller never requested spares under steady load")
+	}
+}
+
+// TestSparePlansOverControlPeriod: the controller's window is the run's
+// control period. One VM with a 2400 s estimate starts within the first
+// period; at ControlPeriod 600 the plan at t=600 must not count it as
+// departing (an hour-long window would), and the plan at t=2400 must.
+func TestSparePlansOverControlPeriod(t *testing.T) {
+	sc := spare.DefaultConfig()
+	res, err := Run(Config{
+		DC:            smallFleet(),
+		Placer:        policy.FirstFit{},
+		Requests:      reqs(1, 0, 2400),
+		ControlPeriod: 600,
+		Spare:         &sc,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	departing := map[float64]int{}
+	for _, p := range res.SparePlans {
+		departing[p.At] = p.NDeparture
+	}
+	if n, ok := departing[600]; !ok || n != 0 {
+		t.Errorf("plan at t=600 predicts %d departures (planned: %t), want 0 over a 600 s window", n, ok)
+	}
+	if departing[2400] != 1 {
+		t.Errorf("plan at t=2400 predicts %d departures, want 1: the VM ends within 600 s", departing[2400])
 	}
 }
 

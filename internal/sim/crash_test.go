@@ -51,11 +51,11 @@ func crashCfg(reqs []workload.Request, trace *bytes.Buffer) Config {
 func TestCrashResumeEveryBoundary(t *testing.T) {
 	for _, row := range []struct {
 		name   string
-		placer func() policy.Placer
+		placer func() policy.Policy
 		load   []workload.Request
 	}{
-		{"dynamic", func() policy.Placer { return policy.NewDynamic() }, fragmentingTrace(24)},
-		{"first-fit-saturated", func() policy.Placer { return policy.FirstFit{} }, saturatingTrace(40)},
+		{"dynamic", func() policy.Policy { return policy.NewDynamic() }, fragmentingTrace(24)},
+		{"first-fit-saturated", func() policy.Policy { return policy.FirstFit{} }, saturatingTrace(40)},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := func(trace *bytes.Buffer) Config {

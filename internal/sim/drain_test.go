@@ -33,15 +33,15 @@ func saturatingTrace(n int) []workload.Request {
 	return out
 }
 
-// countingPlacer wraps a Placer and counts its Place calls.
+// countingPlacer wraps a Policy and counts its Place calls.
 type countingPlacer struct {
-	policy.Placer
+	policy.Policy
 	calls int
 }
 
 func (c *countingPlacer) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	c.calls++
-	return c.Placer.Place(ctx, vm)
+	return c.Policy.Place(ctx, vm)
 }
 
 // TestDrainAsksOnlyWhatAChangeCouldAdmit holds the queue drain to its
@@ -52,7 +52,7 @@ func (c *countingPlacer) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 func TestDrainAsksOnlyWhatAChangeCouldAdmit(t *testing.T) {
 	var trace bytes.Buffer
 	o := obs.NewTracing(&trace)
-	pl := &countingPlacer{Placer: policy.FirstFit{}}
+	pl := &countingPlacer{Policy: policy.FirstFit{}}
 	reqs := saturatingTrace(300)
 	res, err := Run(Config{
 		DC:       smallFleet(),

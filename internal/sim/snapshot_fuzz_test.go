@@ -29,7 +29,7 @@ func FuzzSnapshotResume(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, variant, failSeed int64, stopPick uint64) {
 		load := fragmentingTrace(30)
-		newPlacer := func() policy.Placer {
+		newPlacer := func() policy.Policy {
 			switch variant & 3 {
 			case 0:
 				return policy.NewDynamic()

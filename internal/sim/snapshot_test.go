@@ -21,7 +21,7 @@ import (
 // snapCfg is the full-featured configuration the checkpoint tests run
 // under: spare controller, failure injection, timed migrations, warm
 // start — every subsystem whose state a snapshot must carry.
-func snapCfg(reqs []workload.Request, placer policy.Placer, trace *bytes.Buffer) Config {
+func snapCfg(reqs []workload.Request, placer policy.Policy, trace *bytes.Buffer) Config {
 	sc := spare.DefaultConfig()
 	cfg := Config{
 		DC:       smallFleet(),
@@ -145,7 +145,7 @@ func assertSameOutcome(t *testing.T, resA, resB *Result) {
 // an identical Result.
 func TestSnapshotResumeBitExact(t *testing.T) {
 	load := mixedLoad()
-	placer := func() policy.Placer { return policy.NewDynamic() }
+	placer := func() policy.Policy { return policy.NewDynamic() }
 
 	var fullTrace bytes.Buffer
 	probe, err := New(snapCfg(load, placer(), &fullTrace))

@@ -27,12 +27,9 @@ import (
 	"repro/internal/stats"
 )
 
-// Config parameterizes the controller.
+// Config parameterizes the controller. The control period T is not part
+// of it: NewController takes the caller's (the simulator's ControlPeriod).
 type Config struct {
-	// Period is the control period T in seconds (3600 in the paper's
-	// hourly evaluation).
-	Period float64
-
 	// Alpha is the QoS tail bound: P(arrivals > n_arrival) <= Alpha.
 	Alpha float64
 
@@ -68,7 +65,6 @@ type Config struct {
 // DefaultConfig returns the paper's settings.
 func DefaultConfig() Config {
 	return Config{
-		Period:       3600,
 		Alpha:        0.05,
 		Cycle:        86400,
 		NAveFallback: 1,
@@ -77,9 +73,6 @@ func DefaultConfig() Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Period <= 0 {
-		return fmt.Errorf("spare: period must be positive, got %g", c.Period)
-	}
 	if !(c.Alpha > 0 && c.Alpha < 1) {
 		return fmt.Errorf("spare: alpha %g not in (0,1)", c.Alpha)
 	}
@@ -97,8 +90,9 @@ func (c Config) Validate() error {
 
 // Controller tracks arrivals and produces spare-server plans.
 type Controller struct {
-	cfg Config
-	est *nhpp.Estimator
+	cfg    Config
+	period float64 // T, the window PlanSpares plans over
+	est    *nhpp.Estimator
 
 	// Obs, when non-nil, receives the spare_plan timing span and the
 	// controller's decision metrics (plans made, current spare target).
@@ -131,13 +125,18 @@ func (c *Controller) metrics() *planMetrics {
 	return c.met
 }
 
-// NewController builds a controller; it panics on invalid configuration
-// (configurations are static and author-supplied).
-func NewController(cfg Config) *Controller {
+// NewController builds a controller that plans over windows of period
+// seconds (T, 3600 in the paper's hourly evaluation); it panics on an
+// invalid configuration or a non-positive period (both are static and
+// author-supplied).
+func NewController(cfg Config, period float64) *Controller {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Controller{cfg: cfg, est: nhpp.New(cfg.Cycle)}
+	if !(period > 0) {
+		panic(fmt.Sprintf("spare: period must be positive, got %g", period))
+	}
+	return &Controller{cfg: cfg, period: period, est: nhpp.New(cfg.Cycle)}
 }
 
 // Config returns the controller's configuration.
@@ -228,12 +227,12 @@ func (c *Controller) PlanSpares(now float64, dc *cluster.Datacenter) Plan {
 	defer phase.End(phase.Begin())
 	c.est.Advance(now)
 	p := Plan{At: now}
-	p.ExpectedArrivals = c.est.CumulativeIntensity(now, now+c.cfg.Period)
+	p.ExpectedArrivals = c.est.CumulativeIntensity(now, now+c.period)
 	p.NArrival = stats.PoissonQuantile(p.ExpectedArrivals, c.cfg.Alpha)
-	p.NDeparture = PredictDepartures(dc, now, c.cfg.Period)
+	p.NDeparture = PredictDepartures(dc, now, c.period)
 	if c.cfg.ChurnAware {
 		if mean := c.MeanRuntime(); mean > 0 {
-			frac := c.cfg.Period / (2 * mean)
+			frac := c.period / (2 * mean)
 			if frac > 1 {
 				frac = 1
 			}

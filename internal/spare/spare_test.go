@@ -34,7 +34,6 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("default config invalid: %v", err)
 	}
 	bad := []func(*Config){
-		func(c *Config) { c.Period = 0 },
 		func(c *Config) { c.Alpha = 0 },
 		func(c *Config) { c.Alpha = 1 },
 		func(c *Config) { c.Cycle = -1 },
@@ -51,12 +50,19 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestNewControllerPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewController(Config{})
+	for name, f := range map[string]func(){
+		"bad config":  func() { NewController(Config{}, 3600) },
+		"zero period": func() { NewController(DefaultConfig(), 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 func TestPredictDepartures(t *testing.T) {
@@ -83,7 +89,7 @@ func TestPredictDeparturesIgnoresNonRunning(t *testing.T) {
 }
 
 func TestPlanNoSparesWhenDeparturesDominate(t *testing.T) {
-	c := NewController(DefaultConfig())
+	c := NewController(DefaultConfig(), 3600)
 	dc := testDC()
 	// Many imminent departures, no recorded arrivals.
 	for i := cluster.VMID(0); i < 5; i++ {
@@ -101,7 +107,7 @@ func TestPlanNoSparesWhenDeparturesDominate(t *testing.T) {
 func TestPlanSparesScaleWithArrivalRate(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cycle = 86400
-	c := NewController(cfg)
+	c := NewController(cfg, 3600)
 	dc := testDC()
 	// Uniform heavy arrivals: 24/hour for 2 days.
 	r := stats.NewRand(1)
@@ -126,7 +132,7 @@ func TestPlanSparesScaleWithArrivalRate(t *testing.T) {
 
 func TestPlanDividesByNAve(t *testing.T) {
 	cfg := DefaultConfig()
-	c := NewController(cfg)
+	c := NewController(cfg, 3600)
 	dc := testDC()
 	// N_Ave = 4: one PM hosting 4 long-running VMs.
 	for i := cluster.VMID(0); i < 4; i++ {
@@ -152,7 +158,7 @@ func TestPlanDividesByNAve(t *testing.T) {
 func TestPlanMaxSparesCap(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxSpares = 2
-	c := NewController(cfg)
+	c := NewController(cfg, 3600)
 	dc := testDC()
 	for i := 0; i < 1000; i++ {
 		c.RecordArrival(float64(i) * 86.4)
@@ -167,7 +173,7 @@ func TestPlanQoSTailBound(t *testing.T) {
 	// The chosen n_arrival must satisfy P(N > n) <= alpha for the
 	// estimated mean.
 	cfg := DefaultConfig()
-	c := NewController(cfg)
+	c := NewController(cfg, 3600)
 	dc := testDC()
 	for i := 0; i < 480; i++ { // 20/hour over a day
 		c.RecordArrival(float64(i) * 180)
@@ -180,7 +186,7 @@ func TestPlanQoSTailBound(t *testing.T) {
 }
 
 func TestPlanColdStart(t *testing.T) {
-	c := NewController(DefaultConfig())
+	c := NewController(DefaultConfig(), 3600)
 	dc := testDC()
 	p := c.PlanSpares(0, dc)
 	if p.Spares != 0 || p.NArrival != 0 {
@@ -195,7 +201,7 @@ func TestChurnAwareReducesSpares(t *testing.T) {
 	build := func(churn bool) Plan {
 		cfg := DefaultConfig()
 		cfg.ChurnAware = churn
-		c := NewController(cfg)
+		c := NewController(cfg, 3600)
 		for i := 0; i < 24*120; i++ { // 120 arrivals/hour for a day
 			c.RecordArrival(float64(i) * 30)
 		}
@@ -227,7 +233,7 @@ func TestChurnAwareReducesSpares(t *testing.T) {
 func TestChurnAwareNoCompletionsFallsBack(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ChurnAware = true
-	c := NewController(cfg)
+	c := NewController(cfg, 3600)
 	for i := 0; i < 480; i++ {
 		c.RecordArrival(float64(i) * 180)
 	}
@@ -251,7 +257,7 @@ func TestPlanDeparturesExceedArrivals(t *testing.T) {
 	// rate (so n_arrival > 0) against a fleet full of imminently
 	// finishing VMs. The negative difference must clamp to zero spares,
 	// never underflow into booting machines for demand that is shrinking.
-	c := NewController(DefaultConfig())
+	c := NewController(DefaultConfig(), 3600)
 	for i := 0; i < 24*4; i++ { // 4 arrivals/hour for a day
 		c.RecordArrival(float64(i) * 900)
 	}
