@@ -169,9 +169,10 @@ func BenchmarkKernelArrival(b *testing.B) {
 	}
 }
 
-// genericBestPlacement replicates the pre-kernel arrival path for
-// comparison: evaluate Joint on every active PM, build the candidate
-// slice, sort it, take the head.
+// genericBestPlacement replicates the pre-kernel arrival path: evaluate
+// Joint on every active PM, build the candidate slice, sort it, take the
+// head (nil when no PM scores above 0). The benchmark times it; the tests
+// hold every arrival argmax to it.
 func genericBestPlacement(ctx *Context, factors []Factor, vm *cluster.VM) *cluster.PM {
 	var out []Placement
 	for _, pm := range ctx.DC.ActivePMs() {

@@ -167,20 +167,6 @@ func assertJointFill(t *testing.T, m *Matrix) {
 	}
 }
 
-// jointBest is the arrival argmax by a Joint scan of the active PMs in ID
-// order: the highest joint probability, ties toward the lower PM ID, nil
-// when every probability is 0.
-func jointBest(ctx *Context, factors []Factor, vm *cluster.VM) *cluster.PM {
-	var best *cluster.PM
-	bestP := 0.0
-	for _, pm := range ctx.DC.ActivePMs() {
-		if p := Joint(ctx, factors, vm, pm, false); p > bestP {
-			bestP, best = p, pm
-		}
-	}
-	return best
-}
-
 // assertMatricesEqual requires bit-identical probabilities and trackers.
 func assertMatricesEqual(t *testing.T, fast, slow *Matrix) {
 	t.Helper()
@@ -295,7 +281,7 @@ func TestKernelArrivalEquivalence(t *testing.T) {
 			if len(ranked) == 0 {
 				t.Fatal("no feasible placements for the arrival")
 			}
-			want := jointBest(ctx, factors, arrival)
+			want := genericBestPlacement(ctx, factors, arrival)
 			if best := BestPlacementWith(ctx, factors, arrival, MatrixOptions{}); best != want || best != ranked[0].PM {
 				t.Fatalf("BestPlacementWith = %v, Joint scan = %v, RankPlacements[0] = PM%d", pmID(best), pmID(want), ranked[0].PM.ID)
 			}

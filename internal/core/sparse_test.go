@@ -292,7 +292,7 @@ func TestSparseNonCanonicalFallback(t *testing.T) {
 			ctx, _ := spreadState(t, 100, 260, 11)
 			twin, _ := spreadState(t, 100, 260, 11)
 			arrival := cluster.NewVM(9999, vector.New(1, 1), 5400, 0, ctx.Now)
-			if got, want := BestPlacement(ctx, tc.factors, arrival), jointBest(twin, tc.factors, arrival); pmID(got) != pmID(want) {
+			if got, want := BestPlacement(ctx, tc.factors, arrival), genericBestPlacement(twin, tc.factors, arrival); pmID(got) != pmID(want) {
 				t.Fatalf("arrival argmax %v, Joint scan %v", pmID(got), pmID(want))
 			}
 			// CandidateK must not pull a non-canonical list onto the index.
