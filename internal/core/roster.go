@@ -96,6 +96,14 @@ func newRoster(ctx *Context) *roster {
 // reread replaces pm's bucket, cur and active with the PM as it stands,
 // and its share of offline. A VM still placed keeps its shape id; a new one
 // is interned. inserts and drops count the VMs that came and went.
+//
+// The host orders change by shape, not by VM: each shape of the old and the
+// new bucket is taken once, at its first VM there, and the PM leaves a
+// shape's order — at the old cur, before cur is written — only if the shape
+// left the PM or cur changed, and enters it — at the new cur — only if the
+// shape is new to the PM or cur changed. A re-read that keeps cur and the
+// PM's set of shapes touches no host order. A bucket holds a few VMs of
+// fewer shapes, so the shapes are told apart by scanning it.
 func (ro *roster) reread(ctx *Context, pm *cluster.PM) (inserts, drops int) {
 	id := int32(pm.ID)
 	p := &ro.pms[id]
@@ -104,10 +112,6 @@ func (ro *roster) reread(ctx *Context, pm *cluster.PM) (inserts, drops int) {
 	}
 	old := append(ro.old[:0], ro.bucket(id)...)
 	ro.old = old
-	for _, e := range old {
-		ro.leave(e.shape, id)
-	}
-	p.active, p.cur = pm.Active(), ctx.hostedProb(pm)
 	n := int32(pm.VMCount())
 	if n > p.cap { // move the bucket to the slab's end, with room to grow
 		clear(ro.ents[p.off : p.off+p.cap])
@@ -127,14 +131,44 @@ func (ro *roster) reread(ctx *Context, pm *cluster.PM) (inserts, drops int) {
 			seg[k].shape = ctx.shapeID(vm.Demand)
 			inserts++
 		}
-		ro.join(seg[k].shape, id)
 		k++
 	})
 	p.n = n
+	drops = len(old) - (int(n) - inserts)
+
+	// With cur kept, only a VM that went can take a shape away, and only
+	// one that came can bring one.
+	cur := ctx.hostedProb(pm)
+	moved := cur != p.cur
+	if moved || drops > 0 {
+		for i, e := range old {
+			if !hasShape(old[:i], e.shape) && (moved || !hasShape(seg, e.shape)) {
+				ro.remove(e.shape, id, p.cur)
+			}
+		}
+	}
+	p.active, p.cur = pm.Active(), cur
+	if moved || inserts > 0 {
+		for i, e := range seg {
+			if !hasShape(seg[:i], e.shape) && (moved || !hasShape(old, e.shape)) {
+				ro.insert(e.shape, id, cur)
+			}
+		}
+	}
 	if p.offline() {
 		ro.offline++
 	}
-	return inserts, len(old) - (int(n) - inserts)
+	return inserts, drops
+}
+
+// hasShape reports whether bucket b holds a VM of shape sid.
+func hasShape(b []rosterEntry, sid int32) bool {
+	for _, e := range b {
+		if e.shape == sid {
+			return true
+		}
+	}
+	return false
 }
 
 // offline reports whether the PM holds VMs while inactive.
@@ -146,26 +180,26 @@ func (ro *roster) bucket(id int32) []rosterEntry {
 	return ro.ents[p.off : p.off+p.n]
 }
 
-// join and leave enter PM id into shape sid's host order at the PM's
-// present cur, or take it out; each is a no-op when already done.
-func (ro *roster) join(sid, id int32) {
+// insert enters PM id into shape sid's host order at cur, and remove takes
+// it out from there; each is a no-op when already done.
+func (ro *roster) insert(sid, id int32, cur float64) {
 	for int(sid) >= len(ro.hosts) {
 		ro.hosts = append(ro.hosts, make([]int32, 0, len(ro.pms)))
 	}
-	if at, found := ro.search(ro.hosts[sid], id); !found {
+	if at, found := ro.search(ro.hosts[sid], id, cur); !found {
 		ro.hosts[sid] = slices.Insert(ro.hosts[sid], at, id)
 	}
 }
 
-func (ro *roster) leave(sid, id int32) {
-	if at, found := ro.search(ro.hosts[sid], id); found {
+func (ro *roster) remove(sid, id int32, cur float64) {
+	if at, found := ro.search(ro.hosts[sid], id, cur); found {
 		ro.hosts[sid] = slices.Delete(ro.hosts[sid], at, at+1)
 	}
 }
 
-// search is a binary search for PM id in hosts, ordered (cur asc, ID asc).
-func (ro *roster) search(hosts []int32, id int32) (int, bool) {
-	cur := ro.pms[id].cur
+// search is a binary search for PM id, at cur, in hosts, ordered (cur asc,
+// ID asc).
+func (ro *roster) search(hosts []int32, id int32, cur float64) (int, bool) {
 	lo, hi := 0, len(hosts)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)

@@ -288,3 +288,156 @@ func TestFrameRejectsUnorderedColumns(t *testing.T) {
 		m.Release()
 	}
 }
+
+// TestRosterRereadPerShape holds each kind of re-read to a cold rebuild
+// (diffRoster): the PM leaves a shape's host order only when the shape left
+// it or its cur moved, from the old cur, and enters only when the shape is
+// new to it or its cur moved, at the new cur. The fleet is TableIIFleetScaled(8)
+// (PMs 0-1 fast, 2-7 slow); a fast PM holding four VMs of shape c sits on
+// its top efficiency level, where an arrival or a departure of a small VM
+// leaves cur as it was. Each row states whether the change moves the
+// target's cur, and the rows that move it cross another host of a shape the
+// target keeps, so a removal skipped or made at the new cur leaves the
+// target out of order or twice in it.
+func TestRosterRereadPerShape(t *testing.T) {
+	a, b, c := vector.New(1, 0.25), vector.New(1, 0.5), vector.New(1, 1)
+	small := vector.New(0.5, 0.125) // below R^MIN: a slow PM takes more than its W_j = 4
+	type placed struct {
+		pm     cluster.PMID
+		shapes []vector.V
+	}
+	rows := []struct {
+		name   string
+		setup  []placed
+		target cluster.PMID
+		change func(t *testing.T, pm *cluster.PM, host func(*cluster.PM, vector.V))
+		moved  bool // the target's cur changes
+		grown  bool // the target's bucket outgrows its room
+	}{
+		{
+			name:   "cur unchanged, a new shape arrives",
+			setup:  []placed{{0, []vector.V{c, c, c, c}}, {2, []vector.V{a}}, {3, []vector.V{a, a}}},
+			target: 0,
+			change: func(t *testing.T, pm *cluster.PM, host func(*cluster.PM, vector.V)) { host(pm, a) },
+		},
+		{
+			name:   "cur unchanged, a shape's last VM leaves",
+			setup:  []placed{{0, []vector.V{c, c, c, c, a}}, {2, []vector.V{a}}, {3, []vector.V{a, a}}},
+			target: 0,
+			change: func(t *testing.T, pm *cluster.PM, _ func(*cluster.PM, vector.V)) {
+				evictShape(t, pm, a)
+			},
+		},
+		{
+			name:   "cur moves with two VMs of one shape",
+			setup:  []placed{{2, []vector.V{a, a}}, {3, []vector.V{a, a, a}}, {4, []vector.V{a}}},
+			target: 2,
+			change: func(t *testing.T, pm *cluster.PM, host func(*cluster.PM, vector.V)) { host(pm, c) },
+			moved:  true,
+		},
+		{
+			name:   "cur moves down past a host of the kept shape",
+			setup:  []placed{{2, []vector.V{a, a, b}}, {3, []vector.V{a, a}}, {4, []vector.V{a}}},
+			target: 2,
+			change: func(t *testing.T, pm *cluster.PM, _ func(*cluster.PM, vector.V)) {
+				evictShape(t, pm, b)
+				evictShape(t, pm, a)
+			},
+			moved: true,
+		},
+		{
+			name:   "the PM goes inactive",
+			setup:  []placed{{2, []vector.V{a, a}}, {3, []vector.V{a}}},
+			target: 2,
+			change: func(t *testing.T, pm *cluster.PM, _ func(*cluster.PM, vector.V)) {
+				pm.SetState(cluster.PMOff)
+			},
+		},
+		{
+			name:   "the bucket grows past cap",
+			setup:  []placed{{2, []vector.V{small, small, small, small}}, {3, []vector.V{small, small, small, small, small, small}}, {4, []vector.V{small}}},
+			target: 2,
+			change: func(t *testing.T, pm *cluster.PM, host func(*cluster.PM, vector.V)) {
+				host(pm, small)
+				host(pm, small)
+				host(pm, a)
+			},
+			moved: true,
+			grown: true,
+		},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			dc := cluster.TableIIFleetScaled(8)
+			for _, pm := range dc.PMs() {
+				pm.SetState(cluster.PMOn)
+			}
+			nextID := cluster.VMID(1)
+			host := func(pm *cluster.PM, shape vector.V) {
+				t.Helper()
+				vm := cluster.NewVM(nextID, shape.Clone(), 40000, 40000, 0)
+				nextID++
+				if err := pm.Host(vm); err != nil {
+					t.Fatal(err)
+				}
+				vm.State = cluster.VMRunning
+			}
+			for _, p := range row.setup {
+				for _, shape := range p.shapes {
+					host(dc.PM(p.pm), shape)
+				}
+			}
+			ctx := &Context{DC: dc, Now: 7200}
+			ro := ctx.syncRoster()
+			if err := ctx.diffRoster(); err != nil {
+				t.Fatalf("cold build: %v", err)
+			}
+			before := ro.pms[row.target]
+
+			row.change(t, dc.PM(row.target), host)
+			if err := ctx.CheckColumns(); err != nil {
+				t.Fatal(err)
+			}
+			after := ro.pms[row.target]
+			if moved := after.cur != before.cur; moved != row.moved {
+				t.Fatalf("degenerate row: cur %g -> %g, want moved %v", before.cur, after.cur, row.moved)
+			}
+			if grown := after.cap > before.cap; grown != row.grown {
+				t.Fatalf("degenerate row: cap %d -> %d, want grown %v", before.cap, after.cap, row.grown)
+			}
+			if row.moved && !crossed(ro, row.target, before.cur, after.cur) {
+				t.Fatalf("degenerate row: PM %d's cur moves past no other host of a shape it keeps", row.target)
+			}
+		})
+	}
+}
+
+// evictShape evicts one VM of the given shape from pm.
+func evictShape(t *testing.T, pm *cluster.PM, shape vector.V) {
+	t.Helper()
+	for _, vm := range pm.VMs() {
+		if vm.Demand.Equal(shape) {
+			if err := pm.Evict(vm); err != nil {
+				t.Fatal(err)
+			}
+			vm.State = cluster.VMFinished
+			return
+		}
+	}
+	t.Fatalf("PM %d holds no VM of shape %v", pm.ID, shape)
+}
+
+// crossed reports whether some shape on PM id has another host whose cur
+// lies between from and to (inclusive), so the PM's place in that shape's
+// host order differs between the two.
+func crossed(ro *roster, id cluster.PMID, from, to float64) bool {
+	lo, hi := min(from, to), max(from, to)
+	for _, e := range ro.bucket(int32(id)) {
+		for _, h := range ro.hosts[e.shape] {
+			if h != int32(id) && ro.pms[h].cur >= lo && ro.pms[h].cur <= hi {
+				return true
+			}
+		}
+	}
+	return false
+}
