@@ -22,6 +22,7 @@ package nhpp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -39,9 +40,17 @@ type Estimator struct {
 	latest float64
 
 	// folded caches the sorted folded phases of arrivals from complete
-	// cycles; rebuilt lazily when cycleCache no longer matches.
+	// cycles; brought up to date lazily when cycleCache no longer matches,
+	// by merging in the cycles completed since (rebuild).
 	folded     []float64
 	cycleCache int
+	// limit is cycleCache's end, cycleCache periods: every arrival below it
+	// is in folded. from indexes the first arrival not below it, so every
+	// arrival before from is folded. stale records an Observe below limit
+	// since the last fold, which only a full fold picks up.
+	limit float64
+	from  int
+	stale bool
 }
 
 // New returns an estimator with the given cycle period in seconds
@@ -65,6 +74,9 @@ func (e *Estimator) Observe(t float64) {
 		panic(fmt.Sprintf("nhpp: negative observation time %g", t))
 	}
 	e.arrivals = append(e.arrivals, t)
+	if t < e.limit {
+		e.stale = true
+	}
 	if t > e.latest {
 		e.latest = t
 	}
@@ -120,21 +132,67 @@ func (e *Estimator) completeCycles() int {
 	return int(e.latest / e.period)
 }
 
-// rebuild refreshes the folded phase cache for k complete cycles.
+// rebuild refreshes the folded phase cache for k complete cycles. It
+// appends to folded only the phases of the arrivals in [limit, k periods) —
+// the cycles completed since the last fold — and merges them into the
+// phases before them in place, from the back, reading the new run from the
+// arrivals again: no scratch slice. That run is in phase order when the
+// arrivals came in time order within one cycle; when it is not (several
+// cycles folded at once, or the cycle arithmetic rounding an arrival into
+// its neighbour), folded is sorted whole. After an Observe below limit
+// every arrival is folded afresh, as a fresh estimator's first rebuild does.
+// Either way folded holds the sorted phases of every arrival below k periods
+// observed by the last fold.
 func (e *Estimator) rebuild(k int) {
 	if k == e.cycleCache && e.folded != nil {
 		return
 	}
+	if e.stale {
+		e.folded, e.limit, e.from, e.stale = e.folded[:0], 0, 0, false
+	}
 	limit := float64(k) * e.period
-	e.folded = e.folded[:0]
-	for _, t := range e.arrivals {
-		if t < limit {
-			phase := t - float64(int(t/e.period))*e.period
-			e.folded = append(e.folded, phase)
+	n, inOrder := len(e.folded), true
+	for _, t := range e.arrivals[e.from:] {
+		if t >= e.limit && t < limit {
+			p := e.phase(t)
+			if last := len(e.folded) - 1; last >= n && e.folded[last] > p {
+				inOrder = false
+			}
+			e.folded = append(e.folded, p)
 		}
 	}
-	sort.Float64s(e.folded)
-	e.cycleCache = k
+	switch {
+	case !inOrder:
+		slices.Sort(e.folded)
+	case n > 0 && len(e.folded) > n:
+		// w is one past the next write, i the unmerged old phases: w - i
+		// new phases are still to come, so w never passes folded[i-1]
+		// while one is.
+		i, w := n, len(e.folded)
+		for j := len(e.arrivals) - 1; j >= e.from; j-- {
+			t := e.arrivals[j]
+			if t < e.limit || t >= limit {
+				continue
+			}
+			p := e.phase(t)
+			for i > 0 && e.folded[i-1] > p {
+				w--
+				i--
+				e.folded[w] = e.folded[i]
+			}
+			w--
+			e.folded[w] = p
+		}
+	}
+	for e.from < len(e.arrivals) && e.arrivals[e.from] < limit {
+		e.from++
+	}
+	e.limit, e.cycleCache = limit, k
+}
+
+// phase folds absolute time t into the cycle [0, period).
+func (e *Estimator) phase(t float64) float64 {
+	return t - float64(int(t/e.period))*e.period
 }
 
 // lambdaHatPhase evaluates the Leemis piecewise-linear estimate of the
