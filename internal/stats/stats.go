@@ -155,9 +155,30 @@ func PoissonQuantile(lambda, alpha float64) int {
 	// either reaches the target or stops changing after finitely many
 	// steps; past the mean the terms only shrink, so a CDF that stalled
 	// there stays stalled.
+	//
+	// Each step's CDF is PoissonCDF(lambda, n): where PoissonCDF sums the
+	// PMF recursion, its running sum is carried from one n to the next —
+	// the same terms added in the same order — so the walk is linear in n.
+	p := math.Exp(-lambda)
+	normal := p < minNormal // PoissonCDF's normal approximation, O(1) a call
+	sum, i := 0.0, 0
 	prev := -1.0
 	for ; ; n++ {
-		cdf := PoissonCDF(lambda, n)
+		var cdf float64
+		if normal {
+			cdf = PoissonCDF(lambda, n)
+		} else {
+			for ; i <= n; i++ {
+				if i > 0 {
+					p *= lambda / float64(i)
+				}
+				sum += p
+			}
+			cdf = sum
+			if cdf > 1 {
+				cdf = 1
+			}
+		}
 		if cdf >= target || (cdf == prev && float64(n) > lambda) {
 			return n
 		}

@@ -298,3 +298,58 @@ func BenchmarkPoissonQuantile(b *testing.B) {
 		PoissonQuantile(42.5, 0.05)
 	}
 }
+
+// quantileByCDFWalk is PoissonQuantile as it was written before it carried
+// the CDF's running sum: every candidate n asks PoissonCDF from zero, which
+// is quadratic in n. It is the reference the linear walk is held to.
+func quantileByCDFWalk(lambda, alpha float64) int {
+	target := 1 - alpha
+	n := 0
+	if lambda > 10 {
+		n = int(lambda - 5*math.Sqrt(lambda))
+		if n < 0 {
+			n = 0
+		}
+	}
+	prev := -1.0
+	for ; ; n++ {
+		cdf := PoissonCDF(lambda, n)
+		if cdf >= target || (cdf == prev && float64(n) > lambda) {
+			return n
+		}
+		prev = cdf
+	}
+}
+
+// TestPoissonQuantileMatchesCDFWalk holds PoissonQuantile to the walk that
+// calls PoissonCDF for each n, over lambda in (0, 10] where the walk starts
+// at zero, on to 745 where the warm start applies, and densely across the
+// edge near 708.4 where e^-lambda leaves the normal floats and PoissonCDF
+// switches to its normal approximation.
+func TestPoissonQuantileMatchesCDFWalk(t *testing.T) {
+	var lambdas []float64
+	for l := 0.01; l <= 10; l += 0.01 {
+		lambdas = append(lambdas, l)
+	}
+	for l := 10.0; l <= 745; l += 3.7 {
+		lambdas = append(lambdas, l)
+	}
+	for l := 705.0; l <= 712; l += 0.05 {
+		lambdas = append(lambdas, l)
+	}
+	lambdas = append(lambdas, 1e-9, 10, math.Nextafter(10, 11), 745)
+	normal := 0
+	for _, lambda := range lambdas {
+		if math.Exp(-lambda) < minNormal {
+			normal++
+		}
+		for _, alpha := range []float64{0.01, 0.05, 0.2, 0.5} {
+			if got, want := PoissonQuantile(lambda, alpha), quantileByCDFWalk(lambda, alpha); got != want {
+				t.Fatalf("PoissonQuantile(%v, %v) = %d, the CDF walk %d", lambda, alpha, got, want)
+			}
+		}
+	}
+	if normal == 0 || normal == len(lambdas) {
+		t.Fatalf("the sweep does not cross the minNormal edge: %d of %d lambdas above it", normal, len(lambdas))
+	}
+}
