@@ -15,8 +15,9 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Job is one batch job from a trace, before conversion to VM requests.
@@ -175,11 +176,11 @@ func BusiestWindow(jobs []Job, length, stride float64) float64 {
 // SortBySubmit orders jobs by submission time (stable on ID for ties),
 // which the simulator requires.
 func SortBySubmit(jobs []Job) {
-	sort.SliceStable(jobs, func(i, k int) bool {
-		if jobs[i].Submit != jobs[k].Submit {
-			return jobs[i].Submit < jobs[k].Submit
+	slices.SortStableFunc(jobs, func(a, b Job) int {
+		if c := cmp.Compare(a.Submit, b.Submit); c != 0 {
+			return c
 		}
-		return jobs[i].ID < jobs[k].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }
 
