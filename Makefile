@@ -2,7 +2,7 @@ GO ?= go
 
 FUZZTIME ?= 10s
 
-.PHONY: test check vet fmt race audit fuzz-smoke bench-smoke bench-ab linked profile
+.PHONY: test check vet fmt race audit fuzz-smoke bench-smoke bench-ab same linked profile
 
 test:
 	$(GO) test ./...
@@ -112,6 +112,35 @@ bench-ab:
 				print "== " w ", a = BASE, b = this tree"; report("a", a, na); report("b", b, nb); \
 				printf "b ahead in %d of %d pairs (a ahead in %d); b median / a median = %.3f\n", wins, na, losses, q(b, nb, .5) / q(a, na, .5) }'; \
 	fi
+
+## same: this tree against another commit on what a run writes. dvmpsim is
+## built at BASE (a temporary shared `git clone` under $TMPDIR, removed on
+## exit; no `git worktree`) and in this tree; each seed of SEEDS runs the
+## week with `-spare -trace -decisions -metrics` on both binaries. The run
+## traces and the decision logs must be `tracestat -diff` identical, and the
+## metrics JSON equal once its "total_ns" lines (phase wall-clock) are
+## removed. Exits non-zero on the first difference.
+## `make same BASE=HEAD~1 SEEDS="1 7"`.
+SEEDS ?= 1 7
+same:
+	@test -n "$(BASE)" || { echo "usage: make same BASE=<ref> [SEEDS=\"1 7\"]"; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	git clone -q --shared . "$$tmp/base" && git -C "$$tmp/base" checkout -q --detach $(BASE); \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/a/dvmpsim" ./cmd/dvmpsim); \
+	$(GO) build -o "$$tmp/b/dvmpsim" ./cmd/dvmpsim; \
+	$(GO) build -o "$$tmp/tracestat" ./cmd/tracestat; \
+	for seed in $(SEEDS); do \
+		echo "== seed $$seed, a = $(BASE), b = this tree"; \
+		for side in a b; do \
+			"$$tmp/$$side/dvmpsim" -spare -seed $$seed -trace "$$tmp/$$side/t$$seed.jsonl" \
+				-decisions "$$tmp/$$side/d$$seed.jsonl" -metrics "$$tmp/$$side/m$$seed.json" > /dev/null; \
+			grep -v '"total_ns"' "$$tmp/$$side/m$$seed.json" > "$$tmp/$$side/m$$seed.txt"; \
+		done; \
+		printf 'run trace: '; "$$tmp/tracestat" -diff "$$tmp/a/t$$seed.jsonl" "$$tmp/b/t$$seed.jsonl"; \
+		printf 'decision log: '; "$$tmp/tracestat" -diff "$$tmp/a/d$$seed.jsonl" "$$tmp/b/d$$seed.jsonl"; \
+		diff "$$tmp/a/m$$seed.txt" "$$tmp/b/m$$seed.txt"; \
+		echo "metrics: identical but for total_ns"; \
+	done
 
 ## linked: build every main package `go list ./...` reports with inlining
 ## off (-gcflags=all=-l, so a function called from one place still shows up
