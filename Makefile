@@ -116,10 +116,12 @@ bench-ab:
 ## same: this tree against another commit on what a run writes. dvmpsim is
 ## built at BASE (a temporary shared `git clone` under $TMPDIR, removed on
 ## exit; no `git worktree`) and in this tree; each seed of SEEDS runs the
-## week with `-spare -trace -decisions -metrics` on both binaries. The run
-## traces and the decision logs must be `tracestat -diff` identical, and the
-## metrics JSON equal once its "total_ns" lines (phase wall-clock) are
-## removed. Exits non-zero on the first difference.
+## week with `-spare -trace -decisions -metrics` on both binaries, once
+## with instant migrations and once `-timed` (the runs whose migration
+## cutovers are events of their own). The run traces and the decision logs
+## must be `tracestat -diff` identical, and the metrics JSON equal once its
+## "total_ns" lines (phase wall-clock) are removed. Exits non-zero on the
+## first difference.
 ## `make same BASE=HEAD~1 SEEDS="1 7"`.
 SEEDS ?= 1 7
 same:
@@ -129,18 +131,19 @@ same:
 	(cd "$$tmp/base" && $(GO) build -o "$$tmp/a/dvmpsim" ./cmd/dvmpsim); \
 	$(GO) build -o "$$tmp/b/dvmpsim" ./cmd/dvmpsim; \
 	$(GO) build -o "$$tmp/tracestat" ./cmd/tracestat; \
-	for seed in $(SEEDS); do \
-		echo "== seed $$seed, a = $(BASE), b = this tree"; \
+	for seed in $(SEEDS); do for mode in "" -timed; do \
+		run=$$seed$$mode; \
+		echo "== seed $$seed$${mode:+ $$mode}, a = $(BASE), b = this tree"; \
 		for side in a b; do \
-			"$$tmp/$$side/dvmpsim" -spare -seed $$seed -trace "$$tmp/$$side/t$$seed.jsonl" \
-				-decisions "$$tmp/$$side/d$$seed.jsonl" -metrics "$$tmp/$$side/m$$seed.json" > /dev/null; \
-			grep -v '"total_ns"' "$$tmp/$$side/m$$seed.json" > "$$tmp/$$side/m$$seed.txt"; \
+			"$$tmp/$$side/dvmpsim" -spare $$mode -seed $$seed -trace "$$tmp/$$side/t$$run.jsonl" \
+				-decisions "$$tmp/$$side/d$$run.jsonl" -metrics "$$tmp/$$side/m$$run.json" > /dev/null; \
+			grep -v '"total_ns"' "$$tmp/$$side/m$$run.json" > "$$tmp/$$side/m$$run.txt"; \
 		done; \
-		printf 'run trace: '; "$$tmp/tracestat" -diff "$$tmp/a/t$$seed.jsonl" "$$tmp/b/t$$seed.jsonl"; \
-		printf 'decision log: '; "$$tmp/tracestat" -diff "$$tmp/a/d$$seed.jsonl" "$$tmp/b/d$$seed.jsonl"; \
-		diff "$$tmp/a/m$$seed.txt" "$$tmp/b/m$$seed.txt"; \
+		printf 'run trace: '; "$$tmp/tracestat" -diff "$$tmp/a/t$$run.jsonl" "$$tmp/b/t$$run.jsonl"; \
+		printf 'decision log: '; "$$tmp/tracestat" -diff "$$tmp/a/d$$run.jsonl" "$$tmp/b/d$$run.jsonl"; \
+		diff "$$tmp/a/m$$run.txt" "$$tmp/b/m$$run.txt"; \
 		echo "metrics: identical but for total_ns"; \
-	done
+	done; done
 
 ## linked: build every main package `go list ./...` reports with inlining
 ## off (-gcflags=all=-l, so a function called from one place still shows up

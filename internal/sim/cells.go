@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cell"
 )
@@ -36,18 +36,18 @@ type scheduler interface {
 	Dispatched() uint64
 	Pending() int
 	Step() bool
-	ScheduleTag(at float64, tag Tag, fire func()) Event
+	ScheduleTag(at float64, tag Tag) Event
 	VerifyQueue() error
 	SnapshotState() (EngineState, error)
-	RestoreState(st EngineState, rebuild func(QueuedEvent) func()) ([]Event, error)
+	RestoreState(st EngineState) ([]Event, error)
 }
 
 // newScheduler builds the engine for a run: monolithic for cells <= 1,
 // sharded otherwise. fleet is the PM count (cells must already be
-// validated against it by Config.setDefaults).
-func newScheduler(cells, fleet int) scheduler {
+// validated against it by Config.setDefaults); handle fires every event.
+func newScheduler(cells, fleet int, handle func(Tag)) scheduler {
 	if cells <= 1 {
-		return &Engine{}
+		return &Engine{handle: handle}
 	}
 	part, err := cell.NewPartition(cells, fleet)
 	if err != nil {
@@ -57,7 +57,7 @@ func newScheduler(cells, fleet int) scheduler {
 	sh.cells = make([]*Engine, cells)
 	queues := make([]cell.Queue, cells)
 	for i := range sh.cells {
-		e := &Engine{}
+		e := &Engine{handle: handle}
 		e.UseSharedSeq(&sh.seqCtr)
 		sh.cells[i] = e
 		queues[i] = e
@@ -120,11 +120,11 @@ func (sh *shardedEngine) Pending() int {
 // against the GLOBAL clock: a cell's local clock lags it, so the
 // per-cell engine alone could not reject an event that is in the global
 // past but that cell's local future.
-func (sh *shardedEngine) ScheduleTag(at float64, tag Tag, fire func()) Event {
+func (sh *shardedEngine) ScheduleTag(at float64, tag Tag) Event {
 	if at < sh.now {
 		panic(fmt.Sprintf("sim: scheduling event at %g before now %g", at, sh.now))
 	}
-	return sh.cells[sh.route(tag)].ScheduleTag(at, tag, fire)
+	return sh.cells[sh.route(tag)].ScheduleTag(at, tag)
 }
 
 // Step fires the globally next event: peek every cell, advance the
@@ -160,11 +160,9 @@ func (sh *shardedEngine) VerifyQueue() error {
 		}
 		for i := range e.buckets {
 			for rec := e.buckets[i].head; rec != nil; rec = rec.next {
-				if rec.tag.Kind != 0 {
-					if want := sh.route(rec.tag); want != ci {
-						return fmt.Errorf("sim: event (kind %d, arg %d) resident in cell %d, routes to %d",
-							rec.tag.Kind, rec.tag.Arg, ci, want)
-					}
+				if want := sh.route(rec.tag); want != ci {
+					return fmt.Errorf("sim: event (kind %d, arg %d) resident in cell %d, routes to %d",
+						rec.tag.Kind, rec.tag.Arg, ci, want)
 				}
 				if rec.seq > sh.seqCtr {
 					return fmt.Errorf("sim: cell %d holds seq %d beyond shared counter %d", ci, rec.seq, sh.seqCtr)
@@ -197,12 +195,7 @@ func (sh *shardedEngine) SnapshotState() (EngineState, error) {
 		}
 		evs = append(evs, ce...)
 	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].At != evs[j].At {
-			return evs[i].At < evs[j].At
-		}
-		return evs[i].Seq < evs[j].Seq
-	})
+	slices.SortFunc(evs, compareQueued)
 	return EngineState{Now: sh.now, Seq: sh.seqCtr, Dispatched: sh.dispatched, Events: evs}, nil
 }
 
@@ -233,16 +226,13 @@ func (sh *shardedEngine) setRestoreDispatched(snapshotCells int, disp []uint64) 
 // partitioned by routing tag under THIS engine's cell count, re-armed
 // with their original sequence numbers, and the returned handles are
 // index-aligned with st.Events exactly like the monolith's RestoreState.
-func (sh *shardedEngine) RestoreState(st EngineState, rebuild func(QueuedEvent) func()) ([]Event, error) {
+func (sh *shardedEngine) RestoreState(st EngineState) ([]Event, error) {
 	if sh.seqCtr != 0 || sh.dispatched != 0 || sh.Pending() != 0 {
 		return nil, fmt.Errorf("sim: RestoreState on a used sharded engine (seq=%d, pending=%d)", sh.seqCtr, sh.Pending())
 	}
 	perEv := make([][]QueuedEvent, len(sh.cells))
 	perIdx := make([][]int, len(sh.cells))
 	for i, ev := range st.Events {
-		if ev.Tag.Kind == 0 {
-			return nil, fmt.Errorf("sim: event %d has zero tag kind", i)
-		}
 		c := sh.route(ev.Tag)
 		perEv[c] = append(perEv[c], ev)
 		perIdx[c] = append(perIdx[c], i)
@@ -253,7 +243,7 @@ func (sh *shardedEngine) RestoreState(st EngineState, rebuild func(QueuedEvent) 
 		if sh.restoreDisp != nil {
 			disp = sh.restoreDisp[c]
 		}
-		hs, err := e.RestoreState(EngineState{Now: st.Now, Seq: st.Seq, Dispatched: disp, Events: perEv[c]}, rebuild)
+		hs, err := e.RestoreState(EngineState{Now: st.Now, Seq: st.Seq, Dispatched: disp, Events: perEv[c]})
 		if err != nil {
 			return nil, fmt.Errorf("sim: cell %d: %w", c, err)
 		}

@@ -41,23 +41,33 @@ func cellCfg(cells int, failSeed int64, trace *bytes.Buffer) Config {
 
 // TestShardedDispatchOrderMatchesMonolith is the engine-level
 // differential: identical streams of tagged events — including nested
-// schedules from inside callbacks and cancellations — fed to the
+// schedules from inside the handler and cancellations — fed to the
 // monolithic engine and to sharded engines at several cell counts must
 // dispatch in the identical order with identical clocks. This is the
 // DESIGN.md §14 claim at its barest: sharding changes where an event is
 // stored, never when it fires.
 func TestShardedDispatchOrderMatchesMonolith(t *testing.T) {
-	const fleet = 16
+	const (
+		fleet = 16
+		// budget caps the events one drive schedules: 400 roots, and a
+		// third of the events fired spawn two follow-ups until it is met.
+		budget = 1000
+		// cancelArg and up are the VM IDs of the events that are all
+		// cancelled before the run; live events name VMs 1..300.
+		cancelArg = 1000
+	)
 	type fired struct {
 		kind uint8
 		arg  int64
 		at   float64
 	}
-	drive := func(eng scheduler, seed int64) []fired {
+	drive := func(mk func(handle func(Tag)) scheduler, seed int64) []fired {
 		rng := stats.NewStream(seed)
 		var log []fired
-		var schedule func(depth int)
-		schedule = func(depth int) {
+		var eng scheduler
+		scheduled := 0
+		schedule := func() {
+			scheduled++
 			kind := uint8(rng.Uint64()%9) + 1
 			var arg int64
 			switch kind {
@@ -66,25 +76,25 @@ func TestShardedDispatchOrderMatchesMonolith(t *testing.T) {
 			case evBootDone, evShutdownDone, evFailure, evRepaired:
 				arg = int64(rng.Uint64() % fleet)
 			}
-			at := eng.Now() + float64(rng.Uint64()%5000)/7
-			k, a := kind, arg
-			eng.ScheduleTag(at, Tag{Kind: kind, Arg: arg}, func() {
-				log = append(log, fired{kind: k, arg: a, at: eng.Now()})
-				// A third of events spawn follow-ups, like real handlers.
-				if depth < 3 && rng.Uint64()%3 == 0 {
-					schedule(depth + 1)
-					schedule(depth + 1)
-				}
-			})
+			eng.ScheduleTag(eng.Now()+float64(rng.Uint64()%5000)/7, Tag{Kind: kind, Arg: arg})
 		}
+		eng = mk(func(tag Tag) {
+			if tag.Arg >= cancelArg {
+				t.Errorf("cancelled event (kind %d, arg %d) fired", tag.Kind, tag.Arg)
+			}
+			log = append(log, fired{kind: tag.Kind, arg: tag.Arg, at: eng.Now()})
+			// A third of events spawn follow-ups, like real handlers.
+			if scheduled < budget && rng.Uint64()%3 == 0 {
+				schedule()
+				schedule()
+			}
+		})
 		var cancels []Event
 		for i := 0; i < 400; i++ {
-			schedule(0)
+			schedule()
 			if i%7 == 0 {
 				ev := eng.ScheduleTag(eng.Now()+float64(rng.Uint64()%9000)/3,
-					Tag{Kind: evRepaired, Arg: int64(rng.Uint64() % fleet)}, func() {
-						t.Error("cancelled event fired")
-					})
+					Tag{Kind: evMigCutover, Arg: cancelArg + int64(rng.Uint64()%300)})
 				cancels = append(cancels, ev)
 			}
 		}
@@ -99,10 +109,11 @@ func TestShardedDispatchOrderMatchesMonolith(t *testing.T) {
 		return log
 	}
 
+	monolith := func(handle func(Tag)) scheduler { return &Engine{handle: handle} }
 	for seed := int64(1); seed <= 4; seed++ {
-		ref := drive(&Engine{}, seed)
+		ref := drive(monolith, seed)
 		for _, cells := range []int{2, 4, 7, 16} {
-			got := drive(newScheduler(cells, fleet), seed)
+			got := drive(func(handle func(Tag)) scheduler { return newScheduler(cells, fleet, handle) }, seed)
 			if len(got) != len(ref) {
 				t.Fatalf("seed %d cells %d: fired %d events, monolith fired %d", seed, cells, len(got), len(ref))
 			}

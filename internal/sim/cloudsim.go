@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/audit"
 	"repro/internal/cell"
@@ -198,11 +197,9 @@ type Result struct {
 	AuditChecks int
 }
 
-// Event kinds for calendar-queue snapshot tags (Tag.Kind). Every event
-// the simulation schedules carries one of these plus the entity ID it
-// concerns, which is all the restore path needs to rebuild the event's
-// callback over the reconstructed state. Kind 0 stays reserved for
-// untagged events (which a checkpoint rejects).
+// Event kinds (Tag.Kind). Every event the simulation schedules is one of
+// these plus the entity ID it concerns; fire maps the pair to its handler.
+// Kind 0 stays reserved for untagged events (which a checkpoint rejects).
 const (
 	evArrival      uint8 = iota + 1 // Arg: VM ID
 	evControlTick                   // Arg: unused
@@ -254,7 +251,7 @@ func New(cfg Config) (*Sim, error) {
 	if d, ok := policy.DynamicOf(cfg.Placer); ok && cfg.KernelWorkers != 0 {
 		d.Opts.Workers = cfg.KernelWorkers
 	}
-	s.eng = newScheduler(cfg.Cells, cfg.DC.Size())
+	s.eng = newScheduler(cfg.Cells, cfg.DC.Size(), s.fire)
 	s.pctx = core.NewContext(s.dc)
 	s.start()
 	return &Sim{s: s}, nil
@@ -287,6 +284,10 @@ type simulator struct {
 	meter *power.Meter
 	ctrl  *spare.Controller
 	inj   *failure.Injector
+
+	// vms holds each live (placed or queued) VM at index ID-1; VM IDs
+	// are request positions plus one.
+	vms []*cluster.VM
 
 	// queue holds requests waiting for capacity, FIFO.
 	queue []*cluster.VM
@@ -407,6 +408,7 @@ func (s *simulator) emit(event string, fields ...obs.KV) {
 func (s *simulator) initRun() {
 	s.meter = power.NewMeter(s.dc, s.cfg.MeterBin)
 	s.qfeed = s.dc.Subscribe()
+	s.vms = make([]*cluster.VM, len(s.cfg.Requests))
 	s.bootReadyAt = make(map[cluster.PMID]float64)
 	s.failEvent = make(map[cluster.PMID]Event)
 	s.lifeEvent = make(map[cluster.VMID]Event)
@@ -462,14 +464,11 @@ func (s *simulator) start() {
 	// sample observes the cold-start state before any same-instant
 	// arrival (FIFO tie-breaking).
 	if len(s.cfg.Requests) > 0 {
-		s.scheduleControlTick(0)
+		s.eng.ScheduleTag(0, Tag{Kind: evControlTick})
 	}
 	// Schedule the workload.
 	for i, req := range s.cfg.Requests {
-		id := cluster.VMID(i + 1)
-		req := req
-		s.eng.ScheduleTag(req.Submit, Tag{Kind: evArrival, Arg: int64(id)},
-			func() { s.onArrival(id, req) })
+		s.eng.ScheduleTag(req.Submit, Tag{Kind: evArrival, Arg: int64(i + 1)})
 	}
 }
 
@@ -576,20 +575,53 @@ func (s *simulator) setupAudit() {
 	s.aud.Register(s.snapshotCheck())
 }
 
-func (s *simulator) scheduleControlTick(at float64) {
-	s.eng.ScheduleTag(at, Tag{Kind: evControlTick}, s.onControlTick)
-}
-
 // --- event handlers ---
 
-func (s *simulator) onArrival(id cluster.VMID, req workload.Request) {
+// fire is the single definition of what each event kind does, in a fresh
+// run and a restored one alike (restore checks each saved tag first).
+func (s *simulator) fire(tag Tag) {
+	switch tag.Kind {
+	case evArrival:
+		s.onArrival(cluster.VMID(tag.Arg))
+	case evControlTick:
+		s.onControlTick()
+	case evCreationDone:
+		s.onCreationDone(s.vm(tag.Arg))
+	case evDeparture:
+		s.onDeparture(s.vm(tag.Arg))
+	case evBootDone:
+		s.onBootDone(s.dc.PM(cluster.PMID(tag.Arg)))
+	case evShutdownDone:
+		s.onShutdownDone(s.dc.PM(cluster.PMID(tag.Arg)))
+	case evFailure:
+		s.onFailure(s.dc.PM(cluster.PMID(tag.Arg)))
+	case evRepaired:
+		s.onRepaired(s.dc.PM(cluster.PMID(tag.Arg)))
+	case evMigCutover:
+		s.finishTimedMigration(s.holds[cluster.VMID(tag.Arg)])
+	default:
+		panic(fmt.Sprintf("sim: event of unknown kind %d, arg %d", tag.Kind, tag.Arg))
+	}
+}
+
+// vm returns the live VM with the given ID, or nil when there is none.
+func (s *simulator) vm(id int64) *cluster.VM {
+	if id < 1 || id > int64(len(s.vms)) {
+		return nil
+	}
+	return s.vms[id-1]
+}
+
+func (s *simulator) onArrival(id cluster.VMID) {
+	req := &s.cfg.Requests[id-1]
 	now := s.eng.Now()
 	s.arrived++
 	s.meter.Advance(now)
 	if s.ctrl != nil {
 		s.ctrl.RecordArrival(now)
 	}
-	vm := cluster.NewVM(id, vector.New(req.CPUCores, req.MemoryGB), req.EstimatedRunTime, req.RunTime, now)
+	vm := cluster.NewVM(id, vector.V{req.CPUCores, req.MemoryGB}, req.EstimatedRunTime, req.RunTime, now)
+	s.vms[id-1] = vm
 	s.cArrivals.Inc()
 	if s.tracing {
 		s.emit("arrival", obs.I("vm", int64(vm.ID)),
@@ -624,8 +656,7 @@ func (s *simulator) tryPlace(vm *cluster.VM) bool {
 		s.emit("place", obs.I("vm", int64(vm.ID)), obs.I("pm", int64(pm.ID)), obs.F("ready", start))
 	}
 	done := start + pm.Class.CreationTime
-	s.lifeEvent[vm.ID] = s.eng.ScheduleTag(done, Tag{Kind: evCreationDone, Arg: int64(vm.ID)},
-		func() { s.onCreationDone(vm) })
+	s.lifeEvent[vm.ID] = s.eng.ScheduleTag(done, Tag{Kind: evCreationDone, Arg: int64(vm.ID)})
 	return true
 }
 
@@ -659,6 +690,7 @@ func (s *simulator) enqueue(vm *cluster.VM) {
 		}
 	}
 	if !feasibleSomewhere {
+		s.vms[vm.ID-1] = nil
 		s.res.Summary.Rejected++
 		s.cfg.Obs.Add("sim.rejected", 1)
 		if s.tracing {
@@ -735,7 +767,7 @@ func (s *simulator) bootPM(pm *cluster.PM) {
 	if s.tracing {
 		s.emit("boot", obs.I("pm", int64(pm.ID)), obs.S("class", pm.Class.Name), obs.F("ready", ready))
 	}
-	s.eng.ScheduleTag(ready, Tag{Kind: evBootDone, Arg: int64(pm.ID)}, func() { s.onBootDone(pm) })
+	s.eng.ScheduleTag(ready, Tag{Kind: evBootDone, Arg: int64(pm.ID)})
 }
 
 func (s *simulator) onBootDone(pm *cluster.PM) {
@@ -760,8 +792,7 @@ func (s *simulator) shutdownPM(pm *cluster.PM) {
 	}
 	pm.SetState(cluster.PMShuttingDown)
 	s.disarmFailure(pm)
-	s.eng.ScheduleTag(s.eng.Now()+pm.Class.OnOffOverhead, Tag{Kind: evShutdownDone, Arg: int64(pm.ID)},
-		func() { s.onShutdownDone(pm) })
+	s.eng.ScheduleTag(s.eng.Now()+pm.Class.OnOffOverhead, Tag{Kind: evShutdownDone, Arg: int64(pm.ID)})
 }
 
 func (s *simulator) onShutdownDone(pm *cluster.PM) {
@@ -772,20 +803,19 @@ func (s *simulator) onShutdownDone(pm *cluster.PM) {
 }
 
 func (s *simulator) onCreationDone(vm *cluster.VM) {
-	if vm.State != cluster.VMCreating {
-		return // re-queued by a failure during creation
+	if vm == nil || vm.State != cluster.VMCreating {
+		return // gone, or re-queued by a failure during creation
 	}
 	now := s.eng.Now()
 	s.meter.Advance(now)
 	vm.State = cluster.VMRunning
 	vm.StartTime = now
-	s.lifeEvent[vm.ID] = s.eng.ScheduleTag(now+vm.ActualRuntime, Tag{Kind: evDeparture, Arg: int64(vm.ID)},
-		func() { s.onDeparture(vm) })
+	s.lifeEvent[vm.ID] = s.eng.ScheduleTag(now+vm.ActualRuntime, Tag{Kind: evDeparture, Arg: int64(vm.ID)})
 }
 
 func (s *simulator) onDeparture(vm *cluster.VM) {
-	if vm.State != cluster.VMRunning && vm.State != cluster.VMMigrating {
-		return // failure re-queued it; a fresh departure will be scheduled
+	if vm == nil || (vm.State != cluster.VMRunning && vm.State != cluster.VMMigrating) {
+		return // gone, or failure re-queued it and a fresh departure will be scheduled
 	}
 	now := s.eng.Now()
 	s.meter.Advance(now)
@@ -801,6 +831,7 @@ func (s *simulator) onDeparture(vm *cluster.VM) {
 	}
 	vm.State = cluster.VMFinished
 	vm.FinishTime = now
+	s.vms[vm.ID-1] = nil
 	delete(s.lifeEvent, vm.ID)
 	s.res.Summary.VMsCompleted++
 	if s.ctrl != nil {
@@ -849,7 +880,7 @@ func (s *simulator) onControlTick() {
 	// counts live events only, so a backlog of cancelled timers cannot
 	// keep the tick chain alive.
 	if s.eng.Pending() > 0 || len(s.queue) > 0 {
-		s.scheduleControlTick(now + s.cfg.ControlPeriod)
+		s.eng.ScheduleTag(now+s.cfg.ControlPeriod, Tag{Kind: evControlTick})
 	}
 	s.tickRan = true
 }
@@ -884,7 +915,7 @@ func (s *simulator) onFailure(pm *cluster.PM) {
 			unwind = append(unwind, id)
 		}
 	}
-	sort.Slice(unwind, func(i, j int) bool { return unwind[i] < unwind[j] })
+	slices.Sort(unwind)
 	for _, id := range unwind {
 		hold := s.holds[id]
 		s.releaseHold(id, hold)
@@ -912,8 +943,7 @@ func (s *simulator) onFailure(pm *cluster.PM) {
 		}
 	}
 	if s.inj.RepairTime() > 0 {
-		s.eng.ScheduleTag(now+s.inj.RepairTime(), Tag{Kind: evRepaired, Arg: int64(pm.ID)},
-			func() { s.onRepaired(pm) })
+		s.eng.ScheduleTag(now+s.inj.RepairTime(), Tag{Kind: evRepaired, Arg: int64(pm.ID)})
 	} else {
 		pm.SetState(cluster.PMOff)
 	}
@@ -934,8 +964,7 @@ func (s *simulator) armFailure(pm *cluster.PM) {
 		return
 	}
 	ttf := s.inj.SampleTimeToFailure()
-	s.failEvent[pm.ID] = s.eng.ScheduleTag(s.eng.Now()+ttf, Tag{Kind: evFailure, Arg: int64(pm.ID)},
-		func() { s.onFailure(pm) })
+	s.failEvent[pm.ID] = s.eng.ScheduleTag(s.eng.Now()+ttf, Tag{Kind: evFailure, Arg: int64(pm.ID)})
 }
 
 func (s *simulator) disarmFailure(pm *cluster.PM) {
@@ -1023,8 +1052,8 @@ type migrationHold struct {
 // space within this same consolidation pass), the migration degrades to
 // instant — the resources genuinely moved, there is nothing left to hold.
 func (s *simulator) beginTimedMigration(mv core.Move) {
-	vm := s.findPlacedVM(mv.VM, mv.To)
-	if vm == nil || vm.State != cluster.VMRunning {
+	vm := s.vm(int64(mv.VM))
+	if vm == nil || vm.Host != mv.To || vm.State != cluster.VMRunning {
 		return
 	}
 	source := s.dc.PM(mv.From)
@@ -1037,17 +1066,18 @@ func (s *simulator) beginTimedMigration(mv core.Move) {
 	vm.State = cluster.VMMigrating
 	hold := &migrationHold{vm: vm, source: source, demand: vm.Demand.Clone()}
 	hold.done = s.eng.ScheduleTag(s.eng.Now()+s.dc.PM(mv.To).Class.MigrationTime,
-		Tag{Kind: evMigCutover, Arg: int64(vm.ID)}, func() {
-			s.finishTimedMigration(vm, hold)
-		})
+		Tag{Kind: evMigCutover, Arg: int64(vm.ID)})
 	s.holds[vm.ID] = hold
 }
 
-func (s *simulator) finishTimedMigration(vm *cluster.VM, hold *migrationHold) {
+func (s *simulator) finishTimedMigration(hold *migrationHold) {
+	if hold == nil {
+		return // released already; its cutover went with it
+	}
 	s.meter.Advance(s.eng.Now())
-	s.releaseHold(vm.ID, hold)
-	if vm.State == cluster.VMMigrating {
-		vm.State = cluster.VMRunning
+	s.releaseHold(hold.vm.ID, hold)
+	if hold.vm.State == cluster.VMMigrating {
+		hold.vm.State = cluster.VMRunning
 	}
 }
 
@@ -1063,15 +1093,6 @@ func (s *simulator) releaseHold(id cluster.VMID, hold *migrationHold) {
 	if hold.demand.LE(hold.source.Reserved()) {
 		hold.source.Release(hold.demand)
 	}
-}
-
-// findPlacedVM locates a VM by ID on the PM it was reported moved to.
-func (s *simulator) findPlacedVM(id cluster.VMID, on cluster.PMID) *cluster.VM {
-	pm := s.dc.PM(on)
-	if pm == nil {
-		return nil
-	}
-	return pm.VM(id)
 }
 
 // powerManage enforces the active-server policy: keep exactly spareTarget

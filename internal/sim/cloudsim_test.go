@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/policy"
 	"repro/internal/spare"
@@ -330,6 +331,88 @@ func TestRunRejectsImpossibleRequests(t *testing.T) {
 	}
 	if res.Summary.VMsCompleted != 2 {
 		t.Errorf("completed = %d, want 2", res.Summary.VMsCompleted)
+	}
+}
+
+// TestLiveVMTable: after every event the live-VM table holds exactly the
+// placed and the queued VMs, each at index ID-1 — through departures,
+// failures, timed migrations and a rejection — which is what fire and a
+// checkpoint read it for.
+func TestLiveVMTable(t *testing.T) {
+	load := mixedLoad()
+	load[5].MemoryGB = 10000 // fits nowhere: rejected on arrival
+	m, err := New(snapCfg(load, policy.NewDynamic(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := m.s
+	for {
+		ok, err := m.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		want := append(s.dc.RunningVMs(), s.queue...)
+		live := 0
+		for i, vm := range s.vms {
+			if vm != nil {
+				live++
+				if vm.ID != cluster.VMID(i+1) {
+					t.Fatalf("t=%g: VM %d at index %d", m.Now(), vm.ID, i)
+				}
+			}
+		}
+		for _, vm := range want {
+			if s.vm(int64(vm.ID)) != vm {
+				t.Fatalf("t=%g: placed or queued VM %d missing from the table", m.Now(), vm.ID)
+			}
+		}
+		if live != len(want) {
+			t.Fatalf("t=%g: table holds %d VMs, %d are placed or queued", m.Now(), live, len(want))
+		}
+	}
+	if res, err := m.Finish(); err != nil || res.Summary.Rejected != 1 {
+		t.Fatalf("finish: rejected %v, err %v; want 1 rejection", res, err)
+	}
+}
+
+// TestTimedMigrationHoldsWhereTheVMLanded: when one pass moves a VM twice,
+// only the move whose target still hosts it becomes a timed migration.
+func TestTimedMigrationHoldsWhereTheVMLanded(t *testing.T) {
+	m, err := New(Config{DC: smallFleet(), Placer: policy.FirstFit{}, Requests: reqs(1, 0, 5000),
+		TimedMigrations: true, WarmStart: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := m.s
+	for s.vm(1) == nil || s.vm(1).State != cluster.VMRunning {
+		if ok, err := m.Step(); err != nil || !ok {
+			t.Fatalf("step: ok=%v err=%v", ok, err)
+		}
+	}
+	vm := s.vm(1)
+	var hops []*cluster.PM // the VM's host, then two other powered-on PMs
+	hops = append(hops, s.dc.PM(vm.Host))
+	for _, pm := range s.dc.PMs() {
+		if pm.State() == cluster.PMOn && pm != hops[0] && len(hops) < 3 {
+			hops = append(hops, pm)
+		}
+	}
+	if len(hops) < 3 {
+		t.Fatal("fewer than three PMs on")
+	}
+	for i := 1; i < 3; i++ {
+		if err := core.Migrate(vm, hops[i-1], hops[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i < 3; i++ {
+		s.beginTimedMigration(core.Move{VM: vm.ID, From: hops[i-1].ID, To: hops[i].ID})
+	}
+	if h := s.holds[vm.ID]; h == nil || h.source != hops[1] {
+		t.Fatalf("hold %+v, want one on the second move's source PM %d", h, hops[1].ID)
 	}
 }
 

@@ -42,6 +42,34 @@ func TestEventLoopAllocBudget(t *testing.T) {
 	}
 }
 
+// TestTaggedEventAllocs: a tagged event is data, not a closure, so once the
+// freelist and geometry are warm one ScheduleTag plus the Step that fires
+// it through the handle allocates nothing at all.
+func TestTaggedEventAllocs(t *testing.T) {
+	fired := 0
+	e := &Engine{handle: func(Tag) { fired++ }}
+	for i := 0; i < 4096; i++ {
+		e.ScheduleTag(float64(i)*0.1, Tag{Kind: evDeparture, Arg: int64(i + 1)})
+	}
+	for i := 0; i < 2048; i++ {
+		e.Step()
+	}
+	rng := uint64(0x243F6A8885A308D3)
+	allocs := testing.AllocsPerRun(10000, func() {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		e.ScheduleTag(e.Now()+float64(rng%512)*0.25, Tag{Kind: evDeparture, Arg: int64(rng % 4096)})
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("ScheduleTag + Step allocates %.1f allocs/op, want 0", allocs)
+	}
+	if fired == 0 {
+		t.Fatal("the handle never fired")
+	}
+}
+
 // TestObservedStepAllocBudget: timing every dispatched event under an
 // observer (the event_dispatch span around eng.Step) costs the simulator's
 // step loop no allocation — no closure per event.

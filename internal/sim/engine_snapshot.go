@@ -1,19 +1,19 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// Tag is the serializable identity of a queued event: a small enum of
-// event kinds plus one integer argument (a VM or PM identifier, or zero).
-// The calendar queue itself holds closures, which cannot be written to a
-// checkpoint; the tag is the closure's recipe. On restore, the simulation
-// layer maps each (Kind, Arg) back to a fresh closure over the rebuilt
-// state, and because dispatch order is total in (at, seq) — independent
-// of bucket geometry — re-inserting the tagged events with their original
-// sequence numbers reproduces the exact dispatch order of the original
-// run.
+// Tag is a tagged event's whole identity: a small enum of event kinds plus
+// one integer argument (a VM or PM identifier, or zero). Scheduling,
+// firing, snapshotting and restoring all read this one value: the queue
+// stores it, the engine's handle receives it when the event fires, and a
+// checkpoint writes it. Because dispatch order is total in (at, seq) —
+// independent of bucket geometry — re-queueing the saved tags with their
+// original sequence numbers reproduces the exact dispatch order of the
+// original run.
 //
 // Kind 0 is reserved for "untagged" (plain Schedule); the event kinds
 // themselves are defined by the simulation layer (cloudsim.go), not the
@@ -24,7 +24,7 @@ type Tag struct {
 }
 
 // QueuedEvent is one serialized calendar-queue entry: the full ordering
-// key plus the tag that lets the simulation layer rebuild its callback.
+// key plus the event's tag.
 type QueuedEvent struct {
 	At  float64 `json:"at"`
 	Seq uint64  `json:"seq"`
@@ -43,8 +43,8 @@ type EngineState struct {
 }
 
 // SnapshotEvents returns every live queued event sorted by (At, Seq). It
-// fails if any live event is untagged — an untagged closure cannot be
-// rebuilt, so a checkpoint containing one would not be restorable.
+// fails if any live event is untagged — a callback cannot be written, so a
+// checkpoint containing one would not be restorable.
 func (e *Engine) SnapshotEvents() ([]QueuedEvent, error) {
 	evs := make([]QueuedEvent, 0, e.count)
 	for i := range e.buckets {
@@ -58,13 +58,16 @@ func (e *Engine) SnapshotEvents() ([]QueuedEvent, error) {
 	if len(evs) != e.count {
 		return nil, fmt.Errorf("sim: queue walk found %d events, count says %d", len(evs), e.count)
 	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].At != evs[j].At {
-			return evs[i].At < evs[j].At
-		}
-		return evs[i].Seq < evs[j].Seq
-	})
+	slices.SortFunc(evs, compareQueued)
 	return evs, nil
+}
+
+// compareQueued orders queued events by (At, Seq), the dispatch order.
+func compareQueued(a, b QueuedEvent) int {
+	if c := cmp.Compare(a.At, b.At); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // SnapshotState captures the engine core for a checkpoint.
@@ -76,16 +79,16 @@ func (e *Engine) SnapshotState() (EngineState, error) {
 	return EngineState{Now: e.now, Seq: e.seq, Dispatched: e.dispatched, Events: evs}, nil
 }
 
-// RestoreState loads a snapshot into a fresh engine. rebuild is called
-// once per event, in (At, Seq) order, to produce the callback for that
-// event's tag; the returned Event handles are aligned index-for-index
+// RestoreState loads a snapshot into a fresh engine: each event is
+// re-queued with its tag, to fire through the engine's handle like any
+// ScheduleTag event. The returned Event handles are aligned index-for-index
 // with st.Events so the caller can re-arm its cancellation maps.
 //
 // Each event keeps its original sequence number, and the engine's seq
 // counter resumes from the snapshot, so the (at, seq) total order — and
 // therefore every future dispatch decision — is bit-identical to the
 // run that wrote the snapshot.
-func (e *Engine) RestoreState(st EngineState, rebuild func(QueuedEvent) func()) ([]Event, error) {
+func (e *Engine) RestoreState(st EngineState) ([]Event, error) {
 	if e.seq != 0 || e.count != 0 || e.dispatched != 0 {
 		return nil, fmt.Errorf("sim: RestoreState on a used engine (seq=%d, pending=%d)", e.seq, e.count)
 	}
@@ -113,15 +116,10 @@ func (e *Engine) RestoreState(st EngineState, rebuild func(QueuedEvent) func()) 
 	}
 	handles := make([]Event, len(st.Events))
 	for i, ev := range st.Events {
-		fire := rebuild(ev)
-		if fire == nil {
-			return nil, fmt.Errorf("sim: rebuild returned nil callback for event %d (kind %d, arg %d)", i, ev.Tag.Kind, ev.Tag.Arg)
-		}
 		rec := e.alloc()
 		rec.at = ev.At
 		rec.seq = ev.Seq
 		rec.g = e.gFor(ev.At)
-		rec.fire = fire
 		rec.tag = ev.Tag
 		e.insert(rec)
 		e.count++

@@ -14,32 +14,34 @@ type fired struct {
 	tag Tag
 }
 
+// chainHandle is the engine tests' event handler: it logs each dispatch
+// and, like a real handler, schedules follow-ups for some events,
+// exercising post-restore scheduling with resumed seq numbering.
+func chainHandle(e *Engine, log *[]fired) func(Tag) {
+	return func(tag Tag) {
+		*log = append(*log, fired{e.Now(), tag})
+		if tag.Kind == 2 && tag.Arg < 40 {
+			e.ScheduleTag(e.Now()+1.5, Tag{Kind: 2, Arg: tag.Arg + 100})
+		}
+	}
+}
+
 // TestEngineSnapshotRestoreDispatchOrder is the core engine-level resume
 // property: snapshot mid-run, restore into a fresh engine, and the
 // remaining dispatch sequence — including same-time FIFO ties and events
-// scheduled by callbacks after the restore — must be identical.
+// scheduled by the handler after the restore — must be identical.
 func TestEngineSnapshotRestoreDispatchOrder(t *testing.T) {
 	rng := stats.NewRand(981)
 	build := func() (*Engine, *[]fired) {
 		e := &Engine{}
 		log := &[]fired{}
-		var schedule func(at float64, tag Tag)
-		schedule = func(at float64, tag Tag) {
-			e.ScheduleTag(at, tag, func() {
-				*log = append(*log, fired{e.Now(), tag})
-				// Chain: some events schedule follow-ups, exercising
-				// post-restore scheduling with resumed seq numbering.
-				if tag.Kind == 2 && tag.Arg < 40 {
-					schedule(e.Now()+1.5, Tag{Kind: 2, Arg: tag.Arg + 100})
-				}
-			})
-		}
+		e.handle = chainHandle(e, log)
 		for i := 0; i < 300; i++ {
 			at := rng.Float64() * 100
 			if i%7 == 0 {
 				at = float64(i % 5) // force exact-tie timestamps
 			}
-			schedule(at, Tag{Kind: uint8(1 + i%3), Arg: int64(i)})
+			e.ScheduleTag(at, Tag{Kind: uint8(1 + i%3), Arg: int64(i)})
 		}
 		return e, log
 	}
@@ -65,18 +67,8 @@ func TestEngineSnapshotRestoreDispatchOrder(t *testing.T) {
 	e2 := &Engine{}
 	log2 := &[]fired{}
 	*log2 = append(*log2, *log...)
-	var schedule2 func(at float64, tag Tag)
-	var fire2 func(tag Tag) func()
-	fire2 = func(tag Tag) func() {
-		return func() {
-			*log2 = append(*log2, fired{e2.Now(), tag})
-			if tag.Kind == 2 && tag.Arg < 40 {
-				schedule2(e2.Now()+1.5, Tag{Kind: 2, Arg: tag.Arg + 100})
-			}
-		}
-	}
-	schedule2 = func(at float64, tag Tag) { e2.ScheduleTag(at, tag, fire2(tag)) }
-	handles, err := e2.RestoreState(st, func(ev QueuedEvent) func() { return fire2(ev.Tag) })
+	e2.handle = chainHandle(e2, log2)
+	handles, err := e2.RestoreState(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +101,9 @@ func TestEngineSnapshotRestoreDispatchOrder(t *testing.T) {
 	}
 }
 
-// TestSnapshotEventsRejectsUntagged: a plain Schedule event has no
-// rebuild recipe, so the snapshot must fail loudly rather than silently
-// drop it.
+// TestSnapshotEventsRejectsUntagged: a plain Schedule event is a callback,
+// which cannot be written, so the snapshot must fail loudly rather than
+// silently drop it.
 func TestSnapshotEventsRejectsUntagged(t *testing.T) {
 	e := &Engine{}
 	e.Schedule(5, func() {})
@@ -136,17 +128,17 @@ func TestRestoreStateValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := &Engine{}
-			if _, err := e.RestoreState(tc.st, func(QueuedEvent) func() { return func() {} }); err == nil {
+			e := &Engine{handle: func(Tag) {}}
+			if _, err := e.RestoreState(tc.st); err == nil {
 				t.Fatal("invalid state accepted")
 			}
 		})
 	}
 
 	t.Run("used engine", func(t *testing.T) {
-		e := &Engine{}
+		e := &Engine{handle: func(Tag) {}}
 		e.Schedule(1, func() {})
-		if _, err := e.RestoreState(EngineState{}, nil); err == nil {
+		if _, err := e.RestoreState(EngineState{}); err == nil {
 			t.Fatal("restore into a used engine accepted")
 		}
 	})
@@ -156,16 +148,16 @@ func TestRestoreStateValidation(t *testing.T) {
 // cancellable exactly like freshly scheduled ones — the simulation layer
 // re-arms its lifeEvent/failure maps with them.
 func TestRestoredEventCancel(t *testing.T) {
-	e := &Engine{}
-	e.ScheduleTag(5, Tag{Kind: 1, Arg: 1}, func() {})
-	e.ScheduleTag(7, Tag{Kind: 1, Arg: 2}, func() {})
+	e := &Engine{handle: func(Tag) {}}
+	e.ScheduleTag(5, Tag{Kind: 1, Arg: 1})
+	e.ScheduleTag(7, Tag{Kind: 1, Arg: 2})
 	st, err := e.SnapshotState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2 := &Engine{}
 	ran := 0
-	handles, err := e2.RestoreState(st, func(QueuedEvent) func() { return func() { ran++ } })
+	e2 := &Engine{handle: func(Tag) { ran++ }}
+	handles, err := e2.RestoreState(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +169,7 @@ func TestRestoredEventCancel(t *testing.T) {
 	}
 	e2.Run()
 	if ran != 1 {
-		t.Fatalf("ran %d callbacks, want 1 (one cancelled)", ran)
+		t.Fatalf("fired %d events, want 1 (one cancelled)", ran)
 	}
 	if err := e2.VerifyQueue(); err != nil {
 		t.Fatal(err)
