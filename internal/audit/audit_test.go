@@ -130,11 +130,12 @@ func TestStateCheckDetectsCorruption(t *testing.T) {
 	if err := check.Fn(0); err != nil {
 		t.Fatalf("clean state flagged: %v", err)
 	}
+	host := vms[0].Host
 	vms[0].Host = 99 // detach the bookkeeping from reality
 	if err := check.Fn(0); err == nil {
 		t.Fatal("corrupted Host field not detected")
 	}
-	vms[0].Host = dc.RunningVMs()[0].Host
+	vms[0].Host = host
 }
 
 func TestStateCheckDetectsBadLifecycleState(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/vector"
 )
@@ -78,8 +77,25 @@ func New(cfg Config) (*Datacenter, error) {
 			id++
 		}
 	}
+	d.carve()
 	d.recomputeMinPower()
 	return d, nil
+}
+
+// carve gives every PM's hosted list a capped window of one fleet-wide
+// slab, with room for its class's W_j minimal VMs, so hosting and evicting
+// within W_j allocate nothing. A PM that takes VMs below R^MIN outgrows
+// its window and appends into a slice of its own.
+func (d *Datacenter) carve() {
+	size := 0
+	for _, p := range d.pms {
+		size += p.Class.MaxMinimalVMs(d.rmin)
+	}
+	slab := make([]*VM, size)
+	for _, p := range d.pms {
+		w := p.Class.MaxMinimalVMs(d.rmin)
+		p.vms, slab = slab[:0:w], slab[w:]
+	}
 }
 
 // adopt appends a fresh, off, empty PM to the fleet; it then reports its
@@ -145,6 +161,7 @@ func (d *Datacenter) CloneTopology() *Datacenter {
 	for _, p := range d.pms {
 		out.adopt(NewPM(p.ID, p.Class))
 	}
+	out.carve()
 	return out
 }
 
@@ -232,24 +249,14 @@ func (d *Datacenter) OffPMs() []*PM {
 	return out
 }
 
-// RunningVMs returns every VM placed on any PM, sorted by VM ID.
-func (d *Datacenter) RunningVMs() []*VM {
-	var out []*VM
-	for _, p := range d.pms {
-		out = append(out, p.VMs()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // AppendVMsInState appends every placed VM in state st to dst, sorted by
-// ID within the appended span, and returns the extended slice. The
-// allocation-free form of filtering RunningVMs for callers with a
-// reusable backing slice. It is the cold reference for the VM axis of a
-// consolidation pass — core.MigratableVMs, the audit checks and the cold
-// engines SelfAudit holds a pass to — not the production path: a pass runs
-// on every arrival and departure, and core keeps its placed VMs bucketed
-// by host across passes instead of re-collecting them.
+// ID within the appended span, and returns the extended slice; with a
+// reusable backing slice it allocates nothing. It is the cold reference
+// for the VM axis of a consolidation pass — core.MigratableVMs, the audit
+// checks and the cold engines SelfAudit holds a pass to — not the
+// production path: a pass runs on every arrival and departure, and core
+// keeps its placed VMs bucketed by host across passes instead of
+// re-collecting them.
 func (d *Datacenter) AppendVMsInState(dst []*VM, st VMState) []*VM {
 	start := len(dst)
 	for _, p := range d.pms {
@@ -265,9 +272,8 @@ func (d *Datacenter) AppendVMsInState(dst []*VM, st VMState) []*VM {
 	return dst
 }
 
-// CountVMs returns how many placed VMs satisfy pred. Iteration order is
-// unspecified — the predicate must not depend on it. Allocation-free
-// (unlike materializing RunningVMs just to count a subset).
+// CountVMs returns how many placed VMs satisfy pred, walking the PMs in ID
+// order and each PM's VMs in ID order, without allocating.
 func (d *Datacenter) CountVMs(pred func(*VM) bool) int {
 	n := 0
 	for _, p := range d.pms {
@@ -297,10 +303,11 @@ func (d *Datacenter) AverageVMsPerPM(fallback float64) float64 {
 // WalkPlacements visits every (PM, hosted VM) pair in deterministic order
 // (PMs by ID, VMs by ID within a PM) and stops at the first error. The
 // audit subsystem and exporters use it to traverse the full mapping
-// without materializing intermediate slices per call site.
+// without materializing intermediate slices per call site. fn must not
+// host or evict.
 func (d *Datacenter) WalkPlacements(fn func(*PM, *VM) error) error {
 	for _, p := range d.pms {
-		for _, vm := range p.VMs() {
+		for _, vm := range p.vms {
 			if err := fn(p, vm); err != nil {
 				return err
 			}
@@ -322,10 +329,11 @@ func (d *Datacenter) VMsByState() map[VMState]int {
 	return m
 }
 
-// CheckInvariants validates global consistency: every PM's usage equals the
-// sum of its VM demands and stays within capacity, no VM appears on two
-// PMs, and the fleet counters equal a re-count. Tests and the simulator's
-// self-check mode call this.
+// CheckInvariants validates global consistency: every PM's hosted list is
+// in strictly ascending ID order, its usage equals the sum of its VM
+// demands and stays within capacity, no VM appears on two PMs, and the
+// fleet counters equal a re-count. Tests and the simulator's self-check
+// mode call this.
 func (d *Datacenter) CheckInvariants() error {
 	seen := make(map[VMID]PMID)
 	var active, booting, vms, nonIdle int
@@ -344,7 +352,14 @@ func (d *Datacenter) CheckInvariants() error {
 		if !sum.NonNegative() {
 			return fmt.Errorf("cluster: PM %d has negative reservations %v", p.ID, p.reserved)
 		}
-		for _, vm := range p.VMs() {
+		for i, vm := range p.vms {
+			switch {
+			case i == 0:
+			case p.vms[i-1].ID == vm.ID:
+				return fmt.Errorf("cluster: PM %d lists VM %d twice", p.ID, vm.ID)
+			case p.vms[i-1].ID > vm.ID:
+				return fmt.Errorf("cluster: PM %d lists VM %d after VM %d, out of ID order", p.ID, vm.ID, p.vms[i-1].ID)
+			}
 			if prev, dup := seen[vm.ID]; dup {
 				return fmt.Errorf("cluster: VM %d on both PM %d and PM %d", vm.ID, prev, p.ID)
 			}

@@ -155,21 +155,24 @@ func TestStateCountsAndSets(t *testing.T) {
 	}
 }
 
-func TestRunningVMsSorted(t *testing.T) {
+func TestAppendVMsInStateSorted(t *testing.T) {
 	d := twoClassDC(t)
 	d.PM(0).SetState(PMOn)
 	d.PM(50).SetState(PMOn)
 	for _, pair := range []struct {
 		pm PMID
 		vm VMID
-	}{{50, 9}, {0, 3}, {0, 7}} {
-		if err := d.PM(pair.pm).Host(NewVM(pair.vm, vector.New(1, 0.5), 10, 10, 0)); err != nil {
+		st VMState
+	}{{50, 9, VMRunning}, {0, 3, VMRunning}, {0, 5, VMCreating}, {0, 7, VMRunning}} {
+		vm := NewVM(pair.vm, vector.New(1, 0.5), 10, 10, 0)
+		vm.State = pair.st
+		if err := d.PM(pair.pm).Host(vm); err != nil {
 			t.Fatal(err)
 		}
 	}
-	vms := d.RunningVMs()
-	if len(vms) != 3 || vms[0].ID != 3 || vms[1].ID != 7 || vms[2].ID != 9 {
-		t.Errorf("RunningVMs = %v", vms)
+	vms := d.AppendVMsInState([]*VM{nil}, VMRunning)
+	if len(vms) != 4 || vms[0] != nil || vms[1].ID != 3 || vms[2].ID != 7 || vms[3].ID != 9 {
+		t.Errorf("AppendVMsInState = %v", vms)
 	}
 }
 
@@ -233,15 +236,35 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 	d.PM(0).SetState(PMOn)
 
-	// Duplicate VM across PMs.
+	// Duplicate VM across PMs: a second object with vm's ID, consistent
+	// with PM 1 on its own.
 	d.PM(1).SetState(PMOn)
-	d.PM(1).vms[vm.ID] = vm
-	d.PM(1).Used.AddInPlace(vm.Demand)
 	vmOK := NewVM(1, vector.New(2, 1), 10, 10, 0)
 	vmOK.Host = 1
-	d.PM(1).vms[vm.ID] = vmOK
-	if err := d.CheckInvariants(); err == nil {
-		t.Error("duplicate VM not detected")
+	d.PM(1).vms = append(d.PM(1).vms, vmOK)
+	d.PM(1).Used.AddInPlace(vmOK.Demand)
+	if err := d.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "VM 1 on both PM 0 and PM 1") {
+		t.Errorf("duplicate VM: CheckInvariants = %v", err)
+	}
+	d.PM(1).vms = d.PM(1).vms[:0]
+	d.PM(1).Used.SubInPlace(vmOK.Demand)
+
+	// A hosted list out of ID order, and one that repeats an ID.
+	vm2 := NewVM(2, vector.New(2, 1), 10, 10, 0)
+	if err := d.PM(0).Host(vm2); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatalf("clean two-VM PM flagged: %v", err)
+	}
+	list := d.PM(0).vms
+	list[0], list[1] = list[1], list[0]
+	if err := d.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "PM 0 lists VM 1 after VM 2, out of ID order") {
+		t.Errorf("out-of-order list: CheckInvariants = %v", err)
+	}
+	list[0], list[1] = vm, vm
+	if err := d.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "PM 0 lists VM 1 twice") {
+		t.Errorf("repeated ID: CheckInvariants = %v", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/stats"
 	"repro/internal/vector"
 )
 
@@ -290,8 +291,8 @@ func TestQuickHostEvictConservation(t *testing.T) {
 	}
 }
 
-// TestPMLookupAndWalk: VM is HasVM's map lookup with the pointer, and
-// EachVM visits exactly VMs' set, in whatever order, without allocating.
+// TestPMLookupAndWalk: VM is HasVM's search with the pointer, and EachVM
+// visits exactly VMs' list without allocating.
 func TestPMLookupAndWalk(t *testing.T) {
 	pm := NewPM(0, &FastClass)
 	pm.SetState(PMOn)
@@ -334,5 +335,181 @@ func TestPMLookupAndWalk(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("EachVM allocates %.1f times a walk", allocs)
+	}
+}
+
+// TestEvictForeignVMWithHostedID: evicting a VM object that is not the one
+// hosted, though it carries the hosted VM's ID, fails naming both and
+// changes nothing — not the hosted list, not Used, not either VM's Host.
+// It kills an Evict that finds the VM by ID alone and subtracts the foreign
+// demand.
+func TestEvictForeignVMWithHostedID(t *testing.T) {
+	dc := MustNew(Config{RMin: TableIIRMin.Clone(), Groups: []Group{{Class: testClass(), Count: 1}}})
+	pm := dc.PM(0)
+	pm.SetState(PMOn)
+	hosted := NewVM(1, vector.New(4, 2), 100, 100, 0)
+	if err := pm.Host(hosted); err != nil {
+		t.Fatal(err)
+	}
+	feed := dc.Subscribe()
+	foreign := NewVM(1, vector.New(1, 0.5), 100, 100, 0)
+	foreign.Host = pm.ID
+	err := pm.Evict(foreign)
+	if err == nil {
+		t.Fatal("evicting a foreign VM with a hosted VM's ID succeeded")
+	}
+	for _, want := range []string{"VM 1 (host 0, demand [1, 0.5])", "VM 1 on PM 0 (host 0, demand [4, 2])"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if pm.VMCount() != 1 || pm.VM(1) != hosted || hosted.Host != 0 || !pm.Used.Equal(vector.New(4, 2)) {
+		t.Errorf("a refused Evict changed the PM: %v, VM(1) = %p (hosted %p), hosted.Host = %d", pm, pm.VM(1), hosted, hosted.Host)
+	}
+	if ids := feed.Take(); len(ids) != 0 {
+		t.Errorf("a refused Evict bumped PMs %v", ids)
+	}
+	if err := dc.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestHostedListAgainstMap runs seeded random Host and Evict calls on the
+// three PMs of a fleet from New — VMs at and below R^MIN, so a PM outgrows
+// its W_j window of the slab — and holds every read of the hosted list to a
+// reference map after each call: VMs (a copy, in ID order), EachVM
+// (ascending), VM, HasVM, VMCount, the fleet's CountVMs and
+// CheckInvariants. A fifth of the evictions first try a foreign VM with the
+// hosted VM's ID, which must fail. It kills a Host that appends without
+// keeping ID order, a search comparing the wrong way, an Evict that leaves
+// the slot, a window carved without its cap (a PM's appends overwrite its
+// neighbour's VMs), and a VMs that returns the list itself.
+func TestHostedListAgainstMap(t *testing.T) {
+	dc := MustNew(Config{RMin: TableIIRMin.Clone(), Groups: []Group{{Class: testClass(), Count: 3}}})
+	pms := dc.PMs()
+	for _, pm := range pms {
+		pm.SetState(PMOn)
+	}
+	const ids = 60
+	demands := []vector.V{{1, 0.25}, {0.5, 0.5}, {0.25, 0.125}, {2, 1}}
+	vms := make([]*VM, ids)
+	for i := range vms {
+		vms[i] = NewVM(VMID(i), demands[i%len(demands)], 100, 100, 0)
+	}
+	ref := make([]map[VMID]*VM, len(pms))
+	for i := range ref {
+		ref[i] = map[VMID]*VM{}
+	}
+	rng := stats.NewStream(1)
+	grew := false
+	for op := 0; op < 3000; op++ {
+		vm := vms[rng.Intn(ids)]
+		if vm.Host != NoPM {
+			pm := pms[vm.Host]
+			if rng.Intn(5) == 0 {
+				foreign := NewVM(vm.ID, vm.Demand, 100, 100, 0)
+				if err := pm.Evict(foreign); err == nil {
+					t.Fatalf("op %d: Evict of a foreign VM %d succeeded", op, vm.ID)
+				}
+			}
+			if err := pm.Evict(vm); err != nil {
+				t.Fatalf("op %d: %v", op, err)
+			}
+			delete(ref[pm.ID], vm.ID)
+		} else {
+			pm := pms[rng.Intn(len(pms))]
+			fits := pm.CanHost(vm.Demand)
+			if err := pm.Host(vm); (err == nil) != fits {
+				t.Fatalf("op %d: Host of VM %d on PM %d: %v, but CanHost %v", op, vm.ID, pm.ID, err, fits)
+			} else if fits {
+				ref[pm.ID][vm.ID] = vm
+			}
+		}
+		want := 0
+		for _, pm := range pms {
+			checkHosted(t, op, pm, ref[pm.ID], ids)
+			grew = grew || pm.VMCount() > pm.Class.MaxMinimalVMs(TableIIRMin)
+			for id := range ref[pm.ID] {
+				if id%3 == 0 {
+					want++
+				}
+			}
+		}
+		if got := dc.CountVMs(func(vm *VM) bool { return vm.ID%3 == 0 }); got != want {
+			t.Fatalf("op %d: CountVMs = %d, the reference %d", op, got, want)
+		}
+		if err := dc.CheckInvariants(); err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+	}
+	if !grew {
+		t.Error("no PM outgrew its W_j window: the run does not reach the grow path")
+	}
+}
+
+// checkHosted holds pm's hosted list to ref.
+func checkHosted(t *testing.T, op int, pm *PM, ref map[VMID]*VM, ids int) {
+	t.Helper()
+	want := make([]*VM, 0, len(ref))
+	for _, vm := range ref {
+		want = append(want, vm)
+	}
+	slices.SortFunc(want, func(a, b *VM) int { return int(a.ID) - int(b.ID) })
+	got := pm.VMs()
+	if !slices.Equal(got, want) || pm.VMCount() != len(want) {
+		t.Fatalf("op %d: PM %d VMs = %v (count %d), the reference %v", op, pm.ID, got, pm.VMCount(), want)
+	}
+	if len(got) > 0 {
+		got[0] = nil
+		if pm.VMs()[0] != want[0] {
+			t.Fatalf("op %d: PM %d VMs is not a copy", op, pm.ID)
+		}
+	}
+	var walked []*VM
+	pm.EachVM(func(vm *VM) { walked = append(walked, vm) })
+	if !slices.Equal(walked, want) {
+		t.Fatalf("op %d: PM %d EachVM visits %v, the reference in ID order %v", op, pm.ID, walked, want)
+	}
+	for id := VMID(-1); id <= VMID(ids); id++ {
+		if pm.VM(id) != ref[id] || pm.HasVM(id) != (ref[id] != nil) {
+			t.Fatalf("op %d: PM %d VM(%d) = %v, HasVM %v; the reference %v", op, pm.ID, id, pm.VM(id), pm.HasVM(id), ref[id])
+		}
+	}
+}
+
+// TestHostEvictWithinWjAllocatesNothing: on a PM fresh from New, filling
+// the hosted list to W_j in scrambled ID order and emptying it again
+// allocates nothing — the list lives in the PM's window of the fleet's
+// slab. Each run takes the next fresh PM, so a list that grew on an
+// earlier run cannot hide an allocation. It kills a New that carves no
+// slab.
+func TestHostEvictWithinWjAllocatesNothing(t *testing.T) {
+	const runs = 20
+	dc := MustNew(Config{RMin: TableIIRMin.Clone(), Groups: []Group{{Class: testClass(), Count: runs + 1}}})
+	w := testClass().MaxMinimalVMs(TableIIRMin)
+	vms := make([]*VM, w)
+	for i := range vms {
+		vms[i] = NewVM(VMID((i*5)%w), TableIIRMin, 100, 100, 0) // 5 is prime to W_j = 8
+	}
+	for _, pm := range dc.PMs() {
+		pm.SetState(PMOn)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		pm := dc.PM(PMID(next))
+		next++
+		for _, vm := range vms {
+			if err := pm.Host(vm); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, vm := range vms {
+			if err := pm.Evict(vm); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("hosting and evicting %d VMs allocates %.1f times", w, allocs)
 	}
 }

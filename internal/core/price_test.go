@@ -114,11 +114,12 @@ func TestPriceFactorSteersConsolidation(t *testing.T) {
 	if len(moves) == 0 {
 		t.Fatal("price pressure produced no migrations")
 	}
-	for _, vm := range dc.RunningVMs() {
-		if pf.Region(vm.Host) != "cheap" {
-			t.Errorf("VM %d still in region %q on PM %d", vm.ID, pf.Region(vm.Host), vm.Host)
+	dc.WalkPlacements(func(pm *cluster.PM, vm *cluster.VM) error {
+		if pf.Region(pm.ID) != "cheap" {
+			t.Errorf("VM %d still in region %q on PM %d", vm.ID, pf.Region(pm.ID), pm.ID)
 		}
-	}
+		return nil
+	})
 }
 
 func TestPriceFactorName(t *testing.T) {

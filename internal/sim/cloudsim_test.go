@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/audit"
@@ -354,7 +355,10 @@ func TestLiveVMTable(t *testing.T) {
 		if !ok {
 			break
 		}
-		want := append(s.dc.RunningVMs(), s.queue...)
+		want := slices.Clone(s.queue)
+		for _, pm := range s.dc.PMs() {
+			want = append(want, pm.VMs()...)
+		}
 		live := 0
 		for i, vm := range s.vms {
 			if vm != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/audit"
+	"repro/internal/cluster"
 	"repro/internal/failure"
 	"repro/internal/obs"
 	"repro/internal/policy"
@@ -229,9 +230,10 @@ func TestHoldCrashResumeAdversarial(t *testing.T) {
 					t.Fatalf("seed %d: PM %d leaked reservation %v after resumed drain", seed, pm.ID, pm.Reserved())
 				}
 			}
-			for _, vm := range cfg2.DC.RunningVMs() {
-				t.Fatalf("seed %d: VM %d still placed (%s) after resumed drain", seed, vm.ID, vm.State)
-			}
+			cfg2.DC.WalkPlacements(func(pm *cluster.PM, vm *cluster.VM) error {
+				t.Fatalf("seed %d: VM %d still placed on PM %d (%s) after resumed drain", seed, vm.ID, pm.ID, vm.State)
+				return nil
+			})
 		}
 	}
 }

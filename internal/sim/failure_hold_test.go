@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/audit"
+	"repro/internal/cluster"
 	"repro/internal/failure"
 	"repro/internal/policy"
 )
@@ -40,9 +41,10 @@ func TestSourceFailureDuringTimedMigration(t *testing.T) {
 			}
 		}
 		// No VM may be stranded in a non-terminal state.
-		for _, vm := range dc.RunningVMs() {
-			t.Errorf("seed %d: VM %d still placed (%s) after drain", seed, vm.ID, vm.State)
-		}
+		dc.WalkPlacements(func(pm *cluster.PM, vm *cluster.VM) error {
+			t.Errorf("seed %d: VM %d still placed on PM %d (%s) after drain", seed, vm.ID, pm.ID, vm.State)
+			return nil
+		})
 	}
 }
 
