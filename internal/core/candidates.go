@@ -171,16 +171,20 @@ func (x *candIndex) sync() {
 
 // resyncPM recomputes pm's group in every tracked shape, moving it between
 // member lists where the (feasibility, class, level, reliability) signature
-// changed.
+// changed. A PM whose signature is its group's key stays without a lookup:
+// only a group change hashes the key.
 func (x *candIndex) resyncPM(id int32) {
 	pm := x.pms[id]
 	for _, sh := range x.shapeList {
 		key, rel, ev, ok := x.membership(pm, sh.demand)
+		og := sh.groupOf[id]
+		if ok && og >= 0 && sh.groups[og].key == key {
+			continue
+		}
 		ng := int32(-1)
 		if ok {
 			ng = sh.groupIdx(key, rel, ev)
 		}
-		og := sh.groupOf[id]
 		if og == ng {
 			continue
 		}

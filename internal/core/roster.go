@@ -10,10 +10,10 @@ import (
 
 // roster is the Context's placed VMs bucketed by host and demand shape
 // (DESIGN.md §13, "Step B across passes"), kept across consolidation passes:
-// per PM the VMs placed there, each with its interned shape id, and the PM's
-// hosted-cell probability cur; per shape the PMs holding any of its VMs in
-// (cur asc, ID asc) order, which lets a sweep stop at the first host whose
-// bound cannot beat MIG_threshold (bound.go). A PM is re-read when the
+// per PM the VMs placed there in ID order, each with its interned shape id,
+// and the PM's hosted-cell probability cur; per shape the PMs holding any
+// of its VMs in (cur asc, ID asc) order, which lets a sweep stop at the
+// first host whose bound cannot beat MIG_threshold (bound.go). A PM is re-read when the
 // datacenter's change feed names it, and a move's endpoints right after the
 // move. Membership is placement, not state — VM.State is written with no
 // bump — so State is read live. Nothing here holds p_vir or ages with the
@@ -94,8 +94,10 @@ func newRoster(ctx *Context) *roster {
 }
 
 // reread replaces pm's bucket, cur and active with the PM as it stands,
-// and its share of offline. A VM still placed keeps its shape id; a new one
-// is interned. inserts and drops count the VMs that came and went.
+// and its share of offline. The old and the new bucket are both in
+// ascending VM ID order, so one merge walk finds each VM still placed —
+// the same object, not just the same ID — and it keeps its shape id; a new
+// one is interned. inserts and drops count the VMs that came and went.
 //
 // The host orders change by shape, not by VM: each shape of the old and the
 // new bucket is taken once, at its first VM there, and the PM leaves a
@@ -119,13 +121,14 @@ func (ro *roster) reread(ctx *Context, pm *cluster.PM) (inserts, drops int) {
 		ro.ents = append(ro.ents, make([]rosterEntry, p.cap)...)
 	}
 	clear(ro.ents[p.off+n : p.off+max(n, p.n)])
-	seg, k := ro.ents[p.off:p.off+n], 0
-	pm.EachVM(func(vm *cluster.VM) {
+	seg, k, j := ro.ents[p.off:p.off+n], 0, 0
+	pm.EachVM(func(vm *cluster.VM) { // ascending ID, as old is: one merge walk
+		for j < len(old) && old[j].vm.ID < vm.ID {
+			j++
+		}
 		seg[k] = rosterEntry{vm, -1}
-		for _, e := range old {
-			if e.vm == vm {
-				seg[k].shape = e.shape
-			}
+		if j < len(old) && old[j].vm == vm {
+			seg[k].shape = old[j].shape
 		}
 		if seg[k].shape < 0 {
 			seg[k].shape = ctx.shapeID(vm.Demand)
@@ -174,7 +177,7 @@ func hasShape(b []rosterEntry, sid int32) bool {
 // offline reports whether the PM holds VMs while inactive.
 func (p *rosterPM) offline() bool { return !p.active && p.n > 0 }
 
-// bucket returns the VMs placed on PM id, in no particular order.
+// bucket returns the VMs placed on PM id, in ascending VM ID order.
 func (ro *roster) bucket(id int32) []rosterEntry {
 	p := &ro.pms[id]
 	return ro.ents[p.off : p.off+p.n]
@@ -263,11 +266,11 @@ func (ctx *Context) CheckColumns() error {
 }
 
 // diffRoster holds a synced roster to one built cold from the fleet: every
-// PM's active and cur, its bucket as a set of (VM, shape id) — a cold read
-// interns every demand afresh — every shape's host order, which the cold
-// build's inserts sort afresh, and the count of inactive PMs holding VMs.
-// SelfAudit runs it on every pass. The Running columns follow: the buckets
-// hold the placed VMs, State is read live.
+// PM's active and cur, its bucket as a list of (VM, shape id) in VM ID
+// order — a cold read interns every demand afresh — every shape's host
+// order, which the cold build's inserts sort afresh, and the count of
+// inactive PMs holding VMs. SelfAudit runs it on every pass. The Running
+// columns follow: the buckets hold the placed VMs, State is read live.
 func (ctx *Context) diffRoster() error {
 	ro, cold := ctx.roster, newRoster(ctx)
 	for id, p := range ro.pms {
@@ -275,9 +278,9 @@ func (ctx *Context) diffRoster() error {
 		if q := cold.pms[id]; p.active != q.active || p.cur != q.cur || len(b) != len(want) {
 			return fmt.Errorf("core: roster has PM %d active %v, cur %g, %d VMs; a cold build %v, %g, %d", id, p.active, p.cur, len(b), q.active, q.cur, len(want))
 		}
-		for _, e := range b {
-			if !slices.Contains(want, e) {
-				return fmt.Errorf("core: roster has VM %d as shape %d on PM %d, a cold build does not", e.vm.ID, e.shape, id)
+		for i, e := range b {
+			if e != want[i] {
+				return fmt.Errorf("core: roster has VM %d as shape %d at %d on PM %d, a cold build VM %d as shape %d", e.vm.ID, e.shape, i, id, want[i].vm.ID, want[i].shape)
 			}
 		}
 	}

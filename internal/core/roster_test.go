@@ -298,7 +298,11 @@ func TestFrameRejectsUnorderedColumns(t *testing.T) {
 // leaves cur as it was. Each row states whether the change moves the
 // target's cur, and the rows that move it cross another host of a shape the
 // target keeps, so a removal skipped or made at the new cur leaves the
-// target out of order or twice in it.
+// target out of order or twice in it. Each row also pins the inserts and
+// drops the re-read counts; the interleaved row kills a merge walk that
+// stops advancing through the old bucket (kept VMs count as inserts) and
+// one that matches by ID instead of identity (a returning ID keeps its old
+// shape).
 func TestRosterRereadPerShape(t *testing.T) {
 	a, b, c := vector.New(1, 0.25), vector.New(1, 0.5), vector.New(1, 1)
 	small := vector.New(0.5, 0.125) // below R^MIN: a slow PM takes more than its W_j = 4
@@ -313,12 +317,15 @@ func TestRosterRereadPerShape(t *testing.T) {
 		change func(t *testing.T, pm *cluster.PM, host func(*cluster.PM, vector.V))
 		moved  bool // the target's cur changes
 		grown  bool // the target's bucket outgrows its room
+		// ins and drops are the VMs the re-read counts as come and gone.
+		ins, drops int64
 	}{
 		{
 			name:   "cur unchanged, a new shape arrives",
 			setup:  []placed{{0, []vector.V{c, c, c, c}}, {2, []vector.V{a}}, {3, []vector.V{a, a}}},
 			target: 0,
 			change: func(t *testing.T, pm *cluster.PM, host func(*cluster.PM, vector.V)) { host(pm, a) },
+			ins:    1,
 		},
 		{
 			name:   "cur unchanged, a shape's last VM leaves",
@@ -327,6 +334,7 @@ func TestRosterRereadPerShape(t *testing.T) {
 			change: func(t *testing.T, pm *cluster.PM, _ func(*cluster.PM, vector.V)) {
 				evictShape(t, pm, a)
 			},
+			drops: 1,
 		},
 		{
 			name:   "cur moves with two VMs of one shape",
@@ -334,6 +342,7 @@ func TestRosterRereadPerShape(t *testing.T) {
 			target: 2,
 			change: func(t *testing.T, pm *cluster.PM, host func(*cluster.PM, vector.V)) { host(pm, c) },
 			moved:  true,
+			ins:    1,
 		},
 		{
 			name:   "cur moves down past a host of the kept shape",
@@ -344,6 +353,7 @@ func TestRosterRereadPerShape(t *testing.T) {
 				evictShape(t, pm, a)
 			},
 			moved: true,
+			drops: 2,
 		},
 		{
 			name:   "the PM goes inactive",
@@ -364,6 +374,36 @@ func TestRosterRereadPerShape(t *testing.T) {
 			},
 			moved: true,
 			grown: true,
+			ins:   3,
+		},
+		{
+			// The target's VMs are IDs 1-6. Below, above and between the
+			// kept ones VMs come and go, and ID 2 comes back as another
+			// object of another shape: the merge must walk both buckets to
+			// the end and match by identity, not by ID. cur and the set of
+			// shapes stay, so only the bucket can go wrong.
+			name:   "VMs come and go interleaved by ID",
+			setup:  []placed{{0, []vector.V{c, a, c, b, c, c}}, {2, []vector.V{a}}, {3, []vector.V{a, a}}, {4, []vector.V{b}}},
+			target: 0,
+			change: func(t *testing.T, pm *cluster.PM, _ func(*cluster.PM, vector.V)) {
+				for _, id := range []cluster.VMID{2, 4} {
+					if err := pm.Evict(pm.VM(id)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, v := range []struct {
+					id    cluster.VMID
+					shape vector.V
+				}{{0, a}, {2, b}, {40, a}} {
+					vm := cluster.NewVM(v.id, v.shape.Clone(), 40000, 40000, 0)
+					if err := pm.Host(vm); err != nil {
+						t.Fatal(err)
+					}
+					vm.State = cluster.VMRunning
+				}
+			},
+			ins:   3,
+			drops: 2,
 		},
 	}
 	for _, row := range rows {
@@ -387,7 +427,7 @@ func TestRosterRereadPerShape(t *testing.T) {
 					host(dc.PM(p.pm), shape)
 				}
 			}
-			ctx := &Context{DC: dc, Now: 7200}
+			ctx := &Context{DC: dc, Now: 7200, Obs: obs.New()}
 			ro := ctx.syncRoster()
 			if err := ctx.diffRoster(); err != nil {
 				t.Fatalf("cold build: %v", err)
@@ -395,8 +435,13 @@ func TestRosterRereadPerShape(t *testing.T) {
 			before := ro.pms[row.target]
 
 			row.change(t, dc.PM(row.target), host)
-			if err := ctx.CheckColumns(); err != nil {
+			ctx.syncRoster()
+			if err := ctx.diffRoster(); err != nil {
 				t.Fatal(err)
+			}
+			ins, drops := ctx.Obs.Counter("core.roster_inserts").Value(), ctx.Obs.Counter("core.roster_drops").Value()
+			if ins != row.ins || drops != row.drops {
+				t.Errorf("the re-read counts %d inserts, %d drops; want %d, %d", ins, drops, row.ins, row.drops)
 			}
 			after := ro.pms[row.target]
 			if moved := after.cur != before.cur; moved != row.moved {
