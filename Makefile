@@ -116,10 +116,12 @@ bench-ab:
 ## same: this tree against another commit on what a run writes. dvmpsim is
 ## built at BASE (a temporary shared `git clone` under $TMPDIR, removed on
 ## exit; no `git worktree`) and in this tree; each seed of SEEDS runs the
-## week with `-spare -trace -decisions -metrics` on both binaries, once
-## with instant migrations and once `-timed` (the runs whose migration
-## cutovers are events of their own). The run traces and the decision logs
-## must be `tracestat -diff` identical, and the metrics JSON equal once its
+## week with `-trace -decisions -metrics` on both binaries four ways: the
+## dynamic scheme `-spare` with instant migrations and `-timed` (the runs
+## whose migration cutovers are events of their own), and the static
+## baselines `-scheme first-fit` and `-scheme best-fit -spare`, which no
+## golden pins. The run traces and the decision logs must be
+## `tracestat -diff` identical, and the metrics JSON equal once its
 ## "total_ns" lines (phase wall-clock) are removed. Exits non-zero on the
 ## first difference.
 ## `make same BASE=HEAD~1 SEEDS="1 7"`.
@@ -131,11 +133,11 @@ same:
 	(cd "$$tmp/base" && $(GO) build -o "$$tmp/a/dvmpsim" ./cmd/dvmpsim); \
 	$(GO) build -o "$$tmp/b/dvmpsim" ./cmd/dvmpsim; \
 	$(GO) build -o "$$tmp/tracestat" ./cmd/tracestat; \
-	for seed in $(SEEDS); do for mode in "" -timed; do \
-		run=$$seed$$mode; \
-		echo "== seed $$seed$${mode:+ $$mode}, a = $(BASE), b = this tree"; \
+	for seed in $(SEEDS); do for flags in "-spare" "-spare -timed" "-scheme first-fit" "-scheme best-fit -spare"; do \
+		run=$$seed$$(printf %s "$$flags" | tr -d ' '); \
+		echo "== seed $$seed $$flags, a = $(BASE), b = this tree"; \
 		for side in a b; do \
-			"$$tmp/$$side/dvmpsim" -spare $$mode -seed $$seed -trace "$$tmp/$$side/t$$run.jsonl" \
+			"$$tmp/$$side/dvmpsim" $$flags -seed $$seed -trace "$$tmp/$$side/t$$run.jsonl" \
 				-decisions "$$tmp/$$side/d$$run.jsonl" -metrics "$$tmp/$$side/m$$run.json" > /dev/null; \
 			grep -v '"total_ns"' "$$tmp/$$side/m$$run.json" > "$$tmp/$$side/m$$run.txt"; \
 		done; \
