@@ -116,11 +116,13 @@ bench-ab:
 ## same: this tree against another commit on what a run writes. dvmpsim is
 ## built at BASE (a temporary shared `git clone` under $TMPDIR, removed on
 ## exit; no `git worktree`) and in this tree; each seed of SEEDS runs the
-## week with `-trace -decisions -metrics` on both binaries four ways: the
+## week with `-trace -decisions -metrics` on both binaries eight ways: the
 ## dynamic scheme `-spare` with instant migrations and `-timed` (the runs
-## whose migration cutovers are events of their own), and the static
-## baselines `-scheme first-fit` and `-scheme best-fit -spare`, which no
-## golden pins. The run traces and the decision logs must be
+## whose migration cutovers are events of their own), the static
+## baselines `-scheme first-fit` and `-scheme best-fit -spare`, and the
+## other fit-family schemes `-scheme worst-fit`, `-scheme random`,
+## `-scheme threshold` and `-scheme overbook`, which no golden pins. The
+## run traces and the decision logs must be
 ## `tracestat -diff` identical, and the metrics JSON equal once its
 ## "total_ns" lines (phase wall-clock) are removed. Exits non-zero on the
 ## first difference.
@@ -133,7 +135,8 @@ same:
 	(cd "$$tmp/base" && $(GO) build -o "$$tmp/a/dvmpsim" ./cmd/dvmpsim); \
 	$(GO) build -o "$$tmp/b/dvmpsim" ./cmd/dvmpsim; \
 	$(GO) build -o "$$tmp/tracestat" ./cmd/tracestat; \
-	for seed in $(SEEDS); do for flags in "-spare" "-spare -timed" "-scheme first-fit" "-scheme best-fit -spare"; do \
+	for seed in $(SEEDS); do for flags in "-spare" "-spare -timed" "-scheme first-fit" "-scheme best-fit -spare" \
+		"-scheme worst-fit" "-scheme random" "-scheme threshold" "-scheme overbook"; do \
 		run=$$seed$$(printf %s "$$flags" | tr -d ' '); \
 		echo "== seed $$seed $$flags, a = $(BASE), b = this tree"; \
 		for side in a b; do \
