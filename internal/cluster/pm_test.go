@@ -233,6 +233,38 @@ func TestPMIdleAndUtilization(t *testing.T) {
 	}
 }
 
+// TestUtilizationWithMatchesVector holds UtilizationWith to the
+// allocating form it replaces, vector.Utilization(Used.Add(d)), bit for
+// bit: on a class with a zero-capacity dimension, over loads that leave
+// it unused, use it, and overflow or sit at the capacity elsewhere.
+func TestUtilizationWithMatchesVector(t *testing.T) {
+	class := testClass()
+	class.Capacity = vector.New(8, 0, 6.5)
+	pm := NewPM(0, class)
+	rng := stats.NewStream(3)
+	pick := func(cap float64) float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return cap
+		default:
+			return rng.Float64() * (cap + 1)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		pm.Used = vector.New(pick(8), 0, pick(6.5))
+		d := vector.New(pick(8), 0, pick(6.5))
+		if rng.Intn(8) == 0 {
+			d[1] = rng.Float64() // a demand the PM cannot meet at all
+		}
+		want := vector.Utilization(pm.Used.Add(d), pm.Class.Capacity)
+		if got := pm.UtilizationWith(d); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("used %v, demand %v: UtilizationWith = %v, vector.Utilization = %v", pm.Used, d, got, want)
+		}
+	}
+}
+
 func TestPMStateString(t *testing.T) {
 	for s, want := range map[PMState]string{
 		PMOff: "off", PMBooting: "booting", PMOn: "on",

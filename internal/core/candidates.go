@@ -215,7 +215,7 @@ func (x *candIndex) membership(pm *cluster.PM, demand vector.V) (key candKey, re
 	if info.wj == 0 {
 		return candKey{}, 0, 0, false
 	}
-	level := levelOf(info, prospectiveUtilization(pm, demand))
+	level := levelOf(info, pm.UtilizationWith(demand))
 	effVal = info.effVal[level]
 	if effVal == 0 {
 		return candKey{}, 0, 0, false

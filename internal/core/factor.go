@@ -357,7 +357,7 @@ func (EfficiencyFactor) Probability(ctx *Context, vm *cluster.VM, pm *cluster.PM
 	if hosted {
 		u = pm.Utilization()
 	} else {
-		u = prospectiveUtilization(pm, vm.Demand)
+		u = pm.UtilizationWith(vm.Demand)
 	}
 	return effProbability(info, u)
 }
@@ -402,29 +402,4 @@ func levelOf(info *classInfo, u float64) int {
 		level = info.wj
 	}
 	return level
-}
-
-// prospectiveUtilization computes the joint utilization PM pm would have
-// with demand added, without allocating an intermediate vector (this sits
-// on the matrix-construction hot path).
-func prospectiveUtilization(pm *cluster.PM, demand vector.V) float64 {
-	u := 1.0
-	cap := pm.Class.Capacity
-	for k := range cap {
-		if cap[k] <= vector.Epsilon {
-			if pm.Used[k]+demand[k] <= vector.Epsilon {
-				continue
-			}
-			return 0
-		}
-		f := (pm.Used[k] + demand[k]) / cap[k]
-		if f < 0 {
-			f = 0
-		}
-		if f > 1 {
-			f = 1
-		}
-		u *= f
-	}
-	return u
 }

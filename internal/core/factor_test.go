@@ -203,14 +203,3 @@ func TestFactorNames(t *testing.T) {
 		}
 	}
 }
-
-func TestProspectiveUtilizationMatchesVector(t *testing.T) {
-	dc := smallDC()
-	pm := dc.PM(0)
-	mustHost(t, pm, cluster.NewVM(1, vector.New(2, 3), 100, 100, 0))
-	d := vector.New(1, 0.5)
-	want := vector.Utilization(pm.Used.Add(d), pm.Class.Capacity)
-	if got := prospectiveUtilization(pm, d); math.Abs(got-want) > 1e-12 {
-		t.Errorf("prospectiveUtilization = %g, want %g", got, want)
-	}
-}

@@ -100,7 +100,7 @@ func (prog *program) cell(ctx *Context, info *classInfo, vir float64, pm *cluste
 			if hosted {
 				q = effProbability(info, pm.Utilization())
 			} else {
-				q = effProbability(info, prospectiveUtilization(pm, vm.Demand))
+				q = effProbability(info, pm.UtilizationWith(vm.Demand))
 			}
 		default:
 			q = t.f.Probability(ctx, vm, pm, hosted)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/vector"
 )
 
@@ -65,6 +66,21 @@ func TestWorstFitPrefersEmptiestPM(t *testing.T) {
 	pm := WorstFit{}.Place(ctx, newVM(1))
 	if pm == nil || pm.ID == 1 {
 		t.Errorf("worst-fit chose %v, want an empty PM", pm)
+	}
+}
+
+// TestFitPlaceAllocatesNothing holds every fit-family Place to zero
+// allocations on a loaded fleet: the shared walk scores PMs in place,
+// Random counts instead of listing, and Overbook sums its booked load
+// dimension by dimension.
+func TestFitPlaceAllocatesNothing(t *testing.T) {
+	ctx := loadedFleet(t, vector.New(1, 2), vector.New(4, 4), vector.New(0, 0), vector.New(6, 1), vector.New(3, 3))
+	ctx.Obs = obs.New()
+	vm := newVM(1)
+	for _, p := range []Policy{FirstFit{}, BestFit{}, WorstFit{}, NewRandom(7), NewThreshold(), NewOverbook()} {
+		if allocs := testing.AllocsPerRun(100, func() { p.Place(ctx, vm) }); allocs != 0 {
+			t.Errorf("%s: Place allocates %v times a call, want 0", p.Name(), allocs)
+		}
 	}
 }
 

@@ -296,7 +296,7 @@ func (rp *Replay) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 		}
 		rp.diverged = true // deliberate: the counterfactual begins here
 		alt := ctx.DC.PM(d.Alts[ov.Alt].PM)
-		if alt == nil || !feasible(alt, vm.Demand) {
+		if alt == nil || !alt.CanHost(vm.Demand) {
 			// The alternative was feasible when recorded but the
 			// substitution context is identical up to here, so this only
 			// fires on a stale override index; surface it.
@@ -309,7 +309,7 @@ func (rp *Replay) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 		return nil
 	}
 	pm := ctx.DC.PM(d.PM)
-	if pm == nil || !feasible(pm, vm.Demand) {
+	if pm == nil || !pm.CanHost(vm.Demand) {
 		rp.divergef("policy: replay: recorded PM %d cannot host VM %d", d.PM, vm.ID)
 		return rp.Fallback.Place(ctx, vm)
 	}
