@@ -31,7 +31,7 @@ race:
 ## non-zero on the first violation. The configuration differentials
 ## (decisions, checkpoint/resume; cells and kernel workers at the
 ## sim.Config level) and the engine differential are tier-1 tests:
-## cmd/dvmpsim TestTraceEquivalence, cmd/counterfact
+## cmd/dvmpsim TestTraceEquivalence and
 ## TestFaithfulReplayReproducesTrace, internal/sim
 ## TestCellDifferentialSweep, internal/audit TestSparseDifferentialSweep.
 audit:

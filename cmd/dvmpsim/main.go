@@ -8,6 +8,7 @@
 //	        [-nodes 100] [-csv out.csv] [-v]
 //	        [-trace run.jsonl] [-metrics run.metrics.json]
 //	        [-decisions dec.jsonl]
+//	        [-replay dec.jsonl [-what-if IDX:ALT | -list]]
 //	        [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // The -cpuprofile and -memprofile flags capture runtime/pprof profiles of
@@ -27,8 +28,16 @@
 // spare-pool targets — as a separate JSONL stream (see DESIGN.md §16).
 // The decision stream has its own logical clock, so recording leaves the
 // run trace byte-identical to an unrecorded run (TestTraceEquivalence
-// pins this). Replay the log, or ask "what if we'd picked alternative
-// #2", with cmd/counterfact.
+// pins this).
+//
+// -replay re-runs a recorded log as policy.NewReplay(log, scheme) under
+// the recording run's flags: a faithful replay reproduces its run trace
+// byte-for-byte (TestFaithfulReplayReproducesTrace), a mismatch exits
+// with a divergence error. -list prints the recorded placements with
+// their ranked alternatives and exits; -what-if IDX:ALT takes alternative
+// ALT at log index IDX and the live scheme afterward, the counterfactual
+// (diff the two traces with cmd/tracestat). A replay cannot -checkpoint,
+// -resume or record -decisions (DESIGN.md §16).
 //
 // Without -swf a synthetic week calibrated to the paper's Figure 2 is
 // generated from -seed. With -swf, the file is parsed as Standard
@@ -52,6 +61,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
+	"strings"
 
 	"repro/internal/audit"
 	"repro/internal/cluster"
@@ -76,7 +87,7 @@ func run(args []string, out io.Writer) error {
 		scheme    = fs.String("scheme", "dynamic", "placement scheme: first-fit, best-fit, worst-fit, random, threshold, dynamic, overbook, dynamic-adaptive")
 		swfPath   = fs.String("swf", "", "SWF workload file (default: synthetic week from -seed)")
 		tracePath = fs.String("trace", "", "write the structured JSONL run trace to this file")
-		decPath   = fs.String("decisions", "", "record every placement decision (with top-k alternatives) as JSONL to this file; replay with cmd/counterfact")
+		decPath   = fs.String("decisions", "", "record every placement decision (with top-k alternatives) as JSONL to this file; replay with -replay")
 		metrPath  = fs.String("metrics", "", "write the run's metrics registry as JSON to this file")
 		seed      = fs.Int64("seed", 1, "workload / random-scheme seed")
 		useSpare  = fs.Bool("spare", false, "enable the spare-server controller (Section IV)")
@@ -93,6 +104,9 @@ func run(args []string, out io.Writer) error {
 		ckptEvery = fs.Int64("checkpoint-every", 0, "checkpoint every N dispatched events (requires -checkpoint)")
 		stopAfter = fs.Int64("stop-after", 0, "stop after N dispatched events, write a final checkpoint, and exit (requires -checkpoint)")
 		resumeArg = fs.String("resume", "", "resume the run from this checkpoint file instead of starting fresh")
+		replayArg = fs.String("replay", "", "replay this decision log (recorded with -decisions under the same flags); -scheme is the fallback")
+		whatIf    = fs.String("what-if", "", "with -replay: substitute alternative ALT at decision log index IDX, as IDX:ALT")
+		list      = fs.Bool("list", false, "with -replay: print the recorded placement decisions and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -113,11 +127,42 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-stop-after must be >= 0 (got %d)", *stopAfter)
 	case (*ckptEvery > 0 || *stopAfter > 0) && *ckptPath == "":
 		return fmt.Errorf("-checkpoint-every and -stop-after need -checkpoint to say where the checkpoint goes")
+	case (*whatIf != "" || *list) && *replayArg == "":
+		return fmt.Errorf("-what-if and -list need -replay to name the decision log")
+	case *replayArg != "" && *ckptPath != "":
+		return fmt.Errorf("-replay cannot -checkpoint: a replay's position in its log is not checkpoint state")
+	case *replayArg != "" && *resumeArg != "":
+		return fmt.Errorf("-replay cannot -resume: a replay's position in its log is not checkpoint state")
+	case *replayArg != "" && *decPath != "":
+		return fmt.Errorf("-replay cannot record -decisions: replayed moves carry no column alternatives")
 	}
 
 	placer, err := policy.ByName(*scheme, *seed)
 	if err != nil {
 		return err
+	}
+	var rp *policy.Replay
+	if *replayArg != "" {
+		f, err := os.Open(*replayArg)
+		if err != nil {
+			return err
+		}
+		log, err := policy.ParseDecisionLog(f)
+		f.Close()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "decision log: %d records from %s\n", len(log), *replayArg)
+		if *list {
+			return listPlacements(out, log)
+		}
+		rp = policy.NewReplay(log, placer)
+		if *whatIf != "" {
+			if rp.Override, err = parseWhatIf(*whatIf, log); err != nil {
+				return err
+			}
+		}
+		placer = rp
 	}
 
 	if *cpuProf != "" {
@@ -163,7 +208,7 @@ func run(args []string, out io.Writer) error {
 	}
 	// The sinks are closed even after a failed or stopped run: a trace or
 	// decision log that ends at an audit violation or a checkpoint is
-	// exactly what you want to inspect (and what counterfact resumes from).
+	// exactly what you want to inspect (and what -resume and -replay read).
 	var sinks []*obs.TraceFile
 	sink := func(path string) (*obs.Tracer, error) {
 		if path == "" {
@@ -235,6 +280,25 @@ func run(args []string, out io.Writer) error {
 	}
 	if res.Failures > 0 {
 		fmt.Fprintf(out, "PM failures injected: %d\n", res.Failures)
+	}
+	if rp != nil {
+		// Divergence verdict: an Override is supposed to fork the run
+		// (that is the counterfactual), anything else leaving the log is
+		// an error.
+		if rerr := rp.Err(); rerr != nil {
+			return fmt.Errorf("replay diverged unexpectedly: %w", rerr)
+		}
+		switch {
+		case rp.Override != nil:
+			fmt.Fprintf(out, "counterfactual: forked at decision #%d (alternative %d), live %s afterward\n",
+				rp.Override.Index, rp.Override.Alt, *scheme)
+		case rp.Diverged():
+			// Diverged with a nil error cannot happen without an
+			// Override, but keep the verdict exhaustive.
+			return fmt.Errorf("replay diverged without a recorded reason")
+		default:
+			fmt.Fprintln(out, "replay: faithful (every decision matched the log)")
+		}
 	}
 
 	table := &metrics.Table{TimeLabel: "hour", Series: []*metrics.Series{res.ActivePMs, res.EnergyKWh}}
@@ -336,4 +400,60 @@ func writeCheckpoint(m *sim.Sim, path string) error {
 		return err
 	}
 	return os.Rename(tmp, path)
+}
+
+// listPlacements prints the recorded placement decisions in -what-if
+// coordinates: the log index, the recorded choice, and the ranked
+// alternatives the recorder captured.
+func listPlacements(out io.Writer, log []policy.Decision) error {
+	n := 0
+	for idx, d := range log {
+		if d.Kind != policy.KindPlace {
+			continue
+		}
+		n++
+		choice := "queued"
+		if d.PM >= 0 {
+			choice = fmt.Sprintf("pm %d", d.PM)
+		}
+		alts := make([]string, len(d.Alts))
+		for i, a := range d.Alts {
+			alts[i] = fmt.Sprintf("%d: pm %d (%.4g)", i, a.PM, a.Score)
+		}
+		altStr := "none"
+		if len(alts) > 0 {
+			altStr = strings.Join(alts, ", ")
+		}
+		fmt.Fprintf(out, "#%-5d t=%-12.1f vm %-6d -> %-8s alternatives: %s\n", idx, d.T, d.VM, choice, altStr)
+	}
+	fmt.Fprintf(out, "%d placement decisions (use -what-if IDX:ALT to fork one)\n", n)
+	return nil
+}
+
+// parseWhatIf resolves -what-if IDX:ALT against the parsed log so typos
+// fail here, naming the problem, instead of mid-replay.
+func parseWhatIf(s string, log []policy.Decision) (*policy.ReplayOverride, error) {
+	idxStr, altStr, ok := strings.Cut(s, ":")
+	if !ok {
+		return nil, fmt.Errorf("-what-if wants IDX:ALT (got %q)", s)
+	}
+	idx, err := strconv.Atoi(idxStr)
+	if err != nil {
+		return nil, fmt.Errorf("-what-if index %q: %v", idxStr, err)
+	}
+	alt, err := strconv.Atoi(altStr)
+	if err != nil {
+		return nil, fmt.Errorf("-what-if alternative %q: %v", altStr, err)
+	}
+	if idx < 0 || idx >= len(log) {
+		return nil, fmt.Errorf("-what-if index %d out of range (log has %d records)", idx, len(log))
+	}
+	d := log[idx]
+	if d.Kind != policy.KindPlace {
+		return nil, fmt.Errorf("-what-if index %d is not a placement record (see -list)", idx)
+	}
+	if alt < 0 || alt >= len(d.Alts) {
+		return nil, fmt.Errorf("-what-if alternative %d out of range: record %d has %d alternatives", alt, idx, len(d.Alts))
+	}
+	return &policy.ReplayOverride{Index: idx, Alt: alt}, nil
 }

@@ -76,7 +76,10 @@ func TestMissedFeedEntryFailsByName(t *testing.T) {
 // there must be two.
 func roomFor(t *testing.T, ctx *Context, n int) []*cluster.PM {
 	t.Helper()
-	need := ctx.DC.RMin().Scale(float64(n))
+	need := ctx.DC.RMin().Clone()
+	for i := range need {
+		need[i] *= float64(n)
+	}
 	var out []*cluster.PM
 	for _, pm := range ctx.DC.PMs() {
 		if pm.CanHost(need) {

@@ -17,7 +17,7 @@ import (
 // so a recorded run's trace is byte-identical to an unrecorded one
 // (cmd/dvmpsim's TestTraceEquivalence pins this).
 //
-// Decision records are the input to Replay and cmd/counterfact; their
+// Decision records are the input to Replay and dvmpsim -replay; their
 // schema is documented in DESIGN.md §16.
 type Recorder struct {
 	// P is the wrapped policy.

@@ -221,8 +221,9 @@ type ReplayOverride struct {
 // placements return the recorded PM, consolidation passes re-apply the
 // recorded moves, spare targets return the recorded count. With no
 // Override, driving the same workload yields a byte-identical run trace
-// (cmd/counterfact's TestFaithfulReplayReproducesTrace). With an Override, the run follows the log up
-// to the substitution and the Fallback policy afterward.
+// (cmd/dvmpsim's TestFaithfulReplayReproducesTrace drives it as dvmpsim
+// -replay). With an Override, the run follows the log up to the
+// substitution and the Fallback policy afterward.
 //
 // Any mismatch between the log and the live run — wrong VM, wrong
 // record kind, exhausted log — marks the replay diverged: subsequent

@@ -90,16 +90,6 @@ func (v V) Add(w V) V {
 	return out
 }
 
-// Sub returns v - w. It panics if the dimensions differ.
-func (v V) Sub(w V) V {
-	v.checkDim(w)
-	out := make(V, len(v))
-	for i := range v {
-		out[i] = v[i] - w[i]
-	}
-	return out
-}
-
 // AddInPlace adds w into v without allocating.
 func (v V) AddInPlace(w V) {
 	v.checkDim(w)
@@ -114,15 +104,6 @@ func (v V) SubInPlace(w V) {
 	for i := range v {
 		v[i] -= w[i]
 	}
-}
-
-// Scale returns v multiplied component-wise by s.
-func (v V) Scale(s float64) V {
-	out := make(V, len(v))
-	for i := range v {
-		out[i] = v[i] * s
-	}
-	return out
 }
 
 // LE reports whether v <= w component-wise within Epsilon.

@@ -43,12 +43,14 @@ func TestAddSub(t *testing.T) {
 	if got := a.Add(b); !got.Equal(New(4, 7)) {
 		t.Errorf("Add = %v", got)
 	}
-	if got := b.Sub(a); !got.Equal(New(2, 3)) {
-		t.Errorf("Sub = %v", got)
+	got := b.Clone()
+	got.SubInPlace(a)
+	if !got.Equal(New(2, 3)) {
+		t.Errorf("SubInPlace = %v", got)
 	}
 	// Originals untouched.
 	if !a.Equal(New(1, 2)) || !b.Equal(New(3, 5)) {
-		t.Error("Add/Sub mutated operands")
+		t.Error("Add mutated operands")
 	}
 }
 
@@ -71,12 +73,6 @@ func TestDimensionMismatchPanics(t *testing.T) {
 		}
 	}()
 	New(1).Add(New(1, 2))
-}
-
-func TestScale(t *testing.T) {
-	if got := New(1, 2).Scale(2.5); !got.Equal(New(2.5, 5)) {
-		t.Errorf("Scale = %v", got)
-	}
 }
 
 func TestLE(t *testing.T) {
@@ -205,7 +201,7 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// Property: Add and Sub are inverse operations.
+// Property: Add and SubInPlace are inverse operations.
 func TestQuickAddSubInverse(t *testing.T) {
 	f := func(a, b [4]float64) bool {
 		for _, x := range append(a[:], b[:]...) {
@@ -214,7 +210,8 @@ func TestQuickAddSubInverse(t *testing.T) {
 			}
 		}
 		va, vb := New(a[:]...), New(b[:]...)
-		got := va.Add(vb).Sub(vb)
+		got := va.Add(vb)
+		got.SubInPlace(vb)
 		for i := range got {
 			// Allow relative error for large magnitudes.
 			tol := Epsilon * (1 + math.Abs(a[i]) + math.Abs(b[i]))
@@ -264,7 +261,7 @@ func TestQuickDivMinFits(t *testing.T) {
 			return true
 		}
 		n := math.Floor(DivMin(cv, dv))
-		return dv.Scale(n).LE(cv)
+		return New(dv[0]*n, dv[1]*n).LE(cv)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
