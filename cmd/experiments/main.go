@@ -4,18 +4,14 @@
 //
 // Usage:
 //
-//	experiments [-run all|table2|fig2|fig3|fig4|fig5|ablation] [-seed 1] [-out DIR]
-//	            [-obs DIR]
+//	experiments [-run all|table2|fig2|fig3|fig4|fig5|ablation|google] [-seed 1] [-out DIR]
 //
 // Text renderings go to stdout; with -out, each figure's data is also
-// written as CSV for plotting. With -obs, every scheme in the week
-// comparison gets its own observability sink: DIR/<scheme>.trace.jsonl
-// (the structured run trace, see cmd/tracestat) and
-// DIR/<scheme>.metrics.json (counters, histograms, phase timings). Each
-// run gets a private sink even though schemes execute in parallel. The
-// reproduced numbers are recorded in EXPERIMENTS.md alongside the
-// paper's, and results/ holds the output of the reference run;
-// TestRunFig3CSV fails when the two drift apart.
+// written as CSV for plotting. The robustness study across seeds (E-R1)
+// is cmd/sweep, and one scheme's run trace and metrics come from
+// cmd/dvmpsim -trace -metrics. The reproduced numbers are recorded in
+// EXPERIMENTS.md alongside the paper's, and results/ holds the output
+// of the reference run; TestRunFig3CSV fails when the two drift apart.
 package main
 
 import (
@@ -24,12 +20,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/exp"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/plot"
 )
 
@@ -43,11 +37,9 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		which  = fs.String("run", "all", "experiment: all, table2, fig2, fig3, fig4, fig5, ablation, seeds, google")
+		which  = fs.String("run", "all", "experiment: all, table2, fig2, fig3, fig4, fig5, ablation, google")
 		seed   = fs.Int64("seed", 1, "workload seed")
-		seeds  = fs.Int("seeds", 5, "seed count for -run seeds")
 		outDir = fs.String("out", "", "directory for CSV output (optional)")
-		obsDir = fs.String("obs", "", "directory for per-scheme trace + metrics output of the week comparison (optional)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -62,7 +54,7 @@ func run(args []string, out io.Writer) error {
 	switch *which {
 	case "all", "fig3", "fig4", "fig5":
 		wantsComparison = true
-	case "table2", "fig2", "ablation", "seeds", "google":
+	case "table2", "fig2", "ablation", "google":
 	default:
 		return fmt.Errorf("unknown experiment %q", *which)
 	}
@@ -78,31 +70,14 @@ func run(args []string, out io.Writer) error {
 
 	var runs []*exp.SchemeRun
 	if wantsComparison {
-		opts := exp.DefaultOptions(*seed)
-		var sinks *obsSinks
-		if *obsDir != "" {
-			var err error
-			if sinks, err = newObsSinks(*obsDir); err != nil {
-				return err
-			}
-			opts.Observe = sinks.observer
-		}
 		fmt.Fprintf(out, "running week comparison (seed %d, schemes in parallel) ... ", *seed)
 		start := time.Now()
 		var err error
-		runs, err = exp.Comparison(opts)
+		runs, err = exp.Comparison(exp.DefaultOptions(*seed))
 		if err != nil {
-			if sinks != nil {
-				sinks.finish(nil, io.Discard)
-			}
 			return err
 		}
 		fmt.Fprintf(out, "done in %s\n\n", time.Since(start).Round(time.Millisecond))
-		if sinks != nil {
-			if err := sinks.finish(runs, out); err != nil {
-				return err
-			}
-		}
 		if *outDir != "" {
 			path := filepath.Join(*outDir, "results.json")
 			err := writeFile(path, func(w io.Writer) error { return exp.WriteJSON(w, runs) })
@@ -261,16 +236,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprint(out, exp.AblationReport("short-task cloud trace (see EXPERIMENTS.md for the T-mismatch analysis):", gruns))
 	}
 
-	if *which == "seeds" {
-		fmt.Fprintf(out, "=== E-R1: robustness across %d workload seeds ===\n", *seeds)
-		start := time.Now()
-		studies, err := exp.RobustnessStudy(*seeds, exp.DefaultOptions(*seed))
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, exp.RobustnessReport(studies))
-		fmt.Fprintf(out, "(%s)\n", time.Since(start).Round(time.Millisecond))
-	}
 	return nil
 }
 
@@ -283,71 +248,6 @@ func writeFile(path string, write func(io.Writer) error) error {
 	err = write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
-	}
-	return err
-}
-
-// obsSinks hands each comparison run a private Observer whose trace
-// streams to DIR/<scheme>.trace.jsonl. The harness runs schemes in
-// parallel, so observer() must be safe for concurrent calls and every
-// run must get its own registry — a shared one would pool counters
-// across schemes.
-type obsSinks struct {
-	dir string
-
-	mu     sync.Mutex
-	traces []*obs.TraceFile
-	err    error
-}
-
-func newObsSinks(dir string) (*obsSinks, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return &obsSinks{dir: dir}, nil
-}
-
-func (s *obsSinks) observer(scheme string, _ int64) *obs.Observer {
-	o := obs.New()
-	tf, err := obs.CreateTrace(filepath.Join(s.dir, scheme+".trace.jsonl"))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err != nil {
-		if s.err == nil {
-			s.err = err
-		}
-		return o // metrics-only fallback; the failure surfaces in finish
-	}
-	s.traces = append(s.traces, tf)
-	o.Trace = tf.Tracer
-	return o
-}
-
-// finish flushes and closes every trace and writes each run's metrics
-// registry next to it. Call after the comparison completes (runs may be
-// nil on error — files still get closed).
-func (s *obsSinks) finish(runs []*exp.SchemeRun, out io.Writer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := s.err
-	for _, tf := range s.traces {
-		if cerr := tf.Close(); err == nil {
-			err = cerr
-		}
-	}
-	for _, r := range runs {
-		if r.Obs == nil {
-			continue
-		}
-		path := filepath.Join(s.dir, r.Scheme+".metrics.json")
-		if werr := writeFile(path, r.Obs.Reg.WriteJSON); err == nil {
-			err = werr
-		}
-		fmt.Fprintf(out, "obs: %-10s trace=%s metrics=%s\n",
-			r.Scheme, filepath.Join(s.dir, r.Scheme+".trace.jsonl"), path)
-	}
-	if err == nil && runs != nil {
-		fmt.Fprintln(out)
 	}
 	return err
 }

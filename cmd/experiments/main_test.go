@@ -29,16 +29,29 @@ func TestRunFig2(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-run", "fig99"}, &sb); err == nil {
-		t.Error("unknown experiment accepted")
+	for _, which := range []string{"fig99", "seeds"} {
+		t.Run(which, func(t *testing.T) {
+			var sb strings.Builder
+			err := run([]string{"-run", which}, &sb)
+			if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+				t.Errorf("-run %s: error %v, want unknown experiment", which, err)
+			}
+		})
 	}
 }
 
+// TestRunBadFlag: the flags that moved to other commands (-obs to
+// dvmpsim -trace -metrics, -seeds to sweep) are rejected like any
+// unknown one.
 func TestRunBadFlag(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-zzz"}, &sb); err == nil {
-		t.Error("bad flag accepted")
+	for _, args := range [][]string{{"-zzz"}, {"-obs", t.TempDir()}, {"-seeds", "5"}} {
+		t.Run(args[0], func(t *testing.T) {
+			var sb strings.Builder
+			err := run(args, &sb)
+			if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+				t.Errorf("%v: error %v, want flag provided but not defined", args, err)
+			}
+		})
 	}
 }
 
@@ -74,43 +87,6 @@ func TestRunFig3CSV(t *testing.T) {
 	}
 	if string(data) != string(blessed) {
 		t.Error("fig3 CSV differs from results/fig3_hourly_active_servers.csv: results/ is stale or the week comparison changed")
-	}
-}
-
-// TestRunFig3Obs checks the -obs fan-out: every scheme of the parallel
-// comparison must get its own non-empty trace and metrics file, and the
-// per-run metrics must be isolated (each trace carries exactly one
-// run_start, for its own scheme).
-func TestRunFig3Obs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full week comparison skipped in -short mode")
-	}
-	dir := t.TempDir()
-	var sb strings.Builder
-	if err := run([]string{"-run", "fig3", "-obs", dir}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	for _, scheme := range []string{"first-fit", "best-fit", "dynamic"} {
-		trace, err := os.ReadFile(filepath.Join(dir, scheme+".trace.jsonl"))
-		if err != nil {
-			t.Fatalf("%s trace missing: %v", scheme, err)
-		}
-		if n := strings.Count(string(trace), `"event":"run_start"`); n != 1 {
-			t.Errorf("%s trace has %d run_start events, want 1 (runs not isolated?)", scheme, n)
-		}
-		if !strings.Contains(string(trace), `"scheme":"`+scheme+`"`) {
-			t.Errorf("%s trace does not name its own scheme", scheme)
-		}
-		metr, err := os.ReadFile(filepath.Join(dir, scheme+".metrics.json"))
-		if err != nil {
-			t.Fatalf("%s metrics missing: %v", scheme, err)
-		}
-		if !strings.Contains(string(metr), "sim.arrivals") {
-			t.Errorf("%s metrics missing sim.arrivals:\n%s", scheme, metr)
-		}
-	}
-	if !strings.Contains(sb.String(), "obs: ") {
-		t.Errorf("stdout missing obs file listing:\n%s", sb.String())
 	}
 }
 

@@ -4,7 +4,9 @@
 // report. One seed is one sample — policy comparisons only mean something
 // across replications, and this command is the batch tool that produces
 // them: per-scheme mean/stddev/min/max of the week energy, active-server,
-// migration, and queueing metrics.
+// migration, and queueing metrics, then, with dynamic in the roster, on
+// how many seeds dynamic used less week energy than each other scheme.
+// `sweep -reps 5` is the E-R1 robustness study of EXPERIMENTS.md.
 //
 // Usage:
 //
@@ -20,13 +22,14 @@
 // byte-identical for every worker count, so a sweep's output can be
 // compared across machines regardless of their core counts.
 //
-// -tournament scores the roster as a policy tournament instead of printing
-// raw aggregates: each policy is ranked per objective (mean week energy,
-// mean queued fraction, mean migrations) and the ranks combine by Borda
-// count, lower total winning (see README "Policy lab"). Without -schemes
-// the tournament fields the five-policy lab roster (first-fit, best-fit,
-// dynamic, overbook, dynamic-adaptive); -o writes the full standings plus
-// the underlying sweep as JSON. Scheme names are validated up front.
+// -tournament scores the same sweep as a policy tournament instead of
+// printing raw aggregates: each policy is ranked per objective (mean week
+// energy, mean queued fraction, mean migrations) and the ranks combine by
+// Borda count, lower total winning (see README "Policy lab"). Without
+// -schemes the tournament fields the five-policy lab roster (first-fit,
+// best-fit, dynamic, overbook, dynamic-adaptive); -o writes the full
+// standings plus the underlying sweep as JSON. Scheme names are validated
+// up front, and a repeated -schemes or -seeds entry is rejected.
 //
 // The -cpuprofile and -memprofile flags capture runtime/pprof profiles of
 // the whole sweep for `go tool pprof`, mirroring cmd/dvmpsim; with more
@@ -43,6 +46,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -97,17 +101,16 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Validate the effective scheme list eagerly: a bad name should fail
-	// here with the offending scheme named, not minutes into the sweep.
-	effective := schemes
-	if len(effective) == 0 {
+	if len(schemes) == 0 {
 		if *tournament {
-			effective = exp.DefaultTournamentPolicies()
+			schemes = exp.DefaultTournamentPolicies()
 		} else {
-			effective = exp.DefaultOptions(0).Schemes
+			schemes = exp.DefaultOptions(0).Schemes
 		}
 	}
-	for _, s := range effective {
+	// Validate the scheme list eagerly: a bad name should fail here with
+	// the offending scheme named, not minutes into the sweep.
+	for _, s := range schemes {
 		if _, err := policy.ByName(s, 1); err != nil {
 			return err
 		}
@@ -153,10 +156,6 @@ func run(args []string, out io.Writer) error {
 		Workers: *workers,
 	}
 
-	if *tournament {
-		return runTournament(opts, schemes, *workers, *outPath, out)
-	}
-
 	start := time.Now()
 	report, err := exp.RunSweep(opts)
 	if err != nil {
@@ -164,6 +163,9 @@ func run(args []string, out io.Writer) error {
 	}
 	elapsed := time.Since(start)
 
+	if *tournament {
+		return printTournament(report, *workers, elapsed, *outPath, out)
+	}
 	fmt.Fprintf(out, "sweep: %d runs (%d schemes x %d seeds) on %d workers in %.2fs (%.2f runs/sec)\n\n",
 		len(report.Runs), len(report.Schemes), len(report.Seeds), *workers,
 		elapsed.Seconds(), float64(len(report.Runs))/elapsed.Seconds())
@@ -186,8 +188,34 @@ func run(args []string, out io.Writer) error {
 			a.WeekEnergyKWh.Min, a.WeekEnergyKWh.Max,
 			a.MeanActivePMs.Mean, a.Migrations.Mean, a.QueuedFraction.Mean*100)
 	}
+	printWins(report, out)
 
 	return writeReport(report, *outPath, out)
+}
+
+// printWins prints, when dynamic is in the roster, on how many seeds its
+// week energy beat each other scheme's: the per-seed check of the E-R1
+// robustness study that the aggregates' means cannot show.
+func printWins(report *exp.SweepReport, out io.Writer) {
+	dyn := slices.Index(report.Schemes, "dynamic")
+	if dyn < 0 {
+		return
+	}
+	// Runs holds one block of len(Seeds) runs per scheme, in seed order.
+	n := len(report.Seeds)
+	dynRuns := report.Runs[dyn*n : (dyn+1)*n]
+	for si, scheme := range report.Schemes {
+		if si == dyn {
+			continue
+		}
+		wins := 0
+		for i, r := range report.Runs[si*n : (si+1)*n] {
+			if dynRuns[i].WeekEnergyKWh < r.WeekEnergyKWh {
+				wins++
+			}
+		}
+		fmt.Fprintf(out, "dynamic beats %-10s on %d/%d seeds\n", scheme, wins, n)
+	}
 }
 
 // writeReport serves -o: the report as indented JSON, to the file at
@@ -212,23 +240,11 @@ func writeReport(report any, path string, out io.Writer) error {
 	return nil
 }
 
-// runTournament scores the roster on multi-objective fitness and prints
-// the standings (see exp.RunTournament; the report is byte-identical at
+// printTournament scores the sweep as a policy tournament and prints the
+// standings (see exp.ScoreTournament; the report is byte-identical at
 // every worker count, so -o output is machine-comparable).
-func runTournament(opts exp.SweepOptions, schemes []string, workers int, outPath string, out io.Writer) error {
-	start := time.Now()
-	report, err := exp.RunTournament(exp.TournamentOptions{
-		Base:     opts.Base,
-		Policies: schemes, // nil -> the default five-policy roster
-		Seeds:    opts.Seeds,
-		Workers:  workers,
-	})
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-
-	sweep := report.Sweep
+func printTournament(sweep *exp.SweepReport, workers int, elapsed time.Duration, outPath string, out io.Writer) error {
+	report := &exp.TournamentReport{Scores: exp.ScoreTournament(sweep), Sweep: sweep}
 	fmt.Fprintf(out, "tournament: %d runs (%d policies x %d seeds) on %d workers in %.2fs\n\n",
 		len(sweep.Runs), len(sweep.Schemes), len(sweep.Seeds), workers, elapsed.Seconds())
 	fmt.Fprintf(out, "%4s %-18s %6s %14s %5s %12s %5s %12s %5s\n",
@@ -247,10 +263,12 @@ func runTournament(opts exp.SweepOptions, schemes []string, workers int, outPath
 // parseSchemes splits the -schemes list, rejecting empty entries: a stray
 // comma would otherwise reach policy.ByName as a nameless scheme and fail
 // deep inside the sweep with a confusing error — or worse, silently drop a
-// scheme the user thought they were comparing.
+// scheme the user thought they were comparing. A repeated entry is
+// rejected too: its rows would repeat, and the win lines would compare
+// dynamic with itself.
 func parseSchemes(list string) ([]string, error) {
 	if list == "" {
-		return nil, nil // exp.RunSweep substitutes the paper's trio
+		return nil, nil // the caller substitutes its default roster
 	}
 	var schemes []string
 	for _, s := range strings.Split(list, ",") {
@@ -258,13 +276,17 @@ func parseSchemes(list string) ([]string, error) {
 		if s == "" {
 			return nil, fmt.Errorf("empty scheme entry in -schemes %q", list)
 		}
+		if slices.Contains(schemes, s) {
+			return nil, fmt.Errorf("repeated scheme %q in -schemes %q", s, list)
+		}
 		schemes = append(schemes, s)
 	}
 	return schemes, nil
 }
 
 // parseSeeds resolves the replication seeds: the explicit -seeds list when
-// given, else 1..reps.
+// given, else 1..reps. A repeated seed is rejected: it would count one
+// sample twice in every aggregate.
 func parseSeeds(list string, reps int) ([]int64, error) {
 	if list == "" {
 		seeds := make([]int64, reps)
@@ -278,6 +300,9 @@ func parseSeeds(list string, reps int) ([]int64, error) {
 		n, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad seed entry %q", f)
+		}
+		if slices.Contains(seeds, n) {
+			return nil, fmt.Errorf("repeated seed %d in -seeds %q", n, list)
 		}
 		seeds = append(seeds, n)
 	}

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/exp"
 )
 
 // TestRunErrors table-tests the CLI's rejection paths, mirroring
@@ -34,6 +38,8 @@ func TestRunErrors(t *testing.T) {
 		{"trailing comma", []string{"-schemes", "dynamic,"}, "empty scheme"},
 		{"blank scheme entry", []string{"-schemes", "dynamic, ,first-fit"}, "empty scheme"},
 		{"bad seed entry", []string{"-seeds", "1,x,3"}, "seed"},
+		{"repeated scheme", []string{"-schemes", "first-fit,dynamic,first-fit"}, `repeated scheme "first-fit"`},
+		{"repeated seed", []string{"-seeds", "1,2,1"}, "repeated seed 1"},
 		{"unknown scheme", []string{"-schemes", "nope", "-reps", "1", "-nodes", "8", "-jobs", "10"}, "scheme"},
 	}
 	for _, tc := range cases {
@@ -91,5 +97,62 @@ func TestRunSmallSweep(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRunWinLines: after the aggregates, a sweep with dynamic in the
+// roster says on how many seeds dynamic used less week energy than each
+// other scheme (the E-R1 check), counted here again from the -o report;
+// a sweep without dynamic prints none.
+func TestRunWinLines(t *testing.T) {
+	for _, tc := range []struct {
+		schemes string
+		lines   int
+	}{
+		{"first-fit,dynamic,best-fit", 2},
+		{"first-fit,best-fit", 0},
+	} {
+		t.Run(tc.schemes, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "sweep.json")
+			var sb strings.Builder
+			err := run([]string{"-schemes", tc.schemes, "-reps", "3", "-nodes", "8", "-jobs", "30", "-workers", "1", "-o", path}, &sb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := sb.String()
+			if got := strings.Count(out, "dynamic beats "); got != tc.lines {
+				t.Errorf("%d win lines, want %d:\n%s", got, tc.lines, out)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep exp.SweepReport
+			if err := json.Unmarshal(data, &rep); err != nil {
+				t.Fatal(err)
+			}
+			energy := map[string]map[int64]float64{}
+			for _, r := range rep.Runs {
+				if energy[r.Scheme] == nil {
+					energy[r.Scheme] = map[int64]float64{}
+				}
+				energy[r.Scheme][r.Seed] = r.WeekEnergyKWh
+			}
+			if energy["dynamic"] == nil {
+				return
+			}
+			for _, scheme := range []string{"first-fit", "best-fit"} {
+				wins := 0
+				for _, seed := range rep.Seeds {
+					if energy["dynamic"][seed] < energy[scheme][seed] {
+						wins++
+					}
+				}
+				want := fmt.Sprintf("dynamic beats %-10s on %d/3 seeds\n", scheme, wins)
+				if !strings.Contains(out, want) {
+					t.Errorf("output missing %q:\n%s", want, out)
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,5 @@
 // Command tracestat summarizes and compares the structured JSONL run
-// traces that `dvmpsim -trace` (and the experiment harness's -obs mode)
-// emit.
+// traces that `dvmpsim -trace` emits.
 //
 // Usage:
 //

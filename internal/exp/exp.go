@@ -50,18 +50,12 @@ type Options struct {
 	Trace []workload.Request
 
 	// TraceGen, when set, supplies the workload for a seed, which is
-	// what studies that resample across seeds (RunSweep,
-	// RobustnessStudy) vary; nil selects WeekTrace.
+	// what a sweep across seeds (RunSweep) varies; nil selects
+	// WeekTrace.
 	TraceGen func(seed int64) []workload.Request
 
-	// Observe, when set, is called once per simulation run (before it
-	// starts) with the run's scheme name and seed, and must return that
-	// run's private observability sink, or nil to leave the run
-	// uninstrumented. Runs execute concurrently, so a fresh Observer per
-	// call is required for per-run metrics — a shared one would pool
-	// counters across live runs. The observer is reachable afterwards
-	// via SchemeRun.Obs.
-	Observe func(scheme string, seed int64) *obs.Observer
+	// observe is SweepOptions.Observe, handed to each run by RunSweep.
+	observe func(scheme string, seed int64) *obs.Observer
 }
 
 // DefaultOptions returns the paper's evaluation setup.

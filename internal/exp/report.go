@@ -47,12 +47,3 @@ func WriteJSON(w io.Writer, runs []*SchemeRun) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(records)
 }
-
-// ReadJSON decodes a result file written by WriteJSON.
-func ReadJSON(r io.Reader) ([]RunRecord, error) {
-	var records []RunRecord
-	if err := json.NewDecoder(r).Decode(&records); err != nil {
-		return nil, err
-	}
-	return records, nil
-}

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cluster"
-	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/spare"
@@ -52,10 +51,6 @@ type SchemeRun struct {
 	// WeekEnergyKWh is the energy consumed during the first WeekHours
 	// (the quantity Figures 4-5 integrate).
 	WeekEnergyKWh float64
-
-	// Obs is this run's private observability sink (nil unless
-	// Options.Observe supplied one).
-	Obs *obs.Observer
 }
 
 // simulate is the recipe: it runs v over reqs on a fresh fleet, under
@@ -73,14 +68,14 @@ func simulate(v variant, reqs []workload.Request, opts Options) (*SchemeRun, err
 		TimedMigrations: v.timed,
 		Failures:        opts.Failures,
 	}
-	if opts.Observe != nil {
-		cfg.Obs = opts.Observe(v.placer.Name(), opts.Seed)
+	if opts.observe != nil {
+		cfg.Obs = opts.observe(v.placer.Name(), opts.Seed)
 	}
 	res, err := sim.Run(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("exp: scheme %s: %w", v.placer.Name(), err)
 	}
-	run := &SchemeRun{Result: res, Obs: cfg.Obs}
+	run := &SchemeRun{Result: res}
 	for i := 0; i < WeekHours && i < res.EnergyKWh.Len(); i++ {
 		run.WeekEnergyKWh += res.EnergyKWh.At(i)
 	}

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 // TestRunAll drives the runner itself at several worker counts: every
@@ -72,9 +70,7 @@ func TestRunAll(t *testing.T) {
 
 // TestComparisonAcrossWorkers is the contract of a study on the runner,
 // checked at one worker and at several: rows come back in scheme order
-// whatever order they finish in, equal a one-worker pass, and each
-// carries the private observer it was handed — its counters are that
-// run's own, not pooled across the schemes running beside it.
+// whatever order they finish in, and equal a one-worker pass.
 func TestComparisonAcrossWorkers(t *testing.T) {
 	serial, err := comparison(smallOptions(), 1)
 	if err != nil {
@@ -82,18 +78,6 @@ func TestComparisonAcrossWorkers(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3} {
 		opts := smallOptions()
-		var mu sync.Mutex
-		handed := map[string]*obs.Observer{}
-		opts.Observe = func(scheme string, seed int64) *obs.Observer {
-			if seed != opts.Seed {
-				t.Errorf("%s observed under seed %d, want %d", scheme, seed, opts.Seed)
-			}
-			o := obs.New()
-			mu.Lock()
-			handed[scheme] = o
-			mu.Unlock()
-			return o
-		}
 		runs, err := comparison(opts, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -101,7 +85,6 @@ func TestComparisonAcrossWorkers(t *testing.T) {
 		if len(runs) != len(opts.Schemes) {
 			t.Fatalf("workers=%d: %d runs for %d schemes", workers, len(runs), len(opts.Schemes))
 		}
-		seen := map[*obs.Observer]string{}
 		for i, r := range runs {
 			if r.Scheme != opts.Schemes[i] {
 				t.Errorf("workers=%d: row %d is %s, want %s", workers, i, r.Scheme, opts.Schemes[i])
@@ -109,24 +92,6 @@ func TestComparisonAcrossWorkers(t *testing.T) {
 			if r.WeekEnergyKWh != serial[i].WeekEnergyKWh || r.Summary != serial[i].Summary {
 				t.Errorf("workers=%d: %s differs from the one-worker pass", workers, r.Scheme)
 			}
-			if r.Obs == nil || r.Obs != handed[r.Scheme] {
-				t.Fatalf("workers=%d: %s does not carry the observer Observe handed out", workers, r.Scheme)
-			}
-			if prev, dup := seen[r.Obs]; dup {
-				t.Fatalf("workers=%d: observer shared between %s and %s", workers, prev, r.Scheme)
-			}
-			seen[r.Obs] = r.Scheme
-			if got, want := r.Obs.Counter("sim.arrivals").Value(), int64(len(opts.Trace)); got != want {
-				t.Errorf("workers=%d: %s sim.arrivals = %d, want %d (counters pooled across runs?)", workers, r.Scheme, got, want)
-			}
-			if got, want := r.Obs.Counter("sim.migrations").Value(), int64(r.Summary.Migrations); got != want {
-				t.Errorf("workers=%d: %s sim.migrations = %d, want this run's own %d", workers, r.Scheme, got, want)
-			}
-		}
-		// The static schemes never migrate while dynamic does on this
-		// fragmenting trace, so pooled registries would have been caught.
-		if runs[2].Summary.Migrations == 0 {
-			t.Error("dynamic run recorded no migrations; isolation check is vacuous")
 		}
 
 		// Every failing scheme is named, not just whichever lost the race.
@@ -143,57 +108,6 @@ func TestComparisonAcrossWorkers(t *testing.T) {
 		if strings.Contains(err.Error(), "first-fit:") {
 			t.Errorf("workers=%d: error blames the healthy scheme:\n%v", workers, err)
 		}
-	}
-}
-
-// TestObserveOncePerRow: every study goes through the one recipe, so the
-// Observe hook fires exactly once per returned row, with the row's name
-// and the study's seed, and the row carries that observer. (The alpha
-// rows of AblateSpareAlpha and both rows of AblateMigrationModel used to
-// build their sim.Config by hand and dropped the hook.)
-func TestObserveOncePerRow(t *testing.T) {
-	studies := []struct {
-		name string
-		run  func(Options) ([]*SchemeRun, error)
-	}{
-		{"Comparison", Comparison},
-		{"AblateFactors", AblateFactors},
-		{"AblateThreshold", func(o Options) ([]*SchemeRun, error) { return AblateThreshold(o, []float64{1.05, 1.5}) }},
-		{"AblateRounds", func(o Options) ([]*SchemeRun, error) { return AblateRounds(o, []int{1, 10}) }},
-		{"AblateSpareAlpha", func(o Options) ([]*SchemeRun, error) { return AblateSpareAlpha(o, []float64{0.05, 0.2}) }},
-		{"AblateMigrationModel", AblateMigrationModel},
-	}
-	for _, st := range studies {
-		t.Run(st.name, func(t *testing.T) {
-			opts := smallOptions()
-			opts.Seed = 7
-			var mu sync.Mutex
-			handed := map[string]*obs.Observer{}
-			opts.Observe = func(scheme string, seed int64) *obs.Observer {
-				mu.Lock()
-				defer mu.Unlock()
-				if _, dup := handed[scheme]; dup {
-					t.Errorf("Observe fired twice for %s", scheme)
-				}
-				if seed != opts.Seed {
-					t.Errorf("%s observed under seed %d, want %d", scheme, seed, opts.Seed)
-				}
-				handed[scheme] = obs.New()
-				return handed[scheme]
-			}
-			runs, err := st.run(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(handed) != len(runs) {
-				t.Errorf("Observe fired for %d runs, %d rows returned", len(handed), len(runs))
-			}
-			for _, r := range runs {
-				if r.Obs == nil || r.Obs != handed[r.Scheme] {
-					t.Errorf("row %s does not carry its observer", r.Scheme)
-				}
-			}
-		})
 	}
 }
 

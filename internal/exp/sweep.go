@@ -37,9 +37,8 @@ import (
 // SweepOptions configures a replication sweep.
 type SweepOptions struct {
 	// Base supplies the per-run configuration template: fleet, failures,
-	// spare policy, and (via TraceGen) the workload family. Base.Seed,
-	// Base.Schemes, and Base.Observe are ignored — the sweep's own
-	// fields drive those. When Base.Trace is set, every run replays that
+	// spare policy, and (via TraceGen) the workload family. Base.Seed
+	// and Base.Schemes are ignored — the sweep's own fields drive those. When Base.Trace is set, every run replays that
 	// fixed trace and seeds vary only the schemes' internal randomness.
 	Base Options
 
@@ -58,9 +57,10 @@ type SweepOptions struct {
 
 	// Observe, when set, is called once per run (before it starts) with
 	// the run's scheme and seed, returning that run's private
-	// observability sink or nil (see Options.Observe). Replications of
-	// the same scheme run concurrently, so a sink must not be shared
-	// across seeds.
+	// observability sink or nil to leave the run uninstrumented.
+	// Replications of the same scheme run concurrently, so a sink must
+	// not be shared across seeds: a shared one would pool their
+	// counters.
 	Observe func(scheme string, seed int64) *obs.Observer
 }
 
@@ -135,7 +135,7 @@ func RunSweep(opts SweepOptions) (*SweepReport, error) {
 		scheme, seed := opts.Schemes[si], opts.Seeds[vi]
 		ro := opts.Base
 		ro.Seed = seed
-		ro.Observe = opts.Observe
+		ro.observe = opts.Observe
 		trace := &traces[vi]
 		trace.once.Do(func() { trace.reqs = ro.requests() })
 		run, err := RunScheme(scheme, trace.reqs, ro)

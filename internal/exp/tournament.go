@@ -1,9 +1,6 @@
 package exp
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // This file implements the policy tournament: a replication sweep over
 // the full policy roster scored on multi-objective fitness. Each policy
@@ -20,22 +17,6 @@ import (
 // and the embedded sweep is worker-count-independent by construction —
 // so the tournament report is too (TestTournamentDeterministic pins
 // it).
-
-// TournamentOptions configures a policy tournament.
-type TournamentOptions struct {
-	// Base is the per-run configuration template (see SweepOptions.Base).
-	Base Options
-
-	// Policies lists the competing schemes; default is the paper's trio
-	// plus the two policy-lab additions (overbook, dynamic-adaptive).
-	Policies []string
-
-	// Seeds lists the replication seeds; default is 1..8.
-	Seeds []int64
-
-	// Workers bounds concurrency (see SweepOptions.Workers).
-	Workers int
-}
 
 // DefaultTournamentPolicies is the standard five-policy roster.
 func DefaultTournamentPolicies() []string {
@@ -69,31 +50,8 @@ type TournamentReport struct {
 	Sweep  *SweepReport
 }
 
-// RunTournament sweeps every policy over every seed and scores the
-// aggregates. The report is byte-identical across worker counts.
-func RunTournament(opts TournamentOptions) (*TournamentReport, error) {
-	if len(opts.Policies) == 0 {
-		opts.Policies = DefaultTournamentPolicies()
-	}
-	if len(opts.Seeds) == 0 {
-		for s := int64(1); s <= 8; s++ {
-			opts.Seeds = append(opts.Seeds, s)
-		}
-	}
-	sweep, err := RunSweep(SweepOptions{
-		Base:    opts.Base,
-		Schemes: opts.Policies,
-		Seeds:   opts.Seeds,
-		Workers: opts.Workers,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("exp: tournament: %w", err)
-	}
-	return &TournamentReport{Scores: scoreTournament(sweep), Sweep: sweep}, nil
-}
-
-// scoreTournament derives the standings from a sweep's aggregates.
-func scoreTournament(sweep *SweepReport) []PolicyScore {
+// ScoreTournament derives the standings from a sweep's aggregates.
+func ScoreTournament(sweep *SweepReport) []PolicyScore {
 	scores := make([]PolicyScore, len(sweep.Aggregates))
 	for i, agg := range sweep.Aggregates {
 		scores[i] = PolicyScore{

@@ -5,15 +5,27 @@ import (
 	"testing"
 )
 
-func smallTournamentOptions() TournamentOptions {
-	return TournamentOptions{
+func smallTournamentOptions() SweepOptions {
+	return SweepOptions{
 		Base: Options{
 			SpareForDynamic: true,
 			Fleet:           smallFleet,
 			TraceGen:        sweepTrace,
 		},
-		Seeds: []int64{1, 2, 3, 4, 5, 6, 7, 8},
+		Schemes: DefaultTournamentPolicies(),
+		Seeds:   []int64{1, 2, 3, 4, 5, 6, 7, 8},
 	}
+}
+
+// runTournament sweeps the roster in opts and scores the result, as
+// cmd/sweep -tournament does.
+func runTournament(t *testing.T, opts SweepOptions) *TournamentReport {
+	t.Helper()
+	sweep, err := RunSweep(opts)
+	if err != nil {
+		t.Fatalf("workers=%d: %v", opts.Workers, err)
+	}
+	return &TournamentReport{Scores: ScoreTournament(sweep), Sweep: sweep}
 }
 
 // TestTournamentDeterministic pins the acceptance contract: the full
@@ -24,11 +36,7 @@ func TestTournamentDeterministic(t *testing.T) {
 	for _, workers := range []int{1, 7} {
 		opts := smallTournamentOptions()
 		opts.Workers = workers
-		report, err := RunTournament(opts)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		got, err := json.Marshal(report)
+		got, err := json.Marshal(runTournament(t, opts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,10 +55,7 @@ func TestTournamentDeterministic(t *testing.T) {
 // of 1..N, TotalScore the Borda sum, and the final order sorted by
 // (TotalScore, scheme).
 func TestTournamentScoring(t *testing.T) {
-	report, err := RunTournament(smallTournamentOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := runTournament(t, smallTournamentOptions())
 	want := DefaultTournamentPolicies()
 	if len(report.Scores) != len(want) {
 		t.Fatalf("got %d scores, want %d", len(report.Scores), len(want))

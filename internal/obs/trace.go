@@ -177,7 +177,7 @@ func (tr *Tracer) Err() error {
 }
 
 // TraceFile is a Tracer streaming its JSONL lines to a file through a
-// write buffer: the sink behind every -trace, -decisions and -obs flag.
+// write buffer: the sink behind every -trace and -decisions flag.
 type TraceFile struct {
 	*Tracer
 	f *os.File

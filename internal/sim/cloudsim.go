@@ -21,6 +21,10 @@ import (
 	"repro/internal/workload"
 )
 
+// meterBin is the energy-accounting bin width in seconds: hourly, as the
+// paper's figures are.
+const meterBin = 3600
+
 // Config describes one simulation run: a data center, a placement scheme,
 // a workload, and the control knobs of Sections III-IV.
 type Config struct {
@@ -45,10 +49,6 @@ type Config struct {
 	// Failures configures PM failure injection; the zero value disables
 	// it.
 	Failures failure.Config
-
-	// MeterBin is the energy-accounting bin width (default 3600 s,
-	// matching the paper's hourly figures).
-	MeterBin float64
 
 	// TimedMigrations switches live migrations from the paper's
 	// instantaneous model (the T_mig overhead enters only through the
@@ -115,12 +115,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.ControlPeriod < 0 {
 		return fmt.Errorf("sim: negative control period")
-	}
-	if c.MeterBin == 0 {
-		c.MeterBin = 3600
-	}
-	if c.MeterBin < 0 {
-		return fmt.Errorf("sim: negative meter bin")
 	}
 	if c.WarmStart < 0 || c.WarmStart > c.DC.Size() {
 		return fmt.Errorf("sim: warm start %d outside fleet size %d", c.WarmStart, c.DC.Size())
@@ -406,7 +400,7 @@ func (s *simulator) emit(event string, fields ...obs.KV) {
 // failure injector. The feed is subscribed before a restore writes
 // anything, so every PM a restore powers on or fills is named in it.
 func (s *simulator) initRun() {
-	s.meter = power.NewMeter(s.dc, s.cfg.MeterBin)
+	s.meter = power.NewMeter(s.dc, meterBin)
 	s.qfeed = s.dc.Subscribe()
 	s.vms = make([]*cluster.VM, len(s.cfg.Requests))
 	s.bootReadyAt = make(map[cluster.PMID]float64)
@@ -1192,7 +1186,7 @@ func (s *simulator) finalizeResult() {
 		sum.WaitP99 = stats.Percentile(s.waits, 99)
 	}
 
-	s.res.EnergyKWh = metrics.NewSeries(s.res.Scheme, s.cfg.MeterBin)
+	s.res.EnergyKWh = metrics.NewSeries(s.res.Scheme, meterBin)
 	for _, j := range s.meter.Bins() {
 		s.res.EnergyKWh.Append(power.KWh(j))
 	}

@@ -50,7 +50,6 @@ func TestRunConfigValidation(t *testing.T) {
 		{Placer: policy.FirstFit{}},
 		{DC: smallFleet()},
 		{DC: smallFleet(), Placer: policy.FirstFit{}, ControlPeriod: -1},
-		{DC: smallFleet(), Placer: policy.FirstFit{}, MeterBin: -1},
 		{DC: smallFleet(), Placer: policy.FirstFit{}, Failures: failure.Config{MTBF: -1}},
 		{DC: smallFleet(), Placer: policy.FirstFit{},
 			Requests: []workload.Request{{Submit: 5, CPUCores: 1, MemoryGB: 1, RunTime: 1}, {Submit: 1, CPUCores: 1, MemoryGB: 1, RunTime: 1}}},

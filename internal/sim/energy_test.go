@@ -115,7 +115,7 @@ func TestStaticFleetEnergyDigest(t *testing.T) {
 				t.Fatal(err)
 			}
 			eng := m.s.eng.(*Engine)
-			o := &scanMeter{binWidth: m.s.cfg.MeterBin, perPM: make([]float64, m.s.dc.Size())}
+			o := &scanMeter{binWidth: meterBin, perPM: make([]float64, m.s.dc.Size())}
 			for {
 				if at, _, ok := eng.PeekNextEventTime(); ok {
 					o.advance(m.s.dc, at)

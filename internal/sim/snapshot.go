@@ -140,7 +140,7 @@ func (s *simulator) meta() snapshot.Meta {
 		Requests:        len(s.cfg.Requests),
 		WorkloadDigest:  snapshot.WorkloadDigest(s.cfg.Requests),
 		ControlPeriod:   s.cfg.ControlPeriod,
-		MeterBin:        s.cfg.MeterBin,
+		MeterBin:        meterBin,
 		TimedMigrations: s.cfg.TimedMigrations,
 		Spare:           s.cfg.Spare != nil,
 		Failures:        s.cfg.Failures.Enabled(),

@@ -569,7 +569,7 @@ func meterHasPendingChange(m *Sim, min uint64) bool {
 		return false
 	}
 	st := m.s.meter.State()
-	if math.Mod(st.LastTime, m.s.cfg.MeterBin) == 0 {
+	if math.Mod(st.LastTime, meterBin) == 0 {
 		return false
 	}
 	for i, pm := range m.s.dc.PMs() {

@@ -86,10 +86,6 @@ type FilterConfig struct {
 	// DropZeroRuntime removes jobs that never ran (runtime <= 0), which
 	// appear in real archive logs as failed submissions.
 	DropZeroRuntime bool
-
-	// MaxCores, when positive, drops jobs wider than the whole cluster
-	// could ever host.
-	MaxCores int
 }
 
 // DefaultFilter is the filter used for the paper's experiments.
@@ -112,9 +108,6 @@ func Filter(jobs []Job, cfg FilterConfig) []Job {
 			continue
 		}
 		if j.Cores <= 0 {
-			continue
-		}
-		if cfg.MaxCores > 0 && j.Cores > cfg.MaxCores {
 			continue
 		}
 		if cfg.MinMemoryPerCoreGB > 0 && j.MemoryGB/float64(j.Cores) < cfg.MinMemoryPerCoreGB {

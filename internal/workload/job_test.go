@@ -60,19 +60,6 @@ func TestFilterDropsZeroRuntimeAndZeroCores(t *testing.T) {
 	}
 }
 
-func TestFilterMaxCores(t *testing.T) {
-	cfg := DefaultFilter()
-	cfg.MaxCores = 4
-	jobs := []Job{
-		{ID: 1, RunTime: 5, Cores: 8, MemoryGB: 8, Status: 1},
-		{ID: 2, RunTime: 5, Cores: 4, MemoryGB: 4, Status: 1},
-	}
-	out := Filter(jobs, cfg)
-	if len(out) != 1 || out[0].ID != 2 {
-		t.Errorf("Filter = %v", out)
-	}
-}
-
 func TestFilterDisabledChecks(t *testing.T) {
 	jobs := []Job{{ID: 1, RunTime: 0, Cores: 1, MemoryGB: 0.01, Status: StatusCancelled}}
 	out := Filter(jobs, FilterConfig{})
