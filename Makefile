@@ -27,28 +27,35 @@ race:
 ## built gain, no column left out that could move), plus the per-period
 ## dense-vs-oracle, lazy-vs-dense (the first round's check) and roster
 ## checks, and every queued VM held to the queue's change feed after each
-## event (170530 checks: the per-round checks ride inside them). Exits
-## non-zero on the first violation. The configuration differentials
-## (decisions, checkpoint/resume; cells and kernel workers at the
-## sim.Config level) and the engine differential are tier-1 tests:
+## event (170530 checks: the per-round checks ride inside them). A second
+## run audits the first-fit baseline (138882 checks), whose placements go
+## through the datacenter's first-fit index (internal/cluster/fitindex.go):
+## the state check's CheckInvariants holds the index to the live fleet
+## after every event. Exits non-zero on the first violation. The
+## configuration differentials (decisions, checkpoint/resume; cells and
+## kernel workers at the sim.Config level) and the engine differential are
+## tier-1 tests:
 ## cmd/dvmpsim TestTraceEquivalence and
 ## TestFaithfulReplayReproducesTrace, internal/sim
 ## TestCellDifferentialSweep, internal/audit TestSparseDifferentialSweep.
 audit:
 	$(GO) run ./cmd/dvmpsim -audit=event -spare
+	$(GO) run ./cmd/dvmpsim -audit=event -scheme first-fit
 
 ## fuzz-smoke: short randomized fuzz budgets — the audit harness's
 ## randomized-operations differential (internal/audit.FuzzOperations),
 ## the crash-injection resume differential (internal/sim.FuzzSnapshotResume),
 ## the multi-cell crash-and-reshard differential
-## (internal/sim.FuzzCellOrchestrator), and the decision-log reader against
-## the recorder's encoders (internal/policy.FuzzParseDecisionLog).
+## (internal/sim.FuzzCellOrchestrator), the decision-log reader against
+## the recorder's encoders (internal/policy.FuzzParseDecisionLog), and the
+## first-fit index against the linear walk (internal/cluster.FuzzFirstFit).
 ## FUZZTIME=10s by default (each).
 fuzz-smoke:
 	$(GO) test ./internal/audit -run '^$$' -fuzz FuzzOperations -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzSnapshotResume -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzCellOrchestrator -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/policy -run '^$$' -fuzz FuzzParseDecisionLog -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzFirstFit -fuzztime $(FUZZTIME)
 
 ## bench-smoke: run every Kernel*, Engine*, Meter* and Sweep
 ## micro-benchmark exactly once. Not a measurement — a liveness gate:

@@ -26,6 +26,10 @@ type Datacenter struct {
 	// appends to each.
 	feeds []*Feed
 
+	// fit is the first-fit index, built by the first FirstFit call; nil
+	// until then, and in every clone.
+	fit *fitIndex
+
 	// Fleet counters, kept exact by PM.tally on every SetState, Host and
 	// Evict: PMs on or booting, PMs booting, placed VMs, and active PMs
 	// hosting at least one VM. CheckInvariants re-derives them by scan.
@@ -153,8 +157,9 @@ func (d *Datacenter) Efficiency(p *PM) float64 {
 // and derived constants but entirely fresh machine state: every clone PM
 // starts powered off, fully reliable, and empty. PMClass values are shared
 // (they are immutable by convention), feeds are not: the clone has none
-// until it is subscribed to. The snapshot auditor restores checkpoints
-// into topology clones so a round-trip check never aliases the live fleet.
+// until it is subscribed to, and no first-fit index until FirstFit is
+// called on it. The snapshot auditor restores checkpoints into topology
+// clones so a round-trip check never aliases the live fleet.
 func (d *Datacenter) CloneTopology() *Datacenter {
 	out := &Datacenter{rmin: d.rmin.Clone(), minPerVMPower: d.minPerVMPower}
 	out.pms = make([]*PM, 0, len(d.pms))
@@ -331,9 +336,10 @@ func (d *Datacenter) VMsByState() map[VMState]int {
 
 // CheckInvariants validates global consistency: every PM's hosted list is
 // in strictly ascending ID order, its usage equals the sum of its VM
-// demands and stays within capacity, no VM appears on two PMs, and the
-// fleet counters equal a re-count. Tests and the simulator's self-check
-// mode call this.
+// demands and stays within capacity, no VM appears on two PMs, the
+// fleet counters equal a re-count, and a built first-fit index agrees with
+// the fleet (fitIndex.check). Tests and the simulator's self-check mode
+// call this.
 func (d *Datacenter) CheckInvariants() error {
 	seen := make(map[VMID]PMID)
 	var active, booting, vms, nonIdle int
@@ -393,6 +399,9 @@ func (d *Datacenter) CheckInvariants() error {
 		if c.kept != c.got {
 			return fmt.Errorf("cluster: %s counter %d != %d by scan", c.name, c.kept, c.got)
 		}
+	}
+	if d.fit != nil {
+		return d.fit.check(d)
 	}
 	return nil
 }

@@ -153,10 +153,10 @@ type PM struct {
 	// nil for a free-standing NewPM. The contract: every write to Used,
 	// state or reliability goes through bump (Host, Evict, Reserve,
 	// Release, SetState, SetReliability), which names the PM in each of
-	// dc's change feeds. Caches keyed on a PM — the candidate index and
-	// the roster in internal/core, the energy meter in internal/power —
-	// re-read only the PMs their feed names. So Used must never change
-	// without a bump.
+	// dc's change feeds. Caches keyed on a PM — the first-fit index, the
+	// candidate index and the roster in internal/core, the energy meter in
+	// internal/power — re-read only the PMs their feed names. So Used must
+	// never change without a bump.
 	dc *Datacenter
 
 	// Failures counts how many times this PM has failed.
