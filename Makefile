@@ -57,7 +57,7 @@ fuzz-smoke:
 	$(GO) test ./internal/policy -run '^$$' -fuzz FuzzParseDecisionLog -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzFirstFit -fuzztime $(FUZZTIME)
 
-## bench-smoke: run every Kernel*, Engine*, Meter* and Sweep
+## bench-smoke: run every Kernel*, Engine*, Meter*, Sweep and FirstFit
 ## micro-benchmark exactly once. Not a measurement — a liveness gate:
 ## benchmarks bit-rot silently because `go test` never executes them, so
 ## check runs each for one iteration.
@@ -66,6 +66,7 @@ bench-smoke:
 	$(GO) test ./internal/sim -run '^$$' -bench '^BenchmarkEngine' -benchtime 1x
 	$(GO) test ./internal/power -run '^$$' -bench '^BenchmarkMeter' -benchtime 1x
 	$(GO) test ./internal/exp -run '^$$' -bench '^BenchmarkSweep' -benchtime 1x
+	$(GO) test ./internal/cluster -run '^$$' -bench '^BenchmarkFirstFit' -benchtime 1x
 
 ## check: the full pre-commit gate — vet, gofmt, the race-enabled test
 ## suite (covers the lock-free metrics hot path, the parallel experiment

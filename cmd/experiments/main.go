@@ -224,7 +224,11 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out)
 
 		fmt.Fprintln(out, "=== E-A1g: offline packing oracle (FFD floor) ===")
-		fmt.Fprint(out, exp.OracleReport(trio, exp.OracleSeries(opts.Trace, nil)))
+		oracle, err := exp.OracleSeries(opts.Trace, nil)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(out, exp.OracleReport(trio, oracle))
 	}
 
 	if *which == "google" {

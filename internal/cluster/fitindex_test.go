@@ -20,9 +20,9 @@ func linearFirstFit(d *Datacenter, demand vector.V) *PM {
 	return nil
 }
 
-// fitFleet builds an n-PM, k-dimensional fleet of three classes, none with
-// a power-of-two count past n = 3, so the tree has padding leaves and
-// heterogeneous capacities meet in one node.
+// fitFleet builds an n-PM, k-dimensional fleet of three classes whose
+// boundaries fall inside blocks past n = 3, so heterogeneous capacities
+// meet in one block.
 func fitFleet(n, k int) *Datacenter {
 	caps := [][]float64{{8, 8, 8}, {4, 4, 2}, {6.5, 0.3, 5}}
 	counts := []int{n, 0, 0}
@@ -159,8 +159,10 @@ func (o *fitOps) step() (*PM, vector.V) {
 	return nil, nil
 }
 
-// fitSizes are FuzzFirstFit's fleet sizes, none a power of two.
-var fitSizes = []int{1, 3, 100, 1000}
+// fitSizes are FuzzFirstFit's fleet sizes: a last block mostly padding
+// (1, 3), partly padding (100, 1,000), whole blocks and no padding (32),
+// and one PM in the last block (17).
+var fitSizes = []int{1, 3, 100, 1000, 32, 17}
 
 // FuzzFirstFit holds Datacenter.FirstFit to the linear walk after every
 // operation, on R^MIN, the operation's own demand and the four Epsilon
@@ -271,7 +273,7 @@ func TestFirstFitLazyAndLocal(t *testing.T) {
 // stale, and CheckInvariants must name the PM. A write the feed does name
 // passes first, after the sync that lowers the maximum of the PM's block:
 // PM 6 is the one PM on in it, beside PM 20 in the next block. A corrupted
-// inner node fails by its node number.
+// block maximum fails by its block number.
 func TestFirstFitMissedFeedEntryFailsByName(t *testing.T) {
 	d := fitFleet(100, 2)
 	d.PM(6).SetState(PMOn)
@@ -301,9 +303,77 @@ func TestFirstFitMissedFeedEntryFailsByName(t *testing.T) {
 
 	d = fitFleet(100, 2)
 	d.PM(0).SetState(PMOn)
+	d.PM(20).SetState(PMOn)
 	d.FirstFit(d.rmin)
-	d.fit.at(1)[0]++
-	if err := d.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "index node 1 ") {
-		t.Fatalf("a root above its children's maximum: CheckInvariants = %v, want an error naming node 1", err)
+	d.fit.block[1*d.fit.k]++
+	if err := d.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "index block 1 ") {
+		t.Fatalf("a block above its leaves' maximum: CheckInvariants = %v, want an error naming block 1", err)
+	}
+}
+
+// BenchmarkFirstFit times FirstFit on a loaded Table II fleet of 100, 1,000
+// and 10,000 PMs, all on. The fleet is filled first-fit from a fixed
+// stream of demands on a grid of binary fractions until a draw finds no
+// host. Each op is then two queries and a round trip: a demand some PM
+// can host, whose answer takes a probe VM; a demand none can, whose
+// answer is nil (a queued request); and the probe's eviction, which puts
+// every PM back bit for bit. Both queries sync the PM the op bumped.
+// ns/query is the op's time over its two queries.
+func BenchmarkFirstFit(b *testing.B) {
+	for _, n := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprintf("pms%d", n), func(b *testing.B) {
+			d := TableIIFleetScaled(n)
+			for _, p := range d.PMs() {
+				p.SetState(PMOn)
+			}
+			var menu []vector.V
+			for _, cpu := range []float64{1, 2, 3, 4} {
+				for _, mem := range []float64{0.25, 0.5, 1, 2, 3} {
+					menu = append(menu, vector.New(cpu, mem))
+				}
+			}
+			id, seed := VMID(0), uint32(1)
+			for {
+				seed = seed*1664525 + 1013904223
+				v := menu[int(seed>>16)%len(menu)]
+				p := d.FirstFit(v)
+				if p == nil {
+					break
+				}
+				id++
+				if err := p.Host(NewVM(id, v, 100, 100, 0)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var probes []*VM
+			var none []vector.V
+			for _, v := range menu {
+				if linearFirstFit(d, v) == nil {
+					none = append(none, v)
+				} else {
+					id++
+					probes = append(probes, NewVM(id, v, 100, 100, 0))
+				}
+			}
+			if len(probes) == 0 || len(none) == 0 {
+				b.Fatalf("%d demands place and %d do not, want some of each", len(probes), len(none))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				vm := probes[i%len(probes)]
+				p := d.FirstFit(vm.Demand)
+				if err := p.Host(vm); err != nil {
+					b.Fatal(err)
+				}
+				if q := d.FirstFit(none[i%len(none)]); q != nil {
+					b.Fatalf("FirstFit(%v) = PM %d on a fleet the walk found full for it", none[i%len(none)], q.ID)
+				}
+				if err := p.Evict(vm); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/query")
+		})
 	}
 }

@@ -290,7 +290,10 @@ func TestOracleSeriesFloorsSchemes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := OracleSeries(opts.Trace, opts.Fleet)
+	oracle, err := OracleSeries(opts.Trace, opts.Fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if oracle.Len() != WeekHours {
 		t.Fatalf("oracle samples = %d", oracle.Len())
 	}
@@ -309,9 +312,31 @@ func TestOracleSeriesFloorsSchemes(t *testing.T) {
 }
 
 func TestOracleSeriesEmptyTrace(t *testing.T) {
-	s := OracleSeries(nil, nil)
+	s, err := OracleSeries(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.Sum() != 0 {
 		t.Errorf("empty trace oracle sum = %g", s.Sum())
+	}
+}
+
+// TestOracleSeriesUndersizedFleetFailsByHour: on one slow PM (4 cores),
+// two 3-core VMs alive together from just before hour 2 to just after it
+// cannot both be packed, so the series is an error naming hour 2 and not
+// a floor of one PM. Each alone, at hours 1 and 3, fits.
+func TestOracleSeriesUndersizedFleetFailsByHour(t *testing.T) {
+	onePM := func() *cluster.Datacenter {
+		slow := cluster.SlowClass
+		return cluster.MustNew(cluster.Config{RMin: cluster.TableIIRMin.Clone(), Groups: []cluster.Group{{Class: &slow, Count: 1}}})
+	}
+	vm := func(submit float64) workload.Request {
+		return workload.Request{Submit: submit, CPUCores: 3, MemoryGB: 1, EstimatedRunTime: 200, RunTime: 200}
+	}
+	reqs := []workload.Request{vm(3500), vm(7100), vm(7150), vm(10800)}
+	s, err := OracleSeries(reqs, onePM)
+	if err == nil || !strings.Contains(err.Error(), "oracle hour 2:") || !strings.Contains(err.Error(), "1 of 2 live VMs unplaced") {
+		t.Fatalf("OracleSeries on an undersized fleet = %v, %v; want an error naming hour 2 and 1 of 2 VMs unplaced", s, err)
 	}
 }
 

@@ -17,8 +17,10 @@ import (
 // bin-packing formulation. No online scheme can hold fewer machines than
 // an offline packer with perfect knowledge (up to FFD's small optimality
 // gap), so this series is the floor against which Figure 3's curves are
-// judged.
-func OracleSeries(reqs []workload.Request, fleet func() *cluster.Datacenter) *metrics.Series {
+// judged. Each hour's packing is held to binpack.Validate, and an hour
+// whose live VMs FFD cannot all place is an error naming the hour: its
+// BinsUsed would be a floor below the load.
+func OracleSeries(reqs []workload.Request, fleet func() *cluster.Datacenter) (*metrics.Series, error) {
 	if fleet == nil {
 		fleet = cluster.TableIIFleet
 	}
@@ -37,9 +39,15 @@ func OracleSeries(reqs []workload.Request, fleet func() *cluster.Datacenter) *me
 			}
 		}
 		res := binpack.FirstFitDecreasing(items, bins)
+		if err := binpack.Validate(items, bins, res); err != nil {
+			return nil, fmt.Errorf("exp: oracle hour %d: %w", h, err)
+		}
+		if len(res.Unplaced) > 0 {
+			return nil, fmt.Errorf("exp: oracle hour %d: FFD leaves %d of %d live VMs unplaced on a %d-PM fleet", h, len(res.Unplaced), len(items), len(bins))
+		}
 		series.Append(float64(res.BinsUsed))
 	}
-	return series
+	return series, nil
 }
 
 // OracleReport compares each scheme's mean active servers against the

@@ -25,6 +25,12 @@ import (
 // paper's figures are.
 const meterBin = 3600
 
+// controlPeriod is T, the spare-server control period in seconds: hourly,
+// the period the paper's controller and figures use. The simulator hands
+// it to spare.NewController, so the tick interval and the planning window
+// cannot differ.
+const controlPeriod = 3600
+
 // Config describes one simulation run: a data center, a placement scheme,
 // a workload, and the control knobs of Sections III-IV.
 type Config struct {
@@ -37,10 +43,6 @@ type Config struct {
 
 	// Requests is the workload, sorted by submit time. Required.
 	Requests []workload.Request
-
-	// ControlPeriod is T, the spare-server control period in seconds
-	// (default 3600).
-	ControlPeriod float64
 
 	// Spare enables the spare-server controller (Section IV). Nil runs
 	// without spares — the configuration the static baselines use.
@@ -109,12 +111,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.Placer == nil {
 		return fmt.Errorf("sim: config needs a placer")
-	}
-	if c.ControlPeriod == 0 {
-		c.ControlPeriod = 3600
-	}
-	if c.ControlPeriod < 0 {
-		return fmt.Errorf("sim: negative control period")
 	}
 	if c.WarmStart < 0 || c.WarmStart > c.DC.Size() {
 		return fmt.Errorf("sim: warm start %d outside fleet size %d", c.WarmStart, c.DC.Size())
@@ -409,11 +405,11 @@ func (s *simulator) initRun() {
 	s.holds = make(map[cluster.VMID]*migrationHold)
 	s.res = &Result{
 		Scheme:          s.cfg.Placer.Name(),
-		ActivePMs:       metrics.NewSeries(s.cfg.Placer.Name(), s.cfg.ControlPeriod),
-		MeanUtilization: metrics.NewSeries(s.cfg.Placer.Name(), s.cfg.ControlPeriod),
+		ActivePMs:       metrics.NewSeries(s.cfg.Placer.Name(), controlPeriod),
+		MeanUtilization: metrics.NewSeries(s.cfg.Placer.Name(), controlPeriod),
 	}
 	if s.cfg.Spare != nil {
-		s.ctrl = spare.NewController(*s.cfg.Spare, s.cfg.ControlPeriod)
+		s.ctrl = spare.NewController(*s.cfg.Spare, controlPeriod)
 	}
 	if s.cfg.Failures.Enabled() {
 		s.inj = failure.NewInjector(s.cfg.Failures)
@@ -434,7 +430,7 @@ func (s *simulator) start() {
 			obs.S("scheme", s.cfg.Placer.Name()),
 			obs.I("pms", int64(s.dc.Size())),
 			obs.I("requests", int64(len(s.cfg.Requests))),
-			obs.F("control_period", s.cfg.ControlPeriod),
+			obs.F("control_period", controlPeriod),
 			obs.B("spare", s.cfg.Spare != nil),
 			obs.B("timed_migrations", s.cfg.TimedMigrations))
 	}
@@ -874,7 +870,7 @@ func (s *simulator) onControlTick() {
 	// counts live events only, so a backlog of cancelled timers cannot
 	// keep the tick chain alive.
 	if s.eng.Pending() > 0 || len(s.queue) > 0 {
-		s.eng.ScheduleTag(now+s.cfg.ControlPeriod, Tag{Kind: evControlTick})
+		s.eng.ScheduleTag(now+controlPeriod, Tag{Kind: evControlTick})
 	}
 	s.tickRan = true
 }
@@ -1181,9 +1177,11 @@ func (s *simulator) finalizeResult() {
 		}
 		sum.MeanWaitSeconds = tot / float64(len(s.waits))
 		sum.QueuedFraction = float64(s.queuedCount) / float64(len(s.waits))
-		sum.WaitP50 = stats.Percentile(s.waits, 50)
-		sum.WaitP95 = stats.Percentile(s.waits, 95)
-		sum.WaitP99 = stats.Percentile(s.waits, 99)
+		sorted := slices.Clone(s.waits)
+		slices.Sort(sorted)
+		sum.WaitP50 = stats.PercentileSorted(sorted, 50)
+		sum.WaitP95 = stats.PercentileSorted(sorted, 95)
+		sum.WaitP99 = stats.PercentileSorted(sorted, 99)
 	}
 
 	s.res.EnergyKWh = metrics.NewSeries(s.res.Scheme, meterBin)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/policy"
 	"repro/internal/spare"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -49,7 +50,6 @@ func TestRunConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Placer: policy.FirstFit{}},
 		{DC: smallFleet()},
-		{DC: smallFleet(), Placer: policy.FirstFit{}, ControlPeriod: -1},
 		{DC: smallFleet(), Placer: policy.FirstFit{}, Failures: failure.Config{MTBF: -1}},
 		{DC: smallFleet(), Placer: policy.FirstFit{},
 			Requests: []workload.Request{{Submit: 5, CPUCores: 1, MemoryGB: 1, RunTime: 1}, {Submit: 1, CPUCores: 1, MemoryGB: 1, RunTime: 1}}},
@@ -225,11 +225,10 @@ func TestRunStaticNeverMigrates(t *testing.T) {
 func TestRunSpareControllerKeepsIdleCapacity(t *testing.T) {
 	sc := spare.DefaultConfig()
 	res, err := Run(Config{
-		DC:            smallFleet(),
-		Placer:        policy.NewDynamic(),
-		Requests:      reqs(200, 30, 1800), // steady stream, 2 arrivals/min
-		ControlPeriod: 600,
-		Spare:         &sc,
+		DC:       smallFleet(),
+		Placer:   policy.NewDynamic(),
+		Requests: reqs(200, 180, 10800), // steady stream, one arrival every 3 min
+		Spare:    &sc,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,17 +251,17 @@ func TestRunSpareControllerKeepsIdleCapacity(t *testing.T) {
 }
 
 // TestSparePlansOverControlPeriod: the controller's window is the run's
-// control period. One VM with a 2400 s estimate starts within the first
-// period; at ControlPeriod 600 the plan at t=600 must not count it as
-// departing (an hour-long window would), and the plan at t=2400 must.
+// control period, 3600 s. One VM with a 14400 s estimate starts within
+// the first period, after its PM boots, so at t=10800 its remaining
+// estimate is just over one period: that plan must not count it as
+// departing (a two-period window would), and the plan at t=14400 must.
 func TestSparePlansOverControlPeriod(t *testing.T) {
 	sc := spare.DefaultConfig()
 	res, err := Run(Config{
-		DC:            smallFleet(),
-		Placer:        policy.FirstFit{},
-		Requests:      reqs(1, 0, 2400),
-		ControlPeriod: 600,
-		Spare:         &sc,
+		DC:       smallFleet(),
+		Placer:   policy.FirstFit{},
+		Requests: reqs(1, 0, 14400),
+		Spare:    &sc,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -271,11 +270,52 @@ func TestSparePlansOverControlPeriod(t *testing.T) {
 	for _, p := range res.SparePlans {
 		departing[p.At] = p.NDeparture
 	}
-	if n, ok := departing[600]; !ok || n != 0 {
-		t.Errorf("plan at t=600 predicts %d departures (planned: %t), want 0 over a 600 s window", n, ok)
+	for _, at := range []float64{3600, 7200, 10800} {
+		if n, ok := departing[at]; !ok || n != 0 {
+			t.Errorf("plan at t=%g predicts %d departures (planned: %t), want 0 over a 3600 s window", at, n, ok)
+		}
 	}
-	if departing[2400] != 1 {
-		t.Errorf("plan at t=2400 predicts %d departures, want 1: the VM ends within 600 s", departing[2400])
+	if departing[14400] != 1 {
+		t.Errorf("plan at t=14400 predicts %d departures, want 1: the VM ends within 3600 s", departing[14400])
+	}
+}
+
+// TestWaitPercentilesFromOneSort: the summary's p50, p95 and p99, read
+// from one sorted copy of the waits, are stats.Percentile's of the waits
+// bit for bit, on a run that queues; the waits keep their order.
+func TestWaitPercentilesFromOneSort(t *testing.T) {
+	m, err := New(Config{DC: smallFleet(), Placer: policy.FirstFit{}, Requests: reqs(200, 30, 1800)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		ok, err := m.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+	}
+	waits := slices.Clone(m.s.waits)
+	res, err := m.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Summary.QueuedFraction == 0 || slices.IsSorted(waits) {
+		t.Fatalf("queued fraction %g, waits sorted %t: want a run that queues out of order", res.Summary.QueuedFraction, slices.IsSorted(waits))
+	}
+	sum := res.Summary
+	for _, c := range []struct {
+		p   float64
+		got float64
+	}{{50, sum.WaitP50}, {95, sum.WaitP95}, {99, sum.WaitP99}} {
+		if want := stats.Percentile(waits, c.p); math.Float64bits(c.got) != math.Float64bits(want) {
+			t.Errorf("wait p%g = %v, stats.Percentile of the waits = %v", c.p, c.got, want)
+		}
+	}
+	if !slices.Equal(m.s.waits, waits) {
+		t.Error("finishing the run reordered the waits")
 	}
 }
 

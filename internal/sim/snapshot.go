@@ -139,7 +139,7 @@ func (s *simulator) meta() snapshot.Meta {
 		ClassDigest:     snapshot.ClassDigest(s.dc),
 		Requests:        len(s.cfg.Requests),
 		WorkloadDigest:  snapshot.WorkloadDigest(s.cfg.Requests),
-		ControlPeriod:   s.cfg.ControlPeriod,
+		ControlPeriod:   controlPeriod,
 		MeterBin:        meterBin,
 		TimedMigrations: s.cfg.TimedMigrations,
 		Spare:           s.cfg.Spare != nil,

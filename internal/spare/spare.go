@@ -28,7 +28,7 @@ import (
 )
 
 // Config parameterizes the controller. The control period T is not part
-// of it: NewController takes the caller's (the simulator's ControlPeriod).
+// of it: NewController takes the caller's (the simulator's controlPeriod).
 type Config struct {
 	// Alpha is the QoS tail bound: P(arrivals > n_arrival) <= Alpha.
 	Alpha float64

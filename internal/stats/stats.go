@@ -225,9 +225,18 @@ func Variance(xs []float64) float64 {
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. It returns 0 for empty input.
+// interpolation between closest ranks. It returns 0 for empty input. It
+// sorts a copy of xs; a caller reading several percentiles of one sample
+// sorts it once and calls PercentileSorted.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	return PercentileSorted(sorted, p)
+}
+
+// PercentileSorted is Percentile of an ascending sample, read in place.
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
 		return 0
 	}
 	if p < 0 {
@@ -236,8 +245,6 @@ func Percentile(xs []float64, p float64) float64 {
 	if p > 100 {
 		p = 100
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
