@@ -1,0 +1,161 @@
+package sim
+
+import (
+	"bytes"
+	"hash"
+	"hash/fnv"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/obs"
+	"repro/internal/policy"
+	"repro/internal/spare"
+	"repro/internal/workload"
+)
+
+// canonHash is an io.Writer that hashes each written trace line in its
+// canonical form (obs.CanonicalLine plus a newline). The tracer writes one
+// whole line a Write, so the sum equals the FNV-64a of the Canonicalized
+// stream, the digest `TestDecisionLogDigest` pins.
+type canonHash struct{ h hash.Hash64 }
+
+func newCanonHash() *canonHash { return &canonHash{h: fnv.New64a()} }
+
+func (c *canonHash) Write(p []byte) (int, error) {
+	c.h.Write(obs.CanonicalLine(p))
+	c.h.Write([]byte{'\n'})
+	return len(p), nil
+}
+
+// scaleWeek is the scale ladder's 300-PM week: `tracegen -jobs 13722`
+// (the default week's daily shape scaled to 13,722 jobs, the remainder on
+// the first days), written as SWF and read back, then filtered and split
+// into VM requests as `dvmpsim -swf` does.
+func scaleWeek(t *testing.T) []workload.Request {
+	t.Helper()
+	const jobs = 13722
+	gc := workload.DefaultWeekConfig(1)
+	total := 0
+	for _, n := range gc.DailyJobs {
+		total += n
+	}
+	daily := make([]int, len(gc.DailyJobs))
+	sum := 0
+	for d, n := range gc.DailyJobs {
+		daily[d] = n * jobs / total
+		sum += daily[d]
+	}
+	for d := 0; sum < jobs; d, sum = (d+1)%len(daily), sum+1 {
+		daily[d]++
+	}
+	gc.DailyJobs = daily
+	gen, err := workload.Generate(gc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var swf bytes.Buffer
+	if err := workload.WriteSWF(&swf, gen, "scale week"); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := workload.ParseSWF(&swf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload.SortBySubmit(parsed)
+	return workload.ToRequests(workload.Filter(parsed, workload.DefaultFilter()))
+}
+
+// TestScaleWeekDigest pins the 300-PM week (`tracegen -jobs 13722`, then
+// `dvmpsim -swf … -nodes 300 -spare -decisions …`) by the FNV-64a digests
+// of its canonical run trace and decision log: the one tier-1 run at three
+// times the paper's fleet. The run is then checkpointed after a third of
+// its arrivals, while most are still unfired, and resumed under one cell
+// and under three; each resumed run must complete both digests.
+func TestScaleWeekDigest(t *testing.T) {
+	const (
+		wantRun uint64 = 0x752f3ace090f9283
+		wantDec uint64 = 0x7f6e133883f9b7e5
+	)
+	reqs := scaleWeek(t)
+	cfg := func(cells int, run, dec *canonHash) Config {
+		sc := spare.DefaultConfig()
+		o := obs.New()
+		o.Trace, o.Decisions = obs.NewTracer(run), obs.NewTracer(dec)
+		return Config{
+			DC:       cluster.TableIIFleetScaled(300),
+			Placer:   policy.NewRecorder(policy.NewDynamic(), 0),
+			Requests: reqs,
+			Spare:    &sc,
+			Obs:      o,
+			Cells:    cells,
+		}
+	}
+
+	run, dec := newCanonHash(), newCanonHash()
+	m, err := New(cfg(1, run, dec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ckpt []byte
+	var runAt, decAt hash.Hash64
+	var arrivedAt int
+	for {
+		if ckpt == nil && m.s.arrived >= len(reqs)/3 {
+			var buf bytes.Buffer
+			if err := m.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			ckpt, arrivedAt = buf.Bytes(), m.s.arrived
+			runAt, decAt = clone64(t, run.h), clone64(t, dec.h)
+		}
+		ok, err := m.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+	}
+	res, err := m.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := run.h.Sum64(); got != wantRun {
+		t.Errorf("run trace digest %#x, want %#x", got, wantRun)
+	}
+	if got := dec.h.Sum64(); got != wantDec {
+		t.Errorf("decision log digest %#x, want %#x", got, wantDec)
+	}
+	t.Logf("%d requests, %d events, queued %.2f %%, checkpoint at arrival %d",
+		len(reqs), m.Dispatched(), 100*res.Summary.QueuedFraction, arrivedAt)
+
+	for _, cells := range []int{1, 3} {
+		run, dec := &canonHash{h: clone64(t, runAt)}, &canonHash{h: clone64(t, decAt)}
+		m, err := Restore(cfg(cells, run, dec), bytes.NewReader(ckpt))
+		if err != nil {
+			t.Fatalf("cells %d: %v", cells, err)
+		}
+		assertSameOutcome(t, res, runToEnd(t, m))
+		if got := run.h.Sum64(); got != wantRun {
+			t.Errorf("cells %d: resumed run trace digest %#x, want %#x", cells, got, wantRun)
+		}
+		if got := dec.h.Sum64(); got != wantDec {
+			t.Errorf("cells %d: resumed decision log digest %#x, want %#x", cells, got, wantDec)
+		}
+	}
+}
+
+// clone64 copies an FNV-64a state, so a digest of the prefix written
+// before a checkpoint can be carried on by each resumed run's tail.
+func clone64(t *testing.T, h hash.Hash64) hash.Hash64 {
+	t.Helper()
+	state, err := h.(interface{ MarshalBinary() ([]byte, error) }).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := fnv.New64a()
+	if err := c.(interface{ UnmarshalBinary([]byte) error }).UnmarshalBinary(state); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
