@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"regexp"
@@ -395,6 +396,89 @@ func TestSnapshotEventTagNamesNothing(t *testing.T) {
 				_, err := Restore(cfg, bytes.NewReader(bad))
 				if err == nil || !strings.Contains(err.Error(), want) {
 					t.Errorf("cells %d: restore error = %v, want one naming %q", cells, err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestSnapshotArrivalRunCorrupt: a checkpoint lists every unfired
+// arrival, arrival i under base+i, though a run queues only the next one.
+// Restore derives the chain from that run, so a run that would resume
+// without a VM, or dispatch one out of order, is refused by naming the
+// arrival: one deleted from the middle, one whose seq leaves the run,
+// another event holding a seq of the block, and a run that stops short
+// of the last request.
+func TestSnapshotArrivalRunCorrupt(t *testing.T) {
+	load := mixedLoad()
+	m, err := New(snapCfg(load, policy.NewDynamic(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m.Dispatched() < 50 {
+		if ok, err := m.Step(); err != nil || !ok {
+			t.Fatalf("step: ok=%v err=%v", ok, err)
+		}
+	}
+	var ckpt bytes.Buffer
+	if err := m.Save(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	f, err := snapshot.Read(bytes.NewReader(ckpt.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arrivals, others []int // indices into the saved event list
+	var st simState
+	if err := json.Unmarshal(f.State, &st); err != nil {
+		t.Fatal(err)
+	}
+	for i, ev := range st.Engine.Events {
+		switch ev.Tag.Kind {
+		case evArrival:
+			arrivals = append(arrivals, i)
+		case evDeparture, evCreationDone, evBootDone:
+			others = append(others, i)
+		}
+	}
+	if len(arrivals) < 4 || len(others) == 0 {
+		t.Fatalf("checkpoint holds %d arrivals and %d departures, creations or boots; want 4 and 1", len(arrivals), len(others))
+	}
+	mid, last := arrivals[2], arrivals[len(arrivals)-1]
+	vm := func(i int) int64 { return st.Engine.Events[i].Tag.Arg }
+	for _, tc := range []struct {
+		name    string
+		corrupt func(evs []QueuedEvent) []QueuedEvent
+		want    string
+	}{
+		{"an unfired arrival deleted", func(evs []QueuedEvent) []QueuedEvent {
+			return slices.Delete(evs, mid, mid+1)
+		}, fmt.Sprintf("arrival of VM %d is missing", vm(mid))},
+		{"an arrival's seq out of the run", func(evs []QueuedEvent) []QueuedEvent {
+			evs[mid].Seq++
+			return evs
+		}, fmt.Sprintf("arrival of VM %d has seq %d", vm(mid), st.Engine.Events[mid].Seq+1)},
+		{"another event holding a seq of the block", func(evs []QueuedEvent) []QueuedEvent {
+			evs[others[0]].Seq = evs[mid].Seq
+			return evs
+		}, fmt.Sprintf("holds seq %d, the arrival of VM %d's", st.Engine.Events[mid].Seq, vm(mid))},
+		{"a run that stops before the last request", func(evs []QueuedEvent) []QueuedEvent {
+			return slices.Delete(evs, last, last+1)
+		}, fmt.Sprintf("arrival of VM %d is missing", len(load))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := st
+			bad.Engine.Events = tc.corrupt(slices.Clone(st.Engine.Events))
+			var buf bytes.Buffer
+			if err := snapshot.Write(&buf, f.Meta, &bad); err != nil {
+				t.Fatal(err)
+			}
+			for _, cells := range []int{1, 3} {
+				cfg := snapCfg(load, policy.NewDynamic(), nil)
+				cfg.Cells = cells
+				_, err := Restore(cfg, bytes.NewReader(buf.Bytes()))
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("cells %d: restore error = %v, want one naming %q", cells, err, tc.want)
 				}
 			}
 		})
