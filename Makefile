@@ -44,6 +44,7 @@ audit:
 
 ## fuzz-smoke: short randomized fuzz budgets — the audit harness's
 ## randomized-operations differential (internal/audit.FuzzOperations),
+## the event heap against a sorted-slice model (internal/sim.FuzzScheduler),
 ## the crash-injection resume differential (internal/sim.FuzzSnapshotResume),
 ## the multi-cell crash-and-reshard differential
 ## (internal/sim.FuzzCellOrchestrator), the decision-log reader against
@@ -52,6 +53,7 @@ audit:
 ## FUZZTIME=10s by default (each).
 fuzz-smoke:
 	$(GO) test ./internal/audit -run '^$$' -fuzz FuzzOperations -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzScheduler -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzSnapshotResume -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzCellOrchestrator -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/policy -run '^$$' -fuzz FuzzParseDecisionLog -fuzztime $(FUZZTIME)

@@ -149,12 +149,12 @@ func SpareCheck(cfg spare.Config, dc *cluster.Datacenter, last func() *spare.Pla
 	}
 }
 
-// QueueCheck verifies the event engine's calendar-queue invariants by
-// delegating to its full-structure walk (sim.Engine.VerifyQueue): the
-// live-event count the control loop's liveness test relies on must match
-// an exhaustive walk of every bucket, and the queue must be consistently
-// linked, sorted, and bucketed. verify is the engine's walk so the audit
-// package does not import the simulation it is auditing.
+// QueueCheck verifies the event engine's heap by delegating to its
+// full-structure walk (sim.Engine.VerifyQueue): every slot's record
+// indexed at its slot and carrying its seq, no slot ordered before its
+// parent, and nothing queued before the clock. verify is the engine's
+// walk so the audit package does not import the simulation it is
+// auditing.
 func QueueCheck(verify func() error) Check {
 	return Check{
 		Name:     "queue",

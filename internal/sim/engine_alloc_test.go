@@ -8,8 +8,8 @@ import (
 
 // eventLoopAllocCeiling is the asserted allocation budget for the
 // steady-state event loop (one Schedule + one Step with a stable
-// resident population): the freelist recycles records and the calendar
-// geometry is settled, so the loop allocates nothing. The ceiling is 2
+// resident population): the freelist recycles records and the heap's
+// array has grown to the population, so the loop allocates nothing. The ceiling is 2
 // (not 0) to leave headroom for incidental runtime effects.
 const eventLoopAllocCeiling = 2
 
@@ -17,8 +17,8 @@ const eventLoopAllocCeiling = 2
 // allocations of one Schedule plus one step in the steady state.
 func steadyStateAllocs(e *Engine, step func()) float64 {
 	nop := func() {}
-	// Warm up: grow the freelist and geometry to the operating population,
-	// then drain half so the dispatch-history width estimator is primed.
+	// Warm up: grow the freelist and the heap past the operating
+	// population, then drain half.
 	for i := 0; i < 4096; i++ {
 		e.Schedule(float64(i)*0.1, nop)
 	}
@@ -43,7 +43,7 @@ func TestEventLoopAllocBudget(t *testing.T) {
 }
 
 // TestTaggedEventAllocs: a tagged event is data, not a closure, so once the
-// freelist and geometry are warm one ScheduleTag plus the Step that fires
+// freelist and the heap are warm one ScheduleTag plus the Step that fires
 // it through the handle allocates nothing at all.
 func TestTaggedEventAllocs(t *testing.T) {
 	fired := 0
@@ -122,8 +122,7 @@ func TestCancelAllocBudget(t *testing.T) {
 // TestEngineMillionEventSmoke is the long-run liveness gate: a 1M-event
 // churn (every fire schedules a successor) over a 10k-resident
 // population, with monotone-clock and queue-structure invariants checked
-// along the way. It runs in well under a second on the calendar queue —
-// that headroom is the point of the rewrite.
+// along the way. It runs in well under a second.
 func TestEngineMillionEventSmoke(t *testing.T) {
 	const (
 		resident = 10_000

@@ -1,13 +1,9 @@
 package sim
 
-import (
-	"testing"
-
-	"repro/internal/sim/schedheap"
-)
+import "testing"
 
 // benchDelay is a cheap xorshift delay stream shared by the engine
-// benchmarks so wheel and heap runs see identical schedules.
+// benchmarks, so every run sees the same schedule.
 type benchDelay uint64
 
 func (d *benchDelay) next() float64 {
@@ -23,23 +19,6 @@ func (d *benchDelay) next() float64 {
 // schedule plus one dispatch against a settled 4096-event population.
 func BenchmarkEngineSteadyState(b *testing.B) {
 	var e Engine
-	nop := func() {}
-	d := benchDelay(0x243F6A8885A308D3)
-	for i := 0; i < 4096; i++ {
-		e.Schedule(d.next(), nop)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(e.Now()+d.next(), nop)
-		e.Step()
-	}
-}
-
-// BenchmarkEngineSteadyStateHeap is the same loop on the frozen
-// binary-heap reference, for local wheel-vs-heap comparison.
-func BenchmarkEngineSteadyStateHeap(b *testing.B) {
-	var e schedheap.Engine
 	nop := func() {}
 	d := benchDelay(0x243F6A8885A308D3)
 	for i := 0; i < 4096; i++ {
@@ -70,26 +49,13 @@ func BenchmarkEngineCancel(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineBulk schedules 10k events up front and drains them —
-// the load-then-run shape of a dvmpsim workload pre-load.
+// BenchmarkEngineBulk schedules 10k events up front and drains them: the
+// heap at its deepest, then shrinking.
 func BenchmarkEngineBulk(b *testing.B) {
 	nop := func() {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var e Engine
-		d := benchDelay(0x9E3779B97F4A7C15)
-		for j := 0; j < 10_000; j++ {
-			e.Schedule(d.next()*1000, nop)
-		}
-		e.Run()
-	}
-}
-
-func BenchmarkEngineBulkHeap(b *testing.B) {
-	nop := func() {}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var e schedheap.Engine
 		d := benchDelay(0x9E3779B97F4A7C15)
 		for j := 0; j < 10_000; j++ {
 			e.Schedule(d.next()*1000, nop)

@@ -3,9 +3,8 @@ package sim
 import "testing"
 
 // These tests pin the cancellation contract the control loop's liveness
-// test depends on (PR 2 fixed Pending() over-counting for the old heap;
-// the calendar queue makes the count exact by construction because
-// Cancel unlinks eagerly).
+// test depends on: Cancel takes the event out of the heap at once, so
+// Pending() is exact by construction.
 
 func TestPendingCountsLiveEventsOnly(t *testing.T) {
 	var e Engine
@@ -43,9 +42,8 @@ func TestPendingCountsLiveEventsOnly(t *testing.T) {
 
 func TestCancelledEventsLeaveNoResidue(t *testing.T) {
 	var e Engine
-	// One far-future live event, then a pile of cancelled ones: the old
-	// heap kept every cancelled timer resident until a lazy reap; the
-	// calendar queue must unlink each immediately.
+	// One far-future live event, then a pile of cancelled ones: each
+	// must leave the heap at once, not linger until a lazy reap.
 	e.Schedule(1e9, func() {})
 	var evs []Event
 	for i := 0; i < 500; i++ {
@@ -59,8 +57,8 @@ func TestCancelledEventsLeaveNoResidue(t *testing.T) {
 	if got := e.Pending(); got != 1 {
 		t.Fatalf("Pending = %d, want 1", got)
 	}
-	// VerifyQueue walks every bucket: it fails if any cancelled record is
-	// still linked, or if the live count disagrees with the walk.
+	// VerifyQueue walks every slot: it fails if any cancelled record is
+	// still in the heap or a slot's index is stale.
 	if err := e.VerifyQueue(); err != nil {
 		t.Fatalf("VerifyQueue after mass cancel: %v", err)
 	}
@@ -80,8 +78,8 @@ func TestCancelPreservesDispatchOrder(t *testing.T) {
 	var e Engine
 	var order []int
 	var cancelled []Event
-	// Interleave live and to-be-cancelled events so unlinking exercises
-	// head, middle, and tail positions across many buckets.
+	// Interleave live and to-be-cancelled events so removal exercises
+	// the root, inner slots and leaves of the heap.
 	for i := 0; i < 300; i++ {
 		i := i
 		if i%3 == 0 {

@@ -1,28 +1,38 @@
 package sim
 
 import (
+	"cmp"
+	"slices"
 	"testing"
-
-	"repro/internal/sim/schedheap"
 )
 
-// schedPair drives the calendar-queue engine and the frozen binary-heap
-// reference (internal/sim/schedheap) through identical byte-encoded
-// operation sequences — schedules, cancels, steps, bounded advances,
-// nested schedules from inside callbacks — and requires the dispatch
-// sequences to be bit-identical. This is the executable form of the
-// wheel's correctness argument: the (time, seq) total order the heap
-// defines is exactly what the year-window search dispatches.
+// schedPair drives the engine and a sorted-slice model of it through
+// identical byte-encoded operation sequences — schedules, cancels, steps,
+// bounded advances, nested schedules from inside callbacks — and requires
+// the dispatch sequences to be identical. The model is the specification:
+// the pending events kept sorted by (time, seq), each schedule drawing the
+// next sequence number, each step taking the head.
 type schedPair struct {
-	t     *testing.T
-	wheel Engine
-	heap  schedheap.Engine
+	t   *testing.T
+	eng Engine
 
-	wlog, hlog []int
-	wlive      []Event
-	hlive      []*schedheap.Event
-	nextTag    int
-	ops        int
+	model   []modelEvent
+	mnow    float64
+	mseq    uint64
+	mfired  uint64
+	elog    []int
+	mlog    []int
+	handles []Event  // the engine's handle for each top-level tag
+	mseqs   []uint64 // the model's seq for each top-level tag
+	nextTag int
+	ops     int
+}
+
+// modelEvent is one pending event of the model.
+type modelEvent struct {
+	at  float64
+	seq uint64
+	tag int
 }
 
 // childBase offsets the tags of events spawned from inside callbacks so
@@ -32,24 +42,62 @@ const childBase = 1 << 20
 func (p *schedPair) schedule(at float64) {
 	tag := p.nextTag
 	p.nextTag++
-	p.wlive = append(p.wlive, p.wheel.Schedule(at, func() {
-		p.wlog = append(p.wlog, tag)
+	p.handles = append(p.handles, p.eng.Schedule(at, func() {
+		p.elog = append(p.elog, tag)
 		if tag%5 == 0 {
 			ct := childBase + tag
-			p.wheel.ScheduleAfter(1.5, func() { p.wlog = append(p.wlog, ct) })
+			p.eng.ScheduleAfter(1.5, func() { p.elog = append(p.elog, ct) })
 		}
 	}))
-	p.hlive = append(p.hlive, p.heap.Schedule(at, func() {
-		p.hlog = append(p.hlog, tag)
-		if tag%5 == 0 {
-			ct := childBase + tag
-			p.heap.ScheduleAfter(1.5, func() { p.hlog = append(p.hlog, ct) })
-		}
-	}))
+	p.mseqs = append(p.mseqs, p.modelSchedule(at, tag))
+}
+
+// modelSchedule inserts an event into the model in (at, seq) order.
+func (p *schedPair) modelSchedule(at float64, tag int) uint64 {
+	p.mseq++
+	ev := modelEvent{at: at, seq: p.mseq, tag: tag}
+	i, _ := slices.BinarySearchFunc(p.model, ev, compareModel)
+	p.model = slices.Insert(p.model, i, ev)
+	return ev.seq
+}
+
+func compareModel(a, b modelEvent) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// modelStep fires the model's head, spawning its child like the engine's
+// callback does.
+func (p *schedPair) modelStep() bool {
+	if len(p.model) == 0 {
+		return false
+	}
+	ev := p.model[0]
+	p.model = p.model[1:]
+	p.mnow = ev.at
+	p.mfired++
+	p.mlog = append(p.mlog, ev.tag)
+	if ev.tag < childBase && ev.tag%5 == 0 {
+		p.modelSchedule(p.mnow+1.5, childBase+ev.tag)
+	}
+	return true
+}
+
+// modelCancel removes the event with the given seq, reporting whether it
+// was still pending.
+func (p *schedPair) modelCancel(seq uint64) bool {
+	i := slices.IndexFunc(p.model, func(ev modelEvent) bool { return ev.seq == seq })
+	if i < 0 {
+		return false
+	}
+	p.model = slices.Delete(p.model, i, i+1)
+	return true
 }
 
 // step consumes two bytes (opcode, argument) and applies one operation to
-// both engines.
+// the engine and the model.
 func (p *schedPair) step(op, arg byte) {
 	switch op % 5 {
 	case 0, 1: // schedule: fractional offsets with frequent ties, occasional far jumps
@@ -57,56 +105,65 @@ func (p *schedPair) step(op, arg byte) {
 		if arg%7 == 0 {
 			d += float64(arg) * 64
 		}
-		p.schedule(p.wheel.Now() + d)
+		p.schedule(p.eng.Now() + d)
 	case 2: // cancel the k-th issued handle (may already be fired or cancelled)
-		if n := len(p.wlive); n > 0 {
+		if n := len(p.handles); n > 0 {
 			k := int(arg) % n
-			p.wlive[k].Cancel()
-			p.hlive[k].Cancel()
+			if ce, cm := p.handles[k].Cancel(), p.modelCancel(p.mseqs[k]); ce != cm {
+				p.t.Fatalf("Cancel of tag %d: engine=%v model=%v", k, ce, cm)
+			}
 		}
 	case 3: // single step
-		if sw, sh := p.wheel.Step(), p.heap.Step(); sw != sh {
-			p.t.Fatalf("Step: wheel=%v heap=%v", sw, sh)
+		if se, sm := p.eng.Step(), p.modelStep(); se != sm {
+			p.t.Fatalf("Step: engine=%v model=%v", se, sm)
 		}
 	case 4: // bounded advance
-		to := p.wheel.Now() + float64(arg)
-		p.wheel.RunUntil(to)
-		p.heap.RunUntil(to)
+		to := p.eng.Now() + float64(arg)
+		p.eng.RunUntil(to)
+		for len(p.model) > 0 && p.model[0].at <= to {
+			p.modelStep()
+		}
+		p.mnow = to
 	}
 	p.check()
 }
 
 func (p *schedPair) check() {
 	p.ops++
-	if p.wheel.Now() != p.heap.Now() {
-		p.t.Fatalf("Now: wheel=%g heap=%g", p.wheel.Now(), p.heap.Now())
+	if p.eng.Now() != p.mnow {
+		p.t.Fatalf("Now: engine=%g model=%g", p.eng.Now(), p.mnow)
 	}
-	if p.wheel.Pending() != p.heap.Pending() {
-		p.t.Fatalf("Pending: wheel=%d heap=%d", p.wheel.Pending(), p.heap.Pending())
+	if p.eng.Pending() != len(p.model) {
+		p.t.Fatalf("Pending: engine=%d model=%d", p.eng.Pending(), len(p.model))
 	}
-	if p.wheel.Dispatched() != p.heap.Dispatched() {
-		p.t.Fatalf("Dispatched: wheel=%d heap=%d", p.wheel.Dispatched(), p.heap.Dispatched())
+	if p.eng.Dispatched() != p.mfired {
+		p.t.Fatalf("Dispatched: engine=%d model=%d", p.eng.Dispatched(), p.mfired)
+	}
+	if at, seq, ok := p.eng.PeekNextEventTime(); ok != (len(p.model) > 0) ||
+		ok && (at != p.model[0].at || seq != p.model[0].seq) {
+		p.t.Fatalf("PeekNextEventTime: engine=(%g, %d, %v), model head %v", at, seq, ok, p.model)
 	}
 	if p.ops%16 == 0 {
-		if err := p.wheel.VerifyQueue(); err != nil {
+		if err := p.eng.VerifyQueue(); err != nil {
 			p.t.Fatalf("VerifyQueue: %v", err)
 		}
 	}
 }
 
 func (p *schedPair) finish() {
-	p.wheel.Run()
-	p.heap.Run()
-	if err := p.wheel.VerifyQueue(); err != nil {
+	p.eng.Run()
+	for p.modelStep() {
+	}
+	if err := p.eng.VerifyQueue(); err != nil {
 		p.t.Fatalf("VerifyQueue after drain: %v", err)
 	}
-	if len(p.wlog) != len(p.hlog) {
-		p.t.Fatalf("dispatch counts diverge: wheel=%d heap=%d", len(p.wlog), len(p.hlog))
+	if len(p.elog) != len(p.mlog) {
+		p.t.Fatalf("dispatch counts diverge: engine=%d model=%d", len(p.elog), len(p.mlog))
 	}
-	for i := range p.wlog {
-		if p.wlog[i] != p.hlog[i] {
-			p.t.Fatalf("dispatch order diverges at %d: wheel fired %d, heap fired %d",
-				i, p.wlog[i], p.hlog[i])
+	for i := range p.elog {
+		if p.elog[i] != p.mlog[i] {
+			p.t.Fatalf("dispatch order diverges at %d: engine fired %d, model fired %d",
+				i, p.elog[i], p.mlog[i])
 		}
 	}
 }
@@ -120,15 +177,17 @@ func runSchedBytes(t *testing.T, data []byte) {
 }
 
 // FuzzScheduler is the byte-driven differential harness: any operation
-// sequence the fuzzer invents must dispatch bit-identically from the
-// timing wheel and the reference heap.
+// sequence the fuzzer invents must dispatch from the engine exactly as the
+// sorted-slice model does. The committed corpus holds the input that
+// caught a RunUntil bug of an earlier engine (a peek that parked its
+// search cursor past a later-scheduled event).
 func FuzzScheduler(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 10, 0, 10, 3, 0, 4, 50})                         // ties, step, advance
 	f.Add([]byte{0, 0, 1, 7, 2, 0, 2, 1, 4, 255})                    // cancels incl. repeats
 	f.Add([]byte{0, 7, 0, 14, 0, 21, 0, 28, 3, 0, 3, 0, 3, 0, 3, 0}) // far jumps then drain
 	f.Add([]byte{1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5,
-		1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5}) // force a resize-up
+		1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5}) // a population several heap levels deep
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			t.Skip("cap the per-input work")
@@ -139,8 +198,8 @@ func FuzzScheduler(f *testing.F) {
 
 // TestRandomOperationsScheduler replays a fixed pseudo-random operation
 // stream through the differential harness so the property is exercised on
-// every plain `go test` run, fuzzing or not. Large enough to cross
-// several resize-up and resize-down boundaries.
+// every plain `go test` run, fuzzing or not. Large enough for a heap
+// several levels deep to grow and drain more than once.
 func TestRandomOperationsScheduler(t *testing.T) {
 	state := uint64(0x9E3779B97F4A7C15)
 	next := func() byte {

@@ -10,10 +10,9 @@ import (
 // one integer argument (a VM or PM identifier, or zero). Scheduling,
 // firing, snapshotting and restoring all read this one value: the queue
 // stores it, the engine's handle receives it when the event fires, and a
-// checkpoint writes it. Because dispatch order is total in (at, seq) —
-// independent of bucket geometry — re-queueing the saved tags with their
-// original sequence numbers reproduces the exact dispatch order of the
-// original run.
+// checkpoint writes it. Because dispatch order is total in (at, seq),
+// re-queueing the saved tags with their original sequence numbers
+// reproduces the exact dispatch order of the original run.
 //
 // Kind 0 is reserved for "untagged" (plain Schedule); the event kinds
 // themselves are defined by the simulation layer (cloudsim.go), not the
@@ -23,18 +22,17 @@ type Tag struct {
 	Arg  int64 `json:"a,omitempty"`
 }
 
-// QueuedEvent is one serialized calendar-queue entry: the full ordering
-// key plus the event's tag.
+// QueuedEvent is one serialized event: the full ordering key plus the
+// event's tag.
 type QueuedEvent struct {
 	At  float64 `json:"at"`
 	Seq uint64  `json:"seq"`
 	Tag Tag     `json:"tag"`
 }
 
-// EngineState is the serializable core of the engine. Bucket geometry
-// (count, width, cursor, dispatch history) is deliberately absent:
-// dispatch order depends only on (at, seq), so a restored engine may
-// rebuild any geometry it likes without perturbing the simulation.
+// EngineState is the serializable core of the engine. The heap's layout
+// is absent: dispatch order depends only on (at, seq), so a restored
+// engine may order its slots any way the heap allows.
 type EngineState struct {
 	Now        float64       `json:"now"`
 	Seq        uint64        `json:"seq"`
@@ -46,17 +44,12 @@ type EngineState struct {
 // fails if any live event is untagged — a callback cannot be written, so a
 // checkpoint containing one would not be restorable.
 func (e *Engine) SnapshotEvents() ([]QueuedEvent, error) {
-	evs := make([]QueuedEvent, 0, e.count)
-	for i := range e.buckets {
-		for rec := e.buckets[i].head; rec != nil; rec = rec.next {
-			if rec.tag.Kind == 0 {
-				return nil, fmt.Errorf("sim: untagged event at t=%g seq=%d cannot be snapshotted", rec.at, rec.seq)
-			}
-			evs = append(evs, QueuedEvent{At: rec.at, Seq: rec.seq, Tag: rec.tag})
+	evs := make([]QueuedEvent, 0, len(e.heap))
+	for _, s := range e.heap {
+		if s.rec.tag.Kind == 0 {
+			return nil, fmt.Errorf("sim: untagged event at t=%g seq=%d cannot be snapshotted", s.at, s.seq)
 		}
-	}
-	if len(evs) != e.count {
-		return nil, fmt.Errorf("sim: queue walk found %d events, count says %d", len(evs), e.count)
+		evs = append(evs, QueuedEvent{At: s.at, Seq: s.seq, Tag: s.rec.tag})
 	}
 	slices.SortFunc(evs, compareQueued)
 	return evs, nil
@@ -89,8 +82,8 @@ func (e *Engine) SnapshotState() (EngineState, error) {
 // therefore every future dispatch decision — is bit-identical to the
 // run that wrote the snapshot.
 func (e *Engine) RestoreState(st EngineState) ([]Event, error) {
-	if e.seq != 0 || e.count != 0 || e.dispatched != 0 {
-		return nil, fmt.Errorf("sim: RestoreState on a used engine (seq=%d, pending=%d)", e.seq, e.count)
+	if e.seq != 0 || len(e.heap) != 0 || e.dispatched != 0 {
+		return nil, fmt.Errorf("sim: RestoreState on a used engine (seq=%d, pending=%d)", e.seq, len(e.heap))
 	}
 	seen := make(map[uint64]struct{}, len(st.Events))
 	for i, ev := range st.Events {
@@ -111,22 +104,9 @@ func (e *Engine) RestoreState(st EngineState) ([]Event, error) {
 	e.now = st.Now
 	e.seq = st.Seq
 	e.dispatched = st.Dispatched
-	if e.buckets == nil {
-		e.initQueue()
-	}
 	handles := make([]Event, len(st.Events))
 	for i, ev := range st.Events {
-		rec := e.alloc()
-		rec.at = ev.At
-		rec.seq = ev.Seq
-		rec.g = e.gFor(ev.At)
-		rec.tag = ev.Tag
-		e.insert(rec)
-		e.count++
-		if e.count > 2*len(e.buckets) && len(e.buckets) < maxBuckets {
-			e.resize(2 * len(e.buckets))
-		}
-		handles[i] = Event{rec: rec, seq: rec.seq, at: ev.At}
+		handles[i] = e.schedule(ev.At, ev.Seq, ev.Tag, nil)
 	}
 	return handles, nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/stats"
@@ -134,6 +135,20 @@ func TestRestoreStateValidation(t *testing.T) {
 			}
 		})
 	}
+
+	// Each cell checks its own events; a seq held in two cells must be
+	// caught before the events are split.
+	t.Run("duplicate seq across cells", func(t *testing.T) {
+		sh := newScheduler(3, 6, func(Tag) {})
+		evs := []QueuedEvent{
+			{At: 10, Seq: 3, Tag: Tag{Kind: evDeparture, Arg: 1}},
+			{At: 11, Seq: 3, Tag: Tag{Kind: evDeparture, Arg: 2}},
+		}
+		if _, err := sh.RestoreState(EngineState{Now: 1, Seq: 5, Events: evs}); err == nil ||
+			!strings.Contains(err.Error(), "duplicate event seq 3") {
+			t.Fatalf("restore error = %v, want duplicate event seq 3", err)
+		}
+	})
 
 	t.Run("used engine", func(t *testing.T) {
 		e := &Engine{handle: func(Tag) {}}
