@@ -46,11 +46,14 @@ audit:
 ## randomized-operations differential (internal/audit.FuzzOperations),
 ## the event heap against a sorted-slice model (internal/sim.FuzzScheduler),
 ## the crash-injection resume differential (internal/sim.FuzzSnapshotResume),
-## the multi-cell crash-and-reshard differential
-## (internal/sim.FuzzCellOrchestrator), the decision-log reader against
+## the sharded engine's crash-and-reshard differential against the
+## monolith (internal/sim.FuzzCellOrchestrator), the decision-log reader against
 ## the recorder's encoders (internal/policy.FuzzParseDecisionLog), and the
 ## first-fit index against the linear walk (internal/cluster.FuzzFirstFit).
-## FUZZTIME=10s by default (each).
+## FUZZTIME=10s by default (each). More buys nothing on a 2-CPU host:
+## `go test -fuzz` stalls at 0 execs/s after about 12 s there (seen on
+## FuzzOperations and FuzzFirstFit), so a FUZZTIME above 10 s adds no
+## inputs.
 fuzz-smoke:
 	$(GO) test ./internal/audit -run '^$$' -fuzz FuzzOperations -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzScheduler -fuzztime $(FUZZTIME)
@@ -72,7 +75,7 @@ bench-smoke:
 
 ## check: the full pre-commit gate — vet, gofmt, the race-enabled test
 ## suite (covers the lock-free metrics hot path, the parallel experiment
-## harness, the multi-cell engine in internal/sim and internal/cell, and
+## harness, the multi-cell engine in internal/sim/cells.go, and
 ## the placement kernels in internal/core — the fan-outs behind
 ## MatrixOptions.Workers run under the race detector at explicit worker
 ## counts), the full-trace audit run, a fuzz smoke test, and a

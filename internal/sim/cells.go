@@ -3,29 +3,27 @@ package sim
 import (
 	"fmt"
 	"slices"
-
-	"repro/internal/cell"
 )
 
 // This file is the multi-cell engine: Config.Cells > 1 partitions the
-// fleet into C cells, each owning its own event heap, and a
-// shared-clock orchestrator (internal/cell) advances them in global
-// (at, seq) order. The per-cell engines share ONE sequence counter, so
-// the merged order is not merely "a" deterministic order — it is the
-// exact order the monolithic engine produces for the same run, which is
-// what the cell-differential golden battery asserts byte-for-byte.
+// fleet into C cells, each owning its own event heap, and Step advances
+// whichever cell holds the globally next (at, seq) event. The per-cell
+// engines share ONE sequence counter, so the merged order is not merely
+// "a" deterministic order — it is the exact order the monolithic engine
+// produces for the same run, which is what the cell-differential golden
+// battery asserts byte-for-byte.
 //
 // Events are routed to cells by their snapshot tag: VM-lifecycle events
 // follow the VM's cell ((id-1) mod C), PM-lifecycle events follow the
 // PM's contiguous ID range, and the control tick — a global concern —
 // lives on cell 0. Cross-cell work (the global spare budget, failure
 // injection's single RNG stream, consolidation moves that cross a cell
-// boundary) happens inside handlers fired from the orchestrator step,
-// never by one cell reaching into another's queue.
+// boundary) happens inside handlers fired from that one step, never by
+// one cell reaching into another's queue.
 //
-// A cells run differs from the monolith in nothing it outputs — that is its
-// contract. The engine is kept only as the seam bench/ drives through
-// Config.Cells; ROADMAP item 2 deletes it.
+// A cells run differs from the monolith in nothing it writes, its
+// checkpoints included — that is its contract. The engine is kept only as
+// the seam bench/ drives through Config.Cells; ROADMAP item 2 deletes it.
 
 // scheduler is the engine seam the simulation layer drives. Both the
 // monolithic *Engine and the sharded multi-cell engine satisfy it; the
@@ -51,69 +49,78 @@ func newScheduler(cells, fleet int, handle func(Tag)) scheduler {
 	if cells <= 1 {
 		return &Engine{handle: handle}
 	}
-	part, err := cell.NewPartition(cells, fleet)
+	part, err := newPartition(cells, fleet)
 	if err != nil {
-		panic(fmt.Sprintf("sim: %v", err)) // unreachable: setDefaults validated
+		panic(err) // unreachable: setDefaults validated
 	}
-	sh := &shardedEngine{part: part}
-	sh.cells = make([]*Engine, cells)
-	queues := make([]cell.Queue, cells)
+	sh := &shardedEngine{part: part, cells: make([]*Engine, cells)}
 	for i := range sh.cells {
-		e := &Engine{handle: handle}
-		e.UseSharedSeq(&sh.seqCtr)
-		sh.cells[i] = e
-		queues[i] = e
+		sh.cells[i] = &Engine{handle: handle, seqShared: &sh.seqCtr}
 	}
-	sh.orch = cell.NewOrchestrator(queues)
 	return sh
 }
 
-// The Engine methods below exist for the sharded engine alone: a shared
-// sequence counter, and the cell.Queue view its orchestrator merges.
-
-// UseSharedSeq attaches a shared sequence counter, before the first
-// Schedule: re-seating it mid-run could give two events one number.
-func (e *Engine) UseSharedSeq(ctr *uint64) {
-	if e.seq != 0 || len(e.heap) != 0 || e.dispatched != 0 {
-		panic("sim: UseSharedSeq on a used engine")
-	}
-	e.seqShared = ctr
+// partition maps fleet entities to cells. PMs get balanced contiguous
+// ID ranges (cell 0 owns the lowest IDs) so a cell is a physically
+// meaningful slice of the datacenter; VMs are struck round-robin by ID
+// so arrival load spreads evenly regardless of lifetime skew. Both maps
+// are pure functions of (cells, fleet), so a checkpoint records neither:
+// a restore re-derives every event's cell from its tag under its own
+// partition.
+type partition struct {
+	cells int // >= 1
+	fleet int // number of PMs; PM IDs are dense 0..fleet-1
 }
 
-// HasPendingEvents reports whether any live event is queued. With
-// PeekNextEventTime and ProcessNextEvent it is the cell.Queue the
-// multi-cell orchestrator merges.
-func (e *Engine) HasPendingEvents() bool { return len(e.heap) > 0 }
-
-// PeekNextEventTime returns the next event's (at, seq) key; ok is false
-// when the queue is empty.
-func (e *Engine) PeekNextEventTime() (at float64, seq uint64, ok bool) {
-	if len(e.heap) == 0 {
-		return 0, 0, false
+// newPartition validates and builds a partition. cells must be in
+// [1, fleet]: an empty cell would own no PMs and could never host a
+// placement, so it is rejected rather than silently idle.
+func newPartition(cells, fleet int) (partition, error) {
+	switch {
+	case fleet < 1:
+		return partition{}, fmt.Errorf("sim: fleet size %d < 1", fleet)
+	case cells < 1:
+		return partition{}, fmt.Errorf("sim: cell count %d < 1", cells)
+	case cells > fleet:
+		return partition{}, fmt.Errorf("sim: %d cells > %d PMs (every cell must own at least one PM)", cells, fleet)
 	}
-	return e.heap[0].at, e.heap[0].seq, true
+	return partition{cells: cells, fleet: fleet}, nil
 }
 
-// ProcessNextEvent is Step under the cell.Queue interface's name.
-func (e *Engine) ProcessNextEvent() bool { return e.Step() }
+// pmCell returns the cell owning PM id. The first fleet%cells cells own
+// one extra PM, so range sizes differ by at most one.
+func (p partition) pmCell(id int) int {
+	if id < 0 || id >= p.fleet {
+		panic(fmt.Sprintf("sim: PM id %d outside fleet [0,%d)", id, p.fleet))
+	}
+	base, rem := p.fleet/p.cells, p.fleet%p.cells
+	if wide := rem * (base + 1); id >= wide {
+		return rem + (id-wide)/base
+	}
+	return id / (base + 1)
+}
+
+// vmCell returns the cell owning VM id. VM IDs are 1-based (the
+// simulator assigns them in arrival order), so VM 1 lands on cell 0.
+func (p partition) vmCell(id int64) int {
+	if id < 1 {
+		panic(fmt.Sprintf("sim: VM id %d < 1", id))
+	}
+	return int((id - 1) % int64(p.cells))
+}
 
 // shardedEngine is C per-cell event heaps behind one scheduler
 // facade. The global clock, dispatch count, and sequence counter live
 // here; each cell engine's local clock lags the global one (it only
-// advances when that cell fires) and its local seq counter is unused.
+// advances when that cell fires) and draws its sequence numbers from
+// seqCtr.
 type shardedEngine struct {
-	part  cell.Partition
+	part  partition
 	cells []*Engine
-	orch  *cell.Orchestrator
 
 	now        float64
 	seqCtr     uint64
 	dispatched uint64
-
-	// restoreDisp carries per-cell dispatch counts from a same-C
-	// checkpoint into RestoreState (nil on a cross-C re-shard restore,
-	// where per-cell attribution restarts at zero).
-	restoreDisp []uint64
 
 	// verifySeen is VerifyQueue's duplicate-sequence scratch, kept on the
 	// engine so the per-event audit does not allocate a fresh map for
@@ -127,9 +134,9 @@ type shardedEngine struct {
 func (sh *shardedEngine) route(tag Tag) int {
 	switch tag.Kind {
 	case evArrival, evCreationDone, evDeparture, evMigCutover:
-		return sh.part.VMCell(tag.Arg)
+		return sh.part.vmCell(tag.Arg)
 	case evBootDone, evShutdownDone, evFailure, evRepaired:
-		return sh.part.PMCell(int(tag.Arg))
+		return sh.part.pmCell(int(tag.Arg))
 	default: // evControlTick and anything untagged-adjacent
 		return 0
 	}
@@ -175,18 +182,25 @@ func (sh *shardedEngine) reserve(n int) uint64 {
 }
 
 // Step fires the globally next event: peek every cell, advance the
-// shared clock to the minimum (at, seq), and dispatch it inside that
-// cell.
+// shared clock to the minimum (at, seq), and step that cell. Seqs are
+// unique across cells, so the minimum is unique; were one seq live in two
+// cells (VerifyQueue names that), the strict comparison would still pick
+// the lowest cell.
 func (sh *shardedEngine) Step() bool {
-	at, _, ci, ok := sh.orch.Peek()
-	if !ok {
+	next := -1
+	var at float64
+	var seq uint64
+	for i, e := range sh.cells {
+		if a, s, ok := e.PeekNextEventTime(); ok && (next < 0 || a < at || (a == at && s < seq)) {
+			next, at, seq = i, a, s
+		}
+	}
+	if next < 0 {
 		return false
 	}
 	sh.now = at
 	sh.dispatched++
-	if !sh.cells[ci].Step() {
-		panic(fmt.Sprintf("sim: cell %d peeked an event but had none to fire", ci))
-	}
+	sh.cells[next].Step()
 	return true
 }
 
@@ -226,11 +240,10 @@ func (sh *shardedEngine) VerifyQueue() error {
 }
 
 // SnapshotState merges every cell's pending events into one (At, Seq)-
-// sorted list under the global clock and counters. The result is
-// cell-agnostic — identical to what the monolith would snapshot at the
-// same event boundary — which is what lets a C=8 checkpoint restore
-// into any other cell count: RestoreState re-derives each event's cell
-// from its tag under the TARGET partition.
+// sorted list under the global clock and counters: exactly what the
+// monolith snapshots at the same event boundary, which is what lets a
+// C=8 checkpoint restore into any other cell count — RestoreState
+// re-derives each event's cell from its tag under the TARGET partition.
 func (sh *shardedEngine) SnapshotState() (EngineState, error) {
 	var evs []QueuedEvent
 	for ci, e := range sh.cells {
@@ -244,33 +257,10 @@ func (sh *shardedEngine) SnapshotState() (EngineState, error) {
 	return EngineState{Now: sh.now, Seq: sh.seqCtr, Dispatched: sh.dispatched, Events: evs}, nil
 }
 
-// cellDispatched returns each cell's dispatch count (the snapshot's
-// per-cell section).
-func (sh *shardedEngine) cellDispatched() []uint64 {
-	out := make([]uint64, len(sh.cells))
-	for i, e := range sh.cells {
-		out[i] = e.Dispatched()
-	}
-	return out
-}
-
-// setRestoreDispatched stages per-cell dispatch counts for the next
-// RestoreState. They only apply when the snapshot's cell count matches
-// this engine's — the documented re-shard path (any other C, including
-// a monolith snapshot) restores per-cell attribution from zero while
-// the global count is preserved.
-func (sh *shardedEngine) setRestoreDispatched(snapshotCells int, disp []uint64) {
-	if snapshotCells == sh.part.Cells && len(disp) == sh.part.Cells {
-		sh.restoreDisp = disp
-	} else {
-		sh.restoreDisp = nil
-	}
-}
-
-// RestoreState loads a (cell-agnostic) engine snapshot: events are
-// partitioned by routing tag under THIS engine's cell count, re-armed
-// with their original sequence numbers, and the returned handles are
-// index-aligned with st.Events exactly like the monolith's RestoreState.
+// RestoreState loads an engine snapshot: events are partitioned by
+// routing tag under THIS engine's cell count, re-armed with their
+// original sequence numbers, and the returned handles are index-aligned
+// with st.Events exactly like the monolith's RestoreState.
 func (sh *shardedEngine) RestoreState(st EngineState) ([]Event, error) {
 	if sh.seqCtr != 0 || sh.dispatched != 0 || sh.Pending() != 0 {
 		return nil, fmt.Errorf("sim: RestoreState on a used sharded engine (seq=%d, pending=%d)", sh.seqCtr, sh.Pending())
@@ -290,11 +280,7 @@ func (sh *shardedEngine) RestoreState(st EngineState) ([]Event, error) {
 	}
 	handles := make([]Event, len(st.Events))
 	for c, e := range sh.cells {
-		var disp uint64
-		if sh.restoreDisp != nil {
-			disp = sh.restoreDisp[c]
-		}
-		hs, err := e.RestoreState(EngineState{Now: st.Now, Seq: st.Seq, Dispatched: disp, Events: perEv[c]})
+		hs, err := e.RestoreState(EngineState{Now: st.Now, Seq: st.Seq, Events: perEv[c]})
 		if err != nil {
 			return nil, fmt.Errorf("sim: cell %d: %w", c, err)
 		}
@@ -305,6 +291,5 @@ func (sh *shardedEngine) RestoreState(st EngineState) ([]Event, error) {
 	sh.now = st.Now
 	sh.seqCtr = st.Seq
 	sh.dispatched = st.Dispatched
-	sh.restoreDisp = nil
 	return handles, nil
 }

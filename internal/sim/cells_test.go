@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/audit"
@@ -133,7 +135,7 @@ func TestShardedDispatchOrderMatchesMonolith(t *testing.T) {
 // reference's canonical trace byte-for-byte and its exact Result. Beyond
 // the cell counts of the first row: the sharded engine under the per-event
 // auditor (VerifyQueue's cross-cell invariants after every event, the
-// snapshot round-trip with its cell sections every period); a static
+// snapshot round-trip every period); a static
 // scheme, whose run never touches the placement kernels; and the other
 // seam bench/ drives, Config.KernelWorkers, alone and with cells.
 func TestCellDifferentialSweep(t *testing.T) {
@@ -323,76 +325,252 @@ func TestCrashResumeCellBoundaries(t *testing.T) {
 	}
 }
 
-// TestCellSnapshotSections pins the per-cell envelope sections: a
-// sharded run's snapshot records its cell count and per-cell dispatch
-// attribution summing exactly to the global count; a same-C restore
-// resumes that attribution (byte-identical re-save, which the snapshot
-// auditor also enforces every period); a monolith snapshot carries no
-// cell sections at all.
+// TestCellSnapshotSections pins that a cells checkpoint is the
+// monolith's: after the same 200 events, a run under Cells 2 and 6 saves
+// exactly the bytes the monolith saves, and a restore of the sharded
+// checkpoint under its own cell count re-saves them unchanged.
 func TestCellSnapshotSections(t *testing.T) {
-	decode := func(ckpt []byte) simState {
-		f, err := snapshot.Read(bytes.NewReader(ckpt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st simState
-		if err := json.Unmarshal(f.State, &st); err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	save := func(cells int, steps int) []byte {
-		m, err := New(cellCfg(cells, 3, nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < steps; i++ {
-			if ok, err := m.Step(); err != nil || !ok {
-				t.Fatalf("step %d: ok=%v err=%v", i, ok, err)
-			}
-		}
+	save := func(m *Sim) []byte {
 		var ckpt bytes.Buffer
 		if err := m.Save(&ckpt); err != nil {
 			t.Fatal(err)
 		}
 		return ckpt.Bytes()
 	}
-
-	st := decode(save(6, 200))
-	if st.Cells != 6 || len(st.CellDispatched) != 6 {
-		t.Fatalf("sharded snapshot sections: cells=%d, dispatched len %d, want 6/6", st.Cells, len(st.CellDispatched))
-	}
-	var sum uint64
-	for _, d := range st.CellDispatched {
-		sum += d
-	}
-	if sum != st.Engine.Dispatched {
-		t.Fatalf("per-cell dispatch attribution sums to %d, global is %d", sum, st.Engine.Dispatched)
-	}
-
-	mono := decode(save(1, 200))
-	if mono.Cells != 0 || mono.CellDispatched != nil {
-		t.Fatalf("monolith snapshot carries cell sections: cells=%d, dispatched=%v", mono.Cells, mono.CellDispatched)
+	after := func(cells, steps int) []byte {
+		m, err := New(cellCfg(cells, 3, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < steps; i++ {
+			if ok, err := m.Step(); err != nil || !ok {
+				t.Fatalf("cells %d step %d: ok=%v err=%v", cells, i, ok, err)
+			}
+		}
+		return save(m)
 	}
 
-	// Same-C restore resumes attribution: restore the sharded checkpoint
-	// and re-save; the per-cell sections must match bit-for-bit.
-	m2, err := Restore(cellCfg(6, 3, nil), bytes.NewReader(save(6, 200)))
+	mono := after(1, 200)
+	for _, cells := range []int{2, 6} {
+		got := after(cells, 200)
+		if !bytes.Equal(got, mono) {
+			at, a, b := diffContext(mono, got)
+			t.Fatalf("cells %d checkpoint differs from the monolith's at byte %d:\nmonolith: ...%s\ncells:    ...%s",
+				cells, at, a, b)
+		}
+		m, err := Restore(cellCfg(cells, 3, nil), bytes.NewReader(got))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again := save(m); !bytes.Equal(again, mono) {
+			at, a, b := diffContext(mono, again)
+			t.Fatalf("cells %d re-save after restore differs at byte %d:\nsaved:    ...%s\nre-saved: ...%s",
+				cells, at, a, b)
+		}
+	}
+}
+
+// TestRestoreOldCellSections restores a checkpoint as older builds wrote
+// it under Cells > 1: the same version-2 envelope, its state carrying the
+// per-cell "cells" and "cell_dispatched" keys. Decoding ignores both, and
+// the run resumed under Cells 1 and 3 finishes on the uninterrupted run's
+// canonical trace.
+func TestRestoreOldCellSections(t *testing.T) {
+	const seed = 3
+	var full bytes.Buffer
+	ref, err := New(cellCfg(1, seed, &full))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var again bytes.Buffer
-	if err := m2.Save(&again); err != nil {
+	resA := runToEnd(t, ref)
+	fullCanon := canon(t, full.Bytes())
+
+	var prefix bytes.Buffer
+	m, err := New(cellCfg(6, seed, &prefix))
+	if err != nil {
 		t.Fatal(err)
 	}
-	st2 := decode(again.Bytes())
-	if st2.Cells != st.Cells || len(st2.CellDispatched) != len(st.CellDispatched) {
-		t.Fatalf("re-saved sections drifted: %+v vs %+v", st2.Cells, st.Cells)
-	}
-	for i := range st.CellDispatched {
-		if st2.CellDispatched[i] != st.CellDispatched[i] {
-			t.Fatalf("cell %d dispatch attribution drifted: %d vs %d", i, st2.CellDispatched[i], st.CellDispatched[i])
+	for m.Dispatched() < ref.Dispatched()/2 {
+		if ok, err := m.Step(); err != nil || !ok {
+			t.Fatalf("step: ok=%v err=%v", ok, err)
 		}
+	}
+	var ckpt bytes.Buffer
+	if err := m.Save(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	f, err := snapshot.Read(&ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Spread the dispatch count over six cells, as the old attribution did.
+	d := m.Dispatched()
+	disp := make([]uint64, 6)
+	for i := range disp {
+		disp[i] = d / 6
+	}
+	disp[0] += d % 6
+	sections, err := json.Marshal(map[string]any{"cells": 6, "cell_dispatched": disp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := append(bytes.TrimSuffix(bytes.TrimSpace(f.State), []byte("}")), ',')
+	state = append(state, sections[1:]...)
+	var old bytes.Buffer
+	if err := snapshot.Write(&old, f.Meta, json.RawMessage(state)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(old.Bytes(), []byte(`"cell_dispatched":[`)) {
+		t.Fatal("old-format checkpoint lacks its cell_dispatched section")
+	}
+
+	for _, cells := range []int{1, 3} {
+		var tail bytes.Buffer
+		m2, err := Restore(cellCfg(cells, seed, &tail), bytes.NewReader(old.Bytes()))
+		if err != nil {
+			t.Fatalf("cells %d: restore old-format checkpoint: %v", cells, err)
+		}
+		resB := runToEnd(t, m2)
+		combined := append(canon(t, prefix.Bytes()), canon(t, tail.Bytes())...)
+		if !bytes.Equal(combined, fullCanon) {
+			at, a, b := diffContext(fullCanon, combined)
+			t.Fatalf("cells %d: trace diverges at byte %d:\nfull:    ...%s\nresumed: ...%s", cells, at, a, b)
+		}
+		if resA.Summary != resB.Summary {
+			t.Fatalf("cells %d: summaries differ:\nfull:    %+v\nresumed: %+v", cells, resA.Summary, resB.Summary)
+		}
+	}
+}
+
+// TestShardedVerifyQueue corrupts a sharded engine four ways, each in a
+// way only the cross-cell checks can see, and requires VerifyQueue to
+// name each. The two-cell seq row also pins Step's tie-break: an exact
+// (at, seq) tie fires the lower cell first.
+func TestShardedVerifyQueue(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(sh *shardedEngine)
+		want    string
+		order   []int64 // if set, the tags' Args in the order Step fires them
+	}{
+		{"wrong cell", func(sh *shardedEngine) {
+			sh.cells[1].ScheduleTag(10, Tag{Kind: evDeparture, Arg: 1}) // VM 1 routes to cell 0
+		}, "resident in cell 1, routes to 0", nil},
+		{"seq in two cells", func(sh *shardedEngine) {
+			base := sh.reserve(1)
+			sh.cells[1].scheduleSeq(10, base+1, Tag{Kind: evDeparture, Arg: 2})
+			sh.cells[0].scheduleSeq(10, base+1, Tag{Kind: evDeparture, Arg: 1})
+		}, "is live in two cells", []int64{0, 1, 2, 5}},
+		{"seq beyond counter", func(sh *shardedEngine) {
+			sh.cells[2].scheduleSeq(10, sh.seqCtr+5, Tag{Kind: evDeparture, Arg: 3})
+		}, "beyond shared counter", nil},
+		{"before global clock", func(sh *shardedEngine) {
+			sh.ScheduleTag(10, Tag{Kind: evDeparture, Arg: 2})
+			sh.now = 20
+		}, "before global now 20", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var fired []int64
+			sh := newScheduler(3, 6, func(tag Tag) { fired = append(fired, tag.Arg) }).(*shardedEngine)
+			sh.ScheduleTag(5, Tag{Kind: evControlTick})
+			sh.ScheduleTag(30, Tag{Kind: evBootDone, Arg: 5})
+			if err := sh.VerifyQueue(); err != nil {
+				t.Fatalf("sound queue rejected: %v", err)
+			}
+			tc.corrupt(sh)
+			err := sh.VerifyQueue()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("VerifyQueue = %v, want %q", err, tc.want)
+			}
+			if tc.order != nil {
+				for sh.Step() {
+				}
+				if !slices.Equal(fired, tc.order) {
+					t.Fatalf("fired args %v, want %v (the lower cell first on a tie)", fired, tc.order)
+				}
+			}
+		})
+	}
+}
+
+// TestPartitionPMRanges asserts the PM map is a balanced contiguous
+// partition: the test derives each cell's range itself (the first
+// fleet%cells cells one PM wider), checks that the ranges tile
+// [0, fleet) with sizes within one, and that pmCell inverts them.
+func TestPartitionPMRanges(t *testing.T) {
+	for _, tc := range []struct{ cells, fleet int }{
+		{1, 1}, {1, 8}, {2, 8}, {3, 8}, {8, 8}, {4, 10}, {7, 100}, {64, 1000},
+	} {
+		p, err := newPartition(tc.cells, tc.fleet)
+		if err != nil {
+			t.Fatalf("newPartition(%d,%d): %v", tc.cells, tc.fleet, err)
+		}
+		base, rem := tc.fleet/tc.cells, tc.fleet%tc.cells
+		lo := 0
+		for c := 0; c < tc.cells; c++ {
+			size := base
+			if c < rem {
+				size++
+			}
+			if size < 1 || size < base || size > base+1 {
+				t.Fatalf("cells=%d fleet=%d: cell %d owns %d PMs", tc.cells, tc.fleet, c, size)
+			}
+			for id := lo; id < lo+size; id++ {
+				if got := p.pmCell(id); got != c {
+					t.Fatalf("cells=%d fleet=%d: pmCell(%d) = %d, want %d", tc.cells, tc.fleet, id, got, c)
+				}
+			}
+			lo += size
+		}
+		if lo != tc.fleet {
+			t.Fatalf("cells=%d fleet=%d: ranges cover [0,%d), want [0,%d)", tc.cells, tc.fleet, lo, tc.fleet)
+		}
+	}
+}
+
+// TestPartitionVMCell pins the round-robin VM map: VM 1 on cell 0, and
+// consecutive IDs cycling through every cell.
+func TestPartitionVMCell(t *testing.T) {
+	p, err := newPartition(3, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(1); id <= 12; id++ {
+		want := int((id - 1) % 3)
+		if got := p.vmCell(id); got != want {
+			t.Fatalf("vmCell(%d) = %d, want %d", id, got, want)
+		}
+	}
+}
+
+// TestPartitionValidation pins the rejection rules (no zero or negative
+// cell counts, no empty cells, no empty fleets) and the panics on an ID
+// outside the fleet.
+func TestPartitionValidation(t *testing.T) {
+	for _, tc := range []struct{ cells, fleet int }{
+		{0, 8}, {-1, 8}, {9, 8}, {1, 0}, {2, 1},
+	} {
+		if _, err := newPartition(tc.cells, tc.fleet); err == nil {
+			t.Errorf("newPartition(%d,%d) accepted, want error", tc.cells, tc.fleet)
+		}
+	}
+	p, err := newPartition(3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]func(){
+		"pm -1": func() { p.pmCell(-1) },
+		"pm 8":  func() { p.pmCell(8) },
+		"vm 0":  func() { p.vmCell(0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
 	}
 }
 
@@ -444,7 +622,9 @@ func TestCellConfigValidation(t *testing.T) {
 	}
 }
 
-// FuzzCellOrchestrator is the randomized cell-differential: the fuzzer
+// FuzzCellOrchestrator is the randomized cell-differential; it drives the
+// sharded engine, and keeps its name because the committed corpus under
+// testdata/fuzz is filed by it. The fuzzer
 // picks the workload shape, failure seed, cell count, a checkpoint
 // boundary, and a (possibly different) restore cell count; the harness
 // runs the monolith reference, runs the sharded world, crashes it at

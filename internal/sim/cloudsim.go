@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"repro/internal/audit"
-	"repro/internal/cell"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/failure"
@@ -76,11 +75,11 @@ type Config struct {
 	Obs *obs.Observer
 
 	// Cells partitions the fleet into this many cells, each with its own
-	// event heap, advanced in global (at, seq) order by the
-	// shared-clock orchestrator (internal/cell; DESIGN.md §14). 0 or 1
-	// runs the monolithic engine — the exact single-cell code path. Any
-	// C produces bit-identical results, traces and metrics: sharding
-	// changes how the event queue is stored, never what fires when. Kept
+	// event heap, advanced in global (at, seq) order by one shared-clock
+	// step (cells.go; DESIGN.md §14). 0 or 1 runs the monolithic engine —
+	// the exact single-cell code path. Any C produces bit-identical
+	// results, traces, metrics and checkpoints: sharding changes how the
+	// event queue is stored, never what fires when. Kept
 	// only as the seam bench/ drives; ROADMAP item 2 deletes it.
 	Cells int
 
@@ -122,8 +121,8 @@ func (c *Config) setDefaults() error {
 		return fmt.Errorf("sim: negative kernel worker count %d", c.KernelWorkers)
 	}
 	if c.Cells > 1 {
-		if _, err := cell.NewPartition(c.Cells, c.DC.Size()); err != nil {
-			return fmt.Errorf("sim: %w", err)
+		if _, err := newPartition(c.Cells, c.DC.Size()); err != nil {
+			return err
 		}
 	}
 	if err := c.Failures.Validate(); err != nil {

@@ -86,9 +86,10 @@ type Engine struct {
 	heap []slot
 	free *record
 
-	// seqShared, when set, replaces the local seq counter with one shared
-	// by the sharded engine's cells, so sequence numbers are unique across
-	// cells and the merged (at, seq) order is the monolith's (DESIGN.md §14).
+	// seqShared, when set (by newScheduler, for a sharded engine's cells),
+	// replaces the local seq counter with one shared by the cells, so
+	// sequence numbers are unique across cells and the merged (at, seq)
+	// order is the monolith's (DESIGN.md §14).
 	seqShared *uint64
 
 	// handle fires every tagged event; newScheduler installs the simulator's.
@@ -193,6 +194,15 @@ func (e *Engine) Step() bool {
 		e.handle(tag)
 	}
 	return true
+}
+
+// PeekNextEventTime returns the next event's (at, seq) key; ok is false
+// when the queue is empty.
+func (e *Engine) PeekNextEventTime() (at float64, seq uint64, ok bool) {
+	if len(e.heap) == 0 {
+		return 0, 0, false
+	}
+	return e.heap[0].at, e.heap[0].seq, true
 }
 
 // Run dispatches events until the queue is empty.

@@ -70,7 +70,8 @@ func scaleWeek(t *testing.T) []workload.Request {
 // of its canonical run trace and decision log: the one tier-1 run at three
 // times the paper's fleet. The run is then checkpointed after a third of
 // its arrivals, while most are still unfired, and resumed under one cell
-// and under three; each resumed run must complete both digests.
+// and under three; each resumed run must re-save the checkpoint's exact
+// bytes right after Restore, and complete both digests.
 func TestScaleWeekDigest(t *testing.T) {
 	const (
 		wantRun uint64 = 0x752f3ace090f9283
@@ -134,6 +135,15 @@ func TestScaleWeekDigest(t *testing.T) {
 		m, err := Restore(cfg(cells, run, dec), bytes.NewReader(ckpt))
 		if err != nil {
 			t.Fatalf("cells %d: %v", cells, err)
+		}
+		var again bytes.Buffer
+		if err := m.Save(&again); err != nil {
+			t.Fatalf("cells %d: re-save: %v", cells, err)
+		}
+		if !bytes.Equal(again.Bytes(), ckpt) {
+			at, a, b := diffContext(ckpt, again.Bytes())
+			t.Fatalf("cells %d: re-save after Restore differs at byte %d:\nsaved:    ...%s\nre-saved: ...%s",
+				cells, at, a, b)
 		}
 		assertSameOutcome(t, res, runToEnd(t, m))
 		if got := run.h.Sum64(); got != wantRun {

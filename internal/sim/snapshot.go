@@ -119,18 +119,6 @@ type simState struct {
 	// from uninstrumented runs keep their pre-policy-lab byte layout.
 	DecisionSeq uint64              `json:"decision_seq,omitempty"`
 	PlacerState *policy.PlacerState `json:"placer_state,omitempty"`
-
-	// Per-cell sections, present only when the run was sharded
-	// (Config.Cells > 1). The engine events themselves are stored
-	// cell-agnostically (merged, sorted by (At, Seq)) so a snapshot can
-	// restore into ANY cell count — the target config's partition
-	// re-derives each event's cell from its routing tag. These sections
-	// carry only the per-cell diagnostic attribution: when the restoring
-	// config's cell count matches Cells, each cell's dispatch counter
-	// resumes; otherwise (the re-shard path) per-cell attribution
-	// restarts at zero while the global Engine.Dispatched is preserved.
-	Cells          int      `json:"cells,omitempty"`
-	CellDispatched []uint64 `json:"cell_dispatched,omitempty"`
 }
 
 // meta fingerprints the run configuration for snapshot compatibility.
@@ -250,10 +238,6 @@ func (s *simulator) captureState() (*simState, error) {
 		st.DecisionSeq = s.decisionSeq0
 	}
 	st.PlacerState = policy.CaptureState(s.cfg.Placer)
-	if sh, ok := s.eng.(*shardedEngine); ok {
-		st.Cells = sh.part.Cells
-		st.CellDispatched = sh.cellDispatched()
-	}
 	return st, nil
 }
 
@@ -432,8 +416,7 @@ func (s *simulator) restore(st *simState) error {
 	// cancellation maps re-armed from the returned handles. A sharded
 	// engine re-derives every event's cell from its routing tag under the
 	// CURRENT config's partition, so a snapshot written at one cell count
-	// restores into any other (the re-shard path); per-cell dispatch
-	// attribution carries over only when the counts match.
+	// restores into any other (the re-shard path).
 	for i, ev := range st.Engine.Events {
 		if !s.names(ev.Tag) {
 			return fmt.Errorf("sim: restore event queue: event %d (kind %d, arg %d) names nothing the snapshot holds",
@@ -443,9 +426,6 @@ func (s *simulator) restore(st *simState) error {
 	queued, err := s.restoreArrivals(st.Engine, st.Arrived)
 	if err != nil {
 		return fmt.Errorf("sim: restore event queue: %w", err)
-	}
-	if sh, ok := s.eng.(*shardedEngine); ok {
-		sh.setRestoreDispatched(st.Cells, st.CellDispatched)
 	}
 	handles, err := s.eng.RestoreState(queued)
 	if err != nil {
