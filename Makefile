@@ -48,8 +48,10 @@ audit:
 ## the crash-injection resume differential (internal/sim.FuzzSnapshotResume),
 ## the sharded engine's crash-and-reshard differential against the
 ## monolith (internal/sim.FuzzCellOrchestrator), the decision-log reader against
-## the recorder's encoders (internal/policy.FuzzParseDecisionLog), and the
-## first-fit index against the linear walk (internal/cluster.FuzzFirstFit).
+## the recorder's encoders (internal/policy.FuzzParseDecisionLog), the trace
+## renderer on hostile bytes, seeded from the golden run's binary streams
+## (internal/obs.FuzzRender), and the first-fit index against the linear
+## walk (internal/cluster.FuzzFirstFit).
 ## FUZZTIME=10s by default (each). More buys nothing on a 2-CPU host:
 ## `go test -fuzz` stalls at 0 execs/s after about 12 s there (seen on
 ## FuzzOperations and FuzzFirstFit), so a FUZZTIME above 10 s adds no
@@ -60,6 +62,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzSnapshotResume -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzCellOrchestrator -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/policy -run '^$$' -fuzz FuzzParseDecisionLog -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzRender -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzFirstFit -fuzztime $(FUZZTIME)
 
 ## bench-smoke: run every Kernel*, Engine*, Meter*, Sweep and FirstFit

@@ -48,6 +48,12 @@ func TestDecisionLogDigest(t *testing.T) {
 			if got := canonicalDigest(t, dec); got != row.decisions {
 				t.Errorf("decision log digest %#x, want %#x", got, row.decisions)
 			}
+			if row.name == "golden-fixture" {
+				// The same log as an earlier build wrote it, in JSONL.
+				if got := canonicalDigest(t, filepath.Join("testdata", "golden_decisions.jsonl")); got != row.decisions {
+					t.Errorf("checked-in JSONL log digest %#x, want %#x", got, row.decisions)
+				}
+			}
 			if runTrace != "" {
 				if got := canonicalDigest(t, runTrace); got != row.runs {
 					t.Errorf("run trace digest %#x, want %#x", got, row.runs)

@@ -6,26 +6,30 @@
 //
 //	dvmpsim [-scheme dynamic] [-swf lpc.swf] [-seed 1] [-spare]
 //	        [-nodes 100] [-csv out.csv] [-v]
-//	        [-trace run.jsonl] [-metrics run.metrics.json]
-//	        [-decisions dec.jsonl]
-//	        [-replay dec.jsonl [-what-if IDX:ALT | -list]]
+//	        [-trace run.trace] [-metrics run.metrics.json]
+//	        [-decisions dec.log]
+//	        [-replay dec.log [-what-if IDX:ALT | -list]]
 //	        [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // The -cpuprofile and -memprofile flags capture runtime/pprof profiles of
 // the whole run for `go tool pprof`; the placement hot path (matrix build
 // and per-round refresh) is where the samples land under -scheme dynamic.
 //
-// -trace writes the structured JSONL run trace (one schema-versioned
-// event per line: arrivals, placements, migrations, boots, failures,
-// spare plans — see internal/obs and DESIGN.md §9); summarize or diff it
-// with cmd/tracestat. -metrics dumps the run's metrics registry (event
-// counters, queue-wait histogram, per-phase wall-clock timings) as JSON.
-// Two runs with the same flags produce byte-identical traces once the
-// wall-clock field is stripped (`tracestat -diff` does this).
+// -trace writes the structured run trace (one schema-versioned event a
+// record: arrivals, placements, migrations, boots, failures, spare plans —
+// see internal/obs and DESIGN.md §9) as binary records;
+// `tracestat -render run.trace` prints it as JSONL, one event a line, and
+// tracestat summarizes or diffs it as it is. -metrics dumps the run's
+// metrics registry (event counters, queue-wait histogram, per-phase
+// wall-clock timings) as JSON. Two runs with the same flags render
+// byte-identical traces once the wall-clock field is stripped
+// (`tracestat -diff` does this).
 //
 // -decisions records every policy decision — arrival placements with
 // their top-k rejected alternatives, consolidation move batches, and
-// spare-pool targets — as a separate JSONL stream (see DESIGN.md §16).
+// spare-pool targets — as a separate stream of the same binary records,
+// rendered the same way (see DESIGN.md §16). -replay reads such a log, a
+// JSONL one, or a mix.
 // The decision stream has its own logical clock, so recording leaves the
 // run trace byte-identical to an unrecorded run (TestTraceEquivalence
 // pins this).
@@ -86,8 +90,8 @@ func run(args []string, out io.Writer) error {
 	var (
 		scheme    = fs.String("scheme", "dynamic", "placement scheme: first-fit, best-fit, worst-fit, random, threshold, dynamic, overbook, dynamic-adaptive")
 		swfPath   = fs.String("swf", "", "SWF workload file (default: synthetic week from -seed)")
-		tracePath = fs.String("trace", "", "write the structured JSONL run trace to this file")
-		decPath   = fs.String("decisions", "", "record every placement decision (with top-k alternatives) as JSONL to this file; replay with -replay")
+		tracePath = fs.String("trace", "", "write the run trace to this `file` as binary records; tracestat -render prints them as JSONL")
+		decPath   = fs.String("decisions", "", "record every placement decision (with top-k alternatives) to this `file` as binary records; replay with -replay, print as JSONL with tracestat -render")
 		metrPath  = fs.String("metrics", "", "write the run's metrics registry as JSON to this file")
 		seed      = fs.Int64("seed", 1, "workload / random-scheme seed")
 		useSpare  = fs.Bool("spare", false, "enable the spare-server controller (Section IV)")
@@ -104,7 +108,7 @@ func run(args []string, out io.Writer) error {
 		ckptEvery = fs.Int64("checkpoint-every", 0, "checkpoint every N dispatched events (requires -checkpoint)")
 		stopAfter = fs.Int64("stop-after", 0, "stop after N dispatched events, write a final checkpoint, and exit (requires -checkpoint)")
 		resumeArg = fs.String("resume", "", "resume the run from this checkpoint file instead of starting fresh")
-		replayArg = fs.String("replay", "", "replay this decision log (recorded with -decisions under the same flags); -scheme is the fallback")
+		replayArg = fs.String("replay", "", "replay this decision log (recorded with -decisions under the same flags; binary or JSONL); -scheme is the fallback")
 		whatIf    = fs.String("what-if", "", "with -replay: substitute alternative ALT at decision log index IDX, as IDX:ALT")
 		list      = fs.Bool("list", false, "with -replay: print the recorded placement decisions and exit")
 	)

@@ -124,7 +124,7 @@ func TestRunErrors(t *testing.T) {
 // is the only field allowed to differ). A config is a list of legs, each a list of extra flags: one leg
 // is a plain run; with several, every leg but the last stops at a
 // checkpoint after 1500 events, the next resumes from it, and the legs'
-// traces are concatenated.
+// binary traces are concatenated as raw bytes before they are rendered.
 func TestTraceEquivalence(t *testing.T) {
 	base := []string{"-scheme", "dynamic", "-nodes", "16", "-seed", "1", "-jobs", "400", "-spare", "-timed"}
 	type config [][]string
@@ -141,7 +141,7 @@ func TestTraceEquivalence(t *testing.T) {
 	runs := 0
 	trace := func(t *testing.T, cfg config) []byte {
 		t.Helper()
-		var out bytes.Buffer
+		var raw, out bytes.Buffer
 		ckpt := ""
 		for i, leg := range cfg {
 			runs++
@@ -168,9 +168,10 @@ func TestTraceEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := obs.Canonicalize(bytes.NewReader(data), &out); err != nil {
-				t.Fatal(err)
-			}
+			raw.Write(data)
+		}
+		if err := obs.Canonicalize(&raw, &out); err != nil {
+			t.Fatal(err)
 		}
 		return out.Bytes()
 	}
@@ -194,9 +195,10 @@ func TestTraceEquivalence(t *testing.T) {
 
 // TestDecisionLogCheckpointResume pins the decision stream's resume
 // contract: stop a recorded run at a checkpoint, resume it recording to
-// a second log, and require the concatenated canonical logs to equal an
-// uninterrupted recording (seq continuity comes from the checkpointed
-// decision clock and recorder counters).
+// a second log, and require the two logs, concatenated as raw bytes, to
+// render to the uninterrupted recording's canonical form (seq continuity
+// comes from the checkpointed decision clock and recorder counters). The
+// prefix rendered as JSONL, followed by the binary tail, reads the same.
 func TestDecisionLogCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.jsonl")
@@ -217,9 +219,26 @@ func TestDecisionLogCheckpointResume(t *testing.T) {
 	if err := run(append(base, "-decisions", tail, "-resume", ckpt), &sb); err != nil {
 		t.Fatal(err)
 	}
-	combined := append(canonical(t, prefix), canonical(t, tail)...)
-	if want := canonical(t, full); !bytes.Equal(combined, want) {
-		t.Fatal("resumed decision log differs from the uninterrupted recording")
+	want := canonical(t, full)
+	head, err := os.ReadFile(prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest, err := os.ReadFile(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		head []byte
+	}{{"binary prefix", head}, {"JSONL prefix", rendered(t, prefix)}} {
+		var got bytes.Buffer
+		if err := obs.Canonicalize(bytes.NewReader(append(append([]byte(nil), c.head...), rest...)), &got); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%s and binary tail differ from the uninterrupted recording", c.name)
+		}
 	}
 }
 
@@ -256,10 +275,7 @@ func TestRunTimedWarmAndTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := rendered(t, tracePath)
 	for _, event := range []string{"arrival", "place", "depart"} {
 		if !strings.Contains(string(data), `"event":"`+event+`"`) {
 			t.Errorf("run trace missing %q events", event)
@@ -313,10 +329,7 @@ func TestSeedWeekScansOnlyContendingColumns(t *testing.T) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatal(err)
 	}
-	trace, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace := rendered(t, tracePath)
 	movingPasses := int64(0) // a pass's first move is round 1
 	for _, line := range bytes.Split(trace, []byte("\n")) {
 		if bytes.Contains(line, []byte(`"event":"migration"`)) && bytes.Contains(line, []byte(`"round":1,`)) {

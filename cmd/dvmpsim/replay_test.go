@@ -30,6 +30,7 @@ func recordRun(t *testing.T, flags []string) (tracePath, decPath string) {
 	return tracePath, decPath
 }
 
+// canonical is the file at path rendered with its wall clocks stripped.
 func canonical(t *testing.T, path string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -43,11 +44,47 @@ func canonical(t *testing.T, path string) []byte {
 	return c.Bytes()
 }
 
+// rendered is the file at path rendered as JSONL.
+func rendered(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c bytes.Buffer
+	if err := obs.Render(bytes.NewReader(data), &c); err != nil {
+		t.Fatal(err)
+	}
+	return c.Bytes()
+}
+
 // TestFaithfulReplayReproducesTrace is the replay gate: for every run kind
 // `make same` compares, plus the adaptive dynamic scheme, replaying a
 // recorded log under the recording flags reproduces the original run
-// trace byte-for-byte, with every event audited.
+// trace byte-for-byte, with every event audited. The logs are the binary
+// ones a recording run writes; the last row replays
+// testdata/golden_decisions.jsonl, the golden fixture's log as an earlier
+// build wrote it in JSONL, onto the golden trace.
 func TestFaithfulReplayReproducesTrace(t *testing.T) {
+	t.Run("checked-in JSONL log", func(t *testing.T) {
+		replayTrace := filepath.Join(t.TempDir(), "replay.jsonl")
+		var sb strings.Builder
+		args := append(append([]string{}, matchingFlags...), "-replay", filepath.Join("testdata", "golden_decisions.jsonl"),
+			"-audit", "event", "-trace", replayTrace)
+		if err := run(args, &sb); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sb.String(), "replay: faithful") {
+			t.Fatalf("output missing the faithful verdict:\n%s", sb.String())
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", "golden_trace.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(canonical(t, replayTrace), want) {
+			t.Fatal("replaying the checked-in JSONL log does not reproduce the golden trace")
+		}
+	})
 	for _, flags := range []string{
 		"-spare", "-spare -timed", "-scheme first-fit", "-scheme best-fit -spare",
 		"-scheme worst-fit", "-scheme random", "-scheme threshold", "-scheme overbook",

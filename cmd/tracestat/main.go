@@ -1,11 +1,18 @@
-// Command tracestat summarizes and compares the structured JSONL run
-// traces that `dvmpsim -trace` emits.
+// Command tracestat summarizes, compares and renders the run traces and
+// decision logs that `dvmpsim -trace` and `-decisions` write.
 //
 // Usage:
 //
-//	tracestat run.jsonl             summarize one trace
-//	tracestat -hours run.jsonl      add the per-hour activity table
-//	tracestat -diff a.jsonl b.jsonl compare two traces, ignoring wall clocks
+//	tracestat run.trace             summarize one trace
+//	tracestat -hours run.trace      add the per-hour activity table
+//	tracestat -diff a.trace b.trace compare two traces, ignoring wall clocks
+//	tracestat -render in [out]      write a trace or decision log as JSONL
+//
+// dvmpsim writes binary records (DESIGN.md §9); every mode reads them
+// through obs.Reader, which also passes JSONL lines through, so a JSONL
+// file an older build wrote, or a mix of the two forms, reads the same
+// way. -render writes the JSONL form — one schema-versioned JSON object a
+// line, "wall" last — to out, or to standard output without it.
 //
 // The summary reports per-event-type counts, the run header/footer, and
 // migration statistics (count, mean gain, busiest hour). The per-hour
@@ -13,21 +20,23 @@
 // failures by simulation hour — the operational view related placement
 // studies evaluate schemes on.
 //
-// -diff strips every line's wall-clock field (the only nondeterministic
-// part of a trace) and then requires the two traces to be byte-identical;
-// the first divergence is printed and the exit status is nonzero. Two
-// same-seed runs of the same binary must pass this — it is the CLI face
-// of the repo's determinism guarantee. Damaged inputs fail loudly rather
-// than vacuously agreeing: an empty file, a line of invalid JSON, or a
-// run_start header with no run_end footer each exit nonzero with the
-// reason named (two empty traces are byte-identical, and before this
-// check -diff happily certified them as a passing determinism audit).
+// -diff renders both inputs, strips every line's wall-clock field (the
+// only nondeterministic part of a trace) and then requires the two traces
+// to be byte-identical; the first divergence is printed and the exit
+// status is nonzero. Two same-seed runs of the same binary must pass this
+// — it is the CLI face of the repo's determinism guarantee — and so must a
+// base commit's JSONL trace against this tree's binary one. Damaged inputs
+// fail loudly rather than vacuously agreeing: an empty file, a damaged
+// record (named by obs.Reader), a line of invalid JSON, or a run_start
+// header with no run_end footer each exit nonzero with the reason named
+// (two empty traces are byte-identical, and before this check -diff
+// happily certified them as a passing determinism audit).
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -68,9 +77,10 @@ type event struct {
 	Error      string `json:"error"`
 }
 
+const usage = "usage: tracestat [-hours] trace | tracestat -diff a b | tracestat -render in [out]"
+
 func run(args []string, out io.Writer) error {
-	diff := false
-	hours := false
+	diff, hours, render := false, false, false
 	var paths []string
 	for _, a := range args {
 		switch a {
@@ -78,50 +88,89 @@ func run(args []string, out io.Writer) error {
 			diff = true
 		case "-hours", "--hours":
 			hours = true
+		case "-render", "--render":
+			render = true
 		default:
 			if len(a) > 0 && a[0] == '-' {
-				return fmt.Errorf("unknown flag %q (want -diff or -hours)", a)
+				return fmt.Errorf("unknown flag %q (want -diff, -hours or -render)", a)
 			}
 			paths = append(paths, a)
 		}
 	}
-	if diff {
+	switch {
+	case diff && (hours || render), hours && render:
+		return fmt.Errorf("-diff, -hours and -render do not combine; %s", usage)
+	case diff:
 		if len(paths) != 2 {
 			return fmt.Errorf("-diff needs exactly two trace files, got %d", len(paths))
 		}
 		return diffTraces(paths[0], paths[1], out)
-	}
-	if len(paths) != 1 {
-		return fmt.Errorf("usage: tracestat [-hours] trace.jsonl | tracestat -diff a.jsonl b.jsonl")
+	case render:
+		if len(paths) != 1 && len(paths) != 2 {
+			return fmt.Errorf("-render needs an input and at most one output file, got %d files", len(paths))
+		}
+		return renderFile(paths, out)
+	case len(paths) != 1:
+		return errors.New(usage)
 	}
 	return summarize(paths[0], hours, out)
 }
 
-func readEvents(path string) ([]event, error) {
+// renderFile writes paths[0] as JSONL to paths[1], or to out.
+func renderFile(paths []string, out io.Writer) error {
+	in, err := os.Open(paths[0])
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	if len(paths) == 1 {
+		return obs.Render(in, out)
+	}
+	f, err := os.Create(paths[1])
+	if err != nil {
+		return err
+	}
+	if err := obs.Render(in, f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// eachLine calls fn with every record of the file at path, rendered as a
+// JSONL line, and its 1-based position.
+func eachLine(path string, fn func(n int, line []byte) error) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Close()
-	var evs []event
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
+	rd := obs.NewReader(f)
+	for n := 1; ; n++ {
+		line, err := rd.Next()
+		if err == io.EOF {
+			return nil
 		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		if err := fn(n, line); err != nil {
+			return err
+		}
+	}
+}
+
+func readEvents(path string) ([]event, error) {
+	var evs []event
+	err := eachLine(path, func(n int, line []byte) error {
 		var ev event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, fmt.Errorf("%s:%d: %w", path, line, err)
+		if err := json.Unmarshal(line, &ev); err != nil {
+			return fmt.Errorf("%s:%d: %w", path, n, err)
 		}
 		evs = append(evs, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return evs, nil
+		return nil
+	})
+	return evs, err
 }
 
 func summarize(path string, hours bool, out io.Writer) error {
@@ -240,40 +289,29 @@ func diffTraces(pathA, pathB string, out io.Writer) error {
 }
 
 // canonicalLines loads a trace for diffing, with integrity checks: an
-// empty file, a line of invalid JSON (the signature of a run killed
-// mid-write), or a run_start header with no run_end footer each fail
-// with a named reason. A damaged trace must never diff as "identical" —
+// empty file, a damaged record or a line of invalid JSON (the signature
+// of a run killed mid-write), or a run_start header with no run_end
+// footer each fail with a named reason. A damaged trace must never diff as "identical" —
 // two empty files agree byte-for-byte and would otherwise pass.
 func canonicalLines(path string) ([][]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
 	var lines [][]byte
 	var firstEvent, lastEvent string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
+	err := eachLine(path, func(n int, line []byte) error {
 		var ev struct {
 			Event string `json:"event"`
 		}
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, fmt.Errorf("%s:%d: invalid JSON (truncated or corrupt trace): %w", path, lineNo, err)
+		if err := json.Unmarshal(line, &ev); err != nil {
+			return fmt.Errorf("%s:%d: invalid JSON (truncated or corrupt trace): %w", path, n, err)
 		}
 		if len(lines) == 0 {
 			firstEvent = ev.Event
 		}
 		lastEvent = ev.Event
-		lines = append(lines, obs.CanonicalLine(sc.Bytes()))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		lines = append(lines, obs.CanonicalLine(line))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(lines) == 0 {
 		return nil, fmt.Errorf("%s: empty trace (no events)", path)

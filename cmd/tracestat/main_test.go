@@ -16,7 +16,7 @@ import (
 	"repro/internal/workload"
 )
 
-// writeTrace runs a small deterministic simulation and writes its JSONL
+// writeTrace runs a small deterministic simulation and writes its binary
 // trace to a temp file. cmd packages cannot import each other, so traces
 // are produced through the sim API exactly as dvmpsim -trace does.
 func writeTrace(t *testing.T, seed int64) string {
@@ -118,13 +118,82 @@ func TestDiffDifferentSeeds(t *testing.T) {
 	}
 }
 
+// renderTo writes the JSONL form of the trace at path to a new file.
+func renderTo(t *testing.T, path string) string {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "rendered.jsonl")
+	if err := run([]string{"-render", path, out}, &strings.Builder{}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRender: -render writes one JSON object a line, to a file or to
+// standard output, and a rendered trace is the same trace to every mode —
+// a JSONL trace from an earlier build against a binary one from this.
+func TestRender(t *testing.T) {
+	bin := writeTrace(t, 7)
+	jsonl := renderTo(t, bin)
+	text, err := os.ReadFile(jsonl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout strings.Builder
+	if err := run([]string{"-render", bin}, &stdout); err != nil {
+		t.Fatal(err)
+	}
+	if stdout.String() != string(text) {
+		t.Error("-render to standard output differs from -render to a file")
+	}
+	lines := strings.Split(strings.TrimSuffix(string(text), "\n"), "\n")
+	if !strings.HasPrefix(lines[0], `{"v":1,"seq":0,"t":0,"event":"run_start","scheme":"dynamic",`) ||
+		!strings.Contains(lines[len(lines)-1], `"event":"run_end"`) {
+		t.Errorf("rendered trace runs %s ... %s", lines[0], lines[len(lines)-1])
+	}
+	var sb strings.Builder
+	if err := run([]string{"-diff", jsonl, bin}, &sb); err != nil || !strings.Contains(sb.String(), "traces identical") {
+		t.Errorf("a trace and its rendering differ: %v\n%s", err, sb.String())
+	}
+	var a, b strings.Builder
+	if err := run([]string{"-hours", bin}, &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-hours", jsonl}, &b); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Replace(a.String(), bin, jsonl, 1) != b.String() {
+		t.Errorf("summaries differ:\n%s\n%s", a.String(), b.String())
+	}
+	if again := renderTo(t, jsonl); !sameFile(t, again, jsonl) {
+		t.Error("rendering a JSONL trace changed it")
+	}
+}
+
+func sameFile(t *testing.T, a, b string) bool {
+	t.Helper()
+	da, err := os.ReadFile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := os.ReadFile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(da, db)
+}
+
 // TestDiffRejectsDamagedTraces pins the -diff integrity contract: a
 // damaged trace must exit nonzero with the reason named, never agree
 // vacuously. Before the check, two empty files — say, from a run killed
-// before its first flush — diffed as "traces identical: 0 events".
+// before its first flush — diffed as "traces identical: 0 events". The
+// damage is done to the binary trace and to its JSONL rendering.
 func TestDiffRejectsDamagedTraces(t *testing.T) {
 	good := writeTrace(t, 7)
-	goodData, err := os.ReadFile(good)
+	binData, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goodData, err := os.ReadFile(renderTo(t, good))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +212,10 @@ func TestDiffRejectsDamagedTraces(t *testing.T) {
 	// Header-only: the run_start line with no run_end footer — every
 	// line valid JSON, but the run never finished.
 	headerOnly := write("header.jsonl", goodData[:bytes.IndexByte(goodData, '\n')+1])
+	// The binary trace cut inside its last record, and followed by a byte
+	// that starts no record.
+	binTruncated := write("truncated.bin", binData[:len(binData)-3])
+	binTag := write("tag.bin", append(append([]byte(nil), binData...), 0x7f))
 
 	cases := []struct {
 		name, a, b, want string
@@ -152,6 +225,8 @@ func TestDiffRejectsDamagedTraces(t *testing.T) {
 		{"blank-only", blank, good, "empty trace"},
 		{"truncated", good, truncated, "invalid JSON"},
 		{"header-only", headerOnly, good, "run_start without run_end"},
+		{"binary truncated", good, binTruncated, "truncated record"},
+		{"binary unknown tag", binTag, good, "unknown record tag"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -177,6 +252,15 @@ func TestArgErrors(t *testing.T) {
 	}
 	if err := run([]string{"-diff", "only-one.jsonl"}, &sb); err == nil {
 		t.Error("-diff with one file accepted")
+	}
+	if err := run([]string{"-render"}, &sb); err == nil {
+		t.Error("-render with no file accepted")
+	}
+	if err := run([]string{"-render", "a", "b", "c"}, &sb); err == nil {
+		t.Error("-render with three files accepted")
+	}
+	if err := run([]string{"-render", "-diff", "a", "b"}, &sb); err == nil {
+		t.Error("-render with -diff accepted")
 	}
 	if err := run([]string{"/nonexistent/trace.jsonl"}, &sb); err == nil {
 		t.Error("missing trace accepted")

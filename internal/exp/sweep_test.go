@@ -173,16 +173,21 @@ func TestSweepObserverPerRunIsolation(t *testing.T) {
 }
 
 // inflight is a trace sink that counts the runs between their run_start
-// and run_end events, across every tracer writing to it.
+// and run_end events, across every tracer writing to it. A tracer writes
+// one whole record a Write, so each renders alone.
 type inflight struct {
 	mu       sync.Mutex
 	cur, max int
 }
 
 func (g *inflight) Write(p []byte) (int, error) {
+	var line bytes.Buffer
+	if err := obs.Render(bytes.NewReader(p), &line); err != nil {
+		return 0, err
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	switch {
+	switch p := line.Bytes(); {
 	case bytes.Contains(p, []byte(`"event":"run_start"`)):
 		if g.cur++; g.cur > g.max {
 			g.max = g.cur

@@ -1,7 +1,9 @@
 // Package obs is the simulator's zero-dependency observability layer:
 // a metrics registry (counters, gauges, bounded histograms) with atomic
-// hot-path updates, a structured JSONL run tracer with schema-versioned
-// events, and per-phase wall-clock timing spans.
+// hot-path updates, a structured run tracer with schema-versioned events,
+// and per-phase wall-clock timing spans. The tracer writes binary records
+// and formats nothing; Render is the one JSONL encoder, run when a stream
+// is read.
 //
 // Everything is nil-safe: an Observer that was never constructed (a nil
 // pointer) turns every call into a no-op, so instrumented code paths need
@@ -9,11 +11,12 @@
 // simulator threads a single *Observer through sim.Config, core.Context,
 // and spare.Controller; both CLIs expose it via -trace / -metrics.
 //
-// Determinism contract: trace events carry only simulation-derived data
-// plus one wall-clock field ("wall", always the final key of a line).
-// CanonicalLine strips it, after which two same-seed runs produce
-// byte-identical traces — the golden-trace regression test and
-// `tracestat -diff` are built on this.
+// Determinism contract, stated on the rendered form: trace events carry
+// only simulation-derived data plus one wall-clock field ("wall", always
+// the final key of a rendered line). Canonicalize renders a stream and
+// strips it, after which two same-seed runs produce byte-identical traces
+// — the golden-trace regression test and `tracestat -diff` are built on
+// this.
 package obs
 
 import "io"
@@ -44,9 +47,9 @@ func New() *Observer {
 	return &Observer{Reg: NewRegistry()}
 }
 
-// NewTracing returns an Observer that collects metrics and writes JSONL
-// trace events to w. The caller owns w (and should flush/close it after
-// the run); Tracer buffers internally per line only.
+// NewTracing returns an Observer that collects metrics and writes trace
+// records to w. The caller owns w (and should flush/close it after the
+// run); Tracer buffers internally per record only.
 func NewTracing(w io.Writer) *Observer {
 	return &Observer{Reg: NewRegistry(), Trace: NewTracer(w)}
 }

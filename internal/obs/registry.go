@@ -111,28 +111,29 @@ func (h *Histogram) Bucket(i int) int64 {
 }
 
 // Span accumulates wall-clock time spent in one named phase. Timing a
-// region is cheap enough for per-event use: two time.Now calls and two
-// atomic adds, no allocation.
+// region is cheap enough for per-event use: two monotonic clock reads and
+// two atomic adds, no allocation.
 type Span struct {
 	calls Counter
 	ns    Counter
 }
 
 // Begin starts the clock on a region that End closes:
-// `defer s.End(s.Begin())`, or the pair around the region. Safe on a nil
+// `defer s.End(s.Begin())`, or the pair around the region. The start is
+// monotonic nanoseconds since the process's clock origin. Safe on a nil
 // receiver, which reads no clock.
-func (s *Span) Begin() time.Time {
+func (s *Span) Begin() int64 {
 	if s == nil {
-		return time.Time{}
+		return 0
 	}
-	return time.Now()
+	return monoNS()
 }
 
 // End closes the region Begin opened at start.
-func (s *Span) End(start time.Time) {
+func (s *Span) End(start int64) {
 	if s != nil {
 		s.calls.Add(1)
-		s.ns.Add(time.Since(start).Nanoseconds())
+		s.ns.Add(monoNS() - start)
 	}
 }
 

@@ -38,7 +38,7 @@ func TestNilMetricsAreInert(t *testing.T) {
 	c.Add(3)
 	g.Set(1)
 	h.Observe(1)
-	if start := s.Begin(); !start.IsZero() {
+	if start := s.Begin(); start != 0 {
 		t.Error("nil span read the clock")
 	} else {
 		s.End(start)

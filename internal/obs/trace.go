@@ -2,12 +2,11 @@ package obs
 
 import (
 	"bufio"
-	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -16,46 +15,100 @@ import (
 // as "v". Bump it when an event's field set changes meaning.
 const SchemaVersion = 1
 
-// wallKey is the one wall-clock field a trace line may carry. It is
-// always the final key of the line, which is what makes CanonicalLine a
-// simple suffix cut rather than a JSON round-trip.
-const wallKey = `,"wall":`
+// The binary record layout (DESIGN §9). A record is
+//
+//	recordTag, seq (uvarint), t (8 bytes, little-endian float64 bits),
+//	event (uvarint length + bytes), field count (uvarint),
+//	per field: key (uvarint length + bytes), kind byte, value,
+//	wall (zig-zag varint)
+//
+// where a value is a zig-zag varint (kindInt), 8 raw bytes (kindFloat),
+// uvarint length + bytes (kindString, kindCompound) or nothing (kindTrue,
+// kindFalse, kindNull). A record carries no state over from the one before
+// it, so streams concatenate: a checkpoint prefix followed by its resumed
+// tail is one valid stream.
+const (
+	recordTag    byte = 0x1e // ASCII record separator; a JSONL line starts with '{'
+	kindNull     byte = 0    // a KV built without a constructor; renders null
+	kindInt      byte = 'i'
+	kindFloat    byte = 'f'
+	kindString   byte = 's'
+	kindTrue     byte = 'T'
+	kindFalse    byte = 'F'
+	kindCompound byte = 'c'
+)
 
-// KV is one typed event field. Construct with I, F, S, or B.
+// The items of a compound payload (C, CInt, CFloat): a tagged varint, a
+// tagged float, or one literal byte — printable ASCII other than '"' and
+// '\', so a rendered compound never needs escaping.
+const (
+	itemInt   byte = 0x01
+	itemFloat byte = 0x02
+)
+
+// KV is one typed event field. Construct with I, F, S, B or C.
 type KV struct {
 	K    string
-	kind byte // 'i', 'f', 's', 'b'
-	i    int64
-	f    float64
+	kind byte
+	n    int64 // kindInt: the value; kindFloat: its bits
 	s    string
+	c    []byte
 }
 
 // I is an integer field.
-func I(k string, v int64) KV { return KV{K: k, kind: 'i', i: v} }
+func I(k string, v int64) KV { return KV{K: k, kind: kindInt, n: v} }
 
 // F is a float field.
-func F(k string, v float64) KV { return KV{K: k, kind: 'f', f: v} }
+func F(k string, v float64) KV { return KV{K: k, kind: kindFloat, n: int64(math.Float64bits(v))} }
 
 // S is a string field.
-func S(k, v string) KV { return KV{K: k, kind: 's', s: v} }
+func S(k, v string) KV { return KV{K: k, kind: kindString, s: v} }
 
 // B is a boolean field.
 func B(k string, v bool) KV {
-	var i int64
 	if v {
-		i = 1
+		return KV{K: k, kind: kindTrue}
 	}
-	return KV{K: k, kind: 'b', i: i}
+	return KV{K: k, kind: kindFalse}
 }
 
-// Tracer writes schema-versioned JSONL run events. Each event carries a
-// logical clock ("seq", the emission index), the simulation time ("t"),
-// the event type, the caller's fields in call order, and finally the
-// wall-clock timestamp ("wall", Unix nanoseconds). Field order is fixed
-// by construction — the encoder is hand-rolled, not reflective — so two
-// identical runs produce byte-identical traces once "wall" is stripped.
+// C is a compound field: a payload built with CInt, CFloat and literal
+// separator bytes, rendered as one JSON string — each int in decimal, each
+// float in strconv's shortest 'g' form, each separator as itself. The
+// decision log's "alts" and "moves" are compound fields. Emit copies the
+// payload, so the caller may reuse its buffer at once.
+func C(k string, payload []byte) KV { return KV{K: k, kind: kindCompound, c: payload} }
+
+// CInt appends an integer item to a compound payload.
+func CInt(b []byte, v int64) []byte {
+	return binary.AppendVarint(append(b, itemInt), v)
+}
+
+// CFloat appends a float item to a compound payload.
+func CFloat(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(append(b, itemFloat), math.Float64bits(v))
+}
+
+// epoch is the process's clock origin. Spans and the tracer's wall clock
+// read time.Since(epoch), which is one monotonic clock read, where
+// time.Now reads the realtime clock as well.
+var (
+	epoch     = time.Now()
+	epochUnix = epoch.UnixNano()
+)
+
+// monoNS is the monotonic nanoseconds since epoch.
+func monoNS() int64 { return int64(time.Since(epoch)) }
+
+// Tracer writes schema-versioned run events as binary records, one Write
+// a record. Each event carries a logical clock ("seq", the emission
+// index), the simulation time ("t"), the event type, the caller's fields
+// in call order, and finally the wall-clock timestamp ("wall", Unix
+// nanoseconds). Nothing is formatted on this path: Render turns the
+// records into JSONL lines when the stream is read, and two identical
+// runs render byte-identical traces once "wall" is stripped.
 //
-// Emit is safe for concurrent use (a mutex orders lines), though the
+// Emit is safe for concurrent use (a mutex orders records), though the
 // simulator itself is single-threaded per run.
 type Tracer struct {
 	mu   sync.Mutex
@@ -64,77 +117,58 @@ type Tracer struct {
 	seq  uint64
 	err  error
 	wall func() int64 // injectable for tests
-
-	// tBits and tText memoize the last line's formatted "t": most lines
-	// repeat their predecessor's time. The key is the float's bits, not
-	// its value, because -0 and +0 compare equal but format differently;
-	// an empty tText means nothing is memoized yet.
-	tBits uint64
-	tText []byte
 }
 
-// NewTracer returns a tracer writing to w. The line buffer is
-// preallocated so steady-state emission reallocates only for lines that
+// NewTracer returns a tracer writing to w. The record buffer is
+// preallocated so steady-state emission reallocates only for records that
 // outgrow every predecessor.
 func NewTracer(w io.Writer) *Tracer {
 	return &Tracer{
 		w:    w,
 		buf:  make([]byte, 0, 512),
-		wall: func() int64 { return time.Now().UnixNano() },
+		wall: func() int64 { return epochUnix + monoNS() },
 	}
 }
 
-// Emit writes one event line.
+// Emit writes one event record.
 func (tr *Tracer) Emit(t float64, event string, fields ...KV) {
 	if tr == nil {
 		return
 	}
 	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	b := tr.buf[:0]
-	b = append(b, `{"v":`...)
-	b = strconv.AppendInt(b, SchemaVersion, 10)
-	b = append(b, `,"seq":`...)
-	b = strconv.AppendUint(b, tr.seq, 10)
-	b = append(b, `,"t":`...)
-	if bits := math.Float64bits(t); bits != tr.tBits || len(tr.tText) == 0 {
-		n := len(b)
-		b = appendFloat(b, t)
-		tr.tBits, tr.tText = bits, append(tr.tText[:0], b[n:]...)
-	} else {
-		b = append(b, tr.tText...)
-	}
-	b = append(b, `,"event":`...)
-	b = appendQuote(b, event)
-	for _, kv := range fields {
-		b = append(b, ',')
-		b = appendQuote(b, kv.K)
-		b = append(b, ':')
+	b := append(tr.buf[:0], recordTag)
+	b = binary.AppendUvarint(b, tr.seq)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t))
+	b = appendBytes(b, event)
+	b = binary.AppendUvarint(b, uint64(len(fields)))
+	for i := range fields {
+		kv := &fields[i]
+		b = appendBytes(b, kv.K)
+		b = append(b, kv.kind)
 		switch kv.kind {
-		case 'i':
-			b = strconv.AppendInt(b, kv.i, 10)
-		case 'f':
-			b = appendFloat(b, kv.f)
-		case 's':
-			b = appendQuote(b, kv.s)
-		case 'b':
-			if kv.i != 0 {
-				b = append(b, "true"...)
-			} else {
-				b = append(b, "false"...)
-			}
-		default:
-			b = append(b, "null"...)
+		case kindInt:
+			b = binary.AppendVarint(b, kv.n)
+		case kindFloat:
+			b = binary.LittleEndian.AppendUint64(b, uint64(kv.n))
+		case kindString:
+			b = appendBytes(b, kv.s)
+		case kindCompound:
+			b = binary.AppendUvarint(b, uint64(len(kv.c)))
+			b = append(b, kv.c...)
 		}
 	}
-	b = append(b, wallKey...)
-	b = strconv.AppendInt(b, tr.wall(), 10)
-	b = append(b, '}', '\n')
+	b = binary.AppendVarint(b, tr.wall())
 	tr.buf = b
 	tr.seq++
 	if tr.err == nil {
 		_, tr.err = tr.w.Write(b)
 	}
+	tr.mu.Unlock()
+}
+
+// appendBytes appends s with its uvarint length.
+func appendBytes(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 // ResumeSeq fast-forwards the logical clock to seq, so a tracer opened
@@ -176,8 +210,8 @@ func (tr *Tracer) Err() error {
 	return tr.err
 }
 
-// TraceFile is a Tracer streaming its JSONL lines to a file through a
-// write buffer: the sink behind every -trace and -decisions flag.
+// TraceFile is a Tracer streaming its records to a file through a write
+// buffer: the sink behind every -trace and -decisions flag.
 type TraceFile struct {
 	*Tracer
 	f *os.File
@@ -208,65 +242,4 @@ func (t *TraceFile) Close() error {
 		err = cerr
 	}
 	return err
-}
-
-// appendFloat formats a float as shortest-round-trip JSON. NaN and
-// infinities (never produced by a healthy run) are quoted so the line
-// stays valid JSON; their forms ("NaN", "+Inf", "-Inf") need no escaping.
-func appendFloat(b []byte, v float64) []byte {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		b = append(b, '"')
-		b = strconv.AppendFloat(b, v, 'g', -1, 64)
-		return append(b, '"')
-	}
-	return strconv.AppendFloat(b, v, 'g', -1, 64)
-}
-
-// appendQuote is strconv.AppendQuote with a fast path for what trace keys,
-// event names and most values are: printable ASCII with no '"' and no '\',
-// which strconv would copy between quotes unchanged. Any other string goes
-// to strconv, so the bytes are strconv's either way.
-func appendQuote(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
-			return strconv.AppendQuote(b, s)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
-}
-
-// CanonicalLine strips the wall-clock field from one trace line, returning
-// the determinism-comparable form. Lines without a wall field are returned
-// unchanged (minus any trailing newline).
-func CanonicalLine(line []byte) []byte {
-	line = bytes.TrimRight(line, "\r\n")
-	if i := bytes.LastIndex(line, []byte(wallKey)); i >= 0 && bytes.HasSuffix(line, []byte("}")) {
-		out := append([]byte(nil), line[:i]...)
-		return append(out, '}')
-	}
-	return append([]byte(nil), line...)
-}
-
-// Canonicalize streams a JSONL trace from r to w with every line's
-// wall-clock field stripped. After this, two same-seed runs' traces are
-// byte-identical — the property the golden-trace test and
-// `tracestat -diff` assert.
-func Canonicalize(r io.Reader, w io.Writer) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	bw := bufio.NewWriter(w)
-	for sc.Scan() {
-		if _, err := bw.Write(CanonicalLine(sc.Bytes())); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	return bw.Flush()
 }

@@ -15,6 +15,16 @@ import (
 // fixedWall pins the tracer's wall clock for byte-exact assertions.
 func fixedWall(tr *Tracer, ns int64) { tr.wall = func() int64 { return ns } }
 
+// rendered is the JSONL form of a stream of records.
+func rendered(t *testing.T, stream []byte) string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := Render(bytes.NewReader(stream), &out); err != nil {
+		t.Fatal(err)
+	}
+	return out.String()
+}
+
 func TestEmitFieldOrderAndTypes(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
@@ -22,12 +32,13 @@ func TestEmitFieldOrderAndTypes(t *testing.T) {
 	tr.Emit(3600, "migration",
 		I("vm", 7), I("from", 0), I("to", 12), F("gain", 1.25), S("note", `a"b`), B("timed", true))
 	want := `{"v":1,"seq":0,"t":3600,"event":"migration","vm":7,"from":0,"to":12,"gain":1.25,"note":"a\"b","timed":true,"wall":42}` + "\n"
-	if got := buf.String(); got != want {
+	got := rendered(t, buf.Bytes())
+	if got != want {
 		t.Errorf("line mismatch:\ngot  %s\nwant %s", got, want)
 	}
 	// Every line must be valid JSON.
 	var m map[string]any
-	if err := json.Unmarshal(bytes.TrimSpace(buf.Bytes()), &m); err != nil {
+	if err := json.Unmarshal([]byte(got), &m); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
 	if m["from"] != float64(0) {
@@ -45,7 +56,7 @@ func TestSeqIsLogicalClock(t *testing.T) {
 	if tr.Events() != 3 {
 		t.Errorf("events = %d, want 3", tr.Events())
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	lines := strings.Split(strings.TrimSpace(rendered(t, buf.Bytes())), "\n")
 	for i, line := range lines {
 		if !strings.Contains(line, fmt.Sprintf(`"seq":%d,`, i)) {
 			t.Errorf("line %d missing seq %d: %s", i, i, line)
@@ -103,9 +114,10 @@ func TestEmitNonFiniteFloatsStayValidJSON(t *testing.T) {
 	tr := NewTracer(&buf)
 	fixedWall(tr, 1)
 	tr.Emit(0, "weird", F("nan", math.NaN()), F("inf", math.Inf(1)))
+	line := rendered(t, buf.Bytes())
 	var m map[string]any
-	if err := json.Unmarshal(bytes.TrimSpace(buf.Bytes()), &m); err != nil {
-		t.Fatalf("non-finite floats broke JSON: %v\n%s", err, buf.String())
+	if err := json.Unmarshal([]byte(line), &m); err != nil {
+		t.Fatalf("non-finite floats broke JSON: %v\n%s", err, line)
 	}
 }
 
@@ -124,7 +136,7 @@ func TestConcurrentEmit(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	lines := strings.Split(strings.TrimSpace(rendered(t, buf.Bytes())), "\n")
 	if len(lines) != 400 {
 		t.Fatalf("got %d lines, want 400", len(lines))
 	}
@@ -160,7 +172,7 @@ func TestTracerCapturesFirstWriteError(t *testing.T) {
 	}
 }
 
-// TestTraceFile: lines sit in the write buffer until Close puts them in
+// TestTraceFile: records sit in the write buffer until Close puts them in
 // the file; Close reports a write the tracer saw fail; a path that cannot
 // be created is an error from CreateTrace, not a tracer that drops events.
 func TestTraceFile(t *testing.T) {
@@ -178,8 +190,9 @@ func TestTraceFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(string(data), "\n"); n != 2 || tf.Events() != 2 {
-		t.Errorf("%d lines on disk, %d events counted, want 2 and 2:\n%s", n, tf.Events(), data)
+	text := rendered(t, data)
+	if n := strings.Count(text, "\n"); n != 2 || tf.Events() != 2 {
+		t.Errorf("%d records on disk, %d events counted, want 2 and 2:\n%s", n, tf.Events(), text)
 	}
 
 	failed, err := CreateTrace(path)
@@ -216,7 +229,7 @@ func TestDecisionStreamIsolated(t *testing.T) {
 	o.EmitDecision(2, "decision_place", I("vm", 7))
 	o.EmitDecision(3, "decision_spare", I("spares", 1))
 
-	dec := strings.Split(strings.TrimSpace(decBuf.String()), "\n")
+	dec := strings.Split(strings.TrimSpace(rendered(t, decBuf.Bytes())), "\n")
 	if len(dec) != 2 {
 		t.Fatalf("decision stream has %d lines, want 2", len(dec))
 	}
@@ -225,8 +238,8 @@ func TestDecisionStreamIsolated(t *testing.T) {
 	if !strings.Contains(dec[0], `"seq":0,`) || !strings.Contains(dec[1], `"seq":1,`) {
 		t.Errorf("decision seqs not independent: %q", dec)
 	}
-	if strings.Contains(runBuf.String(), "decision_") || o.Trace.Events() != 2 {
-		t.Errorf("decision records leaked into the run trace: %s", runBuf.String())
+	if run := rendered(t, runBuf.Bytes()); strings.Contains(run, "decision_") || o.Trace.Events() != 2 {
+		t.Errorf("decision records leaked into the run trace: %s", run)
 	}
 
 	// Without a Decisions tracer both helpers are inert.

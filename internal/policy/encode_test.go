@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"math"
 	"runtime"
@@ -53,11 +55,27 @@ func builderMoves(moves []core.Move, alts [][]core.Placement) string {
 	return b.String()
 }
 
-// TestAppendEncodersMatchBuilders holds appendAlts and appendMoves to the
-// builder oracles on random passes: scores from subnormal to +Inf (a
-// rescue move's gain and its lone alternative), passes with fewer
-// alternative lists than moves, empty lists, and a dirty buffer that the
-// encoders must append to, not overwrite.
+// renderCompound is a compound payload's rendered text: the payload
+// written as one field of a record, rendered, and read back.
+func renderCompound(t testing.TB, payload []byte) string {
+	t.Helper()
+	var bin, text bytes.Buffer
+	obs.NewTracer(&bin).Emit(0, "x", obs.C("c", payload))
+	if err := obs.Render(&bin, &text); err != nil {
+		t.Fatalf("compound %q: %v", payload, err)
+	}
+	var line struct{ C string }
+	if err := json.Unmarshal(text.Bytes(), &line); err != nil {
+		t.Fatalf("compound %q rendered to %s: %v", payload, text.Bytes(), err)
+	}
+	return line.C
+}
+
+// TestAppendEncodersMatchBuilders holds appendAlts and appendMoves,
+// rendered, to the builder oracles on random passes: scores from
+// subnormal to +Inf (a rescue move's gain and its lone alternative),
+// passes with fewer alternative lists than moves, empty lists, and a dirty
+// buffer that the encoders must append to, not overwrite.
 func TestAppendEncodersMatchBuilders(t *testing.T) {
 	rng := stats.NewRand(11)
 	pms := make([]*cluster.PM, 40)
@@ -86,7 +104,7 @@ func TestAppendEncodersMatchBuilders(t *testing.T) {
 	prefix := []byte("dirty|")
 	for trial := 0; trial < 2000; trial++ {
 		alts := randAlts()
-		if got, want := appendAlts(append([]byte(nil), prefix...), alts), string(prefix)+builderAlts(alts); string(got) != want {
+		if got, want := renderCompound(t, appendAlts(append([]byte(nil), prefix...), alts)), string(prefix)+builderAlts(alts); got != want {
 			t.Fatalf("appendAlts = %q, want %q", got, want)
 		}
 		moves := make([]core.Move, 1+rng.Intn(10))
@@ -103,7 +121,7 @@ func TestAppendEncodersMatchBuilders(t *testing.T) {
 		for i := range lists {
 			lists[i] = randAlts()
 		}
-		if got, want := appendMoves(append([]byte(nil), prefix...), moves, lists), string(prefix)+builderMoves(moves, lists); string(got) != want {
+		if got, want := renderCompound(t, appendMoves(append([]byte(nil), prefix...), moves, lists)), string(prefix)+builderMoves(moves, lists); got != want {
 			t.Fatalf("appendMoves = %q, want %q", got, want)
 		}
 	}
@@ -130,10 +148,11 @@ func spreadFleet(t *testing.T, n int) *core.Context {
 }
 
 // recordedPassAllocsPerRecord is what recording adds to a moving dynamic
-// pass, in allocations beyond the unrecorded pass: the record's one
-// payload string. Each move's alternative list, which core makes for the
-// hook, comes on top of it, one slice a move.
-const recordedPassAllocsPerRecord = 1
+// pass, in allocations beyond the unrecorded pass: nothing, since the
+// record's compound payload is built in the recorder's buffer and copied
+// into the tracer's. Each move's alternative list, which core makes for
+// the hook, is all that comes on top, one slice a move.
+const recordedPassAllocsPerRecord = 0
 
 func TestRecordedPassAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // for the MemStats deltas

@@ -23,10 +23,11 @@ var recordedLog = []string{
 	`{"v":1,"seq":87,"t":19300,"event":"decision_moves","call":104,"moves":"70:3:1:1:+Inf@1=+Inf|71:4:1:2:1.0625"}`,
 }
 
-// FuzzParseDecisionLog feeds the decision-log reader arbitrary input. It
-// must never panic, and whatever it accepts must survive the recorder's
-// encoders: every decision's alternatives and moves, written back through
-// appendAlts and appendMoves, parse to the same values bit for bit.
+// FuzzParseDecisionLog feeds the decision-log reader arbitrary input,
+// JSONL text and binary records alike. It must never panic, and whatever
+// it accepts must survive the recorder's encoders: every decision's
+// alternatives and moves, written back through appendAlts and appendMoves
+// and rendered, parse to the same values bit for bit.
 func FuzzParseDecisionLog(f *testing.F) {
 	f.Add(strings.Join(recordedLog, "\n") + "\n")
 	for _, line := range recordedLog {
@@ -38,7 +39,7 @@ func FuzzParseDecisionLog(f *testing.F) {
 			return
 		}
 		for i, d := range decs {
-			alts, err := parseAlts(string(appendAlts(nil, placementsOf(d.Alts))))
+			alts, err := parseAlts(renderCompound(t, appendAlts(nil, placementsOf(d.Alts))))
 			if err != nil || !sameAlts(alts, d.Alts) {
 				t.Fatalf("decision %d: alternatives %v re-encode to %v (%v)", i, d.Alts, alts, err)
 			}
@@ -51,7 +52,7 @@ func FuzzParseDecisionLog(f *testing.F) {
 				moves[j] = core.Move{VM: mv.VM, From: mv.From, To: mv.To, Round: mv.Round, Gain: mv.Gain}
 				lists[j] = placementsOf(mv.Alts)
 			}
-			back, err := parseMoves(string(appendMoves(nil, moves, lists)))
+			back, err := parseMoves(renderCompound(t, appendMoves(nil, moves, lists)))
 			if err != nil || len(back) != len(d.Moves) {
 				t.Fatalf("decision %d: moves %v re-encode to %v (%v)", i, d.Moves, back, err)
 			}

@@ -340,7 +340,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{PM: ctx.DC.PM(0), Probability: 1.25},
 		{PM: ctx.DC.PM(2), Probability: math.Inf(1)},
 	}
-	s := string(appendAlts(nil, alts))
+	s := renderCompound(t, appendAlts(nil, alts))
 	back, err := parseAlts(s)
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +353,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{VM: 7, From: 1, To: 2, Gain: math.Inf(1), Round: 1},
 		{VM: 9, From: 0, To: 1, Gain: 1.0625, Round: 2},
 	}
-	ms := string(appendMoves(nil, moves, [][]core.Placement{alts, nil}))
+	ms := renderCompound(t, appendMoves(nil, moves, [][]core.Placement{alts, nil}))
 	mback, err := parseMoves(ms)
 	if err != nil {
 		t.Fatal(err)
@@ -507,11 +507,14 @@ func TestReplayAppliesRecordedMoves(t *testing.T) {
 }
 
 func TestParseDecisionLogRejectsDamage(t *testing.T) {
+	var bin bytes.Buffer
+	obs.NewTracer(&bin).Emit(0, "decision_spare", obs.I("tick", 0), obs.I("baseline", 0), obs.I("spares", 0))
 	for _, bad := range []string{
 		`{"v":1,"seq":0,"t":0,"event":"mystery"}`,
 		`{"v":1,"seq":0,"t":0,"event":"decision_place","vm":1,"pm":0,"alts":"x"}`,
 		`{"v":1,"seq":0,"t":0,"event":"decision_moves","call":0,"moves":""}`,
 		`not json`,
+		bin.String()[:bin.Len()-1], // a truncated binary record
 	} {
 		if _, err := ParseDecisionLog(strings.NewReader(bad)); err == nil {
 			t.Errorf("ParseDecisionLog accepted %q", bad)

@@ -1,8 +1,6 @@
 package policy
 
 import (
-	"strconv"
-
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -31,8 +29,8 @@ type Recorder struct {
 	// logs up exactly. Checkpointed via RecorderState.
 	call, tick uint64
 
-	// buf is the payload of the record being written (appendAlts,
-	// appendMoves); each record copies it out once, as its obs.S string.
+	// buf is the compound payload of the record being written
+	// (appendAlts, appendMoves), which Emit copies into its record.
 	buf []byte
 
 	// hook is the DecisionHook a recorded pass installs, made once per
@@ -75,7 +73,7 @@ func (rec *Recorder) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	ctx.Obs.EmitDecision(ctx.Now, "decision_place",
 		obs.I("vm", int64(vm.ID)),
 		obs.I("pm", pmID),
-		obs.S("alts", string(rec.buf)),
+		obs.C("alts", rec.buf),
 	)
 	return pm
 }
@@ -106,7 +104,7 @@ func (rec *Recorder) Consolidate(ctx *core.Context) ([]core.Move, error) {
 		rec.buf = appendMoves(rec.buf[:0], moves, rec.alts)
 		ctx.Obs.EmitDecision(ctx.Now, "decision_moves",
 			obs.I("call", int64(call)),
-			obs.S("moves", string(rec.buf)),
+			obs.C("moves", rec.buf),
 		)
 	}
 	return moves, err
@@ -228,39 +226,39 @@ func RestoreState(p Policy, st *PlacerState) error {
 	return nil
 }
 
-// appendAlts appends an alternative list to b as "pm=score" pairs joined
-// by commas, scores in strconv 'g'/-1 form (round-trippable, including
-// "+Inf" for rescue moves).
+// appendAlts appends an alternative list to a compound payload b as
+// "pm=score" pairs joined by commas; rendered, each score is in strconv
+// 'g'/-1 form (round-trippable, including "+Inf" for rescue moves).
 func appendAlts(b []byte, alts []core.Placement) []byte {
 	for i, a := range alts {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = strconv.AppendInt(b, int64(a.PM.ID), 10)
+		b = obs.CInt(b, int64(a.PM.ID))
 		b = append(b, '=')
-		b = strconv.AppendFloat(b, a.Probability, 'g', -1, 64)
+		b = obs.CFloat(b, a.Probability)
 	}
 	return b
 }
 
-// appendMoves appends a consolidation pass to b as "vm:from:to:round:gain"
-// entries joined by "|", each optionally followed by "@" and its
-// alternative list (present for the dynamic family, absent for
-// threshold-style movers).
+// appendMoves appends a consolidation pass to a compound payload b as
+// "vm:from:to:round:gain" entries joined by "|", each optionally followed
+// by "@" and its alternative list (present for the dynamic family, absent
+// for threshold-style movers).
 func appendMoves(b []byte, moves []core.Move, alts [][]core.Placement) []byte {
 	for i, mv := range moves {
 		if i > 0 {
 			b = append(b, '|')
 		}
-		b = strconv.AppendInt(b, int64(mv.VM), 10)
+		b = obs.CInt(b, int64(mv.VM))
 		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(mv.From), 10)
+		b = obs.CInt(b, int64(mv.From))
 		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(mv.To), 10)
+		b = obs.CInt(b, int64(mv.To))
 		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(mv.Round), 10)
+		b = obs.CInt(b, int64(mv.Round))
 		b = append(b, ':')
-		b = strconv.AppendFloat(b, mv.Gain, 'g', -1, 64)
+		b = obs.CFloat(b, mv.Gain)
 		if i < len(alts) && len(alts[i]) > 0 {
 			b = append(b, '@')
 			b = appendAlts(b, alts[i])

@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +9,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // DecisionKind discriminates parsed decision records.
@@ -76,24 +76,26 @@ type decLine struct {
 	Spares   int64   `json:"spares"`
 }
 
-// ParseDecisionLog reads a Recorder decision stream (JSONL) back into
-// decisions, in order. Unknown events and malformed payloads are
-// positional errors, not skips — a damaged log must not replay as a
-// shorter clean one.
+// ParseDecisionLog reads a Recorder decision stream back into decisions,
+// in order. It reads through obs.Reader, so the stream may be the binary
+// records a recording run writes, a JSONL log an older build wrote, or
+// both concatenated. Damaged records, unknown events and malformed
+// payloads are positional errors, not skips — a damaged log must not
+// replay as a shorter clean one.
 func ParseDecisionLog(r io.Reader) ([]Decision, error) {
 	var out []Decision
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+	rd := obs.NewReader(r)
+	for n := 1; ; n++ {
+		line, err := rd.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("policy: decision log: %w", err)
 		}
 		var dl decLine
-		if err := json.Unmarshal([]byte(line), &dl); err != nil {
-			return nil, fmt.Errorf("policy: decision log line %d: %w", lineNo, err)
+		if err := json.Unmarshal(line, &dl); err != nil {
+			return nil, fmt.Errorf("policy: decision log record %d: %w", n, err)
 		}
 		d := Decision{Seq: dl.Seq, T: dl.T}
 		switch dl.Event {
@@ -103,7 +105,7 @@ func ParseDecisionLog(r io.Reader) ([]Decision, error) {
 			d.PM = cluster.PMID(dl.PM)
 			alts, err := parseAlts(dl.Alts)
 			if err != nil {
-				return nil, fmt.Errorf("policy: decision log line %d: %w", lineNo, err)
+				return nil, fmt.Errorf("policy: decision log record %d: %w", n, err)
 			}
 			d.Alts = alts
 		case "decision_moves":
@@ -111,10 +113,10 @@ func ParseDecisionLog(r io.Reader) ([]Decision, error) {
 			d.Call = dl.Call
 			moves, err := parseMoves(dl.Moves)
 			if err != nil {
-				return nil, fmt.Errorf("policy: decision log line %d: %w", lineNo, err)
+				return nil, fmt.Errorf("policy: decision log record %d: %w", n, err)
 			}
 			if len(moves) == 0 {
-				return nil, fmt.Errorf("policy: decision log line %d: decision_moves with no moves", lineNo)
+				return nil, fmt.Errorf("policy: decision log record %d: decision_moves with no moves", n)
 			}
 			d.Moves = moves
 		case "decision_spare":
@@ -123,17 +125,13 @@ func ParseDecisionLog(r io.Reader) ([]Decision, error) {
 			d.Baseline = int(dl.Baseline)
 			d.Spares = int(dl.Spares)
 		default:
-			return nil, fmt.Errorf("policy: decision log line %d: unknown event %q", lineNo, dl.Event)
+			return nil, fmt.Errorf("policy: decision log record %d: unknown event %q", n, dl.Event)
 		}
 		out = append(out, d)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("policy: decision log: %w", err)
-	}
-	return out, nil
 }
 
-// parseAlts decodes encodeAlts' "pm=score,pm=score" form.
+// parseAlts decodes appendAlts' rendered "pm=score,pm=score" form.
 func parseAlts(s string) ([]DecisionAlt, error) {
 	if s == "" {
 		return nil, nil
@@ -158,8 +156,8 @@ func parseAlts(s string) ([]DecisionAlt, error) {
 	return out, nil
 }
 
-// parseMoves decodes encodeMoves' "vm:from:to:round:gain[@alts]|..."
-// form.
+// parseMoves decodes appendMoves' rendered
+// "vm:from:to:round:gain[@alts]|..." form.
 func parseMoves(s string) ([]DecisionMove, error) {
 	if s == "" {
 		return nil, nil

@@ -67,7 +67,7 @@ type Config struct {
 	// Obs, when non-nil, is the observability sink: the run's metrics
 	// (counters, gauges, wait histogram, phase timings) land in Obs.Reg,
 	// and — when Obs.Trace is set — every simulation event is emitted as
-	// a structured JSONL record (internal/obs). The observer is threaded
+	// a structured trace record (internal/obs). The observer is threaded
 	// into the placement kernel (via the core.Context) and the spare
 	// controller, so one sink sees the whole run. Each run needs its own
 	// Observer; sharing one across concurrent runs keeps the metrics

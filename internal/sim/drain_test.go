@@ -66,7 +66,11 @@ func TestDrainAsksOnlyWhatAChangeCouldAdmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	victims := 0
-	for _, line := range bytes.Split(bytes.TrimSpace(trace.Bytes()), []byte("\n")) {
+	var text bytes.Buffer
+	if err := obs.Render(&trace, &text); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range bytes.Split(bytes.TrimSpace(text.Bytes()), []byte("\n")) {
 		var ev struct {
 			Event   string `json:"event"`
 			Victims int    `json:"victims"`

@@ -71,14 +71,15 @@ func TestTaggedEventAllocs(t *testing.T) {
 }
 
 // TestObservedStepAllocBudget: timing every dispatched event under an
-// observer (the event_dispatch span around eng.Step) costs the simulator's
-// step loop no allocation — no closure per event.
+// observer (the event_dispatch span around eng.Step, int64 monotonic
+// nanoseconds from Begin to End) costs the simulator's step loop no
+// allocation — no closure per event.
 //
 // The rest of an observed run's write path is budgeted where it lives:
-//   - obs.Tracer.Emit, a line of I, F, S and B fields: 0 allocations
+//   - obs.Tracer.Emit, a record of I, F, S, B and C fields: 0 allocations
 //     (internal/obs TestEmitAllocBudget, emitAllocCeiling).
-//   - a recorded decision_moves pass: at most 1 allocation per record
-//     beyond the unrecorded pass, plus core's alternative list per move
+//   - a recorded decision_moves pass: no allocation per record beyond the
+//     unrecorded pass, only core's alternative list per move
 //     (internal/policy TestRecordedPassAllocBudget,
 //     recordedPassAllocsPerRecord).
 //   - core.ArrivalShortlist at k = 3: at most 1 allocation, its result

@@ -42,7 +42,7 @@ func TestWarmStartValidation(t *testing.T) {
 // lifecycle event the simulator handles shows up as a structured record,
 // each line led by the schema version, logical clock and simulation time.
 func TestEventLogRecordsLifecycle(t *testing.T) {
-	var trace strings.Builder
+	var trace, text strings.Builder
 	_, err := Run(Config{
 		DC:       smallFleet(),
 		Placer:   policy.NewDynamic(),
@@ -52,7 +52,10 @@ func TestEventLogRecordsLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := trace.String()
+	if err := obs.Render(strings.NewReader(trace.String()), &text); err != nil {
+		t.Fatal(err)
+	}
+	out := text.String()
 	for _, event := range []string{"arrival", "place", "depart", "boot", "migration", "shutdown"} {
 		if !strings.Contains(out, `"event":"`+event+`"`) {
 			t.Errorf("run trace missing %q events", event)

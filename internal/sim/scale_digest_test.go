@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"hash"
 	"hash/fnv"
 	"testing"
 
@@ -13,18 +12,15 @@ import (
 	"repro/internal/workload"
 )
 
-// canonHash is an io.Writer that hashes each written trace line in its
-// canonical form (obs.CanonicalLine plus a newline). The tracer writes one
-// whole line a Write, so the sum equals the FNV-64a of the Canonicalized
-// stream, the digest `TestDecisionLogDigest` pins.
-type canonHash struct{ h hash.Hash64 }
-
-func newCanonHash() *canonHash { return &canonHash{h: fnv.New64a()} }
-
-func (c *canonHash) Write(p []byte) (int, error) {
-	c.h.Write(obs.CanonicalLine(p))
-	c.h.Write([]byte{'\n'})
-	return len(p), nil
+// canonDigest is the FNV-64a of a stream's canonical form
+// (obs.Canonicalize), the digest `TestDecisionLogDigest` pins.
+func canonDigest(t *testing.T, stream *bytes.Buffer) uint64 {
+	t.Helper()
+	h := fnv.New64a()
+	if err := obs.Canonicalize(bytes.NewReader(stream.Bytes()), h); err != nil {
+		t.Fatal(err)
+	}
+	return h.Sum64()
 }
 
 // scaleWeek is the scale ladder's 300-PM week: `tracegen -jobs 13722`
@@ -71,14 +67,15 @@ func scaleWeek(t *testing.T) []workload.Request {
 // times the paper's fleet. The run is then checkpointed after a third of
 // its arrivals, while most are still unfired, and resumed under one cell
 // and under three; each resumed run must re-save the checkpoint's exact
-// bytes right after Restore, and complete both digests.
+// bytes right after Restore, and its streams, written after a copy of the
+// prefix's raw bytes, must complete both digests.
 func TestScaleWeekDigest(t *testing.T) {
 	const (
 		wantRun uint64 = 0x752f3ace090f9283
 		wantDec uint64 = 0x7f6e133883f9b7e5
 	)
 	reqs := scaleWeek(t)
-	cfg := func(cells int, run, dec *canonHash) Config {
+	cfg := func(cells int, run, dec *bytes.Buffer) Config {
 		sc := spare.DefaultConfig()
 		o := obs.New()
 		o.Trace, o.Decisions = obs.NewTracer(run), obs.NewTracer(dec)
@@ -92,13 +89,12 @@ func TestScaleWeekDigest(t *testing.T) {
 		}
 	}
 
-	run, dec := newCanonHash(), newCanonHash()
+	run, dec := new(bytes.Buffer), new(bytes.Buffer)
 	m, err := New(cfg(1, run, dec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ckpt []byte
-	var runAt, decAt hash.Hash64
+	var ckpt, runAt, decAt []byte
 	var arrivedAt int
 	for {
 		if ckpt == nil && m.s.arrived >= len(reqs)/3 {
@@ -107,7 +103,7 @@ func TestScaleWeekDigest(t *testing.T) {
 				t.Fatal(err)
 			}
 			ckpt, arrivedAt = buf.Bytes(), m.s.arrived
-			runAt, decAt = clone64(t, run.h), clone64(t, dec.h)
+			runAt, decAt = bytes.Clone(run.Bytes()), bytes.Clone(dec.Bytes())
 		}
 		ok, err := m.Step()
 		if err != nil {
@@ -121,17 +117,17 @@ func TestScaleWeekDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := run.h.Sum64(); got != wantRun {
+	if got := canonDigest(t, run); got != wantRun {
 		t.Errorf("run trace digest %#x, want %#x", got, wantRun)
 	}
-	if got := dec.h.Sum64(); got != wantDec {
+	if got := canonDigest(t, dec); got != wantDec {
 		t.Errorf("decision log digest %#x, want %#x", got, wantDec)
 	}
 	t.Logf("%d requests, %d events, queued %.2f %%, checkpoint at arrival %d",
 		len(reqs), m.Dispatched(), 100*res.Summary.QueuedFraction, arrivedAt)
 
 	for _, cells := range []int{1, 3} {
-		run, dec := &canonHash{h: clone64(t, runAt)}, &canonHash{h: clone64(t, decAt)}
+		run, dec := bytes.NewBuffer(bytes.Clone(runAt)), bytes.NewBuffer(bytes.Clone(decAt))
 		m, err := Restore(cfg(cells, run, dec), bytes.NewReader(ckpt))
 		if err != nil {
 			t.Fatalf("cells %d: %v", cells, err)
@@ -146,26 +142,11 @@ func TestScaleWeekDigest(t *testing.T) {
 				cells, at, a, b)
 		}
 		assertSameOutcome(t, res, runToEnd(t, m))
-		if got := run.h.Sum64(); got != wantRun {
+		if got := canonDigest(t, run); got != wantRun {
 			t.Errorf("cells %d: resumed run trace digest %#x, want %#x", cells, got, wantRun)
 		}
-		if got := dec.h.Sum64(); got != wantDec {
+		if got := canonDigest(t, dec); got != wantDec {
 			t.Errorf("cells %d: resumed decision log digest %#x, want %#x", cells, got, wantDec)
 		}
 	}
-}
-
-// clone64 copies an FNV-64a state, so a digest of the prefix written
-// before a checkpoint can be carried on by each resumed run's tail.
-func clone64(t *testing.T, h hash.Hash64) hash.Hash64 {
-	t.Helper()
-	state, err := h.(interface{ MarshalBinary() ([]byte, error) }).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := fnv.New64a()
-	if err := c.(interface{ UnmarshalBinary([]byte) error }).UnmarshalBinary(state); err != nil {
-		t.Fatal(err)
-	}
-	return c
 }
