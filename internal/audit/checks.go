@@ -197,13 +197,9 @@ func DrainCheck(dc *cluster.Datacenter, feed *cluster.Feed, queue func() []*clus
 // matrix's trackers (SelfCheck). O(M*N) factor evaluations per run, so it
 // is a per-period check even in event mode.
 //
-// The two rebuilds are independent by construction — each builder copies
-// and sorts its own VM slice and only reads the (quiescent) fleet — so
-// they run concurrently (core.Parallel). The oracle build gets a fresh
-// Context: a Context's scratch checkout and interning tables are
-// single-threaded, and the per-class constants it re-derives depend only
-// on the fleet's classes, so a fresh Context computes bit-identical cells.
-// The diff then runs serially on the calling goroutine.
+// The oracle build gets a fresh Context: the per-class constants it
+// re-derives depend only on the fleet's classes, so a fresh Context
+// computes bit-identical cells without sharing the live one's memos.
 func TrackerCheck(ctx *core.Context, factors []core.Factor) Check {
 	return Check{
 		Name:     "tracker",
@@ -214,32 +210,17 @@ func TrackerCheck(ctx *core.Context, factors []core.Factor) Check {
 			if len(vms) == 0 {
 				return nil
 			}
-			var (
-				kernel                *core.Matrix
-				ref                   *oracle.Matrix
-				kernErr, kernCheckErr error
-				refErr                error
-			)
-			core.Parallel(
-				func() {
-					kernel, kernErr = core.NewMatrix(ctx, factors, vms)
-					if kernErr == nil {
-						kernCheckErr = kernel.SelfCheck()
-					}
-				},
-				func() {
-					ref, refErr = oracle.NewMatrix(core.NewContext(ctx.DC).At(now), factors, vms)
-				},
-			)
-			if kernErr != nil {
-				return fmt.Errorf("kernel matrix build: %w", kernErr)
+			kernel, err := core.NewMatrix(ctx, factors, vms)
+			if err != nil {
+				return fmt.Errorf("kernel matrix build: %w", err)
 			}
 			defer kernel.Release()
-			if kernCheckErr != nil {
-				return fmt.Errorf("kernel matrix self-check: %w", kernCheckErr)
+			if err := kernel.SelfCheck(); err != nil {
+				return fmt.Errorf("kernel matrix self-check: %w", err)
 			}
-			if refErr != nil {
-				return fmt.Errorf("oracle matrix build: %w", refErr)
+			ref, err := oracle.NewMatrix(core.NewContext(ctx.DC).At(now), factors, vms)
+			if err != nil {
+				return fmt.Errorf("oracle matrix build: %w", err)
 			}
 			if err := diffOracle(kernel, ref); err != nil {
 				return fmt.Errorf("kernel vs frozen oracle: %w", err)

@@ -1,11 +1,13 @@
 package audit
 
 import (
+	"io"
 	"math"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // This file is the sparse-vs-dense differential fuzz harness: two
@@ -46,7 +48,11 @@ func newSparseSide() *sparseSide {
 			pm.SetState(cluster.PMOn)
 		}
 	}
-	return &sparseSide{dc: dc, ctx: core.NewContext(dc), vms: make(map[cluster.VMID]*cluster.VM)}
+	// The side records decisions, so each pass collects its moves'
+	// alternatives (core.Context.MoveAlternatives).
+	ctx := core.NewContext(dc)
+	ctx.Obs = &obs.Observer{Decisions: obs.NewTracer(io.Discard)}
+	return &sparseSide{dc: dc, ctx: ctx, vms: make(map[cluster.VMID]*cluster.VM)}
 }
 
 // sparseHarness drives the mirrored pair through one operation stream.
@@ -65,7 +71,7 @@ type sparseHarness struct {
 }
 
 func newSparseHarness(t testing.TB, k int) *sparseHarness {
-	return &sparseHarness{
+	h := &sparseHarness{
 		t:       t,
 		a:       newSparseSide(),
 		b:       newSparseSide(),
@@ -73,6 +79,8 @@ func newSparseHarness(t testing.TB, k int) *sparseHarness {
 		k:       k,
 		nextID:  1,
 	}
+	h.b.ctx.SelfAudit = true
+	return h
 }
 
 func (h *sparseHarness) opts() core.MatrixOptions {
@@ -222,16 +230,12 @@ func (h *sparseHarness) departure(arg byte) {
 // and requires identical move lists: same VMs, same endpoints,
 // bit-identical gains, same rounds. At every applied move the two engines'
 // ranked alternatives for the moved column (dense ColumnAlternatives'
-// on-demand column scan vs the sparse shortlist, both depth 4, as handed
-// to the DecisionHook) must name the same PMs with bit-equal gains.
+// on-demand column scan vs the sparse shortlist, both depth 4, as each
+// pass collects them on its Context) must name the same PMs with bit-equal
+// gains. The sparse side runs under its Context's SelfAudit.
 func (h *sparseHarness) consolidate(arg byte) {
 	params := core.Params{MIGThreshold: 1.05, MIGRound: int(arg)%3 + 1}
-	var altsA, altsB [][]core.Placement
-	optsA, optsB := core.MatrixOptions{}, h.opts()
-	optsB.SelfAudit = true
-	optsA.DecisionHook = func(_ int, _ core.Move, alts []core.Placement) { altsA = append(altsA, alts) }
-	optsB.DecisionHook = func(_ int, _ core.Move, alts []core.Placement) { altsB = append(altsB, alts) }
-	dense, err := core.NewMatrixWith(h.a.ctx.At(h.now), h.factors, core.MigratableVMs(h.a.dc), optsA)
+	dense, err := core.NewMatrix(h.a.ctx.At(h.now), h.factors, core.MigratableVMs(h.a.dc))
 	if err != nil {
 		h.t.Fatalf("dense build: %v", err)
 	}
@@ -240,12 +244,13 @@ func (h *sparseHarness) consolidate(arg byte) {
 	if err != nil {
 		h.t.Fatalf("dense consolidate: %v", err)
 	}
-	movesB, err := core.ConsolidateWith(h.b.ctx.At(h.now), h.factors, params, optsB)
+	movesB, err := core.ConsolidateWith(h.b.ctx.At(h.now), h.factors, params, h.opts())
 	if err != nil {
 		h.t.Fatalf("sparse consolidate: %v", err)
 	}
+	altsA, altsB := h.a.ctx.MoveAlternatives(), h.b.ctx.MoveAlternatives()
 	if len(altsA) != len(movesA) || len(altsB) != len(movesB) {
-		h.t.Fatalf("consolidate at t=%g: hook saw %d/%d moves, engines made %d/%d",
+		h.t.Fatalf("consolidate at t=%g: %d/%d alternative lists collected, engines made %d/%d moves",
 			h.now, len(altsA), len(altsB), len(movesA), len(movesB))
 	}
 	if len(movesA) != len(movesB) {

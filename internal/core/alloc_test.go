@@ -31,7 +31,7 @@ var allocEngines = []struct {
 }{
 	{"dense", append(DefaultFactors(), offsetFactor{}), func(ctx *Context, params Params) error {
 		ctx.vmBuf = ctx.DC.AppendVMsInState(ctx.vmBuf[:0], cluster.VMRunning)
-		m, err := NewMatrixWith(ctx, DefaultFactors(), ctx.vmBuf, MatrixOptions{})
+		m, err := NewMatrix(ctx, DefaultFactors(), ctx.vmBuf)
 		if err != nil {
 			return err
 		}
@@ -218,11 +218,12 @@ func TestFramePoolInterleavedEngines(t *testing.T) {
 	// Pooled and twin matrices under SelfAudit, each Apply audited by a
 	// cold rebuild in flight; the twin mirrors the pooled matrix's moves.
 	twinCtx, twinVMs := tableIIState(t, 60, 140, 5)
-	twin, err := NewMatrixWith(twinCtx, factors, twinVMs, MatrixOptions{SelfAudit: true})
+	twinCtx.SelfAudit, ctx.SelfAudit = true, true
+	twin, err := NewMatrix(twinCtx, factors, twinVMs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err = NewMatrixWith(ctx, factors, vms, MatrixOptions{SelfAudit: true})
+	dense, err = NewMatrix(ctx, factors, vms)
 	if err != nil {
 		t.Fatal(err)
 	}

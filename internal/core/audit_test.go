@@ -63,7 +63,8 @@ func TestDiffDetectsPerturbation(t *testing.T) {
 
 func TestSelfAuditOptionVerifiesEveryApply(t *testing.T) {
 	ctx, factors, vms := paperExample()
-	m, err := NewMatrixWith(ctx, factors, vms, MatrixOptions{SelfAudit: true})
+	ctx.SelfAudit = true
+	m, err := NewMatrix(ctx, factors, vms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +105,12 @@ func TestConsolidateWithSelfAuditMatchesPlain(t *testing.T) {
 		{"default-sparse", fleetA, fleetB, DefaultFactors()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			plain := denseConsolidate(t, tc.a, tc.factors, DefaultParams(), MatrixOptions{})
+			plain := denseConsolidate(t, tc.a, tc.factors, DefaultParams())
 			if len(plain) == 0 {
 				t.Fatal("no moves; self-audit never exercised")
 			}
-			audited, err := ConsolidateWith(tc.b, tc.factors, DefaultParams(), MatrixOptions{SelfAudit: true})
+			tc.b.SelfAudit = true
+			audited, err := ConsolidateWith(tc.b, tc.factors, DefaultParams(), MatrixOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

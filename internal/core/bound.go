@@ -158,7 +158,7 @@ func (ctx *Context) choose(x *candIndex) (best choice, scans int) {
 // A pass whose first sweep keeps no column ends there: it is proven empty by
 // the bounds alone.
 func (ctx *Context) consolidateLazy(factors []Factor, params Params, opts MatrixOptions) (moves []Move, err error) {
-	x := ctx.candidatesWith(opts.Workers)
+	x := ctx.candidates()
 	phase := ctx.metrics().prove.Span()
 	start := phase.Begin()
 	declined := ctx.sweep(x, params.MIGThreshold)
@@ -169,10 +169,10 @@ func (ctx *Context) consolidateLazy(factors []Factor, params Params, opts Matrix
 	if declined {
 		ctx.metrics().declined.Add(1)
 	}
-	if len(ctx.swept) > 0 || opts.SelfAudit {
+	if len(ctx.swept) > 0 || ctx.SelfAudit {
 		phase = ctx.metrics().rounds.Span()
 		start = phase.Begin()
-		moves, err = ctx.lazyRounds(x, factors, params, opts)
+		moves, err = ctx.lazyRounds(x, factors, params)
 		phase.End(start)
 	}
 	if len(moves) == 0 && err == nil {
@@ -182,15 +182,16 @@ func (ctx *Context) consolidateLazy(factors []Factor, params Params, opts Matrix
 }
 
 // lazyRounds runs the pass's rounds from a finished first sweep: choose,
-// report the move to the decision hook, migrate, re-sync both endpoints in
-// the index and the roster, sweep again. Under SelfAudit every round is
-// held to a cold dense Matrix first.
-func (ctx *Context) lazyRounds(x *candIndex, factors []Factor, params Params, opts MatrixOptions) (moves []Move, err error) {
+// collect the move's alternatives when the Context records decisions,
+// migrate, re-sync both endpoints in the index and the roster, sweep again.
+// Under SelfAudit every round is held to a cold dense Matrix first.
+func (ctx *Context) lazyRounds(x *candIndex, factors []Factor, params Params) (moves []Move, err error) {
 	scans := 0
+	record := ctx.Obs.DecisionTracing()
 	for round := 1; ; round++ {
 		ch, n := ctx.choose(x)
 		scans += n
-		if opts.SelfAudit {
+		if ctx.SelfAudit {
 			if err = ctx.auditRound(factors, ch, params.MIGThreshold); err != nil {
 				break
 			}
@@ -200,9 +201,9 @@ func (ctx *Context) lazyRounds(x *candIndex, factors []Factor, params Params, op
 		}
 		vm := ch.vm
 		mv := Move{VM: vm.ID, From: vm.Host, To: cluster.PMID(ch.id), Gain: ch.gain, Round: round}
-		if hook := opts.DecisionHook; hook != nil {
+		if record {
 			ctx.virBuf = ctx.appendVirs(ctx.virBuf[:0], vm)
-			hook(round, mv, x.alternatives(x.shape(ch.shape), int32(vm.Host), ch.cur, ctx.virBuf, ch.id, altDepth))
+			ctx.alts = append(ctx.alts, x.alternatives(x.shape(ch.shape), int32(vm.Host), ch.cur, ctx.virBuf, ch.id, altDepth))
 		}
 		if err = Migrate(vm, x.pms[mv.From], x.pms[ch.id]); err != nil {
 			break

@@ -142,11 +142,12 @@ func TestBoundHazards(t *testing.T) {
 					for _, s := range sides {
 						s.ctx.Now += 900
 					}
-					plain.ctx.Obs = observer // a restore step replaces the Context
+					// A restore step replaces the Context.
+					plain.ctx.Obs, audited.ctx.SelfAudit = observer, true
 					before := boundCountsOf(observer)
-					want := denseConsolidate(t, cold.ctx, DefaultFactors(), params, MatrixOptions{})
+					want := denseConsolidate(t, cold.ctx, DefaultFactors(), params)
 					for _, s := range sides[:2] {
-						got, err := ConsolidateWith(s.ctx, DefaultFactors(), params, MatrixOptions{SelfAudit: s == audited})
+						got, err := ConsolidateWith(s.ctx, DefaultFactors(), params, MatrixOptions{})
 						if err != nil {
 							t.Fatalf("after step %d: %v", step, err)
 						}

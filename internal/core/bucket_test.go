@@ -362,14 +362,15 @@ func TestBucketInactiveHost(t *testing.T) {
 		for _, vm := range pm.VMs() {
 			vm.State = cluster.VMCreating
 		}
-		if _, err := ConsolidateWith(ctx, factors, DefaultParams(), MatrixOptions{SelfAudit: true}); err != nil {
+		ctx.SelfAudit = true
+		if _, err := ConsolidateWith(ctx, factors, DefaultParams(), MatrixOptions{}); err != nil {
 			t.Fatalf("Creating VMs on an inactive PM: %v", err)
 		}
 		pm.SetState(cluster.PMOn)
 		for _, vm := range pm.VMs() {
 			vm.State = cluster.VMRunning
 		}
-		if _, err := ConsolidateWith(ctx, factors, DefaultParams(), MatrixOptions{SelfAudit: true}); err != nil {
+		if _, err := ConsolidateWith(ctx, factors, DefaultParams(), MatrixOptions{}); err != nil {
 			t.Fatalf("the PM back on: %v", err)
 		}
 		if ctx.roster.offline != 0 {

@@ -63,11 +63,6 @@ type candIndex struct {
 	// ids.
 	shapes    []*candShape
 	shapeList []*candShape
-
-	// workers is the sticky MatrixOptions.Workers request trackShape's
-	// first-seen fleet pass resolves against; candidatesWith updates it.
-	// Zero and one are serial.
-	workers int
 }
 
 // candKey identifies a score group within a shape.
@@ -131,19 +126,6 @@ func (ctx *Context) candidates() *candIndex {
 	if ctx.cand == nil {
 		ctx.cand = newCandIndex(ctx)
 	}
-	ctx.cand.sync()
-	return ctx.cand
-}
-
-// candidatesWith is candidates with an explicit worker request
-// (MatrixOptions.Workers) for the first-seen shape pass. The setting is
-// sticky: later plain candidates() calls reuse it, matching how one options
-// value drives a whole consolidation pass.
-func (ctx *Context) candidatesWith(workers int) *candIndex {
-	if ctx.cand == nil {
-		ctx.cand = newCandIndex(ctx)
-	}
-	ctx.cand.workers = workers
 	ctx.cand.sync()
 	return ctx.cand
 }
@@ -249,11 +231,11 @@ func (x *candIndex) trackShape(sid int32) *candShape {
 	}
 	// The first-seen fleet pass is the index's O(M) hotspot: membership is
 	// a pure signature evaluation per PM once the class table is warm, so
-	// it shards across workers into per-PM result slots; groups are then
-	// built serially in PM-ID order, so group numbering and member order
-	// match the serial pass exactly.
+	// it shards across the Context's Workers into per-PM result slots;
+	// groups are then built serially in PM-ID order, so group numbering and
+	// member order match the serial pass exactly.
 	n := len(x.pms)
-	if workers := claimWorkers(x.workers, n); workers > 1 {
+	if workers := claimWorkers(x.ctx.Workers, n); workers > 1 {
 		for _, pm := range x.pms {
 			x.ctx.classID(pm) // prewarm the class table: read-only below
 		}
@@ -527,8 +509,8 @@ func (x *candIndex) shortlist(sh *candShape, skip int32, vir []float64, k int) [
 	return out
 }
 
-// alternatives is what a DecisionHook sees for a consolidation column: the
-// shortlist with each probability normalized by cur, collapsing to the
+// alternatives is what MoveAlternatives keeps for a consolidation column:
+// the shortlist with each probability normalized by cur, collapsing to the
 // single rescue PM best (none when best < 0) at +Inf gain when cur is not
 // positive.
 func (x *candIndex) alternatives(sh *candShape, host int32, cur float64, vir []float64, best int32, k int) []Placement {

@@ -44,8 +44,31 @@ type Context struct {
 	// Obs, when non-nil, receives phase timings (kernel build, Algorithm 1
 	// rounds, arrival argmax) and decision counters from the placement
 	// paths. Nil — the default, and what every benchmark uses — keeps the
-	// hot paths free of instrumentation beyond a nil check.
+	// hot paths free of instrumentation beyond a nil check. When it
+	// records decisions (DecisionTracing), every consolidation pass also
+	// collects its moves' alternatives (MoveAlternatives).
 	Obs *obs.Observer
+
+	// SelfAudit holds every consolidation pass on this Context to cold
+	// rebuilds: the roster it read against a cold rebuild (roster.go),
+	// every lazy round of a canonical pass against a cold dense Matrix
+	// (bound.go's checkRound: the index's structure, each column's group
+	// scan, the sweep's bounds and the choice), and every Apply of a dense
+	// Matrix against a fresh build over the same VMs (probabilities,
+	// column trackers and the Best extraction bit-identical). The cold
+	// builds are references, never applied, so they do not audit in turn.
+	// Expensive (a cold build per round); the simulator sets it in
+	// -audit=event mode.
+	SelfAudit bool
+
+	// Workers is the number of goroutines the candidate index fans its
+	// first-seen shape pass out on (parallel.go); the dense Matrix is
+	// strictly serial and ignores it. Zero and one are the strictly serial
+	// path with its zero-allocation budgets; a count above one is honored
+	// verbatim — results are bit-identical at every setting (DESIGN.md
+	// §15). Kept only as the seam bench/ drives (sim.Config.KernelWorkers);
+	// ROADMAP item 2 deletes it.
+	Workers int
 
 	// classTab and shapeTab are the Context-level interning tables
 	// (classID, shapeID): one entry per PM class and per distinct demand
@@ -82,7 +105,23 @@ type Context struct {
 	// met is the placement paths' metric handles, resolved against Obs
 	// (metrics).
 	met *ctxMetrics
+
+	// alts is the last consolidation pass's alternative lists, one per
+	// move, collected while Obs records decisions (MoveAlternatives).
+	alts [][]Placement
 }
+
+// MoveAlternatives returns, for each move of the last consolidation pass
+// run on the Context (ConsolidateWith, Matrix.Consolidate), the moved
+// column's ranked non-host alternatives: probabilities normalized by the
+// column's current placement, so scores are the gains Algorithm 1
+// compares; the head is the chosen target; at most 4 deep. The lists are
+// exact — ordered (gain desc, PM ID asc) over every positive alternative —
+// and identical on the lazy rounds and the dense Matrix. They are collected
+// only while Obs records decisions (obs.Observer.DecisionTracing), the
+// one reader being policy.Recorder; otherwise the result is empty. Valid
+// until the next pass.
+func (ctx *Context) MoveAlternatives() [][]Placement { return ctx.alts }
 
 // ctxMetrics holds every counter and span the placement paths feed, each
 // resolved on its first use (obs.CounterRef): a pass pays an atomic add per

@@ -92,9 +92,9 @@ func edgeState(tb testing.TB, pmCount, nVMs int, seed int64) (*Context, []*clust
 // Matrix built by constructor name. ConsolidateWith sends a canonical list
 // to the lazy rounds, so this is the reference side of every engine
 // differential in the package.
-func denseConsolidate(tb testing.TB, ctx *Context, factors []Factor, params Params, opts MatrixOptions) []Move {
+func denseConsolidate(tb testing.TB, ctx *Context, factors []Factor, params Params) []Move {
 	tb.Helper()
-	m, err := NewMatrixWith(ctx, factors, MigratableVMs(ctx.DC), opts)
+	m, err := NewMatrix(ctx, factors, MigratableVMs(ctx.DC))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -252,12 +252,12 @@ func TestKernelEquivalenceConsolidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := denseConsolidate(t, ctxSlow, opaqueFactors(DefaultFactors()), params, MatrixOptions{})
+	slow := denseConsolidate(t, ctxSlow, opaqueFactors(DefaultFactors()), params)
 	if len(slow) == 0 {
 		t.Fatal("consolidation produced no moves; the state is too easy to prove anything")
 	}
 	assertMovesEqual(t, slow, fast)
-	assertMovesEqual(t, slow, denseConsolidate(t, ctxCell, DefaultFactors(), params, MatrixOptions{}))
+	assertMovesEqual(t, slow, denseConsolidate(t, ctxCell, DefaultFactors(), params))
 	if err := ctxFast.DC.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
@@ -382,7 +382,7 @@ func TestConsolidateZeroCurrentProbability(t *testing.T) {
 			host.SetReliability(0)
 
 			ctx := NewContext(dc).At(100)
-			moves := denseConsolidate(t, ctx, pathFactors(name), DefaultParams(), MatrixOptions{})
+			moves := denseConsolidate(t, ctx, pathFactors(name), DefaultParams())
 			if len(moves) != 1 {
 				t.Fatalf("moves = %+v, want exactly one rescue migration", moves)
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"slices"
 	"testing"
@@ -15,12 +16,13 @@ import (
 // identically built fleets walk the same operation stream — the opcodes and
 // the fleet of internal/audit's FuzzSparseOperations — and after every
 // operation each runs one consolidation pass: lazily through
-// ConsolidateWith, and on a cold Matrix.Consolidate. The move lists (VM,
-// endpoints, Gain bits, Round) and the alternatives each hands its
-// DecisionHook must agree exactly, every moving round's sweep is held to the
-// dense trackers of the same round — no swept bound below its column's gain,
-// no column left out whose gain exceeds the threshold — and after every pass
-// the bucket sweep is held to a cold column sweep (checkBuckets).
+// ConsolidateWith, and round by round on a cold Matrix. The move lists (VM,
+// endpoints, Gain bits, Round) and each move's alternatives (the lazy
+// side's MoveAlternatives, the dense side's ColumnAlternatives) must agree
+// exactly, every moving round's sweep is held to the dense trackers of the
+// same round — no swept bound below its column's gain, no column left out
+// whose gain exceeds the threshold — and after every pass the bucket sweep
+// is held to a cold column sweep (checkBuckets).
 
 // lazyFleet is the FuzzSparseOperations fleet: the Table II fast/slow mix,
 // three fast and five slow PMs, the first four on.
@@ -214,37 +216,42 @@ func (h *lazyHarness) step(op, arg byte) {
 }
 
 // pass runs one consolidation pass both ways and requires them to agree.
+// The lazy side is ConsolidateWith, recording decisions so the Context
+// collects each move's alternatives. The dense side runs Algorithm 1's
+// rounds on a cold Matrix one by one, and before each move logs the round:
+// the dense gains, and the sweep and choice the lazy rounds make on the
+// same fleet state, taken on the dense side's own Context.
 func (h *lazyHarness) pass() {
 	t := h.t
 	lazy, dense := h.sides[0], h.sides[1]
 	var alts [2][][]Placement
-	hook := func(side int) func(int, Move, []Placement) {
-		return func(_ int, _ Move, a []Placement) { alts[side] = append(alts[side], a) }
-	}
-	var cases []lazyCase
-	var tops0 []float64 // round 1's top product per shape id
 	lazy.Obs = obs.New()
-	lazyHook := hook(0)
-	moves, err := ConsolidateWith(lazy, DefaultFactors(), h.params, MatrixOptions{DecisionHook: func(round int, mv Move, a []Placement) {
-		lazyHook(round, mv, a)
-		lc := lazyCase{round: round, vm: mv.VM, gain: mv.Gain}
-		for _, s := range lazy.swept {
-			lc.swept = append(lc.swept, sweptCol{s.vm.ID, s.key})
-			if s.vm.ID == mv.VM {
-				lc.key = s.key
-			}
+	lazy.Obs.Decisions = obs.NewTracer(io.Discard)
+	moves, err := ConsolidateWith(lazy, DefaultFactors(), h.params, MatrixOptions{})
+	if err != nil {
+		t.Fatalf("lazy pass at t=%g: %v", lazy.Now, err)
+	}
+	alts[0] = lazy.MoveAlternatives()
+	h.log.scans = append(h.log.scans, lazy.Obs.Counter("core.exact_column_scans").Value())
+	lazy.Obs = nil
+
+	m, err := NewMatrix(dense, DefaultFactors(), MigratableVMs(dense.DC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		denseMoves []Move
+		cases      []lazyCase
+		tops0      []float64 // round 1's top product per shape id
+	)
+	for round := 1; round <= h.params.MIGRound; round++ {
+		r, c, gain, ok := m.Best()
+		if !ok || gain <= h.params.MIGThreshold || math.IsNaN(gain) {
+			break
 		}
-		tops := make([]float64, len(lazy.cand.shapes))
-		for sid, sh := range lazy.cand.shapes {
-			if sh != nil {
-				tops[sid] = sh.top.v1
-			}
-		}
-		for _, vm := range MigratableVMs(lazy.DC) {
-			if lazy.cand.shapes[lazy.shapeID(vm.Demand)].top.sole == int32(vm.Host) {
-				lc.soleHosts++
-			}
-		}
+		vm := m.vms[c]
+		mv := Move{VM: vm.ID, From: vm.Host, To: m.pms[r].ID, Gain: gain, Round: round}
+		lc, tops := h.lazyRound(dense, mv, m)
 		if round == 1 {
 			tops0 = tops
 		}
@@ -252,37 +259,17 @@ func (h *lazyHarness) pass() {
 			lc.raised = lc.raised || tops[sid] > tops0[sid]
 		}
 		cases = append(cases, lc)
-	}})
-	if err != nil {
-		t.Fatalf("lazy pass at t=%g: %v", lazy.Now, err)
-	}
-	h.log.scans = append(h.log.scans, lazy.Obs.Counter("core.exact_column_scans").Value())
-	lazy.Obs = nil
-
-	var m *Matrix
-	denseHook := hook(1)
-	m, err = NewMatrixWith(dense, DefaultFactors(), MigratableVMs(dense.DC), MatrixOptions{DecisionHook: func(round int, mv Move, a []Placement) {
-		denseHook(round, mv, a)
-		if round <= len(cases) {
-			gains := make(map[cluster.VMID]float64, len(m.vms))
-			for c, vm := range m.vms {
-				gains[vm.ID] = m.bestGain[c]
-			}
-			cases[round-1].gains = gains
+		alts[1] = append(alts[1], m.ColumnAlternatives(c, altDepth))
+		if err := m.Apply(r, c); err != nil {
+			t.Fatal(err)
 		}
-	}})
-	if err != nil {
-		t.Fatal(err)
+		denseMoves = append(denseMoves, mv)
 	}
-	denseMoves, err := m.Consolidate(h.params)
 	m.Release()
-	if err != nil {
-		t.Fatal(err)
-	}
 	assertMovesEqual(t, denseMoves, moves)
 	for side := range alts {
 		if len(alts[side]) != len(moves) {
-			t.Fatalf("side %d's hook saw %d moves, the pass made %d", side, len(alts[side]), len(moves))
+			t.Fatalf("side %d has %d alternative lists, the pass made %d moves", side, len(alts[side]), len(moves))
 		}
 	}
 	for i := range moves {
@@ -308,6 +295,43 @@ func (h *lazyHarness) pass() {
 	if len(moves) == h.params.MIGRound {
 		h.log.capped++
 	}
+}
+
+// lazyRound is the lazy rounds' view of one dense round about to make mv:
+// the sweep and exact scans on ctx, the dense side's Context, over the
+// fleet as it stands, with m's gains, and every shape's top product by
+// shape id. The lazy side's round made the same sweep: the moves before
+// it were the same, and a sweep reads only the fleet.
+func (h *lazyHarness) lazyRound(ctx *Context, mv Move, m *Matrix) (lazyCase, []float64) {
+	x := ctx.candidates()
+	ctx.syncRoster()
+	ctx.sweep(x, h.params.MIGThreshold)
+	ch, _ := ctx.choose(x)
+	if ch.vm == nil || ch.vm.ID != mv.VM || cluster.PMID(ch.id) != mv.To || math.Float64bits(ch.gain) != math.Float64bits(mv.Gain) {
+		h.t.Fatalf("round %d: the dense side moves VM %d to PM %d at %v, the sweep on its fleet chooses %+v", mv.Round, mv.VM, mv.To, mv.Gain, ch)
+	}
+	lc := lazyCase{round: mv.Round, vm: mv.VM, gain: mv.Gain, gains: make(map[cluster.VMID]float64, len(m.vms))}
+	for c, vm := range m.vms {
+		lc.gains[vm.ID] = m.bestGain[c]
+	}
+	for _, s := range ctx.swept {
+		lc.swept = append(lc.swept, sweptCol{s.vm.ID, s.key})
+		if s.vm.ID == mv.VM {
+			lc.key = s.key
+		}
+	}
+	tops := make([]float64, len(x.shapes))
+	for sid, sh := range x.shapes {
+		if sh != nil {
+			tops[sid] = sh.top.v1
+		}
+	}
+	for _, vm := range MigratableVMs(ctx.DC) {
+		if x.shapes[ctx.shapeID(vm.Demand)].top.sole == int32(vm.Host) {
+			lc.soleHosts++
+		}
+	}
+	return lc, tops
 }
 
 // checkSweep holds one moving round's sweep to the dense gains of the same

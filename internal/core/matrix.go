@@ -17,15 +17,14 @@ import (
 // Best is a sequential argmax. It has two standing jobs: the production
 // engine for every factor list that is not Canonical (ablations, appended
 // factors, opaque user factors), and the cold reference the lazy rounds of a
-// canonical pass are checked against (bound.go's checkRound: SelfAudit,
-// audit.SparseCheck).
+// canonical pass are checked against (bound.go's checkRound:
+// Context.SelfAudit, audit.SparseCheck).
 //
 // A Matrix is built from the Context's pooled scratch under a checkout
 // model (scratch.go) and is valid until Release.
 type Matrix struct {
 	ctx     *Context
 	factors []Factor
-	opts    MatrixOptions
 
 	// prog is the compiled factor program every cell is filled through.
 	prog program
@@ -58,23 +57,13 @@ type Matrix struct {
 	scr *matrixScratch
 }
 
-// altDepth is how many ranked alternatives a DecisionHook receives per
+// altDepth is how many ranked alternatives MoveAlternatives keeps per
 // migration.
 const altDepth = 4
 
-// MatrixOptions tunes matrix construction.
+// MatrixOptions tunes a Dynamic scheme's evaluation. The run's own settings
+// (self-audit, kernel workers, decision recording) live on its Context.
 type MatrixOptions struct {
-	// SelfAudit makes every Apply verify the incrementally maintained
-	// state against a cold rebuild over the same VMs (a fresh
-	// NewMatrixWith): probabilities, column trackers, and the Best
-	// extraction must be bit-identical. A canonical ConsolidateWith pass,
-	// which builds no engine, holds every lazy round to a cold dense Matrix
-	// instead (bound.go's checkRound: the index's structure, each column's
-	// group scan, the sweep's bounds and the choice); every pass verifies
-	// the roster it read against a cold rebuild (roster.go). Expensive (a
-	// cold build per round); the simulator enables it in -audit=event mode.
-	SelfAudit bool
-
 	// CandidateK selects nothing: the engine follows the factor list
 	// (Canonical). It is only the declared ceiling on non-empty score
 	// groups per demand shape behind the "core.sparse_shape_overflow"
@@ -83,26 +72,6 @@ type MatrixOptions struct {
 	// ctx.Obs so a mis-sized fleet model is visible. Zero or less declares
 	// no ceiling and counts nothing.
 	CandidateK int
-
-	// Workers is the number of goroutines the candidate index fans its
-	// first-seen shape pass out on (parallel.go); the dense Matrix
-	// is strictly serial and ignores it. Zero and one are the strictly
-	// serial path with its zero-allocation budgets; a count above one is
-	// honored verbatim — results are bit-identical at every setting
-	// (DESIGN.md §15). Kept only as the seam bench/ drives; ROADMAP item 2
-	// deletes it.
-	Workers int
-
-	// DecisionHook, when set, observes every Algorithm 1 migration just
-	// before it is applied: the move itself plus the column's ranked
-	// non-host alternatives (probability normalized by the column's
-	// current placement, so scores are the gains Algorithm 1 compares;
-	// the head is the chosen target; depth is at most 4). The lists are
-	// exact — ordered (gain desc, PM ID asc) over every positive
-	// alternative — and identical on the lazy rounds and the dense Matrix,
-	// as are the chosen moves. The lists are computed only when a hook is set.
-	// Observation only: the hook must not mutate simulation state.
-	DecisionHook func(round int, mv Move, alts []Placement)
 }
 
 // NewMatrix builds the probability matrix over the data center's active
@@ -110,20 +79,15 @@ type MatrixOptions struct {
 // currently be hosted on an active PM. Rows and columns are ordered by ID
 // for deterministic tie-breaking.
 func NewMatrix(ctx *Context, factors []Factor, vms []*cluster.VM) (*Matrix, error) {
-	return NewMatrixWith(ctx, factors, vms, MatrixOptions{})
+	return newMatrix(ctx, factors, vms, false)
 }
 
-// NewMatrixWith is NewMatrix with explicit options.
-func NewMatrixWith(ctx *Context, factors []Factor, vms []*cluster.VM, opts MatrixOptions) (*Matrix, error) {
-	return newMatrix(ctx, factors, vms, false, opts)
-}
-
-// newMatrix is NewMatrixWith over columns that, when sorted is set, already
+// newMatrix is NewMatrix over columns that, when sorted is set, already
 // ascend by ID (ctx.columns) and are used as given, valid as long as the
 // matrix; otherwise the caller is a constructor with a list in any order,
 // which is copied and sorted here. Every VM must currently be hosted on an
 // active PM and appear once.
-func newMatrix(ctx *Context, factors []Factor, vms []*cluster.VM, sorted bool, opts MatrixOptions) (*Matrix, error) {
+func newMatrix(ctx *Context, factors []Factor, vms []*cluster.VM, sorted bool) (*Matrix, error) {
 	if len(factors) == 0 {
 		return nil, fmt.Errorf("core: matrix needs at least one factor")
 	}
@@ -132,7 +96,7 @@ func newMatrix(ctx *Context, factors []Factor, vms []*cluster.VM, sorted bool, o
 	}
 	scr := ctx.takeScratch()
 	m := &scr.dense
-	*m = Matrix{ctx: ctx, factors: factors, opts: opts, scr: scr}
+	*m = Matrix{ctx: ctx, factors: factors, scr: scr}
 
 	// The datacenter lists PMs by ID, so the rows ascend as collected.
 	m.id2row = grow(&scr.id2row, ctx.DC.Size())
@@ -401,7 +365,8 @@ type Move struct {
 }
 
 // Apply migrates column c's VM to row r (migrate: the datacenter state is
-// mutated) and refreshes the two affected rows.
+// mutated) and refreshes the two affected rows. Under Context.SelfAudit
+// the refreshed matrix is then held to a fresh build (verifyRebuild).
 func (m *Matrix) Apply(r, c int) error {
 	from := m.curRow[c]
 	if err := Migrate(m.vms[c], m.pms[from], m.pms[r]); err != nil {
@@ -409,7 +374,7 @@ func (m *Matrix) Apply(r, c int) error {
 	}
 	m.recomputeRow(from)
 	m.recomputeRow(r)
-	if m.opts.SelfAudit {
+	if m.ctx.SelfAudit {
 		if err := m.verifyRebuild(); err != nil {
 			return fmt.Errorf("core: self-audit after moving VM %d to PM %d: %w", m.vms[c].ID, m.pms[r].ID, err)
 		}
@@ -486,9 +451,7 @@ func (m *Matrix) Diff(o *Matrix) error {
 // verifyRebuild checks the live matrix against a cold rebuild over the
 // same VM set (SelfAudit mode).
 func (m *Matrix) verifyRebuild() error {
-	opts := m.opts
-	opts.SelfAudit = false
-	fresh, err := NewMatrixWith(m.ctx, m.factors, m.vms, opts)
+	fresh, err := NewMatrix(m.ctx, m.factors, m.vms)
 	if err != nil {
 		return fmt.Errorf("core: rebuild failed: %w", err)
 	}

@@ -54,8 +54,9 @@ func Consolidate(ctx *Context, factors []Factor, params Params) ([]Move, error) 
 // fleet. The factor list picks how the rounds run: a Canonical list as a
 // lazy greedy over gain bounds swept from the roster's buckets, with no
 // engine built (bound.go), any other list on the dense Matrix over columns
-// gathered from them — the same moves either way.
+// gathered from them — the same moves and MoveAlternatives either way.
 func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixOptions) ([]Move, error) {
+	ctx.alts = ctx.alts[:0]
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -63,7 +64,7 @@ func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixO
 	start := phase.Begin()
 	ro := ctx.syncRoster()
 	phase.End(start)
-	if opts.SelfAudit {
+	if ctx.SelfAudit {
 		if err := ctx.diffRoster(); err != nil {
 			return nil, err
 		}
@@ -80,7 +81,7 @@ func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixO
 	} else {
 		phase = ctx.metrics().build.Span()
 		start = phase.Begin()
-		m, buildErr := newMatrix(ctx, factors, ctx.columns(), true, opts)
+		m, buildErr := newMatrix(ctx, factors, ctx.columns(), true)
 		phase.End(start)
 		if buildErr != nil {
 			return nil, buildErr
@@ -102,15 +103,18 @@ func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixO
 // returns the executed moves — what ConsolidateWith runs for a non-canonical
 // factor list, and the differential harnesses' dense side: while the best
 // normalized gain exceeds MIG_threshold and fewer than MIG_round rounds have
-// run, report the move to the decision hook (if any) and apply it. On an
-// Apply error the moves executed so far are returned with it.
+// run, collect the move's alternatives when the Context records decisions
+// (MoveAlternatives) and apply it. On an Apply error the moves executed so
+// far are returned with it.
 func (m *Matrix) Consolidate(params Params) ([]Move, error) {
+	ctx := m.ctx
+	ctx.alts = ctx.alts[:0]
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	phase := m.ctx.metrics().rounds.Span()
+	phase := ctx.metrics().rounds.Span()
 	defer phase.End(phase.Begin())
-	hook := m.opts.DecisionHook
+	record := ctx.Obs.DecisionTracing()
 	var moves []Move
 	for round := 1; round <= params.MIGRound; round++ {
 		r, c, gain, ok := m.Best()
@@ -119,8 +123,8 @@ func (m *Matrix) Consolidate(params Params) ([]Move, error) {
 		}
 		vm := m.vms[c]
 		mv := Move{VM: vm.ID, From: vm.Host, To: m.pms[r].ID, Gain: gain, Round: round}
-		if hook != nil {
-			hook(round, mv, m.ColumnAlternatives(c, altDepth))
+		if record {
+			ctx.alts = append(ctx.alts, m.ColumnAlternatives(c, altDepth))
 		}
 		if err := m.Apply(r, c); err != nil {
 			return moves, err
@@ -209,7 +213,7 @@ func BestPlacementWith(ctx *Context, factors []Factor, vm *cluster.VM, opts Matr
 	phase := ctx.metrics().arrival.Span()
 	defer phase.End(phase.Begin())
 	if Canonical(factors) {
-		return ctx.candidatesWith(opts.Workers).bestArrival(vm, opts.CandidateK)
+		return ctx.candidates().bestArrival(vm, opts.CandidateK)
 	}
 	col := ctx.arrivalColumn(factors, vm)
 	var best *cluster.PM

@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 )
 
-// This file is the in-run parallelism layer behind MatrixOptions.Workers:
+// This file is the in-run parallelism layer behind Context.Workers:
 // the span scheduler the candidate index's kernels fan out on when a caller
 // asks for more than one worker (the dense Matrix is strictly serial). It is
 // kept only as the seam bench/ drives through sim.Config.KernelWorkers;
@@ -19,7 +19,7 @@ import (
 // PM-ID order, so the result is bit-identical to the serial pass at any
 // worker count. Worker count changes scheduling, never values.
 
-// claimWorkers resolves a MatrixOptions.Workers request for a loop of
+// claimWorkers resolves a Context.Workers request for a loop of
 // `items` independent units: zero and one stay strictly serial on the
 // calling goroutine; a count above one is honored verbatim up to items
 // (one worker per unit being the maximum useful parallelism) — an explicit
@@ -73,29 +73,5 @@ func runSpans(workers, n int, body func(lo, hi int)) {
 		}()
 	}
 	work()
-	wg.Wait()
-}
-
-// Parallel runs the given functions concurrently (the calling goroutine
-// executes the first) and returns when all have finished. It exists for
-// coarse-grained fan-out of a fixed handful of independent jobs — the
-// auditor's differential rebuilds — where each job already owns its state.
-func Parallel(fns ...func()) {
-	if len(fns) == 0 {
-		return
-	}
-	if len(fns) == 1 {
-		fns[0]()
-		return
-	}
-	var wg sync.WaitGroup
-	for _, fn := range fns[1:] {
-		wg.Add(1)
-		go func(fn func()) {
-			defer wg.Done()
-			fn()
-		}(fn)
-	}
-	fns[0]()
 	wg.Wait()
 }

@@ -41,7 +41,8 @@ func bigScenario(t *testing.T) (*Context, []*cluster.VM) {
 func TestParallelConsolidateDeterministic(t *testing.T) {
 	run := func(workers int) []Move {
 		ctx, _ := bigScenario(t)
-		moves, err := ConsolidateWith(ctx, DefaultFactors(), DefaultParams(), MatrixOptions{Workers: workers})
+		ctx.Workers = workers
+		moves, err := ConsolidateWith(ctx, DefaultFactors(), DefaultParams(), MatrixOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

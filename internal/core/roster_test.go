@@ -154,7 +154,8 @@ func TestRosterHazards(t *testing.T) {
 				live, cold := newRosterSide(t), newRosterSide(t)
 				pass := func(step int) {
 					t.Helper()
-					got, err := ConsolidateWith(live.ctx, list.factors, params, MatrixOptions{SelfAudit: true})
+					live.ctx.SelfAudit = true // a restore step replaces the Context
+					got, err := ConsolidateWith(live.ctx, list.factors, params, MatrixOptions{})
 					if err != nil {
 						t.Fatalf("after step %d: %v", step, err)
 					}
@@ -163,7 +164,7 @@ func TestRosterHazards(t *testing.T) {
 					}
 					var want []Move
 					if vms := MigratableVMs(cold.ctx.DC); len(vms) > 0 {
-						m, err := NewMatrixWith(cold.ctx, list.factors, vms, MatrixOptions{})
+						m, err := NewMatrix(cold.ctx, list.factors, vms)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -273,13 +274,13 @@ func TestRosterCounters(t *testing.T) {
 // between a broken roster and a silently mis-ordered matrix.
 func TestFrameRejectsUnorderedColumns(t *testing.T) {
 	ctx, vms := tableIIState(t, 10, 20, 1)
-	if m, err := newMatrix(ctx, DefaultFactors(), vms, true, MatrixOptions{}); err != nil {
+	if m, err := newMatrix(ctx, DefaultFactors(), vms, true); err != nil {
 		t.Fatalf("ascending columns rejected: %v", err)
 	} else {
 		m.Release()
 	}
 	vms[3], vms[4] = vms[4], vms[3]
-	if _, err := newMatrix(ctx, DefaultFactors(), vms, true, MatrixOptions{}); err == nil {
+	if _, err := newMatrix(ctx, DefaultFactors(), vms, true); err == nil {
 		t.Fatal("descending adjacent IDs accepted as given")
 	}
 	if m, err := NewMatrix(ctx, DefaultFactors(), vms); err != nil {

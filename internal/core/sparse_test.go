@@ -21,7 +21,7 @@ func TestSparseConsolidateMatchesDense(t *testing.T) {
 		ctxDense, _ := spreadState(t, 100, 260, seed)
 		ctxSparse, _ := spreadState(t, 100, 260, seed)
 
-		dense := denseConsolidate(t, ctxDense, DefaultFactors(), params, MatrixOptions{})
+		dense := denseConsolidate(t, ctxDense, DefaultFactors(), params)
 		sparse, err := ConsolidateWith(ctxSparse, DefaultFactors(), params, MatrixOptions{CandidateK: 64})
 		if err != nil {
 			t.Fatal(err)
@@ -303,7 +303,7 @@ func TestSparseNonCanonicalFallback(t *testing.T) {
 			if len(moves) == 0 {
 				t.Fatal("consolidation produced no moves; the state is too easy to prove anything")
 			}
-			assertMovesEqual(t, denseConsolidate(t, twin, tc.factors, params, MatrixOptions{}), moves)
+			assertMovesEqual(t, denseConsolidate(t, twin, tc.factors, params), moves)
 
 			// A canonical pass builds no engine and checks out no scratch;
 			// any other leaves the dense engine it built in the pool.

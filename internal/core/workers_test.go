@@ -10,7 +10,7 @@ import (
 	"repro/internal/vector"
 )
 
-// Equivalence battery for MatrixOptions.Workers: the candidate index's
+// Equivalence battery for Context.Workers: the candidate index's
 // kernel the knob parallelizes — a shape's first-seen fleet pass (the
 // feed-driven sync and the dense Matrix are serial) — must leave a
 // bit-identical index at any worker count, so the move streams, arrival
@@ -25,7 +25,8 @@ var workerCounts = []int{2, 7}
 // indexOf syncs ctx's candidate index at the given worker count and tracks
 // the shape of every VM of vms.
 func indexOf(ctx *Context, vms []*cluster.VM, workers int) *candIndex {
-	x := ctx.candidatesWith(workers)
+	ctx.Workers = workers
+	x := ctx.candidates()
 	for _, vm := range vms {
 		x.shape(ctx.shapeID(vm.Demand))
 	}
@@ -150,10 +151,11 @@ func TestKernelWorkersConsolidateEquivalence(t *testing.T) {
 			ctxRef, _ := spreadState(t, 100, 260, seed)
 			var ref []Move
 			if engine == "dense" {
-				ref = denseConsolidate(t, ctxRef, DefaultFactors(), params, MatrixOptions{})
+				ref = denseConsolidate(t, ctxRef, DefaultFactors(), params)
 			} else {
 				var err error
-				ref, err = ConsolidateWith(ctxRef, DefaultFactors(), params, MatrixOptions{CandidateK: 16, Workers: 1})
+				ctxRef.Workers = 1
+				ref, err = ConsolidateWith(ctxRef, DefaultFactors(), params, MatrixOptions{CandidateK: 16})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -162,7 +164,8 @@ func TestKernelWorkersConsolidateEquivalence(t *testing.T) {
 			for _, w := range workerCounts {
 				t.Run(fmt.Sprintf("%s/seed%d/workers%d", engine, seed, w), func(t *testing.T) {
 					ctx, _ := spreadState(t, 100, 260, seed)
-					moves, err := ConsolidateWith(ctx, DefaultFactors(), params, MatrixOptions{CandidateK: 16, Workers: w})
+					ctx.Workers = w
+					moves, err := ConsolidateWith(ctx, DefaultFactors(), params, MatrixOptions{CandidateK: 16})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -185,8 +188,10 @@ func TestKernelWorkersArrivalEquivalence(t *testing.T) {
 	for _, w := range workerCounts {
 		for di, d := range demands {
 			arrival := cluster.NewVM(cluster.VMID(1<<20), d, 5400, 5400, ctx.Now)
-			want := BestPlacementWith(ctx, DefaultFactors(), arrival, MatrixOptions{CandidateK: 16, Workers: 1})
-			got := BestPlacementWith(ctx, DefaultFactors(), arrival, MatrixOptions{CandidateK: 16, Workers: w})
+			ctx.Workers = 1
+			want := BestPlacementWith(ctx, DefaultFactors(), arrival, MatrixOptions{CandidateK: 16})
+			ctx.Workers = w
+			got := BestPlacementWith(ctx, DefaultFactors(), arrival, MatrixOptions{CandidateK: 16})
 			switch {
 			case (want == nil) != (got == nil):
 				t.Fatalf("demand %d workers %d: nil mismatch (%v vs %v)", di, w, got, want)
@@ -205,7 +210,8 @@ func TestKernelWorkersSerialAllocBudget(t *testing.T) {
 	ctx, _ := tableIIState(t, 200, 400, 7)
 	factors := DefaultFactors()
 	params := DefaultParams()
-	opts := MatrixOptions{Workers: 1}
+	ctx.Workers = 1
+	opts := MatrixOptions{}
 	arrival := cluster.NewVM(cluster.VMID(1<<20), vector.New(2, 1), 5400, 5400, ctx.Now)
 
 	for i := 0; i < 3; i++ {
@@ -273,7 +279,8 @@ func BenchmarkKernelParallelRound(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
 			ctx, _ := tableIIState(b, 1000, 2000, 7)
-			opts := MatrixOptions{Workers: w}
+			ctx.Workers = w
+			opts := MatrixOptions{}
 			// Settle the state: execute any profitable moves once so the
 			// timed passes are steady-state evaluation.
 			if _, err := ConsolidateWith(ctx, DefaultFactors(), params, opts); err != nil {

@@ -15,7 +15,7 @@ import (
 //
 // Everything else — arrival placement, the Algorithm 1 loop, alternative
 // ranking — is the embedded *Dynamic's; Unwrap exposes it so the
-// simulator's kernel-worker and audit integrations keep working.
+// simulator's audit integrations keep working.
 type Adaptive struct {
 	*Dynamic
 

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/vector"
 )
@@ -63,8 +62,8 @@ type Placer = Policy
 
 // Unwrapper is implemented by policies that wrap another (Recorder,
 // Replay, Adaptive). DynamicOf and RandomOf walk the chain so the
-// simulator's concrete-type integrations (kernel workers, audit hooks,
-// RNG checkpointing) keep working through any wrapper.
+// simulator's concrete-type integrations (audit checks, RNG
+// checkpointing) keep working through any wrapper.
 type Unwrapper interface {
 	// Unwrap returns the wrapped Policy.
 	Unwrap() Policy
@@ -342,36 +341,14 @@ type Dynamic struct {
 	// Params are the MIG_threshold / MIG_round knobs.
 	Params core.Params
 
-	// Opts tunes matrix evaluation. The audit subsystem sets SelfAudit
-	// here so every consolidation Apply verifies the incremental
-	// trackers against a cold rebuild.
+	// Opts tunes matrix evaluation (the CandidateK overflow ceiling). A
+	// run's own settings — self-audit, kernel workers, decision recording
+	// — live on its core.Context, so no run writes to a Dynamic and one
+	// Dynamic can drive several runs at once.
 	Opts core.MatrixOptions
 
 	// label overrides Name for ablation variants.
 	label string
-
-	// met is Place's two counters, resolved against the Observer of the
-	// Context they were made for (metrics).
-	met *dynMetrics
-}
-
-// dynMetrics is Dynamic's metric handles for one Observer.
-type dynMetrics struct {
-	obs             *obs.Observer
-	place, fallback obs.CounterRef
-}
-
-// metrics returns d's metric handles for o, made afresh whenever o is not
-// the Observer they were made for.
-func (d *Dynamic) metrics(o *obs.Observer) *dynMetrics {
-	if d.met == nil || d.met.obs != o {
-		d.met = &dynMetrics{
-			obs:      o,
-			place:    o.CounterRef("policy.dynamic_place"),
-			fallback: o.CounterRef("policy.dynamic_place_fallback"),
-		}
-	}
-	return d.met
 }
 
 // NewDynamic returns the scheme with the paper's default factors and
@@ -414,13 +391,13 @@ func (d *Dynamic) FactorSet() []core.Factor { return d.factors() }
 // probability", leaves the all-zero column undefined.)
 func (d *Dynamic) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	if pm := core.BestPlacementWith(ctx, d.factors(), vm, d.Opts); pm != nil {
-		d.metrics(ctx.Obs).place.Add(1)
+		ctx.Obs.Add("policy.dynamic_place", 1)
 		return pm
 	}
 	// The all-zero-column fallback is a scheme blind spot worth watching
 	// in production traces, so it gets its own counter.
 	if pm := (BestFit{}).Place(ctx, vm); pm != nil {
-		d.metrics(ctx.Obs).fallback.Add(1)
+		ctx.Obs.Add("policy.dynamic_place_fallback", 1)
 		return pm
 	}
 	return nil

@@ -11,9 +11,11 @@ import (
 // observer's decision stream, each with the top-K rejected alternatives
 // the scheme considered. The wrapped policy's behavior is unchanged:
 // alternatives are enumerated through the side-effect-free Alternatives
-// surface (and, for the dynamic family, a read-only core.DecisionHook),
-// so a recorded run's trace is byte-identical to an unrecorded one
-// (cmd/dvmpsim's TestTraceEquivalence pins this).
+// surface (and, for the dynamic family, read from the Context, which
+// collects each move's alternatives while the run records decisions —
+// core.Context.MoveAlternatives), so a recorded run's trace is
+// byte-identical to an unrecorded one (cmd/dvmpsim's TestTraceEquivalence
+// pins this).
 //
 // Decision records are the input to Replay and dvmpsim -replay; their
 // schema is documented in DESIGN.md §16.
@@ -32,13 +34,6 @@ type Recorder struct {
 	// buf is the compound payload of the record being written
 	// (appendAlts, appendMoves), which Emit copies into its record.
 	buf []byte
-
-	// hook is the DecisionHook a recorded pass installs, made once per
-	// recorder (capture); alts is the pass's alternative lists, one per
-	// move, and prev the hook capture chains to during the pass.
-	hook func(round int, mv core.Move, a []core.Placement)
-	alts [][]core.Placement
-	prev func(round int, mv core.Move, a []core.Placement)
 }
 
 // NewRecorder wraps p with decision recording at alternative depth k
@@ -78,45 +73,27 @@ func (rec *Recorder) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	return pm
 }
 
-// Consolidate implements Policy: for the dynamic family a read-only
-// core.DecisionHook captures each move's column alternatives as the
-// Algorithm 1 loop runs; other schemes record their moves without
-// alternatives. Passes with zero moves are not recorded — Replay keys
-// records by the invocation counter, so a missing record is a
-// legitimate empty pass, not divergence.
+// Consolidate implements Policy: for the dynamic family each move's column
+// alternatives are the ones the Algorithm 1 pass collected on the Context
+// (core.Context.MoveAlternatives); other schemes run no such pass, and
+// their moves are recorded without alternatives. Passes with zero moves
+// are not recorded — Replay keys records by the invocation counter, so a
+// missing record is a legitimate empty pass, not divergence.
 func (rec *Recorder) Consolidate(ctx *core.Context) ([]core.Move, error) {
 	call := rec.call
 	rec.call++
 	if !ctx.Obs.DecisionTracing() {
 		return rec.P.Consolidate(ctx)
 	}
-	rec.alts = rec.alts[:0]
-	if d, ok := DynamicOf(rec.P); ok {
-		if rec.hook == nil {
-			rec.hook = rec.capture
-		}
-		rec.prev = d.Opts.DecisionHook
-		d.Opts.DecisionHook = rec.hook
-		defer func() { d.Opts.DecisionHook, rec.prev = rec.prev, nil }()
-	}
 	moves, err := rec.P.Consolidate(ctx)
 	if len(moves) > 0 {
-		rec.buf = appendMoves(rec.buf[:0], moves, rec.alts)
+		rec.buf = appendMoves(rec.buf[:0], moves, ctx.MoveAlternatives())
 		ctx.Obs.EmitDecision(ctx.Now, "decision_moves",
 			obs.I("call", int64(call)),
 			obs.C("moves", rec.buf),
 		)
 	}
 	return moves, err
-}
-
-// capture is the recorded pass's DecisionHook: it keeps the move's
-// alternative list, which core hands over fresh, for the pass's record.
-func (rec *Recorder) capture(round int, mv core.Move, a []core.Placement) {
-	if rec.prev != nil {
-		rec.prev(round, mv, a)
-	}
-	rec.alts = append(rec.alts, a)
 }
 
 // Alternatives implements Policy (delegation; recording its own output

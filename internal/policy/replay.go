@@ -253,7 +253,7 @@ func NewReplay(log []Decision, fallback Policy) *Replay {
 func (rp *Replay) Name() string { return rp.Fallback.Name() }
 
 // Unwrap implements Unwrapper, exposing the fallback scheme to the
-// simulator's kernel-worker and audit integrations.
+// simulator's audit and RNG-checkpoint integrations.
 func (rp *Replay) Unwrap() Policy { return rp.Fallback }
 
 // Diverged reports whether the live run left the recorded log, and Err

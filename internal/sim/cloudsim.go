@@ -84,22 +84,21 @@ type Config struct {
 	Cells int
 
 	// KernelWorkers is the number of goroutines the placement kernels fan
-	// out on inside a run (core.MatrixOptions.Workers): the candidate
-	// index's first-seen shape pass. Zero keeps the
-	// placer's own setting (serial unless a caller set it); one forces the
-	// strictly serial path; higher values are honored verbatim. Results are
-	// bit-identical at every setting (DESIGN.md §15). Only the dynamic
-	// scheme evaluates matrices, so the knob is a no-op for the static
-	// baselines. Kept only as the seam bench/ drives; ROADMAP item 2
-	// deletes it.
+	// out on inside a run (core.Context.Workers): the candidate index's
+	// first-seen shape pass. Zero and one are the strictly serial path;
+	// higher values are honored verbatim. Results are bit-identical at
+	// every setting (DESIGN.md §15). Only the dynamic scheme evaluates
+	// matrices, so the knob is a no-op for the static baselines. New and
+	// Restore both apply it. Kept only as the seam bench/ drives; ROADMAP
+	// item 2 deletes it.
 	KernelWorkers int
 
 	// Audit selects the invariant auditor's granularity
 	// (internal/audit): Off disables it, Period runs every check at
 	// control-period boundaries, Event additionally runs the cheap
-	// checks after every event and turns on the matrix self-audit
-	// (every consolidation Apply verified against a cold rebuild) when
-	// the placer is *policy.Dynamic. The first violation aborts the run
+	// checks after every event and turns on the run Context's self-audit
+	// (core.Context.SelfAudit: every consolidation pass of the dynamic
+	// family held to cold rebuilds). The first violation aborts the run
 	// with a descriptive error.
 	Audit audit.Mode
 }
@@ -236,14 +235,23 @@ func New(cfg Config) (*Sim, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	s := &simulator{cfg: &cfg, dc: cfg.DC}
-	if d, ok := policy.DynamicOf(cfg.Placer); ok && cfg.KernelWorkers != 0 {
-		d.Opts.Workers = cfg.KernelWorkers
-	}
-	s.eng = newScheduler(cfg.Cells, cfg.DC.Size(), s.fire)
-	s.pctx = core.NewContext(s.dc)
+	s := newSimulator(&cfg)
 	s.start()
 	return &Sim{s: s}, nil
+}
+
+// newSimulator is what New and Restore share before either fills the run:
+// the event scheduler and the run's evaluation Context, which carries the
+// run's settings — its observer, kernel workers and, in audit.Event mode,
+// the self-audit — so the placer itself is never written to.
+func newSimulator(cfg *Config) *simulator {
+	s := &simulator{cfg: cfg, dc: cfg.DC}
+	s.eng = newScheduler(cfg.Cells, cfg.DC.Size(), s.fire)
+	s.pctx = core.NewContext(s.dc)
+	s.pctx.Obs = cfg.Obs
+	s.pctx.Workers = cfg.KernelWorkers
+	s.pctx.SelfAudit = cfg.Audit == audit.Event
+	return s
 }
 
 // Now returns the current simulation time in seconds.
@@ -363,19 +371,16 @@ func (s *simulator) ctx() *core.Context {
 	return s.pctx.At(s.eng.Now())
 }
 
-// setupObs caches the run's metric handles and threads the observer into
-// the placement kernel and the spare controller. Everything stays nil
-// (inert) without a configured observer.
+// setupObs caches the run's metric handles. Everything stays nil (inert)
+// without a configured observer. The placement kernel gets the observer on
+// the run's Context (newSimulator), the spare controller when it is built
+// (initRun).
 func (s *simulator) setupObs() {
 	o := s.cfg.Obs
 	if o == nil {
 		return
 	}
 	s.tracing = o.Tracing()
-	s.pctx.Obs = o
-	if s.ctrl != nil {
-		s.ctrl.Obs = o
-	}
 	s.phDispatch = o.Phase("event_dispatch")
 	s.waitHist = o.Reg.Histogram("sim.wait_seconds", waitBounds)
 	s.cArrivals = o.Counter("sim.arrivals")
@@ -413,7 +418,7 @@ func (s *simulator) initRun() {
 		MeanUtilization: metrics.NewSeries(s.cfg.Placer.Name(), controlPeriod),
 	}
 	if s.cfg.Spare != nil {
-		s.ctrl = spare.NewController(*s.cfg.Spare, controlPeriod)
+		s.ctrl = spare.NewController(*s.cfg.Spare, controlPeriod, s.cfg.Obs)
 	}
 	if s.cfg.Failures.Enabled() {
 		s.inj = failure.NewInjector(s.cfg.Failures)
@@ -539,8 +544,8 @@ func (s *simulator) finish() (*Result, error) {
 // configuration. A dynamic scheme gets the dense-vs-oracle TrackerCheck
 // and the roster-vs-cold-rebuild RosterCheck, plus the sparse-vs-dense
 // SparseCheck when its factor list is the one the candidate index
-// evaluates. In Event mode the matrix self-audit is also switched on, so
-// every consolidation pass verifies its roster against a cold rebuild
+// evaluates. In Event mode the run Context's self-audit (newSimulator)
+// also verifies every consolidation pass's roster against a cold rebuild
 // and every round — lazy or on the dense Matrix — against a cold dense
 // rebuild.
 func (s *simulator) setupAudit() {
@@ -568,9 +573,6 @@ func (s *simulator) setupAudit() {
 		s.aud.Register(audit.RosterCheck(s.pctx))
 		if core.Canonical(d.FactorSet()) {
 			s.aud.Register(audit.SparseCheck(s.pctx, d.FactorSet(), func() float64 { return d.Params.MIGThreshold }))
-		}
-		if s.cfg.Audit == audit.Event {
-			d.Opts.SelfAudit = true
 		}
 	}
 	// The snapshot round-trip (save → restore into a topology clone →

@@ -256,9 +256,7 @@ func Restore(cfg Config, r io.Reader) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &simulator{cfg: &cfg, dc: cfg.DC}
-	s.eng = newScheduler(cfg.Cells, cfg.DC.Size(), s.fire)
-	s.pctx = core.NewContext(s.dc)
+	s := newSimulator(&cfg)
 	if err := f.CheckMeta(s.meta()); err != nil {
 		return nil, err
 	}

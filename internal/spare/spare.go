@@ -94,49 +94,32 @@ type Controller struct {
 	period float64 // T, the window PlanSpares plans over
 	est    *nhpp.Estimator
 
-	// Obs, when non-nil, receives the spare_plan timing span and the
-	// controller's decision metrics (plans made, current spare target).
-	// The simulator sets it from sim.Config.Obs.
-	Obs *obs.Observer
+	// obs, when non-nil, receives the spare_plan timing span (span), the
+	// plan counter (plans) and the current spare target.
+	obs   *obs.Observer
+	span  obs.SpanRef
+	plans obs.CounterRef
 
 	// runtime statistics of completed VMs, for the churn-aware
 	// departure correction.
 	runSum   float64
 	runCount int
-
-	// met is PlanSpares' span and plan counter, resolved against the Obs
-	// they were made for.
-	met *planMetrics
-}
-
-// planMetrics is the controller's metric handles for one Observer.
-type planMetrics struct {
-	obs   *obs.Observer
-	span  obs.SpanRef
-	plans obs.CounterRef
-}
-
-// metrics returns the controller's metric handles for c.Obs, made afresh
-// whenever Obs is not the Observer they were made for.
-func (c *Controller) metrics() *planMetrics {
-	if c.met == nil || c.met.obs != c.Obs {
-		c.met = &planMetrics{obs: c.Obs, span: c.Obs.SpanRef("spare_plan"), plans: c.Obs.CounterRef("spare.plans")}
-	}
-	return c.met
 }
 
 // NewController builds a controller that plans over windows of period
-// seconds (T, 3600 in the paper's hourly evaluation); it panics on an
-// invalid configuration or a non-positive period (both are static and
+// seconds (T, 3600 in the paper's hourly evaluation) and reports its
+// planning time and decisions to o (nil: nowhere); it panics on an invalid
+// configuration or a non-positive period (both are static and
 // author-supplied).
-func NewController(cfg Config, period float64) *Controller {
+func NewController(cfg Config, period float64, o *obs.Observer) *Controller {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	if !(period > 0) {
 		panic(fmt.Sprintf("spare: period must be positive, got %g", period))
 	}
-	return &Controller{cfg: cfg, period: period, est: nhpp.New(cfg.Cycle)}
+	return &Controller{cfg: cfg, period: period, est: nhpp.New(cfg.Cycle),
+		obs: o, span: o.SpanRef("spare_plan"), plans: o.CounterRef("spare.plans")}
 }
 
 // Config returns the controller's configuration.
@@ -222,8 +205,7 @@ type Plan struct {
 // control period. dc supplies departure predictions (via VM runtime
 // estimates) and N_Ave.
 func (c *Controller) PlanSpares(now float64, dc *cluster.Datacenter) Plan {
-	met := c.metrics()
-	phase := met.span.Span()
+	phase := c.span.Span()
 	defer phase.End(phase.Begin())
 	c.est.Advance(now)
 	p := Plan{At: now}
@@ -250,8 +232,8 @@ func (c *Controller) PlanSpares(now float64, dc *cluster.Datacenter) Plan {
 	if p.Spares > dc.Size() {
 		p.Spares = dc.Size()
 	}
-	met.plans.Add(1)
-	c.Obs.SetGauge("spare.target", float64(p.Spares))
+	c.plans.Add(1)
+	c.obs.SetGauge("spare.target", float64(p.Spares))
 	return p
 }
 

@@ -51,8 +51,8 @@ func TestConfigValidate(t *testing.T) {
 
 func TestNewControllerPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"bad config":  func() { NewController(Config{}, 3600) },
-		"zero period": func() { NewController(DefaultConfig(), 0) },
+		"bad config":  func() { NewController(Config{}, 3600, nil) },
+		"zero period": func() { NewController(DefaultConfig(), 0, nil) },
 	} {
 		func() {
 			defer func() {
@@ -89,7 +89,7 @@ func TestPredictDeparturesIgnoresNonRunning(t *testing.T) {
 }
 
 func TestPlanNoSparesWhenDeparturesDominate(t *testing.T) {
-	c := NewController(DefaultConfig(), 3600)
+	c := NewController(DefaultConfig(), 3600, nil)
 	dc := testDC()
 	// Many imminent departures, no recorded arrivals.
 	for i := cluster.VMID(0); i < 5; i++ {
@@ -107,7 +107,7 @@ func TestPlanNoSparesWhenDeparturesDominate(t *testing.T) {
 func TestPlanSparesScaleWithArrivalRate(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cycle = 86400
-	c := NewController(cfg, 3600)
+	c := NewController(cfg, 3600, nil)
 	dc := testDC()
 	// Uniform heavy arrivals: 24/hour for 2 days.
 	r := stats.NewRand(1)
@@ -132,7 +132,7 @@ func TestPlanSparesScaleWithArrivalRate(t *testing.T) {
 
 func TestPlanDividesByNAve(t *testing.T) {
 	cfg := DefaultConfig()
-	c := NewController(cfg, 3600)
+	c := NewController(cfg, 3600, nil)
 	dc := testDC()
 	// N_Ave = 4: one PM hosting 4 long-running VMs.
 	for i := cluster.VMID(0); i < 4; i++ {
@@ -158,7 +158,7 @@ func TestPlanDividesByNAve(t *testing.T) {
 func TestPlanMaxSparesCap(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxSpares = 2
-	c := NewController(cfg, 3600)
+	c := NewController(cfg, 3600, nil)
 	dc := testDC()
 	for i := 0; i < 1000; i++ {
 		c.RecordArrival(float64(i) * 86.4)
@@ -173,7 +173,7 @@ func TestPlanQoSTailBound(t *testing.T) {
 	// The chosen n_arrival must satisfy P(N > n) <= alpha for the
 	// estimated mean.
 	cfg := DefaultConfig()
-	c := NewController(cfg, 3600)
+	c := NewController(cfg, 3600, nil)
 	dc := testDC()
 	for i := 0; i < 480; i++ { // 20/hour over a day
 		c.RecordArrival(float64(i) * 180)
@@ -186,7 +186,7 @@ func TestPlanQoSTailBound(t *testing.T) {
 }
 
 func TestPlanColdStart(t *testing.T) {
-	c := NewController(DefaultConfig(), 3600)
+	c := NewController(DefaultConfig(), 3600, nil)
 	dc := testDC()
 	p := c.PlanSpares(0, dc)
 	if p.Spares != 0 || p.NArrival != 0 {
@@ -201,7 +201,7 @@ func TestChurnAwareReducesSpares(t *testing.T) {
 	build := func(churn bool) Plan {
 		cfg := DefaultConfig()
 		cfg.ChurnAware = churn
-		c := NewController(cfg, 3600)
+		c := NewController(cfg, 3600, nil)
 		for i := 0; i < 24*120; i++ { // 120 arrivals/hour for a day
 			c.RecordArrival(float64(i) * 30)
 		}
@@ -233,7 +233,7 @@ func TestChurnAwareReducesSpares(t *testing.T) {
 func TestChurnAwareNoCompletionsFallsBack(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ChurnAware = true
-	c := NewController(cfg, 3600)
+	c := NewController(cfg, 3600, nil)
 	for i := 0; i < 480; i++ {
 		c.RecordArrival(float64(i) * 180)
 	}
@@ -257,7 +257,7 @@ func TestPlanDeparturesExceedArrivals(t *testing.T) {
 	// rate (so n_arrival > 0) against a fleet full of imminently
 	// finishing VMs. The negative difference must clamp to zero spares,
 	// never underflow into booting machines for demand that is shrinking.
-	c := NewController(DefaultConfig(), 3600)
+	c := NewController(DefaultConfig(), 3600, nil)
 	for i := 0; i < 24*4; i++ { // 4 arrivals/hour for a day
 		c.RecordArrival(float64(i) * 900)
 	}
