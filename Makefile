@@ -79,10 +79,11 @@ bench-smoke:
 ## check: the full pre-commit gate — vet, gofmt, the race-enabled test
 ## suite (covers the lock-free metrics hot path, the parallel experiment
 ## harness, the multi-cell engine in internal/sim/cells.go, and
-## the placement kernels in internal/core — the fan-outs behind
-## MatrixOptions.Workers run under the race detector at explicit worker
-## counts), the full-trace audit run, a fuzz smoke test, and a
-## one-iteration pass over the kernel benchmarks.
+## the placement kernels in internal/core — the candidate index's fan-out
+## behind Context.Workers runs under the race detector at explicit worker
+## counts, and two runs share one Dynamic concurrently), the full-trace
+## audit run, a fuzz smoke test, and a one-iteration pass over the kernel
+## benchmarks.
 check: vet fmt race audit fuzz-smoke bench-smoke
 
 ## bench-ab: the end-to-end benchmark, this tree against another commit,
@@ -129,34 +130,39 @@ bench-ab:
 				printf "b ahead in %d of %d pairs (a ahead in %d); b median / a median = %.3f\n", wins, na, losses, q(b, nb, .5) / q(a, na, .5) }'; \
 	fi
 
-## same: this tree against another commit on what a run writes. dvmpsim is
-## built at BASE (a temporary shared `git clone` under $TMPDIR, removed on
-## exit; no `git worktree`) and in this tree; each seed of SEEDS runs the
-## week with `-trace -decisions -metrics` on both binaries eight ways: the
-## dynamic scheme `-spare` with instant migrations and `-timed` (the runs
-## whose migration cutovers are events of their own), the static
-## baselines `-scheme first-fit` and `-scheme best-fit -spare`, and the
-## other fit-family schemes `-scheme worst-fit`, `-scheme random`,
+## same: this tree against another commit on what a run writes. dvmpsim and
+## experiments are built at BASE (a temporary shared `git clone` under
+## $TMPDIR, removed on exit; no `git worktree`) and in this tree; each seed
+## of SEEDS runs the week with `-trace -decisions -metrics` on both dvmpsim
+## binaries eight ways: the dynamic scheme `-spare` with instant migrations
+## and `-timed` (the runs whose migration cutovers are events of their own),
+## the static baselines `-scheme first-fit` and `-scheme best-fit -spare`,
+## and the other fit-family schemes `-scheme worst-fit`, `-scheme random`,
 ## `-scheme threshold` and `-scheme overbook`, which no golden pins. The
 ## run traces and the decision logs must be
 ## `tracestat -diff` identical, and the metrics JSON equal once its
-## "total_ns" lines (phase wall-clock) are removed. Exits non-zero on the
-## first difference.
-## `make same BASE=HEAD~1 SEEDS="1 7"`.
+## "total_ns" lines (phase wall-clock) are removed. Each seed then runs
+## `experiments -run ablation` on both binaries, whose factor ablation is
+## the dense Matrix's production path (a factor list other than the
+## paper's four), and the stdout must be identical (~7 s a side).
+## SCALE=1 adds the 1k-PM week, compared the way the eight kinds are:
+## `tracegen -jobs 45740`, then `dvmpsim -swf … -nodes 1000 -spare`.
+## Exits non-zero on the first difference.
+## `make same BASE=HEAD~1 SEEDS="1 7" [SCALE=1]`.
 SEEDS ?= 1 7
+SCALE ?=
 same:
-	@test -n "$(BASE)" || { echo "usage: make same BASE=<ref> [SEEDS=\"1 7\"]"; exit 2; }
+	@test -n "$(BASE)" || { echo "usage: make same BASE=<ref> [SEEDS=\"1 7\"] [SCALE=1]"; exit 2; }
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	git clone -q --shared . "$$tmp/base" && git -C "$$tmp/base" checkout -q --detach $(BASE); \
-	(cd "$$tmp/base" && $(GO) build -o "$$tmp/a/dvmpsim" ./cmd/dvmpsim); \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/a/dvmpsim" ./cmd/dvmpsim && $(GO) build -o "$$tmp/a/experiments" ./cmd/experiments); \
 	$(GO) build -o "$$tmp/b/dvmpsim" ./cmd/dvmpsim; \
+	$(GO) build -o "$$tmp/b/experiments" ./cmd/experiments; \
 	$(GO) build -o "$$tmp/tracestat" ./cmd/tracestat; \
-	for seed in $(SEEDS); do for flags in "-spare" "-spare -timed" "-scheme first-fit" "-scheme best-fit -spare" \
-		"-scheme worst-fit" "-scheme random" "-scheme threshold" "-scheme overbook"; do \
-		run=$$seed$$(printf %s "$$flags" | tr -d ' '); \
-		echo "== seed $$seed $$flags, a = $(BASE), b = this tree"; \
+	compare() { \
+		run=$$1; shift; \
 		for side in a b; do \
-			"$$tmp/$$side/dvmpsim" $$flags -seed $$seed -trace "$$tmp/$$side/t$$run.jsonl" \
+			"$$tmp/$$side/dvmpsim" "$$@" -trace "$$tmp/$$side/t$$run.jsonl" \
 				-decisions "$$tmp/$$side/d$$run.jsonl" -metrics "$$tmp/$$side/m$$run.json" > /dev/null; \
 			grep -v '"total_ns"' "$$tmp/$$side/m$$run.json" > "$$tmp/$$side/m$$run.txt"; \
 		done; \
@@ -164,7 +170,22 @@ same:
 		printf 'decision log: '; "$$tmp/tracestat" -diff "$$tmp/a/d$$run.jsonl" "$$tmp/b/d$$run.jsonl"; \
 		diff "$$tmp/a/m$$run.txt" "$$tmp/b/m$$run.txt"; \
 		echo "metrics: identical but for total_ns"; \
-	done; done
+	}; \
+	for seed in $(SEEDS); do for flags in "-spare" "-spare -timed" "-scheme first-fit" "-scheme best-fit -spare" \
+		"-scheme worst-fit" "-scheme random" "-scheme threshold" "-scheme overbook"; do \
+		echo "== seed $$seed $$flags, a = $(BASE), b = this tree"; \
+		compare $$seed$$(printf %s "$$flags" | tr -d ' ') $$flags -seed $$seed; \
+	done; \
+		echo "== seed $$seed experiments -run ablation, a = $(BASE), b = this tree"; \
+		for side in a b; do (cd "$$tmp" && "$$tmp/$$side/experiments" -run ablation -seed $$seed > "$$tmp/$$side/ablation$$seed.txt"); done; \
+		diff "$$tmp/a/ablation$$seed.txt" "$$tmp/b/ablation$$seed.txt"; \
+		echo "ablation: identical"; \
+	done; \
+	if [ -n "$(SCALE)" ]; then \
+		echo "== the 1k-PM week (tracegen -jobs 45740, -nodes 1000 -spare), a = $(BASE), b = this tree"; \
+		$(GO) run ./cmd/tracegen -jobs 45740 -stats=false -o "$$tmp/week1k.swf"; \
+		compare 1k -swf "$$tmp/week1k.swf" -nodes 1000 -spare; \
+	fi
 
 ## linked: build every main package `go list ./...` reports with inlining
 ## off (-gcflags=all=-l, so a function called from one place still shows up
