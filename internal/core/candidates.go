@@ -229,43 +229,14 @@ func (x *candIndex) trackShape(sid int32) *candShape {
 	for i := range sh.groupOf {
 		sh.groupOf[i] = -1
 	}
-	// The first-seen fleet pass is the index's O(M) hotspot: membership is
-	// a pure signature evaluation per PM once the class table is warm, so
-	// it shards across the Context's Workers into per-PM result slots;
-	// groups are then built serially in PM-ID order, so group numbering and
-	// member order match the serial pass exactly.
-	n := len(x.pms)
-	if workers := claimWorkers(x.ctx.Workers, n); workers > 1 {
-		for _, pm := range x.pms {
-			x.ctx.classID(pm) // prewarm the class table: read-only below
+	for id, pm := range x.pms {
+		k, rel, ev, ok := x.membership(pm, sh.demand)
+		if !ok {
+			continue
 		}
-		keys := make([]candKey, n)
-		rels := make([]float64, n)
-		evs := make([]float64, n)
-		oks := make([]bool, n)
-		runSpans(workers, n, func(lo, hi int) {
-			for id := lo; id < hi; id++ {
-				keys[id], rels[id], evs[id], oks[id] = x.membership(x.pms[id], sh.demand)
-			}
-		})
-		for id := range x.pms {
-			if !oks[id] {
-				continue
-			}
-			gi := sh.groupIdx(keys[id], rels[id], evs[id])
-			sh.addMember(gi, int32(id))
-			sh.groupOf[id] = gi
-		}
-	} else {
-		for id, pm := range x.pms {
-			k, rel, ev, ok := x.membership(pm, sh.demand)
-			if !ok {
-				continue
-			}
-			gi := sh.groupIdx(k, rel, ev)
-			sh.addMember(gi, int32(id))
-			sh.groupOf[id] = gi
-		}
+		gi := sh.groupIdx(k, rel, ev)
+		sh.addMember(gi, int32(id))
+		sh.groupOf[id] = gi
 	}
 	x.shapes[sid] = sh
 	x.shapeList = append(x.shapeList, sh)

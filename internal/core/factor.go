@@ -61,15 +61,6 @@ type Context struct {
 	// -audit=event mode.
 	SelfAudit bool
 
-	// Workers is the number of goroutines the candidate index fans its
-	// first-seen shape pass out on (parallel.go); the dense Matrix is
-	// strictly serial and ignores it. Zero and one are the strictly serial
-	// path with its zero-allocation budgets; a count above one is honored
-	// verbatim — results are bit-identical at every setting (DESIGN.md
-	// §15). Kept only as the seam bench/ drives (sim.Config.KernelWorkers);
-	// ROADMAP item 2 deletes it.
-	Workers int
-
 	// classTab and shapeTab are the Context-level interning tables
 	// (classID, shapeID): one entry per PM class and per distinct demand
 	// vector ever evaluated, numbered first-seen. Every per-class constant

@@ -102,7 +102,7 @@ func TestSyncIgnoresWriteOrder(t *testing.T) {
 	var twins [2]*candIndex
 	for i := range twins {
 		ctx, vms := spreadState(t, 16, 30, 3)
-		x := indexOf(ctx, vms, 1) // interns the fleet's shapes in VM order
+		x := indexOf(ctx, vms) // interns the fleet's shapes in VM order
 		ctx.syncRoster()
 		pms := roomFor(t, ctx, 2)[:2]
 		order := []int{0, 1}
@@ -129,4 +129,43 @@ func TestSyncIgnoresWriteOrder(t *testing.T) {
 	if !slices.EqualFunc(a, b, vector.V.Equal) {
 		t.Errorf("interned shapes depend on write order: %v vs %v", a, b)
 	}
+}
+
+// indexOf syncs ctx's candidate index and tracks the shape of every VM of
+// vms.
+func indexOf(ctx *Context, vms []*cluster.VM) *candIndex {
+	x := ctx.candidates()
+	for _, vm := range vms {
+		x.shape(ctx.shapeID(vm.Demand))
+	}
+	return x
+}
+
+// diffIndex compares two candidate indexes over twin fleets shape by shape:
+// tracking order, groups (key, shared values, members), the non-empty count
+// and the per-PM groupOf inverse must all be identical. A key's class is
+// compared by name, so the two contexts may number their classes apart.
+func diffIndex(a, b *candIndex) error {
+	className := func(x *candIndex, ci int32) string { return x.ctx.classTab[ci].class.Name }
+	if len(a.shapeList) != len(b.shapeList) {
+		return fmt.Errorf("%d shapes tracked vs %d", len(a.shapeList), len(b.shapeList))
+	}
+	for si, sa := range a.shapeList {
+		sb := b.shapeList[si]
+		if sa.id != sb.id || len(sa.groups) != len(sb.groups) || sa.nonEmpty != sb.nonEmpty {
+			return fmt.Errorf("shape %d: id %d, %d groups, %d non-empty vs id %d, %d, %d",
+				si, sa.id, len(sa.groups), sa.nonEmpty, sb.id, len(sb.groups), sb.nonEmpty)
+		}
+		for gi := range sa.groups {
+			ga, gb := &sa.groups[gi], &sb.groups[gi]
+			ka, kb := ga.key, gb.key
+			if className(a, ka.ci) != className(b, kb.ci) || ka.level != kb.level || ka.rel != kb.rel || ga.rel != gb.rel || ga.effVal != gb.effVal || !slices.Equal(ga.members, gb.members) {
+				return fmt.Errorf("shape %d group %d: %+v %v vs %+v %v", si, gi, ka, ga.members, kb, gb.members)
+			}
+		}
+		if !slices.Equal(sa.groupOf, sb.groupOf) {
+			return fmt.Errorf("shape %d: groupOf differs", si)
+		}
+	}
+	return nil
 }

@@ -62,7 +62,7 @@ type Matrix struct {
 const altDepth = 4
 
 // MatrixOptions tunes a Dynamic scheme's evaluation. The run's own settings
-// (self-audit, kernel workers, decision recording) live on its Context.
+// (self-audit, decision recording) live on its Context.
 type MatrixOptions struct {
 	// CandidateK selects nothing: the engine follows the factor list
 	// (Canonical). It is only the declared ceiling on non-empty score

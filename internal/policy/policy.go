@@ -342,9 +342,9 @@ type Dynamic struct {
 	Params core.Params
 
 	// Opts tunes matrix evaluation (the CandidateK overflow ceiling). A
-	// run's own settings — self-audit, kernel workers, decision recording
-	// — live on its core.Context, so no run writes to a Dynamic and one
-	// Dynamic can drive several runs at once.
+	// run's own settings — self-audit, decision recording — live on its
+	// core.Context, so no run writes to a Dynamic and one Dynamic can
+	// drive several runs at once.
 	Opts core.MatrixOptions
 
 	// label overrides Name for ablation variants.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/failure"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/spare"
 )
@@ -90,5 +91,32 @@ func TestRunAuditStaticSchemes(t *testing.T) {
 		if res.AuditChecks == 0 {
 			t.Fatalf("%s: no checks ran", placer.Name())
 		}
+	}
+}
+
+// TestShapeOverflowCounterStable pins core.sparse_shape_overflow as part
+// of the "same decisions" contract: enabling the audit (whose SparseCheck
+// builds its own sparse matrices) must not inflate the run's counter,
+// because the check detaches the observer while it works.
+func TestShapeOverflowCounterStable(t *testing.T) {
+	run := func(mode audit.Mode) int64 {
+		d := policy.NewDynamic()
+		d.Opts.CandidateK = 1 // tiny budget: overflow is routine
+		cfg := crashCfg(fragmentingTrace(60), nil)
+		cfg.Failures.MTBF = 5000
+		cfg.Placer = d
+		cfg.Obs = obs.New()
+		cfg.Audit = mode
+		if _, err := Run(cfg); err != nil {
+			t.Fatalf("audit=%v: %v", mode, err)
+		}
+		return cfg.Obs.Counter("core.sparse_shape_overflow").Value()
+	}
+	base := run(audit.Off)
+	if base == 0 {
+		t.Fatal("scenario produced no shape overflows; tighten CandidateK")
+	}
+	if audited := run(audit.Event); audited != base {
+		t.Fatalf("audit inflated the overflow counter: %d with audit, %d without", audited, base)
 	}
 }

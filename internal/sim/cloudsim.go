@@ -74,23 +74,14 @@ type Config struct {
 	// race-free but sums them into a single pool.
 	Obs *obs.Observer
 
-	// Cells partitions the fleet into this many cells, each with its own
-	// event heap, advanced in global (at, seq) order by one shared-clock
-	// step (cells.go; DESIGN.md §14). 0 or 1 runs the monolithic engine —
-	// the exact single-cell code path. Any C produces bit-identical
-	// results, traces, metrics and checkpoints: sharding changes how the
-	// event queue is stored, never what fires when. Kept
-	// only as the seam bench/ drives; ROADMAP item 2 deletes it.
+	// Cells is accepted and not read: the run has one event engine. Only
+	// bench/ sets it. It goes once the benchmark change (ROADMAP item 1)
+	// drops bench's use.
 	Cells int
 
-	// KernelWorkers is the number of goroutines the placement kernels fan
-	// out on inside a run (core.Context.Workers): the candidate index's
-	// first-seen shape pass. Zero and one are the strictly serial path;
-	// higher values are honored verbatim. Results are bit-identical at
-	// every setting (DESIGN.md §15). Only the dynamic scheme evaluates
-	// matrices, so the knob is a no-op for the static baselines. New and
-	// Restore both apply it. Kept only as the seam bench/ drives; ROADMAP
-	// item 2 deletes it.
+	// KernelWorkers is accepted and not read: the placement kernels are
+	// serial. Only bench/ sets it. It goes once the benchmark change
+	// (ROADMAP item 1) drops bench's use.
 	KernelWorkers int
 
 	// Audit selects the invariant auditor's granularity
@@ -113,16 +104,9 @@ func (c *Config) setDefaults() error {
 	if c.WarmStart < 0 || c.WarmStart > c.DC.Size() {
 		return fmt.Errorf("sim: warm start %d outside fleet size %d", c.WarmStart, c.DC.Size())
 	}
-	if c.Cells < 0 {
-		return fmt.Errorf("sim: negative cell count %d", c.Cells)
-	}
-	if c.KernelWorkers < 0 {
-		return fmt.Errorf("sim: negative kernel worker count %d", c.KernelWorkers)
-	}
-	if c.Cells > 1 {
-		if _, err := newPartition(c.Cells, c.DC.Size()); err != nil {
-			return err
-		}
+	if c.Cells < 0 || c.Cells > c.DC.Size() || c.KernelWorkers < 0 {
+		return fmt.Errorf("sim: cells %d (want 0..%d) or kernel workers %d (want ≥ 0) out of range",
+			c.Cells, c.DC.Size(), c.KernelWorkers)
 	}
 	if err := c.Failures.Validate(); err != nil {
 		return err
@@ -241,15 +225,14 @@ func New(cfg Config) (*Sim, error) {
 }
 
 // newSimulator is what New and Restore share before either fills the run:
-// the event scheduler and the run's evaluation Context, which carries the
-// run's settings — its observer, kernel workers and, in audit.Event mode,
-// the self-audit — so the placer itself is never written to.
+// the event engine and the run's evaluation Context, which carries the
+// run's settings — its observer and, in audit.Event mode, the self-audit —
+// so the placer itself is never written to.
 func newSimulator(cfg *Config) *simulator {
 	s := &simulator{cfg: cfg, dc: cfg.DC}
-	s.eng = newScheduler(cfg.Cells, cfg.DC.Size(), s.fire)
+	s.eng = &Engine{handle: s.fire}
 	s.pctx = core.NewContext(s.dc)
 	s.pctx.Obs = cfg.Obs
-	s.pctx.Workers = cfg.KernelWorkers
 	s.pctx.SelfAudit = cfg.Audit == audit.Event
 	return s
 }
@@ -276,7 +259,7 @@ func (m *Sim) Finish() (*Result, error) { return m.s.finish() }
 // simulator holds one run's mutable state.
 type simulator struct {
 	cfg *Config
-	eng scheduler
+	eng *Engine
 	dc  *cluster.Datacenter
 
 	meter *power.Meter

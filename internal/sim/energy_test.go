@@ -114,7 +114,7 @@ func TestStaticFleetEnergyDigest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := m.s.eng.(*Engine)
+			eng := m.s.eng
 			o := &scanMeter{binWidth: meterBin, perPM: make([]float64, m.s.dc.Size())}
 			for {
 				if at, _, ok := eng.PeekNextEventTime(); ok {

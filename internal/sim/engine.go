@@ -86,13 +86,7 @@ type Engine struct {
 	heap []slot
 	free *record
 
-	// seqShared, when set (by newScheduler, for a sharded engine's cells),
-	// replaces the local seq counter with one shared by the cells, so
-	// sequence numbers are unique across cells and the merged (at, seq)
-	// order is the monolith's (DESIGN.md §14).
-	seqShared *uint64
-
-	// handle fires every tagged event; newScheduler installs the simulator's.
+	// handle fires every tagged event; newSimulator installs the simulator's.
 	handle func(Tag)
 }
 
@@ -111,7 +105,8 @@ func (e *Engine) Schedule(at float64, fire func()) Event {
 	if fire == nil {
 		panic("sim: scheduling nil callback")
 	}
-	return e.schedule(at, e.nextSeq(), Tag{}, fire)
+	e.seq++
+	return e.schedule(at, e.seq, Tag{}, fire)
 }
 
 // ScheduleTag queues tag at absolute time at, for the engine's handle. A
@@ -124,7 +119,8 @@ func (e *Engine) ScheduleTag(at float64, tag Tag) Event {
 	if e.handle == nil {
 		panic("sim: ScheduleTag on an engine with no handle")
 	}
-	return e.schedule(at, e.nextSeq(), tag, nil)
+	e.seq++
+	return e.schedule(at, e.seq, tag, nil)
 }
 
 // scheduleSeq queues tag at time at under seq, a sequence number taken
@@ -136,7 +132,7 @@ func (e *Engine) scheduleSeq(at float64, seq uint64, tag Tag) Event {
 
 // reserve takes the next n sequence numbers off the engine's own counter
 // for later scheduleSeq calls and returns base: the block is base+1 …
-// base+n. (A sharded engine reserves from its shared counter itself.)
+// base+n.
 func (e *Engine) reserve(n int) (base uint64) {
 	base = e.seq
 	e.seq += uint64(n)
@@ -157,16 +153,6 @@ func (e *Engine) schedule(at float64, seq uint64, tag Tag, fire func()) Event {
 	e.heap = append(e.heap, slot{at: at, seq: seq, rec: rec})
 	e.up(len(e.heap) - 1)
 	return Event{rec: rec, seq: seq, at: at}
-}
-
-// nextSeq mints the next sequence number.
-func (e *Engine) nextSeq() uint64 {
-	if e.seqShared != nil {
-		*e.seqShared++
-		return *e.seqShared
-	}
-	e.seq++
-	return e.seq
 }
 
 // ScheduleAfter queues fire to run d seconds from now.

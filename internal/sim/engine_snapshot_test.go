@@ -136,10 +136,9 @@ func TestRestoreStateValidation(t *testing.T) {
 		})
 	}
 
-	// Each cell checks its own events; a seq held in two cells must be
-	// caught before the events are split.
-	t.Run("duplicate seq across cells", func(t *testing.T) {
-		sh := newScheduler(3, 6, func(Tag) {})
+	// Two different events under one seq are refused by name.
+	t.Run("duplicate seq on two events", func(t *testing.T) {
+		sh := &Engine{handle: func(Tag) {}}
 		evs := []QueuedEvent{
 			{At: 10, Seq: 3, Tag: Tag{Kind: evDeparture, Arg: 1}},
 			{At: 11, Seq: 3, Tag: Tag{Kind: evDeparture, Arg: 2}},

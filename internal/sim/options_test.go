@@ -92,3 +92,22 @@ func TestMeanUtilizationSeries(t *testing.T) {
 			dyn.MeanUtilization.Mean(), ff.MeanUtilization.Mean())
 	}
 }
+
+// TestCellConfigValidation pins the accept/reject set of the two inert
+// fields bench/ still sets: a negative Cells or KernelWorkers, or more
+// cells than PMs, is rejected; anything else is accepted and not read.
+func TestCellConfigValidation(t *testing.T) {
+	for _, tc := range []struct {
+		cells, workers int
+		ok             bool
+	}{{-1, 0, false}, {0, 0, true}, {1, 0, true}, {6, 0, true}, {7, 0, false}, {0, -1, false}, {0, 2, true}} {
+		cfg := Config{DC: smallFleet(), Placer: policy.NewDynamic(), Requests: reqs(2, 10, 100), Cells: tc.cells, KernelWorkers: tc.workers}
+		_, err := New(cfg)
+		if tc.ok && err != nil {
+			t.Errorf("Cells=%d KernelWorkers=%d rejected: %v", tc.cells, tc.workers, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("Cells=%d KernelWorkers=%d accepted (fleet is %d PMs)", tc.cells, tc.workers, smallFleet().Size())
+		}
+	}
+}

@@ -65,17 +65,17 @@ func scaleWeek(t *testing.T) []workload.Request {
 // `dvmpsim -swf … -nodes 300 -spare -decisions …`) by the FNV-64a digests
 // of its canonical run trace and decision log: the one tier-1 run at three
 // times the paper's fleet. The run is then checkpointed after a third of
-// its arrivals, while most are still unfired, and resumed under one cell
-// and under three; each resumed run must re-save the checkpoint's exact
-// bytes right after Restore, and its streams, written after a copy of the
-// prefix's raw bytes, must complete both digests.
+// its arrivals, while most are still unfired, and resumed once: the resumed
+// run must re-save the checkpoint's exact bytes right after Restore, and its
+// streams, written after a copy of the prefix's raw bytes, must complete
+// both digests.
 func TestScaleWeekDigest(t *testing.T) {
 	const (
 		wantRun uint64 = 0x752f3ace090f9283
 		wantDec uint64 = 0x7f6e133883f9b7e5
 	)
 	reqs := scaleWeek(t)
-	cfg := func(cells int, run, dec *bytes.Buffer) Config {
+	cfg := func(run, dec *bytes.Buffer) Config {
 		sc := spare.DefaultConfig()
 		o := obs.New()
 		o.Trace, o.Decisions = obs.NewTracer(run), obs.NewTracer(dec)
@@ -85,12 +85,11 @@ func TestScaleWeekDigest(t *testing.T) {
 			Requests: reqs,
 			Spare:    &sc,
 			Obs:      o,
-			Cells:    cells,
 		}
 	}
 
 	run, dec := new(bytes.Buffer), new(bytes.Buffer)
-	m, err := New(cfg(1, run, dec))
+	m, err := New(cfg(run, dec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,27 +125,24 @@ func TestScaleWeekDigest(t *testing.T) {
 	t.Logf("%d requests, %d events, queued %.2f %%, checkpoint at arrival %d",
 		len(reqs), m.Dispatched(), 100*res.Summary.QueuedFraction, arrivedAt)
 
-	for _, cells := range []int{1, 3} {
-		run, dec := bytes.NewBuffer(bytes.Clone(runAt)), bytes.NewBuffer(bytes.Clone(decAt))
-		m, err := Restore(cfg(cells, run, dec), bytes.NewReader(ckpt))
-		if err != nil {
-			t.Fatalf("cells %d: %v", cells, err)
-		}
-		var again bytes.Buffer
-		if err := m.Save(&again); err != nil {
-			t.Fatalf("cells %d: re-save: %v", cells, err)
-		}
-		if !bytes.Equal(again.Bytes(), ckpt) {
-			at, a, b := diffContext(ckpt, again.Bytes())
-			t.Fatalf("cells %d: re-save after Restore differs at byte %d:\nsaved:    ...%s\nre-saved: ...%s",
-				cells, at, a, b)
-		}
-		assertSameOutcome(t, res, runToEnd(t, m))
-		if got := canonDigest(t, run); got != wantRun {
-			t.Errorf("cells %d: resumed run trace digest %#x, want %#x", cells, got, wantRun)
-		}
-		if got := canonDigest(t, dec); got != wantDec {
-			t.Errorf("cells %d: resumed decision log digest %#x, want %#x", cells, got, wantDec)
-		}
+	run, dec = bytes.NewBuffer(bytes.Clone(runAt)), bytes.NewBuffer(bytes.Clone(decAt))
+	m, err = Restore(cfg(run, dec), bytes.NewReader(ckpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := m.Save(&again); err != nil {
+		t.Fatalf("re-save: %v", err)
+	}
+	if !bytes.Equal(again.Bytes(), ckpt) {
+		at, a, b := diffContext(ckpt, again.Bytes())
+		t.Fatalf("re-save after Restore differs at byte %d:\nsaved:    ...%s\nre-saved: ...%s", at, a, b)
+	}
+	assertSameOutcome(t, res, runToEnd(t, m))
+	if got := canonDigest(t, run); got != wantRun {
+		t.Errorf("resumed run trace digest %#x, want %#x", got, wantRun)
+	}
+	if got := canonDigest(t, dec); got != wantDec {
+		t.Errorf("resumed decision log digest %#x, want %#x", got, wantDec)
 	}
 }

@@ -37,15 +37,15 @@ func recordedCfg(placer policy.Policy, reqs []workload.Request, run, dec *bytes.
 	}
 }
 
-// TestRunLeavesDynamicUntouched: a run's settings — the self-audit, kernel
-// workers, the observer, the Recorder's alternatives — live on the run, so
-// a Dynamic a run drives stays deep-equal to a fresh NewDynamic, after a
-// whole run and after a run resumed from a mid-run checkpoint.
+// TestRunLeavesDynamicUntouched: a run's settings — the self-audit, the
+// observer, the Recorder's alternatives — live on the run, so a Dynamic a
+// run drives stays deep-equal to a fresh NewDynamic, after a whole run and
+// after a run resumed from a mid-run checkpoint.
 func TestRunLeavesDynamicUntouched(t *testing.T) {
 	reqs := weekPrefix(1, 200)
 	cfg := func(d *policy.Dynamic) Config {
 		c := recordedCfg(d, reqs, new(bytes.Buffer), new(bytes.Buffer))
-		c.Audit, c.KernelWorkers = audit.Event, 2
+		c.Audit = audit.Event
 		return c
 	}
 	d := policy.NewDynamic()
@@ -82,24 +82,17 @@ func TestRunLeavesDynamicUntouched(t *testing.T) {
 }
 
 // TestRunsShareOneDynamic: two runs on separate fleets, each with its own
-// Recorder and observer, drive one *policy.Dynamic at once — one with kernel
-// workers, one without — and each writes the run trace and decision log it
-// writes alone. Under -race this is also the proof that no run writes to
+// Recorder and observer, drive one *policy.Dynamic at once, and each writes
+// the run trace and decision log it writes alone. Under -race this is also the proof that no run writes to
 // the Dynamic.
 func TestRunsShareOneDynamic(t *testing.T) {
 	type run struct {
 		reqs     []workload.Request
-		workers  int
 		run, dec bytes.Buffer
 	}
-	runs := []*run{{reqs: weekPrefix(1, 300), workers: 2}, {reqs: weekPrefix(7, 300)}}
-	cfg := func(placer policy.Policy, r *run, trace, dec *bytes.Buffer) Config {
-		c := recordedCfg(placer, r.reqs, trace, dec)
-		c.KernelWorkers = r.workers
-		return c
-	}
+	runs := []*run{{reqs: weekPrefix(1, 300)}, {reqs: weekPrefix(7, 300)}}
 	for _, r := range runs {
-		if _, err := Run(cfg(policy.NewDynamic(), r, &r.run, &r.dec)); err != nil {
+		if _, err := Run(recordedCfg(policy.NewDynamic(), r.reqs, &r.run, &r.dec)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,7 +105,7 @@ func TestRunsShareOneDynamic(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = Run(cfg(shared, r, &traces[i][0], &traces[i][1]))
+			_, errs[i] = Run(recordedCfg(shared, r.reqs, &traces[i][0], &traces[i][1]))
 		}()
 	}
 	wg.Wait()

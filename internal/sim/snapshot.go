@@ -322,6 +322,9 @@ func (s *simulator) restore(st *simState) error {
 		if pm == nil || int(pm.ID) != i {
 			return fmt.Errorf("sim: snapshot PM record %d has ID %d", i, ps.ID)
 		}
+		if ps.State < int(cluster.PMOff) || ps.State > int(cluster.PMFailed) {
+			return fmt.Errorf("sim: snapshot PM %d has unknown state %d", ps.ID, ps.State)
+		}
 		pm.SetState(cluster.PMState(ps.State))
 		pm.SetReliability(ps.Reliability)
 		pm.Failures = ps.Failures
@@ -337,6 +340,16 @@ func (s *simulator) restore(st *simState) error {
 	for _, vs := range st.VMs {
 		if vs.ID < 1 || int(vs.ID) > len(s.vms) {
 			return fmt.Errorf("sim: snapshot VM %d is outside the workload's %d requests", vs.ID, len(s.vms))
+		}
+		if err := s.checkDemand(vs.Demand); err != nil {
+			return fmt.Errorf("sim: snapshot VM %d demand: %w", vs.ID, err)
+		}
+		if !(vs.Est >= 0 && vs.Actual >= 0 && vs.Submit >= 0) {
+			return fmt.Errorf("sim: snapshot VM %d has a negative time (est %g, actual %g, submit %g)",
+				vs.ID, vs.Est, vs.Actual, vs.Submit)
+		}
+		if vs.State < int(cluster.VMQueued) || vs.State > int(cluster.VMFinished) {
+			return fmt.Errorf("sim: snapshot VM %d has unknown state %d", vs.ID, vs.State)
 		}
 		vm := cluster.NewVM(vs.ID, vs.Demand, vs.Est, vs.Actual, vs.Submit)
 		vm.StartTime = vs.Start
@@ -359,6 +372,9 @@ func (s *simulator) restore(st *simState) error {
 		source := s.dc.PM(hs.Source)
 		if vm == nil || source == nil {
 			return fmt.Errorf("sim: snapshot hold references unknown VM %d or PM %d", hs.VM, hs.Source)
+		}
+		if err := s.checkDemand(hs.Demand); err != nil {
+			return fmt.Errorf("sim: snapshot hold of VM %d demand: %w", hs.VM, err)
 		}
 		if err := source.Reserve(hs.Demand); err != nil {
 			return fmt.Errorf("sim: snapshot hold: %w", err)
@@ -411,10 +427,7 @@ func (s *simulator) restore(st *simState) error {
 
 	// Finally the event queue: every saved tag must name something the
 	// restored state holds, then the events are re-queued and the
-	// cancellation maps re-armed from the returned handles. A sharded
-	// engine re-derives every event's cell from its routing tag under the
-	// CURRENT config's partition, so a snapshot written at one cell count
-	// restores into any other (the re-shard path).
+	// cancellation maps re-armed from the returned handles.
 	for i, ev := range st.Engine.Events {
 		if !s.names(ev.Tag) {
 			return fmt.Errorf("sim: restore event queue: event %d (kind %d, arg %d) names nothing the snapshot holds",
@@ -463,6 +476,15 @@ func (s *simulator) withUnfiredArrivals(evs []QueuedEvent) []QueuedEvent {
 	}
 	slices.SortFunc(evs, compareQueued)
 	return evs
+}
+
+// checkDemand holds a snapshot's VM or hold demand to what cluster code
+// takes on trust: finite, non-negative components, the fleet's dimension.
+func (s *simulator) checkDemand(d vector.V) error {
+	if want := s.dc.RMinShared().Dim(); d.Dim() != want {
+		return fmt.Errorf("dimension %d, the fleet's is %d", d.Dim(), want)
+	}
+	return d.Validate()
 }
 
 // restoreArrivals checks a checkpoint's arrival records and returns the

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/failure"
@@ -106,6 +107,25 @@ func FuzzSnapshotResume(f *testing.F) {
 		if resA.Summary != resB.Summary {
 			t.Fatalf("variant %d seed %d crash at %d: summaries differ:\nfull:    %+v\nresumed: %+v",
 				variant, failSeed, stop, resA.Summary, resB.Summary)
+		}
+	})
+}
+
+// FuzzRestore feeds hostile checkpoint bytes to Restore under the config
+// that wrote the seeds: mid-run checkpoints of a run with spares, failures
+// and timed migrations, one of them with a migration in flight. Restore
+// must never panic, and it may fail only with a named error from the sim
+// or snapshot layer.
+func FuzzRestore(f *testing.F) {
+	for _, at := range []uint64{1, 40, 120} {
+		f.Add(midRunCheckpoint(f, func(m *Sim) bool { return m.Dispatched() >= at }))
+	}
+	f.Add(midRunCheckpoint(f, holding))
+	load := mixedLoad()
+	f.Fuzz(func(t *testing.T, ckpt []byte) {
+		_, err := Restore(snapCfg(load, policy.NewDynamic(), nil), bytes.NewReader(ckpt))
+		if err != nil && !strings.HasPrefix(err.Error(), "sim:") && !strings.HasPrefix(err.Error(), "snapshot:") {
+			t.Fatalf("restore error %q is neither sim's nor snapshot's", err)
 		}
 	})
 }

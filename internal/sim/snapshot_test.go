@@ -339,8 +339,7 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 // arrival (VM n, which has not arrived yet) into one hostile tag: an
 // arrival past the workload or of VM 0, a creation or departure of a VM
 // the snapshot does not hold, a PM event outside the fleet, a cutover with
-// no hold, and a kind no event has — on the monolith and on the sharded
-// engine.
+// no hold, and a kind no event has.
 func TestSnapshotEventTagNamesNothing(t *testing.T) {
 	load := mixedLoad()
 	fleet := smallFleet().Size()
@@ -388,15 +387,9 @@ func TestSnapshotEventTagNamesNothing(t *testing.T) {
 			bad := bytes.Replace(ckpt.Bytes(), first[0],
 				[]byte(fmt.Sprintf(`"tag":{"k":%d,"a":%d}`, tc.kind, tc.arg)), 1)
 			want := fmt.Sprintf("kind %d, arg %d", tc.kind, tc.arg)
-			// The sharded engine routes each event by its tag, so a tag
-			// must be checked before it is routed, too.
-			for _, cells := range []int{1, 3} {
-				cfg := snapCfg(load, policy.NewDynamic(), nil)
-				cfg.Cells = cells
-				_, err := Restore(cfg, bytes.NewReader(bad))
-				if err == nil || !strings.Contains(err.Error(), want) {
-					t.Errorf("cells %d: restore error = %v, want one naming %q", cells, err, want)
-				}
+			_, err := Restore(snapCfg(load, policy.NewDynamic(), nil), bytes.NewReader(bad))
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("restore error = %v, want one naming %q", err, want)
 			}
 		})
 	}
@@ -473,13 +466,9 @@ func TestSnapshotArrivalRunCorrupt(t *testing.T) {
 			if err := snapshot.Write(&buf, f.Meta, &bad); err != nil {
 				t.Fatal(err)
 			}
-			for _, cells := range []int{1, 3} {
-				cfg := snapCfg(load, policy.NewDynamic(), nil)
-				cfg.Cells = cells
-				_, err := Restore(cfg, bytes.NewReader(buf.Bytes()))
-				if err == nil || !strings.Contains(err.Error(), tc.want) {
-					t.Errorf("cells %d: restore error = %v, want one naming %q", cells, err, tc.want)
-				}
+			_, err := Restore(snapCfg(load, policy.NewDynamic(), nil), bytes.NewReader(buf.Bytes()))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("restore error = %v, want one naming %q", err, tc.want)
 			}
 		})
 	}
@@ -662,4 +651,156 @@ func meterHasPendingChange(m *Sim, min uint64) bool {
 		}
 	}
 	return false
+}
+
+// TestRestoreOldCellSections restores a checkpoint as older builds wrote
+// it under Cells > 1: the same version-2 envelope, its state carrying the
+// per-cell "cells" and "cell_dispatched" keys. Decoding ignores both, and
+// the resumed run finishes on the uninterrupted run's canonical trace.
+func TestRestoreOldCellSections(t *testing.T) {
+	cfg := func(trace *bytes.Buffer) Config {
+		c := crashCfg(fragmentingTrace(60), trace)
+		c.Failures.MTBF = 5000
+		return c
+	}
+	var full bytes.Buffer
+	ref, err := New(cfg(&full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resA := runToEnd(t, ref)
+	fullCanon := canon(t, full.Bytes())
+
+	var prefix bytes.Buffer
+	m, err := New(cfg(&prefix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m.Dispatched() < ref.Dispatched()/2 {
+		if ok, err := m.Step(); err != nil || !ok {
+			t.Fatalf("step: ok=%v err=%v", ok, err)
+		}
+	}
+	var ckpt bytes.Buffer
+	if err := m.Save(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	f, err := snapshot.Read(&ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Spread the dispatch count over six cells, as the old attribution did.
+	d := m.Dispatched()
+	disp := make([]uint64, 6)
+	for i := range disp {
+		disp[i] = d / 6
+	}
+	disp[0] += d % 6
+	sections, err := json.Marshal(map[string]any{"cells": 6, "cell_dispatched": disp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := append(bytes.TrimSuffix(bytes.TrimSpace(f.State), []byte("}")), ',')
+	state = append(state, sections[1:]...)
+	var old bytes.Buffer
+	if err := snapshot.Write(&old, f.Meta, json.RawMessage(state)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(old.Bytes(), []byte(`"cell_dispatched":[`)) {
+		t.Fatal("old-format checkpoint lacks its cell_dispatched section")
+	}
+
+	var tail bytes.Buffer
+	m2, err := Restore(cfg(&tail), bytes.NewReader(old.Bytes()))
+	if err != nil {
+		t.Fatalf("restore old-format checkpoint: %v", err)
+	}
+	resB := runToEnd(t, m2)
+	combined := append(canon(t, prefix.Bytes()), canon(t, tail.Bytes())...)
+	if !bytes.Equal(combined, fullCanon) {
+		at, a, b := diffContext(fullCanon, combined)
+		t.Fatalf("trace diverges at byte %d:\nfull:    ...%s\nresumed: ...%s", at, a, b)
+	}
+	if resA.Summary != resB.Summary {
+		t.Fatalf("summaries differ:\nfull:    %+v\nresumed: %+v", resA.Summary, resB.Summary)
+	}
+}
+
+// midRunCheckpoint runs snapCfg's dynamic scheme over mixedLoad — spares,
+// failures, timed migrations — until stop holds, and saves a checkpoint
+// there.
+func midRunCheckpoint(tb testing.TB, stop func(m *Sim) bool) []byte {
+	tb.Helper()
+	m, err := New(snapCfg(mixedLoad(), policy.NewDynamic(), nil))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for !stop(m) {
+		if ok, err := m.Step(); err != nil || !ok {
+			tb.Fatalf("step %d: ok=%v err=%v", m.Dispatched(), ok, err)
+		}
+	}
+	var ckpt bytes.Buffer
+	if err := m.Save(&ckpt); err != nil {
+		tb.Fatal(err)
+	}
+	return ckpt.Bytes()
+}
+
+// holding stops a run while a timed migration is in flight.
+func holding(m *Sim) bool { return len(m.s.holds) > 0 }
+
+// TestSnapshotHostileRecords: a checkpoint whose VM, hold or PM record
+// carries a value cluster code would panic on or misread — a demand that
+// fails Validate or has the wrong dimension, a negative time, an unknown
+// state — is refused by an error naming the record.
+func TestSnapshotHostileRecords(t *testing.T) {
+	f, err := snapshot.Read(bytes.NewReader(midRunCheckpoint(t, holding)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st simState
+	if err := json.Unmarshal(f.State, &st); err != nil {
+		t.Fatal(err)
+	}
+	vm, hold, pm := st.VMs[0].ID, st.Holds[0].VM, st.PMs[0].ID
+	for _, tc := range []struct {
+		name    string
+		corrupt func(st *simState)
+		want    string
+	}{
+		{"VM demand negative", func(st *simState) { st.VMs[0].Demand[0] = -1 },
+			fmt.Sprintf("sim: snapshot VM %d demand: vector: component 0 is negative", vm)},
+		{"VM demand of one dimension", func(st *simState) { st.VMs[0].Demand = st.VMs[0].Demand[:1] },
+			fmt.Sprintf("sim: snapshot VM %d demand: dimension 1", vm)},
+		{"VM est negative", func(st *simState) { st.VMs[0].Est = -1 },
+			fmt.Sprintf("sim: snapshot VM %d has a negative time", vm)},
+		{"VM actual negative", func(st *simState) { st.VMs[0].Actual = -1 },
+			fmt.Sprintf("sim: snapshot VM %d has a negative time", vm)},
+		{"VM submit negative", func(st *simState) { st.VMs[0].Submit = -1 },
+			fmt.Sprintf("sim: snapshot VM %d has a negative time", vm)},
+		{"VM state unknown", func(st *simState) { st.VMs[0].State = 5 },
+			fmt.Sprintf("sim: snapshot VM %d has unknown state 5", vm)},
+		{"hold demand negative", func(st *simState) { st.Holds[0].Demand[1] = -1 },
+			fmt.Sprintf("sim: snapshot hold of VM %d demand: vector: component 1 is negative", hold)},
+		{"hold demand of one dimension", func(st *simState) { st.Holds[0].Demand = st.Holds[0].Demand[:1] },
+			fmt.Sprintf("sim: snapshot hold of VM %d demand: dimension 1", hold)},
+		{"PM state unknown", func(st *simState) { st.PMs[0].State = -1 },
+			fmt.Sprintf("sim: snapshot PM %d has unknown state -1", pm)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := st
+			bad.VMs, bad.Holds, bad.PMs = slices.Clone(st.VMs), slices.Clone(st.Holds), slices.Clone(st.PMs)
+			bad.VMs[0].Demand, bad.Holds[0].Demand = slices.Clone(st.VMs[0].Demand), slices.Clone(st.Holds[0].Demand)
+			tc.corrupt(&bad)
+			var buf bytes.Buffer
+			if err := snapshot.Write(&buf, f.Meta, &bad); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Restore(snapCfg(mixedLoad(), policy.NewDynamic(), nil), &buf)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("restore error = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
 }
