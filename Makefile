@@ -2,7 +2,7 @@ GO ?= go
 
 FUZZTIME ?= 10s
 
-.PHONY: test check vet fmt race audit fuzz-smoke bench-smoke bench-ab same linked profile loc
+.PHONY: test check vet fmt race audit fuzz-smoke bench-smoke bench-ab same linked unlinked profile loc
 
 test:
 	$(GO) test ./...
@@ -48,8 +48,12 @@ audit:
 ## (internal/sim.FuzzRestore), the decision-log reader against
 ## the recorder's encoders (internal/policy.FuzzParseDecisionLog), the trace
 ## renderer on hostile bytes, seeded from the golden run's binary streams
-## (internal/obs.FuzzRender), and the first-fit index against the linear
-## walk (internal/cluster.FuzzFirstFit).
+## (internal/obs.FuzzRender), the first-fit index against the linear
+## walk (internal/cluster.FuzzFirstFit), the SWF parser on hostile bytes,
+## never a panic and no accepted job with a negative time, core count or
+## memory (internal/workload.FuzzParseSWF), and Algorithm 1's lazy rounds
+## against a cold dense matrix over fuzzed operation streams
+## (internal/core.FuzzLazyRounds).
 ## FUZZTIME=10s by default (each). The status line counts a worker's
 ## executions only when its batch ends, so it can read 0 execs/s for most
 ## of the run while the worker is busy: a 90 s FuzzRestore run on a 2-CPU
@@ -63,6 +67,8 @@ fuzz-smoke:
 	$(GO) test ./internal/policy -run '^$$' -fuzz FuzzParseDecisionLog -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzRender -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzFirstFit -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzParseSWF -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLazyRounds -fuzztime $(FUZZTIME)
 
 ## bench-smoke: run every Kernel*, Engine*, Meter*, Sweep and FirstFit
 ## micro-benchmark exactly once. Not a measurement — a liveness gate:
@@ -75,12 +81,13 @@ bench-smoke:
 	$(GO) test ./internal/exp -run '^$$' -bench '^BenchmarkSweep' -benchtime 1x
 	$(GO) test ./internal/cluster -run '^$$' -bench '^BenchmarkFirstFit' -benchtime 1x
 
-## check: the full pre-commit gate — vet, gofmt, the race-enabled test
-## suite (covers the lock-free metrics hot path, the parallel experiment
-## harness, and two runs sharing one Dynamic concurrently), the full-trace
-## audit run, a fuzz smoke test, and a one-iteration pass over the kernel
-## benchmarks.
-check: vet fmt race audit fuzz-smoke bench-smoke
+## check: the full pre-commit gate — vet, gofmt, the unlinked-function
+## gate (nothing in internal/ that no binary links, but what
+## internal/unlinked.txt names), the race-enabled test suite (covers the
+## lock-free metrics hot path, the parallel experiment harness, and two
+## runs sharing one Dynamic concurrently), the full-trace audit run, a fuzz
+## smoke test, and a one-iteration pass over the kernel benchmarks.
+check: vet fmt unlinked race audit fuzz-smoke bench-smoke
 
 ## bench-ab: the end-to-end benchmark, this tree against another commit,
 ## by the alternating-pairs procedure of bench/README.md: BASE is checked
@@ -200,6 +207,40 @@ linked:
 		$(GO) tool nm "$$bin/$$name" | awk '($$2 == "T" || $$2 == "t") && $$3 ~ /^repro\// { print $$3 }' | sort -u > "$(OUT)/$$name.syms"; \
 		echo "$$name: $$(wc -l < "$(OUT)/$$name.syms") symbols"; \
 	done
+
+## unlinked: fail on any function declared in internal/ that no main
+## package links, unless internal/unlinked.txt names it with a reason. It
+## runs `make linked` into a temporary directory, so bench/ counts as a
+## binary like cmd/* and examples/*. A function is counted by its `^func`
+## declaration in a non-test file (gofmt'd, so one line), methods as
+## T.M; a symbol is matched by name once `(*T).M` reads T.M and any `[…]`,
+## `.funcN`, `.deferwrapN`, `.gowrapN` or `-fm` is dropped. It also fails on
+## an allow entry that is linked again, no longer declared, or has no reason.
+UNLINKED_ALLOW := internal/unlinked.txt
+unlinked:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(MAKE) -s --no-print-directory linked OUT="$$tmp/syms" > /dev/null; \
+	cat "$$tmp"/syms/*.syms | sed -E 's/\(\*([^)]*)\)/\1/; :a; s/\[[^][]*\]//; ta; s/\[.*$$//; s/\.(func|deferwrap|gowrap)[0-9].*$$//; s/-fm$$//; s/\.init\.[0-9]+$$/.init/' \
+		| LC_ALL=C sort -u > "$$tmp/linked"; \
+	find internal -name '*.go' ! -name '*_test.go' | LC_ALL=C sort | while read -r f; do \
+		awk -v pkg="repro/$${f%/*}" '/^func / { s = substr($$0, 6); \
+			if (s ~ /^\(/) { r = substr(s, 2, index(s, ")") - 2); sub(/\[.*/, "", r); n = split(r, p, " "); t = p[n]; sub(/^\*/, "", t); \
+				s = substr(s, index(s, ")") + 2); s = t "." s } \
+			sub(/[[(].*/, "", s); print pkg "." s }' "$$f"; \
+	done | LC_ALL=C sort -u > "$$tmp/declared"; \
+	LC_ALL=C comm -23 "$$tmp/declared" "$$tmp/linked" > "$$tmp/unlinked"; \
+	fail=0; : > "$$tmp/allowed"; \
+	awk -v out="$$tmp/allowed" '/^#/ || !NF { next } NF == 1 { print "unlinked: entry " $$1 " in $(UNLINKED_ALLOW) gives no reason"; bad = 1 } \
+		{ print $$1 > out } END { exit bad }' $(UNLINKED_ALLOW) || fail=1; \
+	LC_ALL=C sort -o "$$tmp/allowed" "$$tmp/allowed"; \
+	for f in $$(LC_ALL=C comm -23 "$$tmp/unlinked" "$$tmp/allowed"); do \
+		echo "unlinked: $$f is linked by no binary and not in $(UNLINKED_ALLOW)"; fail=1; done; \
+	for f in $$(LC_ALL=C comm -13 "$$tmp/unlinked" "$$tmp/allowed"); do \
+		if grep -qxF "$$f" "$$tmp/declared"; then why="linked again"; else why="no longer declared"; fi; \
+		echo "unlinked: stale entry $$f in $(UNLINKED_ALLOW): $$why"; fail=1; done; \
+	test -z "$$(uniq -d "$$tmp/allowed")" || { echo "unlinked: repeated entries: $$(uniq -d "$$tmp/allowed")"; fail=1; }; \
+	test $$fail = 0; \
+	echo "unlinked: $$(wc -l < "$$tmp/declared") functions declared in internal/, $$(wc -l < "$$tmp/unlinked") linked by no binary, each in $(UNLINKED_ALLOW)"
 
 ## loc: non-test Go lines under internal/, cmd/ and examples/ (bench/ is
 ## not counted), each directory, then internal/ + cmd/ (the figure ROADMAP's

@@ -86,10 +86,6 @@ type Violation struct {
 	Err error
 }
 
-func (v Violation) String() string {
-	return fmt.Sprintf("t=%.3f %s: %v", v.Time, v.Check, v.Err)
-}
-
 // Auditor runs a registered set of checks against live simulation state.
 // The zero value is usable; Register checks, then call RunEvent/RunPeriod
 // from the simulation loop.
@@ -139,6 +135,3 @@ func (a *Auditor) run(now float64, perEventOnly bool) error {
 
 // Checks returns how many individual check executions have run.
 func (a *Auditor) Checks() int { return a.ran }
-
-// Violations returns every recorded violation in detection order.
-func (a *Auditor) Violations() []Violation { return a.violations }

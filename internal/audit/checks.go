@@ -165,18 +165,23 @@ func QueueCheck(verify func() error) Check {
 	}
 }
 
-// DrainCheck holds the queue drain's skip to a cold scan. The simulator's
-// drain asks the placer only about a queued VM that some PM named in feed,
-// the queue's change feed, can host; that is exact only while every active
-// PM a queued VM fits is pending in feed. queue returns the queued VMs. A
-// write that skipped the feed, or a drain that lost an entry, fails here
-// by name: the VM and the PM the next drain would wrongly pass over.
+// DrainCheck holds the queue to the VMs it lists and the drain's skip to a
+// cold scan. Every queued VM must be in the queued state and hosted
+// nowhere. The simulator's drain asks the placer only about a queued VM
+// that some PM named in feed, the queue's change feed, can host; that is
+// exact only while every active PM a queued VM fits is pending in feed.
+// queue returns the queued VMs. A queue entry for a placed VM, a write
+// that skipped the feed, or a drain that lost an entry, fails here by
+// name: the VM, and the PM the next drain would wrongly pass over.
 func DrainCheck(dc *cluster.Datacenter, feed *cluster.Feed, queue func() []*cluster.VM) Check {
 	return Check{
 		Name:     "drain",
 		PerEvent: true,
 		Fn: func(now float64) error {
 			for _, vm := range queue() {
+				if vm.State != cluster.VMQueued || vm.Host != cluster.NoPM {
+					return fmt.Errorf("queued VM %d is %s on PM %d", vm.ID, vm.State, vm.Host)
+				}
 				for _, pm := range dc.PMs() {
 					if pm.CanHost(vm.Demand) && !feed.Pending(pm.ID) {
 						return fmt.Errorf("queued VM %d fits PM %d, which the queue's change feed does not name: the next drain would not ask the placer about it",

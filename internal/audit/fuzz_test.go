@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -229,7 +230,7 @@ func (h *harness) removeLive(vm *cluster.VM) {
 }
 
 func (h *harness) bootPM(arg byte) {
-	off := h.dc.OffPMs()
+	off := slices.DeleteFunc(slices.Clone(h.dc.PMs()), func(p *cluster.PM) bool { return p.State() != cluster.PMOff })
 	if len(off) == 0 {
 		return
 	}
@@ -237,7 +238,7 @@ func (h *harness) bootPM(arg byte) {
 }
 
 func (h *harness) shutdownPM(arg byte) {
-	idle := h.dc.IdlePMs()
+	idle := slices.DeleteFunc(slices.Clone(h.dc.PMs()), func(p *cluster.PM) bool { return !p.Idle() })
 	if len(idle) <= 1 {
 		return
 	}

@@ -3,6 +3,7 @@ package audit
 import (
 	"io"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -331,7 +332,7 @@ func (h *sparseHarness) removeLive(id cluster.VMID) {
 }
 
 func (h *sparseHarness) bootPM(arg byte) {
-	off := h.a.dc.OffPMs()
+	off := slices.DeleteFunc(slices.Clone(h.a.dc.PMs()), func(p *cluster.PM) bool { return p.State() != cluster.PMOff })
 	if len(off) == 0 {
 		return
 	}
@@ -341,7 +342,7 @@ func (h *sparseHarness) bootPM(arg byte) {
 }
 
 func (h *sparseHarness) shutdownPM(arg byte) {
-	idle := h.a.dc.IdlePMs()
+	idle := slices.DeleteFunc(slices.Clone(h.a.dc.PMs()), func(p *cluster.PM) bool { return !p.Idle() })
 	if len(idle) <= 1 {
 		return
 	}

@@ -170,9 +170,6 @@ func (d *Datacenter) CloneTopology() *Datacenter {
 	return out
 }
 
-// RMin returns the minimal VM requirement vector (a copy).
-func (d *Datacenter) RMin() vector.V { return d.rmin.Clone() }
-
 // RMinShared returns the minimal VM requirement vector without copying.
 // The returned slice is a read-only view into the datacenter's state; it
 // exists for hot paths (the placement factors evaluate it M*N times per
@@ -229,30 +226,6 @@ func (d *Datacenter) ActiveCount() int { return d.active }
 
 // BootingCount returns the number of PMs that are booting.
 func (d *Datacenter) BootingCount() int { return d.booting }
-
-// IdlePMs returns PMs that are on and hosting nothing, candidates for
-// shutdown during consolidation.
-func (d *Datacenter) IdlePMs() []*PM {
-	var out []*PM
-	for _, p := range d.pms {
-		if p.Idle() {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// OffPMs returns PMs that are powered off, candidates for boot. Failed PMs
-// are excluded; the failure model owns their recovery.
-func (d *Datacenter) OffPMs() []*PM {
-	var out []*PM
-	for _, p := range d.pms {
-		if p.state == PMOff {
-			out = append(out, p)
-		}
-	}
-	return out
-}
 
 // AppendVMsInState appends every placed VM in state st to dst, sorted by
 // ID within the appended span, and returns the extended slice; with a

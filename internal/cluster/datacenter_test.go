@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -112,14 +113,8 @@ func TestPMAccessors(t *testing.T) {
 	if d.PM(-1) != nil || d.PM(100) != nil {
 		t.Error("out-of-range PM lookup should be nil")
 	}
-	if got := d.RMin(); !got.Equal(TableIIRMin) {
+	if got := d.RMinShared(); !got.Equal(TableIIRMin) {
 		t.Errorf("RMin = %v", got)
-	}
-	// RMin returns a copy.
-	r := d.RMin()
-	r[0] = 42
-	if d.RMin()[0] == 42 {
-		t.Error("RMin aliases internal state")
 	}
 }
 
@@ -136,8 +131,8 @@ func TestStateCountsAndSets(t *testing.T) {
 	if got := len(d.ActivePMs()); got != 3 {
 		t.Errorf("ActivePMs = %d, want 3", got)
 	}
-	if got := len(d.OffPMs()); got != 96 {
-		t.Errorf("OffPMs = %d, want 96 (failed PM excluded)", got)
+	if got := len(slices.DeleteFunc(slices.Clone(d.pms), func(p *PM) bool { return p.state != PMOff })); got != 96 {
+		t.Errorf("off PMs = %d, want 96 (failed PM excluded)", got)
 	}
 
 	vm := NewVM(1, vector.New(1, 1), 10, 10, 0)
@@ -147,8 +142,8 @@ func TestStateCountsAndSets(t *testing.T) {
 	if got := d.NonIdleCount(); got != 1 {
 		t.Errorf("NonIdleCount = %d, want 1", got)
 	}
-	if got := len(d.IdlePMs()); got != 1 { // PM 1 on+empty; booting PM not idle
-		t.Errorf("IdlePMs = %d, want 1", got)
+	if got := len(slices.DeleteFunc(slices.Clone(d.pms), func(p *PM) bool { return !p.Idle() })); got != 1 { // PM 1 on+empty; booting PM not idle
+		t.Errorf("idle PMs = %d, want 1", got)
 	}
 	if got := d.VMCount(); got != 1 {
 		t.Errorf("VMCount = %d, want 1", got)

@@ -134,7 +134,7 @@ func TestEfficiencyFactorLevels(t *testing.T) {
 	ctx := &Context{DC: dc, Now: 0}
 	f := EfficiencyFactor{}
 	fast := dc.PM(0) // W_j = 8, eff = 1
-	rmin := dc.RMin()
+	rmin := dc.RMinShared()
 
 	vm := cluster.NewVM(1, rmin, 1000, 1000, 0)
 	// Empty fast PM, prospective level after hosting one minimal VM = 1.
@@ -161,7 +161,7 @@ func TestEfficiencyFactorPrefersEfficientClass(t *testing.T) {
 	dc := smallDC()
 	ctx := &Context{DC: dc, Now: 0}
 	f := EfficiencyFactor{}
-	vm := cluster.NewVM(1, dc.RMin(), 1000, 1000, 0)
+	vm := cluster.NewVM(1, dc.RMinShared(), 1000, 1000, 0)
 	fast := f.Probability(ctx, vm, dc.PM(0), false) // eff 1, level 1/8
 	slow := f.Probability(ctx, vm, dc.PM(2), false) // eff 2/3, level 1/4
 	// slow: (1/4)*(2/3) = 1/6 > fast 1/8: a *busier-fraction* slow node
@@ -187,7 +187,7 @@ func TestJointProductOfFactors(t *testing.T) {
 	ctx := &Context{DC: dc, Now: 0}
 	pm := dc.PM(0)
 	pm.SetReliability(0.9)
-	vm := cluster.NewVM(1, dc.RMin(), 700, 700, 0)
+	vm := cluster.NewVM(1, dc.RMinShared(), 700, 700, 0)
 	mustHost(t, dc.PM(1), vm) // hosted elsewhere -> full migration overhead
 	want := 1.0 * 0.81 * 0.9 * (1.0 / 8)
 	if got := Joint(ctx, DefaultFactors(), vm, pm, false); math.Abs(got-want) > 1e-12 {

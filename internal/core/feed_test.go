@@ -29,7 +29,7 @@ func TestMissedFeedEntryFailsByName(t *testing.T) {
 		t.Fatalf("diffRoster with the offline count off by one = %v", err)
 	}
 	ro.offline--
-	demand := ctx.DC.RMin()
+	demand := ctx.DC.RMinShared()
 	pm := roomFor(t, ctx, 2)[0]
 	want := fmt.Sprintf("PM %d ", pm.ID)
 	for i, drop := range []bool{false, true} {
@@ -76,7 +76,7 @@ func TestMissedFeedEntryFailsByName(t *testing.T) {
 // there must be two.
 func roomFor(t *testing.T, ctx *Context, n int) []*cluster.PM {
 	t.Helper()
-	need := ctx.DC.RMin().Clone()
+	need := ctx.DC.RMinShared().Clone()
 	for i := range need {
 		need[i] *= float64(n)
 	}

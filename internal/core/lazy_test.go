@@ -199,11 +199,11 @@ func (h *lazyHarness) step(op, arg byte) {
 			h.eachPM(id, func(pm *cluster.PM) { pm.SetState(cluster.PMFailed) })
 		}
 	case 3: // boot
-		if off := lead.DC.OffPMs(); len(off) > 0 {
+		if off := slices.DeleteFunc(slices.Clone(lead.DC.PMs()), func(p *cluster.PM) bool { return p.State() != cluster.PMOff }); len(off) > 0 {
 			h.eachPM(off[int(arg)%len(off)].ID, func(pm *cluster.PM) { pm.SetState(cluster.PMOn) })
 		}
 	case 4: // shutdown
-		if idle := lead.DC.IdlePMs(); len(idle) > 1 {
+		if idle := slices.DeleteFunc(slices.Clone(lead.DC.PMs()), func(p *cluster.PM) bool { return !p.Idle() }); len(idle) > 1 {
 			h.eachPM(idle[int(arg)%len(idle)].ID, func(pm *cluster.PM) { pm.SetState(cluster.PMOff) })
 		}
 	case 5: // reliability decay, as the failure model applies it

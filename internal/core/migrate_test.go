@@ -228,7 +228,7 @@ func TestRankPlacementsOrdering(t *testing.T) {
 	filler := cluster.NewVM(50, vector.New(4, 4), 100000, 100000, 0)
 	mustHostT(t, dc, 1, filler)
 
-	vm := cluster.NewVM(1, dc.RMin(), 100000, 100000, 0)
+	vm := cluster.NewVM(1, dc.RMinShared(), 100000, 100000, 0)
 	ranked := RankPlacements(ctx, factors, vm)
 	if len(ranked) == 0 {
 		t.Fatal("no placements")
@@ -261,7 +261,7 @@ func TestBestPlacementDeterministicTieBreak(t *testing.T) {
 	// other; the tie must break to the lower PM ID, deterministically.
 	dc := smallDC()
 	ctx := &Context{DC: dc, Now: 0}
-	vm := cluster.NewVM(1, dc.RMin(), 100000, 100000, 0)
+	vm := cluster.NewVM(1, dc.RMinShared(), 100000, 100000, 0)
 	for i := 0; i < 5; i++ {
 		if got := BestPlacement(ctx, DefaultFactors(), vm); got.ID != 2 {
 			t.Fatalf("tie-break chose PM%d, want PM2", got.ID)

@@ -92,7 +92,7 @@ func TestThreeDimensionalEfficiencyLevels(t *testing.T) {
 	dc := threeDimDC()
 	ctx := &Context{DC: dc, Now: 0}
 	pm := dc.PM(0)
-	rmin := dc.RMin()
+	rmin := dc.RMinShared()
 
 	// W_j = min(8/1, 8/0.25, 500/10) = 8; hosting w minimal VMs lands in
 	// level w under the K = 3 partition (w^3 scaling).

@@ -100,17 +100,3 @@ func (f *PriceFactor) Probability(ctx *Context, _ *cluster.VM, pm *cluster.PM, _
 func FlatPrices(perRegion map[string]float64) func(string, float64) float64 {
 	return func(region string, _ float64) float64 { return perRegion[region] }
 }
-
-// TimeOfUsePrices models a simple day/night tariff: price = base during
-// [peakStartHour, peakEndHour) local hours, base*offPeakScale otherwise,
-// per region.
-func TimeOfUsePrices(base map[string]float64, peakStartHour, peakEndHour, offPeakScale float64) func(string, float64) float64 {
-	return func(region string, now float64) float64 {
-		b := base[region]
-		h := math.Mod(now/3600, 24)
-		if h >= peakStartHour && h < peakEndHour {
-			return b
-		}
-		return b * offPeakScale
-	}
-}

@@ -47,7 +47,7 @@ func TestPriceFactorNormalization(t *testing.T) {
 	pf.Assign(0, "east")
 	pf.Assign(1, "west")
 	ctx := &Context{DC: dc, Now: 0}
-	vm := cluster.NewVM(1, dc.RMin(), 1000, 1000, 0)
+	vm := cluster.NewVM(1, dc.RMinShared(), 1000, 1000, 0)
 
 	if got := pf.Probability(ctx, vm, dc.PM(0), false); got != 1 {
 		t.Errorf("cheapest region p = %g, want 1", got)
@@ -70,20 +70,6 @@ func TestPriceFactorInvalidPrice(t *testing.T) {
 	ctx := &Context{DC: dc, Now: 0}
 	if got := pf.Probability(ctx, nil, dc.PM(0), false); got != 0 {
 		t.Errorf("zero price p = %g, want 0", got)
-	}
-}
-
-func TestTimeOfUsePrices(t *testing.T) {
-	price := TimeOfUsePrices(map[string]float64{"a": 0.2}, 8, 20, 0.5)
-	if got := price("a", 12*3600); got != 0.2 {
-		t.Errorf("peak price = %g", got)
-	}
-	if got := price("a", 2*3600); got != 0.1 {
-		t.Errorf("off-peak price = %g", got)
-	}
-	// Next-day peak hours are also peak.
-	if got := price("a", 86400+12*3600); got != 0.2 {
-		t.Errorf("day-2 peak price = %g", got)
 	}
 }
 

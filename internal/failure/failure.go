@@ -70,9 +70,6 @@ func NewInjector(cfg Config) *Injector {
 	return &Injector{cfg: cfg, rng: stats.NewRand(cfg.Seed)}
 }
 
-// Enabled reports whether this injector produces failures.
-func (i *Injector) Enabled() bool { return i.cfg.Enabled() }
-
 // RNGState captures the failure clock's stream state for a checkpoint.
 func (i *Injector) RNGState() stats.StreamState { return i.rng.State() }
 

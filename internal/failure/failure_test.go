@@ -86,7 +86,7 @@ func TestFailDecaysReliability(t *testing.T) {
 
 func TestInjectorAccessors(t *testing.T) {
 	inj := NewInjector(Config{MTBF: 100, RepairTime: 77, ReliabilityDecay: 0.9})
-	if !inj.Enabled() || inj.RepairTime() != 77 {
+	if inj.RepairTime() != 77 {
 		t.Error("accessors wrong")
 	}
 }

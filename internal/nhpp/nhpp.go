@@ -62,12 +62,6 @@ func New(period float64) *Estimator {
 	return &Estimator{period: period}
 }
 
-// Period returns the configured cycle length.
-func (e *Estimator) Period() float64 { return e.period }
-
-// Observations returns the number of recorded arrivals.
-func (e *Estimator) Observations() int { return len(e.arrivals) }
-
 // Observe records an arrival at absolute time t >= 0.
 func (e *Estimator) Observe(t float64) {
 	if t < 0 {

@@ -43,7 +43,7 @@ func TestEmptyEstimator(t *testing.T) {
 	if got := e.CycleMass(); got != 0 {
 		t.Errorf("empty cycle mass = %g", got)
 	}
-	if e.Observations() != 0 || e.Period() != 100 {
+	if len(e.arrivals) != 0 || e.period != 100 {
 		t.Error("accessors wrong")
 	}
 }

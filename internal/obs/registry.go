@@ -102,14 +102,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// Bucket returns the count of bucket i (i == len(bounds) is overflow).
-func (h *Histogram) Bucket(i int) int64 {
-	if h == nil {
-		return 0
-	}
-	return h.counts[i].Load()
-}
-
 // Span accumulates wall-clock time spent in one named phase. Timing a
 // region is cheap enough for per-event use: two monotonic clock reads and
 // two atomic adds, no allocation.

@@ -69,7 +69,7 @@ func TestHistogramBuckets(t *testing.T) {
 	// index where bounds[i] >= v.
 	want := []int64{2, 1, 1, 2} // {0.5,1}, {5}, {50}, {500,5000}
 	for i, w := range want {
-		if got := h.Bucket(i); got != w {
+		if got := h.counts[i].Load(); got != w {
 			t.Errorf("bucket %d = %d, want %d", i, got, w)
 		}
 	}

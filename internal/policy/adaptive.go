@@ -59,9 +59,6 @@ func (*Adaptive) Name() string { return "dynamic-adaptive" }
 // Unwrap implements Unwrapper.
 func (a *Adaptive) Unwrap() Policy { return a.Dynamic }
 
-// Threshold returns the live MIG_threshold (for reports and tests).
-func (a *Adaptive) Threshold() float64 { return a.cur }
-
 // Consolidate implements Policy: run the dynamic pass at the live
 // threshold, then adjust it from the outcome.
 func (a *Adaptive) Consolidate(ctx *core.Context) ([]core.Move, error) {

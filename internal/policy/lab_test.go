@@ -198,7 +198,7 @@ func TestOverbookViolationAccounting(t *testing.T) {
 
 func TestAdaptiveThresholdWalk(t *testing.T) {
 	a := NewAdaptive()
-	if got := a.Threshold(); got != 1.05 {
+	if got := a.cur; got != 1.05 {
 		t.Fatalf("initial threshold %g, want the dynamic default 1.05", got)
 	}
 	st := a.State()
@@ -208,7 +208,7 @@ func TestAdaptiveThresholdWalk(t *testing.T) {
 	if err := a.RestoreState(AdaptiveState{Threshold: 1.10, Idle: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if a.Threshold() != 1.10 || a.idle != 3 {
+	if a.cur != 1.10 || a.idle != 3 {
 		t.Errorf("restore did not land: cur=%g idle=%d", a.cur, a.idle)
 	}
 	if err := a.RestoreState(AdaptiveState{Threshold: 2.0}); err == nil {
@@ -229,7 +229,7 @@ func TestAdaptiveThresholdWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := a.Threshold(); got >= 1.05 {
+	if got := a.cur; got >= 1.05 {
 		t.Errorf("threshold %g did not relax after %d idle passes", got, a.IdleWindow)
 	}
 	if a.idle != 0 {
@@ -322,7 +322,7 @@ func TestCaptureRestorePlacerState(t *testing.T) {
 	if fresh.call != 9 || fresh.tick != 4 {
 		t.Errorf("recorder counters not restored: %d/%d", fresh.call, fresh.tick)
 	}
-	if got := fresh.P.(*Adaptive).Threshold(); got != 1.12 {
+	if got := fresh.P.(*Adaptive).cur; got != 1.12 {
 		t.Errorf("adaptive threshold not restored: %g", got)
 	}
 	// Lenient on mismatched chains and nil state.

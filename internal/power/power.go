@@ -340,11 +340,5 @@ func (m *Meter) Bins() []float64 {
 	return append([]float64(nil), m.bins...)
 }
 
-// BinWidth returns the bin width in seconds.
-func (m *Meter) BinWidth() float64 { return m.binWidth }
-
 // KWh converts joules to kilowatt-hours.
 func KWh(joules float64) float64 { return joules / 3.6e6 }
-
-// Joules converts kilowatt-hours to joules.
-func Joules(kwh float64) float64 { return kwh * 3.6e6 }

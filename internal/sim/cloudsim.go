@@ -536,13 +536,7 @@ func (s *simulator) setupAudit() {
 		return
 	}
 	s.aud = &audit.Auditor{}
-	s.aud.Register(audit.StateCheck(s.dc))
-	s.aud.Register(audit.QueueCheck(s.eng.VerifyQueue))
-	s.aud.Register(audit.DrainCheck(s.dc, s.qfeed, func() []*cluster.VM { return s.queue }))
-	s.aud.Register(audit.EnergyCheck(s.meter, s.dc))
-	s.aud.Register(audit.ConservationCheck(s.dc, func() (arrived, queued, finished, rejected int) {
-		return s.arrived, len(s.queue), s.res.Summary.VMsCompleted, s.res.Summary.Rejected
-	}))
+	s.registerStateChecks(s.aud)
 	if s.cfg.Spare != nil {
 		s.aud.Register(audit.SpareCheck(*s.cfg.Spare, s.dc, func() *spare.Plan {
 			if n := len(s.res.SparePlans); n > 0 {
@@ -562,6 +556,21 @@ func (s *simulator) setupAudit() {
 	// re-save → byte-compare + invariants) is period-granularity only:
 	// serializing the whole run per event would dominate the run.
 	s.aud.Register(s.snapshotCheck())
+}
+
+// registerStateChecks registers the per-event checks on the run's own
+// state: the fleet's bookkeeping, the event heap, the queue against its
+// change feed, the energy meter's draws and the VM population ledger. An
+// audited run holds every event to them, and Restore holds the state it
+// rebuilt to them once, whatever the run's audit mode.
+func (s *simulator) registerStateChecks(a *audit.Auditor) {
+	a.Register(audit.StateCheck(s.dc))
+	a.Register(audit.QueueCheck(s.eng.VerifyQueue))
+	a.Register(audit.DrainCheck(s.dc, s.qfeed, func() []*cluster.VM { return s.queue }))
+	a.Register(audit.EnergyCheck(s.meter, s.dc))
+	a.Register(audit.ConservationCheck(s.dc, func() (arrived, queued, finished, rejected int) {
+		return s.arrived, len(s.queue), s.res.Summary.VMsCompleted, s.res.Summary.Rejected
+	}))
 }
 
 // --- event handlers ---

@@ -48,19 +48,12 @@ func (a slot) before(b slot) bool {
 
 // Event is a cancellation handle for a scheduled event, a small value
 // (the zero value is inert). It pins its event's sequence number, so
-// Cancel and Live are safe no-ops once the event has fired, even though
-// the record has been recycled for a later event.
+// Cancel is a safe no-op once the event has fired, even though the record
+// has been recycled for a later event.
 type Event struct {
 	rec *record
 	seq uint64
-	at  float64
 }
-
-// Time returns the simulation time the event was scheduled for.
-func (ev Event) Time() float64 { return ev.at }
-
-// Live reports whether the event is still queued.
-func (ev Event) Live() bool { return ev.rec != nil && ev.rec.seq == ev.seq }
 
 // Cancel removes the event from the queue and reports whether it did; on
 // a fired, cancelled or zero handle it is a no-op returning false. The
@@ -152,7 +145,7 @@ func (e *Engine) schedule(at float64, seq uint64, tag Tag, fire func()) Event {
 	rec.tag = tag
 	e.heap = append(e.heap, slot{at: at, seq: seq, rec: rec})
 	e.up(len(e.heap) - 1)
-	return Event{rec: rec, seq: seq, at: at}
+	return Event{rec: rec, seq: seq}
 }
 
 // ScheduleAfter queues fire to run d seconds from now.
@@ -195,17 +188,6 @@ func (e *Engine) PeekNextEventTime() (at float64, seq uint64, ok bool) {
 func (e *Engine) Run() {
 	for e.Step() {
 	}
-}
-
-// RunUntil dispatches events with time <= t, then advances the clock to t.
-func (e *Engine) RunUntil(t float64) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: RunUntil(%g) before now %g", t, e.now))
-	}
-	for len(e.heap) > 0 && e.heap[0].at <= t {
-		e.Step()
-	}
-	e.now = t
 }
 
 // alloc takes a record from the freelist, refilling it a slab at a time.

@@ -105,28 +105,6 @@ func TestCancelPreservesDispatchOrder(t *testing.T) {
 	}
 }
 
-func TestCancelKeepsRunUntilSemantics(t *testing.T) {
-	var e Engine
-	fired := 0
-	for i := 0; i < 200; i++ {
-		ev := e.Schedule(float64(i), func() { t.Error("cancelled event fired") })
-		ev.Cancel()
-	}
-	e.Schedule(500, func() { fired++ })
-	e.Schedule(1500, func() { fired++ })
-	e.RunUntil(1000)
-	if fired != 1 {
-		t.Fatalf("fired %d events by t=1000, want 1", fired)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
-	}
-	e.Run()
-	if fired != 2 {
-		t.Fatalf("fired %d events total, want 2", fired)
-	}
-}
-
 func TestVerifyQueueAcrossChurn(t *testing.T) {
 	var e Engine
 	rng := uint64(0x9E3779B97F4A7C15)

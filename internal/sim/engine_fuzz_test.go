@@ -117,13 +117,14 @@ func (p *schedPair) step(op, arg byte) {
 		if se, sm := p.eng.Step(), p.modelStep(); se != sm {
 			p.t.Fatalf("Step: engine=%v model=%v", se, sm)
 		}
-	case 4: // bounded advance
+	case 4: // bounded advance: step every event at or before to
 		to := p.eng.Now() + float64(arg)
-		p.eng.RunUntil(to)
+		for at, _, ok := p.eng.PeekNextEventTime(); ok && at <= to; at, _, ok = p.eng.PeekNextEventTime() {
+			p.eng.Step()
+		}
 		for len(p.model) > 0 && p.model[0].at <= to {
 			p.modelStep()
 		}
-		p.mnow = to
 	}
 	p.check()
 }
@@ -179,7 +180,7 @@ func runSchedBytes(t *testing.T, data []byte) {
 // FuzzScheduler is the byte-driven differential harness: any operation
 // sequence the fuzzer invents must dispatch from the engine exactly as the
 // sorted-slice model does. The committed corpus holds the input that
-// caught a RunUntil bug of an earlier engine (a peek that parked its
+// caught a bounded-advance bug of an earlier engine (a peek that parked its
 // search cursor past a later-scheduled event).
 func FuzzScheduler(f *testing.F) {
 	f.Add([]byte{})

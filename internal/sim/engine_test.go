@@ -60,17 +60,20 @@ func TestEngineNestedScheduling(t *testing.T) {
 	}
 }
 
+// live reports whether the event behind ev is still queued.
+func live(ev Event) bool { return ev.rec != nil && ev.rec.seq == ev.seq }
+
 func TestEngineCancel(t *testing.T) {
 	var e Engine
 	fired := false
 	ev := e.Schedule(5, func() { fired = true })
-	if !ev.Live() {
+	if !live(ev) {
 		t.Error("scheduled event not Live")
 	}
 	if !ev.Cancel() {
 		t.Error("Cancel of a live event returned false")
 	}
-	if ev.Live() {
+	if live(ev) {
 		t.Error("cancelled event still Live")
 	}
 	e.Run()
@@ -85,14 +88,11 @@ func TestEngineCancel(t *testing.T) {
 
 func TestEngineZeroEventHandle(t *testing.T) {
 	var ev Event
-	if ev.Live() {
+	if live(ev) {
 		t.Error("zero Event is Live")
 	}
 	if ev.Cancel() {
 		t.Error("zero Event Cancel returned true")
-	}
-	if ev.Time() != 0 {
-		t.Errorf("zero Event Time = %g", ev.Time())
 	}
 }
 
@@ -100,7 +100,7 @@ func TestEngineHandleStaleAfterFire(t *testing.T) {
 	var e Engine
 	ev := e.Schedule(1, func() {})
 	e.Run()
-	if ev.Live() {
+	if live(ev) {
 		t.Error("fired event still Live")
 	}
 	// The record behind ev has been recycled; a later Schedule may reuse
@@ -109,7 +109,7 @@ func TestEngineHandleStaleAfterFire(t *testing.T) {
 	if ev.Cancel() {
 		t.Error("stale handle cancelled a recycled record")
 	}
-	if !ev2.Live() {
+	if !live(ev2) {
 		t.Error("stale Cancel killed an unrelated event")
 	}
 }
@@ -132,54 +132,12 @@ func TestEngineSelfCancelDuringFire(t *testing.T) {
 	}
 }
 
-func TestEngineRunUntil(t *testing.T) {
-	var e Engine
-	var fired []float64
-	for _, at := range []float64{1, 5, 10, 15} {
-		at := at
-		e.Schedule(at, func() { fired = append(fired, at) })
-	}
-	e.RunUntil(10)
-	if len(fired) != 3 {
-		t.Fatalf("fired = %v, want 3 events", fired)
-	}
-	if e.Now() != 10 {
-		t.Errorf("Now = %g, want 10", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", e.Pending())
-	}
-	e.Run()
-	if len(fired) != 4 || e.Now() != 15 {
-		t.Error("remaining event lost")
-	}
-}
-
-func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
-	var e Engine
-	e.RunUntil(100)
-	if e.Now() != 100 {
-		t.Errorf("Now = %g", e.Now())
-	}
-}
-
-func TestEngineRunUntilSkipsCancelledHead(t *testing.T) {
-	var e Engine
-	ev := e.Schedule(5, func() { t.Error("cancelled event fired") })
-	ev.Cancel()
-	e.RunUntil(10)
-	if e.Now() != 10 {
-		t.Errorf("Now = %g", e.Now())
-	}
-}
-
 func TestEnginePanics(t *testing.T) {
 	cases := map[string]func(e *Engine){
-		"past":     func(e *Engine) { e.Schedule(5, func() {}); e.Run(); e.Schedule(1, func() {}) },
-		"nan":      func(e *Engine) { e.Schedule(math.NaN(), func() {}) },
-		"inf":      func(e *Engine) { e.Schedule(math.Inf(1), func() {}) },
-		"nil":      func(e *Engine) { e.Schedule(1, nil) },
-		"backward": func(e *Engine) { e.RunUntil(10); e.RunUntil(5) },
+		"past": func(e *Engine) { e.Schedule(5, func() {}); e.Run(); e.Schedule(1, func() {}) },
+		"nan":  func(e *Engine) { e.Schedule(math.NaN(), func() {}) },
+		"inf":  func(e *Engine) { e.Schedule(math.Inf(1), func() {}) },
+		"nil":  func(e *Engine) { e.Schedule(1, nil) },
 	}
 	for name, f := range cases {
 		func() {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/audit"
+	"repro/internal/cluster"
 	"repro/internal/failure"
 	"repro/internal/obs"
 	"repro/internal/policy"
@@ -800,6 +801,55 @@ func TestSnapshotHostileRecords(t *testing.T) {
 			_, err := Restore(snapCfg(mixedLoad(), policy.NewDynamic(), nil), &buf)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("restore error = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestSnapshotContradictoryRecords: records that are each valid but
+// contradict one another are refused by the per-event checks Restore runs
+// once on the rebuilt state, with an error naming the VM; restored, the
+// first row would panic on the first Step, and the other two would run to
+// Finish. A held VM relabelled creating or running,
+// or its host relabelled booting, still restores: no per-event check ties
+// a transitional state to its event yet.
+func TestSnapshotContradictoryRecords(t *testing.T) {
+	f, err := snapshot.Read(bytes.NewReader(midRunCheckpoint(t, holding)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st simState
+	if err := json.Unmarshal(f.State, &st); err != nil {
+		t.Fatal(err)
+	}
+	held := st.Holds[0].VM
+	i := slices.IndexFunc(st.VMs, func(vs vmState) bool { return vs.ID == held })
+	if i < 0 || st.VMs[i].Host == cluster.NoPM {
+		t.Fatalf("held VM %d has no placed record", held)
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(st *simState)
+		want    string
+	}{
+		{"queue lists a placed VM", func(st *simState) { st.Queue = append(st.Queue, held) },
+			fmt.Sprintf("audit: drain at t=%.3f: queued VM %d is migrating on PM %d", st.Engine.Now, held, st.VMs[i].Host)},
+		{"held VM relabelled queued", func(st *simState) { st.VMs[i].State = int(cluster.VMQueued) },
+			fmt.Sprintf("audit: state at t=%.3f: PM %d hosts VM %d in non-placed state queued", st.Engine.Now, st.VMs[i].Host, held)},
+		{"held VM relabelled finished", func(st *simState) { st.VMs[i].State = int(cluster.VMFinished) },
+			fmt.Sprintf("audit: state at t=%.3f: PM %d hosts VM %d in non-placed state finished", st.Engine.Now, st.VMs[i].Host, held)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := st
+			bad.VMs, bad.Queue = slices.Clone(st.VMs), slices.Clone(st.Queue)
+			tc.corrupt(&bad)
+			var buf bytes.Buffer
+			if err := snapshot.Write(&buf, f.Meta, &bad); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Restore(snapCfg(mixedLoad(), policy.NewDynamic(), nil), &buf)
+			if want := "sim: snapshot state contradicts itself: " + tc.want; err == nil || err.Error() != want {
+				t.Errorf("restore error = %v, want %q", err, want)
 			}
 		})
 	}

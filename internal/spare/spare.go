@@ -122,9 +122,6 @@ func NewController(cfg Config, period float64, o *obs.Observer) *Controller {
 		obs: o, span: o.SpanRef("spare_plan"), plans: o.CounterRef("spare.plans")}
 }
 
-// Config returns the controller's configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // RecordArrival feeds one VM-request arrival at time t into the NHPP
 // estimator.
 func (c *Controller) RecordArrival(t float64) { c.est.Observe(t) }

@@ -24,14 +24,10 @@ func ExampleHistogram() {
 	for _, hours := range []float64{0.5, 0.9, 3, 4, 5, 12, 30} {
 		h.Add(hours)
 	}
-	for i := 0; i < h.Bins(); i++ {
-		lo, hi := h.BinRange(i)
-		fmt.Printf("[%g, %g) hours: %d jobs\n", lo, hi, h.Count(i))
-	}
-	fmt.Printf("over a day: %d\n", h.Over)
+	fmt.Print(h)
 	// Output:
-	// [0, 1) hours: 2 jobs
-	// [1, 6) hours: 3 jobs
-	// [6, 24) hours: 1 jobs
-	// over a day: 1
+	// [         0,          1)      2 ###########################
+	// [         1,          6)      3 ########################################
+	// [         6,         24)      1 #############
+	// overflow 1
 }

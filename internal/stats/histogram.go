@@ -16,7 +16,6 @@ type Histogram struct {
 	count []int
 	Under int
 	Over  int
-	total int
 }
 
 // NewHistogram creates a histogram with the given bin edges. It panics if
@@ -39,7 +38,6 @@ func NewHistogram(edges ...float64) *Histogram {
 
 // Add records a sample.
 func (h *Histogram) Add(x float64) {
-	h.total++
 	switch {
 	case x < h.edges[0]:
 		h.Under++
@@ -57,15 +55,6 @@ func (h *Histogram) Add(x float64) {
 		h.count[i]++
 	}
 }
-
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.count) }
-
-// Count returns the number of samples in bin i.
-func (h *Histogram) Count(i int) int { return h.count[i] }
-
-// Total returns the total number of samples recorded, including under/over.
-func (h *Histogram) Total() int { return h.total }
 
 // BinRange returns the [lo, hi) interval of bin i.
 func (h *Histogram) BinRange(i int) (lo, hi float64) {

@@ -8,34 +8,31 @@ import (
 
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram(0, 1, 2, 4)
-	if h.Bins() != 3 {
-		t.Fatalf("Bins = %d, want 3", h.Bins())
+	if len(h.count) != 3 {
+		t.Fatalf("bins = %d, want 3", len(h.count))
 	}
 	for _, x := range []float64{0, 0.5, 1, 1.5, 3.9, 4, -1} {
 		h.Add(x)
 	}
-	if h.Count(0) != 2 { // 0, 0.5
-		t.Errorf("bin 0 = %d, want 2", h.Count(0))
+	if h.count[0] != 2 { // 0, 0.5
+		t.Errorf("bin 0 = %d, want 2", h.count[0])
 	}
-	if h.Count(1) != 2 { // 1, 1.5
-		t.Errorf("bin 1 = %d, want 2", h.Count(1))
+	if h.count[1] != 2 { // 1, 1.5
+		t.Errorf("bin 1 = %d, want 2", h.count[1])
 	}
-	if h.Count(2) != 1 { // 3.9
-		t.Errorf("bin 2 = %d, want 1", h.Count(2))
+	if h.count[2] != 1 { // 3.9
+		t.Errorf("bin 2 = %d, want 1", h.count[2])
 	}
 	if h.Over != 1 || h.Under != 1 {
 		t.Errorf("over/under = %d/%d, want 1/1", h.Over, h.Under)
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d, want 7", h.Total())
 	}
 }
 
 func TestHistogramEdgeSample(t *testing.T) {
 	h := NewHistogram(0, 10, 20)
 	h.Add(10) // exactly on an interior edge -> bin 1
-	if h.Count(1) != 1 || h.Count(0) != 0 {
-		t.Errorf("edge sample landed in bins %d/%d", h.Count(0), h.Count(1))
+	if h.count[1] != 1 || h.count[0] != 0 {
+		t.Errorf("edge sample landed in bins %d/%d", h.count[0], h.count[1])
 	}
 	h.Add(20) // on last edge -> overflow
 	if h.Over != 1 {
@@ -89,10 +86,10 @@ func TestQuickHistogramConservation(t *testing.T) {
 			h.Add(float64(x))
 		}
 		inBins := h.Under + h.Over
-		for i := 0; i < h.Bins(); i++ {
-			inBins += h.Count(i)
+		for _, c := range h.count {
+			inBins += c
 		}
-		return inBins == len(raw) && h.Total() == len(raw)
+		return inBins == len(raw)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -80,22 +80,6 @@ func Categorical(r Rand, weights []float64) int {
 	return len(weights) - 1 // floating-point slack lands on the last bucket
 }
 
-// PoissonPMF returns P(N = k) for a Poisson distribution with mean lambda.
-// Computed in log space to stay stable for large lambda.
-func PoissonPMF(lambda float64, k int) float64 {
-	if lambda < 0 || k < 0 {
-		return 0
-	}
-	if lambda == 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	lg, _ := math.Lgamma(float64(k) + 1)
-	return math.Exp(float64(k)*math.Log(lambda) - lambda - lg)
-}
-
 // PoissonCDF returns P(N <= k) for a Poisson distribution with mean lambda.
 func PoissonCDF(lambda float64, k int) float64 {
 	if k < 0 {

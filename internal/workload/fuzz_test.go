@@ -6,6 +6,12 @@ import (
 	"testing"
 )
 
+// negativeField reports whether any of j's times, its core count or its
+// memory is negative: no job ParseSWF accepts or Generate produces has one.
+func negativeField(j Job) bool {
+	return j.Submit < 0 || j.RunTime < 0 || j.EstimatedRunTime < 0 || j.Cores < 0 || j.MemoryGB < 0
+}
+
 // FuzzParseSWF drives the SWF parser with arbitrary input: it must never
 // panic, and anything it accepts must survive a write/parse round trip
 // with consistent record counts. Run with `go test -fuzz=FuzzParseSWF`
@@ -27,8 +33,7 @@ func FuzzParseSWF(f *testing.F) {
 			return // rejection is fine; panics are not
 		}
 		for _, j := range jobs {
-			// Parsed jobs must satisfy the normalization guarantees.
-			if j.Submit < 0 || j.RunTime < 0 || j.EstimatedRunTime < 0 || j.MemoryGB < 0 {
+			if negativeField(j) {
 				t.Fatalf("negative field survived normalization: %+v", j)
 			}
 		}

@@ -16,7 +16,6 @@ package workload
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 )
 
@@ -53,23 +52,6 @@ const (
 	StatusCompleted = 1
 	StatusCancelled = 5
 )
-
-// Validate reports structural problems with the job record.
-func (j Job) Validate() error {
-	if j.Submit < 0 {
-		return fmt.Errorf("workload: job %d has negative submit time %g", j.ID, j.Submit)
-	}
-	if j.RunTime < 0 || j.EstimatedRunTime < 0 {
-		return fmt.Errorf("workload: job %d has negative runtime", j.ID)
-	}
-	if j.Cores < 0 {
-		return fmt.Errorf("workload: job %d has negative core count", j.ID)
-	}
-	if j.MemoryGB < 0 {
-		return fmt.Errorf("workload: job %d has negative memory", j.ID)
-	}
-	return nil
-}
 
 // FilterConfig selects which jobs survive trace cleaning, mirroring the
 // paper: "filter out the canceled jobs, jobs with small memory
@@ -116,54 +98,6 @@ func Filter(jobs []Job, cfg FilterConfig) []Job {
 		out = append(out, j)
 	}
 	return out
-}
-
-// ExtractWindow returns the jobs submitted in [start, end), re-based so
-// the first instant of the window is time 0 — the operation the paper
-// applies to the ten-month LPC log ("we extracted a week from this
-// trace"). Jobs are returned in submission order; IDs are preserved.
-func ExtractWindow(jobs []Job, start, end float64) []Job {
-	if end <= start {
-		return nil
-	}
-	var out []Job
-	for _, j := range jobs {
-		if j.Submit >= start && j.Submit < end {
-			j.Submit -= start
-			out = append(out, j)
-		}
-	}
-	SortBySubmit(out)
-	return out
-}
-
-// BusiestWindow finds the start of the window of the given length (in
-// seconds) containing the most job submissions, scanning in steps of
-// stride seconds. It returns 0 for an empty trace. Use it to pick the
-// paper-style "busiest week" out of a long archive log.
-func BusiestWindow(jobs []Job, length, stride float64) float64 {
-	if len(jobs) == 0 || length <= 0 || stride <= 0 {
-		return 0
-	}
-	var last float64
-	for _, j := range jobs {
-		if j.Submit > last {
-			last = j.Submit
-		}
-	}
-	bestStart, bestCount := 0.0, -1
-	for start := 0.0; start <= last; start += stride {
-		count := 0
-		for _, j := range jobs {
-			if j.Submit >= start && j.Submit < start+length {
-				count++
-			}
-		}
-		if count > bestCount {
-			bestCount, bestStart = count, start
-		}
-	}
-	return bestStart
 }
 
 // SortBySubmit orders jobs by submission time (stable on ID for ties),

@@ -6,25 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestJobValidate(t *testing.T) {
-	good := Job{ID: 1, Submit: 0, RunTime: 10, EstimatedRunTime: 10, Cores: 1, MemoryGB: 1}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid job rejected: %v", err)
-	}
-	bad := []Job{
-		{Submit: -1},
-		{RunTime: -1},
-		{EstimatedRunTime: -1},
-		{Cores: -1},
-		{MemoryGB: -1},
-	}
-	for i, j := range bad {
-		if err := j.Validate(); err == nil {
-			t.Errorf("bad job %d accepted", i)
-		}
-	}
-}
-
 func TestFilterDropsCancelled(t *testing.T) {
 	jobs := []Job{
 		{ID: 1, RunTime: 10, Cores: 1, MemoryGB: 1, Status: StatusCompleted},
