@@ -302,8 +302,16 @@ func TestRunAuditFlag(t *testing.T) {
 // (internal/core/bound.go) do on the seed-1 week: no engine is built, every
 // pass opens with one bound sweep, the passes that move nothing end there or
 // after their first choice, and the exact group scans stay with the columns
-// whose bound could contend for a round — 55,422 against the 1,794,707
-// column derivations the built engines made. The sweeps bound (shape, host)
+// whose key could contend for a round. A column's key is its cell's bound
+// times its own largest p_vir, so 4,090 passes keep a column in their first
+// sweep (4,991 when the key had no p_vir) and 5,325 of their 9,366 rounds
+// keep any: 5,276 move and 49 end the pass on a column that cannot. Each of
+// those rounds scans its top key first — 5,325 scans — and then the 2,825
+// columns whose key beat the running best: 8,150, where the keys without
+// p_vir read 55,422, and the built engines made 1,794,707 column
+// derivations. On the same keys the sorted walk the rounds used to take
+// scans 8,149: the one-pass choice costs one scan in the week, the key all
+// the rest of the drop. The sweeps bound (shape, host)
 // cells of the roster's buckets (internal/core/roster.go), not columns —
 // 167,523 for the week against some 4.5 M column bounds — and the roster
 // re-reads only the PMs the change feed names: one per arrival or departure
@@ -348,7 +356,8 @@ func TestSeedWeekScansOnlyContendingColumns(t *testing.T) {
 		{"core.consolidate_passes", m.Counters["core.consolidate_passes"], 18046},
 		{"core.consolidate_moves", m.Counters["core.consolidate_moves"], 5276},
 		{"sim.migrations", m.Counters["sim.migrations"], 5276},
-		{"core.exact_column_scans", m.Counters["core.exact_column_scans"], 55422},
+		{"algo1_rounds calls", m.Phases["algo1_rounds"].Calls, 4090},
+		{"core.exact_column_scans", m.Counters["core.exact_column_scans"], 5325 + 2825},
 		{"core.roster_cold_builds", m.Counters["core.roster_cold_builds"], 1},
 		{"core.roster_resynced_pms", m.Counters["core.roster_resynced_pms"], 29602},
 		{"core.roster_inserts (arrivals + moves)", m.Counters["core.roster_inserts"], 9024 + 5276},

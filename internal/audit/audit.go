@@ -62,7 +62,8 @@ func (m Mode) String() string {
 // Check is one invariant verifier. Fn receives the current simulation
 // time and returns a descriptive error when the invariant is violated.
 type Check struct {
-	// Name identifies the check in violations and reports.
+	// Name identifies the check in the error of a run it fails and in
+	// reports.
 	Name string
 
 	// PerEvent marks the check cheap enough to run after every event in
@@ -74,25 +75,12 @@ type Check struct {
 	Fn func(now float64) error
 }
 
-// Violation records one failed check.
-type Violation struct {
-	// Time is the simulation time the violation was detected at.
-	Time float64
-
-	// Check is the failing check's name.
-	Check string
-
-	// Err describes the violated invariant.
-	Err error
-}
-
 // Auditor runs a registered set of checks against live simulation state.
 // The zero value is usable; Register checks, then call RunEvent/RunPeriod
 // from the simulation loop.
 type Auditor struct {
-	checks     []Check
-	violations []Violation
-	ran        int
+	checks []Check
+	ran    int
 }
 
 // Register adds a check. Panics on a nil Fn or empty name: checks are
@@ -123,11 +111,8 @@ func (a *Auditor) run(now float64, perEventOnly bool) error {
 			continue
 		}
 		a.ran++
-		if err := c.Fn(now); err != nil {
-			a.violations = append(a.violations, Violation{Time: now, Check: c.Name, Err: err})
-			if first == nil {
-				first = fmt.Errorf("audit: %s at t=%.3f: %w", c.Name, now, err)
-			}
+		if err := c.Fn(now); err != nil && first == nil {
+			first = fmt.Errorf("audit: %s at t=%.3f: %w", c.Name, now, err)
 		}
 	}
 	return first

@@ -90,9 +90,8 @@ func TestAuditorGranularityAndViolations(t *testing.T) {
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("violation not surfaced: %v", err)
 	}
-	vs := a.violations
-	if len(vs) != 1 || vs[0].Check != "expensive" || vs[0].Time != 100 {
-		t.Fatalf("violations = %+v", vs)
+	if want := "audit: expensive at t=100.000: ledger broke"; err.Error() != want {
+		t.Fatalf("violation reads %q, want %q", err, want)
 	}
 	if a.Checks() != 5 {
 		t.Fatalf("Checks() = %d, want 5 (1 event + 2 periods of 2)", a.Checks())
@@ -222,14 +221,11 @@ func TestViolationOrderPreserved(t *testing.T) {
 			return fmt.Errorf("fail %d", i)
 		}})
 	}
-	_ = a.RunEvent(7)
-	vs := a.violations
-	if len(vs) != 3 {
-		t.Fatalf("recorded %d violations, want 3 (all failures, not just the first)", len(vs))
+	err := a.RunEvent(7)
+	if want := "audit: c0 at t=7.000: fail 0"; err == nil || err.Error() != want {
+		t.Fatalf("RunEvent returned %v, want %q (the first failing check)", err, want)
 	}
-	for i, v := range vs {
-		if v.Check != fmt.Sprintf("c%d", i) {
-			t.Fatalf("violation %d is %s, want c%d", i, v.Check, i)
-		}
+	if a.Checks() != 3 {
+		t.Fatalf("Checks() = %d, want 3 (every check runs after the first failure)", a.Checks())
 	}
 }

@@ -12,17 +12,19 @@ import (
 // This file runs Algorithm 1 on a canonical pass without building an engine
 // (DESIGN.md §13, "Step B per pass" and "across passes"): a lazy greedy over
 // upper bounds on each column's normalized gain, Minoux's accelerated
-// greedy. A column's bound is its shape's largest group product rel * eff
-// (the runner-up when the largest is its host alone) over its host's
-// hosted-cell probability cur — index and roster state, no p_vir, so
+// greedy. A (shape, host) cell's bound is its shape's largest group product
+// rel * eff (the runner-up when the largest is its host alone) over its
+// host's hosted-cell probability cur — index and roster state, no p_vir, so
 // nothing that ages. With p_vir in [0, 1], rounding monotonicity gives
 // fl(fl(vir*rel)*eff) <= fl(rel*eff) and fl(p/cur) <= fl(v/cur): the bound
 // dominates the exact gain bit-for-bit; and as fl(v/cur) does not grow with
 // cur, a shape's hosts walked in cur order can stop at the first one, other
-// than the runner-up's, whose bound is not above MIG_threshold. Each round
-// sweeps the bounds and scans the survivors exactly in bound order until no
-// bound left can beat the best gain. Round 1's sweep is the emptiness
-// proof: when it keeps nothing, the pass ends there.
+// than the runner-up's, whose bound is not above MIG_threshold. A kept
+// cell's columns are keyed by the bound times their own largest p_vir,
+// rounded up so that the key still dominates (refineKey). Each round sweeps
+// the bounds and scans exactly only the columns whose key can still beat
+// the best gain. Round 1's sweep is the emptiness proof: when it keeps
+// nothing, the pass ends there.
 
 // shapeTop is a shape's two largest products rel * eff over its non-empty
 // score groups, scanned once per round: v1 >= v2 are the top two group by
@@ -65,8 +67,8 @@ func (sh *candShape) scanTop(pass uint64) {
 	}
 }
 
-// survivor is a column a round's sweep could not rule out: its bound key
-// exceeds MIG_threshold. Its normalizer is its host's cur in the roster.
+// survivor is a column a round's sweep could not rule out: its key exceeds
+// MIG_threshold. Its normalizer is its host's cur in the roster.
 type survivor struct {
 	vm    *cluster.VM
 	key   float64
@@ -75,9 +77,11 @@ type survivor struct {
 
 // sweep is a round's bound pass over the synced roster: per shape, fresh top
 // products, then one cell per host in (cur asc, ID asc) order — bound
-// (sole ? v2 : v1) / cur, +Inf for cur <= 0 — keeping the cell's Running VMs
-// of the shape in ctx.swept until a host other than sole bounds them at or
-// below threshold. declined reports a kept column with cur <= 0.
+// (sole ? v2 : v1) / cur, +Inf for cur <= 0 — until a host other than sole
+// bounds the shape at or below threshold. A cell's Running VMs of the shape
+// are kept in ctx.swept when their key exceeds threshold: refineKey's for a
+// positive cur, the bound +Inf itself otherwise. declined reports a kept
+// column with cur <= 0.
 func (ctx *Context) sweep(x *candIndex, threshold float64) (declined bool) {
 	ro := ctx.roster
 	ctx.pass++
@@ -103,16 +107,59 @@ func (ctx *Context) sweep(x *candIndex, threshold float64) (declined bool) {
 				break
 			}
 			for _, e := range ro.bucket(h) {
-				if e.shape == int32(sid) && e.vm.State == cluster.VMRunning {
-					out = append(out, survivor{e.vm, bound, e.shape})
-					declined = declined || !(cur > 0)
+				if e.shape != int32(sid) || e.vm.State != cluster.VMRunning {
+					continue
 				}
+				key := bound
+				if cur > 0 {
+					if key = refineKey(bound, cur, ctx.virMax(e.vm)); !(key > threshold) {
+						continue
+					}
+				}
+				out = append(out, survivor{e.vm, key, e.shape})
+				declined = declined || !(cur > 0)
 			}
 		}
 	}
 	ctx.swept = out
 	ctx.metrics().boundCells.Add(int64(cells))
 	return declined
+}
+
+// keyUlps and minRefined are refineKey's rounding: the seven ulps that the
+// six roundings between a key and an exact gain can take, and one spare;
+// and the smallest key * cur at which underflow in the gain, magnified by
+// the division by cur, fits in them (DESIGN.md §13, "The refined key").
+const (
+	keyUlps    = 8
+	minRefined = 0x1p-1019
+)
+
+// refineKey is the key of a column in a kept cell of bound b = fl(v/cur),
+// cur > 0, whose largest p_vir against any class is vmax: k = fl(b*vmax)
+// raised by keyUlps in its bits, which dominates the column's exact gain
+// fl(fl(fl(vir*rel)*eff)/cur) bit for bit, and never above b. A vmax of 0
+// keys 0: every p_vir is 0, and so is the gain. Where k * cur is below
+// minRefined the key is b itself.
+func refineKey(b, cur, vmax float64) float64 {
+	if vmax == 0 {
+		return 0
+	}
+	k := b * vmax
+	if !(k*cur >= minRefined) {
+		return b
+	}
+	if r := math.Float64frombits(math.Float64bits(k) + keyUlps); r < b {
+		return r
+	}
+	return b
+}
+
+// virMax is placed VM vm's largest p_vir (Eq. 3) at the Context's clock
+// against any class of the class table: virProbability is monotone in the
+// overhead, bit for bit, so it is the one against the smallest.
+func (ctx *Context) virMax(vm *cluster.VM) float64 {
+	return virProbability(vm.RemainingEstimate(ctx.Now), ctx.minOverhead)
 }
 
 // choice is a round's best move: vm to PM id, its raw probability,
@@ -123,34 +170,48 @@ type choice struct {
 	p, cur, gain float64
 }
 
-// choose is Algorithm 1's argmax over the swept columns, taken lazily: in
-// (bound desc, VM ID asc) order each column is scanned exactly — the score
-// groups with its own p_vir, candShape.best — until the next bound is below
-// the best gain, or equal to it on a higher ID, which can then at most tie
-// and lose on the ID. The answer is colTrackers.Best's (gain desc, column
-// asc, row asc) over every column whose gain can exceed the threshold — the
-// columns ascend by ID. scans counts the exact scans.
+// choose is Algorithm 1's argmax over the swept columns, taken lazily: the
+// column of largest (key, lowest VM ID) is scanned exactly first — the score
+// groups with its own p_vir, candShape.best — then, in one pass over the
+// rest in sweep order, only a column whose key exceeds the best gain, or
+// equals it on a lower ID: any other can at most tie and lose on the ID.
+// The answer is colTrackers.Best's (gain desc, column asc, row asc) over
+// every column whose gain can exceed the threshold — the columns ascend by
+// ID. scans counts the exact scans.
 func (ctx *Context) choose(x *candIndex) (best choice, scans int) {
-	slices.SortFunc(ctx.swept, func(a, b survivor) int {
-		if a.key != b.key {
-			return cmp.Compare(b.key, a.key)
-		}
-		return cmp.Compare(a.vm.ID, b.vm.ID)
-	})
 	best = choice{id: -1}
-	for _, s := range ctx.swept {
-		if best.vm != nil && (s.key < best.gain || (s.key == best.gain && s.vm.ID > best.vm.ID)) {
-			break
+	sw := ctx.swept
+	if len(sw) == 0 {
+		return best, 0
+	}
+	top := 0
+	for i := 1; i < len(sw); i++ {
+		if s, t := &sw[i], &sw[top]; s.key > t.key || (s.key == t.key && s.vm.ID < t.vm.ID) {
+			top = i
 		}
-		cur := ctx.roster.pms[s.vm.Host].cur
-		ctx.virBuf = ctx.appendVirs(ctx.virBuf[:0], s.vm)
-		id, p := x.shape(s.shape).best(int32(s.vm.Host), cur, ctx.virBuf)
-		scans++
-		if g := normGain(int(id), p, cur); g > best.gain || (g == best.gain && best.vm != nil && s.vm.ID < best.vm.ID) {
-			best = choice{s.vm, s.shape, id, p, cur, g}
+	}
+	best = ctx.scan(x, &sw[top], best)
+	scans = 1
+	for i := range sw {
+		s := &sw[i]
+		if i != top && (s.key > best.gain || (s.key == best.gain && best.vm != nil && s.vm.ID < best.vm.ID)) {
+			best = ctx.scan(x, s, best)
+			scans++
 		}
 	}
 	return best, scans
+}
+
+// scan scans s exactly and returns the better of its choice and best by
+// (gain desc, VM ID asc); a gain of 0 never becomes a choice.
+func (ctx *Context) scan(x *candIndex, s *survivor, best choice) choice {
+	cur := ctx.roster.pms[s.vm.Host].cur
+	ctx.virBuf = ctx.appendVirs(ctx.virBuf[:0], s.vm)
+	id, p := x.shape(s.shape).best(int32(s.vm.Host), cur, ctx.virBuf)
+	if g := normGain(int(id), p, cur); g > best.gain || (g == best.gain && best.vm != nil && s.vm.ID < best.vm.ID) {
+		return choice{s.vm, s.shape, id, p, cur, g}
+	}
+	return best
 }
 
 // consolidateLazy is a canonical pass over the synced roster: Algorithm 1
@@ -258,7 +319,7 @@ func (ctx *Context) CheckProof(ref *Matrix, threshold float64) error {
 // must pass its structural check and every swept VM must be a column. In
 // every column the roster's hosted-cell probability is ref's normalizer, the
 // group scan (candShape.best) finds ref's best row at ref's raw probability
-// bit-for-bit, no swept bound lies below ref's gain, and a column the sweep
+// bit-for-bit, no swept key lies below ref's gain, and a column the sweep
 // left out has no gain above the threshold. The choice is ref's Best
 // bit-for-bit — or, when the round ends the pass, ref has no gain above the
 // threshold either.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 // boundHazards are the ways the state the lazy rounds keep across passes —
@@ -64,7 +65,9 @@ var boundHazards = []struct {
 				t.Errorf("%d passes declined, %d rescue moves, want both > 0", n.declined, n.moves)
 			}
 		}},
-	{name: "expired estimates are resolved by tier 2",
+	{name: "expired estimates are resolved by the sweep",
+		// Every p_vir is 0, so every key is: the sweep keeps no column and
+		// proves the pass empty without an exact scan.
 		steps: []func(*testing.T, *rosterSide){
 			func(t *testing.T, s *rosterSide) {
 				for _, vm := range s.vms {
@@ -73,8 +76,8 @@ var boundHazards = []struct {
 			},
 		},
 		check: func(t *testing.T, _ bool, n boundCounts) {
-			if n.scans == 0 || n.proven != 1 || n.builds != 0 {
-				t.Errorf("%d exact scans, %d proven empty, %d builds; want > 0, 1, 0", n.scans, n.proven, n.builds)
+			if n.scans != 0 || n.proven != 1 || n.builds != 0 {
+				t.Errorf("%d exact scans, %d proven empty, %d builds; want 0, 1, 0", n.scans, n.proven, n.builds)
 			}
 		}},
 	{name: "reliability perturbed",
@@ -282,5 +285,81 @@ func TestCheckProofRejectsWrongVerdicts(t *testing.T) {
 	defer dense.Release()
 	if err := ctx.CheckProof(dense, 1.05); err == nil {
 		t.Error("CheckProof ran over a non-canonical factor list")
+	}
+}
+
+// TestRefineKeyDominates holds refineKey to its promise (DESIGN.md §13, "The
+// refined key") over random and adversarial draws: for a score group (rel,
+// eff) whose product is at most the cell's v, a p_vir vir at most vmax and a
+// positive cur, the key of the cell's bound fl(v/cur) is never below the
+// exact gain fl(fl(fl(vir*rel)*eff)/cur) — candGroup.value, then normGain —
+// never above the bound, and never NaN. The adversarial values sit one ulp
+// apart around the guard, the normal range's edge and 1; they include
+// subnormals, vmax = 0, cur in the subnormals (the bound overflows) and
+// products near MaxFloat64.
+func TestRefineKeyDominates(t *testing.T) {
+	checks, refined := 0, 0
+	check := func(rel, eff, cur, vmax, vir, v float64) {
+		checks++
+		g := normGain(0, (&candGroup{rel: rel, effVal: eff}).value(vir), cur)
+		b := v / cur
+		key := refineKey(b, cur, vmax)
+		if !(key >= g) || key > b {
+			t.Fatalf("rel %x eff %x cur %x vmax %x vir %x v %x: key %x, gain %x, bound %x",
+				rel, eff, cur, vmax, vir, v, key, g, b)
+		}
+		if key < b {
+			refined++
+		}
+	}
+	// each draws vir at, one ulp below and well below vmax, and v at the
+	// group's own product and one ulp above it.
+	each := func(rel, eff, cur, vmax float64) {
+		for _, vir := range []float64{vmax, math.Nextafter(vmax, 0), vmax / 3, 0} {
+			for _, v := range []float64{rel * eff, math.Nextafter(rel*eff, math.Inf(1))} {
+				check(rel, eff, cur, vmax, vir, v)
+			}
+		}
+	}
+
+	ulps := func(xs ...float64) []float64 { // each x and its positive neighbours
+		var out []float64
+		for _, x := range xs {
+			if y := math.Nextafter(x, 0); y > 0 {
+				out = append(out, y)
+			}
+			out = append(out, x, math.Nextafter(x, math.Inf(1)))
+		}
+		return out
+	}
+	unit := append(ulps(0x1p-1074, 0x1p-1022, 0x1p-1019, 0x1p-600, 0x1p-60, 0.5), 0.3, math.Nextafter(1, 0), 1)
+	wide := append(slices.Clone(unit), ulps(2, 0x1p600, math.MaxFloat64/2)...)
+	wide = append(wide, math.Nextafter(math.MaxFloat64, 0), math.MaxFloat64)
+	for _, rel := range wide {
+		for _, eff := range unit {
+			for _, cur := range wide {
+				for _, vmax := range append([]float64{0}, unit...) {
+					each(rel, eff, cur, vmax)
+				}
+			}
+		}
+	}
+
+	r := stats.NewRand(1)
+	draw := func() float64 { // in (0, 1]: uniform, or a random binade down to the subnormals
+		if r.Intn(2) == 0 {
+			return 1 - r.Float64()
+		}
+		return math.Ldexp(1-r.Float64()/2, -r.Intn(1074))
+	}
+	for range 1 << 17 {
+		rel, eff, cur, vmax := draw(), draw(), draw(), draw()
+		if r.Intn(4) == 0 {
+			rel = min(1/draw(), math.MaxFloat64) // above 1, up to MaxFloat64
+		}
+		each(rel, eff, cur, vmax)
+	}
+	if refined < checks/4 {
+		t.Fatalf("only %d of %d keys refined below their bound", refined, checks)
 	}
 }

@@ -28,8 +28,11 @@ func rosterPlaced(ro *roster) int {
 	return n
 }
 
-// coldBound is a placed VM's gain bound the per-column way: a fresh
-// hosted-cell probability under its shape's top products, re-scanned.
+// coldBound is a placed VM's key the per-column way: a fresh hosted-cell
+// probability under its shape's top products, re-scanned, times its largest
+// p_vir over the class table taken class by class, the product eight ulps
+// up and never above the bound itself — the bound unrefined when the
+// product times cur is below 2^-1019, 0 when that p_vir is.
 func coldBound(ctx *Context, vm *cluster.VM) float64 {
 	sh := ctx.candidates().shape(ctx.shapeID(vm.Demand))
 	sh.scanTop(ctx.pass)
@@ -40,11 +43,23 @@ func coldBound(ctx *Context, vm *cluster.VM) float64 {
 	if !(cur > 0) {
 		return math.Inf(1)
 	}
-	return v / cur
+	bound, vmax := v/cur, 0.0
+	for _, info := range ctx.classTab {
+		vmax = max(vmax, virProbability(vm.RemainingEstimate(ctx.Now), info.overhead))
+	}
+	key := bound * vmax
+	switch up := math.Float64frombits(math.Float64bits(key) + 8); {
+	case vmax == 0:
+		return 0
+	case key*cur < 0x1p-1019 || !(up < bound):
+		return bound
+	default:
+		return up
+	}
 }
 
 // coldSweep is the per-column sweep: every Running VM of the fleet kept —
-// as its coldBound's bits — when the bound exceeds threshold.
+// as its coldBound's bits — when the key exceeds threshold.
 func coldSweep(ctx *Context, threshold float64) map[cluster.VMID]uint64 {
 	out := make(map[cluster.VMID]uint64)
 	for _, vm := range MigratableVMs(ctx.DC) {
@@ -56,7 +71,7 @@ func coldSweep(ctx *Context, threshold float64) map[cluster.VMID]uint64 {
 }
 
 // migratingBound reports whether a Migrating VM on the dense side has a
-// bound above the threshold: one a sweep that did not read State would keep.
+// key above the threshold: one a sweep that did not read State would keep.
 func (h *lazyHarness) migratingBound() bool {
 	ctx := h.sides[1]
 	for _, pm := range ctx.DC.PMs() {

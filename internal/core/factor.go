@@ -71,6 +71,10 @@ type Context struct {
 	shapeKey []byte
 	pass     uint64 // lazy-round sweeps so far; stamps shapeTop.pass
 
+	// minOverhead is the smallest migration overhead in classTab, which
+	// bounds every p_vir of a placed VM (virMax).
+	minOverhead float64
+
 	// Reusable hot-path scratch (scratch.go): fscratch backs dense
 	// matrices via checkout, terms backs the per-arrival term program,
 	// vmBuf a dense pass's columns, swept and virBuf a round's surviving
@@ -232,6 +236,9 @@ func (ctx *Context) classID(pm *cluster.PM) int32 {
 		for l := 1; l <= info.wj; l++ {
 			info.effVal[l] = float64(l) / float64(info.wj) * info.eff
 		}
+	}
+	if len(ctx.classTab) == 0 || info.overhead < ctx.minOverhead {
+		ctx.minOverhead = info.overhead
 	}
 	ctx.classTab = append(ctx.classTab, info)
 	return int32(len(ctx.classTab) - 1)

@@ -97,8 +97,8 @@ func stairFleet(testing.TB) *Context {
 type lazyCase struct {
 	round     int
 	vm        cluster.VMID             // the chosen column's VM
-	gain, key float64                  // its gain and its swept bound
-	swept     []sweptCol               // the round's survivors, (bound desc, VM ID asc)
+	gain, key float64                  // its gain and its swept key
+	swept     []sweptCol               // the round's survivors, in sweep order
 	gains     map[cluster.VMID]float64 // every column's gain, from the dense engine
 	soleHosts int                      // columns hosted on their shape's lone top PM
 	raised    bool                     // a shape's top product is above round 1's

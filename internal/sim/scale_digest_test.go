@@ -68,7 +68,8 @@ func scaleWeek(t *testing.T) []workload.Request {
 // its arrivals, while most are still unfired, and resumed once: the resumed
 // run must re-save the checkpoint's exact bytes right after Restore, and its
 // streams, written after a copy of the prefix's raw bytes, must complete
-// both digests.
+// both digests. The first run's exact column scans and algo1_rounds calls
+// are pinned too.
 func TestScaleWeekDigest(t *testing.T) {
 	const (
 		wantRun uint64 = 0x752f3ace090f9283
@@ -89,7 +90,8 @@ func TestScaleWeekDigest(t *testing.T) {
 	}
 
 	run, dec := new(bytes.Buffer), new(bytes.Buffer)
-	m, err := New(cfg(run, dec))
+	first := cfg(run, dec)
+	m, err := New(first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +126,18 @@ func TestScaleWeekDigest(t *testing.T) {
 	}
 	t.Logf("%d requests, %d events, queued %.2f %%, checkpoint at arrival %d",
 		len(reqs), m.Dispatched(), 100*res.Summary.QueuedFraction, arrivedAt)
+	// The lazy rounds' work on this week, as found: a column's key carries
+	// its own largest p_vir, so 11,557 passes keep a column in their first
+	// sweep, and a round scans exactly only the columns whose key can beat
+	// its running best. Keys without p_vir read 450,726 scans and 14,193
+	// passes; any change to which columns a round keeps or scans moves
+	// these counts while the digests stay put.
+	if got := first.Obs.Counter("core.exact_column_scans").Value(); got != 25480 {
+		t.Errorf("core.exact_column_scans = %d, want 25480", got)
+	}
+	if got := first.Obs.Phase("algo1_rounds").Calls(); got != 11557 {
+		t.Errorf("algo1_rounds calls = %d, want 11557", got)
+	}
 
 	run, dec = bytes.NewBuffer(bytes.Clone(runAt)), bytes.NewBuffer(bytes.Clone(decAt))
 	m, err = Restore(cfg(run, dec), bytes.NewReader(ckpt))
