@@ -195,12 +195,12 @@ func DrainCheck(dc *cluster.Datacenter, feed *cluster.Feed, queue func() []*clus
 }
 
 // TrackerCheck is the differential oracle: it rebuilds the probability
-// matrix two ways over the currently migratable VMs — the compiled
-// program core runs on, and the frozen naive oracle, which evaluates
-// core.Joint per cell — and requires them bit-identical in every cell,
-// tracker, and Best decision, plus internal consistency of the core
-// matrix's trackers (SelfCheck). O(M*N) factor evaluations per run, so it
-// is a per-period check even in event mode.
+// matrix two ways over the currently migratable VMs — core's cold Matrix on
+// the compiled program, the reference the lazy rounds are held to, and the
+// frozen naive oracle, which evaluates core.Joint per cell — and requires
+// them bit-identical in every cell, tracker, and Best decision. O(M*N)
+// factor evaluations per run, so it is a per-period check even in event
+// mode.
 //
 // The oracle build gets a fresh Context: the per-class constants it
 // re-derives depend only on the fleet's classes, so a fresh Context
@@ -220,9 +220,6 @@ func TrackerCheck(ctx *core.Context, factors []core.Factor) Check {
 				return fmt.Errorf("kernel matrix build: %w", err)
 			}
 			defer kernel.Release()
-			if err := kernel.SelfCheck(); err != nil {
-				return fmt.Errorf("kernel matrix self-check: %w", err)
-			}
 			ref, err := oracle.NewMatrix(core.NewContext(ctx.DC).At(now), factors, vms)
 			if err != nil {
 				return fmt.Errorf("oracle matrix build: %w", err)
@@ -235,10 +232,10 @@ func TrackerCheck(ctx *core.Context, factors []core.Factor) Check {
 	}
 }
 
-// SparseCheck is the lazy-rounds-vs-dense differential oracle for runs
-// whose factor list is core.Canonical, the ones the candidate index
-// evaluates. It builds a dense matrix over the currently migratable VMs and
-// runs the first round of a consolidation pass's lazy greedy
+// SparseCheck is the lazy-rounds-vs-dense differential oracle for every
+// dynamic run, whose factor list the candidate index evaluates
+// (core.CheckFactors). It builds a dense matrix over the currently
+// migratable VMs and runs the first round of a consolidation pass's lazy greedy
 // (core/bound.go), at the run's current MIG_threshold, on the live Context
 // against it (core's CheckProof): the candidate index structurally sound,
 // every column's score-group scan the dense best alternative bit-for-bit,
@@ -304,10 +301,7 @@ func RosterCheck(ctx *core.Context) Check {
 // diffShortlist compares the candidate index's full arrival shortlist for
 // vm against the cell-by-cell ranking, entry by entry.
 func diffShortlist(ctx *core.Context, factors []core.Factor, vm *cluster.VM) error {
-	sparse, ok := core.ArrivalShortlist(ctx, factors, vm, 0)
-	if !ok {
-		return fmt.Errorf("arrival shortlist unavailable for the configured factors")
-	}
+	sparse := core.ArrivalShortlist(ctx, factors, vm, 0)
 	dense := core.RankPlacements(ctx, factors, vm)
 	if len(sparse) != len(dense) {
 		return fmt.Errorf("VM %d: sparse shortlist has %d entries, dense ranking %d", vm.ID, len(sparse), len(dense))

@@ -71,8 +71,9 @@ func newHarness(t *testing.T) *harness {
 		return h.arrived, 0, h.finished, h.rejected
 	}))
 	h.aud.Register(TrackerCheck(h.ctx, h.factors))
-	// No pass here goes through ConsolidateWith, so this roster is synced
-	// only by the check itself, once per operation, whatever the operation.
+	// The passes run through ConsolidateWith on this Context, so the check
+	// syncs the roster they left, once per operation, whatever the
+	// operation.
 	h.aud.Register(RosterCheck(h.ctx))
 	return h
 }
@@ -141,46 +142,14 @@ func (h *harness) departure(arg byte) {
 	h.live = append(h.live[:i], h.live[i+1:]...)
 }
 
-// consolidate runs up to arg%3+1 rounds of Algorithm 1 through the kernel
-// matrix, then performs the metamorphic check: the incrementally updated
-// matrix must be bit-identical to a cold rebuild over the final state, and
-// internally consistent.
+// consolidate runs a pass of up to arg%3+1 rounds of Algorithm 1 the way a
+// run does (core.ConsolidateWith: the lazy rounds on the candidate index);
+// the step's TrackerCheck then holds a cold core matrix over the state it
+// left to the frozen oracle.
 func (h *harness) consolidate(arg byte) {
-	vms := core.MigratableVMs(h.dc)
-	if len(vms) == 0 {
-		return
-	}
-	ctx := h.ctx.At(h.now)
-	m, err := core.NewMatrix(ctx, h.factors, vms)
-	if err != nil {
-		h.t.Fatalf("matrix build: %v", err)
-	}
-	rounds := int(arg)%3 + 1
-	for round := 0; round < rounds; round++ {
-		r, c, gain, ok := m.Best()
-		if !ok || gain <= 1.05 {
-			break
-		}
-		if err := m.Apply(r, c); err != nil {
-			h.t.Fatalf("apply round %d: %v", round, err)
-		}
-	}
-	if err := m.SelfCheck(); err != nil {
-		h.t.Fatalf("self-check after %d rounds: %v", rounds, err)
-	}
-	fresh, err := core.NewMatrix(ctx, h.factors, vms)
-	if err != nil {
-		h.t.Fatalf("rebuild: %v", err)
-	}
-	if err := m.Diff(fresh); err != nil {
-		h.t.Fatalf("incremental matrix diverged from cold rebuild: %v", err)
-	}
-	ref, err := oracle.NewMatrix(ctx, h.factors, vms)
-	if err != nil {
-		h.t.Fatalf("oracle build: %v", err)
-	}
-	if err := diffOracle(m, ref); err != nil {
-		h.t.Fatalf("kernel diverged from frozen oracle: %v", err)
+	params := core.Params{MIGThreshold: 1.05, MIGRound: int(arg)%3 + 1}
+	if _, err := core.ConsolidateWith(h.ctx.At(h.now), h.factors, params, core.MatrixOptions{}); err != nil {
+		h.t.Fatalf("consolidate: %v", err)
 	}
 }
 
@@ -322,25 +291,25 @@ func edgeOracleState(t *testing.T) (*core.Context, []*cluster.VM) {
 
 // TestMatrixMatchesOracleAfterApplies closes the program ≡ Joint ≡ oracle
 // triangle on the oracle side (internal/core's TestKernelEquivalence pins
-// program ≡ Joint): a core.Matrix on the compiled program and an oracle
-// matrix walk the same randomized Apply sequence over twin fleets, and
-// after every move the core matrix must be bit-identical — every cell,
-// tracker, and the Best decision — to the applied oracle matrix and to a
-// cold build of the frozen oracle over the same fleet.
+// program ≡ Joint): an oracle matrix walks a randomized Apply sequence on
+// one fleet while its twin takes the same moves through core.Migrate, and
+// after every move a cold core.Matrix over the twin must be bit-identical —
+// every cell, tracker, and the Best decision — to the applied oracle matrix
+// and to a cold build of the frozen oracle over the same fleet.
 func TestMatrixMatchesOracleAfterApplies(t *testing.T) {
 	ctx, vms := edgeOracleState(t)
-	m, err := core.NewMatrix(ctx, core.DefaultFactors(), vms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	twinCtx, twinVMs := edgeOracleState(t)
-	applied, err := oracle.NewMatrix(twinCtx, core.DefaultFactors(), twinVMs)
+	oracleCtx, oracleVMs := edgeOracleState(t)
+	applied, err := oracle.NewMatrix(oracleCtx, core.DefaultFactors(), oracleVMs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	moves := 0
-	check := func() {
+	check := func() *core.Matrix {
 		t.Helper()
+		m, err := core.NewMatrix(ctx, core.DefaultFactors(), vms)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := diffOracle(m, applied); err != nil {
 			t.Fatalf("after %d moves, applied oracle: %v", moves, err)
 		}
@@ -351,26 +320,28 @@ func TestMatrixMatchesOracleAfterApplies(t *testing.T) {
 		if err := diffOracle(m, ref); err != nil {
 			t.Fatalf("after %d moves, cold oracle: %v", moves, err)
 		}
+		return m
 	}
-	check()
+	check().Release()
 	state := uint64(0x9E3779B97F4A7C15)
 	for step := 0; step < 80; step++ {
 		state ^= state << 13
 		state ^= state >> 7
 		state ^= state << 17
-		c := int(state>>33) % m.Cols()
-		r := int(state>>13) % m.Rows()
-		if m.VM(c).Host == m.PM(r).ID || m.P(r, c) <= 0 {
+		c := int(state>>33) % applied.Cols()
+		r := int(state>>13) % applied.Rows()
+		if applied.VM(c).Host == applied.PM(r).ID || applied.P(r, c) <= 0 {
 			continue
 		}
-		if err := m.Apply(r, c); err != nil {
-			t.Fatal(err)
-		}
+		vm := vms[slices.IndexFunc(vms, func(vm *cluster.VM) bool { return vm.ID == applied.VM(c).ID })]
 		if err := applied.Apply(r, c); err != nil {
 			t.Fatal(err)
 		}
+		if err := core.Migrate(vm, ctx.DC.PM(vm.Host), ctx.DC.PM(applied.PM(r).ID)); err != nil {
+			t.Fatal(err)
+		}
 		moves++
-		check()
+		check().Release()
 	}
 	if moves < 20 {
 		t.Fatalf("only %d moves applied; property barely exercised", moves)

@@ -13,10 +13,10 @@ import (
 
 // This file is the sparse-vs-dense differential fuzz harness: two
 // identically built datacenters walk the same byte-encoded operation
-// stream, with every placement decision made by the dense engine on side A
-// — the cell-by-cell arrival ranking and a core.Matrix built by constructor
-// name, because core's entry points send these factors to the index — and
-// by the candidate index, through those entry points, on side B. After
+// stream, with every placement decision made by the cold dense reference on
+// side A — the cell-by-cell arrival ranking, and Algorithm 1 on a cold
+// core.Matrix built afresh every round (denseRounds) — and by the candidate
+// index, through core's entry points, on side B. After
 // each operation the decisions and the resulting fleet states must match
 // exactly — PM choices, consolidation move lists, per-PM usage vectors,
 // reliability bits, and hosted-VM sets. Any divergence is a bug in one of
@@ -227,32 +227,24 @@ func (h *sparseHarness) departure(arg byte) {
 	}
 }
 
-// consolidate runs Algorithm 1 on both sides — dense on A, sparse on B —
-// and requires identical move lists: same VMs, same endpoints,
-// bit-identical gains, same rounds. At every applied move the two engines'
-// ranked alternatives for the moved column (dense ColumnAlternatives'
-// on-demand column scan vs the sparse shortlist, both depth 4, as each
-// pass collects them on its Context) must name the same PMs with bit-equal
-// gains. The sparse side runs under its Context's SelfAudit.
+// consolidate runs Algorithm 1 on both sides — the cold dense reference on
+// A, the lazy rounds on B — and requires identical move lists: same VMs,
+// same endpoints, bit-identical gains, same rounds. At every applied move
+// the two sides' ranked alternatives for the moved column (the
+// cell-by-cell ranking on A, the candidate shortlist B's pass collects on
+// its Context, both depth 4) must name the same PMs with bit-equal gains.
+// The sparse side runs under its Context's SelfAudit.
 func (h *sparseHarness) consolidate(arg byte) {
 	params := core.Params{MIGThreshold: 1.05, MIGRound: int(arg)%3 + 1}
-	dense, err := core.NewMatrix(h.a.ctx.At(h.now), h.factors, core.MigratableVMs(h.a.dc))
-	if err != nil {
-		h.t.Fatalf("dense build: %v", err)
-	}
-	movesA, err := dense.Consolidate(params)
-	dense.Release()
-	if err != nil {
-		h.t.Fatalf("dense consolidate: %v", err)
-	}
+	movesA, altsA := denseRounds(h.t, h.a.ctx.At(h.now), h.factors, params)
 	movesB, err := core.ConsolidateWith(h.b.ctx.At(h.now), h.factors, params, h.opts())
 	if err != nil {
 		h.t.Fatalf("sparse consolidate: %v", err)
 	}
-	altsA, altsB := h.a.ctx.MoveAlternatives(), h.b.ctx.MoveAlternatives()
-	if len(altsA) != len(movesA) || len(altsB) != len(movesB) {
-		h.t.Fatalf("consolidate at t=%g: %d/%d alternative lists collected, engines made %d/%d moves",
-			h.now, len(altsA), len(altsB), len(movesA), len(movesB))
+	altsB := h.b.ctx.MoveAlternatives()
+	if len(altsB) != len(movesB) {
+		h.t.Fatalf("consolidate at t=%g: %d alternative lists collected, the pass made %d moves",
+			h.now, len(altsB), len(movesB))
 	}
 	if len(movesA) != len(movesB) {
 		h.t.Fatalf("consolidate at t=%g: dense made %d moves %+v, sparse %d moves %+v",
@@ -277,6 +269,47 @@ func (h *sparseHarness) consolidate(arg byte) {
 		}
 	}
 	h.moves += len(movesA)
+}
+
+// denseRounds runs Algorithm 1 over ctx's running VMs as the cold reference
+// reads it: every round a cold core.Matrix over MigratableVMs, whose Best
+// above MIG_threshold moves through core.Migrate. Each move's alternatives
+// are the moved column's cell-by-cell ranking (core.RankPlacements) without
+// its host, normalized by its hosted cell and cut to depth 4 — or, when
+// that cell is 0, its lowest-ID PM of positive probability alone at +Inf:
+// what core.Context.MoveAlternatives keeps.
+func denseRounds(t testing.TB, ctx *core.Context, factors []core.Factor, params core.Params) (moves []core.Move, alts [][]core.Placement) {
+	for round := 1; round <= params.MIGRound; round++ {
+		m, err := core.NewMatrix(ctx, factors, core.MigratableVMs(ctx.DC))
+		if err != nil {
+			t.Fatalf("dense build: %v", err)
+		}
+		r, c, gain, ok := m.Best()
+		if !ok || !(gain > params.MIGThreshold) {
+			m.Release()
+			break
+		}
+		vm, to, cur := m.VM(c), m.PM(r), m.CurProb(c)
+		m.Release()
+		var col []core.Placement
+		for _, pl := range core.RankPlacements(ctx, factors, vm) {
+			switch {
+			case pl.PM.ID == vm.Host:
+			case !(cur > 0):
+				if len(col) == 0 || pl.PM.ID < col[0].PM.ID {
+					col = []core.Placement{{PM: pl.PM, Probability: math.Inf(1)}}
+				}
+			case len(col) < 4:
+				col = append(col, core.Placement{PM: pl.PM, Probability: pl.Probability / cur})
+			}
+		}
+		alts = append(alts, col)
+		moves = append(moves, core.Move{VM: vm.ID, From: vm.Host, To: to.ID, Gain: gain, Round: round})
+		if err := core.Migrate(vm, ctx.DC.PM(vm.Host), to); err != nil {
+			t.Fatalf("dense move: %v", err)
+		}
+	}
+	return moves, alts
 }
 
 // failPM kills the same powered-on machine on both sides; victims are

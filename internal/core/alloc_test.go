@@ -19,30 +19,15 @@ import (
 // letting a per-PM or per-term regression through.
 const arrivalAllocCeiling = 2
 
-// allocEngines are the two paths every budget below holds for: the dense
-// Matrix and the candidate index's lazy rounds, which get no allowance the
-// dense side does not. The arrival argmax reaches each side the way a run
-// does, through the factor list; the dense pass builds its matrix by
-// constructor name.
+// allocEngines are the two forms every budget below holds for on the
+// candidate index and its lazy rounds: the paper's four, and the four with
+// a price term appended, which gets no allowance the paper's four do not.
 var allocEngines = []struct {
 	name    string
-	arrival []Factor
-	pass    func(ctx *Context, params Params) error
+	factors []Factor
 }{
-	{"dense", append(DefaultFactors(), offsetFactor{}), func(ctx *Context, params Params) error {
-		ctx.vmBuf = ctx.DC.AppendVMsInState(ctx.vmBuf[:0], cluster.VMRunning)
-		m, err := NewMatrix(ctx, DefaultFactors(), ctx.vmBuf)
-		if err != nil {
-			return err
-		}
-		defer m.Release()
-		_, err = m.Consolidate(params)
-		return err
-	}},
-	{"sparse", DefaultFactors(), func(ctx *Context, params Params) error {
-		_, err := ConsolidateWith(ctx, DefaultFactors(), params, MatrixOptions{CandidateK: 64})
-		return err
-	}},
+	{"price", append(DefaultFactors(), offsetPrices(200))},
+	{"sparse", DefaultFactors()},
 }
 
 func TestArrivalAllocBudget(t *testing.T) {
@@ -53,15 +38,15 @@ func TestArrivalAllocBudget(t *testing.T) {
 
 			// Warm the scratch and the class and shape tables.
 			for i := 0; i < 3; i++ {
-				if BestPlacement(ctx, e.arrival, arrival) == nil {
+				if BestPlacement(ctx, e.factors, arrival) == nil {
 					t.Fatal("no placement found")
 				}
 			}
 			avg := testing.AllocsPerRun(200, func() {
-				BestPlacement(ctx, e.arrival, arrival)
+				BestPlacement(ctx, e.factors, arrival)
 			})
-			if indexed := ctx.cand != nil; indexed != (e.name == "sparse") {
-				t.Fatalf("candidate index built = %t on the %s row", indexed, e.name)
+			if ctx.cand == nil {
+				t.Fatalf("no candidate index built on the %s row", e.name)
 			}
 			if avg > arrivalAllocCeiling {
 				t.Fatalf("BestPlacement allocates %.2f allocs/op on a warm context, budget %d",
@@ -72,13 +57,13 @@ func TestArrivalAllocBudget(t *testing.T) {
 }
 
 // consolidateAllocsPerVM bounds the per-column allocation rate of a full
-// warm consolidation pass (matrix build + Algorithm 1 rounds + release).
-// A cold pass allocates the scratch once; after that the dominant costs
-// must reuse it, so the per-VM rate stays well below one.
+// warm consolidation pass (roster sync, sweeps, Algorithm 1 rounds). A
+// cold pass allocates the roster and the index once; after that the
+// dominant costs must reuse them, so the per-VM rate stays well below one.
 const consolidateAllocsPerVM = 0.5
 
 // The roster rows pin what the column roster buys a pass through the
-// production entry point, on both engines: over an unchanged fleet it
+// production entry point, on both forms: over an unchanged fleet it
 // allocates nothing and interns nothing — with the shape index taken away,
 // any interning would miss and grow the table — and the pass that meets
 // one arrival stays under the per-VM ceiling.
@@ -88,7 +73,7 @@ func TestConsolidateAllocBudget(t *testing.T) {
 		t.Run(e.name+"-roster", func(t *testing.T) {
 			ctx, vms := tableIIState(t, 200, 400, 7)
 			pass := func() {
-				if _, err := ConsolidateWith(ctx, e.arrival, DefaultParams(), MatrixOptions{}); err != nil {
+				if _, err := ConsolidateWith(ctx, e.factors, DefaultParams(), MatrixOptions{}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -105,7 +90,7 @@ func TestConsolidateAllocBudget(t *testing.T) {
 			ctx.shapeIdx = idx
 
 			arrival := cluster.NewVM(cluster.VMID(1<<20), vector.New(2, 1), 5400, 5400, ctx.Now)
-			if err := BestPlacement(ctx, e.arrival, arrival).Host(arrival); err != nil {
+			if err := BestPlacement(ctx, e.factors, arrival).Host(arrival); err != nil {
 				t.Fatal(err)
 			}
 			arrival.State = cluster.VMRunning
@@ -126,9 +111,14 @@ func TestConsolidateAllocBudget(t *testing.T) {
 			ctx, _ := tableIIState(t, 200, 400, 7)
 			params := DefaultParams()
 
-			// Warm pass: checks out (and sizes) the scratch, executes any
-			// profitable moves so later passes are steady-state no-ops.
-			if err := e.pass(ctx, params); err != nil {
+			pass := func() error {
+				_, err := ConsolidateWith(ctx, e.factors, params, MatrixOptions{CandidateK: 64})
+				return err
+			}
+			// Warm pass: builds (and sizes) the roster and the index,
+			// executes any profitable moves so later passes are
+			// steady-state no-ops.
+			if err := pass(); err != nil {
 				t.Fatal(err)
 			}
 			nVMs := len(MigratableVMs(ctx.DC))
@@ -136,7 +126,7 @@ func TestConsolidateAllocBudget(t *testing.T) {
 				t.Fatal("bench state has no running VMs")
 			}
 			avg := testing.AllocsPerRun(50, func() {
-				if err := e.pass(ctx, params); err != nil {
+				if err := pass(); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -183,9 +173,9 @@ func TestProvenEmptyPassAllocBudget(t *testing.T) {
 // Context — the way the auditor and SelfAudit mix them — and checks the
 // checkout model: a build made while the pool is checked out allocates its
 // own storage without disturbing the holder, the two agree, the pool is back
-// on the Context after the first Release, and a pooled matrix under
-// SelfAudit, whose every Apply builds a cold rebuild in flight, tracks a
-// twin fleet's matrix move for move.
+// on the Context after the first Release, and the cold builds SelfAudit
+// makes between moves each reuse the pool and match a twin fleet's build
+// after the same moves.
 func TestFramePoolInterleavedEngines(t *testing.T) {
 	ctx, vms := tableIIState(t, 60, 140, 5)
 	factors := DefaultFactors()
@@ -215,49 +205,35 @@ func TestFramePoolInterleavedEngines(t *testing.T) {
 		t.Fatal("first Release did not re-attach the pool")
 	}
 
-	// Pooled and twin matrices under SelfAudit, each Apply audited by a
-	// cold rebuild in flight; the twin mirrors the pooled matrix's moves.
-	twinCtx, twinVMs := tableIIState(t, 60, 140, 5)
-	twinCtx.SelfAudit, ctx.SelfAudit = true, true
-	twin, err := NewMatrix(twinCtx, factors, twinVMs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, err = NewMatrix(ctx, factors, vms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dense.scr != pool {
-		t.Fatal("dense build did not reuse the pool")
-	}
+	twinCtx, _ := tableIIState(t, 60, 140, 5)
 	for i := 0; i < 8; i++ {
-		r, c, _, ok := dense.Best()
+		m, err := NewMatrix(ctx, factors, MigratableVMs(ctx.DC))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.scr != pool {
+			t.Fatalf("build %d did not reuse the pool", i+1)
+		}
+		twin, err := NewMatrix(twinCtx, factors, MigratableVMs(twinCtx.DC))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.Diff(m); err != nil {
+			t.Fatalf("after move %d: %v", i, err)
+		}
+		r, c, _, ok := m.Best()
 		if !ok {
 			t.Fatalf("no move left after %d", i)
 		}
-		if err := dense.Apply(r, c); err != nil {
-			t.Fatal(err)
-		}
-		if err := twin.Apply(r, c); err != nil {
-			t.Fatal(err)
-		}
-		if err := twin.Diff(dense); err != nil {
-			t.Fatalf("after move %d: %v", i+1, err)
+		for _, b := range []*Matrix{m, twin} {
+			vm, to := b.VM(c), b.PM(r)
+			if err := Migrate(vm, b.ctx.DC.PM(vm.Host), to); err != nil {
+				t.Fatal(err)
+			}
+			b.Release()
 		}
 	}
-	fresh, err := NewMatrix(ctx, factors, vms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dense.Diff(fresh); err != nil {
-		t.Fatalf("pooled dense engine vs cold rebuild: %v", err)
-	}
-	fresh.Release()
-	dense.Release()
-	twin.Release()
-	// Which scratch survives is the first Release's (here a SelfAudit
-	// rebuild's); what matters is that each Context holds one again.
-	if ctx.fscratch == nil || twinCtx.fscratch == nil {
+	if ctx.fscratch != pool || twinCtx.fscratch == nil {
 		t.Fatal("no pool re-attached after the last Release")
 	}
 }

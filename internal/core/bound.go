@@ -9,27 +9,28 @@ import (
 	"repro/internal/cluster"
 )
 
-// This file runs Algorithm 1 on a canonical pass without building an engine
-// (DESIGN.md §13, "Step B per pass" and "across passes"): a lazy greedy over
-// upper bounds on each column's normalized gain, Minoux's accelerated
-// greedy. A (shape, host) cell's bound is its shape's largest group product
-// rel * eff (the runner-up when the largest is its host alone) over its
-// host's hosted-cell probability cur — index and roster state, no p_vir, so
-// nothing that ages. With p_vir in [0, 1], rounding monotonicity gives
-// fl(fl(vir*rel)*eff) <= fl(rel*eff) and fl(p/cur) <= fl(v/cur): the bound
-// dominates the exact gain bit-for-bit; and as fl(v/cur) does not grow with
-// cur, a shape's hosts walked in cur order can stop at the first one, other
-// than the runner-up's, whose bound is not above MIG_threshold. A kept
-// cell's columns are keyed by the bound times their own largest p_vir,
-// rounded up so that the key still dominates (refineKey). Each round sweeps
-// the bounds and scans exactly only the columns whose key can still beat
-// the best gain. Round 1's sweep is the emptiness proof: when it keeps
-// nothing, the pass ends there.
+// This file runs Algorithm 1 without building an engine (DESIGN.md §13,
+// "Step B per pass" and "across passes"): a lazy greedy over upper bounds
+// on each column's normalized gain, Minoux's accelerated greedy. A (shape,
+// host) cell's bound is its shape's largest group product
+// (rel * eff) * price (the runner-up when the largest is its host alone)
+// over its host's hosted-cell probability cur — index and roster state, no
+// p_vir, so nothing that ages. With p_vir in [0, 1], rounding monotonicity
+// gives fl(fl(fl(vir*rel)*eff)*price) <= fl(fl(rel*eff)*price) and
+// fl(p/cur) <= fl(v/cur): the bound dominates the exact gain bit-for-bit;
+// and as fl(v/cur) does not grow with cur, a shape's hosts walked in cur
+// order can stop at the first one, other than the runner-up's, whose bound
+// is not above MIG_threshold. A kept cell's columns are keyed by the bound
+// times their own largest p_vir, rounded up so that the key still
+// dominates (refineKey) — by the bound itself without a p_vir or under a
+// price term. Each round sweeps the bounds and scans exactly only the
+// columns whose key can still beat the best gain. Round 1's sweep is the
+// emptiness proof: when it keeps nothing, the pass ends there.
 
-// shapeTop is a shape's two largest products rel * eff over its non-empty
-// score groups, scanned once per round: v1 >= v2 are the top two group by
-// group (equal when two groups tie), and sole is the only member of v1's
-// group, or -1 when it has several. The host exclusion needs the runner-up:
+// shapeTop is a shape's two largest products (rel * eff) * price over its
+// non-empty score groups (candGroup.top), scanned once per round: v1 >= v2
+// are the top two group by group (equal when two groups tie), and sole is
+// the only member of v1's group, or -1 when it has several. The host exclusion needs the runner-up:
 // a shape's best group is very often the column's own host one level up,
 // which the column's scan skips.
 type shapeTop struct {
@@ -55,7 +56,7 @@ func (sh *candShape) scanTop(pass uint64) {
 		if len(g.members) == 0 {
 			continue
 		}
-		switch v := g.rel * g.effVal; {
+		switch v := g.top; {
 		case v > t.v1:
 			t.v1, t.v2, t.sole = v, t.v1, -1
 			if len(g.members) == 1 {
@@ -80,10 +81,13 @@ type survivor struct {
 // (sole ? v2 : v1) / cur, +Inf for cur <= 0 — until a host other than sole
 // bounds the shape at or below threshold. A cell's Running VMs of the shape
 // are kept in ctx.swept when their key exceeds threshold: refineKey's for a
-// positive cur, the bound +Inf itself otherwise. declined reports a kept
-// column with cur <= 0.
+// positive cur, the bound itself otherwise — +Inf for cur <= 0, and every
+// bound when the form has no p_vir (there is no p_vir to refine by) or a
+// price term (refineKey's rounding argument counts the roundings of the
+// product without one). declined reports a kept column with cur <= 0.
 func (ctx *Context) sweep(x *candIndex, threshold float64) (declined bool) {
 	ro := ctx.roster
+	refine := !ctx.form.noVir && ctx.form.price == nil
 	ctx.pass++
 	out, cells := ctx.swept[:0], 0
 	for sid, hosts := range ro.hosts {
@@ -111,7 +115,7 @@ func (ctx *Context) sweep(x *candIndex, threshold float64) (declined bool) {
 					continue
 				}
 				key := bound
-				if cur > 0 {
+				if cur > 0 && refine {
 					if key = refineKey(bound, cur, ctx.virMax(e.vm)); !(key > threshold) {
 						continue
 					}
@@ -214,8 +218,8 @@ func (ctx *Context) scan(x *candIndex, s *survivor, best choice) choice {
 	return best
 }
 
-// consolidateLazy is a canonical pass over the synced roster: Algorithm 1
-// as a lazy greedy over the sweep's bounds, moving VMs with no engine built.
+// consolidateLazy is a pass over the synced roster: Algorithm 1 as a lazy
+// greedy over the sweep's bounds, moving VMs with no engine built.
 // A pass whose first sweep keeps no column ends there: it is proven empty by
 // the bounds alone.
 func (ctx *Context) consolidateLazy(factors []Factor, params Params, opts MatrixOptions) (moves []Move, err error) {
@@ -241,6 +245,10 @@ func (ctx *Context) consolidateLazy(factors []Factor, params Params, opts Matrix
 	}
 	return moves, err
 }
+
+// altDepth is how many ranked alternatives MoveAlternatives keeps per
+// migration.
+const altDepth = 4
 
 // lazyRounds runs the pass's rounds from a finished first sweep: choose,
 // collect the move's alternatives when the Context records decisions,
@@ -302,10 +310,10 @@ func (ctx *Context) auditRound(factors []Factor, ch choice, threshold float64) e
 // auditor's SparseCheck holds it to a dense Matrix built on a fresh Context,
 // the fuzz harnesses to one built on this Context after every operation.
 // ref must be freshly built over MigratableVMs — the sweep reads the live
-// fleet — with a Canonical factor list.
+// fleet — with a factor list of the covered family (CheckFactors).
 func (ctx *Context) CheckProof(ref *Matrix, threshold float64) error {
-	if !Canonical(ref.factors) {
-		return fmt.Errorf("core: the lazy rounds cover the canonical default factors only")
+	if err := ctx.use(ref.factors); err != nil {
+		return err
 	}
 	x := ctx.candidates()
 	ctx.syncRoster()

@@ -284,7 +284,7 @@ func TestCheckProofRejectsWrongVerdicts(t *testing.T) {
 	}
 	defer dense.Release()
 	if err := ctx.CheckProof(dense, 1.05); err == nil {
-		t.Error("CheckProof ran over a non-canonical factor list")
+		t.Error("CheckProof ran over a factor list the index does not evaluate")
 	}
 }
 
@@ -301,7 +301,8 @@ func TestRefineKeyDominates(t *testing.T) {
 	checks, refined := 0, 0
 	check := func(rel, eff, cur, vmax, vir, v float64) {
 		checks++
-		g := normGain(0, (&candGroup{rel: rel, effVal: eff}).value(vir), cur)
+		grp := newCandGroup(candKey{rel: math.Float64bits(rel), price: math.Float64bits(1)}, eff)
+		g := normGain(0, grp.value(vir), cur)
 		b := v / cur
 		key := refineKey(b, cur, vmax)
 		if !(key >= g) || key > b {

@@ -357,11 +357,11 @@ func (h *lazyHarness) hosts(id cluster.VMID) bool {
 }
 
 // TestBucketInactiveHost: a Running VM on a PM that is not active fails
-// every pass by name, on both paths, also when nothing has moved since the
+// every pass by name, with and without a price term, also when nothing has moved since the
 // last failed one — while a Creating VM there does not — and the pass after
 // the PM is back on runs.
 func TestBucketInactiveHost(t *testing.T) {
-	for _, factors := range [][]Factor{DefaultFactors(), append(DefaultFactors(), offsetFactor{})} {
+	for _, factors := range [][]Factor{DefaultFactors(), append(DefaultFactors(), offsetPrices(16))} {
 		ctx, vms := spreadState(t, 16, 30, 3)
 		pm := ctx.DC.PM(vms[0].Host)
 		pm.SetState(cluster.PMOff)

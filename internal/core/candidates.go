@@ -10,24 +10,25 @@ import (
 	"repro/internal/vector"
 )
 
-// This file implements the candidate index every Canonical factor list is
+// This file implements the candidate index every run's factor list is
 // evaluated on: a headroom/class grouping of the fleet that lets the
-// arrival argmax and the consolidation column trackers score a handful of
+// arrival argmax and the consolidation columns score a handful of
 // score-groups instead of all M PMs (DESIGN.md §13).
 //
-// The key observation is that for the canonical factor program
-// (res, vir, rel, eff) the non-host cell value
+// The key observation is that for the factor program
+// (res, vir, rel, eff, price) the non-host cell value
 //
-//	p = ((p_vir * p_rel) * p_eff)
+//	p = (((p_vir * p_rel) * p_eff) * p_price)
 //
 // depends on the PM only through (class, reliability bits, prospective
-// utilization level for the column's demand shape) plus the feasibility
-// predicate. Every feasible PM sharing that triple has a bit-identical p
-// for every column of the shape, so the fleet collapses into score groups:
-// per demand shape, a map from (class, level, reliability) to the sorted
-// ID list of its member PMs. The dense argmax with its ID-order tie-break
-// becomes "max p over groups, tie to the lowest member ID" — the same
-// answer, computed over G groups instead of M rows.
+// utilization level for the column's demand shape, price bits) plus the
+// feasibility predicate. Every feasible PM sharing that signature has a
+// bit-identical p for every column of the shape, so the fleet collapses
+// into score groups: per demand shape, a map from the signature to the
+// sorted ID list of its member PMs. The dense argmax with its ID-order
+// tie-break becomes "max p over groups, tie to the lowest member ID" — the
+// same answer, computed over G groups instead of M rows. A list of the
+// covered family that drops a factor (form) has it at 1 in every group.
 //
 // The index is owned by a Context (not safe for concurrent use, like the
 // rest of the Context's scratch) and is maintained incrementally: it
@@ -65,30 +66,40 @@ type candIndex struct {
 	shapeList []*candShape
 }
 
-// candKey identifies a score group within a shape.
+// candKey identifies a score group within a shape. Its rel and price are
+// the bits of the members' shared reliability and price term, which the
+// group's values read back.
 type candKey struct {
 	ci    int32  // Context class id
-	level int32  // prospective utilization level for the shape's demand
+	level int32  // prospective utilization level for the shape's demand, 0 without p_eff
 	rel   uint64 // reliability bits
+	price uint64 // price term bits
 }
 
 // candGroup is one score group: the PMs sharing a bit-identical non-host
 // probability for every column of the shape.
 type candGroup struct {
 	key    candKey
-	rel    float64 // the shared reliability value
 	effVal float64 // the shared p_eff value
+	top    float64 // the shared product (rel * eff) * price the sweep bounds by (bound.go)
 	// members holds the group's PM IDs in ascending order; the head is
 	// the dense tie-break winner (rows are ID-sorted), with the column's
 	// host — present in at most one group — skipped to its successor.
 	members []int32
 }
 
+func newCandGroup(key candKey, effVal float64) candGroup {
+	return candGroup{key: key, effVal: effVal, top: math.Float64frombits(key.rel) * effVal * math.Float64frombits(key.price)}
+}
+
 // value is the non-host probability the group's members share for a
 // column whose p_vir against the group's class is vir: cell order,
-// (p_vir * p_rel) * p_eff. Every operand is finite and non-negative, so
-// a zero factor yields the same +0 the per-cell short circuits return.
-func (g *candGroup) value(vir float64) float64 { return vir * g.rel * g.effVal }
+// ((p_vir * p_rel) * p_eff) * p_price. Every operand is finite and
+// non-negative, so a zero factor yields the same +0 the per-cell short
+// circuits return.
+func (g *candGroup) value(vir float64) float64 {
+	return vir * math.Float64frombits(g.key.rel) * g.effVal * math.Float64frombits(g.key.price)
+}
 
 // candidate returns the member of g that the scan of a column hosted on PM
 // host considers — the lowest ID, with the host (present in at most one
@@ -121,8 +132,9 @@ type candShape struct {
 }
 
 // candidates returns the Context's candidate index, synced to the current
-// fleet state.
+// fleet state and price terms.
 func (ctx *Context) candidates() *candIndex {
+	ctx.syncPrices()
 	if ctx.cand == nil {
 		ctx.cand = newCandIndex(ctx)
 	}
@@ -152,20 +164,20 @@ func (x *candIndex) sync() {
 }
 
 // resyncPM recomputes pm's group in every tracked shape, moving it between
-// member lists where the (feasibility, class, level, reliability) signature
-// changed. A PM whose signature is its group's key stays without a lookup:
-// only a group change hashes the key.
+// member lists where the (feasibility, class, level, reliability, price)
+// signature changed. A PM whose signature is its group's key stays without
+// a lookup: only a group change hashes the key.
 func (x *candIndex) resyncPM(id int32) {
 	pm := x.pms[id]
 	for _, sh := range x.shapeList {
-		key, rel, ev, ok := x.membership(pm, sh.demand)
+		key, effVal, ok := x.membership(pm, sh.demand)
 		og := sh.groupOf[id]
 		if ok && og >= 0 && sh.groups[og].key == key {
 			continue
 		}
 		ng := int32(-1)
 		if ok {
-			ng = sh.groupIdx(key, rel, ev)
+			ng = sh.groupIdx(key, effVal)
 		}
 		if og == ng {
 			continue
@@ -180,29 +192,39 @@ func (x *candIndex) resyncPM(id int32) {
 	}
 }
 
-// membership computes pm's score-group signature for a demand shape, or
-// ok = false when every column of the shape scores 0 on pm (infeasible,
-// zero reliability, or a zero efficiency term) and the PM stays out of the
-// shape's groups entirely.
-func (x *candIndex) membership(pm *cluster.PM, demand vector.V) (key candKey, rel, effVal float64, ok bool) {
+// membership computes pm's score-group key and p_eff for a demand shape,
+// or ok = false when every column of the shape scores 0 on pm (infeasible,
+// zero reliability, a zero efficiency term or a zero price) and the PM
+// stays out of the shape's groups entirely. A factor the Context's form
+// drops is 1 and excludes nobody.
+func (x *candIndex) membership(pm *cluster.PM, demand vector.V) (key candKey, effVal float64, ok bool) {
 	if !pm.CanHost(demand) {
-		return candKey{}, 0, 0, false
+		return key, 0, false
 	}
-	rel = pm.Reliability()
-	if rel == 0 {
-		return candKey{}, 0, 0, false
+	ctx := x.ctx
+	rel, price := 1.0, 1.0
+	if !ctx.form.noRel {
+		if rel = pm.Reliability(); rel == 0 {
+			return key, 0, false
+		}
 	}
-	ci := x.ctx.classID(pm)
-	info := x.ctx.classTab[ci]
-	if info.wj == 0 {
-		return candKey{}, 0, 0, false
+	ci, level, effVal := ctx.classID(pm), 0, 1.0
+	if !ctx.form.noEff {
+		info := ctx.classTab[ci]
+		if info.wj == 0 {
+			return key, 0, false
+		}
+		level = levelOf(info, pm.UtilizationWith(demand))
+		if effVal = info.effVal[level]; effVal == 0 {
+			return key, 0, false
+		}
 	}
-	level := levelOf(info, pm.UtilizationWith(demand))
-	effVal = info.effVal[level]
-	if effVal == 0 {
-		return candKey{}, 0, 0, false
+	if ctx.form.price != nil {
+		if price = ctx.prices[pm.ID]; price == 0 {
+			return key, 0, false
+		}
 	}
-	return candKey{ci: ci, level: int32(level), rel: math.Float64bits(rel)}, rel, effVal, true
+	return candKey{ci: ci, level: int32(level), rel: math.Float64bits(rel), price: math.Float64bits(price)}, effVal, true
 }
 
 // shape returns the grouping of the demand shape with Context id sid,
@@ -230,11 +252,11 @@ func (x *candIndex) trackShape(sid int32) *candShape {
 		sh.groupOf[i] = -1
 	}
 	for id, pm := range x.pms {
-		k, rel, ev, ok := x.membership(pm, sh.demand)
+		key, effVal, ok := x.membership(pm, sh.demand)
 		if !ok {
 			continue
 		}
-		gi := sh.groupIdx(k, rel, ev)
+		gi := sh.groupIdx(key, effVal)
 		sh.addMember(gi, int32(id))
 		sh.groupOf[id] = gi
 	}
@@ -243,15 +265,15 @@ func (x *candIndex) trackShape(sid int32) *candShape {
 	return sh
 }
 
-// groupIdx returns the index of the group keyed k, creating it on first
+// groupIdx returns the index of the group keyed key, creating it on first
 // use.
-func (sh *candShape) groupIdx(k candKey, rel, effVal float64) int32 {
-	if gi, ok := sh.byKey[k]; ok {
+func (sh *candShape) groupIdx(key candKey, effVal float64) int32 {
+	if gi, ok := sh.byKey[key]; ok {
 		return gi
 	}
 	gi := int32(len(sh.groups))
-	sh.groups = append(sh.groups, candGroup{key: k, rel: rel, effVal: effVal})
-	sh.byKey[k] = gi
+	sh.groups = append(sh.groups, newCandGroup(key, effVal))
+	sh.byKey[key] = gi
 	return gi
 }
 
@@ -303,7 +325,7 @@ func (x *candIndex) check() error {
 			return fmt.Errorf("core: shape %d nonEmpty %d, counted %d", si, sh.nonEmpty, nonEmpty)
 		}
 		for id, pm := range x.pms {
-			key, _, _, ok := x.membership(pm, sh.demand)
+			key, _, ok := x.membership(pm, sh.demand)
 			gi := sh.groupOf[id]
 			if !ok {
 				if gi >= 0 {
@@ -354,21 +376,78 @@ func (x *candIndex) bestArrival(vm *cluster.VM, k int) *cluster.PM {
 }
 
 // ArrivalShortlist returns the candidate index's top-k shortlist for placing
-// vm — RankPlacements' exact ordering truncated to k — and ok = true when
-// the index covers the factor program. The policy layer's ranked arrival
-// alternatives come from here; callers after the argmax alone want
-// BestPlacementWith.
-func ArrivalShortlist(ctx *Context, factors []Factor, vm *cluster.VM, k int) ([]Placement, bool) {
-	if !Canonical(factors) {
-		return nil, false
-	}
-	x := ctx.candidates()
+// vm — RankPlacements' exact ordering truncated to k. The policy layer's
+// ranked arrival alternatives come from here; callers after the argmax
+// alone want BestPlacementWith. Like it, it panics on a list outside the
+// covered family (Context.index).
+func ArrivalShortlist(ctx *Context, factors []Factor, vm *cluster.VM, k int) []Placement {
+	x := ctx.index(factors)
 	sh := x.shape(ctx.shapeID(vm.Demand))
 	ctx.virBuf = ctx.appendVirs(ctx.virBuf[:0], vm)
-	return x.shortlist(sh, -1, ctx.virBuf, k), true
+	return x.shortlist(sh, -1, ctx.virBuf, k)
 }
 
-// countOverflow is bestArrival's overflow diagnostic for a canonical pass,
+// index returns the candidate index for factors, synced to the fleet. A
+// list outside the covered family is a caller's error here — sim.New
+// refuses such a list by name before a run evaluates it (CheckFactors) —
+// and panics with that name.
+func (ctx *Context) index(factors []Factor) *candIndex {
+	if err := ctx.use(factors); err != nil {
+		panic(err)
+	}
+	return ctx.candidates()
+}
+
+// use points the Context's index and roster at factors' form, or fails
+// naming the factor outside the covered family. A run evaluates one list;
+// a Context handed another drops its index, roster and price terms, which
+// the next evaluation rebuilds cold for the new list.
+func (ctx *Context) use(factors []Factor) error {
+	f, err := formOf(factors)
+	if err != nil {
+		return err
+	}
+	if f != ctx.form {
+		ctx.form, ctx.cand, ctx.roster, ctx.prices = f, nil, nil, nil
+	}
+	return nil
+}
+
+// syncPrices re-reads every PM's price term when the form has one and the
+// clock has moved since the last read — the term is its region's price at
+// the clock — and names each PM whose price bits changed in the index's and
+// the roster's feeds, so both re-derive it at their next sync. Static
+// prices (FlatPrices) name nobody after the first read.
+func (ctx *Context) syncPrices() {
+	if ctx.form.price != nil && (ctx.prices == nil || ctx.pricedAt != ctx.Now) {
+		ctx.readPrices()
+	}
+}
+
+// readPrices is syncPrices' read, kept out of line so the check inlines.
+func (ctx *Context) readPrices() {
+	f, pms := ctx.form.price, ctx.DC.PMs()
+	fresh := ctx.prices == nil
+	if fresh {
+		ctx.prices = make([]float64, len(pms))
+	}
+	for i, pm := range pms {
+		p, was := f.Probability(ctx, nil, pm, false), ctx.prices[i]
+		ctx.prices[i] = p
+		if fresh || math.Float64bits(p) == math.Float64bits(was) {
+			continue
+		}
+		if ctx.cand != nil {
+			ctx.cand.feed.Add(pm.ID)
+		}
+		if ctx.roster != nil {
+			ctx.roster.feed.Add(pm.ID)
+		}
+	}
+	ctx.pricedAt = ctx.Now
+}
+
+// countOverflow is bestArrival's overflow diagnostic for a pass,
 // after its first sweep: one count per Running column, walked in the
 // roster's buckets, whose shape needs more than k non-empty groups.
 func (x *candIndex) countOverflow(ro *roster, k int) {
@@ -417,8 +496,15 @@ func (sh *candShape) best(host int32, cur float64, vir []float64) (id int32, p f
 }
 
 // appendVirs appends vm's p_vir (Eq. 3) at the Context's clock against
-// every class of the class table, each with its target-side overhead.
+// every class of the class table, each with its target-side overhead — 1
+// for every class when the form has no p_vir.
 func (ctx *Context) appendVirs(dst []float64, vm *cluster.VM) []float64 {
+	if ctx.form.noVir {
+		for range ctx.classTab {
+			dst = append(dst, 1)
+		}
+		return dst
+	}
 	tre := vm.RemainingEstimate(ctx.Now)
 	for _, info := range ctx.classTab {
 		dst = append(dst, virProbability(tre, info.virOverhead(vm)))

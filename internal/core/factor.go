@@ -10,13 +10,15 @@
 // scores in an M x N probability matrix (Eq. 1), and runs Algorithm 1:
 // normalize each column by the probability of the VM's current host, then
 // repeatedly migrate the VM with the largest normalized gain above
-// MIG_threshold, for at most MIG_round rounds, updating only the affected
-// matrix rows between rounds.
+// MIG_threshold, for at most MIG_round rounds, re-deriving only the two PMs
+// a move touched between rounds.
 //
 // Because p_ij is a product, additional constraints compose by appending a
 // Factor — exactly the extensibility the paper advertises ("since the p_ij
 // is a joint probability, it is easy to be extended to accommodate other
-// constraints in the light of users demand").
+// constraints in the light of users demand"). A run evaluates the list a
+// score group at a time, which takes a per-PM term: PriceFactor is the one
+// extension the index carries (CheckFactors names the lists it covers).
 package core
 
 import (
@@ -50,16 +52,20 @@ type Context struct {
 	Obs *obs.Observer
 
 	// SelfAudit holds every consolidation pass on this Context to cold
-	// rebuilds: the roster it read against a cold rebuild (roster.go),
-	// every lazy round of a canonical pass against a cold dense Matrix
-	// (bound.go's checkRound: the index's structure, each column's group
-	// scan, the sweep's bounds and the choice), and every Apply of a dense
-	// Matrix against a fresh build over the same VMs (probabilities,
-	// column trackers and the Best extraction bit-identical). The cold
-	// builds are references, never applied, so they do not audit in turn.
-	// Expensive (a cold build per round); the simulator sets it in
-	// -audit=event mode.
+	// rebuilds: the roster it read against a cold rebuild (roster.go), and
+	// every lazy round against a cold dense Matrix (bound.go's checkRound:
+	// the index's structure, each column's group scan, the sweep's bounds
+	// and the choice). The cold builds are references, never applied, so
+	// they do not audit in turn. Expensive (a cold build per round); the
+	// simulator sets it in -audit=event mode.
 	SelfAudit bool
+
+	// form is the factor list the index and the roster evaluate (kernel.go),
+	// set by the entry points (use); prices is each PM's price term under a
+	// form with one, read at the clock pricedAt (syncPrices).
+	form     form
+	prices   []float64
+	pricedAt float64
 
 	// classTab and shapeTab are the Context-level interning tables
 	// (classID, shapeID): one entry per PM class and per distinct demand
@@ -75,14 +81,13 @@ type Context struct {
 	// bounds every p_vir of a placed VM (virMax).
 	minOverhead float64
 
-	// Reusable hot-path scratch (scratch.go): fscratch backs dense
-	// matrices via checkout, terms backs the per-arrival term program,
-	// vmBuf a dense pass's columns, swept and virBuf a round's surviving
-	// columns and one column's p_vir per class (bound.go). Their presence
-	// is why a Context is not safe for concurrent use.
+	// Reusable scratch (scratch.go): fscratch backs dense matrices via
+	// checkout, terms backs the arrival column's term program, swept and
+	// virBuf a round's surviving columns and one column's p_vir per class
+	// (bound.go). Their presence is why a Context is not safe for
+	// concurrent use.
 	fscratch *matrixScratch
 	terms    []term
-	vmBuf    []*cluster.VM
 	swept    []survivor
 	virBuf   []float64
 
@@ -93,8 +98,8 @@ type Context struct {
 	roster *roster
 
 	// cand is the candidate index (candidates.go), built lazily on the
-	// first placement evaluated with a Canonical factor list and kept in
-	// sync with the fleet through its own change feed.
+	// first placement and kept in sync with the fleet through its own
+	// change feed.
 	cand *candIndex
 
 	// met is the placement paths' metric handles, resolved against Obs
@@ -107,12 +112,12 @@ type Context struct {
 }
 
 // MoveAlternatives returns, for each move of the last consolidation pass
-// run on the Context (ConsolidateWith, Matrix.Consolidate), the moved
-// column's ranked non-host alternatives: probabilities normalized by the
-// column's current placement, so scores are the gains Algorithm 1
-// compares; the head is the chosen target; at most 4 deep. The lists are
-// exact — ordered (gain desc, PM ID asc) over every positive alternative —
-// and identical on the lazy rounds and the dense Matrix. They are collected
+// run on the Context (ConsolidateWith), the moved column's ranked non-host
+// alternatives: probabilities normalized by the column's current
+// placement, so scores are the gains Algorithm 1 compares; the head is the
+// chosen target; at most 4 deep. The lists are exact — ordered (gain desc,
+// PM ID asc) over every positive alternative, the column's cell-by-cell
+// ranking (RankPlacements) without its host. They are collected
 // only while Obs records decisions (obs.Observer.DecisionTracing), the
 // one reader being policy.Recorder; otherwise the result is empty. Valid
 // until the next pass.

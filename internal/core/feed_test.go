@@ -159,7 +159,7 @@ func diffIndex(a, b *candIndex) error {
 		for gi := range sa.groups {
 			ga, gb := &sa.groups[gi], &sb.groups[gi]
 			ka, kb := ga.key, gb.key
-			if className(a, ka.ci) != className(b, kb.ci) || ka.level != kb.level || ka.rel != kb.rel || ga.rel != gb.rel || ga.effVal != gb.effVal || !slices.Equal(ga.members, gb.members) {
+			if className(a, ka.ci) != className(b, kb.ci) || ka.level != kb.level || ka.rel != kb.rel || ka.price != kb.price || ga.effVal != gb.effVal || ga.top != gb.top || !slices.Equal(ga.members, gb.members) {
 				return fmt.Errorf("shape %d group %d: %+v %v vs %+v %v", si, gi, ka, ga.members, kb, gb.members)
 			}
 		}

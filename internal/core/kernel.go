@@ -1,6 +1,11 @@
 package core
 
-import "repro/internal/cluster"
+import (
+	"fmt"
+	"strings"
+
+	"repro/internal/cluster"
+)
 
 // This file compiles a factor list into a term program: the paper's four
 // factors are replaced by the same arithmetic on the Context's per-class
@@ -10,10 +15,10 @@ import "repro/internal/cluster"
 // interface in their original position (a list of extras alone is Joint's
 // own loop), so p_ij is bit-identical to Joint for any factor list: each
 // known factor is the exact same arithmetic on bit-identical operands, and
-// multiplication order is preserved. The canonical program (res, vir, rel,
-// eff) runs cell by cell only inside a reference build: production passes
-// evaluate it a score group at a time (candidates.go, bound.go), and the
-// dense Matrix walks it to check them.
+// multiplication order is preserved. The program runs cell by cell only in
+// a cold reference — the dense Matrix and RankPlacements: runs evaluate
+// their list a score group at a time (candidates.go, bound.go), which only
+// the lists of the covered family (form, below) allow.
 
 // termOp identifies how one factor in the compiled program is evaluated.
 type termOp int
@@ -58,20 +63,123 @@ func compile(dst []term, factors []Factor) program {
 	return prog
 }
 
-// Canonical reports whether factors are exactly the paper's four in
-// canonical order (res, vir, rel, eff). It is the one engine selector: a
-// canonical list is evaluated on the candidate index (the lazy rounds of
-// bound.go, the arrival argmax over score groups), any other list on the
-// dense Matrix.
-func Canonical(factors []Factor) bool {
-	if len(factors) != 4 {
-		return false
+// form is a factor list as the candidate index evaluates it: an in-order
+// subsequence of the paper's four, (res, vir, rel, eff), that starts with
+// res, optionally followed by one *PriceFactor — the covered family
+// (DESIGN.md §13). A factor the list drops is the constant 1 wherever the
+// index would use it (the group values and products, the p_vir per class,
+// the hosted cell, the membership exclusions), which is bit-exact: x·1 = x
+// in IEEE 754 and the multiplication order is the cell's. The zero form is
+// the paper's four.
+type form struct {
+	noVir, noRel, noEff bool
+	price               *PriceFactor
+}
+
+// formOf reads factors as a form, or fails naming the factor that puts the
+// list outside the covered family (uncovered). It runs on every arrival and
+// every pass, so it matches the family's slots in order, one type
+// assertion each — the slots are distinct and ordered, so the greedy match
+// is the only one — and builds the error apart.
+func formOf(factors []Factor) (form, error) {
+	f, n, i := form{noVir: true, noRel: true, noEff: true}, len(factors), 0
+	if i < n {
+		if _, ok := factors[i].(ResourceFactor); ok {
+			i++
+		}
 	}
-	_, ok0 := factors[0].(ResourceFactor)
-	_, ok1 := factors[1].(VirtualizationFactor)
-	_, ok2 := factors[2].(ReliabilityFactor)
-	_, ok3 := factors[3].(EfficiencyFactor)
-	return ok0 && ok1 && ok2 && ok3
+	if i == 0 {
+		return form{}, uncovered(factors)
+	}
+	if i < n {
+		if _, ok := factors[i].(VirtualizationFactor); ok {
+			f.noVir, i = false, i+1
+		}
+	}
+	if i < n {
+		if _, ok := factors[i].(ReliabilityFactor); ok {
+			f.noRel, i = false, i+1
+		}
+	}
+	if i < n {
+		if _, ok := factors[i].(EfficiencyFactor); ok {
+			f.noEff, i = false, i+1
+		}
+	}
+	if i < n {
+		if p, ok := factors[i].(*PriceFactor); ok && p != nil {
+			f.price, i = p, i+1
+		}
+	}
+	if i < n {
+		return form{}, uncovered(factors)
+	}
+	return f, nil
+}
+
+// slotOf is fac's slot in the covered family's order (res, vir, rel, eff,
+// price), or -1 for a factor the candidate index does not evaluate.
+func slotOf(fac Factor) int {
+	switch fac := fac.(type) {
+	case ResourceFactor:
+		return 0
+	case VirtualizationFactor:
+		return 1
+	case ReliabilityFactor:
+		return 2
+	case EfficiencyFactor:
+		return 3
+	case *PriceFactor:
+		if fac != nil {
+			return 4
+		}
+	}
+	return -1
+}
+
+// uncovered is formOf's error: it names the factor that puts factors, a
+// list formOf refused, outside the covered family.
+func uncovered(factors []Factor) error {
+	if len(factors) == 0 {
+		return fmt.Errorf("core: the factor list is empty")
+	}
+	names, last := factorNames(factors), -1
+	for i, fac := range factors {
+		at := slotOf(fac)
+		switch {
+		case at < 0:
+			return fmt.Errorf("core: factor list %s: factor %d, %s (%T), is not one the candidate index evaluates", names, i+1, factorName(fac), fac)
+		case i == 0 && at != 0:
+			return fmt.Errorf("core: factor list %s: it starts with %s, not res", names, factorName(fac))
+		case at <= last:
+			return fmt.Errorf("core: factor list %s: factor %d, %s, follows %s; the index takes res, vir, rel, eff in that order, then at most one price term", names, i+1, factorName(fac), factorName(factors[i-1]))
+		}
+		last = at
+	}
+	return fmt.Errorf("core: factor list %s is covered", names)
+}
+
+// CheckFactors reports whether the candidate index evaluates factors (the
+// covered family, form), naming the factor that puts any other list
+// outside. sim.New refuses a dynamic scheme whose list fails it.
+func CheckFactors(factors []Factor) error {
+	_, err := formOf(factors)
+	return err
+}
+
+func factorName(f Factor) string {
+	if f == nil {
+		return "nil"
+	}
+	return f.Name()
+}
+
+func factorNames(factors []Factor) string {
+	names := make([]string, len(factors))
+	for i, f := range factors {
+		names[i] = factorName(f)
+	}
+	return "[" + strings.Join(names, " ") + "]"
 }
 
 // cell evaluates p_ij for (pm, vm): info is pm's class-table entry, vir

@@ -10,11 +10,11 @@ import (
 )
 
 // Kernel micro-benchmarks at 100 / 1k / 10k PMs with ~2 VMs per PM: the
-// dense Matrix's build and per-round incremental update, a canonical
+// cold dense Matrix's build (what every audited round pays), a
 // consolidation pass (the lazy rounds, no engine built), and the arrival
-// argmax — "kernel" the index's score-group argmax a canonical run
-// executes, "generic" Joint per PM with a full sort. These are layer-level
-// looks; whole-run numbers come from `go run ./bench` (bench/README.md).
+// argmax — "kernel" the index's score-group argmax a run executes,
+// "generic" Joint per PM with a full sort. These are layer-level looks;
+// whole-run numbers come from `go run ./bench` (bench/README.md).
 // For benchstat-friendly output:
 //
 //	go test ./internal/core -run '^$' -bench 'Kernel.*pms(100|1000)$' -count 10
@@ -41,8 +41,8 @@ func BenchmarkKernelMatrixBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelLazyPass measures a canonical consolidation pass — the
-// lazy rounds of bound.go, no engine built — on a seeded 100-PM state with
+// BenchmarkKernelLazyPass measures a consolidation pass — the lazy rounds
+// of bound.go, no engine built — on a seeded 100-PM state with
 // the VMs dealt round-robin (spreadState): "moving" is the first pass over
 // the fresh state (a fresh copy per iteration, built with the timer
 // stopped), MIG_round moves; "empty" is a pass once the fleet has come to
@@ -107,37 +107,6 @@ func BenchmarkKernelLazyPass(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(vms)), "columns")
 	})
-}
-
-// BenchmarkKernelMatrixRound measures one migration round's incremental
-// work on the dense Matrix — Apply's tracker repair plus Best's argmax — by
-// ping-ponging the best move back and forth (two Applies per iteration, so
-// one iteration ≈ two rounds).
-func BenchmarkKernelMatrixRound(b *testing.B) {
-	for _, pms := range benchSizes {
-		b.Run(fmt.Sprintf("pms%d", pms), func(b *testing.B) {
-			ctx, vms := tableIIState(b, pms, 2*pms, 7)
-			m, err := NewMatrix(ctx, DefaultFactors(), vms)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r, c, _, ok := m.Best()
-			if !ok {
-				b.Fatal("no positive-gain move in the bench state")
-			}
-			origin := m.curRow[c]
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := m.Apply(r, c); err != nil {
-					b.Fatal(err)
-				}
-				if err := m.Apply(origin, c); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkKernelArrival measures the paper's arrival path: score the new

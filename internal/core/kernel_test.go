@@ -22,8 +22,8 @@ func tableIIState(tb testing.TB, pmCount, nVMs int, seed int64) (*Context, []*cl
 
 // spreadState is tableIIState with the VMs dealt round-robin over the fleet
 // instead of packed first-fit, so a consolidation pass has many profitable
-// rounds and every round after the first depends on the engine's Apply
-// repair.
+// rounds and every round after the first depends on the index and the
+// roster re-reading the previous move's endpoints.
 func spreadState(tb testing.TB, pmCount, nVMs int, seed int64) (*Context, []*cluster.VM) {
 	tb.Helper()
 	return fleetState(tb, pmCount, nVMs, seed, true)
@@ -88,22 +88,62 @@ func edgeState(tb testing.TB, pmCount, nVMs int, seed int64) (*Context, []*clust
 	return ctx, vms
 }
 
-// denseConsolidate runs Algorithm 1 over ctx's running VMs on a dense
-// Matrix built by constructor name. ConsolidateWith sends a canonical list
-// to the lazy rounds, so this is the reference side of every engine
-// differential in the package.
+// denseConsolidate runs Algorithm 1 over ctx's running VMs as the cold
+// reference reads it: every round a cold Matrix over MigratableVMs — the
+// build auditRound holds each lazy round to — whose Best above
+// MIG_threshold moves through Migrate. ConsolidateWith runs the lazy
+// rounds, so this is the reference side of every engine differential in
+// the package, for any factor list.
 func denseConsolidate(tb testing.TB, ctx *Context, factors []Factor, params Params) []Move {
 	tb.Helper()
-	m, err := NewMatrix(ctx, factors, MigratableVMs(ctx.DC))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	defer m.Release()
-	moves, err := m.Consolidate(params)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	moves, _ := denseRounds(tb, ctx, factors, params)
 	return moves
+}
+
+// denseRounds is denseConsolidate with each move's alternatives, as
+// MoveAlternatives keeps them (columnAlternatives).
+func denseRounds(tb testing.TB, ctx *Context, factors []Factor, params Params) (moves []Move, alts [][]Placement) {
+	tb.Helper()
+	for round := 1; round <= params.MIGRound; round++ {
+		m, err := NewMatrix(ctx, factors, MigratableVMs(ctx.DC))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		r, c, gain, ok := m.Best()
+		if !ok || !(gain > params.MIGThreshold) {
+			m.Release()
+			break
+		}
+		vm, to, cur := m.VM(c), m.PM(r), m.CurProb(c)
+		m.Release()
+		alts = append(alts, columnAlternatives(ctx, factors, vm, cur))
+		moves = append(moves, Move{VM: vm.ID, From: vm.Host, To: to.ID, Gain: gain, Round: round})
+		if err := Migrate(vm, ctx.DC.PM(vm.Host), to); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return moves, alts
+}
+
+// columnAlternatives is the reference for a moved column's alternatives:
+// its cell-by-cell ranking (RankPlacements: probability desc, ID asc)
+// without its host, normalized by its hosted cell cur and cut to altDepth —
+// or, when cur is not positive, the lowest-ID PM of positive probability
+// alone, at +Inf.
+func columnAlternatives(ctx *Context, factors []Factor, vm *cluster.VM, cur float64) []Placement {
+	var out []Placement
+	for _, pl := range RankPlacements(ctx, factors, vm) {
+		switch {
+		case pl.PM.ID == vm.Host:
+		case !(cur > 0):
+			if len(out) == 0 || pl.PM.ID < out[0].PM.ID {
+				out = []Placement{{PM: pl.PM, Probability: math.Inf(1)}}
+			}
+		case len(out) < altDepth:
+			out = append(out, Placement{PM: pl.PM, Probability: pl.Probability / cur})
+		}
+	}
+	return out
 }
 
 // assertMovesEqual requires two Algorithm 1 move streams to match move for
@@ -121,13 +161,29 @@ func assertMovesEqual(tb testing.TB, want, got []Move) {
 }
 
 // offsetFactor is a user-supplied extra factor (pure, PM-dependent) used
-// to exercise the kernel's generic-composition path.
+// to exercise the kernel's generic-composition path on a Matrix; no run
+// takes it (CheckFactors), and offsetPrices is its stand-in on the index.
 type offsetFactor struct{}
 
 func (offsetFactor) Name() string { return "offset" }
 
 func (offsetFactor) Probability(_ *Context, _ *cluster.VM, pm *cluster.PM, _ bool) float64 {
 	return 1 - float64(int(pm.ID)%5)/100
+}
+
+// offsetPrices is a PriceFactor over a fleet of pms PMs that prices PM i
+// at 1 + (i mod 5) / 100, so every fifth PM is in the cheapest region.
+func offsetPrices(pms int) *PriceFactor {
+	regions := []string{"r0", "r1", "r2", "r3", "r4"}
+	prices := make(map[string]float64, len(regions))
+	for i, r := range regions {
+		prices[r] = 1 + float64(i)/100
+	}
+	f := NewPriceFactor(regions, regions[0], FlatPrices(prices))
+	for id := range pms {
+		f.Assign(cluster.PMID(id), regions[id%len(regions)])
+	}
+	return f
 }
 
 // opaque hides a factor's concrete type from the program compiler, so a
@@ -263,13 +319,13 @@ func TestKernelEquivalenceConsolidate(t *testing.T) {
 	}
 }
 
-// TestKernelArrivalEquivalence checks the arrival path on both of its
-// evaluators — the candidate index for the paper's factors, the arrival
-// column's generic terms for the same factors behind opaque: the
-// program-scored ranking (RankPlacements) must equal a naive Joint scan,
-// including the unhosted-VM overhead rule (creation only, no migration
-// share), and BestPlacementWith must return the Joint scan's argmax, which
-// is also the ranking's head.
+// TestKernelArrivalEquivalence checks the arrival column on both of its
+// evaluations — the compiled program for the paper's factors, its generic
+// terms for the same factors behind opaque: the program-scored ranking
+// (RankPlacements) must equal a naive Joint scan, including the
+// unhosted-VM overhead rule (creation only, no migration share), and the
+// candidate index's argmax (BestPlacementWith, on the paper's factors)
+// must be the Joint scan's argmax, which is also the ranking's head.
 func TestKernelArrivalEquivalence(t *testing.T) {
 	for _, name := range []string{"kernel", "generic"} {
 		t.Run(name, func(t *testing.T) {
@@ -282,7 +338,7 @@ func TestKernelArrivalEquivalence(t *testing.T) {
 				t.Fatal("no feasible placements for the arrival")
 			}
 			want := genericBestPlacement(ctx, factors, arrival)
-			if best := BestPlacementWith(ctx, factors, arrival, MatrixOptions{}); best != want || best != ranked[0].PM {
+			if best := BestPlacementWith(ctx, DefaultFactors(), arrival, MatrixOptions{}); best != want || best != ranked[0].PM {
 				t.Fatalf("BestPlacementWith = %v, Joint scan = %v, RankPlacements[0] = PM%d", pmID(best), pmID(want), ranked[0].PM.ID)
 			}
 
@@ -307,23 +363,31 @@ func TestKernelArrivalEquivalence(t *testing.T) {
 	}
 }
 
-// TestMatrixTrackersMatchRebuildAfterRandomApplies is the incremental-
-// drift property test: after a randomized sequence of Apply calls, the
-// live matrix's curRow/curProb/bestRow/bestGain trackers (and Best) must
-// match a from-scratch NewMatrix rebuild of the mutated datacenter, on
-// both evaluation paths.
+// TestMatrixTrackersMatchRebuildAfterRandomApplies walks a randomized
+// sequence of moves — each a positive off-host cell of a cold build, moved
+// through Migrate — and after every move holds a cold build to its own
+// cells and to the same build over opaque factors: every tracker equal to
+// a brute-force rescan of the stored probabilities (lowest row on ties,
+// +Inf for a zero normalizer) and every cell and tracker bit-identical
+// across the compiled program and its generic terms.
 func TestMatrixTrackersMatchRebuildAfterRandomApplies(t *testing.T) {
 	for _, name := range []string{"kernel", "generic"} {
 		t.Run(name, func(t *testing.T) {
 			ctx, vms := tableIIState(t, 100, 150, 23)
 			factors := pathFactors(name)
-			m, err := NewMatrix(ctx, factors, vms)
-			if err != nil {
-				t.Fatal(err)
-			}
 			rng := stats.NewRand(42)
 			applied := 0
 			for step := 0; step < 40; step++ {
+				m, err := NewMatrix(ctx, factors, vms)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertTrackersRescan(t, m)
+				other, err := NewMatrix(ctx, opaqueFactors(factors), vms)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertMatricesEqual(t, m, other)
 				// Random feasible move: any positive cell off the
 				// current host.
 				c := rng.Intn(m.Cols())
@@ -336,16 +400,11 @@ func TestMatrixTrackersMatchRebuildAfterRandomApplies(t *testing.T) {
 				if len(rows) == 0 {
 					continue
 				}
-				if err := m.Apply(rows[rng.Intn(len(rows))], c); err != nil {
+				vm, to := m.VM(c), m.PM(rows[rng.Intn(len(rows))])
+				if err := Migrate(vm, ctx.DC.PM(vm.Host), to); err != nil {
 					t.Fatal(err)
 				}
 				applied++
-
-				fresh, err := NewMatrix(ctx, factors, vms)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertMatricesEqual(t, m, fresh)
 			}
 			if applied < 10 {
 				t.Fatalf("only %d random moves applied; property barely exercised", applied)
@@ -354,6 +413,29 @@ func TestMatrixTrackersMatchRebuildAfterRandomApplies(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// assertTrackersRescan requires m's column trackers to equal a brute-force
+// rescan of its stored probabilities: the host's row and cell, the lowest
+// row of the largest off-host probability (of any positive one when the
+// host's is 0) and its gain.
+func assertTrackersRescan(t *testing.T, m *Matrix) {
+	t.Helper()
+	for c, vm := range m.vms {
+		cur, ok := m.RowOf(vm.Host)
+		if !ok || m.curRow[c] != cur || m.curProb[c] != m.p[cur][c] {
+			t.Fatalf("col %d: normalizer (row %d, %v), host row %d", c, m.curRow[c], m.curProb[c], cur)
+		}
+		row, p := -1, 0.0
+		for r := range m.pms {
+			if q := m.p[r][c]; r != cur && q > 0 && (q > p || row < 0) && (m.curProb[c] > 0 || row < 0) {
+				row, p = r, q
+			}
+		}
+		if m.bestRow[c] != row || m.bestGain[c] != normGain(row, p, m.curProb[c]) {
+			t.Fatalf("col %d: tracker (row %d, gain %v), rescan (row %d, p %v)", c, m.bestRow[c], m.bestGain[c], row, p)
+		}
 	}
 }
 

@@ -12,13 +12,14 @@ import (
 	"repro/internal/vector"
 )
 
-// This file holds the lazy rounds (bound.go) to the cold dense engine. Two
-// identically built fleets walk the same operation stream — the opcodes and
-// the fleet of internal/audit's FuzzSparseOperations — and after every
+// This file holds the lazy rounds (bound.go) to the cold dense reference.
+// Two identically built fleets walk the same operation stream — the opcodes
+// and the fleet of internal/audit's FuzzSparseOperations — and after every
 // operation each runs one consolidation pass: lazily through
-// ConsolidateWith, and round by round on a cold Matrix. The move lists (VM,
-// endpoints, Gain bits, Round) and each move's alternatives (the lazy
-// side's MoveAlternatives, the dense side's ColumnAlternatives) must agree
+// ConsolidateWith, and round by round on a cold Matrix built afresh each
+// round. The move lists (VM, endpoints, Gain bits, Round) and each move's
+// alternatives (the lazy side's MoveAlternatives, the dense side's
+// cell-by-cell ranking, columnAlternatives) must agree
 // exactly, every moving round's sweep is held to the dense trackers of the
 // same round — no swept bound below its column's gain, no column left out
 // whose gain exceeds the threshold — and after every pass the bucket sweep
@@ -218,7 +219,8 @@ func (h *lazyHarness) step(op, arg byte) {
 // pass runs one consolidation pass both ways and requires them to agree.
 // The lazy side is ConsolidateWith, recording decisions so the Context
 // collects each move's alternatives. The dense side runs Algorithm 1's
-// rounds on a cold Matrix one by one, and before each move logs the round:
+// rounds on a cold Matrix each (denseRounds' loop), and before each move
+// logs the round:
 // the dense gains, and the sweep and choice the lazy rounds make on the
 // same fleet state, taken on the dense side's own Context.
 func (h *lazyHarness) pass() {
@@ -235,22 +237,23 @@ func (h *lazyHarness) pass() {
 	h.log.scans = append(h.log.scans, lazy.Obs.Counter("core.exact_column_scans").Value())
 	lazy.Obs = nil
 
-	m, err := NewMatrix(dense, DefaultFactors(), MigratableVMs(dense.DC))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var (
 		denseMoves []Move
 		cases      []lazyCase
 		tops0      []float64 // round 1's top product per shape id
 	)
 	for round := 1; round <= h.params.MIGRound; round++ {
+		m, err := NewMatrix(dense, DefaultFactors(), MigratableVMs(dense.DC))
+		if err != nil {
+			t.Fatal(err)
+		}
 		r, c, gain, ok := m.Best()
-		if !ok || gain <= h.params.MIGThreshold || math.IsNaN(gain) {
+		if !ok || !(gain > h.params.MIGThreshold) {
+			m.Release()
 			break
 		}
-		vm := m.vms[c]
-		mv := Move{VM: vm.ID, From: vm.Host, To: m.pms[r].ID, Gain: gain, Round: round}
+		vm, to := m.vms[c], m.pms[r]
+		mv := Move{VM: vm.ID, From: vm.Host, To: to.ID, Gain: gain, Round: round}
 		lc, tops := h.lazyRound(dense, mv, m)
 		if round == 1 {
 			tops0 = tops
@@ -259,13 +262,13 @@ func (h *lazyHarness) pass() {
 			lc.raised = lc.raised || tops[sid] > tops0[sid]
 		}
 		cases = append(cases, lc)
-		alts[1] = append(alts[1], m.ColumnAlternatives(c, altDepth))
-		if err := m.Apply(r, c); err != nil {
+		alts[1] = append(alts[1], columnAlternatives(dense, DefaultFactors(), vm, m.CurProb(c)))
+		m.Release()
+		if err := Migrate(vm, dense.DC.PM(vm.Host), to); err != nil {
 			t.Fatal(err)
 		}
 		denseMoves = append(denseMoves, mv)
 	}
-	m.Release()
 	assertMovesEqual(t, denseMoves, moves)
 	for side := range alts {
 		if len(alts[side]) != len(moves) {
@@ -441,7 +444,7 @@ func TestLazyRounds(t *testing.T) {
 }
 
 // FuzzLazyRounds lets the fuzzer search for an operation stream on which
-// the lazy rounds and the cold dense engine part ways.
+// the lazy rounds and the cold dense reference part ways.
 func FuzzLazyRounds(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 20, 0, 30, 1, 0}, byte(2))
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 5, 4, 2, 9, 3, 7, 4, 1, 0, 2, 1, 1}, byte(1))

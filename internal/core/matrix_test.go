@@ -71,8 +71,7 @@ func TestMatrixCurrentHostNormalizedToOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c, vm := range m.vms {
-		r := m.hostRow(c)
-		if got := m.Normalized(r, c); got != 1 {
+		if got := m.Normalized(m.curRow[c], c); got != 1 {
 			t.Errorf("VM %d current-host normalized = %g, want 1", vm.ID, got)
 		}
 	}
@@ -96,6 +95,9 @@ func TestMatrixPaperExampleFirstMove(t *testing.T) {
 	}
 }
 
+// TestMatrixApplyMovesVMAndRefreshes: the paper example's best move, made
+// through Migrate, shows in the next cold build — VM2 on PM2, its
+// normalizer the 0.64 it moved to, and VM2 no longer the best column.
 func TestMatrixApplyMovesVMAndRefreshes(t *testing.T) {
 	ctx, factors, vms := paperExample()
 	m, err := NewMatrix(ctx, factors, vms)
@@ -104,46 +106,46 @@ func TestMatrixApplyMovesVMAndRefreshes(t *testing.T) {
 	}
 	r, c, _, _ := m.Best()
 	vm := m.vms[c]
-	if err := m.Apply(r, c); err != nil {
+	if err := Migrate(vm, ctx.DC.PM(vm.Host), m.pms[r]); err != nil {
 		t.Fatal(err)
 	}
+	m.Release()
 	if vm.Host != 2 {
 		t.Errorf("VM2 host = %d, want PM2", vm.Host)
 	}
 	if vm.Migrations != 1 {
 		t.Errorf("migrations = %d, want 1", vm.Migrations)
 	}
+	m, err = NewMatrix(ctx, factors, vms)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Column 2's normalizer is now 0.64; moving back to PM1 would gain
 	// 0.5/0.64 < 1, so VM2 must not be the best column anymore.
-	if _, c2, gain2, ok := m.Best(); ok {
-		if m.vms[c2].ID == 2 {
-			t.Errorf("VM2 re-selected with gain %g after moving", gain2)
-		}
+	if got := m.CurProb(1); got != 0.64 {
+		t.Errorf("VM2 normalizer %g after the move, want 0.64", got)
+	}
+	if _, c2, gain2, ok := m.Best(); ok && m.vms[c2].ID == 2 {
+		t.Errorf("VM2 re-selected with gain %g after moving", gain2)
 	}
 	if err := ctx.DC.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestMatrixTrackersMatchFullRescan: after each of several best moves, the
+// next cold build's trackers agree with a brute-force scan of its
+// normalized values.
 func TestMatrixTrackersMatchFullRescan(t *testing.T) {
-	// After several Apply calls, incremental trackers must agree with a
-	// brute-force scan of the matrix.
 	ctx, factors, vms := paperExample()
-	m, err := NewMatrix(ctx, factors, vms)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 3; i++ {
-		r, c, _, ok := m.Best()
-		if !ok {
-			break
-		}
-		if err := m.Apply(r, c); err != nil {
+		m, err := NewMatrix(ctx, factors, vms)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for col := range m.vms {
+		for col, vm := range m.vms {
 			wantRow, wantGain := -1, 0.0
-			cur := m.hostRow(col)
+			cur, _ := m.RowOf(vm.Host)
 			for row := range m.pms {
 				if row == cur {
 					continue
@@ -157,9 +159,17 @@ func TestMatrixTrackersMatchFullRescan(t *testing.T) {
 					i, col, m.bestRow[col], m.bestGain[col], wantRow, wantGain)
 			}
 			if m.curRow[col] != cur {
-				t.Fatalf("step %d col %d curRow stale", i, col)
+				t.Fatalf("step %d col %d curRow %d, host row %d", i, col, m.curRow[col], cur)
 			}
 		}
+		r, c, _, ok := m.Best()
+		if !ok {
+			break
+		}
+		if err := Migrate(m.vms[c], ctx.DC.PM(m.vms[c].Host), m.pms[r]); err != nil {
+			t.Fatal(err)
+		}
+		m.Release()
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/cluster"
@@ -37,10 +36,10 @@ func (p Params) Validate() error {
 }
 
 // Consolidate runs Algorithm 1 (dynamic VM migration) over the data
-// center's currently running VMs: build the probability matrix, normalize
-// each column by its current placement, and while the largest normalized
-// value exceeds MIG_threshold (and fewer than MIG_round rounds have run),
-// migrate that VM and refresh the affected rows. The datacenter state is
+// center's currently running VMs: normalize each column of the probability
+// matrix by its current placement, and while the largest normalized value
+// exceeds MIG_threshold (and fewer than MIG_round rounds have run), migrate
+// that VM and re-derive the two PMs it touched. The datacenter state is
 // mutated; the executed moves are returned in order.
 //
 // Only VMs in the Running state participate: creating and migrating VMs
@@ -50,14 +49,16 @@ func Consolidate(ctx *Context, factors []Factor, params Params) ([]Move, error) 
 }
 
 // ConsolidateWith is Consolidate with explicit matrix options, over the
-// Context's roster (roster.go) rather than columns re-collected from the
-// fleet. The factor list picks how the rounds run: a Canonical list as a
-// lazy greedy over gain bounds swept from the roster's buckets, with no
-// engine built (bound.go), any other list on the dense Matrix over columns
-// gathered from them — the same moves and MoveAlternatives either way.
+// Context's roster (roster.go): Algorithm 1 as a lazy greedy over gain
+// bounds swept from the roster's buckets and score groups scanned on the
+// candidate index, with no engine built (bound.go). A factor list outside
+// the covered family fails by name (CheckFactors).
 func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixOptions) ([]Move, error) {
 	ctx.alts = ctx.alts[:0]
 	if err := params.Validate(); err != nil {
+		return nil, err
+	}
+	if err := ctx.use(factors); err != nil {
 		return nil, err
 	}
 	phase := ctx.metrics().collect.Span()
@@ -72,23 +73,7 @@ func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixO
 	if running, err := ro.running(); !running {
 		return nil, err
 	}
-	var (
-		moves []Move
-		err   error
-	)
-	if Canonical(factors) {
-		moves, err = ctx.consolidateLazy(factors, params, opts)
-	} else {
-		phase = ctx.metrics().build.Span()
-		start = phase.Begin()
-		m, buildErr := newMatrix(ctx, factors, ctx.columns(), true)
-		phase.End(start)
-		if buildErr != nil {
-			return nil, buildErr
-		}
-		moves, err = m.Consolidate(params)
-		m.Release()
-	}
+	moves, err := ctx.consolidateLazy(factors, params, opts)
 	if err != nil {
 		return moves, err
 	}
@@ -99,46 +84,12 @@ func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixO
 	return moves, nil
 }
 
-// Consolidate runs Algorithm 1's migration rounds on this matrix and
-// returns the executed moves — what ConsolidateWith runs for a non-canonical
-// factor list, and the differential harnesses' dense side: while the best
-// normalized gain exceeds MIG_threshold and fewer than MIG_round rounds have
-// run, collect the move's alternatives when the Context records decisions
-// (MoveAlternatives) and apply it. On an Apply error the moves executed so
-// far are returned with it.
-func (m *Matrix) Consolidate(params Params) ([]Move, error) {
-	ctx := m.ctx
-	ctx.alts = ctx.alts[:0]
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	phase := ctx.metrics().rounds.Span()
-	defer phase.End(phase.Begin())
-	record := ctx.Obs.DecisionTracing()
-	var moves []Move
-	for round := 1; round <= params.MIGRound; round++ {
-		r, c, gain, ok := m.Best()
-		if !ok || gain <= params.MIGThreshold || math.IsNaN(gain) {
-			break
-		}
-		vm := m.vms[c]
-		mv := Move{VM: vm.ID, From: vm.Host, To: m.pms[r].ID, Gain: gain, Round: round}
-		if record {
-			ctx.alts = append(ctx.alts, m.ColumnAlternatives(c, altDepth))
-		}
-		if err := m.Apply(r, c); err != nil {
-			return moves, err
-		}
-		moves = append(moves, mv)
-	}
-	return moves, nil
-}
-
 // Migrate moves vm from src to dst — evict, host, count the migration — or,
 // when dst cannot actually host it (for Algorithm 1 that would indicate a
 // factor bug, since p_res must have been positive), errors with the VM back
-// on src. It is the one migration primitive: Algorithm 1's passes and the
-// policy package's Threshold and Replay all move VMs through it.
+// on src. It is the one migration primitive: Algorithm 1's passes, the
+// policy package's Threshold and Replay, and the tests' dense reference all
+// move VMs through it.
 func Migrate(vm *cluster.VM, src, dst *cluster.PM) error {
 	if err := src.Evict(vm); err != nil {
 		return fmt.Errorf("core: apply move of VM %d: %w", vm.ID, err)
@@ -160,8 +111,8 @@ func Migrate(vm *cluster.VM, src, dst *cluster.PM) error {
 // (AppendVMsInState sorts the appended span): Algorithm 1's tie-breaks
 // are ID-ordered, so the column order must not depend on an upstream
 // implementation accident (the determinism tests assert it). This is the
-// cold collection — what constructor callers, the audit checks and
-// SelfAudit's cold matrices build over.
+// cold collection the audit checks and SelfAudit's cold matrices build
+// over.
 func MigratableVMs(dc *cluster.Datacenter) []*cluster.VM {
 	return dc.AppendVMsInState(nil, cluster.VMRunning)
 }
@@ -179,10 +130,11 @@ type Placement struct {
 //
 // This is the paper's arrival path: "if a new VM request arrives, we only
 // calculate the probability in the new VM column and allocate it to the PM
-// with the highest probability". It always evaluates the column cell by
-// cell, which makes it the reference the candidate index's arrival argmax
-// and shortlist are compared against. Callers that only need the argmax
-// should use BestPlacement, which is sort- and allocation-free.
+// with the highest probability". It evaluates the column cell by cell, for
+// any factor list, which makes it the reference the candidate index's
+// arrival argmax and shortlist are compared against. Callers that only
+// need the argmax should use BestPlacement, which is sort- and
+// allocation-free.
 func RankPlacements(ctx *Context, factors []Factor, vm *cluster.VM) []Placement {
 	col := ctx.arrivalColumn(factors, vm)
 	var out []Placement
@@ -203,27 +155,14 @@ func BestPlacement(ctx *Context, factors []Factor, vm *cluster.VM) *cluster.PM {
 	return BestPlacementWith(ctx, factors, vm, MatrixOptions{})
 }
 
-// BestPlacementWith is BestPlacement with explicit matrix options. The
-// argmax follows the factor list like a consolidation pass: a
-// Canonical list is answered by the candidate index over score groups
-// (bit-identical to the column scan by construction), any other list by a
-// single pass over the arrival column (the datacenter lists PMs in ID
-// order, so strict improvement keeps the lower ID).
+// BestPlacementWith is BestPlacement with explicit matrix options: the
+// candidate index's argmax over score groups, bit-identical to the column
+// scan by construction. It panics on a factor list outside the covered
+// family (Context.index).
 func BestPlacementWith(ctx *Context, factors []Factor, vm *cluster.VM, opts MatrixOptions) *cluster.PM {
 	phase := ctx.metrics().arrival.Span()
 	defer phase.End(phase.Begin())
-	if Canonical(factors) {
-		return ctx.candidates().bestArrival(vm, opts.CandidateK)
-	}
-	col := ctx.arrivalColumn(factors, vm)
-	var best *cluster.PM
-	bestP := 0.0
-	for _, pm := range ctx.DC.PMs() {
-		if p := col.cell(pm); p > bestP {
-			bestP, best = p, pm
-		}
-	}
-	return best
+	return ctx.index(factors).bestArrival(vm, opts.CandidateK)
 }
 
 // arrivalColumn is the new-arrival column of the probability matrix for

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/vector"
 )
 
@@ -112,5 +113,56 @@ func TestPriceFactorName(t *testing.T) {
 	pf := NewPriceFactor([]string{"a"}, "a", FlatPrices(map[string]float64{"a": 1}))
 	if pf.Name() != "price" {
 		t.Errorf("Name = %q", pf.Name())
+	}
+}
+
+// TestPriceTermFollowsTheClock: a time-of-use price re-keys the PMs whose
+// price changed at the first sync whose clock moved past the change,
+// through the index's and the roster's feeds — and no others: a clock move
+// with the prices as they were re-reads only the PMs a move touched. Under
+// SelfAudit every round is held to a cold dense build, which reads the
+// factor itself, and every pass moves as the cold dense reference does on
+// a twin fleet.
+func TestPriceTermFollowsTheClock(t *testing.T) {
+	const flip = 7200 + 3600 // the west turns cheapest an hour in
+	tou := func(region string, now float64) float64 {
+		if region == "west" && now >= flip {
+			return 0.06
+		}
+		return map[string]float64{"east": 0.08, "west": 0.24}[region]
+	}
+	build := func() (*Context, []Factor) {
+		ctx, _ := spreadState(t, 40, 100, 5)
+		pf := NewPriceFactor([]string{"east", "west"}, "east", tou)
+		for id := cluster.PMID(20); id < 40; id++ {
+			pf.Assign(id, "west")
+		}
+		return ctx, append(DefaultFactors(), pf)
+	}
+	ctx, factors := build()
+	twin, twinFactors := build()
+	ctx.SelfAudit, ctx.Obs = true, obs.New()
+	params := DefaultParams()
+	moved := 0
+	for _, now := range []float64{7200, 7260, flip - 60, flip, flip + 60} {
+		ctx.Now, twin.Now = now, now
+		before := ctx.Obs.Counter("core.roster_resynced_pms").Value()
+		got, err := ConsolidateWith(ctx, factors, params, MatrixOptions{})
+		if err != nil {
+			t.Fatalf("t=%g: %v", now, err)
+		}
+		assertMovesEqual(t, denseConsolidate(t, twin, twinFactors, params), got)
+		reread := ctx.Obs.Counter("core.roster_resynced_pms").Value() - before
+		switch {
+		case now == 7200: // the cold build reads every PM
+		case now == flip && reread < 20:
+			t.Errorf("t=%g: the price change re-read %d PMs, want the 20 in the west at least", now, reread)
+		case now != flip && reread != int64(2*len(got)):
+			t.Errorf("t=%g: %d moves re-read %d PMs, want their endpoints only", now, len(got), reread)
+		}
+		moved += len(got)
+	}
+	if moved == 0 {
+		t.Fatal("no pass moved anything")
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -40,17 +39,29 @@ type rosterEntry struct {
 	shape int32 // id into ctx.shapeTab
 }
 
-// hostedProb is the canonical program's hosted-cell probability of pm —
-// p_res = p_vir = 1 on the host, so reliability times the efficiency term at
-// the present utilization, which already includes its VMs.
+// hostedProb is the hosted-cell probability of pm under the Context's form:
+// p_res = p_vir = 1 on the host, so (reliability times the efficiency term
+// at the present utilization, which already includes its VMs) times the
+// price term, each 1 when the form drops it — the cell's order.
 func (ctx *Context) hostedProb(pm *cluster.PM) float64 {
-	return pm.Reliability() * effProbability(ctx.classInfoFor(pm), pm.Utilization())
+	rel, eff, price := 1.0, 1.0, 1.0
+	if !ctx.form.noRel {
+		rel = pm.Reliability()
+	}
+	if !ctx.form.noEff {
+		eff = effProbability(ctx.classInfoFor(pm), pm.Utilization())
+	}
+	if ctx.form.price != nil {
+		price = ctx.prices[pm.ID]
+	}
+	return rel * eff * price
 }
 
-// syncRoster brings the roster up to date with the fleet — built cold on a
-// Context's first pass, afterwards re-reading the PMs the feed names in
-// ascending ID order — and returns it.
+// syncRoster brings the roster up to date with the fleet and the price
+// terms — built cold on a Context's first pass, afterwards re-reading the
+// PMs the feed names in ascending ID order — and returns it.
 func (ctx *Context) syncRoster() *roster {
+	ctx.syncPrices()
 	ro := ctx.roster
 	if ro == nil {
 		ro = newRoster(ctx)
@@ -216,7 +227,7 @@ func (ro *roster) search(hosts []int32, id int32, cur float64) (int, bool) {
 }
 
 // running reports whether any placed VM is Running — a pass over none ends
-// before it starts — and fails, with newMatrix's error, on a Running VM
+// before it starts — and fails, with NewMatrix's error, on a Running VM
 // hosted on a PM that is not active, looked for while one holds VMs.
 func (ro *roster) running() (found bool, err error) {
 	for id := range ro.pms {
@@ -233,24 +244,6 @@ func (ro *roster) running() (found bool, err error) {
 		}
 	}
 	return found, nil
-}
-
-// columns returns a dense pass's VM axis — every Running VM, ID ascending —
-// gathered from the buckets. It is Context scratch, valid until the next
-// call.
-func (ctx *Context) columns() []*cluster.VM {
-	ro := ctx.roster
-	vms := ctx.vmBuf[:0]
-	for id := range ro.pms {
-		for _, e := range ro.bucket(int32(id)) {
-			if e.vm.State == cluster.VMRunning {
-				vms = append(vms, e.vm)
-			}
-		}
-	}
-	slices.SortFunc(vms, func(a, b *cluster.VM) int { return cmp.Compare(a.ID, b.ID) })
-	ctx.vmBuf = vms
-	return vms
 }
 
 // CheckColumns is the roster differential: it syncs the roster as a pass

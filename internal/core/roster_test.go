@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -10,8 +11,8 @@ import (
 
 // rosterSide is one of two identically built fleets a hazard script is
 // applied to: the live side takes its columns from the roster through
-// ConsolidateWith, the cold side collects them with MigratableVMs and
-// builds its engine by constructor, every pass.
+// ConsolidateWith, the cold side runs the cold dense reference
+// (denseConsolidate) over MigratableVMs, every pass.
 type rosterSide struct {
 	ctx *Context
 	vms map[cluster.VMID]*cluster.VM
@@ -138,17 +139,18 @@ var rosterHazards = []struct {
 	}},
 }
 
-// TestRosterHazards runs every hazard on both engines. After each step the
-// live side passes under SelfAudit (columns checked against a cold
-// collection before the build) and CheckColumns, and its moves must be the
-// cold side's.
+// TestRosterHazards runs every hazard on the paper's four and on the four
+// with a price term appended. After each step the live side passes under
+// SelfAudit (the roster checked against a cold rebuild, every round against
+// a cold dense build) and CheckColumns, and its moves must be the cold dense
+// reference's.
 func TestRosterHazards(t *testing.T) {
 	params := Params{MIGThreshold: 1.05, MIGRound: 2}
 	moves := 0
 	for _, list := range []struct {
 		name    string
 		factors []Factor
-	}{{"canonical", DefaultFactors()}, {"appended", append(DefaultFactors(), offsetFactor{})}} {
+	}{{"canonical", DefaultFactors()}, {"appended", append(DefaultFactors(), offsetPrices(16))}} {
 		for _, hz := range rosterHazards {
 			t.Run(list.name+"/"+hz.name, func(t *testing.T) {
 				live, cold := newRosterSide(t), newRosterSide(t)
@@ -162,18 +164,7 @@ func TestRosterHazards(t *testing.T) {
 					if err := live.ctx.CheckColumns(); err != nil {
 						t.Fatalf("after step %d: %v", step, err)
 					}
-					var want []Move
-					if vms := MigratableVMs(cold.ctx.DC); len(vms) > 0 {
-						m, err := NewMatrix(cold.ctx, list.factors, vms)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, err = m.Consolidate(params)
-						m.Release()
-						if err != nil {
-							t.Fatal(err)
-						}
-					}
+					want := denseConsolidate(t, cold.ctx, list.factors, params)
 					moves += len(got)
 					if len(got) != len(want) {
 						t.Fatalf("after step %d: roster pass made moves %+v, cold pass %+v", step, got, want)
@@ -269,24 +260,29 @@ func TestRosterCounters(t *testing.T) {
 	}
 }
 
-// TestFrameRejectsUnorderedColumns: columns handed over sorted (the
-// roster's) are taken as given, so the adjacent-ID scan is what stands
-// between a broken roster and a silently mis-ordered matrix.
+// TestFrameRejectsUnorderedColumns: NewMatrix orders a caller's columns by
+// ID — the same matrix from any order — and the adjacent-ID scan after the
+// sort rejects a VM listed twice.
 func TestFrameRejectsUnorderedColumns(t *testing.T) {
 	ctx, vms := tableIIState(t, 10, 20, 1)
-	if m, err := newMatrix(ctx, DefaultFactors(), vms, true); err != nil {
+	sorted, err := NewMatrix(ctx, DefaultFactors(), vms)
+	if err != nil {
 		t.Fatalf("ascending columns rejected: %v", err)
-	} else {
-		m.Release()
 	}
-	vms[3], vms[4] = vms[4], vms[3]
-	if _, err := newMatrix(ctx, DefaultFactors(), vms, true); err == nil {
-		t.Fatal("descending adjacent IDs accepted as given")
+	defer sorted.Release()
+	shuffled := slices.Clone(vms)
+	shuffled[3], shuffled[4] = shuffled[4], shuffled[3]
+	slices.Reverse(shuffled)
+	m, err := NewMatrix(ctx, DefaultFactors(), shuffled)
+	if err != nil {
+		t.Fatalf("a caller's unsorted list must be sorted, got %v", err)
 	}
-	if m, err := NewMatrix(ctx, DefaultFactors(), vms); err != nil {
-		t.Fatalf("a constructor caller's unsorted list must be sorted, got %v", err)
-	} else {
-		m.Release()
+	if err := m.Diff(sorted); err != nil {
+		t.Fatalf("unsorted columns built another matrix: %v", err)
+	}
+	m.Release()
+	if _, err := NewMatrix(ctx, DefaultFactors(), append(shuffled, vms[7])); err == nil {
+		t.Fatal("a VM listed twice accepted")
 	}
 }
 

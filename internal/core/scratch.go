@@ -2,15 +2,15 @@ package core
 
 import "repro/internal/cluster"
 
-// This file holds the Context's reusable scratch storage. The placement
-// paths run once per arrival and once per control period for the whole
-// simulation; rebuilding their backing slices from nothing each time made
-// allocation churn, not arithmetic, the steady-state cost. The pool
-// follows a checkout model so overlapping builds (the audit's differential
-// rebuilds, SelfAudit's cold rebuilds) stay correct: a build detaches the
-// scratch from the Context, a Release re-attaches it, and a build that
-// finds no scratch attached simply allocates a fresh one that is either
-// re-attached on its own Release or left to the GC.
+// This file holds the Context's reusable scratch storage for cold dense
+// builds: SelfAudit builds one per lazy round, the audit checks one per
+// control period, and rebuilding their backing slices from nothing each
+// time made allocation churn, not arithmetic, their cost. The pool follows
+// a checkout model so overlapping builds (a check's reference beside the
+// round's) stay correct: a build detaches the scratch from the Context, a
+// Release re-attaches it, and a build that finds no scratch attached simply
+// allocates a fresh one that is either re-attached on its own Release or
+// left to the GC.
 
 // matrixScratch is the reusable backing store for one dense Matrix — the
 // Matrix value itself included, which is why a matrix must not be used
@@ -26,14 +26,12 @@ type matrixScratch struct {
 	vir      []float64
 	trk      colTrackers
 
-	// The compiled program, the probability storage — pflat sliced into
+	// The compiled program and the probability storage — pflat sliced into
 	// row headers (prows) so Matrix.p keeps its [][]float64 shape without
-	// per-row allocations — and the rescan lists.
-	terms   []term
-	pflat   []float64
-	prows   [][]float64
-	pending []int
-	cols    []int
+	// per-row allocations.
+	terms []term
+	pflat []float64
+	prows [][]float64
 }
 
 // takeScratch detaches the Context's matrix scratch (allocating one on

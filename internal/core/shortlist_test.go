@@ -67,11 +67,8 @@ func TestShortlistMatchesSortThenTruncate(t *testing.T) {
 		}
 		sh := &candShape{groups: make([]candGroup, 1+rng.Intn(5))}
 		for gi := range sh.groups {
-			sh.groups[gi] = candGroup{
-				key:    candKey{ci: int32(rng.Intn(2))},
-				rel:    levels[1+rng.Intn(3)],
-				effVal: levels[rng.Intn(4)],
-			}
+			key := candKey{ci: int32(rng.Intn(2)), rel: math.Float64bits(levels[1+rng.Intn(3)]), price: math.Float64bits(1)}
+			sh.groups[gi] = newCandGroup(key, levels[rng.Intn(4)])
 		}
 		for id := 0; id < n; id++ { // each PM in at most one group, IDs ascending
 			if gi := rng.Intn(len(sh.groups) + 1); gi < len(sh.groups) {
@@ -116,8 +113,8 @@ const arrivalShortlistAllocCeiling = 1
 func TestArrivalShortlistAllocBudget(t *testing.T) {
 	ctx, _ := tableIIState(t, 200, 400, 7)
 	arrival := cluster.NewVM(cluster.VMID(1<<20), vector.New(2, 1), 5400, 5400, ctx.Now)
-	if out, ok := ArrivalShortlist(ctx, DefaultFactors(), arrival, 3); !ok || len(out) != 3 {
-		t.Fatalf("ArrivalShortlist = %v, %t", out, ok)
+	if out := ArrivalShortlist(ctx, DefaultFactors(), arrival, 3); len(out) != 3 {
+		t.Fatalf("ArrivalShortlist = %v", out)
 	}
 	avg := testing.AllocsPerRun(200, func() {
 		ArrivalShortlist(ctx, DefaultFactors(), arrival, 3)

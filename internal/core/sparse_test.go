@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -11,9 +13,8 @@ import (
 
 // TestSparseConsolidateMatchesDense proves Algorithm 1 emits an identical
 // move sequence (VM, endpoints, bit-identical gains, rounds) through the
-// lazy rounds over the candidate index (what ConsolidateWith runs for the
-// default factors) and a dense Matrix built by constructor, across several
-// fleet seeds.
+// lazy rounds over the candidate index (what ConsolidateWith runs) and the
+// cold dense reference, across several fleet seeds.
 func TestSparseConsolidateMatchesDense(t *testing.T) {
 	params := Params{MIGThreshold: 1.05, MIGRound: 50}
 	anyMoves := false
@@ -176,7 +177,7 @@ func pmID(pm *cluster.PM) any {
 // fleets and VM shapes the top-K shortlist is exactly the length-K prefix
 // of the dense ranking (so in particular it always contains the dense
 // argmax), and with K at least the feasible count it equals the full dense
-// ranking — including immediately after randomized Apply sequences.
+// ranking — including immediately after randomized move sequences.
 func TestSparseShortlistProperty(t *testing.T) {
 	factors := DefaultFactors()
 	for _, seed := range []int64{2, 9, 31} {
@@ -191,10 +192,7 @@ func TestSparseShortlistProperty(t *testing.T) {
 				probe := cluster.NewVM(id, demand, float64(600+rng.Intn(86400)), 0, ctx.Now)
 				ranked := RankPlacements(ctx, factors, probe)
 				for _, k := range []int{1, 4, 16, 0} {
-					got, ok := ArrivalShortlist(ctx, factors, probe, k)
-					if !ok {
-						t.Fatalf("%s: shortlist unavailable for the default factors", stage)
-					}
+					got := ArrivalShortlist(ctx, factors, probe, k)
 					want := ranked
 					if k > 0 && len(want) > k {
 						want = want[:k]
@@ -221,17 +219,18 @@ func TestSparseShortlistProperty(t *testing.T) {
 		}
 		checkShortlists("fresh")
 
-		// Mutate the fleet through a random Apply sequence on a dense
-		// matrix and hold the index to a cold dense build after every move
-		// (CheckProof: its structure and every column's group scan); the
-		// shortlists are then re-checked, so the index must have tracked
-		// every membership change.
-		m, err := NewMatrix(ctx, factors, vms)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// Mutate the fleet through a random move sequence — each a positive
+		// off-host cell of a cold build, moved through Migrate — and hold
+		// the index to a cold dense build after every move (CheckProof: its
+		// structure and every column's group scan); the shortlists are then
+		// re-checked, so the index must have tracked every membership
+		// change.
 		applied := 0
 		for step := 0; step < 25 && applied < 12; step++ {
+			m, err := NewMatrix(ctx, factors, vms)
+			if err != nil {
+				t.Fatal(err)
+			}
 			c := rng.Intn(m.Cols())
 			var rows []int
 			for r := 0; r < m.Rows(); r++ {
@@ -240,9 +239,12 @@ func TestSparseShortlistProperty(t *testing.T) {
 				}
 			}
 			if len(rows) == 0 {
+				m.Release()
 				continue
 			}
-			if err := m.Apply(rows[rng.Intn(len(rows))], c); err != nil {
+			vm, to := m.VM(c), m.PM(rows[rng.Intn(len(rows))])
+			m.Release()
+			if err := Migrate(vm, ctx.DC.PM(vm.Host), to); err != nil {
 				t.Fatal(err)
 			}
 			applied++
@@ -255,20 +257,20 @@ func TestSparseShortlistProperty(t *testing.T) {
 			}
 			ref.Release()
 		}
-		m.Release()
 		if applied < 5 {
-			t.Fatalf("only %d moves applied; post-Apply property barely exercised", applied)
+			t.Fatalf("only %d moves applied; post-move property barely exercised", applied)
 		}
 		checkShortlists("after-applies")
 	}
 }
 
-// TestSparseNonCanonicalFallback pins the one selector: the paper's four
-// factors in canonical order run on the candidate index and the lazy
-// rounds, every other list — an ablation, an appended factor, opaque user
-// factors, the same four reordered — on the dense Matrix with no index
-// built and no sweep attempted, and either way the moves equal a dense run
-// built by constructor on a twin fleet.
+// TestSparseNonCanonicalFallback pins what replaced the engine selector:
+// every list of the covered family — the paper's four, an ablation, the
+// four with a price term appended — runs on the candidate index and the
+// lazy rounds with no dense engine built, its arrival argmax, shortlist
+// and moves equal to the cold dense reference's on a twin fleet; any other
+// list — opaque user factors, the same four reordered — is refused by name
+// at each entry point.
 func TestSparseNonCanonicalFallback(t *testing.T) {
 	params := Params{MIGThreshold: 1.05, MIGRound: 50}
 	d := DefaultFactors()
@@ -279,23 +281,42 @@ func TestSparseNonCanonicalFallback(t *testing.T) {
 	cases := []struct {
 		name    string
 		factors []Factor
-		sparse  bool
+		refused string // the factor the refusal names; "" for a covered list
 	}{
-		{"canonical", d, true},
-		{"ablation-no-vir", []Factor{d[0], d[2], d[3]}, false},
-		{"default-plus-price", append(DefaultFactors(), price), false},
-		{"opaque", opaqueFactors(d), false},
-		{"reordered", []Factor{d[0], d[2], d[1], d[3]}, false},
+		{"canonical", d, ""},
+		{"ablation-no-vir", []Factor{d[0], d[2], d[3]}, ""},
+		{"default-plus-price", append(DefaultFactors(), price), ""},
+		{"opaque", opaqueFactors(d), "factor 1, res (core.opaque)"},
+		{"reordered", []Factor{d[0], d[2], d[1], d[3]}, "factor 3, vir, follows rel"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, _ := spreadState(t, 100, 260, 11)
 			twin, _ := spreadState(t, 100, 260, 11)
 			arrival := cluster.NewVM(9999, vector.New(1, 1), 5400, 0, ctx.Now)
+			if tc.refused != "" {
+				if _, err := ConsolidateWith(ctx, tc.factors, params, MatrixOptions{}); err == nil || !strings.Contains(err.Error(), tc.refused) {
+					t.Fatalf("ConsolidateWith: %v, want a refusal naming %q", err, tc.refused)
+				}
+				for name, call := range map[string]func(){
+					"BestPlacement":    func() { BestPlacement(ctx, tc.factors, arrival) },
+					"ArrivalShortlist": func() { ArrivalShortlist(ctx, tc.factors, arrival, 8) },
+				} {
+					if msg := panicText(call); !strings.Contains(msg, tc.refused) {
+						t.Errorf("%s: panic %q, want a refusal naming %q", name, msg, tc.refused)
+					}
+				}
+				return
+			}
 			if got, want := BestPlacement(ctx, tc.factors, arrival), genericBestPlacement(twin, tc.factors, arrival); pmID(got) != pmID(want) {
 				t.Fatalf("arrival argmax %v, Joint scan %v", pmID(got), pmID(want))
 			}
-			// CandidateK must not pull a non-canonical list onto the index.
+			ranked, got := RankPlacements(twin, tc.factors, arrival), ArrivalShortlist(ctx, tc.factors, arrival, 0)
+			for i := range max(len(got), len(ranked)) {
+				if i >= len(got) || i >= len(ranked) || got[i].PM.ID != ranked[i].PM.ID || got[i].Probability != ranked[i].Probability {
+					t.Fatalf("shortlist entry %d of %d, cell-by-cell ranking %d", i, len(got), len(ranked))
+				}
+			}
 			moves, err := ConsolidateWith(ctx, tc.factors, params, MatrixOptions{CandidateK: 64})
 			if err != nil {
 				t.Fatal(err)
@@ -304,23 +325,22 @@ func TestSparseNonCanonicalFallback(t *testing.T) {
 				t.Fatal("consolidation produced no moves; the state is too easy to prove anything")
 			}
 			assertMovesEqual(t, denseConsolidate(t, twin, tc.factors, params), moves)
-
-			// A canonical pass builds no engine and checks out no scratch;
-			// any other leaves the dense engine it built in the pool.
-			if scr := ctx.fscratch; (scr == nil) != tc.sparse || (scr != nil && scr.dense.ctx == nil) {
-				t.Fatalf("pooled scratch %v after the pass; want an engine exactly when the list is not canonical", scr)
-			}
-			if indexed := ctx.cand != nil; indexed != tc.sparse {
-				t.Fatalf("candidate index built = %t, want %t", indexed, tc.sparse)
-			}
-			// Only a canonical pass runs the lazy rounds (bound.go): their
-			// sweep leaves its survivor slice behind.
-			if swept := ctx.swept != nil; swept != tc.sparse {
-				t.Fatalf("lazy rounds ran = %t, want %t", swept, tc.sparse)
-			}
-			if _, ok := ArrivalShortlist(ctx, tc.factors, arrival, 8); ok != tc.sparse {
-				t.Fatalf("ArrivalShortlist coverage = %t, want %t", ok, tc.sparse)
+			// The pass built no engine and checked out no scratch; the
+			// lazy rounds' sweep left its survivor slice behind.
+			if ctx.fscratch != nil || ctx.cand == nil || ctx.swept == nil {
+				t.Fatalf("pooled scratch %v, index %t, swept %t after the pass; want none, true, true", ctx.fscratch, ctx.cand != nil, ctx.swept != nil)
 			}
 		})
 	}
+}
+
+// panicText runs fn and returns what it panicked with, "" when it did not.
+func panicText(fn func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	fn()
+	return ""
 }

@@ -335,7 +335,9 @@ func (*Random) SpareTarget(_ *core.Context, baseline int) int { return baseline 
 // matrix), and every placement-changing event triggers Algorithm 1.
 type Dynamic struct {
 	// Factors are the probability factors composing p_ij; nil selects
-	// core.DefaultFactors (res, vir, rel, eff).
+	// core.DefaultFactors (res, vir, rel, eff). A run takes only a list
+	// the candidate index evaluates (core.CheckFactors): sim.New refuses
+	// any other by name.
 	Factors []core.Factor
 
 	// Params are the MIG_threshold / MIG_round knobs.
@@ -409,13 +411,9 @@ func (d *Dynamic) Consolidate(ctx *core.Context) ([]core.Move, error) {
 }
 
 // Alternatives implements Policy: the arrival column's ranked joint
-// probabilities (the candidate index's shortlist when it covers the
-// factor list, the cell-by-cell ranking otherwise), truncated to k.
+// probabilities, the candidate index's shortlist truncated to k.
 func (d *Dynamic) Alternatives(ctx *core.Context, vm *cluster.VM, k int) []core.Placement {
-	if out, ok := core.ArrivalShortlist(ctx, d.factors(), vm, k); ok {
-		return out
-	}
-	return truncate(core.RankPlacements(ctx, d.factors(), vm), k)
+	return core.ArrivalShortlist(ctx, d.factors(), vm, k)
 }
 
 // SpareTarget implements Policy (baseline passthrough).

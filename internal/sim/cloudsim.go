@@ -121,6 +121,11 @@ func (c *Config) setDefaults() error {
 			return fmt.Errorf("sim: requests not sorted by submit time (index %d)", i)
 		}
 	}
+	if d, ok := policy.DynamicOf(c.Placer); ok {
+		if err := core.CheckFactors(d.FactorSet()); err != nil {
+			return fmt.Errorf("sim: scheme %s: %w", c.Placer.Name(), err)
+		}
+	}
 	return nil
 }
 
@@ -524,13 +529,11 @@ func (s *simulator) finish() (*Result, error) {
 }
 
 // setupAudit registers the invariant checks matching the run's
-// configuration. A dynamic scheme gets the dense-vs-oracle TrackerCheck
-// and the roster-vs-cold-rebuild RosterCheck, plus the sparse-vs-dense
-// SparseCheck when its factor list is the one the candidate index
-// evaluates. In Event mode the run Context's self-audit (newSimulator)
+// configuration. A dynamic scheme gets the dense-vs-oracle TrackerCheck,
+// the roster-vs-cold-rebuild RosterCheck and the lazy-rounds-vs-dense
+// SparseCheck. In Event mode the run Context's self-audit (newSimulator)
 // also verifies every consolidation pass's roster against a cold rebuild
-// and every round — lazy or on the dense Matrix — against a cold dense
-// rebuild.
+// and every lazy round against a cold dense build.
 func (s *simulator) setupAudit() {
 	if s.cfg.Audit == audit.Off {
 		return
@@ -548,9 +551,7 @@ func (s *simulator) setupAudit() {
 	if d, ok := policy.DynamicOf(s.cfg.Placer); ok {
 		s.aud.Register(audit.TrackerCheck(s.pctx, d.FactorSet()))
 		s.aud.Register(audit.RosterCheck(s.pctx))
-		if core.Canonical(d.FactorSet()) {
-			s.aud.Register(audit.SparseCheck(s.pctx, d.FactorSet(), func() float64 { return d.Params.MIGThreshold }))
-		}
+		s.aud.Register(audit.SparseCheck(s.pctx, d.FactorSet(), func() float64 { return d.Params.MIGThreshold }))
 	}
 	// The snapshot round-trip (save → restore into a topology clone →
 	// re-save → byte-compare + invariants) is period-granularity only:

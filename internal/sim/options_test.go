@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/policy"
 )
@@ -109,5 +111,50 @@ func TestCellConfigValidation(t *testing.T) {
 		if !tc.ok && err == nil {
 			t.Errorf("Cells=%d KernelWorkers=%d accepted (fleet is %d PMs)", tc.cells, tc.workers, smallFleet().Size())
 		}
+	}
+}
+
+// heldFactor is a user factor the candidate index does not evaluate.
+type heldFactor struct{}
+
+func (heldFactor) Name() string { return "held" }
+
+func (heldFactor) Probability(*core.Context, *cluster.VM, *cluster.PM, bool) float64 { return 1 }
+
+// TestNewRefusesUncoveredFactorLists: sim.New runs a dynamic scheme only
+// on a factor list the candidate index evaluates — an in-order subsequence
+// of (res, vir, rel, eff) that starts with res, then at most one price
+// term — and refuses every other shape with an error naming the offending
+// factor, never a panic; the covered lists next to them start. The scheme
+// is found under its wrappers (a Recorder here).
+func TestNewRefusesUncoveredFactorLists(t *testing.T) {
+	res, vir, rel, eff := core.ResourceFactor{}, core.VirtualizationFactor{}, core.ReliabilityFactor{}, core.EfficiencyFactor{}
+	price := core.NewPriceFactor([]string{"a"}, "a", core.FlatPrices(map[string]float64{"a": 1}))
+	for _, tc := range []struct {
+		name    string
+		factors []core.Factor
+		want    string // "" for a list New accepts
+	}{
+		{"the paper's four", core.DefaultFactors(), ""},
+		{"an ablation", []core.Factor{res, vir, eff}, ""},
+		{"a price term appended", []core.Factor{res, rel, eff, price}, ""},
+		{"an opaque factor", []core.Factor{res, vir, heldFactor{}, eff}, "factor 3, held (sim.heldFactor), is not one the candidate index evaluates"},
+		{"a permuted order", []core.Factor{res, rel, vir, eff}, "factor 3, vir, follows rel"},
+		{"no res", []core.Factor{vir, rel, eff}, "it starts with vir, not res"},
+		{"a factor after the price", []core.Factor{res, vir, price, rel}, "factor 4, rel, follows price"},
+		{"two price terms", []core.Factor{res, price, price}, "factor 3, price, follows price"},
+		{"a repeated factor", []core.Factor{res, vir, vir}, "factor 3, vir, follows vir"},
+		{"a nil factor", []core.Factor{res, nil}, "factor 2, nil (<nil>)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			placer := policy.NewRecorder(policy.NewDynamicVariant("variant", tc.factors, core.DefaultParams()), 0)
+			_, err := New(Config{DC: smallFleet(), Placer: placer, Requests: reqs(3, 1, 600)})
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("a covered list refused: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want) || !strings.HasPrefix(err.Error(), "sim: scheme variant: core: factor list")):
+				t.Fatalf("New: %v, want a refusal naming %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -61,21 +61,33 @@ func scaleWeek(t *testing.T) []workload.Request {
 	return workload.ToRequests(workload.Filter(parsed, workload.DefaultFilter()))
 }
 
+// scaleWeekPins is what TestScaleWeekDigest replays of the 300-PM week and
+// pins of it: the first requests of it (0: all), the FNV-64a digests of
+// the canonical run trace and decision log, and the first run's exact
+// column scans and algo1_rounds calls. A plain build replays the whole
+// week (scale_pins_test.go); the race detector's build, a prefix that
+// keeps the test within its budget there (scale_pins_race_test.go).
+type scaleWeekPins struct {
+	requests      int
+	run, dec      uint64
+	scans, rounds int64
+}
+
 // TestScaleWeekDigest pins the 300-PM week (`tracegen -jobs 13722`, then
 // `dvmpsim -swf … -nodes 300 -spare -decisions …`) by the FNV-64a digests
 // of its canonical run trace and decision log: the one tier-1 run at three
-// times the paper's fleet. The run is then checkpointed after a third of
-// its arrivals, while most are still unfired, and resumed once: the resumed
-// run must re-save the checkpoint's exact bytes right after Restore, and its
-// streams, written after a copy of the prefix's raw bytes, must complete
-// both digests. The first run's exact column scans and algo1_rounds calls
-// are pinned too.
+// times the paper's fleet (scalePins: under -race, a prefix of it). The run
+// is then checkpointed after a third of its arrivals, while most are still
+// unfired, and resumed once: the resumed run must re-save the checkpoint's
+// exact bytes right after Restore, and its streams, written after a copy of
+// the prefix's raw bytes, must complete both digests. The first run's exact
+// column scans and algo1_rounds calls are pinned too.
 func TestScaleWeekDigest(t *testing.T) {
-	const (
-		wantRun uint64 = 0x752f3ace090f9283
-		wantDec uint64 = 0x7f6e133883f9b7e5
-	)
+	wantRun, wantDec := scalePins.run, scalePins.dec
 	reqs := scaleWeek(t)
+	if n := scalePins.requests; n > 0 {
+		reqs = reqs[:n]
+	}
 	cfg := func(run, dec *bytes.Buffer) Config {
 		sc := spare.DefaultConfig()
 		o := obs.New()
@@ -127,16 +139,17 @@ func TestScaleWeekDigest(t *testing.T) {
 	t.Logf("%d requests, %d events, queued %.2f %%, checkpoint at arrival %d",
 		len(reqs), m.Dispatched(), 100*res.Summary.QueuedFraction, arrivedAt)
 	// The lazy rounds' work on this week, as found: a column's key carries
-	// its own largest p_vir, so 11,557 passes keep a column in their first
-	// sweep, and a round scans exactly only the columns whose key can beat
-	// its running best. Keys without p_vir read 450,726 scans and 14,193
-	// passes; any change to which columns a round keeps or scans moves
-	// these counts while the digests stay put.
-	if got := first.Obs.Counter("core.exact_column_scans").Value(); got != 25480 {
-		t.Errorf("core.exact_column_scans = %d, want 25480", got)
+	// its own largest p_vir, so on the whole week 11,557 passes keep a
+	// column in their first sweep, and a round scans exactly only the
+	// columns whose key can beat its running best (25,480 scans). Keys
+	// without p_vir read 450,726 scans and 14,193 passes; any change to
+	// which columns a round keeps or scans moves these counts while the
+	// digests stay put.
+	if got := first.Obs.Counter("core.exact_column_scans").Value(); got != scalePins.scans {
+		t.Errorf("core.exact_column_scans = %d, want %d", got, scalePins.scans)
 	}
-	if got := first.Obs.Phase("algo1_rounds").Calls(); got != 11557 {
-		t.Errorf("algo1_rounds calls = %d, want 11557", got)
+	if got := first.Obs.Phase("algo1_rounds").Calls(); got != scalePins.rounds {
+		t.Errorf("algo1_rounds calls = %d, want %d", got, scalePins.rounds)
 	}
 
 	run, dec = bytes.NewBuffer(bytes.Clone(runAt)), bytes.NewBuffer(bytes.Clone(decAt))
