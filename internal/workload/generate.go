@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -158,6 +159,12 @@ func (c GenConfig) Validate() error {
 
 // Generate produces a synthetic trace per cfg, sorted by submit time.
 // Job IDs are assigned sequentially in submission order starting at 1.
+//
+// Jobs are drawn day by day into a buffer in generation order, then
+// copied once, each to its final slot, in the order of the key (Submit,
+// generation index). No two jobs share that key, so any correct sort of
+// the keys gives the one order a stable sort on Submit gives (DESIGN.md
+// §3, "Trace order").
 func Generate(cfg GenConfig) ([]Job, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -168,7 +175,11 @@ func Generate(cfg GenConfig) ([]Job, error) {
 		scale = 1
 	}
 
-	var jobs []Job
+	total := 0
+	for _, n := range cfg.DailyJobs {
+		total += n
+	}
+	drawn := make([]Job, 0, total)
 	for day, n := range cfg.DailyJobs {
 		dayStart := float64(day) * 24 * 3600
 		for i := 0; i < n; i++ {
@@ -192,7 +203,7 @@ func Generate(cfg GenConfig) ([]Job, error) {
 				est = run * (1 + r.Float64()*cfg.EstimateNoise)
 			}
 
-			jobs = append(jobs, Job{
+			drawn = append(drawn, Job{
 				Submit:           submit,
 				RunTime:          math.Round(run),
 				EstimatedRunTime: math.Round(est),
@@ -202,11 +213,70 @@ func Generate(cfg GenConfig) ([]Job, error) {
 			})
 		}
 	}
-	SortBySubmit(jobs)
-	for i := range jobs {
+	// Each day's jobs are drawn after the previous day's, and a submit of
+	// day d lies in [d·86400, (d+1)·86400], so ordering the days one by
+	// one orders the trace.
+	keys := make([]submitKey, total)
+	count := make([]int, slices.Max(cfg.DailyJobs)+1)
+	first := 0
+	for day, n := range cfg.DailyJobs {
+		sortDay(keys[first:first+n], drawn[first:first+n], first, float64(day)*24*3600, count[:n+1])
+		first += n
+	}
+	jobs := make([]Job, total)
+	for i, k := range keys {
+		jobs[i] = drawn[k.drawn]
 		jobs[i].ID = i + 1
 	}
 	return jobs, nil
+}
+
+// sortDay writes the keys of one day's jobs, drawn[first:first+len(day)],
+// to out in key order. A counting pass spreads them over len(day) equal
+// slices of the day, in key order between slices, and an insertion sort
+// orders each slice. A day's submit density stays below twice its mean,
+// so a slice holds under two jobs on average and the whole sort is
+// O(len(day)). count has len(day)+1 entries.
+func sortDay(out []submitKey, day []Job, first int, dayStart float64, count []int) {
+	n := len(day)
+	if n == 0 {
+		return
+	}
+	perSecond := float64(n) / (24 * 3600)
+	slice := func(submit float64) int {
+		return min(int((submit-dayStart)*perSecond), n-1)
+	}
+	clear(count)
+	for _, j := range day {
+		count[slice(j.Submit)+1]++
+	}
+	for b := 1; b < n; b++ {
+		count[b] += count[b-1]
+	}
+	for i, j := range day {
+		b := slice(j.Submit)
+		out[count[b]] = submitKey{j.Submit, first + i}
+		count[b]++
+	}
+	for i := 1; i < n; i++ {
+		k := out[i]
+		j := i
+		for ; j > 0 && k.before(out[j-1]); j-- {
+			out[j] = out[j-1]
+		}
+		out[j] = k
+	}
+}
+
+// submitKey is one job's place in the trace: its Submit and its index in
+// generation order, which makes the key unique.
+type submitKey struct {
+	submit float64
+	drawn  int
+}
+
+func (a submitKey) before(b submitKey) bool {
+	return a.submit < b.submit || a.submit == b.submit && a.drawn < b.drawn
 }
 
 // MustGenerate is Generate that panics on configuration errors.

@@ -1,8 +1,12 @@
 package workload
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -230,6 +234,57 @@ func BenchmarkGenerateWeek(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Generate(cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGenerateWeek10x generates static-fleet-1k's trace: the default
+// week with every day's job count multiplied by ten (45,740 jobs).
+func BenchmarkGenerateWeek10x(b *testing.B) {
+	cfg := DefaultWeekConfig(1)
+	cfg.DailyJobs = append([]int(nil), cfg.DailyJobs...)
+	for i := range cfg.DailyJobs {
+		cfg.DailyJobs[i] *= 10
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestSortDayMatchesStableSort holds sortDay to a stable sort on Submit
+// over days whose submits tie, sit on both ends of the day, or crowd into
+// one slice of it.
+func TestSortDayMatchesStableSort(t *testing.T) {
+	const dayStart = 2 * 86400
+	r := stats.NewRand(1)
+	for _, tc := range []struct {
+		name string
+		draw func(i int) float64
+	}{
+		{"uniform", func(int) float64 { return dayStart + r.Float64()*86400 }},
+		{"all tied", func(int) float64 { return dayStart + 3600 }},
+		{"both ends", func(i int) float64 { return dayStart + float64(i%2)*86400 }},
+		{"one slice", func(int) float64 { return dayStart + float64(r.Intn(3)) }},
+		{"few values", func(int) float64 { return dayStart + float64(r.Intn(4))*21600 }},
+	} {
+		for _, n := range []int{0, 1, 2, 7, 500} {
+			day := make([]Job, n)
+			for i := range day {
+				day[i] = Job{Submit: tc.draw(i), RunTime: float64(i)}
+			}
+			const first = 40
+			want := slices.Clone(day)
+			slices.SortStableFunc(want, func(a, b Job) int { return cmp.Compare(a.Submit, b.Submit) })
+			out := make([]submitKey, n)
+			sortDay(out, day, first, dayStart, make([]int, n+1))
+			for i, k := range out {
+				if got := day[k.drawn-first]; got != want[i] || k.submit != got.Submit {
+					t.Fatalf("%s, %d jobs: slot %d holds job %d (%v), want %v", tc.name, n, i, k.drawn-first, got, want[i])
+				}
+			}
 		}
 	}
 }
