@@ -399,10 +399,16 @@ func (ctx *Context) index(factors []Factor) *candIndex {
 }
 
 // use points the Context's index and roster at factors' form, or fails
-// naming the factor outside the covered family. A run evaluates one list;
-// a Context handed another drops its index, roster and price terms, which
-// the next evaluation rebuilds cold for the new list.
+// naming the factor outside the covered family. A run evaluates one list,
+// the same slice on every arrival and pass, so its form is read once: the
+// list it was read from is kept, and handing that list again reads
+// nothing. A Context handed another list reads that one's form, and one
+// of another form drops its index, roster and price terms, which the next
+// evaluation rebuilds cold for the new list.
 func (ctx *Context) use(factors []Factor) error {
+	if n := len(factors); n > 0 && n == len(ctx.factors) && &factors[0] == &ctx.factors[0] {
+		return nil
+	}
 	f, err := formOf(factors)
 	if err != nil {
 		return err
@@ -410,6 +416,7 @@ func (ctx *Context) use(factors []Factor) error {
 	if f != ctx.form {
 		ctx.form, ctx.cand, ctx.roster, ctx.prices = f, nil, nil, nil
 	}
+	ctx.factors = factors
 	return nil
 }
 

@@ -61,9 +61,11 @@ type Context struct {
 	SelfAudit bool
 
 	// form is the factor list the index and the roster evaluate (kernel.go),
-	// set by the entry points (use); prices is each PM's price term under a
-	// form with one, read at the clock pricedAt (syncPrices).
+	// set by the entry points (use) and read from the list factors; prices
+	// is each PM's price term under a form with one, read at the clock
+	// pricedAt (syncPrices).
 	form     form
+	factors  []Factor
 	prices   []float64
 	pricedAt float64
 

@@ -77,10 +77,10 @@ type form struct {
 }
 
 // formOf reads factors as a form, or fails naming the factor that puts the
-// list outside the covered family (uncovered). It runs on every arrival and
-// every pass, so it matches the family's slots in order, one type
-// assertion each — the slots are distinct and ordered, so the greedy match
-// is the only one — and builds the error apart.
+// list outside the covered family (uncovered). It matches the family's
+// slots in order, one type assertion each — the slots are distinct and
+// ordered, so the greedy match is the only one — and builds the error
+// apart. A Context reads a run's list once (use).
 func formOf(factors []Factor) (form, error) {
 	f, n, i := form{noVir: true, noRel: true, noEff: true}, len(factors), 0
 	if i < n {

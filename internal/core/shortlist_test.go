@@ -107,17 +107,19 @@ func TestShortlistOnFleet(t *testing.T) {
 }
 
 // arrivalShortlistAllocCeiling is ArrivalShortlist's budget at k = 3 on a
-// warm Context: the result slice the bounded top-k returns, nothing else.
+// warm Context handed its run's list: the result slice the bounded top-k
+// returns, nothing else.
 const arrivalShortlistAllocCeiling = 1
 
 func TestArrivalShortlistAllocBudget(t *testing.T) {
 	ctx, _ := tableIIState(t, 200, 400, 7)
 	arrival := cluster.NewVM(cluster.VMID(1<<20), vector.New(2, 1), 5400, 5400, ctx.Now)
-	if out := ArrivalShortlist(ctx, DefaultFactors(), arrival, 3); len(out) != 3 {
+	factors := DefaultFactors()
+	if out := ArrivalShortlist(ctx, factors, arrival, 3); len(out) != 3 {
 		t.Fatalf("ArrivalShortlist = %v", out)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		ArrivalShortlist(ctx, DefaultFactors(), arrival, 3)
+		ArrivalShortlist(ctx, factors, arrival, 3)
 	})
 	if avg > arrivalShortlistAllocCeiling {
 		t.Errorf("ArrivalShortlist allocates %.1f times at k = 3, budget %d", avg, arrivalShortlistAllocCeiling)

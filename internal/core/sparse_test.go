@@ -344,3 +344,38 @@ func panicText(fn func()) (msg string) {
 	fn()
 	return ""
 }
+
+// TestUseReadsAListOnce: a Context reads a list's form the first time it
+// is handed the list and not again, keeps its index for another list of
+// the same form, and drops it for a list of another form.
+func TestUseReadsAListOnce(t *testing.T) {
+	ctx, _ := spreadState(t, 100, 260, 11)
+	arrival := cluster.NewVM(9999, vector.New(1, 1), 5400, 0, ctx.Now)
+	list := DefaultFactors()
+	BestPlacement(ctx, list, arrival)
+	x := ctx.cand
+	if x == nil || ctx.form != (form{}) {
+		t.Fatalf("after the first arrival: index %t, form %+v; want an index on the paper's four", x != nil, ctx.form)
+	}
+	// A run never edits its list; doing so here shows the form is not
+	// read again from the same slice.
+	list[1] = list[0]
+	BestPlacement(ctx, list, arrival)
+	if ctx.cand != x || ctx.form != (form{}) {
+		t.Fatalf("the same list again: index kept %t, form %+v; want the form as first read", ctx.cand == x, ctx.form)
+	}
+	BestPlacement(ctx, DefaultFactors(), arrival)
+	if ctx.cand != x {
+		t.Fatal("another list of the same form dropped the index")
+	}
+	d := DefaultFactors()
+	BestPlacement(ctx, []Factor{d[0], d[2], d[3]}, arrival)
+	if ctx.cand == x || !ctx.form.noVir {
+		t.Fatalf("a list without vir: index kept %t, form %+v; want it rebuilt cold for the new form", ctx.cand == x, ctx.form)
+	}
+	list[1] = d[1]
+	BestPlacement(ctx, list, arrival)
+	if ctx.form.noVir {
+		t.Fatal("the first list handed back after another: form still the other list's")
+	}
+}
