@@ -110,6 +110,7 @@ func TestStaticFleetEnergyDigest(t *testing.T) {
 		{"best-fit", 7},
 	} {
 		t.Run(fmt.Sprintf("%s/seed%d", tc.scheme, tc.seed), func(t *testing.T) {
+			t.Parallel()
 			m, err := New(staticFleetConfig(t, tc.scheme, tc.seed))
 			if err != nil {
 				t.Fatal(err)

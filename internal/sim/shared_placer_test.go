@@ -40,9 +40,11 @@ func recordedCfg(placer policy.Policy, reqs []workload.Request, run, dec *bytes.
 // TestRunLeavesDynamicUntouched: a run's settings — the self-audit, the
 // observer, the Recorder's alternatives — live on the run, so a Dynamic a
 // run drives stays deep-equal to a fresh NewDynamic, after a whole run and
-// after a run resumed from a mid-run checkpoint.
+// after a run resumed from a mid-run checkpoint. The whole run's second
+// half and the resumed run go at once, each driving its own Dynamic.
 func TestRunLeavesDynamicUntouched(t *testing.T) {
-	reqs := weekPrefix(1, 200)
+	t.Parallel()
+	reqs := weekPrefix(1, untouchedRequests)
 	cfg := func(d *policy.Dynamic) Config {
 		c := recordedCfg(d, reqs, new(bytes.Buffer), new(bytes.Buffer))
 		c.Audit = audit.Event
@@ -62,22 +64,48 @@ func TestRunLeavesDynamicUntouched(t *testing.T) {
 	if err := m.Save(&ckpt); err != nil {
 		t.Fatal(err)
 	}
-	res := runToEnd(t, m)
+	resumedD := policy.NewDynamic()
+	resumed, err := Restore(cfg(resumedD), &ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var (
+		wg         sync.WaitGroup
+		res, resB  *Result
+		errA, errB error
+	)
+	wg.Add(2)
+	go func() { defer wg.Done(); res, errA = finishRun(m) }()
+	go func() { defer wg.Done(); resB, errB = finishRun(resumed) }()
+	wg.Wait()
+	if errA != nil || errB != nil {
+		t.Fatalf("whole run: %v; resumed run: %v", errA, errB)
+	}
 	if len(res.Moves) == 0 || res.AuditChecks == 0 {
 		t.Fatalf("%d moves, %d audit checks: the run exercised nothing", len(res.Moves), res.AuditChecks)
 	}
 	if fresh := policy.NewDynamic(); !reflect.DeepEqual(d, fresh) {
 		t.Errorf("after a run the Dynamic is %+v, a fresh one %+v", *d, *fresh)
 	}
-
-	d = policy.NewDynamic()
-	m, err = Restore(cfg(d), &ckpt)
-	if err != nil {
-		t.Fatal(err)
+	assertSameOutcome(t, res, resB)
+	if fresh := policy.NewDynamic(); !reflect.DeepEqual(resumedD, fresh) {
+		t.Errorf("after a resumed run the Dynamic is %+v, a fresh one %+v", *resumedD, *fresh)
 	}
-	assertSameOutcome(t, res, runToEnd(t, m))
-	if fresh := policy.NewDynamic(); !reflect.DeepEqual(d, fresh) {
-		t.Errorf("after a resumed run the Dynamic is %+v, a fresh one %+v", *d, *fresh)
+}
+
+// finishRun steps m to the end of its run and finishes it, returning the
+// first error rather than failing a test, so it can run off the test's
+// goroutine.
+func finishRun(m *Sim) (*Result, error) {
+	for {
+		ok, err := m.Step()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return m.Finish()
+		}
 	}
 }
 
