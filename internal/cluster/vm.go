@@ -93,10 +93,20 @@ type VM struct {
 	Migrations int
 }
 
-// NewVM returns a queued VM request. It panics if the demand vector is
-// invalid or the runtimes are negative; requests come from the workload
-// layer which validates trace input, so malformed values here are bugs.
+// NewVM returns a queued VM request holding a copy of demand. It panics
+// where Init does.
 func NewVM(id VMID, demand vector.V, estimatedRuntime, actualRuntime, submitTime float64) *VM {
+	v := new(VM)
+	v.Init(id, demand.Clone(), estimatedRuntime, actualRuntime, submitTime)
+	return v
+}
+
+// Init makes v a queued VM request whose Demand is demand itself, not a
+// copy, so a caller can build VMs in storage it owns. It panics if the
+// demand vector is invalid or the runtimes are negative; requests come from
+// the workload layer which validates trace input, so malformed values here
+// are bugs.
+func (v *VM) Init(id VMID, demand vector.V, estimatedRuntime, actualRuntime, submitTime float64) {
 	if err := demand.Validate(); err != nil {
 		panic(fmt.Sprintf("cluster: VM %d demand: %v", id, err))
 	}
@@ -104,9 +114,9 @@ func NewVM(id VMID, demand vector.V, estimatedRuntime, actualRuntime, submitTime
 		panic(fmt.Sprintf("cluster: VM %d has negative time (est=%g act=%g submit=%g)",
 			id, estimatedRuntime, actualRuntime, submitTime))
 	}
-	return &VM{
+	*v = VM{
 		ID:               id,
-		Demand:           demand.Clone(),
+		Demand:           demand,
 		EstimatedRuntime: estimatedRuntime,
 		ActualRuntime:    actualRuntime,
 		SubmitTime:       submitTime,

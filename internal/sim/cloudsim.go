@@ -271,9 +271,10 @@ type simulator struct {
 	ctrl  *spare.Controller
 	inj   *failure.Injector
 
-	// vms holds each live (placed or queued) VM at index ID-1; VM IDs
-	// are request positions plus one.
-	vms []*cluster.VM
+	// vmChunks finds each live (placed or queued) VM by ID in the chunk
+	// it was built in (vmchunk.go); VM IDs are request positions plus one.
+	vmChunks []*vmChunk
+	demands  []float64 // the unused rest of the VMs' current demand block
 
 	// queue holds requests waiting for capacity, FIFO.
 	queue []*cluster.VM
@@ -353,6 +354,10 @@ type simulator struct {
 	// records emitted after a resume continue the original numbering, so
 	// concatenated decision logs replay seamlessly.
 	decisionSeq0 uint64
+
+	// classDigest and workloadDigest are the checkpoint's fingerprints of
+	// the fleet and the requests, taken once, by meta.
+	classDigest, workloadDigest string
 }
 
 func (s *simulator) ctx() *core.Context {
@@ -395,7 +400,7 @@ func (s *simulator) emit(event string, fields ...obs.KV) {
 func (s *simulator) initRun() {
 	s.meter = power.NewMeter(s.dc, meterBin)
 	s.qfeed = s.dc.Subscribe()
-	s.vms = make([]*cluster.VM, len(s.cfg.Requests))
+	s.vmChunks = make([]*vmChunk, (len(s.cfg.Requests)+vmChunkSize-1)/vmChunkSize)
 	s.bootReadyAt = make(map[cluster.PMID]float64)
 	s.failEvent = make(map[cluster.PMID]Event)
 	s.lifeEvent = make(map[cluster.VMID]Event)
@@ -603,14 +608,6 @@ func (s *simulator) fire(tag Tag) {
 	}
 }
 
-// vm returns the live VM with the given ID, or nil when there is none.
-func (s *simulator) vm(id int64) *cluster.VM {
-	if id < 1 || id > int64(len(s.vms)) {
-		return nil
-	}
-	return s.vms[id-1]
-}
-
 func (s *simulator) onArrival(id cluster.VMID) {
 	s.queueArrival(int(id) + 1)
 	req := &s.cfg.Requests[id-1]
@@ -620,8 +617,7 @@ func (s *simulator) onArrival(id cluster.VMID) {
 	if s.ctrl != nil {
 		s.ctrl.RecordArrival(now)
 	}
-	vm := cluster.NewVM(id, vector.V{req.CPUCores, req.MemoryGB}, req.EstimatedRunTime, req.RunTime, now)
-	s.vms[id-1] = vm
+	vm := s.newVM(id, vector.V{req.CPUCores, req.MemoryGB}, req.EstimatedRunTime, req.RunTime, now)
 	s.cArrivals.Inc()
 	if s.tracing {
 		s.emit("arrival", obs.I("vm", int64(vm.ID)),
@@ -690,7 +686,7 @@ func (s *simulator) enqueue(vm *cluster.VM) {
 		}
 	}
 	if !feasibleSomewhere {
-		s.vms[vm.ID-1] = nil
+		s.dropVM(vm.ID)
 		s.res.Summary.Rejected++
 		s.cfg.Obs.Add("sim.rejected", 1)
 		if s.tracing {
@@ -831,7 +827,7 @@ func (s *simulator) onDeparture(vm *cluster.VM) {
 	}
 	vm.State = cluster.VMFinished
 	vm.FinishTime = now
-	s.vms[vm.ID-1] = nil
+	s.dropVM(vm.ID)
 	delete(s.lifeEvent, vm.ID)
 	s.res.Summary.VMsCompleted++
 	if s.ctrl != nil {

@@ -399,11 +399,11 @@ func TestLiveVMTable(t *testing.T) {
 			want = append(want, pm.VMs()...)
 		}
 		live := 0
-		for i, vm := range s.vms {
-			if vm != nil {
+		for id := range s.cfg.Requests {
+			if vm := s.vm(int64(id + 1)); vm != nil {
 				live++
-				if vm.ID != cluster.VMID(i+1) {
-					t.Fatalf("t=%g: VM %d at index %d", m.Now(), vm.ID, i)
+				if vm.ID != cluster.VMID(id+1) {
+					t.Fatalf("t=%g: VM %d at ID %d", m.Now(), vm.ID, id+1)
 				}
 			}
 		}

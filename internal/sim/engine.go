@@ -4,13 +4,13 @@
 // The engine is an indexed 4-ary min-heap on (at, seq): events carry a
 // timestamp and a Tag (or, through Schedule, a callback), and Run
 // dispatches them in time order with FIFO tie-breaking (sequence
-// numbers), so runs are deterministic. Schedule, Cancel and extraction
-// are O(log n); records are recycled through a slab-backed freelist (the
-// steady-state loop allocates nothing), and Cancel removes the event at
-// once, so Pending() is an exact live count. The cloud simulation
-// (cloudsim.go) queues only tags, dispatched by its one switch,
-// simulator.fire; its arrivals chain, each queuing the next, so the heap
-// holds O(live VMs + PMs) events.
+// numbers), so runs are deterministic. Slots hold no pointer; records are
+// recycled through a slab-backed freelist (the steady-state loop allocates
+// nothing). Step leaves the root open for the handler's first schedule, so
+// an event that queues its successor costs one sift; Cancel is O(log n)
+// and exact. The cloud simulation (cloudsim.go) queues only tags,
+// dispatched by its one switch, simulator.fire; its arrivals chain, each
+// queuing the next, so the heap holds O(live VMs + PMs) events.
 package sim
 
 import (
@@ -18,27 +18,28 @@ import (
 	"math"
 )
 
-// slabSize is how many event records one freelist refill allocates.
-const slabSize = 256
+// slabSize is how many event records one freelist refill allocates: 255
+// 48-byte records and the malloc header fit the 12,288-byte size class.
+const slabSize = 255
 
 // record is one scheduled event, recycled through the engine's freelist.
 // An Event handle carries the (record, seq) pair, so a stale handle can
 // never act on a recycled record.
 type record struct {
-	seq  uint64 // engine-unique; 0 marks a free or fired record
-	pos  int    // index of the record's slot in Engine.heap while queued
-	fire func() // nil for a tagged event, which fires through Engine.handle
-	tag  Tag    // zero Kind = untagged
-
-	next  *record // freelist link
+	seq   uint64 // engine-unique; 0 marks a free or fired record
+	fire  func() // nil for a tagged event, which fires through Engine.handle
+	tag   Tag    // zero Kind = untagged
+	idx   int32  // the record's index in Engine.slabs and Engine.pos
+	next  int32  // freelist link: the next free record's idx+1, 0 at the end
 	owner *Engine
 }
 
-// slot is one heap entry; the key sits in the array, so sifts compare in it.
+// slot is one heap entry; the key sits in the array, so sifts compare in
+// it, and the record is named by index, so the array holds no pointer.
 type slot struct {
 	at  float64
 	seq uint64
-	rec *record
+	idx int32
 }
 
 // before is the dispatch order: time, then sequence number.
@@ -64,7 +65,8 @@ func (ev Event) Cancel() bool {
 		return false
 	}
 	e := rec.owner
-	e.remove(rec.pos)
+	e.settle()
+	e.remove(int(e.pos[rec.idx]))
 	e.recycle(rec)
 	return true
 }
@@ -76,8 +78,11 @@ type Engine struct {
 	seq        uint64
 	dispatched uint64
 
-	heap []slot
-	free *record
+	heap  []slot
+	open  bool // heap[0] is a fired event's, for the next schedule to fill
+	slabs []*[slabSize]record
+	pos   []int32 // pos[idx] is record idx's heap slot while it is queued
+	free  int32   // the first free record's idx+1, 0 when none is free
 
 	// handle fires every tagged event; newSimulator installs the simulator's.
 	handle func(Tag)
@@ -90,7 +95,12 @@ func (e *Engine) Now() float64 { return e.now }
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
 // Pending returns the exact number of events queued.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int {
+	if e.open {
+		return len(e.heap) - 1
+	}
+	return len(e.heap)
+}
 
 // Schedule queues fire to run at absolute time at. Scheduling in the past
 // panics: a DES that silently reorders time produces wrong results.
@@ -140,11 +150,17 @@ func (e *Engine) schedule(at float64, seq uint64, tag Tag, fire func()) Event {
 		panic(fmt.Sprintf("sim: scheduling event at invalid time %g", at))
 	}
 	rec := e.alloc()
-	rec.seq = seq
-	rec.fire = fire
-	rec.tag = tag
-	e.heap = append(e.heap, slot{at: at, seq: seq, rec: rec})
-	e.up(len(e.heap) - 1)
+	rec.seq, rec.tag = seq, tag
+	if fire != nil { // a recycled record's fire is nil; a tag writes no pointer
+		rec.fire = fire
+	}
+	if s := (slot{at: at, seq: seq, idx: rec.idx}); e.open {
+		e.open, e.heap[0] = false, s
+		e.down(0)
+	} else {
+		e.heap = append(e.heap, s)
+		e.up(len(e.heap) - 1)
+	}
 	return Event{rec: rec, seq: seq}
 }
 
@@ -154,15 +170,16 @@ func (e *Engine) ScheduleAfter(d float64, fire func()) Event {
 }
 
 // Step fires the next event. It returns false when the queue is empty.
+// Its slot stays at the root, open, until a schedule fills it or settle.
 func (e *Engine) Step() bool {
+	e.settle()
 	if len(e.heap) == 0 {
 		return false
 	}
 	top := e.heap[0]
-	e.remove(0)
-	e.now = top.at
+	e.open, e.now = true, top.at
 	e.dispatched++
-	rec := top.rec
+	rec := e.record(top.idx)
 	fire, tag := rec.fire, rec.tag
 	// Recycle before firing: a Cancel of this event from its own handler
 	// is a no-op, and nested Schedules may reuse the record.
@@ -178,6 +195,7 @@ func (e *Engine) Step() bool {
 // PeekNextEventTime returns the next event's (at, seq) key; ok is false
 // when the queue is empty.
 func (e *Engine) PeekNextEventTime() (at float64, seq uint64, ok bool) {
+	e.settle()
 	if len(e.heap) == 0 {
 		return 0, 0, false
 	}
@@ -190,39 +208,50 @@ func (e *Engine) Run() {
 	}
 }
 
-// alloc takes a record from the freelist, refilling it a slab at a time.
+// record returns the record at index idx.
+func (e *Engine) record(idx int32) *record {
+	return &e.slabs[idx/slabSize][idx%slabSize]
+}
+
+// alloc takes a record from the freelist, refilling it a slab at a time;
+// the position index grows with the slabs.
 func (e *Engine) alloc() *record {
-	if e.free == nil {
-		slab := make([]record, slabSize)
+	if e.free == 0 {
+		slab, base := new([slabSize]record), int32(len(e.slabs))*slabSize
 		for i := range slab {
-			slab[i].owner = e
-			slab[i].next = e.free
-			e.free = &slab[i]
+			slab[i] = record{idx: base + int32(i), next: e.free, owner: e}
+			e.free = base + int32(i) + 1
 		}
+		e.slabs = append(e.slabs, slab)
+		e.pos = append(e.pos, make([]int32, slabSize)...)
 	}
-	rec := e.free
+	rec := e.record(e.free - 1)
 	e.free = rec.next
-	rec.next = nil
 	return rec
 }
 
 // recycle returns a record to the freelist, invalidating its handles.
 func (e *Engine) recycle(rec *record) {
-	rec.seq = 0
-	rec.fire = nil
-	rec.tag = Tag{}
-	rec.next = e.free
-	e.free = rec
+	if rec.fire != nil {
+		rec.fire = nil
+	}
+	rec.seq, rec.tag, rec.next = 0, Tag{}, e.free
+	e.free = rec.idx + 1
+}
+
+// settle closes an open root: the last slot fills it and sifts down.
+func (e *Engine) settle() {
+	if e.open {
+		e.open = false
+		e.remove(0)
+	}
 }
 
 // remove takes the slot at i out of the heap: the last slot fills the
 // hole and sifts whichever way restores the order.
 func (e *Engine) remove(i int) {
 	last := len(e.heap) - 1
-	if i != last {
-		e.heap[i] = e.heap[last]
-	}
-	e.heap[last] = slot{}
+	e.heap[i] = e.heap[last]
 	e.heap = e.heap[:last]
 	if i < last && !e.down(i) {
 		e.up(i)
@@ -231,19 +260,18 @@ func (e *Engine) remove(i int) {
 
 // up moves the slot at i rootward past every parent it precedes.
 func (e *Engine) up(i int) {
-	h := e.heap
-	s := h[i]
+	h, s := e.heap, e.heap[i]
 	for i > 0 {
 		p := (i - 1) / 4
 		if !s.before(h[p]) {
 			break
 		}
 		h[i] = h[p]
-		h[i].rec.pos = i
+		e.pos[h[i].idx] = int32(i)
 		i = p
 	}
 	h[i] = s
-	s.rec.pos = i
+	e.pos[s.idx] = int32(i)
 }
 
 // down moves the slot at i below every child that precedes it, reporting
@@ -251,11 +279,7 @@ func (e *Engine) up(i int) {
 func (e *Engine) down(i int) bool {
 	h := e.heap
 	s, start := h[i], i
-	for {
-		c := 4*i + 1
-		if c >= len(h) {
-			break
-		}
+	for c := 4*i + 1; c < len(h); c = 4*i + 1 {
 		m := c
 		for j := c + 1; j < min(c+4, len(h)); j++ {
 			if h[j].before(h[m]) {
@@ -266,26 +290,26 @@ func (e *Engine) down(i int) bool {
 			break
 		}
 		h[i] = h[m]
-		h[i].rec.pos = i
+		e.pos[h[i].idx] = int32(i)
 		i = m
 	}
 	h[i] = s
-	s.rec.pos = i
+	e.pos[s.idx] = int32(i)
 	return i > start
 }
 
-// VerifyQueue checks the heap: each slot's record live, this engine's,
-// indexed at the slot and of the slot's seq; no slot before its parent or
-// the clock. internal/audit runs it as the per-event "queue" check.
+// VerifyQueue settles the root and checks the heap: each slot's record
+// live, indexed at the slot and of the slot's seq; no slot before its
+// parent or the clock. internal/audit runs it as the per-event "queue"
+// check.
 func (e *Engine) VerifyQueue() error {
+	e.settle()
 	for i, s := range e.heap {
-		switch rec := s.rec; {
-		case rec == nil || rec.seq == 0:
+		switch rec := e.record(s.idx); {
+		case rec.seq == 0:
 			return fmt.Errorf("sim: heap slot %d holds a recycled record", i)
-		case rec.owner != e:
-			return fmt.Errorf("sim: heap slot %d holds a record owned by another engine", i)
-		case rec.pos != i:
-			return fmt.Errorf("sim: heap slot %d holds a record indexed at %d", i, rec.pos)
+		case e.pos[s.idx] != int32(i):
+			return fmt.Errorf("sim: heap slot %d holds a record indexed at %d", i, e.pos[s.idx])
 		case rec.seq != s.seq:
 			return fmt.Errorf("sim: heap slot %d has seq %d, its record %d", i, s.seq, rec.seq)
 		case i > 0 && s.before(e.heap[(i-1)/4]):

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/policy"
 )
 
 // eventLoopAllocCeiling is the asserted allocation budget for the
@@ -169,4 +172,31 @@ func TestEngineMillionEventSmoke(t *testing.T) {
 	if err := e.VerifyQueue(); err != nil {
 		t.Fatalf("VerifyQueue after drain: %v", err)
 	}
+}
+
+// TestFirstFitRunAllocBudget: a run allocates per chunk of requests, not
+// per request or event. static-fleet-1k's first input (1,000 Table II PMs,
+// the seed-1 week at 10x, first-fit, no spares) makes at most one heap
+// object per 64 requests from sim.New to Finish: VMs come from chunks of
+// vmChunkSize and their demands from blocks, event records from slabs,
+// and an event allocates nothing. The run is the whole week because a
+// run's fixed cost, about 200 objects (its maps, feeds and series growing
+// to size), exceeds the budget of a day's 10,280 requests.
+func TestFirstFitRunAllocBudget(t *testing.T) {
+	reqs := tenfold(t, 7)
+	dc := cluster.TableIIFleetScaled(1000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := New(Config{DC: dc, Placer: policy.FirstFit{}, Requests: reqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := runToEnd(t, m)
+	runtime.ReadMemStats(&after)
+	allocs, budget := after.Mallocs-before.Mallocs, uint64(len(reqs)/64)
+	if allocs > budget {
+		t.Errorf("%d requests, %d events: %d allocations, budget %d", len(reqs), m.Dispatched(), allocs, budget)
+	}
+	t.Logf("%d requests, %d events, %d completed: %d allocations (budget %d)",
+		len(reqs), m.Dispatched(), res.Summary.VMsCompleted, allocs, budget)
 }

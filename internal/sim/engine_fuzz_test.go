@@ -8,10 +8,13 @@ import (
 
 // schedPair drives the engine and a sorted-slice model of it through
 // identical byte-encoded operation sequences — schedules, cancels, steps,
-// bounded advances, nested schedules from inside callbacks — and requires
-// the dispatch sequences to be identical. The model is the specification:
-// the pending events kept sorted by (time, seq), each schedule drawing the
-// next sequence number, each step taking the head.
+// bounded advances, and from inside callbacks (while the fired event's
+// root is open) reads, cancels and one or two nested schedules — and
+// requires the dispatch sequences to be identical. The model is the
+// specification: the pending events kept sorted by (time, seq), each
+// schedule drawing the next sequence number, each step taking the head.
+// Every engine step pops the model's head first, so a callback's
+// operations apply to both at the same point.
 type schedPair struct {
 	t   *testing.T
 	eng Engine
@@ -26,7 +29,21 @@ type schedPair struct {
 	mseqs   []uint64 // the model's seq for each top-level tag
 	nextTag int
 	ops     int
+	cases   [callbackCases]int // how often each callback operation ran
 }
+
+// The callback operations a top-level event's tag selects, counted in
+// schedPair.cases: a child that fills the open root, two children (one
+// fills the root, one appends), a peek that settles the root before a
+// child, and a cancel of a live top-level event; every callback checks
+// Pending against the model first.
+const (
+	cbFill = iota
+	cbAppend
+	cbPeek
+	cbCancel
+	callbackCases
+)
 
 // modelEvent is one pending event of the model.
 type modelEvent struct {
@@ -42,14 +59,69 @@ const childBase = 1 << 20
 func (p *schedPair) schedule(at float64) {
 	tag := p.nextTag
 	p.nextTag++
-	p.handles = append(p.handles, p.eng.Schedule(at, func() {
-		p.elog = append(p.elog, tag)
-		if tag%5 == 0 {
-			ct := childBase + tag
-			p.eng.ScheduleAfter(1.5, func() { p.elog = append(p.elog, ct) })
-		}
-	}))
+	p.handles = append(p.handles, p.eng.Schedule(at, func() { p.fired(tag) }))
 	p.mseqs = append(p.mseqs, p.modelSchedule(at, tag))
+}
+
+// fired is a top-level event's callback. The model has already popped its
+// head, so while the engine's root is open Pending must match the model;
+// then tag%8 picks the operations, each applied to the engine and the
+// model alike.
+func (p *schedPair) fired(tag int) {
+	p.elog = append(p.elog, tag)
+	if got := p.eng.Pending(); got != len(p.model) {
+		p.t.Fatalf("Pending inside event %d: engine=%d model=%d", tag, got, len(p.model))
+	}
+	switch tag % 8 {
+	case 0, 5:
+		p.child(1.5, childBase+tag)
+	case 1:
+		p.child(0.5, childBase+tag)
+		p.child(2.5, 2*childBase+tag)
+	case 2:
+		p.cases[cbPeek]++
+		p.checkPeek()
+		p.child(1.5, childBase+tag)
+	case 3:
+		p.cancelLive(tag)
+	}
+}
+
+// child schedules a childless event d seconds on in the engine and the
+// model, counting whether it filled the open root or appended.
+func (p *schedPair) child(d float64, tag int) {
+	if p.eng.open {
+		p.cases[cbFill]++
+	} else {
+		p.cases[cbAppend]++
+	}
+	p.eng.ScheduleAfter(d, func() { p.elog = append(p.elog, tag) })
+	p.modelSchedule(p.mnow+d, tag)
+}
+
+// cancelLive cancels, in the engine and the model, the first top-level
+// event the model holds from a tag-chosen place in its order on.
+func (p *schedPair) cancelLive(tag int) {
+	for i, n := 0, len(p.model); i < n; i++ {
+		ev := p.model[(tag*31+i)%n]
+		if ev.tag >= childBase {
+			continue
+		}
+		p.cases[cbCancel]++
+		if ce, cm := p.handles[ev.tag].Cancel(), p.modelCancel(ev.seq); !ce || !cm {
+			p.t.Fatalf("Cancel of live tag %d inside event %d: engine=%v model=%v", ev.tag, tag, ce, cm)
+		}
+		p.checkPeek()
+		return
+	}
+}
+
+// checkPeek holds PeekNextEventTime to the model's head.
+func (p *schedPair) checkPeek() {
+	if at, seq, ok := p.eng.PeekNextEventTime(); ok != (len(p.model) > 0) ||
+		ok && (at != p.model[0].at || seq != p.model[0].seq) {
+		p.t.Fatalf("PeekNextEventTime: engine=(%g, %d, %v), model head %v", at, seq, ok, p.model)
+	}
 }
 
 // modelSchedule inserts an event into the model in (at, seq) order.
@@ -68,21 +140,24 @@ func compareModel(a, b modelEvent) int {
 	return cmp.Compare(a.seq, b.seq)
 }
 
-// modelStep fires the model's head, spawning its child like the engine's
-// callback does.
-func (p *schedPair) modelStep() bool {
-	if len(p.model) == 0 {
-		return false
+// stepBoth pops the model's head, then steps the engine, whose callback
+// applies its operations to both; the two must fire the same event.
+func (p *schedPair) stepBoth() bool {
+	mok := len(p.model) > 0
+	if mok {
+		ev := p.model[0]
+		p.model = p.model[1:]
+		p.mnow = ev.at
+		p.mfired++
+		p.mlog = append(p.mlog, ev.tag)
 	}
-	ev := p.model[0]
-	p.model = p.model[1:]
-	p.mnow = ev.at
-	p.mfired++
-	p.mlog = append(p.mlog, ev.tag)
-	if ev.tag < childBase && ev.tag%5 == 0 {
-		p.modelSchedule(p.mnow+1.5, childBase+ev.tag)
+	if eok := p.eng.Step(); eok != mok {
+		p.t.Fatalf("Step: engine=%v model=%v", eok, mok)
 	}
-	return true
+	if n := len(p.mlog); mok && p.elog[len(p.elog)-1] != p.mlog[n-1] {
+		p.t.Fatalf("dispatch %d: engine fired %d, model fired %d", n-1, p.elog[len(p.elog)-1], p.mlog[n-1])
+	}
+	return mok
 }
 
 // modelCancel removes the event with the given seq, reporting whether it
@@ -114,16 +189,14 @@ func (p *schedPair) step(op, arg byte) {
 			}
 		}
 	case 3: // single step
-		if se, sm := p.eng.Step(), p.modelStep(); se != sm {
-			p.t.Fatalf("Step: engine=%v model=%v", se, sm)
-		}
+		p.stepBoth()
 	case 4: // bounded advance: step every event at or before to
 		to := p.eng.Now() + float64(arg)
 		for at, _, ok := p.eng.PeekNextEventTime(); ok && at <= to; at, _, ok = p.eng.PeekNextEventTime() {
-			p.eng.Step()
+			p.stepBoth()
 		}
-		for len(p.model) > 0 && p.model[0].at <= to {
-			p.modelStep()
+		if len(p.model) > 0 && p.model[0].at <= to {
+			p.t.Fatalf("bounded advance to %g stopped with the model's head at %g", to, p.model[0].at)
 		}
 	}
 	p.check()
@@ -140,10 +213,7 @@ func (p *schedPair) check() {
 	if p.eng.Dispatched() != p.mfired {
 		p.t.Fatalf("Dispatched: engine=%d model=%d", p.eng.Dispatched(), p.mfired)
 	}
-	if at, seq, ok := p.eng.PeekNextEventTime(); ok != (len(p.model) > 0) ||
-		ok && (at != p.model[0].at || seq != p.model[0].seq) {
-		p.t.Fatalf("PeekNextEventTime: engine=(%g, %d, %v), model head %v", at, seq, ok, p.model)
-	}
+	p.checkPeek()
 	if p.ops%16 == 0 {
 		if err := p.eng.VerifyQueue(); err != nil {
 			p.t.Fatalf("VerifyQueue: %v", err)
@@ -152,8 +222,7 @@ func (p *schedPair) check() {
 }
 
 func (p *schedPair) finish() {
-	p.eng.Run()
-	for p.modelStep() {
+	for p.stepBoth() {
 	}
 	if err := p.eng.VerifyQueue(); err != nil {
 		p.t.Fatalf("VerifyQueue after drain: %v", err)
@@ -169,12 +238,13 @@ func (p *schedPair) finish() {
 	}
 }
 
-func runSchedBytes(t *testing.T, data []byte) {
+func runSchedBytes(t *testing.T, data []byte) *schedPair {
 	p := &schedPair{t: t}
 	for i := 0; i+1 < len(data); i += 2 {
 		p.step(data[i], data[i+1])
 	}
 	p.finish()
+	return p
 }
 
 // FuzzScheduler is the byte-driven differential harness: any operation
@@ -189,12 +259,38 @@ func FuzzScheduler(f *testing.F) {
 	f.Add([]byte{0, 7, 0, 14, 0, 21, 0, 28, 3, 0, 3, 0, 3, 0, 3, 0}) // far jumps then drain
 	f.Add([]byte{1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5,
 		1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5}) // a population several heap levels deep
+	for _, c := range callbackSeeds {
+		f.Add(c.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			t.Skip("cap the per-input work")
 		}
 		runSchedBytes(t, data)
 	})
+}
+
+// callbackSeeds are FuzzScheduler seeds, one for each callback operation:
+// tags count up from 0 in schedule order, and the event scheduled soonest
+// (1 s on) fires first with the root open.
+var callbackSeeds = []struct {
+	op   int
+	data []byte
+}{
+	{cbFill, []byte{0, 2, 3, 0}},                               // tag 0: one child fills the root
+	{cbAppend, []byte{0, 22, 0, 2, 3, 0}},                      // tag 1: one child fills, the other appends
+	{cbPeek, []byte{0, 22, 0, 23, 0, 2, 3, 0}},                 // tag 2: a peek settles the root first
+	{cbCancel, []byte{0, 22, 0, 23, 0, 24, 0, 2, 3, 0, 4, 30}}, // tag 3: cancels tag 0
+}
+
+// TestSchedulerSeedsReachEveryCallback: each callback seed runs its
+// operation in the differential harness.
+func TestSchedulerSeedsReachEveryCallback(t *testing.T) {
+	for _, c := range callbackSeeds {
+		if p := runSchedBytes(t, c.data); p.cases[c.op] == 0 {
+			t.Errorf("seed %v never ran callback operation %d (ran %v)", c.data, c.op, p.cases)
+		}
+	}
 }
 
 // TestRandomOperationsScheduler replays a fixed pseudo-random operation

@@ -40,16 +40,19 @@ type EngineState struct {
 	Events     []QueuedEvent `json:"events"`
 }
 
-// SnapshotEvents returns every live queued event sorted by (At, Seq). It
-// fails if any live event is untagged — a callback cannot be written, so a
-// checkpoint containing one would not be restorable.
+// SnapshotEvents settles the root and returns every live queued event
+// sorted by (At, Seq). It fails if any live event is untagged — a callback
+// cannot be written, so a checkpoint containing one would not be
+// restorable.
 func (e *Engine) SnapshotEvents() ([]QueuedEvent, error) {
+	e.settle()
 	evs := make([]QueuedEvent, 0, len(e.heap))
 	for _, s := range e.heap {
-		if s.rec.tag.Kind == 0 {
+		tag := e.record(s.idx).tag
+		if tag.Kind == 0 {
 			return nil, fmt.Errorf("sim: untagged event at t=%g seq=%d cannot be snapshotted", s.at, s.seq)
 		}
-		evs = append(evs, QueuedEvent{At: s.at, Seq: s.seq, Tag: s.rec.tag})
+		evs = append(evs, QueuedEvent{At: s.at, Seq: s.seq, Tag: tag})
 	}
 	slices.SortFunc(evs, compareQueued)
 	return evs, nil

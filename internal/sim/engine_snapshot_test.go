@@ -77,7 +77,7 @@ func TestEngineSnapshotRestoreDispatchOrder(t *testing.T) {
 		t.Fatalf("got %d handles for %d events", len(handles), len(st.Events))
 	}
 	for i, h := range handles {
-		if !live(h) || e2.heap[h.rec.pos].at != st.Events[i].At {
+		if !live(h) || e2.heap[e2.pos[h.rec.idx]].at != st.Events[i].At {
 			t.Fatalf("handle %d not live at snapshot time", i)
 		}
 	}

@@ -26,6 +26,23 @@ func (walkFirstFit) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 	return nil
 }
 
+// tenfold is the first days of the seed-1 week at 10x, the
+// static-fleet-1k workload's load (all seven are its first input).
+func tenfold(t *testing.T, days int) []workload.Request {
+	gc := workload.DefaultWeekConfig(1)
+	gc.DailyJobs = gc.DailyJobs[:days]
+	for i := range gc.DailyJobs {
+		gc.DailyJobs[i] *= 10
+	}
+	jobs, err := workload.Generate(gc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs = workload.Filter(jobs, workload.DefaultFilter())
+	workload.SortBySubmit(jobs)
+	return workload.ToRequests(jobs)
+}
+
 // TestFirstFitIndexAtScale runs the first day of the seed-1 week at 10x
 // (the static-fleet-1k workload's load) on a 1,000-PM Table II fleet,
 // first-fit without spares, placing through the fleet walk and through the
@@ -34,15 +51,7 @@ func (walkFirstFit) Place(ctx *core.Context, vm *cluster.VM) *cluster.PM {
 // is then built from the restored state. The three canonical run traces
 // must have one FNV-64a digest.
 func TestFirstFitIndexAtScale(t *testing.T) {
-	gc := workload.DefaultWeekConfig(1)
-	gc.DailyJobs = []int{10 * gc.DailyJobs[0]}
-	jobs, err := workload.Generate(gc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs = workload.Filter(jobs, workload.DefaultFilter())
-	workload.SortBySubmit(jobs)
-	reqs := workload.ToRequests(jobs)
+	reqs := tenfold(t, 1)
 	cfg := func(placer policy.Policy, trace *bytes.Buffer) Config {
 		return Config{DC: cluster.TableIIFleetScaled(1000), Placer: placer, Requests: reqs, Obs: obs.NewTracing(trace)}
 	}

@@ -121,14 +121,22 @@ type simState struct {
 	PlacerState *policy.PlacerState `json:"placer_state,omitempty"`
 }
 
-// meta fingerprints the run configuration for snapshot compatibility.
+// meta fingerprints the run configuration for snapshot compatibility. The
+// class and workload digests are taken on first use, not in New, and kept:
+// their inputs never change in a run.
 func (s *simulator) meta() snapshot.Meta {
+	if s.classDigest == "" {
+		s.classDigest = snapshot.ClassDigest(s.dc)
+	}
+	if s.workloadDigest == "" {
+		s.workloadDigest = snapshot.WorkloadDigest(s.cfg.Requests)
+	}
 	return snapshot.Meta{
 		Scheme:          s.cfg.Placer.Name(),
 		FleetSize:       s.dc.Size(),
-		ClassDigest:     snapshot.ClassDigest(s.dc),
+		ClassDigest:     s.classDigest,
 		Requests:        len(s.cfg.Requests),
-		WorkloadDigest:  snapshot.WorkloadDigest(s.cfg.Requests),
+		WorkloadDigest:  s.workloadDigest,
 		ControlPeriod:   controlPeriod,
 		MeterBin:        meterBin,
 		TimedMigrations: s.cfg.TimedMigrations,
@@ -181,10 +189,7 @@ func (s *simulator) captureState() (*simState, error) {
 			Reserved:    pm.Reserved(),
 		})
 	}
-	for _, vm := range s.vms {
-		if vm == nil {
-			continue
-		}
+	s.liveVMs(func(vm *cluster.VM) {
 		st.VMs = append(st.VMs, vmState{
 			ID:         vm.ID,
 			Demand:     vm.Demand.Clone(),
@@ -197,7 +202,7 @@ func (s *simulator) captureState() (*simState, error) {
 			Host:       vm.Host,
 			Migrations: vm.Migrations,
 		})
-	}
+	})
 	for _, vm := range s.queue {
 		st.Queue = append(st.Queue, vm.ID)
 	}
@@ -248,7 +253,11 @@ func (s *simulator) captureState() (*simState, error) {
 // state; a tracing observer's logical clock resumes where the interrupted
 // run's stopped, so the concatenated traces match the uninterrupted run
 // canonically byte-for-byte.
-func Restore(cfg Config, r io.Reader) (*Sim, error) {
+func Restore(cfg Config, r io.Reader) (*Sim, error) { return restoreRun(cfg, r, "") }
+
+// restoreRun is Restore with the workload's digest already taken, or "" to
+// take it.
+func restoreRun(cfg Config, r io.Reader, workloadDigest string) (*Sim, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
@@ -257,6 +266,7 @@ func Restore(cfg Config, r io.Reader) (*Sim, error) {
 		return nil, err
 	}
 	s := newSimulator(&cfg)
+	s.workloadDigest = workloadDigest
 	if err := f.CheckMeta(s.meta()); err != nil {
 		return nil, err
 	}
@@ -338,8 +348,11 @@ func (s *simulator) restore(st *simState) error {
 	// the live run took (demands sum exactly — see the bit-equality
 	// verification below, which catches any drift).
 	for _, vs := range st.VMs {
-		if vs.ID < 1 || int(vs.ID) > len(s.vms) {
-			return fmt.Errorf("sim: snapshot VM %d is outside the workload's %d requests", vs.ID, len(s.vms))
+		if vs.ID < 1 || int(vs.ID) > len(s.cfg.Requests) {
+			return fmt.Errorf("sim: snapshot VM %d is outside the workload's %d requests", vs.ID, len(s.cfg.Requests))
+		}
+		if s.vm(int64(vs.ID)) != nil {
+			return fmt.Errorf("sim: snapshot lists VM %d twice", vs.ID)
 		}
 		if err := s.checkDemand(vs.Demand); err != nil {
 			return fmt.Errorf("sim: snapshot VM %d demand: %w", vs.ID, err)
@@ -351,7 +364,7 @@ func (s *simulator) restore(st *simState) error {
 		if vs.State < int(cluster.VMQueued) || vs.State > int(cluster.VMFinished) {
 			return fmt.Errorf("sim: snapshot VM %d has unknown state %d", vs.ID, vs.State)
 		}
-		vm := cluster.NewVM(vs.ID, vs.Demand, vs.Est, vs.Actual, vs.Submit)
+		vm := s.newVM(vs.ID, vs.Demand, vs.Est, vs.Actual, vs.Submit)
 		vm.StartTime = vs.Start
 		vm.FinishTime = vs.Finish
 		vm.Migrations = vs.Migrations
@@ -365,7 +378,6 @@ func (s *simulator) restore(st *simState) error {
 			}
 		}
 		vm.State = cluster.VMState(vs.State)
-		s.vms[vm.ID-1] = vm
 	}
 	for _, hs := range st.Holds {
 		vm := s.vm(int64(hs.VM))
@@ -594,7 +606,9 @@ func (s *simulator) snapshotRoundTrip() error {
 	cfg2.DC = s.dc.CloneTopology()
 	cfg2.Obs = nil
 	cfg2.Audit = audit.Off
-	m2, err := Restore(cfg2, bytes.NewReader(first))
+	// The clone replays the same requests, so it takes this run's workload
+	// digest; its class digest is its own fleet's.
+	m2, err := restoreRun(cfg2, bytes.NewReader(first), s.workloadDigest)
 	if err != nil {
 		return fmt.Errorf("restore of own snapshot failed: %w", err)
 	}

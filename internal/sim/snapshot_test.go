@@ -754,7 +754,8 @@ func holding(m *Sim) bool { return len(m.s.holds) > 0 }
 // TestSnapshotHostileRecords: a checkpoint whose VM, hold or PM record
 // carries a value cluster code would panic on or misread — a demand that
 // fails Validate or has the wrong dimension, a negative time, an unknown
-// state — is refused by an error naming the record.
+// state, a VM whose chunk slot an earlier record filled — is refused by an
+// error naming the record.
 func TestSnapshotHostileRecords(t *testing.T) {
 	f, err := snapshot.Read(bytes.NewReader(midRunCheckpoint(t, holding)))
 	if err != nil {
@@ -782,6 +783,8 @@ func TestSnapshotHostileRecords(t *testing.T) {
 			fmt.Sprintf("sim: snapshot VM %d has a negative time", vm)},
 		{"VM state unknown", func(st *simState) { st.VMs[0].State = 5 },
 			fmt.Sprintf("sim: snapshot VM %d has unknown state 5", vm)},
+		{"VM listed twice", func(st *simState) { st.VMs = append(st.VMs, st.VMs[0]) },
+			fmt.Sprintf("sim: snapshot lists VM %d twice", vm)},
 		{"hold demand negative", func(st *simState) { st.Holds[0].Demand[1] = -1 },
 			fmt.Sprintf("sim: snapshot hold of VM %d demand: vector: component 1 is negative", hold)},
 		{"hold demand of one dimension", func(st *simState) { st.Holds[0].Demand = st.Holds[0].Demand[:1] },

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -72,10 +73,13 @@ func ParseSWF(r io.Reader) ([]Job, error) {
 		if f, err = get(1); err != nil {
 			return nil, err
 		}
-		j.ID = int(f)
 		if f < 0 {
 			return nil, fmt.Errorf("workload: swf line %d field 1: negative job ID %g", lineNo, f)
 		}
+		if !(f < math.MaxInt) { // NaN, or an ID int cannot hold
+			return nil, fmt.Errorf("workload: swf line %d field 1: job ID %g out of range", lineNo, f)
+		}
+		j.ID = int(f)
 		if first, dup := seen[j.ID]; dup {
 			return nil, fmt.Errorf("workload: swf line %d: duplicate job ID %d (first at line %d)", lineNo, j.ID, first)
 		}
