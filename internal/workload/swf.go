@@ -27,8 +27,9 @@ import (
 const swfFields = 18
 
 // ParseSWF reads an SWF trace. Malformed lines produce an error naming the
-// line and field: a wrong field count, a non-numeric field, a negative
-// value other than the -1 missing marker, or a duplicate job number each
+// line and field: a wrong field count, a non-numeric field, a value of
+// 2^53 or more in magnitude, a negative value other than the -1 missing
+// marker, or a duplicate job number each
 // reject the trace rather than silently normalizing it. Header comment
 // lines are skipped. Memory fields are converted from KB-per-processor to
 // total GB. When the used-memory field is missing (-1), the requested
@@ -55,6 +56,12 @@ func ParseSWF(r io.Reader) ([]Job, error) {
 			if err != nil {
 				return 0, fmt.Errorf("workload: swf line %d field %d: %w", lineNo, i, err)
 			}
+			// SWF fields are integers. Past 2^53 a float64 no longer holds
+			// each one exactly, and near 2^63 one wraps when stored or
+			// written back as an int; NaN is no integer at all.
+			if !(math.Abs(v) < 1<<53) {
+				return 0, fmt.Errorf("workload: swf line %d field %d: %g is out of range", lineNo, i, v)
+			}
 			return v, nil
 		}
 		// SWF encodes a missing value as exactly -1; any other negative is
@@ -75,9 +82,6 @@ func ParseSWF(r io.Reader) ([]Job, error) {
 		}
 		if f < 0 {
 			return nil, fmt.Errorf("workload: swf line %d field 1: negative job ID %g", lineNo, f)
-		}
-		if !(f < math.MaxInt) { // NaN, or an ID int cannot hold
-			return nil, fmt.Errorf("workload: swf line %d field 1: job ID %g out of range", lineNo, f)
 		}
 		j.ID = int(f)
 		if first, dup := seen[j.ID]; dup {

@@ -76,6 +76,12 @@ func TestParseSWFErrors(t *testing.T) {
 			"line 1 field 9: negative requested time"},
 		"negative requested memory": {"1 0 5 3600 4 -1 524288 4 7200 -9 1 10 20 1 1 1 -1 -1\n",
 			"line 1 field 10: negative requested memory"},
+		"id past 2^53": {"1e20 0 5 3600 4 -1 524288 4 7200 -1 1 10 20 1 1 1 -1 -1\n",
+			"line 1 field 1: 1e+20 is out of range"},
+		"submit past 2^53": {"1 1e19 5 3600 4 -1 524288 4 7200 -1 1 10 20 1 1 1 -1 -1\n",
+			"line 1 field 2: 1e+19 is out of range"},
+		"NaN status": {"1 0 5 3600 4 -1 524288 4 7200 -1 NaN 10 20 1 1 1 -1 -1\n",
+			"line 1 field 11: NaN is out of range"},
 		"duplicate job id": {good + "2 1 5 60 1 -1 -1 1 -1 -1 1 10 20 1 1 1 -1 -1\n" +
 			"1 2 5 60 1 -1 -1 1 -1 -1 1 10 20 1 1 1 -1 -1\n",
 			"line 3: duplicate job ID 1 (first at line 1)"},
