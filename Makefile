@@ -21,13 +21,14 @@ race:
 ## scheme, whose consolidation passes run Algorithm 1 as lazy rounds over
 ## gain bounds (internal/core/bound.go), with every event checked, every
 ## pass's roster (internal/core/roster.go) held to a cold rebuild, every
-## round — moving or ending the pass — held to one cold dense matrix built
-## over the same columns (the index sound, each column's group scan its
-## best row bit-for-bit, its Best the lazy choice, no swept bound below a
-## built gain, no column left out that could move), plus the per-period
-## dense-vs-oracle, lazy-vs-dense (the first round's check) and roster
+## round — moving or ending the pass — held to one cold reference over the
+## Running VMs, core.Joint on every (VM, active PM) pair
+## (internal/core/reference.go: the index sound, each column's group scan
+## its best PM bit-for-bit, its Best the lazy choice, no swept bound below
+## a built gain, no column left out that could move), plus the per-period
+## lazy-vs-reference (the first round's check, SparseCheck) and roster
 ## checks, and every queued VM held to the queue's change feed after each
-## event (170530 checks: the per-round checks ride inside them). A second
+## event (170259 checks: the per-round checks ride inside them). A second
 ## run audits the first-fit baseline (138882 checks), whose placements go
 ## through the datacenter's first-fit index (internal/cluster/fitindex.go):
 ## the state check's CheckInvariants holds the index to the live fleet
@@ -41,7 +42,11 @@ audit:
 	$(GO) run ./cmd/dvmpsim -audit=event -scheme first-fit
 
 ## fuzz-smoke: short randomized fuzz budgets — the audit harness's
-## randomized-operations differential (internal/audit.FuzzOperations),
+## randomized operations, each followed by the full check set, the lazy
+## rounds' first round held to the cold reference included
+## (internal/audit.FuzzOperations), the mirrored fleets that take every
+## placement and consolidation decision both cell by cell and on the
+## candidate index, under SelfAudit (internal/audit.FuzzSparseOperations),
 ## the event heap against a sorted-slice model (internal/sim.FuzzScheduler),
 ## the crash-injection resume differential (internal/sim.FuzzSnapshotResume),
 ## Restore on hostile checkpoint bytes, never a panic and only named errors
@@ -54,7 +59,7 @@ audit:
 ## memory (internal/workload.FuzzParseSWF), SortBySubmit against a stable
 ## sort on (Submit, ID) over forced ties and duplicate IDs
 ## (internal/workload.FuzzSortBySubmit), and Algorithm 1's lazy rounds
-## against a cold dense matrix over fuzzed operation streams
+## against the cold reference over fuzzed operation streams
 ## (internal/core.FuzzLazyRounds).
 ## FUZZTIME=10s by default (each). The status line counts a worker's
 ## executions only when its batch ends, so it can read 0 execs/s for most
@@ -63,6 +68,7 @@ audit:
 ## the end.
 fuzz-smoke:
 	$(GO) test ./internal/audit -run '^$$' -fuzz FuzzOperations -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/audit -run '^$$' -fuzz FuzzSparseOperations -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzScheduler -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzSnapshotResume -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzRestore -fuzztime $(FUZZTIME)

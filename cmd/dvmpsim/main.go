@@ -12,8 +12,9 @@
 //	        [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // The -cpuprofile and -memprofile flags capture runtime/pprof profiles of
-// the whole run for `go tool pprof`; the placement hot path (matrix build
-// and per-round refresh) is where the samples land under -scheme dynamic.
+// the whole run for `go tool pprof`; the placement hot path (the lazy
+// rounds and the arrival argmax) is where the samples land under -scheme
+// dynamic.
 //
 // -trace writes the structured run trace (one schema-versioned event a
 // record: arrivals, placements, migrations, boots, failures, spare plans —

@@ -2,14 +2,15 @@
 // set of checkers that walk the full datacenter state and verify the
 // conservation laws the simulation is supposed to maintain — placement
 // bookkeeping, capacity bounds (Eq. 2), energy accounting, spare-plan
-// bounds, and bit-identical agreement between the incremental probability
-// kernel and a from-scratch rebuild.
+// bounds, and bit-identical agreement between the lazy rounds on the
+// incrementally kept candidate index and core's cold reference, Joint on
+// every (Running VM, active PM) pair.
 //
 // Checks come in two granularities. Cheap O(M+N) state walks run after
 // every event when the auditor is in Event mode; the expensive O(M*N)
-// differential against the frozen oracle (internal/core/oracle) runs once
-// per control period in either enabled mode. The simulator wires the
-// auditor in via -audit=off|period|event.
+// differential against the cold reference (SparseCheck) runs once per
+// control period in either enabled mode. The simulator wires the auditor
+// in via -audit=off|period|event.
 package audit
 
 import (
@@ -24,7 +25,7 @@ const (
 	// Off disables auditing entirely.
 	Off Mode = iota
 	// Period runs every check once per control period (the default
-	// enabled mode; adds one oracle rebuild per period).
+	// enabled mode; adds one cold reference build per period).
 	Period
 	// Event additionally runs the cheap per-event checks after every
 	// dispatched event. Slow — meant for debugging and CI audit runs.

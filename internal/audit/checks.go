@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/core/oracle"
 	"repro/internal/power"
 	"repro/internal/spare"
 )
@@ -194,55 +193,18 @@ func DrainCheck(dc *cluster.Datacenter, feed *cluster.Feed, queue func() []*clus
 	}
 }
 
-// TrackerCheck is the differential oracle: it rebuilds the probability
-// matrix two ways over the currently migratable VMs — core's cold Matrix on
-// the compiled program, the reference the lazy rounds are held to, and the
-// frozen naive oracle, which evaluates core.Joint per cell — and requires
-// them bit-identical in every cell, tracker, and Best decision. O(M*N)
-// factor evaluations per run, so it is a per-period check even in event
-// mode.
-//
-// The oracle build gets a fresh Context: the per-class constants it
-// re-derives depend only on the fleet's classes, so a fresh Context
-// computes bit-identical cells without sharing the live one's memos.
-func TrackerCheck(ctx *core.Context, factors []core.Factor) Check {
-	return Check{
-		Name:     "tracker",
-		PerEvent: false,
-		Fn: func(now float64) error {
-			ctx := ctx.At(now)
-			vms := core.MigratableVMs(ctx.DC)
-			if len(vms) == 0 {
-				return nil
-			}
-			kernel, err := core.NewMatrix(ctx, factors, vms)
-			if err != nil {
-				return fmt.Errorf("kernel matrix build: %w", err)
-			}
-			defer kernel.Release()
-			ref, err := oracle.NewMatrix(core.NewContext(ctx.DC).At(now), factors, vms)
-			if err != nil {
-				return fmt.Errorf("oracle matrix build: %w", err)
-			}
-			if err := diffOracle(kernel, ref); err != nil {
-				return fmt.Errorf("kernel vs frozen oracle: %w", err)
-			}
-			return nil
-		},
-	}
-}
-
-// SparseCheck is the lazy-rounds-vs-dense differential oracle for every
+// SparseCheck is the lazy-rounds-vs-reference differential for every
 // dynamic run, whose factor list the candidate index evaluates
-// (core.CheckFactors). It builds a dense matrix over the currently
-// migratable VMs and runs the first round of a consolidation pass's lazy greedy
-// (core/bound.go), at the run's current MIG_threshold, on the live Context
-// against it (core's CheckProof): the candidate index structurally sound,
-// every column's score-group scan the dense best alternative bit-for-bit,
-// no gain bound below a built gain, no column left out of the sweep that
-// could move, the choice the dense Best. It also replays the arrival
-// ranking for a sample of hosted VMs: the candidate shortlist must equal the
-// cell-by-cell ranking. O(M*N) dense evaluations per run, so it is a
+// (core.CheckFactors). It runs the first round of a consolidation pass's
+// lazy greedy (core/bound.go), at the run's current MIG_threshold, on the
+// live Context and holds it to core's cold reference — Joint on every
+// (Running VM, active PM) pair, built on a fresh Context (core's
+// CheckProof): the candidate index structurally sound, every column's
+// score-group scan the reference's best alternative bit-for-bit, no gain
+// bound below a built gain, no column left out of the sweep that could
+// move, the choice the reference's Best. It also replays the arrival
+// ranking for a sample of hosted VMs: the candidate shortlist must equal
+// the cell-by-cell ranking. O(M*N) Joint evaluations per run, so it is a
 // per-period check even in event mode; the per-round SelfAudit covers the
 // event granularity.
 func SparseCheck(ctx *core.Context, factors []core.Factor, threshold func() float64) Check {
@@ -265,17 +227,12 @@ func SparseCheck(ctx *core.Context, factors []core.Factor, threshold func() floa
 			if len(vms) == 0 {
 				return nil
 			}
-			// The dense reference only needs the fleet: a fresh Context
-			// keeps it independent of the live one's memos and interning
-			// tables, while the lazy round runs on the live Context (it
-			// exercises the run's own candidate index and roster).
-			dense, err := core.NewMatrix(core.NewContext(ctx.DC).At(now), factors, vms)
-			if err != nil {
-				return fmt.Errorf("dense matrix build: %w", err)
-			}
-			defer dense.Release()
-			if err := ctx.CheckProof(dense, threshold()); err != nil {
-				return fmt.Errorf("lazy rounds vs cold dense build: %w", err)
+			// The lazy round runs on the live Context (it exercises the
+			// run's own candidate index and roster); CheckProof builds the
+			// reference on a fresh one, independent of the live one's memos
+			// and interning tables.
+			if err := ctx.CheckProof(factors, threshold()); err != nil {
+				return fmt.Errorf("lazy rounds vs cold reference: %w", err)
 			}
 			stride := len(vms)/8 + 1
 			for i := 0; i < len(vms); i += stride {
@@ -311,52 +268,6 @@ func diffShortlist(ctx *core.Context, factors []core.Factor, vm *cluster.VM) err
 			return fmt.Errorf("VM %d shortlist entry %d: sparse (PM %d, %v) != dense (PM %d, %v)",
 				vm.ID, i, sparse[i].PM.ID, sparse[i].Probability, dense[i].PM.ID, dense[i].Probability)
 		}
-	}
-	return nil
-}
-
-func eqf(a, b float64) bool {
-	return a == b || (math.IsNaN(a) && math.IsNaN(b))
-}
-
-// diffOracle compares a core matrix against the oracle reference through
-// their public surfaces: dimensions, axis identities, every probability
-// bitwise, column normalizers, tracked best alternatives, and the global
-// Best decision.
-func diffOracle(m *core.Matrix, o *oracle.Matrix) error {
-	if m.Rows() != o.Rows() || m.Cols() != o.Cols() {
-		return fmt.Errorf("dimensions %dx%d != oracle %dx%d", m.Rows(), m.Cols(), o.Rows(), o.Cols())
-	}
-	for r := 0; r < m.Rows(); r++ {
-		if m.PM(r).ID != o.PM(r).ID {
-			return fmt.Errorf("row %d is PM %d, oracle has PM %d", r, m.PM(r).ID, o.PM(r).ID)
-		}
-	}
-	for c := 0; c < m.Cols(); c++ {
-		if m.VM(c).ID != o.VM(c).ID {
-			return fmt.Errorf("column %d is VM %d, oracle has VM %d", c, m.VM(c).ID, o.VM(c).ID)
-		}
-		for r := 0; r < m.Rows(); r++ {
-			if !eqf(m.P(r, c), o.P(r, c)) {
-				return fmt.Errorf("p[%d][%d] = %v != oracle %v (VM %d on PM %d)",
-					r, c, m.P(r, c), o.P(r, c), m.VM(c).ID, m.PM(r).ID)
-			}
-		}
-		if !eqf(m.CurProb(c), o.CurProb(c)) {
-			return fmt.Errorf("column %d curProb %v != oracle %v", c, m.CurProb(c), o.CurProb(c))
-		}
-		mr, mg := m.BestAlt(c)
-		or, og := o.BestAlt(c)
-		if mr != or || !eqf(mg, og) {
-			return fmt.Errorf("column %d best alternative (row %d, gain %v) != oracle (row %d, gain %v)",
-				c, mr, mg, or, og)
-		}
-	}
-	mr, mc, mg, mok := m.Best()
-	or, oc, og, ook := o.Best()
-	if mok != ook || (mok && (mr != or || mc != oc || !eqf(mg, og))) {
-		return fmt.Errorf("Best() = (%d, %d, %v, %v) != oracle (%d, %d, %v, %v)",
-			mr, mc, mg, mok, or, oc, og, ook)
 	}
 	return nil
 }

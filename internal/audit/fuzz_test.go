@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/core/oracle"
 	"repro/internal/power"
 	"repro/internal/vector"
 )
@@ -70,7 +69,9 @@ func newHarness(t *testing.T) *harness {
 	h.aud.Register(ConservationCheck(dc, func() (int, int, int, int) {
 		return h.arrived, 0, h.finished, h.rejected
 	}))
-	h.aud.Register(TrackerCheck(h.ctx, h.factors))
+	// The lazy-rounds differential: the first round of a pass on this
+	// Context, held to core's cold reference after every operation.
+	h.aud.Register(SparseCheck(h.ctx, h.factors, func() float64 { return 1.05 }))
 	// The passes run through ConsolidateWith on this Context, so the check
 	// syncs the roster they left, once per operation, whatever the
 	// operation.
@@ -144,8 +145,8 @@ func (h *harness) departure(arg byte) {
 
 // consolidate runs a pass of up to arg%3+1 rounds of Algorithm 1 the way a
 // run does (core.ConsolidateWith: the lazy rounds on the candidate index);
-// the step's TrackerCheck then holds a cold core matrix over the state it
-// left to the frozen oracle.
+// the step's SparseCheck then holds the next pass's first round over the
+// state it left to core's cold reference.
 func (h *harness) consolidate(arg byte) {
 	params := core.Params{MIGThreshold: 1.05, MIGRound: int(arg)%3 + 1}
 	if _, err := core.ConsolidateWith(h.ctx.At(h.now), h.factors, params, core.MatrixOptions{}); err != nil {
@@ -260,90 +261,4 @@ func TestRandomOperationsAudit(t *testing.T) {
 	}
 	t.Logf("ops=%d arrived=%d finished=%d rejected=%d checks=%d",
 		ops, h.arrived, h.finished, h.rejected, h.aud.Checks())
-}
-
-// edgeOracleState builds a Table II fleet hardened for the zero short
-// circuits — a zero-reliability PM and a stripe of expired-estimate VMs,
-// where both per-cell paths return literal zero.
-func edgeOracleState(t *testing.T) (*core.Context, []*cluster.VM) {
-	t.Helper()
-	dc := cluster.TableIIFleetScaled(40)
-	pms := dc.PMs()
-	for _, pm := range pms {
-		pm.SetState(cluster.PMOn)
-	}
-	pms[len(pms)/2].SetReliability(0)
-	var vms []*cluster.VM
-	for i := range pms {
-		est := float64(3000 + 700*(i%11))
-		if i%7 == 0 {
-			est = 1 // expired by the evaluation time: p_vir = 0 off-host
-		}
-		vm := cluster.NewVM(cluster.VMID(i+1), demandPalette[i%len(demandPalette)], est, est, 0)
-		if err := pms[i].Host(vm); err != nil {
-			t.Fatal(err)
-		}
-		vm.State = cluster.VMRunning
-		vms = append(vms, vm)
-	}
-	return core.NewContext(dc).At(1800), vms
-}
-
-// TestMatrixMatchesOracleAfterApplies closes the program ≡ Joint ≡ oracle
-// triangle on the oracle side (internal/core's TestKernelEquivalence pins
-// program ≡ Joint): an oracle matrix walks a randomized Apply sequence on
-// one fleet while its twin takes the same moves through core.Migrate, and
-// after every move a cold core.Matrix over the twin must be bit-identical —
-// every cell, tracker, and the Best decision — to the applied oracle matrix
-// and to a cold build of the frozen oracle over the same fleet.
-func TestMatrixMatchesOracleAfterApplies(t *testing.T) {
-	ctx, vms := edgeOracleState(t)
-	oracleCtx, oracleVMs := edgeOracleState(t)
-	applied, err := oracle.NewMatrix(oracleCtx, core.DefaultFactors(), oracleVMs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moves := 0
-	check := func() *core.Matrix {
-		t.Helper()
-		m, err := core.NewMatrix(ctx, core.DefaultFactors(), vms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := diffOracle(m, applied); err != nil {
-			t.Fatalf("after %d moves, applied oracle: %v", moves, err)
-		}
-		ref, err := oracle.NewMatrix(ctx, core.DefaultFactors(), vms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := diffOracle(m, ref); err != nil {
-			t.Fatalf("after %d moves, cold oracle: %v", moves, err)
-		}
-		return m
-	}
-	check().Release()
-	state := uint64(0x9E3779B97F4A7C15)
-	for step := 0; step < 80; step++ {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		c := int(state>>33) % applied.Cols()
-		r := int(state>>13) % applied.Rows()
-		if applied.VM(c).Host == applied.PM(r).ID || applied.P(r, c) <= 0 {
-			continue
-		}
-		vm := vms[slices.IndexFunc(vms, func(vm *cluster.VM) bool { return vm.ID == applied.VM(c).ID })]
-		if err := applied.Apply(r, c); err != nil {
-			t.Fatal(err)
-		}
-		if err := core.Migrate(vm, ctx.DC.PM(vm.Host), ctx.DC.PM(applied.PM(r).ID)); err != nil {
-			t.Fatal(err)
-		}
-		moves++
-		check().Release()
-	}
-	if moves < 20 {
-		t.Fatalf("only %d moves applied; property barely exercised", moves)
-	}
 }

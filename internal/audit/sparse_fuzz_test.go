@@ -13,10 +13,10 @@ import (
 
 // This file is the sparse-vs-dense differential fuzz harness: two
 // identically built datacenters walk the same byte-encoded operation
-// stream, with every placement decision made by the cold dense reference on
-// side A — the cell-by-cell arrival ranking, and Algorithm 1 on a cold
-// core.Matrix built afresh every round (denseRounds) — and by the candidate
-// index, through core's entry points, on side B. After
+// stream, with every placement decision made cell by cell on side A — the
+// arrival ranking, and Algorithm 1 on every Running VM's ranked column
+// every round (denseRounds) — and by the candidate index, through core's
+// entry points, on side B. After
 // each operation the decisions and the resulting fleet states must match
 // exactly — PM choices, consolidation move lists, per-PM usage vectors,
 // reliability bits, and hosted-VM sets. Any divergence is a bug in one of
@@ -120,27 +120,21 @@ var proofThresholds = []float64{1.05, 1.6}
 // checkProof holds the first round side B's passes open with — the sweep
 // over its run-long hosted-cell memo and the live index's group products,
 // whatever the operations so far have done to them, and the lazy choice —
-// to a dense matrix over side B's fleet (core's CheckProof): the index is
-// sound, every column's group scan finds the dense best alternative, every
-// swept bound is at least the dense BestAlt gain, no column left out can
-// move, and the choice is the dense Best.
+// to core's cold reference over side B's fleet (core's CheckProof): the
+// index is sound, every column's group scan finds the reference's best
+// alternative, every swept bound is at least the reference's gain, no
+// column left out can move, and the choice is the reference's Best.
 func (h *sparseHarness) checkProof(op, arg byte) {
-	vms := core.MigratableVMs(h.b.dc)
-	if len(vms) == 0 {
+	if len(core.MigratableVMs(h.b.dc)) == 0 {
 		return
 	}
 	ctx := h.b.ctx.At(h.now)
-	dense, err := core.NewMatrix(ctx, h.factors, vms)
-	if err != nil {
-		h.t.Fatalf("dense build for the proof check: %v", err)
-	}
-	defer dense.Release()
-	_, _, gain, ok := dense.Best()
+	_, best := bestColumn(ctx, h.factors)
 	for _, threshold := range proofThresholds {
-		if err := ctx.CheckProof(dense, threshold); err != nil {
+		if err := ctx.CheckProof(h.factors, threshold); err != nil {
 			h.t.Fatalf("after op %d (arg %d) at t=%g, threshold %g: %v", op%7, arg, h.now, threshold, err)
 		}
-		if ok && gain > threshold {
+		if best != nil && best[0].Probability > threshold {
 			h.provenMoving++
 		} else {
 			h.provenEmpty++
@@ -271,45 +265,58 @@ func (h *sparseHarness) consolidate(arg byte) {
 	h.moves += len(movesA)
 }
 
-// denseRounds runs Algorithm 1 over ctx's running VMs as the cold reference
-// reads it: every round a cold core.Matrix over MigratableVMs, whose Best
-// above MIG_threshold moves through core.Migrate. Each move's alternatives
-// are the moved column's cell-by-cell ranking (core.RankPlacements) without
-// its host, normalized by its hosted cell and cut to depth 4 — or, when
-// that cell is 0, its lowest-ID PM of positive probability alone at +Inf:
-// what core.Context.MoveAlternatives keeps.
+// denseRounds runs Algorithm 1 over ctx's Running VMs cell by cell: every
+// round the largest head gain among the columns (bestColumn) moves through
+// core.Migrate while it exceeds MIG_threshold. Each move's alternatives are
+// its column, which is what core.Context.MoveAlternatives keeps.
 func denseRounds(t testing.TB, ctx *core.Context, factors []core.Factor, params core.Params) (moves []core.Move, alts [][]core.Placement) {
 	for round := 1; round <= params.MIGRound; round++ {
-		m, err := core.NewMatrix(ctx, factors, core.MigratableVMs(ctx.DC))
-		if err != nil {
-			t.Fatalf("dense build: %v", err)
-		}
-		r, c, gain, ok := m.Best()
-		if !ok || !(gain > params.MIGThreshold) {
-			m.Release()
+		vm, col := bestColumn(ctx, factors)
+		if vm == nil || !(col[0].Probability > params.MIGThreshold) {
 			break
 		}
-		vm, to, cur := m.VM(c), m.PM(r), m.CurProb(c)
-		m.Release()
-		var col []core.Placement
-		for _, pl := range core.RankPlacements(ctx, factors, vm) {
-			switch {
-			case pl.PM.ID == vm.Host:
-			case !(cur > 0):
-				if len(col) == 0 || pl.PM.ID < col[0].PM.ID {
-					col = []core.Placement{{PM: pl.PM, Probability: math.Inf(1)}}
-				}
-			case len(col) < 4:
-				col = append(col, core.Placement{PM: pl.PM, Probability: pl.Probability / cur})
-			}
-		}
+		to := col[0].PM
 		alts = append(alts, col)
-		moves = append(moves, core.Move{VM: vm.ID, From: vm.Host, To: to.ID, Gain: gain, Round: round})
+		moves = append(moves, core.Move{VM: vm.ID, From: vm.Host, To: to.ID, Gain: col[0].Probability, Round: round})
 		if err := core.Migrate(vm, ctx.DC.PM(vm.Host), to); err != nil {
 			t.Fatalf("dense move: %v", err)
 		}
 	}
 	return moves, alts
+}
+
+// bestColumn is Algorithm 1's argmax over ctx's Running VMs: the column
+// whose head has the largest gain, the lowest VM ID on ties, or nil when no
+// column has an alternative.
+func bestColumn(ctx *core.Context, factors []core.Factor) (vm *cluster.VM, best []core.Placement) {
+	for _, v := range core.MigratableVMs(ctx.DC) {
+		if col := column(ctx, factors, v); len(col) > 0 && (vm == nil || col[0].Probability > best[0].Probability) {
+			vm, best = v, col
+		}
+	}
+	return vm, best
+}
+
+// column is placed VM vm's column read cell by cell: its ranking
+// (core.RankPlacements: probability desc, PM ID asc) without its host,
+// normalized by its hosted cell and cut to depth 4 — or, when that cell is
+// 0, its lowest-ID PM of positive probability alone at +Inf. The head is
+// the column's best alternative at its gain.
+func column(ctx *core.Context, factors []core.Factor, vm *cluster.VM) []core.Placement {
+	cur := core.Joint(ctx, factors, vm, ctx.DC.PM(vm.Host), true)
+	var col []core.Placement
+	for _, pl := range core.RankPlacements(ctx, factors, vm) {
+		switch {
+		case pl.PM.ID == vm.Host:
+		case !(cur > 0):
+			if len(col) == 0 || pl.PM.ID < col[0].PM.ID {
+				col = []core.Placement{{PM: pl.PM, Probability: math.Inf(1)}}
+			}
+		case len(col) < 4:
+			col = append(col, core.Placement{PM: pl.PM, Probability: pl.Probability / cur})
+		}
+	}
+	return col
 }
 
 // failPM kills the same powered-on machine on both sides; victims are

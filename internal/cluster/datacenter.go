@@ -204,19 +204,6 @@ func (d *Datacenter) ActivePMs() []*PM {
 	return out
 }
 
-// AppendActivePMs appends the on/booting PMs to dst in ID order and
-// returns the extended slice. It is the allocation-free form of ActivePMs
-// for hot paths (the per-arrival placement argmax, matrix construction)
-// that keep a reusable backing slice across calls.
-func (d *Datacenter) AppendActivePMs(dst []*PM) []*PM {
-	for _, p := range d.pms {
-		if p.Active() {
-			dst = append(dst, p)
-		}
-	}
-	return dst
-}
-
 // NonIdleCount returns N_nidle, the number of active PMs hosting at least
 // one VM.
 func (d *Datacenter) NonIdleCount() int { return d.nonIdle }

@@ -2,16 +2,18 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/vector"
 )
 
-// Steady-state allocation budgets for the placement hot paths. The scratch
-// pools (scratch.go) exist so a long simulation's per-event cost is the
-// arithmetic, not the garbage: these tests pin that property with asserted
-// ceilings, the same way internal/sim pins the event loop's.
+// Steady-state allocation budgets for the placement hot paths. The index,
+// the roster and the Context's scratch are kept across events so a long
+// simulation's per-event cost is the arithmetic, not the garbage: these
+// tests pin that property with asserted ceilings, the same way internal/sim
+// pins the event loop's.
 
 // arrivalAllocCeiling bounds allocs per BestPlacement call on a warm
 // Context. The argmax itself is allocation-free; the ceiling leaves room
@@ -142,8 +144,7 @@ func TestConsolidateAllocBudget(t *testing.T) {
 // the roster's feed check and the lazy rounds' first sweep and choice
 // (bound.go) over state that is all in place — the buckets and host orders,
 // the index, the shapes' top-two scratch, the survivor slice — while the clock,
-// and with it every p_vir, moves on. It allocates nothing and checks out no
-// matrix scratch.
+// and with it every p_vir, moves on. It allocates nothing.
 func TestProvenEmptyPassAllocBudget(t *testing.T) {
 	ctx, _ := tableIIState(t, 200, 400, 7)
 	factors := DefaultFactors()
@@ -164,76 +165,54 @@ func TestProvenEmptyPassAllocBudget(t *testing.T) {
 	if extra := ctx.pass - builds - 51; extra != 0 { // one sweep per pass, AllocsPerRun warms up once
 		t.Errorf("%d sweeps repeated over 51 proven-empty passes", extra)
 	}
-	if ctx.fscratch != nil {
-		t.Error("a proven-empty pass checked out matrix scratch")
-	}
 }
 
-// TestFramePoolInterleavedEngines runs dense matrices back to back on one
-// Context — the way the auditor and SelfAudit mix them — and checks the
-// checkout model: a build made while the pool is checked out allocates its
-// own storage without disturbing the holder, the two agree, the pool is back
-// on the Context after the first Release, and the cold builds SelfAudit
-// makes between moves each reuse the pool and match a twin fleet's build
-// after the same moves.
+// TestFramePoolInterleavedEngines builds cold references back to back on
+// one Context — the way SelfAudit builds one a round between moves — and
+// holds each to a second build on the same Context and to a twin fleet's,
+// built on its own, after the same moves. A build keeps nothing on the
+// Context it runs on (no candidate index, no roster, no swept columns), so
+// builds interleaved with moves cannot see one another.
 func TestFramePoolInterleavedEngines(t *testing.T) {
-	ctx, vms := tableIIState(t, 60, 140, 5)
-	factors := DefaultFactors()
-
-	dense, err := NewMatrix(ctx, factors, vms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := dense.scr
-	if ctx.fscratch != nil {
-		t.Fatal("a live engine left the pool attached")
-	}
-	// A second build with the pool checked out: own storage, same matrix.
-	other, err := NewMatrix(ctx, factors, vms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other.scr == pool {
-		t.Fatal("two live engines share one scratch")
-	}
-	if err := other.Diff(dense); err != nil {
-		t.Fatalf("a build over a checked-out pool: %v", err)
-	}
-	dense.Release()
-	other.Release()
-	if ctx.fscratch != pool {
-		t.Fatal("first Release did not re-attach the pool")
-	}
-
+	ctx, _ := tableIIState(t, 60, 140, 5)
 	twinCtx, _ := tableIIState(t, 60, 140, 5)
+	factors := DefaultFactors()
 	for i := 0; i < 8; i++ {
-		m, err := NewMatrix(ctx, factors, MigratableVMs(ctx.DC))
+		ref, err := newReference(ctx, factors)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.scr != pool {
-			t.Fatalf("build %d did not reuse the pool", i+1)
-		}
-		twin, err := NewMatrix(twinCtx, factors, MigratableVMs(twinCtx.DC))
+		again, err := newReference(ctx, factors)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := twin.Diff(m); err != nil {
-			t.Fatalf("after move %d: %v", i, err)
+		twin, err := newReference(twinCtx, factors)
+		if err != nil {
+			t.Fatal(err)
 		}
-		r, c, _, ok := m.Best()
-		if !ok {
+		if !slices.Equal(ref, again) || len(twin) != len(ref) {
+			t.Fatalf("after move %d: two builds on one Context differ, or the twin has %d columns to %d", i, len(twin), len(ref))
+		}
+		for c, col := range twin {
+			if col.vm.ID != ref[c].vm.ID || col.cur != ref[c].cur || col.best != ref[c].best || col.p != ref[c].p || col.gain != ref[c].gain {
+				t.Fatalf("after move %d, VM %d: twin column %+v, %+v", i, col.vm.ID, col, ref[c])
+			}
+		}
+		c := ref.Best()
+		if c < 0 {
 			t.Fatalf("no move left after %d", i)
 		}
-		for _, b := range []*Matrix{m, twin} {
-			vm, to := b.VM(c), b.PM(r)
-			if err := Migrate(vm, b.ctx.DC.PM(vm.Host), to); err != nil {
+		for _, side := range []struct {
+			ctx *Context
+			col refColumn
+		}{{ctx, ref[c]}, {twinCtx, twin[c]}} {
+			dc := side.ctx.DC
+			if err := Migrate(side.col.vm, dc.PM(side.col.vm.Host), dc.PM(side.col.best)); err != nil {
 				t.Fatal(err)
 			}
-			b.Release()
 		}
 	}
-	if ctx.fscratch != pool || twinCtx.fscratch == nil {
-		t.Fatal("no pool re-attached after the last Release")
+	if ctx.cand != nil || ctx.roster != nil || ctx.swept != nil {
+		t.Fatal("a cold build left lazy-round state on its Context")
 	}
 }

@@ -179,9 +179,9 @@ type choice struct {
 // groups with its own p_vir, candShape.best — then, in one pass over the
 // rest in sweep order, only a column whose key exceeds the best gain, or
 // equals it on a lower ID: any other can at most tie and lose on the ID.
-// The answer is colTrackers.Best's (gain desc, column asc, row asc) over
-// every column whose gain can exceed the threshold — the columns ascend by
-// ID. scans counts the exact scans.
+// The answer is the cold reference's Best (gain desc, VM ID asc; each
+// column's best the lowest-ID PM of its largest raw probability) over every
+// column whose gain can exceed the threshold. scans counts the exact scans.
 func (ctx *Context) choose(x *candIndex) (best choice, scans int) {
 	best = choice{id: -1}
 	sw := ctx.swept
@@ -253,7 +253,7 @@ const altDepth = 4
 // lazyRounds runs the pass's rounds from a finished first sweep: choose,
 // collect the move's alternatives when the Context records decisions,
 // migrate, re-sync both endpoints in the index and the roster, sweep again.
-// Under SelfAudit every round is held to a cold dense Matrix first.
+// Under SelfAudit every round is held to a cold reference first.
 func (ctx *Context) lazyRounds(x *candIndex, factors []Factor, params Params) (moves []Move, err error) {
 	scans := 0
 	record := ctx.Obs.DecisionTracing()
@@ -291,28 +291,31 @@ func (ctx *Context) lazyRounds(x *candIndex, factors []Factor, params Params) (m
 	return moves, err
 }
 
-// auditRound holds one round to a cold dense Matrix built over
-// MigratableVMs (checkRound).
+// auditRound holds one round to a cold reference over MigratableVMs
+// (checkRound).
 func (ctx *Context) auditRound(factors []Factor, ch choice, threshold float64) error {
+	// The build is timed as kernel_build: bench/ reads the phase by that name.
 	phase := ctx.metrics().build.Span()
 	start := phase.Begin()
-	ref, err := NewMatrix(ctx, factors, MigratableVMs(ctx.DC))
+	ref, err := newReference(ctx, factors)
 	phase.End(start)
 	if err != nil {
 		return err
 	}
-	defer ref.Release()
 	return ctx.checkRound(ref, ch, threshold)
 }
 
 // CheckProof runs a pass's first round on this Context — the roster's sync,
-// the sweep and the lazy choice — and holds it to ref (checkRound): the
-// auditor's SparseCheck holds it to a dense Matrix built on a fresh Context,
-// the fuzz harnesses to one built on this Context after every operation.
-// ref must be freshly built over MigratableVMs — the sweep reads the live
-// fleet — with a factor list of the covered family (CheckFactors).
-func (ctx *Context) CheckProof(ref *Matrix, threshold float64) error {
-	if err := ctx.use(ref.factors); err != nil {
+// the sweep and the lazy choice — and holds it to a cold reference built on
+// a fresh Context over the same fleet and clock (checkRound): the auditor's
+// SparseCheck runs it once a period, the fuzz harnesses after every
+// operation. factors must be of the covered family (CheckFactors).
+func (ctx *Context) CheckProof(factors []Factor, threshold float64) error {
+	if err := ctx.use(factors); err != nil {
+		return err
+	}
+	ref, err := newReference(NewContext(ctx.DC).At(ctx.Now), factors)
+	if err != nil {
 		return err
 	}
 	x := ctx.candidates()
@@ -323,57 +326,57 @@ func (ctx *Context) CheckProof(ref *Matrix, threshold float64) error {
 }
 
 // checkRound holds the round that left ctx.swept and chose ch to ref, a cold
-// dense Matrix over the Running VMs of the same fleet. The candidate index
+// reference over the Running VMs of the same fleet. The candidate index
 // must pass its structural check and every swept VM must be a column. In
 // every column the roster's hosted-cell probability is ref's normalizer, the
-// group scan (candShape.best) finds ref's best row at ref's raw probability
+// group scan (candShape.best) finds ref's best PM at ref's raw probability
 // bit-for-bit, no swept key lies below ref's gain, and a column the sweep
 // left out has no gain above the threshold. The choice is ref's Best
 // bit-for-bit — or, when the round ends the pass, ref has no gain above the
 // threshold either.
-func (ctx *Context) checkRound(ref *Matrix, ch choice, threshold float64) error {
+func (ctx *Context) checkRound(ref reference, ch choice, threshold float64) error {
 	x := ctx.cand
 	if err := x.check(); err != nil {
 		return err
 	}
-	key := make([]float64, len(ref.vms))
+	key := make([]float64, len(ref))
 	for _, s := range ctx.swept {
-		c, found := slices.BinarySearchFunc(ref.vms, s.vm.ID, func(vm *cluster.VM, id cluster.VMID) int { return cmp.Compare(vm.ID, id) })
-		if !found || ref.vms[c] != s.vm {
+		c, found := slices.BinarySearchFunc(ref, s.vm.ID, func(col refColumn, id cluster.VMID) int { return cmp.Compare(col.vm.ID, id) })
+		if !found || ref[c].vm != s.vm {
 			return fmt.Errorf("core: the sweep kept VM %d, which is not a column of the cold build", s.vm.ID)
 		}
 		key[c] = s.key
 	}
-	for c, vm := range ref.vms {
+	for c, col := range ref {
+		vm := col.vm
 		cur := ctx.roster.pms[vm.Host].cur
 		ctx.virBuf = ctx.appendVirs(ctx.virBuf[:0], vm)
 		id, p := x.shape(ctx.shapeID(vm.Demand)).best(int32(vm.Host), cur, ctx.virBuf)
-		want := int32(-1)
-		if r := ref.bestRow[c]; r >= 0 {
-			want = int32(ref.pms[r].ID)
-		}
 		switch {
-		case cur != ref.curProb[c]:
-			return fmt.Errorf("core: VM %d hosted-cell probability %g in the roster, cold build %g", vm.ID, cur, ref.curProb[c])
-		case id != want || math.Float64bits(p) != math.Float64bits(ref.bestP[c]):
-			return fmt.Errorf("core: VM %d group scan (PM %d, p %g), cold build (PM %d, p %g)", vm.ID, id, p, want, ref.bestP[c])
-		case key[c] == 0 && ref.bestGain[c] > threshold:
-			return fmt.Errorf("core: VM %d left out of the sweep, but its built gain %g exceeds MIG_threshold %g", vm.ID, ref.bestGain[c], threshold)
-		case key[c] != 0 && key[c] < ref.bestGain[c]:
-			return fmt.Errorf("core: VM %d gain bound %g below its built gain %g", vm.ID, key[c], ref.bestGain[c])
+		case cur != col.cur:
+			return fmt.Errorf("core: VM %d hosted-cell probability %g in the roster, cold build %g", vm.ID, cur, col.cur)
+		case id != int32(col.best) || math.Float64bits(p) != math.Float64bits(col.p):
+			return fmt.Errorf("core: VM %d group scan (PM %d, p %g), cold build (PM %d, p %g)", vm.ID, id, p, col.best, col.p)
+		case key[c] == 0 && col.gain > threshold:
+			return fmt.Errorf("core: VM %d left out of the sweep, but its built gain %g exceeds MIG_threshold %g", vm.ID, col.gain, threshold)
+		case key[c] != 0 && key[c] < col.gain:
+			return fmt.Errorf("core: VM %d gain bound %g below its built gain %g", vm.ID, key[c], col.gain)
 		}
 	}
-	r, c, gain, ok := ref.Best()
-	switch moves := ok && gain > threshold; {
+	c, gain := ref.Best(), 0.0
+	if c >= 0 {
+		gain = ref[c].gain
+	}
+	switch moves := gain > threshold; {
 	case !(ch.gain > threshold):
 		if moves {
-			return fmt.Errorf("core: the lazy round ended the pass, but VM %d has gain %g above MIG_threshold %g", ref.vms[c].ID, gain, threshold)
+			return fmt.Errorf("core: the lazy round ended the pass, but VM %d has gain %g above MIG_threshold %g", ref[c].vm.ID, gain, threshold)
 		}
 	case !moves:
 		return fmt.Errorf("core: the lazy round moves VM %d at gain %g, the cold build's best gain is %g", ch.vm.ID, ch.gain, gain)
-	case ref.vms[c] != ch.vm || ref.pms[r].ID != cluster.PMID(ch.id) || math.Float64bits(gain) != math.Float64bits(ch.gain):
+	case ref[c].vm != ch.vm || ref[c].best != cluster.PMID(ch.id) || math.Float64bits(gain) != math.Float64bits(ch.gain):
 		return fmt.Errorf("core: the lazy round chose VM %d -> PM %d at gain %g, the cold build VM %d -> PM %d at %g",
-			ch.vm.ID, ch.id, ch.gain, ref.vms[c].ID, ref.pms[r].ID, gain)
+			ch.vm.ID, ch.id, ch.gain, ref[c].vm.ID, ref[c].best, gain)
 	}
 	return nil
 }

@@ -211,26 +211,20 @@ func TestBoundHazards(t *testing.T) {
 // roster's hosted-cell probability is stale.
 func TestCheckProofRejectsWrongVerdicts(t *testing.T) {
 	ctx, vms := spreadState(t, 16, 30, 3)
-	build := func() *Matrix {
-		t.Helper()
-		m, err := NewMatrix(ctx, DefaultFactors(), vms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
+	ref, err := newReference(ctx, DefaultFactors())
+	if err != nil {
+		t.Fatal(err)
 	}
-	ref := build()
-	_, _, gain, _ := ref.Best()
-	if err := ctx.CheckProof(ref, 1.05); err != nil || gain <= 1.05 {
-		t.Fatalf("moving fixture: best gain %g, CheckProof %v", gain, err)
+	c := ref.Best()
+	if err := ctx.CheckProof(DefaultFactors(), 1.05); err != nil || c < 0 || ref[c].gain <= 1.05 {
+		t.Fatalf("moving fixture: best column %d, CheckProof %v", c, err)
 	}
+	gain := ref[c].gain
 	ch, _ := ctx.choose(ctx.cand)
 	swept := slices.Clone(ctx.swept)
 	wrong := map[string]func(){
 		"a moving round accepted as the end of the pass": func() { ch.vm, ch.gain = nil, 0 },
-		"another column accepted as the choice": func() {
-			ch.vm = ref.vms[(slices.Index(ref.vms, ch.vm)+1)%len(ref.vms)]
-		},
+		"another column accepted as the choice":          func() { ch.vm = ref[(c+1)%len(ref)].vm },
 		"a bound below its built gain accepted": func() {
 			ctx.swept[slices.IndexFunc(ctx.swept, func(s survivor) bool { return s.vm == ch.vm })].key = math.Nextafter(ch.gain, 0)
 		},
@@ -251,39 +245,30 @@ func TestCheckProofRejectsWrongVerdicts(t *testing.T) {
 		ch = saved
 	}
 	ctx.swept = append(ctx.swept[:0], swept...)
-	c := slices.Index(ref.vms, ch.vm)
-	saved := ref.bestP[c]
-	ref.bestP[c] = math.Nextafter(saved, 0)
+	saved := ref[c].p
+	ref[c].p = math.Nextafter(saved, 0)
 	if err := ctx.checkRound(ref, ch, 1.05); err == nil || !strings.Contains(err.Error(), "group scan") {
 		t.Errorf("a group scan that disagrees with the cold build accepted: %v", err)
 	}
-	ref.bestP[c] = saved
+	ref[c].p = saved
 	ctx.cand.shapeList[0].nonEmpty++
 	if err := ctx.checkRound(ref, ch, 1.05); err == nil {
 		t.Error("a miscounted index accepted")
 	}
 	ctx.cand.shapeList[0].nonEmpty--
-	if err := ctx.CheckProof(ref, gain); err != nil {
+	if err := ctx.CheckProof(DefaultFactors(), gain); err != nil {
 		t.Errorf("threshold at the best gain itself: %v", err)
 	}
 	ch.gain = math.Nextafter(gain, math.Inf(1))
 	if err := ctx.checkRound(ref, ch, gain); err == nil {
 		t.Error("an empty pass accepted as moving")
 	}
-	ref.Release()
 
 	ctx.roster.pms[vms[0].Host].cur *= 2
-	ref = build()
-	defer ref.Release()
-	if err := ctx.CheckProof(ref, 1.05); err == nil {
+	if err := ctx.CheckProof(DefaultFactors(), 1.05); err == nil {
 		t.Error("a stale hosted-cell probability the feed does not name went unnoticed")
 	}
-	dense, err := NewMatrix(ctx, opaqueFactors(DefaultFactors()), vms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dense.Release()
-	if err := ctx.CheckProof(dense, 1.05); err == nil {
+	if err := ctx.CheckProof(opaqueFactors(DefaultFactors()), 1.05); err == nil {
 		t.Error("CheckProof ran over a factor list the index does not evaluate")
 	}
 }

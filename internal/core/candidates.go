@@ -15,7 +15,7 @@ import (
 // arrival argmax and the consolidation columns score a handful of
 // score-groups instead of all M PMs (DESIGN.md §13).
 //
-// The key observation is that for the factor program
+// The key observation is that for the factor list
 // (res, vir, rel, eff, price) the non-host cell value
 //
 //	p = (((p_vir * p_rel) * p_eff) * p_price)

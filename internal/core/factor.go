@@ -53,11 +53,12 @@ type Context struct {
 
 	// SelfAudit holds every consolidation pass on this Context to cold
 	// rebuilds: the roster it read against a cold rebuild (roster.go), and
-	// every lazy round against a cold dense Matrix (bound.go's checkRound:
-	// the index's structure, each column's group scan, the sweep's bounds
-	// and the choice). The cold builds are references, never applied, so
-	// they do not audit in turn. Expensive (a cold build per round); the
-	// simulator sets it in -audit=event mode.
+	// every lazy round against a cold reference — Joint on every (Running
+	// VM, active PM) pair (reference.go; bound.go's checkRound: the index's
+	// structure, each column's group scan, the sweep's bounds and the
+	// choice). The cold builds are never applied, so they do not audit in
+	// turn. Expensive (a cold build per round); the simulator sets it in
+	// -audit=event mode.
 	SelfAudit bool
 
 	// form is the factor list the index and the roster evaluate (kernel.go),
@@ -83,15 +84,11 @@ type Context struct {
 	// bounds every p_vir of a placed VM (virMax).
 	minOverhead float64
 
-	// Reusable scratch (scratch.go): fscratch backs dense matrices via
-	// checkout, terms backs the arrival column's term program, swept and
-	// virBuf a round's surviving columns and one column's p_vir per class
-	// (bound.go). Their presence is why a Context is not safe for
-	// concurrent use.
-	fscratch *matrixScratch
-	terms    []term
-	swept    []survivor
-	virBuf   []float64
+	// Reusable scratch: swept and virBuf are a round's surviving columns
+	// and one column's p_vir per class (bound.go). Their presence is why a
+	// Context is not safe for concurrent use.
+	swept  []survivor
+	virBuf []float64
 
 	// roster is the placed VMs bucketed by host and shape, with each PM's
 	// hosted-cell probability (roster.go), built lazily by the first

@@ -3,65 +3,12 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/cluster"
 )
 
-// This file compiles a factor list into a term program: the paper's four
-// factors are replaced by the same arithmetic on the Context's per-class
-// constants and the matrix's p_vir memo instead of dispatching through the
-// Factor interface per cell (see DESIGN.md §7). Factors the compiler does
-// not recognize (user-supplied extras) are composed on top through the
-// interface in their original position (a list of extras alone is Joint's
-// own loop), so p_ij is bit-identical to Joint for any factor list: each
-// known factor is the exact same arithmetic on bit-identical operands, and
-// multiplication order is preserved. The program runs cell by cell only in
-// a cold reference — the dense Matrix and RankPlacements: runs evaluate
-// their list a score group at a time (candidates.go, bound.go), which only
-// the lists of the covered family (form, below) allow.
-
-// termOp identifies how one factor in the compiled program is evaluated.
-type termOp int
-
-const (
-	opRes     termOp = iota // ResourceFactor: feasibility predicate
-	opVir                   // VirtualizationFactor: per-(class, column) memo
-	opRel                   // ReliabilityFactor: row field read
-	opEff                   // EfficiencyFactor: class constants + live utilization
-	opGeneric               // any other Factor, via the interface
-)
-
-// term is one position of the compiled factor program.
-type term struct {
-	op termOp
-	f  Factor // only for opGeneric
-}
-
-// program is a compiled factor list.
-type program struct {
-	terms []term
-}
-
-// compile translates a factor list into a term program, appending to dst
-// (pass a reused slice truncated to zero for allocation-free recompiles).
-func compile(dst []term, factors []Factor) program {
-	prog := program{terms: dst}
-	for _, f := range factors {
-		t := term{op: opGeneric, f: f}
-		switch f.(type) {
-		case ResourceFactor:
-			t = term{op: opRes}
-		case VirtualizationFactor:
-			t = term{op: opVir}
-		case ReliabilityFactor:
-			t = term{op: opRel}
-		case EfficiencyFactor:
-			t = term{op: opEff}
-		}
-		prog.terms = append(prog.terms, t)
-	}
-	return prog
-}
+// This file reads a factor list as the candidate index evaluates it (form),
+// and names the factor that puts any other list outside the covered family
+// (CheckFactors). The cold reference (reference.go) evaluates any list,
+// through Joint.
 
 // form is a factor list as the candidate index evaluates it: an in-order
 // subsequence of the paper's four, (res, vir, rel, eff), that starts with
@@ -180,43 +127,4 @@ func factorNames(factors []Factor) string {
 		names[i] = factorName(f)
 	}
 	return "[" + strings.Join(names, " ") + "]"
-}
-
-// cell evaluates p_ij for (pm, vm): info is pm's class-table entry, vir
-// the memoized non-host virtualization penalty of (pm's class, vm), and
-// hosted reports whether pm currently hosts vm, exactly as in Joint. The
-// multiplication order matches Joint, with 1-valued terms elided (IEEE 754
-// multiplication by 1.0 is the identity), so results are bit-identical.
-func (prog *program) cell(ctx *Context, info *classInfo, vir float64, pm *cluster.PM, vm *cluster.VM, hosted bool) float64 {
-	p := 1.0
-	for _, t := range prog.terms {
-		var q float64
-		switch t.op {
-		case opRes:
-			if !hosted && !pm.CanHost(vm.Demand) {
-				return 0
-			}
-			continue
-		case opVir:
-			if hosted {
-				continue
-			}
-			q = vir
-		case opRel:
-			q = pm.Reliability()
-		case opEff:
-			if hosted {
-				q = effProbability(info, pm.Utilization())
-			} else {
-				q = effProbability(info, pm.UtilizationWith(vm.Demand))
-			}
-		default:
-			q = t.f.Probability(ctx, vm, pm, hosted)
-		}
-		p *= q
-		if p == 0 {
-			return 0
-		}
-	}
-	return p
 }

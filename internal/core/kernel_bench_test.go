@@ -9,9 +9,8 @@ import (
 	"repro/internal/vector"
 )
 
-// Kernel micro-benchmarks at 100 / 1k / 10k PMs with ~2 VMs per PM: the
-// cold dense Matrix's build (what every audited round pays), a
-// consolidation pass (the lazy rounds, no engine built), and the arrival
+// Kernel micro-benchmarks at 100 / 1k / 10k PMs with ~2 VMs per PM: a
+// consolidation pass (the lazy rounds, no engine built) and the arrival
 // argmax — "kernel" the index's score-group argmax a run executes,
 // "generic" Joint per PM with a full sort. These are layer-level looks;
 // whole-run numbers come from `go run ./bench` (bench/README.md).
@@ -22,24 +21,6 @@ import (
 // (the pms10000 variants are sized for scale tests, not quick runs).
 
 var benchSizes = []int{100, 1000, 10000}
-
-func BenchmarkKernelMatrixBuild(b *testing.B) {
-	for _, pms := range benchSizes {
-		b.Run(fmt.Sprintf("pms%d", pms), func(b *testing.B) {
-			ctx, vms := tableIIState(b, pms, 2*pms, 7)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m, err := NewMatrix(ctx, DefaultFactors(), vms)
-				if err != nil {
-					b.Fatal(err)
-				}
-				m.Release()
-			}
-			b.ReportMetric(float64(pms*len(vms)), "cells")
-		})
-	}
-}
 
 // BenchmarkKernelLazyPass measures a consolidation pass — the lazy rounds
 // of bound.go, no engine built — on a seeded 100-PM state with

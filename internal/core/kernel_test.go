@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -88,12 +89,11 @@ func edgeState(tb testing.TB, pmCount, nVMs int, seed int64) (*Context, []*clust
 	return ctx, vms
 }
 
-// denseConsolidate runs Algorithm 1 over ctx's running VMs as the cold
-// reference reads it: every round a cold Matrix over MigratableVMs — the
-// build auditRound holds each lazy round to — whose Best above
-// MIG_threshold moves through Migrate. ConsolidateWith runs the lazy
-// rounds, so this is the reference side of every engine differential in
-// the package, for any factor list.
+// denseConsolidate runs Algorithm 1 over ctx's running VMs on the cold
+// reference: every round a newReference — the build auditRound holds each
+// lazy round to — whose Best above MIG_threshold moves through Migrate.
+// ConsolidateWith runs the lazy rounds, so this is the reference side of
+// every engine differential in the package, for any factor list.
 func denseConsolidate(tb testing.TB, ctx *Context, factors []Factor, params Params) []Move {
 	tb.Helper()
 	moves, _ := denseRounds(tb, ctx, factors, params)
@@ -105,20 +105,19 @@ func denseConsolidate(tb testing.TB, ctx *Context, factors []Factor, params Para
 func denseRounds(tb testing.TB, ctx *Context, factors []Factor, params Params) (moves []Move, alts [][]Placement) {
 	tb.Helper()
 	for round := 1; round <= params.MIGRound; round++ {
-		m, err := NewMatrix(ctx, factors, MigratableVMs(ctx.DC))
+		ref, err := newReference(ctx, factors)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		r, c, gain, ok := m.Best()
-		if !ok || !(gain > params.MIGThreshold) {
-			m.Release()
+		c := ref.Best()
+		if c < 0 || !(ref[c].gain > params.MIGThreshold) {
 			break
 		}
-		vm, to, cur := m.VM(c), m.PM(r), m.CurProb(c)
-		m.Release()
-		alts = append(alts, columnAlternatives(ctx, factors, vm, cur))
-		moves = append(moves, Move{VM: vm.ID, From: vm.Host, To: to.ID, Gain: gain, Round: round})
-		if err := Migrate(vm, ctx.DC.PM(vm.Host), to); err != nil {
+		col := ref[c]
+		vm := col.vm
+		alts = append(alts, columnAlternatives(ctx, factors, vm, col.cur))
+		moves = append(moves, Move{VM: vm.ID, From: vm.Host, To: col.best, Gain: col.gain, Round: round})
+		if err := Migrate(vm, ctx.DC.PM(vm.Host), ctx.DC.PM(col.best)); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -160,9 +159,9 @@ func assertMovesEqual(tb testing.TB, want, got []Move) {
 	}
 }
 
-// offsetFactor is a user-supplied extra factor (pure, PM-dependent) used
-// to exercise the kernel's generic-composition path on a Matrix; no run
-// takes it (CheckFactors), and offsetPrices is its stand-in on the index.
+// offsetFactor is a user-supplied extra factor (pure, PM-dependent): no run
+// takes it (CheckFactors), so only the cold reference evaluates it, and
+// offsetPrices is its stand-in on the index.
 type offsetFactor struct{}
 
 func (offsetFactor) Name() string { return "offset" }
@@ -186,10 +185,10 @@ func offsetPrices(pms int) *PriceFactor {
 	return f
 }
 
-// opaque hides a factor's concrete type from the program compiler, so a
-// list of opaque factors runs every term through the Factor interface (the
-// program's generic terms), which the specialized terms are compared
-// against.
+// opaque hides a factor's concrete type from the candidate index (formOf),
+// so a list of opaque factors is outside the covered family: the cold
+// reference, which reads every factor through the Factor interface, is the
+// one path that evaluates it.
 type opaque struct{ Factor }
 
 func opaqueFactors(factors []Factor) []Factor {
@@ -201,7 +200,7 @@ func opaqueFactors(factors []Factor) []Factor {
 }
 
 // pathFactors returns the default factors for the named evaluation path:
-// "kernel" compiles them, "generic" hides them behind opaque.
+// "kernel" as a run passes them, "generic" hidden behind opaque.
 func pathFactors(path string) []Factor {
 	if path == "generic" {
 		return opaqueFactors(DefaultFactors())
@@ -209,61 +208,36 @@ func pathFactors(path string) []Factor {
 	return DefaultFactors()
 }
 
-// assertJointFill requires every cell of m to equal Joint for its (VM, PM)
-// pair bit for bit: the cell-by-cell reference the compiled program is held
-// to, whichever of its terms the factor list compiles to.
-func assertJointFill(t *testing.T, m *Matrix) {
+// assertColumnsRescan requires every column of ref to equal a brute-force
+// Joint scan of ctx's fleet: the normalizer the host's hosted cell, the best
+// the lowest-ID PM of the largest off-host probability (of any positive
+// one when the host's is 0) and its gain.
+func assertColumnsRescan(t *testing.T, ctx *Context, factors []Factor, ref reference) {
 	t.Helper()
-	for r, pm := range m.pms {
-		for c, vm := range m.vms {
-			if got, want := m.p[r][c], Joint(m.ctx, m.factors, vm, pm, vm.Host == pm.ID); got != want {
-				t.Fatalf("p[%d][%d]: program %v != Joint %v (VM %d on PM %d)", r, c, got, want, vm.ID, pm.ID)
+	for _, col := range ref {
+		vm := col.vm
+		cur := Joint(ctx, factors, vm, ctx.DC.PM(vm.Host), true)
+		best, p := cluster.NoPM, 0.0
+		for _, pm := range ctx.DC.ActivePMs() {
+			if q := Joint(ctx, factors, vm, pm, false); pm.ID != vm.Host && q > 0 && (q > p || best < 0) && (cur > 0 || best < 0) {
+				best, p = pm.ID, q
 			}
+		}
+		if col.cur != cur || col.best != best || col.p != p || col.gain != normGain(int(best), p, cur) {
+			t.Fatalf("VM %d: column (cur %v, PM %d, p %v, gain %v), rescan (cur %v, PM %d, p %v)",
+				vm.ID, col.cur, col.best, col.p, col.gain, cur, best, p)
 		}
 	}
 }
 
-// assertMatricesEqual requires bit-identical probabilities and trackers.
-func assertMatricesEqual(t *testing.T, fast, slow *Matrix) {
-	t.Helper()
-	if fast.Rows() != slow.Rows() || fast.Cols() != slow.Cols() {
-		t.Fatalf("dims %dx%d != %dx%d", fast.Rows(), fast.Cols(), slow.Rows(), slow.Cols())
-	}
-	for r := 0; r < fast.Rows(); r++ {
-		for c := 0; c < fast.Cols(); c++ {
-			if fast.p[r][c] != slow.p[r][c] {
-				t.Fatalf("p[%d][%d]: kernel %v != generic %v (VM %d on PM %d)",
-					r, c, fast.p[r][c], slow.p[r][c], fast.vms[c].ID, fast.pms[r].ID)
-			}
-		}
-	}
-	for c := 0; c < fast.Cols(); c++ {
-		if fast.curRow[c] != slow.curRow[c] || fast.curProb[c] != slow.curProb[c] {
-			t.Fatalf("col %d normalizer: kernel (%d, %v) != generic (%d, %v)",
-				c, fast.curRow[c], fast.curProb[c], slow.curRow[c], slow.curProb[c])
-		}
-		if fast.bestRow[c] != slow.bestRow[c] || fast.bestGain[c] != slow.bestGain[c] {
-			t.Fatalf("col %d best: kernel (%d, %v) != generic (%d, %v)",
-				c, fast.bestRow[c], fast.bestGain[c], slow.bestRow[c], slow.bestGain[c])
-		}
-	}
-	fr, fc, fg, fok := fast.Best()
-	sr, sc, sg, sok := slow.Best()
-	if fr != sr || fc != sc || fg != sg || fok != sok {
-		t.Fatalf("Best: kernel (%d, %d, %v, %v) != generic (%d, %d, %v, %v)",
-			fr, fc, fg, fok, sr, sc, sg, sok)
-	}
-}
-
-// TestKernelEquivalence proves the compiled program fills every cell
-// bit-identical to Joint on the Table II fleet, for the default factors,
-// for ablation subsets, for a user factor composed on top and for a list of
-// user factors alone (generic terms only) — including zero-reliability rows
-// and expired-estimate columns, where both sides take their literal-zero
-// short circuits — and that the same factors behind opaque (generic terms
-// throughout) build the same cells and trackers. (The frozen oracle is the
-// third leg: internal/audit's TestMatrixMatchesOracleAfterApplies and
-// TrackerCheck.)
+// TestKernelEquivalence holds the cold reference to a brute-force Joint
+// scan on the Table II fleet, for the default factors, for ablation
+// subsets, for a user factor composed on top and for a list of user
+// factors alone — including zero-reliability rows and expired-estimate
+// columns, where Joint takes its literal-zero short circuit — and, for
+// each list the candidate index evaluates, holds the index's first lazy
+// round to the reference (CheckProof: every column's group scan, the
+// bounds and the choice).
 func TestKernelEquivalence(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -278,17 +252,20 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ctx, vms := edgeState(t, 100, 260, 7)
-			fast, err := NewMatrix(ctx, tc.factors, vms)
+			ctx, _ := edgeState(t, 100, 260, 7)
+			ref, err := newReference(ctx, tc.factors)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertJointFill(t, fast)
-			slow, err := NewMatrix(ctx, opaqueFactors(tc.factors), vms)
-			if err != nil {
-				t.Fatal(err)
+			assertColumnsRescan(t, ctx, tc.factors, ref)
+			if CheckFactors(tc.factors) != nil {
+				return
 			}
-			assertMatricesEqual(t, fast, slow)
+			for _, threshold := range []float64{1.05, 1.6} {
+				if err := ctx.CheckProof(tc.factors, threshold); err != nil {
+					t.Fatalf("threshold %g: %v", threshold, err)
+				}
+			}
 		})
 	}
 }
@@ -296,8 +273,8 @@ func TestKernelEquivalence(t *testing.T) {
 // TestKernelEquivalenceConsolidate proves Algorithm 1 produces identical
 // move sequences (VM, endpoints, bit-identical gains, rounds) on the Table
 // II fleet three ways: what a canonical run executes (the lazy rounds over
-// the candidate index), the dense Matrix on the compiled program, and the
-// dense Matrix on the program's generic terms (opaque factors).
+// the candidate index), and the cold reference over the paper's factors
+// and over the same factors behind opaque.
 func TestKernelEquivalenceConsolidate(t *testing.T) {
 	params := Params{MIGThreshold: 1.05, MIGRound: 50}
 	ctxFast, _ := spreadState(t, 100, 260, 11)
@@ -319,13 +296,13 @@ func TestKernelEquivalenceConsolidate(t *testing.T) {
 	}
 }
 
-// TestKernelArrivalEquivalence checks the arrival column on both of its
-// evaluations — the compiled program for the paper's factors, its generic
-// terms for the same factors behind opaque: the program-scored ranking
-// (RankPlacements) must equal a naive Joint scan, including the
-// unhosted-VM overhead rule (creation only, no migration share), and the
-// candidate index's argmax (BestPlacementWith, on the paper's factors)
-// must be the Joint scan's argmax, which is also the ranking's head.
+// TestKernelArrivalEquivalence checks the arrival column for the paper's
+// factors and for the same factors behind opaque: the ranking
+// (RankPlacements) must equal a naive Joint scan of the active PMs,
+// including the unhosted-VM overhead rule (creation only, no migration
+// share), and the candidate index's argmax (BestPlacementWith, on the
+// paper's factors) must be the Joint scan's argmax, which is also the
+// ranking's head.
 func TestKernelArrivalEquivalence(t *testing.T) {
 	for _, name := range []string{"kernel", "generic"} {
 		t.Run(name, func(t *testing.T) {
@@ -364,44 +341,42 @@ func TestKernelArrivalEquivalence(t *testing.T) {
 }
 
 // TestMatrixTrackersMatchRebuildAfterRandomApplies walks a randomized
-// sequence of moves — each a positive off-host cell of a cold build, moved
-// through Migrate — and after every move holds a cold build to its own
-// cells and to the same build over opaque factors: every tracker equal to
-// a brute-force rescan of the stored probabilities (lowest row on ties,
-// +Inf for a zero normalizer) and every cell and tracker bit-identical
-// across the compiled program and its generic terms.
+// sequence of moves — each to a PM of positive probability off a random
+// column's host, moved through Migrate — and after every move holds a cold
+// reference to a brute-force Joint scan (assertColumnsRescan: lowest PM on
+// ties, +Inf for a zero normalizer) and to the same build over opaque
+// factors.
 func TestMatrixTrackersMatchRebuildAfterRandomApplies(t *testing.T) {
 	for _, name := range []string{"kernel", "generic"} {
 		t.Run(name, func(t *testing.T) {
-			ctx, vms := tableIIState(t, 100, 150, 23)
+			ctx, _ := tableIIState(t, 100, 150, 23)
 			factors := pathFactors(name)
 			rng := stats.NewRand(42)
 			applied := 0
 			for step := 0; step < 40; step++ {
-				m, err := NewMatrix(ctx, factors, vms)
+				ref, err := newReference(ctx, factors)
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertTrackersRescan(t, m)
-				other, err := NewMatrix(ctx, opaqueFactors(factors), vms)
+				assertColumnsRescan(t, ctx, factors, ref)
+				other, err := newReference(ctx, opaqueFactors(factors))
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertMatricesEqual(t, m, other)
-				// Random feasible move: any positive cell off the
-				// current host.
-				c := rng.Intn(m.Cols())
-				var rows []int
-				for r := 0; r < m.Rows(); r++ {
-					if r != m.curRow[c] && m.p[r][c] > 0 {
-						rows = append(rows, r)
+				if !slices.Equal(ref, other) {
+					t.Fatalf("after %d moves the reference over opaque factors differs", applied)
+				}
+				vm := ref[rng.Intn(len(ref))].vm
+				var to []*cluster.PM
+				for _, pm := range ctx.DC.ActivePMs() {
+					if pm.ID != vm.Host && Joint(ctx, factors, vm, pm, false) > 0 {
+						to = append(to, pm)
 					}
 				}
-				if len(rows) == 0 {
+				if len(to) == 0 {
 					continue
 				}
-				vm, to := m.VM(c), m.PM(rows[rng.Intn(len(rows))])
-				if err := Migrate(vm, ctx.DC.PM(vm.Host), to); err != nil {
+				if err := Migrate(vm, ctx.DC.PM(vm.Host), to[rng.Intn(len(to))]); err != nil {
 					t.Fatal(err)
 				}
 				applied++
@@ -416,32 +391,9 @@ func TestMatrixTrackersMatchRebuildAfterRandomApplies(t *testing.T) {
 	}
 }
 
-// assertTrackersRescan requires m's column trackers to equal a brute-force
-// rescan of its stored probabilities: the host's row and cell, the lowest
-// row of the largest off-host probability (of any positive one when the
-// host's is 0) and its gain.
-func assertTrackersRescan(t *testing.T, m *Matrix) {
-	t.Helper()
-	for c, vm := range m.vms {
-		cur, ok := m.RowOf(vm.Host)
-		if !ok || m.curRow[c] != cur || m.curProb[c] != m.p[cur][c] {
-			t.Fatalf("col %d: normalizer (row %d, %v), host row %d", c, m.curRow[c], m.curProb[c], cur)
-		}
-		row, p := -1, 0.0
-		for r := range m.pms {
-			if q := m.p[r][c]; r != cur && q > 0 && (q > p || row < 0) && (m.curProb[c] > 0 || row < 0) {
-				row, p = r, q
-			}
-		}
-		if m.bestRow[c] != row || m.bestGain[c] != normGain(row, p, m.curProb[c]) {
-			t.Fatalf("col %d: tracker (row %d, gain %v), rescan (row %d, p %v)", c, m.bestRow[c], m.bestGain[c], row, p)
-		}
-	}
-}
-
 // TestConsolidateZeroCurrentProbability exercises the curProb == 0 → +Inf
-// gain path end-to-end through Algorithm 1 on the dense Matrix with the
-// real factors, on the compiled program and on its generic terms: a VM
+// gain path end-to-end through Algorithm 1 on the cold reference with the
+// real factors, as a run passes them and behind opaque: a VM
 // whose host's reliability has decayed to zero has a zero-probability
 // placement, so any feasible alternative must be taken regardless of
 // MIG_threshold, with an infinite recorded gain. (The lazy rounds' twin

@@ -12,16 +12,16 @@ import (
 	"repro/internal/vector"
 )
 
-// This file holds the lazy rounds (bound.go) to the cold dense reference.
+// This file holds the lazy rounds (bound.go) to the cold reference.
 // Two identically built fleets walk the same operation stream — the opcodes
 // and the fleet of internal/audit's FuzzSparseOperations — and after every
 // operation each runs one consolidation pass: lazily through
-// ConsolidateWith, and round by round on a cold Matrix built afresh each
-// round. The move lists (VM, endpoints, Gain bits, Round) and each move's
+// ConsolidateWith, and round by round on a cold reference built afresh
+// each round (reference.go). The move lists (VM, endpoints, Gain bits, Round) and each move's
 // alternatives (the lazy side's MoveAlternatives, the dense side's
 // cell-by-cell ranking, columnAlternatives) must agree
-// exactly, every moving round's sweep is held to the dense trackers of the
-// same round — no swept bound below its column's gain, no column left out
+// exactly, every moving round's sweep is held to the reference's gains in
+// the same round — no swept bound below its column's gain, no column left out
 // whose gain exceeds the threshold — and after every pass the bucket sweep
 // is held to a cold column sweep (checkBuckets).
 
@@ -100,7 +100,7 @@ type lazyCase struct {
 	vm        cluster.VMID             // the chosen column's VM
 	gain, key float64                  // its gain and its swept key
 	swept     []sweptCol               // the round's survivors, in sweep order
-	gains     map[cluster.VMID]float64 // every column's gain, from the dense engine
+	gains     map[cluster.VMID]float64 // every column's gain, from the cold reference
 	soleHosts int                      // columns hosted on their shape's lone top PM
 	raised    bool                     // a shape's top product is above round 1's
 }
@@ -219,7 +219,7 @@ func (h *lazyHarness) step(op, arg byte) {
 // pass runs one consolidation pass both ways and requires them to agree.
 // The lazy side is ConsolidateWith, recording decisions so the Context
 // collects each move's alternatives. The dense side runs Algorithm 1's
-// rounds on a cold Matrix each (denseRounds' loop), and before each move
+// rounds on a cold reference each (denseRounds' loop), and before each move
 // logs the round:
 // the dense gains, and the sweep and choice the lazy rounds make on the
 // same fleet state, taken on the dense side's own Context.
@@ -243,18 +243,17 @@ func (h *lazyHarness) pass() {
 		tops0      []float64 // round 1's top product per shape id
 	)
 	for round := 1; round <= h.params.MIGRound; round++ {
-		m, err := NewMatrix(dense, DefaultFactors(), MigratableVMs(dense.DC))
+		ref, err := newReference(dense, DefaultFactors())
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, c, gain, ok := m.Best()
-		if !ok || !(gain > h.params.MIGThreshold) {
-			m.Release()
+		c := ref.Best()
+		if c < 0 || !(ref[c].gain > h.params.MIGThreshold) {
 			break
 		}
-		vm, to := m.vms[c], m.pms[r]
-		mv := Move{VM: vm.ID, From: vm.Host, To: to.ID, Gain: gain, Round: round}
-		lc, tops := h.lazyRound(dense, mv, m)
+		vm, to := ref[c].vm, dense.DC.PM(ref[c].best)
+		mv := Move{VM: vm.ID, From: vm.Host, To: to.ID, Gain: ref[c].gain, Round: round}
+		lc, tops := h.lazyRound(dense, mv, ref)
 		if round == 1 {
 			tops0 = tops
 		}
@@ -262,8 +261,7 @@ func (h *lazyHarness) pass() {
 			lc.raised = lc.raised || tops[sid] > tops0[sid]
 		}
 		cases = append(cases, lc)
-		alts[1] = append(alts[1], columnAlternatives(dense, DefaultFactors(), vm, m.CurProb(c)))
-		m.Release()
+		alts[1] = append(alts[1], columnAlternatives(dense, DefaultFactors(), vm, ref[c].cur))
 		if err := Migrate(vm, dense.DC.PM(vm.Host), to); err != nil {
 			t.Fatal(err)
 		}
@@ -302,10 +300,10 @@ func (h *lazyHarness) pass() {
 
 // lazyRound is the lazy rounds' view of one dense round about to make mv:
 // the sweep and exact scans on ctx, the dense side's Context, over the
-// fleet as it stands, with m's gains, and every shape's top product by
+// fleet as it stands, with ref's gains, and every shape's top product by
 // shape id. The lazy side's round made the same sweep: the moves before
 // it were the same, and a sweep reads only the fleet.
-func (h *lazyHarness) lazyRound(ctx *Context, mv Move, m *Matrix) (lazyCase, []float64) {
+func (h *lazyHarness) lazyRound(ctx *Context, mv Move, ref reference) (lazyCase, []float64) {
 	x := ctx.candidates()
 	ctx.syncRoster()
 	ctx.sweep(x, h.params.MIGThreshold)
@@ -313,9 +311,9 @@ func (h *lazyHarness) lazyRound(ctx *Context, mv Move, m *Matrix) (lazyCase, []f
 	if ch.vm == nil || ch.vm.ID != mv.VM || cluster.PMID(ch.id) != mv.To || math.Float64bits(ch.gain) != math.Float64bits(mv.Gain) {
 		h.t.Fatalf("round %d: the dense side moves VM %d to PM %d at %v, the sweep on its fleet chooses %+v", mv.Round, mv.VM, mv.To, mv.Gain, ch)
 	}
-	lc := lazyCase{round: mv.Round, vm: mv.VM, gain: mv.Gain, gains: make(map[cluster.VMID]float64, len(m.vms))}
-	for c, vm := range m.vms {
-		lc.gains[vm.ID] = m.bestGain[c]
+	lc := lazyCase{round: mv.Round, vm: mv.VM, gain: mv.Gain, gains: make(map[cluster.VMID]float64, len(ref))}
+	for _, col := range ref {
+		lc.gains[col.vm.ID] = col.gain
 	}
 	for _, s := range ctx.swept {
 		lc.swept = append(lc.swept, sweptCol{s.vm.ID, s.key})

@@ -7,6 +7,34 @@ import (
 	"repro/internal/cluster"
 )
 
+// Move is one migration decision produced by Algorithm 1.
+type Move struct {
+	VM   cluster.VMID
+	From cluster.PMID
+	To   cluster.PMID
+
+	// Gain is the normalized probability ratio d_ij that justified the
+	// move (> MIG_threshold).
+	Gain float64
+
+	// Round is the 1-based migration round within the consolidation
+	// pass.
+	Round int
+}
+
+// MatrixOptions tunes a Dynamic scheme's evaluation. The run's own settings
+// (self-audit, decision recording) live on its Context.
+type MatrixOptions struct {
+	// CandidateK selects nothing: every run evaluates on the candidate
+	// index. It is only the declared ceiling on non-empty score
+	// groups per demand shape behind the "core.sparse_shape_overflow"
+	// diagnostic — a shape that needs more groups is still scanned
+	// exactly, and each column or arrival that meets one is counted on
+	// ctx.Obs so a mis-sized fleet model is visible. Zero or less declares
+	// no ceiling and counts nothing.
+	CandidateK int
+}
+
 // Params are the two knobs the paper uses to restrain dynamic migration
 // (Section III.C).
 type Params struct {
@@ -88,7 +116,7 @@ func ConsolidateWith(ctx *Context, factors []Factor, params Params, opts MatrixO
 // when dst cannot actually host it (for Algorithm 1 that would indicate a
 // factor bug, since p_res must have been positive), errors with the VM back
 // on src. It is the one migration primitive: Algorithm 1's passes, the
-// policy package's Threshold and Replay, and the tests' dense reference all
+// policy package's Threshold and Replay, and the tests' cold reference all
 // move VMs through it.
 func Migrate(vm *cluster.VM, src, dst *cluster.PM) error {
 	if err := src.Evict(vm); err != nil {
@@ -111,8 +139,8 @@ func Migrate(vm *cluster.VM, src, dst *cluster.PM) error {
 // (AppendVMsInState sorts the appended span): Algorithm 1's tie-breaks
 // are ID-ordered, so the column order must not depend on an upstream
 // implementation accident (the determinism tests assert it). This is the
-// cold collection the audit checks and SelfAudit's cold matrices build
-// over.
+// column axis of the cold reference (reference.go) that SelfAudit and the
+// audit checks hold the lazy rounds to.
 func MigratableVMs(dc *cluster.Datacenter) []*cluster.VM {
 	return dc.AppendVMsInState(nil, cluster.VMRunning)
 }
@@ -130,16 +158,18 @@ type Placement struct {
 //
 // This is the paper's arrival path: "if a new VM request arrives, we only
 // calculate the probability in the new VM column and allocate it to the PM
-// with the highest probability". It evaluates the column cell by cell, for
-// any factor list, which makes it the reference the candidate index's
-// arrival argmax and shortlist are compared against. Callers that only
+// with the highest probability". It evaluates the column through Joint, PM
+// by PM, for any factor list, which makes it the reference the candidate
+// index's arrival argmax and shortlist are compared against. Callers that only
 // need the argmax should use BestPlacement, which is sort- and
 // allocation-free.
 func RankPlacements(ctx *Context, factors []Factor, vm *cluster.VM) []Placement {
-	col := ctx.arrivalColumn(factors, vm)
 	var out []Placement
 	for _, pm := range ctx.DC.PMs() {
-		if p := col.cell(pm); p > 0 {
+		if !pm.Active() {
+			continue
+		}
+		if p := Joint(ctx, factors, vm, pm, false); p > 0 {
 			out = append(out, Placement{PM: pm, Probability: p})
 		}
 	}
@@ -163,34 +193,4 @@ func BestPlacementWith(ctx *Context, factors []Factor, vm *cluster.VM, opts Matr
 	phase := ctx.metrics().arrival.Span()
 	defer phase.End(phase.Begin())
 	return ctx.index(factors).bestArrival(vm, opts.CandidateK)
-}
-
-// arrivalColumn is the new-arrival column of the probability matrix for
-// one VM: the compiled factor program plus the column-static remaining
-// estimate. It reads the Context's class table directly; p_vir needs no
-// memo when the column is evaluated once.
-type arrivalColumn struct {
-	ctx  *Context
-	prog program
-	vm   *cluster.VM
-	tre  float64
-}
-
-// arrivalColumn compiles factors into the Context's reusable term storage,
-// so the per-event cost is the argmax pass itself. Arrivals are strictly
-// sequential within a simulation, so plain reuse is safe.
-func (ctx *Context) arrivalColumn(factors []Factor, vm *cluster.VM) arrivalColumn {
-	prog := compile(ctx.terms[:0], factors)
-	ctx.terms = prog.terms
-	return arrivalColumn{ctx: ctx, prog: prog, vm: vm, tre: vm.RemainingEstimate(ctx.Now)}
-}
-
-// cell is the joint probability of placing the column's VM, which pm does
-// not host, on pm — 0 for an inactive PM.
-func (a *arrivalColumn) cell(pm *cluster.PM) float64 {
-	if !pm.Active() {
-		return 0
-	}
-	info := a.ctx.classInfoFor(pm)
-	return a.prog.cell(a.ctx, info, virProbability(a.tre, info.virOverhead(a.vm)), pm, a.vm, false)
 }

@@ -308,24 +308,24 @@ func TestQuickConsolidateInvariants(t *testing.T) {
 	}
 }
 
-// Property: with an all-factors matrix, the normalized gain of the
+// Property: with all four factors, the normalized gain of the
 // executed first move matches the ratio of joint probabilities computed
 // independently.
 func TestQuickGainMatchesJointRatio(t *testing.T) {
-	dc, vms := figure1Scenario(t)
+	dc, _ := figure1Scenario(t)
 	ctx := &Context{DC: dc, Now: 0}
 	factors := DefaultFactors()
-	m, err := NewMatrix(ctx, factors, vms)
+	ref, err := newReference(ctx, factors)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, c, gain, ok := m.Best()
-	if !ok {
+	c := ref.Best()
+	if c < 0 {
 		t.Fatal("no move")
 	}
-	vm := m.vms[c]
+	vm, gain := ref[c].vm, ref[c].gain
 	pOld := Joint(ctx, factors, vm, dc.PM(vm.Host), true)
-	pNew := Joint(ctx, factors, vm, m.pms[r], false)
+	pNew := Joint(ctx, factors, vm, dc.PM(ref[c].best), false)
 	if math.Abs(gain-pNew/pOld) > 1e-12 {
 		t.Errorf("gain %g != joint ratio %g", gain, pNew/pOld)
 	}

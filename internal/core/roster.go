@@ -227,8 +227,9 @@ func (ro *roster) search(hosts []int32, id int32, cur float64) (int, bool) {
 }
 
 // running reports whether any placed VM is Running — a pass over none ends
-// before it starts — and fails, with NewMatrix's error, on a Running VM
-// hosted on a PM that is not active, looked for while one holds VMs.
+// before it starts — and fails, with the cold reference's error, on a
+// Running VM hosted on a PM that is not active, looked for while one holds
+// VMs.
 func (ro *roster) running() (found bool, err error) {
 	for id := range ro.pms {
 		for _, e := range ro.bucket(int32(id)) {

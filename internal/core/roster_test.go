@@ -260,29 +260,37 @@ func TestRosterCounters(t *testing.T) {
 	}
 }
 
-// TestFrameRejectsUnorderedColumns: NewMatrix orders a caller's columns by
-// ID — the same matrix from any order — and the adjacent-ID scan after the
-// sort rejects a VM listed twice.
+// TestFrameRejectsUnorderedColumns: the reference's columns ascend by VM
+// ID whatever order the VMs were hosted in — Algorithm 1's tie-breaks read
+// the column order — with each Running VM a column once: re-hosting every
+// VM in descending ID order builds the same reference.
 func TestFrameRejectsUnorderedColumns(t *testing.T) {
 	ctx, vms := tableIIState(t, 10, 20, 1)
-	sorted, err := NewMatrix(ctx, DefaultFactors(), vms)
+	before, err := newReference(ctx, DefaultFactors())
 	if err != nil {
-		t.Fatalf("ascending columns rejected: %v", err)
+		t.Fatal(err)
 	}
-	defer sorted.Release()
-	shuffled := slices.Clone(vms)
-	shuffled[3], shuffled[4] = shuffled[4], shuffled[3]
-	slices.Reverse(shuffled)
-	m, err := NewMatrix(ctx, DefaultFactors(), shuffled)
+	for i := len(vms) - 1; i >= 0; i-- {
+		vm := vms[i]
+		pm := ctx.DC.PM(vm.Host)
+		if err := pm.Evict(vm); err != nil {
+			t.Fatal(err)
+		}
+		if err := pm.Host(vm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, err := newReference(ctx, DefaultFactors())
 	if err != nil {
-		t.Fatalf("a caller's unsorted list must be sorted, got %v", err)
+		t.Fatal(err)
 	}
-	if err := m.Diff(sorted); err != nil {
-		t.Fatalf("unsorted columns built another matrix: %v", err)
+	if len(after) != len(vms) || !slices.Equal(before, after) {
+		t.Fatalf("%d columns over %d Running VMs; equal to the build before re-hosting: %t", len(after), len(vms), slices.Equal(before, after))
 	}
-	m.Release()
-	if _, err := NewMatrix(ctx, DefaultFactors(), append(shuffled, vms[7])); err == nil {
-		t.Fatal("a VM listed twice accepted")
+	for c := 1; c < len(after); c++ {
+		if after[c-1].vm.ID >= after[c].vm.ID {
+			t.Fatalf("column %d is VM %d after VM %d", c, after[c].vm.ID, after[c-1].vm.ID)
+		}
 	}
 }
 

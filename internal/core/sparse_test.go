@@ -104,18 +104,16 @@ func TestTwinClassTieBreak(t *testing.T) {
 		t.Fatal(err)
 	}
 	arrival.State = cluster.VMRunning
-	m, err := NewMatrix(ctx, factors, MigratableVMs(dc))
+	ref, err := newReference(ctx, factors)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Release()
-	row, _ := m.BestAlt(0)
 	sh := ctx.candidates().shape(ctx.shapeID(arrival.Demand))
 	id, _ := sh.best(3, ctx.hostedProb(dc.PM(3)), ctx.appendVirs(nil, arrival))
-	if row < 0 || id != int32(m.PM(row).ID) {
-		t.Fatalf("group scan %d dense %d", id, row)
+	if ref[0].best < 0 || id != int32(ref[0].best) {
+		t.Fatalf("group scan %d, reference %d", id, ref[0].best)
 	}
-	if err := ctx.CheckProof(m, 1.05); err != nil {
+	if err := ctx.CheckProof(factors, 1.05); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -219,43 +217,31 @@ func TestSparseShortlistProperty(t *testing.T) {
 		}
 		checkShortlists("fresh")
 
-		// Mutate the fleet through a random move sequence — each a positive
-		// off-host cell of a cold build, moved through Migrate — and hold
-		// the index to a cold dense build after every move (CheckProof: its
-		// structure and every column's group scan); the shortlists are then
-		// re-checked, so the index must have tracked every membership
-		// change.
+		// Mutate the fleet through a random move sequence — each to a PM
+		// of positive probability off a random VM's host, moved through
+		// Migrate — and hold the index to a cold reference after every move
+		// (CheckProof: its structure and every column's group scan); the
+		// shortlists are then re-checked, so the index must have tracked
+		// every membership change.
 		applied := 0
 		for step := 0; step < 25 && applied < 12; step++ {
-			m, err := NewMatrix(ctx, factors, vms)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := rng.Intn(m.Cols())
-			var rows []int
-			for r := 0; r < m.Rows(); r++ {
-				if r != m.curRow[c] && m.p[r][c] > 0 {
-					rows = append(rows, r)
+			vm := vms[rng.Intn(len(vms))]
+			var to []*cluster.PM
+			for _, pm := range ctx.DC.ActivePMs() {
+				if pm.ID != vm.Host && Joint(ctx, factors, vm, pm, false) > 0 {
+					to = append(to, pm)
 				}
 			}
-			if len(rows) == 0 {
-				m.Release()
+			if len(to) == 0 {
 				continue
 			}
-			vm, to := m.VM(c), m.PM(rows[rng.Intn(len(rows))])
-			m.Release()
-			if err := Migrate(vm, ctx.DC.PM(vm.Host), to); err != nil {
+			if err := Migrate(vm, ctx.DC.PM(vm.Host), to[rng.Intn(len(to))]); err != nil {
 				t.Fatal(err)
 			}
 			applied++
-			ref, err := NewMatrix(ctx, factors, MigratableVMs(ctx.DC))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ctx.CheckProof(ref, 1.05); err != nil {
+			if err := ctx.CheckProof(factors, 1.05); err != nil {
 				t.Fatalf("seed %d after move %d: %v", seed, applied, err)
 			}
-			ref.Release()
 		}
 		if applied < 5 {
 			t.Fatalf("only %d moves applied; post-move property barely exercised", applied)
@@ -325,10 +311,10 @@ func TestSparseNonCanonicalFallback(t *testing.T) {
 				t.Fatal("consolidation produced no moves; the state is too easy to prove anything")
 			}
 			assertMovesEqual(t, denseConsolidate(t, twin, tc.factors, params), moves)
-			// The pass built no engine and checked out no scratch; the
-			// lazy rounds' sweep left its survivor slice behind.
-			if ctx.fscratch != nil || ctx.cand == nil || ctx.swept == nil {
-				t.Fatalf("pooled scratch %v, index %t, swept %t after the pass; want none, true, true", ctx.fscratch, ctx.cand != nil, ctx.swept != nil)
+			// The pass ran on the index: the lazy rounds' sweep left its
+			// survivor slice behind.
+			if ctx.cand == nil || ctx.swept == nil {
+				t.Fatalf("index %t, swept %t after the pass; want true, true", ctx.cand != nil, ctx.swept != nil)
 			}
 		})
 	}

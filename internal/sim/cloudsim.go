@@ -489,7 +489,7 @@ func (s *simulator) stepOnce() (bool, error) {
 	var err error
 	if s.tickRan {
 		// A control tick just fired: run the full set, including the
-		// per-period oracle differential.
+		// per-period differential against the cold reference.
 		s.tickRan = false
 		err = s.aud.RunPeriod(s.eng.Now())
 	} else if s.cfg.Audit == audit.Event {
@@ -534,11 +534,11 @@ func (s *simulator) finish() (*Result, error) {
 }
 
 // setupAudit registers the invariant checks matching the run's
-// configuration. A dynamic scheme gets the dense-vs-oracle TrackerCheck,
-// the roster-vs-cold-rebuild RosterCheck and the lazy-rounds-vs-dense
-// SparseCheck. In Event mode the run Context's self-audit (newSimulator)
-// also verifies every consolidation pass's roster against a cold rebuild
-// and every lazy round against a cold dense build.
+// configuration. A dynamic scheme gets the roster-vs-cold-rebuild
+// RosterCheck and SparseCheck, which holds a pass's first lazy round to
+// core's cold reference. In Event mode the run Context's self-audit
+// (newSimulator) also verifies every consolidation pass's roster against a
+// cold rebuild and every lazy round against a cold reference.
 func (s *simulator) setupAudit() {
 	if s.cfg.Audit == audit.Off {
 		return
@@ -554,7 +554,6 @@ func (s *simulator) setupAudit() {
 		}))
 	}
 	if d, ok := policy.DynamicOf(s.cfg.Placer); ok {
-		s.aud.Register(audit.TrackerCheck(s.pctx, d.FactorSet()))
 		s.aud.Register(audit.RosterCheck(s.pctx))
 		s.aud.Register(audit.SparseCheck(s.pctx, d.FactorSet(), func() float64 { return d.Params.MIGThreshold }))
 	}

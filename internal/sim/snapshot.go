@@ -473,6 +473,13 @@ func (s *simulator) restore(st *simState) error {
 	if err := a.RunEvent(s.eng.Now()); err != nil {
 		return fmt.Errorf("sim: snapshot state contradicts itself: %w", err)
 	}
+	// A hold is a timed migration in flight: its VM is migrating until the
+	// cutover, which a VM in any other state would never reach.
+	for _, hs := range st.Holds {
+		if vm := s.vm(int64(hs.VM)); vm.State != cluster.VMMigrating {
+			return fmt.Errorf("sim: snapshot state contradicts itself: the hold of VM %d, which is %s, not migrating", vm.ID, vm.State)
+		}
+	}
 	s.setupAudit()
 	return nil
 }

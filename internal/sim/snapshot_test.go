@@ -810,12 +810,12 @@ func TestSnapshotHostileRecords(t *testing.T) {
 }
 
 // TestSnapshotContradictoryRecords: records that are each valid but
-// contradict one another are refused by the per-event checks Restore runs
-// once on the rebuilt state, with an error naming the VM; restored, the
-// first row would panic on the first Step, and the other two would run to
-// Finish. A held VM relabelled creating or running,
-// or its host relabelled booting, still restores: no per-event check ties
-// a transitional state to its event yet.
+// contradict one another are refused, with an error naming the VM: by the
+// per-event checks Restore runs once on the rebuilt state, then by its
+// check that every held VM is migrating. Restored, the first row would
+// panic on the first Step, and the others would run to Finish. A held VM's
+// host relabelled booting still restores: no per-event check ties a
+// transitional state to its event yet.
 func TestSnapshotContradictoryRecords(t *testing.T) {
 	f, err := snapshot.Read(bytes.NewReader(midRunCheckpoint(t, holding)))
 	if err != nil {
@@ -841,6 +841,10 @@ func TestSnapshotContradictoryRecords(t *testing.T) {
 			fmt.Sprintf("audit: state at t=%.3f: PM %d hosts VM %d in non-placed state queued", st.Engine.Now, st.VMs[i].Host, held)},
 		{"held VM relabelled finished", func(st *simState) { st.VMs[i].State = int(cluster.VMFinished) },
 			fmt.Sprintf("audit: state at t=%.3f: PM %d hosts VM %d in non-placed state finished", st.Engine.Now, st.VMs[i].Host, held)},
+		{"held VM relabelled running", func(st *simState) { st.VMs[i].State = int(cluster.VMRunning) },
+			fmt.Sprintf("the hold of VM %d, which is running, not migrating", held)},
+		{"held VM relabelled creating", func(st *simState) { st.VMs[i].State = int(cluster.VMCreating) },
+			fmt.Sprintf("the hold of VM %d, which is creating, not migrating", held)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := st
