@@ -1,6 +1,7 @@
 package main
 
 import (
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -108,5 +109,33 @@ func TestRunFig5SVG(t *testing.T) {
 	}
 	if _, err := os.ReadFile(filepath.Join(dir, "results.json")); err != nil {
 		t.Errorf("results.json missing: %v", err)
+	}
+}
+
+// TestAblationDigest pins `experiments -run ablation`'s stdout at seeds 1
+// and 7 by its FNV-64a: the factor ablation runs the factor lists other
+// than the paper's four (E-A1a's dyn-no-* rows), and the report covers the
+// threshold, round, spare-alpha, baseline, migration-model and packing
+// studies. A changed digest means a changed line of the report; review the
+// report, then bless the new value.
+func TestAblationDigest(t *testing.T) {
+	for _, row := range []struct {
+		seed   string
+		digest uint64
+	}{
+		{"1", 0xe4f40c081e0c8822},
+		{"7", 0xcc3b33835249b9c9},
+	} {
+		t.Run("seed "+row.seed, func(t *testing.T) {
+			var sb strings.Builder
+			if err := run([]string{"-run", "ablation", "-seed", row.seed}, &sb); err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			h.Write([]byte(sb.String()))
+			if got := h.Sum64(); got != row.digest {
+				t.Errorf("stdout digest %#016x, want %#016x", got, row.digest)
+			}
+		})
 	}
 }
