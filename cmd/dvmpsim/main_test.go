@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -295,82 +294,5 @@ func TestRunAuditFlag(t *testing.T) {
 	}
 	if err := run([]string{"-audit", "nonsense"}, &sb); err == nil {
 		t.Error("bad audit mode accepted")
-	}
-}
-
-// TestSeedWeekScansOnlyContendingColumns pins what the lazy rounds
-// (internal/core/bound.go) do on the seed-1 week: no engine is built, every
-// pass opens with one bound sweep, the passes that move nothing end there or
-// after their first choice, and the exact group scans stay with the columns
-// whose key could contend for a round. A column's key is its cell's bound
-// times its own largest p_vir, so 4,090 passes keep a column in their first
-// sweep (4,991 when the key had no p_vir) and 5,325 of their 9,366 rounds
-// keep any: 5,276 move and 49 end the pass on a column that cannot. Each of
-// those rounds scans its top key first — 5,325 scans — and then the 2,825
-// columns whose key beat the running best: 8,150, where the keys without
-// p_vir read 55,422, and the built engines made 1,794,707 column
-// derivations. On the same keys the sorted walk the rounds used to take
-// scans 8,149: the one-pass choice costs one scan in the week, the key all
-// the rest of the drop. The sweeps bound (shape, host)
-// cells of the roster's buckets (internal/core/roster.go), not columns —
-// 167,523 for the week against some 4.5 M column bounds — and the roster
-// re-reads only the PMs the change feed names: one per arrival or departure
-// PM, two per move, one per power-state change between passes, none
-// otherwise. 369 of the 29,602 re-reads are state changes that leave
-// Active() as it was (184 booting→on, 157 shutting-down→off, 28 whole
-// power cycles). The run itself — passes, moves, events — is the one it
-// always was.
-func TestSeedWeekScansOnlyContendingColumns(t *testing.T) {
-	dir := t.TempDir()
-	tracePath, metricsPath := filepath.Join(dir, "run.jsonl"), filepath.Join(dir, "run.json")
-	if err := run([]string{"-spare", "-trace", tracePath, "-metrics", metricsPath}, &strings.Builder{}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(metricsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m struct {
-		Counters map[string]int64
-		Phases   map[string]struct{ Calls int64 }
-	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatal(err)
-	}
-	trace := rendered(t, tracePath)
-	movingPasses := int64(0) // a pass's first move is round 1
-	for _, line := range bytes.Split(trace, []byte("\n")) {
-		if bytes.Contains(line, []byte(`"event":"migration"`)) && bytes.Contains(line, []byte(`"round":1,`)) {
-			movingPasses++
-		}
-	}
-	for _, c := range []struct {
-		name      string
-		got, want int64
-	}{
-		{"passes with a move (trace)", movingPasses, 4055},
-		{"kernel_build calls", m.Phases["kernel_build"].Calls, 0},
-		{"prove_empty calls", m.Phases["prove_empty"].Calls, 18046},
-		{"core.passes_proven_empty", m.Counters["core.passes_proven_empty"], 13991},
-		{"core.bound_declined", m.Counters["core.bound_declined"], 0},
-		{"core.consolidate_passes", m.Counters["core.consolidate_passes"], 18046},
-		{"core.consolidate_moves", m.Counters["core.consolidate_moves"], 5276},
-		{"sim.migrations", m.Counters["sim.migrations"], 5276},
-		{"algo1_rounds calls", m.Phases["algo1_rounds"].Calls, 4090},
-		{"core.exact_column_scans", m.Counters["core.exact_column_scans"], 5325 + 2825},
-		{"core.roster_cold_builds", m.Counters["core.roster_cold_builds"], 1},
-		{"core.roster_resynced_pms", m.Counters["core.roster_resynced_pms"], 29602},
-		{"core.roster_inserts (arrivals + moves)", m.Counters["core.roster_inserts"], 9024 + 5276},
-		{"core.roster_drops", m.Counters["core.roster_drops"], 9024 + 5276},
-	} {
-		if c.got != c.want {
-			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
-		}
-	}
-	if cells := m.Counters["core.bound_cells"]; cells == 0 || cells > 250000 {
-		t.Errorf("core.bound_cells = %d, want in (0, 250000] (167,523 when pinned)", cells)
-	}
-	if !bytes.Contains(trace, []byte(`"dispatched":28240,`)) {
-		t.Error("run_end does not report 28240 dispatched events")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -59,9 +60,9 @@ func rendered(t *testing.T, path string) []byte {
 }
 
 // TestFaithfulReplayReproducesTrace is the replay gate: for every run kind
-// `make same` compares, plus the adaptive dynamic scheme, replaying a
-// recorded log under the recording flags reproduces the original run
-// trace byte-for-byte, with every event audited. The logs are the binary
+// TestRunDigests pins (runKinds), plus the adaptive dynamic scheme,
+// replaying a recorded log under the recording flags reproduces the
+// original run trace byte-for-byte, with every event audited. The logs are the binary
 // ones a recording run writes; the last row replays
 // testdata/golden_decisions.jsonl, the golden fixture's log as an earlier
 // build wrote it in JSONL, onto the golden trace.
@@ -85,13 +86,9 @@ func TestFaithfulReplayReproducesTrace(t *testing.T) {
 			t.Fatal("replaying the checked-in JSONL log does not reproduce the golden trace")
 		}
 	})
-	for _, flags := range []string{
-		"-spare", "-spare -timed", "-scheme first-fit", "-scheme best-fit -spare",
-		"-scheme worst-fit", "-scheme random", "-scheme threshold", "-scheme overbook",
-		"-scheme dynamic-adaptive -spare",
-	} {
-		t.Run(flags, func(t *testing.T) {
-			args := append(strings.Fields(flags), fixture...)
+	for _, kind := range append(slices.Clone(runKinds), []string{"-scheme", "dynamic-adaptive", "-spare"}) {
+		t.Run(strings.Join(kind, " "), func(t *testing.T) {
+			args := append(slices.Clone(kind), fixture...)
 			tracePath, decPath := recordRun(t, args)
 			replayTrace := filepath.Join(t.TempDir(), "replay.jsonl")
 			var sb strings.Builder

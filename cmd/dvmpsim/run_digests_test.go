@@ -217,26 +217,10 @@ func flatMetrics(path string, v any, out map[string]json.Number) error {
 }
 
 // writeScaledWeek writes to path, as SWF, what `tracegen -jobs jobs`
-// writes: the default seed-1 week's daily shape scaled to jobs jobs, the
-// rounding remainder on the first days.
+// writes.
 func writeScaledWeek(t *testing.T, path string, jobs int) {
 	t.Helper()
-	gc := workload.DefaultWeekConfig(1)
-	total := 0
-	for _, n := range gc.DailyJobs {
-		total += n
-	}
-	daily := make([]int, len(gc.DailyJobs))
-	sum := 0
-	for d, n := range gc.DailyJobs {
-		daily[d] = n * jobs / total
-		sum += daily[d]
-	}
-	for d := 0; sum < jobs; d, sum = (d+1)%len(daily), sum+1 {
-		daily[d]++
-	}
-	gc.DailyJobs = daily
-	gen, err := workload.Generate(gc)
+	gen, err := workload.Generate(workload.ScaledWeekConfig(1, 7, jobs))
 	if err != nil {
 		t.Fatal(err)
 	}

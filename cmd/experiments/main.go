@@ -162,73 +162,9 @@ func run(args []string, out io.Writer) error {
 	if *which == "all" || *which == "ablation" {
 		opts := exp.DefaultOptions(*seed)
 		_, opts.Trace = exp.WeekTrace(*seed)
-		// E-A1e and E-A1g show the headline trio again: -run all has it
-		// in hand already.
-		trio := runs
-		if trio == nil {
-			var err error
-			if trio, err = exp.Comparison(opts); err != nil {
-				return err
-			}
-		}
-
-		fmt.Fprintln(out, "=== E-A1a: factor ablation ===")
-		fruns, err := exp.AblateFactors(opts)
-		if err != nil {
+		if err := ablation(out, opts, runs); err != nil {
 			return err
 		}
-		fmt.Fprint(out, exp.AblationReport("drop one probability factor at a time:", fruns))
-		fmt.Fprintln(out)
-
-		fmt.Fprintln(out, "=== E-A1b: MIG_threshold sweep ===")
-		truns, err := exp.AblateThreshold(opts, []float64{1.01, 1.05, 1.2, 1.5, 2})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, exp.AblationReport("migration aggressiveness (paper: 1.05):", truns))
-		fmt.Fprintln(out)
-
-		fmt.Fprintln(out, "=== E-A1c: MIG_round sweep ===")
-		rruns, err := exp.AblateRounds(opts, []int{1, 3, 10, 30})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, exp.AblationReport("migration budget per pass (paper: no explicit value, default 10):", rruns))
-		fmt.Fprintln(out)
-
-		fmt.Fprintln(out, "=== E-A1d: spare-server alpha sweep ===")
-		aruns, err := exp.AblateSpareAlpha(opts, []float64{0.01, 0.05, 0.2})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, exp.AblationReport("QoS tail bound (paper: 0.05):", aruns))
-		fmt.Fprintln(out)
-
-		fmt.Fprintln(out, "=== E-A1e: extended baseline comparison ===")
-		extOpts := opts
-		extOpts.Schemes = []string{"worst-fit", "random", "threshold"}
-		extra, err := exp.Comparison(extOpts)
-		if err != nil {
-			return err
-		}
-		eruns := []*exp.SchemeRun{trio[0], trio[1], extra[0], extra[1], extra[2], trio[2]}
-		fmt.Fprint(out, exp.AblationReport("all implemented schemes (threshold = watermark baseline a la [21]):", eruns))
-		fmt.Fprintln(out)
-
-		fmt.Fprintln(out, "=== E-A1f: migration model (instant vs timed pre-copy) ===")
-		mruns, err := exp.AblateMigrationModel(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, exp.AblationReport("instant (paper's model) vs timed double-occupancy migration:", mruns))
-		fmt.Fprintln(out)
-
-		fmt.Fprintln(out, "=== E-A1g: offline packing oracle (FFD floor) ===")
-		oracle, err := exp.OracleSeries(opts.Trace, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, exp.OracleReport(trio, oracle))
 	}
 
 	if *which == "google" {
@@ -240,6 +176,77 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprint(out, exp.AblationReport("short-task cloud trace (see EXPERIMENTS.md for the T-mismatch analysis):", gruns))
 	}
 
+	return nil
+}
+
+// ablation prints the ablation studies (E-A1a–g) over opts' trace. trio is
+// the headline first-fit, best-fit and dynamic runs of that trace, which
+// E-A1e and E-A1g show again; nil runs them.
+func ablation(out io.Writer, opts exp.Options, trio []*exp.SchemeRun) error {
+	if trio == nil {
+		var err error
+		if trio, err = exp.Comparison(opts); err != nil {
+			return err
+		}
+	}
+
+	fmt.Fprintln(out, "=== E-A1a: factor ablation ===")
+	fruns, err := exp.AblateFactors(opts)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(out, exp.AblationReport("drop one probability factor at a time:", fruns))
+	fmt.Fprintln(out)
+
+	fmt.Fprintln(out, "=== E-A1b: MIG_threshold sweep ===")
+	truns, err := exp.AblateThreshold(opts, []float64{1.01, 1.05, 1.2, 1.5, 2})
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(out, exp.AblationReport("migration aggressiveness (paper: 1.05):", truns))
+	fmt.Fprintln(out)
+
+	fmt.Fprintln(out, "=== E-A1c: MIG_round sweep ===")
+	rruns, err := exp.AblateRounds(opts, []int{1, 3, 10, 30})
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(out, exp.AblationReport("migration budget per pass (paper: no explicit value, default 10):", rruns))
+	fmt.Fprintln(out)
+
+	fmt.Fprintln(out, "=== E-A1d: spare-server alpha sweep ===")
+	aruns, err := exp.AblateSpareAlpha(opts, []float64{0.01, 0.05, 0.2})
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(out, exp.AblationReport("QoS tail bound (paper: 0.05):", aruns))
+	fmt.Fprintln(out)
+
+	fmt.Fprintln(out, "=== E-A1e: extended baseline comparison ===")
+	extOpts := opts
+	extOpts.Schemes = []string{"worst-fit", "random", "threshold"}
+	extra, err := exp.Comparison(extOpts)
+	if err != nil {
+		return err
+	}
+	eruns := []*exp.SchemeRun{trio[0], trio[1], extra[0], extra[1], extra[2], trio[2]}
+	fmt.Fprint(out, exp.AblationReport("all implemented schemes (threshold = watermark baseline a la [21]):", eruns))
+	fmt.Fprintln(out)
+
+	fmt.Fprintln(out, "=== E-A1f: migration model (instant vs timed pre-copy) ===")
+	mruns, err := exp.AblateMigrationModel(opts)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(out, exp.AblationReport("instant (paper's model) vs timed double-occupancy migration:", mruns))
+	fmt.Fprintln(out)
+
+	fmt.Fprintln(out, "=== E-A1g: offline packing oracle (FFD floor) ===")
+	oracle, err := exp.OracleSeries(opts.Trace, nil)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(out, exp.OracleReport(trio, oracle))
 	return nil
 }
 

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/exp"
 )
 
 func TestRunTable2(t *testing.T) {
@@ -112,29 +115,28 @@ func TestRunFig5SVG(t *testing.T) {
 	}
 }
 
-// TestAblationDigest pins `experiments -run ablation`'s stdout at seeds 1
-// and 7 by its FNV-64a: the factor ablation runs the factor lists other
-// than the paper's four (E-A1a's dyn-no-* rows), and the report covers the
+// TestAblationDigest pins the ablation studies' report by its FNV-64a at
+// seeds 1 and 7: over the whole week, `experiments -run ablation`'s
+// stdout; under the race detector, a prefix of the week with pins of its
+// own (ablationPins). The factor ablation runs the factor lists other than
+// the paper's four (E-A1a's dyn-no-* rows), and the report covers the
 // threshold, round, spare-alpha, baseline, migration-model and packing
 // studies. A changed digest means a changed line of the report; review the
 // report, then bless the new value.
 func TestAblationDigest(t *testing.T) {
-	for _, row := range []struct {
-		seed   string
-		digest uint64
-	}{
-		{"1", 0xe4f40c081e0c8822},
-		{"7", 0xcc3b33835249b9c9},
-	} {
-		t.Run("seed "+row.seed, func(t *testing.T) {
-			var sb strings.Builder
-			if err := run([]string{"-run", "ablation", "-seed", row.seed}, &sb); err != nil {
-				t.Fatal(err)
+	for _, pin := range ablationPins {
+		t.Run(fmt.Sprintf("seed %d", pin.seed), func(t *testing.T) {
+			opts := exp.DefaultOptions(pin.seed)
+			_, opts.Trace = exp.WeekTrace(pin.seed)
+			if ablationRequests > 0 {
+				opts.Trace = opts.Trace[:ablationRequests]
 			}
 			h := fnv.New64a()
-			h.Write([]byte(sb.String()))
-			if got := h.Sum64(); got != row.digest {
-				t.Errorf("stdout digest %#016x, want %#016x", got, row.digest)
+			if err := ablation(h, opts, nil); err != nil {
+				t.Fatal(err)
+			}
+			if got := h.Sum64(); got != pin.digest {
+				t.Errorf("report digest %#016x, want %#016x", got, pin.digest)
 			}
 		})
 	}

@@ -42,32 +42,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("days and jobs must be positive")
 	}
 
-	cfg := workload.DefaultWeekConfig(*seed)
-	if *days != 7 || *jobs != 4574 {
-		// Rescale the default weekly shape to the requested length and
-		// volume, repeating the weekly arrival pattern.
-		base := workload.DefaultWeekConfig(*seed).DailyJobs
-		var total int
-		daily := make([]int, *days)
-		for d := range daily {
-			daily[d] = base[d%len(base)]
-			total += daily[d]
-		}
-		for d := range daily {
-			daily[d] = daily[d] * *jobs / total
-		}
-		// Distribute the rounding remainder onto the first days.
-		sum := 0
-		for _, n := range daily {
-			sum += n
-		}
-		for d := 0; sum < *jobs; d, sum = (d+1)%len(daily), sum+1 {
-			daily[d]++
-		}
-		cfg.DailyJobs = daily
-	}
-
-	trace, err := workload.Generate(cfg)
+	trace, err := workload.Generate(workload.ScaledWeekConfig(*seed, *days, *jobs))
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -44,11 +46,17 @@ func priceFactor() *core.PriceFactor {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(out io.Writer) error {
 	gen := workload.DefaultWeekConfig(13)
 	gen.DailyJobs = []int{220, 260, 220}
 	jobs := workload.Filter(workload.MustGenerate(gen), workload.DefaultFilter())
 	requests := workload.ToRequests(jobs)
-	fmt.Printf("workload: %d requests over 3 days; fleet: 10 nodes east ($0.08/kWh) + 10 west ($0.24/kWh)\n\n",
+	fmt.Fprintf(out, "workload: %d requests over 3 days; fleet: 10 nodes east ($0.08/kWh) + 10 west ($0.24/kWh)\n\n",
 		len(requests))
 
 	schemes := []struct {
@@ -64,7 +72,7 @@ func main() {
 		pf := priceFactor() // fresh region map for billing below
 		res, err := sim.Run(sim.Config{DC: fleet(), Placer: s.placer, Requests: requests})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		// Bill each PM's energy at its region's tariff.
 		var east, west, bill float64
@@ -78,9 +86,10 @@ func main() {
 				west += kwh
 			}
 		}
-		fmt.Printf("%-14s energy east=%.1f kWh west=%.1f kWh  electricity bill=$%.2f  migrations=%d\n",
+		fmt.Fprintf(out, "%-14s energy east=%.1f kWh west=%.1f kWh  electricity bill=$%.2f  migrations=%d\n",
 			s.name, east, west, bill, res.Summary.Migrations)
 	}
-	fmt.Println("\nappending the price factor shifts the energy share into the cheap region and")
-	fmt.Println("lowers the bill — the joint-probability design extends exactly as the paper claims.")
+	fmt.Fprintln(out, "\nappending the price factor shifts the energy share into the cheap region and")
+	fmt.Fprintln(out, "lowers the bill — the joint-probability design extends exactly as the paper claims.")
+	return nil
 }

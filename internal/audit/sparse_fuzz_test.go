@@ -20,7 +20,8 @@ import (
 // each operation the decisions and the resulting fleet states must match
 // exactly — PM choices, consolidation move lists, per-PM usage vectors,
 // reliability bits, and hosted-VM sets. Any divergence is a bug in one of
-// the engines; the dense path is the oracle.
+// the two paths; side A, which reads every cell through core.Joint, is the
+// reference.
 //
 // Compared to the FuzzOperations harness this one adds a reliability-decay
 // opcode: the candidate index groups PMs partly by reliability bits, so
@@ -485,7 +486,7 @@ func sweepStream(seed uint64, ops int) []byte {
 }
 
 // FuzzSparseOperations lets the fuzzer search for an operation sequence on
-// which the candidate index diverges from the dense oracle. The seeds
+// which the candidate index diverges from the cell-by-cell side. The seeds
 // cover each opcode including reliability decay, a K=1 run where every
 // shape overflows its candidate budget, and one sweep stream long enough
 // for multi-round consolidations, whose later rounds depend on the index's

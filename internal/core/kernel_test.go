@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -199,15 +198,6 @@ func opaqueFactors(factors []Factor) []Factor {
 	return out
 }
 
-// pathFactors returns the default factors for the named evaluation path:
-// "kernel" as a run passes them, "generic" hidden behind opaque.
-func pathFactors(path string) []Factor {
-	if path == "generic" {
-		return opaqueFactors(DefaultFactors())
-	}
-	return DefaultFactors()
-}
-
 // assertColumnsRescan requires every column of ref to equal a brute-force
 // Joint scan of ctx's fleet: the normalizer the host's hosted cell, the best
 // the lowest-ID PM of the largest off-host probability (of any positive
@@ -272,71 +262,63 @@ func TestKernelEquivalence(t *testing.T) {
 
 // TestKernelEquivalenceConsolidate proves Algorithm 1 produces identical
 // move sequences (VM, endpoints, bit-identical gains, rounds) on the Table
-// II fleet three ways: what a canonical run executes (the lazy rounds over
-// the candidate index), and the cold reference over the paper's factors
-// and over the same factors behind opaque.
+// II fleet two ways: what a canonical run executes (the lazy rounds over
+// the candidate index), and the cold reference over the paper's factors.
 func TestKernelEquivalenceConsolidate(t *testing.T) {
 	params := Params{MIGThreshold: 1.05, MIGRound: 50}
 	ctxFast, _ := spreadState(t, 100, 260, 11)
 	ctxCell, _ := spreadState(t, 100, 260, 11)
-	ctxSlow, _ := spreadState(t, 100, 260, 11)
 
 	fast, err := ConsolidateWith(ctxFast, DefaultFactors(), params, MatrixOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := denseConsolidate(t, ctxSlow, opaqueFactors(DefaultFactors()), params)
-	if len(slow) == 0 {
+	cell := denseConsolidate(t, ctxCell, DefaultFactors(), params)
+	if len(cell) == 0 {
 		t.Fatal("consolidation produced no moves; the state is too easy to prove anything")
 	}
-	assertMovesEqual(t, slow, fast)
-	assertMovesEqual(t, slow, denseConsolidate(t, ctxCell, DefaultFactors(), params))
+	assertMovesEqual(t, cell, fast)
 	if err := ctxFast.DC.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
 }
 
 // TestKernelArrivalEquivalence checks the arrival column for the paper's
-// factors and for the same factors behind opaque: the ranking
-// (RankPlacements) must equal a naive Joint scan of the active PMs,
-// including the unhosted-VM overhead rule (creation only, no migration
-// share), and the candidate index's argmax (BestPlacementWith, on the
-// paper's factors) must be the Joint scan's argmax, which is also the
+// factors: the ranking (RankPlacements) must equal a naive Joint scan of
+// the active PMs, including the unhosted-VM overhead rule (creation only,
+// no migration share), and the candidate index's argmax
+// (BestPlacementWith) must be the Joint scan's argmax, which is also the
 // ranking's head.
 func TestKernelArrivalEquivalence(t *testing.T) {
-	for _, name := range []string{"kernel", "generic"} {
-		t.Run(name, func(t *testing.T) {
-			ctx, _ := tableIIState(t, 100, 200, 13)
-			factors := pathFactors(name)
-			arrival := cluster.NewVM(9001, vector.New(2, 1), 5400, 5400, ctx.Now)
+	ctx, _ := tableIIState(t, 100, 200, 13)
+	factors := DefaultFactors()
+	arrival := cluster.NewVM(9001, vector.New(2, 1), 5400, 5400, ctx.Now)
 
-			ranked := RankPlacements(ctx, factors, arrival)
-			if len(ranked) == 0 {
-				t.Fatal("no feasible placements for the arrival")
-			}
-			want := genericBestPlacement(ctx, factors, arrival)
-			if best := BestPlacementWith(ctx, DefaultFactors(), arrival, MatrixOptions{}); best != want || best != ranked[0].PM {
-				t.Fatalf("BestPlacementWith = %v, Joint scan = %v, RankPlacements[0] = PM%d", pmID(best), pmID(want), ranked[0].PM.ID)
-			}
+	ranked := RankPlacements(ctx, factors, arrival)
+	if len(ranked) == 0 {
+		t.Fatal("no feasible placements for the arrival")
+	}
+	want := genericBestPlacement(ctx, factors, arrival)
+	if best := BestPlacementWith(ctx, factors, arrival, MatrixOptions{}); best != want || best != ranked[0].PM {
+		t.Fatalf("BestPlacementWith = %v, Joint scan = %v, RankPlacements[0] = PM%d", pmID(best), pmID(want), ranked[0].PM.ID)
+	}
 
-			byPM := make(map[cluster.PMID]float64, len(ranked))
-			for _, pl := range ranked {
-				byPM[pl.PM.ID] = pl.Probability
-			}
-			n := 0
-			for _, pm := range ctx.DC.ActivePMs() {
-				want := Joint(ctx, factors, arrival, pm, false)
-				if want > 0 {
-					n++
-				}
-				if got := byPM[pm.ID]; got != want {
-					t.Fatalf("PM %d: ranked arrival probability %v != Joint %v", pm.ID, got, want)
-				}
-			}
-			if n != len(ranked) {
-				t.Fatalf("ranking has %d entries, Joint scan found %d feasible", len(ranked), n)
-			}
-		})
+	byPM := make(map[cluster.PMID]float64, len(ranked))
+	for _, pl := range ranked {
+		byPM[pl.PM.ID] = pl.Probability
+	}
+	n := 0
+	for _, pm := range ctx.DC.ActivePMs() {
+		want := Joint(ctx, factors, arrival, pm, false)
+		if want > 0 {
+			n++
+		}
+		if got := byPM[pm.ID]; got != want {
+			t.Fatalf("PM %d: ranked arrival probability %v != Joint %v", pm.ID, got, want)
+		}
+	}
+	if n != len(ranked) {
+		t.Fatalf("ranking has %d entries, Joint scan found %d feasible", len(ranked), n)
 	}
 }
 
@@ -344,95 +326,79 @@ func TestKernelArrivalEquivalence(t *testing.T) {
 // sequence of moves — each to a PM of positive probability off a random
 // column's host, moved through Migrate — and after every move holds a cold
 // reference to a brute-force Joint scan (assertColumnsRescan: lowest PM on
-// ties, +Inf for a zero normalizer) and to the same build over opaque
-// factors.
+// ties, +Inf for a zero normalizer).
 func TestMatrixTrackersMatchRebuildAfterRandomApplies(t *testing.T) {
-	for _, name := range []string{"kernel", "generic"} {
-		t.Run(name, func(t *testing.T) {
-			ctx, _ := tableIIState(t, 100, 150, 23)
-			factors := pathFactors(name)
-			rng := stats.NewRand(42)
-			applied := 0
-			for step := 0; step < 40; step++ {
-				ref, err := newReference(ctx, factors)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertColumnsRescan(t, ctx, factors, ref)
-				other, err := newReference(ctx, opaqueFactors(factors))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !slices.Equal(ref, other) {
-					t.Fatalf("after %d moves the reference over opaque factors differs", applied)
-				}
-				vm := ref[rng.Intn(len(ref))].vm
-				var to []*cluster.PM
-				for _, pm := range ctx.DC.ActivePMs() {
-					if pm.ID != vm.Host && Joint(ctx, factors, vm, pm, false) > 0 {
-						to = append(to, pm)
-					}
-				}
-				if len(to) == 0 {
-					continue
-				}
-				if err := Migrate(vm, ctx.DC.PM(vm.Host), to[rng.Intn(len(to))]); err != nil {
-					t.Fatal(err)
-				}
-				applied++
+	ctx, _ := tableIIState(t, 100, 150, 23)
+	factors := DefaultFactors()
+	rng := stats.NewRand(42)
+	applied := 0
+	for step := 0; step < 40; step++ {
+		ref, err := newReference(ctx, factors)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertColumnsRescan(t, ctx, factors, ref)
+		vm := ref[rng.Intn(len(ref))].vm
+		var to []*cluster.PM
+		for _, pm := range ctx.DC.ActivePMs() {
+			if pm.ID != vm.Host && Joint(ctx, factors, vm, pm, false) > 0 {
+				to = append(to, pm)
 			}
-			if applied < 10 {
-				t.Fatalf("only %d random moves applied; property barely exercised", applied)
-			}
-			if err := ctx.DC.CheckInvariants(); err != nil {
-				t.Error(err)
-			}
-		})
+		}
+		if len(to) == 0 {
+			continue
+		}
+		if err := Migrate(vm, ctx.DC.PM(vm.Host), to[rng.Intn(len(to))]); err != nil {
+			t.Fatal(err)
+		}
+		applied++
+	}
+	if applied < 10 {
+		t.Fatalf("only %d random moves applied; property barely exercised", applied)
+	}
+	if err := ctx.DC.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }
 
 // TestConsolidateZeroCurrentProbability exercises the curProb == 0 → +Inf
 // gain path end-to-end through Algorithm 1 on the cold reference with the
-// real factors, as a run passes them and behind opaque: a VM
+// real factors: a VM
 // whose host's reliability has decayed to zero has a zero-probability
 // placement, so any feasible alternative must be taken regardless of
 // MIG_threshold, with an infinite recorded gain. (The lazy rounds' twin
 // is TestSparseConsolidateZeroCurrentProbability.)
 func TestConsolidateZeroCurrentProbability(t *testing.T) {
-	for _, name := range []string{"kernel", "generic"} {
-		t.Run(name, func(t *testing.T) {
-			dc := cluster.TableIIFleetScaled(4)
-			for _, pm := range dc.PMs() {
-				pm.SetState(cluster.PMOn)
-			}
-			vm := cluster.NewVM(1, vector.New(1, 0.5), 36000, 36000, 0)
-			host := dc.PM(0)
-			if err := host.Host(vm); err != nil {
-				t.Fatal(err)
-			}
-			vm.State = cluster.VMRunning
-			// The failure model decays per-PM reliability; zero means
-			// the current placement's joint probability is zero.
-			host.SetReliability(0)
+	dc := cluster.TableIIFleetScaled(4)
+	for _, pm := range dc.PMs() {
+		pm.SetState(cluster.PMOn)
+	}
+	vm := cluster.NewVM(1, vector.New(1, 0.5), 36000, 36000, 0)
+	host := dc.PM(0)
+	if err := host.Host(vm); err != nil {
+		t.Fatal(err)
+	}
+	vm.State = cluster.VMRunning
+	// The failure model decays per-PM reliability; zero means
+	// the current placement's joint probability is zero.
+	host.SetReliability(0)
 
-			ctx := NewContext(dc).At(100)
-			moves := denseConsolidate(t, ctx, pathFactors(name), DefaultParams())
-			if len(moves) != 1 {
-				t.Fatalf("moves = %+v, want exactly one rescue migration", moves)
-			}
-			mv := moves[0]
-			if mv.VM != 1 || mv.From != 0 || mv.To == 0 {
-				t.Errorf("move = %+v, want VM1 off PM0", mv)
-			}
-			if !math.IsInf(mv.Gain, 1) {
-				t.Errorf("gain = %v, want +Inf (zero-probability current placement)", mv.Gain)
-			}
-			if vm.Host == 0 {
-				t.Error("VM still on the unreliable host")
-			}
-			if err := dc.CheckInvariants(); err != nil {
-				t.Error(err)
-			}
-		})
+	ctx := NewContext(dc).At(100)
+	moves := denseConsolidate(t, ctx, DefaultFactors(), DefaultParams())
+	if len(moves) != 1 {
+		t.Fatalf("moves = %+v, want exactly one rescue migration", moves)
+	}
+	mv := moves[0]
+	if mv.VM != 1 || mv.From != 0 || mv.To == 0 {
+		t.Errorf("move = %+v, want VM1 off PM0", mv)
+	}
+	if !math.IsInf(mv.Gain, 1) {
+		t.Errorf("gain = %v, want +Inf (zero-probability current placement)", mv.Gain)
+	}
+	if vm.Host == 0 {
+		t.Error("VM still on the unreliable host")
+	}
+	if err := dc.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }

@@ -37,16 +37,16 @@ func canonDigest(t *testing.T, stream *bytes.Buffer) uint64 {
 
 // TestDensePathDigest pins the runs of the factor lists other than the
 // paper's four that the binaries build — E-A1a's FactorVariants and
-// examples/multiregion's PriceFactor — which the dense Matrix ran before
+// examples/multiregion's PriceFactor — which a dense matrix ran before
 // they joined the candidate index; the digests were taken on that path and
 // the index writes them bit for bit. The first 1,500 seed-1 requests run on
 // the Table II fleet with spares and a policy.Recorder, and the FNV-64a
 // digests of the canonical run trace and decision log are pinned for two
 // lists: dyn-no-vir, and the paper's four plus a PriceFactor that puts the
 // upper half of the fleet in a pricier region. The unaudited run builds no
-// dense matrix (no kernel_build call). The first 300 requests, run under
-// audit.Event (every lazy round held to a cold dense build), must write the
-// run trace they write unaudited.
+// cold reference (no kernel_build call). The first 300 requests, run under
+// audit.Event (every lazy round held to the cold reference, built under
+// the kernel_build phase), must write the run trace they write unaudited.
 func TestDensePathDigest(t *testing.T) {
 	price := core.NewPriceFactor([]string{"east", "west"}, "east",
 		core.FlatPrices(map[string]float64{"east": 0.08, "west": 0.24}))
@@ -92,7 +92,7 @@ func TestDensePathDigest(t *testing.T) {
 				t.Errorf("run trace digest %#x, decision log %#x; want %#x, %#x", gotRun, gotDec, tc.wantRun, tc.wantDec)
 			}
 			if n := o.Phase("kernel_build").Calls(); n != 0 {
-				t.Errorf("the unaudited run built %d dense matrices, want none", n)
+				t.Errorf("the unaudited run built %d cold references, want none", n)
 			}
 			t.Logf("%d requests: %d moves, %.1f kWh", len(reqs), len(res.Moves), res.Summary.TotalEnergyKWh)
 			plain, _, _ := run(reqs[:denseAudited], audit.Off)

@@ -13,7 +13,7 @@ import (
 )
 
 // canonDigest is the FNV-64a of a stream's canonical form
-// (obs.Canonicalize), the digest `TestDecisionLogDigest` pins.
+// (obs.Canonicalize), the digest cmd/dvmpsim's TestRunDigests pins.
 func canonDigest(t *testing.T, stream *bytes.Buffer) uint64 {
 	t.Helper()
 	h := fnv.New64a()
@@ -24,28 +24,11 @@ func canonDigest(t *testing.T, stream *bytes.Buffer) uint64 {
 }
 
 // scaleWeek is the scale ladder's 300-PM week: `tracegen -jobs 13722`
-// (the default week's daily shape scaled to 13,722 jobs, the remainder on
-// the first days), written as SWF and read back, then filtered and split
-// into VM requests as `dvmpsim -swf` does.
+// (workload.ScaledWeekConfig), written as SWF and read back, then filtered
+// and split into VM requests as `dvmpsim -swf` does.
 func scaleWeek(t *testing.T) []workload.Request {
 	t.Helper()
-	const jobs = 13722
-	gc := workload.DefaultWeekConfig(1)
-	total := 0
-	for _, n := range gc.DailyJobs {
-		total += n
-	}
-	daily := make([]int, len(gc.DailyJobs))
-	sum := 0
-	for d, n := range gc.DailyJobs {
-		daily[d] = n * jobs / total
-		sum += daily[d]
-	}
-	for d := 0; sum < jobs; d, sum = (d+1)%len(daily), sum+1 {
-		daily[d]++
-	}
-	gc.DailyJobs = daily
-	gen, err := workload.Generate(gc)
+	gen, err := workload.Generate(workload.ScaledWeekConfig(1, 7, 13722))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -845,10 +845,12 @@ func TestSnapshotContradictoryRecords(t *testing.T) {
 			fmt.Sprintf("the hold of VM %d, which is running, not migrating", held)},
 		{"held VM relabelled creating", func(st *simState) { st.VMs[i].State = int(cluster.VMCreating) },
 			fmt.Sprintf("the hold of VM %d, which is creating, not migrating", held)},
+		{"held VM's host relabelled booting", func(st *simState) { st.PMs[st.VMs[i].Host].State = int(cluster.PMBooting) },
+			fmt.Sprintf("PM %d is booting with no boot event", st.VMs[i].Host)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := st
-			bad.VMs, bad.Queue = slices.Clone(st.VMs), slices.Clone(st.Queue)
+			bad.VMs, bad.Queue, bad.PMs = slices.Clone(st.VMs), slices.Clone(st.Queue), slices.Clone(st.PMs)
 			tc.corrupt(&bad)
 			var buf bytes.Buffer
 			if err := snapshot.Write(&buf, f.Meta, &bad); err != nil {

@@ -98,6 +98,32 @@ func DefaultWeekConfig(seed int64) GenConfig {
 	}
 }
 
+// ScaledWeekConfig is DefaultWeekConfig(seed) stretched to days days and
+// jobs jobs in all: the weekly pattern of daily counts repeats over the
+// days, each day's count is scaled to the total, and the rounding
+// remainder goes one job a day onto the first days. At 7 days and 4,574
+// jobs it is DefaultWeekConfig(seed). days and jobs must be positive.
+func ScaledWeekConfig(seed int64, days, jobs int) GenConfig {
+	cfg := DefaultWeekConfig(seed)
+	base := cfg.DailyJobs
+	total := 0
+	daily := make([]int, days)
+	for d := range daily {
+		daily[d] = base[d%len(base)]
+		total += daily[d]
+	}
+	sum := 0
+	for d := range daily {
+		daily[d] = daily[d] * jobs / total
+		sum += daily[d]
+	}
+	for d := 0; sum < jobs; d, sum = (d+1)%len(daily), sum+1 {
+		daily[d]++
+	}
+	cfg.DailyJobs = daily
+	return cfg
+}
+
 // GoogleLikeConfig returns a generator preset with the character of
 // public cloud-cluster traces rather than HPC batch logs: an order of
 // magnitude more, much shorter tasks (median minutes, not hours), almost

@@ -3,6 +3,7 @@ package workload
 import (
 	"cmp"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -285,6 +286,25 @@ func TestSortDayMatchesStableSort(t *testing.T) {
 					t.Fatalf("%s, %d jobs: slot %d holds job %d (%v), want %v", tc.name, n, i, k.drawn-first, got, want[i])
 				}
 			}
+		}
+	}
+}
+
+// TestScaledWeekConfig: at the default week's length and volume the
+// scaled config is the default one, and any other keeps the weekly
+// pattern's length and sums to the jobs asked for.
+func TestScaledWeekConfig(t *testing.T) {
+	if got, want := ScaledWeekConfig(3, 7, 4574), DefaultWeekConfig(3); !reflect.DeepEqual(got, want) {
+		t.Errorf("ScaledWeekConfig(3, 7, 4574) = %+v, want DefaultWeekConfig(3)", got)
+	}
+	for _, c := range []struct{ days, jobs int }{{7, 13722}, {7, 45740}, {1, 65000}, {10, 7000}, {3, 2}} {
+		daily := ScaledWeekConfig(1, c.days, c.jobs).DailyJobs
+		sum := 0
+		for _, n := range daily {
+			sum += n
+		}
+		if len(daily) != c.days || sum != c.jobs {
+			t.Errorf("%d days, %d jobs: %d days summing to %d", c.days, c.jobs, len(daily), sum)
 		}
 	}
 }
