@@ -482,18 +482,16 @@ func (s *simulator) restore(st *simState) error {
 	}
 	// A booting or shutting-down PM leaves that state only on its boot or
 	// shutdown event; without one it would stay there for good.
-	transitions := map[Tag]bool{}
+	pending := map[Tag]bool{}
 	for _, ev := range queued.Events {
-		if ev.Tag.Kind == evBootDone || ev.Tag.Kind == evShutdownDone {
-			transitions[ev.Tag] = true
-		}
+		pending[ev.Tag] = true
 	}
 	for _, pm := range s.dc.PMs() {
 		id := int64(pm.ID)
 		switch {
-		case pm.State() == cluster.PMBooting && !transitions[Tag{Kind: evBootDone, Arg: id}]:
+		case pm.State() == cluster.PMBooting && !pending[Tag{Kind: evBootDone, Arg: id}]:
 			return fmt.Errorf("sim: snapshot state contradicts itself: PM %d is booting with no boot event", id)
-		case pm.State() == cluster.PMShuttingDown && !transitions[Tag{Kind: evShutdownDone, Arg: id}]:
+		case pm.State() == cluster.PMShuttingDown && !pending[Tag{Kind: evShutdownDone, Arg: id}]:
 			return fmt.Errorf("sim: snapshot state contradicts itself: PM %d is shutting down with no shutdown event", id)
 		}
 	}

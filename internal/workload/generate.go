@@ -105,11 +105,9 @@ func DefaultWeekConfig(seed int64) GenConfig {
 // jobs it is DefaultWeekConfig(seed). days and jobs must be positive.
 func ScaledWeekConfig(seed int64, days, jobs int) GenConfig {
 	cfg := DefaultWeekConfig(seed)
-	base := cfg.DailyJobs
-	total := 0
-	daily := make([]int, days)
+	daily, total := make([]int, days), 0
 	for d := range daily {
-		daily[d] = base[d%len(base)]
+		daily[d] = cfg.DailyJobs[d%len(cfg.DailyJobs)]
 		total += daily[d]
 	}
 	sum := 0
@@ -117,7 +115,7 @@ func ScaledWeekConfig(seed int64, days, jobs int) GenConfig {
 		daily[d] = daily[d] * jobs / total
 		sum += daily[d]
 	}
-	for d := 0; sum < jobs; d, sum = (d+1)%len(daily), sum+1 {
+	for d := 0; sum < jobs; d, sum = (d+1)%days, sum+1 {
 		daily[d]++
 	}
 	cfg.DailyJobs = daily
