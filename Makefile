@@ -2,7 +2,7 @@ GO ?= go
 
 FUZZTIME ?= 10s
 
-.PHONY: test check vet fmt race audit fuzz-smoke bench-smoke bench-ab same linked unlinked profile loc
+.PHONY: test check vet fmt race audit fuzz-smoke bench-smoke bench-ab linked unlinked profile loc
 
 test:
 	$(GO) test ./...
@@ -97,7 +97,11 @@ bench-smoke:
 ## internal/unlinked.txt names), the race-enabled test suite (covers the
 ## lock-free metrics hot path, the parallel experiment harness, and two
 ## runs sharing one Dynamic concurrently), the full-trace audit run, a fuzz
-## smoke test, and a one-iteration pass over the kernel benchmarks.
+## smoke test, and a one-iteration pass over the kernel benchmarks. What
+## every run writes is pinned by the test suite, not here: `go test
+## ./cmd/dvmpsim ./cmd/experiments ./examples/multiregion -run Digest`
+## (TestRunDigests' pins are cmd/dvmpsim/testdata/run_digests.json;
+## `-update` re-blesses them).
 check: vet fmt unlinked race audit fuzz-smoke bench-smoke
 
 ## bench-ab: the end-to-end benchmark, this tree against another commit,
@@ -143,76 +147,6 @@ bench-ab:
 				print "== " w ", a = BASE, b = this tree"; report("a", a, na); report("b", b, nb); \
 				printf "b ahead in %d of %d pairs (a ahead in %d); b median / a median = %.3f\n", wins, na, losses, q(b, nb, .5) / q(a, na, .5) }'; \
 	fi
-
-## same: this tree against another commit on what a run writes. dvmpsim,
-## experiments and examples/multiregion are built at BASE (a temporary
-## shared `git clone` under $TMPDIR, removed on exit; no `git worktree`) and
-## in this tree; each seed of SEEDS runs the week with `-trace -decisions
-## -metrics` on both dvmpsim binaries eight ways: the dynamic scheme
-## `-spare` with instant migrations and `-timed` (the runs whose migration
-## cutovers are events of their own), the static baselines `-scheme
-## first-fit` and `-scheme best-fit -spare`, and the other fit-family
-## schemes `-scheme worst-fit`, `-scheme random`, `-scheme threshold` and
-## `-scheme overbook`, which no golden pins. The run traces and the
-## decision logs must be `tracestat -diff` identical, and the metrics JSON
-## equal once its "total_ns" lines (phase wall-clock) are removed. Each
-## seed then runs `experiments -run ablation` on both binaries, whose
-## factor ablation runs the factor lists other than the paper's four
-## (E-A1a's `dyn-no-*` rows), and the stdout must be identical (~1 s a
-## side). examples/multiregion, the one binary that runs a PriceFactor,
-## runs once a side and its stdout must be identical too. SCALE=1 adds the
-## 1k-PM week, compared the way the eight kinds are: `tracegen -jobs
-## 45740`, then `dvmpsim -swf … -nodes 1000 -spare`. Every comparison runs
-## even when an earlier one differs; the target then exits non-zero and
-## names each difference. A run that fails stops it.
-## `make same BASE=HEAD~1 SEEDS="1 7" [SCALE=1]`.
-SEEDS ?= 1 7
-SCALE ?=
-same:
-	@test -n "$(BASE)" || { echo "usage: make same BASE=<ref> [SEEDS=\"1 7\"] [SCALE=1]"; exit 2; }
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	git clone -q --shared . "$$tmp/base" && git -C "$$tmp/base" checkout -q --detach $(BASE); \
-	for side in a b; do \
-		if [ $$side = a ]; then dir="$$tmp/base"; else dir=.; fi; \
-		for bin in cmd/dvmpsim cmd/experiments examples/multiregion; do \
-			(cd "$$dir" && $(GO) build -o "$$tmp/$$side/$${bin##*/}" ./$$bin); \
-		done; \
-	done; \
-	$(GO) build -o "$$tmp/tracestat" ./cmd/tracestat; \
-	diffs=""; \
-	compare() { \
-		run=$$1; label=$$2; shift 2; \
-		for side in a b; do \
-			"$$tmp/$$side/dvmpsim" "$$@" -trace "$$tmp/$$side/t$$run.jsonl" \
-				-decisions "$$tmp/$$side/d$$run.jsonl" -metrics "$$tmp/$$side/m$$run.json" > /dev/null; \
-			grep -v '"total_ns"' "$$tmp/$$side/m$$run.json" > "$$tmp/$$side/m$$run.txt"; \
-		done; \
-		printf 'run trace: '; "$$tmp/tracestat" -diff "$$tmp/a/t$$run.jsonl" "$$tmp/b/t$$run.jsonl" || diffs="$$diffs\n  $$label: run trace"; \
-		printf 'decision log: '; "$$tmp/tracestat" -diff "$$tmp/a/d$$run.jsonl" "$$tmp/b/d$$run.jsonl" || diffs="$$diffs\n  $$label: decision log"; \
-		if diff "$$tmp/a/m$$run.txt" "$$tmp/b/m$$run.txt"; then echo "metrics: identical but for total_ns"; \
-		else diffs="$$diffs\n  $$label: metrics"; fi; \
-	}; \
-	for seed in $(SEEDS); do for flags in "-spare" "-spare -timed" "-scheme first-fit" "-scheme best-fit -spare" \
-		"-scheme worst-fit" "-scheme random" "-scheme threshold" "-scheme overbook"; do \
-		echo "== seed $$seed $$flags, a = $(BASE), b = this tree"; \
-		compare $$seed$$(printf %s "$$flags" | tr -d ' ') "seed $$seed $$flags" $$flags -seed $$seed; \
-	done; \
-		echo "== seed $$seed experiments -run ablation, a = $(BASE), b = this tree"; \
-		for side in a b; do (cd "$$tmp" && "$$tmp/$$side/experiments" -run ablation -seed $$seed > "$$tmp/$$side/ablation$$seed.txt"); done; \
-		if diff "$$tmp/a/ablation$$seed.txt" "$$tmp/b/ablation$$seed.txt"; then echo "ablation: identical"; \
-		else diffs="$$diffs\n  seed $$seed experiments -run ablation: stdout"; fi; \
-	done; \
-	echo "== examples/multiregion, a = $(BASE), b = this tree"; \
-	for side in a b; do "$$tmp/$$side/multiregion" > "$$tmp/$$side/multiregion.txt"; done; \
-	if diff "$$tmp/a/multiregion.txt" "$$tmp/b/multiregion.txt"; then echo "multiregion: identical"; \
-	else diffs="$$diffs\n  examples/multiregion: stdout"; fi; \
-	if [ -n "$(SCALE)" ]; then \
-		echo "== the 1k-PM week (tracegen -jobs 45740, -nodes 1000 -spare), a = $(BASE), b = this tree"; \
-		$(GO) run ./cmd/tracegen -jobs 45740 -stats=false -o "$$tmp/week1k.swf"; \
-		compare 1k "the 1k-PM week" -swf "$$tmp/week1k.swf" -nodes 1000 -spare; \
-	fi; \
-	if [ -n "$$diffs" ]; then printf 'same: differs from $(BASE) in:%b\n' "$$diffs"; exit 1; fi; \
-	echo "same: identical to $(BASE)"
 
 ## linked: build every main package `go list ./...` reports with inlining
 ## off (-gcflags=all=-l, so a function called from one place still shows up
