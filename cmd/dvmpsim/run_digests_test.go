@@ -72,10 +72,9 @@ type runPins struct {
 // each of runKinds on the week at seeds 1 and 7, and the 1k-PM week
 // (`tracegen -jobs 45740`, written as SWF, then `-nodes 1000 -spare`).
 // Under the race detector each row runs a prefix of its workload
-// (jobScope), pinned in rows of its own. A moved pin fails
-// its row by name and names the digest or metric that moved; a change that
-// moves one on purpose re-blesses with -update and shows as a diff of
-// run_digests.json.
+// (jobScope), pinned in rows of its own. A moved pin fails its row by name
+// and names the digest or metric that moved; a change that moves one on
+// purpose re-blesses with -update and shows as a diff of run_digests.json.
 func TestRunDigests(t *testing.T) {
 	type row struct {
 		name string
@@ -181,9 +180,7 @@ func pinRun(t *testing.T, args []string) runPins {
 		Decisions: fmt.Sprintf("%#016x", canonicalDigest(t, decPath)),
 		Metrics:   map[string]json.Number{},
 	}
-	if err := flatMetrics("", doc, p.Metrics); err != nil {
-		t.Fatal(err)
-	}
+	flatMetrics(t, "", doc, p.Metrics)
 	return p
 }
 
@@ -191,29 +188,23 @@ func pinRun(t *testing.T, args []string) runPins {
 // path, the keys and indices joined by "/" ("counters/sim.migrations",
 // "histograms/sim.wait_seconds/counts/0"), leaving out the phases'
 // wall-clock total_ns.
-func flatMetrics(path string, v any, out map[string]json.Number) error {
+func flatMetrics(t *testing.T, path string, v any, out map[string]json.Number) {
 	switch v := v.(type) {
 	case map[string]any:
 		for k, e := range v {
-			if k == "total_ns" {
-				continue
-			}
-			if err := flatMetrics(strings.TrimPrefix(path+"/"+k, "/"), e, out); err != nil {
-				return err
+			if k != "total_ns" {
+				flatMetrics(t, strings.TrimPrefix(path+"/"+k, "/"), e, out)
 			}
 		}
 	case []any:
 		for i, e := range v {
-			if err := flatMetrics(path+"/"+strconv.Itoa(i), e, out); err != nil {
-				return err
-			}
+			flatMetrics(t, path+"/"+strconv.Itoa(i), e, out)
 		}
 	case json.Number:
 		out[path] = v
 	default:
-		return fmt.Errorf("metrics %s: %v is not a number, an object or a list", path, v)
+		t.Fatalf("metrics %s: %v is not a number, an object or a list", path, v)
 	}
-	return nil
 }
 
 // writeScaledWeek writes to path, as SWF, what `tracegen -jobs jobs`
