@@ -17,6 +17,8 @@ import (
 // are too big to check in, so each is held to the FNV-64a of its canonical
 // form. The week's run trace is pinned alongside. A changed digest means a
 // changed record, field or encoding; review it, then bless the new value.
+// The week row's two digests are also TestRunDigests' seed-1 -spare row's
+// trace and decisions pins, so a re-bless moves both.
 //
 // The two decision digests were last re-blessed when the queue drain
 // stopped asking the placer about VMs no changed PM can host: only the

@@ -44,25 +44,9 @@ func canonicalTrace(t *testing.T) []byte {
 // — a reordered event, a changed field, a different decision — fails
 // byte-for-byte and must be reviewed (then blessed with
 // `go test ./cmd/dvmpsim -run GoldenTrace -update`). Wall-clock fields
-// are stripped first, so the comparison is exact, not fuzzy. The run's
-// decision log is pinned by the FNV-64a of its canonical form, and so is
-// testdata/golden_decisions.jsonl, the same log as an earlier build wrote
-// it in JSONL (which TestFaithfulReplayReproducesTrace replays onto the
-// golden trace): a changed digest means a changed record, field or
-// encoding; review it, then bless the new value.
+// are stripped first, so the comparison is exact, not fuzzy.
 func TestGoldenTrace(t *testing.T) {
-	dir := t.TempDir()
-	tracePath, decPath := filepath.Join(dir, "run.trace"), filepath.Join(dir, "dec.log")
-	if err := run(append(traceArgs(tracePath), "-decisions", decPath), &strings.Builder{}); err != nil {
-		t.Fatal(err)
-	}
-	const decisions = 0x0e8992b250b54b4c
-	for _, path := range []string{decPath, filepath.Join("testdata", "golden_decisions.jsonl")} {
-		if got := canonicalDigest(t, path); got != decisions {
-			t.Errorf("%s: decision log digest %#016x, want %#016x", filepath.Base(path), got, uint64(decisions))
-		}
-	}
-	got := canonical(t, tracePath)
+	got := canonicalTrace(t)
 
 	goldenPath := filepath.Join("testdata", "golden_trace.jsonl")
 	if *update {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"slices"
@@ -12,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -222,21 +220,4 @@ func writeScaledWeek(t *testing.T, path string, jobs int) {
 	if err := os.WriteFile(path, swf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// canonicalDigest is the FNV-64a of the file at path after obs.Canonicalize.
-func canonicalDigest(t *testing.T, path string) uint64 {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) == 0 {
-		t.Fatalf("%s is empty", path)
-	}
-	h := fnv.New64a()
-	if err := obs.Canonicalize(bytes.NewReader(raw), h); err != nil {
-		t.Fatal(err)
-	}
-	return h.Sum64()
 }

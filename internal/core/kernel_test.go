@@ -288,117 +288,124 @@ func TestKernelEquivalenceConsolidate(t *testing.T) {
 // the active PMs, including the unhosted-VM overhead rule (creation only,
 // no migration share), and the candidate index's argmax
 // (BestPlacementWith) must be the Joint scan's argmax, which is also the
-// ranking's head.
+// ranking's head. The kernel subtest passes the factors as a run does.
 func TestKernelArrivalEquivalence(t *testing.T) {
-	ctx, _ := tableIIState(t, 100, 200, 13)
-	factors := DefaultFactors()
-	arrival := cluster.NewVM(9001, vector.New(2, 1), 5400, 5400, ctx.Now)
+	t.Run("kernel", func(t *testing.T) {
+		ctx, _ := tableIIState(t, 100, 200, 13)
+		factors := DefaultFactors()
+		arrival := cluster.NewVM(9001, vector.New(2, 1), 5400, 5400, ctx.Now)
 
-	ranked := RankPlacements(ctx, factors, arrival)
-	if len(ranked) == 0 {
-		t.Fatal("no feasible placements for the arrival")
-	}
-	want := genericBestPlacement(ctx, factors, arrival)
-	if best := BestPlacementWith(ctx, factors, arrival, MatrixOptions{}); best != want || best != ranked[0].PM {
-		t.Fatalf("BestPlacementWith = %v, Joint scan = %v, RankPlacements[0] = PM%d", pmID(best), pmID(want), ranked[0].PM.ID)
-	}
+		ranked := RankPlacements(ctx, factors, arrival)
+		if len(ranked) == 0 {
+			t.Fatal("no feasible placements for the arrival")
+		}
+		want := genericBestPlacement(ctx, factors, arrival)
+		if best := BestPlacementWith(ctx, factors, arrival, MatrixOptions{}); best != want || best != ranked[0].PM {
+			t.Fatalf("BestPlacementWith = %v, Joint scan = %v, RankPlacements[0] = PM%d", pmID(best), pmID(want), ranked[0].PM.ID)
+		}
 
-	byPM := make(map[cluster.PMID]float64, len(ranked))
-	for _, pl := range ranked {
-		byPM[pl.PM.ID] = pl.Probability
-	}
-	n := 0
-	for _, pm := range ctx.DC.ActivePMs() {
-		want := Joint(ctx, factors, arrival, pm, false)
-		if want > 0 {
-			n++
+		byPM := make(map[cluster.PMID]float64, len(ranked))
+		for _, pl := range ranked {
+			byPM[pl.PM.ID] = pl.Probability
 		}
-		if got := byPM[pm.ID]; got != want {
-			t.Fatalf("PM %d: ranked arrival probability %v != Joint %v", pm.ID, got, want)
+		n := 0
+		for _, pm := range ctx.DC.ActivePMs() {
+			want := Joint(ctx, factors, arrival, pm, false)
+			if want > 0 {
+				n++
+			}
+			if got := byPM[pm.ID]; got != want {
+				t.Fatalf("PM %d: ranked arrival probability %v != Joint %v", pm.ID, got, want)
+			}
 		}
-	}
-	if n != len(ranked) {
-		t.Fatalf("ranking has %d entries, Joint scan found %d feasible", len(ranked), n)
-	}
+		if n != len(ranked) {
+			t.Fatalf("ranking has %d entries, Joint scan found %d feasible", len(ranked), n)
+		}
+	})
 }
 
 // TestMatrixTrackersMatchRebuildAfterRandomApplies walks a randomized
 // sequence of moves — each to a PM of positive probability off a random
 // column's host, moved through Migrate — and after every move holds a cold
 // reference to a brute-force Joint scan (assertColumnsRescan: lowest PM on
-// ties, +Inf for a zero normalizer).
+// ties, +Inf for a zero normalizer). The kernel subtest passes the factors
+// as a run does.
 func TestMatrixTrackersMatchRebuildAfterRandomApplies(t *testing.T) {
-	ctx, _ := tableIIState(t, 100, 150, 23)
-	factors := DefaultFactors()
-	rng := stats.NewRand(42)
-	applied := 0
-	for step := 0; step < 40; step++ {
-		ref, err := newReference(ctx, factors)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertColumnsRescan(t, ctx, factors, ref)
-		vm := ref[rng.Intn(len(ref))].vm
-		var to []*cluster.PM
-		for _, pm := range ctx.DC.ActivePMs() {
-			if pm.ID != vm.Host && Joint(ctx, factors, vm, pm, false) > 0 {
-				to = append(to, pm)
+	t.Run("kernel", func(t *testing.T) {
+		ctx, _ := tableIIState(t, 100, 150, 23)
+		factors := DefaultFactors()
+		rng := stats.NewRand(42)
+		applied := 0
+		for step := 0; step < 40; step++ {
+			ref, err := newReference(ctx, factors)
+			if err != nil {
+				t.Fatal(err)
 			}
+			assertColumnsRescan(t, ctx, factors, ref)
+			vm := ref[rng.Intn(len(ref))].vm
+			var to []*cluster.PM
+			for _, pm := range ctx.DC.ActivePMs() {
+				if pm.ID != vm.Host && Joint(ctx, factors, vm, pm, false) > 0 {
+					to = append(to, pm)
+				}
+			}
+			if len(to) == 0 {
+				continue
+			}
+			if err := Migrate(vm, ctx.DC.PM(vm.Host), to[rng.Intn(len(to))]); err != nil {
+				t.Fatal(err)
+			}
+			applied++
 		}
-		if len(to) == 0 {
-			continue
+		if applied < 10 {
+			t.Fatalf("only %d random moves applied; property barely exercised", applied)
 		}
-		if err := Migrate(vm, ctx.DC.PM(vm.Host), to[rng.Intn(len(to))]); err != nil {
-			t.Fatal(err)
+		if err := ctx.DC.CheckInvariants(); err != nil {
+			t.Error(err)
 		}
-		applied++
-	}
-	if applied < 10 {
-		t.Fatalf("only %d random moves applied; property barely exercised", applied)
-	}
-	if err := ctx.DC.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
+	})
 }
 
 // TestConsolidateZeroCurrentProbability exercises the curProb == 0 → +Inf
 // gain path end-to-end through Algorithm 1 on the cold reference with the
-// real factors: a VM
+// real factors, passed in the kernel subtest as a run passes them: a VM
 // whose host's reliability has decayed to zero has a zero-probability
 // placement, so any feasible alternative must be taken regardless of
 // MIG_threshold, with an infinite recorded gain. (The lazy rounds' twin
 // is TestSparseConsolidateZeroCurrentProbability.)
 func TestConsolidateZeroCurrentProbability(t *testing.T) {
-	dc := cluster.TableIIFleetScaled(4)
-	for _, pm := range dc.PMs() {
-		pm.SetState(cluster.PMOn)
-	}
-	vm := cluster.NewVM(1, vector.New(1, 0.5), 36000, 36000, 0)
-	host := dc.PM(0)
-	if err := host.Host(vm); err != nil {
-		t.Fatal(err)
-	}
-	vm.State = cluster.VMRunning
-	// The failure model decays per-PM reliability; zero means
-	// the current placement's joint probability is zero.
-	host.SetReliability(0)
+	t.Run("kernel", func(t *testing.T) {
+		dc := cluster.TableIIFleetScaled(4)
+		for _, pm := range dc.PMs() {
+			pm.SetState(cluster.PMOn)
+		}
+		vm := cluster.NewVM(1, vector.New(1, 0.5), 36000, 36000, 0)
+		host := dc.PM(0)
+		if err := host.Host(vm); err != nil {
+			t.Fatal(err)
+		}
+		vm.State = cluster.VMRunning
+		// The failure model decays per-PM reliability; zero means
+		// the current placement's joint probability is zero.
+		host.SetReliability(0)
 
-	ctx := NewContext(dc).At(100)
-	moves := denseConsolidate(t, ctx, DefaultFactors(), DefaultParams())
-	if len(moves) != 1 {
-		t.Fatalf("moves = %+v, want exactly one rescue migration", moves)
-	}
-	mv := moves[0]
-	if mv.VM != 1 || mv.From != 0 || mv.To == 0 {
-		t.Errorf("move = %+v, want VM1 off PM0", mv)
-	}
-	if !math.IsInf(mv.Gain, 1) {
-		t.Errorf("gain = %v, want +Inf (zero-probability current placement)", mv.Gain)
-	}
-	if vm.Host == 0 {
-		t.Error("VM still on the unreliable host")
-	}
-	if err := dc.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
+		ctx := NewContext(dc).At(100)
+		moves := denseConsolidate(t, ctx, DefaultFactors(), DefaultParams())
+		if len(moves) != 1 {
+			t.Fatalf("moves = %+v, want exactly one rescue migration", moves)
+		}
+		mv := moves[0]
+		if mv.VM != 1 || mv.From != 0 || mv.To == 0 {
+			t.Errorf("move = %+v, want VM1 off PM0", mv)
+		}
+		if !math.IsInf(mv.Gain, 1) {
+			t.Errorf("gain = %v, want +Inf (zero-probability current placement)", mv.Gain)
+		}
+		if vm.Host == 0 {
+			t.Error("VM still on the unreliable host")
+		}
+		if err := dc.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+	})
 }
